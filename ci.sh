@@ -146,4 +146,12 @@ cargo run --release -p pa-bench --bin obs_overhead -- \
   --baseline results/BENCH_scale_smoke.json \
   --out results/BENCH_obs_smoke.json
 
+echo "==> trajectory: the benchmark package builds, its tests pass, --check is green"
+# `trajectory/` is a package of its own (outside the workspace), so nothing
+# above compiles it: a change to the library APIs it calls shows only here.
+# `--check` runs all five workloads on tiny tables, timed and traced, and
+# compares every statement with the harness's own naive reference.
+cargo test --release --manifest-path trajectory/Cargo.toml
+cargo run --release --manifest-path trajectory/Cargo.toml -- --check
+
 echo "CI gate passed."

@@ -22,7 +22,7 @@
 
 use crate::error::Result;
 use pa_engine::{
-    raw_acc, Acc, AggFunc, BlockCoder, DenseGroupMap, DenseKeySpace, ExecStats, Expr, GroupMap,
+    raw_acc, Acc, AggFunc, BlockCoder, DenseKeySpace, ExecStats, Expr, GroupMap, HolisticLane,
     LaneSrc, NumSlice, ParallelConfig, RawLane, ResourceGuard, RowKeyMap, SpanHandle, BLOCK_ROWS,
 };
 use pa_storage::{Column, DataType, Field, Schema, Table, Value};
@@ -54,27 +54,35 @@ fn lane_dtype(func: AggFunc, input: &Expr, schema: &Schema) -> DataType {
 }
 
 /// How one lane reads its input per row (mirrors the aggregate operator's
-/// kernel split: typed column reads for numeric sum/avg/count, generic
-/// expression evaluation for everything else).
+/// kernel split: typed column reads for numeric sum/avg/count, a typed
+/// holistic lane — fused scan only — for percentile/sketch functions over a
+/// numeric column, generic expression evaluation for everything else).
 #[derive(Debug, Clone, Copy)]
 enum LaneKernel {
     NumericCol(usize),
+    HolisticCol(usize),
     CountStar,
     Generic,
 }
 
 fn classify_lane(func: AggFunc, input: &Expr, src: &Table) -> LaneKernel {
+    let numeric_col = match *input {
+        Expr::Col(c)
+            if c < src.num_columns()
+                && matches!(src.column(c).data_type(), DataType::Int | DataType::Float) =>
+        {
+            Some(c)
+        }
+        _ => None,
+    };
     match func {
         AggFunc::CountStar => LaneKernel::CountStar,
-        AggFunc::Sum | AggFunc::Avg | AggFunc::Count => match *input {
-            Expr::Col(c)
-                if c < src.num_columns()
-                    && matches!(src.column(c).data_type(), DataType::Int | DataType::Float) =>
-            {
-                LaneKernel::NumericCol(c)
-            }
-            _ => LaneKernel::Generic,
-        },
+        AggFunc::Sum | AggFunc::Avg | AggFunc::Count => {
+            numeric_col.map_or(LaneKernel::Generic, LaneKernel::NumericCol)
+        }
+        AggFunc::Percentile(_) | AggFunc::ApproxPercentile(_) | AggFunc::ApproxCountDistinct => {
+            numeric_col.map_or(LaneKernel::Generic, LaneKernel::HolisticCol)
+        }
         _ => LaneKernel::Generic,
     }
 }
@@ -177,12 +185,20 @@ struct PivotCtx<'a> {
 /// Per-worker state for the fused vectorized pivot scan (DESIGN.md §12):
 /// every path dense, every lane typed — built by [`PivotCtx::try_fused`].
 struct FusedPivot<'a> {
-    group_coder: BlockCoder<'a>,
+    /// `None` for an empty GROUP BY: every row belongs to the global group.
+    group_coder: Option<BlockCoder<'a>>,
     /// Per task: cell-code coder plus its jump table.
     cell_tables: Vec<(BlockCoder<'a>, &'a [u32])>,
     lane_srcs: Vec<Vec<LaneSrc<'a>>>,
     total_srcs: Vec<Option<LaneSrc<'a>>>,
     extra_srcs: Vec<LaneSrc<'a>>,
+    /// Holistic-lane slot at each accumulator-matrix position (`None`: a
+    /// raw sum/count position). The cells of one task lane share a slot,
+    /// indexed `gid × combos + cell`; an extra lane's slot is indexed by
+    /// `gid`.
+    pos_hol: Vec<Option<usize>>,
+    /// Per slot: its function and how many indices one group spans.
+    hol: Vec<(AggFunc, usize)>,
 }
 
 impl FusedPivot<'_> {
@@ -191,7 +207,9 @@ impl FusedPivot<'_> {
         self.cell_tables
             .iter()
             .map(|(c, _)| c.pack_width())
-            .fold(self.group_coder.pack_width(), u32::max)
+            .chain(self.group_coder.as_ref().map(BlockCoder::pack_width))
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -241,15 +259,20 @@ fn scatter_lane(lane: &mut RawLane, src: &LaneSrc<'_>, start: usize, idx: &[usiz
 
 impl<'a> PivotCtx<'a> {
     /// Build the fused scan state when every path vectorizes: dense group
-    /// and cell spaces whose dimensions all read through packed/typed
-    /// vectors, and only typed numeric / `count(*)` lanes. `None` sends the
-    /// scan down the (hoisted) scalar loop. Deterministic, so every worker
-    /// and the planning pass agree.
+    /// (or the empty GROUP BY) and cell spaces whose dimensions all read
+    /// through packed/typed vectors, and only lanes with a fused kind —
+    /// typed numeric, `count(*)`, holistic over a numeric column. `None`
+    /// sends the scan down the (hoisted) scalar loop. Deterministic, so
+    /// every worker and the planning pass agree.
     fn try_fused(&self, config: &ParallelConfig) -> Option<FusedPivot<'a>> {
-        if !config.vector || self.j_cols.is_empty() {
+        if !config.vector {
             return None;
         }
-        let group_coder = BlockCoder::try_new(self.src, self.group_space.as_ref()?)?;
+        let group_coder = if self.j_cols.is_empty() {
+            None
+        } else {
+            Some(BlockCoder::try_new(self.src, self.group_space.as_ref()?)?)
+        };
         let mut cell_tables = Vec::with_capacity(self.cell_maps.len());
         for m in self.cell_maps {
             let CellMap::Dense {
@@ -266,7 +289,9 @@ impl<'a> PivotCtx<'a> {
         }
         let lane_src = |k: &LaneKernel| -> Option<LaneSrc<'a>> {
             match k {
-                LaneKernel::NumericCol(c) => LaneSrc::for_column(self.src.column(*c)),
+                LaneKernel::NumericCol(c) | LaneKernel::HolisticCol(c) => {
+                    LaneSrc::for_column(self.src.column(*c))
+                }
                 LaneKernel::CountStar => Some(LaneSrc::CountStar),
                 LaneKernel::Generic => None,
             }
@@ -286,18 +311,47 @@ impl<'a> PivotCtx<'a> {
             .collect();
         let extra_srcs: Option<Vec<LaneSrc<'a>>> =
             self.extra_kernels.iter().map(lane_src).collect();
+
+        // Holistic lanes get one slot each; the slot's indices must fit the
+        // `u32` index blocks the lanes scatter through.
+        let group_codes = self.group_space.as_ref().map_or(1, DenseKeySpace::size);
+        let mut pos_hol = vec![None; self.width];
+        let mut hol = Vec::new();
+        for (t, task) in self.tasks.iter().enumerate() {
+            let cells = task.combos.len();
+            for (l, (func, _)) in task.lanes.iter().enumerate() {
+                if !matches!(self.lane_kernels[t][l], LaneKernel::HolisticCol(_)) {
+                    continue;
+                }
+                if group_codes.checked_mul(cells)? > u32::MAX as usize {
+                    return None;
+                }
+                for c in 0..cells {
+                    pos_hol[self.task_base[t] + c * task.lanes.len() + l] = Some(hol.len());
+                }
+                hol.push((*func, cells));
+            }
+        }
+        for (x, (func, _)) in self.extra_lanes.iter().enumerate() {
+            if matches!(self.extra_kernels[x], LaneKernel::HolisticCol(_)) {
+                pos_hol[self.extra_base + x] = Some(hol.len());
+                hol.push((*func, 1));
+            }
+        }
         Some(FusedPivot {
             group_coder,
             cell_tables,
             lane_srcs: lane_srcs?,
             total_srcs: total_srcs?,
             extra_srcs: extra_srcs?,
+            pos_hol,
+            hol,
         })
     }
 
     /// Vectorized scan of one chunk: block-at-a-time group codes → gids,
-    /// jump-table cell dispatch over code blocks, and raw sum/count
-    /// accumulation, converted to the scalar path's `Acc` matrix at the
+    /// jump-table cell dispatch over code blocks, raw sum/count pairs and
+    /// holistic lanes, converted to the scalar path's `Acc` matrix at the
     /// end. Guard/span cadence matches the scalar scan (one charge per
     /// morsel plus one per fresh group), so budgets and traces are
     /// path-independent.
@@ -311,18 +365,23 @@ impl<'a> PivotCtx<'a> {
         config: &ParallelConfig,
         span: &mut SpanHandle,
     ) -> Result<(GroupMap, Vec<Acc>)> {
-        let space = self
-            .group_space
-            .clone()
-            .expect("fused pivot requires a dense group space");
-        let mut map = DenseGroupMap::new(space);
+        let mut groups = GroupMap::for_space(self.group_space.clone());
         let width = self.width;
         let mut lanes = RawLane::default();
+        let mut hol: Vec<HolisticLane> = fused
+            .hol
+            .iter()
+            .map(|&(func, _)| {
+                HolisticLane::new(func, config.percentile_budget)
+                    .expect("slots hold holistic functions")
+            })
+            .collect();
         let mut gcodes = [0u32; BLOCK_ROWS];
         let mut gids = [0u32; BLOCK_ROWS];
         let mut ccodes = [0u32; BLOCK_ROWS];
         let mut idx = [usize::MAX; BLOCK_ROWS];
         let mut tidx = [usize::MAX; BLOCK_ROWS];
+        let mut hidx = [u32::MAX; BLOCK_ROWS];
         stats.pack_width = stats.pack_width.max(fused.pack_width() as u64);
         for morsel in config.morsels(chunk) {
             guard.charge(morsel.len() as u64)?;
@@ -331,28 +390,48 @@ impl<'a> PivotCtx<'a> {
             let mut start = morsel.start;
             while start < morsel.end {
                 let blen = BLOCK_ROWS.min(morsel.end - start);
+                let rows = start..start + blen;
                 stats.vectorized_kernel_rows += blen as u64;
 
                 // Group codes → gids; fresh groups charge one output row
                 // each, exactly like the scalar loop's discovery charge.
-                fused.group_coder.fill(start, &mut gcodes[..blen]);
-                let before = map.len();
-                for k in 0..blen {
-                    gids[k] = map.get_or_insert_code(gcodes[k] as usize) as u32;
+                let before = groups.len();
+                if let Some(coder) = &fused.group_coder {
+                    let map = groups
+                        .as_dense_mut()
+                        .expect("a group coder implies the dense group path");
+                    coder.fill(start, &mut gcodes[..blen]);
+                    for k in 0..blen {
+                        gids[k] = map.get_or_insert_code(gcodes[k] as usize) as u32;
+                    }
+                } else {
+                    // Empty GROUP BY: the block is one run of the global group.
+                    if groups.is_empty() {
+                        groups.get_or_insert_key(&[], stats);
+                    }
+                    gids[..blen].fill(0);
                 }
-                let fresh = map.len() - before;
+                let fresh = groups.len() - before;
                 if fresh > 0 {
                     guard.charge(fresh as u64)?;
                     span.add_rows(fresh as u64);
                 }
-                lanes.ensure(map.len() * width);
+                lanes.ensure(groups.len() * width);
+                for (lane, &(_, cells)) in hol.iter_mut().zip(&fused.hol) {
+                    lane.ensure(groups.len() * cells);
+                }
 
                 for (t, task) in self.tasks.iter().enumerate() {
+                    let ncombos = task.combos.len();
+                    if ncombos == 0 {
+                        continue; // no listed combination: no row matches
+                    }
                     let (coder, code_to_cell) = &fused.cell_tables[t];
                     let nlanes = task.lanes.len();
                     let base_off = self.task_base[t];
-                    let total_off = base_off + nlanes * task.combos.len();
+                    let total_off = base_off + nlanes * ncombos;
                     let has_total = task.total.is_some();
+                    let has_hol = (0..nlanes).any(|l| fused.pos_hol[base_off + l].is_some());
                     coder.fill(start, &mut ccodes[..blen]);
                     // RLE fast path: a constant cell-code block (sorted or
                     // low-cardinality BY column) resolves the jump table
@@ -370,6 +449,11 @@ impl<'a> PivotCtx<'a> {
                             idx[k] = g + cell_off;
                             tidx[k] = g + total_off;
                         }
+                        if has_hol {
+                            for k in 0..blen {
+                                hidx[k] = gids[k] * ncombos as u32 + cell;
+                            }
+                        }
                     } else {
                         for k in 0..blen {
                             let cell = code_to_cell[ccodes[k] as usize];
@@ -382,9 +466,22 @@ impl<'a> PivotCtx<'a> {
                                 tidx[k] = g + total_off;
                             }
                         }
+                        if has_hol {
+                            for k in 0..blen {
+                                let cell = code_to_cell[ccodes[k] as usize];
+                                hidx[k] = if cell == u32::MAX {
+                                    u32::MAX
+                                } else {
+                                    gids[k] * ncombos as u32 + cell
+                                };
+                            }
+                        }
                     }
                     for (l, src) in fused.lane_srcs[t].iter().enumerate() {
-                        scatter_lane(&mut lanes, src, start, &idx[..blen], l);
+                        match fused.pos_hol[base_off + l] {
+                            Some(h) => hol[h].scatter(src, rows.clone(), &hidx[..blen]),
+                            None => scatter_lane(&mut lanes, src, start, &idx[..blen], l),
+                        }
                     }
                     if has_total {
                         let src = fused.total_srcs[t]
@@ -399,7 +496,13 @@ impl<'a> PivotCtx<'a> {
                         idx[k] = gids[k] as usize * width + self.extra_base;
                     }
                     for (x, src) in fused.extra_srcs.iter().enumerate() {
-                        scatter_lane(&mut lanes, src, start, &idx[..blen], x);
+                        match fused.pos_hol[self.extra_base + x] {
+                            Some(h) if fused.group_coder.is_none() => {
+                                hol[h].accumulate_run(src, rows.clone(), 0)
+                            }
+                            Some(h) => hol[h].scatter(src, rows.clone(), &gids[..blen]),
+                            None => scatter_lane(&mut lanes, src, start, &idx[..blen], x),
+                        }
                     }
                 }
                 start += blen;
@@ -407,17 +510,23 @@ impl<'a> PivotCtx<'a> {
         }
         // Collapse into the Acc matrix the scalar scan produces, so the
         // merge/materialize machinery — and the output bytes — are shared.
-        let n = map.len();
-        lanes.ensure(n * width);
+        // A holistic slot's states come out in index order, which is the
+        // order its positions are visited in.
+        let n = groups.len();
+        let mut hol: Vec<_> = hol.into_iter().map(HolisticLane::into_accs).collect();
         let mut accs = Vec::with_capacity(n * width);
         for gid in 0..n {
             for (w, func) in self.template_funcs.iter().enumerate() {
-                let f = gid * width + w;
-                let (sum, count) = lanes.pair(f);
-                accs.push(raw_acc(*func, sum, count));
+                accs.push(match fused.pos_hol[w] {
+                    Some(h) => hol[h].next().expect("holistic lane covers every cell"),
+                    None => {
+                        let (sum, count) = lanes.pair(gid * width + w);
+                        raw_acc(*func, sum, count)
+                    }
+                });
             }
         }
-        Ok((GroupMap::Dense(map), accs))
+        Ok((groups, accs))
     }
 
     /// Scan one contiguous chunk morsel by morsel into a thread-local
@@ -516,7 +625,7 @@ impl<'a> PivotCtx<'a> {
                     .expect("numeric lane has a typed slice");
                 acc.update_f64(s.get_f64(row));
             }
-            LaneKernel::Generic => {
+            LaneKernel::Generic | LaneKernel::HolisticCol(_) => {
                 let v = input.eval(self.src, row, stats)?;
                 acc.update(&v)?;
             }
@@ -631,7 +740,7 @@ pub fn pivot_aggregate_with_config(
         for task in tasks {
             for _combo in &task.combos {
                 for (func, _) in &task.lanes {
-                    t.push(Acc::new(*func));
+                    t.push(Acc::with_budget(*func, config.percentile_budget));
                 }
             }
             if task.total.is_some() {
@@ -639,7 +748,7 @@ pub fn pivot_aggregate_with_config(
             }
         }
         for (func, _) in extra_lanes {
-            t.push(Acc::new(*func));
+            t.push(Acc::with_budget(*func, config.percentile_budget));
         }
         t
     };

@@ -102,6 +102,9 @@ fn failed_queries_never_leak_temp_tables() {
 
 #[test]
 fn deadline_is_enforced_on_the_engines_injected_clock() {
+    // Every guard charge ticks the process-global panic injector: stay out
+    // of the windows in which another test has it armed.
+    let _w = chaos_window();
     let catalog = sales_catalog(1024);
     // Every guard charge advances the clock 1ms; a 0ms allowance expires at
     // the first morsel boundary, with no wall-clock time involved.
@@ -140,6 +143,9 @@ fn deadline_is_enforced_on_the_engines_injected_clock() {
 
 #[test]
 fn transient_log_errors_are_absorbed_by_retry() {
+    // Every guard charge ticks the process-global panic injector: stay out
+    // of the windows in which another test has it armed.
+    let _w = chaos_window();
     // The very first append hits a transient device error; the WAL retry
     // policy absorbs it and the workload proceeds as if nothing happened.
     let store = FaultInjector::new(
@@ -166,6 +172,9 @@ fn transient_log_errors_are_absorbed_by_retry() {
 
 #[test]
 fn permanent_log_corruption_fails_fast_with_the_typed_error() {
+    // Every guard charge ticks the process-global panic injector: stay out
+    // of the windows in which another test has it armed.
+    let _w = chaos_window();
     // Tear the log mid-write: the device goes offline and every later
     // operation fails permanently. The retry policy must NOT burn backoff
     // on it — permanent errors surface immediately, with their type intact.
@@ -209,6 +218,9 @@ fn permanent_log_corruption_fails_fast_with_the_typed_error() {
 
 #[test]
 fn guard_settings_and_work_accounting_surface_in_explain() {
+    // Every guard charge ticks the process-global panic injector: stay out
+    // of the windows in which another test has it armed.
+    let _w = chaos_window();
     let catalog = sales_catalog(256);
     let engine =
         PercentageEngine::with_unique_temps(&catalog).with_deadline(Duration::from_millis(250));

@@ -54,4 +54,6 @@ pub use pa_obs::{MetricsRegistry, SpanHandle, SpanRecord, TraceReport, Tracer};
 pub use parallel::ParallelConfig;
 pub use sketch::{Hll, TDigest, HLL_REGISTERS, HLL_STD_ERROR, TDIGEST_RANK_EPSILON};
 pub use stats::{AbortCause, Degradation, ExecStats};
-pub use vector::{raw_acc, BlockCoder, LaneSrc, NumSlice, RawLane, WideCoder, BLOCK_ROWS};
+pub use vector::{
+    raw_acc, BlockCoder, HolisticLane, LaneSrc, NumSlice, RawLane, WideCoder, BLOCK_ROWS,
+};

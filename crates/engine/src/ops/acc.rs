@@ -32,16 +32,9 @@ use pa_storage::partial::{frame, put_f64, put_i64, put_u32, put_u64, put_value, 
 use pa_storage::{StorageError, Value};
 
 /// Default per-group sample budget for exact `percentile` before the
-/// state spills to a t-digest (override with `PA_PERCENTILE_BUDGET`).
+/// state spills to a t-digest. `PA_PERCENTILE_BUDGET` overrides it through
+/// [`crate::ParallelConfig::percentile_budget`].
 pub const DEFAULT_PERCENTILE_BUDGET: usize = 65_536;
-
-fn percentile_budget() -> usize {
-    std::env::var("PA_PERCENTILE_BUDGET")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_PERCENTILE_BUDGET)
-}
 
 /// The two-step aggregation contract: accumulate partials shard-locally,
 /// then merge and finalize anywhere — with a versioned byte form in
@@ -67,6 +60,25 @@ pub enum PctState {
     Exact(Vec<f64>),
     /// Over budget: samples folded into a t-digest.
     Spilled(TDigest),
+}
+
+impl PctState {
+    /// Absorb one sample; the state spills at the sample that takes it
+    /// past `budget`. Every path that feeds an exact percentile — the
+    /// per-row [`Acc::update`] and the block-fed holistic lanes — goes
+    /// through here, so they spill at the same row.
+    #[inline]
+    pub(crate) fn push(&mut self, budget: usize, x: f64) {
+        match self {
+            PctState::Exact(vals) => {
+                vals.push(x);
+                if vals.len() > budget {
+                    *self = PctState::Spilled(digest_of(vals));
+                }
+            }
+            PctState::Spilled(d) => d.update(x),
+        }
+    }
 }
 
 /// Running state of one aggregate over one group.
@@ -117,18 +129,30 @@ pub enum Acc {
     ApproxCountDistinct(Hll),
 }
 
-/// PERCENTILE_CONT over a sorted sample: linear interpolation between the
-/// two nearest ranks (p=0 → min, p=1 → max, p=0.5 of `[10,20,30,40]` →
-/// `25.0`).
-fn percentile_cont(sorted: &[f64], p: f64) -> Value {
-    if sorted.is_empty() {
+/// PERCENTILE_CONT over a sample in any order: linear interpolation
+/// between the two nearest ranks of the [`f64::total_cmp`] order (p=0 →
+/// min, p=1 → max, p=0.5 of `[10,20,30,40]` → `25.0`). Selects the two
+/// ranks instead of sorting; `vals` is left partially ordered.
+fn percentile_cont(vals: &mut [f64], p: f64) -> Value {
+    if vals.is_empty() {
         return Value::Null;
     }
-    let rank = p.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
+    let rank = p.clamp(0.0, 1.0) * (vals.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
     let frac = rank - lo as f64;
-    Value::Float(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
+    let (_, &mut at_lo, above) = vals.select_nth_unstable_by(lo, f64::total_cmp);
+    // `hi` is `lo` or `lo + 1`: the next rank is the least value above.
+    let at_hi = if hi == lo {
+        at_lo
+    } else {
+        above
+            .iter()
+            .copied()
+            .min_by(f64::total_cmp)
+            .expect("rank hi = lo + 1 lies inside the sample")
+    };
+    Value::Float(at_lo + (at_hi - at_lo) * frac)
 }
 
 /// Representation tie-break for min/max: [`Value::total_cmp`] calls
@@ -149,8 +173,15 @@ fn digest_of(values: &[f64]) -> TDigest {
 }
 
 impl Acc {
-    /// Fresh accumulator for `func`.
+    /// Fresh accumulator for `func`, with the default percentile budget.
     pub fn new(func: AggFunc) -> Acc {
+        Acc::with_budget(func, DEFAULT_PERCENTILE_BUDGET)
+    }
+
+    /// Fresh accumulator for `func`; an exact `percentile` state spills to
+    /// its t-digest past `percentile_budget` samples (operators pass
+    /// [`crate::ParallelConfig::percentile_budget`]).
+    pub fn with_budget(func: AggFunc, percentile_budget: usize) -> Acc {
         match func {
             AggFunc::Sum => Acc::Sum {
                 sum: 0.0,
@@ -164,7 +195,7 @@ impl Acc {
             AggFunc::Max => Acc::Max(Value::Null),
             AggFunc::Percentile(p) => Acc::Percentile {
                 p: p.value(),
-                budget: percentile_budget(),
+                budget: percentile_budget,
                 state: PctState::Exact(Vec::new()),
             },
             AggFunc::ApproxPercentile(p) => Acc::ApproxPercentile {
@@ -249,15 +280,7 @@ impl Acc {
                 }
             }
             Acc::Percentile { budget, state, .. } => match v.as_f64() {
-                Some(x) => match state {
-                    PctState::Exact(vals) => {
-                        vals.push(x);
-                        if vals.len() > *budget {
-                            *state = PctState::Spilled(digest_of(vals));
-                        }
-                    }
-                    PctState::Spilled(d) => d.update(x),
-                },
+                Some(x) => state.push(*budget, x),
                 None => {
                     return Err(EngineError::ExprType(format!(
                         "percentile of non-numeric {v}"
@@ -402,11 +425,7 @@ impl Acc {
             }
             Acc::Min(v) | Acc::Max(v) => v.clone(),
             Acc::Percentile { p, state, .. } => match state {
-                PctState::Exact(vals) => {
-                    let mut sorted = vals.clone();
-                    sorted.sort_by(f64::total_cmp);
-                    percentile_cont(&sorted, *p)
-                }
+                PctState::Exact(vals) => percentile_cont(&mut vals.clone(), *p),
                 PctState::Spilled(d) => d.quantile(*p).map_or(Value::Null, Value::Float),
             },
             Acc::ApproxPercentile { p, digest } => {
@@ -717,6 +736,40 @@ mod tests {
     }
 
     #[test]
+    fn select_nth_finalize_matches_the_full_sort() {
+        // Reference: PERCENTILE_CONT read off a fully sorted copy.
+        let by_sort = |vals: &[f64], p: f64| {
+            let mut sorted = vals.to_vec();
+            sorted.sort_by(f64::total_cmp);
+            let rank = p * (sorted.len() - 1) as f64;
+            let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+            sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo as f64)
+        };
+        let samples: Vec<Vec<f64>> = vec![
+            vec![7.5],
+            vec![2.0, -1.0],
+            vec![3.0, 1.0, 2.0],
+            vec![0.0, -0.0, 0.0, -0.0, -0.0],
+            vec![5.0, 5.0, 1.0, 5.0, 1.0, 9.0, 9.0, 1.0],
+            (0..257).map(|i| ((i * 131) % 97) as f64 - 40.5).collect(),
+        ];
+        for vals in &samples {
+            for p in [0.0, 0.25, 0.5, 0.9, 1.0] {
+                let got = match percentile_cont(&mut vals.clone(), p) {
+                    Value::Float(x) => x,
+                    v => panic!("expected float, got {v}"),
+                };
+                assert_eq!(
+                    got.to_bits(),
+                    by_sort(vals, p).to_bits(),
+                    "p={p} over {vals:?}"
+                );
+            }
+        }
+        assert_eq!(percentile_cont(&mut [], 0.5), Value::Null);
+    }
+
+    #[test]
     fn percentile_finalize_is_insertion_order_independent() {
         let fwd: Vec<Value> = (0..100).map(Value::Int).collect();
         let mut rev = fwd.clone();
@@ -728,9 +781,7 @@ mod tests {
 
     #[test]
     fn percentile_spills_to_digest_past_budget() {
-        std::env::set_var("PA_PERCENTILE_BUDGET", "64");
-        let mut acc = Acc::new(AggFunc::Percentile(PBits::new(0.5)));
-        std::env::remove_var("PA_PERCENTILE_BUDGET");
+        let mut acc = Acc::with_budget(AggFunc::Percentile(PBits::new(0.5)), 64);
         for i in 0..1000 {
             acc.update(&Value::Int(i)).unwrap();
         }

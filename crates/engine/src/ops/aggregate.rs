@@ -25,7 +25,9 @@ use crate::keymap::{DenseKeySpace, GroupMap, WideKeySpace};
 use crate::ops::acc::Acc;
 use crate::parallel::ParallelConfig;
 use crate::stats::ExecStats;
-use crate::vector::{BlockCoder, FusedAgg, FusedWideAgg, LaneSrc, NumSlice, WideCoder};
+use crate::vector::{
+    BlockCoder, FusedAgg, FusedGlobal, FusedWideAgg, LaneSet, LaneSrc, NumSlice, WideCoder,
+};
 use pa_obs::SpanHandle;
 use pa_storage::{Column, DataType, Field, Schema, Table};
 
@@ -181,6 +183,10 @@ enum Kernel {
     /// `sum`/`avg`/`count` over a plain numeric column: read through
     /// `Column::get_f64`, no `Value` construction.
     NumericCol(usize),
+    /// `percentile`/`approx_percentile`/`approx_count_distinct` over a plain
+    /// numeric column: a typed [`crate::vector::HolisticLane`] in the fused
+    /// pipelines; the scalar loop evaluates it like [`Kernel::Generic`].
+    HolisticCol(usize),
     /// `count(*)`: no input read at all.
     CountStar,
     /// Everything else: evaluate the expression into a `Value`.
@@ -189,24 +195,34 @@ enum Kernel {
 
 /// Classify each spec against the input table's column types.
 fn classify_kernels(aggs: &[AggSpec], input: &Table) -> Vec<Kernel> {
+    let numeric_col = |expr: &Expr| match *expr {
+        Expr::Col(c)
+            if c < input.num_columns()
+                && matches!(input.column(c).data_type(), DataType::Int | DataType::Float) =>
+        {
+            Some(c)
+        }
+        _ => None,
+    };
     aggs.iter()
         .map(|spec| match spec.func {
             AggFunc::CountStar => Kernel::CountStar,
-            AggFunc::Sum | AggFunc::Avg | AggFunc::Count => match spec.input {
-                Expr::Col(c)
-                    if c < input.num_columns()
-                        && matches!(
-                            input.column(c).data_type(),
-                            DataType::Int | DataType::Float
-                        ) =>
-                {
-                    Kernel::NumericCol(c)
-                }
-                _ => Kernel::Generic,
-            },
+            AggFunc::Sum | AggFunc::Avg | AggFunc::Count => {
+                numeric_col(&spec.input).map_or(Kernel::Generic, Kernel::NumericCol)
+            }
+            AggFunc::Percentile(_)
+            | AggFunc::ApproxPercentile(_)
+            | AggFunc::ApproxCountDistinct => {
+                numeric_col(&spec.input).map_or(Kernel::Generic, Kernel::HolisticCol)
+            }
             _ => Kernel::Generic,
         })
         .collect()
+}
+
+/// Whether every lane of a level has a fused lane kind.
+fn lanes_fuse(kernels: &[Kernel]) -> bool {
+    !kernels.iter().any(|k| matches!(k, Kernel::Generic))
 }
 
 /// Typed column views for the scalar loop, resolved once per chunk instead
@@ -229,6 +245,9 @@ enum LevelExec<'a> {
     /// Hash (over-budget) group path with the same block discipline:
     /// shift-packed `u64` codes per block, one hash probe per row or run.
     FusedWide(Box<FusedWideAgg<'a>>),
+    /// Empty GROUP BY: no codes, every block is one run into the global
+    /// group.
+    FusedGlobal(FusedGlobal<'a>),
     Scalar(Vec<Option<NumSlice<'a>>>),
 }
 
@@ -243,20 +262,21 @@ struct Level {
     /// plan (the domain scan is O(n)) when the dense space is over budget
     /// but the dimensions still pack into 64 bits.
     wide: Option<WideKeySpace>,
+    /// [`ParallelConfig::percentile_budget`], handed to every accumulator
+    /// this level creates.
+    percentile_budget: usize,
     accs: Vec<Acc>, // groups × aggs, flat
 }
 
 impl Level {
     /// Whether this level can run the fused vectorized pipeline: a dense
     /// group map whose every dimension reads through a packed/typed vector,
-    /// and only typed numeric / `count(*)` lanes. The decision is a pure
-    /// function of the (level, input, config) triple, so every worker chunk
-    /// agrees with the planning pass in [`multi_hash_aggregate_with_config`].
+    /// and only lanes with a fused kind (typed numeric, `count(*)`,
+    /// holistic over a numeric column). The decision is a pure function of
+    /// the (level, input, config) triple, so every worker chunk agrees with
+    /// the planning pass in [`multi_hash_aggregate_with_config`].
     fn fused_coder<'a>(&self, input: &'a Table, config: &ParallelConfig) -> Option<BlockCoder<'a>> {
-        if !config.vector || self.group_cols.is_empty() {
-            return None;
-        }
-        if self.kernels.iter().any(|k| matches!(k, Kernel::Generic)) {
+        if !config.vector || !lanes_fuse(&self.kernels) {
             return None;
         }
         let GroupMap::Dense(map) = &self.map else {
@@ -274,10 +294,7 @@ impl Level {
         input: &'a Table,
         config: &ParallelConfig,
     ) -> Option<WideCoder<'a>> {
-        if !config.vector || self.group_cols.is_empty() {
-            return None;
-        }
-        if self.kernels.iter().any(|k| matches!(k, Kernel::Generic)) {
+        if !config.vector || !lanes_fuse(&self.kernels) {
             return None;
         }
         if !matches!(self.map, GroupMap::Hash(_)) {
@@ -286,18 +303,22 @@ impl Level {
         WideCoder::try_new(input, self.wide.as_ref()?)
     }
 
-    /// The fused lane sources for a level whose kernels passed the
-    /// no-generic check.
-    fn lane_srcs<'a>(&self, input: &'a Table) -> Vec<LaneSrc<'a>> {
-        self.kernels
+    /// The fused lanes for a level whose kernels passed [`lanes_fuse`].
+    fn fused_lanes<'a>(&self, input: &'a Table) -> LaneSet<'a> {
+        let srcs = self
+            .kernels
             .iter()
             .map(|k| match k {
-                Kernel::NumericCol(c) => LaneSrc::for_column(input.column(*c))
-                    .expect("classified numeric lane has a numeric column"),
+                Kernel::NumericCol(c) | Kernel::HolisticCol(c) => {
+                    LaneSrc::for_column(input.column(*c))
+                        .expect("classified numeric lane has a numeric column")
+                }
                 Kernel::CountStar => LaneSrc::CountStar,
                 Kernel::Generic => unreachable!("fused paths reject generic lanes"),
             })
-            .collect()
+            .collect();
+        let funcs = self.aggs.iter().map(|s| s.func).collect();
+        LaneSet::new(srcs, funcs, self.percentile_budget)
     }
 
     /// Pick this level's execution mode for one worker chunk.
@@ -307,8 +328,10 @@ impl Level {
         config: &ParallelConfig,
         stats: &mut ExecStats,
     ) -> LevelExec<'a> {
-        if let Some(coder) = self.fused_coder(input, config) {
-            let srcs = self.lane_srcs(input);
+        debug_assert!(self.accs.is_empty(), "chunks start from empty state");
+        if config.vector && self.group_cols.is_empty() && lanes_fuse(&self.kernels) {
+            LevelExec::FusedGlobal(FusedGlobal::new(self.fused_lanes(input)))
+        } else if let Some(coder) = self.fused_coder(input, config) {
             stats.pack_width = stats.pack_width.max(coder.pack_width() as u64);
             // The fused state owns the dense map for the duration of the
             // chunk; end_chunk puts it back along with the accumulators.
@@ -316,14 +339,13 @@ impl Level {
             else {
                 unreachable!("fused_coder requires the dense path");
             };
-            debug_assert!(self.accs.is_empty(), "fused chunks start from empty state");
-            LevelExec::Fused(Box::new(FusedAgg::new(coder, map, srcs)))
+            let lanes = self.fused_lanes(input);
+            LevelExec::Fused(Box::new(FusedAgg::new(coder, map, lanes)))
         } else if let Some(coder) = self.fused_wide_coder(input, config) {
-            let srcs = self.lane_srcs(input);
             stats.pack_width = stats.pack_width.max(coder.pack_width() as u64);
-            debug_assert!(self.accs.is_empty(), "fused chunks start from empty state");
             let space = self.wide.clone().expect("fused_wide_coder checked");
-            LevelExec::FusedWide(Box::new(FusedWideAgg::new(input, coder, space, srcs)))
+            let lanes = self.fused_lanes(input);
+            LevelExec::FusedWide(Box::new(FusedWideAgg::new(input, coder, space, lanes)))
         } else {
             LevelExec::Scalar(lane_slices(&self.kernels, input))
         }
@@ -331,10 +353,9 @@ impl Level {
 
     /// Fold a chunk's fused state back into the level (no-op for scalar).
     fn end_chunk(&mut self, exec: LevelExec<'_>, stats: &mut ExecStats) {
-        let funcs: Vec<AggFunc> = self.aggs.iter().map(|s| s.func).collect();
         match exec {
             LevelExec::Fused(fused) => {
-                let (map, accs) = fused.into_accs(&funcs);
+                let (map, accs) = fused.into_accs();
                 self.map = GroupMap::Dense(map);
                 self.accs = accs;
             }
@@ -343,15 +364,30 @@ impl Level {
                 // first-appearance order: gids and group order come out
                 // exactly as the scalar per-row loop would have assigned
                 // them, so worker merges and finish() are path-oblivious.
-                let (keys, accs) = fused.into_keys_accs(&funcs);
+                let (keys, accs) = fused.into_keys_accs();
                 for key in &keys {
                     let gid = self.map.get_or_insert_key(key, stats);
                     debug_assert_eq!(gid + 1, self.map.len(), "keys arrive deduplicated");
                 }
                 self.accs = accs;
             }
+            LevelExec::FusedGlobal(fused) => {
+                // Like the scalar loop, the global group exists once a row
+                // has been seen.
+                if let Some(accs) = fused.into_accs() {
+                    self.map.get_or_insert_key(&[], stats);
+                    self.accs = accs;
+                }
+            }
             LevelExec::Scalar(_) => {}
         }
+    }
+
+    /// Append one group's empty accumulators to the matrix.
+    fn push_fresh_group(&mut self) {
+        let budget = self.percentile_budget;
+        self.accs
+            .extend(self.aggs.iter().map(|s| Acc::with_budget(s.func, budget)));
     }
 
     fn absorb(
@@ -373,9 +409,7 @@ impl Level {
         };
         let base = gid * self.aggs.len();
         if base + self.aggs.len() > self.accs.len() {
-            for spec in &self.aggs {
-                self.accs.push(Acc::new(spec.func));
-            }
+            self.push_fresh_group();
         }
         for (i, spec) in self.aggs.iter().enumerate() {
             match self.kernels[i] {
@@ -384,7 +418,7 @@ impl Level {
                     let s = slices[i].as_ref().expect("numeric lane has a typed slice");
                     self.accs[base + i].update_f64(s.get_f64(row));
                 }
-                Kernel::Generic => {
+                Kernel::Generic | Kernel::HolisticCol(_) => {
                     let v = spec.input.eval(input, row, stats)?;
                     self.accs[base + i].update(&v)?;
                 }
@@ -404,9 +438,7 @@ impl Level {
         for gid in self.map.merge_ids(other.map, stats) {
             let gid = gid as usize;
             if (gid + 1) * width > self.accs.len() {
-                for spec in &self.aggs {
-                    self.accs.push(Acc::new(spec.func));
-                }
+                self.push_fresh_group();
             }
             for i in 0..width {
                 let partial = other_accs.next().expect("partial accs cover groups × aggs");
@@ -579,6 +611,7 @@ fn scan_chunk(
                 match exec {
                     LevelExec::Fused(fused) => fused.absorb_morsel(morsel.clone(), stats),
                     LevelExec::FusedWide(fused) => fused.absorb_morsel(morsel.clone(), stats),
+                    LevelExec::FusedGlobal(fused) => fused.absorb_morsel(morsel.clone(), stats),
                     LevelExec::Scalar(slices) => {
                         stats.scalar_kernel_rows += morsel.len() as u64;
                         for row in morsel.clone() {
@@ -654,11 +687,7 @@ pub fn multi_hash_aggregate_with_config(
         .zip(&kernels)
         .zip(&spaces)
         .map(|(((cols, _), ks), space)| {
-            if !config.vector
-                || cols.is_empty()
-                || space.is_some()
-                || ks.iter().any(|k| matches!(k, Kernel::Generic))
-            {
+            if !config.vector || cols.is_empty() || space.is_some() || !lanes_fuse(ks) {
                 return None;
             }
             WideKeySpace::try_build(input, cols)
@@ -676,6 +705,7 @@ pub fn multi_hash_aggregate_with_config(
                 kernels: ks.clone(),
                 map: GroupMap::for_space(space.clone()),
                 wide: wide.clone(),
+                percentile_budget: config.percentile_budget,
                 accs: Vec::new(),
             })
             .collect()
@@ -687,7 +717,7 @@ pub fn multi_hash_aggregate_with_config(
     let mut span = guard.span("aggregate");
 
     // Plan-level kernel-path summary — the same predicate as
-    // `Level::fused_coder`, evaluated once up front. Probing the coder here
+    // `Level::begin_chunk`, evaluated once up front. Probing the coder here
     // also builds any lazy packed vectors serially, before workers race to
     // share them.
     let n_fused = levels
@@ -696,11 +726,11 @@ pub fn multi_hash_aggregate_with_config(
         .zip(spaces.iter().zip(&wides))
         .filter(|(((cols, _), ks), (space, wide))| {
             config.vector
-                && !cols.is_empty()
-                && !ks.iter().any(|k| matches!(k, Kernel::Generic))
-                && (space
-                    .as_ref()
-                    .is_some_and(|s| BlockCoder::try_new(input, s).is_some())
+                && lanes_fuse(ks)
+                && (cols.is_empty()
+                    || space
+                        .as_ref()
+                        .is_some_and(|s| BlockCoder::try_new(input, s).is_some())
                     || wide
                         .as_ref()
                         .is_some_and(|w| WideCoder::try_new(input, w).is_some()))
@@ -796,9 +826,7 @@ pub fn multi_hash_aggregate_with_config(
     for lvl in &mut lvls {
         if lvl.group_cols.is_empty() && lvl.map.is_empty() {
             lvl.map.get_or_insert_key(&[], stats);
-            for spec in &lvl.aggs {
-                lvl.accs.push(Acc::new(spec.func));
-            }
+            lvl.push_fresh_group();
         }
     }
     let out_rows: u64 = lvls.iter().map(|l| l.map.len() as u64).sum();

@@ -76,6 +76,12 @@ pub fn partial_aggregate(
         groups: Vec::new(),
         index: FxHashMap::default(),
     };
+    let budget = crate::ParallelConfig::from_env().percentile_budget;
+    let fresh = || -> Vec<Acc> {
+        aggs.iter()
+            .map(|s| Acc::with_budget(s.func, budget))
+            .collect()
+    };
     let n = input.num_rows();
     stats.rows_scanned += n as u64;
     for row in 0..n {
@@ -92,8 +98,7 @@ pub fn partial_aggregate(
                 stats.hash_probes += 1;
                 stats.hash_build_rows += 1;
                 let g = partial.groups.len();
-                let accs = aggs.iter().map(|s| Acc::new(s.func)).collect();
-                partial.groups.push((key.clone(), accs));
+                partial.groups.push((key.clone(), fresh()));
                 partial.index.insert(key, g);
                 g
             }
@@ -106,8 +111,7 @@ pub fn partial_aggregate(
     // Global aggregates produce one row even over an empty shard, so the
     // merged total keeps SQL's one-row-global-aggregate shape.
     if group_cols.is_empty() && partial.groups.is_empty() {
-        let accs = aggs.iter().map(|s| Acc::new(s.func)).collect();
-        partial.groups.push((Vec::new(), accs));
+        partial.groups.push((Vec::new(), fresh()));
         partial.index.insert(Vec::new(), 0);
     }
     Ok(partial)

@@ -53,6 +53,7 @@ pub fn window_aggregate(
     };
 
     // Phase 2: one pass over runs, computing the aggregate per partition.
+    let percentile_budget = crate::ParallelConfig::from_env().percentile_budget;
     let mut agg_values: Vec<Value> = Vec::with_capacity(n);
     let mut run_start = 0;
     while run_start < n {
@@ -60,7 +61,13 @@ pub fn window_aggregate(
         while run_end < n && same_key(input, partition_cols, order[run_start], order[run_end]) {
             run_end += 1;
         }
-        let agg = aggregate_run(input, &order[run_start..run_end], func, measure_col)?;
+        let agg = aggregate_run(
+            input,
+            &order[run_start..run_end],
+            func,
+            measure_col,
+            percentile_budget,
+        )?;
         for _ in run_start..run_end {
             agg_values.push(agg.clone());
         }
@@ -97,7 +104,13 @@ fn same_key(t: &Table, cols: &[usize], a: usize, b: usize) -> bool {
         .all(|&c| t.column(c).get(a).key_eq(&t.column(c).get(b)))
 }
 
-fn aggregate_run(t: &Table, rows: &[usize], func: AggFunc, col: usize) -> Result<Value> {
+fn aggregate_run(
+    t: &Table,
+    rows: &[usize],
+    func: AggFunc,
+    col: usize,
+    percentile_budget: usize,
+) -> Result<Value> {
     match func {
         AggFunc::CountStar => Ok(Value::Int(rows.len() as i64)),
         AggFunc::Count => Ok(Value::Int(
@@ -151,7 +164,7 @@ fn aggregate_run(t: &Table, rows: &[usize], func: AggFunc, col: usize) -> Result
         AggFunc::Percentile(_) | AggFunc::ApproxPercentile(_) | AggFunc::ApproxCountDistinct => {
             // The holistic functions run through the shared accumulator
             // protocol rather than a bespoke run loop.
-            let mut acc = crate::ops::acc::Acc::new(func);
+            let mut acc = crate::ops::acc::Acc::with_budget(func, percentile_budget);
             for &r in rows {
                 acc.update(&t.column(col).get(r))?;
             }

@@ -13,7 +13,9 @@
 //! serial code path runs (env `PA_MIN_PARALLEL_ROWS`). `PA_THREADS=1`
 //! always selects the serial path. Two further knobs gate the code-path
 //! layers: `PA_DENSE_BUDGET` for the dense group path (DESIGN.md §10) and
-//! `PA_VECTOR` for the fused vectorized kernels (DESIGN.md §12).
+//! `PA_VECTOR` for the fused vectorized kernels (DESIGN.md §12). The
+//! config also carries `PA_PERCENTILE_BUDGET`, read here once per query
+//! rather than once per accumulator.
 
 use std::ops::Range;
 
@@ -44,6 +46,10 @@ pub struct ParallelConfig {
     /// `PA_VECTOR=0` forces the scalar per-row loops everywhere —
     /// the ablation knob the differential oracle and benches flip.
     pub vector: bool,
+    /// Samples an exact `percentile` group retains before its state spills
+    /// to a t-digest (env `PA_PERCENTILE_BUDGET`, default
+    /// [`DEFAULT_PERCENTILE_BUDGET`](crate::DEFAULT_PERCENTILE_BUDGET)).
+    pub percentile_budget: usize,
 }
 
 impl Default for ParallelConfig {
@@ -61,6 +67,7 @@ impl ParallelConfig {
             min_parallel_rows: DEFAULT_MIN_PARALLEL_ROWS,
             dense_budget: crate::keymap::DEFAULT_DENSE_BUDGET,
             vector: true,
+            percentile_budget: crate::ops::acc::DEFAULT_PERCENTILE_BUDGET,
         }
     }
 
@@ -76,9 +83,10 @@ impl ParallelConfig {
     /// Read the configuration from the environment: `PA_THREADS` (default
     /// [`std::thread::available_parallelism`]), `PA_MORSEL_ROWS`,
     /// `PA_MIN_PARALLEL_ROWS`, `PA_DENSE_BUDGET` (0 disables the dense
-    /// group path). Invalid or zero values fall back to the defaults
-    /// (except the dense budget, where 0 is meaningful). Read per call so
-    /// benches can vary `PA_THREADS` between runs within one process.
+    /// group path), `PA_PERCENTILE_BUDGET`. Invalid or zero values fall
+    /// back to the defaults (except the dense budget, where 0 is
+    /// meaningful). Read per call so benches can vary `PA_THREADS` between
+    /// runs within one process.
     pub fn from_env() -> ParallelConfig {
         let parse = |name: &str| {
             std::env::var(name)
@@ -97,6 +105,8 @@ impl ParallelConfig {
                 .and_then(|v| v.trim().parse::<usize>().ok())
                 .unwrap_or(crate::keymap::DEFAULT_DENSE_BUDGET),
             vector: std::env::var("PA_VECTOR").map_or(true, |v| v.trim() != "0"),
+            percentile_budget: parse("PA_PERCENTILE_BUDGET")
+                .unwrap_or(crate::ops::acc::DEFAULT_PERCENTILE_BUDGET),
         }
     }
 

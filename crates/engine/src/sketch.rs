@@ -33,6 +33,14 @@ const TDIGEST_BUFFER: usize = 512;
 /// adversarial distributions and is what the accuracy suite asserts.
 pub const TDIGEST_RANK_EPSILON: f64 = 0.05;
 
+/// Map an `f64` bit pattern to the integer whose order is
+/// [`f64::total_cmp`]'s, and back: flip the magnitude bits of negative
+/// values. The flip never touches the sign bit it is conditioned on, so it
+/// undoes itself.
+fn total_order_flip(bits: i64) -> i64 {
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
 /// One weighted centroid.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Centroid {
@@ -105,51 +113,86 @@ impl TDigest {
             * (2.0 * q - 1.0).clamp(-1.0, 1.0).asin()
     }
 
-    /// Compaction: drain the buffer into weight-1 centroids, sort the lot
-    /// into the canonical `(mean, weight)` order, then greedily merge
-    /// neighbours while the merged centroid's `k₁`-span stays ≤ 1. Pure
-    /// function of the pre-sort multiset order, and bounds the centroid
-    /// count at ~δ for any input size.
+    /// Compaction: sort the buffer, merge it (as weight-1 centroids) into
+    /// the centroid list in the canonical `(mean, weight)` order, and
+    /// greedily fold neighbours while the folded centroid's `k₁`-span stays
+    /// ≤ 1. A pure function of the centroid and buffer multisets — equal
+    /// `(mean, weight)` pairs are indistinguishable, so tie order cannot
+    /// show — and it bounds the centroid count at ~δ for any input size.
     fn compress(&mut self) {
         if self.buffer.is_empty() && self.centroids.is_empty() {
             return;
         }
-        for &x in &self.buffer {
-            self.centroids.push(Centroid {
-                mean: x,
-                weight: 1.0,
-            });
-            self.total += 1.0;
-        }
-        self.buffer.clear();
-        self.centroids.sort_by(|a, b| {
+        let canonical = |a: &Centroid, b: &Centroid| {
             a.mean
                 .total_cmp(&b.mean)
                 .then(a.weight.total_cmp(&b.weight))
-        });
+        };
+        // A compaction leaves the centroids ordered up to rounding in the
+        // folded means; `merge` and decoded payloads append arbitrary ones.
+        if !self.centroids.is_sorted_by(|a, b| canonical(a, b).is_le()) {
+            self.centroids.sort_by(canonical);
+        }
+        // Sort the samples as the integers `f64::total_cmp` compares: the
+        // same order, and about twice as fast as a comparator sort.
+        let mut fresh: Vec<i64> = self
+            .buffer
+            .iter()
+            .map(|&x| total_order_flip(x.to_bits() as i64))
+            .collect();
+        fresh.sort_unstable();
+        for _ in &self.buffer {
+            // One add per sample: a decoded digest may carry fractional
+            // weights, where adding the length at once rounds differently.
+            self.total += 1.0;
+        }
         let total = self.total;
         if total <= 0.0 {
+            self.buffer.clear();
             return;
         }
-        let mut merged: Vec<Centroid> = Vec::with_capacity(self.centroids.len());
+        let old = std::mem::take(&mut self.centroids);
+        let mut merged: Vec<Centroid> = Vec::with_capacity(old.len());
         let mut cum = 0.0; // weight settled strictly before merged.last()
-        for c in self.centroids.drain(..) {
+        let mut k_left = TDigest::k_scale(0.0); // k₁(cum / total), moves only when a centroid closes
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() || j < fresh.len() {
+            let sample = fresh.get(j).map(|&key| Centroid {
+                mean: f64::from_bits(total_order_flip(key) as u64),
+                weight: 1.0,
+            });
+            let c = match (old.get(i), sample) {
+                (Some(&o), Some(f)) if canonical(&o, &f).is_le() => {
+                    i += 1;
+                    o
+                }
+                (Some(&o), None) => {
+                    i += 1;
+                    o
+                }
+                (_, Some(f)) => {
+                    j += 1;
+                    f
+                }
+                (None, None) => unreachable!("loop condition"),
+            };
             match merged.last_mut() {
                 Some(last) => {
                     let proposed = last.weight + c.weight;
-                    let q_left = cum / total;
                     let q_right = (cum + proposed) / total;
-                    if TDigest::k_scale(q_right) - TDigest::k_scale(q_left) <= 1.0 {
+                    if TDigest::k_scale(q_right) - k_left <= 1.0 {
                         last.mean = (last.mean * last.weight + c.mean * c.weight) / proposed;
                         last.weight = proposed;
                     } else {
                         cum += last.weight;
+                        k_left = TDigest::k_scale(cum / total);
                         merged.push(c);
                     }
                 }
                 None => merged.push(c),
             }
         }
+        self.buffer.clear();
         self.centroids = merged;
     }
 
@@ -391,6 +434,103 @@ mod tests {
             flushed.centroids.len()
         );
         assert_eq!(d.count(), 100_000);
+    }
+
+    /// The compaction this module shipped with: every sample becomes a
+    /// centroid, the lot is re-sorted, and both `k₁` values are evaluated
+    /// per step. Kept as the reference the merging compaction must match
+    /// byte for byte.
+    fn compress_by_full_sort(d: &mut TDigest) {
+        for &x in &d.buffer {
+            d.centroids.push(Centroid {
+                mean: x,
+                weight: 1.0,
+            });
+            d.total += 1.0;
+        }
+        d.buffer.clear();
+        d.centroids.sort_by(|a, b| {
+            a.mean
+                .total_cmp(&b.mean)
+                .then(a.weight.total_cmp(&b.weight))
+        });
+        let total = d.total;
+        let mut merged: Vec<Centroid> = Vec::new();
+        let mut cum = 0.0;
+        for c in d.centroids.drain(..) {
+            match merged.last_mut() {
+                Some(last) => {
+                    let proposed = last.weight + c.weight;
+                    let k_left = TDigest::k_scale(cum / total);
+                    if TDigest::k_scale((cum + proposed) / total) - k_left <= 1.0 {
+                        last.mean = (last.mean * last.weight + c.mean * c.weight) / proposed;
+                        last.weight = proposed;
+                    } else {
+                        cum += last.weight;
+                        merged.push(c);
+                    }
+                }
+                None => merged.push(c),
+            }
+        }
+        d.centroids = merged;
+    }
+
+    #[test]
+    fn merging_compaction_matches_the_full_sort_reference() {
+        let bits = |d: &TDigest| -> Vec<(u64, u64)> {
+            d.centroids
+                .iter()
+                .map(|c| (c.mean.to_bits(), c.weight.to_bits()))
+                .collect()
+        };
+        // Few distinct values (ties between samples and centroids of equal
+        // mean), signed zeros with NaN and −∞, a wide spread, and a constant stream whose
+        // folded means drift by rounding.
+        let streams: [&dyn Fn(u64) -> f64; 4] = [
+            &|s| (s % 7) as f64,
+            &|s| [-0.0, 0.0, 1.0, f64::NAN, f64::NEG_INFINITY][(s % 5) as usize],
+            &|s| (s >> 11) as f64 / (1u64 << 40) as f64 - 4000.0,
+            &|_| 0.1,
+        ];
+        // `update`, with either compaction at the same flush points.
+        let feed = |d: &mut TDigest, x: f64, reference: bool| {
+            d.min = d.min.min(x);
+            d.max = d.max.max(x);
+            d.buffer.push(x);
+            if d.buffer.len() >= TDIGEST_BUFFER {
+                if reference {
+                    compress_by_full_sort(d);
+                } else {
+                    d.compress();
+                }
+            }
+        };
+        for (i, stream) in streams.iter().enumerate() {
+            let (mut new, mut old) = (TDigest::new(), TDigest::new());
+            let (mut other_new, mut other_old) = (TDigest::new(), TDigest::new());
+            let mut s = 0x9e37_79b9_7f4a_7c15u64 ^ i as u64;
+            for step in 0..5_000 {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let x = stream(s >> 13);
+                if step % 3 == 0 {
+                    feed(&mut other_new, x, false);
+                    feed(&mut other_old, x, true);
+                } else {
+                    feed(&mut new, x, false);
+                    feed(&mut old, x, true);
+                }
+            }
+            assert_eq!(bits(&new), bits(&old), "stream {i}: updates");
+            // `merge` appends the other digest's centroids unsorted.
+            new.merge(&other_new);
+            old.buffer.extend_from_slice(&other_old.buffer);
+            old.centroids.extend_from_slice(&other_old.centroids);
+            old.total += other_old.total;
+            compress_by_full_sort(&mut old);
+            assert_eq!(bits(&new), bits(&old), "stream {i}: merge");
+            assert_eq!(new.total.to_bits(), old.total.to_bits(), "stream {i}");
+        }
     }
 
     #[test]

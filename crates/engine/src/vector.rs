@@ -13,12 +13,16 @@
 //!   codes with tight, autovectorizable loops. The packed slot (`0` NULL,
 //!   `code + 1` otherwise) is exactly the dense key space's digit, so
 //!   unpack output feeds the code computation with no translation.
-//! * [`LaneSrc`] / [`RawLanes`] accumulate `sum`/`count` pairs straight
-//!   into dense `&mut [f64]` / `&mut [i64]` slices indexed by group id — no
-//!   `Option`, no `Value`, no `Acc` enum dispatch inside the loop. The raw
-//!   pairs convert to real [`Acc`]s only once per worker chunk
-//!   ([`raw_acc`]), so the merge/finish machinery — and therefore the
-//!   output bytes — are identical to the scalar path.
+//! * [`LaneSrc`] / [`RawLane`] accumulate `sum`/`count` pairs straight
+//!   into a dense array indexed by group id — no `Option`, no `Value`, no
+//!   `Acc` enum dispatch inside the loop. [`HolisticLane`] is the same for
+//!   `percentile` / `approx_percentile` / `approx_count_distinct`: typed
+//!   per-group state (sample buffer, t-digest, HLL registers) fed from the
+//!   same sources through the same two entry points, a block or a run at
+//!   a time. Lanes convert to real [`Acc`]s only once per worker chunk
+//!   ([`raw_acc`], [`HolisticLane::into_accs`]), so the merge/finish
+//!   machinery — and therefore the output bytes — are identical to the
+//!   scalar path.
 //! * Run detection ([`FusedAgg`]) switches to an RLE fast path when a code
 //!   block is dominated by runs (sorted/clustered dimensions): one group
 //!   lookup per run and register-resident accumulation, with counts added
@@ -29,16 +33,18 @@
 //!   lanes that cannot fuse still resolve their typed slices once per scan
 //!   instead of re-matching the column enum per row.
 //!
-//! Eligibility: a grouping pass fuses when its group map took the dense
-//! code path, every lane is a typed numeric `sum`/`avg`/`count`/`count(*)`
-//! kernel, and every key dimension reads through a packed or integer
-//! vector. Everything else — float keys, over-budget dictionaries, min/max
-//! or expression lanes — falls back to the (hoisted) scalar loop, and the
-//! chosen path is recorded in [`crate::ExecStats`] and on trace spans.
+//! Eligibility: a grouping pass fuses when its key codes block-at-a-time
+//! (dense or shift-packed wide codes over packed/integer dimensions, or no
+//! key at all) and every lane is `count(*)` or a raw or holistic function
+//! over a plain numeric column. Everything else — float keys, unpackable
+//! dictionaries, min/max, `count(DISTINCT)` or expression lanes — falls
+//! back to the (hoisted) scalar loop, and the chosen path is recorded in
+//! [`crate::ExecStats`] and on trace spans.
 
 use crate::keymap::{DenseGroupMap, DenseKeySpace, DimCoder, WideKeySpace};
-use crate::ops::acc::Acc;
+use crate::ops::acc::{Acc, PctState};
 use crate::ops::aggregate::AggFunc;
+use crate::sketch::{Hll, TDigest};
 use crate::stats::ExecStats;
 use pa_storage::{Column, FxHashMap, PackedCodes, Table, Value};
 use std::ops::Range;
@@ -86,6 +92,50 @@ impl<'a> NumSlice<'a> {
             NumSlice::Float(data, vwords) => {
                 (vwords[row >> 6] >> (row & 63) & 1 == 1).then(|| data[row])
             }
+        }
+    }
+
+    /// Visit the non-NULL rows of `rows` in row order as `f(k, value)`, `k`
+    /// the offset inside `rows` and the value widened to `f64`. The column
+    /// type is matched once, outside the row loop.
+    #[inline]
+    fn for_each_f64(self, rows: Range<usize>, mut f: impl FnMut(usize, f64)) {
+        match self {
+            NumSlice::Int(data, vwords) => {
+                for_each_valid(data, vwords, rows, |k, x| f(k, x as f64))
+            }
+            NumSlice::Float(data, vwords) => for_each_valid(data, vwords, rows, f),
+        }
+    }
+
+    /// [`Self::for_each_f64`] with the value kept in its column type, as the
+    /// [`Value`] `Expr::Col` evaluates to — what distinct-count sketches
+    /// hash (an `i64` past 2^53 must not round through `f64`).
+    #[inline]
+    fn for_each_value(self, rows: Range<usize>, mut f: impl FnMut(usize, Value)) {
+        match self {
+            NumSlice::Int(data, vwords) => {
+                for_each_valid(data, vwords, rows, |k, x| f(k, Value::Int(x)))
+            }
+            NumSlice::Float(data, vwords) => {
+                for_each_valid(data, vwords, rows, |k, x| f(k, Value::Float(x)))
+            }
+        }
+    }
+}
+
+#[inline]
+fn for_each_valid<T: Copy>(
+    data: &[T],
+    vwords: &[u64],
+    rows: Range<usize>,
+    mut f: impl FnMut(usize, T),
+) {
+    let data = &data[rows.start..rows.end];
+    for (k, &x) in data.iter().enumerate() {
+        let row = rows.start + k;
+        if vwords[row >> 6] >> (row & 63) & 1 == 1 {
+            f(k, x);
         }
     }
 }
@@ -443,7 +493,8 @@ impl RawLane {
 /// would have produced for the same rows in the same order.
 ///
 /// # Panics
-/// On functions the fused path never admits (min/max/distinct).
+/// On functions that have no raw pair (min/max/distinct and the holistic
+/// ones, which ride a [`HolisticLane`]).
 #[inline]
 pub fn raw_acc(func: AggFunc, sum: f64, count: i64) -> Acc {
     match func {
@@ -454,11 +505,283 @@ pub fn raw_acc(func: AggFunc, sum: f64, count: i64) -> Acc {
         AggFunc::Avg => Acc::Avg { sum, n: count },
         AggFunc::Count => Acc::Count(count),
         AggFunc::CountStar => Acc::CountStar(count),
-        _ => unreachable!("fused lanes are sum/avg/count/count(*) only"),
+        _ => unreachable!("raw lanes are sum/avg/count/count(*) only"),
+    }
+}
+
+// ---- holistic accumulator lanes ------------------------------------------
+
+/// One holistic lane's state per accumulator index: the typed insides of
+/// [`Acc::Percentile`], [`Acc::ApproxPercentile`] or
+/// [`Acc::ApproxCountDistinct`], fed from a [`LaneSrc`] through the same two
+/// entry points as [`RawLane`]. Gray et al. call these functions holistic
+/// because their state is the value set — not because they must be fed one
+/// [`Value`] at a time. Every index sees its non-NULL inputs in row order,
+/// the order the scalar `Acc::update` loop sees them, so the state — spill
+/// row, digest flush points, registers — is the scalar loop's state.
+pub struct HolisticLane(Holistic);
+
+enum Holistic {
+    /// Exact percentile: samples in row order until the budget spills them.
+    Exact {
+        p: f64,
+        budget: usize,
+        states: Vec<PctState>,
+    },
+    Digest {
+        p: f64,
+        digests: Vec<TDigest>,
+    },
+    Distinct(Vec<Hll>),
+}
+
+impl HolisticLane {
+    /// Empty lane for `func`; `None` when `func` is not one of the three
+    /// holistic functions with a typed lane.
+    pub fn new(func: AggFunc, percentile_budget: usize) -> Option<HolisticLane> {
+        Some(HolisticLane(match func {
+            AggFunc::Percentile(p) => Holistic::Exact {
+                p: p.value(),
+                budget: percentile_budget,
+                states: Vec::new(),
+            },
+            AggFunc::ApproxPercentile(p) => Holistic::Digest {
+                p: p.value(),
+                digests: Vec::new(),
+            },
+            AggFunc::ApproxCountDistinct => Holistic::Distinct(Vec::new()),
+            _ => return None,
+        }))
+    }
+
+    /// Grow to at least `n` indices.
+    pub fn ensure(&mut self, n: usize) {
+        match &mut self.0 {
+            Holistic::Exact { states, .. } if states.len() < n => {
+                states.resize_with(n, || PctState::Exact(Vec::new()))
+            }
+            Holistic::Digest { digests, .. } if digests.len() < n => {
+                digests.resize_with(n, TDigest::new)
+            }
+            Holistic::Distinct(sketches) if sketches.len() < n => sketches.resize_with(n, Hll::new),
+            _ => {}
+        }
+    }
+
+    /// Scatter rows `rows.start + k` into indices `idx[k]` in row order;
+    /// `u32::MAX` skips the row (the pivot's "no listed combination").
+    pub fn scatter(&mut self, src: &LaneSrc<'_>, rows: Range<usize>, idx: &[u32]) {
+        debug_assert_eq!(rows.len(), idx.len());
+        let col = holistic_col(src);
+        match &mut self.0 {
+            Holistic::Exact { budget, states, .. } => col.for_each_f64(rows, |k, x| {
+                if idx[k] != u32::MAX {
+                    states[idx[k] as usize].push(*budget, x);
+                }
+            }),
+            Holistic::Digest { digests, .. } => col.for_each_f64(rows, |k, x| {
+                if idx[k] != u32::MAX {
+                    digests[idx[k] as usize].update(x);
+                }
+            }),
+            Holistic::Distinct(sketches) => col.for_each_value(rows, |k, v| {
+                if idx[k] != u32::MAX {
+                    sketches[idx[k] as usize].insert(&v);
+                }
+            }),
+        }
+    }
+
+    /// Feed one run of rows that all map to index `g`: the state is looked
+    /// up once and the run's samples append to it in bulk.
+    pub fn accumulate_run(&mut self, src: &LaneSrc<'_>, rows: Range<usize>, g: usize) {
+        let col = holistic_col(src);
+        match &mut self.0 {
+            Holistic::Exact { budget, states, .. } => {
+                let state = &mut states[g];
+                col.for_each_f64(rows, |_, x| state.push(*budget, x));
+            }
+            Holistic::Digest { digests, .. } => {
+                let digest = &mut digests[g];
+                col.for_each_f64(rows, |_, x| digest.update(x));
+            }
+            Holistic::Distinct(sketches) => {
+                let sketch = &mut sketches[g];
+                col.for_each_value(rows, |_, v| sketch.insert(&v));
+            }
+        }
+    }
+
+    /// The lane's states in index order, each as the [`Acc`] the scalar
+    /// path would hold — so merge, serialization and finalize are shared.
+    pub fn into_accs(self) -> Box<dyn Iterator<Item = Acc>> {
+        match self.0 {
+            Holistic::Exact { p, budget, states } => Box::new(
+                states
+                    .into_iter()
+                    .map(move |state| Acc::Percentile { p, budget, state }),
+            ),
+            Holistic::Digest { p, digests } => Box::new(
+                digests
+                    .into_iter()
+                    .map(move |digest| Acc::ApproxPercentile { p, digest }),
+            ),
+            Holistic::Distinct(sketches) => {
+                Box::new(sketches.into_iter().map(Acc::ApproxCountDistinct))
+            }
+        }
+    }
+}
+
+fn holistic_col<'a>(src: &LaneSrc<'a>) -> NumSlice<'a> {
+    match src {
+        LaneSrc::Col(col) => *col,
+        LaneSrc::CountStar => unreachable!("holistic lanes read a numeric column"),
     }
 }
 
 // ---- fused aggregate state -----------------------------------------------
+
+/// One fused lane of either kind. The kind is matched once per block or
+/// run, never per row.
+enum Lane {
+    Raw(RawLane),
+    Holistic(HolisticLane),
+}
+
+/// The lanes of one fused grouping level with their sources — the part the
+/// dense, wide and global drivers share: per-run and per-block feeding, and
+/// the collapse into the `groups × lanes` [`Acc`] matrix.
+pub(crate) struct LaneSet<'a> {
+    srcs: Vec<LaneSrc<'a>>,
+    funcs: Vec<AggFunc>,
+    lanes: Vec<Lane>,
+}
+
+impl<'a> LaneSet<'a> {
+    /// One lane per `(src, func)` pair; every `func` must be a raw or a
+    /// holistic lane function (the classification the callers ran).
+    pub(crate) fn new(
+        srcs: Vec<LaneSrc<'a>>,
+        funcs: Vec<AggFunc>,
+        percentile_budget: usize,
+    ) -> LaneSet<'a> {
+        debug_assert_eq!(srcs.len(), funcs.len());
+        let lanes = funcs
+            .iter()
+            .map(|&func| match HolisticLane::new(func, percentile_budget) {
+                Some(lane) => Lane::Holistic(lane),
+                None => Lane::Raw(RawLane::default()),
+            })
+            .collect();
+        LaneSet { srcs, funcs, lanes }
+    }
+
+    /// Feed one run of rows that all belong to group `g`.
+    #[inline]
+    fn accumulate_run(&mut self, rows: Range<usize>, g: usize) {
+        for (lane, src) in self.lanes.iter_mut().zip(&self.srcs) {
+            match lane {
+                Lane::Raw(lane) => {
+                    lane.ensure(g + 1);
+                    lane.accumulate_run(src, rows.clone(), g);
+                }
+                Lane::Holistic(lane) => {
+                    lane.ensure(g + 1);
+                    lane.accumulate_run(src, rows.clone(), g);
+                }
+            }
+        }
+    }
+
+    /// Scatter one block: row `rows.start + k` belongs to group `gids[k]`,
+    /// all below `n_groups`.
+    #[inline]
+    fn scatter(&mut self, rows: Range<usize>, gids: &[u32], n_groups: usize) {
+        for (lane, src) in self.lanes.iter_mut().zip(&self.srcs) {
+            match lane {
+                Lane::Raw(lane) => {
+                    lane.ensure(n_groups);
+                    lane.scatter(src, rows.clone(), gids);
+                }
+                Lane::Holistic(lane) => {
+                    lane.ensure(n_groups);
+                    lane.scatter(src, rows.clone(), gids);
+                }
+            }
+        }
+    }
+
+    /// Collapse into the flat `n_groups × lanes` [`Acc`] matrix the scalar
+    /// path builds, so merge and finish are shared.
+    fn into_accs(self, n_groups: usize) -> Vec<Acc> {
+        let mut columns: Vec<Box<dyn Iterator<Item = Acc>>> = self
+            .lanes
+            .into_iter()
+            .zip(self.funcs)
+            .map(|(lane, func)| -> Box<dyn Iterator<Item = Acc>> {
+                match lane {
+                    Lane::Raw(mut lane) => {
+                        lane.ensure(n_groups);
+                        Box::new(
+                            lane.pairs
+                                .into_iter()
+                                .map(move |(sum, count)| raw_acc(func, sum, count)),
+                        )
+                    }
+                    Lane::Holistic(mut lane) => {
+                        lane.ensure(n_groups);
+                        lane.into_accs()
+                    }
+                }
+            })
+            .collect();
+        let mut accs = Vec::with_capacity(n_groups * columns.len());
+        for _ in 0..n_groups {
+            for column in &mut columns {
+                accs.push(column.next().expect("every lane covers every group"));
+            }
+        }
+        accs
+    }
+}
+
+/// The block ranges of one morsel, in row order.
+fn blocks(morsel: Range<usize>) -> impl Iterator<Item = Range<usize>> {
+    let end = morsel.end;
+    morsel
+        .step_by(BLOCK_ROWS)
+        .map(move |start| start..(start + BLOCK_ROWS).min(end))
+}
+
+/// The number of maximal equal-code runs in a block when it is
+/// run-dominated (sorted/clustered keys), `None` otherwise: `Some` sends the
+/// block down the RLE path — one group lookup and one bulk lane feed per
+/// run.
+#[inline]
+fn rle_runs<C: Copy + PartialEq>(codes: &[C]) -> Option<usize> {
+    let mut runs = 1usize;
+    for k in 1..codes.len() {
+        runs += usize::from(codes[k] != codes[k - 1]);
+    }
+    (runs * RLE_RUN_DIVISOR <= codes.len()).then_some(runs)
+}
+
+/// Visit the maximal equal-code runs of a block, in order, as
+/// `f(offsets, code)`.
+#[inline]
+fn for_each_run<C: Copy + PartialEq>(codes: &[C], mut f: impl FnMut(Range<usize>, C)) {
+    let mut i = 0usize;
+    while i < codes.len() {
+        let code = codes[i];
+        let mut j = i + 1;
+        while j < codes.len() && codes[j] == code {
+            j += 1;
+        }
+        f(i..j, code);
+        i = j;
+    }
+}
 
 /// Per-worker state for one fused grouping level of the aggregate
 /// operator: scan → unpack/encode → gid → scatter, with the RLE run path
@@ -466,8 +789,7 @@ pub fn raw_acc(func: AggFunc, sum: f64, count: i64) -> Acc {
 pub(crate) struct FusedAgg<'a> {
     coder: BlockCoder<'a>,
     pub(crate) map: DenseGroupMap,
-    srcs: Vec<LaneSrc<'a>>,
-    lanes: Vec<RawLane>,
+    lanes: LaneSet<'a>,
     codes: Box<[u32; BLOCK_ROWS]>,
     gids: Box<[u32; BLOCK_ROWS]>,
 }
@@ -476,13 +798,11 @@ impl<'a> FusedAgg<'a> {
     pub(crate) fn new(
         coder: BlockCoder<'a>,
         map: DenseGroupMap,
-        srcs: Vec<LaneSrc<'a>>,
+        lanes: LaneSet<'a>,
     ) -> FusedAgg<'a> {
-        let lanes = srcs.iter().map(|_| RawLane::default()).collect();
         FusedAgg {
             coder,
             map,
-            srcs,
             lanes,
             codes: Box::new([0; BLOCK_ROWS]),
             gids: Box::new([0; BLOCK_ROWS]),
@@ -491,41 +811,24 @@ impl<'a> FusedAgg<'a> {
 
     /// Absorb one morsel, block by block.
     pub(crate) fn absorb_morsel(&mut self, morsel: Range<usize>, stats: &mut ExecStats) {
-        let mut start = morsel.start;
-        while start < morsel.end {
-            let len = BLOCK_ROWS.min(morsel.end - start);
-            self.absorb_block(start, len, stats);
-            start += len;
+        for block in blocks(morsel) {
+            self.absorb_block(block, stats);
         }
     }
 
-    fn absorb_block(&mut self, start: usize, len: usize, stats: &mut ExecStats) {
+    fn absorb_block(&mut self, block: Range<usize>, stats: &mut ExecStats) {
+        let (start, len) = (block.start, block.len());
         let codes = &mut self.codes[..len];
         self.coder.fill(start, codes);
         stats.vectorized_kernel_rows += len as u64;
 
-        // Run-dominated blocks (sorted/clustered keys) take the RLE path:
-        // one gid lookup and register-resident accumulators per run.
-        let mut runs = 1usize;
-        for k in 1..len {
-            runs += usize::from(codes[k] != codes[k - 1]);
-        }
-        if runs * RLE_RUN_DIVISOR <= len {
+        if let Some(runs) = rle_runs(codes) {
             stats.rle_runs += runs as u64;
-            let mut i = 0usize;
-            while i < len {
-                let code = codes[i];
-                let mut j = i + 1;
-                while j < len && codes[j] == code {
-                    j += 1;
-                }
+            for_each_run(codes, |run, code| {
                 let g = self.map.get_or_insert_code(code as usize);
-                for (lane, src) in self.lanes.iter_mut().zip(&self.srcs) {
-                    lane.ensure(g + 1);
-                    lane.accumulate_run(src, start + i..start + j, g);
-                }
-                i = j;
-            }
+                self.lanes
+                    .accumulate_run(start + run.start..start + run.end, g);
+            });
             return;
         }
 
@@ -533,27 +836,13 @@ impl<'a> FusedAgg<'a> {
         for (g, &code) in gids.iter_mut().zip(codes.iter()) {
             *g = self.map.get_or_insert_code(code as usize) as u32;
         }
-        let n_groups = self.map.len();
-        for (lane, src) in self.lanes.iter_mut().zip(&self.srcs) {
-            lane.ensure(n_groups);
-            lane.scatter(src, start..start + len, gids);
-        }
+        self.lanes.scatter(block, gids, self.map.len());
     }
 
     /// Collapse into the dense map plus the flat `groups × lanes` [`Acc`]
     /// matrix the scalar path builds, so merge and finish are shared.
-    pub(crate) fn into_accs(mut self, funcs: &[AggFunc]) -> (DenseGroupMap, Vec<Acc>) {
-        let n = self.map.len();
-        for lane in &mut self.lanes {
-            lane.ensure(n);
-        }
-        let mut accs = Vec::with_capacity(n * funcs.len());
-        for gid in 0..n {
-            for (lane, &func) in self.lanes.iter().zip(funcs) {
-                let (sum, count) = lane.pair(gid);
-                accs.push(raw_acc(func, sum, count));
-            }
-        }
+    pub(crate) fn into_accs(self) -> (DenseGroupMap, Vec<Acc>) {
+        let accs = self.lanes.into_accs(self.map.len());
         (self.map, accs)
     }
 }
@@ -569,8 +858,7 @@ pub(crate) struct FusedWideAgg<'a> {
     space: WideKeySpace,
     code_to_gid: FxHashMap<u64, u32>,
     gid_to_code: Vec<u64>,
-    srcs: Vec<LaneSrc<'a>>,
-    lanes: Vec<RawLane>,
+    lanes: LaneSet<'a>,
     codes: Box<[u64; BLOCK_ROWS]>,
     gids: Box<[u32; BLOCK_ROWS]>,
 }
@@ -603,16 +891,14 @@ impl<'a> FusedWideAgg<'a> {
         table: &'a Table,
         coder: WideCoder<'a>,
         space: WideKeySpace,
-        srcs: Vec<LaneSrc<'a>>,
+        lanes: LaneSet<'a>,
     ) -> FusedWideAgg<'a> {
-        let lanes = srcs.iter().map(|_| RawLane::default()).collect();
         FusedWideAgg {
             table,
             coder,
             space,
             code_to_gid: FxHashMap::default(),
             gid_to_code: Vec::new(),
-            srcs,
             lanes,
             codes: Box::new([0; BLOCK_ROWS]),
             gids: Box::new([0; BLOCK_ROWS]),
@@ -621,39 +907,24 @@ impl<'a> FusedWideAgg<'a> {
 
     /// Absorb one morsel, block by block.
     pub(crate) fn absorb_morsel(&mut self, morsel: Range<usize>, stats: &mut ExecStats) {
-        let mut start = morsel.start;
-        while start < morsel.end {
-            let len = BLOCK_ROWS.min(morsel.end - start);
-            self.absorb_block(start, len, stats);
-            start += len;
+        for block in blocks(morsel) {
+            self.absorb_block(block, stats);
         }
     }
 
-    fn absorb_block(&mut self, start: usize, len: usize, stats: &mut ExecStats) {
+    fn absorb_block(&mut self, block: Range<usize>, stats: &mut ExecStats) {
+        let (start, len) = (block.start, block.len());
         let codes = &mut self.codes[..len];
         self.coder.fill(start, codes);
         stats.vectorized_kernel_rows += len as u64;
 
-        let mut runs = 1usize;
-        for k in 1..len {
-            runs += usize::from(codes[k] != codes[k - 1]);
-        }
-        if runs * RLE_RUN_DIVISOR <= len {
+        if let Some(runs) = rle_runs(codes) {
             stats.rle_runs += runs as u64;
-            let mut i = 0usize;
-            while i < len {
-                let code = codes[i];
-                let mut j = i + 1;
-                while j < len && codes[j] == code {
-                    j += 1;
-                }
+            for_each_run(codes, |run, code| {
                 let g = wide_gid(&mut self.code_to_gid, &mut self.gid_to_code, code, stats);
-                for (lane, src) in self.lanes.iter_mut().zip(&self.srcs) {
-                    lane.ensure(g + 1);
-                    lane.accumulate_run(src, start + i..start + j, g);
-                }
-                i = j;
-            }
+                self.lanes
+                    .accumulate_run(start + run.start..start + run.end, g);
+            });
             return;
         }
 
@@ -661,43 +932,63 @@ impl<'a> FusedWideAgg<'a> {
         for (g, &code) in gids.iter_mut().zip(codes.iter()) {
             *g = wide_gid(&mut self.code_to_gid, &mut self.gid_to_code, code, stats) as u32;
         }
-        let n_groups = self.gid_to_code.len();
-        for (lane, src) in self.lanes.iter_mut().zip(&self.srcs) {
-            lane.ensure(n_groups);
-            lane.scatter(src, start..start + len, gids);
-        }
+        self.lanes.scatter(block, gids, self.gid_to_code.len());
     }
 
     /// Collapse into decoded key tuples (group-id order) plus the flat
     /// `groups × lanes` [`Acc`] matrix — the exact state the scalar hash
     /// path holds after the same rows, so merge and finish are shared.
-    pub(crate) fn into_keys_accs(mut self, funcs: &[AggFunc]) -> (Vec<Vec<Value>>, Vec<Acc>) {
-        let n = self.gid_to_code.len();
-        for lane in &mut self.lanes {
-            lane.ensure(n);
-        }
+    pub(crate) fn into_keys_accs(self) -> (Vec<Vec<Value>>, Vec<Acc>) {
         let n_dims = self.space.cols().len();
-        let mut keys = Vec::with_capacity(n);
-        let mut accs = Vec::with_capacity(n * funcs.len());
-        for (gid, &code) in self.gid_to_code.iter().enumerate() {
-            keys.push(
+        let keys = self
+            .gid_to_code
+            .iter()
+            .map(|&code| {
                 (0..n_dims)
                     .map(|d| self.space.key_value(self.table, code, d))
-                    .collect(),
-            );
-            for (lane, &func) in self.lanes.iter().zip(funcs) {
-                let (sum, count) = lane.pair(gid);
-                accs.push(raw_acc(func, sum, count));
-            }
-        }
+                    .collect()
+            })
+            .collect();
+        let accs = self.lanes.into_accs(self.gid_to_code.len());
         (keys, accs)
+    }
+}
+
+/// Per-worker state for a fused level with an **empty** GROUP BY: there is
+/// nothing to code, every block is one run into the single global group.
+pub(crate) struct FusedGlobal<'a> {
+    lanes: LaneSet<'a>,
+    rows: usize,
+}
+
+impl<'a> FusedGlobal<'a> {
+    pub(crate) fn new(lanes: LaneSet<'a>) -> FusedGlobal<'a> {
+        FusedGlobal { lanes, rows: 0 }
+    }
+
+    /// Absorb one morsel, one run per block.
+    pub(crate) fn absorb_morsel(&mut self, morsel: Range<usize>, stats: &mut ExecStats) {
+        for block in blocks(morsel) {
+            stats.vectorized_kernel_rows += block.len() as u64;
+            stats.rle_runs += 1;
+            self.rows += block.len();
+            self.lanes.accumulate_run(block, 0);
+        }
+    }
+
+    /// The global group's accumulators, `None` when no row was absorbed —
+    /// the scalar loop creates the group at its first row, and the caller
+    /// owns the "one global row even for empty input" rule.
+    pub(crate) fn into_accs(self) -> Option<Vec<Acc>> {
+        (self.rows > 0).then(|| self.lanes.into_accs(1))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pa_storage::{DataType, Schema, Value};
+    use crate::ops::acc::DEFAULT_PERCENTILE_BUDGET;
+    use pa_storage::{DataType, Schema};
 
     fn table(rows: &[(Option<&str>, Option<i64>, Option<f64>)]) -> Table {
         let schema = Schema::from_pairs(&[
@@ -717,6 +1008,12 @@ mod tests {
             .unwrap();
         }
         t
+    }
+
+    /// One `sum(a)` lane over the measure column of [`table`].
+    fn sum_lanes(t: &Table) -> LaneSet<'_> {
+        let srcs = vec![LaneSrc::for_column(t.column(2)).unwrap()];
+        LaneSet::new(srcs, vec![AggFunc::Sum], DEFAULT_PERCENTILE_BUDGET)
     }
 
     #[test]
@@ -803,11 +1100,10 @@ mod tests {
         let space = DenseKeySpace::try_build(&t, &[0, 1], 1 << 20).unwrap();
         let coder = BlockCoder::try_new(&t, &space).unwrap();
         let map = DenseGroupMap::new(space);
-        let srcs = vec![LaneSrc::for_column(t.column(2)).unwrap()];
-        let mut fused = FusedAgg::new(coder, map, srcs);
+        let mut fused = FusedAgg::new(coder, map, sum_lanes(&t));
         let mut stats = ExecStats::default();
         fused.absorb_morsel(0..n, &mut stats);
-        let (_map, accs) = fused.into_accs(&[AggFunc::Sum]);
+        let (_map, accs) = fused.into_accs();
         match (&accs[0], &scalar) {
             (Acc::Sum { sum: f, any: fa }, Acc::Sum { sum: s, any: sa }) => {
                 assert_eq!(fa, sa);
@@ -871,12 +1167,11 @@ mod tests {
         }
         let space = WideKeySpace::try_build(&t, &[0, 1]).unwrap();
         let coder = WideCoder::try_new(&t, &space).unwrap();
-        let srcs = vec![LaneSrc::for_column(t.column(2)).unwrap()];
-        let mut fused = FusedWideAgg::new(&t, coder, space, srcs);
+        let mut fused = FusedWideAgg::new(&t, coder, space, sum_lanes(&t));
         let mut stats = ExecStats::default();
         fused.absorb_morsel(0..n, &mut stats);
         assert_eq!(stats.vectorized_kernel_rows, n as u64);
-        let (keys, accs) = fused.into_keys_accs(&[AggFunc::Sum]);
+        let (keys, accs) = fused.into_keys_accs();
         assert_eq!(keys.len(), oracle_map.len(), "same groups in same order");
         for g in 0..keys.len() {
             for (d, k) in keys[g].iter().enumerate().take(2) {
@@ -923,12 +1218,11 @@ mod tests {
         }
         let coder = BlockCoder::try_new(&t, &space).unwrap();
         let map = DenseGroupMap::new(space);
-        let srcs = vec![LaneSrc::for_column(t.column(2)).unwrap()];
-        let mut fused = FusedAgg::new(coder, map, srcs);
+        let mut fused = FusedAgg::new(coder, map, sum_lanes(&t));
         let mut stats = ExecStats::default();
         fused.absorb_morsel(0..n, &mut stats);
         assert_eq!(stats.rle_runs, 0, "alternating keys take the scatter path");
-        let (map, accs) = fused.into_accs(&[AggFunc::Sum]);
+        let (map, accs) = fused.into_accs();
         assert_eq!(map.len(), oracle_map.len(), "same groups in same order");
         for g in 0..map.len() {
             match (&accs[g], &oracle[g]) {
@@ -939,5 +1233,162 @@ mod tests {
                 _ => unreachable!(),
             }
         }
+    }
+
+    /// The three holistic functions, alone and beside `sum`/`count(*)`.
+    fn holistic_lane_lists() -> Vec<Vec<AggFunc>> {
+        use crate::ops::aggregate::PBits;
+        let holistic = [
+            AggFunc::Percentile(PBits::new(0.5)),
+            AggFunc::ApproxPercentile(PBits::new(0.9)),
+            AggFunc::ApproxCountDistinct,
+        ];
+        let mut lists: Vec<Vec<AggFunc>> = holistic.iter().map(|&f| vec![f]).collect();
+        lists.extend(
+            holistic
+                .iter()
+                .map(|&f| vec![AggFunc::Sum, f, AggFunc::CountStar]),
+        );
+        lists
+    }
+
+    /// What the scalar loop holds after the same rows: first-appearance
+    /// group order over `key_cols`, one `Acc::update` per row per lane with
+    /// the `Value` that `Expr::Col(measure)` evaluates to.
+    fn scalar_oracle(
+        t: &Table,
+        key_cols: &[usize],
+        funcs: &[AggFunc],
+        measure: usize,
+        budget: usize,
+    ) -> Vec<Acc> {
+        use crate::keymap::RowKeyMap;
+        let mut st = ExecStats::default();
+        let mut map = RowKeyMap::new();
+        let mut accs: Vec<Acc> = Vec::new();
+        for row in 0..t.num_rows() {
+            let g = if key_cols.is_empty() {
+                0
+            } else {
+                map.get_or_insert_row(t, key_cols, row, &mut st)
+            };
+            if (g + 1) * funcs.len() > accs.len() {
+                accs.extend(funcs.iter().map(|&f| Acc::with_budget(f, budget)));
+            }
+            for acc in &mut accs[g * funcs.len()..][..funcs.len()] {
+                acc.update(&t.column(measure).get(row)).unwrap();
+            }
+        }
+        accs
+    }
+
+    fn assert_same_partials(fused: &[Acc], oracle: &[Acc], what: &str) {
+        assert_eq!(fused.len(), oracle.len(), "{what}: accumulator count");
+        for (i, (f, o)) in fused.iter().zip(oracle).enumerate() {
+            assert_eq!(f.serialize(), o.serialize(), "{what}: partial bytes at {i}");
+            assert_eq!(f.spilled(), o.spilled(), "{what}: spill state at {i}");
+        }
+    }
+
+    /// Rows past two blocks: unsorted keys (scatter path) or key-sorted
+    /// (RLE path), a float measure with NULLs (or all NULL), and an integer
+    /// measure in column 1 whose values exceed 2^53 (so a lane that rounded
+    /// them through `f64` would hash them wrong).
+    fn holistic_rows(
+        sorted: bool,
+        all_null: bool,
+    ) -> Vec<(Option<&'static str>, Option<i64>, Option<f64>)> {
+        let n = 2 * BLOCK_ROWS + 77;
+        (0..n)
+            .map(|i| {
+                let g = if sorted { i * 3 / n } else { i * 7 % 3 };
+                (
+                    Some(["a", "b", "c"][g]),
+                    (i % 9 != 0).then_some((1i64 << 53) + (i % 5) as i64),
+                    (!all_null && i % 11 != 0).then_some(((i * 37) % 101) as f64 - 50.0),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn holistic_lanes_hold_the_scalar_loops_partial_bytes() {
+        // Budget 300: with ~700 rows a group, every group crosses it in the
+        // middle of a block, on the scatter path and on the run path.
+        let budget = 300;
+        for (sorted, all_null) in [(false, false), (true, false), (false, true)] {
+            let t = table(&holistic_rows(sorted, all_null));
+            let n = t.num_rows();
+            for funcs in holistic_lane_lists() {
+                for measure in [2usize, 1] {
+                    let what =
+                        format!("sorted={sorted} all_null={all_null} {funcs:?} col {measure}");
+                    let lanes = || {
+                        let srcs = funcs
+                            .iter()
+                            .map(|f| match f {
+                                AggFunc::CountStar => LaneSrc::CountStar,
+                                _ => LaneSrc::for_column(t.column(measure)).unwrap(),
+                            })
+                            .collect();
+                        LaneSet::new(srcs, funcs.clone(), budget)
+                    };
+                    let mut stats = ExecStats::default();
+
+                    // Dense tier.
+                    let oracle = scalar_oracle(&t, &[0], &funcs, measure, budget);
+                    let space = DenseKeySpace::try_build(&t, &[0], 1 << 20).unwrap();
+                    let coder = BlockCoder::try_new(&t, &space).unwrap();
+                    let mut fused = FusedAgg::new(coder, DenseGroupMap::new(space), lanes());
+                    fused.absorb_morsel(0..n, &mut stats);
+                    assert_eq!(stats.rle_runs > 0, sorted, "{what}: path taken");
+                    assert_same_partials(&fused.into_accs().1, &oracle, &format!("dense {what}"));
+
+                    // Wide tier.
+                    let space = WideKeySpace::try_build(&t, &[0]).unwrap();
+                    let coder = WideCoder::try_new(&t, &space).unwrap();
+                    let mut fused = FusedWideAgg::new(&t, coder, space, lanes());
+                    fused.absorb_morsel(0..n, &mut stats);
+                    assert_same_partials(
+                        &fused.into_keys_accs().1,
+                        &oracle,
+                        &format!("wide {what}"),
+                    );
+
+                    // Empty GROUP BY.
+                    let oracle = scalar_oracle(&t, &[], &funcs, measure, budget);
+                    let mut fused = FusedGlobal::new(lanes());
+                    fused.absorb_morsel(0..n, &mut stats);
+                    let accs = fused.into_accs().expect("rows were absorbed");
+                    assert_same_partials(&accs, &oracle, &format!("global {what}"));
+                    if !all_null && matches!(funcs[0], AggFunc::Percentile(_)) {
+                        assert!(accs[0].spilled(), "{what}: the global group is over budget");
+                    }
+                }
+            }
+        }
+        let lanes = LaneSet::new(Vec::new(), Vec::new(), budget);
+        assert!(
+            FusedGlobal::new(lanes).into_accs().is_none(),
+            "no rows, no group"
+        );
+    }
+
+    #[test]
+    fn holistic_scatter_skips_sentinel_rows() {
+        use crate::ops::aggregate::PBits;
+        let t = table(&[
+            (Some("x"), Some(1), Some(4.0)),
+            (Some("x"), Some(2), Some(8.0)),
+            (Some("x"), Some(3), None),
+            (Some("x"), Some(4), Some(6.0)),
+        ]);
+        let src = LaneSrc::for_column(t.column(2)).unwrap();
+        let mut lane = HolisticLane::new(AggFunc::Percentile(PBits::new(0.5)), 10).unwrap();
+        lane.ensure(2);
+        lane.scatter(&src, 0..4, &[1, u32::MAX, 1, 0]);
+        let out: Vec<Value> = lane.into_accs().map(|acc| acc.finish()).collect();
+        assert_eq!(out, vec![Value::Float(6.0), Value::Float(4.0)]);
+        assert!(HolisticLane::new(AggFunc::Sum, 10).is_none());
     }
 }

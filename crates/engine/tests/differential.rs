@@ -550,6 +550,153 @@ fn vectorized_rle_path_matches_scalar_kernels_on_sorted_input() {
     }
 }
 
+/// Holistic lanes in the fused pivot (DESIGN.md §12): `median`,
+/// `percentile`, `approx_percentile` and `approx_count_distinct` as extra
+/// lanes beside an `Hpct` term and as the cell lanes of a horizontal term,
+/// vectorized against the forced-scalar scan — at 1, 2 and 4 workers, with
+/// a GROUP BY and without one, on unsorted and BY-sorted input (the
+/// constant-cell-block path), over NULL-carrying and all-NULL measures,
+/// with the percentile budget inside and crossed in mid-block. Same table,
+/// bit for bit, and the kernel-path counters prove which scan ran.
+#[test]
+fn holistic_pivot_lanes_match_the_scalar_scan() {
+    use pa_core::dispatch::{pivot_aggregate_with_config, PivotTask};
+    use pa_engine::{AggFunc, ExecStats, Expr, PBits, ParallelConfig, ResourceGuard};
+
+    const N: usize = 9_000;
+    let schema = Schema::from_pairs(&[
+        ("g", DataType::Int),
+        ("d", DataType::Str),
+        ("a", DataType::Float),
+        ("m", DataType::Int),
+        ("z", DataType::Float),
+    ])
+    .unwrap()
+    .into_shared();
+    let bits = |t: &Table| -> Vec<Vec<String>> {
+        t.rows()
+            .map(|row| {
+                row.iter()
+                    .map(|v| match v {
+                        Value::Float(x) => format!("f{:016x}", x.to_bits()),
+                        other => format!("{other:?}"),
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    for sorted in [false, true] {
+        let mut t = Table::with_capacity(schema.clone(), N);
+        let mut state = 0x0bad_5eed_1234_5678u64;
+        for i in 0..N {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let d = if sorted {
+                i * 5 / N
+            } else {
+                (state >> 13) as usize % 5
+            };
+            t.push_row(&[
+                Value::from(((state >> 33) % 11) as i64),
+                // "d4" is in the data but in no listed combination.
+                Value::str(format!("d{d}")),
+                if state.is_multiple_of(9) {
+                    Value::Null
+                } else {
+                    Value::from(((state >> 3) % 1000) as f64)
+                },
+                Value::from((1i64 << 53) + ((state >> 23) % 19) as i64),
+                Value::Null,
+            ])
+            .unwrap();
+        }
+        let combos: Vec<Vec<Value>> = (0..4).map(|d| vec![Value::str(format!("d{d}"))]).collect();
+        let hpct = PivotTask {
+            by_cols: vec![1],
+            lanes: vec![(AggFunc::Sum, Expr::Col(2))],
+            combos: combos.clone(),
+            total: Some(Expr::Col(2)),
+        };
+        let holistic = [
+            (AggFunc::Percentile(PBits::new(0.5)), 2usize),
+            (AggFunc::ApproxPercentile(PBits::new(0.9)), 2),
+            (AggFunc::ApproxCountDistinct, 3),
+            (AggFunc::Percentile(PBits::new(0.5)), 4),
+            (AggFunc::ApproxCountDistinct, 4),
+        ];
+        // Holistic extras riding an Hpct term (with a raw extra between
+        // them), then holistic cell lanes beside a raw one.
+        type Lanes = Vec<(AggFunc, Expr)>;
+        let mut plans: Vec<(Vec<PivotTask>, Lanes)> = vec![(
+            vec![hpct.clone()],
+            holistic
+                .iter()
+                .map(|&(f, c)| (f, Expr::Col(c)))
+                .chain([(AggFunc::CountStar, Expr::lit(1))])
+                .collect(),
+        )];
+        for &(func, col) in &holistic {
+            plans.push((
+                vec![
+                    hpct.clone(),
+                    PivotTask {
+                        by_cols: vec![1],
+                        lanes: vec![(AggFunc::Count, Expr::Col(2)), (func, Expr::Col(col))],
+                        combos: combos.clone(),
+                        total: None,
+                    },
+                ],
+                vec![(AggFunc::Sum, Expr::Col(2))],
+            ));
+        }
+        for (tasks, extras) in &plans {
+            for j_cols in [vec![0usize], vec![]] {
+                for percentile_budget in [1usize << 16, 150] {
+                    for threads in [1usize, 2, 4] {
+                        let what = format!(
+                            "sorted={sorted} j_cols={j_cols:?} budget={percentile_budget} \
+                             threads={threads} tasks={tasks:?} extras={extras:?}"
+                        );
+                        let run = |vector: bool| {
+                            let config = ParallelConfig {
+                                threads,
+                                morsel_rows: 2_048,
+                                min_parallel_rows: 0,
+                                vector,
+                                percentile_budget,
+                                ..ParallelConfig::serial()
+                            };
+                            let mut stats = ExecStats::default();
+                            let out = pivot_aggregate_with_config(
+                                &t,
+                                &j_cols,
+                                tasks,
+                                extras,
+                                &ResourceGuard::unlimited(),
+                                &mut stats,
+                                &config,
+                            )
+                            .unwrap();
+                            (bits(&out), stats)
+                        };
+                        let (scalar, scalar_stats) = run(false);
+                        let (fused, fused_stats) = run(true);
+                        assert_eq!(fused, scalar, "{what}");
+                        assert_eq!(fused_stats.scalar_kernel_rows, 0, "{what}");
+                        assert_eq!(fused_stats.vectorized_kernel_rows, N as u64, "{what}");
+                        assert_eq!(scalar_stats.vectorized_kernel_rows, 0, "{what}");
+                        assert_eq!(scalar_stats.scalar_kernel_rows, N as u64, "{what}");
+                        if sorted {
+                            assert!(fused_stats.rle_runs > 0, "{what}: constant cell blocks");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// A cache-warm combination catalog must not change a single byte of the
 /// result, only the miss/hit counters.
 #[test]

@@ -127,6 +127,9 @@ proptest! {
     fn deadline_aborts_at_the_same_morsel_boundary_across_thread_counts(
         allow_ticks in 1u64..14,
     ) {
+        // Every guard charge ticks the process-global panic injector: stay
+        // out of the windows in which another test has it armed.
+        let _w = chaos_window();
         let t = fixture(4096);
         let mut charged_at_trip = Vec::new();
         for threads in [1usize, 2, 4] {

@@ -345,6 +345,163 @@ fn empty_shards_and_global_aggregates() {
 }
 
 // ---------------------------------------------------------------------
+// Holistic lanes at block speed: vectorized vs scalar (DESIGN.md §12)
+// ---------------------------------------------------------------------
+
+/// `fact_table` plus an integer measure `m` and an all-NULL measure `z`,
+/// optionally sorted on the keys (long runs: the kernels' RLE path).
+fn holistic_table(rows: usize, seed: u64, sorted: bool) -> Table {
+    let base = fact_table(rows, seed);
+    let mut order: Vec<usize> = (0..rows).collect();
+    if sorted {
+        order.sort_by(|&a, &b| {
+            let key = |r: usize| [base.get(r, 0), base.get(r, 1)];
+            let (ka, kb) = (key(a), key(b));
+            ka[0].total_cmp(&kb[0]).then(ka[1].total_cmp(&kb[1]))
+        });
+    }
+    let schema = Schema::from_pairs(&[
+        ("g", DataType::Int),
+        ("d", DataType::Str),
+        ("a", DataType::Float),
+        ("m", DataType::Int),
+        ("z", DataType::Float),
+    ])
+    .unwrap()
+    .into_shared();
+    let mut t = Table::empty(schema);
+    for (i, &r) in order.iter().enumerate() {
+        let m = if i % 13 == 0 {
+            Value::Null
+        } else {
+            Value::Int((1 << 53) + (r % 17) as i64)
+        };
+        t.push_row(&[
+            base.get(r, 0),
+            base.get(r, 1),
+            base.get(r, 2),
+            m,
+            Value::Null,
+        ])
+        .unwrap();
+    }
+    t
+}
+
+/// A result table down to the bit: `Value` equality calls `Int(3)` and
+/// `Float(3.0)`, `0.0` and `-0.0` equal; these strings do not.
+fn exact_rows(t: &Table) -> Vec<Vec<String>> {
+    t.rows()
+        .map(|row| {
+            row.iter()
+                .map(|v| match v {
+                    Value::Float(x) => format!("f{:016x}", x.to_bits()),
+                    other => format!("{other:?}"),
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Every holistic function over a numeric column, alone and beside
+/// `sum`/`count(*)`: the fused lanes and the scalar loop return the same
+/// table and the same `sketch_spills` — at 1, 2 and 4 workers, on the dense
+/// and the wide tier and with an empty GROUP BY, on unsorted (scatter) and
+/// key-sorted (RLE) input, over NULL-carrying, all-NULL and past-2^53
+/// integer measures, with groups inside the percentile budget and crossing
+/// it in mid-block.
+#[test]
+fn holistic_lanes_match_the_scalar_loop_across_the_kernel_matrix() {
+    const N: usize = 9_000;
+    let holistic = [
+        (AggFunc::Percentile(PBits::new(0.5)), "a"),
+        (AggFunc::Percentile(PBits::new(0.9)), "m"),
+        (AggFunc::ApproxPercentile(PBits::new(0.5)), "a"),
+        (AggFunc::ApproxCountDistinct, "m"),
+        (AggFunc::ApproxCountDistinct, "a"),
+        (AggFunc::Percentile(PBits::new(0.25)), "z"),
+        (AggFunc::ApproxPercentile(PBits::new(0.25)), "z"),
+        (AggFunc::ApproxCountDistinct, "z"),
+    ];
+    let mut spills_seen = 0;
+    for sorted in [false, true] {
+        let t = holistic_table(N, 29, sorted);
+        let mut lane_lists: Vec<Vec<(AggFunc, &str, &str)>> = Vec::new();
+        for &(func, col) in &holistic {
+            lane_lists.push(vec![(func, col, "h")]);
+            lane_lists.push(vec![
+                (AggFunc::Sum, "a", "s"),
+                (func, col, "h"),
+                (AggFunc::CountStar, "a", "n"),
+            ]);
+        }
+        for lanes in &lane_lists {
+            let specs = specs_of(&t, lanes);
+            let order_insensitive = lanes.iter().all(|(f, ..)| order_insensitive(*f));
+            for group_cols in [vec![0usize], vec![0, 1], vec![]] {
+                // (dense budget, percentile budget): both tiers, and groups
+                // of ~600–1 800 rows inside and across the percentile budget.
+                for (dense_budget, percentile_budget) in
+                    [(1 << 20, 1 << 16), (0, 1 << 16), (1 << 20, 700), (0, 700)]
+                {
+                    let mut serial: Option<Vec<Vec<String>>> = None;
+                    for threads in [1usize, 2, 4] {
+                        let what = format!(
+                            "sorted={sorted} lanes={lanes:?} group_cols={group_cols:?} \
+                             dense_budget={dense_budget} percentile_budget={percentile_budget} \
+                             threads={threads}"
+                        );
+                        let run = |vector: bool| {
+                            let config = ParallelConfig {
+                                threads,
+                                morsel_rows: 2_048,
+                                min_parallel_rows: 0,
+                                dense_budget,
+                                vector,
+                                percentile_budget,
+                            };
+                            let mut stats = ExecStats::default();
+                            let out = hash_aggregate_with_config(
+                                &t,
+                                &group_cols,
+                                &specs,
+                                &ResourceGuard::unlimited(),
+                                &mut stats,
+                                &config,
+                            )
+                            .unwrap();
+                            (exact_rows(&out), stats)
+                        };
+                        let (scalar, scalar_stats) = run(false);
+                        let (fused, fused_stats) = run(true);
+                        assert_eq!(fused, scalar, "{what}");
+                        assert_eq!(
+                            fused_stats.sketch_spills, scalar_stats.sketch_spills,
+                            "{what}"
+                        );
+                        spills_seen += fused_stats.sketch_spills;
+                        assert_eq!(fused_stats.scalar_kernel_rows, 0, "{what}");
+                        assert_eq!(fused_stats.vectorized_kernel_rows, N as u64, "{what}");
+                        assert_eq!(scalar_stats.vectorized_kernel_rows, 0, "{what}");
+                        if sorted && !group_cols.is_empty() {
+                            assert!(fused_stats.rle_runs > 0, "{what}: run path");
+                        }
+                        // Exact states and HLL merge identically in any
+                        // worker split; a digest (or a spilled percentile)
+                        // is only ordered-deterministic.
+                        if order_insensitive && percentile_budget > N {
+                            let want = serial.get_or_insert_with(|| fused.clone());
+                            assert_eq!(&fused, want, "{what}: vs one worker");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(spills_seen > 0, "the small budget must make groups spill");
+}
+
+// ---------------------------------------------------------------------
 // Merge-algebra laws (proptest)
 // ---------------------------------------------------------------------
 

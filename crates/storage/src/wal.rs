@@ -67,6 +67,14 @@ pub const MAX_FRAME_LEN: u32 = 1 << 30;
 /// Default retained-log capacity: 64 MiB.
 pub const DEFAULT_CAPACITY: usize = 64 << 20;
 
+/// Retained bytes of the default *in-memory* log ([`Wal::default`], so
+/// [`crate::Catalog::new`]): 16 MiB. What such a log retains is resident
+/// memory and nothing else — it survives no crash — and most of it is the
+/// create/drop frames of query temporaries, so a process's footprint would
+/// otherwise grow by every byte its queries ever logged, up to
+/// [`DEFAULT_CAPACITY`]. A log over a device keeps that constant.
+const DEFAULT_MEM_CAPACITY: usize = 16 << 20;
+
 /// Record kinds, tagged in the log stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecordKind {
@@ -578,7 +586,7 @@ pub struct Wal {
 
 impl Default for Wal {
     fn default() -> Self {
-        Wal::new(DEFAULT_CAPACITY)
+        Wal::new(DEFAULT_MEM_CAPACITY)
     }
 }
 
