@@ -33,10 +33,6 @@ struct Args {
     /// CI gate: fail unless `case_direct` stays within this factor of
     /// `hash_dispatch` in every measured cell (0 = no gate).
     assert_case_within: f64,
-    /// CI gate: fail if any `case_direct` cell exceeds this wall time in
-    /// ms (0 = no gate). Pins the vectorized-kernel speedup against a
-    /// recorded scalar baseline.
-    assert_case_max_ms: f64,
     /// CI smoke: fail unless every `case_direct`/`case_sorted` cell ran
     /// the vectorized kernels, and the sorted scenario hit the RLE path.
     assert_vectorized: bool,
@@ -67,7 +63,6 @@ fn parse_args() -> Args {
         iters: 3,
         out: "results/BENCH_scale.json".to_string(),
         assert_case_within: 0.0,
-        assert_case_max_ms: 0.0,
         assert_vectorized: false,
         assert_lattice_within: 0.0,
     };
@@ -86,12 +81,6 @@ fn parse_args() -> Args {
                     std::process::exit(2);
                 })
             }
-            "--assert-case-max-ms" => {
-                args.assert_case_max_ms = next().parse().unwrap_or_else(|_| {
-                    eprintln!("--assert-case-max-ms takes a wall time in ms, e.g. 21.7");
-                    std::process::exit(2);
-                })
-            }
             "--assert-vectorized" => args.assert_vectorized = true,
             "--assert-lattice-within" => {
                 args.assert_lattice_within = next().parse().unwrap_or_else(|_| {
@@ -103,8 +92,7 @@ fn parse_args() -> Args {
                 println!(
                     "usage: scale [--n N1,N2,..] [--d D1,D2,..] \
                      [--threads T1,T2,..] [--iters K] [--out PATH] \
-                     [--assert-case-within FACTOR] \
-                     [--assert-case-max-ms MS] [--assert-vectorized] \
+                     [--assert-case-within FACTOR] [--assert-vectorized] \
                      [--assert-lattice-within FACTOR]"
                 );
                 std::process::exit(0);
@@ -589,29 +577,6 @@ fn main() {
         }
         if failed {
             eprintln!("code-path gate failed: case_direct exceeded the allowed factor");
-            std::process::exit(1);
-        }
-    }
-
-    // CI gate: vectorized kernels must keep case_direct under the recorded
-    // scalar-baseline-derived ceiling in every measured cell.
-    if args.assert_case_max_ms > 0.0 {
-        let mut failed = false;
-        for (strategy, n, d, threads, ms, ..) in &rows {
-            if *strategy != "case_direct" {
-                continue;
-            }
-            let ok = *ms <= args.assert_case_max_ms;
-            println!(
-                "kernel gate n={n} d={d} threads={threads}: case_direct {ms:.1} ms \
-                 (limit {:.1} ms) {}",
-                args.assert_case_max_ms,
-                if ok { "OK" } else { "FAIL" }
-            );
-            failed |= !ok;
-        }
-        if failed {
-            eprintln!("kernel gate failed: case_direct exceeded the wall-time ceiling");
             std::process::exit(1);
         }
     }

@@ -7,13 +7,13 @@
 //! one pass over the source, one group-key probe plus one subgroup-key probe
 //! per row, accumulating straight into the `groups × cells` matrix.
 //!
-//! The scan is morsel-driven like the engine's hash aggregation: when the
-//! [`ParallelConfig`] allows it, contiguous morsel runs fan out over scoped
-//! workers, each accumulating into a thread-local `groups × cells` matrix
-//! (the combo maps are built once and shared read-only), and the partials
-//! merge in worker order so output is identical to the serial scan. Numeric
-//! `sum`/`avg`/`count` lanes over plain columns read through
-//! [`pa_storage::Column::get_f64`] instead of boxing a `Value` per cell.
+//! The scan is morsel-driven like the engine's scan core and fans out
+//! through the same [`pa_engine::parallel::fan_out`]: each worker
+//! accumulates into a thread-local `groups × cells` matrix (the combo maps
+//! are built once and shared read-only), and the partials merge in worker
+//! order so output is identical to the serial scan. Lanes are classified by
+//! the engine's one [`LaneKind`]: numeric `sum`/`avg`/`count` lanes over
+//! plain columns read typed slices instead of boxing a `Value` per cell.
 //!
 //! The output layout is identical to the CASE strategy's raw table
 //! (`[D1..Dj][term cells × lanes][term total?][extra lanes]`), so the
@@ -21,9 +21,11 @@
 //! work counters differ (`case_condition_evals` stays at zero).
 
 use crate::error::Result;
+use pa_engine::parallel::fan_out;
 use pa_engine::{
     raw_acc, Acc, AggFunc, BlockCoder, DenseKeySpace, ExecStats, Expr, GroupMap, HolisticLane,
-    LaneSrc, NumSlice, ParallelConfig, RawLane, ResourceGuard, RowKeyMap, SpanHandle, BLOCK_ROWS,
+    LaneKind, LaneSrc, NumSlice, ParallelConfig, RawLane, ResourceGuard, RowKeyMap, SpanHandle,
+    BLOCK_ROWS,
 };
 use pa_storage::{Column, DataType, Field, Schema, Table, Value};
 
@@ -38,53 +40,6 @@ pub struct PivotTask {
     pub combos: Vec<Vec<Value>>,
     /// Group-total sum expression for percentage terms.
     pub total: Option<Expr>,
-}
-
-fn lane_dtype(func: AggFunc, input: &Expr, schema: &Schema) -> DataType {
-    match func {
-        AggFunc::Sum | AggFunc::Avg | AggFunc::Percentile(_) | AggFunc::ApproxPercentile(_) => {
-            DataType::Float
-        }
-        AggFunc::Count
-        | AggFunc::CountDistinct
-        | AggFunc::CountStar
-        | AggFunc::ApproxCountDistinct => DataType::Int,
-        AggFunc::Min | AggFunc::Max => input.output_type(schema).unwrap_or(DataType::Float),
-    }
-}
-
-/// How one lane reads its input per row (mirrors the aggregate operator's
-/// kernel split: typed column reads for numeric sum/avg/count, a typed
-/// holistic lane — fused scan only — for percentile/sketch functions over a
-/// numeric column, generic expression evaluation for everything else).
-#[derive(Debug, Clone, Copy)]
-enum LaneKernel {
-    NumericCol(usize),
-    HolisticCol(usize),
-    CountStar,
-    Generic,
-}
-
-fn classify_lane(func: AggFunc, input: &Expr, src: &Table) -> LaneKernel {
-    let numeric_col = match *input {
-        Expr::Col(c)
-            if c < src.num_columns()
-                && matches!(src.column(c).data_type(), DataType::Int | DataType::Float) =>
-        {
-            Some(c)
-        }
-        _ => None,
-    };
-    match func {
-        AggFunc::CountStar => LaneKernel::CountStar,
-        AggFunc::Sum | AggFunc::Avg | AggFunc::Count => {
-            numeric_col.map_or(LaneKernel::Generic, LaneKernel::NumericCol)
-        }
-        AggFunc::Percentile(_) | AggFunc::ApproxPercentile(_) | AggFunc::ApproxCountDistinct => {
-            numeric_col.map_or(LaneKernel::Generic, LaneKernel::HolisticCol)
-        }
-        _ => LaneKernel::Generic,
-    }
 }
 
 /// Per-task subgroup-combination lookup: combo tuple → cell index.
@@ -174,9 +129,9 @@ struct PivotCtx<'a> {
     /// Aggregate function at each accumulator-matrix position, parallel to
     /// `template` (the fused path converts raw sums/counts through it).
     template_funcs: &'a [AggFunc],
-    lane_kernels: &'a [Vec<LaneKernel>],
-    total_kernels: &'a [Option<LaneKernel>],
-    extra_kernels: &'a [LaneKernel],
+    lane_kernels: &'a [Vec<LaneKind>],
+    total_kernels: &'a [Option<LaneKind>],
+    extra_kernels: &'a [LaneKind],
     /// Typed views of `src`'s numeric columns, resolved once so the scalar
     /// loop stops re-matching the column enum per row.
     col_slices: Vec<Option<NumSlice<'a>>>,
@@ -226,34 +181,15 @@ fn scatter_lane(lane: &mut RawLane, src: &LaneSrc<'_>, start: usize, idx: &[usiz
                 }
             }
         }
-        LaneSrc::Col(NumSlice::Float(data, vwords)) => {
-            for (k, &f) in idx.iter().enumerate() {
-                if f == usize::MAX {
-                    continue;
-                }
-                let row = start + k;
-                // Branch on validity: the NaN placeholder must never reach
-                // the sum, and adding 0.0 for NULLs would flip a -0.0.
-                if vwords[row >> 6] >> (row & 63) & 1 == 1 {
-                    let pair = lane.pair_mut(f + off);
-                    pair.0 += data[row];
-                    pair.1 += 1;
-                }
+        // NULL rows are skipped, never masked: the NaN placeholder must
+        // never reach the sum, and adding 0.0 for NULLs would flip a -0.0.
+        LaneSrc::Col(col) => col.for_each_f64(start..start + idx.len(), |k, x| {
+            if idx[k] != usize::MAX {
+                let pair = lane.pair_mut(idx[k] + off);
+                pair.0 += x;
+                pair.1 += 1;
             }
-        }
-        LaneSrc::Col(NumSlice::Int(data, vwords)) => {
-            for (k, &f) in idx.iter().enumerate() {
-                if f == usize::MAX {
-                    continue;
-                }
-                let row = start + k;
-                if vwords[row >> 6] >> (row & 63) & 1 == 1 {
-                    let pair = lane.pair_mut(f + off);
-                    pair.0 += data[row] as f64;
-                    pair.1 += 1;
-                }
-            }
-        }
+        }),
     }
 }
 
@@ -287,15 +223,7 @@ impl<'a> PivotCtx<'a> {
                 code_to_cell.as_slice(),
             ));
         }
-        let lane_src = |k: &LaneKernel| -> Option<LaneSrc<'a>> {
-            match k {
-                LaneKernel::NumericCol(c) | LaneKernel::HolisticCol(c) => {
-                    LaneSrc::for_column(self.src.column(*c))
-                }
-                LaneKernel::CountStar => Some(LaneSrc::CountStar),
-                LaneKernel::Generic => None,
-            }
-        };
+        let lane_src = |k: &LaneKind| k.src(self.src);
         let lane_srcs: Option<Vec<Vec<LaneSrc<'a>>>> = self
             .lane_kernels
             .iter()
@@ -320,7 +248,7 @@ impl<'a> PivotCtx<'a> {
         for (t, task) in self.tasks.iter().enumerate() {
             let cells = task.combos.len();
             for (l, (func, _)) in task.lanes.iter().enumerate() {
-                if !matches!(self.lane_kernels[t][l], LaneKernel::HolisticCol(_)) {
+                if !matches!(self.lane_kernels[t][l], LaneKind::HolisticCol(_)) {
                     continue;
                 }
                 if group_codes.checked_mul(cells)? > u32::MAX as usize {
@@ -333,7 +261,7 @@ impl<'a> PivotCtx<'a> {
             }
         }
         for (x, (func, _)) in self.extra_lanes.iter().enumerate() {
-            if matches!(self.extra_kernels[x], LaneKernel::HolisticCol(_)) {
+            if matches!(self.extra_kernels[x], LaneKind::HolisticCol(_)) {
                 pos_hol[self.extra_base + x] = Some(hol.len());
                 hol.push((*func, 1));
             }
@@ -612,25 +540,12 @@ impl<'a> PivotCtx<'a> {
     fn absorb(
         &self,
         acc: &mut Acc,
-        kernel: LaneKernel,
+        kernel: LaneKind,
         input: &Expr,
         row: usize,
         stats: &mut ExecStats,
     ) -> Result<()> {
-        match kernel {
-            LaneKernel::CountStar => acc.update_f64(None),
-            LaneKernel::NumericCol(c) => {
-                let s = self.col_slices[c]
-                    .as_ref()
-                    .expect("numeric lane has a typed slice");
-                acc.update_f64(s.get_f64(row));
-            }
-            LaneKernel::Generic | LaneKernel::HolisticCol(_) => {
-                let v = input.eval(self.src, row, stats)?;
-                acc.update(&v)?;
-            }
-        }
-        Ok(())
+        Ok(kernel.update_row(acc, &self.col_slices, input, self.src, row, stats)?)
     }
 }
 
@@ -735,66 +650,41 @@ pub fn pivot_aggregate_with_config(
     let extra_base = width;
     width += extra_lanes.len();
 
-    let template: Vec<Acc> = {
-        let mut t = Vec::with_capacity(width);
-        for task in tasks {
-            for _combo in &task.combos {
-                for (func, _) in &task.lanes {
-                    t.push(Acc::with_budget(*func, config.percentile_budget));
-                }
-            }
-            if task.total.is_some() {
-                t.push(Acc::new(AggFunc::Sum));
-            }
+    // Function at each matrix position: the fused path converts its raw
+    // sums/counts through these, the scalar path starts from `template`.
+    let mut template_funcs: Vec<AggFunc> = Vec::with_capacity(width);
+    for task in tasks {
+        for _combo in &task.combos {
+            template_funcs.extend(task.lanes.iter().map(|(func, _)| *func));
         }
-        for (func, _) in extra_lanes {
-            t.push(Acc::with_budget(*func, config.percentile_budget));
-        }
-        t
-    };
+        template_funcs.extend(task.total.as_ref().map(|_| AggFunc::Sum));
+    }
+    template_funcs.extend(extra_lanes.iter().map(|(func, _)| *func));
+    let template: Vec<Acc> = template_funcs
+        .iter()
+        .map(|&func| Acc::with_budget(func, config.percentile_budget))
+        .collect();
 
-    let lane_kernels: Vec<Vec<LaneKernel>> = tasks
+    let lane_kernels: Vec<Vec<LaneKind>> = tasks
         .iter()
         .map(|task| {
             task.lanes
                 .iter()
-                .map(|(func, input)| classify_lane(*func, input, src))
+                .map(|(func, input)| LaneKind::classify(*func, input, src))
                 .collect()
         })
         .collect();
-    let total_kernels: Vec<Option<LaneKernel>> = tasks
+    let total_kernels: Vec<Option<LaneKind>> = tasks
         .iter()
         .map(|task| {
             task.total
                 .as_ref()
-                .map(|total| classify_lane(AggFunc::Sum, total, src))
+                .map(|total| LaneKind::classify(AggFunc::Sum, total, src))
         })
         .collect();
-    let extra_kernels: Vec<LaneKernel> = extra_lanes
+    let extra_kernels: Vec<LaneKind> = extra_lanes
         .iter()
-        .map(|(func, input)| classify_lane(*func, input, src))
-        .collect();
-    // Function at each matrix position, parallel to `template`: the fused
-    // path converts its raw sums/counts through these.
-    let template_funcs: Vec<AggFunc> = {
-        let mut t = Vec::with_capacity(width);
-        for task in tasks {
-            for _combo in &task.combos {
-                for (func, _) in &task.lanes {
-                    t.push(*func);
-                }
-            }
-            if task.total.is_some() {
-                t.push(AggFunc::Sum);
-            }
-        }
-        for (func, _) in extra_lanes {
-            t.push(*func);
-        }
-        t
-    };
-    let col_slices: Vec<Option<NumSlice<'_>>> = (0..src.num_columns())
-        .map(|c| NumSlice::for_column(src.column(c)))
+        .map(|(func, input)| LaneKind::classify(*func, input, src))
         .collect();
 
     let ctx = PivotCtx {
@@ -812,7 +702,7 @@ pub fn pivot_aggregate_with_config(
         lane_kernels: &lane_kernels,
         total_kernels: &total_kernels,
         extra_kernels: &extra_kernels,
-        col_slices,
+        col_slices: NumSlice::for_table(src),
     };
 
     let n = src.num_rows();
@@ -828,62 +718,16 @@ pub fn pivot_aggregate_with_config(
         "scalar"
     });
 
-    let (mut groups, mut accs) = if chunks.len() <= 1 {
-        ctx.scan(0..n, guard, stats, config, &mut span)?
-    } else {
-        type WorkerOut = Result<(GroupMap, Vec<Acc>, ExecStats)>;
-        let panicked = |p: Box<dyn std::any::Any + Send>| crate::CoreError::WorkerPanicked {
-            operator: "pivot_aggregate".into(),
-            payload: pa_engine::error::panic_payload(p),
-        };
-        let worker_results: Vec<WorkerOut> = std::thread::scope(|s| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .enumerate()
-                .map(|(w, chunk)| {
-                    let ctx = &ctx;
-                    // Worker-index child spans merge deterministically in the
-                    // trace report regardless of thread close order.
-                    let mut wspan = span.child("worker", w as u32);
-                    s.spawn(move || -> WorkerOut {
-                        // Contain panics at the thread boundary: convert to a
-                        // typed error and cancel siblings through the shared
-                        // guard so they stop within one morsel.
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> WorkerOut {
-                            let mut wstats = ExecStats::default();
-                            let (groups, accs) =
-                                ctx.scan(chunk, guard, &mut wstats, config, &mut wspan)?;
-                            Ok((groups, accs, wstats))
-                        }))
-                        .unwrap_or_else(|p| {
-                            guard.cancel();
-                            Err(panicked(p))
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| Err(panicked(p))))
-                .collect()
-        });
-        // A panic is the root cause; siblings that observed the cancelled
-        // guard only report the secondary `Cancelled` — surface the panic.
-        if let Some(Err(e)) = worker_results
-            .iter()
-            .find(|r| matches!(r, Err(crate::CoreError::WorkerPanicked { .. })))
-        {
-            return Err(e.clone());
-        }
-        // Deterministic ordered merge: worker 0's partial seeds the global
-        // matrix (its group order is the serial prefix order), later
-        // workers fold in, in worker order.
-        let mut iter = worker_results.into_iter();
-        let (mut groups, mut accs, wstats) = iter.next().expect("at least one worker")?;
-        *stats += wstats;
-        for result in iter {
-            let (wgroups, waccs, wstats) = result?;
-            *stats += wstats;
+    // Worker 0's partial seeds the global matrix (its group order is the
+    // serial prefix order); later workers fold in, in worker order.
+    let (mut groups, mut accs) = fan_out(
+        "pivot_aggregate",
+        chunks,
+        guard,
+        &mut span,
+        stats,
+        |chunk, stats, span| ctx.scan(chunk, guard, stats, config, span),
+        |(groups, accs), (wgroups, waccs), stats| {
             let mut waccs = waccs.into_iter();
             for gid in groups.merge_ids(wgroups, stats) {
                 let gid = gid as usize;
@@ -895,9 +739,9 @@ pub fn pivot_aggregate_with_config(
                     accs[gid * width + w].merge(partial)?;
                 }
             }
-        }
-        (groups, accs)
-    };
+            Ok(())
+        },
+    )?;
 
     // Global aggregation yields one row even over empty input.
     if j_cols.is_empty() && groups.is_empty() {
@@ -916,7 +760,7 @@ pub fn pivot_aggregate_with_config(
             for (l, (func, input)) in task.lanes.iter().enumerate() {
                 fields.push(Field::new(
                     format!("__c{t}_{i}_{l}"),
-                    lane_dtype(*func, input, src_schema),
+                    func.output_type(input, src_schema),
                 ));
             }
         }
@@ -927,7 +771,7 @@ pub fn pivot_aggregate_with_config(
     for (x, (func, input)) in extra_lanes.iter().enumerate() {
         fields.push(Field::new(
             format!("__x{x}_0"),
-            lane_dtype(*func, input, src_schema),
+            func.output_type(input, src_schema),
         ));
     }
     // Column-direct build: key columns come straight from the group map

@@ -1743,8 +1743,11 @@ mod tests {
             assert!(r.stats.rows_charged >= n as u64, "{mode:?}");
 
             // Every span's window nests inside the query's window, and the
-            // top-level operators (which run sequentially) account for the
-            // bulk of — and never more than — the query's wall clock.
+            // top-level operators (which run sequentially) never account
+            // for more than the query's wall clock. (How *much* of it they
+            // cover is a wall-clock ratio a loaded host can move at will:
+            // the trajectory's span-coverage metric reports it, no test
+            // asserts it.)
             for s in report.spans() {
                 assert!(
                     s.start_ns >= root.start_ns && s.end_ns <= root.end_ns,
@@ -1754,11 +1757,6 @@ mod tests {
             }
             let op_ns: u64 = report.children(root.id).map(SpanRecord::duration_ns).sum();
             assert!(op_ns <= report.total_ns(), "{mode:?}");
-            assert!(
-                2 * op_ns >= report.total_ns(),
-                "{mode:?}: operators cover at least half the query ({op_ns} of {})",
-                report.total_ns()
-            );
 
             let workers = report
                 .spans()

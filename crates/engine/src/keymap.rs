@@ -262,6 +262,20 @@ impl DenseKeySpace {
         })
     }
 
+    /// The one-code space of the empty key (an empty GROUP BY): no
+    /// dimensions, every row codes to 0. [`Self::try_build`] refuses an
+    /// empty key because its callers mean "no dense path" by it; the scan
+    /// core asks for this space explicitly.
+    pub(crate) fn keyless() -> DenseKeySpace {
+        DenseKeySpace {
+            cols: Vec::new(),
+            dims: Vec::new(),
+            radices: Vec::new(),
+            strides: Vec::new(),
+            size: 1,
+        }
+    }
+
     /// Number of addressable composite codes (product of radices).
     pub fn size(&self) -> usize {
         self.size
@@ -270,11 +284,6 @@ impl DenseKeySpace {
     /// Key columns the space encodes, in key order.
     pub fn cols(&self) -> &[usize] {
         &self.cols
-    }
-
-    /// Per-dimension radices (slot counts, each including the NULL slot).
-    pub fn radices(&self) -> &[usize] {
-        &self.radices
     }
 
     /// The sub-space over a subset of this space's dimensions (`dims` are
@@ -433,11 +442,6 @@ impl DenseGroupMap {
         self.gid_to_code.is_empty()
     }
 
-    /// The code space this map addresses.
-    pub fn space(&self) -> &DenseKeySpace {
-        &self.space
-    }
-
     /// Composite code per group id, in first-appearance order.
     pub fn codes(&self) -> &[u32] {
         &self.gid_to_code
@@ -454,6 +458,13 @@ impl DenseGroupMap {
         self.code_to_gid[code] = gid;
         self.gid_to_code.push(code as u32);
         gid as usize
+    }
+
+    /// Key dimension `d` of group `gid`; `table` must be the one the space
+    /// was built on.
+    pub(crate) fn key_value(&self, table: &Table, gid: usize, d: usize) -> Value {
+        self.space
+            .key_value(table, self.gid_to_code[gid] as usize, d)
     }
 
     /// Group id for the key formed by the space's columns of `table[row]`,
@@ -660,7 +671,7 @@ impl WideProjector {
 }
 
 /// Group-id assignment behind either code path. Operators pick the variant
-/// per input via [`GroupMap::choose`]; everything downstream (scan, merge,
+/// per input via [`GroupMap::for_space`]; everything downstream (scan, merge,
 /// materialization) is path-agnostic and byte-identical across paths.
 #[derive(Debug)]
 pub enum GroupMap {
@@ -676,19 +687,6 @@ impl GroupMap {
         match space {
             Some(space) => GroupMap::Dense(DenseGroupMap::new(space)),
             None => GroupMap::Hash(RowKeyMap::new()),
-        }
-    }
-
-    /// Choose the group path for `cols` of `table` under `budget`.
-    pub fn choose(table: &Table, cols: &[usize], budget: usize) -> GroupMap {
-        GroupMap::for_space(DenseKeySpace::try_build(table, cols, budget))
-    }
-
-    /// `"dense"` or `"hash"` — for stats and bench artifacts.
-    pub fn path(&self) -> &'static str {
-        match self {
-            GroupMap::Hash(_) => "hash",
-            GroupMap::Dense(_) => "dense",
         }
     }
 
@@ -762,6 +760,15 @@ impl GroupMap {
         }
     }
 
+    /// Key dimension `d` of group `gid`; `table` must be the input the map
+    /// was built over.
+    pub(crate) fn key_value(&self, table: &Table, gid: usize, d: usize) -> Value {
+        match self {
+            GroupMap::Hash(m) => m.keys[gid][d].clone(),
+            GroupMap::Dense(m) => m.key_value(table, gid, d),
+        }
+    }
+
     /// Materialize the key columns, one [`Column`] per key dimension with
     /// one entry per group id — the output layout, built directly from the
     /// stored keys without cloning a `Vec<Value>` per row. `table`/`cols`
@@ -772,25 +779,12 @@ impl GroupMap {
         cols: &[usize],
     ) -> crate::error::Result<Vec<Column>> {
         let mut out = Vec::with_capacity(cols.len());
-        match self {
-            GroupMap::Hash(m) => {
-                for (d, &c) in cols.iter().enumerate() {
-                    let mut col = Column::new(table.column(c).data_type());
-                    for key in m.keys() {
-                        col.push(key[d].clone())?;
-                    }
-                    out.push(col);
-                }
+        for (d, &c) in cols.iter().enumerate() {
+            let mut col = Column::new(table.column(c).data_type());
+            for gid in 0..self.len() {
+                col.push(self.key_value(table, gid, d))?;
             }
-            GroupMap::Dense(m) => {
-                for (d, &c) in cols.iter().enumerate() {
-                    let mut col = Column::new(table.column(c).data_type());
-                    for &code in &m.gid_to_code {
-                        col.push(m.space.key_value(table, code as usize, d))?;
-                    }
-                    out.push(col);
-                }
-            }
+            out.push(col);
         }
         Ok(out)
     }
@@ -1080,9 +1074,8 @@ mod tests {
         let t = mixed_table();
         let mut st = ExecStats::default();
         let mut hash = GroupMap::Hash(RowKeyMap::new());
-        let mut dense = GroupMap::choose(&t, &[0, 1], 1 << 20);
-        assert_eq!(dense.path(), "dense");
-        assert_eq!(hash.path(), "hash");
+        let mut dense = GroupMap::for_space(DenseKeySpace::try_build(&t, &[0, 1], 1 << 20));
+        assert!(matches!(dense, GroupMap::Dense(_)));
         for row in 0..t.num_rows() {
             hash.get_or_insert_row(&t, &[0, 1], row, &mut st);
             dense.get_or_insert_row(&t, &[0, 1], row, &mut st);

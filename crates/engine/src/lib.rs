@@ -22,6 +22,7 @@ pub mod keymap;
 pub mod lattice_kernel;
 pub mod ops;
 pub mod parallel;
+mod scan;
 pub mod sketch;
 pub mod stats;
 pub mod vector;
@@ -38,8 +39,7 @@ pub use lattice_kernel::{lattice_aggregate_guarded, lattice_aggregate_with_confi
 pub use ops::acc::{Acc, PartialState, PctState, DEFAULT_PERCENTILE_BUDGET};
 pub use ops::aggregate::{
     hash_aggregate, hash_aggregate_guarded, hash_aggregate_with_config, multi_hash_aggregate,
-    multi_hash_aggregate_guarded, multi_hash_aggregate_with_config, resolve_cols, AggFunc, AggSpec,
-    PBits,
+    multi_hash_aggregate_guarded, multi_hash_aggregate_with_config, AggFunc, AggSpec, PBits,
 };
 pub use ops::distinct::{distinct, distinct_keys};
 pub use ops::filter::filter;
@@ -55,5 +55,6 @@ pub use parallel::ParallelConfig;
 pub use sketch::{Hll, TDigest, HLL_REGISTERS, HLL_STD_ERROR, TDIGEST_RANK_EPSILON};
 pub use stats::{AbortCause, Degradation, ExecStats};
 pub use vector::{
-    raw_acc, BlockCoder, HolisticLane, LaneSrc, NumSlice, RawLane, WideCoder, BLOCK_ROWS,
+    raw_acc, BlockCoder, CodeWord, Coder, HolisticLane, LaneKind, LaneSrc, NumSlice, RawLane,
+    WideCoder, BLOCK_ROWS,
 };

@@ -9,26 +9,18 @@
 //! ([`multi_hash_aggregate`]) implements the paper's "these scans can be
 //! synchronized to have effectively one scan".
 //!
-//! The scan is morsel-driven: the input is walked in fixed-size row morsels
-//! (the unit of guard charging and cancellation latency), and when the
-//! [`ParallelConfig`] allows it, contiguous runs of morsels fan out over
-//! scoped worker threads that accumulate into thread-local partial tables.
-//! Worker partials merge in worker order, which reproduces the serial
-//! group-id assignment exactly (DESIGN.md §7). Numeric `sum`/`avg`/`count`
-//! lanes over plain columns read through [`pa_storage::Column::get_f64`]
-//! instead of boxing a [`Value`] per cell.
+//! Every entry point here is an adapter over the scan core
+//! (`crate::scan`, DESIGN.md "Scan core"): it validates, plans one code
+//! stream per level (identity projection) — or the scalar per-row loop for
+//! a level that cannot fuse — runs the one morsel-parallel scan, and
+//! formats each level's groups as a table in first-appearance order.
 
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
 use crate::guard::ResourceGuard;
-use crate::keymap::{DenseKeySpace, GroupMap, WideKeySpace};
-use crate::ops::acc::Acc;
 use crate::parallel::ParallelConfig;
+use crate::scan::{LevelGroups, ScanPlan};
 use crate::stats::ExecStats;
-use crate::vector::{
-    BlockCoder, FusedAgg, FusedGlobal, FusedWideAgg, LaneSet, LaneSrc, NumSlice, WideCoder,
-};
-use pa_obs::SpanHandle;
 use pa_storage::{Column, DataType, Field, Schema, Table};
 
 /// A percentile fraction carried as its IEEE-754 bit pattern, so
@@ -118,6 +110,20 @@ impl AggFunc {
         )
     }
 
+    /// The column type of `self(input)` over a table of `schema`.
+    pub fn output_type(&self, input: &Expr, schema: &Schema) -> DataType {
+        match self {
+            AggFunc::Sum | AggFunc::Avg | AggFunc::Percentile(_) | AggFunc::ApproxPercentile(_) => {
+                DataType::Float
+            }
+            AggFunc::Count
+            | AggFunc::CountDistinct
+            | AggFunc::CountStar
+            | AggFunc::ApproxCountDistinct => DataType::Int,
+            AggFunc::Min | AggFunc::Max => input.output_type(schema).unwrap_or(DataType::Float),
+        }
+    }
+
     /// Holistic per Gray et al.: the *finalized* value of a sub-group
     /// cannot be re-aggregated into a coarser group, so the FV-based
     /// strategies (which re-aggregate finalized `Fk` rows) reject these.
@@ -162,324 +168,7 @@ impl AggSpec {
     }
 
     pub(crate) fn output_type(&self, schema: &Schema) -> DataType {
-        match self.func {
-            AggFunc::Sum | AggFunc::Avg | AggFunc::Percentile(_) | AggFunc::ApproxPercentile(_) => {
-                DataType::Float
-            }
-            AggFunc::Count
-            | AggFunc::CountDistinct
-            | AggFunc::CountStar
-            | AggFunc::ApproxCountDistinct => DataType::Int,
-            AggFunc::Min | AggFunc::Max => {
-                self.input.output_type(schema).unwrap_or(DataType::Float)
-            }
-        }
-    }
-}
-
-/// How one aggregate lane reads its input per row.
-#[derive(Debug, Clone, Copy)]
-enum Kernel {
-    /// `sum`/`avg`/`count` over a plain numeric column: read through
-    /// `Column::get_f64`, no `Value` construction.
-    NumericCol(usize),
-    /// `percentile`/`approx_percentile`/`approx_count_distinct` over a plain
-    /// numeric column: a typed [`crate::vector::HolisticLane`] in the fused
-    /// pipelines; the scalar loop evaluates it like [`Kernel::Generic`].
-    HolisticCol(usize),
-    /// `count(*)`: no input read at all.
-    CountStar,
-    /// Everything else: evaluate the expression into a `Value`.
-    Generic,
-}
-
-/// Classify each spec against the input table's column types.
-fn classify_kernels(aggs: &[AggSpec], input: &Table) -> Vec<Kernel> {
-    let numeric_col = |expr: &Expr| match *expr {
-        Expr::Col(c)
-            if c < input.num_columns()
-                && matches!(input.column(c).data_type(), DataType::Int | DataType::Float) =>
-        {
-            Some(c)
-        }
-        _ => None,
-    };
-    aggs.iter()
-        .map(|spec| match spec.func {
-            AggFunc::CountStar => Kernel::CountStar,
-            AggFunc::Sum | AggFunc::Avg | AggFunc::Count => {
-                numeric_col(&spec.input).map_or(Kernel::Generic, Kernel::NumericCol)
-            }
-            AggFunc::Percentile(_)
-            | AggFunc::ApproxPercentile(_)
-            | AggFunc::ApproxCountDistinct => {
-                numeric_col(&spec.input).map_or(Kernel::Generic, Kernel::HolisticCol)
-            }
-            _ => Kernel::Generic,
-        })
-        .collect()
-}
-
-/// Whether every lane of a level has a fused lane kind.
-fn lanes_fuse(kernels: &[Kernel]) -> bool {
-    !kernels.iter().any(|k| matches!(k, Kernel::Generic))
-}
-
-/// Typed column views for the scalar loop, resolved once per chunk instead
-/// of re-matching the column enum per row (`None` for non-column lanes).
-fn lane_slices<'a>(kernels: &[Kernel], input: &'a Table) -> Vec<Option<NumSlice<'a>>> {
-    kernels
-        .iter()
-        .map(|k| match k {
-            Kernel::NumericCol(c) => NumSlice::for_column(input.column(*c)),
-            _ => None,
-        })
-        .collect()
-}
-
-/// How one level executes over one worker chunk, decided once per chunk
-/// (DESIGN.md §12): the fused block pipeline when eligible, otherwise the
-/// scalar per-row loop over typed slices hoisted out of the row loop.
-enum LevelExec<'a> {
-    Fused(Box<FusedAgg<'a>>),
-    /// Hash (over-budget) group path with the same block discipline:
-    /// shift-packed `u64` codes per block, one hash probe per row or run.
-    FusedWide(Box<FusedWideAgg<'a>>),
-    /// Empty GROUP BY: no codes, every block is one run into the global
-    /// group.
-    FusedGlobal(FusedGlobal<'a>),
-    Scalar(Vec<Option<NumSlice<'a>>>),
-}
-
-/// One grouping level inside a (possibly multi-level) aggregation pass.
-#[derive(Debug)]
-struct Level {
-    group_cols: Vec<usize>,
-    aggs: Vec<AggSpec>,
-    kernels: Vec<Kernel>,
-    map: GroupMap,
-    /// Shift-packed key space for the vectorized hash path, built once per
-    /// plan (the domain scan is O(n)) when the dense space is over budget
-    /// but the dimensions still pack into 64 bits.
-    wide: Option<WideKeySpace>,
-    /// [`ParallelConfig::percentile_budget`], handed to every accumulator
-    /// this level creates.
-    percentile_budget: usize,
-    accs: Vec<Acc>, // groups × aggs, flat
-}
-
-impl Level {
-    /// Whether this level can run the fused vectorized pipeline: a dense
-    /// group map whose every dimension reads through a packed/typed vector,
-    /// and only lanes with a fused kind (typed numeric, `count(*)`,
-    /// holistic over a numeric column). The decision is a pure function of
-    /// the (level, input, config) triple, so every worker chunk agrees with
-    /// the planning pass in [`multi_hash_aggregate_with_config`].
-    fn fused_coder<'a>(&self, input: &'a Table, config: &ParallelConfig) -> Option<BlockCoder<'a>> {
-        if !config.vector || !lanes_fuse(&self.kernels) {
-            return None;
-        }
-        let GroupMap::Dense(map) = &self.map else {
-            return None;
-        };
-        BlockCoder::try_new(input, map.space())
-    }
-
-    /// Whether this level can run the fused pipeline on the **hash** group
-    /// path: the dense space was refused (over budget), but the dimensions
-    /// shift-pack into a `u64` and every dimension reads through a
-    /// packed/typed vector. Same lane discipline as [`Self::fused_coder`].
-    fn fused_wide_coder<'a>(
-        &self,
-        input: &'a Table,
-        config: &ParallelConfig,
-    ) -> Option<WideCoder<'a>> {
-        if !config.vector || !lanes_fuse(&self.kernels) {
-            return None;
-        }
-        if !matches!(self.map, GroupMap::Hash(_)) {
-            return None;
-        }
-        WideCoder::try_new(input, self.wide.as_ref()?)
-    }
-
-    /// The fused lanes for a level whose kernels passed [`lanes_fuse`].
-    fn fused_lanes<'a>(&self, input: &'a Table) -> LaneSet<'a> {
-        let srcs = self
-            .kernels
-            .iter()
-            .map(|k| match k {
-                Kernel::NumericCol(c) | Kernel::HolisticCol(c) => {
-                    LaneSrc::for_column(input.column(*c))
-                        .expect("classified numeric lane has a numeric column")
-                }
-                Kernel::CountStar => LaneSrc::CountStar,
-                Kernel::Generic => unreachable!("fused paths reject generic lanes"),
-            })
-            .collect();
-        let funcs = self.aggs.iter().map(|s| s.func).collect();
-        LaneSet::new(srcs, funcs, self.percentile_budget)
-    }
-
-    /// Pick this level's execution mode for one worker chunk.
-    fn begin_chunk<'a>(
-        &mut self,
-        input: &'a Table,
-        config: &ParallelConfig,
-        stats: &mut ExecStats,
-    ) -> LevelExec<'a> {
-        debug_assert!(self.accs.is_empty(), "chunks start from empty state");
-        if config.vector && self.group_cols.is_empty() && lanes_fuse(&self.kernels) {
-            LevelExec::FusedGlobal(FusedGlobal::new(self.fused_lanes(input)))
-        } else if let Some(coder) = self.fused_coder(input, config) {
-            stats.pack_width = stats.pack_width.max(coder.pack_width() as u64);
-            // The fused state owns the dense map for the duration of the
-            // chunk; end_chunk puts it back along with the accumulators.
-            let GroupMap::Dense(map) = std::mem::replace(&mut self.map, GroupMap::for_space(None))
-            else {
-                unreachable!("fused_coder requires the dense path");
-            };
-            let lanes = self.fused_lanes(input);
-            LevelExec::Fused(Box::new(FusedAgg::new(coder, map, lanes)))
-        } else if let Some(coder) = self.fused_wide_coder(input, config) {
-            stats.pack_width = stats.pack_width.max(coder.pack_width() as u64);
-            let space = self.wide.clone().expect("fused_wide_coder checked");
-            let lanes = self.fused_lanes(input);
-            LevelExec::FusedWide(Box::new(FusedWideAgg::new(input, coder, space, lanes)))
-        } else {
-            LevelExec::Scalar(lane_slices(&self.kernels, input))
-        }
-    }
-
-    /// Fold a chunk's fused state back into the level (no-op for scalar).
-    fn end_chunk(&mut self, exec: LevelExec<'_>, stats: &mut ExecStats) {
-        match exec {
-            LevelExec::Fused(fused) => {
-                let (map, accs) = fused.into_accs();
-                self.map = GroupMap::Dense(map);
-                self.accs = accs;
-            }
-            LevelExec::FusedWide(fused) => {
-                // Replay the decoded keys into the level's row-key map in
-                // first-appearance order: gids and group order come out
-                // exactly as the scalar per-row loop would have assigned
-                // them, so worker merges and finish() are path-oblivious.
-                let (keys, accs) = fused.into_keys_accs();
-                for key in &keys {
-                    let gid = self.map.get_or_insert_key(key, stats);
-                    debug_assert_eq!(gid + 1, self.map.len(), "keys arrive deduplicated");
-                }
-                self.accs = accs;
-            }
-            LevelExec::FusedGlobal(fused) => {
-                // Like the scalar loop, the global group exists once a row
-                // has been seen.
-                if let Some(accs) = fused.into_accs() {
-                    self.map.get_or_insert_key(&[], stats);
-                    self.accs = accs;
-                }
-            }
-            LevelExec::Scalar(_) => {}
-        }
-    }
-
-    /// Append one group's empty accumulators to the matrix.
-    fn push_fresh_group(&mut self) {
-        let budget = self.percentile_budget;
-        self.accs
-            .extend(self.aggs.iter().map(|s| Acc::with_budget(s.func, budget)));
-    }
-
-    fn absorb(
-        &mut self,
-        input: &Table,
-        row: usize,
-        slices: &[Option<NumSlice<'_>>],
-        stats: &mut ExecStats,
-    ) -> Result<()> {
-        let gid = if self.group_cols.is_empty() {
-            if self.map.is_empty() {
-                self.map.get_or_insert_key(&[], stats)
-            } else {
-                0
-            }
-        } else {
-            self.map
-                .get_or_insert_row(input, &self.group_cols, row, stats)
-        };
-        let base = gid * self.aggs.len();
-        if base + self.aggs.len() > self.accs.len() {
-            self.push_fresh_group();
-        }
-        for (i, spec) in self.aggs.iter().enumerate() {
-            match self.kernels[i] {
-                Kernel::CountStar => self.accs[base + i].update_f64(None),
-                Kernel::NumericCol(_) => {
-                    let s = slices[i].as_ref().expect("numeric lane has a typed slice");
-                    self.accs[base + i].update_f64(s.get_f64(row));
-                }
-                Kernel::Generic | Kernel::HolisticCol(_) => {
-                    let v = spec.input.eval(input, row, stats)?;
-                    self.accs[base + i].update(&v)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Fold a worker's partial level into this one, preserving this level's
-    /// group order and appending the partial's unseen groups in its own
-    /// first-appearance order. Because workers scan contiguous chunks in
-    /// row order and merge in worker order, the merged group order equals
-    /// the serial scan's order.
-    fn merge_from(&mut self, other: Level, stats: &mut ExecStats) -> Result<()> {
-        let width = self.aggs.len();
-        let mut other_accs = other.accs.into_iter();
-        for gid in self.map.merge_ids(other.map, stats) {
-            let gid = gid as usize;
-            if (gid + 1) * width > self.accs.len() {
-                self.push_fresh_group();
-            }
-            for i in 0..width {
-                let partial = other_accs.next().expect("partial accs cover groups × aggs");
-                self.accs[gid * width + i].merge(partial)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Materialize the level: key columns built directly from the group
-    /// map's stored keys (no per-row `Vec<Value>` clone), aggregate columns
-    /// from the accumulator matrix.
-    fn finish(self, input: &Table, stats: &mut ExecStats) -> Result<Table> {
-        let input_schema = input.schema();
-        let mut fields: Vec<Field> = self
-            .group_cols
-            .iter()
-            .map(|&c| input_schema.field_at(c).clone())
-            .collect();
-        for spec in &self.aggs {
-            fields.push(Field::new(
-                spec.name.clone(),
-                spec.output_type(input_schema),
-            ));
-        }
-        let schema = Schema::new(fields)?.into_shared();
-        let n_groups = self.map.len();
-        let mut columns = self.map.build_key_columns(input, &self.group_cols)?;
-        for (i, spec) in self.aggs.iter().enumerate() {
-            let mut col = Column::new(spec.output_type(input_schema));
-            for gid in 0..n_groups {
-                let acc = &self.accs[gid * self.aggs.len() + i];
-                if acc.spilled() {
-                    stats.sketch_spills += 1;
-                }
-                col.push(acc.finish())?;
-            }
-            columns.push(col);
-        }
-        stats.rows_materialized += n_groups as u64;
-        Ok(Table::from_columns(schema, columns)?)
+        self.func.output_type(&self.input, schema)
     }
 }
 
@@ -580,55 +269,62 @@ pub fn multi_hash_aggregate_guarded(
     multi_hash_aggregate_with_config(input, levels, guard, stats, &ParallelConfig::from_env())
 }
 
-/// Scan `chunk` of `input` morsel by morsel, absorbing into `lvls`.
-/// One guard charge per morsel: the charge both meters the budget and
-/// observes cancellation, so a cancelled guard stops the scan within one
-/// morsel on whichever worker runs this chunk.
-///
-/// Each level picks its execution mode once per chunk: the fused vectorized
-/// pipeline where eligible, the hoisted scalar loop otherwise. The guard /
-/// span cadence is identical on both, so budgets, cancellation latency, and
-/// trace rollups do not depend on the kernel path.
-fn scan_chunk(
-    input: &Table,
-    lvls: &mut [Level],
-    chunk: std::ops::Range<usize>,
-    guard: &ResourceGuard,
-    stats: &mut ExecStats,
-    config: &ParallelConfig,
-    span: &mut SpanHandle,
-) -> Result<()> {
-    let mut execs: Vec<LevelExec> = lvls
-        .iter_mut()
-        .map(|lvl| lvl.begin_chunk(input, config, stats))
-        .collect();
-    let result = (|| -> Result<()> {
-        for morsel in config.morsels(chunk) {
-            guard.charge(morsel.len() as u64)?;
-            span.add_morsels(1);
-            span.add_rows(morsel.len() as u64);
-            for (lvl, exec) in lvls.iter_mut().zip(execs.iter_mut()) {
-                match exec {
-                    LevelExec::Fused(fused) => fused.absorb_morsel(morsel.clone(), stats),
-                    LevelExec::FusedWide(fused) => fused.absorb_morsel(morsel.clone(), stats),
-                    LevelExec::FusedGlobal(fused) => fused.absorb_morsel(morsel.clone(), stats),
-                    LevelExec::Scalar(slices) => {
-                        stats.scalar_kernel_rows += morsel.len() as u64;
-                        for row in morsel.clone() {
-                            lvl.absorb(input, row, slices, stats)?;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    })();
-    // Fold fused state back even on early exit, so a budget/cancellation
-    // error never leaves a level with its map swapped out.
-    for (lvl, exec) in lvls.iter_mut().zip(execs) {
-        lvl.end_chunk(exec, stats);
+/// Validate the arguments every aggregate adapter shares.
+pub(crate) fn check_level(input: &Table, group_cols: &[usize], aggs: &[AggSpec]) -> Result<()> {
+    if let Some(c) = group_cols.iter().find(|&&c| c >= input.num_columns()) {
+        return Err(EngineError::InvalidOperator(format!(
+            "group column {c} out of range"
+        )));
     }
-    result
+    if aggs.is_empty() {
+        return Err(EngineError::InvalidOperator(
+            "aggregation requires at least one aggregate term".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// Materialize one level: key columns decoded from the merged groups (once,
+/// after the merge — never per worker), aggregate columns from the
+/// accumulator matrix.
+fn finish(
+    groups: LevelGroups,
+    input: &Table,
+    group_cols: &[usize],
+    aggs: &[AggSpec],
+    stats: &mut ExecStats,
+) -> Result<Table> {
+    let input_schema = input.schema();
+    let n_groups = groups.len();
+    let mut fields = Vec::with_capacity(group_cols.len() + aggs.len());
+    let mut columns = Vec::with_capacity(group_cols.len() + aggs.len());
+    for (d, &c) in group_cols.iter().enumerate() {
+        let field = input_schema.field_at(c);
+        let mut col = Column::new(field.dtype);
+        for gid in 0..n_groups {
+            col.push(groups.key_value(input, gid, d))?;
+        }
+        fields.push(field.clone());
+        columns.push(col);
+    }
+    for (i, spec) in aggs.iter().enumerate() {
+        let dtype = spec.output_type(input_schema);
+        let mut col = Column::new(dtype);
+        for gid in 0..n_groups {
+            let acc = &groups.accs[gid * aggs.len() + i];
+            if acc.spilled() {
+                stats.sketch_spills += 1;
+            }
+            col.push(acc.finish())?;
+        }
+        fields.push(Field::new(spec.name.clone(), dtype));
+        columns.push(col);
+    }
+    stats.rows_materialized += n_groups as u64;
+    Ok(Table::from_columns(
+        Schema::new(fields)?.into_shared(),
+        columns,
+    )?)
 }
 
 /// [`multi_hash_aggregate_guarded`] with an explicit [`ParallelConfig`].
@@ -640,18 +336,7 @@ pub fn multi_hash_aggregate_with_config(
     config: &ParallelConfig,
 ) -> Result<Vec<Table>> {
     for (cols, aggs) in levels {
-        for &c in cols {
-            if c >= input.num_columns() {
-                return Err(EngineError::InvalidOperator(format!(
-                    "group column {c} out of range"
-                )));
-            }
-        }
-        if aggs.is_empty() {
-            return Err(EngineError::InvalidOperator(
-                "aggregation requires at least one aggregate term".into(),
-            ));
-        }
+        check_level(input, cols, aggs)?;
     }
     stats.statements += 1;
     stats.holistic_lanes += levels
@@ -661,187 +346,29 @@ pub fn multi_hash_aggregate_with_config(
         .count() as u64;
     guard.check()?;
 
-    let kernels: Vec<Vec<Kernel>> = levels
-        .iter()
-        .map(|(_, aggs)| classify_kernels(aggs, input))
-        .collect();
-    // Decide the group path once per level (the per-dimension domain scan
-    // is O(n) for integer columns); workers clone the shared key space so
-    // every partial uses the same codes and the merge can fold by code.
-    let spaces: Vec<Option<DenseKeySpace>> = levels
-        .iter()
-        .map(|(cols, _)| DenseKeySpace::try_build(input, cols, config.dense_budget))
-        .collect();
-    for space in &spaces {
-        if space.is_some() {
-            stats.dense_group_ops += 1;
-        } else {
-            stats.hash_group_ops += 1;
-        }
+    // One stream per level, no projection; a level that cannot fuse takes
+    // the scalar loop. Each level's mode is decided here, once.
+    let mut plan = ScanPlan::new(input, config);
+    let mut fused = 0;
+    for (cols, aggs) in levels {
+        fused += usize::from(plan.push_level(cols, aggs, stats));
     }
-    // Over-budget levels may still vectorize through shift-packed u64
-    // codes; the domain scan is O(n) per level, so build the space once
-    // here and let workers clone it (cheap: a few Vecs of dimension arity).
-    let wides: Vec<Option<WideKeySpace>> = levels
-        .iter()
-        .zip(&kernels)
-        .zip(&spaces)
-        .map(|(((cols, _), ks), space)| {
-            if !config.vector || cols.is_empty() || space.is_some() || !lanes_fuse(ks) {
-                return None;
-            }
-            WideKeySpace::try_build(input, cols)
-        })
-        .collect();
-    let make_levels = || -> Vec<Level> {
-        levels
-            .iter()
-            .zip(&kernels)
-            .zip(&spaces)
-            .zip(&wides)
-            .map(|((((cols, aggs), ks), space), wide)| Level {
-                group_cols: cols.clone(),
-                aggs: aggs.clone(),
-                kernels: ks.clone(),
-                map: GroupMap::for_space(space.clone()),
-                wide: wide.clone(),
-                percentile_budget: config.percentile_budget,
-                accs: Vec::new(),
-            })
-            .collect()
-    };
-
-    let n = input.num_rows();
-    stats.rows_scanned += n as u64;
-    let chunks = config.chunks(n);
+    stats.rows_scanned += input.num_rows() as u64;
     let mut span = guard.span("aggregate");
-
-    // Plan-level kernel-path summary — the same predicate as
-    // `Level::begin_chunk`, evaluated once up front. Probing the coder here
-    // also builds any lazy packed vectors serially, before workers race to
-    // share them.
-    let n_fused = levels
-        .iter()
-        .zip(&kernels)
-        .zip(spaces.iter().zip(&wides))
-        .filter(|(((cols, _), ks), (space, wide))| {
-            config.vector
-                && lanes_fuse(ks)
-                && (cols.is_empty()
-                    || space
-                        .as_ref()
-                        .is_some_and(|s| BlockCoder::try_new(input, s).is_some())
-                    || wide
-                        .as_ref()
-                        .is_some_and(|w| WideCoder::try_new(input, w).is_some()))
-        })
-        .count();
-    span.set_detail(if n_fused == levels.len() {
-        "vectorized"
-    } else if n_fused > 0 {
-        "mixed"
-    } else {
-        "scalar"
+    span.set_detail(match fused {
+        0 => "scalar",
+        n if n == levels.len() => "vectorized",
+        _ => "mixed",
     });
+    let groups = plan.run("multi_hash_aggregate", guard, &mut span, stats)?;
 
-    let mut lvls: Vec<Level> = if chunks.len() <= 1 {
-        let mut lvls = make_levels();
-        scan_chunk(input, &mut lvls, 0..n, guard, stats, config, &mut span)?;
-        lvls
-    } else {
-        // Fan the contiguous chunks out over scoped workers; each builds
-        // thread-local partials and its own stats. Panics are contained at
-        // the thread boundary: the panicking worker cancels its siblings
-        // through the shared guard (they stop at their next morsel) and the
-        // panic surfaces as a typed `WorkerPanicked`, never an unwind into
-        // the caller.
-        type WorkerOut = Result<(Vec<Level>, ExecStats)>;
-        let panicked = |p| EngineError::WorkerPanicked {
-            operator: "multi_hash_aggregate".into(),
-            payload: crate::error::panic_payload(p),
-        };
-        let worker_results: Vec<WorkerOut> = std::thread::scope(|s| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .enumerate()
-                .map(|(w, chunk)| {
-                    let make_levels = &make_levels;
-                    let panicked = &panicked;
-                    // Each worker times itself on a child span keyed by its
-                    // worker index, so the merged trace orders workers
-                    // deterministically regardless of close order.
-                    let mut wspan = span.child("worker", w as u32);
-                    s.spawn(move || -> WorkerOut {
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> WorkerOut {
-                            let mut lvls = make_levels();
-                            let mut wstats = ExecStats::default();
-                            scan_chunk(
-                                input,
-                                &mut lvls,
-                                chunk,
-                                guard,
-                                &mut wstats,
-                                config,
-                                &mut wspan,
-                            )?;
-                            Ok((lvls, wstats))
-                        }))
-                        .unwrap_or_else(|p| {
-                            guard.cancel();
-                            Err(panicked(p))
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| Err(panicked(p))))
-                .collect()
-        });
-        // A worker panic is the root cause; the Cancelled errors it induced
-        // in siblings (possibly earlier in worker order) are secondary.
-        if let Some(Err(e)) = worker_results
-            .iter()
-            .find(|r| matches!(r, Err(EngineError::WorkerPanicked { .. })))
-        {
-            return Err(e.clone());
-        }
-        // Deterministic ordered merge: worker 0's partial seeds the global
-        // tables (its group order is the serial prefix order), later
-        // workers fold in, in worker order.
-        let mut iter = worker_results.into_iter();
-        let (mut merged, wstats) = iter.next().expect("at least one worker")?;
-        *stats += wstats;
-        for result in iter {
-            let (wl, wstats) = result?;
-            *stats += wstats;
-            for (dst, src) in merged.iter_mut().zip(wl) {
-                dst.merge_from(src, stats)?;
-            }
-        }
-        merged
-    };
-
-    // Global aggregates return one row even over empty input.
-    for lvl in &mut lvls {
-        if lvl.group_cols.is_empty() && lvl.map.is_empty() {
-            lvl.map.get_or_insert_key(&[], stats);
-            lvl.push_fresh_group();
-        }
-    }
-    let out_rows: u64 = lvls.iter().map(|l| l.map.len() as u64).sum();
+    let out_rows: u64 = groups.iter().map(|g| g.len() as u64).sum();
     guard.charge(out_rows)?;
     span.add_rows(out_rows);
-    lvls.into_iter()
-        .map(|lvl| lvl.finish(input, stats))
-        .collect()
-}
-
-/// Group-by column resolution by name, shared by callers.
-pub fn resolve_cols(schema: &Schema, names: &[&str]) -> Result<Vec<usize>> {
-    names
-        .iter()
-        .map(|n| schema.index_of(n).map_err(EngineError::from))
+    groups
+        .into_iter()
+        .zip(levels)
+        .map(|(g, (cols, aggs))| finish(g, input, cols, aggs, stats))
         .collect()
 }
 

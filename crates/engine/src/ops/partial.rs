@@ -1,7 +1,8 @@
 //! Cross-shard partial aggregation.
 //!
 //! The morsel-parallel scan merges thread-local [`Acc`] partials inside
-//! one process; this module extends the same [`PartialState`] protocol
+//! one process; this module extends the same
+//! [`PartialState`](crate::ops::acc::PartialState) protocol
 //! across process (or machine) boundaries: each disjoint shard runs
 //! [`partial_aggregate`] and ships the resulting [`ShardPartial`] as
 //! versioned bytes; a coordinator deserializes, [merges](ShardPartial::merge)
@@ -14,10 +15,17 @@
 //! shard-local dense codes, which are not comparable across shards), and
 //! the finalized table is sorted by key in [`Value::total_cmp`] order so
 //! the output does not depend on the merge order.
+//!
+//! A partial is the scan core's result stopped before finish
+//! (DESIGN.md "Scan core"): [`partial_aggregate`] plans one level, runs
+//! the scan, and decodes the merged groups' keys once.
 
 use crate::error::{EngineError, Result};
+use crate::guard::ResourceGuard;
 use crate::ops::acc::Acc;
-use crate::ops::aggregate::{AggFunc, AggSpec, PBits};
+use crate::ops::aggregate::{check_level, AggFunc, AggSpec, PBits};
+use crate::parallel::ParallelConfig;
+use crate::scan::{LevelGroups, ScanPlan};
 use crate::stats::ExecStats;
 use pa_storage::partial::{
     frame, frame_into, put_f64, put_string, put_u32, put_value, unframe, Cursor,
@@ -43,78 +51,41 @@ pub struct ShardPartial {
 
 /// Aggregate `input` grouped by `group_cols`, stopping *before* finalize:
 /// the returned [`ShardPartial`] can merge with partials of disjoint
-/// shards computed by other workers, processes, or replicas.
+/// shards computed by other workers, processes, or replicas. Groups are
+/// held in first-appearance order; parallelism and kernel path follow the
+/// environment ([`ParallelConfig::from_env`]).
 pub fn partial_aggregate(
     input: &Table,
     group_cols: &[usize],
     aggs: &[AggSpec],
     stats: &mut ExecStats,
 ) -> Result<ShardPartial> {
-    for &c in group_cols {
-        if c >= input.num_columns() {
-            return Err(EngineError::InvalidOperator(format!(
-                "group column {c} out of range"
-            )));
-        }
-    }
-    if aggs.is_empty() {
-        return Err(EngineError::InvalidOperator(
-            "aggregation requires at least one aggregate term".into(),
-        ));
-    }
+    check_level(input, group_cols, aggs)?;
     stats.statements += 1;
     stats.holistic_lanes += aggs.iter().filter(|s| s.func.is_holistic()).count() as u64;
-    let schema = input.schema();
-    let mut partial = ShardPartial {
-        key_fields: group_cols
-            .iter()
-            .map(|&c| schema.field_at(c).clone())
-            .collect(),
-        funcs: aggs.iter().map(|s| s.func).collect(),
-        agg_names: aggs.iter().map(|s| s.name.clone()).collect(),
-        agg_types: aggs.iter().map(|s| s.output_type(schema)).collect(),
-        groups: Vec::new(),
-        index: FxHashMap::default(),
-    };
-    let budget = crate::ParallelConfig::from_env().percentile_budget;
-    let fresh = || -> Vec<Acc> {
-        aggs.iter()
-            .map(|s| Acc::with_budget(s.func, budget))
-            .collect()
-    };
-    let n = input.num_rows();
-    stats.rows_scanned += n as u64;
-    for row in 0..n {
-        let key: Vec<Value> = group_cols
-            .iter()
-            .map(|&c| input.column(c).get(row))
-            .collect();
-        let gid = match partial.index.get(&key) {
-            Some(&g) => {
-                stats.hash_probes += 1;
-                g
-            }
-            None => {
-                stats.hash_probes += 1;
-                stats.hash_build_rows += 1;
-                let g = partial.groups.len();
-                partial.groups.push((key.clone(), fresh()));
-                partial.index.insert(key, g);
-                g
-            }
-        };
-        for (i, spec) in aggs.iter().enumerate() {
-            let v = spec.input.eval(input, row, stats)?;
-            partial.groups[gid].1[i].update(&v)?;
-        }
-    }
-    // Global aggregates produce one row even over an empty shard, so the
-    // merged total keeps SQL's one-row-global-aggregate shape.
-    if group_cols.is_empty() && partial.groups.is_empty() {
-        partial.groups.push((Vec::new(), fresh()));
-        partial.index.insert(Vec::new(), 0);
-    }
-    Ok(partial)
+    let config = ParallelConfig::from_env();
+    let mut plan = ScanPlan::new(input, &config);
+    plan.push_level(group_cols, aggs, stats);
+    stats.rows_scanned += input.num_rows() as u64;
+    let guard = ResourceGuard::unlimited();
+    let mut span = guard.span("partial");
+    // (A global aggregate has its one group even over an empty shard, so
+    // the merged total keeps SQL's one-row shape.)
+    let mut levels = plan.run("partial_aggregate", &guard, &mut span, stats)?;
+    let groups = levels.pop().expect("one level in, one level out");
+    let every_dim: Vec<usize> = (0..group_cols.len()).collect();
+    Ok(ShardPartial::from_parts(
+        input, group_cols, &every_dim, aggs, groups,
+    ))
+}
+
+/// The canonical group order: key tuples in [`Value::total_cmp`] order.
+fn cmp_keys(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| x.total_cmp(y))
+        .find(|o| o.is_ne())
+        .unwrap_or(std::cmp::Ordering::Equal)
 }
 
 fn put_func(buf: &mut Vec<u8>, func: AggFunc) {
@@ -178,29 +149,38 @@ fn read_dtype(cur: &mut Cursor<'_>) -> Result<DataType> {
 }
 
 impl ShardPartial {
-    /// Assemble a partial from already-aggregated parts: the fused lattice
-    /// kernel builds its per-level group keys and accumulators directly
-    /// from composite codes and raw lanes (DESIGN.md §15) and wraps them
-    /// here, entering the same merge/serialize/finalize protocol as the
-    /// row-at-a-time [`partial_aggregate`]. `groups` must be keyed uniquely;
-    /// group order is preserved as insertion order.
+    /// Wrap one level of a finished scan: the level keeps positions `keep`
+    /// of the scan's `group_cols`; its keys are decoded here, once, from
+    /// the merged codes, and the groups enter the merge/serialize/finalize
+    /// protocol in the scan's first-appearance order.
     pub(crate) fn from_parts(
-        key_fields: Vec<Field>,
-        funcs: Vec<AggFunc>,
-        agg_names: Vec<String>,
-        agg_types: Vec<DataType>,
-        groups: Vec<(Vec<Value>, Vec<Acc>)>,
+        input: &Table,
+        group_cols: &[usize],
+        keep: &[usize],
+        aggs: &[AggSpec],
+        mut groups: LevelGroups,
     ) -> ShardPartial {
+        let schema = input.schema();
+        let mut accs = std::mem::take(&mut groups.accs).into_iter();
+        let groups: Vec<(Vec<Value>, Vec<Acc>)> = (0..groups.len())
+            .map(|gid| {
+                let key = (0..keep.len()).map(|d| groups.key_value(input, gid, d));
+                (key.collect(), accs.by_ref().take(aggs.len()).collect())
+            })
+            .collect();
         let index = groups
             .iter()
             .enumerate()
             .map(|(gid, (key, _))| (key.clone(), gid))
             .collect();
         ShardPartial {
-            key_fields,
-            funcs,
-            agg_names,
-            agg_types,
+            key_fields: keep
+                .iter()
+                .map(|&d| schema.field_at(group_cols[d]).clone())
+                .collect(),
+            funcs: aggs.iter().map(|s| s.func).collect(),
+            agg_names: aggs.iter().map(|s| s.name.clone()).collect(),
+            agg_types: aggs.iter().map(|s| s.output_type(schema)).collect(),
             groups,
             index,
         }
@@ -209,21 +189,6 @@ impl ShardPartial {
     /// Number of groups discovered on this shard so far.
     pub fn num_groups(&self) -> usize {
         self.groups.len()
-    }
-
-    /// The aggregate functions this partial carries, in lane order.
-    pub fn funcs(&self) -> &[AggFunc] {
-        &self.funcs
-    }
-
-    /// The group-key fields this partial carries, in key order.
-    pub fn key_fields(&self) -> &[Field] {
-        &self.key_fields
-    }
-
-    /// The aggregate output column names, in lane order.
-    pub fn agg_names(&self) -> &[String] {
-        &self.agg_names
     }
 
     fn check_compatible(&self, other: &ShardPartial) -> Result<()> {
@@ -282,14 +247,7 @@ impl ShardPartial {
             put_dtype(&mut payload, *dt);
         }
         let mut order: Vec<usize> = (0..self.groups.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (ka, kb) = (&self.groups[a].0, &self.groups[b].0);
-            ka.iter()
-                .zip(kb)
-                .map(|(x, y)| x.total_cmp(y))
-                .find(|o| *o != std::cmp::Ordering::Equal)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        order.sort_by(|&a, &b| cmp_keys(&self.groups[a].0, &self.groups[b].0));
         put_u32(&mut payload, self.groups.len() as u32);
         // One scratch buffer for every accumulator payload: the framed
         // bytes are identical to `acc.serialize()`, but the two
@@ -382,13 +340,7 @@ impl ShardPartial {
     /// single-pass aggregation over the shards' union produces (sorted on
     /// the keys), independent of merge order.
     pub fn finalize(mut self, stats: &mut ExecStats) -> Result<Table> {
-        self.groups.sort_by(|(ka, _), (kb, _)| {
-            ka.iter()
-                .zip(kb)
-                .map(|(x, y)| x.total_cmp(y))
-                .find(|o| *o != std::cmp::Ordering::Equal)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        self.groups.sort_by(|(ka, _), (kb, _)| cmp_keys(ka, kb));
         let mut fields = self.key_fields.clone();
         for (name, dt) in self.agg_names.iter().zip(&self.agg_types) {
             fields.push(Field::new(name.clone(), *dt));

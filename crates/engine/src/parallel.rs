@@ -16,7 +16,14 @@
 //! `PA_VECTOR` for the fused vectorized kernels (DESIGN.md §12). The
 //! config also carries `PA_PERCENTILE_BUDGET`, read here once per query
 //! rather than once per accumulator.
+//!
+//! [`fan_out`] is the one worker fan-out every morsel-parallel operator
+//! calls (the scan core behind aggregate/lattice/partial, and the pivot).
 
+use crate::error::{panic_payload, EngineError};
+use crate::guard::ResourceGuard;
+use crate::stats::ExecStats;
+use pa_obs::SpanHandle;
 use std::ops::Range;
 
 /// Rows per morsel: the unit of guard charging and cancellation latency.
@@ -159,6 +166,86 @@ impl ParallelConfig {
             start..stop
         })
     }
+}
+
+/// Run `work` over every chunk and fold the results in chunk order.
+///
+/// A single chunk runs inline, on the caller's `stats` and `span` — the
+/// exact serial path. Several chunks fan out over scoped workers, one per
+/// chunk, each with its own [`ExecStats`] and a `worker` child span keyed
+/// by its index (so the trace orders workers deterministically whatever
+/// order they finish in). The contract every caller gets:
+///
+/// * **Containment.** A worker panic is caught at the thread boundary,
+///   cancels the siblings through the shared `guard` (they stop at their
+///   next morsel charge) and surfaces as `WorkerPanicked { operator }` —
+///   never an unwind into the caller.
+/// * **Panic first.** The panic is the root cause; the `Cancelled` errors
+///   it induced in siblings, possibly earlier in worker order, are not
+///   reported in its place.
+/// * **Ordered merge.** Worker 0's result seeds the fold and later workers
+///   `merge` in worker order. Chunks are contiguous in row order, so a
+///   merge that appends unseen groups reproduces the serial scan's
+///   first-appearance order (DESIGN.md, "Scan core").
+pub fn fan_out<T, E>(
+    operator: &str,
+    chunks: Vec<Range<usize>>,
+    guard: &ResourceGuard,
+    span: &mut SpanHandle,
+    stats: &mut ExecStats,
+    work: impl Fn(Range<usize>, &mut ExecStats, &mut SpanHandle) -> Result<T, E> + Sync,
+    mut merge: impl FnMut(&mut T, T, &mut ExecStats) -> Result<(), E>,
+) -> Result<T, E>
+where
+    T: Send,
+    E: From<EngineError> + Send,
+{
+    if let [chunk] = chunks.as_slice() {
+        return work(chunk.clone(), stats, span);
+    }
+    let panicked = |p| EngineError::WorkerPanicked {
+        operator: operator.into(),
+        payload: panic_payload(p),
+    };
+    // Outer `Err` is a contained panic, inner is the worker's own result.
+    type Caught<T, E> = Result<Result<(T, ExecStats), E>, EngineError>;
+    let results: Vec<Caught<T, E>> = std::thread::scope(|s| {
+        let handles: Vec<_> = chunks
+            .into_iter()
+            .enumerate()
+            .map(|(w, chunk)| {
+                let (work, panicked) = (&work, &panicked);
+                let mut wspan = span.child("worker", w as u32);
+                s.spawn(move || {
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        let mut wstats = ExecStats::default();
+                        work(chunk, &mut wstats, &mut wspan).map(|out| (out, wstats))
+                    }))
+                    .map_err(|p| {
+                        guard.cancel();
+                        panicked(p)
+                    })
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| Err(panicked(p))))
+            .collect()
+    });
+    if let Some(Err(panic)) = results.iter().find(|r| r.is_err()) {
+        return Err(panic.clone().into());
+    }
+    let mut merged: Option<T> = None;
+    for result in results {
+        let (out, wstats) = result.expect("panics returned above")?;
+        *stats += wstats;
+        match &mut merged {
+            None => merged = Some(out),
+            Some(into) => merge(into, out, stats)?,
+        }
+    }
+    Ok(merged.expect("chunks() yields at least one chunk"))
 }
 
 #[cfg(test)]

@@ -1,0 +1,905 @@
+//! The scan core: the one group-by scan behind `multi_hash_aggregate`,
+//! `lattice_aggregate` and `partial_aggregate` (DESIGN.md §16).
+//!
+//! Gray et al. observe that GROUP BY is the one-level cube, and the paper
+//! that every total `Fj` is a projection of the finest grouping `Fk`. The
+//! core says both once. A [`ScanPlan`] is a list of units scanned together,
+//! morsel by morsel, in one pass over the input:
+//!
+//! * A **code stream** — a [`Coder`] filling `u32` mixed-radix codes within
+//!   the dense budget (or the one code of an empty GROUP BY), `u64`
+//!   shift-packed codes past it — read by one or more **levels**. A level
+//!   takes the stream's code through an optional *projection* (a dense jump
+//!   table, a wide mask-and-shift) into its *group index* — a
+//!   [`DenseGroupMap`] for a dense code space, a hash of the one integer
+//!   for a wide one; the space alone decides, never the adapter — and
+//!   scatters the block into its [`LaneSet`]. One block loop
+//!   ([`StreamScan::absorb`]) serves both code words, with the RLE run path
+//!   when a block is run-dominated.
+//! * A **scalar level** — the per-row loop ([`ScalarScan`]) for levels that
+//!   cannot fuse: `PA_VECTOR=0`, expression or string inputs, `min`/`max`,
+//!   `count(DISTINCT)`, float or uncodable keys. It shares no code with the
+//!   block loop, which is what makes it the reference the differential
+//!   suites compare the fused path against.
+//!
+//! Every index assigns groups in first-appearance order and every worker
+//! returns its groups *by code* ([`LevelGroups`]); [`fan_out`] merges
+//! workers in row order by code, and keys are decoded once, from the
+//! merged codes, by whoever formats the result. `multi_hash_aggregate` is
+//! "one stream per level, no projection", the lattice is "one stream, N
+//! projected levels", a partial is "one level, stop before finish".
+
+use crate::error::Result;
+use crate::guard::ResourceGuard;
+use crate::keymap::{DenseGroupMap, DenseKeySpace, GroupMap, WideKeySpace, WideProjector};
+use crate::ops::acc::Acc;
+use crate::ops::aggregate::AggSpec;
+use crate::parallel::{fan_out, ParallelConfig};
+use crate::stats::ExecStats;
+use crate::vector::{
+    blocks, for_each_run, rle_runs, BlockCoder, CodeWord, Coder, LaneKind, LaneSet, LaneSrc,
+    NumSlice, WideCoder, BLOCK_ROWS,
+};
+use pa_obs::SpanHandle;
+use pa_storage::{FxHashMap, Table, Value};
+use std::ops::Range;
+
+// ---- code streams -----------------------------------------------------------
+
+/// A code word the block loop is generic over: how a level's code derives
+/// from the codes its stream's [`Coder`] fills.
+trait StreamCode: CodeWord + Sync {
+    /// A projection of a stream's codes onto a sub-key's codes.
+    type Proj: Sync + 'static;
+    fn project(proj: &Self::Proj, code: Self) -> Self;
+    fn widen(self) -> u64;
+}
+
+impl StreamCode for u32 {
+    /// Radix jump table, [`DenseKeySpace::projection_table`].
+    type Proj = Vec<u32>;
+    #[inline]
+    fn project(jump: &Vec<u32>, code: u32) -> u32 {
+        jump[code as usize]
+    }
+    #[inline]
+    fn widen(self) -> u64 {
+        u64::from(self)
+    }
+}
+
+impl StreamCode for u64 {
+    type Proj = WideProjector;
+    #[inline]
+    fn project(proj: &WideProjector, code: u64) -> u64 {
+        proj.project(code)
+    }
+    #[inline]
+    fn widen(self) -> u64 {
+        self
+    }
+}
+
+/// The code space of one level: what decodes its codes back into keys.
+#[derive(Debug, Clone)]
+enum LevelSpace {
+    Dense(DenseKeySpace),
+    Wide(WideKeySpace),
+}
+
+/// One level of a code stream, as planned.
+struct FusedLevel<P> {
+    /// `None`: the level keeps every dimension, its code is the stream's
+    /// (skipping the identity jump-table load matters — on a code space
+    /// that outgrows L1 that load is the scan's largest single cost).
+    proj: Option<P>,
+    space: LevelSpace,
+}
+
+/// One code stream and the levels reading it; every level computes `aggs`.
+struct Stream<'a, W: StreamCode> {
+    coder: Coder<'a, W>,
+    /// No key at all (the empty GROUP BY): nothing to code.
+    keyless: bool,
+    aggs: &'a [AggSpec],
+    srcs: Vec<LaneSrc<'a>>,
+    levels: Vec<FusedLevel<W::Proj>>,
+}
+
+// ---- group indexes ------------------------------------------------------------
+
+/// A level's code → group id assignment, in first-appearance order; lanes
+/// and accumulators are indexed by the gid.
+enum GroupIndex {
+    /// A code→gid array over a dense space.
+    Dense(DenseGroupMap),
+    /// A hash of the code, for wide spaces.
+    Hash {
+        space: WideKeySpace,
+        map: FxHashMap<u64, u32>,
+        order: Vec<u64>,
+    },
+}
+
+impl GroupIndex {
+    fn new(space: &LevelSpace) -> GroupIndex {
+        match space {
+            LevelSpace::Dense(space) => GroupIndex::Dense(DenseGroupMap::new(space.clone())),
+            LevelSpace::Wide(space) => GroupIndex::Hash {
+                space: space.clone(),
+                map: FxHashMap::default(),
+                order: Vec::new(),
+            },
+        }
+    }
+
+    /// Groups seen so far.
+    fn len(&self) -> usize {
+        match self {
+            GroupIndex::Dense(map) => map.len(),
+            GroupIndex::Hash { order, .. } => order.len(),
+        }
+    }
+
+    /// The level code of group `gid`.
+    fn code(&self, gid: usize) -> u64 {
+        match self {
+            GroupIndex::Dense(map) => u64::from(map.codes()[gid]),
+            GroupIndex::Hash { order, .. } => order[gid],
+        }
+    }
+
+    /// Key dimension `d` of group `gid`, decoded against the scanned table.
+    fn key_value(&self, input: &Table, gid: usize, d: usize) -> Value {
+        match self {
+            GroupIndex::Dense(map) => map.key_value(input, gid, d),
+            GroupIndex::Hash { space, order, .. } => space.key_value(input, order[gid], d),
+        }
+    }
+
+    /// Group id of `code`, inserting when unseen — the merge's form; a
+    /// scan resolves the index kind outside its row loops ([`feed`]).
+    fn gid(&mut self, code: u64, stats: &mut ExecStats) -> usize {
+        match self {
+            GroupIndex::Dense(map) => map.get_or_insert_code(code as usize),
+            GroupIndex::Hash { map, order, .. } => hash_gid(map, order, code, stats),
+        }
+    }
+}
+
+/// Group id for a wide code, inserting in first-appearance order.
+#[inline]
+fn hash_gid(
+    map: &mut FxHashMap<u64, u32>,
+    order: &mut Vec<u64>,
+    code: u64,
+    stats: &mut ExecStats,
+) -> usize {
+    stats.hash_probes += 1;
+    *map.entry(code).or_insert_with(|| {
+        stats.hash_build_rows += 1;
+        order.push(code);
+        order.len() as u32 - 1
+    }) as usize
+}
+
+// ---- the block loop -----------------------------------------------------------
+
+/// What one unit of the plan does on one worker chunk.
+trait UnitScan {
+    fn absorb(&mut self, morsel: Range<usize>, stats: &mut ExecStats) -> Result<()>;
+    /// Append this unit's levels, in plan order.
+    fn finish(self: Box<Self>, out: &mut Vec<LevelGroups>);
+}
+
+/// A planned unit: instantiated once per worker chunk of `plan`'s scan.
+trait Unit<'a>: Sync {
+    fn begin<'p>(&'p self, plan: &'p ScanPlan<'a>) -> Box<dyn UnitScan + 'p>;
+}
+
+/// One worker's state for one code stream.
+struct StreamScan<'p, 'a, W: StreamCode> {
+    plan: &'p Stream<'a, W>,
+    levels: Vec<(GroupIndex, LaneSet<'a>)>,
+    codes: Box<[W; BLOCK_ROWS]>,
+    idx: Box<[u32; BLOCK_ROWS]>,
+}
+
+impl<'a, W: StreamCode> Unit<'a> for Stream<'a, W> {
+    fn begin<'p>(&'p self, plan: &'p ScanPlan<'a>) -> Box<dyn UnitScan + 'p> {
+        let levels = self
+            .levels
+            .iter()
+            .map(|level| {
+                let mut index = GroupIndex::new(&level.space);
+                // An empty key has its one group from the start: SQL's
+                // global aggregate is a row even over no rows.
+                if self.keyless {
+                    index.gid(0, &mut ExecStats::default());
+                }
+                let funcs = self.aggs.iter().map(|s| s.func).collect();
+                let lanes = LaneSet::new(self.srcs.clone(), funcs, plan.config.percentile_budget);
+                (index, lanes)
+            })
+            .collect();
+        Box::new(StreamScan {
+            plan: self,
+            levels,
+            codes: Box::new([W::default(); BLOCK_ROWS]),
+            idx: Box::new([0; BLOCK_ROWS]),
+        })
+    }
+}
+
+impl<W: StreamCode> UnitScan for StreamScan<'_, '_, W> {
+    /// The block loop: fill codes → detect runs → per level, project and
+    /// index → feed lanes. A fused row counts once per stream.
+    fn absorb(&mut self, morsel: Range<usize>, stats: &mut ExecStats) -> Result<()> {
+        for block in blocks(morsel) {
+            stats.vectorized_kernel_rows += block.len() as u64;
+            if self.plan.keyless {
+                // Every block is one run into the one (pre-seeded) group.
+                stats.rle_runs += 1;
+                for (_, lanes) in &mut self.levels {
+                    lanes.accumulate_run(block.clone(), 0);
+                }
+                continue;
+            }
+            let codes = &mut self.codes[..block.len()];
+            self.plan.coder.fill(block.start, codes);
+            let runs = rle_runs(codes);
+            stats.rle_runs += runs.unwrap_or(0) as u64;
+            let idx = &mut self.idx[..block.len()];
+            for (level, (index, lanes)) in self.plan.levels.iter().zip(&mut self.levels) {
+                let rle = runs.is_some();
+                match &level.proj {
+                    None => feed(index, lanes, &block, codes, rle, idx, |c| c, stats),
+                    Some(proj) => {
+                        let project = |c| W::project(proj, c);
+                        feed(index, lanes, &block, codes, rle, idx, project, stats)
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(self: Box<Self>, out: &mut Vec<LevelGroups>) {
+        for (index, lanes) in self.levels {
+            let accs = lanes.into_accs(index.len());
+            let keys = Keys::Coded(index);
+            out.push(LevelGroups { keys, accs });
+        }
+    }
+}
+
+/// Feed one block to one level. The projection and the index kind are both
+/// resolved here, outside the row loops, so each of their combinations
+/// compiles to its own tight loop.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn feed<W: StreamCode>(
+    index: &mut GroupIndex,
+    lanes: &mut LaneSet<'_>,
+    block: &Range<usize>,
+    codes: &[W],
+    rle: bool,
+    idx: &mut [u32],
+    project: impl Fn(W) -> W,
+    stats: &mut ExecStats,
+) {
+    let level_code = |c| project(c).widen();
+    match index {
+        GroupIndex::Dense(map) => route(lanes, block, codes, rle, idx, |c| {
+            map.get_or_insert_code(level_code(c) as usize)
+        }),
+        GroupIndex::Hash { map, order, .. } => route(lanes, block, codes, rle, idx, |c| {
+            hash_gid(map, order, level_code(c), stats)
+        }),
+    }
+    if !rle {
+        lanes.scatter(block.clone(), idx, index.len());
+    }
+}
+
+/// Run-dominated block: one index lookup and one bulk lane feed per run.
+/// Otherwise: resolve every row's lane index into `idx` for the scatter.
+/// Its own function on purpose: inlined into `absorb` with every other
+/// projection × index combination, the row loop spills registers (~7%).
+#[inline(never)]
+fn route<C: Copy + PartialEq>(
+    lanes: &mut LaneSet<'_>,
+    block: &Range<usize>,
+    codes: &[C],
+    rle: bool,
+    idx: &mut [u32],
+    mut slot: impl FnMut(C) -> usize,
+) {
+    if rle {
+        for_each_run(codes, |run, code| {
+            lanes.accumulate_run(block.start + run.start..block.start + run.end, slot(code));
+        });
+    } else {
+        for (i, &code) in idx.iter_mut().zip(codes) {
+            *i = slot(code) as u32;
+        }
+    }
+}
+
+// ---- the scalar mode ------------------------------------------------------------
+
+/// A level that cannot fuse, as planned.
+struct ScalarLevel<'a> {
+    group_cols: Vec<usize>,
+    aggs: &'a [AggSpec],
+    kinds: Vec<LaneKind>,
+    /// The dense group path when the key codes within budget (row by row,
+    /// through `code_of_row`), the tuple-hash path otherwise.
+    space: Option<DenseKeySpace>,
+}
+
+/// One worker's state for one scalar level: the per-row loop.
+struct ScalarScan<'p, 'a> {
+    level: &'p ScalarLevel<'a>,
+    input: &'a Table,
+    percentile_budget: usize,
+    /// Typed column views resolved once per chunk instead of re-matching
+    /// the column enum per row.
+    cols: Vec<Option<NumSlice<'a>>>,
+    map: GroupMap,
+    accs: Vec<Acc>, // groups × lanes, flat
+}
+
+fn fresh_accs(aggs: &[AggSpec], percentile_budget: usize) -> impl Iterator<Item = Acc> + '_ {
+    aggs.iter()
+        .map(move |s| Acc::with_budget(s.func, percentile_budget))
+}
+
+impl<'a> Unit<'a> for ScalarLevel<'a> {
+    fn begin<'p>(&'p self, plan: &'p ScanPlan<'a>) -> Box<dyn UnitScan + 'p> {
+        let mut scan = ScalarScan {
+            level: self,
+            input: plan.input,
+            percentile_budget: plan.config.percentile_budget,
+            cols: NumSlice::for_table(plan.input),
+            map: GroupMap::for_space(self.space.clone()),
+            accs: Vec::new(),
+        };
+        // An empty key has its one group from the start: SQL's global
+        // aggregate is a row even over no rows.
+        if self.group_cols.is_empty() {
+            scan.map.get_or_insert_key(&[], &mut ExecStats::default());
+            scan.accs
+                .extend(fresh_accs(self.aggs, scan.percentile_budget));
+        }
+        Box::new(scan)
+    }
+}
+
+impl UnitScan for ScalarScan<'_, '_> {
+    fn absorb(&mut self, morsel: Range<usize>, stats: &mut ExecStats) -> Result<()> {
+        let ScalarLevel {
+            group_cols,
+            aggs,
+            kinds,
+            ..
+        } = self.level;
+        let input = self.input;
+        stats.scalar_kernel_rows += morsel.len() as u64;
+        for row in morsel {
+            let gid = if group_cols.is_empty() {
+                0
+            } else {
+                self.map.get_or_insert_row(input, group_cols, row, stats)
+            };
+            let base = gid * aggs.len();
+            if base == self.accs.len() {
+                self.accs.extend(fresh_accs(aggs, self.percentile_budget));
+            }
+            for (i, spec) in aggs.iter().enumerate() {
+                let acc = &mut self.accs[base + i];
+                kinds[i].update_row(acc, &self.cols, &spec.input, input, row, stats)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(self: Box<Self>, out: &mut Vec<LevelGroups>) {
+        out.push(LevelGroups {
+            keys: Keys::Scalar(self.map),
+            accs: self.accs,
+        });
+    }
+}
+
+// ---- results ----------------------------------------------------------------
+
+/// The groups of one level — a worker's partial, or the merged result —
+/// in first-appearance order.
+pub(crate) struct LevelGroups {
+    keys: Keys,
+    /// `groups × lanes`, flat, group-major.
+    pub(crate) accs: Vec<Acc>,
+}
+
+/// The index a level's scan grouped through; a merge keeps folding into
+/// it, and keys are decoded from it on demand.
+enum Keys {
+    /// A fused level.
+    Coded(GroupIndex),
+    /// A scalar level.
+    Scalar(GroupMap),
+}
+
+impl LevelGroups {
+    /// Number of groups.
+    pub(crate) fn len(&self) -> usize {
+        match &self.keys {
+            Keys::Coded(index) => index.len(),
+            Keys::Scalar(map) => map.len(),
+        }
+    }
+
+    /// Key dimension `d` of group `gid`, decoded against the scanned table.
+    pub(crate) fn key_value(&self, input: &Table, gid: usize, d: usize) -> Value {
+        match &self.keys {
+            Keys::Coded(index) => index.key_value(input, gid, d),
+            Keys::Scalar(map) => map.key_value(input, gid, d),
+        }
+    }
+
+    /// Fold the next worker's partial into this one, by code: this side's
+    /// group order is kept and the partial's unseen groups are appended in
+    /// its own first-appearance order. Workers scan contiguous chunks and
+    /// merge in worker order, so the result is the serial scan's order. An
+    /// unseen group starts from fresh accumulators and merges like any
+    /// other — a t-digest compacts on merge, so moving the partial in
+    /// instead would shift its later flush points.
+    fn merge_from(
+        &mut self,
+        other: LevelGroups,
+        aggs: &[AggSpec],
+        percentile_budget: usize,
+        stats: &mut ExecStats,
+    ) -> Result<()> {
+        let gids: Vec<u32> = match (&mut self.keys, other.keys) {
+            (Keys::Scalar(mine), Keys::Scalar(theirs)) => mine.merge_ids(theirs, stats),
+            (Keys::Coded(index), Keys::Coded(theirs)) => (0..theirs.len())
+                .map(|gid| index.gid(theirs.code(gid), stats) as u32)
+                .collect(),
+            _ => unreachable!("every worker instantiates the same plan"),
+        };
+        let mut partials = other.accs.into_iter();
+        for gid in gids {
+            let base = gid as usize * aggs.len();
+            if base == self.accs.len() {
+                self.accs.extend(fresh_accs(aggs, percentile_budget));
+            }
+            for acc in &mut self.accs[base..base + aggs.len()] {
+                acc.merge(partials.next().expect("partial accs cover groups × lanes"))?;
+            }
+        }
+        Ok(())
+    }
+}
+
+// ---- the plan -------------------------------------------------------------------
+
+/// A planned scan: each level's mode is decided here, once, and every
+/// worker instantiates it.
+pub(crate) struct ScanPlan<'a> {
+    input: &'a Table,
+    config: &'a ParallelConfig,
+    units: Vec<Box<dyn Unit<'a> + 'a>>,
+    /// The aggregate list of each planned level, in output order.
+    level_aggs: Vec<&'a [AggSpec]>,
+}
+
+impl<'a> ScanPlan<'a> {
+    pub(crate) fn new(input: &'a Table, config: &'a ParallelConfig) -> ScanPlan<'a> {
+        ScanPlan {
+            input,
+            config,
+            units: Vec::new(),
+            level_aggs: Vec::new(),
+        }
+    }
+
+    /// Plan one code stream over `group_cols` read by `keeps.len()` levels
+    /// that all compute `aggs`; each level keeps the listed positions of
+    /// `group_cols` (strictly increasing). Returns the code tier the stream
+    /// takes — `"dense"` or `"wide"` — or `None`, with nothing planned, when
+    /// it cannot fuse: vectorization off, a lane that is not
+    /// [`LaneKind`]-fusable, or a key that neither coder reads (float or
+    /// unpackable dimensions, more than 64 bits of key).
+    ///
+    /// Building the coder also builds any lazy packed vector serially,
+    /// before workers share it.
+    pub(crate) fn push_stream(
+        &mut self,
+        group_cols: &[usize],
+        keeps: &[Vec<usize>],
+        aggs: &'a [AggSpec],
+        stats: &mut ExecStats,
+    ) -> Option<&'static str> {
+        if !self.config.vector {
+            return None;
+        }
+        let input = self.input;
+        let kinds = aggs
+            .iter()
+            .map(|s| LaneKind::classify(s.func, &s.input, input));
+        let srcs: Vec<LaneSrc<'a>> = kinds.map(|k| k.src(input)).collect::<Option<_>>()?;
+        // A strictly increasing subset of full length keeps every dimension.
+        let (full, keyless) = (group_cols.len(), group_cols.is_empty());
+        let dense = if keyless {
+            Some(DenseKeySpace::keyless())
+        } else {
+            DenseKeySpace::try_build(input, group_cols, self.config.dense_budget)
+        };
+        // The empty key counts with the hash passes, as it always has: it
+        // never went through the dense *budget*.
+        let dense_pass = dense.is_some() && !keyless;
+        let (tier, pack_width) = if let Some(space) = dense {
+            let coder = BlockCoder::try_new(input, &space)?;
+            let level = |keep: &Vec<usize>| {
+                let child = space.project(keep);
+                let proj = (keep.len() < full).then(|| space.projection_table(keep, &child));
+                let space = LevelSpace::Dense(child);
+                FusedLevel { proj, space }
+            };
+            let (levels, width) = (keeps.iter().map(level).collect(), coder.pack_width());
+            let stream = Stream {
+                coder,
+                keyless,
+                aggs,
+                srcs,
+                levels,
+            };
+            self.units.push(Box::new(stream));
+            ("dense", width)
+        } else {
+            let space = WideKeySpace::try_build(input, group_cols)?;
+            let coder = WideCoder::try_new(input, &space)?;
+            let level = |keep: &Vec<usize>| {
+                let child = space.project(keep);
+                let proj = (keep.len() < full).then(|| space.projector(keep, &child));
+                let space = LevelSpace::Wide(child);
+                FusedLevel { proj, space }
+            };
+            let (levels, width) = (keeps.iter().map(level).collect(), coder.pack_width());
+            let stream = Stream {
+                coder,
+                keyless,
+                aggs,
+                srcs,
+                levels,
+            };
+            self.units.push(Box::new(stream));
+            ("wide", width)
+        };
+        stats.pack_width = stats.pack_width.max(pack_width as u64);
+        if dense_pass {
+            stats.dense_group_ops += keeps.len() as u64;
+        } else {
+            stats.hash_group_ops += keeps.len() as u64;
+        }
+        self.level_aggs.extend(keeps.iter().map(|_| aggs));
+        Some(tier)
+    }
+
+    /// Plan one level over its own key: a stream of its own with no
+    /// projection when it fuses (`true`), the scalar mode when it does not.
+    pub(crate) fn push_level(
+        &mut self,
+        group_cols: &[usize],
+        aggs: &'a [AggSpec],
+        stats: &mut ExecStats,
+    ) -> bool {
+        let every_dim: Vec<usize> = (0..group_cols.len()).collect();
+        let fused = self.push_stream(group_cols, &[every_dim], aggs, stats);
+        if fused.is_none() {
+            self.push_scalar(group_cols, aggs, stats);
+        }
+        fused.is_some()
+    }
+
+    /// Plan one level in the scalar mode.
+    fn push_scalar(&mut self, group_cols: &[usize], aggs: &'a [AggSpec], stats: &mut ExecStats) {
+        let space = DenseKeySpace::try_build(self.input, group_cols, self.config.dense_budget);
+        if space.is_some() {
+            stats.dense_group_ops += 1;
+        } else {
+            stats.hash_group_ops += 1;
+        }
+        let kinds = aggs
+            .iter()
+            .map(|s| LaneKind::classify(s.func, &s.input, self.input))
+            .collect();
+        self.units.push(Box::new(ScalarLevel {
+            group_cols: group_cols.to_vec(),
+            aggs,
+            kinds,
+            space,
+        }));
+        self.level_aggs.push(aggs);
+    }
+
+    /// Scan the input once and return every planned level's groups, in
+    /// plan order. One guard charge per morsel — the charge both meters the
+    /// budget and observes cancellation, so a cancelled guard stops every
+    /// worker within one morsel — whatever mix of loops the plan runs.
+    pub(crate) fn run(
+        &self,
+        operator: &str,
+        guard: &ResourceGuard,
+        span: &mut SpanHandle,
+        stats: &mut ExecStats,
+    ) -> Result<Vec<LevelGroups>> {
+        let scan_chunk = |chunk, stats: &mut ExecStats, span: &mut SpanHandle| {
+            let mut scans: Vec<_> = self.units.iter().map(|u| u.begin(self)).collect();
+            for morsel in self.config.morsels(chunk) {
+                guard.charge(morsel.len() as u64)?;
+                span.add_morsels(1);
+                span.add_rows(morsel.len() as u64);
+                for scan in &mut scans {
+                    scan.absorb(morsel.clone(), stats)?;
+                }
+            }
+            let mut out = Vec::with_capacity(self.level_aggs.len());
+            for scan in scans {
+                scan.finish(&mut out);
+            }
+            Ok(out)
+        };
+        let merge = |into: &mut Vec<LevelGroups>, part: Vec<LevelGroups>, stats: &mut ExecStats| {
+            for ((dst, src), aggs) in into.iter_mut().zip(part).zip(&self.level_aggs) {
+                dst.merge_from(src, aggs, self.config.percentile_budget, stats)?;
+            }
+            Ok(())
+        };
+        let chunks = self.config.chunks(self.input.num_rows());
+        fan_out(operator, chunks, guard, span, stats, scan_chunk, merge)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::expr::Expr;
+    use crate::keymap::RowKeyMap;
+    use crate::ops::aggregate::{AggFunc, PBits};
+    use pa_storage::{DataType, Schema};
+
+    type Row = (Option<&'static str>, Option<i64>, Option<f64>);
+
+    fn table(rows: &[Row]) -> Table {
+        let schema = Schema::from_pairs(&[
+            ("s", DataType::Str),
+            ("d", DataType::Int),
+            ("a", DataType::Float),
+        ])
+        .unwrap()
+        .into_shared();
+        let mut t = Table::empty(schema);
+        for &(s, d, a) in rows {
+            t.push_row(&[
+                s.map_or(Value::Null, Value::str),
+                d.map_or(Value::Null, Value::Int),
+                a.map_or(Value::Null, Value::Float),
+            ])
+            .unwrap();
+        }
+        t
+    }
+
+    fn specs(funcs: &[AggFunc], measure: usize) -> Vec<AggSpec> {
+        funcs
+            .iter()
+            .map(|&f| AggSpec::new(f, Expr::Col(measure), "x"))
+            .collect()
+    }
+
+    fn config(dense_budget: usize, percentile_budget: usize) -> ParallelConfig {
+        ParallelConfig {
+            dense_budget,
+            percentile_budget,
+            ..ParallelConfig::serial()
+        }
+    }
+
+    /// One fused level over `cols`, scanned serially.
+    fn fused(
+        t: &Table,
+        cols: &[usize],
+        aggs: &[AggSpec],
+        config: &ParallelConfig,
+    ) -> (&'static str, LevelGroups, ExecStats) {
+        let mut stats = ExecStats::default();
+        let mut plan = ScanPlan::new(t, config);
+        let every_dim: Vec<usize> = (0..cols.len()).collect();
+        let tier = plan
+            .push_stream(cols, &[every_dim], aggs, &mut stats)
+            .expect("the level fuses");
+        let guard = ResourceGuard::unlimited();
+        let mut groups = plan
+            .run("test", &guard, &mut guard.span("test"), &mut stats)
+            .unwrap();
+        (tier, groups.pop().unwrap(), stats)
+    }
+
+    /// What a per-row loop holds after the same rows, written against
+    /// nothing the core uses: first-appearance group order over `cols`
+    /// through a tuple hash, one `Acc::update` per row per lane with the
+    /// `Value` that `Expr::Col(measure)` evaluates to.
+    fn oracle(
+        t: &Table,
+        cols: &[usize],
+        funcs: &[AggFunc],
+        measure: usize,
+        budget: usize,
+    ) -> (Vec<Vec<Value>>, Vec<Acc>) {
+        let mut st = ExecStats::default();
+        let mut map = RowKeyMap::new();
+        let mut accs: Vec<Acc> = Vec::new();
+        for row in 0..t.num_rows() {
+            let g = map.get_or_insert_row(t, cols, row, &mut st);
+            if g * funcs.len() == accs.len() {
+                accs.extend(funcs.iter().map(|&f| Acc::with_budget(f, budget)));
+            }
+            for acc in &mut accs[g * funcs.len()..][..funcs.len()] {
+                match acc {
+                    Acc::CountStar(_) => acc.update_f64(None),
+                    _ => acc.update(&t.column(measure).get(row)).unwrap(),
+                }
+            }
+        }
+        (map.into_keys(), accs)
+    }
+
+    fn assert_same_groups(
+        t: &Table,
+        fused: &LevelGroups,
+        (keys, accs): &(Vec<Vec<Value>>, Vec<Acc>),
+        what: &str,
+    ) {
+        assert_eq!(fused.len(), keys.len(), "{what}: group count");
+        for (gid, key) in keys.iter().enumerate() {
+            for (d, k) in key.iter().enumerate() {
+                assert!(k.key_eq(&fused.key_value(t, gid, d)), "{what}: key {gid}");
+            }
+        }
+        assert_eq!(fused.accs.len(), accs.len(), "{what}: accumulator count");
+        for (i, (f, o)) in fused.accs.iter().zip(accs).enumerate() {
+            assert_eq!(f.serialize(), o.serialize(), "{what}: partial bytes at {i}");
+            assert_eq!(f.spilled(), o.spilled(), "{what}: spill state at {i}");
+        }
+    }
+
+    #[test]
+    fn fused_float_sums_are_bit_identical_to_the_row_loop() {
+        // Signed zeros, NaN NULL placeholders skipped (never
+        // mask-multiplied), strict row-order addition within a run.
+        let t = table(&[
+            (Some("g"), Some(1), Some(-0.0)),
+            (Some("g"), Some(1), None),
+            (Some("g"), Some(1), Some(-0.0)),
+            (Some("g"), Some(1), Some(0.1)),
+            (Some("g"), Some(1), Some(0.2)),
+            (Some("g"), Some(1), Some(-0.3)),
+        ]);
+        let funcs = [AggFunc::Sum];
+        let (tier, groups, stats) = fused(&t, &[0, 1], &specs(&funcs, 2), &config(1 << 20, 9));
+        assert_eq!(tier, "dense");
+        assert_same_groups(&t, &groups, &oracle(&t, &[0, 1], &funcs, 2, 9), "one run");
+        // All rows share one code: the block collapsed to one RLE run.
+        assert_eq!(stats.rle_runs, 1);
+        assert_eq!(stats.vectorized_kernel_rows, t.num_rows() as u64);
+    }
+
+    #[test]
+    fn every_group_index_matches_the_row_loop_on_runs_and_scatters() {
+        // A sorted first block takes the run path, alternating keys defeat
+        // run detection; NULL keys and measures throughout.
+        let rows: Vec<Row> = (0..2 * BLOCK_ROWS + 100)
+            .map(|i| {
+                let sorted = i < BLOCK_ROWS;
+                (
+                    (i % 17 != 3).then_some(if sorted || i % 2 == 0 { "a" } else { "b" }),
+                    Some(if sorted { 0 } else { (i % 3) as i64 * 40 }),
+                    (i % 5 != 0).then_some(i as f64 * 0.25),
+                )
+            })
+            .collect();
+        let t = table(&rows);
+        let funcs = [AggFunc::Sum, AggFunc::CountStar, AggFunc::Avg];
+        let aggs = specs(&funcs, 2);
+        let want = oracle(&t, &[0, 1], &funcs, 2, 9);
+        // 3 × 82 codes ≤ rows: direct. Budget 0: wide, hashed.
+        for (budget, tier) in [(1 << 20, "dense"), (0, "wide")] {
+            let (got, groups, stats) = fused(&t, &[0, 1], &aggs, &config(budget, 9));
+            assert_eq!(got, tier);
+            assert_same_groups(&t, &groups, &want, tier);
+            assert_eq!(stats.vectorized_kernel_rows, t.num_rows() as u64);
+            assert!(stats.rle_runs > 0, "{tier}: the sorted prefix ran as runs");
+        }
+        // A code space larger than the input is not worth zeroing: mapped.
+        let few = table(&rows[BLOCK_ROWS..BLOCK_ROWS + 150]);
+        let want = oracle(&few, &[0, 1], &funcs, 2, 9);
+        let (_, groups, stats) = fused(&few, &[0, 1], &aggs, &config(1 << 20, 9));
+        assert_same_groups(&few, &groups, &want, "mapped");
+        assert_eq!(stats.rle_runs, 0, "alternating keys take the scatter path");
+    }
+
+    /// The three holistic functions, alone and beside `sum`/`count(*)`.
+    fn holistic_lane_lists() -> Vec<Vec<AggFunc>> {
+        let holistic = [
+            AggFunc::Percentile(PBits::new(0.5)),
+            AggFunc::ApproxPercentile(PBits::new(0.9)),
+            AggFunc::ApproxCountDistinct,
+        ];
+        let mut lists: Vec<Vec<AggFunc>> = holistic.iter().map(|&f| vec![f]).collect();
+        lists.extend(
+            holistic
+                .iter()
+                .map(|&f| vec![AggFunc::Sum, f, AggFunc::CountStar]),
+        );
+        lists
+    }
+
+    /// Rows past two blocks: unsorted keys (scatter path) or key-sorted
+    /// (RLE path), a float measure with NULLs (or all NULL), and an integer
+    /// measure in column 1 whose values exceed 2^53 (so a lane that rounded
+    /// them through `f64` would hash them wrong).
+    fn holistic_rows(sorted: bool, all_null: bool) -> Vec<Row> {
+        let n = 2 * BLOCK_ROWS + 77;
+        (0..n)
+            .map(|i| {
+                let g = if sorted { i * 3 / n } else { i * 7 % 3 };
+                (
+                    Some(["a", "b", "c"][g]),
+                    (i % 9 != 0).then_some((1i64 << 53) + (i % 5) as i64),
+                    (!all_null && i % 11 != 0).then_some(((i * 37) % 101) as f64 - 50.0),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn holistic_lanes_hold_the_row_loops_partial_bytes() {
+        // Budget 300: with ~700 rows a group, every group crosses it in the
+        // middle of a block, on the scatter path and on the run path.
+        let budget = 300;
+        for (sorted, all_null) in [(false, false), (true, false), (false, true)] {
+            let t = table(&holistic_rows(sorted, all_null));
+            for funcs in holistic_lane_lists() {
+                for measure in [2usize, 1] {
+                    let what =
+                        format!("sorted={sorted} all_null={all_null} {funcs:?} col {measure}");
+                    let aggs = specs(&funcs, measure);
+                    let want = oracle(&t, &[0], &funcs, measure, budget);
+                    for dense_budget in [1 << 20, 0] {
+                        let (tier, groups, stats) =
+                            fused(&t, &[0], &aggs, &config(dense_budget, budget));
+                        assert_eq!(stats.rle_runs > 0, sorted, "{tier} {what}: path taken");
+                        assert_same_groups(&t, &groups, &want, &format!("{tier} {what}"));
+                    }
+                    // Empty GROUP BY: the one-code space, every block a run.
+                    let want = oracle(&t, &[], &funcs, measure, budget);
+                    let (_, groups, _) = fused(&t, &[], &aggs, &config(1 << 20, budget));
+                    assert_same_groups(&t, &groups, &want, &format!("keyless {what}"));
+                    if !all_null && matches!(funcs[0], AggFunc::Percentile(_)) {
+                        assert!(groups.accs[0].spilled(), "{what}: the global group spills");
+                    }
+                }
+            }
+        }
+        let empty = table(&[]);
+        let aggs = specs(&[AggFunc::Sum], 2);
+        let (_, groups, _) = fused(&empty, &[], &aggs, &config(1 << 20, budget));
+        assert_eq!(groups.len(), 1, "the global group exists over no rows");
+        assert_eq!(groups.accs[0].finish(), Value::Null);
+        let (_, groups, _) = fused(&empty, &[0], &aggs, &config(1 << 20, budget));
+        assert_eq!(groups.len(), 0, "a keyed level over no rows has no group");
+    }
+}

@@ -18,6 +18,12 @@
 //!    NULL-cell divergence (SIGMOD's `ELSE 0` CASE arm renders an
 //!    all-NULL cell as 0 where `Vpct`'s `sum()` of nothing is NULL).
 //!
+//! A fourth oracle sits below the strategies: the three entry points that
+//! plan over the engine's one scan core — `hash_aggregate`,
+//! `partial_aggregate` and the single full-arity level of
+//! `lattice_aggregate` — must finalize to the same bytes at every kernel
+//! tier, thread count and input shape.
+//!
 //! Measures are integer-valued floats throughout: their sums are exact
 //! under any regrouping of additions (DESIGN.md §7), so "identical" means
 //! bitwise equality, not within-epsilon. This is a pa-engine *dev*
@@ -28,6 +34,11 @@
 use pa_core::{
     HorizontalOptions, HorizontalQuery, HorizontalStrategy, ParallelMode, PercentageEngine,
     VpctQuery, VpctStrategy,
+};
+use pa_engine::{
+    hash_aggregate_with_config, lattice_aggregate_with_config, multi_hash_aggregate_with_config,
+    partial_aggregate, AggFunc, AggSpec, ExecStats, Expr, PBits, ParallelConfig, ResourceGuard,
+    DEFAULT_DENSE_BUDGET,
 };
 use pa_storage::{Catalog, DataType, Schema, Table, Value};
 use proptest::prelude::*;
@@ -737,6 +748,230 @@ fn cache_cold_and_cache_warm_catalog_are_byte_identical() {
 /// The harness itself must be able to see a divergence: feed it two tables
 /// that differ in one cell and check the message carries both names and
 /// the divergent row.
+/// Seeded table for the adapter matrix: two integer keys spread over
+/// `spread` values each (NULLs in the first), a three-valued string key,
+/// and an integer-valued float measure with NULLs.
+fn adapter_table(n: usize, spread: u64, seed: u64) -> Table {
+    let schema = Schema::from_pairs(&[
+        ("g", DataType::Int),
+        ("h", DataType::Int),
+        ("s", DataType::Str),
+        ("a", DataType::Float),
+    ])
+    .unwrap()
+    .into_shared();
+    let mut t = Table::with_capacity(schema, n);
+    let mut state = seed | 1;
+    let mut next = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    for _ in 0..n {
+        let g = next();
+        t.push_row(&[
+            if g % 19 == 0 {
+                Value::Null
+            } else {
+                Value::Int((g % spread) as i64)
+            },
+            Value::Int((next() % spread) as i64 - 3),
+            Value::str(["x", "y", "z"][(next() % 3) as usize]),
+            if next() % 11 == 0 {
+                Value::Null
+            } else {
+                Value::Float((next() % 41) as f64 - 20.0)
+            },
+        ])
+        .unwrap();
+    }
+    t
+}
+
+/// A result's rows in key order, rendered so that `-0.0` and `0.0` (equal
+/// as values) would still differ: byte identity, not value equality.
+fn canonical(t: &Table, n_keys: usize) -> Vec<String> {
+    let mut rows: Vec<Vec<Value>> = t.rows().collect();
+    rows.sort_by(|a, b| {
+        a[..n_keys]
+            .iter()
+            .zip(&b[..n_keys])
+            .map(|(x, y)| x.total_cmp(y))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    rows.iter().map(|r| format!("{r:?}")).collect()
+}
+
+/// Oracle 4: one scan core, three adapters, one answer.
+///
+/// `hash_aggregate` ≡ `partial_aggregate(..).finalize()` ≡ the single
+/// full-arity level of `lattice_aggregate` finalized, against the serial
+/// per-row loop as the reference, over `vector` on/off × threads {1,2,4} ×
+/// dense budget {0, 64, default} — the tuple-hash, wide and dense tiers —
+/// on code spaces under and over 2^16, key-sorted input (the RLE path),
+/// empty input and the empty GROUP BY. (`partial_aggregate` takes its
+/// configuration from the environment, so it contributes one cell per
+/// table; the lattice has no empty level and declines `vector: false` and
+/// holistic lanes by contract.)
+#[test]
+fn aggregate_partial_and_lattice_adapters_agree_across_the_kernel_matrix() {
+    let guard = ResourceGuard::unlimited();
+    let small = adapter_table(3_000, 5, 11);
+    let large = adapter_table(3_000, 300, 12); // (300 + 2)^2 codes > 2^16
+    let tables = [
+        ("small", small.clone()),
+        ("small sorted", small.sorted_by(&[0, 1])),
+        ("large", large.clone()),
+        ("large sorted", large.sorted_by(&[0, 1])),
+        ("empty", adapter_table(0, 5, 13)),
+    ];
+    let a = Expr::Col(3);
+    let raw = vec![
+        AggSpec::new(AggFunc::Sum, a.clone(), "sum"),
+        AggSpec::new(AggFunc::Count, a.clone(), "c"),
+        AggSpec::new(AggFunc::CountStar, Expr::lit(1), "n"),
+        AggSpec::new(AggFunc::Avg, a.clone(), "m"),
+    ];
+    let mut holistic = raw.clone();
+    holistic.push(AggSpec::new(
+        AggFunc::Percentile(PBits::new(0.5)),
+        a.clone(),
+        "med",
+    ));
+    holistic.push(AggSpec::new(AggFunc::ApproxCountDistinct, a.clone(), "adx"));
+    let reference = ParallelConfig {
+        vector: false,
+        ..ParallelConfig::serial()
+    };
+    for (name, t) in &tables {
+        for (lanes, specs) in [("raw", &raw), ("holistic", &holistic)] {
+            for cols in [vec![0usize, 1], vec![2, 0], vec![]] {
+                let what = format!("{name} {lanes} by {cols:?}");
+                let mut st = ExecStats::default();
+                let want = canonical(
+                    &hash_aggregate_with_config(t, &cols, specs, &guard, &mut st, &reference)
+                        .unwrap(),
+                    cols.len(),
+                );
+                assert_eq!(
+                    st.vectorized_kernel_rows, 0,
+                    "{what}: the reference is scalar"
+                );
+                let partial = partial_aggregate(t, &cols, specs, &mut st)
+                    .unwrap()
+                    .finalize(&mut st)
+                    .unwrap();
+                assert_eq!(canonical(&partial, cols.len()), want, "{what}: partial");
+
+                for vector in [true, false] {
+                    for threads in [1usize, 2, 4] {
+                        for dense_budget in [0, 64, DEFAULT_DENSE_BUDGET] {
+                            let config = ParallelConfig {
+                                threads,
+                                morsel_rows: 256,
+                                min_parallel_rows: 0,
+                                dense_budget,
+                                vector,
+                                ..ParallelConfig::serial()
+                            };
+                            let cell = format!(
+                                "{what} vector={vector} threads={threads} budget={dense_budget}"
+                            );
+                            let mut st = ExecStats::default();
+                            let got = hash_aggregate_with_config(
+                                t, &cols, specs, &guard, &mut st, &config,
+                            )
+                            .unwrap();
+                            assert_eq!(canonical(&got, cols.len()), want, "{cell}: aggregate");
+                            assert_eq!(
+                                st.vectorized_kernel_rows,
+                                if vector { t.num_rows() as u64 } else { 0 },
+                                "{cell}: every tier fuses these lanes"
+                            );
+
+                            if cols.is_empty() {
+                                continue; // the lattice has no empty level
+                            }
+                            let every_dim: Vec<usize> = (0..cols.len()).collect();
+                            let lattice = lattice_aggregate_with_config(
+                                t,
+                                &cols,
+                                specs,
+                                &[every_dim],
+                                &guard,
+                                &mut st,
+                                &config,
+                            )
+                            .unwrap();
+                            let fuses = vector && lanes == "raw";
+                            assert_eq!(lattice.is_some(), fuses, "{cell}: lattice eligibility");
+                            if let Some(mut partials) = lattice {
+                                let level = partials.pop().unwrap().finalize(&mut st).unwrap();
+                                assert_eq!(canonical(&level, cols.len()), want, "{cell}: lattice");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One synchronized scan whose levels take different loops: a fused level
+/// beside a generic (`min`) one must each equal their own solo scalar run.
+#[test]
+fn a_multi_level_scan_mixes_fused_and_generic_levels() {
+    let guard = ResourceGuard::unlimited();
+    let t = adapter_table(3_000, 5, 14);
+    let a = Expr::Col(3);
+    let levels = vec![
+        (
+            vec![0usize, 1],
+            vec![AggSpec::new(AggFunc::Sum, a.clone(), "sum")],
+        ),
+        (vec![0], vec![AggSpec::new(AggFunc::Min, a.clone(), "lo")]),
+        (vec![], vec![AggSpec::new(AggFunc::Avg, a.clone(), "m")]),
+    ];
+    let reference = ParallelConfig {
+        vector: false,
+        ..ParallelConfig::serial()
+    };
+    for threads in [1usize, 2, 4] {
+        let config = ParallelConfig {
+            threads,
+            morsel_rows: 256,
+            min_parallel_rows: 0,
+            ..ParallelConfig::serial()
+        };
+        let mut st = ExecStats::default();
+        let got = multi_hash_aggregate_with_config(&t, &levels, &guard, &mut st, &config).unwrap();
+        assert_eq!(st.rows_scanned, t.num_rows() as u64, "one scan");
+        assert_eq!(
+            (st.vectorized_kernel_rows, st.scalar_kernel_rows),
+            (2 * t.num_rows() as u64, t.num_rows() as u64),
+            "threads={threads}: two fused levels, one generic"
+        );
+        for (out, (cols, specs)) in got.iter().zip(&levels) {
+            let solo = hash_aggregate_with_config(
+                &t,
+                cols,
+                specs,
+                &guard,
+                &mut ExecStats::default(),
+                &reference,
+            )
+            .unwrap();
+            assert_eq!(
+                canonical(out, cols.len()),
+                canonical(&solo, cols.len()),
+                "threads={threads} level {cols:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn harness_reports_injected_divergence() {
     let schema = Schema::from_pairs(&[("g", DataType::Int), ("p", DataType::Float)])

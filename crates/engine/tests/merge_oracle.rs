@@ -209,64 +209,89 @@ fn shard_merge_identical_to_single_pass_any_split_any_order() {
 }
 
 /// The sharded protocol agrees with the morsel-parallel operator the
-/// query engine actually runs, at 1, 2, and 4 worker threads.
+/// query engine actually runs, at 1, 2, and 4 worker threads. Shards and
+/// the single pass ride the same scan core, so the single pass also runs
+/// with the fused kernels off: the per-row loop shares no block loop with
+/// the shards. The full lane list keeps every level on that loop (min/max
+/// and `count(DISTINCT)` cannot fuse); the fusable sublist sends the
+/// shards through the block loop.
 #[test]
 fn shard_merge_matches_parallel_hash_aggregate_at_1_2_4_threads() {
     let t = fact_table(900, 11);
-    let funcs = all_funcs();
-    let specs = specs_of(&t, &funcs);
-    let group_cols = vec![0usize, 1];
-    // Fixed merge order (seed-stable shards merged unshuffled) keeps the
-    // t-digest lane deterministic too; compare against every thread count.
-    let mut stats = ExecStats::default();
-    let mut merged: Option<ShardPartial> = None;
-    for shard in random_shards(&t, 4, 21) {
-        let p = ShardPartial::deserialize(
-            &partial_aggregate(&shard, &group_cols, &specs, &mut stats)
-                .unwrap()
-                .serialize(),
-        )
-        .unwrap();
-        match &mut merged {
-            None => merged = Some(p),
-            Some(m) => m.merge(p).unwrap(),
+    let fusable: Vec<_> = all_funcs()
+        .into_iter()
+        .filter(|(f, col, _)| {
+            *col == "a" && !matches!(f, AggFunc::Min | AggFunc::Max | AggFunc::CountDistinct)
+        })
+        .collect();
+    for funcs in [all_funcs(), fusable] {
+        let specs = specs_of(&t, &funcs);
+        let group_cols = vec![0usize, 1];
+        // Fixed merge order (seed-stable shards merged unshuffled) keeps the
+        // t-digest lane deterministic too; compare against every thread count.
+        let mut stats = ExecStats::default();
+        let mut merged: Option<ShardPartial> = None;
+        for shard in random_shards(&t, 4, 21) {
+            let p = ShardPartial::deserialize(
+                &partial_aggregate(&shard, &group_cols, &specs, &mut stats)
+                    .unwrap()
+                    .serialize(),
+            )
+            .unwrap();
+            match &mut merged {
+                None => merged = Some(p),
+                Some(m) => m.merge(p).unwrap(),
+            }
         }
-    }
-    let sharded = merged.unwrap().finalize(&mut stats).unwrap();
+        let sharded = merged.unwrap().finalize(&mut stats).unwrap();
 
-    // The t-digest lane is ordered-deterministic: the engine's serial scan
-    // updates row-by-row while the sharded path merges four digests, so
-    // compare that lane by rank error, everything else byte-identically.
-    let tdigest_lane: usize = group_cols.len() + 9; // amed_a
-    for threads in [1usize, 2, 4] {
-        let config = ParallelConfig {
-            threads,
-            morsel_rows: 64,
-            min_parallel_rows: 0,
-            ..ParallelConfig::serial()
-        };
-        let engine_out = hash_aggregate_with_config(
-            &t,
-            &group_cols,
-            &specs,
-            &ResourceGuard::unlimited(),
-            &mut ExecStats::default(),
-            &config,
-        )
-        .unwrap();
-        let want = sorted_rows(&engine_out, group_cols.len());
-        let got = rows_of(&sharded);
-        assert_eq!(got.len(), want.len(), "threads={threads} group count");
-        for (g, w) in got.iter().zip(&want) {
-            for (lane, (gv, wv)) in g.iter().zip(w).enumerate() {
-                if lane == tdigest_lane {
-                    let (gx, wx) = (gv.as_f64().unwrap_or(0.0), wv.as_f64().unwrap_or(0.0));
-                    assert!(
-                        (gx - wx).abs() <= 101.0 * TDIGEST_RANK_EPSILON,
-                        "threads={threads} t-digest lane drifted: {gx} vs {wx}"
-                    );
-                } else {
-                    assert_eq!(gv, wv, "threads={threads} lane={lane} key={:?}", &g[..2]);
+        // The t-digest lane is ordered-deterministic: the engine's serial scan
+        // updates row-by-row while the sharded path merges four digests, so
+        // compare that lane by rank error, everything else byte-identically.
+        let tdigest_lane = group_cols.len()
+            + funcs
+                .iter()
+                .position(|(f, ..)| !order_insensitive(*f))
+                .expect("the list has a t-digest lane");
+        for (vector, threads) in [true, false]
+            .into_iter()
+            .flat_map(|v| [1usize, 2, 4].map(|t| (v, t)))
+        {
+            let what = format!("vector={vector} threads={threads} lanes={}", funcs.len());
+            let config = ParallelConfig {
+                threads,
+                morsel_rows: 64,
+                min_parallel_rows: 0,
+                vector,
+                ..ParallelConfig::serial()
+            };
+            let mut engine_stats = ExecStats::default();
+            let engine_out = hash_aggregate_with_config(
+                &t,
+                &group_cols,
+                &specs,
+                &ResourceGuard::unlimited(),
+                &mut engine_stats,
+                &config,
+            )
+            .unwrap();
+            if !vector {
+                assert_eq!(engine_stats.vectorized_kernel_rows, 0, "{what}");
+            }
+            let want = sorted_rows(&engine_out, group_cols.len());
+            let got = rows_of(&sharded);
+            assert_eq!(got.len(), want.len(), "{what} group count");
+            for (g, w) in got.iter().zip(&want) {
+                for (lane, (gv, wv)) in g.iter().zip(w).enumerate() {
+                    if lane == tdigest_lane {
+                        let (gx, wx) = (gv.as_f64().unwrap_or(0.0), wv.as_f64().unwrap_or(0.0));
+                        assert!(
+                            (gx - wx).abs() <= 101.0 * TDIGEST_RANK_EPSILON,
+                            "{what} t-digest lane drifted: {gx} vs {wx}"
+                        );
+                    } else {
+                        assert_eq!(gv, wv, "{what} lane={lane} key={:?}", &g[..2]);
+                    }
                 }
             }
         }

@@ -51,11 +51,9 @@ use pa_core::{
     CoreError, HorizontalOptions, HorizontalQuery, HorizontalStrategy, ParallelMode,
     PercentageEngine, QueryLimits, VpctQuery, VpctStrategy, VpctTerm,
 };
-use pa_engine::{
-    partial_aggregate, AbortCause, AggFunc, AggSpec, Degradation, ExecStats, ShardPartial,
-};
+use pa_engine::{AbortCause, Degradation, ExecStats};
 use pa_obs::{Counter, Gauge, Histogram, MetricsRegistry};
-use pa_storage::{Catalog, Column, Table};
+use pa_storage::{Catalog, Table};
 use semaphore::{AcquireError, FifoSemaphore, Permit};
 use std::fmt;
 use std::sync::Arc;
@@ -620,100 +618,6 @@ impl<'a> QueryService<'a> {
         let _admission = self.admit()?;
         let res = self.horizontal_degraded(q, opts, session);
         self.record(res)
-    }
-
-    /// Scatter-gather aggregation over `shards` disjoint row partitions of
-    /// `table`, exercising the mergeable partial-aggregate protocol end to
-    /// end: each shard runs [`pa_engine::partial_aggregate`] independently,
-    /// ships its [`ShardPartial`] as versioned bytes (the wire trip a
-    /// distributed deployment would make), and the coordinator
-    /// deserializes, merges, and finalizes. The result is byte-identical
-    /// to a single-pass aggregation of the whole table for every aggregate
-    /// function — including the holistic percentile/sketch ones that
-    /// cannot re-aggregate from finalized values.
-    ///
-    /// Each `aggs` entry is `(func, measure column, output name)`; the
-    /// measure is `None` only for `count(*)`. Runs under admission control
-    /// like any other query.
-    pub fn aggregate_sharded(
-        &self,
-        table: &str,
-        group_by: &[&str],
-        aggs: &[(AggFunc, Option<&str>, &str)],
-        shards: usize,
-    ) -> Result<ServiceResponse> {
-        let _admission = self.admit()?;
-        let res = self.aggregate_sharded_inner(table, group_by, aggs, shards);
-        self.record(res)
-    }
-
-    /// The body of [`QueryService::aggregate_sharded`], run while holding
-    /// an admission slot.
-    fn aggregate_sharded_inner(
-        &self,
-        table: &str,
-        group_by: &[&str],
-        aggs: &[(AggFunc, Option<&str>, &str)],
-        shards: usize,
-    ) -> Result<ServiceResponse> {
-        if shards == 0 {
-            return Err(ServiceError::Query(CoreError::InvalidQuery(
-                "sharded aggregation requires at least one shard".into(),
-            )));
-        }
-        let shared = self
-            .engine
-            .catalog()
-            .table(table)
-            .map_err(CoreError::from)?;
-        let guard = shared.read();
-        let schema = guard.schema().clone();
-        let group_cols: Vec<usize> = group_by
-            .iter()
-            .map(|n| schema.index_of(n))
-            .collect::<std::result::Result<_, _>>()
-            .map_err(CoreError::from)?;
-        let specs: Vec<AggSpec> = aggs
-            .iter()
-            .map(|(func, measure, name)| {
-                let input = match measure {
-                    Some(m) => pa_engine::Expr::col(&schema, m).map_err(CoreError::from)?,
-                    None => pa_engine::Expr::lit(1),
-                };
-                Ok(AggSpec::new(*func, input, *name))
-            })
-            .collect::<Result<_>>()?;
-
-        // Scatter: round-robin rows into disjoint shards, aggregate each
-        // independently, and capture the partial as wire bytes.
-        let mut stats = ExecStats::default();
-        let n = guard.num_rows();
-        let mut wires: Vec<Vec<u8>> = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let rows: Vec<usize> = (0..n).filter(|r| r % shards == s).collect();
-            let columns: Vec<Column> = guard.columns().iter().map(|c| c.take(&rows)).collect();
-            let shard_table =
-                Table::from_columns(schema.clone(), columns).map_err(CoreError::from)?;
-            let p = partial_aggregate(&shard_table, &group_cols, &specs, &mut stats)
-                .map_err(CoreError::from)?;
-            wires.push(p.serialize());
-        }
-        drop(guard);
-
-        // Gather: decode every shipped partial and merge into one.
-        let mut merged: Option<ShardPartial> = None;
-        for bytes in &wires {
-            let p = ShardPartial::deserialize(bytes).map_err(CoreError::from)?;
-            match &mut merged {
-                None => merged = Some(p),
-                Some(m) => m.merge(p).map_err(CoreError::from)?,
-            }
-        }
-        let out = merged
-            .expect("shards >= 1 so at least one partial exists")
-            .finalize(&mut stats)
-            .map_err(CoreError::from)?;
-        Ok(respond(out, stats))
     }
 
     /// The degradation-ladder body of [`QueryService::horizontal_session`],

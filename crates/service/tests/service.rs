@@ -10,8 +10,10 @@ use pa_workload::{install_sales, SalesConfig};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// The chaos panic injector is process-global: tests that arm it hold this
-/// lock for their whole arm..observe window.
+/// The chaos panic injector is process-global and every guard charge ticks
+/// it: tests that arm it hold this lock for their whole arm..observe window,
+/// and every other test that runs a query holds it too, so its query cannot
+/// consume a panic armed next door.
 static CHAOS: Mutex<()> = Mutex::new(());
 
 fn chaos_window() -> std::sync::MutexGuard<'static, ()> {
@@ -37,6 +39,7 @@ fn reference_rows(rows: usize, sql: &str) -> Vec<Vec<Value>> {
 
 #[test]
 fn concurrent_sessions_match_the_plain_engine() {
+    let _w = chaos_window();
     let rows = 2048;
     let want_v = reference_rows(rows, VPCT);
     let want_h = reference_rows(rows, HPCT);
@@ -106,6 +109,7 @@ impl Clock for GateClock {
 
 #[test]
 fn saturated_service_sheds_instead_of_piling_up() {
+    let _w = chaos_window();
     let catalog = sales_catalog(512);
     let gate = GateClock::new();
     // The engine-level deadline makes every query read the clock when its
@@ -157,6 +161,7 @@ fn saturated_service_sheds_instead_of_piling_up() {
 
 #[test]
 fn queued_caller_is_shed_after_the_queue_timeout() {
+    let _w = chaos_window();
     let catalog = sales_catalog(512);
     let gate = GateClock::new();
     let engine = PercentageEngine::with_unique_temps(&catalog)
@@ -192,6 +197,7 @@ fn queued_caller_is_shed_after_the_queue_timeout() {
 
 #[test]
 fn session_budget_fails_typed_and_leaks_nothing() {
+    let _w = chaos_window();
     let catalog = sales_catalog(1024);
     let service = QueryService::new(&catalog, ServiceConfig::default());
     let names_before = catalog.table_names();
@@ -216,6 +222,7 @@ fn session_budget_fails_typed_and_leaks_nothing() {
 
 #[test]
 fn session_deadline_is_final_not_degradable() {
+    let _w = chaos_window();
     let catalog = sales_catalog(1024);
     // 1ms allowance against a clock that advances 1ms per guard charge:
     // the deadline trips deterministically, and — being a deadline — must
@@ -288,6 +295,7 @@ fn degradation_can_be_disabled() {
 
 #[test]
 fn typed_vertical_and_horizontal_entry_points_serve() {
+    let _w = chaos_window();
     let catalog = sales_catalog(512);
     let service = QueryService::new(&catalog, ServiceConfig::default());
 
@@ -304,6 +312,7 @@ fn typed_vertical_and_horizontal_entry_points_serve() {
 
 #[test]
 fn percentage_batch_answers_every_prefix_in_one_pass() {
+    let _w = chaos_window();
     let rows = 1024;
     let dims = ["state", "city"];
     let catalog = sales_catalog(rows);
@@ -369,6 +378,7 @@ fn percentage_batch_answers_every_prefix_in_one_pass() {
 
 #[test]
 fn metrics_registry_mirrors_admissions_sheds_and_work() {
+    let _w = chaos_window();
     let catalog = sales_catalog(512);
     let gate = GateClock::new();
     let engine = PercentageEngine::with_unique_temps(&catalog)
@@ -460,78 +470,4 @@ fn degradation_rungs_are_counted_in_metrics() {
         text.contains("pa_service_degraded_total{rung=\"serial_then_spj\"} 0"),
         "{text}"
     );
-}
-
-#[test]
-fn sharded_aggregate_matches_single_pass_for_every_aggregate() {
-    use pa_engine::{AggFunc, PBits};
-
-    let catalog = sales_catalog(1500);
-    let service = QueryService::new(&catalog, ServiceConfig::default());
-    // Sum/avg lanes use integer measures: integer-valued f64 addition is
-    // exact, so resharding cannot perturb the totals (float measures would
-    // reassociate the additions and drift in the last ulp). The percentile
-    // lanes sort at finalize, so they are byte-identical on any measure.
-    let aggs: &[(AggFunc, Option<&str>, &str)] = &[
-        (AggFunc::Sum, Some("dept"), "total"),
-        (AggFunc::Avg, Some("monthNo"), "mean"),
-        (AggFunc::Min, Some("salesAmt"), "lo"),
-        (AggFunc::Max, Some("salesAmt"), "hi"),
-        (AggFunc::CountStar, None, "n"),
-        (AggFunc::CountDistinct, Some("city"), "cities"),
-        (
-            AggFunc::Percentile(PBits::new(0.5)),
-            Some("salesAmt"),
-            "med",
-        ),
-        (
-            AggFunc::Percentile(PBits::new(0.95)),
-            Some("salesAmt"),
-            "p95",
-        ),
-        (
-            AggFunc::ApproxCountDistinct,
-            Some("transactionId"),
-            "approx_tids",
-        ),
-    ];
-
-    // One shard is the single-pass reference; more shards must reproduce
-    // it exactly — the holistic lanes included.
-    let want = service
-        .aggregate_sharded("sales", &["state"], aggs, 1)
-        .unwrap();
-    assert_eq!(want.table.num_rows(), 5, "five states");
-    assert!(
-        want.stats.holistic_lanes >= 3,
-        "percentiles and sketches counted: {}",
-        want.stats.holistic_lanes
-    );
-    let want_rows: Vec<Vec<Value>> = want.table.rows().collect();
-    for shards in [2, 3, 4, 7] {
-        let got = service
-            .aggregate_sharded("sales", &["state"], aggs, shards)
-            .unwrap();
-        assert_eq!(
-            got.table.rows().collect::<Vec<_>>(),
-            want_rows,
-            "{shards} shards"
-        );
-    }
-
-    // Global (no GROUP BY) keeps SQL's one-row shape across shards, even
-    // when some shards are empty.
-    let global = service.aggregate_sharded("sales", &[], aggs, 4).unwrap();
-    assert_eq!(global.table.num_rows(), 1);
-    assert_eq!(global.table.get(0, 4), Value::Int(1500));
-
-    // Errors stay typed, and admission permits are returned on every path.
-    assert!(service
-        .aggregate_sharded("nope", &["state"], aggs, 2)
-        .is_err());
-    assert!(service
-        .aggregate_sharded("sales", &["bogus"], aggs, 2)
-        .is_err());
-    assert!(service.aggregate_sharded("sales", &[], aggs, 0).is_err());
-    assert_eq!(service.available_permits(), service.config().max_concurrent);
 }
