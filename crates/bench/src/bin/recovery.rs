@@ -18,7 +18,7 @@
 //! trusted. Output: `results/BENCH_recovery.json`; exits non-zero when the
 //! measured speedup falls below `--gate` (the ci.sh regression gate).
 
-use pa_bench::time_ms;
+use pa_bench::{catalog_retaining, time_ms};
 use pa_storage::log::MemLogStore;
 use pa_storage::{
     Catalog, CheckpointPolicy, CheckpointStore, DataType, MemCheckpointStore, Schema, Table, Value,
@@ -153,14 +153,14 @@ fn main() {
     // prefix is captured just before the cut (compaction discards it from
     // the live store), so `prefix ++ suffix` is the full no-checkpoint log.
     let store = SharedCkptStore::default();
-    let catalog = Catalog::new();
+    let batches = args.n.div_ceil(args.batch);
+    let catalog = catalog_retaining(args.n, batches);
     let schema = Schema::from_pairs(&[("d", DataType::Int), ("a", DataType::Float)])
         .unwrap()
         .into_shared();
     catalog.create_table("f", Table::empty(schema)).unwrap();
     catalog.set_checkpoint_store(Box::new(store.clone()), CheckpointPolicy::disabled());
 
-    let batches = args.n.div_ceil(args.batch);
     let cut_at = ((batches as f64) * args.ckpt_frac) as usize;
     let mut state = 0xC0FFEE;
     let mut prefix = Vec::new();

@@ -22,7 +22,7 @@
 //! Output: `results/BENCH_replication.json`; exits non-zero when the
 //! image-bootstrap speedup falls below `--gate`.
 
-use pa_bench::time_ms;
+use pa_bench::{catalog_retaining, time_ms};
 use pa_storage::{
     Catalog, CheckpointPolicy, DataType, DirectTransport, MemCheckpointStore, ReplicaApplier,
     ReplicationStream, Schema, Table, Value,
@@ -84,8 +84,10 @@ fn lcg(state: &mut u64) -> u64 {
     *state >> 33
 }
 
-fn build_primary(n: usize, batch: usize, seed: u64) -> Catalog {
-    let catalog = Catalog::new();
+/// A primary holding `n` seeded rows, its log sized to keep that history
+/// and `bursts` more batches shippable from the first record.
+fn build_primary(n: usize, batch: usize, bursts: usize, seed: u64) -> Catalog {
+    let catalog = catalog_retaining(n + bursts * batch, n.div_ceil(batch) + bursts);
     let schema = Schema::from_pairs(&[("d", DataType::Int), ("a", DataType::Float)])
         .unwrap()
         .into_shared();
@@ -142,8 +144,8 @@ fn main() {
 
     // Two primaries, identical seeded history. `compacted` checkpoints so
     // its shippable prefix is gone and catch-up must go through the image.
-    let full = build_primary(args.n, args.batch, 0xC0FFEE);
-    let compacted = build_primary(args.n, args.batch, 0xC0FFEE);
+    let full = build_primary(args.n, args.batch, args.bursts.max(1), 0xC0FFEE);
+    let compacted = build_primary(args.n, args.batch, 0, 0xC0FFEE);
     compacted.set_checkpoint_store(
         Box::new(MemCheckpointStore::new()),
         CheckpointPolicy::disabled(),

@@ -41,6 +41,10 @@ struct Args {
     /// single-level `case_direct` cell at the same n/d/threads (0 = no
     /// gate).
     assert_lattice_within: f64,
+    /// CI gate: fail unless the cache-warm `lattice` batch (every level a
+    /// refcount bump out of the lattice cache) stays within this fraction
+    /// of its own cache-cold run (0 = no gate).
+    assert_lattice_warm_within: f64,
 }
 
 fn parse_list(s: &str) -> Vec<usize> {
@@ -65,6 +69,7 @@ fn parse_args() -> Args {
         assert_case_within: 0.0,
         assert_vectorized: false,
         assert_lattice_within: 0.0,
+        assert_lattice_warm_within: 0.0,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -88,12 +93,18 @@ fn parse_args() -> Args {
                     std::process::exit(2);
                 })
             }
+            "--assert-lattice-warm-within" => {
+                args.assert_lattice_warm_within = next().parse().unwrap_or_else(|_| {
+                    eprintln!("--assert-lattice-warm-within takes a fraction, e.g. 0.2");
+                    std::process::exit(2);
+                })
+            }
             "--help" | "-h" => {
                 println!(
                     "usage: scale [--n N1,N2,..] [--d D1,D2,..] \
                      [--threads T1,T2,..] [--iters K] [--out PATH] \
                      [--assert-case-within FACTOR] [--assert-vectorized] \
-                     [--assert-lattice-within FACTOR]"
+                     [--assert-lattice-within FACTOR] [--assert-lattice-warm-within FRACTION]"
                 );
                 std::process::exit(0);
             }
@@ -235,16 +246,16 @@ fn lattice_queries() -> Vec<VpctQuery> {
 /// JSON fragment recording the scan/cache level split, the cache-warm
 /// batch time, and per-level warm solo timings.
 ///
-/// Also returns the CI-gate comparators: `single_ms`, one lattice level
-/// evaluated from scratch through the same direct single-pass path
-/// (cache dropped before every run), and `per_level_ms`, all k levels
-/// each recomputed with their own pass (no sharing) — the ~k× baseline
-/// the fused scan exists to beat.
+/// Also returns the CI-gate comparators: `warm_ms`, the same batch with
+/// every level cached; `single_ms`, one lattice level evaluated from
+/// scratch through the same direct single-pass path (cache dropped before
+/// every run); and `per_level_ms`, all k levels each recomputed with their
+/// own pass (no sharing) — the ~k× baseline the fused scan exists to beat.
 fn run_lattice_cell(
     engine: &PercentageEngine<'_>,
     catalog: &Catalog,
     iters: usize,
-) -> (f64, CellTelemetry, String, f64, f64) {
+) -> (f64, CellTelemetry, String, [f64; 3]) {
     let queries = lattice_queries();
     // The executor keys the lattice cache by the pinned snapshot alias;
     // invalidating that alias is what makes a rerun genuinely cold.
@@ -264,7 +275,7 @@ fn run_lattice_cell(
         }
         telemetry = CellTelemetry::of(&cold_stats);
     });
-    // Warm: the partials the cold run cached serve every level.
+    // Warm: the level tables the cold run cached serve every level.
     let mut warm_stats = ExecStats::default();
     let warm_ms = best_ms(iters, || {
         let results = engine.vpct_batch(&queries).expect("bench query");
@@ -314,16 +325,23 @@ fn run_lattice_cell(
     });
     let extra = format!(
         "\"lattice\": {{\"k\": {}, \"cold_ms\": {cold_ms:.3}, \"warm_ms\": {warm_ms:.3}, \
+         \"warm_over_cold\": {:.3}, \
          \"single_level_cold_ms\": {single_ms:.3}, \"per_level_cold_ms\": {per_level_ms:.3}, \
          \"lattice_levels\": {}, \"levels_from_scan\": {}, \"levels_from_cache\": {}, \
          \"warm_levels_from_cache\": {}, \"levels\": {levels}}}",
         queries.len(),
+        warm_ms / cold_ms.max(1e-9),
         cold_stats.lattice_levels,
         cold_stats.levels_from_scan,
         cold_stats.levels_from_cache,
         warm_stats.levels_from_cache,
     );
-    (cold_ms, telemetry, extra, single_ms, per_level_ms)
+    (
+        cold_ms,
+        telemetry,
+        extra,
+        [warm_ms, single_ms, per_level_ms],
+    )
 }
 
 /// One (strategy, n, d) cell, timed at one thread count. Returns the best
@@ -444,8 +462,8 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    // (n, d, threads, cold batch ms, cold single-level ms, cold per-level
-    // ms) per lattice cell, feeding the fused-evaluation gate below.
+    // (n, d, threads, cold batch ms, [warm batch, cold single-level, cold
+    // per-level] ms) per lattice cell, feeding the lattice gates below.
     let mut lattice_gate = Vec::new();
     for &n in &args.ns {
         for &d in &args.ds {
@@ -473,9 +491,9 @@ fn main() {
                     // the user-facing knob.
                     std::env::set_var("PA_THREADS", threads.to_string());
                     let (ms, telemetry, extra) = if strategy == "lattice" {
-                        let (ms, telemetry, extra, single_ms, per_level_ms) =
+                        let (ms, telemetry, extra, comparators) =
                             run_lattice_cell(&engine, &catalog, args.iters);
-                        lattice_gate.push((n, d, threads, ms, single_ms, per_level_ms));
+                        lattice_gate.push((n, d, threads, ms, comparators));
                         (ms, telemetry, extra)
                     } else {
                         let (ms, telemetry) = run_cell(&engine, strategy, args.iters);
@@ -614,7 +632,7 @@ fn main() {
     // single-level CASE cell (k separate scans would be ~k×).
     if args.assert_lattice_within > 0.0 {
         let mut failed = false;
-        for (n, d, threads, lattice_ms, single_ms, per_level_ms) in &lattice_gate {
+        for (n, d, threads, lattice_ms, [_, single_ms, per_level_ms]) in &lattice_gate {
             let factor = lattice_ms / single_ms.max(1e-9);
             let naive = per_level_ms / single_ms.max(1e-9);
             let ok = factor <= args.assert_lattice_within;
@@ -629,6 +647,28 @@ fn main() {
         }
         if failed {
             eprintln!("lattice gate failed: the fused batch exceeded the allowed factor");
+            std::process::exit(1);
+        }
+    }
+
+    // CI gate: a cache-warm batch touches result-sized tables only — no
+    // fact row, no decode — so it must cost a small fraction of the cold
+    // run beside it. A same-run ratio: no millisecond constant to age.
+    if args.assert_lattice_warm_within > 0.0 {
+        let mut failed = false;
+        for (n, d, threads, cold_ms, [warm_ms, ..]) in &lattice_gate {
+            let fraction = warm_ms / cold_ms.max(1e-9);
+            let ok = fraction <= args.assert_lattice_warm_within;
+            println!(
+                "lattice warm gate n={n} d={d} threads={threads}: cache-warm batch {warm_ms:.2} ms \
+                 vs its cache-cold run {cold_ms:.1} ms — x{fraction:.3} (limit x{:.3}) {}",
+                args.assert_lattice_warm_within,
+                if ok { "OK" } else { "FAIL" }
+            );
+            failed |= !ok;
+        }
+        if failed {
+            eprintln!("lattice warm gate failed: the cached path costs too much of the scan");
             std::process::exit(1);
         }
     }

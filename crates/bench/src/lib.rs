@@ -12,7 +12,7 @@ use pa_core::{
     HorizontalOptions, HorizontalQuery, HorizontalStrategy, PercentageEngine, VpctQuery,
     VpctStrategy,
 };
-use pa_storage::Catalog;
+use pa_storage::{Catalog, Wal};
 use pa_workload::{CensusConfig, EmployeeConfig, SalesConfig, Scale, TransactionConfig};
 use std::time::Instant;
 
@@ -52,6 +52,16 @@ impl Dataset {
             Dataset::Census => "dIncome",
         }
     }
+}
+
+/// An empty catalog whose in-memory WAL retains the whole logged history
+/// of the storage benches' `(d: Int, a: Float)` table — `rows` rows
+/// appended in `batches` batches. [`Catalog::new`] retains 16 MiB and then
+/// recycles its oldest frames, which a bench that ships or replays the log
+/// from the first record cannot afford: a row logs 18 bytes, and a batch
+/// under 1 KiB of frame headers and per-row update records.
+pub fn catalog_retaining(rows: usize, batches: usize) -> Catalog {
+    Catalog::from_wal(Wal::new(rows * 32 + batches * 1024))
 }
 
 /// One evaluation-table query configuration: `GROUP BY D1..Dk` with the

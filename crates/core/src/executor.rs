@@ -812,15 +812,15 @@ impl<'a> PercentageEngine<'a> {
     ///
     /// Every grouping set is evaluated against the same pinned (and
     /// WHERE-filtered) source under **one** admission slot, guard and
-    /// temp-table prefix, and the per-set results are unioned into a single
-    /// table shaped `[full GROUP BY columns][aggregate columns]`, with NULL
-    /// in every dimension column a set rolled away (the Data Cube "ALL"
-    /// marker). Vertical sets all route through the lattice evaluator, so
-    /// the finest set's fused scan seeds the lattice cache and coarser sets
-    /// re-derive from the cached partials instead of rescanning — the empty
-    /// set is skipped for `Vpct` (its grand total is definitionally 100%).
-    /// When explicit strategy knobs are supplied (`execute_sql_with`), they
-    /// are honored per set instead.
+    /// temp-table prefix, into a single table `{prefix}FGS` shaped
+    /// `[full GROUP BY columns][aggregate columns]`, with NULL in every
+    /// dimension column a set rolled away (the Data Cube "ALL" marker).
+    /// Vertical sets are one lattice plan for the whole statement
+    /// ([`crate::lattice::eval_vpct_sets_guarded`]): each level is fetched
+    /// or computed once and the sets' columns are appended whole — the
+    /// empty set is skipped for `Vpct` (its grand total is definitionally
+    /// 100%). Horizontal sets, and vertical ones under explicit strategy
+    /// knobs (`execute_sql_with`), are evaluated set by set and unioned.
     fn execute_grouping_sets(
         &self,
         stmt: &pa_sql::SelectStmt,
@@ -839,6 +839,7 @@ impl<'a> PercentageEngine<'a> {
                     .unwrap_or_else(|| pinned.clone());
                 let mut stats = pa_engine::ExecStats::default();
                 let mut statements: Vec<String> = Vec::new();
+                let mut lattice_sets: Vec<VpctQuery> = Vec::new();
                 let mut results: Vec<(Vec<String>, pa_storage::Table)> = Vec::new();
                 let mut cell_columns: Vec<Vec<String>> = Vec::new();
                 let mut vertical = false;
@@ -851,31 +852,26 @@ impl<'a> PercentageEngine<'a> {
                         continue;
                     };
                     statements.push(format!("-- grouping set ({})", set.join(", ")));
-                    let mut query = from_sql(flat)?;
-                    match &mut query {
-                        Query::Vertical(q) => q.table = source.clone(),
-                        Query::Horizontal(q) => q.table = source.clone(),
-                    }
-                    match query {
-                        Query::Vertical(q) => {
+                    match from_sql(flat)? {
+                        Query::Vertical(mut q) => {
                             vertical = true;
-                            let r = match vstrat {
-                                Some(s) => eval_vpct_guarded(self.catalog, &q, s, prefix, guard)?,
-                                // Always the lattice evaluator (even for one
-                                // term): its cache is what lets the sets
-                                // share one scan.
-                                None => crate::lattice::eval_vpct_lattice_guarded(
-                                    self.catalog,
-                                    &q,
-                                    prefix,
-                                    guard,
-                                )?,
-                            };
-                            stats += r.stats;
-                            statements.extend(r.statements);
-                            results.push((set.clone(), r.table.read().clone()));
+                            q.table = source.clone();
+                            match vstrat {
+                                Some(s) => {
+                                    let r = eval_vpct_guarded(self.catalog, &q, s, prefix, guard)?;
+                                    stats += r.stats;
+                                    statements.extend(r.statements);
+                                    results.push((set.clone(), r.table.read().clone()));
+                                }
+                                None => {
+                                    let best = VpctStrategy::best();
+                                    statements.extend(crate::codegen::vpct_statements(&q, &best));
+                                    lattice_sets.push(q);
+                                }
+                            }
                         }
-                        Query::Horizontal(q) => {
+                        Query::Horizontal(mut q) => {
+                            q.table = source.clone();
                             let chosen;
                             let opts = match hopts {
                                 Some(o) => o,
@@ -903,23 +899,35 @@ impl<'a> PercentageEngine<'a> {
                         }
                     }
                 }
-                let union = union_grouping_results(&stmt.group_by, &results, guard)?;
-                let shared = self
-                    .catalog
-                    .create_or_replace_table(format!("{prefix}FGS"), union);
-                let outcome = if vertical {
-                    SqlOutcome::Vertical(QueryResult {
-                        table: shared,
-                        stats,
-                        statements,
-                    })
+                let outcome = if !lattice_sets.is_empty() {
+                    let mut r = crate::lattice::eval_vpct_sets_guarded(
+                        self.catalog,
+                        &stmt.group_by,
+                        &lattice_sets,
+                        prefix,
+                        guard,
+                    )?;
+                    r.statements = statements;
+                    SqlOutcome::Vertical(r)
                 } else {
-                    SqlOutcome::Horizontal(HorizontalResult {
-                        partitions: vec![shared],
-                        stats,
-                        statements,
-                        cell_columns,
-                    })
+                    let union = union_grouping_results(&stmt.group_by, &results, guard)?;
+                    let table = self
+                        .catalog
+                        .create_or_replace_table(format!("{prefix}FGS"), union);
+                    if vertical {
+                        SqlOutcome::Vertical(QueryResult {
+                            table,
+                            stats,
+                            statements,
+                        })
+                    } else {
+                        SqlOutcome::Horizontal(HorizontalResult {
+                            partitions: vec![table],
+                            stats,
+                            statements,
+                            cell_columns,
+                        })
+                    }
                 };
                 apply_order(&outcome, &stmt.order_by, guard)?;
                 Ok(outcome)
@@ -966,69 +974,69 @@ impl<'a> PercentageEngine<'a> {
     }
 
     /// The generated-SQL transcript for a statement (shared by the explain
-    /// entry points).
+    /// entry points). Vertical statements that execute on the dimension
+    /// lattice — multi-term flat ones, and every grouping-set statement,
+    /// whose sets are one lattice plan — end with the per-level source
+    /// lines of that plan.
     fn plan_statements(&self, stmt: &pa_sql::SelectStmt) -> Result<Vec<String>> {
-        if !stmt.grouping.is_flat() {
-            let plans = crate::query::per_set_statements(stmt)?;
-            let mut lines = vec![format!(
-                "-- grouping: {} set(s) over ({})",
-                plans.len(),
-                stmt.group_by.join(", ")
-            )];
-            for (set, flat) in &plans {
-                match flat {
-                    Some(flat) => {
-                        lines.push(format!("-- grouping set ({})", set.join(", ")));
-                        lines.extend(self.plan_statements_lattice(flat, true)?);
-                    }
-                    None => lines.push(
-                        "-- grouping set (): skipped (Vpct requires a non-empty GROUP BY)"
-                            .to_string(),
-                    ),
-                }
+        if stmt.grouping.is_flat() {
+            let (mut lines, q) = self.codegen_lines(stmt)?;
+            if let Some(q) = q.filter(|q| q.terms.len() > 1) {
+                lines.extend(self.lattice_lines(std::slice::from_ref(&q)));
             }
             return Ok(lines);
         }
-        self.plan_statements_lattice(stmt, false)
+        let plans = crate::query::per_set_statements(stmt)?;
+        let mut lines = vec![format!(
+            "-- grouping: {} set(s) over ({})",
+            plans.len(),
+            stmt.group_by.join(", ")
+        )];
+        let mut lattice_sets: Vec<VpctQuery> = Vec::new();
+        for (set, flat) in &plans {
+            match flat {
+                Some(flat) => {
+                    lines.push(format!("-- grouping set ({})", set.join(", ")));
+                    let (set_lines, q) = self.codegen_lines(flat)?;
+                    lines.extend(set_lines);
+                    lattice_sets.extend(q);
+                }
+                None => lines.push(
+                    "-- grouping set (): skipped (Vpct requires a non-empty GROUP BY)".to_string(),
+                ),
+            }
+        }
+        if !lattice_sets.is_empty() {
+            lines.extend(self.lattice_lines(&lattice_sets));
+        }
+        Ok(lines)
     }
 
-    /// [`PercentageEngine::plan_statements`] for a flat statement.
-    /// `force_lattice` adds the per-level source lines even for single-term
-    /// vertical queries — the grouping-set executor routes *every* vertical
-    /// set through the lattice evaluator, so its EXPLAIN must too.
-    fn plan_statements_lattice(
-        &self,
-        stmt: &pa_sql::SelectStmt,
-        force_lattice: bool,
-    ) -> Result<Vec<String>> {
+    /// The generated statements of a flat statement, and its typed form
+    /// when it is vertical.
+    fn codegen_lines(&self, stmt: &pa_sql::SelectStmt) -> Result<(Vec<String>, Option<VpctQuery>)> {
         Ok(match from_sql(stmt)? {
             Query::Vertical(q) => {
                 let strat = choose_vpct_strategy(self.catalog, &q);
-                let mut lines = crate::codegen::vpct_statements(&q, &strat);
-                if q.terms.len() > 1 || force_lattice {
-                    // Multi-term queries execute on the dimension lattice.
-                    // The lattice cache is keyed by the pinned snapshot
-                    // alias the execution path rewrites the table to, so
-                    // probe the same alias: EXPLAIN then reports exactly
-                    // the sources execution would use right now.
-                    let view = self.catalog.pin_table(&q.table);
-                    let cache_table = view
-                        .as_ref()
-                        .map(|v| v.alias().to_string())
-                        .unwrap_or_else(|| q.table.clone());
-                    lines.extend(crate::lattice::lattice_plan_lines(
-                        self.catalog,
-                        &q,
-                        &cache_table,
-                    ));
-                }
-                lines
+                (crate::codegen::vpct_statements(&q, &strat), Some(q))
             }
             Query::Horizontal(q) => {
                 let strategy = choose_horizontal_strategy(self.catalog, &q)?;
-                crate::codegen::horizontal_statements(&q, strategy, None)
+                let lines = crate::codegen::horizontal_statements(&q, strategy, None);
+                (lines, None)
             }
         })
+    }
+
+    /// The lattice plan `queries` (one table) would execute with right now.
+    /// The lattice cache is keyed by the pinned snapshot alias the execution
+    /// path rewrites the table to, so probe the same alias: EXPLAIN then
+    /// reports exactly the sources execution would use.
+    fn lattice_lines(&self, queries: &[VpctQuery]) -> Vec<String> {
+        let table = &queries[0].table;
+        let view = self.catalog.pin_table(table);
+        let cache_table = view.as_ref().map_or(table.as_str(), |v| v.alias());
+        crate::lattice::lattice_plan_lines(self.catalog, queries, cache_table)
     }
 
     /// The `-- guard:` transcript line. `charged` is `Some` only on the
@@ -1418,7 +1426,7 @@ mod tests {
     }
 
     #[test]
-    fn grouping_sets_share_the_fused_scan_through_the_lattice_cache() {
+    fn grouping_sets_are_one_lattice_plan_and_rerun_from_the_cache() {
         let catalog = sales_catalog();
         let engine = PercentageEngine::new(&catalog);
         let sql = "SELECT state, city, Vpct(salesAmt BY city) AS p, \
@@ -1426,12 +1434,14 @@ mod tests {
                    GROUP BY ROLLUP (state, city);";
         let out = engine.execute_sql(sql).unwrap();
         let stats = out.stats();
-        // Finest set: 3 levels, 2 fed by the fused scan. Middle set: both
-        // its levels re-derive from the partials the finest set cached —
-        // aliased terms keep the lattice signature identical across sets.
-        assert_eq!(stats.lattice_levels, 5, "{stats}");
-        assert_eq!(stats.levels_from_scan, 2, "{stats}");
-        assert_eq!(stats.levels_from_cache, 2, "{stats}");
+        // One plan for the statement: both sets answer from the levels
+        // (city, state), (state) and () — the finest scanned, each coarser
+        // one re-aggregated from the one before — and each is materialized
+        // once, though both sets divide by ().
+        assert_eq!(stats.lattice_levels, 3, "{stats}");
+        assert_eq!(stats.levels_from_scan, 1, "{stats}");
+        assert_eq!(stats.levels_from_cache, 0, "{stats}");
+        assert_eq!(stats.wal_records, 2, "one FGS create: schema + rows");
         let rows = rows_of(&out);
         let r = find_row(&rows, Value::str("CA"), Value::str("San Francisco"));
         assert_eq!(r[2], Value::Float(83.0 / 106.0));
@@ -1440,12 +1450,13 @@ mod tests {
         assert_eq!(r[2], Value::Float(106.0 / 255.0));
         assert_eq!(r[3], Value::Float(106.0 / 255.0));
 
-        // Re-running the identical statement serves every level from cache.
+        // Re-running the identical statement serves every level from cache,
+        // the stored-back grand total included.
         let warm = engine.execute_sql(sql).unwrap();
         let stats = warm.stats();
-        assert_eq!(stats.lattice_levels, 5, "{stats}");
+        assert_eq!(stats.lattice_levels, 3, "{stats}");
         assert_eq!(stats.levels_from_scan, 0, "{stats}");
-        assert_eq!(stats.levels_from_cache, 5, "{stats}");
+        assert_eq!(stats.levels_from_cache, 3, "{stats}");
         assert_eq!(rows_of(&warm), rows, "cache-warm union must be identical");
     }
 
@@ -1511,8 +1522,8 @@ mod tests {
                 .any(|l| l.contains("skipped (Vpct requires a non-empty GROUP BY)")),
             "{lines:?}"
         );
-        // Per-set lattice source lines appear even for a single-term query,
-        // because execution routes every set through the lattice evaluator.
+        // Lattice source lines appear even for a single-term query, because
+        // the sets of a statement execute as one lattice plan.
         assert!(
             lines.iter().any(|l| l.starts_with("-- lattice: level")),
             "{lines:?}"

@@ -10,35 +10,44 @@
 //! [Gray et al. 1996]: an aggregation level `L` (a set of grouping columns)
 //! can be computed from any already-materialized level `S ⊇ L` because
 //! `sum()` is distributive — and the smallest such ancestor is the cheapest
-//! source. This module plans where each level comes from and evaluates the
-//! plan (DESIGN.md §15):
+//! source. This module plans where each level of a *request* comes from —
+//! one multi-term query, the grouping sets of one statement, or a batch of
+//! queries — and evaluates the plan (DESIGN.md §15):
 //!
-//! * When the fact table must be scanned at all, every uncached level
-//!   *rides the same scan* through the fused multi-level kernel
-//!   ([`pa_engine::lattice_aggregate_guarded`]): one pass codes each row
-//!   once and scatters every measure into every level's accumulators.
-//! * Each level's merged partial is serialized into the catalog's
-//!   [`pa_storage::LatticeCache`], so a later query at the same level — or
-//!   at any coarser level — re-derives its totals from a cached partial
-//!   instead of rescanning `F`. [`plan_levels_cached`] arbitrates sources
-//!   with per-source cost constants: an exact cached partial beats a cached
-//!   finer ancestor beats a freshly planned ancestor beats a fact scan,
-//!   *regardless of arity* (arity only breaks ties within a source kind).
-//! * [`plan_levels`] remains the cache-oblivious bottom-up planner the
-//!   original lattice evaluation used; serial fallbacks still follow it.
+//! * Every level the fact table must be scanned for — the finest level
+//!   of a ROLLUP, each of several disjoint grouping sets, every set when
+//!   extra aggregates ride along — shares *one* scan through the fused
+//!   multi-level kernel ([`pa_engine::lattice_aggregate_guarded`]): one
+//!   pass codes each row once and scatters every lane into every level's
+//!   accumulators. Levels a finer one covers re-aggregate it, bottom-up.
+//! * Each level is finalized into one table in a canonical layout (level
+//!   columns in normalized order, then the lanes; rows sorted by key) and
+//!   kept in the catalog's [`pa_storage::LatticeCache`], so a later request
+//!   at the same level is a refcount bump and one at any coarser level
+//!   re-aggregates a cached table instead of rescanning `F` — storing the
+//!   result back, so the request after it is exact again.
+//!   [`plan_levels_cached`] arbitrates sources with per-source cost
+//!   constants: an exact cached level beats a cached finer ancestor beats
+//!   a freshly planned ancestor beats a fact scan, *regardless of arity*
+//!   (arity only breaks ties within a source kind).
+//! * One routine turns materialized levels into percentage columns for all
+//!   three callers: each group's sum over its total, the total read from
+//!   the totals level's own table.
 //!
-//! [`eval_vpct_lattice`] evaluates a multi-term `Vpct` query with that
-//! plan; [`eval_vpct_batch`] shares one fused summary scan across a whole
-//! set of percentage queries.
+//! [`eval_vpct_lattice`] evaluates a multi-term `Vpct` query,
+//! [`eval_vpct_sets_guarded`] every grouping set of a statement into one
+//! table, and [`eval_vpct_batch`] a whole set of percentage queries.
 
 use crate::error::{CoreError, Result};
-use crate::query::{VpctQuery, VpctTerm};
-use crate::vertical::QueryResult;
+use crate::query::{ExtraAgg, Measure, VpctQuery};
+use crate::vertical::{extra_spec, QueryResult};
 use pa_engine::{
-    create_table_as, hash_join_guarded, lattice_aggregate_guarded, multi_hash_aggregate_guarded,
-    AggFunc, AggSpec, ExecStats, Expr, JoinType, ProjSpec, ResourceGuard, ShardPartial,
+    create_table_as, lattice_aggregate_guarded, multi_hash_aggregate_guarded, AggFunc, AggSpec,
+    ExecStats, Expr, ResourceGuard,
 };
-use pa_storage::{Catalog, Column, DataType, Field, FxHashMap, LatticeEntry, Schema, Table, Value};
+use pa_storage::{
+    Catalog, Column, DataType, Field, FxHashMap, LatticeCache, Schema, SharedTable, Table, Value,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -71,15 +80,22 @@ impl Level {
         &self.0
     }
 
+    /// Where `name` sits among the normalized columns — its column in the
+    /// level's materialized table.
+    pub fn position(&self, name: &str) -> Option<usize> {
+        let lowered = || name.bytes().map(|b| b.to_ascii_lowercase());
+        self.0.binary_search_by(|c| c.bytes().cmp(lowered())).ok()
+    }
+
     /// `(a, b)` rendering for plans and EXPLAIN output.
     pub fn render(&self) -> String {
         format!("({})", self.0.join(", "))
     }
 }
 
-/// Cost constant of serving a level from an exact cached partial.
+/// Cost constant of serving a level from its exact cached table.
 pub const COST_CACHED: u32 = 0;
-/// Cost constant of re-aggregating a cached finer partial.
+/// Cost constant of re-aggregating a cached finer level.
 pub const COST_CACHED_ANCESTOR: u32 = 1;
 /// Cost constant of re-aggregating a level materialized earlier in the
 /// same plan.
@@ -95,16 +111,16 @@ pub enum LevelSource {
     FactTable,
     /// Re-aggregate the previously planned level at this index.
     Planned(usize),
-    /// Deserialize this level's exact cached partial.
+    /// This level's exact cached table.
     Cached,
-    /// Re-aggregate the cached partial of this finer level.
+    /// Re-aggregate the cached table of this finer level.
     CachedAncestor(Level),
 }
 
 impl LevelSource {
-    /// Per-source cost constant. A cached partial always beats a planned
-    /// ancestor, however small the planned ancestor is — deserializing
-    /// ready groups is cheaper than re-running an aggregation — and any
+    /// Per-source cost constant. A cached table always beats a planned
+    /// ancestor, however small the planned ancestor is — the cached one is
+    /// ready, the planned one is an aggregation still to run — and any
     /// derivation beats rescanning `F`. Arity never enters the constant;
     /// it only breaks ties *within* one source kind.
     pub fn cost(&self) -> u32 {
@@ -126,33 +142,12 @@ pub struct LevelStep {
     pub source: LevelSource,
 }
 
-/// Plan the materialization order for a set of needed levels plus the root
-/// (the full GROUP BY), ignoring any cache. Returns steps root-first; each
-/// non-root level reads from its minimal already-planned ancestor, falling
-/// back to the fact table when none covers it (which can only happen for
-/// the root). This is the serial bottom-up plan; the fused evaluator uses
-/// [`plan_levels_cached`].
-pub fn plan_levels(root: &Level, needed: &[Level]) -> Vec<LevelStep> {
-    let mut steps = vec![LevelStep {
-        level: root.clone(),
-        source: LevelSource::FactTable,
-    }];
-    for level in distinct_non_root(root, needed) {
-        let source = match min_planned_ancestor(&level, &steps) {
-            Some((i, _)) => LevelSource::Planned(i),
-            None => LevelSource::FactTable,
-        };
-        steps.push(LevelStep { level, source });
-    }
-    steps
-}
-
-/// Distinct needed levels excluding the root, widest first so later levels
-/// can reuse them.
-fn distinct_non_root(root: &Level, needed: &[Level]) -> Vec<Level> {
+/// The distinct levels of a request, widest first (roots ahead of equally
+/// wide totals levels) so later levels can reuse earlier ones.
+fn distinct_widest_first(roots: &[Level], needed: &[Level]) -> Vec<Level> {
     let mut levels: Vec<Level> = Vec::new();
-    for l in needed {
-        if l != root && !levels.contains(l) {
+    for l in roots.iter().chain(needed) {
+        if !levels.contains(l) {
             levels.push(l.clone());
         }
     }
@@ -185,617 +180,616 @@ fn min_cached_ancestor(level: &Level, cached: &[Level]) -> Option<Level> {
         .cloned()
 }
 
-/// Plan the materialization order for `root` plus `needed`, arbitrating
+/// Plan the materialization order for a request — its `roots` (each GROUP
+/// BY level it answers at) plus the `needed` totals levels — arbitrating
 /// each level between the lattice cache, earlier plan steps, and the fact
-/// table by the per-source cost constants.
+/// table by the per-source cost constants. Steps come widest first, so a
+/// level's planned ancestors precede it: the paper's bottom-up order.
 ///
-/// * The root prefers its exact cached partial, then (only when
-///   `reaggregate_root` — false when the query carries extra aggregates,
-///   whose finalized values cannot be re-derived from an ancestor) the
-///   minimal cached finer partial, then a fact scan.
-/// * When the root scans, every uncached non-empty level **rides the same
-///   fused scan** (`FactTable`): the one-pass kernel makes the marginal
-///   cost of an extra level a scatter per row, below a post-hoc
-///   re-aggregation — except a level whose exact partial is cached, which
-///   is served from cache and stays out of the scan.
-/// * When the root is served from cache, no scan happens at all: each
-///   level takes the cheapest of exact-cache / cached-ancestor / planned
-///   ancestor by `(cost, arity)`, so a cached finer partial beats a
-///   smaller-but-uncached planned ancestor.
-/// * The empty (grand-total) level never scans — the kernel has no
-///   zero-dimension lane — and always derives from the smallest source.
+/// * A level whose exact table is cached is served from it.
+/// * Otherwise it re-aggregates the cheapest finer level by `(cost,
+///   arity)`: a cached one beats one planned earlier in this request,
+///   however small the planned one is. A level is a few thousand groups
+///   where the fact table is millions of rows, so re-aggregating one is
+///   far below even the extra scatter per row that riding the scan costs.
+/// * A root may re-aggregate only when `reaggregate_roots` — false when
+///   the request carries extra aggregates, whose finalized values cannot
+///   be re-derived from a finer level. Totals levels always may: they
+///   only need the distributive term sums.
+/// * What is left scans the fact table: the levels nothing finer covers
+///   (one root for a ROLLUP or CUBE, several for disjoint grouping sets)
+///   and the roots that may not re-aggregate. All of them share **one**
+///   fused scan.
+/// * The empty (grand-total) level therefore never scans: every request
+///   has a non-empty root above it.
 pub fn plan_levels_cached(
-    root: &Level,
+    roots: &[Level],
     needed: &[Level],
     cached: &[Level],
-    reaggregate_root: bool,
+    reaggregate_roots: bool,
 ) -> Vec<LevelStep> {
-    let root_source = if cached.contains(root) {
-        LevelSource::Cached
-    } else if reaggregate_root {
-        match min_cached_ancestor(root, cached) {
-            Some(anc) => LevelSource::CachedAncestor(anc),
-            None => LevelSource::FactTable,
-        }
-    } else {
-        LevelSource::FactTable
-    };
-    let root_scans = root_source == LevelSource::FactTable;
-    let mut steps = vec![LevelStep {
-        level: root.clone(),
-        source: root_source,
-    }];
-    for level in distinct_non_root(root, needed) {
+    let may_derive = |l: &Level| reaggregate_roots || !roots.contains(l);
+    let mut steps: Vec<LevelStep> = Vec::new();
+    for level in distinct_widest_first(roots, needed) {
         let source = if cached.contains(&level) {
             LevelSource::Cached
+        } else if !may_derive(&level) {
+            LevelSource::FactTable
         } else {
-            let mut candidates: Vec<(u32, usize, LevelSource)> = Vec::new();
-            if let Some(anc) = min_cached_ancestor(&level, cached) {
-                candidates.push((
+            let from_cache = min_cached_ancestor(&level, cached).map(|anc| {
+                (
                     COST_CACHED_ANCESTOR,
                     anc.arity(),
                     LevelSource::CachedAncestor(anc),
-                ));
-            }
-            if root_scans && level.arity() > 0 {
-                // Riding the already-required fused scan beats planning a
-                // re-aggregation afterwards, but not reading a cached
-                // partial: rank it between the two.
-                candidates.push((COST_PLANNED, 0, LevelSource::FactTable));
-            } else if let Some((i, arity)) = min_planned_ancestor(&level, &steps) {
-                candidates.push((COST_PLANNED, arity, LevelSource::Planned(i)));
-            }
-            candidates
+                )
+            });
+            let from_plan = min_planned_ancestor(&level, &steps)
+                .map(|(i, arity)| (COST_PLANNED, arity, LevelSource::Planned(i)));
+            from_cache
                 .into_iter()
+                .chain(from_plan)
                 .min_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)))
-                .map(|(_, _, s)| s)
-                .unwrap_or(LevelSource::FactTable)
+                .map_or(LevelSource::FactTable, |(_, _, source)| source)
         };
         steps.push(LevelStep { level, source });
     }
     steps
 }
 
-/// Identity of the aggregate lanes a query's lattice partials carry: one
-/// `name=func(measure)` clause per percentage term and per extra
-/// aggregate, in lane order. Cached partials are keyed by this signature
-/// so a lookup with different measures (or differently named lanes) never
-/// resurrects a partial of the wrong shape. The BY lists deliberately do
-/// not participate: they choose *which levels* a query needs, not what
-/// the lanes contain, so queries differing only in BY share partials.
-pub fn lattice_signature(q: &VpctQuery) -> String {
-    let mut parts: Vec<String> = q
-        .terms
-        .iter()
-        .map(|t| format!("{}=sum({})", t.name, t.measure.sql()))
-        .collect();
-    for e in &q.extra {
-        let m = e
-            .measure
-            .as_ref()
-            .map(|m| m.sql())
-            .unwrap_or_else(|| "*".into());
-        parts.push(format!("{}={}({})", e.name, e.func.sql_name(), m));
-    }
-    parts.join(";")
+/// The aggregate lanes every level of one request carries, in column
+/// order: one sum per distinct term measure (columns `__m{i}`), then the
+/// extra aggregates (`__x{i}`). A lane is a function and its input, by
+/// position; the names a statement gives its terms are applied only when a
+/// result is assembled, so differently aliased statements share levels.
+struct Lanes<'q> {
+    measures: Vec<&'q Measure>,
+    extra: &'q [ExtraAgg],
 }
 
-/// The levels a query's plan may consult: the root, every term's totals
-/// level, and (returned separately by the callers that need it) cached
-/// supersets thereof.
-fn wanted_levels(q: &VpctQuery) -> (Level, Vec<Level>, Vec<Level>) {
-    let root = Level::new(&q.group_by);
-    let needed: Vec<Level> = q
-        .terms
-        .iter()
-        .map(|t| Level::new(&q.totals_key(t)))
-        .collect();
-    let mut wanted = vec![root.clone()];
-    for l in &needed {
-        if !wanted.contains(l) {
-            wanted.push(l.clone());
+impl<'q> Lanes<'q> {
+    /// The lanes of `queries` (non-empty; the extras are the first
+    /// query's — callers check that every query carries the same ones).
+    fn of(queries: &'q [VpctQuery]) -> Lanes<'q> {
+        let mut measures: Vec<&Measure> = Vec::new();
+        for term in queries.iter().flat_map(|q| &q.terms) {
+            if !measures.contains(&&term.measure) {
+                measures.push(&term.measure);
+            }
+        }
+        Lanes {
+            measures,
+            extra: &queries[0].extra,
         }
     }
-    (root, needed, wanted)
-}
 
-/// Kernel dimension indices for `level`: positions of its columns within
-/// the root GROUP BY list, strictly increasing as the fused kernel
-/// requires.
-fn level_dims(level: &Level, group_by: &[String]) -> Vec<usize> {
-    let mut dims: Vec<usize> = level
-        .columns()
-        .iter()
-        .map(|c| {
-            group_by
-                .iter()
-                .position(|g| g.eq_ignore_ascii_case(c))
-                .expect("level ⊆ group_by")
-        })
-        .collect();
-    dims.sort_unstable();
-    dims
-}
-
-/// Project `src` down to `names` (in order), preserving each column's
-/// stored name and type.
-fn select_named(src: &Table, names: &[String], stats: &mut ExecStats) -> Result<Table> {
-    let schema = src.schema();
-    let mut specs = Vec::with_capacity(names.len());
-    for n in names {
-        let pos = schema.index_of(n).map_err(CoreError::from)?;
-        let f = schema.field_at(pos);
-        specs.push(ProjSpec::typed(Expr::Col(pos), f.name.clone(), f.dtype));
+    fn lane_of(&self, measure: &Measure) -> usize {
+        self.measures
+            .iter()
+            .position(|m| *m == measure)
+            .expect("every term's measure was collected")
     }
-    Ok(pa_engine::project(src, &specs, stats)?)
+
+    /// Identity of each lane: cached levels carry it, so a lookup with
+    /// different aggregates never resurrects a table of the wrong shape.
+    /// BY lists deliberately do not participate: they choose *which
+    /// levels* a request needs, not what the lanes contain.
+    fn signature(&self) -> Vec<String> {
+        let sums = self.measures.iter().map(|m| format!("sum({})", m.sql()));
+        let extras = self.extra.iter().map(|e| {
+            let m = e.measure.as_ref().map_or("*".into(), Measure::sql);
+            format!("{}({m})", e.func.display_name())
+        });
+        sums.chain(extras).collect()
+    }
+
+    fn specs(&self, schema: &Schema) -> Result<Vec<AggSpec>> {
+        let sums = self.measures.iter().enumerate().map(|(i, m)| {
+            Ok(AggSpec::new(
+                AggFunc::Sum,
+                m.to_expr(schema)?,
+                format!("__m{i}"),
+            ))
+        });
+        let extras = self.extra.iter().enumerate().map(|(i, e)| {
+            let mut spec = extra_spec(e, schema)?;
+            spec.name = format!("__x{i}");
+            Ok(spec)
+        });
+        sums.chain(extras).collect()
+    }
 }
 
-/// Re-aggregate the distributive term sums of `src` down to `level_cols`
-/// (each term's sum column summed again), producing the standard level
-/// layout `[level_cols in the given order][one sum per term]`.
+/// Identity of the aggregate lanes a query's lattice levels carry: one
+/// `func(input)` per distinct term measure, then one per extra aggregate,
+/// in lane order. Term and aggregate *names* play no part.
+pub fn lattice_signature(q: &VpctQuery) -> Vec<String> {
+    Lanes::of(std::slice::from_ref(q)).signature()
+}
+
+/// The levels a request answers at (each query's GROUP BY) and the totals
+/// levels its terms divide by.
+fn request_levels(queries: &[VpctQuery]) -> (Vec<Level>, Vec<Level>) {
+    let roots = queries.iter().map(|q| Level::new(&q.group_by)).collect();
+    let needed = queries
+        .iter()
+        .flat_map(|q| q.terms.iter().map(|t| Level::new(&q.totals_key(t))))
+        .collect();
+    (roots, needed)
+}
+
+/// The levels of one request, each one table in the canonical layout
+/// `[level columns, normalized order][lanes]`, rows sorted by key.
+type LevelTables = HashMap<Level, Arc<Table>>;
+
+/// Plan a request against the lattice cache. A root must be cached with
+/// every lane; a totals level, or a finer level to re-aggregate, serves
+/// with the leading sums alone. With `fetched`, lookups count as hits and
+/// misses and the cached tables the plan may read land in the map;
+/// without, the cache is only probed (EXPLAIN).
+fn plan_request(
+    cache: &LatticeCache,
+    table: &str,
+    lanes: &Lanes<'_>,
+    (roots, needed): (&[Level], &[Level]),
+    mut fetched: Option<&mut LevelTables>,
+) -> Vec<LevelStep> {
+    let mut look = |l: &Level, lanes: &[String]| match fetched.as_deref_mut() {
+        Some(tables) => cache
+            .get(table, l.columns(), lanes)
+            .map(|t| tables.insert(l.clone(), t))
+            .is_some(),
+        None => cache.probe(table, l.columns(), lanes),
+    };
+    let all = lanes.signature();
+    let sums = &all[..lanes.measures.len()];
+    let wanted = distinct_widest_first(roots, needed);
+    let mut cached: Vec<Level> = Vec::new();
+    for l in &wanted {
+        if look(l, if roots.contains(l) { &all } else { sums }) {
+            cached.push(l.clone());
+        }
+    }
+    // Finer cached levels only matter to a wanted level that missed (one
+    // that missed as a root stays missed, whatever sums it is cached with).
+    if cached.len() < wanted.len() {
+        for cols in cache.levels_for(table, sums) {
+            let l = Level::new(&cols);
+            let covers = |w: &Level| !cached.contains(w) && w.subset_of(&l);
+            if !wanted.contains(&l) && wanted.iter().any(covers) && look(&l, sums) {
+                cached.push(l);
+            }
+        }
+    }
+    cached.sort_by(|a, b| a.columns().cmp(b.columns()));
+    plan_levels_cached(roots, needed, &cached, lanes.extra.is_empty())
+}
+
+/// Re-aggregate the distributive measure sums of `src`, the table of level
+/// `from`, down to `to ⊆ from`.
 fn reaggregate_level(
     src: &Table,
-    level_cols: &[String],
-    terms: &[VpctTerm],
+    from: &Level,
+    to: &Level,
+    n_measures: usize,
     guard: &ResourceGuard,
     stats: &mut ExecStats,
 ) -> Result<Table> {
-    let schema = src.schema();
-    let group_cols: Vec<usize> = level_cols
+    let group_cols: Vec<usize> = to
+        .columns()
         .iter()
-        .map(|n| schema.index_of(n).map_err(CoreError::from))
-        .collect::<Result<Vec<_>>>()?;
-    let specs: Vec<AggSpec> = terms
-        .iter()
-        .map(|t| {
-            let pos = schema.index_of(&t.name)?;
-            Ok(AggSpec::new(AggFunc::Sum, Expr::Col(pos), t.name.clone()))
+        .map(|c| from.position(c).expect("a level derives from a superset"))
+        .collect();
+    let specs: Vec<AggSpec> = (from.arity()..from.arity() + n_measures)
+        .map(|pos| {
+            let name = src.schema().field_at(pos).name.clone();
+            AggSpec::new(AggFunc::Sum, Expr::Col(pos), name)
         })
-        .collect::<Result<Vec<_>>>()?;
-    Ok(
-        multi_hash_aggregate_guarded(src, &[(group_cols, specs)], guard, stats)?
-            .pop()
-            .expect("one level"),
-    )
+        .collect();
+    let derived = multi_hash_aggregate_guarded(src, &[(group_cols, specs)], guard, stats)?
+        .pop()
+        .expect("one level");
+    Ok(sorted_by_key(derived, to))
 }
 
-/// Position of `name` in `t`'s schema, matching case-insensitively (the
-/// batch evaluator mixes query spellings with fact-schema spellings).
-fn position_of(t: &Table, name: &str) -> Result<usize> {
-    t.schema()
-        .fields()
+fn sorted_by_key(t: Table, level: &Level) -> Table {
+    t.sorted_by(&(0..level.arity()).collect::<Vec<_>>())
+}
+
+/// Materialize every level `queries` (one table, the same extras) need —
+/// plus the `also` roots — from the lattice cache, one fused scan of `F`
+/// for whatever nothing cached covers, and re-aggregation for the rest.
+/// Every table computed here is stored (back) in the cache.
+fn materialize_levels(
+    catalog: &Catalog,
+    queries: &[VpctQuery],
+    lanes: &Lanes<'_>,
+    also: &[Level],
+    guard: &ResourceGuard,
+    stats: &mut ExecStats,
+) -> Result<LevelTables> {
+    let table = &queries[0].table;
+    let f_shared = catalog.table(table)?;
+    let f = f_shared.read();
+    // Resolved up front, so a bad column fails the same way cold or warm.
+    let specs = lanes.specs(f.schema())?;
+    let mut fact_col: HashMap<String, usize> = HashMap::new();
+    for g in queries.iter().flat_map(|q| &q.group_by) {
+        let pos = f
+            .schema()
+            .index_of(g)
+            .map_err(|_| CoreError::InvalidQuery(format!("unknown GROUP BY column {g}")))?;
+        fact_col.insert(g.to_ascii_lowercase(), pos);
+    }
+
+    let (mut roots, needed) = request_levels(queries);
+    roots.extend_from_slice(also);
+    let signature = lanes.signature();
+    let cache = catalog.lattice_cache();
+    let mut tables = LevelTables::new();
+    let steps = plan_request(cache, table, lanes, (&roots, &needed), Some(&mut tables));
+    stats.lattice_levels += steps.len() as u64;
+    let keep = |level: &Level, t: Table, tables: &mut LevelTables| {
+        let t = Arc::new(t);
+        let lanes = &signature[..t.num_columns() - level.arity()];
+        cache.store(table, level.columns(), lanes, Arc::clone(&t));
+        tables.insert(level.clone(), t);
+    };
+
+    // One fused scan covers every FactTable step, keyed by the union of
+    // their columns in normalized order — so each level comes out of
+    // `finalize` in the canonical layout already.
+    let scanning: Vec<&Level> = steps
         .iter()
-        .position(|f| f.name.eq_ignore_ascii_case(name))
-        .ok_or_else(|| CoreError::InvalidQuery(format!("unknown column {name}")))
-}
-
-/// Bring a finalized level partial into the batch's canonical layout —
-/// `names` columns in order, rows sorted by the leading `key_len` key
-/// columns. A table already in that column order is returned as-is:
-/// [`ShardPartial::finalize`] sorted it by exactly those keys. A cached
-/// partial stored by a batch with a different union order is reordered
-/// and re-sorted.
-fn canonical_level(
-    t: Table,
-    names: &[String],
-    key_len: usize,
-    stats: &mut ExecStats,
-) -> Result<Table> {
-    let matches = t.num_columns() == names.len()
-        && t.schema()
-            .fields()
+        .filter(|s| s.source == LevelSource::FactTable)
+        .map(|s| &s.level)
+        .collect();
+    if !scanning.is_empty() {
+        let cols_of = |l: &Level| l.columns().iter().map(|c| fact_col[c]).collect::<Vec<_>>();
+        let all: Vec<String> = scanning.iter().flat_map(|l| l.columns()).cloned().collect();
+        let key = Level::new(&all);
+        let dims: Vec<Vec<usize>> = scanning
             .iter()
-            .zip(names)
-            .all(|(f, n)| f.name.eq_ignore_ascii_case(n));
-    if matches {
-        return Ok(t);
+            .map(|l| l.columns().iter().filter_map(|c| key.position(c)).collect())
+            .collect();
+        let scanned: Vec<Table> =
+            match lattice_aggregate_guarded(&f, &cols_of(&key), &specs, &dims, guard, stats)? {
+                Some(partials) => partials
+                    .into_iter()
+                    .map(|p| p.finalize(stats))
+                    .collect::<std::result::Result<_, _>>()?,
+                // Not fusable (holistic lanes, PA_VECTOR=0, uncodable
+                // keys): one plain aggregation per level, the extras only
+                // where a result reads them.
+                None => {
+                    let per_level: Vec<(Vec<usize>, Vec<AggSpec>)> = scanning
+                        .iter()
+                        .map(|l| {
+                            let n = match roots.contains(l) {
+                                true => specs.len(),
+                                false => lanes.measures.len(),
+                            };
+                            (cols_of(l), specs[..n].to_vec())
+                        })
+                        .collect();
+                    multi_hash_aggregate_guarded(&f, &per_level, guard, stats)?
+                        .into_iter()
+                        .zip(&scanning)
+                        .map(|(t, l)| sorted_by_key(t, l))
+                        .collect()
+                }
+            };
+        stats.levels_from_scan += scanned.len() as u64;
+        for (level, t) in scanning.into_iter().zip(scanned) {
+            keep(level, t, &mut tables);
+        }
     }
-    let t = select_named(&t, names, stats)?;
-    let key_cols: Vec<usize> = (0..key_len).collect();
-    Ok(t.sorted_by(&key_cols))
-}
+    drop(f);
 
-/// The generated `CASE WHEN total <> 0 THEN p/total ELSE NULL END`:
-/// NULL when the totals group summed to nothing, zero, or the group's own
-/// sum is NULL.
-#[inline]
-fn pct_value(p: Option<f64>, total: f64, any: bool) -> Value {
-    if !any || total == 0.0 {
-        return Value::Null;
-    }
-    match p {
-        Some(p) => Value::Float(p / total),
-        None => Value::Null,
-    }
-}
-
-/// One percentage lane over a materialized level: divide each group's sum
-/// (column `sum_pos`) by its total at the `totals_pos` columns, where the
-/// totals re-aggregate the level's own distributive sums. When the totals
-/// columns are the level's leading sort keys, each totals group is a
-/// contiguous run and no hashing happens at all — the common shape for
-/// BY-suffix batches, whose totals are key-order prefixes. Otherwise a
-/// key-fragment hash aggregates the totals (fragments are comparable
-/// within one table; NULL groups with NULL, matching join semantics).
-fn pct_lane(
-    fk: &Table,
-    totals_pos: &[usize],
-    sum_pos: usize,
-    stats: &mut ExecStats,
-) -> Result<Column> {
-    let n = fk.num_rows();
-    let sums = fk.column(sum_pos);
-    let mut pct = Column::with_capacity(DataType::Float, n);
-    let mut sorted_pos: Vec<usize> = totals_pos.to_vec();
-    sorted_pos.sort_unstable();
-    if sorted_pos.iter().copied().eq(0..sorted_pos.len()) {
-        let keys: Vec<&Column> = sorted_pos.iter().map(|&c| fk.column(c)).collect();
-        let mut start = 0usize;
-        for r in 1..=n {
-            let boundary = r == n
-                || keys
-                    .iter()
-                    .any(|c| c.key_fragment(r) != c.key_fragment(r - 1));
-            if !boundary {
+    for step in &steps {
+        let from = match &step.source {
+            LevelSource::FactTable => continue,
+            LevelSource::Cached => {
+                stats.levels_from_cache += 1;
                 continue;
             }
-            let mut total = 0.0;
-            let mut any = false;
-            for i in start..r {
-                if let Some(x) = sums.get_f64(i) {
-                    total += x;
-                    any = true;
-                }
+            LevelSource::Planned(i) => &steps[*i].level,
+            LevelSource::CachedAncestor(anc) => {
+                stats.levels_from_cache += 1;
+                anc
             }
-            for i in start..r {
-                pct.push(pct_value(sums.get_f64(i), total, any))?;
+        };
+        let n = lanes.measures.len();
+        let derived = reaggregate_level(&tables[from], from, &step.level, n, guard, stats)?;
+        keep(&step.level, derived, &mut tables);
+    }
+    Ok(tables)
+}
+
+/// Key spaces up to this many slots index the totals rows directly.
+const DENSE_TOTALS_SLOTS: usize = 1 << 16;
+
+/// For each row of `fk`, the row of `totals` holding its group's total;
+/// `keys[i]` is where `totals`' key column `i` sits in `fk`. Rows are
+/// matched by key fragment (NULL groups with NULL); fragments only compare
+/// within one column, so the string codes of `totals` are translated into
+/// `fk`'s dictionaries first. Narrow keys — dictionary strings, small
+/// integer ranges, the empty key — address a mixed-radix table of the
+/// totals rows, no hashing; anything wider hashes the fragments.
+fn totals_rows(fk: &Table, keys: &[usize], totals: &Table) -> Vec<usize> {
+    let (n, m) = (fk.num_rows(), totals.num_rows());
+    // A string `fk` never holds gets a code no fragment equals.
+    let translate: Vec<Option<Vec<i64>>> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, &k)| match (totals.column(i), fk.column(k)) {
+            (Column::Str { dict: theirs, .. }, Column::Str { dict: ours, .. }) => {
+                let code = |s: &Arc<str>| ours.code_of(s).map_or(-1, i64::from);
+                Some(theirs.values().iter().map(code).collect())
             }
-            start = r;
+            _ => None,
+        })
+        .collect();
+    let fragment = |i: usize, t: usize| {
+        let fragment = totals.column(i).key_fragment(t);
+        match &translate[i] {
+            Some(codes) => fragment.map(|c| codes[c as usize]),
+            None => fragment,
         }
-    } else {
-        let mut totals: FxHashMap<Vec<Option<i64>>, (f64, bool)> = FxHashMap::default();
-        for r in 0..n {
-            let key: Vec<Option<i64>> = totals_pos
+    };
+
+    // Per key column, the smallest fragment and the digit count (one more
+    // for NULL) — when their product stays small.
+    let mut slots = Some(1usize);
+    let radix: Vec<(i64, usize)> = (0..keys.len())
+        .map(|i| {
+            let values = || (0..m).filter_map(|t| fragment(i, t));
+            let (min, max) = (values().min().unwrap_or(0), values().max().unwrap_or(0));
+            let span = max.checked_sub(min).and_then(|d| usize::try_from(d).ok());
+            let digits = span.and_then(|d| d.checked_add(2));
+            slots = slots
+                .zip(digits)
+                .and_then(|(s, d)| s.checked_mul(d))
+                .filter(|&s| s <= DENSE_TOTALS_SLOTS);
+            (min, digits.unwrap_or(0))
+        })
+        .collect();
+    if let Some(slots) = slots {
+        let digit = |&(min, digits): &(i64, usize), fragment: Option<i64>| match fragment {
+            None => 0,
+            Some(v) => {
+                let d = v.wrapping_sub(min) as u64;
+                assert!(d + 1 < digits as u64, "every group has a totals row");
+                d as usize + 1
+            }
+        };
+        let mut row_at = vec![usize::MAX; slots];
+        for t in 0..m {
+            let slot = radix
                 .iter()
-                .map(|&c| fk.column(c).key_fragment(r))
-                .collect();
-            let e = totals.entry(key).or_insert((0.0, false));
-            if let Some(x) = sums.get_f64(r) {
-                e.0 += x;
-                e.1 = true;
+                .enumerate()
+                .fold(0, |s, (i, r)| s * r.1 + digit(r, fragment(i, t)));
+            row_at[slot] = t;
+        }
+        let mut slot_of = vec![0usize; n];
+        for (r, &k) in radix.iter().zip(keys) {
+            let col = fk.column(k);
+            for (row, slot) in slot_of.iter_mut().enumerate() {
+                *slot = *slot * r.1 + digit(r, col.key_fragment(row));
             }
         }
-        for r in 0..n {
-            let key: Vec<Option<i64>> = totals_pos
-                .iter()
-                .map(|&c| fk.column(c).key_fragment(r))
-                .collect();
-            let (total, any) = totals[&key];
-            pct.push(pct_value(sums.get_f64(r), total, any))?;
+        return slot_of.into_iter().map(|slot| row_at[slot]).collect();
+    }
+
+    let mut index: FxHashMap<Vec<Option<i64>>, usize> = FxHashMap::default();
+    for t in 0..m {
+        index.insert((0..keys.len()).map(|i| fragment(i, t)).collect(), t);
+    }
+    let mut key: Vec<Option<i64>> = Vec::with_capacity(keys.len());
+    (0..n)
+        .map(|r| {
+            key.clear();
+            key.extend(keys.iter().map(|&k| fk.column(k).key_fragment(r)));
+            index[key.as_slice()]
+        })
+        .collect()
+}
+
+/// Append one percentage lane to `pct`: each group's sum in `fk` (the table
+/// of level `of`) over its group total, read from the table of the totals
+/// level `by` — the generated `CASE WHEN total <> 0 THEN p/total ELSE NULL
+/// END`: NULL when the total is NULL or zero, or the group's own sum is NULL.
+fn pct_lane(
+    (fk, of): (&Table, &Level),
+    (totals, by): (&Table, &Level),
+    lane: usize,
+    pct: &mut Column,
+    stats: &mut ExecStats,
+) -> Result<()> {
+    let keys: Vec<usize> = by
+        .columns()
+        .iter()
+        .map(|c| of.position(c).expect("totals key ⊆ GROUP BY"))
+        .collect();
+    let sums = fk.column(of.arity() + lane);
+    let total = totals.column(by.arity() + lane);
+    for (r, t) in totals_rows(fk, &keys, totals).into_iter().enumerate() {
+        pct.push(match (sums.get_f64(r), total.get_f64(t)) {
+            (Some(p), Some(d)) if d != 0.0 => Value::Float(p / d),
+            _ => Value::Null,
+        })?;
+    }
+    stats.rows_scanned += (fk.num_rows() + totals.num_rows()) as u64;
+    stats.case_condition_evals += fk.num_rows() as u64;
+    Ok(())
+}
+
+/// Assemble the results of `queries` over materialized levels into one
+/// table `name`, shaped `[group_by][one percentage per term][extras]`:
+/// each query's rows in turn, a dimension of `group_by` the query rolled
+/// away padded with NULL (the Data Cube "ALL"). Columns are appended
+/// whole; aggregate names come from the first query, since generated
+/// `Vpct` names embed the per-set BY list.
+fn assemble(
+    catalog: &Catalog,
+    name: &str,
+    (tables, lanes): (&LevelTables, &Lanes<'_>),
+    group_by: &[String],
+    queries: &[VpctQuery],
+    guard: &ResourceGuard,
+    stats: &mut ExecStats,
+) -> Result<SharedTable> {
+    // Each query's GROUP BY level and that level's table.
+    let roots: Vec<(Level, &Table)> = queries
+        .iter()
+        .map(|q| Level::new(&q.group_by))
+        .map(|level| (level.clone(), &*tables[&level]))
+        .collect();
+    let first = &queries[0];
+    let mut fields: Vec<Field> = Vec::new();
+    for g in group_by {
+        let dtype = roots
+            .iter()
+            .find_map(|(level, fk)| level.position(g).map(|p| fk.schema().field_at(p).dtype));
+        let dtype = dtype.ok_or_else(|| {
+            CoreError::InvalidQuery(format!(
+                "GROUP BY column {g} appears in no evaluable grouping set"
+            ))
+        })?;
+        fields.push(Field::new(g.clone(), dtype));
+    }
+    let (level, fk) = &roots[0];
+    let extras_at = |level: &Level| level.arity() + lanes.measures.len();
+    fields.extend(
+        first
+            .terms
+            .iter()
+            .map(|t| Field::new(t.name.clone(), DataType::Float)),
+    );
+    for (e, extra) in first.extra.iter().enumerate() {
+        let dtype = fk.schema().field_at(extras_at(level) + e).dtype;
+        fields.push(Field::new(extra.name.clone(), dtype));
+    }
+    let mut out: Vec<Column> = fields.iter().map(|f| Column::new(f.dtype)).collect();
+
+    let mut span = guard.span("divide");
+    for (q, (level, fk)) in queries.iter().zip(&roots) {
+        let n = fk.num_rows();
+        span.add_rows(n as u64);
+        span.add_morsels(1);
+        let (dims, aggs) = out.split_at_mut(group_by.len());
+        for (g, col) in group_by.iter().zip(dims) {
+            match level.position(g) {
+                Some(p) => col.extend_from(fk.column(p))?,
+                None => (0..n).try_for_each(|_| col.push(Value::Null))?,
+            }
+        }
+        let (pcts, extras) = aggs.split_at_mut(q.terms.len());
+        for (term, col) in q.terms.iter().zip(pcts) {
+            let by = Level::new(&q.totals_key(term));
+            guard.charge(n as u64)?;
+            stats.statements += 1;
+            let lane = lanes.lane_of(&term.measure);
+            pct_lane((fk, level), (&tables[&by], &by), lane, col, stats)?;
+        }
+        for (e, col) in extras.iter_mut().enumerate() {
+            col.extend_from(fk.column(extras_at(level) + e))?;
         }
     }
-    stats.rows_scanned += 2 * n as u64;
-    stats.case_condition_evals += n as u64;
-    Ok(pct)
+    drop(span);
+    let fv = Table::from_columns(Schema::new(fields)?.into_shared(), out)?;
+    Ok(create_table_as(catalog, name, fv, stats)?)
 }
 
 /// Evaluate a multi-term vertical percentage query on the dimension
-/// lattice: every uncached level from one fused scan of `F`, cached levels
-/// from the lattice catalog, then one join-and-divide pass. Produces the
-/// same table as [`crate::eval_vpct`]; identical totals levels across
-/// terms are computed once, and each freshly scanned level's partial is
+/// lattice: cached levels from the lattice catalog, every other level from
+/// one fused scan of `F` or a re-aggregation, then one column-wise divide
+/// per term. Produces the same rows as [`crate::eval_vpct`]; identical
+/// totals levels across terms are materialized once, and every level stays
 /// cached for later queries.
 pub fn eval_vpct_lattice(catalog: &Catalog, q: &VpctQuery, prefix: &str) -> Result<QueryResult> {
     eval_vpct_lattice_guarded(catalog, q, prefix, &ResourceGuard::unlimited())
 }
 
 /// [`eval_vpct_lattice`] with an explicit [`ResourceGuard`] metering every
-/// aggregate and join in the lattice plan.
+/// aggregate of the lattice plan. The result is registered as `{prefix}FV`.
 pub fn eval_vpct_lattice_guarded(
     catalog: &Catalog,
     q: &VpctQuery,
     prefix: &str,
     guard: &ResourceGuard,
 ) -> Result<QueryResult> {
-    q.validate()?;
+    let queries = std::slice::from_ref(q);
+    let mut result = eval_sets(catalog, &format!("{prefix}FV"), &q.group_by, queries, guard)?;
+    result.statements = crate::codegen::vpct_statements(q, &crate::strategy::VpctStrategy::best());
+    Ok(result)
+}
+
+/// Evaluate every grouping set of one statement — `queries`, one per set,
+/// over the same table with the same terms and extras — as **one** lattice
+/// plan: each level is fetched or computed once for the whole statement,
+/// and the sets' rows land in the single table `{prefix}FGS`, shaped
+/// `[group_by][aggregates]` with NULL in every dimension a set rolled away.
+/// `statements` is left empty for the caller's transcript.
+pub fn eval_vpct_sets_guarded(
+    catalog: &Catalog,
+    group_by: &[String],
+    queries: &[VpctQuery],
+    prefix: &str,
+    guard: &ResourceGuard,
+) -> Result<QueryResult> {
+    eval_sets(catalog, &format!("{prefix}FGS"), group_by, queries, guard)
+}
+
+fn eval_sets(
+    catalog: &Catalog,
+    name: &str,
+    group_by: &[String],
+    queries: &[VpctQuery],
+    guard: &ResourceGuard,
+) -> Result<QueryResult> {
+    let first = queries
+        .first()
+        .ok_or_else(|| CoreError::InvalidQuery("statement has no evaluable grouping set".into()))?;
+    for q in queries {
+        q.validate()?;
+        let same = q.table == first.table && q.extra == first.extra;
+        if !same || q.terms.len() != first.terms.len() {
+            return Err(CoreError::Unsupported(
+                "grouping sets must share the fact table and the aggregate list".into(),
+            ));
+        }
+    }
     let mut stats = ExecStats::default();
-    let statements = crate::codegen::vpct_statements(q, &crate::strategy::VpctStrategy::best());
-
-    let f_shared = catalog.table(&q.table)?;
-    let f = f_shared.read();
-    let f_schema = f.schema().clone();
-    let k_cols: Vec<usize> = q
-        .group_by
-        .iter()
-        .map(|n| {
-            f_schema
-                .index_of(n)
-                .map_err(|_| CoreError::InvalidQuery(format!("unknown GROUP BY column {n}")))
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let k_len = k_cols.len();
-
-    // Aggregate lanes: one sum per term plus extras, exactly like eval_vpct.
-    let mut fk_specs: Vec<AggSpec> = Vec::new();
-    for term in &q.terms {
-        fk_specs.push(AggSpec::new(
-            AggFunc::Sum,
-            term.measure.to_expr(&f_schema)?,
-            term.name.clone(),
-        ));
-    }
-    for extra in &q.extra {
-        let input = match (&extra.func, &extra.measure) {
-            (AggFunc::CountStar, _) => Expr::lit(1),
-            (_, Some(m)) => m.to_expr(&f_schema)?,
-            (f, None) => {
-                return Err(CoreError::InvalidQuery(format!(
-                    "{} requires a measure",
-                    f.sql_name()
-                )));
-            }
-        };
-        fk_specs.push(AggSpec::new(extra.func, input, extra.name.clone()));
-    }
-
-    // Probe the lattice catalog: every wanted level (counted lookups), plus
-    // cached finer supersets that could serve as re-aggregation sources
-    // (non-counting probe first, so only usable entries count as hits).
-    let (root, needed, wanted) = wanted_levels(q);
-    let signature = lattice_signature(q);
-    let cache = catalog.lattice_cache();
-    let mut entries: HashMap<Level, Arc<LatticeEntry>> = HashMap::new();
-    for l in &wanted {
-        if let Some(e) = cache.get(&q.table, l.columns(), &signature) {
-            entries.insert(l.clone(), e);
-        }
-    }
-    for cols in cache.levels_for(&q.table) {
-        let l = Level::new(&cols);
-        if entries.contains_key(&l)
-            || !wanted.iter().any(|w| w.subset_of(&l))
-            || !cache.probe(&q.table, l.columns(), &signature)
-        {
-            continue;
-        }
-        if let Some(e) = cache.get(&q.table, l.columns(), &signature) {
-            entries.insert(l, e);
-        }
-    }
-    let mut cached_levels: Vec<Level> = entries.keys().cloned().collect();
-    cached_levels.sort_by(|a, b| a.columns().cmp(b.columns()));
-
-    let steps = plan_levels_cached(&root, &needed, &cached_levels, q.extra.is_empty());
-    stats.lattice_levels += steps.len() as u64;
-
-    // One fused scan covers every FactTable step (the root is always among
-    // them when any step scans). Ineligible plans fall back to a scalar
-    // root aggregation; the remaining scan steps then derive from the root.
-    let scan_idx: Vec<usize> = steps
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.source == LevelSource::FactTable)
-        .map(|(i, _)| i)
-        .collect();
-    let mut scan_tables: HashMap<usize, Table> = HashMap::new();
-    if !scan_idx.is_empty() {
-        debug_assert_eq!(scan_idx[0], 0, "non-root levels only scan with the root");
-        let dims: Vec<Vec<usize>> = scan_idx
-            .iter()
-            .map(|&i| level_dims(&steps[i].level, &q.group_by))
-            .collect();
-        match lattice_aggregate_guarded(&f, &k_cols, &fk_specs, &dims, guard, &mut stats)? {
-            Some(partials) => {
-                stats.levels_from_scan += partials.len() as u64;
-                for (&i, partial) in scan_idx.iter().zip(partials) {
-                    cache.store(
-                        &q.table,
-                        steps[i].level.columns(),
-                        &signature,
-                        partial.serialize(),
-                    );
-                    scan_tables.insert(i, partial.finalize(&mut stats)?);
-                }
-            }
-            None => {
-                let fk =
-                    multi_hash_aggregate_guarded(&f, &[(k_cols, fk_specs)], guard, &mut stats)?
-                        .pop()
-                        .expect("one level");
-                stats.levels_from_scan += 1;
-                scan_tables.insert(0, fk);
-            }
-        }
-    }
-    drop(f);
-
-    // Materialize each step. Layout contract downstream of here:
-    // the root table is [q.group_by order][terms][extras]; every other
-    // level is [its columns in normalized order][one sum per term].
-    let term_names: Vec<String> = q.terms.iter().map(|t| t.name.clone()).collect();
-    let mut level_tables: Vec<Table> = Vec::with_capacity(steps.len());
-    for (idx, step) in steps.iter().enumerate() {
-        let table = match &step.source {
-            LevelSource::FactTable => match scan_tables.remove(&idx) {
-                // The kernel's root keys follow q.group_by order already.
-                Some(t) if idx == 0 => t,
-                Some(t) => {
-                    let mut names = step.level.columns().to_vec();
-                    names.extend(term_names.iter().cloned());
-                    select_named(&t, &names, &mut stats)?
-                }
-                // Scalar fallback: ride-along levels derive from the root.
-                None => reaggregate_level(
-                    &level_tables[0],
-                    step.level.columns(),
-                    &q.terms,
-                    guard,
-                    &mut stats,
-                )?,
-            },
-            LevelSource::Planned(i) => reaggregate_level(
-                &level_tables[*i],
-                step.level.columns(),
-                &q.terms,
-                guard,
-                &mut stats,
-            )?,
-            LevelSource::Cached => {
-                stats.levels_from_cache += 1;
-                let e = entries
-                    .get(&step.level)
-                    .expect("cached source holds an entry");
-                let t = ShardPartial::deserialize(&e.bytes)?.finalize(&mut stats)?;
-                let mut names = if idx == 0 {
-                    q.group_by.clone()
-                } else {
-                    step.level.columns().to_vec()
-                };
-                names.extend(term_names.iter().cloned());
-                if idx == 0 {
-                    names.extend(q.extra.iter().map(|e| e.name.clone()));
-                }
-                select_named(&t, &names, &mut stats)?
-            }
-            LevelSource::CachedAncestor(anc) => {
-                stats.levels_from_cache += 1;
-                let e = entries.get(anc).expect("cached ancestor holds an entry");
-                let t = ShardPartial::deserialize(&e.bytes)?.finalize(&mut stats)?;
-                let cols = if idx == 0 {
-                    q.group_by.clone()
-                } else {
-                    step.level.columns().to_vec()
-                };
-                reaggregate_level(&t, &cols, &q.terms, guard, &mut stats)?
-            }
-        };
-        level_tables.push(table);
-    }
-
-    // Join the root against each term's totals level and divide.
-    let mut cur = level_tables[0].clone();
-    let fk_width_orig = cur.num_columns();
-    let mut pct_exprs: Vec<Expr> = Vec::new();
-    for (t, term) in q.terms.iter().enumerate() {
-        let totals_level = Level::new(&q.totals_key(term));
-        let sum_pos = k_len + t;
-        if totals_level.arity() == 0 {
-            // Global totals: the paper's corner case; take the grand total
-            // from the root's sums.
-            let mut grand = 0.0;
-            let mut any = false;
-            for r in 0..level_tables[0].num_rows() {
-                if let Some(x) = level_tables[0].get(r, sum_pos).as_f64() {
-                    grand += x;
-                    any = true;
-                }
-            }
-            stats.rows_scanned += level_tables[0].num_rows() as u64;
-            let total = if any {
-                pa_storage::Value::Float(grand)
-            } else {
-                pa_storage::Value::Null
-            };
-            pct_exprs.push(Expr::Col(sum_pos).safe_div(Expr::Lit(total)));
-            continue;
-        }
-        let (step_idx, _) = steps
-            .iter()
-            .enumerate()
-            .find(|(_, s)| s.level == totals_level)
-            .expect("level was planned");
-        let fj = &level_tables[step_idx];
-        let j_len = totals_level.arity();
-        // Join keys: totals columns, positioned in `cur` via the root's
-        // group-by order, and 0..j_len in the level table.
-        let cur_keys: Vec<usize> = totals_level
-            .columns()
-            .iter()
-            .map(|n| {
-                q.group_by
-                    .iter()
-                    .position(|g| g.eq_ignore_ascii_case(n))
-                    .expect("totals ⊆ group_by")
-            })
-            .collect();
-        let fj_keys: Vec<usize> = (0..j_len).collect();
-        // Level tables carry one re-aggregated sum per term, in term order;
-        // term t's total lands just past the joined-in key columns.
-        let total_pos = cur.num_columns() + j_len + t;
-        cur = hash_join_guarded(
-            &cur,
-            fj,
-            &cur_keys,
-            &fj_keys,
-            JoinType::Inner,
-            None,
-            guard,
-            &mut stats,
-        )?;
-        pct_exprs.push(Expr::Col(sum_pos).safe_div(Expr::Col(total_pos)));
-    }
-
-    // Final projection, matching eval_vpct's output layout.
-    let mut projections: Vec<ProjSpec> = Vec::new();
-    for (i, name) in q.group_by.iter().enumerate() {
-        projections.push(ProjSpec::typed(
-            Expr::Col(i),
-            name.clone(),
-            cur.schema().field_at(i).dtype,
-        ));
-    }
-    for (t, term) in q.terms.iter().enumerate() {
-        projections.push(ProjSpec::typed(
-            pct_exprs[t].clone(),
-            term.name.clone(),
-            pa_storage::DataType::Float,
-        ));
-    }
-    for (e, extra) in q.extra.iter().enumerate() {
-        let pos = k_len + q.terms.len() + e;
-        debug_assert!(pos < fk_width_orig);
-        projections.push(ProjSpec::typed(
-            Expr::Col(pos),
-            extra.name.clone(),
-            cur.schema().field_at(pos).dtype,
-        ));
-    }
-    let fv = pa_engine::project(&cur, &projections, &mut stats)?;
-    let shared = create_table_as(catalog, &format!("{prefix}FV"), fv, &mut stats)?;
+    let lanes = Lanes::of(queries);
+    let tables = materialize_levels(catalog, queries, &lanes, &[], guard, &mut stats)?;
+    let levels = (&tables, &lanes);
+    let table = assemble(catalog, name, levels, group_by, queries, guard, &mut stats)?;
     Ok(QueryResult {
-        table: shared,
+        table,
         stats,
-        statements,
+        statements: Vec::new(),
     })
 }
 
-/// Render the lattice plan a query would execute with right now — one line
-/// per level, naming the chosen source — for EXPLAIN output. `cache_table`
-/// is the table name the execution path will key the lattice cache with
-/// (the pinned snapshot alias when the executor runs the query, so EXPLAIN
-/// and execution agree on cache visibility). Probing never perturbs the
-/// cache's hit/miss counters.
-pub fn lattice_plan_lines(catalog: &Catalog, q: &VpctQuery, cache_table: &str) -> Vec<String> {
-    let (root, needed, wanted) = wanted_levels(q);
-    let signature = lattice_signature(q);
+/// Render the lattice plan `queries` — one query, or the grouping sets of
+/// one statement — would execute with right now: one line per level, naming
+/// the chosen source, for EXPLAIN output. `cache_table` is the table name
+/// the execution path will key the lattice cache with (the pinned snapshot
+/// alias when the executor runs the query, so EXPLAIN and execution agree
+/// on cache visibility). Probing never perturbs the cache's hit/miss
+/// counters.
+pub fn lattice_plan_lines(
+    catalog: &Catalog,
+    queries: &[VpctQuery],
+    cache_table: &str,
+) -> Vec<String> {
+    if queries.is_empty() {
+        return Vec::new();
+    }
+    let lanes = Lanes::of(queries);
+    let (roots, needed) = request_levels(queries);
     let cache = catalog.lattice_cache();
-    let mut cached: Vec<Level> = Vec::new();
-    for l in &wanted {
-        if cache.probe(cache_table, l.columns(), &signature) {
-            cached.push(l.clone());
-        }
-    }
-    for cols in cache.levels_for(cache_table) {
-        let l = Level::new(&cols);
-        if !cached.contains(&l)
-            && wanted.iter().any(|w| w.subset_of(&l))
-            && cache.probe(cache_table, l.columns(), &signature)
-        {
-            cached.push(l);
-        }
-    }
-    cached.sort_by(|a, b| a.columns().cmp(b.columns()));
-    let steps = plan_levels_cached(&root, &needed, &cached, q.extra.is_empty());
+    let steps = plan_request(cache, cache_table, &lanes, (&roots, &needed), None);
     steps
         .iter()
         .map(|step| {
@@ -814,15 +808,15 @@ pub fn lattice_plan_lines(catalog: &Catalog, q: &VpctQuery, cache_table: &str) -
         .collect()
 }
 
-/// Evaluate a batch of single-measure percentage queries against the same
-/// fact table with one **shared summary**: a partial aggregate at the union
-/// of every query's GROUP BY, from which each query's `Fk` re-aggregates
-/// (SIGMOD §6 future work). The summary — and each query's exact grouping
-/// level — is computed by the fused multi-level kernel in a single scan of
-/// `F` and cached in the lattice catalog, so a repeat batch (or a batch
-/// whose union is covered by a cached partial) never rescans the fact
-/// table. Queries must share the table and carry no extra aggregate terms.
-/// Results are returned in input order and registered as `{prefix}q{i}_FV`.
+/// Evaluate a batch of percentage queries against the same fact table with
+/// one **shared summary**: the level at the union of every query's GROUP
+/// BY, registered as `{prefix}summary` (SIGMOD §6 future work). The
+/// summary, each query's grouping level and every totals level are one
+/// lattice plan — a single fused scan of `F` when cold, cached levels
+/// after — so a repeat batch (or one a cached level covers) never rescans
+/// the fact table. Queries must share the table and carry no extra
+/// aggregate terms. Results are returned in input order and registered as
+/// `{prefix}q{i}_FV`.
 pub fn eval_vpct_batch(
     catalog: &Catalog,
     queries: &[VpctQuery],
@@ -840,13 +834,12 @@ pub fn eval_vpct_batch_guarded(
     prefix: &str,
     guard: &ResourceGuard,
 ) -> Result<Vec<QueryResult>> {
-    if queries.is_empty() {
+    let Some(first) = queries.first() else {
         return Ok(Vec::new());
-    }
-    let table = &queries[0].table;
+    };
     for q in queries {
         q.validate()?;
-        if &q.table != table {
+        if q.table != first.table {
             return Err(CoreError::Unsupported(
                 "batched queries must target the same fact table".into(),
             ));
@@ -857,233 +850,41 @@ pub fn eval_vpct_batch_guarded(
             ));
         }
     }
-
-    // Distinct measures across the batch, and the union grouping level.
-    let mut measures: Vec<crate::query::Measure> = Vec::new();
-    for q in queries {
-        for t in &q.terms {
-            if !measures.contains(&t.measure) {
-                measures.push(t.measure.clone());
-            }
-        }
-    }
-    let mut union_cols: Vec<String> = Vec::new();
-    for q in queries {
-        for g in &q.group_by {
-            if !union_cols.iter().any(|c| c.eq_ignore_ascii_case(g)) {
-                union_cols.push(g.clone());
-            }
-        }
-    }
-
+    let all: Vec<String> = queries.iter().flat_map(|q| &q.group_by).cloned().collect();
+    let union_level = Level::new(&all);
+    let lanes = Lanes::of(queries);
     let mut stats = ExecStats::default();
-    let f_shared = catalog.table(table)?;
-    let f = f_shared.read();
-    let f_schema = f.schema().clone();
-    let union_idx: Vec<usize> = union_cols
-        .iter()
-        .map(|n| f_schema.index_of(n).map_err(CoreError::from))
-        .collect::<Result<Vec<_>>>()?;
-    let specs: Vec<AggSpec> = measures
-        .iter()
-        .enumerate()
-        .map(|(i, m)| {
-            Ok(AggSpec::new(
-                AggFunc::Sum,
-                m.to_expr(&f_schema)?,
-                format!("__m{i}"),
-            ))
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let signature = measures
-        .iter()
-        .enumerate()
-        .map(|(i, m)| format!("__m{i}=sum({})", m.sql()))
-        .collect::<Vec<_>>()
-        .join(";");
-    let mut summary_names: Vec<String> = union_cols.clone();
-    summary_names.extend((0..measures.len()).map(|i| format!("__m{i}")));
-
-    // The union level plus each query's exact grouping level, all ⊆ union:
-    // the fused kernel evaluates every one of them in the same scan.
-    let union_level = Level::new(&union_cols);
-    let mut levels: Vec<Level> = vec![union_level.clone()];
-    for q in queries {
-        let l = Level::new(&q.group_by);
-        if !levels.contains(&l) {
-            levels.push(l);
-        }
-    }
-    stats.lattice_levels += levels.len() as u64;
-    let cache = catalog.lattice_cache();
-
-    // Canonical layout for every materialized level: its columns in union
-    // order, then one partial sum per measure.
-    let level_names = |l: &Level| -> Vec<String> {
-        let mut names: Vec<String> = union_cols
-            .iter()
-            .filter(|c| l.columns().iter().any(|lc| lc.eq_ignore_ascii_case(c)))
-            .cloned()
-            .collect();
-        names.extend((0..measures.len()).map(|i| format!("__m{i}")));
-        names
-    };
-
-    // One scan of F builds every level — unless a compatible union partial
-    // is already cached, in which case F is never read and each grouping
-    // level comes from its own cache entry (or re-aggregates from the
-    // summary below).
-    let mut level_tables: HashMap<Level, Table> = HashMap::new();
-    if let Some(entry) = cache.get(table, union_level.columns(), &signature) {
-        drop(f);
-        stats.levels_from_cache += 1;
-        let t = ShardPartial::deserialize(&entry.bytes)?.finalize(&mut stats)?;
-        let canon = canonical_level(t, &summary_names, union_cols.len(), &mut stats)?;
-        level_tables.insert(union_level.clone(), canon);
-        for l in levels.iter().skip(1) {
-            if let Some(e) = cache.get(table, l.columns(), &signature) {
-                stats.levels_from_cache += 1;
-                let t = ShardPartial::deserialize(&e.bytes)?.finalize(&mut stats)?;
-                let canon = canonical_level(t, &level_names(l), l.arity(), &mut stats)?;
-                level_tables.insert(l.clone(), canon);
-            }
-        }
-    } else {
-        let dims: Vec<Vec<usize>> = levels.iter().map(|l| level_dims(l, &union_cols)).collect();
-        match lattice_aggregate_guarded(&f, &union_idx, &specs, &dims, guard, &mut stats)? {
-            Some(partials) => {
-                stats.levels_from_scan += partials.len() as u64;
-                for (l, partial) in levels.iter().zip(partials) {
-                    cache.store(table, l.columns(), &signature, partial.serialize());
-                    // Kernel key order is the union order already; finalize
-                    // sorts by it.
-                    level_tables.insert(l.clone(), partial.finalize(&mut stats)?);
-                }
-            }
-            None => {
-                // Ineligible for the fused kernel: scalar union aggregate,
-                // sorted into the canonical order; coarser levels re-derive
-                // from it below.
-                stats.levels_from_scan += 1;
-                let t = multi_hash_aggregate_guarded(
-                    &f,
-                    &[(union_idx.clone(), specs.clone())],
-                    guard,
-                    &mut stats,
-                )?
-                .pop()
-                .expect("one level");
-                let key_cols: Vec<usize> = (0..union_cols.len()).collect();
-                level_tables.insert(union_level.clone(), t.sorted_by(&key_cols));
-            }
-        }
-        drop(f);
-    }
-
+    let also = std::slice::from_ref(&union_level);
+    let tables = materialize_levels(catalog, queries, &lanes, also, guard, &mut stats)?;
     let summary_name = format!("{prefix}summary");
-    let summary = level_tables
-        .get(&union_level)
-        .expect("union level is always materialized")
-        .clone();
+    let summary = Table::clone(&tables[&union_level]);
     create_table_as(catalog, &summary_name, summary, &mut stats)?;
 
-    // Any grouping level still missing (cache evicted it, or the scalar
-    // fallback computed only the union) re-aggregates the summary's
-    // distributive sums.
-    let missing: Vec<Level> = levels
-        .iter()
-        .skip(1)
-        .filter(|l| !level_tables.contains_key(l))
-        .cloned()
-        .collect();
-    for l in missing {
-        let derived = {
-            let src = level_tables
-                .get(&union_level)
-                .expect("union level is always materialized");
-            let group_cols: Vec<usize> = (0..union_cols.len())
-                .filter(|&c| {
-                    l.columns()
-                        .iter()
-                        .any(|lc| lc.eq_ignore_ascii_case(&union_cols[c]))
-                })
-                .collect();
-            let mspecs: Vec<AggSpec> = (0..measures.len())
-                .map(|m| {
-                    AggSpec::new(
-                        AggFunc::Sum,
-                        Expr::Col(union_cols.len() + m),
-                        format!("__m{m}"),
-                    )
-                })
-                .collect();
-            multi_hash_aggregate_guarded(src, &[(group_cols, mspecs)], guard, &mut stats)?
-                .pop()
-                .expect("one level")
-        };
-        let key_cols: Vec<usize> = (0..l.arity()).collect();
-        level_tables.insert(l, derived.sorted_by(&key_cols));
-    }
-
-    // Each query divides its own grouping level directly: the totals
-    // re-aggregate that level's partial sums (distributive), so no join,
-    // no re-hash of the group keys, and no per-row expression evaluation.
     let mut out = Vec::with_capacity(queries.len());
     for (i, q) in queries.iter().enumerate() {
         let mut rq = q.clone();
         rq.table = summary_name.clone();
         for term in &mut rq.terms {
-            let m_idx = measures
-                .iter()
-                .position(|m| m == &term.measure)
-                .expect("collected");
-            term.measure = crate::query::Measure::Column(format!("__m{m_idx}"));
+            term.measure = Measure::Column(format!("__m{}", lanes.lane_of(&term.measure)));
         }
         let statements =
             crate::codegen::vpct_statements(&rq, &crate::strategy::VpctStrategy::best());
-
-        let fk = level_tables
-            .get(&Level::new(&q.group_by))
-            .expect("every grouping level is materialized");
-        let n = fk.num_rows() as u64;
-        let mut qstats = ExecStats::default();
-        let width = q.group_by.len() + q.terms.len();
-        let mut fields: Vec<Field> = Vec::with_capacity(width);
-        let mut cols: Vec<Column> = Vec::with_capacity(width);
-        for name in &q.group_by {
-            let pos = position_of(fk, name)?;
-            fields.push(Field::new(name.clone(), fk.schema().field_at(pos).dtype));
-            cols.push(fk.column(pos).clone());
-        }
-        for term in &q.terms {
-            let m_idx = measures
-                .iter()
-                .position(|m| m == &term.measure)
-                .expect("collected");
-            let sum_pos = position_of(fk, &format!("__m{m_idx}"))?;
-            let totals_pos = q
-                .totals_key(term)
-                .iter()
-                .map(|c| position_of(fk, c))
-                .collect::<Result<Vec<_>>>()?;
-            guard.charge(2 * n)?;
-            qstats.statements += 1;
-            fields.push(Field::new(term.name.clone(), DataType::Float));
-            cols.push(pct_lane(fk, &totals_pos, sum_pos, &mut qstats)?);
-        }
-        let fv = Table::from_columns(Schema::new(fields)?.into_shared(), cols)?;
-        let shared = create_table_as(catalog, &format!("{prefix}q{i}_FV"), fv, &mut qstats)?;
-        let mut result = QueryResult {
-            table: shared,
+        // The shared-summary cost is folded into the first result.
+        let mut qstats = std::mem::take(&mut stats);
+        let table = assemble(
+            catalog,
+            &format!("{prefix}q{i}_FV"),
+            (&tables, &lanes),
+            &q.group_by,
+            std::slice::from_ref(q),
+            guard,
+            &mut qstats,
+        )?;
+        out.push(QueryResult {
+            table,
             stats: qstats,
             statements,
-        };
-        // Fold the shared-summary cost into the first result's accounting.
-        if i == 0 {
-            result.stats += stats;
-            stats = ExecStats::default();
-        }
-        out.push(result);
+        });
     }
     Ok(out)
 }
@@ -1111,12 +912,17 @@ mod tests {
         assert_eq!(level(&["a", "a"]).arity(), 1);
     }
 
+    /// The plan with nothing cached.
+    fn plan_cold(root: &Level, needed: &[Level]) -> Vec<LevelStep> {
+        plan_levels_cached(std::slice::from_ref(root), needed, &[], true)
+    }
+
     #[test]
     fn plan_chains_nested_levels() {
         // Root {a,b,c,d}; needed {a,b,c}, {a,b}, {a}: each from the previous.
         let root = level(&["a", "b", "c", "d"]);
         let needed = vec![level(&["a"]), level(&["a", "b", "c"]), level(&["a", "b"])];
-        let steps = plan_levels(&root, &needed);
+        let steps = plan_cold(&root, &needed);
         assert_eq!(steps.len(), 4);
         assert_eq!(steps[0].source, LevelSource::FactTable);
         assert_eq!(steps[1].level, level(&["a", "b", "c"]));
@@ -1130,7 +936,7 @@ mod tests {
     fn plan_deduplicates_levels() {
         let root = level(&["a", "b"]);
         let needed = vec![level(&["a"]), level(&["a"]), root.clone()];
-        let steps = plan_levels(&root, &needed);
+        let steps = plan_cold(&root, &needed);
         assert_eq!(steps.len(), 2, "duplicate + root folded away");
     }
 
@@ -1138,7 +944,7 @@ mod tests {
     fn plan_incomparable_levels_both_read_root() {
         let root = level(&["a", "b"]);
         let needed = vec![level(&["a"]), level(&["b"])];
-        let steps = plan_levels(&root, &needed);
+        let steps = plan_cold(&root, &needed);
         assert_eq!(steps[1].source, LevelSource::Planned(0));
         assert_eq!(steps[2].source, LevelSource::Planned(0));
     }
@@ -1151,7 +957,7 @@ mod tests {
         let root = level(&["a", "b", "c", "d"]);
         let cached = vec![root.clone(), level(&["a", "b", "c"])];
         let needed = vec![level(&["a", "b"]), level(&["a"])];
-        let steps = plan_levels_cached(&root, &needed, &cached, true);
+        let steps = plan_levels_cached(std::slice::from_ref(&root), &needed, &cached, true);
         assert_eq!(steps[0].source, LevelSource::Cached);
         assert_eq!(
             steps[1].source,
@@ -1174,49 +980,109 @@ mod tests {
     fn plan_cached_exact_hit_beats_every_ancestor() {
         let root = level(&["a", "b"]);
         let cached = vec![root.clone(), level(&["a"])];
-        let steps = plan_levels_cached(&root, &[level(&["a"])], &cached, true);
+        let steps =
+            plan_levels_cached(std::slice::from_ref(&root), &[level(&["a"])], &cached, true);
         assert_eq!(steps[0].source, LevelSource::Cached);
         assert_eq!(steps[1].source, LevelSource::Cached);
     }
 
     #[test]
-    fn plan_uncached_levels_ride_the_fused_scan() {
+    fn plan_only_the_root_scans_and_the_rest_derive_bottom_up() {
         let root = level(&["a", "b", "c"]);
         let needed = vec![level(&["a", "b"]), level(&["a"]), level(&[])];
-        let steps = plan_levels_cached(&root, &needed, &[], true);
+        let steps = plan_cold(&root, &needed);
         assert_eq!(steps[0].source, LevelSource::FactTable);
-        assert_eq!(steps[1].source, LevelSource::FactTable, "rides the scan");
-        assert_eq!(steps[2].source, LevelSource::FactTable, "rides the scan");
-        // The grand total can never scan (the kernel has no zero-dimension
-        // lane); it re-aggregates from the smallest planned level.
+        assert_eq!(steps[1].source, LevelSource::Planned(0));
+        assert_eq!(steps[2].source, LevelSource::Planned(1));
+        // The grand total re-aggregates the smallest planned level.
         assert_eq!(steps[3].level, level(&[]));
         assert_eq!(steps[3].source, LevelSource::Planned(2));
     }
 
     #[test]
-    fn plan_exact_cached_level_stays_out_of_the_scan() {
-        let root = level(&["a", "b"]);
-        let cached = vec![level(&["a"])];
-        let steps = plan_levels_cached(&root, &[level(&["a"]), level(&["b"])], &cached, true);
+    fn plan_exact_cached_level_serves_itself_and_what_it_covers() {
+        let root = level(&["a", "b", "c"]);
+        let cached = vec![level(&["a", "b"])];
+        let needed = [level(&["a", "b"]), level(&["a"]), level(&["c"])];
+        let steps = plan_levels_cached(std::slice::from_ref(&root), &needed, &cached, true);
         assert_eq!(steps[0].source, LevelSource::FactTable);
-        assert_eq!(steps[1].level, level(&["a"]));
+        assert_eq!(steps[1].level, level(&["a", "b"]));
         assert_eq!(steps[1].source, LevelSource::Cached);
-        assert_eq!(steps[2].source, LevelSource::FactTable);
+        assert_eq!(
+            steps[2].source,
+            LevelSource::CachedAncestor(level(&["a", "b"]))
+        );
+        assert_eq!(
+            steps[3].source,
+            LevelSource::Planned(0),
+            "(c) from the root"
+        );
     }
 
     #[test]
     fn plan_root_reaggregation_gated_by_extras() {
         let root = level(&["a", "b"]);
         let cached = vec![level(&["a", "b", "c"])];
-        let with = plan_levels_cached(&root, &[], &cached, true);
+        let with = plan_levels_cached(std::slice::from_ref(&root), &[], &cached, true);
         assert_eq!(
             with[0].source,
             LevelSource::CachedAncestor(level(&["a", "b", "c"]))
         );
         // Extra aggregates (count(*), avg) cannot re-derive from a coarser
         // projection of an ancestor partial: the root must scan.
-        let without = plan_levels_cached(&root, &[], &cached, false);
+        let without = plan_levels_cached(std::slice::from_ref(&root), &[], &cached, false);
         assert_eq!(without[0].source, LevelSource::FactTable);
+    }
+
+    #[test]
+    fn plan_grouping_sets_are_one_plan_with_each_level_once() {
+        // ROLLUP (a, b, c) with one term BY c: roots abc, ab, a; totals ab
+        // (for abc), then () for the sets the BY column rolled out of.
+        let roots = [level(&["a", "b", "c"]), level(&["a", "b"]), level(&["a"])];
+        let needed = [level(&["a", "b"]), level(&[]), level(&[])];
+        let steps = plan_levels_cached(&roots, &needed, &[], true);
+        let planned: Vec<_> = steps.iter().map(|s| s.level.clone()).collect();
+        assert_eq!(planned, [roots.to_vec(), vec![level(&[])]].concat());
+        let sources: Vec<_> = steps.iter().map(|s| s.source.clone()).collect();
+        let bottom_up = [
+            LevelSource::FactTable,
+            LevelSource::Planned(0),
+            LevelSource::Planned(1),
+            LevelSource::Planned(2),
+        ];
+        assert_eq!(sources, bottom_up);
+        // Under extras no root may re-aggregate: all three ride one scan.
+        let steps = plan_levels_cached(&roots, &needed, &[], false);
+        let riding = |s: &LevelStep| s.source == LevelSource::FactTable;
+        assert!(steps[..3].iter().all(riding));
+        assert_eq!(steps[3].source, LevelSource::Planned(2), "() from (a)");
+        // Sets no single set covers share the scan too: nothing is a
+        // planned ancestor of either, so both read the fact table.
+        let disjoint = [level(&["a", "b"]), level(&["c"])];
+        let steps = plan_levels_cached(&disjoint, &[], &[], true);
+        assert!(steps.iter().all(riding));
+    }
+
+    #[test]
+    fn plan_roots_under_extras_scan_unless_cached_exactly() {
+        let roots = [level(&["a", "b"]), level(&["a"])];
+        let cached = [level(&["a", "b"])];
+        // Without extras (a) re-aggregates the cached (a, b)...
+        let steps = plan_levels_cached(&roots, &[level(&[])], &cached, true);
+        assert_eq!(steps[0].source, LevelSource::Cached);
+        assert_eq!(
+            steps[1].source,
+            LevelSource::CachedAncestor(level(&["a", "b"]))
+        );
+        // ...with extras it must scan, alone; the totals level () only
+        // needs sums and still derives from the cached level.
+        let steps = plan_levels_cached(&roots, &[level(&[])], &cached, false);
+        assert_eq!(steps[0].source, LevelSource::Cached);
+        assert_eq!(steps[1].source, LevelSource::FactTable);
+        assert_eq!(
+            steps[2].source,
+            LevelSource::CachedAncestor(level(&["a", "b"]))
+        );
     }
 
     #[test]
@@ -1278,16 +1144,17 @@ mod tests {
             extra: vec![],
         };
         // Totals levels: BY city → {state}; BY state,city → {} (the grand
-        // total, which derives and never scans). Three levels in all.
+        // total). Three levels in all: the root scans, {state} re-aggregates
+        // it, {} re-aggregates {state}.
         let cold = eval_vpct_lattice(&catalog, &q, "c_").unwrap();
         assert_eq!(cold.stats.lattice_levels, 3);
-        assert_eq!(cold.stats.levels_from_scan, 2, "root and {{state}}");
+        assert_eq!(cold.stats.levels_from_scan, 1, "the root");
         assert_eq!(cold.stats.levels_from_cache, 0);
         let warm = eval_vpct_lattice(&catalog, &q, "w_").unwrap();
         assert_eq!(warm.stats.levels_from_scan, 0, "no rescan when cached");
         assert_eq!(
             warm.stats.levels_from_cache, 3,
-            "both cached levels plus the grand total re-aggregated from one"
+            "the scanned root plus the two stored-back totals levels"
         );
         let a: Vec<Vec<Value>> = cold.snapshot().sorted_by(&[0, 1]).rows().collect();
         let b: Vec<Vec<Value>> = warm.snapshot().sorted_by(&[0, 1]).rows().collect();
@@ -1297,10 +1164,9 @@ mod tests {
     #[test]
     fn coarser_query_reuses_cached_finer_partial() {
         let catalog = sales_catalog();
-        // Fine query caches partials for {state,city} and {city}; the lane
-        // name is pinned so the coarse query's signature matches.
-        let mut fine_term = VpctTerm::new("salesAmt", &["city"]);
-        fine_term.name = "p".into();
+        // Fine query caches {state,city} and {state}. Lane names play no
+        // part in the signature, so the coarse query below shares them.
+        let fine_term = VpctTerm::new("salesAmt", &["city"]);
         let fine = VpctQuery {
             table: "sales".into(),
             group_by: vec!["state".into(), "city".into()],
@@ -1354,24 +1220,24 @@ mod tests {
             ],
             extra: vec![],
         };
-        let cold = lattice_plan_lines(&catalog, &q, "sales");
+        let cold = lattice_plan_lines(&catalog, std::slice::from_ref(&q), "sales");
         assert_eq!(
             cold,
             vec![
                 "-- lattice: level (city, state) <- scan",
-                "-- lattice: level (state) <- scan",
+                "-- lattice: level (state) <- projected-from (city, state)",
                 "-- lattice: level () <- projected-from (state)",
             ]
         );
         let before = catalog.lattice_cache().stats();
         eval_vpct_lattice(&catalog, &q, "l_").unwrap();
-        let warm = lattice_plan_lines(&catalog, &q, "sales");
+        let warm = lattice_plan_lines(&catalog, std::slice::from_ref(&q), "sales");
         assert_eq!(
             warm,
             vec![
                 "-- lattice: level (city, state) <- cache",
                 "-- lattice: level (state) <- cache",
-                "-- lattice: level () <- cache (re-aggregated from (state))",
+                "-- lattice: level () <- cache",
             ]
         );
         // EXPLAIN probes never count as hits or misses.
@@ -1442,6 +1308,50 @@ mod tests {
         let lattice = eval_vpct_lattice(&catalog, &q, "l_").unwrap();
         let a: Vec<Vec<Value>> = reference.snapshot().sorted_by(&[0, 1]).rows().collect();
         let b: Vec<Vec<Value>> = lattice.snapshot().sorted_by(&[0, 1]).rows().collect();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn totals_are_found_by_hash_when_the_key_space_is_wide() {
+        // Account ids a billion apart and a float dimension: neither fits a
+        // mixed-radix table, so the totals rows are hashed by fragment —
+        // NULL keys included.
+        let schema = Schema::from_pairs(&[
+            ("acct", DataType::Int),
+            ("rate", DataType::Float),
+            ("kind", DataType::Str),
+            ("amt", DataType::Float),
+        ])
+        .unwrap()
+        .into_shared();
+        let mut t = Table::empty(schema);
+        for i in 0..240i64 {
+            let acct = match i % 4 {
+                0 => Value::Null,
+                k => Value::Int(k * 1_000_000_007),
+            };
+            let rate = Value::Float(0.25 * (i % 3) as f64);
+            let kind = Value::str(["a", "b", "c", "d", "e"][(i % 5) as usize]);
+            t.push_row(&[acct, rate, kind, Value::Float((i % 17) as f64)])
+                .unwrap();
+        }
+        let catalog = Catalog::new();
+        catalog.create_table("f", t).unwrap();
+        let q = VpctQuery {
+            table: "f".into(),
+            group_by: vec!["acct".into(), "rate".into(), "kind".into()],
+            terms: vec![
+                VpctTerm::new("amt", &["kind"]),
+                VpctTerm::new("amt", &["acct", "kind"]),
+                VpctTerm::new("amt", &["rate"]),
+            ],
+            extra: vec![],
+        };
+        let reference = eval_vpct(&catalog, &q, &VpctStrategy::best(), "r_").unwrap();
+        let lattice = eval_vpct_lattice(&catalog, &q, "l_").unwrap();
+        let a: Vec<Vec<Value>> = reference.snapshot().sorted_by(&[0, 1, 2]).rows().collect();
+        let b: Vec<Vec<Value>> = lattice.snapshot().sorted_by(&[0, 1, 2]).rows().collect();
+        assert_eq!(a.len(), 4 * 3 * 5);
         assert_eq!(a, b);
     }
 

@@ -28,8 +28,8 @@ pub use executor::{PercentageEngine, QueryLimits, SqlOutcome};
 pub use horizontal::{eval_horizontal, eval_horizontal_guarded, HorizontalResult};
 pub use lattice::{
     eval_vpct_batch, eval_vpct_batch_guarded, eval_vpct_lattice, eval_vpct_lattice_guarded,
-    lattice_plan_lines, lattice_signature, plan_levels, plan_levels_cached, Level, LevelSource,
-    LevelStep,
+    eval_vpct_sets_guarded, lattice_plan_lines, lattice_signature, plan_levels_cached, Level,
+    LevelSource, LevelStep,
 };
 pub use missing::MissingRows;
 pub use olap::eval_vpct_olap;

@@ -42,7 +42,7 @@ impl QueryResult {
     }
 }
 
-fn extra_spec(extra: &ExtraAgg, schema: &pa_storage::Schema) -> Result<AggSpec> {
+pub(crate) fn extra_spec(extra: &ExtraAgg, schema: &pa_storage::Schema) -> Result<AggSpec> {
     let input = match (&extra.func, &extra.measure) {
         (AggFunc::CountStar, _) => Expr::lit(1),
         (_, Some(m)) => m.to_expr(schema)?,

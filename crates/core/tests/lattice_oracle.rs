@@ -12,8 +12,9 @@
 //!   wide codes with mask-and-shift projection;
 //! * `PA_VECTOR=0` — the fused kernel refuses and the per-level fallback
 //!   runs inside the lattice evaluator itself;
-//! * cache-cold vs cache-warm — the second run serves levels from
-//!   serialized [`pa_engine::ShardPartial`]s instead of the scan.
+//! * cache states — cold, warm (every level an exact cached table),
+//!   ancestor-only (levels re-aggregated from a cached finer one and
+//!   stored back), evicted by the byte bound, invalidated by an append.
 //!
 //! Measures are integer-valued floats, so sums are exact under any
 //! regrouping and the comparison is byte identity (after the canonical
@@ -29,8 +30,8 @@
 //! `-- lattice:` source lines. Regenerate with `UPDATE_GOLDEN=1`.
 
 use pa_core::{
-    eval_vpct, eval_vpct_batch, eval_vpct_lattice, PercentageEngine, VpctQuery, VpctStrategy,
-    VpctTerm,
+    eval_vpct, eval_vpct_batch, eval_vpct_lattice, HorizontalOptions, PercentageEngine, VpctQuery,
+    VpctStrategy, VpctTerm,
 };
 use pa_engine::{
     lattice_aggregate_with_config, multi_hash_aggregate_with_config, AggFunc, AggSpec, ExecStats,
@@ -268,6 +269,256 @@ fn cube_sql_matches_scalar_serial_rerun() {
     let scalar = engine.execute_sql(CUBE_SQL).unwrap();
     let scalar_rows: Vec<Vec<Value>> = scalar.table().read().sorted_by(&[0, 1]).rows().collect();
     assert_eq!(fused, scalar_rows, "CUBE fused/parallel vs scalar/serial");
+}
+
+/// Seeded ~3k-row fact table for the statement-level oracle: a string
+/// dimension and an integer one with NULLs, a NULL-able integer-valued
+/// measure, a region whose amounts cancel to a zero total (`zero`) and one
+/// whose amounts are all NULL (`void`).
+fn oracle_catalog(seed: u64) -> Catalog {
+    let schema = Schema::from_pairs(&[
+        ("region", DataType::Str),
+        ("store", DataType::Int),
+        ("day", DataType::Int),
+        ("amt", DataType::Float),
+    ])
+    .unwrap()
+    .into_shared();
+    let mut t = Table::empty(schema);
+    let mut state = seed;
+    let mut next = |m: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % m
+    };
+    for i in 0..3_000i64 {
+        let region = match next(7) {
+            0 => Value::Null,
+            1 => Value::str("zero"),
+            2 => Value::str("void"),
+            r => Value::str(format!("r{r}")),
+        };
+        let amt = match &region {
+            Value::Str(s) if s.as_ref() == "zero" => {
+                Value::Float(if i % 2 == 0 { 5.0 } else { -5.0 })
+            }
+            Value::Str(s) if s.as_ref() == "void" => Value::Null,
+            _ if next(13) == 0 => Value::Null,
+            _ => Value::Float(next(500) as f64),
+        };
+        let store = match next(11) {
+            0 => Value::Null,
+            s => Value::Int(s as i64),
+        };
+        t.push_row(&[region, store, Value::Int(next(5) as i64), amt])
+            .unwrap();
+    }
+    // `zero` holds an even number of rows per (store, day) only by luck:
+    // pin the whole region's total to zero with one balancing row.
+    let zero_sum: f64 = t
+        .rows()
+        .filter(|r| r[0] == Value::str("zero"))
+        .filter_map(|r| r[3].as_f64())
+        .sum();
+    t.push_row(&[
+        Value::str("zero"),
+        Value::Int(1),
+        Value::Int(0),
+        Value::Float(-zero_sum),
+    ])
+    .unwrap();
+    let catalog = Catalog::new();
+    catalog.create_table("f", t).unwrap();
+    catalog
+}
+
+/// ROLLUP, CUBE, GROUPING SETS and a flat multi-term statement: un-aliased
+/// terms (their generated names embed the per-set BY list), and one with
+/// extra aggregates beside the percentage.
+const ORACLE_SQL: [&str; 4] = [
+    "SELECT region, store, day, Vpct(amt BY day) FROM f GROUP BY ROLLUP (region, store, day);",
+    "SELECT region, store, Vpct(amt BY store) AS p, sum(amt) AS s, count(*) AS n FROM f \
+     GROUP BY CUBE (region, store);",
+    "SELECT region, store, day, Vpct(amt BY store, day) FROM f \
+     GROUP BY GROUPING SETS ((region, store, day), (region, day), (day));",
+    "SELECT region, day, Vpct(amt BY day) AS a, Vpct(amt) AS b FROM f GROUP BY region, day;",
+];
+
+/// Seeds only the finest level (and the grand total) of the extra-free
+/// statements above, so their other levels must re-aggregate it.
+const SEED_FINEST_SQL: &str = "SELECT region, store, day, Vpct(amt BY region, store, day) AS x \
+                               FROM f GROUP BY GROUPING SETS ((region, store, day));";
+
+/// Result rows in a canonical order (every column a sort key: a rolled-up
+/// NULL and a NULL dimension value may share their key columns).
+fn canonical(t: &Table) -> Vec<Vec<Value>> {
+    sorted_rows(t, t.num_columns())
+}
+
+fn drop_lattice_cache(catalog: &Catalog) {
+    let view = catalog.pin_table("f").unwrap();
+    catalog.lattice_cache().invalidate_table(view.alias());
+}
+
+#[test]
+fn statements_are_byte_identical_across_cache_states_and_to_the_per_set_plan() {
+    let _w = env_window();
+    for threads in [1usize, 4] {
+        let _pins = EnvPins::set(&[
+            ("PA_THREADS", threads.to_string()),
+            ("PA_MORSEL_ROWS", "256".into()),
+            ("PA_MIN_PARALLEL_ROWS", "1".into()),
+        ]);
+        let catalog = oracle_catalog(0x5eed + threads as u64);
+        let engine = PercentageEngine::with_unique_temps(&catalog).with_temp_cleanup();
+        // The per-set plan under an explicit strategy never reaches the
+        // lattice evaluator or its cache.
+        let per_set = |sql: &str| {
+            let out = engine
+                .execute_sql_with(sql, &VpctStrategy::best(), &HorizontalOptions::default())
+                .unwrap();
+            assert_eq!(out.stats().lattice_levels, 0);
+            canonical(&out.table().read())
+        };
+        for sql in ORACLE_SQL {
+            let ctx = format!("threads={threads} {sql}");
+            let reference = per_set(sql);
+            let has_extras = sql.contains("count(*)");
+
+            drop_lattice_cache(&catalog);
+            let cold = engine.execute_sql(sql).unwrap();
+            assert!(cold.stats().levels_from_scan > 0, "{ctx}");
+            assert_eq!(canonical(&cold.table().read()), reference, "cold: {ctx}");
+
+            // Warm: every level is an exact hit, and the whole statement is
+            // one table create (schema + rows).
+            let before = catalog.lattice_cache().stats();
+            let warm = engine.execute_sql(sql).unwrap();
+            let after = catalog.lattice_cache().stats();
+            assert_eq!(after.misses, before.misses, "warm lookups all hit: {ctx}");
+            assert!(after.hits > before.hits, "{ctx}");
+            let stats = warm.stats();
+            assert_eq!(stats.levels_from_scan, 0, "{ctx}");
+            assert_eq!(stats.levels_from_cache, stats.lattice_levels, "{ctx}");
+            assert_eq!(stats.wal_records, 2, "{ctx}");
+            assert_eq!(canonical(&warm.table().read()), reference, "warm: {ctx}");
+
+            // Ancestor-only: nothing but the finest level is cached. Roots
+            // carrying extras cannot re-aggregate, so that statement scans.
+            drop_lattice_cache(&catalog);
+            engine.execute_sql(SEED_FINEST_SQL).unwrap();
+            let derived = engine.execute_sql(sql).unwrap();
+            if !has_extras {
+                assert_eq!(derived.stats().levels_from_scan, 0, "ancestor-only: {ctx}");
+            }
+            assert_eq!(
+                canonical(&derived.table().read()),
+                reference,
+                "ancestor-only: {ctx}"
+            );
+            // ...and the derived levels were stored back: exact next time.
+            let again = engine.execute_sql(sql).unwrap();
+            let stats = again.stats();
+            assert_eq!(stats.levels_from_cache, stats.lattice_levels, "{ctx}");
+            assert_eq!(
+                canonical(&again.table().read()),
+                reference,
+                "stored back: {ctx}"
+            );
+        }
+
+        // An append invalidates every cached level: the answers move with
+        // the data and still match the plan that never touches the cache.
+        let before: Vec<_> = ORACLE_SQL.iter().map(|sql| per_set(sql)).collect();
+        engine
+            .append_rows(
+                "f",
+                &[
+                    vec![
+                        Value::str("r3"),
+                        Value::Int(2),
+                        Value::Int(1),
+                        Value::Float(77.0),
+                    ],
+                    vec![
+                        Value::str("new"),
+                        Value::Null,
+                        Value::Int(4),
+                        Value::Float(1.0),
+                    ],
+                ],
+            )
+            .unwrap();
+        for (i, (sql, old)) in ORACLE_SQL.iter().zip(before).enumerate() {
+            let out = engine.execute_sql(sql).unwrap();
+            // (Later statements may share what the first one cached anew.)
+            assert!(
+                i > 0 || out.stats().levels_from_scan > 0,
+                "append leaves nothing cached"
+            );
+            let rows = canonical(&out.table().read());
+            assert_ne!(rows, old, "the appended rows show: {sql}");
+            assert_eq!(rows, per_set(sql), "after append: threads={threads} {sql}");
+        }
+    }
+}
+
+/// A level the byte bound evicted is a plain miss: the plan falls back to
+/// a cached ancestor, or to the scan, and the answer does not move.
+#[test]
+fn an_evicted_level_falls_back_to_an_ancestor_or_the_scan() {
+    let _w = env_window();
+    let _pins = EnvPins::set(&[("PA_THREADS", "1".into())]);
+    let catalog = oracle_catalog(7);
+    let engine = PercentageEngine::with_unique_temps(&catalog).with_temp_cleanup();
+    let sql = ORACLE_SQL[0];
+    let reference = canonical(&engine.execute_sql(sql).unwrap().table().read());
+    let cache = catalog.lattice_cache();
+    let alias = catalog.pin_table("f").unwrap().alias().to_string();
+    let signature = &["sum(amt)".to_string()];
+    let cols = |names: &[&str]| names.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+    let finest = cols(&["day", "region", "store"]);
+    let coarse = cols(&["region", "store"]);
+    assert!(cache.probe(&alias, &finest, signature) && cache.probe(&alias, &coarse, signature));
+
+    // Fill the cache with another table's levels until the byte bound has
+    // pushed out everything this statement cached except what it touches
+    // in between — here: the finest level only.
+    let schema = Schema::from_pairs(&[("x", DataType::Int)])
+        .unwrap()
+        .into_shared();
+    let mut big = Table::with_capacity(schema, 1 << 20);
+    for i in 0..1i64 << 20 {
+        big.push_row(&[Value::Int(i)]).unwrap();
+    }
+    let big = std::sync::Arc::new(big);
+    let evictions = cache.stats().evictions;
+    for i in 0.. {
+        assert!(cache.get(&alias, &finest, signature).is_some(), "kept warm");
+        if !cache.probe(&alias, &coarse, signature) {
+            break;
+        }
+        assert!(i < 64, "64 x 8 MiB must overflow the budget");
+        cache.store("other", &cols(&[&format!("l{i}")]), signature, big.clone());
+    }
+    assert!(cache.stats().evictions > evictions);
+    let out = engine.execute_sql(sql).unwrap();
+    assert_eq!(
+        out.stats().levels_from_scan,
+        0,
+        "re-aggregated the finest level"
+    );
+    assert_eq!(canonical(&out.table().read()), reference);
+
+    // Everything evicted: back to the scan, same answer.
+    for i in 0..16 {
+        cache.store("other", &cols(&[&format!("m{i}")]), signature, big.clone());
+    }
+    assert!(!cache.probe(&alias, &finest, signature));
+    let out = engine.execute_sql(sql).unwrap();
+    assert!(out.stats().levels_from_scan > 0);
+    assert_eq!(canonical(&out.table().read()), reference);
 }
 
 /// Random small-domain rows for the kernel-level projection oracle.

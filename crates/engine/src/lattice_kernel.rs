@@ -8,10 +8,10 @@
 //! load within the dense budget, mask-and-shift arithmetic past it —
 //! scatters from them. The RLE fast path projects once per run per level.
 //!
-//! Each level's merged groups become one [`ShardPartial`], so the results
-//! enter the mergeable-partial protocol the lattice cache serializes
-//! (DESIGN.md §14, §15). Plans the core cannot fuse return `None` and
-//! callers fall back to per-level aggregation.
+//! Each level's merged groups become one [`ShardPartial`], which callers
+//! finalize into the key-sorted table the lattice cache keeps (DESIGN.md
+//! §15). Plans the core cannot fuse return `None` and callers fall back to
+//! per-level aggregation.
 
 use crate::error::{EngineError, Result};
 use crate::guard::ResourceGuard;
@@ -29,8 +29,8 @@ use pa_storage::Table;
 /// strictly increasing list of positions into `group_cols` (the dimensions
 /// that level keeps). Returns one [`ShardPartial`] per level, in `levels`
 /// order — callers [`finalize`](ShardPartial::finalize) them into key-sorted
-/// tables, [`serialize`](ShardPartial::serialize) them into a lattice
-/// cache, or re-aggregate coarser levels from them.
+/// tables (what the lattice cache keeps) and re-aggregate coarser levels
+/// from those.
 ///
 /// Returns `Ok(None)` when the plan is ineligible for the fused kernel
 /// (vectorization disabled, non-fusable or holistic lanes, uncodable key
@@ -57,9 +57,11 @@ pub fn lattice_aggregate_with_config(
             )));
         }
     }
-    // Holistic lanes are refused on purpose, though the core fuses them:
-    // these partials are stored serialized in `LatticeCache`, which has no
-    // byte bound, and an exact-percentile partial *is* the value set.
+    // Holistic lanes are still refused, though the core fuses them: the
+    // refusal dates from a `LatticeCache` of unbounded serialized partials
+    // (an exact-percentile partial *is* the value set). The cache now
+    // keeps finalized values under a byte bound; lifting this is ROADMAP
+    // item 2's to measure.
     if group_cols.is_empty() || levels.is_empty() || aggs.iter().any(|s| s.func.is_holistic()) {
         return Ok(None);
     }

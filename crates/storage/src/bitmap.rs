@@ -134,13 +134,22 @@ impl Bitmap {
         Some(Bitmap { words, len, ones })
     }
 
-    /// Append all bits of `other`.
+    /// Append all bits of `other`, a word at a time (bits past either
+    /// bitmap's length are zero by construction, so shifted words merge
+    /// with a plain OR).
     pub fn extend_from(&mut self, other: &Bitmap) {
-        // Bit-at-a-time is fine: extend is used on the bulk-insert path where
-        // per-row work elsewhere (value copies) dominates.
-        for b in other.iter() {
-            self.push(b);
+        let shift = self.len % 64;
+        if shift == 0 {
+            self.words.extend_from_slice(&other.words);
+        } else {
+            for &w in &other.words {
+                *self.words.last_mut().expect("a partial word exists") |= w << shift;
+                self.words.push(w >> (64 - shift));
+            }
         }
+        self.len += other.len;
+        self.ones += other.ones;
+        self.words.truncate(self.len.div_ceil(64));
     }
 }
 
@@ -209,6 +218,27 @@ mod tests {
         b.extend_from(&a);
         let bits: Vec<bool> = b.iter().collect();
         assert_eq!(bits, vec![false, true, false, true]);
+    }
+
+    #[test]
+    fn extend_from_matches_bit_by_bit_at_every_alignment() {
+        let bit = |i: usize| (i * 2654435761) >> 7 & 1 == 1;
+        for head in [0usize, 1, 63, 64, 65, 127, 128, 130] {
+            for tail in [0usize, 1, 63, 64, 65, 191, 192, 200] {
+                let mut got: Bitmap = (0..head).map(bit).collect();
+                let other: Bitmap = (head..head + tail).map(bit).collect();
+                got.extend_from(&other);
+                let want: Bitmap = (0..head + tail).map(bit).collect();
+                assert_eq!(got.words(), want.words(), "head={head} tail={tail}");
+                assert_eq!(
+                    (got.len(), got.count_ones()),
+                    (want.len(), want.count_ones())
+                );
+                // Still appendable: the tail past `len` stayed zero.
+                got.push(true);
+                assert!(got.get(head + tail));
+            }
+        }
     }
 
     #[test]

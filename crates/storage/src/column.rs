@@ -381,9 +381,15 @@ impl Column {
                     ..
                 },
             ) => {
-                // Remap the other column's codes into this dictionary.
+                // Remap the other column's codes into this dictionary. NULL
+                // rows hold a 0 placeholder that an all-NULL column's empty
+                // dictionary has no entry for.
                 let remap: Vec<u32> = odict.values().iter().map(|s| dict.intern_arc(s)).collect();
-                codes.extend(ocodes.iter().map(|&c| remap[c as usize]));
+                codes.extend(
+                    ocodes
+                        .iter()
+                        .map(|&c| remap.get(c as usize).copied().unwrap_or(0)),
+                );
                 validity.extend_from(ov);
                 packed.invalidate();
             }
@@ -654,6 +660,11 @@ mod tests {
         assert_eq!(a.get(0), Value::str("x"));
         assert_eq!(a.get(1), Value::str("y"));
         assert_eq!(a.get(2), Value::str("x"));
+        // An all-NULL column never interned a string.
+        let mut nulls = Column::new(DataType::Str);
+        nulls.push(Value::Null).unwrap();
+        a.extend_from(&nulls).unwrap();
+        assert_eq!(a.get(3), Value::Null);
     }
 
     #[test]

@@ -1,13 +1,22 @@
-//! Cached lattice-level partial aggregates (the "lattice catalog").
+//! Cached lattice levels (the "lattice catalog").
 //!
-//! A fused one-scan CUBE/ROLLUP evaluation (DESIGN.md §15) produces one
-//! mergeable partial aggregate per lattice level. Those partials outlive
-//! the query: a later query at the same level — or at any *coarser*
-//! level, since distributive partials re-aggregate — can be answered
-//! without rescanning the fact table. This cache memoizes the serialized
-//! partial per `(table, level columns)`, tagged with a caller-supplied
-//! signature describing the measures, so a lookup with different
-//! aggregates never resurrects a stale shape.
+//! A one-scan CUBE/ROLLUP evaluation (DESIGN.md §15) produces one
+//! aggregated table per lattice level. Those tables outlive the query: a
+//! later query at the same level is answered by a refcount bump, and one at
+//! any *coarser* level re-aggregates the cached table's distributive sums
+//! instead of rescanning the fact table (and stores the result back, so
+//! the request after it finds its level exact). The cache memoizes one
+//! finalized `Arc<Table>` per `(table, level columns)` in the canonical
+//! layout the evaluator defines — level columns in normalized order, then
+//! one column per aggregate lane, rows sorted by key — tagged with the
+//! caller's identity of each lane, so a lookup with different aggregates
+//! never resurrects a table of the wrong shape. Lanes are positional: an
+//! entry serves any lookup for a leading run of its lanes.
+//!
+//! The cache is bounded by bytes: every entry carries its table's heap
+//! size, and a store that takes the total past [`LATTICE_CACHE_BYTES`]
+//! evicts least-recently-used entries until it fits. An evicted level is
+//! simply a miss — the planner falls back to a cached ancestor or the scan.
 //!
 //! Invalidation rides the same funnel as the combination catalog
 //! ([`crate::ComboCache`]): every WAL-logged mutation and every DDL
@@ -17,26 +26,31 @@
 //! [`crate::SharedTable`] write guard bypasses the funnel; such callers
 //! must invalidate explicitly.
 
+use crate::table::Table;
 use pa_obs::{Counter, MetricsRegistry};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// Heap bytes of level tables the cache retains before it evicts.
+pub const LATTICE_CACHE_BYTES: usize = 64 << 20;
+
 /// Key: (table name, level's dimension column names in key order).
 type LatticeKey = (String, Vec<String>);
 
-/// One cached level: the serialized [`ShardPartial`] wire bytes
-/// (`pa-engine` owns the codec; storage treats them as opaque) plus the
-/// signature of the aggregate list that produced them.
+/// One cached level.
 #[derive(Debug)]
-pub struct LatticeEntry {
-    /// Caller-defined identity of the measures (aggregate functions,
-    /// input columns, output names). A lookup whose signature differs
-    /// misses rather than returning a partial of the wrong shape.
-    pub signature: String,
-    /// Canonical serialized partial for this level.
-    pub bytes: Vec<u8>,
+struct LatticeEntry {
+    /// Caller-defined identity of each lane (aggregate function and
+    /// input), in column order.
+    lanes: Vec<String>,
+    table: Arc<Table>,
+    /// `table.heap_bytes()` when stored.
+    bytes: usize,
+    /// Tick of the last hit (or the store), for least-recently-used
+    /// eviction.
+    used: AtomicU64,
 }
 
 /// Counter handles mirroring the cache's traffic into a
@@ -46,6 +60,7 @@ struct LatticeMetrics {
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     invalidations: Arc<Counter>,
+    evictions: Arc<Counter>,
 }
 
 impl LatticeMetrics {
@@ -53,7 +68,7 @@ impl LatticeMetrics {
         LatticeMetrics {
             hits: registry.counter(
                 "pa_storage_lattice_cache_hits_total",
-                "lattice-level partials served from cache",
+                "lattice levels served from cache",
             ),
             misses: registry.counter(
                 "pa_storage_lattice_cache_misses_total",
@@ -61,7 +76,11 @@ impl LatticeMetrics {
             ),
             invalidations: registry.counter(
                 "pa_storage_lattice_cache_invalidations_total",
-                "lattice-level partials dropped by table mutations",
+                "lattice levels dropped by table mutations",
+            ),
+            evictions: registry.counter(
+                "pa_storage_lattice_cache_evictions_total",
+                "lattice levels evicted by the byte bound",
             ),
         }
     }
@@ -70,131 +89,187 @@ impl LatticeMetrics {
 /// Cumulative traffic counters, snapshot via [`LatticeCache::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LatticeCacheStats {
-    /// Lookups served from cache (signature matched).
+    /// Lookups served from cache (lanes matched).
     pub hits: u64,
-    /// Lookups that missed (absent or signature mismatch).
+    /// Lookups that missed (absent or lane mismatch).
     pub misses: u64,
     /// Entries dropped by invalidation.
     pub invalidations: u64,
+    /// Entries dropped by the byte bound.
+    pub evictions: u64,
     /// Entries currently cached.
     pub entries: u64,
 }
 
-/// Memoized `(table, level columns) → serialized partial` map.
-///
-/// Entries are shared out as `Arc` so a hit costs one map lookup and one
-/// refcount bump — deserialization happens in the engine layer, against
-/// bytes that can never be mutated underneath it.
 #[derive(Debug, Default)]
+struct Entries {
+    map: BTreeMap<LatticeKey, LatticeEntry>,
+    /// Sum of the entries' `bytes`.
+    bytes: usize,
+}
+
+/// Memoized `(table, level columns) → level table` map, bounded by bytes.
+///
+/// Tables are shared out as `Arc`, so a hit costs one map lookup and one
+/// refcount bump, against columns that can never be mutated underneath it.
+#[derive(Debug)]
 pub struct LatticeCache {
-    entries: RwLock<BTreeMap<LatticeKey, Arc<LatticeEntry>>>,
+    entries: RwLock<Entries>,
+    budget: usize,
+    clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
+    evictions: AtomicU64,
     metrics: RwLock<Option<LatticeMetrics>>,
 }
 
+impl Default for LatticeCache {
+    fn default() -> LatticeCache {
+        LatticeCache::with_budget(LATTICE_CACHE_BYTES)
+    }
+}
+
 impl LatticeCache {
-    /// Empty cache.
+    /// Empty cache bounded by [`LATTICE_CACHE_BYTES`].
     pub fn new() -> LatticeCache {
         LatticeCache::default()
     }
 
-    /// Cached partial for `level_cols` of `table` under `signature`,
-    /// counting the lookup as a hit or miss. A present entry whose
-    /// signature differs counts as a miss (the caller will overwrite it).
-    pub fn get(
-        &self,
-        table: &str,
-        level_cols: &[String],
-        signature: &str,
-    ) -> Option<Arc<LatticeEntry>> {
+    fn with_budget(budget: usize) -> LatticeCache {
+        LatticeCache {
+            entries: RwLock::default(),
+            budget,
+            clock: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            invalidations: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+            metrics: RwLock::new(None),
+        }
+    }
+
+    fn tick(&self) -> u64 {
+        self.clock.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// Bump a traffic counter and its registry mirror.
+    fn count(&self, local: &AtomicU64, mirror: impl Fn(&LatticeMetrics) -> &Counter, n: u64) {
+        local.fetch_add(n, Ordering::Relaxed);
+        if let Some(m) = &*self.metrics.read() {
+            mirror(m).add(n);
+        }
+    }
+
+    /// Cached table for `level_cols` of `table` whose leading lanes are
+    /// `lanes`, counting the lookup as a hit or miss. A present entry with
+    /// other lanes counts as a miss (the caller will overwrite it).
+    pub fn get(&self, table: &str, level_cols: &[String], lanes: &[String]) -> Option<Arc<Table>> {
         let key = (table.to_string(), level_cols.to_vec());
         let found = self
             .entries
             .read()
+            .map
             .get(&key)
-            .filter(|e| e.signature == signature)
-            .cloned();
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &*self.metrics.read() {
-                m.hits.inc();
-            }
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &*self.metrics.read() {
-                m.misses.inc();
-            }
+            .filter(|e| e.lanes.starts_with(lanes))
+            .map(|e| {
+                e.used.store(self.tick(), Ordering::Relaxed);
+                Arc::clone(&e.table)
+            });
+        match found {
+            Some(_) => self.count(&self.hits, |m| &m.hits, 1),
+            None => self.count(&self.misses, |m| &m.misses, 1),
         }
         found
     }
 
-    /// Store a freshly evaluated level partial (callers serialize the
-    /// merged, canonical partial — see `ShardPartial::serialize` in
-    /// `pa-engine`). Replaces any previous entry for the key, including
-    /// one with a different signature. Returns the shared handle.
-    pub fn store(
-        &self,
-        table: &str,
-        level_cols: &[String],
-        signature: impl Into<String>,
-        bytes: Vec<u8>,
-    ) -> Arc<LatticeEntry> {
+    /// Store a level table (canonical layout, see the module docs) whose
+    /// lane columns are `lanes`, replacing any previous entry for the key,
+    /// whatever its lanes. Least-recently-used entries are evicted until
+    /// the cache fits its byte budget again; a table larger than the whole
+    /// budget is not retained.
+    pub fn store(&self, table: &str, level_cols: &[String], lanes: &[String], level: Arc<Table>) {
+        let bytes = level.heap_bytes();
+        if bytes > self.budget {
+            return;
+        }
         let key = (table.to_string(), level_cols.to_vec());
-        let shared = Arc::new(LatticeEntry {
-            signature: signature.into(),
+        let entry = LatticeEntry {
+            lanes: lanes.to_vec(),
             bytes,
-        });
-        self.entries.write().insert(key, Arc::clone(&shared));
-        shared
-    }
-
-    /// Whether a compatible entry exists, **without** counting the lookup —
-    /// planners and EXPLAIN probe here so speculative planning does not
-    /// skew the hit/miss counters.
-    pub fn probe(&self, table: &str, level_cols: &[String], signature: &str) -> bool {
-        let key = (table.to_string(), level_cols.to_vec());
-        self.entries
-            .read()
-            .get(&key)
-            .is_some_and(|e| e.signature == signature)
-    }
-
-    /// Drop every cached partial for `table`. Called by the catalog's
-    /// mutation funnel before any logged insert/update/replace/drop.
-    pub fn invalidate_table(&self, table: &str) {
+            table: level,
+            used: AtomicU64::new(self.tick()),
+        };
         let mut entries = self.entries.write();
-        let before = entries.len();
-        entries.retain(|(t, _), _| t != table);
-        let dropped = (before - entries.len()) as u64;
-        if dropped > 0 {
-            self.invalidations.fetch_add(dropped, Ordering::Relaxed);
-            if let Some(m) = &*self.metrics.read() {
-                m.invalidations.add(dropped);
-            }
+        entries.bytes += entry.bytes;
+        if let Some(old) = entries.map.insert(key, entry) {
+            entries.bytes -= old.bytes;
+        }
+        let mut evicted = 0;
+        while entries.bytes > self.budget {
+            let oldest = entries
+                .map
+                .iter()
+                .min_by_key(|(_, e)| e.used.load(Ordering::Relaxed))
+                .map(|(k, _)| k.clone())
+                .expect("a non-zero byte total has an entry");
+            let gone = entries.map.remove(&oldest).expect("key just listed");
+            entries.bytes -= gone.bytes;
+            evicted += 1;
+        }
+        drop(entries);
+        if evicted > 0 {
+            self.count(&self.evictions, |m| &m.evictions, evicted);
         }
     }
 
-    /// Names of the levels cached for `table`, in key order — planners use
-    /// this to find a cached *finer* ancestor to re-aggregate from.
-    pub fn levels_for(&self, table: &str) -> Vec<Vec<String>> {
+    /// Whether a compatible entry exists, **without** counting the lookup
+    /// or refreshing its recency — planners and EXPLAIN probe here so
+    /// speculative planning does not skew the hit/miss counters.
+    pub fn probe(&self, table: &str, level_cols: &[String], lanes: &[String]) -> bool {
+        let key = (table.to_string(), level_cols.to_vec());
         self.entries
             .read()
-            .keys()
-            .filter(|(t, _)| t == table)
-            .map(|(_, cols)| cols.clone())
+            .map
+            .get(&key)
+            .is_some_and(|e| e.lanes.starts_with(lanes))
+    }
+
+    /// Drop every cached level of `table`. Called by the catalog's
+    /// mutation funnel before any logged insert/update/replace/drop.
+    pub fn invalidate_table(&self, table: &str) {
+        let mut entries = self.entries.write();
+        let before = entries.map.len();
+        entries.map.retain(|(t, _), _| t != table);
+        let dropped = (before - entries.map.len()) as u64;
+        entries.bytes = entries.map.values().map(|e| e.bytes).sum();
+        drop(entries);
+        if dropped > 0 {
+            self.count(&self.invalidations, |m| &m.invalidations, dropped);
+        }
+    }
+
+    /// The levels cached for `table` with leading lanes `lanes`, in key
+    /// order — planners use this to find a cached *finer* ancestor to
+    /// re-aggregate from. Counts nothing.
+    pub fn levels_for(&self, table: &str, lanes: &[String]) -> Vec<Vec<String>> {
+        self.entries
+            .read()
+            .map
+            .iter()
+            .filter(|((t, _), e)| t == table && e.lanes.starts_with(lanes))
+            .map(|((_, cols), _)| cols.clone())
             .collect()
     }
 
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.entries.read().len()
+        self.entries.read().map.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.read().is_empty()
+        self.len() == 0
     }
 
     /// Traffic counters snapshot.
@@ -203,6 +278,7 @@ impl LatticeCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
             entries: self.len() as u64,
         }
     }
@@ -217,82 +293,170 @@ impl LatticeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Column, DataType, Schema, Value};
 
     fn cols(names: &[&str]) -> Vec<String> {
         names.iter().map(|s| s.to_string()).collect()
     }
 
+    /// A one-column level table of `rows` rows, all holding `tag`.
+    fn level(tag: i64, rows: usize) -> Arc<Table> {
+        let schema = Schema::from_pairs(&[("s", DataType::Int)])
+            .unwrap()
+            .into_shared();
+        let mut col = Column::with_capacity(DataType::Int, rows);
+        for _ in 0..rows {
+            col.push(Value::Int(tag)).unwrap();
+        }
+        Arc::new(Table::from_columns(schema, vec![col]).unwrap())
+    }
+
+    fn tag_of(t: &Table) -> Value {
+        t.get(0, 0)
+    }
+
     #[test]
     fn miss_store_hit_round_trip() {
         let cache = LatticeCache::new();
-        assert!(cache.get("F", &cols(&["state"]), "sum(amt)").is_none());
-        cache.store("F", &cols(&["state"]), "sum(amt)", vec![1, 2, 3]);
-        let hit = cache.get("F", &cols(&["state"]), "sum(amt)").unwrap();
-        assert_eq!(hit.bytes, vec![1, 2, 3]);
+        assert!(cache
+            .get("F", &cols(&["state"]), &cols(&["sum(amt)"]))
+            .is_none());
+        let stored = level(7, 3);
+        cache.store(
+            "F",
+            &cols(&["state"]),
+            &cols(&["sum(amt)"]),
+            Arc::clone(&stored),
+        );
+        let hit = cache
+            .get("F", &cols(&["state"]), &cols(&["sum(amt)"]))
+            .unwrap();
+        assert!(Arc::ptr_eq(&hit, &stored), "a hit is a refcount bump");
         let st = cache.stats();
         assert_eq!((st.hits, st.misses, st.entries), (1, 1, 1));
     }
 
     #[test]
-    fn signature_mismatch_is_a_miss_and_store_replaces() {
+    fn lane_mismatch_is_a_miss_and_store_replaces() {
         let cache = LatticeCache::new();
-        cache.store("F", &cols(&["state"]), "sum(amt)", vec![1]);
-        assert!(cache.get("F", &cols(&["state"]), "sum(qty)").is_none());
-        cache.store("F", &cols(&["state"]), "sum(qty)", vec![2]);
+        cache.store("F", &cols(&["state"]), &cols(&["sum(amt)"]), level(1, 1));
+        assert!(cache
+            .get("F", &cols(&["state"]), &cols(&["sum(qty)"]))
+            .is_none());
+        cache.store("F", &cols(&["state"]), &cols(&["sum(qty)"]), level(2, 1));
         assert_eq!(cache.len(), 1, "same level re-keyed, not duplicated");
-        assert_eq!(
-            cache.get("F", &cols(&["state"]), "sum(qty)").unwrap().bytes,
-            vec![2]
-        );
-        assert!(cache.get("F", &cols(&["state"]), "sum(amt)").is_none());
+        let hit = cache
+            .get("F", &cols(&["state"]), &cols(&["sum(qty)"]))
+            .unwrap();
+        assert_eq!(tag_of(&hit), Value::Int(2));
+        assert!(cache
+            .get("F", &cols(&["state"]), &cols(&["sum(amt)"]))
+            .is_none());
+    }
+
+    #[test]
+    fn an_entry_serves_any_leading_run_of_its_lanes() {
+        let cache = LatticeCache::new();
+        let state = cols(&["state"]);
+        cache.store("F", &state, &cols(&["sum(amt)", "count(*)"]), level(1, 1));
+        assert!(cache.get("F", &state, &cols(&["sum(amt)"])).is_some());
+        assert!(cache
+            .get("F", &state, &cols(&["sum(amt)", "count(*)"]))
+            .is_some());
+        assert!(cache.get("F", &state, &cols(&["count(*)"])).is_none());
+        assert!(cache
+            .get("F", &state, &cols(&["sum(amt)", "count(*)", "min(amt)"]))
+            .is_none());
+        assert_eq!(cache.levels_for("F", &cols(&["sum(amt)"])), vec![state]);
     }
 
     #[test]
     fn invalidation_is_per_table_and_counted() {
         let cache = LatticeCache::new();
-        cache.store("F", &cols(&["a"]), "s", vec![1]);
-        cache.store("F", &cols(&["a", "b"]), "s", vec![2]);
-        cache.store("G", &cols(&["a"]), "s", vec![3]);
+        cache.store("F", &cols(&["a"]), &cols(&["s"]), level(1, 1));
+        cache.store("F", &cols(&["a", "b"]), &cols(&["s"]), level(2, 1));
+        cache.store("G", &cols(&["a"]), &cols(&["s"]), level(3, 1));
         cache.invalidate_table("F");
-        assert!(cache.get("F", &cols(&["a"]), "s").is_none());
-        assert!(cache.get("G", &cols(&["a"]), "s").is_some());
+        assert!(cache.get("F", &cols(&["a"]), &cols(&["s"])).is_none());
+        assert!(cache.get("G", &cols(&["a"]), &cols(&["s"])).is_some());
         assert_eq!(cache.stats().invalidations, 2);
         cache.invalidate_table("F");
         assert_eq!(cache.stats().invalidations, 2);
     }
 
     #[test]
-    fn levels_for_lists_only_the_tables_levels() {
+    fn levels_for_lists_only_the_tables_compatible_levels() {
         let cache = LatticeCache::new();
-        cache.store("F", &cols(&["a", "b"]), "s", vec![]);
-        cache.store("F", &cols(&["a"]), "s", vec![]);
-        cache.store("G", &cols(&["c"]), "s", vec![]);
-        let mut levels = cache.levels_for("F");
-        levels.sort();
-        assert_eq!(levels, vec![cols(&["a"]), cols(&["a", "b"])]);
+        cache.store("F", &cols(&["a", "b"]), &cols(&["s"]), level(1, 1));
+        cache.store("F", &cols(&["a"]), &cols(&["s"]), level(1, 1));
+        cache.store("F", &cols(&["b"]), &cols(&["other"]), level(1, 1));
+        cache.store("G", &cols(&["c"]), &cols(&["s"]), level(1, 1));
+        assert_eq!(
+            cache.levels_for("F", &cols(&["s"])),
+            vec![cols(&["a"]), cols(&["a", "b"])]
+        );
+    }
+
+    #[test]
+    fn the_byte_bound_evicts_least_recently_used_first() {
+        let one = level(0, 1000).heap_bytes();
+        // Room for three such levels, not four.
+        let cache = LatticeCache::with_budget(3 * one + one / 2);
+        for (tag, name) in ["a", "b", "c"].iter().enumerate() {
+            cache.store("F", &cols(&[name]), &cols(&["s"]), level(tag as i64, 1000));
+        }
+        assert_eq!(cache.stats().evictions, 0);
+        // Touch the oldest: `b` is now the least recently used.
+        assert!(cache.get("F", &cols(&["a"]), &cols(&["s"])).is_some());
+        cache.store("F", &cols(&["d"]), &cols(&["s"]), level(3, 1000));
+        assert!(
+            !cache.probe("F", &cols(&["b"]), &cols(&["s"])),
+            "LRU entry evicted"
+        );
+        for kept in ["a", "c", "d"] {
+            assert!(
+                cache.probe("F", &cols(&[kept]), &cols(&["s"])),
+                "{kept} survives"
+            );
+        }
+        // Replacing an entry releases its bytes instead of evicting.
+        cache.store("F", &cols(&["a"]), &cols(&["s"]), level(9, 1000));
+        let st = cache.stats();
+        assert_eq!((st.evictions, st.entries), (1, 3));
+        // A level larger than the whole budget is not retained and evicts
+        // nothing on its way.
+        cache.store("F", &cols(&["huge"]), &cols(&["s"]), level(0, 10_000));
+        assert!(!cache.probe("F", &cols(&["huge"]), &cols(&["s"])));
+        assert_eq!(cache.stats(), st);
+        // Invalidation resets the byte total: three fit again.
+        cache.invalidate_table("F");
+        let before = cache.stats().evictions;
+        for name in ["x", "y", "z"] {
+            cache.store("F", &cols(&[name]), &cols(&["s"]), level(0, 1000));
+        }
+        assert_eq!(cache.stats().evictions, before);
+        assert_eq!(cache.len(), 3);
     }
 
     #[test]
     fn attached_registry_mirrors_traffic() {
         let reg = MetricsRegistry::new();
-        let cache = LatticeCache::new();
+        let one = level(0, 100).heap_bytes();
+        let cache = LatticeCache::with_budget(one);
         cache.attach_metrics(&reg);
-        cache.get("F", &cols(&["a"]), "s");
-        cache.store("F", &cols(&["a"]), "s", vec![]);
-        cache.get("F", &cols(&["a"]), "s");
+        cache.get("F", &cols(&["a"]), &cols(&["s"]));
+        cache.store("F", &cols(&["a"]), &cols(&["s"]), level(0, 100));
+        cache.get("F", &cols(&["a"]), &cols(&["s"]));
+        cache.store("F", &cols(&["b"]), &cols(&["s"]), level(0, 100));
         cache.invalidate_table("F");
         let text = reg.render();
-        assert!(
-            text.contains("pa_storage_lattice_cache_hits_total 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("pa_storage_lattice_cache_misses_total 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("pa_storage_lattice_cache_invalidations_total 1"),
-            "{text}"
-        );
+        for line in [
+            "pa_storage_lattice_cache_hits_total 1",
+            "pa_storage_lattice_cache_misses_total 1",
+            "pa_storage_lattice_cache_evictions_total 1",
+            "pa_storage_lattice_cache_invalidations_total 1",
+        ] {
+            assert!(text.contains(line), "{line} missing from {text}");
+        }
     }
 }

@@ -48,7 +48,7 @@ pub use error::{Result, StorageError};
 pub use fault::{FaultInjector, FaultPlan};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use index::HashIndex;
-pub use lattice::{LatticeCache, LatticeCacheStats, LatticeEntry};
+pub use lattice::{LatticeCache, LatticeCacheStats, LATTICE_CACHE_BYTES};
 pub use log::{FileLogStore, LogStore, MemLogStore};
 pub use packed::{width_for, PackedCell, PackedCodes, MAX_PACK_WIDTH};
 pub use partial::{PARTIAL_MAGIC, PARTIAL_VERSION};
