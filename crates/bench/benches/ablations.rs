@@ -72,12 +72,12 @@ fn bench_ablations(c: &mut Criterion) {
         group.sample_size(10);
         group.warm_up_time(std::time::Duration::from_millis(500));
         group.measurement_time(std::time::Duration::from_secs(2));
+        let chain = HorizontalOptions {
+            jump_table: false,
+            ..HorizontalOptions::default()
+        };
         group.bench_function("O(N) CASE chain", |b| {
-            b.iter(|| {
-                engine
-                    .horizontal_with(&hq, &HorizontalOptions::default())
-                    .expect("bench")
-            });
+            b.iter(|| engine.horizontal_with(&hq, &chain).expect("bench"));
         });
         let dispatch = HorizontalOptions {
             hash_dispatch: true,

@@ -20,7 +20,10 @@ use pa_core::{
     ExtraAgg, HorizontalOptions, HorizontalQuery, HorizontalStrategy, PercentageEngine, VpctQuery,
     VpctStrategy, VpctTerm,
 };
-use pa_engine::{AggFunc, ExecStats, PBits};
+use pa_engine::{
+    distinct_keys, hash_aggregate_with_config, pivot_aggregate_with_config, AggFunc, AggSpec,
+    ExecStats, Expr, PBits, ParallelConfig, PivotTask, ResourceGuard,
+};
 use pa_storage::Catalog;
 use std::fmt::Write as _;
 
@@ -36,6 +39,10 @@ struct Args {
     /// CI smoke: fail unless every `case_direct`/`case_sorted` cell ran
     /// the vectorized kernels, and the sorted scenario hit the RLE path.
     assert_vectorized: bool,
+    /// CI gate: fail unless the pivot pass of `case_direct` stays within
+    /// this factor of the fused aggregate at `GROUP BY ∪ BY` measured beside
+    /// it (0 = no gate).
+    assert_pivot_within: f64,
     /// CI gate: fail unless the cache-cold `lattice` batch (all four
     /// BY-prefixes from one fused scan) stays within this factor of the
     /// single-level `case_direct` cell at the same n/d/threads (0 = no
@@ -68,6 +75,7 @@ fn parse_args() -> Args {
         out: "results/BENCH_scale.json".to_string(),
         assert_case_within: 0.0,
         assert_vectorized: false,
+        assert_pivot_within: 0.0,
         assert_lattice_within: 0.0,
         assert_lattice_warm_within: 0.0,
     };
@@ -87,6 +95,12 @@ fn parse_args() -> Args {
                 })
             }
             "--assert-vectorized" => args.assert_vectorized = true,
+            "--assert-pivot-within" => {
+                args.assert_pivot_within = next().parse().unwrap_or_else(|_| {
+                    eprintln!("--assert-pivot-within takes a factor, e.g. 1.5");
+                    std::process::exit(2);
+                })
+            }
             "--assert-lattice-within" => {
                 args.assert_lattice_within = next().parse().unwrap_or_else(|_| {
                     eprintln!("--assert-lattice-within takes a factor, e.g. 1.6");
@@ -104,6 +118,7 @@ fn parse_args() -> Args {
                     "usage: scale [--n N1,N2,..] [--d D1,D2,..] \
                      [--threads T1,T2,..] [--iters K] [--out PATH] \
                      [--assert-case-within FACTOR] [--assert-vectorized] \
+                     [--assert-pivot-within FACTOR] \
                      [--assert-lattice-within FACTOR] [--assert-lattice-warm-within FRACTION]"
                 );
                 std::process::exit(0);
@@ -344,6 +359,37 @@ fn run_lattice_cell(
     )
 }
 
+/// The scan under `case_direct`, as direct engine calls on `fact`: the pivot
+/// pass (`Hpct(amt BY day) GROUP BY store`) and the fused aggregate at
+/// `GROUP BY ∪ BY` it transposes, best of `iters` each, in ms. The pivot is
+/// that aggregate plus one projected level for the totals, so their ratio is
+/// what the transposition costs.
+fn run_pivot_cell(catalog: &Catalog, iters: usize) -> [f64; 2] {
+    let fact = catalog.table("fact").expect("generated");
+    let fact = fact.read();
+    let (guard, config) = (ResourceGuard::unlimited(), ParallelConfig::from_env());
+    let mut combos = distinct_keys(&fact, &[1], &mut ExecStats::default()).expect("day exists");
+    combos.sort_by(|a, b| a[0].total_cmp(&b[0]));
+    let task = PivotTask {
+        by_cols: vec![1],
+        lanes: vec![(AggFunc::Sum, Expr::Col(2))],
+        combos,
+        total: Some(Expr::Col(2)),
+    };
+    let sum = [AggSpec::new(AggFunc::Sum, Expr::Col(2), "sum")];
+    let mut stats = ExecStats::default();
+    let tasks = std::slice::from_ref(&task);
+    let pivot_ms = best_ms(iters, || {
+        pivot_aggregate_with_config(&fact, &[0], tasks, &[], &guard, &mut stats, &config)
+            .expect("bench query");
+    });
+    let aggregate_ms = best_ms(iters, || {
+        hash_aggregate_with_config(&fact, &[0, 1], &sum, &guard, &mut stats, &config)
+            .expect("bench query");
+    });
+    [pivot_ms, aggregate_ms]
+}
+
 /// One (strategy, n, d) cell, timed at one thread count. Returns the best
 /// wall time plus the last run's group-path/cache telemetry (identical
 /// across iterations except that the first run of a fresh catalog misses
@@ -380,8 +426,8 @@ fn run_cell(engine: &PercentageEngine<'_>, strategy: &str, iters: usize) -> (f64
             })
         }
         "case_sorted" => {
-            // Same plan as case_direct over the day-sorted clone of the
-            // fact table: constant code blocks engage the RLE fast path.
+            // Same plan as case_direct over the key-sorted clone of the
+            // fact table: run-dominated code blocks engage the RLE path.
             let q = HorizontalQuery::hpct("fact_sorted", &["store"], "amt", &["day"]);
             let opts = HorizontalOptions::with_strategy(HorizontalStrategy::CaseDirect);
             best_ms(iters, || {
@@ -465,15 +511,18 @@ fn main() {
     // (n, d, threads, cold batch ms, [warm batch, cold single-level, cold
     // per-level] ms) per lattice cell, feeding the lattice gates below.
     let mut lattice_gate = Vec::new();
+    // (n, d, threads, [pivot, aggregate] ms) per `case_direct` cell.
+    let mut pivot_gate = Vec::new();
     for &n in &args.ns {
         for &d in &args.ds {
             let catalog = Catalog::new();
             let (gen_ms, _) = time_ms(|| {
                 let fact = lcg_fact_table(n, d);
-                // Day-sorted clone for the RLE scenario: same rows, long
-                // constant runs in the BY dimension.
+                // Clone sorted by (day, store) for the RLE scenario: same
+                // rows, long constant runs of the GROUP BY ∪ BY key the
+                // pivot's code stream is over.
                 catalog
-                    .create_table("fact_sorted", fact.sorted_by(&[1]))
+                    .create_table("fact_sorted", fact.sorted_by(&[1, 0]))
                     .expect("fresh");
                 // Four-dimension table for the lattice scenario.
                 catalog
@@ -497,7 +546,18 @@ fn main() {
                         (ms, telemetry, extra)
                     } else {
                         let (ms, telemetry) = run_cell(&engine, strategy, args.iters);
-                        (ms, telemetry, String::new())
+                        let mut extra = String::new();
+                        if strategy == "case_direct" {
+                            let [pivot_ms, aggregate_ms] = run_pivot_cell(&catalog, args.iters);
+                            pivot_gate.push((n, d, threads, [pivot_ms, aggregate_ms]));
+                            let _ = write!(
+                                extra,
+                                "\"pivot_ms\": {pivot_ms:.3}, \"aggregate_ms\": {aggregate_ms:.3}, \
+                                 \"pivot_over_aggregate\": {:.3}",
+                                pivot_ms / aggregate_ms.max(1e-9)
+                            );
+                        }
+                        (ms, telemetry, extra)
                     };
                     // One extra traced (untimed) run per cell feeds the
                     // per-operator breakdown in the JSON artifact.
@@ -595,6 +655,30 @@ fn main() {
         }
         if failed {
             eprintln!("code-path gate failed: case_direct exceeded the allowed factor");
+            std::process::exit(1);
+        }
+    }
+
+    // CI gate: the pivot is the aggregate at GROUP BY ∪ BY plus the totals
+    // level and a transposition of groups, so it must stay within the given
+    // factor of that aggregate measured beside it.
+    if args.assert_pivot_within > 0.0 {
+        let mut failed = false;
+        for (n, d, threads, [pivot_ms, aggregate_ms]) in &pivot_gate {
+            let factor = pivot_ms / aggregate_ms.max(1e-9);
+            let ok = factor <= args.assert_pivot_within;
+            println!(
+                "pivot gate n={n} d={d} threads={threads}: pivot pass {pivot_ms:.1} ms vs fused \
+                 aggregate at GROUP BY ∪ BY {aggregate_ms:.1} ms — x{factor:.2} (limit x{:.2}) {}",
+                args.assert_pivot_within,
+                if ok { "OK" } else { "FAIL" }
+            );
+            failed |= !ok;
+        }
+        if failed {
+            eprintln!(
+                "pivot gate failed: the transposed aggregate costs too much over the aggregate"
+            );
             std::process::exit(1);
         }
     }

@@ -7,11 +7,14 @@
 //!    `D1..Dk`;
 //! 2. discover the `N` distinct subgroup combinations (`SELECT DISTINCT
 //!    Dj+1..Dk`), which define the result columns;
-//! 3. produce a *raw* table `[D1..Dj][cell lanes][totals][extras]` — via
-//!    CASE-guarded aggregates (one scan, O(N) conditions per row), via the
-//!    hash-dispatch pivot operator (one scan, O(1) per row — the paper's
-//!    "future work" optimization), or via SPJ (`N` filtered aggregation
-//!    passes assembled with `N` left outer joins onto `F0`);
+//! 3. produce a *raw* table `[D1..Dj][cell lanes][totals][extras]` — for
+//!    the CASE strategies via the pivot ([`crate::dispatch`]: the aggregate
+//!    at `GROUP BY ∪ BY` in one scan, O(1) per row, transposed at finalize
+//!    — the paper's "future work" optimization) or, as the
+//!    `jump_table: false` ablation only, via `N` CASE-guarded aggregates
+//!    (one scan, O(N) conditions per row); for the SPJ strategies via `N`
+//!    filtered aggregation passes assembled with `N` left outer joins onto
+//!    `F0`;
 //! 4. post-project: percentage division (`Hpct` cells divide by the group
 //!    total; missing cells count as 0, matching SIGMOD's `ELSE 0` CASE
 //!    form), `DEFAULT 0` substitution, column naming, optional vertical
@@ -431,26 +434,18 @@ pub fn eval_horizontal_guarded(
     // ---------- Raw table: [j][term0 lanes×cells][term0 total?].. [extras] --
     let raw = match opts.strategy {
         HorizontalStrategy::CaseDirect | HorizontalStrategy::CaseFromFv => {
-            // Jump-table CASE: when every term's BY columns dense-encode,
-            // the pivot operator evaluates the CASE strategy with one
-            // `composite code → output column` array index per row instead
-            // of the O(N) predicate chain. `hash_dispatch` is the ablation
-            // that forces every lookup (groups and cells) through the hash
-            // path (dense budget 0); ineligible inputs fall back to the
-            // legacy CASE chain.
-            let dense_eligible = opts.jump_table
-                && plans.iter().all(|p| {
-                    pa_engine::DenseKeySpace::try_build(src, &p.by_src_cols, par.dense_budget)
-                        .is_some()
-                });
-            if opts.hash_dispatch || dense_eligible {
-                let pivot_par = if opts.hash_dispatch {
-                    ParallelConfig {
-                        dense_budget: 0,
-                        ..par
-                    }
-                } else {
-                    par
+            // The CASE plan is the pivot (the aggregate at GROUP BY ∪ BY,
+            // transposed); `hash_dispatch` is the same plan with every
+            // level on the hash tier (dense budget 0). The O(N) predicate
+            // chain runs only as the `jump_table: false` ablation.
+            if opts.jump_table || opts.hash_dispatch {
+                let pivot_par = ParallelConfig {
+                    dense_budget: if opts.hash_dispatch {
+                        0
+                    } else {
+                        par.dense_budget
+                    },
+                    ..par
                 };
                 let flat_extras: Vec<(AggFunc, Expr)> = extra_specs_src
                     .iter()

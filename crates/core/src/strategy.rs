@@ -158,19 +158,19 @@ pub enum ParallelMode {
 pub struct HorizontalOptions {
     /// Evaluation strategy.
     pub strategy: HorizontalStrategy,
-    /// Replace the O(N)-per-row CASE evaluation with an O(1) hash dispatch
-    /// from subgroup combination to result column — the optimization the
-    /// paper flags as out of the query optimizer's reach ("could be reduced
-    /// ... to O(1) using a hash-based search"). Implemented here as an
-    /// ablation; only affects the CASE strategies.
+    /// Run the CASE strategies' pivot with every grouping level on the hash
+    /// tier (dense budget 0): one packed integer code hashed per row per
+    /// level, where the default plan indexes an array. The paper's "could
+    /// be reduced ... to O(1) using a hash-based search", kept as an
+    /// ablation of the dense tier; selects the pivot even when
+    /// `jump_table` is off. Only affects the CASE strategies.
     pub hash_dispatch: bool,
-    /// Evaluate the CASE strategies through the code-path pivot when every
-    /// term's BY columns dense-encode (see [`pa_engine::DenseKeySpace`]):
-    /// the per-row O(N) predicate chain becomes one precomputed
-    /// `composite code → output column` array index. On by default —
-    /// ineligible inputs (float BY columns, domains over the dense budget)
-    /// fall back to the legacy CASE chain automatically. Turn off to force
-    /// the legacy chain (cost-model ablations and differential tests).
+    /// Evaluate the CASE strategies as the pivot ([`crate::dispatch`]): the
+    /// aggregate at `GROUP BY ∪ BY` in one scan, transposed into the result
+    /// columns at finalize, O(1) per row whatever the BY columns are. On
+    /// by default. Off runs the paper's O(N)-per-row CASE predicate chain
+    /// instead — an ablation (cost-model checks, EXPERIMENTS.md,
+    /// differential tests); nothing falls back to it.
     pub jump_table: bool,
     /// Maximum columns a single result table may have (the DBMS limit the
     /// papers worry about). Teradata V2R4's limit was 2048.

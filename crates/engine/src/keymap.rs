@@ -118,24 +118,6 @@ impl RowKeyMap {
         gid as usize
     }
 
-    /// Group id for an existing key formed from a row, without inserting.
-    pub fn lookup_row(
-        &self,
-        table: &Table,
-        cols: &[usize],
-        row: usize,
-        stats: &mut ExecStats,
-    ) -> Option<usize> {
-        stats.hash_probes += 1;
-        let h = hash_row(table, cols, row);
-        self.buckets.get(&h).and_then(|bucket| {
-            bucket
-                .iter()
-                .find(|&&gid| row_matches(table, cols, row, &self.keys[gid as usize]))
-                .map(|&gid| gid as usize)
-        })
-    }
-
     /// Group id for an explicit key tuple, without inserting.
     pub fn lookup_key(&self, key: &[Value], stats: &mut ExecStats) -> Option<usize> {
         stats.hash_probes += 1;
@@ -315,16 +297,41 @@ impl DenseKeySpace {
     /// `u32::MAX`, so the cast never truncates.
     pub fn projection_table(&self, dims: &[usize], child: &DenseKeySpace) -> Vec<u32> {
         debug_assert_eq!(dims.len(), child.strides.len());
-        let mut table = vec![0u32; self.size];
-        for (code, out) in table.iter_mut().enumerate() {
-            let mut child_code = 0usize;
-            for (j, &d) in dims.iter().enumerate() {
-                let digit = (code / self.strides[d]) % self.radices[d];
-                child_code += digit * child.strides[j];
+        // Walk the codes as an odometer (dimension 0 turns fastest): a
+        // digit's step moves the child code by that dimension's child
+        // stride, 0 for a dropped one — no division per code, which on a
+        // small input costs more than the scan the table serves.
+        let mut step = vec![0usize; self.radices.len()];
+        for (&d, &stride) in dims.iter().zip(&child.strides) {
+            step[d] = stride;
+        }
+        let mut digits = vec![0usize; self.radices.len()];
+        let mut table = Vec::with_capacity(self.size);
+        let mut child_code = 0usize;
+        for _ in 0..self.size {
+            table.push(child_code as u32);
+            for d in 0..digits.len() {
+                digits[d] += 1;
+                child_code += step[d];
+                if digits[d] < self.radices[d] {
+                    break;
+                }
+                child_code -= digits[d] * step[d];
+                digits[d] = 0;
             }
-            *out = child_code as u32;
         }
         table
+    }
+
+    /// The code in `child` (this space [projected](Self::project) onto
+    /// `dims`) of one of this space's codes.
+    pub(crate) fn project_code(&self, code: usize, dims: &[usize], child: &DenseKeySpace) -> usize {
+        debug_assert_eq!(dims.len(), child.strides.len());
+        let digit = |d: usize| (code / self.strides[d]) % self.radices[d];
+        dims.iter()
+            .zip(&child.strides)
+            .map(|(&d, stride)| digit(d) * stride)
+            .sum()
     }
 
     #[inline]
@@ -361,35 +368,6 @@ impl DenseKeySpace {
             code += self.slot_of_row(table, d, row) * self.strides[d];
         }
         code
-    }
-
-    /// Composite code of an explicit key tuple, or `None` when some value
-    /// lies outside the encoded domain (it then matches no row of the
-    /// table, because the domains cover every value the table holds).
-    pub fn code_of_key(&self, table: &Table, key: &[Value]) -> Option<usize> {
-        debug_assert_eq!(key.len(), self.cols.len());
-        let mut code = 0;
-        for (d, v) in key.iter().enumerate() {
-            let slot = match (v, self.dims[d]) {
-                (Value::Null, _) => 0,
-                (Value::Str(s), DimCoder::Str) => {
-                    let Column::Str { dict, .. } = table.column(self.cols[d]) else {
-                        return None;
-                    };
-                    dict.code_of(s)? as usize + 1
-                }
-                (Value::Int(i), DimCoder::Int { min }) => {
-                    let slot = usize::try_from(i.checked_sub(min)?).ok()? + 1;
-                    if slot >= self.radices[d] {
-                        return None;
-                    }
-                    slot
-                }
-                _ => return None,
-            };
-            code += slot * self.strides[d];
-        }
-        Some(code)
     }
 
     /// Decode dimension `d` of a composite code back into its key value.
@@ -445,6 +423,11 @@ impl DenseGroupMap {
     /// Composite code per group id, in first-appearance order.
     pub fn codes(&self) -> &[u32] {
         &self.gid_to_code
+    }
+
+    /// The code space the map addresses.
+    pub(crate) fn space(&self) -> &DenseKeySpace {
+        &self.space
     }
 
     /// Group id for a composite code, inserting a new group when unseen.
@@ -690,16 +673,6 @@ impl GroupMap {
         }
     }
 
-    /// Mutable access to the dense map, when this is the dense path — the
-    /// vectorized kernels feed precomputed composite codes straight into
-    /// [`DenseGroupMap::get_or_insert_code`].
-    pub fn as_dense_mut(&mut self) -> Option<&mut DenseGroupMap> {
-        match self {
-            GroupMap::Hash(_) => None,
-            GroupMap::Dense(m) => Some(m),
-        }
-    }
-
     /// Number of distinct groups seen.
     pub fn len(&self) -> usize {
         match self {
@@ -768,26 +741,6 @@ impl GroupMap {
             GroupMap::Dense(m) => m.key_value(table, gid, d),
         }
     }
-
-    /// Materialize the key columns, one [`Column`] per key dimension with
-    /// one entry per group id — the output layout, built directly from the
-    /// stored keys without cloning a `Vec<Value>` per row. `table`/`cols`
-    /// must be the input the map was built over.
-    pub fn build_key_columns(
-        &self,
-        table: &Table,
-        cols: &[usize],
-    ) -> crate::error::Result<Vec<Column>> {
-        let mut out = Vec::with_capacity(cols.len());
-        for (d, &c) in cols.iter().enumerate() {
-            let mut col = Column::new(table.column(c).data_type());
-            for gid in 0..self.len() {
-                col.push(self.key_value(table, gid, d))?;
-            }
-            out.push(col);
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -822,14 +775,13 @@ mod tests {
     }
 
     #[test]
-    fn lookup_row_and_key_agree() {
+    fn lookup_key_finds_inserted_groups_only() {
         let t = table();
         let mut m = RowKeyMap::new();
         let mut st = ExecStats::default();
         for r in 0..5 {
             m.get_or_insert_row(&t, &[0], r, &mut st);
         }
-        assert_eq!(m.lookup_row(&t, &[0], 1, &mut st), Some(1));
         assert_eq!(m.lookup_key(&[Value::str("TX")], &mut st), Some(1));
         assert_eq!(m.lookup_key(&[Value::str("NY")], &mut st), None);
     }
@@ -930,17 +882,7 @@ mod tests {
             let key: Vec<Value> = (0..2).map(|d| space.key_value(&t, code, d)).collect();
             assert!(key[0].key_eq(&t.get(row, 0)), "row {row}");
             assert!(key[1].key_eq(&t.get(row, 1)), "row {row}");
-            assert_eq!(space.code_of_key(&t, &key), Some(code));
         }
-        // Out-of-domain keys are rejected, not mis-encoded.
-        assert_eq!(
-            space.code_of_key(&t, &[Value::str("NV"), Value::Int(10)]),
-            None
-        );
-        assert_eq!(
-            space.code_of_key(&t, &[Value::str("CA"), Value::Int(99)]),
-            None
-        );
     }
 
     #[test]
@@ -1067,27 +1009,5 @@ mod tests {
         // Either wide dimension alone still fits.
         assert!(WideKeySpace::try_build(&t, &[0]).is_some());
         assert!(WideKeySpace::try_build(&t, &[1]).is_some());
-    }
-
-    #[test]
-    fn build_key_columns_matches_stored_keys_on_both_paths() {
-        let t = mixed_table();
-        let mut st = ExecStats::default();
-        let mut hash = GroupMap::Hash(RowKeyMap::new());
-        let mut dense = GroupMap::for_space(DenseKeySpace::try_build(&t, &[0, 1], 1 << 20));
-        assert!(matches!(dense, GroupMap::Dense(_)));
-        for row in 0..t.num_rows() {
-            hash.get_or_insert_row(&t, &[0, 1], row, &mut st);
-            dense.get_or_insert_row(&t, &[0, 1], row, &mut st);
-        }
-        let h = hash.build_key_columns(&t, &[0, 1]).unwrap();
-        let d = dense.build_key_columns(&t, &[0, 1]).unwrap();
-        assert_eq!(h.len(), 2);
-        for (hc, dc) in h.iter().zip(&d) {
-            assert_eq!(hc.len(), hash.len());
-            for i in 0..hc.len() {
-                assert_eq!(hc.get(i), dc.get(i));
-            }
-        }
     }
 }

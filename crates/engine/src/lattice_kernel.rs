@@ -66,7 +66,9 @@ pub fn lattice_aggregate_with_config(
         return Ok(None);
     }
     let mut plan = ScanPlan::new(input, config);
-    let Some(tier) = plan.push_stream(group_cols, levels, aggs, stats) else {
+    // One list of lanes, once per level.
+    let keeps: Vec<(&[usize], &[AggSpec])> = levels.iter().map(|keep| (&keep[..], aggs)).collect();
+    let Some(tier) = plan.push_stream(group_cols, &keeps, stats) else {
         return Ok(None);
     };
 

@@ -46,6 +46,7 @@ pub use ops::filter::filter;
 pub use ops::insert::{create_table_as, insert_into};
 pub use ops::join::{hash_join, hash_join_guarded, JoinType};
 pub use ops::partial::{partial_aggregate, ShardPartial};
+pub use ops::pivot::{pivot_aggregate_with_config, PivotTask};
 pub use ops::project::{project, ProjSpec};
 pub use ops::sort::{sort, sort_permutation};
 pub use ops::update::{update_from, SetClause};
@@ -54,7 +55,4 @@ pub use pa_obs::{MetricsRegistry, SpanHandle, SpanRecord, TraceReport, Tracer};
 pub use parallel::ParallelConfig;
 pub use sketch::{Hll, TDigest, HLL_REGISTERS, HLL_STD_ERROR, TDIGEST_RANK_EPSILON};
 pub use stats::{AbortCause, Degradation, ExecStats};
-pub use vector::{
-    raw_acc, BlockCoder, CodeWord, Coder, HolisticLane, LaneKind, LaneSrc, NumSlice, RawLane,
-    WideCoder, BLOCK_ROWS,
-};
+pub use vector::{BlockCoder, CodeWord, Coder, LaneSrc, NumSlice, RawLane, WideCoder, BLOCK_ROWS};

@@ -349,17 +349,11 @@ pub fn multi_hash_aggregate_with_config(
     // One stream per level, no projection; a level that cannot fuse takes
     // the scalar loop. Each level's mode is decided here, once.
     let mut plan = ScanPlan::new(input, config);
-    let mut fused = 0;
-    for (cols, aggs) in levels {
-        fused += usize::from(plan.push_level(cols, aggs, stats));
-    }
+    let keyed = levels.iter().map(|(cols, aggs)| (&cols[..], &aggs[..]));
+    let detail = plan.push_levels(keyed, stats);
     stats.rows_scanned += input.num_rows() as u64;
     let mut span = guard.span("aggregate");
-    span.set_detail(match fused {
-        0 => "scalar",
-        n if n == levels.len() => "vectorized",
-        _ => "mixed",
-    });
+    span.set_detail(detail);
     let groups = plan.run("multi_hash_aggregate", guard, &mut span, stats)?;
 
     let out_rows: u64 = groups.iter().map(|g| g.len() as u64).sum();

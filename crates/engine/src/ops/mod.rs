@@ -7,6 +7,7 @@ pub mod filter;
 pub mod insert;
 pub mod join;
 pub mod partial;
+pub mod pivot;
 pub mod project;
 pub mod sort;
 pub mod update;

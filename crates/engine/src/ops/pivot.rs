@@ -1,0 +1,465 @@
+//! The pivot: a transposed aggregate (DESIGN.md "Scan core").
+//!
+//! The paper's CASE-from-`F` ≡ CASE-from-`FV` equivalence says an `Hpct`
+//! table is the `Vpct` aggregate at `GROUP BY ∪ BY` laid out as a matrix,
+//! and Gray et al. say the same of every cross-tab. So the pivot is the
+//! fourth adapter over the scan core, planned like the lattice: one code
+//! stream over `GROUP BY ∪ BY`, one projected level per task keyed
+//! `GROUP BY ∪ BY_t` carrying that task's cell lanes, and the `GROUP BY`
+//! level carrying the term totals and the extra lanes. Code tiers, RLE
+//! runs, holistic lanes, the worker merge, morsel charging and spans are the
+//! core's; a level that cannot fuse degrades alone, as for every adapter.
+//!
+//! The `groups × cells` matrix exists only at finalize, as a
+//! *transposition*: each merged fine group lands at (row = its `GROUP BY`
+//! projection in the coarse level's first-appearance order, column = its BY
+//! projection's place in the task's `combos`). This is the paper's
+//! "hash-based search" for the CASE strategy — one lookup per *group*, none
+//! per row — so `case_condition_evals` stays at zero.
+//!
+//! The output is the CASE strategy's raw table,
+//! `[D1..Dj][term cells × lanes][term total?][extra lanes]`, so the
+//! surrounding pipeline cannot tell which evaluator produced it.
+
+use crate::error::Result;
+use crate::expr::Expr;
+use crate::guard::ResourceGuard;
+use crate::keymap::RowKeyMap;
+use crate::ops::acc::Acc;
+use crate::ops::aggregate::{AggFunc, AggSpec};
+use crate::parallel::ParallelConfig;
+use crate::scan::{LevelGroups, ScanPlan};
+use crate::stats::ExecStats;
+use pa_storage::{Column, DataType, Field, FxHashMap, Schema, Table, Value};
+
+/// One horizontal term's piece of a pivot pass.
+#[derive(Debug, Clone)]
+pub struct PivotTask {
+    /// Subgrouping columns in the source table.
+    pub by_cols: Vec<usize>,
+    /// Aggregations feeding each cell lane.
+    pub lanes: Vec<(AggFunc, Expr)>,
+    /// The distinct subgroup combinations, in result-column order. A group
+    /// of rows whose BY key is not listed feeds no cell (it still counts
+    /// toward `total`, as the CASE form's `sum(A)` does).
+    pub combos: Vec<Vec<Value>>,
+    /// Group-total sum expression for percentage terms.
+    pub total: Option<Expr>,
+}
+
+/// Where each group of `fine` goes in a table of keys: the id `target`
+/// gives the group's key dimensions `dims`, `u32::MAX` when it has none.
+/// A fused level is addressed by code — one key decode and lookup per
+/// *distinct* projection — a scalar level by decoded key.
+fn address(fine: &LevelGroups, src: &Table, dims: &[usize], target: &RowKeyMap) -> Vec<u32> {
+    let by_key = |gid: usize| {
+        let key: Vec<Value> = dims.iter().map(|&d| fine.key_value(src, gid, d)).collect();
+        let id = target.lookup_key(&key, &mut ExecStats::default());
+        id.map_or(u32::MAX, |id| id as u32)
+    };
+    match fine.projected_codes(dims) {
+        Some(codes) => {
+            let mut seen: FxHashMap<u64, u32> =
+                FxHashMap::with_capacity_and_hasher(target.len(), Default::default());
+            let place = |(gid, code)| *seen.entry(code).or_insert_with(|| by_key(gid));
+            codes.into_iter().enumerate().map(place).collect()
+        }
+        None => (0..fine.len()).map(by_key).collect(),
+    }
+}
+
+/// One-pass pivot aggregation.
+///
+/// Produces the raw horizontal table: the `j_cols` key columns followed by,
+/// for each task, `lanes × combos` cell columns (lane-major within a combo)
+/// and the optional total column, then the extra lanes; one row per
+/// `j_cols` group in first-appearance order. A cell no row fed finishes as
+/// a fresh accumulator does: NULL for `sum`/`min`/`max`/percentiles, 0 for
+/// counts.
+///
+/// Morsels are charged to `guard` as they are scanned; every level's
+/// groups are charged after the scan, before the result matrix is
+/// allocated.
+pub fn pivot_aggregate_with_config(
+    src: &Table,
+    j_cols: &[usize],
+    tasks: &[PivotTask],
+    extra_lanes: &[(AggFunc, Expr)],
+    guard: &ResourceGuard,
+    stats: &mut ExecStats,
+    config: &ParallelConfig,
+) -> Result<Table> {
+    stats.statements += 1;
+    guard.check()?;
+
+    // The union key, GROUP BY first; a level keeps positions of it in
+    // increasing order, so `j_cols` lead every level's key.
+    let mut union = j_cols.to_vec();
+    for &c in tasks.iter().flat_map(|t| &t.by_cols) {
+        if !union.contains(&c) {
+            union.push(c);
+        }
+    }
+    let spec = |(func, input): &(AggFunc, Expr)| AggSpec::new(*func, input.clone(), "");
+    let mut keeps: Vec<Vec<usize>> = Vec::with_capacity(tasks.len() + 1);
+    let mut aggs: Vec<Vec<AggSpec>> = Vec::with_capacity(tasks.len() + 1);
+    for task in tasks {
+        let kept = |&p: &usize| p < j_cols.len() || task.by_cols.contains(&union[p]);
+        keeps.push((0..union.len()).filter(kept).collect());
+        aggs.push(task.lanes.iter().map(spec).collect());
+    }
+    let totals = tasks.iter().filter_map(|t| t.total.clone());
+    keeps.push((0..j_cols.len()).collect());
+    aggs.push(
+        totals
+            .map(|total| spec(&(AggFunc::Sum, total)))
+            .chain(extra_lanes.iter().map(spec))
+            .collect(),
+    );
+    let holistic = |s: &&AggSpec| s.func.is_holistic();
+    stats.holistic_lanes += aggs.iter().flatten().filter(holistic).count() as u64;
+    let cols: Vec<Vec<usize>> = keeps
+        .iter()
+        .map(|keep| keep.iter().map(|&p| union[p]).collect())
+        .collect();
+
+    // One stream for every level; when it cannot fuse (vector off, a float
+    // BY column, a `min` lane), each level plans alone and degrades alone.
+    let mut plan = ScanPlan::new(src, config);
+    let levels: Vec<(&[usize], &[AggSpec])> = keeps
+        .iter()
+        .zip(&aggs)
+        .map(|(k, a)| (&k[..], &a[..]))
+        .collect();
+    let detail = plan.push_stream(&union, &levels, stats).unwrap_or_else(|| {
+        let keyed = cols.iter().zip(&aggs).map(|(c, a)| (&c[..], &a[..]));
+        plan.push_levels(keyed, stats)
+    });
+    stats.rows_scanned += src.num_rows() as u64;
+    let mut span = guard.span("pivot");
+    span.set_detail(detail);
+    let mut groups = plan.run("pivot_aggregate", guard, &mut span, stats)?;
+    let out_rows: u64 = groups.iter().map(|g| g.len() as u64).sum();
+    guard.charge(out_rows)?;
+    span.add_rows(out_rows);
+
+    // Rows: the GROUP BY level's groups, in first-appearance order.
+    let coarse = groups.pop().expect("the GROUP BY level is planned last");
+    let n_rows = coarse.len();
+    let j_dims: Vec<usize> = (0..j_cols.len()).collect();
+    let mut rows = RowKeyMap::with_capacity(n_rows);
+    for gid in 0..n_rows {
+        let key: Vec<Value> = j_dims
+            .iter()
+            .map(|&d| coarse.key_value(src, gid, d))
+            .collect();
+        rows.get_or_insert_key(&key, &mut ExecStats::default());
+    }
+    let src_schema = src.schema();
+    let mut fields: Vec<Field> = Vec::new();
+    let mut columns: Vec<Column> = Vec::new();
+    let mut push = |name: String, dtype: DataType, values: &mut dyn Iterator<Item = Value>| {
+        let mut col = Column::with_capacity(dtype, n_rows);
+        for v in values {
+            col.push(v)?;
+        }
+        fields.push(Field::new(name, dtype));
+        columns.push(col);
+        Result::Ok(())
+    };
+    for (d, &c) in j_cols.iter().enumerate() {
+        let field = src_schema.field_at(c);
+        let mut key = rows.keys().iter().map(|key| key[d].clone());
+        push(field.name.clone(), field.dtype, &mut key)?;
+    }
+
+    // Cells: each fine group transposed to (its row, its combination).
+    let (coarse, coarse_width) = (&coarse.accs, aggs[tasks.len()].len());
+    let coarse_lane =
+        |lane: usize| (0..n_rows).map(move |row| coarse[row * coarse_width + lane].finish());
+    let mut total_lane = 0;
+    for (t, (task, fine)) in tasks.iter().zip(&groups).enumerate() {
+        let mut cells = RowKeyMap::with_capacity(task.combos.len());
+        for combo in &task.combos {
+            cells.get_or_insert_key(combo, &mut ExecStats::default());
+        }
+        let level_key = &cols[t];
+        let by_dims: Vec<usize> = task
+            .by_cols
+            .iter()
+            .map(|c| {
+                level_key
+                    .iter()
+                    .position(|k| k == c)
+                    .expect("BY is in the key")
+            })
+            .collect();
+        let row_of = address(fine, src, &j_dims, &rows);
+        let cell_of = address(fine, src, &by_dims, &cells);
+        let mut at = vec![u32::MAX; task.combos.len() * n_rows];
+        for (gid, (&row, &cell)) in row_of.iter().zip(&cell_of).enumerate() {
+            if cell != u32::MAX {
+                at[cell as usize * n_rows + row as usize] = gid as u32;
+            }
+        }
+        // Per lane: its column type and what a cell no row fed reads as.
+        let lanes: Vec<(DataType, Value)> = task
+            .lanes
+            .iter()
+            .map(|(func, input)| {
+                let fresh = Acc::with_budget(*func, config.percentile_budget);
+                (func.output_type(input, src_schema), fresh.finish())
+            })
+            .collect();
+        for i in 0..task.combos.len() {
+            for (l, (dtype, absent)) in lanes.iter().enumerate() {
+                let mut cell = at[i * n_rows..][..n_rows].iter().map(|&gid| match gid {
+                    u32::MAX => absent.clone(),
+                    gid => fine.accs[gid as usize * lanes.len() + l].finish(),
+                });
+                push(format!("__c{t}_{i}_{l}"), *dtype, &mut cell)?;
+            }
+        }
+        if task.total.is_some() {
+            push(
+                format!("__tot{t}"),
+                DataType::Float,
+                &mut coarse_lane(total_lane),
+            )?;
+            total_lane += 1;
+        }
+    }
+    for (x, (func, input)) in extra_lanes.iter().enumerate() {
+        let dtype = func.output_type(input, src_schema);
+        push(format!("__x{x}_0"), dtype, &mut coarse_lane(total_lane + x))?;
+    }
+    stats.rows_materialized += n_rows as u64;
+    Ok(Table::from_columns(
+        Schema::new(fields)?.into_shared(),
+        columns,
+    )?)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pa_storage::Schema;
+
+    /// The pivot under no limits, serially.
+    fn pivot(
+        t: &Table,
+        j_cols: &[usize],
+        tasks: &[PivotTask],
+        extras: &[(AggFunc, Expr)],
+        stats: &mut ExecStats,
+    ) -> Table {
+        let (guard, config) = (ResourceGuard::unlimited(), ParallelConfig::serial());
+        pivot_aggregate_with_config(t, j_cols, tasks, extras, &guard, stats, &config).unwrap()
+    }
+
+    fn sales() -> Table {
+        let schema = Schema::from_pairs(&[
+            ("store", DataType::Int),
+            ("dweek", DataType::Str),
+            ("amt", DataType::Float),
+        ])
+        .unwrap()
+        .into_shared();
+        let mut t = Table::empty(schema);
+        for (s, d, a) in [
+            (1, "Mon", 10.0),
+            (1, "Tue", 30.0),
+            (2, "Mon", 5.0),
+            (1, "Mon", 10.0),
+            (2, "Tue", 15.0),
+        ] {
+            t.push_row(&[Value::Int(s), Value::str(d), Value::Float(a)])
+                .unwrap();
+        }
+        t
+    }
+
+    fn task(t: &Table) -> PivotTask {
+        PivotTask {
+            by_cols: vec![1],
+            lanes: vec![(AggFunc::Sum, Expr::col(t.schema(), "amt").unwrap())],
+            combos: vec![vec![Value::str("Mon")], vec![Value::str("Tue")]],
+            total: Some(Expr::col(t.schema(), "amt").unwrap()),
+        }
+    }
+
+    #[test]
+    fn pivot_matches_manual_sums() {
+        let t = sales();
+        let mut st = ExecStats::default();
+        let raw = pivot(&t, &[0], &[task(&t)], &[], &mut st);
+        let raw = raw.sorted_by(&[0]);
+        // store 1: Mon 20, Tue 30, total 50; store 2: Mon 5, Tue 15, total 20.
+        assert_eq!(raw.get(0, 1), Value::Float(20.0));
+        assert_eq!(raw.get(0, 2), Value::Float(30.0));
+        assert_eq!(raw.get(0, 3), Value::Float(50.0));
+        assert_eq!(raw.get(1, 1), Value::Float(5.0));
+        assert_eq!(raw.get(1, 3), Value::Float(20.0));
+        assert_eq!(st.case_condition_evals, 0, "no CASE chain evaluated");
+    }
+
+    #[test]
+    fn global_group_and_extras() {
+        let t = sales();
+        let mut st = ExecStats::default();
+        let extras = vec![(AggFunc::CountStar, Expr::lit(1))];
+        let raw = pivot(&t, &[], &[task(&t)], &extras, &mut st);
+        assert_eq!(raw.num_rows(), 1);
+        assert_eq!(raw.get(0, 0), Value::Float(25.0)); // Mon global
+        assert_eq!(raw.get(0, 1), Value::Float(45.0)); // Tue global
+        assert_eq!(raw.get(0, 2), Value::Float(70.0)); // total
+        assert_eq!(raw.get(0, 3), Value::Int(5)); // count(*)
+    }
+
+    #[test]
+    fn empty_input_global_row() {
+        let t = Table::empty(sales().schema().clone());
+        let mut st = ExecStats::default();
+        let raw = pivot(&t, &[], &[task(&t)], &[], &mut st);
+        assert_eq!(raw.num_rows(), 1);
+        assert_eq!(raw.get(0, 0), Value::Null);
+    }
+
+    #[test]
+    fn a_total_sums_every_row_of_its_group_listed_combination_or_not() {
+        // What the CASE form's `sum(A)` and the SQL the code generator
+        // prints do: `combos` decides the cells, never the total.
+        use crate::ops::aggregate::multi_hash_aggregate_with_config;
+        let mut t = sales();
+        t.push_row(&[Value::Int(3), Value::str("Tue"), Value::Float(7.0)])
+            .unwrap();
+        let mut task = task(&t);
+        task.combos.truncate(1); // Mon only; store 3 sells on no listed day
+        let amt = || Expr::col(t.schema(), "amt").unwrap();
+        let levels = [
+            (vec![0], vec![AggSpec::new(AggFunc::Sum, amt(), "total")]),
+            (vec![0, 1], vec![AggSpec::new(AggFunc::Sum, amt(), "cell")]),
+        ];
+        let (guard, serial) = (ResourceGuard::unlimited(), ParallelConfig::serial());
+        for vector in [true, false] {
+            let config = ParallelConfig { vector, ..serial };
+            let mut st = ExecStats::default();
+            let oracle =
+                multi_hash_aggregate_with_config(&t, &levels, &guard, &mut st, &config).unwrap();
+            let raw = pivot_aggregate_with_config(
+                &t,
+                &[0],
+                &[task.clone()],
+                &[],
+                &guard,
+                &mut st,
+                &config,
+            )
+            .unwrap();
+            let want: Vec<Vec<Value>> = oracle[0]
+                .rows()
+                .map(|total| {
+                    let monday = |r: &Vec<Value>| r[0] == total[0] && r[1] == Value::str("Mon");
+                    let cell = oracle[1]
+                        .rows()
+                        .find(monday)
+                        .map_or(Value::Null, |r| r[2].clone());
+                    vec![total[0].clone(), cell, total[1].clone()]
+                })
+                .collect();
+            assert_eq!(raw.rows().collect::<Vec<_>>(), want, "vector={vector}");
+            assert_eq!(want[2], [Value::Int(3), Value::Null, Value::Float(7.0)]);
+        }
+    }
+
+    #[test]
+    fn min_max_and_avg_lanes() {
+        let t = sales();
+        let amt = Expr::col(t.schema(), "amt").unwrap();
+        let task = PivotTask {
+            by_cols: vec![1],
+            lanes: vec![
+                (AggFunc::Min, amt.clone()),
+                (AggFunc::Max, amt.clone()),
+                (AggFunc::Avg, amt),
+            ],
+            combos: vec![vec![Value::str("Mon")], vec![Value::str("Tue")]],
+            total: None,
+        };
+        let mut st = ExecStats::default();
+        let raw = pivot(&t, &[0], &[task], &[], &mut st).sorted_by(&[0]);
+        // store 1 Mon: amounts 10,10 → min 10, max 10, avg 10.
+        assert_eq!(raw.get(0, 1), Value::Float(10.0));
+        assert_eq!(raw.get(0, 2), Value::Float(10.0));
+        assert_eq!(raw.get(0, 3), Value::Float(10.0));
+        // store 2 Tue: 15.
+        assert_eq!(raw.get(1, 4), Value::Float(15.0));
+    }
+
+    #[test]
+    fn parallel_pivot_identical_to_serial() {
+        // A table large enough for many small morsels: store ∈ 0..23,
+        // dweek cycles over 7 names, integer-valued amounts so chunked
+        // float sums are exact.
+        let schema = Schema::from_pairs(&[
+            ("store", DataType::Int),
+            ("dweek", DataType::Str),
+            ("amt", DataType::Float),
+        ])
+        .unwrap()
+        .into_shared();
+        let days = ["Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun"];
+        let mut t = Table::with_capacity(schema, 9_000);
+        for i in 0..9_000usize {
+            t.push_row(&[
+                Value::Int((i as i64 * 31) % 23),
+                Value::str(days[i % 7]),
+                if i % 13 == 0 {
+                    Value::Null
+                } else {
+                    Value::Float((i % 97) as f64)
+                },
+            ])
+            .unwrap();
+        }
+        let amt = Expr::col(t.schema(), "amt").unwrap();
+        let tasks = vec![PivotTask {
+            by_cols: vec![1],
+            lanes: vec![(AggFunc::Sum, amt.clone()), (AggFunc::Count, amt.clone())],
+            combos: days.iter().map(|d| vec![Value::str(*d)]).collect(),
+            total: Some(amt),
+        }];
+        let extras = vec![(AggFunc::CountStar, Expr::lit(1))];
+        let serial = pivot_aggregate_with_config(
+            &t,
+            &[0],
+            &tasks,
+            &extras,
+            &ResourceGuard::unlimited(),
+            &mut ExecStats::default(),
+            &ParallelConfig::serial(),
+        )
+        .unwrap();
+        for threads in [2, 4, 7] {
+            let config = ParallelConfig {
+                threads,
+                morsel_rows: 256,
+                min_parallel_rows: 0,
+                ..ParallelConfig::serial()
+            };
+            let parallel = pivot_aggregate_with_config(
+                &t,
+                &[0],
+                &tasks,
+                &extras,
+                &ResourceGuard::unlimited(),
+                &mut ExecStats::default(),
+                &config,
+            )
+            .unwrap();
+            let s_rows: Vec<Vec<Value>> = serial.rows().collect();
+            let p_rows: Vec<Vec<Value>> = parallel.rows().collect();
+            assert_eq!(s_rows, p_rows, "threads={threads}");
+        }
+    }
+}

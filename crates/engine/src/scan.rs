@@ -87,23 +87,33 @@ enum LevelSpace {
     Wide(WideKeySpace),
 }
 
-/// One level of a code stream, as planned.
-struct FusedLevel<P> {
+impl LevelSpace {
+    /// The space of the empty key: one code, one group.
+    fn keyless(&self) -> bool {
+        match self {
+            LevelSpace::Dense(space) => space.cols().is_empty(),
+            LevelSpace::Wide(space) => space.cols().is_empty(),
+        }
+    }
+}
+
+/// One level of a code stream, as planned: its key and its own lanes.
+struct FusedLevel<'a, P> {
     /// `None`: the level keeps every dimension, its code is the stream's
     /// (skipping the identity jump-table load matters — on a code space
     /// that outgrows L1 that load is the scan's largest single cost).
     proj: Option<P>,
     space: LevelSpace,
+    aggs: &'a [AggSpec],
+    srcs: Vec<LaneSrc<'a>>,
 }
 
-/// One code stream and the levels reading it; every level computes `aggs`.
+/// One code stream and the levels reading it.
 struct Stream<'a, W: StreamCode> {
     coder: Coder<'a, W>,
     /// No key at all (the empty GROUP BY): nothing to code.
     keyless: bool,
-    aggs: &'a [AggSpec],
-    srcs: Vec<LaneSrc<'a>>,
-    levels: Vec<FusedLevel<W::Proj>>,
+    levels: Vec<FusedLevel<'a, W::Proj>>,
 }
 
 // ---- group indexes ------------------------------------------------------------
@@ -214,11 +224,11 @@ impl<'a, W: StreamCode> Unit<'a> for Stream<'a, W> {
                 let mut index = GroupIndex::new(&level.space);
                 // An empty key has its one group from the start: SQL's
                 // global aggregate is a row even over no rows.
-                if self.keyless {
+                if level.space.keyless() {
                     index.gid(0, &mut ExecStats::default());
                 }
-                let funcs = self.aggs.iter().map(|s| s.func).collect();
-                let lanes = LaneSet::new(self.srcs.clone(), funcs, plan.config.percentile_budget);
+                let funcs = level.aggs.iter().map(|s| s.func).collect();
+                let lanes = LaneSet::new(level.srcs.clone(), funcs, plan.config.percentile_budget);
                 (index, lanes)
             })
             .collect();
@@ -448,6 +458,26 @@ impl LevelGroups {
         }
     }
 
+    /// Each group's code projected onto its key dimensions `dims` — two
+    /// groups agree on those dimensions exactly when the projections are
+    /// equal — or `None` for a scalar level, whose groups have no codes.
+    pub(crate) fn projected_codes(&self, dims: &[usize]) -> Option<Vec<u64>> {
+        let Keys::Coded(index) = &self.keys else {
+            return None;
+        };
+        Some(match index {
+            GroupIndex::Dense(map) => {
+                let (space, child) = (map.space(), map.space().project(dims));
+                let project = |&code| space.project_code(code as usize, dims, &child) as u64;
+                map.codes().iter().map(project).collect()
+            }
+            GroupIndex::Hash { space, order, .. } => {
+                let proj = space.projector(dims, &space.project(dims));
+                order.iter().map(|&code| proj.project(code)).collect()
+            }
+        })
+    }
+
     /// Fold the next worker's partial into this one, by code: this side's
     /// group order is kept and the partial's unseen groups are appended in
     /// its own first-appearance order. Workers scan contiguous chunks and
@@ -505,11 +535,11 @@ impl<'a> ScanPlan<'a> {
         }
     }
 
-    /// Plan one code stream over `group_cols` read by `keeps.len()` levels
-    /// that all compute `aggs`; each level keeps the listed positions of
-    /// `group_cols` (strictly increasing). Returns the code tier the stream
-    /// takes — `"dense"` or `"wide"` — or `None`, with nothing planned, when
-    /// it cannot fuse: vectorization off, a lane that is not
+    /// Plan one code stream over `group_cols` read by `levels.len()` levels,
+    /// each `(keep, aggs)`: the positions of `group_cols` it keeps (strictly
+    /// increasing) and its own aggregate list. Returns the code tier the
+    /// stream takes — `"dense"` or `"wide"` — or `None`, with nothing
+    /// planned, when it cannot fuse: vectorization off, a lane that is not
     /// [`LaneKind`]-fusable, or a key that neither coder reads (float or
     /// unpackable dimensions, more than 64 bits of key).
     ///
@@ -518,18 +548,18 @@ impl<'a> ScanPlan<'a> {
     pub(crate) fn push_stream(
         &mut self,
         group_cols: &[usize],
-        keeps: &[Vec<usize>],
-        aggs: &'a [AggSpec],
+        levels: &[(&[usize], &'a [AggSpec])],
         stats: &mut ExecStats,
     ) -> Option<&'static str> {
         if !self.config.vector {
             return None;
         }
         let input = self.input;
-        let kinds = aggs
+        let src = |s: &AggSpec| LaneKind::classify(s.func, &s.input, input).src(input);
+        let srcs: Vec<Vec<LaneSrc<'a>>> = levels
             .iter()
-            .map(|s| LaneKind::classify(s.func, &s.input, input));
-        let srcs: Vec<LaneSrc<'a>> = kinds.map(|k| k.src(input)).collect::<Option<_>>()?;
+            .map(|(_, aggs)| aggs.iter().map(src).collect())
+            .collect::<Option<_>>()?;
         // A strictly increasing subset of full length keeps every dimension.
         let (full, keyless) = (group_cols.len(), group_cols.is_empty());
         let dense = if keyless {
@@ -542,50 +572,62 @@ impl<'a> ScanPlan<'a> {
         let dense_pass = dense.is_some() && !keyless;
         let (tier, pack_width) = if let Some(space) = dense {
             let coder = BlockCoder::try_new(input, &space)?;
-            let level = |keep: &Vec<usize>| {
+            let level = |keep: &[usize]| {
                 let child = space.project(keep);
                 let proj = (keep.len() < full).then(|| space.projection_table(keep, &child));
-                let space = LevelSpace::Dense(child);
-                FusedLevel { proj, space }
+                (proj, LevelSpace::Dense(child))
             };
-            let (levels, width) = (keeps.iter().map(level).collect(), coder.pack_width());
-            let stream = Stream {
-                coder,
-                keyless,
-                aggs,
-                srcs,
-                levels,
-            };
-            self.units.push(Box::new(stream));
-            ("dense", width)
+            ("dense", self.push_unit(coder, keyless, levels, srcs, level))
         } else {
             let space = WideKeySpace::try_build(input, group_cols)?;
             let coder = WideCoder::try_new(input, &space)?;
-            let level = |keep: &Vec<usize>| {
+            let level = |keep: &[usize]| {
                 let child = space.project(keep);
                 let proj = (keep.len() < full).then(|| space.projector(keep, &child));
-                let space = LevelSpace::Wide(child);
-                FusedLevel { proj, space }
+                (proj, LevelSpace::Wide(child))
             };
-            let (levels, width) = (keeps.iter().map(level).collect(), coder.pack_width());
-            let stream = Stream {
-                coder,
-                keyless,
-                aggs,
-                srcs,
-                levels,
-            };
-            self.units.push(Box::new(stream));
-            ("wide", width)
+            ("wide", self.push_unit(coder, keyless, levels, srcs, level))
         };
         stats.pack_width = stats.pack_width.max(pack_width as u64);
         if dense_pass {
-            stats.dense_group_ops += keeps.len() as u64;
+            stats.dense_group_ops += levels.len() as u64;
         } else {
-            stats.hash_group_ops += keeps.len() as u64;
+            stats.hash_group_ops += levels.len() as u64;
         }
-        self.level_aggs.extend(keeps.iter().map(|_| aggs));
+        self.level_aggs.extend(levels.iter().map(|&(_, aggs)| aggs));
         Some(tier)
+    }
+
+    /// Add the stream `coder` fills, read by `levels` through `level`'s
+    /// projection and space; returns the coder's pack width.
+    fn push_unit<W: StreamCode + 'a>(
+        &mut self,
+        coder: Coder<'a, W>,
+        keyless: bool,
+        levels: &[(&[usize], &'a [AggSpec])],
+        srcs: Vec<Vec<LaneSrc<'a>>>,
+        level: impl Fn(&[usize]) -> (Option<W::Proj>, LevelSpace),
+    ) -> u32 {
+        let pack_width = coder.pack_width();
+        let levels = levels
+            .iter()
+            .zip(srcs)
+            .map(|(&(keep, aggs), srcs)| {
+                let (proj, space) = level(keep);
+                FusedLevel {
+                    proj,
+                    space,
+                    aggs,
+                    srcs,
+                }
+            })
+            .collect();
+        self.units.push(Box::new(Stream {
+            coder,
+            keyless,
+            levels,
+        }));
+        pack_width
     }
 
     /// Plan one level over its own key: a stream of its own with no
@@ -597,11 +639,30 @@ impl<'a> ScanPlan<'a> {
         stats: &mut ExecStats,
     ) -> bool {
         let every_dim: Vec<usize> = (0..group_cols.len()).collect();
-        let fused = self.push_stream(group_cols, &[every_dim], aggs, stats);
+        let fused = self.push_stream(group_cols, &[(&every_dim, aggs)], stats);
         if fused.is_none() {
             self.push_scalar(group_cols, aggs, stats);
         }
         fused.is_some()
+    }
+
+    /// Plan every level over its own key ([`Self::push_level`]); returns
+    /// the mix of modes for the span detail.
+    pub(crate) fn push_levels<'l>(
+        &mut self,
+        levels: impl Iterator<Item = (&'l [usize], &'a [AggSpec])>,
+        stats: &mut ExecStats,
+    ) -> &'static str {
+        let (mut planned, mut fused) = (0, 0);
+        for (cols, aggs) in levels {
+            planned += 1;
+            fused += usize::from(self.push_level(cols, aggs, stats));
+        }
+        match fused {
+            0 => "scalar",
+            f if f == planned => "vectorized",
+            _ => "mixed",
+        }
     }
 
     /// Plan one level in the scalar mode.
@@ -719,7 +780,7 @@ mod tests {
         let mut plan = ScanPlan::new(t, config);
         let every_dim: Vec<usize> = (0..cols.len()).collect();
         let tier = plan
-            .push_stream(cols, &[every_dim], aggs, &mut stats)
+            .push_stream(cols, &[(&every_dim, aggs)], &mut stats)
             .expect("the level fuses");
         let guard = ResourceGuard::unlimited();
         let mut groups = plan

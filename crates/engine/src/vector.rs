@@ -17,14 +17,13 @@
 //!   computation with no translation.
 //! * [`LaneSrc`] / [`RawLane`] accumulate `sum`/`count` pairs straight
 //!   into a dense array indexed by group id — no `Option`, no `Value`, no
-//!   `Acc` enum dispatch inside the loop. [`HolisticLane`] is the same for
+//!   `Acc` enum dispatch inside the loop. `HolisticLane` is the same for
 //!   `percentile` / `approx_percentile` / `approx_count_distinct`: typed
 //!   per-group state (sample buffer, t-digest, HLL registers) fed from the
 //!   same sources through the same two entry points, a block or a run at
 //!   a time. Lanes convert to real [`Acc`]s only once per worker chunk
-//!   ([`raw_acc`], [`HolisticLane::into_accs`]), so the merge/finish
-//!   machinery — and therefore the output bytes — are identical to the
-//!   scalar path.
+//!   (`LaneSet::into_accs`), so the merge/finish machinery — and therefore
+//!   the output bytes — are identical to the scalar path.
 //! * Run detection (`rle_runs`) lets the block loop of
 //!   `crate::scan` switch to an RLE fast path when a code
 //!   block is dominated by runs (sorted/clustered dimensions): one group
@@ -36,10 +35,10 @@
 //!   lanes that cannot fuse still resolve their typed slices once per scan
 //!   instead of re-matching the column enum per row.
 //!
-//! Eligibility is decided in one place, [`LaneKind::classify`]: a lane
+//! Eligibility is decided in one place, `LaneKind::classify`: a lane
 //! fuses when it is `count(*)` or a raw or holistic function over a plain
 //! numeric column. min/max, `count(DISTINCT)` and expression lanes are
-//! [`LaneKind::Generic`] and send their level to the scalar loop; the
+//! `LaneKind::Generic` and send their level to the scalar loop; the
 //! chosen path is recorded in [`crate::ExecStats`] and on trace spans.
 
 use crate::error::Result;
@@ -107,7 +106,7 @@ impl<'a> NumSlice<'a> {
     /// the offset inside `rows` and the value widened to `f64`. The column
     /// type is matched once, outside the row loop.
     #[inline]
-    pub fn for_each_f64(self, rows: Range<usize>, mut f: impl FnMut(usize, f64)) {
+    fn for_each_f64(self, rows: Range<usize>, mut f: impl FnMut(usize, f64)) {
         match self {
             NumSlice::Int(data, vwords) => {
                 for_each_valid(data, vwords, rows, |k, x| f(k, x as f64))
@@ -353,12 +352,11 @@ impl<'a> LaneSrc<'a> {
     }
 }
 
-/// How one aggregate lane reads its input — the one classification the
-/// scan core and the pivot share. Everything except [`LaneKind::Generic`]
-/// fuses: it has a [`LaneSrc`] and a typed lane ([`RawLane`] or
-/// [`HolisticLane`]).
+/// How one aggregate lane reads its input — the scan core's one
+/// classification. Everything except [`LaneKind::Generic`] fuses: it has a
+/// [`LaneSrc`] and a typed lane ([`RawLane`] or [`HolisticLane`]).
 #[derive(Debug, Clone, Copy)]
-pub enum LaneKind {
+pub(crate) enum LaneKind {
     /// `sum`/`avg`/`count` over a plain numeric column: a [`RawLane`] when
     /// fused, a typed [`NumSlice`] read (no `Value`) in the scalar loop.
     NumericCol(usize),
@@ -375,7 +373,7 @@ pub enum LaneKind {
 
 impl LaneKind {
     /// Classify `func(input)` against `table`'s column types.
-    pub fn classify(func: AggFunc, input: &Expr, table: &Table) -> LaneKind {
+    pub(crate) fn classify(func: AggFunc, input: &Expr, table: &Table) -> LaneKind {
         let numeric_col = match *input {
             Expr::Col(c)
                 if c < table.num_columns()
@@ -405,7 +403,7 @@ impl LaneKind {
     /// the lane's expression — evaluated into a `Value` only when the lane
     /// has no typed read. The one per-row `Expr::eval` of any aggregate.
     #[inline]
-    pub fn update_row(
+    pub(crate) fn update_row(
         self,
         acc: &mut Acc,
         cols: &[Option<NumSlice<'_>>],
@@ -429,7 +427,7 @@ impl LaneKind {
 
     /// The fused lane's input over `table` (the table this kind was
     /// classified against); `None` for [`LaneKind::Generic`].
-    pub fn src<'a>(self, table: &'a Table) -> Option<LaneSrc<'a>> {
+    pub(crate) fn src<'a>(self, table: &'a Table) -> Option<LaneSrc<'a>> {
         match self {
             LaneKind::NumericCol(c) | LaneKind::HolisticCol(c) => {
                 LaneSrc::for_column(table.column(c))
@@ -467,12 +465,6 @@ impl RawLane {
     #[inline]
     pub fn pair(&self, g: usize) -> (f64, i64) {
         self.pairs[g]
-    }
-
-    /// Mutable access to the `(sum, count)` pair at index `g`.
-    #[inline]
-    pub fn pair_mut(&mut self, g: usize) -> &mut (f64, i64) {
-        &mut self.pairs[g]
     }
 
     /// Scatter rows `rows.start + k` into accumulator indices `idx[k]`,
@@ -542,7 +534,7 @@ impl RawLane {
 /// On functions that have no raw pair (min/max/distinct and the holistic
 /// ones, which ride a [`HolisticLane`]).
 #[inline]
-pub fn raw_acc(func: AggFunc, sum: f64, count: i64) -> Acc {
+fn raw_acc(func: AggFunc, sum: f64, count: i64) -> Acc {
     match func {
         AggFunc::Sum => Acc::Sum {
             sum,
@@ -565,7 +557,7 @@ pub fn raw_acc(func: AggFunc, sum: f64, count: i64) -> Acc {
 /// [`Value`] at a time. Every index sees its non-NULL inputs in row order,
 /// the order the scalar `Acc::update` loop sees them, so the state — spill
 /// row, digest flush points, registers — is the scalar loop's state.
-pub struct HolisticLane(Holistic);
+pub(crate) struct HolisticLane(Holistic);
 
 enum Holistic {
     /// Exact percentile: samples in row order until the budget spills them.
@@ -584,7 +576,7 @@ enum Holistic {
 impl HolisticLane {
     /// Empty lane for `func`; `None` when `func` is not one of the three
     /// holistic functions with a typed lane.
-    pub fn new(func: AggFunc, percentile_budget: usize) -> Option<HolisticLane> {
+    fn new(func: AggFunc, percentile_budget: usize) -> Option<HolisticLane> {
         Some(HolisticLane(match func {
             AggFunc::Percentile(p) => Holistic::Exact {
                 p: p.value(),
@@ -601,7 +593,7 @@ impl HolisticLane {
     }
 
     /// Grow to at least `n` indices.
-    pub fn ensure(&mut self, n: usize) {
+    fn ensure(&mut self, n: usize) {
         match &mut self.0 {
             Holistic::Exact { states, .. } if states.len() < n => {
                 states.resize_with(n, || PctState::Exact(Vec::new()))
@@ -614,33 +606,26 @@ impl HolisticLane {
         }
     }
 
-    /// Scatter rows `rows.start + k` into indices `idx[k]` in row order;
-    /// `u32::MAX` skips the row (the pivot's "no listed combination").
-    pub fn scatter(&mut self, src: &LaneSrc<'_>, rows: Range<usize>, idx: &[u32]) {
+    /// Scatter rows `rows.start + k` into indices `idx[k]` in row order.
+    fn scatter(&mut self, src: &LaneSrc<'_>, rows: Range<usize>, idx: &[u32]) {
         debug_assert_eq!(rows.len(), idx.len());
         let col = holistic_col(src);
         match &mut self.0 {
-            Holistic::Exact { budget, states, .. } => col.for_each_f64(rows, |k, x| {
-                if idx[k] != u32::MAX {
-                    states[idx[k] as usize].push(*budget, x);
-                }
-            }),
-            Holistic::Digest { digests, .. } => col.for_each_f64(rows, |k, x| {
-                if idx[k] != u32::MAX {
-                    digests[idx[k] as usize].update(x);
-                }
-            }),
-            Holistic::Distinct(sketches) => col.for_each_value(rows, |k, v| {
-                if idx[k] != u32::MAX {
-                    sketches[idx[k] as usize].insert(&v);
-                }
-            }),
+            Holistic::Exact { budget, states, .. } => {
+                col.for_each_f64(rows, |k, x| states[idx[k] as usize].push(*budget, x))
+            }
+            Holistic::Digest { digests, .. } => {
+                col.for_each_f64(rows, |k, x| digests[idx[k] as usize].update(x))
+            }
+            Holistic::Distinct(sketches) => {
+                col.for_each_value(rows, |k, v| sketches[idx[k] as usize].insert(&v))
+            }
         }
     }
 
     /// Feed one run of rows that all map to index `g`: the state is looked
     /// up once and the run's samples append to it in bulk.
-    pub fn accumulate_run(&mut self, src: &LaneSrc<'_>, rows: Range<usize>, g: usize) {
+    fn accumulate_run(&mut self, src: &LaneSrc<'_>, rows: Range<usize>, g: usize) {
         let col = holistic_col(src);
         match &mut self.0 {
             Holistic::Exact { budget, states, .. } => {
@@ -660,7 +645,7 @@ impl HolisticLane {
 
     /// The lane's states in index order, each as the [`Acc`] the scalar
     /// path would hold — so merge, serialization and finalize are shared.
-    pub fn into_accs(self) -> Box<dyn Iterator<Item = Acc>> {
+    fn into_accs(self) -> Box<dyn Iterator<Item = Acc>> {
         match self.0 {
             Holistic::Exact { p, budget, states } => Box::new(
                 states
@@ -935,23 +920,5 @@ mod tests {
         for (row, &code) in codes.iter().enumerate() {
             assert_eq!(code, space.code_of_row(&t, row), "row {row}");
         }
-    }
-
-    #[test]
-    fn holistic_scatter_skips_sentinel_rows() {
-        use crate::ops::aggregate::PBits;
-        let t = table(&[
-            (Some("x"), Some(1), Some(4.0)),
-            (Some("x"), Some(2), Some(8.0)),
-            (Some("x"), Some(3), None),
-            (Some("x"), Some(4), Some(6.0)),
-        ]);
-        let src = LaneSrc::for_column(t.column(2)).unwrap();
-        let mut lane = HolisticLane::new(AggFunc::Percentile(PBits::new(0.5)), 10).unwrap();
-        lane.ensure(2);
-        lane.scatter(&src, 0..4, &[1, u32::MAX, 1, 0]);
-        let out: Vec<Value> = lane.into_accs().map(|acc| acc.finish()).collect();
-        assert_eq!(out, vec![Value::Float(6.0), Value::Float(4.0)]);
-        assert!(HolisticLane::new(AggFunc::Sum, 10).is_none());
     }
 }

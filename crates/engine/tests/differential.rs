@@ -18,11 +18,11 @@
 //!    NULL-cell divergence (SIGMOD's `ELSE 0` CASE arm renders an
 //!    all-NULL cell as 0 where `Vpct`'s `sum()` of nothing is NULL).
 //!
-//! A fourth oracle sits below the strategies: the three entry points that
+//! A fourth oracle sits below the strategies: the four entry points that
 //! plan over the engine's one scan core — `hash_aggregate`,
-//! `partial_aggregate` and the single full-arity level of
-//! `lattice_aggregate` — must finalize to the same bytes at every kernel
-//! tier, thread count and input shape.
+//! `partial_aggregate`, the single full-arity level of `lattice_aggregate`
+//! and `pivot_aggregate` un-transposed — must finalize to the same bytes at
+//! every kernel tier, thread count and input shape.
 //!
 //! Measures are integer-valued floats throughout: their sums are exact
 //! under any regrouping of additions (DESIGN.md §7), so "identical" means
@@ -36,8 +36,9 @@ use pa_core::{
     VpctQuery, VpctStrategy,
 };
 use pa_engine::{
-    hash_aggregate_with_config, lattice_aggregate_with_config, multi_hash_aggregate_with_config,
-    partial_aggregate, AggFunc, AggSpec, ExecStats, Expr, PBits, ParallelConfig, ResourceGuard,
+    distinct_keys, hash_aggregate_with_config, lattice_aggregate_with_config,
+    multi_hash_aggregate_with_config, partial_aggregate, pivot_aggregate_with_config, AggFunc,
+    AggSpec, ExecStats, Expr, PBits, ParallelConfig, PivotTask, ResourceGuard,
     DEFAULT_DENSE_BUDGET,
 };
 use pa_storage::{Catalog, DataType, Schema, Table, Value};
@@ -391,12 +392,10 @@ fn budget_catalog(n: usize, g_spread: i64, d_spread: i64) -> Catalog {
 /// Dense vs hash vs legacy CASE paths on both sides of the dense-code
 /// budget, byte-identical at 1/2/4 workers against the serial plan.
 ///
-/// * `d_spread = 230_000` pushes the BY dimension over the 2^20-code
-///   budget: the jump table is ineligible, the default plan falls back to
-///   the legacy chain, `+dispatch` runs the all-hash pivot.
-/// * `g_spread = 230_000` pushes only the GROUP BY dimension over budget
-///   while the BY dimension stays dense: the pivot runs with a hash group
-///   map but dense per-term cell maps — the mixed path.
+/// * a spread of `230_000` on either dimension pushes `GROUP BY ∪ BY` over
+///   the 2^20-code budget: the pivot's one code stream takes the wide tier
+///   (a hash of one integer per level) and stays in the block loop — no row
+///   drops to the per-row loop.
 /// * spreads of 1 keep everything dense (the all-dense side).
 #[test]
 fn group_paths_agree_on_both_sides_of_the_dense_budget() {
@@ -426,10 +425,10 @@ fn group_paths_agree_on_both_sides_of_the_dense_budget() {
                 reference.stats
             );
         }
-        if (g_spread, d_spread) == (230_000, 1) {
+        if (g_spread, d_spread) != (1, 1) {
             assert!(
-                reference.stats.dense_group_ops > 0 && reference.stats.hash_group_ops > 0,
-                "over-budget GROUP BY with dense BY must take the mixed path: {:?}",
+                reference.stats.hash_group_ops > 0 && reference.stats.scalar_kernel_rows == 0,
+                "an over-budget key must take the wide tier, fused: {:?}",
                 reference.stats
             );
         }
@@ -469,8 +468,9 @@ fn group_paths_agree_on_both_sides_of_the_dense_budget() {
 }
 
 /// Vectorized vs scalar kernels on RLE-friendly input: the fact table is
-/// sorted by the BY dimension, so the fused pivot sees long constant
-/// cell-code blocks and takes its run-level fast path. The result must be
+/// sorted by `(BY, GROUP BY)`, so the pivot's code stream over
+/// `GROUP BY ∪ BY` is run-dominated and takes the core's run-level fast
+/// path. The result must be
 /// byte-identical to the forced-scalar plan at every thread count, and the
 /// kernel-path counters must prove which path each plan actually ran —
 /// NULL measures included, so the validity-branch in the scatter kernels is
@@ -492,10 +492,11 @@ fn vectorized_rle_path_matches_scalar_kernels_on_sorted_input() {
         state = state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        let g = ((state >> 33) % 101) as i64;
-        // Sorted string dimension: 7 runs of ~28.5k rows each, far longer
-        // than the 1024-row kernel blocks — and dictionary-coded, so the
-        // fused pivot reads it through the bit-packed code vector.
+        // Sorted string dimension: 7 runs of ~28.5k rows each — dictionary-
+        // coded, so the stream reads it through the bit-packed code vector —
+        // and inside each, 101 sorted runs of the integer dimension (~280
+        // rows, a few runs per 1024-row kernel block).
+        let g = (i * 7 * 101 / N % 101) as i64;
         let d = format!("d{}", i * 7 / N);
         let a = if state.is_multiple_of(10) {
             Value::Null
@@ -542,7 +543,7 @@ fn vectorized_rle_path_matches_scalar_kernels_on_sorted_input() {
         );
         assert!(
             vectorized.stats.rle_runs > 0,
-            "sorted BY dimension must hit the RLE fast path: {:?}",
+            "a sorted key must hit the RLE fast path: {:?}",
             vectorized.stats
         );
         assert!(
@@ -565,8 +566,8 @@ fn vectorized_rle_path_matches_scalar_kernels_on_sorted_input() {
 /// `percentile`, `approx_percentile` and `approx_count_distinct` as extra
 /// lanes beside an `Hpct` term and as the cell lanes of a horizontal term,
 /// vectorized against the forced-scalar scan — at 1, 2 and 4 workers, with
-/// a GROUP BY and without one, on unsorted and BY-sorted input (the
-/// constant-cell-block path), over NULL-carrying and all-NULL measures,
+/// a GROUP BY and without one, on unsorted and key-sorted input (the run
+/// path), over NULL-carrying and all-NULL measures,
 /// with the percentile budget inside and crossed in mid-block. Same table,
 /// bit for bit, and the kernel-path counters prove which scan ran.
 #[test]
@@ -603,13 +604,13 @@ fn holistic_pivot_lanes_match_the_scalar_scan() {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let d = if sorted {
-                i * 5 / N
+            let (g, d) = if sorted {
+                (i * 55 / N % 11, i * 5 / N)
             } else {
-                (state >> 13) as usize % 5
+                ((state >> 33) as usize % 11, (state >> 13) as usize % 5)
             };
             t.push_row(&[
-                Value::from(((state >> 33) % 11) as i64),
+                Value::from(g as i64),
                 // "d4" is in the data but in no listed combination.
                 Value::str(format!("d{d}")),
                 if state.is_multiple_of(9) {
@@ -697,9 +698,12 @@ fn holistic_pivot_lanes_match_the_scalar_scan() {
                         assert_eq!(fused_stats.scalar_kernel_rows, 0, "{what}");
                         assert_eq!(fused_stats.vectorized_kernel_rows, N as u64, "{what}");
                         assert_eq!(scalar_stats.vectorized_kernel_rows, 0, "{what}");
-                        assert_eq!(scalar_stats.scalar_kernel_rows, N as u64, "{what}");
+                        // The per-row loop counts a row once per level: one
+                        // level per task plus the GROUP BY level.
+                        let levels = tasks.len() as u64 + 1;
+                        assert_eq!(scalar_stats.scalar_kernel_rows, levels * N as u64, "{what}");
                         if sorted {
-                            assert!(fused_stats.rle_runs > 0, "{what}: constant cell blocks");
+                            assert!(fused_stats.rle_runs > 0, "{what}: the run path");
                         }
                     }
                 }
@@ -792,7 +796,10 @@ fn adapter_table(n: usize, spread: u64, seed: u64) -> Table {
 /// A result's rows in key order, rendered so that `-0.0` and `0.0` (equal
 /// as values) would still differ: byte identity, not value equality.
 fn canonical(t: &Table, n_keys: usize) -> Vec<String> {
-    let mut rows: Vec<Vec<Value>> = t.rows().collect();
+    canonical_rows(t.rows().collect(), n_keys)
+}
+
+fn canonical_rows(mut rows: Vec<Vec<Value>>, n_keys: usize) -> Vec<String> {
     rows.sort_by(|a, b| {
         a[..n_keys]
             .iter()
@@ -804,17 +811,81 @@ fn canonical(t: &Table, n_keys: usize) -> Vec<String> {
     rows.iter().map(|r| format!("{r:?}")).collect()
 }
 
-/// Oracle 4: one scan core, three adapters, one answer.
+/// The pivot of `specs` over `GROUP BY cols[..k]`, `BY cols[k..]`, laid
+/// back out as the aggregate at `cols` it transposes: one row per cell some
+/// input row fed (told by the `count(*)` lane, which `specs` must carry),
+/// keys then lanes, in [`canonical`] form. The lanes ride two tasks sharing
+/// the BY list; a cell no row fed must read as a fresh accumulator does —
+/// 0 under the counts, NULL under everything else.
+fn untransposed_pivot(
+    t: &Table,
+    cols: &[usize],
+    k: usize,
+    specs: &[AggSpec],
+    config: &ParallelConfig,
+    stats: &mut ExecStats,
+) -> Vec<String> {
+    let (j_cols, by_cols) = cols.split_at(k);
+    let combos = if by_cols.is_empty() {
+        vec![vec![]] // the one cell of a pivot with nothing to pivot on
+    } else {
+        distinct_keys(t, by_cols, &mut ExecStats::default()).unwrap()
+    };
+    let star = specs
+        .iter()
+        .position(|s| s.func == AggFunc::CountStar)
+        .expect("a count(*) lane");
+    let split = [&specs[..2], &specs[2..]];
+    let tasks: Vec<PivotTask> = split
+        .iter()
+        .map(|lanes| PivotTask {
+            by_cols: by_cols.to_vec(),
+            lanes: lanes.iter().map(|s| (s.func, s.input.clone())).collect(),
+            combos: combos.clone(),
+            total: None,
+        })
+        .collect();
+    let guard = ResourceGuard::unlimited();
+    let out = pivot_aggregate_with_config(t, j_cols, &tasks, &[], &guard, stats, config).unwrap();
+    let mut cells: Vec<Vec<Value>> = Vec::new();
+    for row in out.rows() {
+        for (i, combo) in combos.iter().enumerate() {
+            // Task 0's cells come first, `combos × 2` of them.
+            let first = &row[k + i * 2..][..2];
+            let rest = &row[k + combos.len() * 2 + i * split[1].len()..][..split[1].len()];
+            let lanes: Vec<Value> = first.iter().chain(rest).cloned().collect();
+            if by_cols.is_empty() || lanes[star] != Value::Int(0) {
+                cells.push(row[..k].iter().chain(combo).cloned().chain(lanes).collect());
+                continue;
+            }
+            for (spec, v) in specs.iter().zip(&lanes) {
+                let counts = matches!(
+                    spec.func,
+                    AggFunc::Count | AggFunc::CountStar | AggFunc::ApproxCountDistinct
+                );
+                let fresh = if counts { Value::Int(0) } else { Value::Null };
+                assert_eq!(v, &fresh, "an unfed {} cell", spec.func.sql_name());
+            }
+        }
+    }
+    canonical_rows(cells, cols.len())
+}
+
+/// Oracle 4: one scan core, four adapters, one answer.
 ///
 /// `hash_aggregate` ≡ `partial_aggregate(..).finalize()` ≡ the single
-/// full-arity level of `lattice_aggregate` finalized, against the serial
-/// per-row loop as the reference, over `vector` on/off × threads {1,2,4} ×
-/// dense budget {0, 64, default} — the tuple-hash, wide and dense tiers —
-/// on code spaces under and over 2^16, key-sorted input (the RLE path),
-/// empty input and the empty GROUP BY. (`partial_aggregate` takes its
-/// configuration from the environment, so it contributes one cell per
-/// table; the lattice has no empty level and declines `vector: false` and
-/// holistic lanes by contract.)
+/// full-arity level of `lattice_aggregate` finalized ≡ `pivot_aggregate`
+/// un-transposed (the last key column as BY, and on one table every key
+/// column as BY under the empty GROUP BY), against the serial per-row loop as the
+/// reference, over `vector` on/off × threads {1,2,4} × dense budget
+/// {0, 64, default} — the tuple-hash, wide and dense tiers — on code spaces
+/// under and over 2^16 and one past the default budget (a 2000 × 2000
+/// group key), key-sorted input (the RLE path), empty input and the empty
+/// GROUP BY; and the pivot once more by a float column, where its task
+/// level takes the per-row loop beside the fused GROUP BY level.
+/// (`partial_aggregate` takes its configuration from the environment, so it
+/// contributes one cell per table; the lattice has no empty level and
+/// declines `vector: false` and holistic lanes by contract.)
 #[test]
 fn aggregate_partial_and_lattice_adapters_agree_across_the_kernel_matrix() {
     let guard = ResourceGuard::unlimited();
@@ -826,6 +897,7 @@ fn aggregate_partial_and_lattice_adapters_agree_across_the_kernel_matrix() {
         ("large", large.clone()),
         ("large sorted", large.sorted_by(&[0, 1])),
         ("empty", adapter_table(0, 5, 13)),
+        ("wide", adapter_table(3_000, 2_000, 15)),
     ];
     let a = Expr::Col(3);
     let raw = vec![
@@ -846,8 +918,14 @@ fn aggregate_partial_and_lattice_adapters_agree_across_the_kernel_matrix() {
         ..ParallelConfig::serial()
     };
     for (name, t) in &tables {
+        // Past the dense budget the group key is both integers, BY the
+        // string: 2000 BY values would make a matrix of millions of cells.
+        let key_sets = match *name {
+            "wide" => vec![vec![0usize, 1, 2]],
+            _ => vec![vec![0, 1], vec![2, 0], vec![]],
+        };
         for (lanes, specs) in [("raw", &raw), ("holistic", &holistic)] {
-            for cols in [vec![0usize, 1], vec![2, 0], vec![]] {
+            for cols in key_sets.clone() {
                 let what = format!("{name} {lanes} by {cols:?}");
                 let mut st = ExecStats::default();
                 let want = canonical(
@@ -890,6 +968,51 @@ fn aggregate_partial_and_lattice_adapters_agree_across_the_kernel_matrix() {
                                 if vector { t.num_rows() as u64 } else { 0 },
                                 "{cell}: every tier fuses these lanes"
                             );
+
+                            // The last key column as BY (but for the
+                            // 300 × 300 cells of the large tables); on the
+                            // small one every key column too, under the
+                            // empty GROUP BY.
+                            let n = t.num_rows() as u64;
+                            let splits = match (*name, cols.len()) {
+                                ("small", len) => vec![len.saturating_sub(1), 0],
+                                ("large" | "large sorted", 2) if cols[1] == 1 => vec![],
+                                (_, len) => vec![len.saturating_sub(1)],
+                            };
+                            for k in splits {
+                                let mut st = ExecStats::default();
+                                let got = untransposed_pivot(t, &cols, k, specs, &config, &mut st);
+                                assert_eq!(got, want, "{cell}: pivot GROUP BY {:?}", &cols[..k]);
+                                assert_eq!(
+                                    (st.vectorized_kernel_rows, st.scalar_kernel_rows > 0),
+                                    if vector { (n, false) } else { (0, n > 0) },
+                                    "{cell}: one stream for the pivot's levels"
+                                );
+                            }
+                            // The pivot by the float measure: its two
+                            // task levels take the per-row loop, the
+                            // GROUP BY level its own fused stream.
+                            if *name == "small" && cols == [0, 1] {
+                                let mut st = ExecStats::default();
+                                let by_float = hash_aggregate_with_config(
+                                    t,
+                                    &[0, 3],
+                                    specs,
+                                    &guard,
+                                    &mut st,
+                                    &reference,
+                                );
+                                let by_float = canonical(&by_float.unwrap(), 2);
+                                let mut st = ExecStats::default();
+                                let got =
+                                    untransposed_pivot(t, &[0, 3], 1, specs, &config, &mut st);
+                                assert_eq!(got, by_float, "{cell}: pivot BY a float");
+                                assert_eq!(
+                                    (st.vectorized_kernel_rows, st.scalar_kernel_rows),
+                                    if vector { (n, 2 * n) } else { (0, 3 * n) },
+                                    "{cell}: only the levels keyed by the float degrade"
+                                );
+                            }
 
                             if cols.is_empty() {
                                 continue; // the lattice has no empty level
