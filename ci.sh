@@ -9,6 +9,17 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> temp-table gate: no query path registers, logs or sweeps a table"
+# A query's intermediates and results are values (DESIGN.md §8). The one
+# plan that stores a table, the Update materialization's Fk, goes through
+# Catalog::create_table / drop_table in vertical.rs::StoredFk and needs
+# none of these.
+if grep -rnE 'create_or_replace_table|create_table_as|drop_prefixed' \
+  crates/core/src crates/service/src; then
+  echo "temp-table machinery reappeared under crates/core/src or crates/service/src" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 

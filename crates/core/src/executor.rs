@@ -2,22 +2,35 @@
 //!
 //! [`PercentageEngine`] ties the pieces together — parse SQL (or take typed
 //! queries), pick a strategy (explicitly or via the heuristic optimizer),
-//! evaluate, and manage temporary-table naming.
+//! resolve the fact table once, and evaluate. Every entry point is an
+//! argument adapter over one boundary (`run`) and, for SQL text, one
+//! statement body (`run_statement`).
 
 use crate::error::{CoreError, Result};
-use crate::horizontal::{eval_horizontal_guarded, HorizontalResult};
+use crate::horizontal::{eval_horizontal_on, HorizontalResult};
+use crate::lattice::{eval_vpct_batch_on, eval_vpct_lattice_on, eval_vpct_sets_on};
 use crate::missing::{postprocess_pad, preprocess_pad, MissingRows};
-use crate::olap::eval_vpct_olap;
-use crate::optimizer::{choose_horizontal_strategy, choose_vpct_strategy};
-use crate::query::{from_sql, HorizontalQuery, Query, VpctQuery};
+use crate::olap::eval_vpct_olap_on;
+use crate::optimizer::{
+    choose_horizontal_strategy, choose_vpct_strategy, horizontal_strategy_over,
+};
+use crate::query::{from_sql, per_set_statements, Fact, HorizontalQuery, Query, VpctQuery};
 use crate::strategy::{HorizontalOptions, VpctStrategy};
-use crate::vertical::{eval_vpct_guarded, QueryResult};
-use pa_engine::{Clock, Deadline, ResourceGuard, TraceReport, Tracer};
+use crate::vertical::{eval_vpct_on, into_shared, QueryResult};
+use pa_engine::{Clock, Deadline, ExecStats, ResourceGuard, TraceReport, Tracer};
 use pa_storage::Catalog;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Name prefix of the only table a percentage plan stores: the `Fk` an
+/// `Update` plan updates in place, registered while that plan runs.
+const STORED_PREFIX: &str = "tmp_";
+
+/// Explicit strategy knobs for both families (`execute_sql_with`); without
+/// them the optimizer chooses.
+type Knobs<'k> = Option<(&'k VpctStrategy, &'k HorizontalOptions)>;
 
 /// Per-call execution limits, layered over the engine's defaults. The
 /// serving layer uses this to apply per-session budgets and deadlines
@@ -79,6 +92,13 @@ impl SqlOutcome {
 
 /// The percentage-query engine over a catalog.
 ///
+/// A query's intermediates (`Fk`, `Fj`, `FV`, `FH`, a `WHERE` result) and
+/// its result are values the query owns: evaluating one registers no table
+/// and writes no log record, so any number of engines and threads may
+/// query one catalog at once. (The one exception is the paper's `Update`
+/// materialization, by definition a logged in-place update of a stored
+/// `Fk`; that plan registers its `Fk` while it runs.)
+///
 /// ```
 /// use pa_core::{PercentageEngine, SqlOutcome};
 /// use pa_storage::{Catalog, DataType, Schema, Table, Value};
@@ -104,40 +124,21 @@ impl SqlOutcome {
 #[derive(Debug)]
 pub struct PercentageEngine<'a> {
     catalog: &'a Catalog,
-    counter: AtomicU64,
-    reuse_temps: bool,
     guard: ResourceGuard,
     clock: Arc<dyn Clock>,
     deadline: Option<Duration>,
-    temp_cleanup: bool,
     read_only: AtomicBool,
 }
 
 impl<'a> PercentageEngine<'a> {
-    /// Engine that reuses one set of temporary-table names (`tmp_Fk`, ...),
-    /// replacing them per query — the right mode for benchmarks and
-    /// single-threaded use.
+    /// Engine over `catalog` with no limits, on the system clock.
     pub fn new(catalog: &'a Catalog) -> PercentageEngine<'a> {
         PercentageEngine {
             catalog,
-            counter: AtomicU64::new(0),
-            reuse_temps: true,
             guard: ResourceGuard::unlimited(),
             clock: pa_engine::SystemClock::shared(),
             deadline: None,
-            temp_cleanup: false,
             read_only: AtomicBool::new(false),
-        }
-    }
-
-    /// Engine that mints fresh temporary names per query (`q3_Fk`, ...),
-    /// keeping every intermediate inspectable. This is also the mode for
-    /// concurrent callers: the atomic counter gives every in-flight query
-    /// a collision-free namespace.
-    pub fn with_unique_temps(catalog: &'a Catalog) -> PercentageEngine<'a> {
-        PercentageEngine {
-            reuse_temps: false,
-            ..PercentageEngine::new(catalog)
         }
     }
 
@@ -178,16 +179,6 @@ impl<'a> PercentageEngine<'a> {
         self
     }
 
-    /// Drop each query's temporary tables from the catalog after the query
-    /// succeeds (they are always dropped when it fails). Result tables stay
-    /// readable through the returned handles — dropping unregisters the
-    /// name without freeing shared data. The serving layer enables this so
-    /// a long-lived catalog does not accrete per-query namespaces.
-    pub fn with_temp_cleanup(mut self) -> Self {
-        self.temp_cleanup = true;
-        self
-    }
-
     /// The guard metering this engine's queries.
     pub fn guard(&self) -> &ResourceGuard {
         &self.guard
@@ -204,8 +195,8 @@ impl<'a> PercentageEngine<'a> {
     }
 
     /// Serve as a read-only replica: every DML helper returns
-    /// [`CoreError::ReadOnlyReplica`]. Read queries still run (they may
-    /// create temporary tables, which are not user DML).
+    /// [`CoreError::ReadOnlyReplica`]. Read queries still run: they write
+    /// nothing.
     pub fn with_read_only(self) -> Self {
         self.read_only.store(true, Ordering::Relaxed);
         self
@@ -292,72 +283,44 @@ impl<'a> PercentageEngine<'a> {
         Ok(())
     }
 
-    fn prefix(&self) -> String {
-        if self.reuse_temps {
-            "tmp_".to_string()
-        } else {
-            format!("q{}_", self.counter.fetch_add(1, Ordering::Relaxed))
-        }
+    /// A fresh tracer on the engine's clock.
+    fn tracer(&self) -> Option<Tracer> {
+        Some(Tracer::enabled(Arc::clone(&self.clock)))
     }
 
-    /// Pin `table` at the current catalog epoch and rewrite the reference
-    /// to the snapshot's hidden alias, so the whole query scans one frozen
-    /// version while concurrent writers keep mutating the live table. The
-    /// returned guard must outlive the query: dropping it releases the
-    /// pin. `None` (name untouched) when the table is absent — the query
-    /// then surfaces its own typed not-found error downstream.
-    fn pin_source(&self, table: &mut String) -> Option<Arc<pa_storage::SnapshotView>> {
-        let view = self.catalog.pin_table(table)?;
-        *table = view.alias().to_string();
-        Some(view)
-    }
-
-    /// [`PercentageEngine::pin_source`] for either query family.
-    fn pin_query(&self, query: &mut Query) -> Option<Arc<pa_storage::SnapshotView>> {
-        let table = match query {
-            Query::Vertical(q) => &mut q.table,
-            Query::Horizontal(q) => &mut q.table,
-        };
-        self.pin_source(table)
-    }
-
-    /// The fault boundary every top-level query runs inside.
+    /// The boundary every top-level query runs inside.
     ///
-    /// Mints one temp-table prefix for the whole query (WHERE views,
-    /// intermediates and result share the namespace), derives a per-query
-    /// guard layering the per-call limits over the engine defaults, catches
-    /// panics that escape the plan (converting them to
-    /// [`CoreError::WorkerPanicked`] and cancelling the guard so sibling
-    /// workers stop), and guarantees the catalog is swept of this query's
-    /// temporaries on every failure path. Returns the closure's value plus
-    /// the rows this query charged against its guard.
-    fn run_query<T>(
+    /// Resolves `table` once — pinned at the current catalog epoch, so the
+    /// whole query scans one frozen version while concurrent writers keep
+    /// mutating the live table, and the caches are keyed by the snapshot's
+    /// alias — then derives a per-query guard layering the per-call limits
+    /// over the engine defaults and hands both to `eval`. A panic that
+    /// escapes the plan becomes [`CoreError::WorkerPanicked`] and cancels
+    /// the guard so sibling workers stop. With a `tracer`, the query runs
+    /// with a root `query` span open and the tracer riding on the guard, so
+    /// every operator underneath records child spans. Returns `eval`'s
+    /// value, the rows the query charged against its guard, and the drained
+    /// trace (a failed query drops its report with it).
+    fn run<T>(
         &self,
         op: &str,
+        table: &str,
         limits: QueryLimits,
-        opt_deadline: Option<Duration>,
-        f: impl FnOnce(&str, &ResourceGuard) -> Result<T>,
-    ) -> Result<(T, u64)> {
-        let (v, charged, _) = self.run_query_traced(op, limits, opt_deadline, None, f)?;
-        Ok((v, charged))
-    }
-
-    /// [`PercentageEngine::run_query`] with an optional per-query tracer:
-    /// when `Some`, the query runs with a root `query` span open and the
-    /// tracer riding on the per-query guard, so every operator underneath
-    /// records child spans. The drained [`TraceReport`] comes back alongside
-    /// the result — also on the error path's `None`, since a failed query
-    /// drops its report with it.
-    fn run_query_traced<T>(
-        &self,
-        op: &str,
-        limits: QueryLimits,
-        opt_deadline: Option<Duration>,
         tracer: Option<Tracer>,
-        f: impl FnOnce(&str, &ResourceGuard) -> Result<T>,
+        eval: impl FnOnce(&Fact, &ResourceGuard) -> Result<T>,
     ) -> Result<(T, u64, Option<TraceReport>)> {
-        let prefix = self.prefix();
-        let allow = limits.deadline.or(opt_deadline).or(self.deadline);
+        // The pin must outlive the query: dropping it releases the
+        // snapshot. `None` for an absent table (the typed not-found error
+        // follows) or a name that already is a snapshot alias.
+        let pin = self.catalog.pin_table(table);
+        let fact = match &pin {
+            Some(view) => Fact {
+                table: Arc::clone(view.table()),
+                cache_key: Some(view.alias().to_string()),
+            },
+            None => Fact::named(self.catalog, table)?,
+        };
+        let allow = limits.deadline.or(self.deadline);
         let deadline = allow.map(|d| Deadline::with_clock(d, Arc::clone(&self.clock)));
         let mut qguard = self.guard.per_query_limited(limits.row_budget, deadline);
         if qguard.is_unlimited() {
@@ -371,7 +334,7 @@ impl<'a> PercentageEngine<'a> {
         // The root span must open before any operator span and close after
         // the last one, so operator timestamps land inside it.
         let root = tracer.as_ref().map(|t| t.span("query"));
-        let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(&prefix, &qguard)))
+        let out = std::panic::catch_unwind(AssertUnwindSafe(|| eval(&fact, &qguard)))
             .unwrap_or_else(|p| {
                 // A panic on the query's own thread (parallel workers catch
                 // their own): contain it and stop any surviving workers.
@@ -383,38 +346,83 @@ impl<'a> PercentageEngine<'a> {
             });
         drop(root);
         let report = tracer.as_ref().map(Tracer::take_report);
-        let charged = qguard.rows_charged();
-        match out {
-            Ok(v) => {
-                if self.temp_cleanup {
-                    self.catalog.drop_prefixed(&prefix);
-                }
-                Ok((v, charged, report))
-            }
-            Err(e) => {
-                // Scope guard: a failed query must not leak temporaries,
-                // whatever stage it died in.
-                self.catalog.drop_prefixed(&prefix);
-                Err(e)
-            }
-        }
+        Ok((out?, qguard.rows_charged(), report))
     }
 
-    /// Heuristic vertical evaluation under an externally supplied prefix
-    /// and guard. Multi-term queries (`m > 1`) evaluate bottom-up on the
-    /// dimension lattice (SIGMOD §3.1: "partial aggregations need to be
-    /// computed bottom-up based on the dimension lattice").
+    /// Evaluate `q` over `fact`: with `strat`, or as the optimizer chooses —
+    /// multi-term queries (`m > 1`) bottom-up on the dimension lattice
+    /// (SIGMOD §3.1: "partial aggregations need to be computed bottom-up
+    /// based on the dimension lattice").
     fn eval_vertical(
         &self,
+        fact: &Fact,
         q: &VpctQuery,
-        prefix: &str,
+        strat: Option<&VpctStrategy>,
         guard: &ResourceGuard,
     ) -> Result<QueryResult> {
-        if q.terms.len() > 1 {
-            return crate::lattice::eval_vpct_lattice_guarded(self.catalog, q, prefix, guard);
-        }
-        let strat = choose_vpct_strategy(self.catalog, q);
-        eval_vpct_guarded(self.catalog, q, &strat, prefix, guard)
+        let chosen;
+        let strat = match strat {
+            Some(s) => s,
+            None if q.terms.len() > 1 => {
+                return eval_vpct_lattice_on(self.catalog, fact, q, guard);
+            }
+            None => {
+                chosen = choose_vpct_strategy(self.catalog, q);
+                &chosen
+            }
+        };
+        eval_vpct_on(self.catalog, fact, q, strat, STORED_PREFIX, guard)
+    }
+
+    /// Evaluate `q` over `fact`: with `opts`, or with the CASE source the
+    /// optimizer picks for the rows `fact` holds.
+    fn eval_horizontal(
+        &self,
+        fact: &Fact,
+        q: &HorizontalQuery,
+        opts: Option<&HorizontalOptions>,
+        guard: &ResourceGuard,
+    ) -> Result<HorizontalResult> {
+        let chosen;
+        let opts = match opts {
+            Some(o) => o,
+            None => {
+                let strategy = horizontal_strategy_over(&fact.table.read(), q)?;
+                chosen = HorizontalOptions::with_strategy(strategy);
+                &chosen
+            }
+        };
+        eval_horizontal_on(self.catalog, fact, q, opts, guard)
+    }
+
+    /// The typed vertical entry points.
+    fn run_vertical(
+        &self,
+        q: &VpctQuery,
+        strat: Option<&VpctStrategy>,
+        limits: QueryLimits,
+        tracer: Option<Tracer>,
+    ) -> Result<(QueryResult, Option<TraceReport>)> {
+        let eval = |fact: &Fact, guard: &ResourceGuard| self.eval_vertical(fact, q, strat, guard);
+        let (mut r, charged, report) = self.run("vpct", &q.table, limits, tracer, eval)?;
+        r.stats.rows_charged = charged;
+        Ok((r, report))
+    }
+
+    /// The typed horizontal entry points. The deadline precedence is
+    /// `limits` > [`HorizontalOptions::deadline`] > the engine default.
+    fn run_horizontal(
+        &self,
+        q: &HorizontalQuery,
+        opts: Option<&HorizontalOptions>,
+        mut limits: QueryLimits,
+        tracer: Option<Tracer>,
+    ) -> Result<(HorizontalResult, Option<TraceReport>)> {
+        limits.deadline = limits.deadline.or(opts.and_then(|o| o.deadline));
+        let eval = |fact: &Fact, guard: &ResourceGuard| self.eval_horizontal(fact, q, opts, guard);
+        let (mut r, charged, report) = self.run("horizontal", &q.table, limits, tracer, eval)?;
+        r.stats.rows_charged = charged;
+        Ok((r, report))
     }
 
     /// Evaluate a vertical percentage query with the recommended strategy.
@@ -424,45 +432,38 @@ impl<'a> PercentageEngine<'a> {
 
     /// [`PercentageEngine::vpct`] with per-call limits.
     pub fn vpct_limited(&self, q: &VpctQuery, limits: QueryLimits) -> Result<QueryResult> {
-        let mut q = q.clone();
-        let _pin = self.pin_source(&mut q.table);
-        let (mut r, charged) = self.run_query("vpct", limits, None, |prefix, guard| {
-            self.eval_vertical(&q, prefix, guard)
-        })?;
-        r.stats.rows_charged = charged;
-        Ok(r)
+        Ok(self.run_vertical(q, None, limits, None)?.0)
+    }
+
+    /// Evaluate a vertical percentage query with an explicit strategy.
+    pub fn vpct_with(&self, q: &VpctQuery, strat: &VpctStrategy) -> Result<QueryResult> {
+        Ok(self
+            .run_vertical(q, Some(strat), QueryLimits::none(), None)?
+            .0)
+    }
+
+    /// Evaluate a vertical query under a per-query tracer, returning the
+    /// per-operator [`TraceReport`] alongside the result.
+    pub fn vpct_traced(&self, q: &VpctQuery) -> Result<(QueryResult, TraceReport)> {
+        let (r, report) = self.run_vertical(q, None, QueryLimits::none(), self.tracer())?;
+        Ok((r, report.unwrap_or_default()))
     }
 
     /// Evaluate a batch of percentage queries with one shared summary
     /// (SIGMOD §6 future work). See [`crate::lattice::eval_vpct_batch`].
     pub fn vpct_batch(&self, queries: &[VpctQuery]) -> Result<Vec<QueryResult>> {
-        let mut queries: Vec<VpctQuery> = queries.to_vec();
-        let _pins: Vec<_> = queries
-            .iter_mut()
-            .map(|q| self.pin_source(&mut q.table))
-            .collect();
-        let (mut results, charged) =
-            self.run_query("vpct_batch", QueryLimits::none(), None, |prefix, guard| {
-                crate::lattice::eval_vpct_batch_guarded(self.catalog, &queries, prefix, guard)
-            })?;
+        let Some(first) = queries.first() else {
+            return Ok(Vec::new());
+        };
+        let eval = |fact: &Fact, guard: &ResourceGuard| {
+            eval_vpct_batch_on(self.catalog, fact, queries, guard)
+        };
+        let (mut results, charged, _) =
+            self.run("vpct_batch", &first.table, QueryLimits::none(), None, eval)?;
         // The batch meters its shared work on the first result (the one
         // whose stats carry the fused summary pass).
-        if let Some(first) = results.first_mut() {
-            first.stats.rows_charged = charged;
-        }
+        results[0].stats.rows_charged = charged;
         Ok(results)
-    }
-
-    /// Evaluate a vertical percentage query with an explicit strategy.
-    pub fn vpct_with(&self, q: &VpctQuery, strat: &VpctStrategy) -> Result<QueryResult> {
-        let mut q = q.clone();
-        let _pin = self.pin_source(&mut q.table);
-        let (mut r, charged) =
-            self.run_query("vpct", QueryLimits::none(), None, |prefix, guard| {
-                eval_vpct_guarded(self.catalog, &q, strat, prefix, guard)
-            })?;
-        r.stats.rows_charged = charged;
-        Ok(r)
     }
 
     /// Evaluate with explicit strategy and missing-row handling.
@@ -472,37 +473,21 @@ impl<'a> PercentageEngine<'a> {
         strat: &VpctStrategy,
         missing: MissingRows,
     ) -> Result<QueryResult> {
-        let mut q = q.clone();
-        // PreProcess pads the *live* fact table in place; pinning would
-        // redirect the pad into the frozen alias, corrupting the snapshot
-        // and losing the pad. That mode runs unpinned by design.
-        let _pin = if matches!(missing, MissingRows::PreProcess) {
-            None
-        } else {
-            self.pin_source(&mut q.table)
+        // PreProcess pads the *live* fact table, so it runs ahead of the
+        // pin: the query then reads a snapshot that holds the pad.
+        let mut pad = ExecStats::default();
+        if missing == MissingRows::PreProcess {
+            preprocess_pad(self.catalog, q, &mut pad)?;
+        }
+        let eval = |fact: &Fact, guard: &ResourceGuard| {
+            let mut result = self.eval_vertical(fact, q, Some(strat), guard)?;
+            if missing == MissingRows::PostProcess {
+                postprocess_pad(fact, q, &mut result)?;
+            }
+            Ok(result)
         };
-        let (mut r, charged) = self.run_query(
-            "vpct",
-            QueryLimits::none(),
-            None,
-            |prefix, guard| match missing {
-                MissingRows::Ignore => eval_vpct_guarded(self.catalog, &q, strat, prefix, guard),
-                MissingRows::PreProcess => {
-                    let mut stats = pa_engine::ExecStats::default();
-                    preprocess_pad(self.catalog, &q, &mut stats)?;
-                    let mut result = eval_vpct_guarded(self.catalog, &q, strat, prefix, guard)?;
-                    result.stats += stats;
-                    Ok(result)
-                }
-                MissingRows::PostProcess => {
-                    let mut result = eval_vpct_guarded(self.catalog, &q, strat, prefix, guard)?;
-                    let mut stats = pa_engine::ExecStats::default();
-                    postprocess_pad(self.catalog, &q, &result, &mut stats)?;
-                    result.stats += stats;
-                    Ok(result)
-                }
-            },
-        )?;
+        let (mut r, charged, _) = self.run("vpct", &q.table, QueryLimits::none(), None, eval)?;
+        r.stats += pad;
         r.stats.rows_charged = charged;
         Ok(r)
     }
@@ -510,22 +495,15 @@ impl<'a> PercentageEngine<'a> {
     /// Evaluate a vertical percentage query through the OLAP window-function
     /// baseline (the comparison of SIGMOD Table 6).
     pub fn vpct_olap(&self, q: &VpctQuery) -> Result<QueryResult> {
-        let mut q = q.clone();
-        let _pin = self.pin_source(&mut q.table);
-        let (r, _) = self.run_query("vpct_olap", QueryLimits::none(), None, |prefix, _| {
-            eval_vpct_olap(self.catalog, &q, prefix)
-        })?;
-        Ok(r)
+        let eval = |fact: &Fact, _: &ResourceGuard| eval_vpct_olap_on(fact, q);
+        Ok(self
+            .run("vpct_olap", &q.table, QueryLimits::none(), None, eval)?
+            .0)
     }
 
     /// Evaluate a horizontal query, picking the CASE source heuristically.
     pub fn horizontal(&self, q: &HorizontalQuery) -> Result<HorizontalResult> {
-        let strategy = choose_horizontal_strategy(self.catalog, q)?;
-        self.horizontal_limited(
-            q,
-            &HorizontalOptions::with_strategy(strategy),
-            QueryLimits::none(),
-        )
+        Ok(self.run_horizontal(q, None, QueryLimits::none(), None)?.0)
     }
 
     /// Evaluate a horizontal query with explicit options.
@@ -546,21 +524,26 @@ impl<'a> PercentageEngine<'a> {
         opts: &HorizontalOptions,
         limits: QueryLimits,
     ) -> Result<HorizontalResult> {
-        let mut q = q.clone();
-        let _pin = self.pin_source(&mut q.table);
-        let (mut r, charged) =
-            self.run_query("horizontal", limits, opts.deadline, |prefix, guard| {
-                eval_horizontal_guarded(self.catalog, &q, opts, prefix, guard)
-            })?;
-        r.stats.rows_charged = charged;
-        Ok(r)
+        Ok(self.run_horizontal(q, Some(opts), limits, None)?.0)
+    }
+
+    /// Evaluate a horizontal query with explicit options under a per-query
+    /// tracer, returning the per-operator [`TraceReport`] alongside the
+    /// result.
+    pub fn horizontal_traced(
+        &self,
+        q: &HorizontalQuery,
+        opts: &HorizontalOptions,
+    ) -> Result<(HorizontalResult, TraceReport)> {
+        let (r, report) = self.run_horizontal(q, Some(opts), QueryLimits::none(), self.tracer())?;
+        Ok((r, report.unwrap_or_default()))
     }
 
     /// Parse, validate and execute a SQL statement in the percentage
     /// dialect. A `WHERE` clause is applied to the fact table first ("F can
     /// be a temporary table resulting from some query", SIGMOD §2); an
-    /// `ORDER BY` clause sorts the materialized result (result rows "can be
-    /// returned in the order given by GROUP BY").
+    /// `ORDER BY` clause sorts the result (result rows "can be returned in
+    /// the order given by GROUP BY").
     pub fn execute_sql(&self, sql: &str) -> Result<SqlOutcome> {
         self.execute_sql_limited(sql, QueryLimits::none())
     }
@@ -568,39 +551,9 @@ impl<'a> PercentageEngine<'a> {
     /// [`PercentageEngine::execute_sql`] with per-call limits — the serving
     /// layer's entry point for session budgets and deadlines.
     pub fn execute_sql_limited(&self, sql: &str, limits: QueryLimits) -> Result<SqlOutcome> {
-        let stmt = pa_sql::parse(sql)?;
-        if !stmt.grouping.is_flat() {
-            return Ok(self
-                .execute_grouping_sets(&stmt, limits, None, None, None)?
-                .0);
-        }
-        let mut query = from_sql(&stmt)?;
-        let _pin = self.pin_query(&mut query);
-        let (mut outcome, charged) =
-            self.run_query("execute_sql", limits, None, |prefix, guard| {
-                let mut query = query;
-                self.apply_where(&stmt, &mut query, prefix, guard)?;
-                let outcome = match query {
-                    Query::Vertical(q) => {
-                        SqlOutcome::Vertical(self.eval_vertical(&q, prefix, guard)?)
-                    }
-                    Query::Horizontal(q) => {
-                        let strategy = choose_horizontal_strategy(self.catalog, &q)?;
-                        let opts = HorizontalOptions::with_strategy(strategy);
-                        SqlOutcome::Horizontal(eval_horizontal_guarded(
-                            self.catalog,
-                            &q,
-                            &opts,
-                            prefix,
-                            guard,
-                        )?)
-                    }
-                };
-                apply_order(&outcome, &stmt.order_by, guard)?;
-                Ok(outcome)
-            })?;
-        outcome.stats_mut().rows_charged = charged;
-        Ok(outcome)
+        Ok(self
+            .run_statement(pa_sql::parse(sql)?, limits, None, None)?
+            .0)
     }
 
     /// [`PercentageEngine::execute_sql_limited`] under a per-query tracer:
@@ -616,84 +569,8 @@ impl<'a> PercentageEngine<'a> {
         limits: QueryLimits,
     ) -> Result<(SqlOutcome, TraceReport)> {
         let stmt = pa_sql::parse_statement(sql)?.select().clone();
-        if !stmt.grouping.is_flat() {
-            let tracer = Tracer::enabled(Arc::clone(&self.clock));
-            let (outcome, report) =
-                self.execute_grouping_sets(&stmt, limits, None, None, Some(tracer))?;
-            return Ok((outcome, report.unwrap_or_default()));
-        }
-        let mut query = from_sql(&stmt)?;
-        let _pin = self.pin_query(&mut query);
-        let tracer = Tracer::enabled(Arc::clone(&self.clock));
-        let (mut outcome, charged, report) = self.run_query_traced(
-            "execute_sql",
-            limits,
-            None,
-            Some(tracer),
-            |prefix, guard| {
-                let mut query = query;
-                self.apply_where(&stmt, &mut query, prefix, guard)?;
-                let outcome = match query {
-                    Query::Vertical(q) => {
-                        SqlOutcome::Vertical(self.eval_vertical(&q, prefix, guard)?)
-                    }
-                    Query::Horizontal(q) => {
-                        let strategy = choose_horizontal_strategy(self.catalog, &q)?;
-                        let opts = HorizontalOptions::with_strategy(strategy);
-                        SqlOutcome::Horizontal(eval_horizontal_guarded(
-                            self.catalog,
-                            &q,
-                            &opts,
-                            prefix,
-                            guard,
-                        )?)
-                    }
-                };
-                apply_order(&outcome, &stmt.order_by, guard)?;
-                Ok(outcome)
-            },
-        )?;
-        outcome.stats_mut().rows_charged = charged;
+        let (outcome, report) = self.run_statement(stmt, limits, None, self.tracer())?;
         Ok((outcome, report.unwrap_or_default()))
-    }
-
-    /// Evaluate a vertical query under a per-query tracer, returning the
-    /// per-operator [`TraceReport`] alongside the result.
-    pub fn vpct_traced(&self, q: &VpctQuery) -> Result<(QueryResult, TraceReport)> {
-        let mut q = q.clone();
-        let _pin = self.pin_source(&mut q.table);
-        let tracer = Tracer::enabled(Arc::clone(&self.clock));
-        let (mut r, charged, report) = self.run_query_traced(
-            "vpct",
-            QueryLimits::none(),
-            None,
-            Some(tracer),
-            |prefix, guard| self.eval_vertical(&q, prefix, guard),
-        )?;
-        r.stats.rows_charged = charged;
-        Ok((r, report.unwrap_or_default()))
-    }
-
-    /// Evaluate a horizontal query with explicit options under a per-query
-    /// tracer, returning the per-operator [`TraceReport`] alongside the
-    /// result.
-    pub fn horizontal_traced(
-        &self,
-        q: &HorizontalQuery,
-        opts: &HorizontalOptions,
-    ) -> Result<(HorizontalResult, TraceReport)> {
-        let mut q = q.clone();
-        let _pin = self.pin_source(&mut q.table);
-        let tracer = Tracer::enabled(Arc::clone(&self.clock));
-        let (mut r, charged, report) = self.run_query_traced(
-            "horizontal",
-            QueryLimits::none(),
-            opts.deadline,
-            Some(tracer),
-            |prefix, guard| eval_horizontal_guarded(self.catalog, &q, opts, prefix, guard),
-        )?;
-        r.stats.rows_charged = charged;
-        Ok((r, report.unwrap_or_default()))
     }
 
     /// Like [`PercentageEngine::execute_sql`] but with explicit strategy
@@ -715,225 +592,154 @@ impl<'a> PercentageEngine<'a> {
         hopts: &HorizontalOptions,
         limits: QueryLimits,
     ) -> Result<SqlOutcome> {
-        let stmt = pa_sql::parse(sql)?;
-        if !stmt.grouping.is_flat() {
-            return Ok(self
-                .execute_grouping_sets(&stmt, limits, Some(vstrat), Some(hopts), None)?
-                .0);
-        }
-        let mut query = from_sql(&stmt)?;
-        let _pin = self.pin_query(&mut query);
+        let knobs = Some((vstrat, hopts));
+        Ok(self
+            .run_statement(pa_sql::parse(sql)?, limits, knobs, None)?
+            .0)
+    }
+
+    /// The one statement body: plan → resolve the source → `WHERE` →
+    /// evaluate → `ORDER BY`, inside [`PercentageEngine::run`].
+    fn run_statement(
+        &self,
+        stmt: pa_sql::SelectStmt,
+        mut limits: QueryLimits,
+        knobs: Knobs<'_>,
+        tracer: Option<Tracer>,
+    ) -> Result<(SqlOutcome, Option<TraceReport>)> {
+        // A flat statement is one typed query; a lattice-grouped one
+        // (`ROLLUP` / `CUBE` / `GROUPING SETS`) one flat statement per set.
+        let flat = match stmt.grouping.is_flat() {
+            true => Some(from_sql(&stmt)?),
+            false => None,
+        };
+        let sets = match flat {
+            Some(_) => Vec::new(),
+            None => per_set_statements(&stmt)?,
+        };
         // An options-level deadline only applies to the family it belongs
         // to.
-        let opt_deadline = match &query {
-            Query::Horizontal(_) => hopts.deadline,
-            Query::Vertical(_) => None,
-        };
-        let (mut outcome, charged) =
-            self.run_query("execute_sql", limits, opt_deadline, |prefix, guard| {
-                let mut query = query;
-                self.apply_where(&stmt, &mut query, prefix, guard)?;
-                let outcome = match query {
-                    Query::Vertical(q) => SqlOutcome::Vertical(eval_vpct_guarded(
-                        self.catalog,
-                        &q,
-                        vstrat,
-                        prefix,
-                        guard,
-                    )?),
-                    Query::Horizontal(q) => SqlOutcome::Horizontal(eval_horizontal_guarded(
-                        self.catalog,
-                        &q,
-                        hopts,
-                        prefix,
-                        guard,
-                    )?),
-                };
-                apply_order(&outcome, &stmt.order_by, guard)?;
-                Ok(outcome)
-            })?;
-        outcome.stats_mut().rows_charged = charged;
-        Ok(outcome)
-    }
-
-    /// Materialize the WHERE-filtered fact table as a view-like temporary
-    /// (in the query's own prefix namespace, so failure cleanup sweeps it)
-    /// and point the query at it.
-    fn apply_where(
-        &self,
-        stmt: &pa_sql::SelectStmt,
-        query: &mut Query,
-        prefix: &str,
-        guard: &ResourceGuard,
-    ) -> Result<()> {
-        let table = match query {
-            Query::Vertical(q) => q.table.clone(),
-            Query::Horizontal(q) => q.table.clone(),
-        };
-        if let Some(view_name) = self.materialize_where(stmt, &table, prefix, guard)? {
-            match query {
-                Query::Vertical(q) => q.table = view_name,
-                Query::Horizontal(q) => q.table = view_name,
-            }
+        if let (Some(Query::Horizontal(_)), Some((_, hopts))) = (&flat, knobs) {
+            limits.deadline = limits.deadline.or(hopts.deadline);
         }
-        Ok(())
+        let eval = |fact: &Fact, guard: &ResourceGuard| {
+            let filtered;
+            let fact = match &stmt.where_clause {
+                Some(pred) => {
+                    filtered = filter_fact(fact, pred, guard)?;
+                    &filtered
+                }
+                None => fact,
+            };
+            let outcome = match &flat {
+                Some(Query::Vertical(q)) => {
+                    SqlOutcome::Vertical(self.eval_vertical(fact, q, knobs.map(|k| k.0), guard)?)
+                }
+                Some(Query::Horizontal(q)) => SqlOutcome::Horizontal(self.eval_horizontal(
+                    fact,
+                    q,
+                    knobs.map(|k| k.1),
+                    guard,
+                )?),
+                None => self.eval_grouping_sets(fact, &stmt.group_by, &sets, knobs, guard)?,
+            };
+            apply_order(&outcome, &stmt.order_by, guard)?;
+            Ok(outcome)
+        };
+        let (mut outcome, charged, report) =
+            self.run("execute_sql", &stmt.from, limits, tracer, eval)?;
+        outcome.stats_mut().rows_charged = charged;
+        Ok((outcome, report))
     }
 
-    /// Materialize the WHERE-filtered `table` as `{prefix}Fwhere` and
-    /// return the view's name; `None` when the statement has no WHERE
-    /// clause (the caller keeps scanning `table` directly).
-    fn materialize_where(
-        &self,
-        stmt: &pa_sql::SelectStmt,
-        table: &str,
-        prefix: &str,
-        guard: &ResourceGuard,
-    ) -> Result<Option<String>> {
-        let Some(pred) = &stmt.where_clause else {
-            return Ok(None);
-        };
-        let shared = self.catalog.table(table)?;
-        let filtered = {
-            let f = shared.read();
-            let expr = crate::query::ast_to_expr(pred, f.schema())?;
-            let mut stats = pa_engine::ExecStats::default();
-            let mut span = guard.span("filter");
-            span.add_rows(f.num_rows() as u64);
-            span.add_morsels(1);
-            pa_engine::filter(&f, &expr, &mut stats)?
-        };
-        let view_name = format!("{prefix}Fwhere");
-        self.catalog.create_or_replace_table(&view_name, filtered);
-        Ok(Some(view_name))
-    }
-
-    /// Execute a lattice-grouped statement (`ROLLUP` / `CUBE` /
-    /// `GROUPING SETS`).
-    ///
-    /// Every grouping set is evaluated against the same pinned (and
-    /// WHERE-filtered) source under **one** admission slot, guard and
-    /// temp-table prefix, into a single table `{prefix}FGS` shaped
+    /// Evaluate the grouping sets of one statement (`sets`, from
+    /// [`per_set_statements`]) over the same resolved source, under the
+    /// statement's one guard, into a single table (`FGS`) shaped
     /// `[full GROUP BY columns][aggregate columns]`, with NULL in every
     /// dimension column a set rolled away (the Data Cube "ALL" marker).
     /// Vertical sets are one lattice plan for the whole statement
-    /// ([`crate::lattice::eval_vpct_sets_guarded`]): each level is fetched
-    /// or computed once and the sets' columns are appended whole — the
-    /// empty set is skipped for `Vpct` (its grand total is definitionally
-    /// 100%). Horizontal sets, and vertical ones under explicit strategy
-    /// knobs (`execute_sql_with`), are evaluated set by set and unioned.
-    fn execute_grouping_sets(
+    /// ([`eval_vpct_sets_on`]): each level is fetched or computed once and
+    /// the sets' columns are appended whole — the empty set is skipped for
+    /// `Vpct` (its grand total is definitionally 100%). Horizontal sets,
+    /// and vertical ones under explicit strategy knobs (`execute_sql_with`),
+    /// are evaluated set by set and unioned.
+    fn eval_grouping_sets(
         &self,
-        stmt: &pa_sql::SelectStmt,
-        limits: QueryLimits,
-        vstrat: Option<&VpctStrategy>,
-        hopts: Option<&HorizontalOptions>,
-        tracer: Option<Tracer>,
-    ) -> Result<(SqlOutcome, Option<TraceReport>)> {
-        let plans = crate::query::per_set_statements(stmt)?;
-        let mut pinned = stmt.from.clone();
-        let _pin = self.pin_source(&mut pinned);
-        let (mut outcome, charged, report) =
-            self.run_query_traced("execute_sql", limits, None, tracer, |prefix, guard| {
-                let source = self
-                    .materialize_where(stmt, &pinned, prefix, guard)?
-                    .unwrap_or_else(|| pinned.clone());
-                let mut stats = pa_engine::ExecStats::default();
-                let mut statements: Vec<String> = Vec::new();
-                let mut lattice_sets: Vec<VpctQuery> = Vec::new();
-                let mut results: Vec<(Vec<String>, pa_storage::Table)> = Vec::new();
-                let mut cell_columns: Vec<Vec<String>> = Vec::new();
-                let mut vertical = false;
-                for (set, flat) in &plans {
-                    let Some(flat) = flat else {
-                        statements.push(
-                            "-- grouping set (): skipped (Vpct requires a non-empty GROUP BY)"
-                                .to_string(),
-                        );
-                        continue;
-                    };
-                    statements.push(format!("-- grouping set ({})", set.join(", ")));
-                    match from_sql(flat)? {
-                        Query::Vertical(mut q) => {
-                            vertical = true;
-                            q.table = source.clone();
-                            match vstrat {
-                                Some(s) => {
-                                    let r = eval_vpct_guarded(self.catalog, &q, s, prefix, guard)?;
-                                    stats += r.stats;
-                                    statements.extend(r.statements);
-                                    results.push((set.clone(), r.table.read().clone()));
-                                }
-                                None => {
-                                    let best = VpctStrategy::best();
-                                    statements.extend(crate::codegen::vpct_statements(&q, &best));
-                                    lattice_sets.push(q);
-                                }
-                            }
-                        }
-                        Query::Horizontal(mut q) => {
-                            q.table = source.clone();
-                            let chosen;
-                            let opts = match hopts {
-                                Some(o) => o,
-                                None => {
-                                    chosen = HorizontalOptions::with_strategy(
-                                        choose_horizontal_strategy(self.catalog, &q)?,
-                                    );
-                                    &chosen
-                                }
-                            };
-                            let r = eval_horizontal_guarded(self.catalog, &q, opts, prefix, guard)?;
-                            if r.partitions.len() != 1 {
-                                return Err(CoreError::Unsupported(
-                                    "vertically partitioned horizontal results cannot be \
-                                     unioned across grouping sets"
-                                        .into(),
-                                ));
-                            }
+        fact: &Fact,
+        group_by: &[String],
+        sets: &[(Vec<String>, Option<pa_sql::SelectStmt>)],
+        knobs: Knobs<'_>,
+        guard: &ResourceGuard,
+    ) -> Result<SqlOutcome> {
+        let mut stats = ExecStats::default();
+        let mut statements: Vec<String> = Vec::new();
+        let mut lattice_sets: Vec<VpctQuery> = Vec::new();
+        let mut results: Vec<(Vec<String>, pa_storage::Table)> = Vec::new();
+        let mut cell_columns: Vec<Vec<String>> = Vec::new();
+        let mut vertical = false;
+        for (set, flat) in sets {
+            let Some(flat) = flat else {
+                statements.push(
+                    "-- grouping set (): skipped (Vpct requires a non-empty GROUP BY)".to_string(),
+                );
+                continue;
+            };
+            statements.push(format!("-- grouping set ({})", set.join(", ")));
+            match from_sql(flat)? {
+                Query::Vertical(q) => {
+                    vertical = true;
+                    match knobs {
+                        Some((strat, _)) => {
+                            let r = self.eval_vertical(fact, &q, Some(strat), guard)?;
                             stats += r.stats;
+                            results.push((set.clone(), r.snapshot()));
                             statements.extend(r.statements);
-                            if cell_columns.is_empty() {
-                                cell_columns = r.cell_columns.clone();
-                            }
-                            results.push((set.clone(), r.partitions[0].read().clone()));
+                        }
+                        None => {
+                            let best = VpctStrategy::best();
+                            statements.extend(crate::codegen::vpct_statements(&q, &best));
+                            lattice_sets.push(q);
                         }
                     }
                 }
-                let outcome = if !lattice_sets.is_empty() {
-                    let mut r = crate::lattice::eval_vpct_sets_guarded(
-                        self.catalog,
-                        &stmt.group_by,
-                        &lattice_sets,
-                        prefix,
-                        guard,
-                    )?;
-                    r.statements = statements;
-                    SqlOutcome::Vertical(r)
-                } else {
-                    let union = union_grouping_results(&stmt.group_by, &results, guard)?;
-                    let table = self
-                        .catalog
-                        .create_or_replace_table(format!("{prefix}FGS"), union);
-                    if vertical {
-                        SqlOutcome::Vertical(QueryResult {
-                            table,
-                            stats,
-                            statements,
-                        })
-                    } else {
-                        SqlOutcome::Horizontal(HorizontalResult {
-                            partitions: vec![table],
-                            stats,
-                            statements,
-                            cell_columns,
-                        })
+                Query::Horizontal(q) => {
+                    let r = self.eval_horizontal(fact, &q, knobs.map(|k| k.1), guard)?;
+                    if r.partitions.len() != 1 {
+                        return Err(CoreError::Unsupported(
+                            "vertically partitioned horizontal results cannot be \
+                             unioned across grouping sets"
+                                .into(),
+                        ));
                     }
-                };
-                apply_order(&outcome, &stmt.order_by, guard)?;
-                Ok(outcome)
-            })?;
-        outcome.stats_mut().rows_charged = charged;
-        Ok((outcome, report))
+                    stats += r.stats;
+                    if cell_columns.is_empty() {
+                        cell_columns = r.cell_columns.clone();
+                    }
+                    results.push((set.clone(), r.snapshot()));
+                    statements.extend(r.statements);
+                }
+            }
+        }
+        if !lattice_sets.is_empty() {
+            let mut r = eval_vpct_sets_on(self.catalog, fact, group_by, &lattice_sets, guard)?;
+            r.statements = statements;
+            return Ok(SqlOutcome::Vertical(r));
+        }
+        let table = into_shared(union_grouping_results(group_by, &results, guard)?);
+        Ok(if vertical {
+            SqlOutcome::Vertical(QueryResult {
+                table,
+                stats,
+                statements,
+            })
+        } else {
+            SqlOutcome::Horizontal(HorizontalResult {
+                partitions: vec![table],
+                stats,
+                statements,
+                cell_columns,
+            })
+        })
     }
 
     /// Generated SQL for a statement without executing it (the paper's
@@ -956,7 +762,9 @@ impl<'a> PercentageEngine<'a> {
     pub fn explain_analyze_sql(&self, sql: &str) -> Result<Vec<String>> {
         let stmt = pa_sql::parse_statement(sql)?.select().clone();
         let mut lines = self.plan_statements(&stmt)?;
-        let (outcome, report) = self.execute_sql_traced(&stmt.to_string(), QueryLimits::none())?;
+        let (outcome, report) =
+            self.run_statement(stmt, QueryLimits::none(), None, self.tracer())?;
+        let report = report.unwrap_or_default();
         if let Some(root) = report.root() {
             render_span_lines(&report, root, 0, &mut lines);
         }
@@ -986,7 +794,7 @@ impl<'a> PercentageEngine<'a> {
             }
             return Ok(lines);
         }
-        let plans = crate::query::per_set_statements(stmt)?;
+        let plans = per_set_statements(stmt)?;
         let mut lines = vec![format!(
             "-- grouping: {} set(s) over ({})",
             plans.len(),
@@ -1052,8 +860,7 @@ impl<'a> PercentageEngine<'a> {
             .deadline
             .or_else(|| self.guard.deadline())
             .map_or_else(|| "none".to_string(), |d| format!("{}ms", d.as_millis()));
-        let temps = if self.reuse_temps { "reuse" } else { "unique" };
-        let mut line = format!("-- guard: budget={budget} deadline={deadline} temps={temps}");
+        let mut line = format!("-- guard: budget={budget} deadline={deadline}");
         if let Some(c) = charged {
             line.push_str(&format!(" charged={c}"));
         }
@@ -1082,7 +889,6 @@ fn render_span_lines(
     }
 }
 
-/// Sort a freshly materialized result in place by the named columns.
 /// Union per-set grouping results into one table shaped
 /// `[group_by columns][aggregate columns]`, padding the dimension columns a
 /// set rolled away with NULL. The per-set layouts are positional — each
@@ -1156,6 +962,22 @@ fn union_grouping_results(
     Ok(out)
 }
 
+/// `WHERE`: the qualifying rows of `fact` as a value only this statement
+/// holds.
+fn filter_fact(fact: &Fact, pred: &pa_sql::AstExpr, guard: &ResourceGuard) -> Result<Fact> {
+    let f = fact.table.read();
+    let expr = crate::query::ast_to_expr(pred, f.schema())?;
+    let mut span = guard.span("filter");
+    span.add_rows(f.num_rows() as u64);
+    span.add_morsels(1);
+    let filtered = pa_engine::filter(&f, &expr, &mut ExecStats::default())?;
+    Ok(Fact {
+        table: into_shared(filtered),
+        cache_key: None,
+    })
+}
+
+/// Sort a finished result in place by the named columns.
 fn apply_order(outcome: &SqlOutcome, order_by: &[String], guard: &ResourceGuard) -> Result<()> {
     if order_by.is_empty() {
         return Ok(());
@@ -1243,34 +1065,6 @@ mod tests {
     }
 
     #[test]
-    fn unique_temp_mode_keeps_intermediates() {
-        let catalog = sales_catalog();
-        let engine = PercentageEngine::with_unique_temps(&catalog);
-        engine
-            .execute_sql("SELECT state,city,Vpct(salesAmt BY city) FROM sales GROUP BY state,city")
-            .unwrap();
-        engine
-            .execute_sql("SELECT state,city,Vpct(salesAmt BY city) FROM sales GROUP BY state,city")
-            .unwrap();
-        assert!(catalog.contains("q0_FV"));
-        assert!(catalog.contains("q1_FV"));
-    }
-
-    #[test]
-    fn reuse_mode_replaces_temps() {
-        let catalog = sales_catalog();
-        let engine = PercentageEngine::new(&catalog);
-        engine
-            .execute_sql("SELECT state,city,Vpct(salesAmt BY city) FROM sales GROUP BY state,city")
-            .unwrap();
-        let names_before = catalog.table_names().len();
-        engine
-            .execute_sql("SELECT state,city,Vpct(salesAmt BY city) FROM sales GROUP BY state,city")
-            .unwrap();
-        assert_eq!(catalog.table_names().len(), names_before);
-    }
-
-    #[test]
     fn explain_returns_generated_statements() {
         let catalog = sales_catalog();
         let engine = PercentageEngine::new(&catalog);
@@ -1278,7 +1072,6 @@ mod tests {
             .explain_sql("SELECT state,city,Vpct(salesAmt BY city) FROM sales GROUP BY state,city")
             .unwrap();
         assert!(stmts[0].starts_with("INSERT INTO Fk"));
-        assert!(!catalog.contains("tmp_Fk"), "explain does not execute");
     }
 
     #[test]
@@ -1441,7 +1234,7 @@ mod tests {
         assert_eq!(stats.lattice_levels, 3, "{stats}");
         assert_eq!(stats.levels_from_scan, 1, "{stats}");
         assert_eq!(stats.levels_from_cache, 0, "{stats}");
-        assert_eq!(stats.wal_records, 2, "one FGS create: schema + rows");
+        assert_eq!(stats.wal_records, 0, "FGS is a value: nothing is logged");
         let rows = rows_of(&out);
         let r = find_row(&rows, Value::str("CA"), Value::str("San Francisco"));
         assert_eq!(r[2], Value::Float(83.0 / 106.0));

@@ -22,12 +22,12 @@
 
 use crate::error::{CoreError, Result};
 use crate::naming::{cell_column_name, dedup_names, partition_ranges};
-use crate::query::{ExtraAgg, HorizontalQuery};
+use crate::query::{ExtraAgg, Fact, HorizontalQuery};
 use crate::strategy::{HorizontalOptions, HorizontalStrategy};
-use crate::vertical::QueryResult;
+use crate::vertical::{count_insert, into_shared, QueryResult};
 use pa_engine::{
-    create_table_as, distinct_keys, filter, hash_aggregate_with_config, hash_join_guarded, project,
-    AggFunc, AggSpec, ExecStats, Expr, JoinType, ParallelConfig, ProjSpec, ResourceGuard,
+    distinct_keys, filter, hash_aggregate_with_config, hash_join_guarded, project, AggFunc,
+    AggSpec, ExecStats, Expr, JoinType, ParallelConfig, ProjSpec, ResourceGuard,
 };
 use pa_storage::{Catalog, DataType, Schema, SharedTable, Table, Value};
 
@@ -36,7 +36,7 @@ use pa_storage::{Catalog, DataType, Schema, SharedTable, Table, Value};
 /// `D1..Dj` key — DMKD §3.6).
 #[derive(Debug)]
 pub struct HorizontalResult {
-    /// Result partitions (`FH`, or `FH_p0..`), registered in the catalog.
+    /// Result partitions (`FH`, or `FH_p0..`): values this result owns.
     pub partitions: Vec<SharedTable>,
     /// Work counters for the whole plan.
     pub stats: ExecStats,
@@ -157,34 +157,34 @@ impl Source<'_> {
     }
 }
 
-/// Evaluate a horizontal query under the given options. Temporaries are
-/// registered as `{prefix}FV`, `{prefix}F0`/`{prefix}F{i}` (SPJ) and the
-/// result as `{prefix}FH` (or `{prefix}FH_p0..` when partitioned).
+/// Evaluate a horizontal query under the given options. `FV`, `F0..FN`
+/// (SPJ) and the `FH` partitions are values of the evaluation; no plan
+/// stores a table, so `_prefix` names nothing.
 pub fn eval_horizontal(
     catalog: &Catalog,
     q: &HorizontalQuery,
     opts: &HorizontalOptions,
-    prefix: &str,
+    _prefix: &str,
 ) -> Result<HorizontalResult> {
-    eval_horizontal_guarded(catalog, q, opts, prefix, &ResourceGuard::unlimited())
+    let fact = Fact::named(catalog, &q.table)?;
+    eval_horizontal_on(catalog, &fact, q, opts, &ResourceGuard::unlimited())
 }
 
-/// [`eval_horizontal`] under a [`ResourceGuard`]: every aggregation scan,
-/// pivot group and join output row is charged against the guard, so a
-/// runaway `Hpct` pivot fails with [`CoreError::BudgetExceeded`] instead of
-/// exhausting memory.
-pub fn eval_horizontal_guarded(
+/// [`eval_horizontal`] over an already resolved fact table, under a
+/// [`ResourceGuard`]: every aggregation scan, pivot group and join output
+/// row is charged against the guard, so a runaway `Hpct` pivot fails with
+/// [`CoreError::BudgetExceeded`] instead of exhausting memory.
+pub(crate) fn eval_horizontal_on(
     catalog: &Catalog,
+    fact: &Fact,
     q: &HorizontalQuery,
     opts: &HorizontalOptions,
-    prefix: &str,
     guard: &ResourceGuard,
 ) -> Result<HorizontalResult> {
     q.validate()?;
     let mut stats = ExecStats::default();
 
-    let f_shared = catalog.table(&q.table)?;
-    let f_guard = f_shared.read();
+    let f_guard = fact.table.read();
     let f_schema = f_guard.schema().clone();
     // One parallelism decision per query, sized on the fact table; every
     // aggregation pass of this evaluation shares it (the engine still
@@ -297,7 +297,7 @@ pub fn eval_horizontal_guarded(
         let fv =
             hash_aggregate_with_config(&f_guard, &key_cols_f, &specs, guard, &mut stats, &par)?;
         drop(f_guard);
-        create_table_as(catalog, &format!("{prefix}FV"), fv.clone(), &mut stats)?;
+        count_insert(&fv, &mut stats);
 
         for (t, term) in q.terms.iter().enumerate() {
             let lanes: Vec<(AggFunc, Expr)> = match term.func {
@@ -354,7 +354,12 @@ pub fn eval_horizontal_guarded(
     // catalog's combination cache keyed by `(table, BY columns)`. The
     // cache is invalidated by every logged mutation of the table, so a hit
     // is always current; it is charged to the guard like the scan it
-    // replaces would charge its output.
+    // replaces would charge its output. A fact table without a cache key
+    // (a `WHERE` result) is scanned for its combinations every time.
+    let combo_cache = fact
+        .cache_key
+        .as_deref()
+        .map(|key| (catalog.combo_cache(), key));
     let multi_term = q.terms.len() > 1;
     let mut plans: Vec<TermPlan> = Vec::new();
     for (t, term) in q.terms.iter().enumerate() {
@@ -365,7 +370,7 @@ pub fn eval_horizontal_guarded(
             .collect::<Result<Vec<_>>>()?;
         let combos: Vec<Vec<Value>> = {
             let mut span = guard.span("combos");
-            let combos = match catalog.combo_cache().get(&q.table, &term.by) {
+            let combos = match combo_cache.and_then(|(cache, key)| cache.get(key, &term.by)) {
                 Some(cached) => {
                     stats.combo_cache_hits += 1;
                     (*cached).clone()
@@ -380,9 +385,9 @@ pub fn eval_horizontal_guarded(
                             .find(|o| *o != std::cmp::Ordering::Equal)
                             .unwrap_or(std::cmp::Ordering::Equal)
                     });
-                    catalog
-                        .combo_cache()
-                        .store(&q.table, &term.by, combos.clone());
+                    if let Some((cache, key)) = combo_cache {
+                        cache.store(key, &term.by, combos.clone());
+                    }
                     combos
                 }
             };
@@ -473,12 +478,10 @@ pub fn eval_horizontal_guarded(
             }
         }
         HorizontalStrategy::SpjDirect | HorizontalStrategy::SpjFromFv => spj_raw(
-            catalog,
             src,
             &j_cols,
             &plans,
             &extra_specs_src,
-            prefix,
             guard,
             &mut stats,
             &par,
@@ -580,20 +583,16 @@ pub fn eval_horizontal_guarded(
     }
     let fh = project(&raw, &proj, &mut stats)?;
 
-    // ---------- Partitioning & registration. ----------
+    // ---------- Partitioning. ----------
     let partitions: Vec<SharedTable> = if !partitioned {
-        vec![create_table_as(
-            catalog,
-            &format!("{prefix}FH"),
-            fh,
-            &mut stats,
-        )?]
+        count_insert(&fh, &mut stats);
+        vec![into_shared(fh)]
     } else {
         let n_key = j_len;
         let cells_total = fh.num_columns() - n_key;
         let ranges = partition_ranges(cells_total, n_key, opts.max_columns);
         let mut out = Vec::with_capacity(ranges.len());
-        for (p, range) in ranges.into_iter().enumerate() {
+        for range in ranges {
             let mut fields: Vec<pa_storage::Field> = fh.schema().fields()[..n_key].to_vec();
             let mut cols: Vec<pa_storage::Column> = fh.columns()[..n_key].to_vec();
             for c in range {
@@ -601,12 +600,8 @@ pub fn eval_horizontal_guarded(
                 cols.push(fh.column(n_key + c).clone());
             }
             let part = Table::from_columns(Schema::new(fields)?.into_shared(), cols)?;
-            out.push(create_table_as(
-                catalog,
-                &format!("{prefix}FH_p{p}"),
-                part,
-                &mut stats,
-            )?);
+            count_insert(&part, &mut stats);
+            out.push(into_shared(part));
         }
         out
     };
@@ -676,14 +671,11 @@ fn case_raw(
 
 /// SPJ strategy: `F0` = distinct groups; one filtered aggregation per
 /// combination; assemble with left outer joins; project into the raw layout.
-#[allow(clippy::too_many_arguments)]
 fn spj_raw(
-    catalog: &Catalog,
     src: &Table,
     j_cols: &[usize],
     plans: &[TermPlan],
     extras: &[(Vec<(AggFunc, Expr)>, Combine)],
-    prefix: &str,
     guard: &ResourceGuard,
     stats: &mut ExecStats,
     par: &ParallelConfig,
@@ -762,13 +754,12 @@ fn spj_raw(
 
     // F0: every existing group combination (defines the result rows).
     let f0 = pa_engine::distinct(src, j_cols, stats)?;
-    create_table_as(catalog, &format!("{prefix}F0"), f0.clone(), stats)?;
+    count_insert(&f0, stats);
 
     // Per-combination filtered aggregations F1..FN, left-outer-joined onto F0.
     let mut joined = f0;
     let f0_keys: Vec<usize> = (0..j_len).collect();
     let mut value_cols: Vec<usize> = Vec::new();
-    let mut spj_index = 1usize;
     for plan in plans {
         for combo in &plan.combos {
             let pred = Expr::key_match(
@@ -787,8 +778,7 @@ fn spj_raw(
                 .map(|(l, (func, input))| AggSpec::new(*func, input.clone(), format!("v{l}")))
                 .collect();
             let fi = hash_aggregate_with_config(&filtered, j_cols, &specs, guard, stats, par)?;
-            create_table_as(catalog, &format!("{prefix}F{spj_index}"), fi.clone(), stats)?;
-            spj_index += 1;
+            count_insert(&fi, stats);
             let base = joined.num_columns();
             let fi_keys: Vec<usize> = (0..j_len).collect();
             joined = hash_join_guarded(
@@ -1122,8 +1112,7 @@ mod tests {
             assert_eq!(t.schema().field_at(0).name, "store", "key repeated");
             assert_eq!(t.num_rows(), 3);
         }
-        assert!(catalog.contains("p_FH_p0"));
-        assert!(catalog.contains("p_FH_p1"));
+        assert_eq!(catalog.table_names(), ["sales"], "partitions are values");
     }
 
     #[test]
@@ -1243,10 +1232,10 @@ mod tests {
             spj.stats.rows_scanned,
             case.stats.rows_scanned
         );
+        // SPJ's F0..FN are counted as the script's statements and held as
+        // values: nothing is registered.
         assert!(spj.stats.statements > case.stats.statements);
-        // SPJ registered its temporaries.
-        assert!(catalog.contains("x2_F0"));
-        assert!(catalog.contains("x2_F1"));
+        assert_eq!(catalog.table_names(), ["sales"]);
     }
 
     #[test]
@@ -1261,7 +1250,6 @@ mod tests {
         .unwrap();
         assert!(result.statements[0].contains("INSERT INTO FV"));
         assert!(result.statements.last().unwrap().contains("INSERT INTO FH"));
-        assert!(catalog.contains("st_FV"));
     }
 
     #[test]

@@ -34,16 +34,16 @@
 //!   three callers: each group's sum over its total, the total read from
 //!   the totals level's own table.
 //!
-//! [`eval_vpct_lattice`] evaluates a multi-term `Vpct` query,
-//! [`eval_vpct_sets_guarded`] every grouping set of a statement into one
-//! table, and [`eval_vpct_batch`] a whole set of percentage queries.
+//! [`eval_vpct_lattice`] evaluates a multi-term `Vpct` query, the executor
+//! every grouping set of a statement into one table (`eval_vpct_sets_on`),
+//! and [`eval_vpct_batch`] a whole set of percentage queries.
 
 use crate::error::{CoreError, Result};
-use crate::query::{ExtraAgg, Measure, VpctQuery};
-use crate::vertical::{extra_spec, QueryResult};
+use crate::query::{ExtraAgg, Fact, Measure, VpctQuery};
+use crate::vertical::{count_insert, extra_spec, into_shared, QueryResult};
 use pa_engine::{
-    create_table_as, lattice_aggregate_guarded, multi_hash_aggregate_guarded, AggFunc, AggSpec,
-    ExecStats, Expr, ResourceGuard,
+    lattice_aggregate_guarded, multi_hash_aggregate_guarded, AggFunc, AggSpec, ExecStats, Expr,
+    ResourceGuard,
 };
 use pa_storage::{
     Catalog, Column, DataType, Field, FxHashMap, LatticeCache, Schema, SharedTable, Table, Value,
@@ -321,18 +321,22 @@ fn request_levels(queries: &[VpctQuery]) -> (Vec<Level>, Vec<Level>) {
 /// `[level columns, normalized order][lanes]`, rows sorted by key.
 type LevelTables = HashMap<Level, Arc<Table>>;
 
-/// Plan a request against the lattice cache. A root must be cached with
-/// every lane; a totals level, or a finer level to re-aggregate, serves
-/// with the leading sums alone. With `fetched`, lookups count as hits and
-/// misses and the cached tables the plan may read land in the map;
-/// without, the cache is only probed (EXPLAIN).
+/// Plan a request against the lattice cache — `cache` is the cache and the
+/// name it knows the fact table by, `None` for a fact table nothing is
+/// cached for. A root must be cached with every lane; a totals level, or a
+/// finer level to re-aggregate, serves with the leading sums alone. With
+/// `fetched`, lookups count as hits and misses and the cached tables the
+/// plan may read land in the map; without, the cache is only probed
+/// (EXPLAIN).
 fn plan_request(
-    cache: &LatticeCache,
-    table: &str,
+    cache: Option<(&LatticeCache, &str)>,
     lanes: &Lanes<'_>,
     (roots, needed): (&[Level], &[Level]),
     mut fetched: Option<&mut LevelTables>,
 ) -> Vec<LevelStep> {
+    let Some((cache, table)) = cache else {
+        return plan_levels_cached(roots, needed, &[], lanes.extra.is_empty());
+    };
     let mut look = |l: &Level, lanes: &[String]| match fetched.as_deref_mut() {
         Some(tables) => cache
             .get(table, l.columns(), lanes)
@@ -401,15 +405,14 @@ fn sorted_by_key(t: Table, level: &Level) -> Table {
 /// Every table computed here is stored (back) in the cache.
 fn materialize_levels(
     catalog: &Catalog,
+    fact: &Fact,
     queries: &[VpctQuery],
     lanes: &Lanes<'_>,
     also: &[Level],
     guard: &ResourceGuard,
     stats: &mut ExecStats,
 ) -> Result<LevelTables> {
-    let table = &queries[0].table;
-    let f_shared = catalog.table(table)?;
-    let f = f_shared.read();
+    let f = fact.table.read();
     // Resolved up front, so a bad column fails the same way cold or warm.
     let specs = lanes.specs(f.schema())?;
     let mut fact_col: HashMap<String, usize> = HashMap::new();
@@ -424,14 +427,19 @@ fn materialize_levels(
     let (mut roots, needed) = request_levels(queries);
     roots.extend_from_slice(also);
     let signature = lanes.signature();
-    let cache = catalog.lattice_cache();
+    let cache = fact
+        .cache_key
+        .as_deref()
+        .map(|key| (catalog.lattice_cache(), key));
     let mut tables = LevelTables::new();
-    let steps = plan_request(cache, table, lanes, (&roots, &needed), Some(&mut tables));
+    let steps = plan_request(cache, lanes, (&roots, &needed), Some(&mut tables));
     stats.lattice_levels += steps.len() as u64;
     let keep = |level: &Level, t: Table, tables: &mut LevelTables| {
         let t = Arc::new(t);
-        let lanes = &signature[..t.num_columns() - level.arity()];
-        cache.store(table, level.columns(), lanes, Arc::clone(&t));
+        if let Some((cache, key)) = cache {
+            let lanes = &signature[..t.num_columns() - level.arity()];
+            cache.store(key, level.columns(), lanes, Arc::clone(&t));
+        }
         tables.insert(level.clone(), t);
     };
 
@@ -624,14 +632,12 @@ fn pct_lane(
 }
 
 /// Assemble the results of `queries` over materialized levels into one
-/// table `name`, shaped `[group_by][one percentage per term][extras]`:
+/// table, shaped `[group_by][one percentage per term][extras]`:
 /// each query's rows in turn, a dimension of `group_by` the query rolled
 /// away padded with NULL (the Data Cube "ALL"). Columns are appended
 /// whole; aggregate names come from the first query, since generated
 /// `Vpct` names embed the per-set BY list.
 fn assemble(
-    catalog: &Catalog,
-    name: &str,
     (tables, lanes): (&LevelTables, &Lanes<'_>),
     group_by: &[String],
     queries: &[VpctQuery],
@@ -697,7 +703,8 @@ fn assemble(
     }
     drop(span);
     let fv = Table::from_columns(Schema::new(fields)?.into_shared(), out)?;
-    Ok(create_table_as(catalog, name, fv, stats)?)
+    count_insert(&fv, stats);
+    Ok(into_shared(fv))
 }
 
 /// Evaluate a multi-term vertical percentage query on the dimension
@@ -706,20 +713,31 @@ fn assemble(
 /// per term. Produces the same rows as [`crate::eval_vpct`]; identical
 /// totals levels across terms are materialized once, and every level stays
 /// cached for later queries.
-pub fn eval_vpct_lattice(catalog: &Catalog, q: &VpctQuery, prefix: &str) -> Result<QueryResult> {
-    eval_vpct_lattice_guarded(catalog, q, prefix, &ResourceGuard::unlimited())
+pub fn eval_vpct_lattice(catalog: &Catalog, q: &VpctQuery, _prefix: &str) -> Result<QueryResult> {
+    eval_vpct_lattice_guarded(catalog, q, _prefix, &ResourceGuard::unlimited())
 }
 
 /// [`eval_vpct_lattice`] with an explicit [`ResourceGuard`] metering every
-/// aggregate of the lattice plan. The result is registered as `{prefix}FV`.
+/// aggregate of the lattice plan. The lattice plan stores no table, so
+/// `_prefix` names nothing.
 pub fn eval_vpct_lattice_guarded(
     catalog: &Catalog,
     q: &VpctQuery,
-    prefix: &str,
+    _prefix: &str,
+    guard: &ResourceGuard,
+) -> Result<QueryResult> {
+    eval_vpct_lattice_on(catalog, &Fact::named(catalog, &q.table)?, q, guard)
+}
+
+/// [`eval_vpct_lattice_guarded`] over an already resolved fact table.
+pub(crate) fn eval_vpct_lattice_on(
+    catalog: &Catalog,
+    fact: &Fact,
+    q: &VpctQuery,
     guard: &ResourceGuard,
 ) -> Result<QueryResult> {
     let queries = std::slice::from_ref(q);
-    let mut result = eval_sets(catalog, &format!("{prefix}FV"), &q.group_by, queries, guard)?;
+    let mut result = eval_vpct_sets_on(catalog, fact, &q.group_by, queries, guard)?;
     result.statements = crate::codegen::vpct_statements(q, &crate::strategy::VpctStrategy::best());
     Ok(result)
 }
@@ -727,22 +745,12 @@ pub fn eval_vpct_lattice_guarded(
 /// Evaluate every grouping set of one statement — `queries`, one per set,
 /// over the same table with the same terms and extras — as **one** lattice
 /// plan: each level is fetched or computed once for the whole statement,
-/// and the sets' rows land in the single table `{prefix}FGS`, shaped
+/// and the sets' rows land in a single table (`FGS`), shaped
 /// `[group_by][aggregates]` with NULL in every dimension a set rolled away.
 /// `statements` is left empty for the caller's transcript.
-pub fn eval_vpct_sets_guarded(
+pub(crate) fn eval_vpct_sets_on(
     catalog: &Catalog,
-    group_by: &[String],
-    queries: &[VpctQuery],
-    prefix: &str,
-    guard: &ResourceGuard,
-) -> Result<QueryResult> {
-    eval_sets(catalog, &format!("{prefix}FGS"), group_by, queries, guard)
-}
-
-fn eval_sets(
-    catalog: &Catalog,
-    name: &str,
+    fact: &Fact,
     group_by: &[String],
     queries: &[VpctQuery],
     guard: &ResourceGuard,
@@ -761,9 +769,8 @@ fn eval_sets(
     }
     let mut stats = ExecStats::default();
     let lanes = Lanes::of(queries);
-    let tables = materialize_levels(catalog, queries, &lanes, &[], guard, &mut stats)?;
-    let levels = (&tables, &lanes);
-    let table = assemble(catalog, name, levels, group_by, queries, guard, &mut stats)?;
+    let tables = materialize_levels(catalog, fact, queries, &lanes, &[], guard, &mut stats)?;
+    let table = assemble((&tables, &lanes), group_by, queries, guard, &mut stats)?;
     Ok(QueryResult {
         table,
         stats,
@@ -788,8 +795,8 @@ pub fn lattice_plan_lines(
     }
     let lanes = Lanes::of(queries);
     let (roots, needed) = request_levels(queries);
-    let cache = catalog.lattice_cache();
-    let steps = plan_request(cache, cache_table, &lanes, (&roots, &needed), None);
+    let cache = Some((catalog.lattice_cache(), cache_table));
+    let steps = plan_request(cache, &lanes, (&roots, &needed), None);
     steps
         .iter()
         .map(|step| {
@@ -810,33 +817,36 @@ pub fn lattice_plan_lines(
 
 /// Evaluate a batch of percentage queries against the same fact table with
 /// one **shared summary**: the level at the union of every query's GROUP
-/// BY, registered as `{prefix}summary` (SIGMOD §6 future work). The
+/// BY (SIGMOD §6 future work). The
 /// summary, each query's grouping level and every totals level are one
 /// lattice plan — a single fused scan of `F` when cold, cached levels
 /// after — so a repeat batch (or one a cached level covers) never rescans
 /// the fact table. Queries must share the table and carry no extra
-/// aggregate terms. Results are returned in input order and registered as
-/// `{prefix}q{i}_FV`.
+/// aggregate terms. Results are returned in input order; the batch stores
+/// no table, so `_prefix` names nothing.
 pub fn eval_vpct_batch(
     catalog: &Catalog,
     queries: &[VpctQuery],
-    prefix: &str,
-) -> Result<Vec<QueryResult>> {
-    eval_vpct_batch_guarded(catalog, queries, prefix, &ResourceGuard::unlimited())
-}
-
-/// [`eval_vpct_batch`] with an explicit [`ResourceGuard`] shared across the
-/// whole batch: the summary scan and every per-query evaluation draw from
-/// the same row budget.
-pub fn eval_vpct_batch_guarded(
-    catalog: &Catalog,
-    queries: &[VpctQuery],
-    prefix: &str,
-    guard: &ResourceGuard,
+    _prefix: &str,
 ) -> Result<Vec<QueryResult>> {
     let Some(first) = queries.first() else {
         return Ok(Vec::new());
     };
+    let fact = Fact::named(catalog, &first.table)?;
+    eval_vpct_batch_on(catalog, &fact, queries, &ResourceGuard::unlimited())
+}
+
+/// [`eval_vpct_batch`] of a non-empty batch over its already resolved fact
+/// table, under a [`ResourceGuard`] shared across the whole batch: the
+/// summary scan and every per-query evaluation draw from the same row
+/// budget.
+pub(crate) fn eval_vpct_batch_on(
+    catalog: &Catalog,
+    fact: &Fact,
+    queries: &[VpctQuery],
+    guard: &ResourceGuard,
+) -> Result<Vec<QueryResult>> {
+    let first = &queries[0];
     for q in queries {
         q.validate()?;
         if q.table != first.table {
@@ -855,15 +865,13 @@ pub fn eval_vpct_batch_guarded(
     let lanes = Lanes::of(queries);
     let mut stats = ExecStats::default();
     let also = std::slice::from_ref(&union_level);
-    let tables = materialize_levels(catalog, queries, &lanes, also, guard, &mut stats)?;
-    let summary_name = format!("{prefix}summary");
-    let summary = Table::clone(&tables[&union_level]);
-    create_table_as(catalog, &summary_name, summary, &mut stats)?;
+    let tables = materialize_levels(catalog, fact, queries, &lanes, also, guard, &mut stats)?;
+    count_insert(&tables[&union_level], &mut stats);
 
     let mut out = Vec::with_capacity(queries.len());
-    for (i, q) in queries.iter().enumerate() {
+    for q in queries {
         let mut rq = q.clone();
-        rq.table = summary_name.clone();
+        rq.table = "summary".to_string();
         for term in &mut rq.terms {
             term.measure = Measure::Column(format!("__m{}", lanes.lane_of(&term.measure)));
         }
@@ -872,8 +880,6 @@ pub fn eval_vpct_batch_guarded(
         // The shared-summary cost is folded into the first result.
         let mut qstats = std::mem::take(&mut stats);
         let table = assemble(
-            catalog,
-            &format!("{prefix}q{i}_FV"),
             (&tables, &lanes),
             &q.group_by,
             std::slice::from_ref(q),
@@ -1259,7 +1265,9 @@ mod tests {
             let b: Vec<Vec<Value>> = r.snapshot().sorted_by(&[0, 1]).rows().collect();
             assert_eq!(a, b, "{}", q.terms[0].name);
         }
-        assert!(catalog.contains("b_summary"));
+        // The shared summary is one counted INSERT, held as a value.
+        assert!(results[0].stats.rows_materialized >= 4);
+        assert_eq!(catalog.table_names(), ["sales"]);
     }
 
     #[test]

@@ -25,11 +25,10 @@ pub mod vertical;
 
 pub use error::{CoreError, Result};
 pub use executor::{PercentageEngine, QueryLimits, SqlOutcome};
-pub use horizontal::{eval_horizontal, eval_horizontal_guarded, HorizontalResult};
+pub use horizontal::{eval_horizontal, HorizontalResult};
 pub use lattice::{
-    eval_vpct_batch, eval_vpct_batch_guarded, eval_vpct_lattice, eval_vpct_lattice_guarded,
-    eval_vpct_sets_guarded, lattice_plan_lines, lattice_signature, plan_levels_cached, Level,
-    LevelSource, LevelStep,
+    eval_vpct_batch, eval_vpct_lattice, eval_vpct_lattice_guarded, lattice_plan_lines,
+    lattice_signature, plan_levels_cached, Level, LevelSource, LevelStep,
 };
 pub use missing::MissingRows;
 pub use olap::eval_vpct_olap;
@@ -45,4 +44,4 @@ pub use query::{
 pub use strategy::{
     FjSource, HorizontalOptions, HorizontalStrategy, Materialization, ParallelMode, VpctStrategy,
 };
-pub use vertical::{eval_vpct, eval_vpct_guarded, QueryResult};
+pub use vertical::{eval_vpct, QueryResult};

@@ -14,7 +14,7 @@
 //! Both are defined for single-term queries, matching the paper's framing.
 
 use crate::error::{CoreError, Result};
-use crate::query::{Measure, VpctQuery};
+use crate::query::{Fact, Measure, VpctQuery};
 use crate::vertical::QueryResult;
 use pa_engine::{distinct_keys, insert_into, ExecStats, RowKeyMap};
 use pa_storage::{Catalog, Table, Value};
@@ -114,13 +114,11 @@ pub fn preprocess_pad(catalog: &Catalog, q: &VpctQuery, stats: &mut ExecStats) -
 /// Post-processing: append one row per missing (group × combination) to the
 /// already-computed `FV` with a 0% percentage — or NULL when every existing
 /// percentage of that group is NULL (zero/NULL group total). Extra
-/// aggregate columns of padded rows are NULL. Returns rows appended.
-pub fn postprocess_pad(
-    catalog: &Catalog,
-    q: &VpctQuery,
-    result: &QueryResult,
-    stats: &mut ExecStats,
-) -> Result<u64> {
+/// aggregate columns of padded rows are NULL. `FV` is the result's own
+/// value, so the pad is counted in its stats and logged nowhere. Returns
+/// rows appended.
+pub(crate) fn postprocess_pad(fact: &Fact, q: &VpctQuery, result: &mut QueryResult) -> Result<u64> {
+    let QueryResult { table, stats, .. } = result;
     q.validate()?;
     single_term(q)?;
     let term = &q.terms[0];
@@ -132,8 +130,7 @@ pub fn postprocess_pad(
     // Distinct Dj+1..Dk combinations come from F (the paper: "this requires
     // getting all distinct combinations ... from F").
     let by_keys = {
-        let f_shared = catalog.table(&q.table)?;
-        let f = f_shared.read();
+        let f = fact.table.read();
         let by_cols: Vec<usize> = term
             .by
             .iter()
@@ -142,7 +139,7 @@ pub fn postprocess_pad(
         distinct_keys(&f, &by_cols, stats)?
     };
 
-    let fv = result.table.read();
+    let fv = table.read();
     let fv_schema = fv.schema().clone();
     let j_cols: Vec<usize> = totals
         .iter()
@@ -201,10 +198,7 @@ pub fn postprocess_pad(
 
     let appended = pad.num_rows() as u64;
     if appended > 0 {
-        let mut target = result.table.write();
-        let start = target.num_rows();
-        target.extend_from(&pad)?;
-        catalog.with_wal_mutating("FV", |w| w.log_bulk_insert("FV", &target, start))?;
+        table.write().extend_from(&pad)?;
         stats.rows_materialized += appended;
         stats.statements += 1;
     }
@@ -251,9 +245,9 @@ mod tests {
     #[test]
     fn postprocess_appends_zero_percent_rows() {
         let catalog = catalog();
-        let result = eval_vpct(&catalog, &q(), &VpctStrategy::best(), "p_").unwrap();
-        let mut stats = ExecStats::default();
-        let added = postprocess_pad(&catalog, &q(), &result, &mut stats).unwrap();
+        let mut result = eval_vpct(&catalog, &q(), &VpctStrategy::best(), "p_").unwrap();
+        let fact = Fact::named(&catalog, "sales").unwrap();
+        let added = postprocess_pad(&fact, &q(), &mut result).unwrap();
         assert_eq!(added, 1);
         let t = result.snapshot().sorted_by(&[0, 1]);
         assert_eq!(t.num_rows(), 4);
@@ -263,6 +257,47 @@ mod tests {
         assert_eq!(t.get(2, 2), Value::Float(0.0));
         // store 4, Tue untouched: 100%.
         assert_eq!(t.get(3, 2), Value::Float(1.0));
+    }
+
+    /// Regression: the pad used to be logged under the literal name `"FV"`,
+    /// whatever the result was called — replay then skipped a record that
+    /// referred to no table, or appended the pad rows to a user table that
+    /// happened to carry that name.
+    #[test]
+    fn postprocess_pad_logs_nothing_and_spares_a_user_table_named_fv() {
+        use pa_storage::MemLogStore;
+        let catalog = catalog();
+        let schema = Schema::from_pairs(&[("store", DataType::Int), ("note", DataType::Str)])
+            .unwrap()
+            .into_shared();
+        let mut user = Table::empty(schema);
+        user.push_row(&[Value::Int(2), Value::str("mine")]).unwrap();
+        catalog.create_table("FV", user).unwrap();
+        let records_before = catalog.wal_stats().records;
+
+        let engine = crate::PercentageEngine::new(&catalog);
+        let padded = engine
+            .vpct_with_missing(&q(), &VpctStrategy::best(), MissingRows::PostProcess)
+            .unwrap();
+        assert_eq!(padded.snapshot().num_rows(), 4, "store 4 Monday padded");
+        assert_eq!(catalog.wal_stats().records, records_before);
+
+        let bytes = catalog.with_wal(|w| w.snapshot().unwrap_or_default());
+        let (recovered, report) =
+            Catalog::recover(Box::new(MemLogStore::from_bytes(bytes))).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(report.records_skipped, 0);
+        assert_eq!(recovered.table_names(), catalog.table_names());
+        for name in ["FV", "sales"] {
+            let (a, b) = (catalog.table(name).unwrap(), recovered.table(name).unwrap());
+            let (a, b) = (a.read(), b.read());
+            assert_eq!(a.schema(), b.schema(), "{name}");
+            assert_eq!(
+                a.rows().collect::<Vec<_>>(),
+                b.rows().collect::<Vec<_>>(),
+                "{name}"
+            );
+        }
     }
 
     #[test]
@@ -282,9 +317,8 @@ mod tests {
             .unwrap();
         catalog.create_table("f", t).unwrap();
         let q = VpctQuery::single("f", &["g", "d"], "a", &["d"]);
-        let result = eval_vpct(&catalog, &q, &VpctStrategy::best(), "n_").unwrap();
-        let mut stats = ExecStats::default();
-        postprocess_pad(&catalog, &q, &result, &mut stats).unwrap();
+        let mut result = eval_vpct(&catalog, &q, &VpctStrategy::best(), "n_").unwrap();
+        postprocess_pad(&Fact::named(&catalog, "f").unwrap(), &q, &mut result).unwrap();
         let t = result.snapshot().sorted_by(&[0, 1]);
         assert_eq!(t.num_rows(), 4);
         // Group 1 has a real total → its padded "y" cell is 0%.

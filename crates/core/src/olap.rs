@@ -19,17 +19,20 @@
 //! on large tables, and this module reproduces it mechanically.
 
 use crate::error::{CoreError, Result};
-use crate::query::{Measure, VpctQuery};
-use crate::vertical::QueryResult;
-use pa_engine::{
-    create_table_as, distinct, project, window_aggregate, AggFunc, ExecStats, Expr, ProjSpec,
-};
+use crate::query::{Fact, Measure, VpctQuery};
+use crate::vertical::{count_insert, into_shared, QueryResult};
+use pa_engine::{distinct, project, window_aggregate, AggFunc, ExecStats, Expr, ProjSpec};
 use pa_storage::{Catalog, DataType, Table};
 
 /// Evaluate a vertical percentage query through the OLAP window-function
 /// plan. Produces the same answer set as [`crate::eval_vpct`] (modulo row
-/// order); registered as `{prefix}OLAP`.
-pub fn eval_vpct_olap(catalog: &Catalog, q: &VpctQuery, prefix: &str) -> Result<QueryResult> {
+/// order). The plan stores no table, so `_prefix` names nothing.
+pub fn eval_vpct_olap(catalog: &Catalog, q: &VpctQuery, _prefix: &str) -> Result<QueryResult> {
+    eval_vpct_olap_on(&Fact::named(catalog, &q.table)?, q)
+}
+
+/// [`eval_vpct_olap`] over an already resolved fact table.
+pub(crate) fn eval_vpct_olap_on(fact: &Fact, q: &VpctQuery) -> Result<QueryResult> {
     q.validate()?;
     if !q.extra.is_empty() {
         return Err(CoreError::Unsupported(
@@ -38,8 +41,7 @@ pub fn eval_vpct_olap(catalog: &Catalog, q: &VpctQuery, prefix: &str) -> Result<
     }
     let mut stats = ExecStats::default();
 
-    let f_shared = catalog.table(&q.table)?;
-    let f = f_shared.read();
+    let f = fact.table.read();
     let schema = f.schema().clone();
 
     let k_cols: Vec<usize> = q
@@ -138,9 +140,9 @@ pub fn eval_vpct_olap(catalog: &Catalog, q: &VpctQuery, prefix: &str) -> Result<
         f = q.table
     ));
 
-    let shared = create_table_as(catalog, &format!("{prefix}OLAP"), fv, &mut stats)?;
+    count_insert(&fv, &mut stats);
     Ok(QueryResult {
-        table: shared,
+        table: into_shared(fv),
         stats,
         statements,
     })

@@ -117,20 +117,26 @@ pub fn choose_horizontal_strategy(
     catalog: &Catalog,
     q: &HorizontalQuery,
 ) -> Result<HorizontalStrategy> {
+    horizontal_strategy_over(&catalog.table(&q.table)?.read(), q)
+}
+
+/// [`choose_horizontal_strategy`] over the rows `q` will actually read.
+pub(crate) fn horizontal_strategy_over(
+    f: &Table,
+    q: &HorizontalQuery,
+) -> Result<HorizontalStrategy> {
     // Holistic aggregates cannot re-aggregate from FV at all.
     if q.terms.iter().any(|t| t.func.is_holistic()) || q.extra.iter().any(|e| e.func.is_holistic())
     {
         return Ok(HorizontalStrategy::CaseDirect);
     }
-    let f_shared = catalog.table(&q.table)?;
-    let f = f_shared.read();
     for term in &q.terms {
         let mut cells: usize = 1;
         for b in &term.by {
             let col = f.schema().index_of(b)?;
             // +1 for the NULL slot each dimension carries in the dense
             // encoding; saturating keeps huge domains from wrapping.
-            let distinct = estimate_distinct_up_to(&f, col, DIRECT_CELL_BUDGET) + 1;
+            let distinct = estimate_distinct_up_to(f, col, DIRECT_CELL_BUDGET) + 1;
             cells = cells.saturating_mul(distinct);
             if cells > DIRECT_CELL_BUDGET {
                 return Ok(HorizontalStrategy::CaseFromFv);

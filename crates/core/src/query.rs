@@ -7,7 +7,30 @@
 use crate::error::{CoreError, Result};
 use pa_engine::AggFunc;
 use pa_sql::{AggName, AstExpr, QueryKind, SelectItem, SelectStmt};
-use pa_storage::Schema;
+use pa_storage::{Catalog, Schema, SharedTable};
+
+/// The fact table `F` one statement reads, resolved once by its caller ("F
+/// can be a temporary table resulting from some query", SIGMOD §2).
+#[derive(Debug)]
+pub(crate) struct Fact {
+    /// The rows: a catalog table — usually a pinned snapshot — or a `WHERE`
+    /// result nothing else refers to.
+    pub(crate) table: SharedTable,
+    /// The catalog name the combination and lattice caches know these rows
+    /// by. A `WHERE` result has none, so it is never cached: no later
+    /// statement could ask for it and no mutation could invalidate it.
+    pub(crate) cache_key: Option<String>,
+}
+
+impl Fact {
+    /// The catalog table `name` as it stands.
+    pub(crate) fn named(catalog: &Catalog, name: &str) -> Result<Fact> {
+        Ok(Fact {
+            table: catalog.table(name)?,
+            cache_key: Some(name.to_string()),
+        })
+    }
+}
 
 /// The measure expression `A`: a column of `F` or a literal
 /// (`Vpct(1)` computes row-count percentages; `sum(1 BY ..)`/`max(1 BY ..)`

@@ -16,18 +16,20 @@
 //! attached to the result for inspection.
 
 use crate::error::{CoreError, Result};
-use crate::query::{ExtraAgg, VpctQuery};
+use crate::query::{ExtraAgg, Fact, VpctQuery};
 use crate::strategy::{FjSource, Materialization, VpctStrategy};
 use pa_engine::{
-    create_table_as, hash_join_guarded, multi_hash_aggregate_guarded, update_from, AggFunc,
-    AggSpec, ExecStats, Expr, JoinType, ProjSpec, ResourceGuard, SetClause,
+    hash_join_guarded, multi_hash_aggregate_guarded, update_from, AggFunc, AggSpec, ExecStats,
+    Expr, JoinType, ProjSpec, ResourceGuard, SetClause,
 };
 use pa_storage::{Catalog, HashIndex, SharedTable, Table, Value};
+use std::sync::Arc;
 
 /// Result of evaluating a percentage query.
 #[derive(Debug)]
 pub struct QueryResult {
-    /// The result table (`FV` or `FH`), registered in the catalog and shared.
+    /// The result table (`FV` or `FH`): a value this result owns. No
+    /// catalog name refers to it.
     pub table: SharedTable,
     /// Work counters accumulated across all statements of the plan.
     pub stats: ExecStats,
@@ -40,6 +42,20 @@ impl QueryResult {
     pub fn snapshot(&self) -> Table {
         self.table.read().clone()
     }
+}
+
+/// Wrap a finished result as the handle its `QueryResult` /
+/// `HorizontalResult` owns.
+pub(crate) fn into_shared(t: Table) -> SharedTable {
+    Arc::new(parking_lot::RwLock::new(t))
+}
+
+/// Account one `INSERT INTO <temporary> SELECT ..` of the paper's script:
+/// the statement and its rows are counted (Tables 4–6 compare those
+/// counts), the rows stay the value the evaluator already holds.
+pub(crate) fn count_insert(t: &Table, stats: &mut ExecStats) {
+    stats.statements += 1;
+    stats.rows_materialized += t.num_rows() as u64;
 }
 
 pub(crate) fn extra_spec(extra: &ExtraAgg, schema: &pa_storage::Schema) -> Result<AggSpec> {
@@ -58,23 +74,27 @@ pub(crate) fn extra_spec(extra: &ExtraAgg, schema: &pa_storage::Schema) -> Resul
 
 /// Evaluate a vertical percentage query with an explicit strategy.
 ///
-/// Temporary tables are registered as `{prefix}Fk`, `{prefix}Fj{t}` and
-/// `{prefix}FV` (replacing previous contents).
+/// `Fk`, `Fj` and `FV` are values of the evaluation; `prefix` names only
+/// the stored `Fk` of the [`Materialization::Update`] plan, for as long as
+/// that plan runs.
 pub fn eval_vpct(
     catalog: &Catalog,
     q: &VpctQuery,
     strat: &VpctStrategy,
     prefix: &str,
 ) -> Result<QueryResult> {
-    eval_vpct_guarded(catalog, q, strat, prefix, &ResourceGuard::unlimited())
+    let fact = Fact::named(catalog, &q.table)?;
+    let guard = ResourceGuard::unlimited();
+    eval_vpct_on(catalog, &fact, q, strat, prefix, &guard)
 }
 
-/// [`eval_vpct`] under a [`ResourceGuard`]: the plan's aggregation scans,
-/// join probes and materialized rows are charged against the guard, so an
-/// over-budget plan fails with [`CoreError::BudgetExceeded`] instead of
-/// exhausting memory.
-pub fn eval_vpct_guarded(
+/// [`eval_vpct`] over an already resolved fact table, under a
+/// [`ResourceGuard`]: the plan's aggregation scans, join probes and
+/// materialized rows are charged against the guard, so an over-budget plan
+/// fails with [`CoreError::BudgetExceeded`] instead of exhausting memory.
+pub(crate) fn eval_vpct_on(
     catalog: &Catalog,
+    fact: &Fact,
     q: &VpctQuery,
     strat: &VpctStrategy,
     prefix: &str,
@@ -84,8 +104,7 @@ pub fn eval_vpct_guarded(
     let mut stats = ExecStats::default();
     let statements = crate::codegen::vpct_statements(q, strat);
 
-    let f_shared = catalog.table(&q.table)?;
-    let f = f_shared.read();
+    let f = fact.table.read();
     let f_schema = f.schema().clone();
 
     // Resolve GROUP BY columns.
@@ -202,28 +221,19 @@ pub fn eval_vpct_guarded(
         }
     }
     drop(f);
-
-    // Register temporaries (bulk INSERT..SELECT — one WAL record each).
-    let fk_name = format!("{prefix}Fk");
-    create_table_as(catalog, &fk_name, fk_table, &mut stats)?;
-    let mut fj_names = Vec::with_capacity(fj_tables.len());
-    for (t, fj) in fj_tables.iter().enumerate() {
-        let name = format!("{prefix}Fj{t}");
-        create_table_as(catalog, &name, fj.clone(), &mut stats)?;
-        fj_names.push(name);
+    for fj in &fj_tables {
+        count_insert(fj, &mut stats);
     }
 
     // ---- Step 3: divide.
-    let fv_name = format!("{prefix}FV");
     match strat.materialization {
         Materialization::Insert => {
+            count_insert(&fk_table, &mut stats);
             // Progressively join Fk with each Fj, then project percentages.
-            let fk_shared = catalog.table(&fk_name)?;
-            let mut cur: Table = fk_shared.read().clone();
+            let mut cur: Table = fk_table;
             let mut pct_exprs: Vec<Expr> = Vec::with_capacity(q.terms.len());
-            for (t, _term) in q.terms.iter().enumerate() {
+            for (t, fj) in fj_tables.iter().enumerate() {
                 let sum_pos = k_len + t;
-                let fj = &fj_tables[t];
                 let j_len = totals_fk_cols[t].len();
                 if j_len == 0 {
                     // Global totals: one-row Fj, broadcast scalar division.
@@ -231,20 +241,7 @@ pub fn eval_vpct_guarded(
                     pct_exprs.push(Expr::Col(sum_pos).safe_div(Expr::Lit(total)));
                 } else {
                     let fj_keys: Vec<usize> = (0..j_len).collect();
-                    let index = if strat.subkey_index {
-                        stats.statements += 1; // CREATE INDEX
-                        Some(
-                            catalog.create_index(
-                                &fj_names[t],
-                                &fj.schema().fields()[..j_len]
-                                    .iter()
-                                    .map(|fld| fld.name.as_str())
-                                    .collect::<Vec<_>>(),
-                            )?,
-                        )
-                    } else {
-                        None
-                    };
+                    let index = subkey_index(strat, fj, &fj_keys, &mut stats)?;
                     let total_pos = cur.num_columns() + j_len;
                     cur = hash_join_guarded(
                         &cur,
@@ -252,7 +249,7 @@ pub fn eval_vpct_guarded(
                         &totals_fk_cols[t],
                         &fj_keys,
                         JoinType::Inner,
-                        index.as_deref(),
+                        index.as_ref(),
                         guard,
                         &mut stats,
                     )?;
@@ -284,53 +281,34 @@ pub fn eval_vpct_guarded(
                 ));
             }
             let fv = pa_engine::project(&cur, &projections, &mut stats)?;
-            let shared = create_table_as(catalog, &fv_name, fv, &mut stats)?;
+            count_insert(&fv, &mut stats);
             Ok(QueryResult {
-                table: shared,
+                table: into_shared(fv),
                 stats,
                 statements,
             })
         }
         Materialization::Update => {
-            // UPDATE Fk in place, term by term; FV = Fk.
-            for (t, _term) in q.terms.iter().enumerate() {
+            // UPDATE Fk in place, term by term; FV = Fk. This is the one
+            // plan that stores a table: a logged UPDATE needs a target the
+            // log can name.
+            let fk = StoredFk::create(catalog, prefix, fk_table, &mut stats)?;
+            for (t, fj) in fj_tables.iter().enumerate() {
                 let sum_pos = k_len + t;
-                let fj = &fj_tables[t];
                 let j_len = totals_fk_cols[t].len();
                 if j_len == 0 {
-                    scalar_update_divide(
-                        catalog,
-                        &fk_name,
-                        sum_pos,
-                        fj.get(0, 0),
-                        guard,
-                        &mut stats,
-                    )?;
+                    scalar_update_divide(&fk, sum_pos, fj.get(0, 0), guard, &mut stats)?;
                 } else {
                     let fj_keys: Vec<usize> = (0..j_len).collect();
-                    let index: Option<std::sync::Arc<HashIndex>> = if strat.subkey_index {
-                        stats.statements += 1;
-                        Some(
-                            catalog.create_index(
-                                &fj_names[t],
-                                &fj.schema().fields()[..j_len]
-                                    .iter()
-                                    .map(|fld| fld.name.as_str())
-                                    .collect::<Vec<_>>(),
-                            )?,
-                        )
-                    } else {
-                        None
-                    };
-                    let fk_width = catalog.table(&fk_name)?.read().num_columns();
-                    let total_pos = fk_width + j_len;
+                    let index = subkey_index(strat, fj, &fj_keys, &mut stats)?;
+                    let total_pos = k_len + fk_specs.len() + j_len;
                     update_from(
                         catalog,
-                        &fk_name,
+                        &fk.name,
                         &totals_fk_cols[t],
                         fj,
                         &fj_keys,
-                        index.as_deref(),
+                        index.as_ref(),
                         &[SetClause {
                             target_col: sum_pos,
                             expr: Expr::Col(sum_pos).safe_div(Expr::Col(total_pos)),
@@ -339,16 +317,8 @@ pub fn eval_vpct_guarded(
                     )?;
                 }
             }
-            // FV = Fk: register the same shared table under the FV name.
-            let fk_shared = catalog.table(&fk_name)?;
-            let fv = fk_shared.read().clone();
-            let shared = create_table_as(catalog, &fv_name, fv, &mut stats)?;
-            // The extra registration is bookkeeping, not plan work: the
-            // paper's point is that Update avoids a third table. Remove the
-            // copy's accounting so measurements reflect the real plan.
-            stats.statements -= 1;
             Ok(QueryResult {
-                table: shared,
+                table: Arc::clone(&fk.table),
                 stats,
                 statements,
             })
@@ -356,20 +326,81 @@ pub fn eval_vpct_guarded(
     }
 }
 
+/// `CREATE INDEX` on the subkey `Fj` shares with `Fk` (Table 4 column 2),
+/// when the strategy asks for one.
+fn subkey_index(
+    strat: &VpctStrategy,
+    fj: &Table,
+    fj_keys: &[usize],
+    stats: &mut ExecStats,
+) -> Result<Option<HashIndex>> {
+    if !strat.subkey_index {
+        return Ok(None);
+    }
+    stats.statements += 1;
+    Ok(Some(HashIndex::build(fj, fj_keys)?))
+}
+
+/// The `Fk` of the Update plan while it is registered in the catalog; the
+/// name is dropped with this guard, on every exit path. The result keeps
+/// the rows through its own handle.
+struct StoredFk<'c> {
+    catalog: &'c Catalog,
+    name: String,
+    table: SharedTable,
+}
+
+impl<'c> StoredFk<'c> {
+    /// `INSERT INTO Fk`: register `fk` under the first free name
+    /// `{prefix}Fk0`, `{prefix}Fk1`, .. — concurrent Update plans share the
+    /// catalog — and log it like any bulk insert.
+    fn create(
+        catalog: &'c Catalog,
+        prefix: &str,
+        fk: Table,
+        stats: &mut ExecStats,
+    ) -> Result<StoredFk<'c>> {
+        count_insert(&fk, stats);
+        let wal_before = catalog.wal_stats();
+        let (name, table) = (0u64..)
+            .map(|i| format!("{prefix}Fk{i}"))
+            .find_map(|name| match catalog.create_table(&name, fk.clone()) {
+                Err(pa_storage::StorageError::TableExists(_)) => None,
+                created => Some(created.map(|table| (name, table))),
+            })
+            .expect("an unbounded range of names")?;
+        let wal_after = catalog.wal_stats();
+        stats.wal_records += wal_after.records - wal_before.records;
+        stats.wal_bytes += wal_after.bytes_written - wal_before.bytes_written;
+        catalog.maybe_checkpoint();
+        Ok(StoredFk {
+            catalog,
+            name,
+            table,
+        })
+    }
+}
+
+impl Drop for StoredFk<'_> {
+    fn drop(&mut self) {
+        // Already gone only if someone dropped it by name meanwhile.
+        let _ = self.catalog.drop_table(&self.name);
+    }
+}
+
 /// Per-row logged division by a scalar total (the `D1..Dj = ∅` corner of the
 /// UPDATE strategy, where there is no join key).
 fn scalar_update_divide(
-    catalog: &Catalog,
-    table: &str,
+    fk: &StoredFk<'_>,
     col: usize,
     total: Value,
     guard: &ResourceGuard,
     stats: &mut ExecStats,
 ) -> Result<()> {
+    let (catalog, table) = (fk.catalog, fk.name.as_str());
     stats.statements += 1;
     let wal_before = catalog.wal_stats();
-    let shared = catalog.table(table)?;
-    let mut t = shared.write();
+    let mut t = fk.table.write();
     let n = t.num_rows();
     stats.rows_scanned += n as u64;
     guard.charge(n as u64)?;
@@ -475,10 +506,10 @@ pub(crate) mod tests {
         let catalog = sales_catalog();
         let result = eval_vpct(&catalog, &paper_query(), &VpctStrategy::best(), "t_").unwrap();
         check_result(&result);
-        assert!(catalog.contains("t_Fk"));
-        assert!(catalog.contains("t_Fj0"));
-        assert!(catalog.contains("t_FV"));
         assert!(!result.statements.is_empty());
+        // Fk, Fj and FV are held as values: nothing is registered or logged.
+        assert_eq!(catalog.table_names(), ["sales"]);
+        assert_eq!(result.stats.wal_records, 0);
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! Query-level fault isolation: an injected panic, exhausted budget, or
-//! expired deadline fails exactly one query with a typed error, sweeps that
-//! query's temporary tables, and leaves the engine serving follow-ups.
+//! expired deadline fails exactly one query with a typed error, leaves the
+//! catalog and its log as they were, and leaves the engine serving
+//! follow-ups.
 //! Transient log-device errors are absorbed by the WAL retry policy;
 //! permanent ones fail fast with the original typed error.
 
-use pa_core::{CoreError, PercentageEngine, QueryLimits, TestClock};
+use pa_core::{
+    CoreError, HorizontalOptions, HorizontalQuery, HorizontalStrategy, Materialization,
+    PercentageEngine, QueryLimits, ResourceGuard, TestClock, VpctQuery, VpctStrategy,
+};
 use pa_engine::chaos;
 use pa_storage::{Catalog, FaultInjector, FaultPlan, MemLogStore, StorageError, Value, Wal};
 use pa_workload::{install_sales, SalesConfig};
@@ -20,6 +24,10 @@ fn chaos_window() -> std::sync::MutexGuard<'static, ()> {
 }
 
 const SQL: &str = "SELECT state, city, Vpct(salesAmt BY city) FROM sales GROUP BY state, city;";
+const CUBE_SQL: &str =
+    "SELECT state, city, Vpct(salesAmt BY city) FROM sales GROUP BY CUBE (state, city);";
+const WHERE_SQL: &str =
+    "SELECT state, Hpct(salesAmt BY city) FROM sales WHERE salesAmt > 10 GROUP BY state;";
 
 fn sales_catalog(rows: usize) -> Catalog {
     let catalog = Catalog::without_wal();
@@ -35,7 +43,7 @@ fn rows_of(outcome: &pa_core::SqlOutcome) -> Vec<Vec<Value>> {
 fn injected_panic_fails_one_query_and_the_engine_stays_usable() {
     let _w = chaos_window();
     let catalog = sales_catalog(2048);
-    let engine = PercentageEngine::with_unique_temps(&catalog);
+    let engine = PercentageEngine::new(&catalog);
     let names_before = catalog.table_names();
 
     chaos::arm(0);
@@ -52,52 +60,153 @@ fn injected_panic_fails_one_query_and_the_engine_stays_usable() {
     assert_eq!(
         catalog.table_names(),
         names_before,
-        "the failed query's temporaries were swept"
+        "the failed query registered nothing"
     );
 
     // The same engine instance serves the follow-up, and its answer matches
     // a fresh fault-free engine's.
     let after = engine.execute_sql(SQL).unwrap();
     let fresh_catalog = sales_catalog(2048);
-    let fresh = PercentageEngine::with_unique_temps(&fresh_catalog)
+    let fresh = PercentageEngine::new(&fresh_catalog)
         .execute_sql(SQL)
         .unwrap();
     assert_eq!(rows_of(&after), rows_of(&fresh));
     assert!(after.stats().rows_charged > 0, "work accounting survived");
 }
 
+/// Every plan of both families, fault-free and under each kind of abort:
+/// the catalog holds the same names and its log the same records before
+/// and after — a query's intermediates and result are values, so there is
+/// nothing to leak. Only the `Update` plan, a logged in-place update of a
+/// stored `Fk`, may add records; it too leaves no name behind, wherever it
+/// is interrupted.
 #[test]
 fn failed_queries_never_leak_temp_tables() {
     let _w = chaos_window();
-    let catalog = sales_catalog(1024);
-    let engine = PercentageEngine::with_unique_temps(&catalog);
+    let catalog = Catalog::new();
+    install_sales(
+        &catalog,
+        &SalesConfig {
+            rows: 1024,
+            seed: 7,
+        },
+    )
+    .unwrap();
     let names_before = catalog.table_names();
 
-    // Budget abort: typed, and nothing left behind.
-    let err = engine
-        .execute_sql_limited(
-            SQL,
-            QueryLimits {
-                row_budget: Some(16),
-                deadline: None,
-            },
-        )
-        .unwrap_err();
-    assert!(matches!(err, CoreError::BudgetExceeded { .. }), "{err:?}");
-    assert_eq!(err.abort_cause(), Some(pa_core::AbortCause::Budget));
-    assert_eq!(catalog.table_names(), names_before);
-
-    // Panic abort: same sweep guarantee, repeated to catch ratchets.
-    for _ in 0..3 {
-        chaos::arm(0);
-        let err = engine.execute_sql(SQL).unwrap_err();
-        assert!(matches!(err, CoreError::WorkerPanicked { .. }), "{err:?}");
-        assert_eq!(catalog.table_names(), names_before);
+    let by_city = VpctQuery::single("sales", &["state", "city"], "salesAmt", &["city"]);
+    // Global totals: the Update plan divides by a scalar, charging its
+    // guard mid-update, so an injected panic can land inside the UPDATE.
+    let global = VpctQuery::single("sales", &["state"], "salesAmt", &[]);
+    let hq = HorizontalQuery::hpct("sales", &["state"], "salesAmt", &["city"]);
+    type Plan<'p> = Box<dyn Fn(&PercentageEngine<'_>) -> Result<(), CoreError> + 'p>;
+    let mut plans: Vec<(String, bool, Plan<'_>)> = Vec::new();
+    for strat in [
+        VpctStrategy::best(),
+        VpctStrategy::without_index(),
+        VpctStrategy::with_update(),
+        VpctStrategy::fj_from_f(),
+        VpctStrategy::synchronized(),
+    ] {
+        for q in [&by_city, &global] {
+            let logs = strat.materialization == Materialization::Update;
+            let label = format!("{strat:?} BY {:?}", q.terms[0].by);
+            plans.push((
+                label,
+                logs,
+                Box::new(move |e| e.vpct_with(q, &strat).map(drop)),
+            ));
+        }
     }
+    for strategy in [
+        HorizontalStrategy::CaseDirect,
+        HorizontalStrategy::CaseFromFv,
+        HorizontalStrategy::SpjDirect,
+        HorizontalStrategy::SpjFromFv,
+    ] {
+        let opts = HorizontalOptions::with_strategy(strategy);
+        let hq = &hq;
+        plans.push((
+            format!("{strategy:?}"),
+            false,
+            Box::new(move |e| e.horizontal_with(hq, &opts).map(drop)),
+        ));
+    }
+    plans.push((
+        "lattice".into(),
+        false,
+        Box::new(|e| e.execute_sql(CUBE_SQL).map(drop)),
+    ));
+    plans.push((
+        "where".into(),
+        false,
+        Box::new(|e| e.execute_sql(WHERE_SQL).map(drop)),
+    ));
 
-    // A parse failure never mints a temp namespace at all.
+    let mut interrupted_stored_fk = false;
+    for (label, logs, plan) in &plans {
+        let check = |fault: &str, records_before: u64| {
+            assert_eq!(catalog.table_names(), names_before, "{label} / {fault}");
+            let records = catalog.wal_stats().records;
+            if *logs {
+                assert!(records >= records_before, "{label} / {fault}");
+            } else {
+                assert_eq!(records, records_before, "{label} / {fault}");
+            }
+        };
+        let records = || catalog.wal_stats().records;
+
+        let before = records();
+        plan(&PercentageEngine::new(&catalog)).unwrap_or_else(|e| panic!("{label}: {e}"));
+        check("ok", before);
+        if *logs {
+            assert!(records() > before, "{label}: the Update plan logs per row");
+        }
+
+        let before = records();
+        let tight = PercentageEngine::new(&catalog).with_guard(ResourceGuard::with_row_budget(16));
+        let err = plan(&tight).unwrap_err();
+        assert!(matches!(err, CoreError::BudgetExceeded { .. }), "{err:?}");
+        check("budget", before);
+
+        let before = records();
+        let clock = Arc::new(TestClock::with_auto_step(Duration::from_millis(1)));
+        let late = PercentageEngine::new(&catalog)
+            .with_clock(clock)
+            .with_deadline(Duration::ZERO);
+        let err = plan(&late).unwrap_err();
+        assert!(matches!(err, CoreError::DeadlineExceeded { .. }), "{err:?}");
+        check("deadline", before);
+
+        // A panic at every guard charge of the plan in turn, until one run
+        // gets through with the trigger still armed.
+        let engine = PercentageEngine::new(&catalog);
+        for tick in 0.. {
+            let before = records();
+            chaos::arm(tick);
+            let res = plan(&engine);
+            if chaos::is_armed() {
+                chaos::disarm();
+                res.unwrap_or_else(|e| panic!("{label}: {e}"));
+                break;
+            }
+            let err = res.unwrap_err();
+            assert!(matches!(err, CoreError::WorkerPanicked { .. }), "{err:?}");
+            check(&format!("panic at charge {tick}"), before);
+            interrupted_stored_fk |= records() > before;
+        }
+    }
+    assert!(
+        interrupted_stored_fk,
+        "some panic landed after an Update plan had stored its Fk"
+    );
+
+    // A parse failure registers and logs nothing either.
+    let before = catalog.wal_stats().records;
+    let engine = PercentageEngine::new(&catalog);
     assert!(engine.execute_sql("SELECT nonsense;").is_err());
     assert_eq!(catalog.table_names(), names_before);
+    assert_eq!(catalog.wal_stats().records, before);
 }
 
 #[test]
@@ -109,7 +218,7 @@ fn deadline_is_enforced_on_the_engines_injected_clock() {
     // Every guard charge advances the clock 1ms; a 0ms allowance expires at
     // the first morsel boundary, with no wall-clock time involved.
     let clock = Arc::new(TestClock::with_auto_step(Duration::from_millis(1)));
-    let engine = PercentageEngine::with_unique_temps(&catalog)
+    let engine = PercentageEngine::new(&catalog)
         .with_clock(clock)
         .with_deadline(Duration::ZERO);
     let names_before = catalog.table_names();
@@ -158,7 +267,7 @@ fn transient_log_errors_are_absorbed_by_retry() {
     let catalog = Catalog::from_wal(Wal::with_store(Box::new(store), 1 << 20));
     install_sales(&catalog, &SalesConfig { rows: 512, seed: 7 }).unwrap();
 
-    let engine = PercentageEngine::with_unique_temps(&catalog);
+    let engine = PercentageEngine::new(&catalog);
     let outcome = engine.execute_sql(SQL).unwrap();
     assert!(outcome.table().read().num_rows() > 0);
 
@@ -190,7 +299,7 @@ fn permanent_log_corruption_fails_fast_with_the_typed_error() {
     // Catalog DDL deliberately absorbs log-device failures (the in-memory
     // state proceeds; the loss is counted) — so queries still run...
     install_sales(&catalog, &SalesConfig { rows: 512, seed: 7 }).unwrap();
-    let engine = PercentageEngine::with_unique_temps(&catalog);
+    let engine = PercentageEngine::new(&catalog);
     engine.execute_sql(SQL).unwrap();
     let stats = catalog.wal_stats();
     assert!(
@@ -222,8 +331,7 @@ fn guard_settings_and_work_accounting_surface_in_explain() {
     // of the windows in which another test has it armed.
     let _w = chaos_window();
     let catalog = sales_catalog(256);
-    let engine =
-        PercentageEngine::with_unique_temps(&catalog).with_deadline(Duration::from_millis(250));
+    let engine = PercentageEngine::new(&catalog).with_deadline(Duration::from_millis(250));
     let plan = engine.explain_sql(SQL).unwrap();
     let guard_line = plan
         .iter()

@@ -43,7 +43,7 @@ pub use ops::aggregate::{
 };
 pub use ops::distinct::{distinct, distinct_keys};
 pub use ops::filter::filter;
-pub use ops::insert::{create_table_as, insert_into};
+pub use ops::insert::insert_into;
 pub use ops::join::{hash_join, hash_join_guarded, JoinType};
 pub use ops::partial::{partial_aggregate, ShardPartial};
 pub use ops::pivot::{pivot_aggregate_with_config, PivotTask};

@@ -1,4 +1,4 @@
-//! INSERT..SELECT and CREATE TABLE AS — the bulk materialization path.
+//! INSERT..SELECT into a stored table — the bulk materialization path.
 //!
 //! Appends whole column batches and writes **one** WAL record per batch.
 //! Contrast with [`crate::ops::update`], which logs per row; the difference
@@ -6,34 +6,7 @@
 
 use crate::error::Result;
 use crate::stats::ExecStats;
-use pa_storage::{Catalog, SharedTable, Table};
-
-fn absorb_wal_delta(catalog: &Catalog, before: pa_storage::WalStats, stats: &mut ExecStats) {
-    let after = catalog.wal_stats();
-    stats.wal_records += after.records - before.records;
-    stats.wal_bytes += after.bytes_written - before.bytes_written;
-}
-
-/// Register `rows` as (possibly replacing) table `name`, logging the batch.
-pub fn create_table_as(
-    catalog: &Catalog,
-    name: &str,
-    rows: Table,
-    stats: &mut ExecStats,
-) -> Result<SharedTable> {
-    stats.statements += 1;
-    let before = catalog.wal_stats();
-    let n = rows.num_rows() as u64;
-    // The catalog logs the create (schema + contents batch) itself, so
-    // replay sees records in apply order.
-    let shared = catalog.create_or_replace_table(name, rows);
-    absorb_wal_delta(catalog, before, stats);
-    stats.rows_materialized += n;
-    // Policy check runs outside any table guard (a due checkpoint takes
-    // the WAL lock and snapshots every table).
-    catalog.maybe_checkpoint();
-    Ok(shared)
-}
+use pa_storage::{Catalog, Table};
 
 /// Append every row of `rows` to existing table `name` (INSERT..SELECT).
 pub fn insert_into(
@@ -51,7 +24,9 @@ pub fn insert_into(
         target.extend_from(rows)?;
         catalog.with_wal_mutating(name, |wal| wal.log_bulk_insert(name, &target, start))?;
     }
-    absorb_wal_delta(catalog, before, stats);
+    let after = catalog.wal_stats();
+    stats.wal_records += after.records - before.records;
+    stats.wal_bytes += after.bytes_written - before.bytes_written;
     stats.rows_materialized += rows.num_rows() as u64;
     // The target guard is released; a due checkpoint can fence and cut now.
     catalog.maybe_checkpoint();
@@ -76,39 +51,19 @@ mod tests {
     }
 
     #[test]
-    fn create_table_as_logs_one_record() {
-        let cat = Catalog::new();
-        let mut st = ExecStats::default();
-        create_table_as(&cat, "Fk", rows(100), &mut st).unwrap();
-        assert_eq!(cat.table("Fk").unwrap().read().num_rows(), 100);
-        // One DDL record + one bulk-insert record.
-        assert_eq!(st.wal_records, 2);
-        assert_eq!(st.rows_materialized, 100);
-    }
-
-    #[test]
     fn insert_into_appends_and_logs_batch() {
         let cat = Catalog::new();
         let mut st = ExecStats::default();
-        create_table_as(&cat, "Fk", rows(10), &mut st).unwrap();
-        let wal_before = st.wal_records;
+        cat.create_table("Fk", rows(10)).unwrap();
         insert_into(&cat, "Fk", &rows(5), &mut st).unwrap();
         assert_eq!(cat.table("Fk").unwrap().read().num_rows(), 15);
-        assert_eq!(st.wal_records - wal_before, 1, "one record per batch");
+        assert_eq!(st.wal_records, 1, "one record per batch");
+        assert_eq!(st.rows_materialized, 5);
     }
 
     #[test]
     fn insert_into_missing_table_errors() {
         let cat = Catalog::new();
         assert!(insert_into(&cat, "nope", &rows(1), &mut ExecStats::default()).is_err());
-    }
-
-    #[test]
-    fn replace_resets_contents() {
-        let cat = Catalog::new();
-        let mut st = ExecStats::default();
-        create_table_as(&cat, "T", rows(10), &mut st).unwrap();
-        create_table_as(&cat, "T", rows(3), &mut st).unwrap();
-        assert_eq!(cat.table("T").unwrap().read().num_rows(), 3);
     }
 }

@@ -184,7 +184,7 @@ proptest! {
         rows in prop::collection::vec(row_strategy(), 1..60)
     ) {
         let catalog = build_catalog(&rows);
-        let engine = PercentageEngine::with_unique_temps(&catalog);
+        let engine = PercentageEngine::new(&catalog);
         let q = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
         let variants = horizontal_variants();
         let (ref_name, ref_opts) = &variants[0];
@@ -204,7 +204,7 @@ proptest! {
         rows in prop::collection::vec(row_strategy(), 1..60)
     ) {
         let catalog = build_catalog(&rows);
-        let engine = PercentageEngine::with_unique_temps(&catalog);
+        let engine = PercentageEngine::new(&catalog);
         let q = VpctQuery::single("f", &["g", "d"], "a", &["d"]);
         let reference = engine.vpct_with(&q, &VpctStrategy::best()).unwrap().snapshot();
         for strat in [
@@ -226,7 +226,7 @@ proptest! {
         rows in prop::collection::vec(row_strategy(), 1..60)
     ) {
         let catalog = build_catalog(&rows);
-        let engine = PercentageEngine::with_unique_temps(&catalog);
+        let engine = PercentageEngine::new(&catalog);
         let v = engine
             .vpct(&VpctQuery::single("f", &["g", "d"], "a", &["d"]))
             .unwrap()
@@ -324,7 +324,7 @@ fn serial_and_parallel_plans_are_byte_identical() {
         .unwrap();
     }
     catalog.create_table("f", t).unwrap();
-    let engine = PercentageEngine::with_unique_temps(&catalog);
+    let engine = PercentageEngine::new(&catalog);
     let q = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
 
     for (name, opts) in horizontal_variants() {
@@ -406,7 +406,7 @@ fn group_paths_agree_on_both_sides_of_the_dense_budget() {
         .collect();
     for (g_spread, d_spread) in [(1, 1), (1, 230_000), (230_000, 1)] {
         let catalog = budget_catalog(N, g_spread, d_spread);
-        let engine = PercentageEngine::with_unique_temps(&catalog);
+        let engine = PercentageEngine::new(&catalog);
         let q = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
         let (ref_name, ref_opts) = &case_variants[0];
         let reference = engine
@@ -506,7 +506,7 @@ fn vectorized_rle_path_matches_scalar_kernels_on_sorted_input() {
         t.push_row(&[Value::from(g), Value::str(&d), a]).unwrap();
     }
     catalog.create_table("f", t).unwrap();
-    let engine = PercentageEngine::with_unique_temps(&catalog);
+    let engine = PercentageEngine::new(&catalog);
     let q = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
 
     let scalar = engine
@@ -717,7 +717,7 @@ fn holistic_pivot_lanes_match_the_scalar_scan() {
 #[test]
 fn cache_cold_and_cache_warm_catalog_are_byte_identical() {
     let catalog = budget_catalog(50_000, 1, 1);
-    let engine = PercentageEngine::with_unique_temps(&catalog);
+    let engine = PercentageEngine::new(&catalog);
     let q = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
     for (name, opts) in horizontal_variants()
         .into_iter()

@@ -107,7 +107,7 @@ fn pinned_snapshot_queries_are_byte_identical_under_concurrent_writes() {
         ParallelMode::Threads(4),
     ];
     let catalog = build_catalog(2_000, 42);
-    let engine = PercentageEngine::with_unique_temps(&catalog);
+    let engine = PercentageEngine::new(&catalog);
     let view = catalog.pin_table("f").unwrap();
 
     // Quiesced reference: a standalone catalog holding a copy of the
@@ -116,7 +116,7 @@ fn pinned_snapshot_queries_are_byte_identical_under_concurrent_writes() {
     refcat
         .create_table("f", view.table().read().clone())
         .unwrap();
-    let ref_engine = PercentageEngine::with_unique_temps(&refcat);
+    let ref_engine = PercentageEngine::new(&refcat);
     let hq = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
     let expected: Vec<_> = modes
         .iter()
@@ -180,7 +180,7 @@ fn pinned_snapshot_queries_are_byte_identical_under_concurrent_writes() {
 #[test]
 fn repinning_after_writes_observes_the_new_epoch() {
     let catalog = build_catalog(500, 7);
-    let engine = PercentageEngine::with_unique_temps(&catalog);
+    let engine = PercentageEngine::new(&catalog);
     let hq = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
     let before = fingerprint(&engine.horizontal(&hq).unwrap().snapshot());
 
@@ -200,7 +200,7 @@ fn repinning_after_writes_observes_the_new_epoch() {
     refcat
         .create_table("f", catalog.table("f").unwrap().read().clone())
         .unwrap();
-    let ref_engine = PercentageEngine::with_unique_temps(&refcat);
+    let ref_engine = PercentageEngine::new(&refcat);
     let expected = fingerprint(&ref_engine.horizontal(&hq).unwrap().snapshot());
     assert_eq!(after, expected);
 }

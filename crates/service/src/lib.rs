@@ -49,7 +49,7 @@ pub use replica::{NodeRole, NodeStatus, ReplicaSet, ReplicaSetConfig, RoutedResp
 
 use pa_core::{
     CoreError, HorizontalOptions, HorizontalQuery, HorizontalStrategy, ParallelMode,
-    PercentageEngine, QueryLimits, VpctQuery, VpctStrategy, VpctTerm,
+    PercentageEngine, QueryLimits, SqlOutcome, VpctQuery, VpctStrategy, VpctTerm,
 };
 use pa_engine::{AbortCause, Degradation, ExecStats};
 use pa_obs::{Counter, Gauge, Histogram, MetricsRegistry};
@@ -198,11 +198,7 @@ impl From<CoreError> for ServiceError {
 /// Convenience alias.
 pub type Result<T> = std::result::Result<T, ServiceError>;
 
-/// A completed query: an owned snapshot of the result plus its stats.
-///
-/// The service engine drops per-query temporaries from the catalog after
-/// every query (success or failure), so the result is handed out as an
-/// owned [`Table`] rather than a catalog reference.
+/// A completed query: the result rows, owned, plus the query's stats.
 #[derive(Debug, Clone)]
 pub struct ServiceResponse {
     /// The result rows.
@@ -214,9 +210,9 @@ pub struct ServiceResponse {
 
 /// The fault-tolerant serving facade over one shared [`PercentageEngine`].
 ///
-/// The service is `Sync`: one instance serves many threads. All queries
-/// share the engine's unique-temp-name counter, so concurrent requests
-/// never collide in the catalog namespace.
+/// The service is `Sync`: one instance serves many threads. A query's
+/// intermediates and result are values it owns, so concurrent requests
+/// share nothing but the tables they read.
 #[derive(Debug)]
 pub struct QueryService<'a> {
     engine: PercentageEngine<'a>,
@@ -304,17 +300,13 @@ impl Drop for Admission<'_> {
 }
 
 impl<'a> QueryService<'a> {
-    /// A service over `catalog` with the standard serving engine:
-    /// unique temp names (concurrent-safe) and temp cleanup after every
-    /// query.
+    /// A service over `catalog` with a default engine.
     pub fn new(catalog: &'a Catalog, config: ServiceConfig) -> QueryService<'a> {
-        let engine = PercentageEngine::with_unique_temps(catalog).with_temp_cleanup();
-        QueryService::from_engine(engine, config)
+        QueryService::from_engine(PercentageEngine::new(catalog), config)
     }
 
     /// A service over a caller-built engine — tests inject a `TestClock`
-    /// or an engine-level guard this way. The engine should use unique
-    /// temp names if the service will face concurrent callers.
+    /// or an engine-level guard this way.
     pub fn from_engine(engine: PercentageEngine<'a>, config: ServiceConfig) -> QueryService<'a> {
         QueryService::from_engine_with_metrics(engine, config, MetricsRegistry::shared())
     }
@@ -480,7 +472,7 @@ impl<'a> QueryService<'a> {
     fn execute_sql_degraded(&self, sql: &str, session: &SessionOptions) -> Result<ServiceResponse> {
         let limits = self.resolve_limits(session);
         let first = match self.engine.execute_sql_limited(sql, limits) {
-            Ok(out) => return Ok(respond(out.table().read().clone(), out.stats())),
+            Ok(out) => return Ok(respond_owned(out)),
             Err(e) if self.degradable(&e) => e,
             Err(e) => return Err(e.into()),
         };
@@ -498,7 +490,7 @@ impl<'a> QueryService<'a> {
         {
             Ok(mut out) => {
                 mark(out.stats_mut(), Degradation::Serial, cause);
-                return Ok(respond(out.table().read().clone(), out.stats()));
+                return Ok(respond_owned(out));
             }
             Err(e) if self.degradable(&e) => {}
             Err(e) => return Err(e.into()),
@@ -515,7 +507,7 @@ impl<'a> QueryService<'a> {
         {
             Ok(mut out) => {
                 mark(out.stats_mut(), Degradation::SerialThenSpj, cause);
-                Ok(respond(out.table().read().clone(), out.stats()))
+                Ok(respond_owned(out))
             }
             Err(e) => Err(e.into()),
         }
@@ -559,7 +551,7 @@ impl<'a> QueryService<'a> {
     /// full `dims`, i.e. percentages of each finest group against the
     /// totals at prefix `dims[..j]` (`j = 0` is the grand total). The whole
     /// batch occupies a single admission slot and runs through
-    /// [`pa_core::eval_vpct_batch_guarded`], which fuses the shared
+    /// [`PercentageEngine::vpct_batch`], which fuses the shared
     /// summary scan and serves coarser totals from the lattice cache, so
     /// asking for all `k` prefixes costs roughly one scan rather than `k`.
     pub fn percentage_batch(
@@ -678,4 +670,15 @@ fn mark(stats: &mut ExecStats, degraded: Degradation, cause: Option<AbortCause>)
 
 fn respond(table: Table, stats: ExecStats) -> ServiceResponse {
     ServiceResponse { table, stats }
+}
+
+/// Respond with the outcome's rows moved out of it: the service holds the
+/// only handle to a statement's result. A handle someone else still holds
+/// is copied instead.
+fn respond_owned(out: SqlOutcome) -> ServiceResponse {
+    let (stats, shared) = (out.stats(), out.table());
+    drop(out);
+    let table =
+        Arc::try_unwrap(shared).map_or_else(|held| held.read().clone(), |lock| lock.into_inner());
+    respond(table, stats)
 }

@@ -215,7 +215,7 @@ impl<'a> ReplicaSet<'a> {
             .enumerate()
             .map(|(i, (catalog, transport))| {
                 let name = format!("node{i}");
-                let engine = PercentageEngine::with_unique_temps(catalog).with_temp_cleanup();
+                let engine = PercentageEngine::new(catalog);
                 if i != 0 {
                     engine.set_read_only(true);
                 }

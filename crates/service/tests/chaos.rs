@@ -5,7 +5,7 @@
 //! * the harness never sees an unwinding panic and never deadlocks,
 //! * every failure is a typed [`ServiceError`] with a classified cause,
 //! * every success is byte-identical to the fault-free serial run,
-//! * no admission permit and no temp table leaks, and
+//! * no admission permit leaks and no query registers a table, and
 //! * the same service instance serves clean follow-ups afterwards.
 
 use pa_core::{PercentageEngine, VpctQuery};
@@ -50,7 +50,7 @@ fn sales_catalog() -> Catalog {
 /// Fault-free serial reference for each of the three query kinds.
 fn references() -> Vec<Vec<Vec<Value>>> {
     let catalog = sales_catalog();
-    let engine = PercentageEngine::with_unique_temps(&catalog);
+    let engine = PercentageEngine::new(&catalog);
     let sql = |s: &str| -> Vec<Vec<Value>> {
         engine
             .execute_sql(s)
@@ -139,7 +139,7 @@ proptest! {
         });
         chaos::disarm(); // a leftover armed tick must not poison later cases
 
-        // No leaks: every permit returned, every temp table swept.
+        // No leaks: every permit returned, no table registered.
         prop_assert_eq!(service.available_permits(), config.max_concurrent);
         prop_assert_eq!(catalog.table_names(), vec!["sales".to_string()]);
 

@@ -132,6 +132,42 @@ fn writes_ship_to_replicas_on_tick() {
     assert_eq!(status[1].lag_lsns, 0);
 }
 
+/// A read statement is not replicated work: after any mix of read-only
+/// statements — on the primary and routed to replicas — the primary's log
+/// has nothing to ship past where it stood, and no node's log has grown.
+#[test]
+fn read_only_statements_leave_nothing_to_ship() {
+    let primary = build_catalog(40, 3);
+    let r1 = Catalog::new();
+    let clock = Arc::new(TestClock::new());
+    let set = ReplicaSet::new(&[&primary, &r1], vec![], config(), clock.clone());
+    set.tick().unwrap();
+    let caught_up = primary.with_wal(|w| w.next_lsn());
+    let replica_records = r1.wal_stats().records;
+
+    let mix = [
+        QUERY,
+        "SELECT d, state, Vpct(amt BY state), Vpct(amt BY d, state) FROM f GROUP BY d, state;",
+        "SELECT d, state, Vpct(amt BY state) FROM f GROUP BY ROLLUP (d, state);",
+        "SELECT d, Hpct(amt BY state), sum(amt) FROM f WHERE amt > 10 GROUP BY d;",
+        "SELECT d, median(amt BY state) FROM f GROUP BY d;",
+    ];
+    for sql in mix {
+        set.primary_service().execute_sql(sql).unwrap();
+        let routed = set
+            .execute_sql_routed(sql, &SessionOptions::default())
+            .unwrap();
+        assert!(!routed.primary_fallback, "{sql}");
+    }
+
+    let pending = primary.with_wal(|w| w.ship_since(caught_up)).unwrap();
+    assert_eq!(pending, Some(Vec::new()), "caught up, nothing to ship");
+    assert_eq!(primary.with_wal(|w| w.next_lsn()), caught_up);
+    assert_eq!(r1.wal_stats().records, replica_records);
+    set.tick().unwrap();
+    assert_eq!(set.status()[1].lag_lsns, 0);
+}
+
 #[test]
 fn replica_engine_rejects_dml_with_typed_error() {
     let primary = build_catalog(5, 3);

@@ -31,9 +31,7 @@ fn sales_catalog(rows: usize) -> Catalog {
 
 fn reference_rows(rows: usize, sql: &str) -> Vec<Vec<Value>> {
     let catalog = sales_catalog(rows);
-    let out = PercentageEngine::with_unique_temps(&catalog)
-        .execute_sql(sql)
-        .unwrap();
+    let out = PercentageEngine::new(&catalog).execute_sql(sql).unwrap();
     out.table().read().rows().collect()
 }
 
@@ -71,7 +69,7 @@ fn concurrent_sessions_match_the_plain_engine() {
     assert_eq!(
         catalog.table_names(),
         vec!["sales".to_string()],
-        "no temp tables leaked"
+        "queries register nothing"
     );
 }
 
@@ -114,8 +112,7 @@ fn saturated_service_sheds_instead_of_piling_up() {
     let gate = GateClock::new();
     // The engine-level deadline makes every query read the clock when its
     // guard arms — which blocks on the gate, pinning the permit.
-    let engine = PercentageEngine::with_unique_temps(&catalog)
-        .with_temp_cleanup()
+    let engine = PercentageEngine::new(&catalog)
         .with_clock(gate.clone())
         .with_deadline(Duration::from_secs(3600));
     let service = QueryService::from_engine(
@@ -164,8 +161,7 @@ fn queued_caller_is_shed_after_the_queue_timeout() {
     let _w = chaos_window();
     let catalog = sales_catalog(512);
     let gate = GateClock::new();
-    let engine = PercentageEngine::with_unique_temps(&catalog)
-        .with_temp_cleanup()
+    let engine = PercentageEngine::new(&catalog)
         .with_clock(gate.clone())
         .with_deadline(Duration::from_secs(3600));
     let service = QueryService::from_engine(
@@ -198,9 +194,20 @@ fn queued_caller_is_shed_after_the_queue_timeout() {
 #[test]
 fn session_budget_fails_typed_and_leaks_nothing() {
     let _w = chaos_window();
-    let catalog = sales_catalog(1024);
+    // A logging catalog: the failed statement and every rung of the
+    // degradation ladder it walked must leave the names and the log alone.
+    let catalog = Catalog::new();
+    install_sales(
+        &catalog,
+        &SalesConfig {
+            rows: 1024,
+            seed: 11,
+        },
+    )
+    .unwrap();
     let service = QueryService::new(&catalog, ServiceConfig::default());
     let names_before = catalog.table_names();
+    let records_before = catalog.wal_stats().records;
 
     let err = service
         .execute_sql_session(VPCT, &SessionOptions::with_row_budget(8))
@@ -210,14 +217,18 @@ fn session_budget_fails_typed_and_leaks_nothing() {
         other => panic!("expected a budget error, got {other:?}"),
     }
     assert_eq!(catalog.table_names(), names_before);
+    assert_eq!(catalog.wal_stats().records, records_before);
     assert_eq!(
         service.available_permits(),
         service.config().max_concurrent,
         "the permit came back despite the failure"
     );
 
-    // An unbudgeted session on the same service still works.
+    // An unbudgeted session on the same service still works — and a
+    // statement that succeeds logs nothing either.
     assert!(service.execute_sql(VPCT).is_ok());
+    assert_eq!(catalog.table_names(), names_before);
+    assert_eq!(catalog.wal_stats().records, records_before);
 }
 
 #[test]
@@ -228,9 +239,7 @@ fn session_deadline_is_final_not_degradable() {
     // the deadline trips deterministically, and — being a deadline — must
     // NOT trigger the degradation ladder (a retry cannot un-expire it).
     let clock = Arc::new(TestClock::with_auto_step(Duration::from_millis(1)));
-    let engine = PercentageEngine::with_unique_temps(&catalog)
-        .with_temp_cleanup()
-        .with_clock(clock);
+    let engine = PercentageEngine::new(&catalog).with_clock(clock);
     let service = QueryService::from_engine(engine, ServiceConfig::default());
 
     let err = service
@@ -267,7 +276,7 @@ fn contained_panic_walks_the_ladder_and_records_it() {
     assert_eq!(
         catalog.table_names(),
         vec!["sales".to_string()],
-        "both the failed and the degraded attempt swept their temps"
+        "neither the failed nor the degraded attempt registered a table"
     );
 }
 
@@ -326,7 +335,7 @@ fn percentage_batch_answers_every_prefix_in_one_pass() {
     // Response j must match the equivalent standalone query: percentages
     // of each (state, city) group against the totals at prefix dims[..j].
     let reference_catalog = sales_catalog(rows);
-    let reference = PercentageEngine::with_unique_temps(&reference_catalog);
+    let reference = PercentageEngine::new(&reference_catalog);
     for (j, resp) in responses.iter().enumerate() {
         let q = pa_core::VpctQuery {
             table: "sales".to_string(),
@@ -362,7 +371,7 @@ fn percentage_batch_answers_every_prefix_in_one_pass() {
     }
 
     // The shared pass is metered once, on the first response; the batch
-    // held a single admission slot and swept its temps.
+    // held a single admission slot and registered nothing.
     assert!(responses[0].stats.rows_charged > 0);
     assert_eq!(service.available_permits(), service.config().max_concurrent);
     assert_eq!(catalog.table_names(), vec!["sales".to_string()]);
@@ -381,8 +390,7 @@ fn metrics_registry_mirrors_admissions_sheds_and_work() {
     let _w = chaos_window();
     let catalog = sales_catalog(512);
     let gate = GateClock::new();
-    let engine = PercentageEngine::with_unique_temps(&catalog)
-        .with_temp_cleanup()
+    let engine = PercentageEngine::new(&catalog)
         .with_clock(gate.clone())
         .with_deadline(Duration::from_secs(3600));
     let service = QueryService::from_engine(

@@ -1,9 +1,9 @@
 //! Named-table catalog.
 //!
-//! Holds the fact table `F` and every temporary table the strategies create
-//! (`Fk`, `Fj`, `FV`, `FH`, `F0..FN`). Tables are individually lockable so an
-//! UPDATE mutates in place (the cost the paper measures) instead of
-//! copy-on-write.
+//! Holds the stored tables: the fact table `F`, and the `Fk` an UPDATE plan
+//! stores while it runs (every other intermediate of a percentage query is
+//! a value the query owns). Tables are individually lockable so an UPDATE
+//! mutates in place (the cost the paper measures) instead of copy-on-write.
 //!
 //! Two robustness layers ride on top of the table map:
 //!
@@ -270,7 +270,7 @@ impl Catalog {
         Ok(shared)
     }
 
-    /// Register or replace a table (temporary tables are recreated per query).
+    /// Register or replace a table.
     pub fn create_or_replace_table(&self, name: impl Into<String>, table: Table) -> SharedTable {
         let name = name.into();
         let mut tables = self.tables.write();
@@ -310,10 +310,10 @@ impl Catalog {
         Ok(())
     }
 
-    /// Drop every table whose name starts with `prefix` — the executor's
-    /// scope-guard cleanup for temporary tables (`q7_Fk`, `q7_Fj0`, ...)
-    /// after a failed or abandoned plan. Returns how many tables were
-    /// dropped. A no-op for an empty catalog or an unmatched prefix.
+    /// Drop every table whose name starts with `prefix` (a caller's own
+    /// scratch namespace, e.g. `q7_Fk`, `q7_Fj0`, ...). Returns how many
+    /// tables were dropped. A no-op for an empty catalog or an unmatched
+    /// prefix.
     ///
     /// Callers holding [`SharedTable`] handles to a dropped table keep
     /// them: dropping unregisters the name, it does not free the data.
@@ -792,7 +792,7 @@ impl Catalog {
     /// epoch bump, indexes and cached combinations die. The replica apply
     /// path — the shipped record was already logged by the primary, and
     /// re-logging here would interleave replicated LSNs with this
-    /// catalog's own (e.g. temp-table) records.
+    /// catalog's own records.
     fn install_unlogged(&self, name: &str, table: Table) {
         let mut tables = self.tables.write();
         self.bump_version(name);

@@ -70,10 +70,9 @@ pub const DEFAULT_CAPACITY: usize = 64 << 20;
 
 /// Retained bytes of the default *in-memory* log ([`Wal::default`], so
 /// [`crate::Catalog::new`]): 16 MiB. What such a log retains is resident
-/// memory and nothing else — it survives no crash — and most of it is the
-/// create/drop frames of query temporaries, so a process's footprint would
-/// otherwise grow by every byte its queries ever logged, up to
-/// [`DEFAULT_CAPACITY`]. A log over a device keeps that constant.
+/// memory and nothing else — it survives no crash — so a process's
+/// footprint would otherwise grow by every byte its writes ever logged, up
+/// to [`DEFAULT_CAPACITY`]. A log over a device keeps that constant.
 const DEFAULT_MEM_CAPACITY: usize = 16 << 20;
 
 /// Record kinds, tagged in the log stream.
@@ -598,6 +597,9 @@ pub struct Wal {
     /// recycling and checkpoint compaction cut on frame boundaries and the
     /// retained log always starts at a frame.
     frames: VecDeque<(u64, u64)>,
+    /// Byte size of `frames` summed, kept beside it: a log of per-row
+    /// update records retains ~10^5 frames, too many to add up per append.
+    retained: u64,
     /// LSN the next appended record will carry. Starts at 1 so LSN 0 can
     /// mean "before everything" (the no-checkpoint floor).
     next_lsn: u64,
@@ -628,6 +630,7 @@ impl Wal {
             stats: WalStats::default(),
             record_latency: std::time::Duration::ZERO,
             frames: VecDeque::new(),
+            retained: 0,
             next_lsn: 1,
             retry: RetryPolicy::default(),
             metrics: None,
@@ -643,6 +646,7 @@ impl Wal {
             stats: WalStats::default(),
             record_latency: std::time::Duration::ZERO,
             frames: VecDeque::new(),
+            retained: 0,
             next_lsn: 1,
             retry: RetryPolicy::none(),
             metrics: None,
@@ -666,6 +670,7 @@ impl Wal {
             enabled: true,
             stats,
             record_latency: std::time::Duration::ZERO,
+            retained: frames.iter().map(|&(_, len)| len).sum(),
             frames,
             next_lsn: next_lsn.max(1),
             retry: RetryPolicy::default(),
@@ -784,6 +789,7 @@ impl Wal {
             return Err(e);
         }
         self.frames.push_back((lsn, frame.len() as u64));
+        self.retained += frame.len() as u64;
         self.next_lsn = lsn + 1;
         self.stats.records += 1;
         self.stats.bytes_written += frame.len() as u64;
@@ -807,16 +813,15 @@ impl Wal {
     /// capacity, down to half capacity (like rotating a fixed set of log
     /// files). The newest frame is never dropped.
     fn recycle(&mut self) -> Result<()> {
-        let mut retained: u64 = self.frames.iter().map(|&(_, len)| len).sum();
-        if retained <= self.capacity as u64 {
+        if self.retained <= self.capacity as u64 {
             return Ok(());
         }
         let target = (self.capacity / 2) as u64;
         let mut cut = 0u64;
-        while retained > target && self.frames.len() > 1 {
+        while self.retained > target && self.frames.len() > 1 {
             let (_, oldest) = self.frames.pop_front().expect("len checked > 1");
             cut += oldest;
-            retained -= oldest;
+            self.retained -= oldest;
         }
         if cut > 0 {
             self.store.discard_front(cut)?;
@@ -842,6 +847,7 @@ impl Wal {
             self.frames.pop_front();
             cut += len;
         }
+        self.retained -= cut;
         if cut > 0 {
             self.store.discard_front(cut)?;
         }

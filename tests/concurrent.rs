@@ -2,9 +2,10 @@
 //! closing future-work item ("an intensive database environment where users
 //! concurrently submit percentage queries").
 //!
-//! Each thread runs its own [`PercentageEngine`] with unique temp names;
-//! the fact table is only read-locked, so queries proceed in parallel, and
-//! every thread must see exactly the same answers as a serial run.
+//! Each thread runs its own [`PercentageEngine`]; a query's intermediates
+//! are values it owns and the fact table is only read-locked, so queries
+//! proceed in parallel, and every thread must see exactly the same answers
+//! as a serial run.
 
 use percentage_aggregations::prelude::*;
 
@@ -34,7 +35,7 @@ fn parallel_vertical_queries_agree_with_serial() {
             .map(|i| {
                 let catalog = &catalog;
                 scope.spawn(move || {
-                    let engine = PercentageEngine::with_unique_temps(catalog);
+                    let engine = PercentageEngine::new(catalog);
                     let q = VpctQuery::single("sales", &["state", "dweek"], "salesAmt", &["dweek"]);
                     let strat = if i % 2 == 0 {
                         VpctStrategy::best()
@@ -76,7 +77,7 @@ fn mixed_families_run_concurrently() {
         for i in 0..4 {
             let catalog = &catalog;
             handles.push(scope.spawn(move || {
-                let engine = PercentageEngine::with_unique_temps(catalog);
+                let engine = PercentageEngine::new(catalog);
                 match i % 4 {
                     0 => {
                         let q =
@@ -114,19 +115,31 @@ fn mixed_families_run_concurrently() {
 
 #[test]
 fn update_strategy_is_isolated_per_engine_temps() {
-    // UPDATE mutates the engine's own Fk temp, never the shared fact table.
+    // UPDATE mutates the plan's own stored Fk — each concurrent plan its
+    // own — never the shared fact table, and leaves no name behind.
     let catalog = sales_catalog();
     let before = catalog.table("sales").unwrap().read().num_rows();
+    let q = VpctQuery::single("sales", &["state", "dweek"], "salesAmt", &["dweek"]);
+    let want = PercentageEngine::new(&catalog)
+        .vpct_with(&q, &VpctStrategy::best())
+        .unwrap()
+        .snapshot()
+        .sorted_by(&[0, 1]);
     std::thread::scope(|scope| {
         for _ in 0..4 {
-            let catalog = &catalog;
+            let (catalog, q, want) = (&catalog, &q, &want);
             scope.spawn(move || {
-                let engine = PercentageEngine::with_unique_temps(catalog);
-                let q = VpctQuery::single("sales", &["state", "dweek"], "salesAmt", &["dweek"]);
-                engine.vpct_with(&q, &VpctStrategy::with_update()).unwrap();
+                let engine = PercentageEngine::new(catalog);
+                let got = engine.vpct_with(q, &VpctStrategy::with_update()).unwrap();
+                let got = got.snapshot().sorted_by(&[0, 1]);
+                assert_eq!(
+                    got.rows().collect::<Vec<_>>(),
+                    want.rows().collect::<Vec<_>>()
+                );
             });
         }
     });
+    assert_eq!(catalog.table_names(), ["sales"]);
     let f = catalog.table("sales").unwrap();
     let t = f.read();
     assert_eq!(t.num_rows(), before);

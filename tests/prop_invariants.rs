@@ -82,7 +82,7 @@ proptest! {
     #[test]
     fn vertical_strategies_and_olap_agree(rows in prop::collection::vec(row_strategy(), 1..60)) {
         let catalog = build_catalog(&rows);
-        let engine = PercentageEngine::with_unique_temps(&catalog);
+        let engine = PercentageEngine::new(&catalog);
         let q = VpctQuery::single("f", &["g", "d"], "a", &["d"]);
         let reference = engine.vpct_with(&q, &VpctStrategy::best()).unwrap().snapshot();
         for strat in [
@@ -128,7 +128,7 @@ proptest! {
     #[test]
     fn horizontal_strategies_agree(rows in prop::collection::vec(row_strategy(), 1..60)) {
         let catalog = build_catalog(&rows);
-        let engine = PercentageEngine::with_unique_temps(&catalog);
+        let engine = PercentageEngine::new(&catalog);
         let q = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
         let mut reference: Option<Table> = None;
         for strategy in HorizontalStrategy::all() {
@@ -182,7 +182,7 @@ proptest! {
         rows in prop::collection::vec(row_strategy(), 1..60)
     ) {
         let catalog = build_catalog(&rows);
-        let engine = PercentageEngine::with_unique_temps(&catalog);
+        let engine = PercentageEngine::new(&catalog);
         let v = engine
             .vpct(&VpctQuery::single("f", &["g", "d"], "a", &["d"]))
             .unwrap()

@@ -46,7 +46,7 @@ fn sales_catalog() -> Catalog {
 #[test]
 fn vpct_strategies_agree_on_sales_workload() {
     let catalog = sales_catalog();
-    let engine = PercentageEngine::with_unique_temps(&catalog);
+    let engine = PercentageEngine::new(&catalog);
     // The four SIGMOD Table 4 sales query shapes.
     let queries: [(&[&str], &[&str]); 4] = [
         (&["dweek"], &["dweek"]),
@@ -81,7 +81,7 @@ fn vpct_strategies_agree_on_sales_workload() {
 #[test]
 fn horizontal_strategies_agree_on_sales_workload() {
     let catalog = sales_catalog();
-    let engine = PercentageEngine::with_unique_temps(&catalog);
+    let engine = PercentageEngine::new(&catalog);
     let queries: [(&[&str], &[&str]); 3] = [
         (&["state"], &["dweek"]),
         (&["monthNo"], &["dweek"]),
@@ -128,7 +128,7 @@ fn hagg_strategies_agree_on_census_workload() {
         },
     )
     .unwrap();
-    let engine = PercentageEngine::with_unique_temps(&catalog);
+    let engine = PercentageEngine::new(&catalog);
     for func in [
         AggFunc::Sum,
         AggFunc::Count,
@@ -156,7 +156,7 @@ fn vpct_pair_consistency_vertical_vs_horizontal() {
     // The same percentages computed vertically and horizontally must agree:
     // FH(group)[combo] == FV(group, combo).
     let catalog = sales_catalog();
-    let engine = PercentageEngine::with_unique_temps(&catalog);
+    let engine = PercentageEngine::new(&catalog);
     let v = engine
         .vpct(&VpctQuery::single(
             "sales",
@@ -205,7 +205,7 @@ fn employee_queries_from_table4_shapes() {
         },
     )
     .unwrap();
-    let engine = PercentageEngine::with_unique_temps(&catalog);
+    let engine = PercentageEngine::new(&catalog);
     // The four SIGMOD Table 4 employee query shapes.
     let queries: [(&[&str], &[&str]); 4] = [
         (&["gender"], &["gender"]),
