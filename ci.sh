@@ -111,11 +111,13 @@ cargo run --release -p pa-bench --bin scale -- \
   --n 20000 --d 7 --threads 1,2 --iters 1 \
   --out results/BENCH_scale_smoke.json
 
-echo "==> code-path + kernel gate: case_direct within 2x of hash_dispatch, pivot within 1.5x of the aggregate, vectorized (n=1M, d=50)"
+echo "==> code-path + kernel gate: case_direct within 2x of hash_dispatch, pivot within 1.5x of its two-level aggregate, vectorized (n=1M, d=50)"
 # One 1M-row run, three same-run checks. The dense CASE plan must keep the
 # paper's worst case (wide BY list) within 2x of the same plan on the hash
 # tier measured beside it; the pivot pass must stay within 1.5x of the
-# fused aggregate at GROUP BY ∪ BY it transposes (`pivot_over_aggregate`);
+# work it fuses — `multi_hash_aggregate` over (GROUP BY ∪ BY, GROUP BY),
+# the level it transposes and the level its totals come from
+# (`pivot_over_aggregate`);
 # and the kernel-path smoke proves the fused kernels (DESIGN.md "Scan
 # core", §12) actually engaged — case_direct block-at-a-time, the sorted
 # scenario through the RLE fast path — rather than silently falling back

@@ -21,7 +21,7 @@ use pa_core::{
     VpctStrategy, VpctTerm,
 };
 use pa_engine::{
-    distinct_keys, hash_aggregate_with_config, pivot_aggregate_with_config, AggFunc, AggSpec,
+    distinct_keys, multi_hash_aggregate_with_config, pivot_aggregate_with_config, AggFunc, AggSpec,
     ExecStats, Expr, PBits, ParallelConfig, PivotTask, ResourceGuard,
 };
 use pa_storage::Catalog;
@@ -40,8 +40,8 @@ struct Args {
     /// the vectorized kernels, and the sorted scenario hit the RLE path.
     assert_vectorized: bool,
     /// CI gate: fail unless the pivot pass of `case_direct` stays within
-    /// this factor of the fused aggregate at `GROUP BY ∪ BY` measured beside
-    /// it (0 = no gate).
+    /// this factor of the two-level aggregate (`GROUP BY ∪ BY`, `GROUP BY`)
+    /// measured beside it (0 = no gate).
     assert_pivot_within: f64,
     /// CI gate: fail unless the cache-cold `lattice` batch (all four
     /// BY-prefixes from one fused scan) stays within this factor of the
@@ -360,10 +360,14 @@ fn run_lattice_cell(
 }
 
 /// The scan under `case_direct`, as direct engine calls on `fact`: the pivot
-/// pass (`Hpct(amt BY day) GROUP BY store`) and the fused aggregate at
-/// `GROUP BY ∪ BY` it transposes, best of `iters` each, in ms. The pivot is
-/// that aggregate plus one projected level for the totals, so their ratio is
-/// what the transposition costs.
+/// pass (`Hpct(amt BY day) GROUP BY store`) and the work it fuses — the
+/// aggregate at `GROUP BY ∪ BY` it transposes and the one at `GROUP BY` its
+/// totals come from, as one `multi_hash_aggregate` — best of `iters` each,
+/// in ms. The pivot reads both levels off one code stream, so their ratio
+/// is what sharing the stream saves against what the transposition costs.
+/// (A one-level denominator made the ratio a measure of the fixed
+/// domain/encode cost both sides paid: it read ×1.36 while each statement
+/// rescanned min/max and re-encoded its keys, ×1.78 once neither did.)
 fn run_pivot_cell(catalog: &Catalog, iters: usize) -> [f64; 2] {
     let fact = catalog.table("fact").expect("generated");
     let fact = fact.read();
@@ -383,8 +387,9 @@ fn run_pivot_cell(catalog: &Catalog, iters: usize) -> [f64; 2] {
         pivot_aggregate_with_config(&fact, &[0], tasks, &[], &guard, &mut stats, &config)
             .expect("bench query");
     });
+    let levels = [(vec![0, 1], sum.to_vec()), (vec![0], sum.to_vec())];
     let aggregate_ms = best_ms(iters, || {
-        hash_aggregate_with_config(&fact, &[0, 1], &sum, &guard, &mut stats, &config)
+        multi_hash_aggregate_with_config(&fact, &levels, &guard, &mut stats, &config)
             .expect("bench query");
     });
     [pivot_ms, aggregate_ms]
@@ -659,17 +664,18 @@ fn main() {
         }
     }
 
-    // CI gate: the pivot is the aggregate at GROUP BY ∪ BY plus the totals
-    // level and a transposition of groups, so it must stay within the given
-    // factor of that aggregate measured beside it.
+    // CI gate: the pivot is the aggregates at GROUP BY ∪ BY and at GROUP BY
+    // off one code stream plus a transposition of groups, so it must stay
+    // within the given factor of those two levels aggregated beside it.
     if args.assert_pivot_within > 0.0 {
         let mut failed = false;
         for (n, d, threads, [pivot_ms, aggregate_ms]) in &pivot_gate {
             let factor = pivot_ms / aggregate_ms.max(1e-9);
             let ok = factor <= args.assert_pivot_within;
             println!(
-                "pivot gate n={n} d={d} threads={threads}: pivot pass {pivot_ms:.1} ms vs fused \
-                 aggregate at GROUP BY ∪ BY {aggregate_ms:.1} ms — x{factor:.2} (limit x{:.2}) {}",
+                "pivot gate n={n} d={d} threads={threads}: pivot pass {pivot_ms:.1} ms vs \
+                 two-level aggregate (GROUP BY ∪ BY, GROUP BY) {aggregate_ms:.1} ms — \
+                 x{factor:.2} (limit x{:.2}) {}",
                 args.assert_pivot_within,
                 if ok { "OK" } else { "FAIL" }
             );
@@ -677,7 +683,7 @@ fn main() {
         }
         if failed {
             eprintln!(
-                "pivot gate failed: the transposed aggregate costs too much over the aggregate"
+                "pivot gate failed: the transposed aggregate costs too much over its two levels"
             );
             std::process::exit(1);
         }

@@ -11,19 +11,16 @@
 //!   more grouping columns or when the grouping columns have high
 //!   selectivity."
 //!
-//! Selectivity is estimated by sampling distinct counts from a prefix of
-//! the table (dictionary sizes give exact answers for string dimensions).
+//! Selectivity is read from the column's statistics
+//! ([`pa_storage::Table::distinct_estimate`]): the record the key space and
+//! the block coder read their domains from, derived once per column
+//! version — never sampled per statement.
 
 use crate::error::Result;
 use crate::query::{HorizontalQuery, VpctQuery};
 use crate::strategy::{HorizontalStrategy, ParallelMode, VpctStrategy};
 use pa_engine::ParallelConfig;
-use pa_storage::{Catalog, Column, FxHashSet, Table};
-
-/// Distinct values of one column above which it counts as "high
-/// selectivity". The paper's low-cardinality dimensions top out at
-/// monthNo(12); the selective ones start at dept(100) and age(100).
-pub const LOW_SELECTIVITY_MAX: usize = 32;
+use pa_storage::{Catalog, Table};
 
 /// Estimated BY-domain size (product of per-column distinct counts) above
 /// which a horizontal query routes through `FV` instead of evaluating the
@@ -40,38 +37,6 @@ pub const LOW_SELECTIVITY_MAX: usize = 32;
 /// itself (and the result is about to hit `max_columns` anyway), so the
 /// FV pre-aggregation — which shrinks the scanned input instead — wins.
 pub const DIRECT_CELL_BUDGET: usize = 1024;
-
-/// Rows sampled when estimating a column's distinct count.
-const SAMPLE_ROWS: usize = 100_000;
-
-/// Estimate the number of distinct values in a column by scanning a prefix
-/// sample. Dictionary-encoded strings are answered exactly from the
-/// dictionary. The estimate is a lower bound, which is the safe direction
-/// for the "low selectivity" test.
-pub fn estimate_distinct(table: &Table, col: usize) -> usize {
-    estimate_distinct_up_to(table, col, LOW_SELECTIVITY_MAX)
-}
-
-/// [`estimate_distinct`] with a caller-chosen early-exit threshold: stops
-/// scanning once more than `cap` distinct values have been seen, so the
-/// result is exact below `cap` and a lower bound above it.
-pub fn estimate_distinct_up_to(table: &Table, col: usize, cap: usize) -> usize {
-    match table.column(col) {
-        Column::Str { dict, .. } => dict.len(),
-        column => {
-            let n = table.num_rows().min(SAMPLE_ROWS);
-            let mut seen: FxHashSet<Option<i64>> = FxHashSet::default();
-            for row in 0..n {
-                seen.insert(column.key_fragment(row));
-                if seen.len() > cap {
-                    // Early exit: already over the caller's threshold.
-                    return seen.len();
-                }
-            }
-            seen.len()
-        }
-    }
-}
 
 /// Pick the strategy for a vertical percentage query. Per the paper's
 /// findings the recommended configuration dominates, so this is constant;
@@ -136,7 +101,7 @@ pub(crate) fn horizontal_strategy_over(
             let col = f.schema().index_of(b)?;
             // +1 for the NULL slot each dimension carries in the dense
             // encoding; saturating keeps huge domains from wrapping.
-            let distinct = estimate_distinct_up_to(f, col, DIRECT_CELL_BUDGET) + 1;
+            let distinct = f.distinct_estimate(col) + 1;
             cells = cells.saturating_mul(distinct);
             if cells > DIRECT_CELL_BUDGET {
                 return Ok(HorizontalStrategy::CaseFromFv);
@@ -180,9 +145,9 @@ mod tests {
         let catalog = catalog(7);
         let f = catalog.table("sales").unwrap();
         let t = f.read();
-        assert_eq!(estimate_distinct(&t, 1), 7);
-        assert_eq!(estimate_distinct(&t, 2), 100, "dictionary is exact");
-        assert!(estimate_distinct(&t, 3) > LOW_SELECTIVITY_MAX);
+        assert_eq!(t.distinct_estimate(1), 7, "a slot vector is exact");
+        assert_eq!(t.distinct_estimate(2), 100, "dictionary is exact");
+        assert_eq!(t.distinct_estimate(3), 500, "a float column is sampled");
     }
 
     #[test]

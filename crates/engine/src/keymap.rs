@@ -173,13 +173,34 @@ pub(crate) enum DimCoder {
     },
 }
 
+/// One key dimension's coder and radix — its slot count, the NULL slot
+/// included — read from the column's statistics
+/// ([`Table::column_stats`]): the integer range is derived once per column
+/// version and shared by both key spaces, the block coder and the optimizer,
+/// never rescanned per statement. `None` for a `Float` column (unbounded
+/// domain) and for an integer range whose span overflows.
+fn dim_domain(table: &Table, col: usize) -> Option<(DimCoder, u64)> {
+    match table.column(col) {
+        Column::Str { dict, .. } => Some((DimCoder::Str, dict.len() as u64 + 1)),
+        Column::Int { .. } => match table.column_stats(col).range() {
+            // All-NULL dimension: only the NULL slot.
+            None => Some((DimCoder::Int { min: 0 }, 1)),
+            Some((min, max)) => {
+                let span = u64::try_from(max.checked_sub(min)?).ok()?;
+                Some((DimCoder::Int { min }, span.checked_add(2)?))
+            }
+        },
+        Column::Float { .. } => None,
+    }
+}
+
 /// Mixed-radix composite-code space over a tuple of key columns.
 ///
 /// Each dimension contributes a slot in `0..radix_d` (0 = NULL); the
 /// composite code is `Σ slot_d × stride_d`, a bijection between key tuples
 /// and `0..size()`. Built against one immutable table snapshot: the
-/// per-dimension domains (dictionary size, integer range) are fixed at
-/// build time, so every row of that snapshot encodes in range.
+/// per-dimension domains (dictionary size, integer range) are that
+/// snapshot's column statistics, so every row of it encodes in range.
 #[derive(Debug, Clone)]
 pub struct DenseKeySpace {
     cols: Vec<usize>,
@@ -202,29 +223,9 @@ impl DenseKeySpace {
         let mut dims = Vec::with_capacity(cols.len());
         let mut radices = Vec::with_capacity(cols.len());
         for &c in cols {
-            let (coder, radix) = match table.column(c) {
-                Column::Str { dict, .. } => (DimCoder::Str, dict.len().checked_add(1)?),
-                Column::Int { data, validity } => {
-                    let mut min = i64::MAX;
-                    let mut max = i64::MIN;
-                    for (i, &v) in data.iter().enumerate() {
-                        if validity.get(i) {
-                            min = min.min(v);
-                            max = max.max(v);
-                        }
-                    }
-                    if min > max {
-                        // All-NULL dimension: only the NULL slot.
-                        (DimCoder::Int { min: 0 }, 1)
-                    } else {
-                        let span = usize::try_from(max.checked_sub(min)?).ok()?;
-                        (DimCoder::Int { min }, span.checked_add(2)?)
-                    }
-                }
-                Column::Float { .. } => return None,
-            };
+            let (coder, radix) = dim_domain(table, c)?;
             dims.push(coder);
-            radices.push(radix);
+            radices.push(usize::try_from(radix).ok()?);
         }
         let mut strides = Vec::with_capacity(cols.len());
         let mut size = 1usize;
@@ -492,26 +493,7 @@ impl WideKeySpace {
         let mut dims = Vec::with_capacity(cols.len());
         let mut radices = Vec::with_capacity(cols.len());
         for &c in cols {
-            let (coder, radix) = match table.column(c) {
-                Column::Str { dict, .. } => (DimCoder::Str, dict.len() as u64 + 1),
-                Column::Int { data, validity } => {
-                    let mut min = i64::MAX;
-                    let mut max = i64::MIN;
-                    for (i, &v) in data.iter().enumerate() {
-                        if validity.get(i) {
-                            min = min.min(v);
-                            max = max.max(v);
-                        }
-                    }
-                    if min > max {
-                        (DimCoder::Int { min: 0 }, 1)
-                    } else {
-                        let span = u64::try_from(max.checked_sub(min)?).ok()?;
-                        (DimCoder::Int { min }, span.checked_add(2)?)
-                    }
-                }
-                Column::Float { .. } => return None,
-            };
+            let (coder, radix) = dim_domain(table, c)?;
             dims.push(coder);
             radices.push(radix);
         }

@@ -7,9 +7,10 @@
 //! vectors:
 //!
 //! * [`Coder`] resolves each key dimension to a typed reader **once**
-//!   — bit-packed NULL-folded slots for dictionary columns
-//!   ([`pa_storage::PackedCodes`]), raw `&[i64]` plus validity words for
-//!   integer columns — and fills a stack block of composite codes with
+//!   — the NULL-folded slot vector kept beside a dictionary column or a
+//!   narrow integer one ([`pa_storage::Table::key_slots`]), raw `&[i64]`
+//!   plus validity words only for an integer range past 16 bits — and
+//!   fills a stack block of composite codes with
 //!   tight, autovectorizable loops: mixed-radix `u32` codes
 //!   ([`BlockCoder`]) or, past the dense budget, shift-packed `u64` ones
 //!   ([`WideCoder`]). The packed slot (`0` NULL, `code + 1` otherwise) is
@@ -199,12 +200,13 @@ impl CodeWord for u64 {
 /// One key dimension resolved to a typed reader, with its slot's place in
 /// the code word.
 enum DimReader<'a> {
-    /// Dictionary dimension via the bit-packed NULL-folded slot vector.
+    /// Dictionary or narrow integer dimension via its NULL-folded slot
+    /// vector.
     Packed {
         packed: Arc<PackedCodes>,
         place: u32,
     },
-    /// Integer dimension: slot = `value - min + 1` masked by validity.
+    /// Wide integer dimension: slot = `value - min + 1` masked by validity.
     Int {
         data: &'a [i64],
         vwords: &'a [u64],
@@ -217,7 +219,7 @@ enum DimReader<'a> {
 /// through a compressed or typed vector.
 pub struct Coder<'a, W> {
     dims: Vec<DimReader<'a>>,
-    /// Widest bit-packed dimension, for stats (`0` when no packed dim).
+    /// Widest slot-vector dimension, for stats (`0` when no packed dim).
     pack_width: u32,
     word: std::marker::PhantomData<W>,
 }
@@ -268,18 +270,26 @@ impl<'a, W: CodeWord> Coder<'a, W> {
         let mut dims = Vec::with_capacity(cols.len());
         let mut pack_width = 0u32;
         for ((&c, &coder), place) in cols.iter().zip(coders).zip(places) {
+            let mut packed = |packed: &Arc<PackedCodes>| {
+                pack_width = pack_width.max(packed.width());
+                let packed = Arc::clone(packed);
+                DimReader::Packed { packed, place }
+            };
             let reader = match (table.column(c), coder) {
-                (col @ Column::Str { .. }, DimCoder::Str) => {
-                    let packed = Arc::clone(col.packed_slots()?);
-                    pack_width = pack_width.max(packed.width());
-                    DimReader::Packed { packed, place }
+                (Column::Str { .. }, DimCoder::Str) => packed(table.key_slots(c)?),
+                (Column::Int { data, validity }, DimCoder::Int { min }) => {
+                    match table.key_slots(c) {
+                        Some(slots) => packed(slots),
+                        // A range past 16 bits has no slot vector: this is
+                        // its only block reader.
+                        None => DimReader::Int {
+                            data,
+                            vwords: validity.words(),
+                            min,
+                            place,
+                        },
+                    }
                 }
-                (Column::Int { data, validity }, DimCoder::Int { min }) => DimReader::Int {
-                    data,
-                    vwords: validity.words(),
-                    min,
-                    place,
-                },
                 _ => return None,
             };
             dims.push(reader);
@@ -291,7 +301,7 @@ impl<'a, W: CodeWord> Coder<'a, W> {
         })
     }
 
-    /// Widest bit-packed dimension this coder reads (0 when none).
+    /// Widest slot-vector dimension this coder reads (0 when none).
     pub fn pack_width(&self) -> u32 {
         self.pack_width
     }
@@ -301,17 +311,12 @@ impl<'a, W: CodeWord> Coder<'a, W> {
     /// loop-invariant: the first dimension stores, later ones combine).
     pub fn fill(&self, start: usize, out: &mut [W]) {
         let mut first = true;
-        let mut slots = [0u32; BLOCK_ROWS];
         for dim in &self.dims {
             let zero = W::default();
             match dim {
-                DimReader::Packed { packed, place } => {
-                    let slots = &mut slots[..out.len()];
-                    packed.unpack_into(start, slots);
-                    for (o, &s) in out.iter_mut().zip(slots.iter()) {
-                        *o = W::slot(s).put(*place, if first { zero } else { *o });
-                    }
-                }
+                DimReader::Packed { packed, place } => packed.zip_into(start, out, |s, o| {
+                    *o = W::slot(s).put(*place, if first { zero } else { *o });
+                }),
                 DimReader::Int {
                     data,
                     vwords,
@@ -795,10 +800,14 @@ pub(crate) fn blocks(morsel: Range<usize>) -> impl Iterator<Item = Range<usize>>
 /// run.
 #[inline]
 pub(crate) fn rle_runs<C: Copy + PartialEq>(codes: &[C]) -> Option<usize> {
-    let mut runs = 1usize;
-    for k in 1..codes.len() {
-        runs += usize::from(codes[k] != codes[k - 1]);
-    }
+    // Neighbours zipped and counted in `u32` (a block is far shorter): the
+    // form the compiler turns into packed compares.
+    let changes: u32 = codes
+        .iter()
+        .zip(codes.get(1..).unwrap_or_default())
+        .map(|(a, b)| u32::from(a != b))
+        .sum();
+    let runs = changes as usize + 1;
     (runs * RLE_RUN_DIVISOR <= codes.len()).then_some(runs)
 }
 

@@ -24,6 +24,10 @@
 //! and `pivot_aggregate` un-transposed — must finalize to the same bytes at
 //! every kernel tier, thread count and input shape.
 //!
+//! A fifth pins what the scan reads *beside* the columns: every shape of
+//! integer key domain, and every `Table` mutator between two scans, against
+//! a per-row loop that reads no column statistics.
+//!
 //! Measures are integer-valued floats throughout: their sums are exact
 //! under any regrouping of additions (DESIGN.md §7), so "identical" means
 //! bitwise equality, not within-epsilon. This is a pa-engine *dev*
@@ -1092,6 +1096,231 @@ fn a_multi_level_scan_mixes_fused_and_generic_levels() {
                 "threads={threads} level {cols:?}"
             );
         }
+    }
+}
+
+/// A table keyed by `k` (the domain under test) and `h` (three values and
+/// NULL around zero), with an integer-valued float measure carrying NULLs.
+fn key_domain_table(keys: &[Option<i64>]) -> Table {
+    let schema = Schema::from_pairs(&[
+        ("k", DataType::Int),
+        ("h", DataType::Int),
+        ("a", DataType::Float),
+    ])
+    .unwrap()
+    .into_shared();
+    let mut t = Table::with_capacity(schema, keys.len());
+    for (i, k) in keys.iter().enumerate() {
+        t.push_row(&[
+            Value::from(*k),
+            Value::from((i % 4 != 3).then_some(i as i64 % 4 - 1)),
+            Value::from((i % 7 != 0).then_some((i % 13) as f64 - 6.0)),
+        ])
+        .unwrap();
+    }
+    t
+}
+
+/// The per-row loop through the tuple hash: `dense_budget: 0` keeps it off
+/// every key space, so it reads no column statistics at all — the one
+/// evaluation a stale or wrong domain cannot reach.
+fn statistics_free_reference() -> ParallelConfig {
+    ParallelConfig {
+        vector: false,
+        dense_budget: 0,
+        ..ParallelConfig::serial()
+    }
+}
+
+fn key_domain_specs() -> Vec<AggSpec> {
+    vec![
+        AggSpec::new(AggFunc::Sum, Expr::Col(2), "sum"),
+        AggSpec::new(AggFunc::CountStar, Expr::lit(1), "n"),
+    ]
+}
+
+/// `hash_aggregate` of `t` by `cols` at vector on/off × threads {1,2,4} ×
+/// both sides of the dense budget against [`statistics_free_reference`],
+/// byte for byte. Returns the stats of the serial fused dense-budget run.
+fn assert_key_domain_cells(t: &Table, cols: &[usize], what: &str) -> ExecStats {
+    let guard = ResourceGuard::unlimited();
+    let specs = key_domain_specs();
+    let mut st = ExecStats::default();
+    let reference = statistics_free_reference();
+    let want = hash_aggregate_with_config(t, cols, &specs, &guard, &mut st, &reference).unwrap();
+    assert_eq!(st.dense_group_ops, 0, "{what}: the reference hashes tuples");
+    let want = canonical(&want, cols.len());
+    let mut fused = ExecStats::default();
+    for vector in [true, false] {
+        for threads in [1usize, 2, 4] {
+            for dense_budget in [0, DEFAULT_DENSE_BUDGET] {
+                let config = ParallelConfig {
+                    threads,
+                    morsel_rows: 256,
+                    min_parallel_rows: 0,
+                    dense_budget,
+                    vector,
+                    ..ParallelConfig::serial()
+                };
+                let mut st = ExecStats::default();
+                let got =
+                    hash_aggregate_with_config(t, cols, &specs, &guard, &mut st, &config).unwrap();
+                assert_eq!(
+                    canonical(&got, cols.len()),
+                    want,
+                    "{what} by {cols:?} vector={vector} threads={threads} budget={dense_budget}"
+                );
+                if vector && threads == 1 && dense_budget > 0 {
+                    fused = st;
+                }
+            }
+        }
+    }
+    fused
+}
+
+/// Oracle 5: a key's domain is read from the column's statistics — range,
+/// slot vector — so every shape of integer domain must group exactly as
+/// the statistics-free per-row loop does: NULLs and negatives, an all-NULL
+/// key, spans on both sides of each storage lane (254 | 255: `u8` → `u16`;
+/// 65 534 | 65 535: `u16` → no slot vector, the `i64` + validity reader),
+/// and a span that overflows `i64` (`checked_sub` → no code space at all,
+/// the per-row tuple hash). The pack width says which reader ran.
+#[test]
+fn int_key_domains_agree_on_every_lane_and_tier() {
+    const N: usize = 1_500;
+    let spread = |min: i64, span: i64| -> Vec<Option<i64>> {
+        // Both ends of the range, NULLs, and a seeded walk between them.
+        let mut state = 0x5eed_0000_0000_0001u64 ^ span as u64;
+        (0..N)
+            .map(|i| match i {
+                3 => Some(min),
+                5 => Some(min + span),
+                _ if i % 17 == 0 => None,
+                _ => {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    Some(min + ((state >> 33) % (span as u64 + 1)) as i64)
+                }
+            })
+            .collect()
+    };
+    // (name, keys, pack width of `k` alone; `None`: no vectorized reader)
+    let domains = vec![
+        ("nulls and negatives", spread(-7, 12), Some(4u64)),
+        ("all NULL", vec![None; N], Some(0)),
+        ("span 254", spread(-100, 254), Some(8)),
+        ("span 255", spread(-100, 255), Some(9)),
+        ("span 65 534", spread(1 << 40, 65_534), Some(16)),
+        ("span 65 535", spread(-65_535, 65_535), Some(0)),
+        (
+            "span past i64",
+            (0..N)
+                .map(|i| match i % 4 {
+                    0 => Some(i64::MIN + (i % 12) as i64),
+                    1 => Some(i64::MAX - (i % 12) as i64),
+                    2 => Some(0),
+                    _ => None,
+                })
+                .collect(),
+            None,
+        ),
+    ];
+    for (name, keys, width) in &domains {
+        let t = key_domain_table(keys);
+        let solo = assert_key_domain_cells(&t, &[0], name);
+        match width {
+            Some(width) => {
+                assert_eq!(solo.pack_width, *width, "{name}: the reader of `k`");
+                assert_eq!(
+                    (solo.vectorized_kernel_rows, solo.scalar_kernel_rows),
+                    (N as u64, 0),
+                    "{name}: fused"
+                );
+            }
+            None => assert_eq!(
+                (solo.vectorized_kernel_rows, solo.scalar_kernel_rows),
+                (0, N as u64),
+                "{name}: no code space, the per-row loop"
+            ),
+        }
+        // Beside a second key, in both orders of significance.
+        assert_key_domain_cells(&t, &[0, 1], name);
+        assert_key_domain_cells(&t, &[1, 0], name);
+        assert_eq!(
+            t.column_stats(0).slots().is_some(),
+            matches!(width, Some(w) if *w > 0),
+            "{name}: a slot vector exactly where the range fits 16 bits"
+        );
+    }
+}
+
+/// A stale statistics cell is the bug class a side-car invites: per
+/// mutator, aggregate (building the cells of both keys), write a value
+/// that moves the domain — below `min`, above `max`, into and out of NULL —
+/// and aggregate again. Every cell of the matrix must equal the
+/// statistics-free per-row loop over the table as written.
+#[test]
+fn no_mutator_leaves_a_stale_key_domain() {
+    let keys: Vec<Option<i64>> = (0..1_500).map(|i| Some(10 + i % 30)).collect();
+    let other = key_domain_table(&[Some(-400), None, Some(70_000)]);
+    type Write = Box<dyn Fn(&mut Table)>;
+    let writes: Vec<(&str, Write)> = vec![
+        (
+            "push_row below min",
+            Box::new(|t| {
+                t.push_row(&[Value::Int(-3), Value::Int(0), Value::Float(1.0)])
+                    .unwrap()
+            }),
+        ),
+        (
+            "push_rows past the u8 lane",
+            Box::new(|t| {
+                t.push_rows(&[
+                    vec![Value::Int(500), Value::Null, Value::Float(2.0)],
+                    vec![Value::Null, Value::Int(9), Value::Null],
+                ])
+                .unwrap()
+            }),
+        ),
+        (
+            "set_cells above max",
+            Box::new(|t| t.set_cells(7, &[0], &[Value::Int(41)]).unwrap()),
+        ),
+        (
+            "set_cells to NULL on the other key",
+            Box::new(|t| {
+                t.set_cells(0, &[1, 2], &[Value::Null, Value::Float(3.0)])
+                    .unwrap()
+            }),
+        ),
+        (
+            "column_mut below min",
+            Box::new(|t| t.column_mut(0).set(11, Value::Int(i64::MIN + 1)).unwrap()),
+        ),
+        (
+            "column_mut removes the max",
+            Box::new(|t| t.column_mut(0).set(29, Value::Null).unwrap()),
+        ),
+        (
+            "extend_from past the u16 lane",
+            Box::new(move |t| t.extend_from(&other).unwrap()),
+        ),
+    ];
+    for (name, write) in &writes {
+        let mut t = key_domain_table(&keys);
+        let pin = t.clone();
+        assert_key_domain_cells(&t, &[0, 1], &format!("before {name}"));
+        let pinned = pin.column_stats(0) as *const _;
+        write(&mut t);
+        assert_key_domain_cells(&t, &[0, 1], &format!("after {name}"));
+        assert_key_domain_cells(&t, &[1, 0], &format!("after {name}"));
+        // The clone taken before the write is the old version, statistics
+        // and all.
+        assert!(std::ptr::eq(pinned, pin.column_stats(0)), "{name}: the pin");
+        assert_eq!(pin.column_stats(0).range(), Some((10, 39)), "{name}");
+        assert_key_domain_cells(&pin, &[0, 1], &format!("the pin of {name}"));
     }
 }
 

@@ -173,6 +173,90 @@ fn pinned_snapshot_queries_are_byte_identical_under_concurrent_writes() {
     assert_eq!(fresh.rows(), live_rows);
 }
 
+/// Column statistics — the key domains and slot vectors a scan reads beside
+/// the columns — belong to a column *version*: a pin keeps the records of
+/// the version it froze while a writer resets the live table's, a column the
+/// writer did not touch keeps its record on both sides, and each side's
+/// queries answer from its own.
+#[test]
+fn a_pin_keeps_its_key_statistics_while_a_writer_resets_the_live_ones() {
+    let catalog = build_catalog(2_000, 5);
+    let engine = PercentageEngine::new(&catalog);
+    let view = catalog.pin_table("f").unwrap();
+    let pinned_q = HorizontalQuery::hpct(view.alias(), &["g"], "a", &["d"]);
+    let live_q = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
+    // The query through the pin builds the records of both key columns —
+    // on the one version pin and live table still share.
+    let before = fingerprint(&engine.horizontal(&pinned_q).unwrap().snapshot());
+    let live = catalog.table("f").unwrap();
+    let stats_of = |t: &Table, c: usize| {
+        let stats = t.column_stats(c);
+        (stats as *const _, stats.range(), stats.null_count())
+    };
+    let frozen = view.table();
+    let (pin_g, pin_d) = (stats_of(&frozen.read(), 0), stats_of(&frozen.read(), 1));
+    assert_eq!(stats_of(&live.read(), 1), pin_d, "one version, one record");
+    assert_eq!(pin_d.1, Some((0, 4)));
+
+    // An update above `max` on `d` alone, through the logged funnel.
+    {
+        let mut t = live.write();
+        let before = vec![t.column(1).get(0)];
+        let after = vec![Value::Int(9)];
+        t.column_mut(1).set(0, after[0].clone()).unwrap();
+        catalog
+            .with_wal_mutating("f", |w| w.log_update("f", 0, &[1], &before, &after))
+            .unwrap();
+    }
+    assert_eq!(stats_of(&frozen.read(), 1), pin_d, "the pin keeps its `d`");
+    assert_eq!(
+        stats_of(&live.read(), 1).1,
+        Some((0, 9)),
+        "live `d` rebuilt"
+    );
+    assert_eq!(stats_of(&live.read(), 0), pin_g, "untouched `g` is shared");
+
+    // An append below `min` on `g` resets every live record; the pin's stay.
+    {
+        let mut t = live.write();
+        let start = t.num_rows();
+        t.push_row(&[Value::Int(-6), Value::Null, Value::Float(2.0)])
+            .unwrap();
+        catalog
+            .with_wal_mutating("f", |w| w.log_bulk_insert("f", &t, start))
+            .unwrap();
+    }
+    assert_eq!(stats_of(&frozen.read(), 0), pin_g, "the pin keeps its `g`");
+    assert_eq!(stats_of(&live.read(), 0).1, Some((-6, 3)));
+    assert_eq!(
+        stats_of(&live.read(), 1).2,
+        pin_d.2 + 1,
+        "one more NULL `d`"
+    );
+
+    // Each side answers from its own records: the pin as before the writes,
+    // the live name as a quiesced copy of the written table.
+    let again = fingerprint(&engine.horizontal(&pinned_q).unwrap().snapshot());
+    assert_eq!(again, before, "the pinned answer drifted");
+    // (`take` copies the rows into a table with no record built.)
+    let every_row: Vec<usize> = (0..live.read().num_rows()).collect();
+    let refcat = Catalog::new();
+    refcat
+        .create_table("f", live.read().take(&every_row))
+        .unwrap();
+    let expected = PercentageEngine::new(&refcat).horizontal(&live_q).unwrap();
+    let after = engine.horizontal(&live_q).unwrap();
+    assert_eq!(
+        fingerprint(&after.snapshot()),
+        fingerprint(&expected.snapshot())
+    );
+    assert_ne!(
+        fingerprint(&after.snapshot()),
+        before,
+        "the writes are visible"
+    );
+}
+
 /// Degraded/retried queries re-pin: after the first pin is dropped and the
 /// table mutates, the executor's next automatic pin must observe the new
 /// epoch — queries on the *source name* see fresh data, never the stale

@@ -34,7 +34,7 @@ pub enum Column {
         codes: Vec<u32>,
         /// Validity bitmap.
         validity: Bitmap,
-        /// Lazily built bit-packed slot vector for the vectorized kernels
+        /// Lazily built NULL-folded slot vector for the vectorized kernels
         /// (DESIGN.md §12); reset by every mutation, shared by clones.
         packed: PackedCell,
     },
@@ -197,9 +197,9 @@ impl Column {
         }
     }
 
-    /// Bit-packed NULL-folded slot vector for a string column: slot 0 for
-    /// NULL rows, `code + 1` otherwise, at the width the dictionary's
-    /// cardinality needs ([`crate::packed::width_for`]). Built lazily on
+    /// NULL-folded slot vector for a string column: slot 0 for NULL rows,
+    /// `code + 1` otherwise, in the narrowest lane the dictionary's
+    /// cardinality fits ([`crate::packed::width_for`]). Built lazily on
     /// first use and cached per column version — mutations reset the cache,
     /// clones (CoW snapshots) share the built vector. `None` for
     /// non-string columns or unpackable (> 32-bit slot) dictionaries.
@@ -570,15 +570,22 @@ impl Column {
         Ok(())
     }
 
-    /// Approximate heap bytes held by this column (intermediate-table sizing).
+    /// Approximate heap bytes held by this column (intermediate-table
+    /// sizing), a built slot vector included.
     pub fn heap_bytes(&self) -> usize {
         match self {
             Column::Int { data, .. } => data.len() * 8 + data.len() / 8,
             Column::Float { data, .. } => data.len() * 8 + data.len() / 8,
-            Column::Str { codes, dict, .. } => {
+            Column::Str {
+                codes,
+                dict,
+                packed,
+                ..
+            } => {
                 codes.len() * 4
                     + codes.len() / 8
                     + dict.values().iter().map(|s| s.len() + 16).sum::<usize>()
+                    + packed.heap_bytes()
             }
         }
     }

@@ -30,6 +30,7 @@ pub mod partial;
 pub mod replication;
 pub mod retry;
 pub mod schema;
+pub mod stats;
 pub mod table;
 pub mod value;
 pub mod wal;
@@ -50,7 +51,7 @@ pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use index::HashIndex;
 pub use lattice::{LatticeCache, LatticeCacheStats, LATTICE_CACHE_BYTES};
 pub use log::{FileLogStore, LogStore, MemLogStore};
-pub use packed::{width_for, PackedCell, PackedCodes, MAX_PACK_WIDTH};
+pub use packed::{width_for, PackedCell, PackedCodes, MAX_INT_PACK_WIDTH, MAX_PACK_WIDTH};
 pub use partial::{PARTIAL_MAGIC, PARTIAL_VERSION};
 pub use replication::{
     ApplyReport, ChaosStats, ChaosTransport, DirectTransport, ReplicaApplier, ReplicaStats,
@@ -58,6 +59,7 @@ pub use replication::{
 };
 pub use retry::RetryPolicy;
 pub use schema::{Field, Schema};
+pub use stats::ColumnStats;
 pub use table::Table;
 pub use value::{DataType, Value};
 pub use wal::{scan_log, LogScan, Wal, WalRecord, WalStats};

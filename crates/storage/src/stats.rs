@@ -1,0 +1,194 @@
+//! Column statistics and slot vectors, kept beside the column.
+//!
+//! Gray et al. size a cube as Π(Cᵢ + 1) over its dimensions' cardinalities:
+//! a key's domain is a property of the column, which a catalog keeps, not
+//! one every statement rediscovers. A [`ColumnStats`] is that record for one
+//! column *version* (DESIGN.md §12): value range, NULL count, distinct count
+//! and — for an integer column narrow enough — the NULL-folded slot vector
+//! the block kernels read instead of the 8-byte values. [`crate::Table`]
+//! owns one lazily built cell per column, shares it with its clones (a
+//! pinned snapshot is the same version) and resets it in every mutator, so
+//! the key space, the block coder and the optimizer all read one derivation
+//! and none of them can hold a stale one.
+
+use crate::bitmap::Bitmap;
+use crate::column::Column;
+use crate::hash::FxHashSet;
+use crate::packed::PackedCodes;
+use std::sync::{Arc, OnceLock};
+
+/// Rows sampled when estimating the distinct count of a column that has no
+/// slot vector to count exactly from.
+const SAMPLE_ROWS: usize = 100_000;
+
+/// Statistics of one column version; see the module docs.
+#[derive(Debug)]
+pub struct ColumnStats {
+    range: Option<(i64, i64)>,
+    null_count: usize,
+    /// Filled at build time where it is exact and free (a slot vector's
+    /// presence table, a dictionary's length), by a prefix sample on first
+    /// demand otherwise — only the optimizer asks, and only for BY columns.
+    distinct: OnceLock<usize>,
+    slots: Option<Arc<PackedCodes>>,
+}
+
+impl ColumnStats {
+    /// Derive the record from `col`: for an integer column one word-wise
+    /// min/max pass, then — when the range fits
+    /// [`crate::packed::MAX_INT_PACK_WIDTH`] bits — one pack pass that also
+    /// counts the distinct values.
+    pub(crate) fn build(col: &Column) -> ColumnStats {
+        let mut stats = ColumnStats {
+            range: None,
+            null_count: col.null_count(),
+            distinct: OnceLock::new(),
+            slots: None,
+        };
+        match col {
+            Column::Int { data, validity } => {
+                stats.range = int_range(data, validity);
+                let packed = stats
+                    .range
+                    .and_then(|(min, max)| PackedCodes::from_ints(data, validity, min, max));
+                if let Some((slots, distinct)) = packed {
+                    stats.slots = Some(Arc::new(slots));
+                    stats.distinct = OnceLock::from(distinct);
+                }
+            }
+            Column::Str { dict, .. } => stats.distinct = OnceLock::from(dict.len()),
+            Column::Float { .. } => {}
+        }
+        stats
+    }
+
+    /// Smallest and largest non-NULL value of an integer column; `None` for
+    /// an all-NULL (or empty) one and for the other column types.
+    pub fn range(&self) -> Option<(i64, i64)> {
+        self.range
+    }
+
+    /// Number of NULL rows.
+    pub fn null_count(&self) -> usize {
+        self.null_count
+    }
+
+    /// The NULL-folded slot vector of a narrow integer column: slot 0 for
+    /// NULL rows, `value - min + 1` otherwise, `min` being
+    /// [`Self::range`]'s. `None` when the range needs more than
+    /// [`crate::packed::MAX_INT_PACK_WIDTH`] bits, and for the other column
+    /// types (a string column keeps its vector in its own
+    /// [`crate::PackedCell`]).
+    pub fn slots(&self) -> Option<&Arc<PackedCodes>> {
+        self.slots.as_ref()
+    }
+
+    /// Distinct non-NULL values of `col`, the column this record was built
+    /// from: exact where a slot vector or a dictionary says so (an unused
+    /// dictionary entry counts), otherwise the count over a prefix sample —
+    /// exact up to [`SAMPLE_ROWS`] rows, a lower bound past them, which is
+    /// the safe direction for a "small domain" test.
+    pub(crate) fn distinct(&self, col: &Column) -> usize {
+        *self.distinct.get_or_init(|| {
+            let seen: FxHashSet<i64> = (0..col.len().min(SAMPLE_ROWS))
+                .filter_map(|row| col.key_fragment(row))
+                .collect();
+            seen.len()
+        })
+    }
+
+    /// Approximate heap bytes held.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<ColumnStats>() + self.slots.as_ref().map_or(0, |s| s.heap_bytes())
+    }
+}
+
+/// Min and max over the valid rows, a validity word at a time: a full word
+/// is 64 values compared with no per-row bit test.
+fn int_range(data: &[i64], validity: &Bitmap) -> Option<(i64, i64)> {
+    let (mut min, mut max) = (i64::MAX, i64::MIN);
+    for (chunk, &word) in data.chunks(64).zip(validity.words()) {
+        if word == u64::MAX {
+            for &v in chunk {
+                min = min.min(v);
+                max = max.max(v);
+            }
+        } else {
+            let mut rest = word;
+            while rest != 0 {
+                let v = chunk[rest.trailing_zeros() as usize];
+                min = min.min(v);
+                max = max.max(v);
+                rest &= rest - 1;
+            }
+        }
+    }
+    (min <= max).then_some((min, max))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::value::{DataType, Value};
+
+    fn int_col(values: &[Option<i64>]) -> Column {
+        let mut col = Column::new(DataType::Int);
+        for &v in values {
+            col.push(v.map_or(Value::Null, Value::Int)).unwrap();
+        }
+        col
+    }
+
+    #[test]
+    fn int_stats_cover_nulls_negatives_and_word_boundaries() {
+        // 130 rows: two full validity words (one with a hole) and a tail.
+        let values: Vec<Option<i64>> = (0..130)
+            .map(|i| (i != 70).then_some((i % 9) - 4))
+            .chain([None, Some(-40), Some(11)])
+            .collect();
+        let col = int_col(&values);
+        let stats = ColumnStats::build(&col);
+        assert_eq!(stats.range(), Some((-40, 11)));
+        assert_eq!(stats.null_count(), 2);
+        assert_eq!(stats.distinct(&col), 11, "-4..=4, -40 and 11");
+        let slots = stats.slots().expect("a 52-value range packs");
+        for (row, v) in values.iter().enumerate() {
+            let want = v.map_or(0, |v| (v + 40 + 1) as u32);
+            assert_eq!(slots.get(row), want, "row {row}");
+        }
+    }
+
+    #[test]
+    fn all_null_and_empty_int_columns_have_no_range() {
+        for col in [int_col(&[None, None]), int_col(&[])] {
+            let stats = ColumnStats::build(&col);
+            assert_eq!(stats.range(), None);
+            assert!(stats.slots().is_none());
+            assert_eq!(stats.distinct(&col), 0);
+        }
+    }
+
+    #[test]
+    fn a_wide_range_keeps_its_range_and_samples_its_distinct_count() {
+        let col = int_col(&[Some(i64::MIN), None, Some(i64::MAX), Some(7), Some(7)]);
+        let stats = ColumnStats::build(&col);
+        assert_eq!(stats.range(), Some((i64::MIN, i64::MAX)));
+        assert!(stats.slots().is_none(), "no 16-bit slot domain");
+        assert_eq!(stats.distinct(&col), 3, "NULL is not a value");
+    }
+
+    #[test]
+    fn strings_answer_from_the_dictionary_and_floats_from_the_sample() {
+        let mut s = Column::new(DataType::Str);
+        let mut f = Column::new(DataType::Float);
+        for (name, x) in [("a", 1.5), ("b", -0.0), ("a", 1.5)] {
+            s.push(Value::str(name)).unwrap();
+            f.push(Value::Float(x)).unwrap();
+        }
+        f.push(Value::Null).unwrap();
+        assert_eq!(ColumnStats::build(&s).distinct(&s), 2);
+        let stats = ColumnStats::build(&f);
+        assert_eq!((stats.range(), stats.null_count()), (None, 1));
+        assert_eq!(stats.distinct(&f), 2);
+    }
+}

@@ -2,10 +2,16 @@
 
 use crate::column::Column;
 use crate::error::{Result, StorageError};
+use crate::packed::PackedCodes;
 use crate::schema::Schema;
+use crate::stats::ColumnStats;
 use crate::value::Value;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// One column's lazily built [`ColumnStats`]. Cloning a cell shares what is
+/// built and leaves an unbuilt one unbuilt.
+type StatsCell = OnceLock<Arc<ColumnStats>>;
 
 /// A columnar table: a shared schema plus one [`Column`] per field.
 ///
@@ -15,6 +21,12 @@ use std::sync::Arc;
 /// mutation after a clone detaches a private copy via [`Arc::make_mut`].
 /// While a table is unshared (the common case) the extra cost per mutation
 /// is one refcount check.
+///
+/// Beside the columns, under the same sharing rule, sits one lazily built
+/// [`ColumnStats`] cell per column ([`Table::column_stats`]): a clone reads
+/// and fills the cells of the version it shares, and every mutator resets
+/// the cells of exactly the columns it writes — on its own side of the
+/// copy, so a pinned snapshot keeps the statistics of *its* version.
 ///
 /// ```
 /// use pa_storage::{DataType, Schema, Table, Value};
@@ -37,6 +49,7 @@ use std::sync::Arc;
 pub struct Table {
     schema: Arc<Schema>,
     columns: Arc<Vec<Column>>,
+    stats: Arc<Vec<StatsCell>>,
 }
 
 impl Table {
@@ -47,10 +60,7 @@ impl Table {
             .iter()
             .map(|f| Column::new(f.dtype))
             .collect();
-        Table {
-            schema,
-            columns: Arc::new(columns),
-        }
+        Table::assemble(schema, columns)
     }
 
     /// Empty table pre-sized for `capacity` rows.
@@ -60,15 +70,26 @@ impl Table {
             .iter()
             .map(|f| Column::with_capacity(f.dtype, capacity))
             .collect();
+        Table::assemble(schema, columns)
+    }
+
+    /// A table over columns already known to fit `schema`, no statistics
+    /// built.
+    fn assemble(schema: Arc<Schema>, columns: Vec<Column>) -> Table {
         Table {
             schema,
+            stats: Arc::new(columns.iter().map(|_| StatsCell::new()).collect()),
             columns: Arc::new(columns),
         }
     }
 
-    /// Copy-on-write access to the column vector: detaches a private copy
-    /// when the columns are shared with a snapshot, no-op when unshared.
+    /// Copy-on-write access to the column vector for a write to every
+    /// column: detaches a private copy when the columns are shared with a
+    /// snapshot (no-op when unshared) and resets every statistics cell.
     fn cols_mut(&mut self) -> &mut Vec<Column> {
+        for cell in Arc::make_mut(&mut self.stats) {
+            cell.take();
+        }
         Arc::make_mut(&mut self.columns)
     }
 
@@ -106,10 +127,7 @@ impl Table {
                 }
             }
         }
-        Ok(Table {
-            schema,
-            columns: Arc::new(columns),
-        })
+        Ok(Table::assemble(schema, columns))
     }
 
     /// The schema.
@@ -157,9 +175,37 @@ impl Table {
     }
 
     /// Mutable column by position (UPDATE path). Detaches from any shared
-    /// snapshot before handing out the reference (copy-on-write).
+    /// snapshot before handing out the reference (copy-on-write) and resets
+    /// that column's statistics cell; the other columns keep theirs.
     pub fn column_mut(&mut self, i: usize) -> &mut Column {
-        &mut self.cols_mut()[i]
+        Arc::make_mut(&mut self.stats)[i].take();
+        &mut Arc::make_mut(&mut self.columns)[i]
+    }
+
+    /// Statistics of column `i` as it stands — range, NULL count and, for a
+    /// narrow integer column, its slot vector — derived on first use and
+    /// then shared by every reader of this version, clones included.
+    pub fn column_stats(&self, i: usize) -> &ColumnStats {
+        self.stats[i].get_or_init(|| Arc::new(ColumnStats::build(&self.columns[i])))
+    }
+
+    /// Distinct non-NULL values of column `i`: exact for a dictionary or
+    /// slot-vector column, a prefix-sample lower bound otherwise; computed
+    /// once per column version either way.
+    pub fn distinct_estimate(&self, i: usize) -> usize {
+        self.column_stats(i).distinct(&self.columns[i])
+    }
+
+    /// The NULL-folded slot vector a block kernel reads key column `i`
+    /// through, whichever side-car holds it: a string column's
+    /// [`Column::packed_slots`], a narrow integer column's
+    /// [`ColumnStats::slots`]. `None` when the column has neither.
+    pub fn key_slots(&self, i: usize) -> Option<&Arc<PackedCodes>> {
+        match &self.columns[i] {
+            col @ Column::Str { .. } => col.packed_slots(),
+            Column::Int { .. } => self.column_stats(i).slots(),
+            Column::Float { .. } => None,
+        }
     }
 
     /// Column by name.
@@ -219,7 +265,12 @@ impl Table {
         // Validate all values first so a failed push can't leave ragged
         // columns behind.
         self.validate_row(row)?;
-        for (col, value) in self.cols_mut().iter_mut().zip(row) {
+        Self::append_row(self.cols_mut(), row)
+    }
+
+    /// Push one validated row onto `cols`.
+    fn append_row(cols: &mut [Column], row: &[Value]) -> Result<()> {
+        for (col, value) in cols.iter_mut().zip(row) {
             col.push(value.clone())?;
         }
         Ok(())
@@ -233,9 +284,11 @@ impl Table {
         for row in rows {
             self.validate_row(row)?;
         }
+        // One detach and one statistics reset for the batch, not per row.
+        let cols = self.cols_mut();
         for row in rows {
             // Validated above; per-row push can no longer fail.
-            self.push_row(row)?;
+            Self::append_row(cols, row)?;
         }
         Ok(())
     }
@@ -265,7 +318,7 @@ impl Table {
             Self::value_fits(&self.columns[col], value)?;
         }
         for (&col, value) in cols.iter().zip(values) {
-            self.cols_mut()[col].set(row, value.clone())?;
+            self.column_mut(col).set(row, value.clone())?;
         }
         Ok(())
     }
@@ -315,10 +368,10 @@ impl Table {
 
     /// New table holding only the listed rows, in order (gather).
     pub fn take(&self, rows: &[usize]) -> Table {
-        Table {
-            schema: Arc::clone(&self.schema),
-            columns: Arc::new(self.columns.iter().map(|c| c.take(rows)).collect()),
-        }
+        Table::assemble(
+            Arc::clone(&self.schema),
+            self.columns.iter().map(|c| c.take(rows)).collect(),
+        )
     }
 
     /// New table sorted by the given columns ascending (NULLs first).
@@ -337,9 +390,18 @@ impl Table {
         self.take(&order)
     }
 
-    /// Approximate heap bytes (used to compare intermediate-table sizes).
+    /// Approximate heap bytes (used to compare intermediate-table sizes and
+    /// to bound caches of tables), built statistics and slot vectors
+    /// included — 1–2 bytes a row per scanned integer key column.
     pub fn heap_bytes(&self) -> usize {
-        self.columns.iter().map(Column::heap_bytes).sum()
+        let columns: usize = self.columns.iter().map(Column::heap_bytes).sum();
+        let stats: usize = self
+            .stats
+            .iter()
+            .filter_map(|cell| cell.get())
+            .map(|stats| stats.heap_bytes())
+            .sum();
+        columns + stats
     }
 
     /// Render the first `limit` rows as an aligned text table (debugging,
@@ -447,6 +509,68 @@ mod tests {
         t.extend_from(&other).unwrap();
         assert_eq!(snap4.num_rows(), 2, "extend_from detaches");
         assert_eq!(t.num_rows(), 4);
+    }
+
+    fn int_pair() -> Table {
+        let schema = Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Int)])
+            .unwrap()
+            .into_shared();
+        let mut t = Table::empty(schema);
+        for (k, v) in [(3, 10), (5, 20), (4, 30)] {
+            t.push_row(&[Value::Int(k), Value::Int(v)]).unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn a_clone_shares_statistics_and_a_write_resets_only_the_writers() {
+        let t = int_pair();
+        let pin = t.clone();
+        // Built through the clone, visible to the original: one version.
+        let built = pin.column_stats(0);
+        assert_eq!(built.range(), Some((3, 5)));
+        assert!(std::ptr::eq(built, t.column_stats(0)));
+
+        let mut live = t;
+        live.push_row(&[Value::Int(1), Value::Int(40)]).unwrap();
+        assert_eq!(live.column_stats(0).range(), Some((1, 5)), "rebuilt");
+        assert_eq!(pin.column_stats(0).range(), Some((3, 5)), "the pin's own");
+        assert_eq!(pin.key_slots(0).unwrap().len(), 3);
+        assert_eq!(live.key_slots(0).unwrap().len(), 4);
+    }
+
+    #[test]
+    fn every_mutator_resets_the_cells_of_the_columns_it_writes() {
+        let fresh = |t: &Table| (t.column_stats(0).range(), t.column_stats(1).range());
+        let mut t = int_pair();
+        assert_eq!(fresh(&t), (Some((3, 5)), Some((10, 30))));
+        let untouched = t.column_stats(1) as *const ColumnStats;
+
+        t.set_cells(0, &[0], &[Value::Int(9)]).unwrap();
+        assert_eq!(t.column_stats(0).range(), Some((4, 9)), "set_cells");
+        assert!(
+            std::ptr::eq(untouched, t.column_stats(1)),
+            "a column set_cells did not write keeps its record"
+        );
+
+        t.column_mut(0).set(1, Value::Int(-2)).unwrap();
+        assert_eq!(t.column_stats(0).range(), Some((-2, 9)), "column_mut");
+        assert!(std::ptr::eq(untouched, t.column_stats(1)));
+
+        t.push_rows(&[vec![Value::Int(12), Value::Null]]).unwrap();
+        assert_eq!(fresh(&t), (Some((-2, 12)), Some((10, 30))), "push_rows");
+        assert_eq!(t.column_stats(1).null_count(), 1);
+
+        let other = int_pair();
+        t.extend_from(&other).unwrap();
+        assert_eq!(t.column_stats(0).null_count(), 0);
+        assert_eq!(t.distinct_estimate(0), 6, "extend_from: 4, -2, 9, 12, 3, 5");
+
+        // Derived tables start with nothing built.
+        let before = t.take(&[0]).heap_bytes();
+        let taken = t.take(&[0]);
+        taken.column_stats(0);
+        assert!(taken.heap_bytes() > before, "a built record is counted");
     }
 
     #[test]
