@@ -12,8 +12,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> temp-table gate: no query path registers, logs or sweeps a table"
 # A query's intermediates and results are values (DESIGN.md §8). The one
 # plan that stores a table, the Update materialization's Fk, goes through
-# Catalog::create_table / drop_table in vertical.rs::StoredFk and needs
-# none of these.
+# Catalog::write / drop_table in vertical.rs::StoredFk and needs none of
+# these.
 if grep -rnE 'create_or_replace_table|create_table_as|drop_prefixed' \
   crates/core/src crates/service/src; then
   echo "temp-table machinery reappeared under crates/core/src or crates/service/src" >&2
@@ -47,12 +47,19 @@ echo "==> checkpoint-crash matrix: torn writes, compaction, recovery load"
 #   and compaction), checkpoints enabled AND disabled;
 # * the catalog's seeded FaultInjector suites — torn checkpoint device,
 #   unreadable store at recovery load, degraded WAL-only operation;
+# * write_path — a write whose log append the device refuses is not
+#   visible afterwards, per logged kind, and WAL frames and checkpoint
+#   image are byte-identical to the hand-written protocol's;
+# * prop_recovery — seeded cuts and torn writes recover a committed
+#   prefix, and the four-way oracle: under seeded refused appends the live
+#   catalog, recovery from the log alone, recovery from image + suffix and
+#   a replica synced over a direct transport agree row for row;
 # * combo_regressions — recovery (plain and checkpoint-aware) must leave
 #   the combination cache verifiably cold;
 # * snapshot_oracle — pinned-view reads stay byte-identical under
 #   concurrent seeded writers at each thread count.
-PA_THREADS=1 cargo test -q -p pa-storage --test crash_offsets
-PA_THREADS=4 cargo test -q -p pa-storage --test crash_offsets
+PA_THREADS=1 cargo test -q -p pa-storage --test crash_offsets --test write_path --test prop_recovery
+PA_THREADS=4 cargo test -q -p pa-storage --test crash_offsets --test write_path --test prop_recovery
 PA_THREADS=1 cargo test -q -p pa-storage --lib checkpoint
 PA_THREADS=4 cargo test -q -p pa-storage --lib checkpoint
 PA_THREADS=1 cargo test -q -p pa-engine --test combo_regressions --test snapshot_oracle
@@ -78,11 +85,6 @@ echo "==> replication bench gate: image bootstrap >= 2x full-history ship (n=1M)
 cargo run --release -p pa-bench --bin replication -- \
   --n 1000000 --gate 2.0 \
   --out results/BENCH_replication.json
-
-echo "==> recovery bench gate: checkpoint+suffix >= 5x full replay (n=1M)"
-cargo run --release -p pa-bench --bin recovery -- \
-  --n 1000000 --gate 5.0 \
-  --out results/BENCH_recovery.json
 
 echo "==> merge-oracle gate: shard-merge protocol, sketch bounds, SQL e2e"
 # The mergeable partial-state protocol (DESIGN.md §14) at both thread

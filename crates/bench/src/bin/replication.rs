@@ -17,15 +17,15 @@
 //!
 //! Then a steady-state phase measures apply throughput: `--bursts` write
 //! bursts land on the primary and each syncs to an already-caught-up
-//! replica, reporting records/s through the apply funnel. Both replicas are
+//! replica, reporting records/s through replica apply. Both replicas are
 //! verified byte-identical to their primary before timing is trusted.
 //! Output: `results/BENCH_replication.json`; exits non-zero when the
 //! image-bootstrap speedup falls below `--gate`.
 
 use pa_bench::{catalog_retaining, time_ms};
 use pa_storage::{
-    Catalog, CheckpointPolicy, DataType, DirectTransport, MemCheckpointStore, ReplicaApplier,
-    ReplicationStream, Schema, Table, Value,
+    Catalog, Change, CheckpointPolicy, DataType, DirectTransport, MemCheckpointStore,
+    ReplicaApplier, ReplicationStream, Rows, Schema, Table, Value,
 };
 use std::fmt::Write as _;
 
@@ -93,23 +93,27 @@ fn build_primary(n: usize, batch: usize, bursts: usize, seed: u64) -> Catalog {
         .into_shared();
     catalog.create_table("f", Table::empty(schema)).unwrap();
     let mut state = seed;
-    let shared = catalog.table("f").unwrap();
     let mut written = 0usize;
     while written < n {
         let rows = batch.min(n - written);
-        let mut t = shared.write();
-        let start = t.num_rows();
-        for _ in 0..rows {
-            let d = (lcg(&mut state) % 1000) as i64;
-            let a = (lcg(&mut state) % 97) as f64;
-            t.push_row(&[Value::Int(d), Value::Float(a)]).unwrap();
-        }
-        catalog
-            .with_wal_mutating("f", |w| w.log_bulk_insert("f", &t, start))
-            .unwrap();
+        append_batch(&catalog, rows, &mut state);
         written += rows;
     }
     catalog
+}
+
+/// One write batch of `rows` seeded rows: one catalog write, one WAL frame.
+fn append_batch(catalog: &Catalog, rows: usize, state: &mut u64) {
+    let batch: Vec<Vec<Value>> = (0..rows)
+        .map(|_| {
+            let d = (lcg(state) % 1000) as i64;
+            let a = (lcg(state) % 97) as f64;
+            vec![Value::Int(d), Value::Float(a)]
+        })
+        .collect();
+    catalog
+        .write("f", Change::Append(Rows::Values(&batch)))
+        .unwrap();
 }
 
 fn rows_of(catalog: &Catalog) -> usize {
@@ -177,7 +181,7 @@ fn main() {
     );
 
     // Steady state: a caught-up replica chases write bursts; measure the
-    // apply funnel's throughput (records/s through the replication stream).
+    // replica apply's throughput (records/s through the replication stream).
     let replica = Catalog::new();
     let mut applier = ReplicaApplier::new();
     let mut stream = ReplicationStream::new(Box::new(DirectTransport));
@@ -187,18 +191,7 @@ fn main() {
     let mut applied_records = 0u64;
     let mut sync_ms_total = 0.0f64;
     for _ in 0..args.bursts.max(1) {
-        let shared = full.table("f").unwrap();
-        {
-            let mut t = shared.write();
-            let start = t.num_rows();
-            for _ in 0..burst_rows {
-                let d = (lcg(&mut state) % 1000) as i64;
-                let a = (lcg(&mut state) % 97) as f64;
-                t.push_row(&[Value::Int(d), Value::Float(a)]).unwrap();
-            }
-            full.with_wal_mutating("f", |w| w.log_bulk_insert("f", &t, start))
-                .unwrap();
-        }
+        append_batch(&full, burst_rows, &mut state);
         let (ms, report) = time_ms(|| stream.sync(&full, &replica, &mut applier).unwrap());
         assert!(report.caught_up, "{report:?}");
         applied_records += report.applied_records;

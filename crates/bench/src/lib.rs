@@ -55,11 +55,11 @@ impl Dataset {
 }
 
 /// An empty catalog whose in-memory WAL retains the whole logged history
-/// of the storage benches' `(d: Int, a: Float)` table — `rows` rows
+/// of the replication bench's `(d: Int, a: Float)` table — `rows` rows
 /// appended in `batches` batches. [`Catalog::new`] retains 16 MiB and then
-/// recycles its oldest frames, which a bench that ships or replays the log
-/// from the first record cannot afford: a row logs 18 bytes, and a batch
-/// under 1 KiB of frame headers and per-row update records.
+/// recycles its oldest frames, which a bench that ships the log from the
+/// first record cannot afford: a row logs 18 bytes, and a batch under
+/// 1 KiB of frame headers.
 pub fn catalog_retaining(rows: usize, batches: usize) -> Catalog {
     Catalog::from_wal(Wal::new(rows * 32 + batches * 1024))
 }

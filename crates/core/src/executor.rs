@@ -18,7 +18,7 @@ use crate::query::{from_sql, per_set_statements, Fact, HorizontalQuery, Query, V
 use crate::strategy::{HorizontalOptions, VpctStrategy};
 use crate::vertical::{eval_vpct_on, into_shared, QueryResult};
 use pa_engine::{Clock, Deadline, ExecStats, ResourceGuard, TraceReport, Tracer};
-use pa_storage::Catalog;
+use pa_storage::{Catalog, Change, Rows};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -225,22 +225,14 @@ impl<'a> PercentageEngine<'a> {
         Ok(())
     }
 
-    /// Append `rows` to `table` through the primary write path — WAL-logged
-    /// bulk insert via the catalog's invalidation funnel, then a checkpoint
-    /// if the cut policy is due. Returns the table's new row count.
+    /// Append `rows` to `table` through the primary write path: the write
+    /// gate, then [`Catalog::write`] (validate, one bulk WAL record, apply,
+    /// a checkpoint if the cut policy is due). Returns the table's new row
+    /// count.
     pub fn append_rows(&self, table: &str, rows: &[Vec<pa_storage::Value>]) -> Result<u64> {
         self.ensure_primary()?;
-        let shared = self.catalog.table(table)?;
-        let total = {
-            let mut t = shared.write();
-            let start = t.num_rows();
-            t.push_rows(rows)?;
-            self.catalog
-                .with_wal_mutating(table, |w| w.log_bulk_insert(table, &t, start))?;
-            t.num_rows() as u64
-        };
-        self.catalog.maybe_checkpoint();
-        Ok(total)
+        let change = Change::Append(Rows::Values(rows));
+        Ok(self.catalog.write(table, change)?.rows)
     }
 
     /// Update one row's cells in place through the primary write path,
@@ -254,32 +246,7 @@ impl<'a> PercentageEngine<'a> {
         values: &[pa_storage::Value],
     ) -> Result<()> {
         self.ensure_primary()?;
-        let shared = self.catalog.table(table)?;
-        {
-            let mut t = shared.write();
-            if row >= t.num_rows() {
-                return Err(pa_storage::StorageError::RowOutOfBounds {
-                    index: row,
-                    len: t.num_rows(),
-                }
-                .into());
-            }
-            let before: Vec<pa_storage::Value> = cols
-                .iter()
-                .map(|&c| {
-                    if c >= t.num_columns() {
-                        return Err(pa_storage::StorageError::ColumnNotFound(format!(
-                            "column index {c} out of range for {table}"
-                        )));
-                    }
-                    Ok(t.column(c).get(row))
-                })
-                .collect::<std::result::Result<_, _>>()?;
-            t.set_cells(row, cols, values)?;
-            self.catalog
-                .with_wal_mutating(table, |w| w.log_update(table, row, cols, &before, values))?;
-        }
-        self.catalog.maybe_checkpoint();
+        self.catalog.update_cells(table, row, cols, values)?;
         Ok(())
     }
 

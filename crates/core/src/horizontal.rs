@@ -1120,15 +1120,11 @@ mod tests {
         // Blow the example up so the per-row CASE chain dominates the small
         // fixed cost of the post-projection guards.
         let catalog = store_sales_catalog();
-        {
-            let f = catalog.table("sales").unwrap();
-            let mut t = f.write();
-            let copy = t.clone();
-            for _ in 0..9 {
-                t.extend_from(&copy).unwrap();
-            }
-            assert_eq!(t.num_rows(), 60);
+        let copy = catalog.table("sales").unwrap().read().clone();
+        for _ in 0..9 {
+            pa_engine::insert_into(&catalog, "sales", &copy, &mut ExecStats::default()).unwrap();
         }
+        assert_eq!(catalog.table("sales").unwrap().read().num_rows(), 60);
         let q = HorizontalQuery::hpct("sales", &["store"], "salesAmt", &["dweek"]);
         // Legacy chain (jump table off): 60 rows × 2 combos = 120
         // conditions in the raw phase, plus the small post-projection

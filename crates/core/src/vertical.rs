@@ -22,7 +22,7 @@ use pa_engine::{
     hash_join_guarded, multi_hash_aggregate_guarded, update_from, AggFunc, AggSpec, ExecStats,
     Expr, JoinType, ProjSpec, ResourceGuard, SetClause,
 };
-use pa_storage::{Catalog, HashIndex, SharedTable, Table, Value};
+use pa_storage::{Catalog, Change, HashIndex, SharedTable, Table, Value};
 use std::sync::Arc;
 
 /// Result of evaluating a percentage query.
@@ -361,18 +361,22 @@ impl<'c> StoredFk<'c> {
         stats: &mut ExecStats,
     ) -> Result<StoredFk<'c>> {
         count_insert(&fk, stats);
-        let wal_before = catalog.wal_stats();
-        let (name, table) = (0u64..)
+        let table: SharedTable = into_shared(fk);
+        let (name, logged) = (0u64..)
             .map(|i| format!("{prefix}Fk{i}"))
-            .find_map(|name| match catalog.create_table(&name, fk.clone()) {
-                Err(pa_storage::StorageError::TableExists(_)) => None,
-                created => Some(created.map(|table| (name, table))),
+            .find_map(|name| {
+                let change = Change::Create {
+                    table: Arc::clone(&table),
+                    replace: false,
+                };
+                match catalog.write(&name, change) {
+                    Err(pa_storage::StorageError::TableExists(_)) => None,
+                    created => Some(created.map(|logged| (name, logged))),
+                }
             })
             .expect("an unbounded range of names")?;
-        let wal_after = catalog.wal_stats();
-        stats.wal_records += wal_after.records - wal_before.records;
-        stats.wal_bytes += wal_after.bytes_written - wal_before.bytes_written;
-        catalog.maybe_checkpoint();
+        stats.wal_records += logged.records;
+        stats.wal_bytes += logged.bytes;
         Ok(StoredFk {
             catalog,
             name,
@@ -397,39 +401,29 @@ fn scalar_update_divide(
     guard: &ResourceGuard,
     stats: &mut ExecStats,
 ) -> Result<()> {
-    let (catalog, table) = (fk.catalog, fk.name.as_str());
     stats.statements += 1;
-    let wal_before = catalog.wal_stats();
-    let mut t = fk.table.write();
-    let n = t.num_rows();
+    let n = fk.table.read().num_rows();
     stats.rows_scanned += n as u64;
     guard.charge(n as u64)?;
     let mut span = guard.span("update");
     span.add_rows(n as u64);
     span.add_morsels(1);
     let denom = total.as_f64();
-    for row in 0..n {
-        let before = t.column(col).get(row);
-        let after = match (before.as_f64(), denom) {
+    let mut rows = 0..n;
+    let next = &mut |t: &Table, after: &mut Vec<Value>| {
+        let row = rows.next()?;
+        after.push(match (t.column(col).get(row).as_f64(), denom) {
             (Some(x), Some(d)) if d != 0.0 => Value::Float(x / d),
             _ => Value::Null,
-        };
-        stats.case_condition_evals += 1;
-        catalog.with_wal_mutating(table, |wal| {
-            wal.log_update(
-                table,
-                row,
-                std::slice::from_ref(&col),
-                std::slice::from_ref(&before),
-                std::slice::from_ref(&after),
-            )
-        })?;
-        t.column_mut(col).set(row, after)?;
-    }
+        });
+        Some(row)
+    };
+    let change = Change::Update { cols: &[col], next };
+    let logged = fk.catalog.write(&fk.name, change)?;
+    stats.case_condition_evals += n as u64;
     stats.rows_updated += n as u64;
-    let wal_after = catalog.wal_stats();
-    stats.wal_records += wal_after.records - wal_before.records;
-    stats.wal_bytes += wal_after.bytes_written - wal_before.bytes_written;
+    stats.wal_records += logged.records;
+    stats.wal_bytes += logged.bytes;
     Ok(())
 }
 

@@ -308,18 +308,17 @@ fn permanent_log_corruption_fails_fast_with_the_typed_error() {
     );
     assert_eq!(stats.retries, 0, "permanent errors are not retried");
 
-    // ...but the WAL layer itself reports the original typed error.
-    let err = catalog
-        .with_wal(|w| {
-            w.log_create_table(
-                "doomed",
-                pa_storage::Schema::from_pairs(&[("x", pa_storage::DataType::Int)])
-                    .unwrap()
-                    .into_shared()
-                    .as_ref(),
-            )
-        })
-        .unwrap_err();
+    // ...but a data write reports the original typed error, and is refused
+    // whole: the row it could not log is not in the table.
+    let sales = catalog.table("sales").unwrap();
+    let (rows, first) = {
+        let t = sales.read();
+        (t.num_rows(), t.row(0).unwrap())
+    };
+    let Err(CoreError::Storage(err)) = engine.append_rows("sales", &[first]) else {
+        panic!("a write the dead device cannot log must fail");
+    };
+    assert_eq!(sales.read().num_rows(), rows, "nothing was appended");
     assert!(!err.is_transient(), "permanent, not retryable: {err:?}");
     let core_err = CoreError::from(err);
     assert_eq!(core_err.abort_cause(), Some(pa_core::AbortCause::Storage));

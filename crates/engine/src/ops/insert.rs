@@ -6,7 +6,7 @@
 
 use crate::error::Result;
 use crate::stats::ExecStats;
-use pa_storage::{Catalog, Table};
+use pa_storage::{Catalog, Change, Rows, Table};
 
 /// Append every row of `rows` to existing table `name` (INSERT..SELECT).
 pub fn insert_into(
@@ -16,20 +16,10 @@ pub fn insert_into(
     stats: &mut ExecStats,
 ) -> Result<()> {
     stats.statements += 1;
-    let before = catalog.wal_stats();
-    let shared = catalog.table(name)?;
-    {
-        let mut target = shared.write();
-        let start = target.num_rows();
-        target.extend_from(rows)?;
-        catalog.with_wal_mutating(name, |wal| wal.log_bulk_insert(name, &target, start))?;
-    }
-    let after = catalog.wal_stats();
-    stats.wal_records += after.records - before.records;
-    stats.wal_bytes += after.bytes_written - before.bytes_written;
+    let logged = catalog.write(name, Change::Append(Rows::Table(rows)))?;
+    stats.wal_records += logged.records;
+    stats.wal_bytes += logged.bytes;
     stats.rows_materialized += rows.num_rows() as u64;
-    // The target guard is released; a due checkpoint can fence and cut now.
-    catalog.maybe_checkpoint();
     Ok(())
 }
 

@@ -28,7 +28,7 @@ use crate::parallel::ParallelConfig;
 use crate::scan::{LevelGroups, ScanPlan};
 use crate::stats::ExecStats;
 use pa_storage::partial::{
-    frame, frame_into, put_f64, put_string, put_u32, put_value, unframe, Cursor,
+    frame, frame_into, put_dtype, put_f64, put_string, put_u32, put_value, unframe, Cursor,
 };
 use pa_storage::{Column, DataType, Field, FxHashMap, Schema, StorageError, Table, Value};
 
@@ -122,27 +122,6 @@ fn read_func(cur: &mut Cursor<'_>) -> Result<AggFunc> {
         t => {
             return Err(EngineError::Storage(StorageError::PartialCodec(format!(
                 "unknown aggregate function tag {t}"
-            ))));
-        }
-    })
-}
-
-fn put_dtype(buf: &mut Vec<u8>, dt: DataType) {
-    buf.push(match dt {
-        DataType::Int => 0,
-        DataType::Float => 1,
-        DataType::Str => 2,
-    });
-}
-
-fn read_dtype(cur: &mut Cursor<'_>) -> Result<DataType> {
-    Ok(match cur.u8()? {
-        0 => DataType::Int,
-        1 => DataType::Float,
-        2 => DataType::Str,
-        t => {
-            return Err(EngineError::Storage(StorageError::PartialCodec(format!(
-                "unknown data type tag {t}"
             ))));
         }
     })
@@ -285,7 +264,7 @@ impl ShardPartial {
         let mut key_fields = Vec::with_capacity(n_keys.min(64));
         for _ in 0..n_keys {
             let name = cur.string()?;
-            let dtype = read_dtype(&mut cur)?;
+            let dtype = cur.dtype()?;
             key_fields.push(Field::new(name, dtype));
         }
         let n_aggs = cur.u32()? as usize;
@@ -295,7 +274,7 @@ impl ShardPartial {
         for _ in 0..n_aggs {
             funcs.push(read_func(&mut cur)?);
             agg_names.push(cur.string()?);
-            agg_types.push(read_dtype(&mut cur)?);
+            agg_types.push(cur.dtype()?);
         }
         if n_aggs == 0 {
             return Err(EngineError::Storage(StorageError::PartialCodec(

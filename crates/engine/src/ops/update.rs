@@ -9,14 +9,15 @@
 //!
 //! Every target row is processed individually: probe the source, evaluate
 //! the SET expressions over the spliced row, write a before/after image to
-//! the WAL, then mutate in place. The per-row log records and random writes
-//! are the mechanism behind Table 4's "UPDATE takes 80% of the time when FV
-//! is comparable to F".
+//! the WAL, then mutate in place — one [`Catalog::write`] for the statement,
+//! one log record per row. The per-row log records and random writes are
+//! the mechanism behind Table 4's "UPDATE takes 80% of the time when FV is
+//! comparable to F".
 
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
 use crate::stats::ExecStats;
-use pa_storage::{Catalog, HashIndex, Table, Value};
+use pa_storage::{Catalog, Change, HashIndex, Table, Value};
 
 /// One `SET target_col = expr` clause. The expression addresses the spliced
 /// row: target columns first, then source columns (see [`Expr::eval2`]).
@@ -58,19 +59,16 @@ pub fn update_from(
         }
     }
     stats.statements += 1;
-    let wal_before = catalog.wal_stats();
-
-    let shared = catalog.table(target_name)?;
-    let mut target = shared.write();
+    let target_columns = catalog.table(target_name)?.read().num_columns();
     for &k in target_keys {
-        if k >= target.num_columns() {
+        if k >= target_columns {
             return Err(EngineError::InvalidOperator(format!(
                 "target key column {k} out of range"
             )));
         }
     }
     for s in sets {
-        if s.target_col >= target.num_columns() {
+        if s.target_col >= target_columns {
             return Err(EngineError::InvalidOperator(format!(
                 "set column {} out of range",
                 s.target_col
@@ -88,47 +86,50 @@ pub fn update_from(
         }
     };
 
-    let n = target.num_rows();
-    stats.rows_scanned += n as u64 + source.num_rows() as u64;
-    let mut updated: u64 = 0;
-    let mut key_buf: Vec<Value> = Vec::with_capacity(target_keys.len());
-    let mut new_vals: Vec<Value> = Vec::with_capacity(sets.len());
+    // The statement is one catalog write: `next` runs under the target's
+    // write guard and hands over one matched row at a time — its SET values
+    // evaluated against the pre-update row image — which the catalog logs
+    // (before + after images of the touched columns), then overwrites.
     let set_cols: Vec<usize> = sets.iter().map(|s| s.target_col).collect();
-    for row in 0..n {
-        key_buf.clear();
-        for &k in target_keys {
-            key_buf.push(target.column(k).get(row));
+    let mut key_buf: Vec<Value> = Vec::with_capacity(target_keys.len());
+    let (mut row, mut updated) = (0, 0u64);
+    let mut failed = None;
+    let next = &mut |target: &Table, new_vals: &mut Vec<Value>| {
+        while row < target.num_rows() {
+            let this = row;
+            row += 1;
+            key_buf.clear();
+            key_buf.extend(target_keys.iter().map(|&k| target.column(k).get(this)));
+            stats.hash_probes += 1;
+            let Some(src_row) = index.probe(source, &key_buf).next() else {
+                continue;
+            };
+            for s in sets {
+                match s.expr.eval2(target, this, source, src_row, stats) {
+                    Ok(v) => new_vals.push(v),
+                    Err(e) => {
+                        failed = Some(e);
+                        return None;
+                    }
+                }
+            }
+            updated += 1;
+            return Some(this);
         }
-        stats.hash_probes += 1;
-        let Some(src_row) = index.probe(source, &key_buf).next() else {
-            continue;
-        };
-        // Evaluate all SET expressions against the pre-update row image.
-        new_vals.clear();
-        for s in sets {
-            new_vals.push(s.expr.eval2(&target, row, source, src_row, stats)?);
-        }
-        // Per-row WAL record with before/after images of the touched columns.
-        let before_img: Vec<Value> = sets
-            .iter()
-            .map(|s| target.column(s.target_col).get(row))
-            .collect();
-        catalog.with_wal_mutating(target_name, |wal| {
-            wal.log_update(target_name, row, &set_cols, &before_img, &new_vals)
-        })?;
-        for (s, v) in sets.iter().zip(new_vals.drain(..)) {
-            target.column_mut(s.target_col).set(row, v)?;
-        }
-        updated += 1;
+        None
+    };
+    let change = Change::Update {
+        cols: &set_cols,
+        next,
+    };
+    let logged = catalog.write(target_name, change)?;
+    if let Some(e) = failed {
+        return Err(e);
     }
+    stats.rows_scanned += logged.rows + source.num_rows() as u64;
     stats.rows_updated += updated;
-    let wal_after = catalog.wal_stats();
-    stats.wal_records += wal_after.records - wal_before.records;
-    stats.wal_bytes += wal_after.bytes_written - wal_before.bytes_written;
-    // Release the target guard before the policy check: a due checkpoint
-    // read-locks every table while fencing the WAL.
-    drop(target);
-    catalog.maybe_checkpoint();
+    stats.wal_records += logged.records;
+    stats.wal_bytes += logged.bytes;
     Ok(updated)
 }
 
@@ -138,7 +139,10 @@ mod tests {
     use pa_storage::{DataType, Schema};
 
     fn setup() -> (Catalog, Table) {
-        let cat = Catalog::new();
+        setup_on(Catalog::new())
+    }
+
+    fn setup_on(cat: Catalog) -> (Catalog, Table) {
         let fk_schema = Schema::from_pairs(&[
             ("state", DataType::Str),
             ("city", DataType::Str),
@@ -264,6 +268,45 @@ mod tests {
         let rec: Vec<Vec<Value>> = recovered.table("Fk").unwrap().read().rows().collect();
         assert_eq!(rec, live, "recovered Fk matches the updated live table");
         recovered.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn a_refused_record_stops_the_statement_at_a_committed_prefix() {
+        use pa_storage::{FaultInjector, FaultPlan, MemLogStore, RetryPolicy, StorageError, Wal};
+        // Creating Fk is device operations 0 and 1, the statement's four
+        // records 2..=5: refuse the third, with retries off.
+        let plan = FaultPlan {
+            error_on_op: Some(4),
+            ..FaultPlan::default()
+        };
+        let device = FaultInjector::new(MemLogStore::new(), plan);
+        let mut wal = Wal::with_store(Box::new(device), 1 << 20);
+        wal.set_retry_policy(RetryPolicy::none());
+        let (cat, fj) = setup_on(Catalog::from_wal(wal));
+        let mut st = ExecStats::default();
+        let err =
+            update_from(&cat, "Fk", &[0], &fj, &[0], None, &division_set(), &mut st).unwrap_err();
+        assert!(
+            matches!(err, EngineError::Storage(StorageError::TransientIo(_))),
+            "the caller gets the device's error: {err}"
+        );
+        let live: Vec<Vec<Value>> = cat.table("Fk").unwrap().read().rows().collect();
+        let a: Vec<Value> = live.iter().map(|r| r[2].clone()).collect();
+        assert_eq!(
+            a[..3],
+            [
+                Value::Float(23.0 / 106.0),
+                Value::Float(83.0 / 106.0),
+                Value::Float(85.0)
+            ],
+            "two rows logged and divided; the row whose record was refused is untouched"
+        );
+        let image = cat.with_wal(|w| w.snapshot()).unwrap();
+        let (recovered, report) =
+            Catalog::recover(Box::new(MemLogStore::from_bytes(image))).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        let rec: Vec<Vec<Value>> = recovered.table("Fk").unwrap().read().rows().collect();
+        assert_eq!(rec, live, "what is readable is what recovery rebuilds");
     }
 
     #[test]

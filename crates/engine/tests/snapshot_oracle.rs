@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use pa_core::{HorizontalOptions, HorizontalQuery, ParallelMode, PercentageEngine};
-use pa_storage::{Catalog, DataType, Schema, Table, Value};
+use pa_storage::{Catalog, Change, DataType, Rows, Schema, Table, Value};
 
 fn lcg(state: &mut u64) -> u64 {
     *state = state
@@ -75,25 +75,18 @@ fn fingerprint(t: &Table) -> (Vec<String>, Vec<Vec<Value>>) {
     (names, t.sorted_by(&all).rows().collect())
 }
 
-/// One seeded writer mutation through the catalog's logging funnel:
-/// mostly appends, every fourth op a logged in-place update.
+/// One seeded writer mutation through the catalog's write path: mostly
+/// appends, every fourth op a logged in-place update.
 fn writer_op(catalog: &Catalog, state: &mut u64) {
-    let shared = catalog.table("f").unwrap();
-    let mut t = shared.write();
-    if lcg(state).is_multiple_of(4) && t.num_rows() > 0 {
-        let row = (lcg(state) as usize) % t.num_rows();
-        let before = vec![t.column(2).get(row)];
-        let after = vec![Value::Float((lcg(state) % 9) as f64)];
-        t.column_mut(2).set(row, after[0].clone()).unwrap();
-        catalog
-            .with_wal_mutating("f", |w| w.log_update("f", row, &[2], &before, &after))
-            .unwrap();
+    let rows = catalog.table("f").unwrap().read().num_rows();
+    if lcg(state).is_multiple_of(4) && rows > 0 {
+        let row = (lcg(state) as usize) % rows;
+        let after = [Value::Float((lcg(state) % 9) as f64)];
+        catalog.update_cells("f", row, &[2], &after).unwrap();
     } else {
-        let start = t.num_rows();
-        let row = seeded_row(state);
-        t.push_row(&row).unwrap();
+        let row = [seeded_row(state)];
         catalog
-            .with_wal_mutating("f", |w| w.log_bulk_insert("f", &t, start))
+            .write("f", Change::Append(Rows::Values(&row)))
             .unwrap();
     }
 }
@@ -198,16 +191,10 @@ fn a_pin_keeps_its_key_statistics_while_a_writer_resets_the_live_ones() {
     assert_eq!(stats_of(&live.read(), 1), pin_d, "one version, one record");
     assert_eq!(pin_d.1, Some((0, 4)));
 
-    // An update above `max` on `d` alone, through the logged funnel.
-    {
-        let mut t = live.write();
-        let before = vec![t.column(1).get(0)];
-        let after = vec![Value::Int(9)];
-        t.column_mut(1).set(0, after[0].clone()).unwrap();
-        catalog
-            .with_wal_mutating("f", |w| w.log_update("f", 0, &[1], &before, &after))
-            .unwrap();
-    }
+    // An update above `max` on `d` alone, through the write path.
+    catalog
+        .update_cells("f", 0, &[1], &[Value::Int(9)])
+        .unwrap();
     assert_eq!(stats_of(&frozen.read(), 1), pin_d, "the pin keeps its `d`");
     assert_eq!(
         stats_of(&live.read(), 1).1,
@@ -217,15 +204,10 @@ fn a_pin_keeps_its_key_statistics_while_a_writer_resets_the_live_ones() {
     assert_eq!(stats_of(&live.read(), 0), pin_g, "untouched `g` is shared");
 
     // An append below `min` on `g` resets every live record; the pin's stay.
-    {
-        let mut t = live.write();
-        let start = t.num_rows();
-        t.push_row(&[Value::Int(-6), Value::Null, Value::Float(2.0)])
-            .unwrap();
-        catalog
-            .with_wal_mutating("f", |w| w.log_bulk_insert("f", &t, start))
-            .unwrap();
-    }
+    let below_min = [vec![Value::Int(-6), Value::Null, Value::Float(2.0)]];
+    catalog
+        .write("f", Change::Append(Rows::Values(&below_min)))
+        .unwrap();
     assert_eq!(stats_of(&frozen.read(), 0), pin_g, "the pin keeps its `g`");
     assert_eq!(stats_of(&live.read(), 0).1, Some((-6, 3)));
     assert_eq!(

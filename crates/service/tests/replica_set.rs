@@ -6,7 +6,8 @@ use pa_core::CoreError;
 use pa_obs::TestClock;
 use pa_service::{NodeRole, ReplicaSet, ReplicaSetConfig, ServiceError, SessionOptions};
 use pa_storage::{
-    Catalog, ChaosTransport, DirectTransport, ShipTransport, StorageError, Table, Value,
+    Catalog, Change, ChaosTransport, DirectTransport, Rows, ShipTransport, StorageError, Table,
+    Value,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,14 +38,10 @@ fn build_catalog(rows: usize, seed: u64) -> Catalog {
     .into_shared();
     catalog.create_table("f", Table::empty(schema)).unwrap();
     let mut state = seed;
-    let shared = catalog.table("f").unwrap();
     for _ in 0..rows {
-        let mut t = shared.write();
-        let start = t.num_rows();
-        let row = seeded_row(&mut state);
-        t.push_row(&row).unwrap();
+        let row = [seeded_row(&mut state)];
         catalog
-            .with_wal_mutating("f", |w| w.log_bulk_insert("f", &t, start))
+            .write("f", Change::Append(Rows::Values(&row)))
             .unwrap();
     }
     catalog

@@ -5,6 +5,12 @@
 //! a value the query owns). Tables are individually lockable so an UPDATE
 //! mutates in place (the cost the paper measures) instead of copy-on-write.
 //!
+//! A registered table changes in one function, [`Catalog::write`]: it
+//! resolves the table, holds its guard across validate → append the WAL
+//! record → apply, bumps the version and invalidates the derived caches
+//! once, and checks the checkpoint policy after the guard is gone. Replica
+//! apply and recovery replay run the same body with logging off.
+//!
 //! Two robustness layers ride on top of the table map:
 //!
 //! * **Snapshot reads** — [`Catalog::pin_table`] freezes a table's current
@@ -23,12 +29,12 @@ use crate::checkpoint::{
 };
 use crate::combos::ComboCache;
 use crate::error::{Result, StorageError};
-use crate::index::HashIndex;
 use crate::lattice::LatticeCache;
 use crate::log::LogStore;
 use crate::retry::RetryPolicy;
 use crate::table::Table;
-use crate::wal::{scan_log, Wal, WalRecord, WalStats, DEFAULT_CAPACITY};
+use crate::value::Value;
+use crate::wal::{scan_log, Rows, Wal, WalRecord, WalStats, WriteReceipt, DEFAULT_CAPACITY};
 use pa_obs::{Counter, Gauge, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
@@ -38,8 +44,36 @@ use std::sync::{Arc, Weak};
 /// A table shared between operators, lockable for in-place mutation.
 pub type SharedTable = Arc<RwLock<Table>>;
 
-/// Key for the index registry: (table name, key column names).
-type IndexKey = (String, Vec<String>);
+/// One change to the stored state — exactly the [`WalRecord`] kinds. What
+/// [`Catalog::write`] is told is *what* changes (rows appended, cells
+/// overwritten), not merely that something did.
+pub enum Change<'a> {
+    /// Register `table` under the name; `replace` decides whether a taken
+    /// name is an error or is overwritten. Logged as the schema plus, when
+    /// the table already holds rows, one bulk record.
+    Create {
+        /// The table to register.
+        table: SharedTable,
+        /// Overwrite an existing table of that name.
+        replace: bool,
+    },
+    /// Unregister the name. Handles to the table keep its data.
+    Drop,
+    /// Append rows: one bulk record for the batch.
+    Append(Rows<'a>),
+    /// Overwrite columns `cols` of a run of rows: one record per row
+    /// (Table 4's UPDATE penalty), one version bump for the statement.
+    Update {
+        /// The columns every updated row overwrites.
+        cols: &'a [usize],
+        /// Called under the table's write guard until it returns `None`:
+        /// pushes the next row's new values, parallel to `cols`, and
+        /// returns that row. It sees every earlier row's update applied.
+        next: &'a mut dyn FnMut(&Table, &mut Vec<Value>) -> Option<usize>,
+    },
+    /// Raise the replication term (names no table).
+    Term(u64),
+}
 
 /// Name prefix of the hidden alias tables backing pinned snapshots. Names
 /// under it are filtered from [`Catalog::table_names`], never WAL-logged,
@@ -188,12 +222,11 @@ impl CatalogMetrics {
     }
 }
 
-/// Catalog of named tables, their secondary indexes, the combination
-/// cache, the WAL, and the checkpoint/snapshot machinery.
+/// Catalog of named tables, the combination and lattice caches, the WAL,
+/// and the checkpoint/snapshot machinery.
 #[derive(Debug, Default)]
 pub struct Catalog {
     tables: RwLock<BTreeMap<String, SharedTable>>,
-    indexes: RwLock<BTreeMap<IndexKey, Arc<HashIndex>>>,
     combos: ComboCache,
     lattice: LatticeCache,
     wal: Mutex<Wal>,
@@ -242,45 +275,204 @@ impl Catalog {
         }
     }
 
-    /// Bump the global epoch and `name`'s version — every logged DDL or
-    /// data mutation funnels through here. Hidden snapshot aliases are
-    /// immutable by contract and skip the bump.
-    fn bump_version(&self, name: &str) {
+    /// Bump the global epoch and `name`'s version, and drop everything
+    /// derived from its data (cached combinations, cached lattice levels):
+    /// [`Catalog::apply`] calls this once per change, under the guard the
+    /// change was made under, so the next [`Catalog::pin_table`] freezes a
+    /// fresh view and no cache outlives the rows it was computed from.
+    /// Hidden snapshot aliases are immutable by contract: no version.
+    fn note_changed(&self, name: &str) {
+        self.invalidate_derived(name);
         if name.starts_with(SNAP_PREFIX) {
             return;
         }
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        *self.versions.write().entry(name.to_string()).or_insert(0) += 1;
+        let mut versions = self.versions.write();
+        match versions.get_mut(name) {
+            Some(v) => *v += 1,
+            None => {
+                versions.insert(name.to_string(), 1);
+            }
+        }
+        drop(versions);
         if let Some(m) = &*self.metrics.read() {
             m.snapshot_epoch.set(epoch as i64);
         }
     }
 
+    /// Make one logged change to the stored state: the write path of every
+    /// live writer. See [`Change`] for what can change and
+    /// [`WriteReceipt`] for what comes back.
+    ///
+    /// The order is validate → append the record → apply, all under the
+    /// guard that serializes writers of the thing changed (the name map
+    /// for DDL, the table's own write guard for data), so a write whose
+    /// record the log device refuses returns the device's error and is
+    /// *not visible*: what a reader can see is what recovery will rebuild.
+    /// An `Update` that fails on its k-th row keeps rows `0..k` — each is
+    /// in the log — and returns the error (a committed prefix). DDL is the
+    /// exception on a sick device, as on a real one: create and drop go
+    /// ahead in memory, the lost record is counted in
+    /// [`WalStats::write_errors`] and surfaces at recovery.
+    pub fn write(&self, name: &str, change: Change<'_>) -> Result<WriteReceipt> {
+        self.apply(name, change, true)
+    }
+
+    /// The body of [`Catalog::write`]; `log` is the only thing that differs
+    /// between its callers. Replica apply ([`Catalog::apply_shipped`]) and
+    /// recovery replay pass `false`: their records are already in a log,
+    /// and re-logging would interleave foreign LSNs with this catalog's
+    /// own. Versions, the epoch and the derived caches move exactly as for
+    /// a live write.
+    fn apply(&self, name: &str, change: Change<'_>, log: bool) -> Result<WriteReceipt> {
+        // Hidden snapshot aliases were never logged; neither is their drop.
+        let log = log && !name.starts_with(SNAP_PREFIX);
+        let mut receipt = WriteReceipt::default();
+        let outcome = match change {
+            Change::Create { table, replace } => {
+                let mut tables = self.tables.write();
+                if !replace && tables.contains_key(name) {
+                    return Err(StorageError::TableExists(name.into()));
+                }
+                let t = table.read();
+                if log {
+                    let mut wal = self.wal.lock();
+                    if let Ok(created) = wal.log_create_table(name, t.schema()) {
+                        receipt += created;
+                        if t.num_rows() > 0 {
+                            receipt += wal
+                                .log_bulk_insert(name, Rows::Table(&t), &t)
+                                .unwrap_or_default();
+                        }
+                    }
+                }
+                receipt.rows = t.num_rows() as u64;
+                drop(t);
+                tables.insert(name.to_string(), table);
+                self.note_changed(name);
+                Ok(())
+            }
+            Change::Drop => {
+                let mut tables = self.tables.write();
+                if !tables.contains_key(name) {
+                    return Err(StorageError::TableNotFound(name.into()));
+                }
+                if log {
+                    receipt += self.wal.lock().log_drop_table(name).unwrap_or_default();
+                }
+                tables.remove(name);
+                self.note_changed(name);
+                Ok(())
+            }
+            Change::Append(rows) => {
+                let shared = self.table(name)?;
+                let mut t = shared.write();
+                match rows {
+                    Rows::Values(rows) => rows.iter().try_for_each(|r| t.validate_row(r))?,
+                    Rows::Table(source) => t.check_extend(source)?,
+                }
+                if log {
+                    receipt += self.wal.lock().log_bulk_insert(name, rows, &t)?;
+                }
+                match rows {
+                    Rows::Values(rows) => t.push_valid_rows(rows),
+                    Rows::Table(source) => t.extend_from(source)?,
+                }
+                receipt.rows = t.num_rows() as u64;
+                self.note_changed(name);
+                Ok(())
+            }
+            Change::Update { cols, next } => {
+                let shared = self.table(name)?;
+                let mut t = shared.write();
+                let (mut before, mut after) = (Vec::new(), Vec::new());
+                let mut updated = 0u64;
+                let outcome = (|| loop {
+                    after.clear();
+                    let Some(row) = next(&t, &mut after) else {
+                        return Ok(());
+                    };
+                    t.check_cells(row, cols, &after)?;
+                    if log {
+                        before.clear();
+                        before.extend(cols.iter().map(|&c| t.column(c).get(row)));
+                        receipt += self
+                            .wal
+                            .lock()
+                            .log_update(name, row, cols, &before, &after)?;
+                    }
+                    t.set_checked_cells(row, cols, &after);
+                    updated += 1;
+                })();
+                receipt.rows = t.num_rows() as u64;
+                if updated > 0 {
+                    self.note_changed(name);
+                }
+                outcome
+            }
+            Change::Term(term) => {
+                if log {
+                    receipt += self.wal.lock().log_term_bump(term)?;
+                }
+                self.observe_term(term);
+                Ok(())
+            }
+        };
+        // Every guard is released: a due checkpoint can fence and cut now
+        // (it read-locks every table, so it must never run under one).
+        if log {
+            self.maybe_checkpoint();
+        }
+        outcome.map(|()| receipt)
+    }
+
+    /// [`Catalog::write`] of one row's cells: `values[i]` replaces column
+    /// `cols[i]` of `row`, one `UpdateRow` record.
+    pub fn update_cells(
+        &self,
+        name: &str,
+        row: usize,
+        cols: &[usize],
+        values: &[Value],
+    ) -> Result<WriteReceipt> {
+        self.apply_cells(name, row, cols, values, true)
+    }
+
+    fn apply_cells(
+        &self,
+        name: &str,
+        row: usize,
+        cols: &[usize],
+        values: &[Value],
+        log: bool,
+    ) -> Result<WriteReceipt> {
+        let mut row = Some(row);
+        let next = &mut |_: &Table, after: &mut Vec<Value>| {
+            after.extend_from_slice(values);
+            row.take()
+        };
+        self.apply(name, Change::Update { cols, next }, log)
+    }
+
     /// Register a table. Errors when the name is taken.
     pub fn create_table(&self, name: impl Into<String>, table: Table) -> Result<SharedTable> {
-        let name = name.into();
-        let mut tables = self.tables.write();
-        if tables.contains_key(&name) {
-            return Err(StorageError::TableExists(name));
-        }
-        self.log_table_created(&name, &table);
-        self.bump_version(&name);
-        let shared: SharedTable = Arc::new(RwLock::new(table));
-        tables.insert(name, Arc::clone(&shared));
-        Ok(shared)
+        self.create(&name.into(), table, false)
     }
 
     /// Register or replace a table.
     pub fn create_or_replace_table(&self, name: impl Into<String>, table: Table) -> SharedTable {
-        let name = name.into();
-        let mut tables = self.tables.write();
-        self.log_table_created(&name, &table);
-        self.bump_version(&name);
-        self.invalidate_indexes(&name);
-        self.invalidate_derived(&name);
-        let shared: SharedTable = Arc::new(RwLock::new(table));
-        tables.insert(name, Arc::clone(&shared));
-        shared
+        self.create(&name.into(), table, true)
+            .expect("a replacing create has no failing input")
+    }
+
+    fn create(&self, name: &str, table: Table, replace: bool) -> Result<SharedTable> {
+        let table: SharedTable = Arc::new(RwLock::new(table));
+        let change = Change::Create {
+            table: Arc::clone(&table),
+            replace,
+        };
+        self.write(name, change)?;
+        Ok(table)
     }
 
     /// Look up a table.
@@ -292,22 +484,9 @@ impl Catalog {
             .ok_or_else(|| StorageError::TableNotFound(name.into()))
     }
 
-    /// Drop a table (and its indexes). Errors when missing.
+    /// Drop a table. Errors when missing.
     pub fn drop_table(&self, name: &str) -> Result<()> {
-        let mut tables = self.tables.write();
-        if tables.remove(name).is_none() {
-            return Err(StorageError::TableNotFound(name.into()));
-        }
-        // DDL is not failed by a sick log device; the loss is counted in
-        // `WalStats::write_errors` and surfaces at recovery. Hidden
-        // snapshot aliases were never logged, so their drop isn't either.
-        if !name.starts_with(SNAP_PREFIX) {
-            let _ = self.wal.lock().log_drop_table(name);
-            self.bump_version(name);
-        }
-        self.invalidate_indexes(name);
-        self.invalidate_derived(name);
-        Ok(())
+        self.write(name, Change::Drop).map(drop)
     }
 
     /// Drop every table whose name starts with `prefix` (a caller's own
@@ -354,50 +533,9 @@ impl Catalog {
             .collect()
     }
 
-    /// Build (or rebuild) a hash index on `table_name(key_names...)`.
-    pub fn create_index(&self, table_name: &str, key_names: &[&str]) -> Result<Arc<HashIndex>> {
-        let table = self.table(table_name)?;
-        let idx = Arc::new(HashIndex::build_on(&table.read(), key_names)?);
-        let key = (
-            table_name.to_string(),
-            key_names.iter().map(|s| s.to_string()).collect(),
-        );
-        self.indexes.write().insert(key, Arc::clone(&idx));
-        Ok(idx)
-    }
-
-    /// Fetch a previously built index, if any.
-    pub fn index(&self, table_name: &str, key_names: &[&str]) -> Option<Arc<HashIndex>> {
-        let key = (
-            table_name.to_string(),
-            key_names.iter().map(|s| s.to_string()).collect(),
-        );
-        self.indexes.read().get(&key).cloned()
-    }
-
-    fn invalidate_indexes(&self, table_name: &str) {
-        self.indexes.write().retain(|(t, _), _| t != table_name);
-    }
-
-    /// Run `f` with the write-ahead log.
+    /// Run `f` with the write-ahead log: sync, snapshot, shipping,
+    /// compaction. Appending records is [`Catalog::write`]'s job alone.
     pub fn with_wal<R>(&self, f: impl FnOnce(&mut Wal) -> R) -> R {
-        f(&mut self.wal.lock())
-    }
-
-    /// Run `f` with the WAL *after* invalidating `table`'s cached
-    /// combination sets — the funnel every logged data mutation (bulk
-    /// insert, per-row update) goes through, so the combo cache can never
-    /// serve combinations discovered before the mutation. The table's
-    /// snapshot version and the global epoch bump too: the next
-    /// [`Catalog::pin_table`] freezes a fresh view.
-    ///
-    /// Callers may hold the table's write guard here, so this must never
-    /// take the `checkpoint` mutex (a checkpointer serializing tables
-    /// would deadlock); checkpoints are triggered *after* write guards
-    /// drop, via [`Catalog::maybe_checkpoint`].
-    pub fn with_wal_mutating<R>(&self, table: &str, f: impl FnOnce(&mut Wal) -> R) -> R {
-        self.bump_version(table);
-        self.invalidate_derived(table);
         f(&mut self.wal.lock())
     }
 
@@ -412,9 +550,8 @@ impl Catalog {
     }
 
     /// Drop every derived cache entry for `name`: cached distinct
-    /// combinations and cached lattice partials share one invalidation
-    /// funnel, so nothing derived from a table's data outlives a mutation
-    /// of that table.
+    /// combinations and cached lattice levels go together, so nothing
+    /// derived from a table's data outlives a change to that table.
     fn invalidate_derived(&self, name: &str) {
         self.combos.invalidate_table(name);
         self.lattice.invalidate_table(name);
@@ -423,17 +560,6 @@ impl Catalog {
     /// WAL counters snapshot.
     pub fn wal_stats(&self) -> crate::wal::WalStats {
         self.wal.lock().stats()
-    }
-
-    /// Log a create so replay can rebuild the table: schema first, then a
-    /// bulk-insert record when the table already holds rows. DDL is not
-    /// failed by a sick log device; the loss is counted in
-    /// `WalStats::write_errors` and surfaces at recovery.
-    fn log_table_created(&self, name: &str, table: &Table) {
-        let mut wal = self.wal.lock();
-        if wal.log_create_table(name, table.schema()).is_ok() && table.num_rows() > 0 {
-            let _ = wal.log_bulk_insert(name, table, 0);
-        }
     }
 
     /// Verify structural invariants of every table (column lengths,
@@ -484,7 +610,7 @@ impl Catalog {
         if let Some(entry) = snaps.current.get_mut(name) {
             // Reuse needs the version to match AND the frozen alias to
             // still share the live table's column storage — the CoW
-            // identity catches mutations that bypassed the WAL funnel,
+            // identity catches a mutation made around `Catalog::write`,
             // which a version number alone would miss.
             let unchanged = entry.version == version
                 && self
@@ -601,7 +727,6 @@ impl Catalog {
         let mut tables = self.tables.write();
         for alias in dead {
             tables.remove(&alias);
-            self.invalidate_indexes(&alias);
             self.invalidate_derived(&alias);
         }
     }
@@ -718,8 +843,7 @@ impl Catalog {
                 "term {term} is not past the current term {current}"
             )));
         }
-        self.wal.lock().log_term_bump(term)?;
-        self.term.store(term, Ordering::Relaxed);
+        self.write("", Change::Term(term))?;
         // Winning a later term unfences a previously deposed catalog: the
         // seal existed to keep the *old* term's writes out, and this node
         // now owns a newer one.
@@ -758,14 +882,21 @@ impl Catalog {
     }
 
     /// Serialize every user table into one checkpoint-format image frame at
-    /// a stable WAL LSN fence, without touching the checkpoint store — the
-    /// replica-bootstrap export. Returns `(frame, fence, term)`: every
-    /// record below `fence` is inside the image, so a replica installing it
-    /// resumes the stream at `fence`. Uses the same fence-retry protocol as
-    /// [`Catalog::checkpoint_now`] and reports
-    /// [`StorageError::CheckpointContended`] under persistent write
-    /// pressure (callers retry on the next sync round).
-    pub fn export_image(&self) -> Result<(Vec<u8>, u64, u64)> {
+    /// a stable WAL LSN fence; returns `(frame, fence)`. Every record below
+    /// `fence` is inside the image and none at or past it is — the one body
+    /// behind a checkpoint cut and a replica's bootstrap image.
+    ///
+    /// Writers take a table write guard *then* the WAL lock, so this must
+    /// never hold the WAL lock while locking tables (ABBA). Instead it
+    /// reads the fence, serializes without any WAL lock, and re-reads the
+    /// fence: unchanged means no record landed mid-serialization.
+    /// [`Catalog::apply`] holds a table's write guard from before its
+    /// record is appended until the change is applied, so a record the
+    /// fence already counts belongs to a change `t.read()` below waits for,
+    /// and a change it does not count either is not applied yet or moves
+    /// the fence and forces a retry. Persistent write pressure reports
+    /// [`StorageError::CheckpointContended`] (callers try again later).
+    fn fenced_image(&self) -> Result<(Vec<u8>, u64)> {
         const FENCE_ATTEMPTS: usize = 3;
         for _ in 0..FENCE_ATTEMPTS {
             let fence = self.wal.lock().next_lsn();
@@ -781,149 +912,87 @@ impl Catalog {
                 continue;
             }
             let refs: Vec<(String, &Table)> = tables.iter().map(|(n, t)| (n.clone(), t)).collect();
-            let frame = encode_image(&refs, epoch, fence)?;
-            return Ok((frame, fence, self.term()));
+            return Ok((encode_image(&refs, epoch, fence)?, fence));
         }
         Err(StorageError::CheckpointContended)
     }
 
-    /// Register or replace `name` *without* logging to this catalog's WAL,
-    /// routing invalidation exactly as a live write would: version and
-    /// epoch bump, indexes and cached combinations die. The replica apply
-    /// path — the shipped record was already logged by the primary, and
-    /// re-logging here would interleave replicated LSNs with this
-    /// catalog's own records.
-    fn install_unlogged(&self, name: &str, table: Table) {
-        let mut tables = self.tables.write();
-        self.bump_version(name);
-        self.invalidate_indexes(name);
-        self.invalidate_derived(name);
-        tables.insert(name.to_string(), Arc::new(RwLock::new(table)));
+    /// The replica-bootstrap export: [`Catalog::fenced_image`] without
+    /// touching the checkpoint store. Returns `(frame, fence, term)`; a
+    /// replica installing the frame resumes the stream at `fence`.
+    pub fn export_image(&self) -> Result<(Vec<u8>, u64, u64)> {
+        let (frame, fence) = self.fenced_image()?;
+        Ok((frame, fence, self.term()))
     }
 
-    /// Drop `name` without logging; same invalidation as a live drop.
-    fn drop_unlogged(&self, name: &str) -> bool {
-        let removed = self.tables.write().remove(name).is_some();
-        if removed {
-            self.bump_version(name);
-            self.invalidate_indexes(name);
-            self.invalidate_derived(name);
-        }
-        removed
-    }
-
-    /// Apply one replicated WAL record to this catalog through the same
-    /// invalidation funnel live writes use — versions and the global epoch
-    /// bump, cached combinations and indexes for the touched table die, so
-    /// the next [`Catalog::pin_table`] freezes a fresh view — but without
-    /// re-logging to this catalog's own WAL. Returns `false` for a valid
-    /// record that cannot apply to the current state (skip-and-count, the
-    /// same contract as recovery replay); application is atomic either way.
-    pub fn apply_shipped(&self, record: &WalRecord) -> bool {
-        match record {
-            WalRecord::CreateTable { name, schema } => {
-                self.install_unlogged(name, Table::empty(schema.clone().into_shared()));
-                true
-            }
-            WalRecord::DropTable { name } => self.drop_unlogged(name),
-            WalRecord::BulkInsert { name, rows } => {
-                let Ok(shared) = self.table(name) else {
-                    return false;
-                };
-                // Hold the write guard across both the mutation and the
-                // funnel bump, mirroring the live writer protocol.
-                let mut t = shared.write();
-                if t.push_rows(rows).is_err() {
-                    return false;
-                }
-                self.with_wal_mutating(name, |_| {});
-                true
-            }
+    /// Apply one replicated or replayed WAL record: [`Catalog::write`]'s
+    /// body with logging off, so versions and the global epoch bump and the
+    /// touched table's cached combinations and lattice levels die exactly
+    /// as on the primary, and the next [`Catalog::pin_table`] freezes a
+    /// fresh view. Returns `false` for a valid record that cannot apply to
+    /// the current state (skip-and-count, the recovery contract); a record
+    /// is validated whole before the first cell moves, so a skipped one
+    /// leaves its table exactly as it was.
+    pub(crate) fn apply_shipped(&self, record: &WalRecord) -> bool {
+        let name = record.table_name();
+        let change = match record {
+            WalRecord::CreateTable { schema, .. } => Change::Create {
+                table: Arc::new(RwLock::new(Table::empty(schema.clone().into_shared()))),
+                replace: true,
+            },
+            WalRecord::DropTable { .. } => Change::Drop,
+            WalRecord::BulkInsert { rows, .. } => Change::Append(Rows::Values(rows)),
+            WalRecord::TermBump { term } => Change::Term(*term),
             WalRecord::UpdateRow {
-                name,
-                row,
-                cols,
-                after,
-                ..
+                row, cols, after, ..
             } => {
-                let Ok(shared) = self.table(name) else {
-                    return false;
-                };
-                let mut t = shared.write();
                 let cols: Vec<usize> = cols.iter().map(|&c| c as usize).collect();
-                if t.set_cells(*row as usize, &cols, after).is_err() {
-                    return false;
-                }
-                self.with_wal_mutating(name, |_| {});
-                true
+                return self
+                    .apply_cells(name, *row as usize, &cols, after, false)
+                    .is_ok();
             }
-            WalRecord::TermBump { term } => {
-                self.observe_term(*term);
-                true
-            }
-        }
+        };
+        self.apply(name, change, false).is_ok()
     }
 
-    /// Replace every user table with the contents of a bootstrap image
-    /// (see [`Catalog::export_image`]), unlogged and through the same
-    /// invalidation funnel as [`Catalog::apply_shipped`]. Hidden snapshot
-    /// aliases survive — pins taken before the install stay frozen.
-    pub fn install_image(&self, image: CheckpointImage) {
-        let existing: Vec<String> = self.table_names();
-        for name in existing {
-            self.drop_unlogged(&name);
+    /// Replace every user table with the contents of an image (a replica's
+    /// bootstrap, see [`Catalog::export_image`]; recovery's checkpoint):
+    /// unlogged drops and creates through [`Catalog::apply`]. Hidden
+    /// snapshot aliases survive — pins taken before the install stay
+    /// frozen.
+    pub(crate) fn install_image(&self, image: CheckpointImage) {
+        for name in self.table_names() {
+            let _ = self.apply(&name, Change::Drop, false);
         }
         for (name, table) in image.tables {
-            self.install_unlogged(&name, table);
+            let change = Change::Create {
+                table: Arc::new(RwLock::new(table)),
+                replace: true,
+            };
+            let _ = self.apply(&name, change, false);
         }
     }
 
-    /// The checkpoint protocol, called with the `checkpoint` mutex held.
-    ///
-    /// Writers take a table write guard *then* the WAL lock, so the
-    /// checkpointer must never hold the WAL lock while locking tables
-    /// (ABBA). Instead it reads an LSN fence, serializes without any WAL
-    /// lock, and re-reads the fence: unchanged means no record landed
-    /// mid-serialization, so the image is exactly "everything below the
-    /// fence". (Data mutations hold their table's write guard across both
-    /// the mutation and its WAL append, so a half-visible mutation blocks
-    /// `t.read()` until its record is in the log — the fence then catches
-    /// it.) A moved fence retries; persistent contention reports
-    /// [`StorageError::CheckpointContended`] without degrading.
+    /// Cut a checkpoint, with the `checkpoint` mutex held: persist a
+    /// [`Catalog::fenced_image`] (transient store errors absorbed by the
+    /// retry policy), then compact the WAL prefix behind its fence.
     fn checkpoint_locked(&self, state: &mut CheckpointState) -> Result<u64> {
-        const FENCE_ATTEMPTS: usize = 3;
-        for _ in 0..FENCE_ATTEMPTS {
-            let fence = self.wal.lock().next_lsn();
-            let tables: Vec<(String, Table)> = {
-                let map = self.tables.read();
-                map.iter()
-                    .filter(|(n, _)| !n.starts_with(SNAP_PREFIX))
-                    .map(|(n, t)| (n.clone(), t.read().clone()))
-                    .collect()
-            };
-            let epoch = self.epoch();
-            if self.wal.lock().next_lsn() != fence {
-                continue;
-            }
-            let refs: Vec<(String, &Table)> = tables.iter().map(|(n, t)| (n.clone(), t)).collect();
-            let frame = encode_image(&refs, epoch, fence)?;
-            let retry = state.retry;
-            let store = &mut state.store;
-            retry.run(|| store.save(&frame))?;
-            self.wal.lock().compact(fence)?;
-            let stats = self.wal.lock().stats();
-            state.last_records = stats.records;
-            state.last_bytes = stats.bytes_written;
-            state.degraded = false;
-            if let Some(m) = &*self.metrics.read() {
-                m.checkpoint_writes.inc();
-                m.checkpoint_bytes.add(frame.len() as u64);
-                m.checkpoint_lsn.set(fence as i64);
-                m.checkpoint_degraded.set(0);
-            }
-            return Ok(fence);
+        let (frame, fence) = self.fenced_image()?;
+        let retry = state.retry;
+        let store = &mut state.store;
+        retry.run(|| store.save(&frame))?;
+        self.wal.lock().compact(fence)?;
+        let stats = self.wal.lock().stats();
+        state.last_records = stats.records;
+        state.last_bytes = stats.bytes_written;
+        state.degraded = false;
+        if let Some(m) = &*self.metrics.read() {
+            m.checkpoint_writes.inc();
+            m.checkpoint_bytes.add(frame.len() as u64);
+            m.checkpoint_lsn.set(fence as i64);
+            m.checkpoint_degraded.set(0);
         }
-        Err(StorageError::CheckpointContended)
+        Ok(fence)
     }
 
     /// Rebuild a catalog from the log in `store` (crash recovery).
@@ -958,8 +1027,8 @@ impl Catalog {
     /// itself never fails because of a bad checkpoint.
     ///
     /// The recovered catalog keeps `ckpt` as its checkpoint store under
-    /// `policy`, and its combination cache is verifiably cold: the install
-    /// is routed through the same mutation funnel live writes use.
+    /// `policy`, and its derived caches are cold: install and replay are
+    /// the write path, logging off.
     pub fn recover_with_checkpoint(
         store: Box<dyn LogStore>,
         ckpt: Box<dyn CheckpointStore>,
@@ -998,17 +1067,18 @@ impl Catalog {
             }
             image = newest;
         }
-        let (start_lsn, image_epoch, mut tables, checkpoint_tables) = match image {
+        // Install the image into an ordinary catalog, then apply the
+        // trusted records to it: the unlogged side of the one write path,
+        // which is also what keeps the recovered caches cold.
+        let catalog = Catalog::default();
+        let (start_lsn, checkpoint_tables) = match image {
             Some(img) => {
-                let n = img.tables.len() as u64;
-                let map: BTreeMap<String, SharedTable> = img
-                    .tables
-                    .into_iter()
-                    .map(|(name, t)| (name, Arc::new(RwLock::new(t))))
-                    .collect();
-                (img.lsn, img.epoch, map, n)
+                catalog.epoch.store(img.epoch, Ordering::Relaxed);
+                let at = (img.lsn, img.tables.len() as u64);
+                catalog.install_image(img);
+                at
             }
-            None => (0, 0, BTreeMap::new(), 0),
+            None => (0, 0),
         };
 
         // Recovery reads retry transient device errors too: a hiccup while
@@ -1021,19 +1091,16 @@ impl Catalog {
         let mut replayed = 0u64;
         let mut skipped = 0u64;
         let mut pre_checkpoint = 0u64;
-        let mut term = 0u64;
-        let lsns = scan.lsns;
-        for (record, lsn) in scan.records.into_iter().zip(lsns.iter().copied()) {
-            // Terms ratchet regardless of the checkpoint fence: a TermBump
-            // below the fence still happened.
-            if let WalRecord::TermBump { term: t } = &record {
-                term = term.max(*t);
-            }
+        for (record, &lsn) in scan.records.iter().zip(&scan.lsns) {
             if lsn < start_lsn {
                 // Already inside the checkpoint image (a crash can land
-                // between image save and WAL compaction).
+                // between image save and WAL compaction) — but a term
+                // raised below the fence was still raised.
+                if let WalRecord::TermBump { term } = record {
+                    catalog.observe_term(*term);
+                }
                 pre_checkpoint += 1;
-            } else if apply_record(&mut tables, record) {
+            } else if catalog.apply_shipped(record) {
                 replayed += 1;
             } else {
                 skipped += 1;
@@ -1053,36 +1120,15 @@ impl Catalog {
         };
         store.truncate(scan.valid_len)?;
 
+        // Resume the WAL on the same store, appending after the valid prefix.
         let stats = WalStats {
             records: replayed + skipped + pre_checkpoint,
             bytes_written: scan.valid_len,
             write_errors: 0,
             retries: 0,
         };
-        let frames = lsns
-            .iter()
-            .copied()
-            .zip(scan.frame_lens.iter().copied())
-            .collect();
-        let wal = Wal::resume(store, capacity, stats, frames, next_lsn);
-        // The combination cache starts empty on recovery: nothing cached
-        // before the crash survives into the recovered catalog.
-        let catalog = Catalog {
-            tables: RwLock::new(tables),
-            wal: Mutex::new(wal),
-            ..Catalog::default()
-        };
-        catalog.epoch.store(image_epoch, Ordering::Relaxed);
-        catalog.term.store(term, Ordering::Relaxed);
-        // Route the install through the same funnel live mutations use, so
-        // the combo cache is verifiably cold for every installed table.
-        for name in catalog.table_names() {
-            catalog.with_wal_mutating(&name, |_| {});
-        }
-        debug_assert!(
-            catalog.combo_cache().is_empty(),
-            "recovered combo cache must start cold"
-        );
+        let frames = scan.lsns.into_iter().zip(scan.frame_lens).collect();
+        *catalog.wal.lock() = Wal::resume(store, capacity, stats, frames, next_lsn);
         if let Some(ckpt) = ckpt {
             catalog.set_checkpoint_store(ckpt, policy);
         }
@@ -1126,49 +1172,11 @@ impl RecoveryReport {
     }
 }
 
-/// Replay one record into the table map. Returns false when the record is
-/// valid but cannot apply to the current state (skip-and-count semantics).
-/// Application is atomic: [`Table::push_rows`] and [`Table::set_cells`]
-/// validate the whole record against the table before mutating, so a
-/// skipped record leaves the table exactly as it was — never half-applied.
-fn apply_record(tables: &mut BTreeMap<String, SharedTable>, record: WalRecord) -> bool {
-    match record {
-        WalRecord::CreateTable { name, schema } => {
-            let table = Table::empty(schema.into_shared());
-            tables.insert(name, Arc::new(RwLock::new(table)));
-            true
-        }
-        WalRecord::DropTable { name } => tables.remove(&name).is_some(),
-        WalRecord::BulkInsert { name, rows } => {
-            let Some(table) = tables.get(&name) else {
-                return false;
-            };
-            table.write().push_rows(&rows).is_ok()
-        }
-        WalRecord::UpdateRow {
-            name,
-            row,
-            cols,
-            after,
-            ..
-        } => {
-            let Some(table) = tables.get(&name) else {
-                return false;
-            };
-            let cols: Vec<usize> = cols.into_iter().map(|c| c as usize).collect();
-            table.write().set_cells(row as usize, &cols, &after).is_ok()
-        }
-        // Terms are tracked by the replay loop itself; the record touches
-        // no table state.
-        WalRecord::TermBump { .. } => true,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::Schema;
-    use crate::value::{DataType, Value};
+    use crate::value::DataType;
 
     fn table() -> Table {
         let schema = Schema::from_pairs(&[("d", DataType::Int), ("a", DataType::Float)])
@@ -1195,15 +1203,22 @@ mod tests {
     }
 
     #[test]
-    fn replace_resets_table_and_indexes() {
+    fn replace_resets_table_version_and_derived_caches() {
         let cat = Catalog::new();
         cat.create_table("F", table()).unwrap();
-        cat.create_index("F", &["d"]).unwrap();
-        assert!(cat.index("F", &["d"]).is_some());
-        cat.create_or_replace_table("F", table());
+        let dims = ["d".to_string()];
+        cat.combo_cache()
+            .store("F", &dims, vec![vec![Value::Int(1)]]);
+        let version = cat.table_version("F");
+        cat.create_or_replace_table("F", Table::empty(table().schema().clone()));
+        assert_eq!(cat.table("F").unwrap().read().num_rows(), 0);
         assert!(
-            cat.index("F", &["d"]).is_none(),
-            "indexes die with the old table"
+            cat.table_version("F") > version,
+            "a replace is a new version"
+        );
+        assert!(
+            cat.combo_cache().get("F", &dims).is_none(),
+            "derived caches die with the old table"
         );
     }
 
@@ -1235,23 +1250,10 @@ mod tests {
     fn recover_round_trips_catalog_state() {
         let cat = Catalog::new();
         cat.create_table("F", table()).unwrap();
-        let shared = cat.table("F").unwrap();
-        shared
-            .write()
-            .push_row(&[Value::Int(7), Value::Float(8.0)])
+        cat.update_cells("F", 0, &[0, 1], &[Value::Int(-1), Value::Null])
             .unwrap();
-        cat.with_wal(|w| {
-            let t = shared.read();
-            w.log_update(
-                "F",
-                0,
-                &[0, 1],
-                &[Value::Int(1), Value::Float(2.0)],
-                &[Value::Int(-1), Value::Null],
-            )
-            .unwrap();
-            w.log_bulk_insert("F", &t, 1).unwrap();
-        });
+        let rows = [vec![Value::Int(7), Value::Float(8.0)]];
+        cat.write("F", Change::Append(Rows::Values(&rows))).unwrap();
         cat.create_table("gone", table()).unwrap();
         cat.drop_table("gone").unwrap();
 
@@ -1273,16 +1275,8 @@ mod tests {
     fn recover_truncates_torn_tail_and_resumes_logging() {
         let cat = Catalog::new();
         cat.create_table("F", table()).unwrap();
-        cat.with_wal(|w| {
-            w.log_update(
-                "F",
-                0,
-                &[0, 1],
-                &[Value::Int(1), Value::Float(2.0)],
-                &[Value::Int(2), Value::Float(2.0)],
-            )
-        })
-        .unwrap();
+        cat.update_cells("F", 0, &[0, 1], &[Value::Int(2), Value::Float(2.0)])
+            .unwrap();
         let mut image = cat.with_wal(|w| w.snapshot()).unwrap();
         let image_len = image.len();
         image.truncate(image_len - 3); // tear the last record
@@ -1299,16 +1293,8 @@ mod tests {
 
         // The resumed WAL appends after the valid prefix; a second
         // recovery sees the new record.
-        rec.with_wal(|w| {
-            w.log_update(
-                "F",
-                0,
-                &[0, 1],
-                &[Value::Int(1), Value::Float(2.0)],
-                &[Value::Int(9), Value::Float(2.0)],
-            )
-        })
-        .unwrap();
+        rec.update_cells("F", 0, &[0, 1], &[Value::Int(9), Value::Float(2.0)])
+            .unwrap();
         let image2 = rec.with_wal(|w| w.snapshot()).unwrap();
         let (rec2, report2) =
             Catalog::recover(Box::new(crate::log::MemLogStore::from_bytes(image2))).unwrap();
@@ -1326,7 +1312,7 @@ mod tests {
         // bulk insert is skipped and counted, not fatal.
         let mut wal = Wal::default();
         let t = table();
-        wal.log_bulk_insert("orphan", &t, 0).unwrap();
+        wal.log_bulk_insert("orphan", Rows::Table(&t), &t).unwrap();
         wal.log_create_table("F", t.schema()).unwrap();
         let image = wal.snapshot().unwrap();
 
@@ -1354,7 +1340,7 @@ mod tests {
             .unwrap();
         let cat = Catalog::new();
         cat.create_table("F", t).unwrap();
-        cat.with_wal(|w| w.log_update("F", 0, &[2], &[Value::Float(3.0)], &[Value::Float(9.0)]))
+        cat.update_cells("F", 0, &[2], &[Value::Float(9.0)])
             .unwrap();
 
         let image = cat.with_wal(|w| w.snapshot()).unwrap();
@@ -1385,9 +1371,10 @@ mod tests {
         let mut wal = Wal::default();
         let t = table(); // schema (Int, Float)
         wal.log_create_table("F", t.schema()).unwrap();
-        wal.log_bulk_insert("F", &t, 0).unwrap();
+        wal.log_bulk_insert("F", Rows::Table(&t), &t).unwrap();
         // Batch whose second row type-clashes with F's schema.
-        wal.log_bulk_insert("F", &alien, 0).unwrap();
+        wal.log_bulk_insert("F", Rows::Table(&alien), &alien)
+            .unwrap();
         // Update whose second cell type-clashes.
         wal.log_update(
             "F",
@@ -1422,7 +1409,6 @@ mod tests {
         cat.create_table("q7_Fj0", table()).unwrap();
         cat.create_table("q7_FV", table()).unwrap();
         cat.create_table("q70_FV", table()).unwrap(); // "q7_" is not a prefix of "q70_FV"
-        cat.create_index("q7_Fk", &["d"]).unwrap();
 
         assert_eq!(cat.drop_prefixed("q7_"), 3);
         assert_eq!(
@@ -1430,7 +1416,6 @@ mod tests {
             vec!["F".to_string(), "q70_FV".to_string()],
             "only the exact prefix was swept"
         );
-        assert!(cat.index("q7_Fk", &["d"]).is_none(), "indexes die too");
         assert_eq!(cat.drop_prefixed("q7_"), 0, "idempotent");
         assert_eq!(cat.drop_prefixed(""), 0, "empty prefix refuses to sweep");
         assert!(cat.contains("F"));
@@ -1453,14 +1438,10 @@ mod tests {
         }
     }
 
-    /// Mimic the engine's write path: mutate under the table's write guard,
-    /// then log through the mutation funnel (which bumps the version).
     fn append_row(cat: &Catalog, name: &str, d: i64, a: f64) {
-        let shared = cat.table(name).unwrap();
-        let mut t = shared.write();
-        let start = t.num_rows();
-        t.push_row(&[Value::Int(d), Value::Float(a)]).unwrap();
-        cat.with_wal_mutating(name, |w| w.log_bulk_insert(name, &t, start).unwrap());
+        let rows = [vec![Value::Int(d), Value::Float(a)]];
+        cat.write(name, Change::Append(Rows::Values(&rows)))
+            .unwrap();
     }
 
     #[test]
@@ -1506,7 +1487,7 @@ mod tests {
         rec.check_integrity().unwrap();
         assert!(
             rec.combo_cache().is_empty(),
-            "install runs through the funnel; combos start cold"
+            "install and replay are the write path; combos start cold"
         );
         let f = rec.table("F").unwrap();
         let f = f.read();
@@ -1637,14 +1618,13 @@ mod tests {
 
         cat.maybe_checkpoint();
         assert!(store.0.lock().is_empty(), "nothing logged since attach");
+        // The write path checks the policy itself, after its guard drops.
         append_row(&cat, "F", 2, 2.0);
-        cat.maybe_checkpoint();
         assert!(
             store.0.lock().is_empty(),
             "one record is below the threshold"
         );
         append_row(&cat, "F", 3, 3.0);
-        cat.maybe_checkpoint();
         assert!(
             !store.0.lock().is_empty(),
             "two records since attach trip the policy"

@@ -31,15 +31,15 @@
 //! failure is therefore never fatal: recovery falls back to the previous
 //! image + full WAL replay.
 
-use crate::bitmap::Bitmap;
 use crate::column::Column;
 use crate::dictionary::Dictionary;
 use crate::error::{Result, StorageError};
 use crate::log::LogStore;
+use crate::partial::{codec_err, put_dtype, put_string, put_u32, put_u64, put_validity, Cursor};
 use crate::schema::{Field, Schema};
 use crate::table::Table;
 use crate::value::DataType;
-use crate::wal::{crc32, put_str, put_u32, put_u64, FRAME_HEADER, MAX_FRAME_LEN};
+use crate::wal::{crc32, FRAME_HEADER, MAX_FRAME_LEN};
 use std::fmt;
 use std::fs;
 use std::io::Write;
@@ -257,17 +257,6 @@ pub struct CheckpointImage {
     pub tables: Vec<(String, Table)>,
 }
 
-fn put_validity(buf: &mut Vec<u8>, validity: &Bitmap) {
-    if validity.all_set() {
-        buf.push(1);
-    } else {
-        buf.push(0);
-        for w in validity.words() {
-            put_u64(buf, *w);
-        }
-    }
-}
-
 fn put_column(buf: &mut Vec<u8>, col: &Column) {
     match col {
         Column::Int { data, validity } => {
@@ -290,21 +279,13 @@ fn put_column(buf: &mut Vec<u8>, col: &Column) {
         } => {
             put_u32(buf, dict.len() as u32);
             for s in dict.values() {
-                put_str(buf, s);
+                put_string(buf, s);
             }
             for c in codes {
                 put_u32(buf, *c);
             }
             put_validity(buf, validity);
         }
-    }
-}
-
-fn dtype_tag(d: DataType) -> u8 {
-    match d {
-        DataType::Int => 0,
-        DataType::Float => 1,
-        DataType::Str => 2,
     }
 }
 
@@ -318,12 +299,12 @@ pub fn encode_image(tables: &[(String, &Table)], epoch: u64, lsn: u64) -> Result
     put_u64(&mut payload, lsn);
     put_u32(&mut payload, tables.len() as u32);
     for (name, table) in tables {
-        put_str(&mut payload, name);
+        put_string(&mut payload, name);
         let schema = table.schema();
         put_u32(&mut payload, schema.len() as u32);
         for field in schema.fields() {
-            put_str(&mut payload, &field.name);
-            payload.push(dtype_tag(field.dtype));
+            put_string(&mut payload, &field.name);
+            put_dtype(&mut payload, field.dtype);
         }
         put_u64(&mut payload, table.num_rows() as u64);
         for col in table.columns() {
@@ -343,65 +324,7 @@ pub fn encode_image(tables: &[(String, &Table)], epoch: u64, lsn: u64) -> Result
     Ok(frame)
 }
 
-/// Byte reader mirroring the WAL's decode cursor.
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-type Decoded<T> = std::result::Result<T, String>;
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Decoded<&'a [u8]> {
-        if self.pos + n > self.data.len() {
-            return Err(format!(
-                "image short: wanted {n} bytes at {}, have {}",
-                self.pos,
-                self.data.len() - self.pos
-            ));
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Decoded<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Decoded<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Decoded<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Decoded<String> {
-        let n = self.u32()? as usize;
-        if n > self.data.len() {
-            return Err(format!("implausible string length {n}"));
-        }
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| "invalid UTF-8".to_string())
-    }
-
-    fn validity(&mut self, rows: usize) -> Decoded<Bitmap> {
-        match self.u8()? {
-            1 => Ok(Bitmap::filled(rows, true)),
-            0 => {
-                let nwords = rows.div_ceil(64);
-                let mut words = Vec::with_capacity(nwords);
-                for _ in 0..nwords {
-                    words.push(self.u64()?);
-                }
-                Bitmap::from_words(words, rows).ok_or_else(|| "bad validity words".to_string())
-            }
-            t => Err(format!("unknown validity tag {t}")),
-        }
-    }
-}
-
-fn read_column(r: &mut Reader<'_>, dtype: DataType, rows: usize) -> Decoded<Column> {
+fn read_column(r: &mut Cursor<'_>, dtype: DataType, rows: usize) -> Result<Column> {
     match dtype {
         DataType::Int => {
             let raw = r.take(rows * 8)?;
@@ -423,14 +346,14 @@ fn read_column(r: &mut Reader<'_>, dtype: DataType, rows: usize) -> Decoded<Colu
         }
         DataType::Str => {
             let ndict = r.u32()? as usize;
-            if ndict > r.data.len() {
-                return Err(format!("implausible dictionary size {ndict}"));
+            if ndict > r.remaining() {
+                return Err(codec_err(format!("implausible dictionary size {ndict}")));
             }
             let mut dict = Dictionary::new();
             for i in 0..ndict {
-                let s = r.str()?;
+                let s = r.string()?;
                 if dict.intern(&s) != i as u32 {
-                    return Err(format!("duplicate dictionary entry {s:?}"));
+                    return Err(codec_err(format!("duplicate dictionary entry {s:?}")));
                 }
             }
             let raw = r.take(rows * 4)?;
@@ -438,7 +361,9 @@ fn read_column(r: &mut Reader<'_>, dtype: DataType, rows: usize) -> Decoded<Colu
             for c in raw.chunks_exact(4) {
                 let code = u32::from_le_bytes(c.try_into().unwrap());
                 if code as usize >= ndict.max(1) {
-                    return Err(format!("dictionary code {code} out of range {ndict}"));
+                    return Err(codec_err(format!(
+                        "dictionary code {code} out of range {ndict}"
+                    )));
                 }
                 codes.push(code);
             }
@@ -453,64 +378,52 @@ fn read_column(r: &mut Reader<'_>, dtype: DataType, rows: usize) -> Decoded<Colu
     }
 }
 
-fn decode_payload(payload: &[u8]) -> Decoded<CheckpointImage> {
-    let mut r = Reader {
-        data: payload,
-        pos: 0,
-    };
+fn decode_payload(payload: &[u8]) -> Result<CheckpointImage> {
+    let mut r = Cursor::new(payload);
     if r.u32()? != CHECKPOINT_MAGIC {
-        return Err("bad checkpoint magic".to_string());
+        return Err(codec_err("bad checkpoint magic"));
     }
     let version = r.u8()?;
     if version != CHECKPOINT_VERSION {
-        return Err(format!("unsupported checkpoint version {version}"));
+        return Err(codec_err(format!(
+            "unsupported checkpoint version {version}"
+        )));
     }
     let epoch = r.u64()?;
     let lsn = r.u64()?;
     let ntables = r.u32()? as usize;
     if ntables > payload.len() {
-        return Err(format!("implausible table count {ntables}"));
+        return Err(codec_err(format!("implausible table count {ntables}")));
     }
     let mut tables = Vec::with_capacity(ntables);
     for _ in 0..ntables {
-        let name = r.str()?;
+        let name = r.string()?;
         let ncols = r.u32()? as usize;
         if ncols > payload.len() {
-            return Err(format!("implausible column count {ncols}"));
+            return Err(codec_err(format!("implausible column count {ncols}")));
         }
         let mut fields = Vec::with_capacity(ncols);
         for _ in 0..ncols {
-            let fname = r.str()?;
-            let dtype = match r.u8()? {
-                0 => DataType::Int,
-                1 => DataType::Float,
-                2 => DataType::Str,
-                t => return Err(format!("unknown data type tag {t}")),
-            };
-            fields.push(Field::new(fname, dtype));
+            let fname = r.string()?;
+            fields.push(Field::new(fname, r.dtype()?));
         }
-        let schema = Schema::new(fields).map_err(|e| format!("bad schema: {e}"))?;
+        let schema = Schema::new(fields).map_err(|e| codec_err(format!("bad schema: {e}")))?;
         let rows = r.u64()? as usize;
-        if rows.checked_mul(8).is_none_or(|b| b > payload.len() * 8) {
-            return Err(format!("implausible row count {rows}"));
+        if rows > payload.len() {
+            return Err(codec_err(format!("implausible row count {rows}")));
         }
         let mut columns = Vec::with_capacity(ncols);
         for field in schema.fields() {
             columns.push(read_column(&mut r, field.dtype, rows)?);
         }
         let table = Table::from_columns(schema.into_shared(), columns)
-            .map_err(|e| format!("inconsistent table: {e}"))?;
+            .map_err(|e| codec_err(format!("inconsistent table: {e}")))?;
         table
             .check_integrity()
-            .map_err(|e| format!("image fails integrity check: {e}"))?;
+            .map_err(|e| codec_err(format!("image fails integrity check: {e}")))?;
         tables.push((name, table));
     }
-    if r.pos != payload.len() {
-        return Err(format!(
-            "trailing garbage: {} bytes past image end",
-            payload.len() - r.pos
-        ));
-    }
+    r.finish()?;
     Ok(CheckpointImage { epoch, lsn, tables })
 }
 

@@ -7,12 +7,11 @@
 //! the catalog memoizes it per `(table, dimension columns)` and serves
 //! repeat queries without rescanning the fact table.
 //!
-//! Invalidation is funneled through [`crate::Catalog`]: every WAL-logged
-//! mutation (bulk insert, per-row update) and every DDL replace/drop
-//! invalidates the table's entries before the mutation is logged, and
-//! recovery starts from an empty cache. Direct mutation through a
-//! [`crate::SharedTable`] write guard bypasses the funnel; such callers
-//! must call [`ComboCache::invalidate_table`] themselves.
+//! Invalidation is [`crate::Catalog::write`]'s job: every change to a
+//! registered table — live, replicated or replayed — drops the table's
+//! entries under the guard the change was made under, so recovery starts
+//! from an empty cache. A [`crate::SharedTable`] write guard is for
+//! unregistered values (a query's own result), which are never cached.
 
 use crate::value::Value;
 use pa_obs::{Counter, MetricsRegistry};
@@ -118,8 +117,8 @@ impl ComboCache {
         shared
     }
 
-    /// Drop every cached set for `table`. Called by the catalog's mutation
-    /// funnel before any logged insert/update/replace/drop of the table.
+    /// Drop every cached set for `table`. Called by the catalog's write
+    /// path for every insert/update/replace/drop of the table.
     pub fn invalidate_table(&self, table: &str) {
         let mut entries = self.entries.write();
         let before = entries.len();

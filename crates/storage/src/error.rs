@@ -65,9 +65,11 @@ pub enum StorageError {
     /// the stream could not make progress. Permanent: the subscriber
     /// must re-bootstrap from a live primary.
     Replication(String),
-    /// A serialized partial-aggregate state failed to decode: bad magic,
-    /// unknown version, truncated payload, or CRC mismatch. Permanent:
-    /// the shard must recompute and re-ship its partial.
+    /// Bytes read through the crate's codec ([`crate::partial`]) failed to
+    /// decode — a serialized partial-aggregate state, a WAL record payload
+    /// or a checkpoint image: bad magic, unknown version or tag, truncated
+    /// payload, or CRC mismatch. Permanent: a shard must recompute and
+    /// re-ship its partial; a log or image scan stops at the frame.
     PartialCodec(String),
 }
 
@@ -122,7 +124,7 @@ impl fmt::Display for StorageError {
                 write!(f, "catalog sealed: deposed by a primary at term {term}")
             }
             StorageError::Replication(msg) => write!(f, "replication error: {msg}"),
-            StorageError::PartialCodec(msg) => write!(f, "partial codec error: {msg}"),
+            StorageError::PartialCodec(msg) => write!(f, "codec error: {msg}"),
         }
     }
 }

@@ -18,13 +18,12 @@
 //! evicts least-recently-used entries until it fits. An evicted level is
 //! simply a miss — the planner falls back to a cached ancestor or the scan.
 //!
-//! Invalidation rides the same funnel as the combination catalog
-//! ([`crate::ComboCache`]): every WAL-logged mutation and every DDL
-//! replace/drop of a table drops the table's entries (including entries
-//! keyed by its hidden snapshot aliases) before the mutation is logged,
-//! and recovery starts cold. Direct mutation through a
-//! [`crate::SharedTable`] write guard bypasses the funnel; such callers
-//! must invalidate explicitly.
+//! Invalidation rides with the combination catalog
+//! ([`crate::ComboCache`]): [`crate::Catalog::write`] drops a table's
+//! entries on every change to it, live, replicated or replayed, so
+//! recovery starts cold; entries keyed by a hidden snapshot alias die
+//! when the alias is swept. A [`crate::SharedTable`] write guard is for
+//! unregistered values (a query's own result), which are never cached.
 
 use crate::table::Table;
 use pa_obs::{Counter, MetricsRegistry};
@@ -235,8 +234,8 @@ impl LatticeCache {
             .is_some_and(|e| e.lanes.starts_with(lanes))
     }
 
-    /// Drop every cached level of `table`. Called by the catalog's
-    /// mutation funnel before any logged insert/update/replace/drop.
+    /// Drop every cached level of `table`. Called by the catalog's write
+    /// path for every insert/update/replace/drop of the table.
     pub fn invalidate_table(&self, table: &str) {
         let mut entries = self.entries.write();
         let before = entries.map.len();

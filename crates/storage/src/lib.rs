@@ -36,7 +36,7 @@ pub mod value;
 pub mod wal;
 
 pub use bitmap::Bitmap;
-pub use catalog::{Catalog, RecoveryReport, SharedTable, SnapshotView, SNAP_PREFIX};
+pub use catalog::{Catalog, Change, RecoveryReport, SharedTable, SnapshotView, SNAP_PREFIX};
 pub use checkpoint::{
     scan_checkpoints, CheckpointImage, CheckpointPolicy, CheckpointStore, FileCheckpointStore,
     LogCheckpointStore, MemCheckpointStore,
@@ -62,4 +62,4 @@ pub use schema::{Field, Schema};
 pub use stats::ColumnStats;
 pub use table::Table;
 pub use value::{DataType, Value};
-pub use wal::{scan_log, LogScan, Wal, WalRecord, WalStats};
+pub use wal::{scan_log, LogScan, Rows, Wal, WalRecord, WalStats, WriteReceipt};

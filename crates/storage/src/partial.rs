@@ -10,10 +10,13 @@
 //!
 //! The payload encoding is owned by the engine's accumulators; this module
 //! only provides the frame plus little-endian primitive and [`Value`]
-//! readers/writers shared by every variant.
+//! readers/writers shared by every variant — and by the WAL's record
+//! payloads and the checkpoint image, which use the same tags and layout:
+//! this is the crate's one byte codec.
 
+use crate::bitmap::Bitmap;
 use crate::error::{Result, StorageError};
-use crate::value::Value;
+use crate::value::{DataType, Value};
 
 /// Frame magic: every serialized partial starts with these two bytes.
 pub const PARTIAL_MAGIC: [u8; 2] = *b"PA";
@@ -51,7 +54,7 @@ pub fn frame_into(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
-fn codec_err(msg: impl Into<String>) -> StorageError {
+pub(crate) fn codec_err(msg: impl Into<String>) -> StorageError {
     StorageError::PartialCodec(msg.into())
 }
 
@@ -188,6 +191,33 @@ impl<'a> Cursor<'a> {
             t => Err(codec_err(format!("unknown value tag {t}"))),
         }
     }
+
+    /// Read a [`DataType`] tag (0=Int, 1=Float, 2=Str).
+    pub fn dtype(&mut self) -> Result<DataType> {
+        match self.u8()? {
+            0 => Ok(DataType::Int),
+            1 => Ok(DataType::Float),
+            2 => Ok(DataType::Str),
+            t => Err(codec_err(format!("unknown data type tag {t}"))),
+        }
+    }
+
+    /// Read the validity of `rows` rows: `[1]` (all valid) or `[0]` and
+    /// the packed words (see [`put_validity`]).
+    pub fn validity(&mut self, rows: usize) -> Result<Bitmap> {
+        match self.u8()? {
+            1 => Ok(Bitmap::filled(rows, true)),
+            0 => {
+                let raw = self.take(rows.div_ceil(64).saturating_mul(8))?;
+                let words = raw
+                    .chunks_exact(8)
+                    .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+                    .collect();
+                Bitmap::from_words(words, rows).ok_or_else(|| codec_err("bad validity words"))
+            }
+            t => Err(codec_err(format!("unknown validity tag {t}"))),
+        }
+    }
 }
 
 /// Append a little-endian `u32`.
@@ -231,6 +261,28 @@ pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
         Value::Str(s) => {
             buf.push(3);
             put_string(buf, s);
+        }
+    }
+}
+
+/// Append a [`DataType`] tag (0=Int, 1=Float, 2=Str).
+pub fn put_dtype(buf: &mut Vec<u8>, dtype: DataType) {
+    buf.push(match dtype {
+        DataType::Int => 0,
+        DataType::Float => 1,
+        DataType::Str => 2,
+    });
+}
+
+/// Append a validity bitmap: `[1]` when every row is valid, else `[0]`
+/// and the packed words.
+pub fn put_validity(buf: &mut Vec<u8>, validity: &Bitmap) {
+    if validity.all_set() {
+        buf.push(1);
+    } else {
+        buf.push(0);
+        for w in validity.words() {
+            put_u64(buf, *w);
         }
     }
 }

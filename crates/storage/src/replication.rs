@@ -25,11 +25,11 @@
 //!   term is below *T* ([`StorageError::Replication`]) — a deposed
 //!   primary cannot roll a promoted replica set back (split-brain).
 //!
-//! Replica mutations route through [`Catalog::apply_shipped`], the same
-//! invalidation funnel live writes use: combo caches, packed vectors, and
-//! snapshot versions invalidate on the replica exactly as on the primary,
-//! so a replica read at LSN *L* is byte-identical to a primary snapshot
-//! pinned at *L*.
+//! Replica mutations go through [`Catalog::apply_shipped`] — the body of
+//! [`Catalog::write`] with logging off, the call recovery replay makes too
+//! — so derived caches and snapshot versions move on the replica exactly
+//! as on the primary, and a replica read at LSN *L* is byte-identical to a
+//! primary snapshot pinned at *L*.
 
 use crate::catalog::Catalog;
 use crate::checkpoint::scan_checkpoints;
@@ -476,9 +476,11 @@ impl ReplicationStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::Change;
     use crate::schema::Schema;
     use crate::table::Table;
     use crate::value::{DataType, Value};
+    use crate::wal::Rows;
 
     /// A catalog whose WAL holds one `CreateTable` frame plus one
     /// `BulkInsert` frame per row — enough stream volume for chaos tests.
@@ -488,14 +490,10 @@ mod tests {
             .unwrap()
             .into_shared();
         catalog.create_table("f", Table::empty(schema)).unwrap();
-        let shared = catalog.table("f").unwrap();
         for i in 0..rows {
-            let mut t = shared.write();
-            let start = t.num_rows();
-            t.push_row(&[Value::Int(i as i64 % 7), Value::Float(i as f64)])
-                .unwrap();
+            let row = [vec![Value::Int(i as i64 % 7), Value::Float(i as f64)]];
             catalog
-                .with_wal_mutating("f", |w| w.log_bulk_insert("f", &t, start))
+                .write("f", Change::Append(Rows::Values(&row)))
                 .unwrap();
         }
         catalog
@@ -515,7 +513,7 @@ mod tests {
         assert!(report.caught_up, "{report:?}");
         assert_eq!(rows_of(&primary, "f"), rows_of(&replica, "f"));
         assert_eq!(applier.stats().rejected_corrupt, 0);
-        // Replica invalidation went through the funnel: cache is cold.
+        // Replica apply is the write path: the cache is cold.
         assert!(replica.combo_cache().is_empty());
     }
 

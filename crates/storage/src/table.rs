@@ -278,26 +278,46 @@ impl Table {
 
     /// Append a batch of rows, all-or-nothing: every row is validated
     /// (arity and types) before the first one is pushed, so a bad row in the
-    /// middle cannot leave the table partially extended (the WAL replay
-    /// path relies on this for atomic `BulkInsert` application).
+    /// middle cannot leave the table partially extended.
     pub fn push_rows(&mut self, rows: &[Vec<Value>]) -> Result<()> {
-        for row in rows {
-            self.validate_row(row)?;
-        }
-        // One detach and one statistics reset for the batch, not per row.
-        let cols = self.cols_mut();
-        for row in rows {
-            // Validated above; per-row push can no longer fail.
-            Self::append_row(cols, row)?;
-        }
+        rows.iter().try_for_each(|row| self.validate_row(row))?;
+        self.push_valid_rows(rows);
         Ok(())
     }
 
+    /// Append rows that [`Table::validate_row`] already accepted — the
+    /// catalog's write path validates, logs, then applies, and does not pay
+    /// for the check twice.
+    pub(crate) fn push_valid_rows(&mut self, rows: &[Vec<Value>]) {
+        // One detach and one statistics reset for the batch, not per row.
+        let cols = self.cols_mut();
+        for row in rows {
+            Self::append_row(cols, row).expect("row validated against this table");
+        }
+    }
+
     /// Overwrite `values[i]` into column `cols[i]` of row `row`, atomically:
-    /// row bounds, column bounds and value types are all checked before the
-    /// first write, so a bad cell cannot leave the row half-updated (the
-    /// WAL replay path relies on this for atomic `UpdateRow` application).
+    /// [`Table::check_cells`] runs before the first write, so a bad cell
+    /// cannot leave the row half-updated.
     pub fn set_cells(&mut self, row: usize, cols: &[usize], values: &[Value]) -> Result<()> {
+        self.check_cells(row, cols, values)?;
+        self.set_checked_cells(row, cols, values);
+        Ok(())
+    }
+
+    /// Write cells that [`Table::check_cells`] already accepted (the
+    /// catalog's write path checks, logs, then applies).
+    pub(crate) fn set_checked_cells(&mut self, row: usize, cols: &[usize], values: &[Value]) {
+        for (&col, value) in cols.iter().zip(values) {
+            self.column_mut(col)
+                .set(row, value.clone())
+                .expect("cell checked against this table");
+        }
+    }
+
+    /// Whether [`Table::set_cells`] would accept this update: row bounds,
+    /// column bounds, arity and value types. Mutates nothing.
+    pub fn check_cells(&self, row: usize, cols: &[usize], values: &[Value]) -> Result<()> {
         let n = self.num_rows();
         if row >= n {
             return Err(StorageError::RowOutOfBounds { index: row, len: n });
@@ -316,9 +336,6 @@ impl Table {
                 )));
             }
             Self::value_fits(&self.columns[col], value)?;
-        }
-        for (&col, value) in cols.iter().zip(values) {
-            self.column_mut(col).set(row, value.clone())?;
         }
         Ok(())
     }
@@ -352,14 +369,21 @@ impl Table {
         })
     }
 
-    /// Bulk-append all rows of `other` (schemas must be equal).
-    pub fn extend_from(&mut self, other: &Table) -> Result<()> {
+    /// Whether [`Table::extend_from`] would accept `other`: the schemas
+    /// must be equal. Mutates nothing.
+    pub fn check_extend(&self, other: &Table) -> Result<()> {
         if self.schema.as_ref() != other.schema.as_ref() {
             return Err(StorageError::InvalidSchema(format!(
                 "append schema {} does not match {}",
                 other.schema, self.schema
             )));
         }
+        Ok(())
+    }
+
+    /// Bulk-append all rows of `other` (schemas must be equal).
+    pub fn extend_from(&mut self, other: &Table) -> Result<()> {
+        self.check_extend(other)?;
         for (dst, src) in self.cols_mut().iter_mut().zip(other.columns.iter()) {
             dst.extend_from(src)?;
         }

@@ -25,14 +25,21 @@
 //! (recycled FIFO on frame boundaries, like a fixed set of log files), or a
 //! real file via [`crate::log::FileLogStore`]. Total bytes and record
 //! counts are tracked so benches and tests can assert on the work performed.
+//!
+//! Records are appended by one caller only: the `log_*` encoders are
+//! crate-private and [`crate::Catalog::write`] is the function that calls
+//! them, each time before it applies the change the record describes.
 
 use crate::column::Column;
 use crate::error::{Result, StorageError};
 use crate::log::{LogStore, MemLogStore};
+use crate::partial::{
+    codec_err, put_dtype, put_f64, put_i64, put_string, put_u32, put_u64, put_value, Cursor,
+};
 use crate::retry::RetryPolicy;
 use crate::schema::{Field, Schema};
 use crate::table::Table;
-use crate::value::{DataType, Value};
+use crate::value::Value;
 use pa_obs::{Counter, MetricsRegistry};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -118,6 +125,48 @@ pub struct WalStats {
     pub retries: u64,
 }
 
+/// What one write put in the log — per call, so a caller never has to
+/// difference [`WalStats`] snapshots that other writers move too.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WriteReceipt {
+    /// LSN of the last record the write appended (0: nothing was logged).
+    pub lsn: u64,
+    /// Records appended.
+    pub records: u64,
+    /// Frame bytes appended (header + payload).
+    pub bytes: u64,
+    /// Rows the written table holds afterwards (0 for a drop or a term).
+    pub rows: u64,
+}
+
+impl std::ops::AddAssign for WriteReceipt {
+    fn add_assign(&mut self, later: WriteReceipt) {
+        self.lsn = self.lsn.max(later.lsn);
+        self.records += later.records;
+        self.bytes += later.bytes;
+    }
+}
+
+/// The rows of an append, in whichever form the caller already holds.
+#[derive(Debug, Clone, Copy)]
+pub enum Rows<'a> {
+    /// Row-major values: `append_rows`, a shipped or replayed `BulkInsert`.
+    Values(&'a [Vec<Value>]),
+    /// An already columnar source — `INSERT .. SELECT`, the rows a table
+    /// is created with. Logged cell by cell off the columns; nothing
+    /// converts it to values first.
+    Table(&'a Table),
+}
+
+impl Rows<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Rows::Values(rows) => rows.len(),
+            Rows::Table(t) => t.num_rows(),
+        }
+    }
+}
+
 // ---- CRC32 (IEEE 802.3, reflected) ---------------------------------------
 
 /// Slicing-by-8 tables: `TABLES[t][b]` is the CRC contribution of byte `b`
@@ -183,37 +232,6 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 // ---- payload codec -------------------------------------------------------
 
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_value(buf: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => buf.push(0),
-        Value::Int(i) => {
-            buf.push(1);
-            buf.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Float(f) => {
-            buf.push(2);
-            buf.extend_from_slice(&f.to_le_bytes());
-        }
-        Value::Str(s) => {
-            buf.push(3);
-            put_str(buf, s);
-        }
-    }
-}
-
 /// `put_value(buf, &col.get(row))` without materializing the [`Value`]
 /// (for a string cell: without the refcount round trip on its `Arc`).
 fn put_cell(buf: &mut Vec<u8>, col: &Column, row: usize) {
@@ -223,100 +241,16 @@ fn put_cell(buf: &mut Vec<u8>, col: &Column, row: usize) {
     match col {
         Column::Int { data, .. } => {
             buf.push(1);
-            buf.extend_from_slice(&data[row].to_le_bytes());
+            put_i64(buf, data[row]);
         }
         Column::Float { data, .. } => {
             buf.push(2);
-            buf.extend_from_slice(&data[row].to_le_bytes());
+            put_f64(buf, data[row]);
         }
         Column::Str { dict, codes, .. } => {
             buf.push(3);
-            put_str(buf, dict.resolve(codes[row]));
+            put_string(buf, dict.resolve(codes[row]));
         }
-    }
-}
-
-fn dtype_tag(d: DataType) -> u8 {
-    match d {
-        DataType::Int => 0,
-        DataType::Float => 1,
-        DataType::Str => 2,
-    }
-}
-
-/// Byte reader over a payload; decode errors carry a human-readable cause.
-struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-type Decoded<T> = std::result::Result<T, String>;
-
-impl<'a> Cursor<'a> {
-    fn new(data: &'a [u8]) -> Cursor<'a> {
-        Cursor { data, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Decoded<&'a [u8]> {
-        if self.pos + n > self.data.len() {
-            return Err(format!(
-                "payload short: wanted {n} bytes at {}, have {}",
-                self.pos,
-                self.data.len() - self.pos
-            ));
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Decoded<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Decoded<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Decoded<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Decoded<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Decoded<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Decoded<String> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "invalid UTF-8 in string".to_string())
-    }
-
-    fn value(&mut self) -> Decoded<Value> {
-        match self.u8()? {
-            0 => Ok(Value::Null),
-            1 => Ok(Value::Int(self.i64()?)),
-            2 => Ok(Value::Float(self.f64()?)),
-            3 => Ok(Value::str(self.str()?)),
-            t => Err(format!("unknown value tag {t}")),
-        }
-    }
-
-    fn dtype(&mut self) -> Decoded<DataType> {
-        match self.u8()? {
-            0 => Ok(DataType::Int),
-            1 => Ok(DataType::Float),
-            2 => Ok(DataType::Str),
-            t => Err(format!("unknown data type tag {t}")),
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.data.len()
     }
 }
 
@@ -382,26 +316,27 @@ impl WalRecord {
     }
 }
 
-fn decode_payload(payload: &[u8]) -> Decoded<(u64, WalRecord)> {
+fn decode_payload(payload: &[u8]) -> Result<(u64, WalRecord)> {
     let mut c = Cursor::new(payload);
     let version = c.u8()?;
     if version != FORMAT_VERSION {
-        return Err(format!("unsupported format version {version}"));
+        return Err(codec_err(format!("unsupported format version {version}")));
     }
     let kind = c.u8()?;
-    let kind = RecordKind::from_u8(kind).ok_or_else(|| format!("unknown record kind {kind}"))?;
+    let kind = RecordKind::from_u8(kind)
+        .ok_or_else(|| codec_err(format!("unknown record kind {kind}")))?;
     let lsn = c.u64()?;
-    let name = c.str()?;
+    let name = c.string()?;
     let record = match kind {
         RecordKind::CreateTable => {
             let ncols = c.u32()? as usize;
             let mut fields = Vec::with_capacity(ncols);
             for _ in 0..ncols {
-                let fname = c.str()?;
+                let fname = c.string()?;
                 let dtype = c.dtype()?;
                 fields.push(Field::new(fname, dtype));
             }
-            let schema = Schema::new(fields).map_err(|e| format!("bad schema: {e}"))?;
+            let schema = Schema::new(fields).map_err(|e| codec_err(format!("bad schema: {e}")))?;
             WalRecord::CreateTable { name, schema }
         }
         RecordKind::DropTable => WalRecord::DropTable { name },
@@ -412,7 +347,9 @@ fn decode_payload(payload: &[u8]) -> Decoded<(u64, WalRecord)> {
                 .checked_mul(ncols)
                 .is_none_or(|cells| cells > payload.len())
             {
-                return Err(format!("implausible bulk insert: {nrows} x {ncols} cells"));
+                return Err(codec_err(format!(
+                    "implausible bulk insert: {nrows} x {ncols} cells"
+                )));
             }
             let mut rows = Vec::with_capacity(nrows);
             for _ in 0..nrows {
@@ -428,7 +365,7 @@ fn decode_payload(payload: &[u8]) -> Decoded<(u64, WalRecord)> {
             let row = c.u64()?;
             let ncols = c.u32()? as usize;
             if ncols > payload.len() {
-                return Err(format!("implausible update arity {ncols}"));
+                return Err(codec_err(format!("implausible update arity {ncols}")));
             }
             let mut cols = Vec::with_capacity(ncols);
             let mut before = Vec::with_capacity(ncols);
@@ -448,12 +385,7 @@ fn decode_payload(payload: &[u8]) -> Decoded<(u64, WalRecord)> {
         }
         RecordKind::TermBump => WalRecord::TermBump { term: c.u64()? },
     };
-    if !c.done() {
-        return Err(format!(
-            "trailing garbage: {} bytes past record end",
-            payload.len() - c.pos
-        ));
-    }
+    c.finish()?;
     Ok((lsn, record))
 }
 
@@ -738,7 +670,7 @@ impl Wal {
     /// [`MAX_FRAME_LEN`] are refused at write time — `scan_log` would treat
     /// such a frame as corruption and truncate it plus everything after it,
     /// so letting one through would poison the log tail.
-    fn append_payload(&mut self, mut payload: Vec<u8>) -> Result<()> {
+    fn append_payload(&mut self, mut payload: Vec<u8>) -> Result<WriteReceipt> {
         if payload.len() > MAX_FRAME_LEN as usize {
             self.stats.write_errors += 1;
             if let Some(m) = &self.metrics {
@@ -806,7 +738,12 @@ impl Wal {
             }
         }
         self.recycle()?;
-        Ok(())
+        Ok(WriteReceipt {
+            lsn,
+            records: 1,
+            bytes: frame.len() as u64,
+            rows: 0,
+        })
     }
 
     /// Recycle: drop oldest whole frames once retained bytes exceed
@@ -859,55 +796,74 @@ impl Wal {
         payload.push(FORMAT_VERSION);
         payload.push(kind as u8);
         put_u64(&mut payload, 0); // LSN placeholder, stamped at append time
-        put_str(&mut payload, name);
+        put_string(&mut payload, name);
         payload
     }
 
     /// Log a table creation, capturing the schema for replay.
-    pub fn log_create_table(&mut self, name: &str, schema: &Schema) -> Result<()> {
+    pub(crate) fn log_create_table(&mut self, name: &str, schema: &Schema) -> Result<WriteReceipt> {
         if !self.enabled {
-            return Ok(());
+            return Ok(WriteReceipt::default());
         }
         let mut payload = Self::payload_header(RecordKind::CreateTable, name);
         put_u32(&mut payload, schema.len() as u32);
         for field in schema.fields() {
-            put_str(&mut payload, &field.name);
-            payload.push(dtype_tag(field.dtype));
+            put_string(&mut payload, &field.name);
+            put_dtype(&mut payload, field.dtype);
         }
         self.append_payload(payload)
     }
 
     /// Log a table drop.
-    pub fn log_drop_table(&mut self, name: &str) -> Result<()> {
+    pub(crate) fn log_drop_table(&mut self, name: &str) -> Result<WriteReceipt> {
         if !self.enabled {
-            return Ok(());
+            return Ok(WriteReceipt::default());
         }
         let payload = Self::payload_header(RecordKind::DropTable, name);
         self.append_payload(payload)
     }
 
-    /// Log a batch of rows `start_row..` newly appended to `table`.
-    /// One record header, whole-batch payload (the cheap bulk path).
-    pub fn log_bulk_insert(&mut self, name: &str, table: &Table, start_row: usize) -> Result<()> {
+    /// Log a batch of `rows` bound for `target`: one record header, the
+    /// whole batch as its payload (the cheap bulk path). `rows` must
+    /// already be validated against `target`; each cell is written as the
+    /// value `target`'s column will hold, so an `Int` bound for a `Float`
+    /// column is logged as the float it widens to and both sources of the
+    /// same rows encode the same bytes.
+    pub(crate) fn log_bulk_insert(
+        &mut self,
+        name: &str,
+        rows: Rows<'_>,
+        target: &Table,
+    ) -> Result<WriteReceipt> {
         if !self.enabled {
-            return Ok(());
+            return Ok(WriteReceipt::default());
         }
-        let n = table.num_rows();
-        if start_row > n {
-            return Err(StorageError::Wal(format!(
-                "bulk insert start {start_row} past table end {n}"
-            )));
-        }
-        let ncols = table.num_columns();
+        let (n, ncols) = (rows.len(), target.num_columns());
         let mut payload = Self::payload_header(RecordKind::BulkInsert, name);
         // Tag + 8 bytes is every numeric cell and most dictionary strings:
         // one allocation for the usual batch instead of a doubling series.
-        payload.reserve(FRAME_HEADER + 12 + (n - start_row) * ncols * 9);
-        put_u64(&mut payload, (n - start_row) as u64);
+        payload.reserve(FRAME_HEADER + 12 + n * ncols * 9);
+        put_u64(&mut payload, n as u64);
         put_u32(&mut payload, ncols as u32);
-        for row in start_row..n {
-            for col in table.columns() {
-                put_cell(&mut payload, col, row);
+        match rows {
+            Rows::Table(source) => {
+                for row in 0..n {
+                    for col in source.columns() {
+                        put_cell(&mut payload, col, row);
+                    }
+                }
+            }
+            Rows::Values(rows) => {
+                for row in rows {
+                    for (col, value) in target.columns().iter().zip(row) {
+                        match (col, value) {
+                            (Column::Float { .. }, Value::Int(i)) => {
+                                put_value(&mut payload, &Value::Float(*i as f64))
+                            }
+                            _ => put_value(&mut payload, value),
+                        }
+                    }
+                }
             }
         }
         self.append_payload(payload)
@@ -916,16 +872,16 @@ impl Wal {
     /// Log one in-place row update with before and after images of the
     /// touched columns (the expensive per-row path). `cols`, `before` and
     /// `after` must be parallel: `after[i]` replaces column `cols[i]`.
-    pub fn log_update(
+    pub(crate) fn log_update(
         &mut self,
         name: &str,
         row: usize,
         cols: &[usize],
         before: &[Value],
         after: &[Value],
-    ) -> Result<()> {
+    ) -> Result<WriteReceipt> {
         if !self.enabled {
-            return Ok(());
+            return Ok(WriteReceipt::default());
         }
         if cols.len() != before.len() || cols.len() != after.len() {
             return Err(StorageError::Wal(format!(
@@ -948,9 +904,9 @@ impl Wal {
 
     /// Log a replication-term raise (promotion fencing; see
     /// [`WalRecord::TermBump`]).
-    pub fn log_term_bump(&mut self, term: u64) -> Result<()> {
+    pub(crate) fn log_term_bump(&mut self, term: u64) -> Result<WriteReceipt> {
         if !self.enabled {
-            return Ok(());
+            return Ok(WriteReceipt::default());
         }
         let mut payload = Self::payload_header(RecordKind::TermBump, "");
         put_u64(&mut payload, term);
@@ -1020,6 +976,10 @@ mod tests {
     use crate::schema::Schema;
     use crate::value::DataType;
 
+    fn log_table(wal: &mut Wal, name: &str, t: &Table) -> Result<WriteReceipt> {
+        wal.log_bulk_insert(name, Rows::Table(t), t)
+    }
+
     fn small_table(rows: usize) -> Table {
         let schema = Schema::from_pairs(&[("d", DataType::Int), ("a", DataType::Float)])
             .unwrap()
@@ -1036,7 +996,7 @@ mod tests {
     fn bulk_insert_is_one_record() {
         let mut wal = Wal::default();
         let t = small_table(100);
-        wal.log_bulk_insert("t", &t, 0).unwrap();
+        log_table(&mut wal, "t", &t).unwrap();
         assert_eq!(wal.stats().records, 1);
         assert!(wal.stats().bytes_written > 100 * 8);
     }
@@ -1057,7 +1017,7 @@ mod tests {
             ..RetryPolicy::seeded(1)
         });
         wal.attach_metrics(&reg);
-        wal.log_bulk_insert("t", &small_table(5), 0).unwrap();
+        log_table(&mut wal, "t", &small_table(5)).unwrap();
         wal.log_update("t", 0, &[0], &[Value::Int(0)], &[Value::Int(9)])
             .unwrap();
         let stats = wal.stats();
@@ -1089,7 +1049,7 @@ mod tests {
     fn per_row_updates_cost_more_bytes_than_bulk_for_same_rows() {
         let t = small_table(1000);
         let mut bulk = Wal::default();
-        bulk.log_bulk_insert("t", &t, 0).unwrap();
+        log_table(&mut bulk, "t", &t).unwrap();
 
         let mut upd = Wal::default();
         for row in 0..1000 {
@@ -1120,7 +1080,7 @@ mod tests {
             max_delay: std::time::Duration::ZERO,
             ..RetryPolicy::seeded(1)
         });
-        wal.log_bulk_insert("t", &small_table(5), 0).unwrap();
+        log_table(&mut wal, "t", &small_table(5)).unwrap();
         let stats = wal.stats();
         assert_eq!(stats.records, 1, "the append eventually landed");
         assert_eq!(stats.write_errors, 0, "the hiccup never surfaced");
@@ -1136,7 +1096,7 @@ mod tests {
         };
         let store = FaultInjector::new(MemLogStore::new(), plan);
         let mut wal = Wal::with_store(Box::new(store), DEFAULT_CAPACITY);
-        let err = wal.log_bulk_insert("t", &small_table(5), 0).unwrap_err();
+        let err = log_table(&mut wal, "t", &small_table(5)).unwrap_err();
         assert!(
             matches!(err, StorageError::Io(_)) && !err.is_transient(),
             "permanent corruption keeps its typed error: {err}"
@@ -1162,7 +1122,7 @@ mod tests {
     fn disabled_wal_counts_nothing() {
         let mut wal = Wal::disabled();
         let t = small_table(10);
-        wal.log_bulk_insert("t", &t, 0).unwrap();
+        log_table(&mut wal, "t", &t).unwrap();
         wal.log_update("t", 0, &[0], &[Value::Int(1)], &[Value::Int(2)])
             .unwrap();
         assert_eq!(wal.stats(), WalStats::default());
@@ -1185,14 +1145,37 @@ mod tests {
     }
 
     #[test]
-    fn bulk_insert_start_row_validated() {
-        let mut wal = Wal::default();
-        let t = small_table(5);
-        assert!(wal.log_bulk_insert("t", &t, 6).is_err());
-        assert!(
-            wal.log_bulk_insert("t", &t, 5).is_ok(),
-            "empty tail batch ok"
+    fn values_and_columns_of_the_same_rows_log_the_same_bytes() {
+        // NULLs, a dictionary string, and an Int bound for the Float
+        // column: logged as the float the column will hold.
+        let schema = Schema::from_pairs(&[("s", DataType::Str), ("a", DataType::Float)])
+            .unwrap()
+            .into_shared();
+        let rows = [
+            vec![Value::str("CA"), Value::Int(3)],
+            vec![Value::Null, Value::Float(0.5)],
+            vec![Value::str("höuston"), Value::Null],
+        ];
+        let target = Table::empty(schema.clone());
+        let mut columnar = Table::empty(schema);
+        columnar.push_rows(&rows).unwrap();
+
+        let (mut by_value, mut by_column) = (Wal::default(), Wal::default());
+        let receipt = by_value
+            .log_bulk_insert("t", Rows::Values(&rows), &target)
+            .unwrap();
+        log_table(&mut by_column, "t", &columnar).unwrap();
+        let bytes = by_value.snapshot().unwrap();
+        assert_eq!(bytes, by_column.snapshot().unwrap());
+        assert_eq!(
+            (receipt.lsn, receipt.records, receipt.bytes),
+            (1, 1, bytes.len() as u64),
+            "the receipt is what this append put in the log"
         );
+        match &scan_log(&bytes).records[0] {
+            WalRecord::BulkInsert { rows, .. } => assert_eq!(rows[0][1], Value::Float(3.0)),
+            other => panic!("expected BulkInsert, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1200,7 +1183,7 @@ mod tests {
         let mut wal = Wal::default();
         let t = small_table(3);
         wal.log_create_table("t", t.schema()).unwrap();
-        wal.log_bulk_insert("t", &t, 0).unwrap();
+        log_table(&mut wal, "t", &t).unwrap();
         wal.log_update(
             "t",
             1,
@@ -1291,7 +1274,7 @@ mod tests {
         let t = small_table(16);
         let mut last_bytes = 0;
         for i in 0..100 {
-            wal.log_bulk_insert("t", &t, 0).unwrap();
+            log_table(&mut wal, "t", &t).unwrap();
             let stats = wal.stats();
             assert_eq!(stats.records, i + 1, "records stay monotonic");
             assert!(stats.bytes_written > last_bytes, "bytes stay monotonic");
@@ -1313,7 +1296,7 @@ mod tests {
     fn oversized_single_frame_is_never_dropped() {
         let mut wal = Wal::new(64); // capacity smaller than one frame
         let t = small_table(32);
-        wal.log_bulk_insert("t", &t, 0).unwrap();
+        log_table(&mut wal, "t", &t).unwrap();
         let scan = scan_log(&wal.snapshot().unwrap());
         assert_eq!(scan.records.len(), 1, "newest frame survives recycling");
     }
@@ -1413,7 +1396,7 @@ mod tests {
         let mut wal = Wal::default();
         let t = small_table(2);
         wal.log_create_table("t", t.schema()).unwrap();
-        wal.log_bulk_insert("t", &t, 0).unwrap();
+        log_table(&mut wal, "t", &t).unwrap();
         wal.log_drop_table("t").unwrap();
         assert_eq!(wal.next_lsn(), 4, "three records consumed LSNs 1..=3");
 

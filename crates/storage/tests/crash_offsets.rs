@@ -16,8 +16,8 @@ use std::sync::{Arc, Mutex};
 
 use pa_storage::log::MemLogStore;
 use pa_storage::{
-    scan_checkpoints, scan_log, Catalog, CheckpointPolicy, CheckpointStore, DataType,
-    MemCheckpointStore, Result, Schema, Table, Value,
+    scan_checkpoints, scan_log, Catalog, Change, CheckpointPolicy, CheckpointStore, DataType,
+    MemCheckpointStore, Result, Rows, Schema, Table, Value,
 };
 
 /// Checkpoint slot that hands the test a live view of the retained image.
@@ -112,9 +112,8 @@ fn build(name: &str, rows: usize, salt: i64) -> Table {
     }
 }
 
-/// Apply one op through the catalog's logging write paths, then give the
-/// checkpoint policy its chance (outside any table guard, like the engine's
-/// write operators do).
+/// Apply one op through the catalog's write path, which also gives the
+/// checkpoint policy its chance once the op's guard is released.
 fn apply(catalog: &Catalog, op: Op, idx: usize) {
     let salt = idx as i64 + 1;
     match op {
@@ -123,34 +122,23 @@ fn apply(catalog: &Catalog, op: Op, idx: usize) {
         }
         Op::Insert(name, rows) => {
             let add = build(name, rows, salt);
-            let shared = catalog.table(name).unwrap();
-            let mut t = shared.write();
-            let start = t.num_rows();
-            t.extend_from(&add).unwrap();
             catalog
-                .with_wal_mutating(name, |w| w.log_bulk_insert(name, &t, start))
+                .write(name, Change::Append(Rows::Table(&add)))
                 .unwrap();
         }
         Op::Update(name, row) => {
-            let shared = catalog.table(name).unwrap();
-            let mut t = shared.write();
-            let row = row % t.num_rows();
-            let before = vec![t.column(1).get(row)];
-            let after = vec![if name == "g" {
+            let row = row % catalog.table(name).unwrap().read().num_rows();
+            let after = [if name == "g" {
                 Value::Int(salt * 7)
             } else {
                 Value::Float(salt as f64 * 7.5)
             }];
-            t.column_mut(1).set(row, after[0].clone()).unwrap();
-            catalog
-                .with_wal_mutating(name, |w| w.log_update(name, row, &[1], &before, &after))
-                .unwrap();
+            catalog.update_cells(name, row, &[1], &after).unwrap();
         }
         Op::Drop(name) => {
             catalog.drop_table(name).unwrap();
         }
     }
-    catalog.maybe_checkpoint();
 }
 
 // ---- oracles --------------------------------------------------------------

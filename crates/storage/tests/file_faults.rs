@@ -6,9 +6,9 @@
 //! exercised against real files — the paths production would hit.
 
 use pa_storage::{
-    scan_checkpoints, Catalog, CheckpointPolicy, CheckpointStore, FaultInjector, FaultPlan,
-    FileCheckpointStore, FileLogStore, LogCheckpointStore, LogStore, MemCheckpointStore, Schema,
-    StorageError, Table, Value,
+    scan_checkpoints, Catalog, Change, CheckpointPolicy, CheckpointStore, FaultInjector, FaultPlan,
+    FileCheckpointStore, FileLogStore, LogCheckpointStore, LogStore, MemCheckpointStore, Rows,
+    Schema, StorageError, Table, Value,
 };
 use std::path::PathBuf;
 
@@ -28,14 +28,10 @@ fn seeded_catalog_on(store: Box<dyn LogStore>, rows: usize) -> Catalog {
     .unwrap()
     .into_shared();
     catalog.create_table("f", Table::empty(schema)).unwrap();
-    let shared = catalog.table("f").unwrap();
     for i in 0..rows {
-        let mut t = shared.write();
-        let start = t.num_rows();
-        t.push_row(&[Value::Int(i as i64 % 5), Value::Float(i as f64)])
-            .unwrap();
+        let row = [vec![Value::Int(i as i64 % 5), Value::Float(i as f64)]];
         catalog
-            .with_wal_mutating("f", |w| w.log_bulk_insert("f", &t, start))
+            .write("f", Change::Append(Rows::Values(&row)))
             .unwrap();
     }
     catalog
@@ -60,15 +56,12 @@ fn torn_file_write_recovers_the_persisted_prefix() {
             .unwrap()
             .into_shared();
         if catalog.create_table("f", Table::empty(schema)).is_ok() {
-            let shared = catalog.table("f").unwrap();
             for i in 0..200i64 {
-                let mut t = shared.write();
-                let start = t.num_rows();
-                if t.push_row(&[Value::Int(i)]).is_err() {
-                    break;
-                }
-                let logged = catalog.with_wal_mutating("f", |w| w.log_bulk_insert("f", &t, start));
-                if logged.is_err() {
+                let row = [vec![Value::Int(i)]];
+                if catalog
+                    .write("f", Change::Append(Rows::Values(&row)))
+                    .is_err()
+                {
                     break; // the device died at the cut, as planned
                 }
             }

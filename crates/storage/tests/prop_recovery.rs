@@ -7,6 +7,11 @@
 //! structurally sound (column lengths, validity bitmaps, dictionary codes),
 //! and ready to keep logging.
 //!
+//! A third property is the four-way oracle: with the log device refusing
+//! seeded writes mid-workload, the live catalog, a recovery from the log
+//! alone, a recovery from an image plus the log's suffix, and a replica
+//! synced over [`DirectTransport`] must all hold the same rows.
+//!
 //! Failures print the deriving seed and a one-line repro command
 //! (`PA_PROPTEST_SEED=<seed> cargo test <name>`); fault-injector errors
 //! additionally carry their own `[fault seed N]` tag.
@@ -14,9 +19,13 @@
 use pa_storage::log::MemLogStore;
 use pa_storage::wal::scan_log;
 use pa_storage::{
-    Catalog, DataType, FaultInjector, FaultPlan, Schema, StorageError, Table, Value, Wal,
+    Catalog, Change, CheckpointPolicy, DataType, DirectTransport, FaultInjector, FaultPlan,
+    LogStore, MemCheckpointStore, ReplicaApplier, ReplicationStream, RetryPolicy, Rows, Schema,
+    StorageError, Table, Value, Wal,
 };
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// One step of the random workload. `slot` picks a table (fixed schema per
 /// slot so generated values always type-check), the payload fields seed the
@@ -79,64 +88,96 @@ fn slot_row(slot: u8, i: i64, a: i64, b: i64) -> Vec<Value> {
     }
 }
 
-/// Apply one op through the catalog's logging write paths. Returns Err when
-/// the log device refused a record (the simulated crash point).
+/// Apply one op through the catalog's write path. Returns Err when the log
+/// device refused a record (the simulated crash point).
 fn apply_op(catalog: &Catalog, op: &Op) -> Result<(), StorageError> {
+    let name = match *op {
+        Op::Create { slot, .. }
+        | Op::Insert { slot, .. }
+        | Op::Update { slot, .. }
+        | Op::Drop { slot } => slot_name(slot),
+    };
+    let rows_now = catalog.table(&name).map(|t| t.read().num_rows());
     match *op {
         Op::Create { slot, rows, a, b } => {
             let mut t = Table::empty(slot_schema(slot).into_shared());
             for i in 0..rows as i64 {
                 t.push_row(&slot_row(slot, i, a, b)).unwrap();
             }
-            catalog.create_or_replace_table(slot_name(slot), t);
+            let refused = catalog.wal_stats().write_errors;
+            catalog.create_or_replace_table(name, t);
             // DDL swallows device errors (counted in write_errors); surface
             // them here so the workload stops at the crash like DML does.
-            if catalog.wal_stats().write_errors > 0 {
+            if catalog.wal_stats().write_errors > refused {
                 return Err(StorageError::Io("device refused DDL record".into()));
             }
             Ok(())
         }
         Op::Insert { slot, rows, a, b } => {
-            let Ok(shared) = catalog.table(&slot_name(slot)) else {
+            let Ok(start) = rows_now else {
                 return Ok(()); // no such table yet; op is a no-op
             };
-            let mut t = shared.write();
-            let start = t.num_rows();
-            for i in 0..rows as i64 {
-                t.push_row(&slot_row(slot, start as i64 + i, a, b)).unwrap();
-            }
-            catalog.with_wal(|w| w.log_bulk_insert(&slot_name(slot), &t, start))
+            let batch: Vec<Vec<Value>> = (0..rows as i64)
+                .map(|i| slot_row(slot, start as i64 + i, a, b))
+                .collect();
+            catalog
+                .write(&name, Change::Append(Rows::Values(&batch)))
+                .map(drop)
         }
         Op::Update { slot, row, a, b } => {
-            let Ok(shared) = catalog.table(&slot_name(slot)) else {
+            let Ok(n @ 1..) = rows_now else {
                 return Ok(());
             };
-            let mut t = shared.write();
-            if t.num_rows() == 0 {
-                return Ok(());
-            }
-            let row = row as usize % t.num_rows();
-            let full_before = t.row(row).unwrap();
             let full_after = slot_row(slot, a ^ b, b, a);
-            // Alternate between full-row updates and single-column updates,
-            // mirroring the engine's SET-clause write path, which logs only
-            // the touched columns.
+            // Alternate between full-row updates and single-column updates:
+            // the write path logs only the touched columns.
             let cols: Vec<usize> = if b % 2 == 0 {
                 (0..full_after.len()).collect()
             } else {
                 vec![a.rem_euclid(full_after.len() as i64) as usize]
             };
-            let before: Vec<Value> = cols.iter().map(|&c| full_before[c].clone()).collect();
             let after: Vec<Value> = cols.iter().map(|&c| full_after[c].clone()).collect();
-            for (&c, v) in cols.iter().zip(&after) {
-                t.column_mut(c).set(row, v.clone()).unwrap();
-            }
-            catalog.with_wal(|w| w.log_update(&slot_name(slot), row, &cols, &before, &after))
+            catalog
+                .update_cells(&name, row as usize % n, &cols, &after)
+                .map(drop)
         }
-        Op::Drop { slot } => {
-            let _ = catalog.drop_table(&slot_name(slot));
+        Op::Drop { .. } => {
+            let _ = catalog.drop_table(&name);
             Ok(())
         }
+    }
+}
+
+/// An in-memory log device that refuses — once, transiently — the next
+/// append after the test arms it.
+#[derive(Debug)]
+struct FlakyLog {
+    inner: MemLogStore,
+    armed: Arc<AtomicBool>,
+}
+
+impl LogStore for FlakyLog {
+    fn append(&mut self, data: &[u8]) -> Result<usize, StorageError> {
+        if self.armed.swap(false, Ordering::Relaxed) {
+            return Err(StorageError::TransientIo("injected append refusal".into()));
+        }
+        self.inner.append(data)
+    }
+
+    fn read_all(&mut self) -> Result<Vec<u8>, StorageError> {
+        self.inner.read_all()
+    }
+
+    fn len(&self) -> Result<u64, StorageError> {
+        self.inner.len()
+    }
+
+    fn truncate(&mut self, len: u64) -> Result<(), StorageError> {
+        self.inner.truncate(len)
+    }
+
+    fn discard_front(&mut self, n: u64) -> Result<(), StorageError> {
+        self.inner.discard_front(n)
     }
 }
 
@@ -196,7 +237,7 @@ proptest! {
 
         // The recovered WAL keeps working: one more record, still clean.
         recovered
-            .with_wal(|w| w.log_create_table("post", &slot_schema(0)))
+            .create_table("post", Table::empty(slot_schema(0).into_shared()))
             .unwrap();
         let again = recovered.with_wal(|w| w.snapshot()).unwrap();
         let rescan = scan_log(&again);
@@ -247,5 +288,85 @@ proptest! {
             prop_assert!(report.corruption.is_none());
             prop_assert_eq!(state_of(&recovered), state_of(&catalog));
         }
+    }
+
+    /// The four-way oracle. A third of the data writes meet a log device
+    /// that refuses their record (DDL is not failed by a sick device, by
+    /// contract — the torn-write property above covers it): each such
+    /// write must return the error and leave the table as it was, and at
+    /// the end the live catalog, a recovery from the log alone, a recovery
+    /// from a mid-workload image plus the log's suffix, and a replica
+    /// synced over a direct transport must agree row for row.
+    #[test]
+    fn live_log_image_and_replica_agree_under_refused_appends(
+        ops in prop::collection::vec(op_strategy(), 1..40),
+        seed in 0u64..1 << 48,
+    ) {
+        let armed = Arc::new(AtomicBool::new(false));
+        let device = FlakyLog { inner: MemLogStore::new(), armed: Arc::clone(&armed) };
+        let mut wal = Wal::with_store(Box::new(device), 1 << 20);
+        wal.set_retry_policy(RetryPolicy::none());
+        let live = Catalog::from_wal(wal);
+
+        let mut image = Vec::new();
+        let mut refused = 0;
+        for (i, op) in ops.iter().enumerate() {
+            let data_write = matches!(op, Op::Insert { .. } | Op::Update { .. });
+            // Fewer than 40 ops, 48 seed bits: op i rolls on the bits from i up.
+            let arm = data_write && (seed >> i).is_multiple_of(3);
+            armed.store(arm, Ordering::Relaxed);
+            let before = state_of(&live);
+            let outcome = apply_op(&live, op);
+            // Still armed: the op reached no append (no such table, no rows).
+            let fired = arm && !armed.swap(false, Ordering::Relaxed);
+            prop_assert_eq!(outcome.is_err(), fired, "[seed {}] op {} {:?}", seed, i, op);
+            if fired {
+                refused += 1;
+                prop_assert_eq!(
+                    state_of(&live), before,
+                    "[seed {}] op {} {:?}: a refused write stayed visible", seed, i, op
+                );
+            }
+            if i == ops.len() / 2 {
+                // An image without compaction: the full log stays shippable.
+                image = live.export_image().unwrap().0;
+            }
+        }
+        prop_assert_eq!(live.wal_stats().write_errors, refused, "[seed {}]", seed);
+        live.check_integrity().unwrap();
+        let expected = state_of(&live);
+        let log = live.with_wal(|w| w.snapshot()).unwrap();
+
+        let (from_log, report) =
+            Catalog::recover(Box::new(MemLogStore::from_bytes(log.clone()))).unwrap();
+        prop_assert!(report.is_clean(), "[seed {}] {:?}", seed, report);
+        from_log.check_integrity().unwrap();
+        prop_assert_eq!(state_of(&from_log), expected.clone(), "[seed {}] log alone", seed);
+
+        let (from_image, report) = Catalog::recover_with_checkpoint(
+            Box::new(MemLogStore::from_bytes(log)),
+            Box::new(MemCheckpointStore::from_bytes(image)),
+            1 << 20,
+            CheckpointPolicy::disabled(),
+        )
+        .unwrap();
+        prop_assert!(report.is_clean(), "[seed {}] {:?}", seed, report);
+        prop_assert!(report.checkpoint_error.is_none(), "[seed {}] {:?}", seed, report);
+        prop_assert!(report.checkpoint_lsn >= 1, "[seed {}] {:?}", seed, report);
+        from_image.check_integrity().unwrap();
+        prop_assert_eq!(
+            state_of(&from_image), expected.clone(),
+            "[seed {}] image + suffix", seed
+        );
+
+        let replica = Catalog::new();
+        let mut applier = ReplicaApplier::new();
+        let synced = ReplicationStream::new(Box::new(DirectTransport))
+            .sync(&live, &replica, &mut applier)
+            .unwrap();
+        prop_assert!(synced.caught_up, "[seed {}] {:?}", seed, synced);
+        prop_assert_eq!(synced.skipped_records, 0, "[seed {}] {:?}", seed, synced);
+        replica.check_integrity().unwrap();
+        prop_assert_eq!(state_of(&replica), expected, "[seed {}] replica", seed);
     }
 }

@@ -2,8 +2,8 @@
 //! races — every run reproducible from the printed seed.
 
 use pa_storage::{
-    Catalog, ChaosTransport, CheckpointPolicy, DirectTransport, MemCheckpointStore, ReplicaApplier,
-    ReplicationStream, Table, Value,
+    Catalog, Change, ChaosTransport, CheckpointPolicy, DirectTransport, MemCheckpointStore,
+    ReplicaApplier, ReplicationStream, Rows, Table, Value,
 };
 
 fn lcg(state: &mut u64) -> u64 {
@@ -34,25 +34,18 @@ fn build_catalog() -> Catalog {
     catalog
 }
 
-/// One seeded writer mutation through the logging funnel: mostly appends,
-/// every fourth op a logged in-place update.
+/// One seeded writer mutation through the catalog's write path: mostly
+/// appends, every fourth op a logged in-place update.
 fn writer_op(catalog: &Catalog, state: &mut u64) {
-    let shared = catalog.table("f").unwrap();
-    let mut t = shared.write();
-    if lcg(state).is_multiple_of(4) && t.num_rows() > 0 {
-        let row = (lcg(state) as usize) % t.num_rows();
-        let before = vec![t.column(2).get(row)];
-        let after = vec![Value::Float((lcg(state) % 9) as f64)];
-        t.column_mut(2).set(row, after[0].clone()).unwrap();
-        catalog
-            .with_wal_mutating("f", |w| w.log_update("f", row, &[2], &before, &after))
-            .unwrap();
+    let rows = catalog.table("f").unwrap().read().num_rows();
+    if lcg(state).is_multiple_of(4) && rows > 0 {
+        let row = (lcg(state) as usize) % rows;
+        let after = [Value::Float((lcg(state) % 9) as f64)];
+        catalog.update_cells("f", row, &[2], &after).unwrap();
     } else {
-        let start = t.num_rows();
-        let row = seeded_row(state);
-        t.push_row(&row).unwrap();
+        let row = [seeded_row(state)];
         catalog
-            .with_wal_mutating("f", |w| w.log_bulk_insert("f", &t, start))
+            .write("f", Change::Append(Rows::Values(&row)))
             .unwrap();
     }
 }

@@ -5,6 +5,7 @@
 //! Run with: `cargo run --release --example employee_analytics`
 
 use percentage_aggregations::prelude::*;
+use percentage_aggregations::storage::Change;
 use std::time::Instant;
 
 fn main() -> Result<(), CoreError> {
@@ -37,18 +38,22 @@ fn main() -> Result<(), CoreError> {
     println!("{}", result.snapshot().sorted_by(&[0, 1]).display(12));
 
     // The missing-rows issue: carve a hole, then demonstrate the remedies.
+    // UPDATE employee SET educat = NULL WHERE gender = 'F' AND educat = 'phd'
+    // — now the (F, phd) cube cell is empty.
     {
-        let shared = catalog.table("employee")?;
-        let mut t = shared.write();
-        let gender = t.schema().index_of("gender")?;
-        let educat = t.schema().index_of("educat")?;
-        // Erase every (F, phd) row's education to NULL — now the (F, phd)
-        // cube cell is empty.
-        for row in 0..t.num_rows() {
-            if t.get(row, gender) == Value::str("F") && t.get(row, educat) == Value::str("phd") {
-                t.column_mut(educat).set(row, Value::Null)?;
-            }
-        }
+        let schema = catalog.table("employee")?.read().schema().clone();
+        let (gender, educat) = (schema.index_of("gender")?, schema.index_of("educat")?);
+        let (f, phd) = (Value::str("F"), Value::str("phd"));
+        let mut from = 0;
+        let next = &mut |t: &Table, set: &mut Vec<Value>| {
+            let hit = (from..t.num_rows())
+                .find(|&row| t.get(row, gender) == f && t.get(row, educat) == phd)?;
+            from = hit + 1;
+            set.push(Value::Null);
+            Some(hit)
+        };
+        let cols = &[educat];
+        catalog.write("employee", Change::Update { cols, next })?;
     }
     let q = VpctQuery::single("employee", &["gender", "educat"], "salary", &["educat"]);
     let plain = engine.vpct_with_missing(&q, &VpctStrategy::best(), MissingRows::Ignore)?;
