@@ -20,6 +20,18 @@ if grep -rnE 'create_or_replace_table|create_table_as|drop_prefixed' \
   exit 1
 fi
 
+echo "==> selection gate: no query path applies a predicate by copying rows"
+# WHERE, and each SPJ combination, is a selection the scan core reads in
+# place (DESIGN.md §16). The materialising form, pa_engine::filter, is for
+# callers that want the rows themselves (the benchmark's probe and replay,
+# tests, examples); nothing under core or service may call it, by path or
+# by imported name, or bring back the executor's filter_fact.
+if grep -rnE '(^|[^.[:alnum:]_])filter\(|filter_fact' \
+  crates/core/src crates/service/src; then
+  echo "a query path copies rows to filter them (crates/core/src or crates/service/src)" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 

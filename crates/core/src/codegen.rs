@@ -41,10 +41,26 @@ fn combo_placeholder(by: &[String], i: usize) -> String {
         .join(" and ")
 }
 
+/// `F` as a statement reads it: the table, with the statement's `WHERE`
+/// when it has one.
+fn fact_source(table: &str, where_sql: Option<&str>) -> String {
+    match where_sql {
+        Some(pred) => format!("{table} WHERE {pred}"),
+        None => table.to_string(),
+    }
+}
+
 /// Generated statements for a vertical percentage plan (SIGMOD §3.1).
-pub fn vpct_statements(q: &VpctQuery, strat: &VpctStrategy) -> Vec<String> {
+/// `where_sql` is the statement's `WHERE` predicate: every generated
+/// statement that reads `F` carries it.
+pub fn vpct_statements(
+    q: &VpctQuery,
+    strat: &VpctStrategy,
+    where_sql: Option<&str>,
+) -> Vec<String> {
     let mut out = Vec::new();
     let k_list = join_names(&q.group_by);
+    let fact = fact_source(&q.table, where_sql);
 
     // Fk.
     let sums: Vec<String> = q
@@ -62,9 +78,8 @@ pub fn vpct_statements(q: &VpctQuery, strat: &VpctStrategy) -> Vec<String> {
         }))
         .collect();
     out.push(format!(
-        "INSERT INTO Fk SELECT {k_list}, {} FROM {} GROUP BY {k_list};",
-        sums.join(", "),
-        q.table
+        "INSERT INTO Fk SELECT {k_list}, {} FROM {fact} GROUP BY {k_list};",
+        sums.join(", ")
     ));
     if strat.synchronized_scan && strat.fj_source == FjSource::FromF {
         out.push("-- Fk and every Fj computed in one synchronized scan of F".into());
@@ -74,7 +89,7 @@ pub fn vpct_statements(q: &VpctQuery, strat: &VpctStrategy) -> Vec<String> {
     for (t, term) in q.terms.iter().enumerate() {
         let j = q.totals_key(term);
         let src = match strat.fj_source {
-            FjSource::FromF => q.table.as_str(),
+            FjSource::FromF => fact.as_str(),
             FjSource::FromFk => "Fk",
         };
         let measure = match strat.fj_source {
@@ -154,12 +169,17 @@ pub fn vpct_statements(q: &VpctQuery, strat: &VpctStrategy) -> Vec<String> {
 /// Generated statements for a horizontal plan (SIGMOD §3.2 / DMKD §3.4).
 /// When the distinct subgroup combinations are already known, pass them for
 /// concrete CASE/WHERE text; otherwise symbolic placeholders are emitted.
+/// `where_sql` is the statement's `WHERE` predicate: every generated
+/// statement that reads `F` carries it (one that reads `FV` does not — the
+/// predicate went into `FV`).
 pub fn horizontal_statements(
     q: &HorizontalQuery,
     strategy: HorizontalStrategy,
     combos: Option<&[Vec<Value>]>,
+    where_sql: Option<&str>,
 ) -> Vec<String> {
     let mut out = Vec::new();
+    let fact = fact_source(&q.table, where_sql);
     let j_list = join_names(&q.group_by);
     let group_clause = if q.group_by.is_empty() {
         String::new()
@@ -192,16 +212,19 @@ pub fn horizontal_statements(
             })
             .collect();
         out.push(format!(
-            "INSERT INTO FV SELECT {k_list}, {} FROM {} GROUP BY {k_list};",
-            aggs.join(", "),
-            q.table
+            "INSERT INTO FV SELECT {k_list}, {} FROM {fact} GROUP BY {k_list};",
+            aggs.join(", ")
         ));
     }
-    let src = if strategy.uses_fv() {
-        "FV"
-    } else {
-        q.table.as_str()
+    // What the remaining statements read — `FV`, which the predicate went
+    // into, or `F` with it — and the conjunct it adds to an SPJ step's own
+    // `WHERE`.
+    let (table, where_sql) = match strategy.uses_fv() {
+        true => ("FV", None),
+        false => (q.table.as_str(), where_sql),
     };
+    let src = fact_source(table, where_sql);
+    let and_where = where_sql.map_or(String::new(), |pred| format!(" and {pred}"));
 
     match strategy {
         HorizontalStrategy::CaseDirect | HorizontalStrategy::CaseFromFv => {
@@ -270,7 +293,7 @@ pub fn horizontal_statements(
                     };
                     out.push(format!(
                         "INSERT INTO F{idx} SELECT {select_keys}sum({measure}) \
-                         FROM {src} WHERE {pred}{group_clause};",
+                         FROM {table} WHERE {pred}{and_where}{group_clause};",
                         idx = i + 1
                     ));
                 }
@@ -330,7 +353,7 @@ mod tests {
 
     #[test]
     fn vpct_best_strategy_statements_match_paper_shape() {
-        let stmts = vpct_statements(&q(), &VpctStrategy::best());
+        let stmts = vpct_statements(&q(), &VpctStrategy::best(), None);
         assert!(stmts[0].starts_with("INSERT INTO Fk SELECT state, city, sum(salesAmt)"));
         assert!(stmts[0].ends_with("GROUP BY state, city;"));
         // Fj from Fk (the recommended source).
@@ -347,7 +370,7 @@ mod tests {
 
     #[test]
     fn vpct_update_strategy_emits_update() {
-        let stmts = vpct_statements(&q(), &VpctStrategy::with_update());
+        let stmts = vpct_statements(&q(), &VpctStrategy::with_update(), None);
         let last = stmts.last().unwrap();
         assert!(last.starts_with("UPDATE Fk SET"));
         assert!(last.contains("/* FV = Fk */"));
@@ -355,14 +378,14 @@ mod tests {
 
     #[test]
     fn vpct_from_f_reads_fact_table_twice() {
-        let stmts = vpct_statements(&q(), &VpctStrategy::fj_from_f());
+        let stmts = vpct_statements(&q(), &VpctStrategy::fj_from_f(), None);
         assert!(stmts[1].contains("FROM sales"), "{}", stmts[1]);
     }
 
     #[test]
     fn global_totals_have_no_group_by() {
         let q = VpctQuery::single("sales", &["state"], "salesAmt", &[]);
-        let stmts = vpct_statements(&q, &VpctStrategy::best());
+        let stmts = vpct_statements(&q, &VpctStrategy::best(), None);
         let fj = &stmts[1];
         assert!(!fj.contains("GROUP BY"), "{fj}");
     }
@@ -371,7 +394,7 @@ mod tests {
     fn horizontal_case_direct_with_known_combos() {
         let q = HorizontalQuery::hpct("sales", &["store"], "salesAmt", &["dweek"]);
         let combos = vec![vec![Value::str("Mon")], vec![Value::str("Tue")]];
-        let stmts = horizontal_statements(&q, HorizontalStrategy::CaseDirect, Some(&combos));
+        let stmts = horizontal_statements(&q, HorizontalStrategy::CaseDirect, Some(&combos), None);
         assert!(stmts[0].starts_with("SELECT DISTINCT dweek FROM sales"));
         let ins = &stmts[1];
         assert!(
@@ -383,7 +406,7 @@ mod tests {
     #[test]
     fn horizontal_indirect_prepends_fv() {
         let q = HorizontalQuery::hpct("sales", &["store"], "salesAmt", &["dweek"]);
-        let stmts = horizontal_statements(&q, HorizontalStrategy::CaseFromFv, None);
+        let stmts = horizontal_statements(&q, HorizontalStrategy::CaseFromFv, None, None);
         assert!(stmts[0].starts_with("INSERT INTO FV SELECT store, dweek, sum(salesAmt)"));
         assert!(stmts.last().unwrap().contains("FROM FV"));
     }
@@ -398,7 +421,7 @@ mod tests {
             &["dweek"],
         );
         let combos = vec![vec![Value::str("Mon")], vec![Value::str("Tue")]];
-        let stmts = horizontal_statements(&q, HorizontalStrategy::SpjDirect, Some(&combos));
+        let stmts = horizontal_statements(&q, HorizontalStrategy::SpjDirect, Some(&combos), None);
         assert!(stmts[0].starts_with("INSERT INTO F0 SELECT DISTINCT store"));
         assert!(stmts[2].contains("WHERE dweek = 'Mon'"));
         let last = stmts.last().unwrap();
@@ -407,10 +430,44 @@ mod tests {
     }
 
     #[test]
+    fn every_statement_that_reads_f_carries_the_where() {
+        let pred = Some("(salesAmt > 10)");
+        let stmts = vpct_statements(&q(), &VpctStrategy::fj_from_f(), pred);
+        assert!(stmts[0].contains("FROM sales WHERE (salesAmt > 10) GROUP BY state, city;"));
+        assert!(stmts[1].contains("FROM sales WHERE (salesAmt > 10) GROUP BY state;"));
+        let stmts = vpct_statements(&q(), &VpctStrategy::best(), pred);
+        assert!(
+            stmts[1].contains("FROM Fk GROUP BY"),
+            "Fk is already filtered"
+        );
+
+        let q = HorizontalQuery::hpct("sales", &["store"], "salesAmt", &["dweek"]);
+        let combos = vec![vec![Value::str("Mon")]];
+        let stmts = horizontal_statements(&q, HorizontalStrategy::SpjDirect, Some(&combos), pred);
+        assert!(
+            stmts[0].ends_with("FROM sales WHERE (salesAmt > 10);"),
+            "{}",
+            stmts[0]
+        );
+        assert!(
+            stmts[2].contains("FROM sales WHERE dweek = 'Mon' and (salesAmt > 10) GROUP BY store;"),
+            "{}",
+            stmts[2]
+        );
+        let stmts = horizontal_statements(&q, HorizontalStrategy::SpjFromFv, Some(&combos), pred);
+        assert!(stmts[0].contains("FROM sales WHERE (salesAmt > 10) GROUP BY"));
+        assert!(
+            stmts[3].contains("FROM FV WHERE dweek = 'Mon' GROUP BY store;"),
+            "{}",
+            stmts[3]
+        );
+    }
+
+    #[test]
     fn string_literals_escaped() {
         let q = HorizontalQuery::hpct("f", &["s"], "a", &["d"]);
         let combos = vec![vec![Value::str("it's")]];
-        let stmts = horizontal_statements(&q, HorizontalStrategy::CaseDirect, Some(&combos));
+        let stmts = horizontal_statements(&q, HorizontalStrategy::CaseDirect, Some(&combos), None);
         assert!(stmts[1].contains("d = 'it''s'"), "{}", stmts[1]);
     }
 }

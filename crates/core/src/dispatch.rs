@@ -9,4 +9,4 @@
 //! `GROUP BY ∪ BY`, transposed at finalize. It is re-exported here, where
 //! the horizontal strategies and the benchmark harness name it.
 
-pub use pa_engine::ops::pivot::{pivot_aggregate_with_config, PivotTask};
+pub use pa_engine::ops::pivot::{pivot_aggregate, pivot_aggregate_with_config, PivotTask};

@@ -92,8 +92,9 @@ impl SqlOutcome {
 
 /// The percentage-query engine over a catalog.
 ///
-/// A query's intermediates (`Fk`, `Fj`, `FV`, `FH`, a `WHERE` result) and
-/// its result are values the query owns: evaluating one registers no table
+/// A query's intermediates (`Fk`, `Fj`, `FV`, `FH`) and its result are
+/// values the query owns (a `WHERE` is not even that: it is the selection
+/// the query's scans read `F` through): evaluating one registers no table
 /// and writes no log record, so any number of engines and threads may
 /// query one catalog at once. (The one exception is the paper's `Update`
 /// materialization, by definition a logged in-place update of a stored
@@ -281,10 +282,7 @@ impl<'a> PercentageEngine<'a> {
         // follows) or a name that already is a snapshot alias.
         let pin = self.catalog.pin_table(table);
         let fact = match &pin {
-            Some(view) => Fact {
-                table: Arc::clone(view.table()),
-                cache_key: Some(view.alias().to_string()),
-            },
+            Some(view) => Fact::cached(Arc::clone(view.table()), view.alias()),
             None => Fact::named(self.catalog, table)?,
         };
         let allow = limits.deadline.or(self.deadline);
@@ -354,7 +352,7 @@ impl<'a> PercentageEngine<'a> {
         let opts = match opts {
             Some(o) => o,
             None => {
-                let strategy = horizontal_strategy_over(&fact.table.read(), q)?;
+                let strategy = horizontal_strategy_over(&fact.read(), q)?;
                 chosen = HorizontalOptions::with_strategy(strategy);
                 &chosen
             }
@@ -507,8 +505,9 @@ impl<'a> PercentageEngine<'a> {
     }
 
     /// Parse, validate and execute a SQL statement in the percentage
-    /// dialect. A `WHERE` clause is applied to the fact table first ("F can
-    /// be a temporary table resulting from some query", SIGMOD §2); an
+    /// dialect. A `WHERE` clause selects the rows of the fact table the
+    /// plan reads ("F can be a temporary table resulting from some query",
+    /// SIGMOD §2 — here a selection over `F`, never a copy of it); an
     /// `ORDER BY` clause sorts the result (result rows "can be returned in
     /// the order given by GROUP BY").
     pub fn execute_sql(&self, sql: &str) -> Result<SqlOutcome> {
@@ -565,8 +564,9 @@ impl<'a> PercentageEngine<'a> {
             .0)
     }
 
-    /// The one statement body: plan → resolve the source → `WHERE` →
-    /// evaluate → `ORDER BY`, inside [`PercentageEngine::run`].
+    /// The one statement body: plan → resolve the source (`WHERE` narrows
+    /// it to a selection) → evaluate → `ORDER BY`, inside
+    /// [`PercentageEngine::run`].
     fn run_statement(
         &self,
         stmt: pa_sql::SelectStmt,
@@ -590,15 +590,16 @@ impl<'a> PercentageEngine<'a> {
             limits.deadline = limits.deadline.or(hopts.deadline);
         }
         let eval = |fact: &Fact, guard: &ResourceGuard| {
-            let filtered;
+            let mut select_stats = ExecStats::default();
+            let selected;
             let fact = match &stmt.where_clause {
                 Some(pred) => {
-                    filtered = filter_fact(fact, pred, guard)?;
-                    &filtered
+                    selected = fact.select(pred, guard, &mut select_stats)?;
+                    &selected
                 }
                 None => fact,
             };
-            let outcome = match &flat {
+            let mut outcome = match &flat {
                 Some(Query::Vertical(q)) => {
                     SqlOutcome::Vertical(self.eval_vertical(fact, q, knobs.map(|k| k.0), guard)?)
                 }
@@ -610,6 +611,7 @@ impl<'a> PercentageEngine<'a> {
                 )?),
                 None => self.eval_grouping_sets(fact, &stmt.group_by, &sets, knobs, guard)?,
             };
+            *outcome.stats_mut() += select_stats;
             apply_order(&outcome, &stmt.order_by, guard)?;
             Ok(outcome)
         };
@@ -663,8 +665,8 @@ impl<'a> PercentageEngine<'a> {
                             statements.extend(r.statements);
                         }
                         None => {
-                            let best = VpctStrategy::best();
-                            statements.extend(crate::codegen::vpct_statements(&q, &best));
+                            let (best, pred) = (VpctStrategy::best(), fact.where_sql());
+                            statements.extend(crate::codegen::vpct_statements(&q, &best, pred));
                             lattice_sets.push(q);
                         }
                     }
@@ -754,10 +756,11 @@ impl<'a> PercentageEngine<'a> {
     /// whose sets are one lattice plan — end with the per-level source
     /// lines of that plan.
     fn plan_statements(&self, stmt: &pa_sql::SelectStmt) -> Result<Vec<String>> {
+        let selected = stmt.where_clause.is_some();
         if stmt.grouping.is_flat() {
             let (mut lines, q) = self.codegen_lines(stmt)?;
             if let Some(q) = q.filter(|q| q.terms.len() > 1) {
-                lines.extend(self.lattice_lines(std::slice::from_ref(&q)));
+                lines.extend(self.lattice_lines(std::slice::from_ref(&q), selected));
             }
             return Ok(lines);
         }
@@ -782,7 +785,7 @@ impl<'a> PercentageEngine<'a> {
             }
         }
         if !lattice_sets.is_empty() {
-            lines.extend(self.lattice_lines(&lattice_sets));
+            lines.extend(self.lattice_lines(&lattice_sets, selected));
         }
         Ok(lines)
     }
@@ -790,14 +793,16 @@ impl<'a> PercentageEngine<'a> {
     /// The generated statements of a flat statement, and its typed form
     /// when it is vertical.
     fn codegen_lines(&self, stmt: &pa_sql::SelectStmt) -> Result<(Vec<String>, Option<VpctQuery>)> {
+        let pred = stmt.where_clause.as_ref().map(ToString::to_string);
+        let pred = pred.as_deref();
         Ok(match from_sql(stmt)? {
             Query::Vertical(q) => {
                 let strat = choose_vpct_strategy(self.catalog, &q);
-                (crate::codegen::vpct_statements(&q, &strat), Some(q))
+                (crate::codegen::vpct_statements(&q, &strat, pred), Some(q))
             }
             Query::Horizontal(q) => {
                 let strategy = choose_horizontal_strategy(self.catalog, &q)?;
-                let lines = crate::codegen::horizontal_statements(&q, strategy, None);
+                let lines = crate::codegen::horizontal_statements(&q, strategy, None, pred);
                 (lines, None)
             }
         })
@@ -806,11 +811,14 @@ impl<'a> PercentageEngine<'a> {
     /// The lattice plan `queries` (one table) would execute with right now.
     /// The lattice cache is keyed by the pinned snapshot alias the execution
     /// path rewrites the table to, so probe the same alias: EXPLAIN then
-    /// reports exactly the sources execution would use.
-    fn lattice_lines(&self, queries: &[VpctQuery]) -> Vec<String> {
+    /// reports exactly the sources execution would use. A `selected` fact
+    /// (a statement with a `WHERE`) has no cache key, so neither does its
+    /// plan: every level scans or derives.
+    fn lattice_lines(&self, queries: &[VpctQuery], selected: bool) -> Vec<String> {
         let table = &queries[0].table;
         let view = self.catalog.pin_table(table);
         let cache_table = view.as_ref().map_or(table.as_str(), |v| v.alias());
+        let cache_table = (!selected).then_some(cache_table);
         crate::lattice::lattice_plan_lines(self.catalog, queries, cache_table)
     }
 
@@ -842,7 +850,7 @@ fn render_span_lines(
     depth: usize,
     out: &mut Vec<String>,
 ) {
-    out.push(format!(
+    let mut line = format!(
         "-- op {:indent$}{}: rows={} morsels={} time={}ns",
         "",
         span.name(),
@@ -850,7 +858,11 @@ fn render_span_lines(
         span.morsels,
         span.duration_ns(),
         indent = depth * 2,
-    ));
+    );
+    if let Some((mode, selected)) = span.selection {
+        line.push_str(&format!(" where={mode} selected={selected}"));
+    }
+    out.push(line);
     for child in report.children(span.id) {
         render_span_lines(report, child, depth + 1, out);
     }
@@ -927,21 +939,6 @@ fn union_grouping_results(
         }
     }
     Ok(out)
-}
-
-/// `WHERE`: the qualifying rows of `fact` as a value only this statement
-/// holds.
-fn filter_fact(fact: &Fact, pred: &pa_sql::AstExpr, guard: &ResourceGuard) -> Result<Fact> {
-    let f = fact.table.read();
-    let expr = crate::query::ast_to_expr(pred, f.schema())?;
-    let mut span = guard.span("filter");
-    span.add_rows(f.num_rows() as u64);
-    span.add_morsels(1);
-    let filtered = pa_engine::filter(&f, &expr, &mut ExecStats::default())?;
-    Ok(Fact {
-        table: into_shared(filtered),
-        cache_key: None,
-    })
 }
 
 /// Sort a finished result in place by the named columns.
@@ -1460,6 +1457,68 @@ mod tests {
         let plain = engine.explain_sql(sql).unwrap();
         assert!(plain.last().unwrap().starts_with("-- guard:"));
         assert!(!plain.last().unwrap().contains("charged="));
+    }
+
+    #[test]
+    fn explain_analyze_tells_the_truth_about_where() {
+        let catalog = sales_catalog();
+        let engine = PercentageEngine::new(&catalog);
+        let terms = "Vpct(salesAmt BY city) AS p, Vpct(salesAmt BY state, city) AS q";
+        // Fill the table's lattice cache: a selected fact must not read it.
+        let unfiltered = format!("SELECT state, city, {terms} FROM sales GROUP BY state, city");
+        engine.execute_sql(&unfiltered).unwrap();
+        let sql = format!(
+            "SELECT state, city, {terms} FROM sales WHERE salesAmt > 10 GROUP BY state, city"
+        );
+        let lines = engine.explain_analyze_sql(&sql).unwrap();
+        // The transcript is the query that ran: the one statement that
+        // reads F carries the predicate.
+        assert!(
+            lines[0].contains("FROM sales WHERE (salesAmt > 10) GROUP BY state, city;"),
+            "{lines:?}"
+        );
+        // The plan lines and the run agree on where the levels came from.
+        let sources: Vec<&String> = lines
+            .iter()
+            .filter(|l| l.starts_with("-- lattice:"))
+            .collect();
+        assert_eq!(sources.len(), 3, "{lines:?}");
+        assert!(sources[0].ends_with("(city, state) <- scan"), "{sources:?}");
+        assert!(sources.iter().all(|l| !l.contains("cache")), "{sources:?}");
+        let ran = lines
+            .iter()
+            .find(|l| l.starts_with("-- aggregates:"))
+            .unwrap();
+        assert!(
+            ran.contains("levels_from_scan=1 levels_from_cache=0"),
+            "{ran}"
+        );
+        // WHERE is no operator of its own: the scan that read F through
+        // the selection says how the predicate ran and what it selected.
+        assert!(!lines.iter().any(|l| l.contains("filter")), "{lines:?}");
+        let scan = lines.iter().find(|l| l.contains("lattice: rows=")).unwrap();
+        assert!(scan.ends_with("where=compiled selected=7"), "{scan}");
+        // Every row the statement charged is on some span.
+        let charged = lines.last().unwrap().split("charged=").nth(1).unwrap();
+        let (outcome, report) = engine
+            .execute_sql_traced(&sql, QueryLimits::none())
+            .unwrap();
+        let root = report.root().unwrap();
+        assert_eq!(report.rows_inclusive(root.id), outcome.stats().rows_charged);
+        assert_eq!(
+            charged.parse::<u64>().unwrap(),
+            outcome.stats().rows_charged
+        );
+
+        // A predicate the compiler does not take runs the scalar mode.
+        let lines = engine
+            .explain_analyze_sql(
+                "SELECT state, Hpct(salesAmt BY city) FROM sales \
+                 WHERE salesAmt + 1 > 11 GROUP BY state",
+            )
+            .unwrap();
+        let scan = lines.iter().find(|l| l.contains("pivot: rows=")).unwrap();
+        assert!(scan.ends_with("where=scalar selected=7"), "{scan}");
     }
 
     #[test]

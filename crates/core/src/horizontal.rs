@@ -13,8 +13,8 @@
 //!    — the paper's "future work" optimization) or, as the
 //!    `jump_table: false` ablation only, via `N` CASE-guarded aggregates
 //!    (one scan, O(N) conditions per row); for the SPJ strategies via `N`
-//!    filtered aggregation passes assembled with `N` left outer joins onto
-//!    `F0`;
+//!    aggregation passes, each over the selection `combination ∧ WHERE`,
+//!    assembled with `N` left outer joins onto `F0`;
 //! 4. post-project: percentage division (`Hpct` cells divide by the group
 //!    total; missing cells count as 0, matching SIGMOD's `ELSE 0` CASE
 //!    form), `DEFAULT 0` substitution, column naming, optional vertical
@@ -22,12 +22,12 @@
 
 use crate::error::{CoreError, Result};
 use crate::naming::{cell_column_name, dedup_names, partition_ranges};
-use crate::query::{ExtraAgg, Fact, HorizontalQuery};
+use crate::query::{ExtraAgg, Fact, FactRows, HorizontalQuery};
 use crate::strategy::{HorizontalOptions, HorizontalStrategy};
-use crate::vertical::{count_insert, into_shared, QueryResult};
+use crate::vertical::{aggregate_level, count_insert, into_shared, QueryResult};
 use pa_engine::{
-    distinct_keys, filter, hash_aggregate_with_config, hash_join_guarded, project, AggFunc,
-    AggSpec, ExecStats, Expr, JoinType, ParallelConfig, ProjSpec, ResourceGuard,
+    distinct, hash_join_guarded, project, AggFunc, AggSpec, ExecStats, Expr, JoinType,
+    ParallelConfig, ProjSpec, ResourceGuard, Selected, Selection,
 };
 use pa_storage::{Catalog, DataType, Schema, SharedTable, Table, Value};
 
@@ -141,18 +141,26 @@ fn reagg_func(func: AggFunc) -> AggFunc {
     }
 }
 
-/// The table horizontal aggregation reads from: the fact table (held via
-/// its read guard) or the owned `FV` pre-aggregate.
+/// The table horizontal aggregation reads from: the fact table (held for
+/// reading, with the statement's selection) or the owned `FV`
+/// pre-aggregate, which the selection already went into.
 enum Source<'a> {
-    Fact(parking_lot::RwLockReadGuard<'a, Table>),
+    Fact(FactRows<'a>),
     Fv(Table),
 }
 
 impl Source<'_> {
-    fn table(&self) -> &Table {
+    fn selected(&self) -> Selected<'_> {
         match self {
-            Source::Fact(g) => g,
-            Source::Fv(t) => t,
+            Source::Fact(rows) => rows.selected(),
+            Source::Fv(t) => t.into(),
+        }
+    }
+
+    fn schema(&self) -> &std::sync::Arc<Schema> {
+        match self {
+            Source::Fact(rows) => rows.schema(),
+            Source::Fv(t) => t.schema(),
         }
     }
 }
@@ -184,7 +192,7 @@ pub(crate) fn eval_horizontal_on(
     q.validate()?;
     let mut stats = ExecStats::default();
 
-    let f_guard = fact.table.read();
+    let f_guard = fact.read();
     let f_schema = f_guard.schema().clone();
     // One parallelism decision per query, sized on the fact table; every
     // aggregation pass of this evaluation shares it (the engine still
@@ -294,8 +302,14 @@ pub(crate) fn eval_horizontal_on(
                 }
             }
         }
-        let fv =
-            hash_aggregate_with_config(&f_guard, &key_cols_f, &specs, guard, &mut stats, &par)?;
+        let fv = aggregate_level(
+            f_guard.selected(),
+            &key_cols_f,
+            &specs,
+            guard,
+            &mut stats,
+            &par,
+        )?;
         drop(f_guard);
         count_insert(&fv, &mut stats);
 
@@ -344,8 +358,8 @@ pub(crate) fn eval_horizontal_on(
         }
         (Source::Fact(f_guard), j_cols_f)
     };
-    let src = source.table();
-    let src_schema = src.schema().clone();
+    let src = source.selected();
+    let src_schema = source.schema().clone();
 
     // ---------- Distinct subgroup combinations → result columns. ----------
     // The distinct BY-combination set depends only on the fact table's
@@ -354,12 +368,10 @@ pub(crate) fn eval_horizontal_on(
     // catalog's combination cache keyed by `(table, BY columns)`. The
     // cache is invalidated by every logged mutation of the table, so a hit
     // is always current; it is charged to the guard like the scan it
-    // replaces would charge its output. A fact table without a cache key
-    // (a `WHERE` result) is scanned for its combinations every time.
-    let combo_cache = fact
-        .cache_key
-        .as_deref()
-        .map(|key| (catalog.combo_cache(), key));
+    // replaces would charge its output. A fact without a cache key (one
+    // with a `WHERE`) is scanned for its combinations every time: a BY
+    // value the selection filtered out is not a result column.
+    let combo_cache = fact.cache_key().map(|key| (catalog.combo_cache(), key));
     let multi_term = q.terms.len() > 1;
     let mut plans: Vec<TermPlan> = Vec::new();
     for (t, term) in q.terms.iter().enumerate() {
@@ -377,7 +389,8 @@ pub(crate) fn eval_horizontal_on(
                 }
                 None => {
                     stats.combo_cache_misses += 1;
-                    let mut combos = distinct_keys(src, &by_src_cols, &mut stats)?;
+                    let mut combos: Vec<Vec<Value>> =
+                        distinct(src, &by_src_cols, &mut stats)?.rows().collect();
                     combos.sort_by(|a, b| {
                         a.iter()
                             .zip(b)
@@ -434,6 +447,7 @@ pub(crate) fn eval_horizontal_on(
         q,
         opts.strategy,
         plans.first().map(|p| p.combos.as_slice()),
+        fact.where_sql(),
     );
 
     // ---------- Raw table: [j][term0 lanes×cells][term0 total?].. [extras] --
@@ -456,7 +470,7 @@ pub(crate) fn eval_horizontal_on(
                     .iter()
                     .flat_map(|(lanes, _)| lanes.iter().cloned())
                     .collect();
-                crate::dispatch::pivot_aggregate_with_config(
+                crate::dispatch::pivot_aggregate(
                     src,
                     &j_cols,
                     &plans_as_tasks(&plans),
@@ -617,7 +631,7 @@ pub(crate) fn eval_horizontal_on(
 /// CASE strategy: one aggregation pass with `N` CASE-guarded terms.
 #[allow(clippy::too_many_arguments)]
 fn case_raw(
-    src: &Table,
+    src: Selected<'_>,
     j_cols: &[usize],
     plans: &[TermPlan],
     extras: &[(Vec<(AggFunc, Expr)>, Combine)],
@@ -664,15 +678,15 @@ fn case_raw(
             specs.push(AggSpec::new(*func, input.clone(), format!("__x{e}_{l}")));
         }
     }
-    Ok(hash_aggregate_with_config(
-        src, j_cols, &specs, guard, stats, par,
-    )?)
+    aggregate_level(src, j_cols, &specs, guard, stats, par)
 }
 
-/// SPJ strategy: `F0` = distinct groups; one filtered aggregation per
-/// combination; assemble with left outer joins; project into the raw layout.
+/// SPJ strategy: `F0` = distinct groups; one aggregation per combination,
+/// over the selection `combination ∧ WHERE` (the paper's `N` scans of the
+/// source, each reading every row and keeping its own); assemble with left
+/// outer joins; project into the raw layout.
 fn spj_raw(
-    src: &Table,
+    src: Selected<'_>,
     j_cols: &[usize],
     plans: &[TermPlan],
     extras: &[(Vec<(AggFunc, Expr)>, Combine)],
@@ -680,72 +694,47 @@ fn spj_raw(
     stats: &mut ExecStats,
     par: &ParallelConfig,
 ) -> Result<Table> {
+    // `WHERE Dh = vh and .. and Dk = vk`, on top of the source's own
+    // selection.
+    let only = |plan: &TermPlan, combo: &[Value], stats: &mut ExecStats| {
+        let pairs: Vec<(usize, Value)> = plan
+            .by_src_cols
+            .iter()
+            .zip(combo)
+            .map(|(&c, v)| (c, v.clone()))
+            .collect();
+        Selection::compile(src, &Expr::key_match(&pairs), guard, stats, par)
+    };
     let j_len = j_cols.len();
     if j_len == 0 {
         // Global group: every per-combination aggregate is a one-row table;
         // splice them into a single raw row.
         let mut row: Vec<Value> = Vec::new();
         let mut fields: Vec<pa_storage::Field> = Vec::new();
-        let mut idx = 0usize;
+        let mut global = |input: Selected<'_>, func: AggFunc, expr: &Expr, stats: &mut _| {
+            let spec = AggSpec::new(func, expr.clone(), "v");
+            let agg = aggregate_level(input, &[], &[spec], guard, stats, par)?;
+            row.push(agg.get(0, 0));
+            let dtype = agg.schema().field_at(0).dtype;
+            fields.push(pa_storage::Field::new(
+                format!("__r{}", fields.len()),
+                dtype,
+            ));
+            Result::Ok(())
+        };
         for plan in plans {
             for combo in &plan.combos {
-                let pred = Expr::key_match(
-                    &plan
-                        .by_src_cols
-                        .iter()
-                        .zip(combo)
-                        .map(|(&c, v)| (c, v.clone()))
-                        .collect::<Vec<_>>(),
-                );
-                let filtered = filter(src, &pred, stats)?;
+                let only = only(plan, combo, stats)?;
                 for (func, input) in &plan.lanes {
-                    let agg = hash_aggregate_with_config(
-                        &filtered,
-                        &[],
-                        &[AggSpec::new(*func, input.clone(), "v")],
-                        guard,
-                        stats,
-                        par,
-                    )?;
-                    row.push(agg.get(0, 0));
-                    fields.push(pa_storage::Field::new(
-                        format!("__r{idx}"),
-                        agg.schema().field_at(0).dtype,
-                    ));
-                    idx += 1;
+                    global(src.with(&only), *func, input, stats)?;
                 }
             }
             if let Some(total) = &plan.total {
-                let agg = hash_aggregate_with_config(
-                    src,
-                    &[],
-                    &[AggSpec::new(AggFunc::Sum, total.clone(), "t")],
-                    guard,
-                    stats,
-                    par,
-                )?;
-                row.push(agg.get(0, 0));
-                fields.push(pa_storage::Field::new(format!("__r{idx}"), DataType::Float));
-                idx += 1;
+                global(src, AggFunc::Sum, total, stats)?;
             }
         }
-        for (lanes, _) in extras {
-            for (func, input) in lanes {
-                let agg = hash_aggregate_with_config(
-                    src,
-                    &[],
-                    &[AggSpec::new(*func, input.clone(), "e")],
-                    guard,
-                    stats,
-                    par,
-                )?;
-                row.push(agg.get(0, 0));
-                fields.push(pa_storage::Field::new(
-                    format!("__r{idx}"),
-                    agg.schema().field_at(0).dtype,
-                ));
-                idx += 1;
-            }
+        for (func, input) in extras.iter().flat_map(|(lanes, _)| lanes) {
+            global(src, *func, input, stats)?;
         }
         let mut raw = Table::empty(Schema::new(fields)?.into_shared());
         raw.push_row(&row)?;
@@ -753,31 +742,23 @@ fn spj_raw(
     }
 
     // F0: every existing group combination (defines the result rows).
-    let f0 = pa_engine::distinct(src, j_cols, stats)?;
+    let f0 = distinct(src, j_cols, stats)?;
     count_insert(&f0, stats);
 
-    // Per-combination filtered aggregations F1..FN, left-outer-joined onto F0.
+    // Per-combination aggregations F1..FN, left-outer-joined onto F0.
     let mut joined = f0;
     let f0_keys: Vec<usize> = (0..j_len).collect();
     let mut value_cols: Vec<usize> = Vec::new();
     for plan in plans {
         for combo in &plan.combos {
-            let pred = Expr::key_match(
-                &plan
-                    .by_src_cols
-                    .iter()
-                    .zip(combo)
-                    .map(|(&c, v)| (c, v.clone()))
-                    .collect::<Vec<_>>(),
-            );
-            let filtered = filter(src, &pred, stats)?;
+            let only = only(plan, combo, stats)?;
             let specs: Vec<AggSpec> = plan
                 .lanes
                 .iter()
                 .enumerate()
                 .map(|(l, (func, input))| AggSpec::new(*func, input.clone(), format!("v{l}")))
                 .collect();
-            let fi = hash_aggregate_with_config(&filtered, j_cols, &specs, guard, stats, par)?;
+            let fi = aggregate_level(src.with(&only), j_cols, &specs, guard, stats, par)?;
             count_insert(&fi, stats);
             let base = joined.num_columns();
             let fi_keys: Vec<usize> = (0..j_len).collect();
@@ -796,14 +777,8 @@ fn spj_raw(
             }
         }
         if let Some(total) = &plan.total {
-            let fi = hash_aggregate_with_config(
-                src,
-                j_cols,
-                &[AggSpec::new(AggFunc::Sum, total.clone(), "t")],
-                guard,
-                stats,
-                par,
-            )?;
+            let spec = AggSpec::new(AggFunc::Sum, total.clone(), "t");
+            let fi = aggregate_level(src, j_cols, &[spec], guard, stats, par)?;
             let base = joined.num_columns();
             joined = hash_join_guarded(
                 &joined,
@@ -824,7 +799,7 @@ fn spj_raw(
             .enumerate()
             .map(|(l, (func, input))| AggSpec::new(*func, input.clone(), format!("e{l}")))
             .collect();
-        let fi = hash_aggregate_with_config(src, j_cols, &specs, guard, stats, par)?;
+        let fi = aggregate_level(src, j_cols, &specs, guard, stats, par)?;
         let base = joined.num_columns();
         joined = hash_join_guarded(
             &joined,

@@ -17,7 +17,7 @@
 //! * Every level the fact table must be scanned for — the finest level
 //!   of a ROLLUP, each of several disjoint grouping sets, every set when
 //!   extra aggregates ride along — shares *one* scan through the fused
-//!   multi-level kernel ([`pa_engine::lattice_aggregate_guarded`]): one
+//!   multi-level kernel ([`pa_engine::lattice_aggregate`]): one
 //!   pass codes each row once and scatters every lane into every level's
 //!   accumulators. Levels a finer one covers re-aggregate it, bottom-up.
 //! * Each level is finalized into one table in a canonical layout (level
@@ -40,10 +40,9 @@
 
 use crate::error::{CoreError, Result};
 use crate::query::{ExtraAgg, Fact, Measure, VpctQuery};
-use crate::vertical::{count_insert, extra_spec, into_shared, QueryResult};
+use crate::vertical::{aggregate_level, count_insert, extra_spec, into_shared, QueryResult};
 use pa_engine::{
-    lattice_aggregate_guarded, multi_hash_aggregate_guarded, AggFunc, AggSpec, ExecStats, Expr,
-    ResourceGuard,
+    aggregate, lattice_aggregate, AggFunc, AggSpec, ExecStats, Expr, ParallelConfig, ResourceGuard,
 };
 use pa_storage::{
     Catalog, Column, DataType, Field, FxHashMap, LatticeCache, Schema, SharedTable, Table, Value,
@@ -389,9 +388,8 @@ fn reaggregate_level(
             AggSpec::new(AggFunc::Sum, Expr::Col(pos), name)
         })
         .collect();
-    let derived = multi_hash_aggregate_guarded(src, &[(group_cols, specs)], guard, stats)?
-        .pop()
-        .expect("one level");
+    let config = ParallelConfig::from_env();
+    let derived = aggregate_level(src.into(), &group_cols, &specs, guard, stats, &config)?;
     Ok(sorted_by_key(derived, to))
 }
 
@@ -412,7 +410,7 @@ fn materialize_levels(
     guard: &ResourceGuard,
     stats: &mut ExecStats,
 ) -> Result<LevelTables> {
-    let f = fact.table.read();
+    let f = fact.read();
     // Resolved up front, so a bad column fails the same way cold or warm.
     let specs = lanes.specs(f.schema())?;
     let mut fact_col: HashMap<String, usize> = HashMap::new();
@@ -427,10 +425,7 @@ fn materialize_levels(
     let (mut roots, needed) = request_levels(queries);
     roots.extend_from_slice(also);
     let signature = lanes.signature();
-    let cache = fact
-        .cache_key
-        .as_deref()
-        .map(|key| (catalog.lattice_cache(), key));
+    let cache = fact.cache_key().map(|key| (catalog.lattice_cache(), key));
     let mut tables = LevelTables::new();
     let steps = plan_request(cache, lanes, (&roots, &needed), Some(&mut tables));
     stats.lattice_levels += steps.len() as u64;
@@ -452,6 +447,7 @@ fn materialize_levels(
         .map(|s| &s.level)
         .collect();
     if !scanning.is_empty() {
+        let config = ParallelConfig::from_env();
         let cols_of = |l: &Level| l.columns().iter().map(|c| fact_col[c]).collect::<Vec<_>>();
         let all: Vec<String> = scanning.iter().flat_map(|l| l.columns()).cloned().collect();
         let key = Level::new(&all);
@@ -459,33 +455,41 @@ fn materialize_levels(
             .iter()
             .map(|l| l.columns().iter().filter_map(|c| key.position(c)).collect())
             .collect();
-        let scanned: Vec<Table> =
-            match lattice_aggregate_guarded(&f, &cols_of(&key), &specs, &dims, guard, stats)? {
-                Some(partials) => partials
+        let fused = lattice_aggregate(
+            f.selected(),
+            &cols_of(&key),
+            &specs,
+            &dims,
+            guard,
+            stats,
+            &config,
+        )?;
+        let scanned: Vec<Table> = match fused {
+            Some(partials) => partials
+                .into_iter()
+                .map(|p| p.finalize(stats))
+                .collect::<std::result::Result<_, _>>()?,
+            // Not fusable (holistic lanes, PA_VECTOR=0, uncodable
+            // keys): one plain aggregation per level, the extras only
+            // where a result reads them.
+            None => {
+                let per_level: Vec<(Vec<usize>, Vec<AggSpec>)> = scanning
+                    .iter()
+                    .map(|l| {
+                        let n = match roots.contains(l) {
+                            true => specs.len(),
+                            false => lanes.measures.len(),
+                        };
+                        (cols_of(l), specs[..n].to_vec())
+                    })
+                    .collect();
+                aggregate(f.selected(), &per_level, guard, stats, &config)?
                     .into_iter()
-                    .map(|p| p.finalize(stats))
-                    .collect::<std::result::Result<_, _>>()?,
-                // Not fusable (holistic lanes, PA_VECTOR=0, uncodable
-                // keys): one plain aggregation per level, the extras only
-                // where a result reads them.
-                None => {
-                    let per_level: Vec<(Vec<usize>, Vec<AggSpec>)> = scanning
-                        .iter()
-                        .map(|l| {
-                            let n = match roots.contains(l) {
-                                true => specs.len(),
-                                false => lanes.measures.len(),
-                            };
-                            (cols_of(l), specs[..n].to_vec())
-                        })
-                        .collect();
-                    multi_hash_aggregate_guarded(&f, &per_level, guard, stats)?
-                        .into_iter()
-                        .zip(&scanning)
-                        .map(|(t, l)| sorted_by_key(t, l))
-                        .collect()
-                }
-            };
+                    .zip(&scanning)
+                    .map(|(t, l)| sorted_by_key(t, l))
+                    .collect()
+            }
+        };
         stats.levels_from_scan += scanned.len() as u64;
         for (level, t) in scanning.into_iter().zip(scanned) {
             keep(level, t, &mut tables);
@@ -680,7 +684,6 @@ fn assemble(
     let mut span = guard.span("divide");
     for (q, (level, fk)) in queries.iter().zip(&roots) {
         let n = fk.num_rows();
-        span.add_rows(n as u64);
         span.add_morsels(1);
         let (dims, aggs) = out.split_at_mut(group_by.len());
         for (g, col) in group_by.iter().zip(dims) {
@@ -693,6 +696,7 @@ fn assemble(
         for (term, col) in q.terms.iter().zip(pcts) {
             let by = Level::new(&q.totals_key(term));
             guard.charge(n as u64)?;
+            span.add_rows(n as u64);
             stats.statements += 1;
             let lane = lanes.lane_of(&term.measure);
             pct_lane((fk, level), (&tables[&by], &by), lane, col, stats)?;
@@ -738,7 +742,8 @@ pub(crate) fn eval_vpct_lattice_on(
 ) -> Result<QueryResult> {
     let queries = std::slice::from_ref(q);
     let mut result = eval_vpct_sets_on(catalog, fact, &q.group_by, queries, guard)?;
-    result.statements = crate::codegen::vpct_statements(q, &crate::strategy::VpctStrategy::best());
+    let best = crate::strategy::VpctStrategy::best();
+    result.statements = crate::codegen::vpct_statements(q, &best, fact.where_sql());
     Ok(result)
 }
 
@@ -783,19 +788,20 @@ pub(crate) fn eval_vpct_sets_on(
 /// the chosen source, for EXPLAIN output. `cache_table` is the table name
 /// the execution path will key the lattice cache with (the pinned snapshot
 /// alias when the executor runs the query, so EXPLAIN and execution agree
-/// on cache visibility). Probing never perturbs the cache's hit/miss
+/// on cache visibility) — `None` for a statement with a `WHERE`, whose
+/// levels are never cached. Probing never perturbs the cache's hit/miss
 /// counters.
 pub fn lattice_plan_lines(
     catalog: &Catalog,
     queries: &[VpctQuery],
-    cache_table: &str,
+    cache_table: Option<&str>,
 ) -> Vec<String> {
     if queries.is_empty() {
         return Vec::new();
     }
     let lanes = Lanes::of(queries);
     let (roots, needed) = request_levels(queries);
-    let cache = Some((catalog.lattice_cache(), cache_table));
+    let cache = cache_table.map(|table| (catalog.lattice_cache(), table));
     let steps = plan_request(cache, &lanes, (&roots, &needed), None);
     steps
         .iter()
@@ -876,7 +882,7 @@ pub(crate) fn eval_vpct_batch_on(
             term.measure = Measure::Column(format!("__m{}", lanes.lane_of(&term.measure)));
         }
         let statements =
-            crate::codegen::vpct_statements(&rq, &crate::strategy::VpctStrategy::best());
+            crate::codegen::vpct_statements(&rq, &crate::strategy::VpctStrategy::best(), None);
         // The shared-summary cost is folded into the first result.
         let mut qstats = std::mem::take(&mut stats);
         let table = assemble(
@@ -1226,7 +1232,7 @@ mod tests {
             ],
             extra: vec![],
         };
-        let cold = lattice_plan_lines(&catalog, std::slice::from_ref(&q), "sales");
+        let cold = lattice_plan_lines(&catalog, std::slice::from_ref(&q), Some("sales"));
         assert_eq!(
             cold,
             vec![
@@ -1237,7 +1243,7 @@ mod tests {
         );
         let before = catalog.lattice_cache().stats();
         eval_vpct_lattice(&catalog, &q, "l_").unwrap();
-        let warm = lattice_plan_lines(&catalog, std::slice::from_ref(&q), "sales");
+        let warm = lattice_plan_lines(&catalog, std::slice::from_ref(&q), Some("sales"));
         assert_eq!(
             warm,
             vec![

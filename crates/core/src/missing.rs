@@ -16,7 +16,7 @@
 use crate::error::{CoreError, Result};
 use crate::query::{Fact, Measure, VpctQuery};
 use crate::vertical::QueryResult;
-use pa_engine::{distinct_keys, insert_into, ExecStats, RowKeyMap};
+use pa_engine::{distinct, distinct_keys, insert_into, ExecStats, RowKeyMap};
 use pa_storage::{Catalog, Table, Value};
 
 /// The user's choice for the missing-row issue. Optional by design: "the
@@ -130,13 +130,15 @@ pub(crate) fn postprocess_pad(fact: &Fact, q: &VpctQuery, result: &mut QueryResu
     // Distinct Dj+1..Dk combinations come from F (the paper: "this requires
     // getting all distinct combinations ... from F").
     let by_keys = {
-        let f = fact.table.read();
+        let f = fact.read();
         let by_cols: Vec<usize> = term
             .by
             .iter()
             .map(|n| f.schema().index_of(n).map_err(CoreError::from))
             .collect::<Result<Vec<_>>>()?;
-        distinct_keys(&f, &by_cols, stats)?
+        distinct(f.selected(), &by_cols, stats)?
+            .rows()
+            .collect::<Vec<_>>()
     };
 
     let fv = table.read();

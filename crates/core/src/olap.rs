@@ -41,7 +41,8 @@ pub(crate) fn eval_vpct_olap_on(fact: &Fact, q: &VpctQuery) -> Result<QueryResul
     }
     let mut stats = ExecStats::default();
 
-    let f = fact.table.read();
+    let rows = fact.read();
+    let f = rows.whole();
     let schema = f.schema().clone();
 
     let k_cols: Vec<usize> = q
@@ -76,7 +77,7 @@ pub(crate) fn eval_vpct_olap_on(fact: &Fact, q: &VpctQuery) -> Result<QueryResul
     let mut statements = Vec::new();
     let mut cur: Table = f.clone(); // the first spool: F itself materialized
     stats.rows_scanned += cur.num_rows() as u64;
-    drop(f);
+    drop(rows);
     let mut num_pos: Vec<usize> = Vec::new();
     let mut den_pos: Vec<usize> = Vec::new();
     for (t, term) in q.terms.iter().enumerate() {
@@ -121,7 +122,7 @@ pub(crate) fn eval_vpct_olap_on(fact: &Fact, q: &VpctQuery) -> Result<QueryResul
 
     // DISTINCT collapse down to one row per group.
     let all: Vec<usize> = (0..divided.num_columns()).collect();
-    let fv = distinct(&divided, &all, &mut stats)?;
+    let fv = distinct((&divided).into(), &all, &mut stats)?;
     statements.push(format!(
         "SELECT DISTINCT {k}, {terms} FROM {f};",
         k = q.group_by.join(", "),

@@ -17,10 +17,10 @@
 //! version — never sampled per statement.
 
 use crate::error::Result;
-use crate::query::{HorizontalQuery, VpctQuery};
+use crate::query::{Fact, FactRows, HorizontalQuery, VpctQuery};
 use crate::strategy::{HorizontalStrategy, ParallelMode, VpctStrategy};
 use pa_engine::ParallelConfig;
-use pa_storage::{Catalog, Table};
+use pa_storage::Catalog;
 
 /// Estimated BY-domain size (product of per-column distinct counts) above
 /// which a horizontal query routes through `FV` instead of evaluating the
@@ -82,12 +82,14 @@ pub fn choose_horizontal_strategy(
     catalog: &Catalog,
     q: &HorizontalQuery,
 ) -> Result<HorizontalStrategy> {
-    horizontal_strategy_over(&catalog.table(&q.table)?.read(), q)
+    horizontal_strategy_over(&Fact::named(catalog, &q.table)?.read(), q)
 }
 
-/// [`choose_horizontal_strategy`] over the rows `q` will actually read.
+/// [`choose_horizontal_strategy`] over the fact `q` will actually read. A
+/// selection does not enter the estimate: the table's distinct counts
+/// bound the selected rows' from above.
 pub(crate) fn horizontal_strategy_over(
-    f: &Table,
+    f: &FactRows<'_>,
     q: &HorizontalQuery,
 ) -> Result<HorizontalStrategy> {
     // Holistic aggregates cannot re-aggregate from FV at all.

@@ -5,30 +5,131 @@
 //! converted from a parsed [`SelectStmt`] (the SQL API).
 
 use crate::error::{CoreError, Result};
-use pa_engine::AggFunc;
+use pa_engine::{AggFunc, ExecStats, ParallelConfig, ResourceGuard, Selected, Selection};
 use pa_sql::{AggName, AstExpr, QueryKind, SelectItem, SelectStmt};
-use pa_storage::{Catalog, Schema, SharedTable};
+use pa_storage::{Catalog, Schema, SharedTable, Table};
+use std::sync::Arc;
 
 /// The fact table `F` one statement reads, resolved once by its caller ("F
-/// can be a temporary table resulting from some query", SIGMOD §2).
+/// can be a temporary table resulting from some query", SIGMOD §2): a
+/// catalog table — usually a pinned snapshot — and, for a statement with a
+/// `WHERE`, which of its rows. The rows are reachable only through
+/// [`Fact::read`], so no reader can forget the selection.
 #[derive(Debug)]
 pub(crate) struct Fact {
-    /// The rows: a catalog table — usually a pinned snapshot — or a `WHERE`
-    /// result nothing else refers to.
-    pub(crate) table: SharedTable,
-    /// The catalog name the combination and lattice caches know these rows
-    /// by. A `WHERE` result has none, so it is never cached: no later
-    /// statement could ask for it and no mutation could invalidate it.
-    pub(crate) cache_key: Option<String>,
+    table: SharedTable,
+    /// The catalog name the combination and lattice caches know the table
+    /// by.
+    name: Option<String>,
+    filter: Option<Filter>,
+}
+
+/// A statement's `WHERE`: the rows it selects, and its text for the
+/// generated statements that read `F`.
+#[derive(Debug)]
+struct Filter {
+    selection: Selection,
+    sql: String,
+}
+
+/// A [`Fact`] held for reading.
+pub(crate) struct FactRows<'f> {
+    table: parking_lot::RwLockReadGuard<'f, Table>,
+    selection: Option<&'f Selection>,
 }
 
 impl Fact {
     /// The catalog table `name` as it stands.
     pub(crate) fn named(catalog: &Catalog, name: &str) -> Result<Fact> {
+        Ok(Fact::cached(catalog.table(name)?, name))
+    }
+
+    /// `table`, which the caches know as `name`.
+    pub(crate) fn cached(table: SharedTable, name: &str) -> Fact {
+        Fact {
+            table,
+            name: Some(name.to_string()),
+            filter: None,
+        }
+    }
+
+    /// The rows of this fact that `pred` is TRUE on, as a fact over the
+    /// same table: the predicate is evaluated once, under `guard`, into the
+    /// selection every scan of the statement then reads.
+    pub(crate) fn select(
+        &self,
+        pred: &AstExpr,
+        guard: &ResourceGuard,
+        stats: &mut ExecStats,
+    ) -> Result<Fact> {
+        let rows = self.read();
+        let expr = ast_to_expr(pred, rows.schema())?;
+        let config = ParallelConfig::from_env();
+        let selection = Selection::compile(rows.selected(), &expr, guard, stats, &config)?;
         Ok(Fact {
-            table: catalog.table(name)?,
-            cache_key: Some(name.to_string()),
+            table: Arc::clone(&self.table),
+            name: self.name.clone(),
+            filter: Some(Filter {
+                selection,
+                sql: pred.to_string(),
+            }),
         })
+    }
+
+    pub(crate) fn read(&self) -> FactRows<'_> {
+        FactRows {
+            table: self.table.read(),
+            selection: self.filter.as_ref().map(|f| &f.selection),
+        }
+    }
+
+    /// The name the combination and lattice caches know these rows by. A
+    /// selected fact has none, so it is never cached: the combinations and
+    /// levels of a subset are not the table's.
+    pub(crate) fn cache_key(&self) -> Option<&str> {
+        match self.filter {
+            None => self.name.as_deref(),
+            Some(_) => None,
+        }
+    }
+
+    /// The `WHERE` text every generated statement that reads `F` carries.
+    pub(crate) fn where_sql(&self) -> Option<&str> {
+        self.filter.as_ref().map(|f| f.sql.as_str())
+    }
+}
+
+impl FactRows<'_> {
+    /// What the scan-core operators read: the table with its selection.
+    pub(crate) fn selected(&self) -> Selected<'_> {
+        let all = Selected::from(&*self.table);
+        self.selection.map_or(all, |selection| all.with(selection))
+    }
+
+    pub(crate) fn schema(&self) -> &Arc<Schema> {
+        self.table.schema()
+    }
+
+    /// The whole table, for the readers outside the scan core (the OLAP
+    /// baseline, missing-row padding).
+    ///
+    /// # Panics
+    /// On a selected fact: only a statement has a `WHERE`, and no statement
+    /// reaches those readers.
+    pub(crate) fn whole(&self) -> &Table {
+        assert!(self.selection.is_none(), "this reader takes no selection");
+        &self.table
+    }
+
+    /// Rows a scan of the fact reads: the table's, selected or not.
+    pub(crate) fn num_rows(&self) -> usize {
+        self.table.num_rows()
+    }
+
+    /// The table's distinct-value estimate for column `col` — an upper
+    /// bound on the selected rows'.
+    pub(crate) fn distinct_estimate(&self, col: usize) -> usize {
+        self.table.distinct_estimate(col)
     }
 }
 

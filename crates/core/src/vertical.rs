@@ -19,8 +19,8 @@ use crate::error::{CoreError, Result};
 use crate::query::{ExtraAgg, Fact, VpctQuery};
 use crate::strategy::{FjSource, Materialization, VpctStrategy};
 use pa_engine::{
-    hash_join_guarded, multi_hash_aggregate_guarded, update_from, AggFunc, AggSpec, ExecStats,
-    Expr, JoinType, ProjSpec, ResourceGuard, SetClause,
+    aggregate, hash_join_guarded, update_from, AggFunc, AggSpec, ExecStats, Expr, JoinType,
+    ParallelConfig, ProjSpec, ResourceGuard, Selected, SetClause,
 };
 use pa_storage::{Catalog, Change, HashIndex, SharedTable, Table, Value};
 use std::sync::Arc;
@@ -56,6 +56,20 @@ pub(crate) fn into_shared(t: Table) -> SharedTable {
 pub(crate) fn count_insert(t: &Table, stats: &mut ExecStats) {
     stats.statements += 1;
     stats.rows_materialized += t.num_rows() as u64;
+}
+
+/// [`aggregate`] at one grouping level.
+pub(crate) fn aggregate_level(
+    input: Selected<'_>,
+    cols: &[usize],
+    specs: &[AggSpec],
+    guard: &ResourceGuard,
+    stats: &mut ExecStats,
+    config: &ParallelConfig,
+) -> Result<Table> {
+    let level = [(cols.to_vec(), specs.to_vec())];
+    let mut tables = aggregate(input, &level, guard, stats, config)?;
+    Ok(tables.pop().expect("one level in, one table out"))
 }
 
 pub(crate) fn extra_spec(extra: &ExtraAgg, schema: &pa_storage::Schema) -> Result<AggSpec> {
@@ -102,10 +116,14 @@ pub(crate) fn eval_vpct_on(
 ) -> Result<QueryResult> {
     q.validate()?;
     let mut stats = ExecStats::default();
-    let statements = crate::codegen::vpct_statements(q, strat);
+    let statements = crate::codegen::vpct_statements(q, strat, fact.where_sql());
 
-    let f = fact.table.read();
+    let f = fact.read();
     let f_schema = f.schema().clone();
+    let config = ParallelConfig::from_env();
+    let level = |input: Selected<'_>, cols: &[usize], specs: &[AggSpec], stats: &mut _| {
+        aggregate_level(input, cols, specs, guard, stats, &config)
+    };
 
     // Resolve GROUP BY columns.
     let k_cols: Vec<usize> = q
@@ -172,18 +190,11 @@ pub(crate) fn eval_vpct_on(
                 )],
             ));
         }
-        let mut out = multi_hash_aggregate_guarded(&f, &levels, guard, &mut stats)?;
+        let mut out = aggregate(f.selected(), &levels, guard, &mut stats, &config)?;
         let fk = out.remove(0);
         (fk, out)
     } else {
-        let fk = multi_hash_aggregate_guarded(
-            &f,
-            &[(k_cols.clone(), fk_specs.clone())],
-            guard,
-            &mut stats,
-        )?
-        .pop()
-        .expect("one level");
+        let fk = level(f.selected(), &k_cols, &fk_specs, &mut stats)?;
         (fk, Vec::new())
     };
 
@@ -194,27 +205,13 @@ pub(crate) fn eval_vpct_on(
                 FjSource::FromF => {
                     let spec =
                         AggSpec::new(AggFunc::Sum, term.measure.to_expr(&f_schema)?, "total");
-                    multi_hash_aggregate_guarded(
-                        &f,
-                        &[(totals_f_cols[t].clone(), vec![spec])],
-                        guard,
-                        &mut stats,
-                    )?
-                    .pop()
-                    .expect("one level")
+                    level(f.selected(), &totals_f_cols[t], &[spec], &mut stats)?
                 }
                 FjSource::FromFk => {
                     // Re-aggregate the partial sums (distributive).
                     let sum_pos = k_len + t;
                     let spec = AggSpec::new(AggFunc::Sum, Expr::Col(sum_pos), "total");
-                    multi_hash_aggregate_guarded(
-                        &fk_table,
-                        &[(totals_fk_cols[t].clone(), vec![spec])],
-                        guard,
-                        &mut stats,
-                    )?
-                    .pop()
-                    .expect("one level")
+                    level((&fk_table).into(), &totals_fk_cols[t], &[spec], &mut stats)?
                 }
             };
             fj_tables.push(fj);

@@ -250,6 +250,66 @@ fn deadline_is_enforced_on_the_engines_injected_clock() {
     assert!(ok.stats().rows_charged > 0);
 }
 
+/// `WHERE` is work under the statement's guard like any scan: its pass over
+/// the table observes the deadline morsel by morsel, and the scans that
+/// read the selection charge the rows they read, not the rows that
+/// qualified. (When `WHERE` copied the table first, the copy took no guard:
+/// neither limit could fire inside it, and a predicate few rows pass made a
+/// statement over a large table look free.)
+#[test]
+fn where_observes_the_deadline_and_charges_the_rows_it_reads() {
+    // Every env-reading test of this binary runs inside this window, so the
+    // morsel size can be pinned for one of them.
+    let _w = chaos_window();
+    struct Morsels;
+    impl Drop for Morsels {
+        fn drop(&mut self) {
+            std::env::remove_var("PA_MORSEL_ROWS");
+        }
+    }
+    std::env::set_var("PA_MORSEL_ROWS", "1024");
+    let _morsels = Morsels;
+
+    const ROWS: usize = 32 * 1024;
+    let catalog = sales_catalog(ROWS);
+    // No row qualifies: whatever is timed or charged is the table's, not
+    // the selection's.
+    let sql = "SELECT state, Hpct(salesAmt BY city) FROM sales \
+               WHERE salesAmt > 1000000000 GROUP BY state;";
+
+    // 32 morsels at 1 ms a guard observation against a 20 ms allowance: the
+    // deadline expires inside the predicate's pass, two thirds through.
+    let meter = ResourceGuard::counting();
+    let clock = Arc::new(TestClock::with_auto_step(Duration::from_millis(1)));
+    let late = PercentageEngine::new(&catalog)
+        .with_guard(meter.clone())
+        .with_clock(clock)
+        .with_deadline(Duration::from_millis(20));
+    let err = late.execute_sql(sql).unwrap_err();
+    assert!(matches!(err, CoreError::DeadlineExceeded { .. }), "{err:?}");
+    assert!(
+        meter.rows_charged() < ROWS as u64,
+        "stopped mid-table, charged {}",
+        meter.rows_charged()
+    );
+
+    // A budget of half the table: the statement reads more than that.
+    let tight =
+        PercentageEngine::new(&catalog).with_guard(ResourceGuard::with_row_budget(ROWS as u64 / 2));
+    let err = tight.execute_sql(sql).unwrap_err();
+    assert!(
+        matches!(err, CoreError::BudgetExceeded { budget, .. } if budget == ROWS as u64 / 2),
+        "{err:?}"
+    );
+
+    // Unlimited, it charges what it read: the table once per scan.
+    let free = PercentageEngine::new(&catalog);
+    let out = free.execute_sql(sql).unwrap();
+    assert!(out.stats().rows_charged >= ROWS as u64, "{}", out.stats());
+    assert!(out.stats().rows_scanned >= ROWS as u64, "{}", out.stats());
+    assert_eq!(out.table().read().num_rows(), 0);
+}
+
 #[test]
 fn transient_log_errors_are_absorbed_by_retry() {
     // Every guard charge ticks the process-global panic injector: stay out

@@ -117,7 +117,7 @@ fn bench_primitives(c: &mut Criterion) {
     });
 
     c.bench_function("distinct/2-columns", |b| {
-        b.iter(|| distinct(&f, &[0, 1], &mut ExecStats::default()).unwrap());
+        b.iter(|| distinct((&f).into(), &[0, 1], &mut ExecStats::default()).unwrap());
     });
 
     c.bench_function("window/sum-over-partition", |b| {

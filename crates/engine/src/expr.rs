@@ -199,154 +199,81 @@ impl Expr {
         stats: &mut ExecStats,
     ) -> Result<Value> {
         let split = left.num_columns();
-        match self {
-            Expr::Col(i) => {
-                if *i < split {
-                    Ok(left.column(*i).get(lrow))
-                } else {
-                    let j = *i - split;
-                    if j >= right.num_columns() {
-                        return Err(EngineError::InvalidOperator(format!(
-                            "column {i} out of range for spliced row of {} columns",
-                            split + right.num_columns()
-                        )));
-                    }
-                    Ok(right.column(j).get(rrow))
-                }
+        let col = |i: usize| {
+            if i < split {
+                return Ok(left.column(i).get(lrow));
             }
-            Expr::Lit(v) => Ok(v.clone()),
-            Expr::Arith(op, l, r) => arith(
-                *op,
-                &l.eval2(left, lrow, right, rrow, stats)?,
-                &r.eval2(left, lrow, right, rrow, stats)?,
-            ),
-            Expr::SafeDiv(num, den) => {
-                let dv = den.eval2(left, lrow, right, rrow, stats)?;
-                stats.case_condition_evals += 1;
-                match dv.as_f64() {
-                    None | Some(0.0) => Ok(Value::Null),
-                    Some(d) => Ok(match num.eval2(left, lrow, right, rrow, stats)?.as_f64() {
-                        None => Value::Null,
-                        Some(n) => Value::Float(n / d),
-                    }),
-                }
-            }
-            Expr::Cmp(op, l, r) => Ok(compare(
-                *op,
-                &l.eval2(left, lrow, right, rrow, stats)?,
-                &r.eval2(left, lrow, right, rrow, stats)?,
-            )),
-            Expr::KeyEq(l, r) => Ok(Value::Int(
-                l.eval2(left, lrow, right, rrow, stats)?
-                    .key_eq(&r.eval2(left, lrow, right, rrow, stats)?) as i64,
-            )),
-            Expr::Cast(t, e) => Ok(cast(*t, e.eval2(left, lrow, right, rrow, stats)?)?),
-            Expr::And(l, r) => {
-                let lv = truth(&l.eval2(left, lrow, right, rrow, stats)?);
-                if lv == Some(false) {
-                    return Ok(Value::Int(0));
-                }
-                let rv = truth(&r.eval2(left, lrow, right, rrow, stats)?);
-                Ok(match (lv, rv) {
-                    (_, Some(false)) => Value::Int(0),
-                    (Some(true), Some(true)) => Value::Int(1),
-                    _ => Value::Null,
-                })
-            }
-            Expr::Or(l, r) => {
-                let lv = truth(&l.eval2(left, lrow, right, rrow, stats)?);
-                if lv == Some(true) {
-                    return Ok(Value::Int(1));
-                }
-                let rv = truth(&r.eval2(left, lrow, right, rrow, stats)?);
-                Ok(match (lv, rv) {
-                    (_, Some(true)) => Value::Int(1),
-                    (Some(false), Some(false)) => Value::Int(0),
-                    _ => Value::Null,
-                })
-            }
-            Expr::Not(e) => Ok(match truth(&e.eval2(left, lrow, right, rrow, stats)?) {
-                Some(b) => Value::Int(!b as i64),
-                None => Value::Null,
-            }),
-            Expr::IsNull(e) => Ok(Value::Int(
-                e.eval2(left, lrow, right, rrow, stats)?.is_null() as i64,
-            )),
-            Expr::Case {
-                branches,
-                else_value,
-            } => {
-                for (cond, result) in branches {
-                    stats.case_condition_evals += 1;
-                    if truth(&cond.eval2(left, lrow, right, rrow, stats)?) == Some(true) {
-                        return result.eval2(left, lrow, right, rrow, stats);
-                    }
-                }
-                match else_value {
-                    Some(e) => e.eval2(left, lrow, right, rrow, stats),
-                    None => Ok(Value::Null),
-                }
-            }
-        }
+            let width = split + right.num_columns();
+            let col = right.columns().get(i - split).ok_or_else(|| {
+                EngineError::InvalidOperator(format!(
+                    "column {i} out of range for spliced row of {width} columns"
+                ))
+            })?;
+            Ok(col.get(rrow))
+        };
+        self.walk(&col, stats)
     }
 
-    /// Evaluate against a column slice — lets UPDATE/join expressions run
-    /// over a virtual row spliced from two tables.
+    /// Evaluate against row `row` of a column slice.
     pub fn eval_cols(
         &self,
         cols: &[pa_storage::Column],
         row: usize,
         stats: &mut ExecStats,
     ) -> Result<Value> {
+        let col = |i: usize| {
+            let col = cols.get(i).ok_or_else(|| {
+                EngineError::InvalidOperator(format!(
+                    "column {i} out of range ({} columns)",
+                    cols.len()
+                ))
+            })?;
+            Ok(col.get(row))
+        };
+        self.walk(&col, stats)
+    }
+
+    /// The one tree walk: `col(i)` reads `Col(i)` of whatever row the
+    /// caller is positioned on.
+    fn walk(&self, col: &impl Fn(usize) -> Result<Value>, stats: &mut ExecStats) -> Result<Value> {
         match self {
-            Expr::Col(i) => {
-                let col = cols.get(*i).ok_or_else(|| {
-                    EngineError::InvalidOperator(format!(
-                        "column {i} out of range ({} columns)",
-                        cols.len()
-                    ))
-                })?;
-                Ok(col.get(row))
-            }
+            Expr::Col(i) => col(*i),
             Expr::Lit(v) => Ok(v.clone()),
             Expr::Arith(op, l, r) => {
-                let lv = l.eval_cols(cols, row, stats)?;
-                let rv = r.eval_cols(cols, row, stats)?;
+                let lv = l.walk(col, stats)?;
+                let rv = r.walk(col, stats)?;
                 arith(*op, &lv, &rv)
             }
             Expr::SafeDiv(num, den) => {
-                let dv = den.eval_cols(cols, row, stats)?;
+                let dv = den.walk(col, stats)?;
                 // The guard is the CASE WHEN den <> 0 from the generated SQL.
                 stats.case_condition_evals += 1;
                 match dv.as_f64() {
                     None | Some(0.0) => Ok(Value::Null),
-                    Some(d) => {
-                        let nv = num.eval_cols(cols, row, stats)?;
-                        match nv.as_f64() {
-                            None => Ok(Value::Null),
-                            Some(n) => Ok(Value::Float(n / d)),
-                        }
-                    }
+                    Some(d) => Ok(match num.walk(col, stats)?.as_f64() {
+                        None => Value::Null,
+                        Some(n) => Value::Float(n / d),
+                    }),
                 }
             }
             Expr::Cmp(op, l, r) => {
-                let lv = l.eval_cols(cols, row, stats)?;
-                let rv = r.eval_cols(cols, row, stats)?;
+                let lv = l.walk(col, stats)?;
+                let rv = r.walk(col, stats)?;
                 Ok(compare(*op, &lv, &rv))
             }
             Expr::KeyEq(l, r) => {
-                let lv = l.eval_cols(cols, row, stats)?;
-                let rv = r.eval_cols(cols, row, stats)?;
+                let lv = l.walk(col, stats)?;
+                let rv = r.walk(col, stats)?;
                 Ok(Value::Int(lv.key_eq(&rv) as i64))
             }
-            Expr::Cast(t, e) => Ok(cast(*t, e.eval_cols(cols, row, stats)?)?),
+            Expr::Cast(t, e) => Ok(cast(*t, e.walk(col, stats)?)?),
             Expr::And(l, r) => {
-                let lv = truth(&l.eval_cols(cols, row, stats)?);
+                let lv = truth(&l.walk(col, stats)?);
                 // SQL AND short-circuits on FALSE only.
                 if lv == Some(false) {
                     return Ok(Value::Int(0));
                 }
-                let rv = truth(&r.eval_cols(cols, row, stats)?);
+                let rv = truth(&r.walk(col, stats)?);
                 Ok(match (lv, rv) {
                     (_, Some(false)) => Value::Int(0),
                     (Some(true), Some(true)) => Value::Int(1),
@@ -354,34 +281,34 @@ impl Expr {
                 })
             }
             Expr::Or(l, r) => {
-                let lv = truth(&l.eval_cols(cols, row, stats)?);
+                let lv = truth(&l.walk(col, stats)?);
                 if lv == Some(true) {
                     return Ok(Value::Int(1));
                 }
-                let rv = truth(&r.eval_cols(cols, row, stats)?);
+                let rv = truth(&r.walk(col, stats)?);
                 Ok(match (lv, rv) {
                     (_, Some(true)) => Value::Int(1),
                     (Some(false), Some(false)) => Value::Int(0),
                     _ => Value::Null,
                 })
             }
-            Expr::Not(e) => Ok(match truth(&e.eval_cols(cols, row, stats)?) {
+            Expr::Not(e) => Ok(match truth(&e.walk(col, stats)?) {
                 Some(b) => Value::Int(!b as i64),
                 None => Value::Null,
             }),
-            Expr::IsNull(e) => Ok(Value::Int(e.eval_cols(cols, row, stats)?.is_null() as i64)),
+            Expr::IsNull(e) => Ok(Value::Int(e.walk(col, stats)?.is_null() as i64)),
             Expr::Case {
                 branches,
                 else_value,
             } => {
                 for (cond, result) in branches {
                     stats.case_condition_evals += 1;
-                    if truth(&cond.eval_cols(cols, row, stats)?) == Some(true) {
-                        return result.eval_cols(cols, row, stats);
+                    if truth(&cond.walk(col, stats)?) == Some(true) {
+                        return result.walk(col, stats);
                     }
                 }
                 match else_value {
-                    Some(e) => e.eval_cols(cols, row, stats),
+                    Some(e) => e.walk(col, stats),
                     None => Ok(Value::Null),
                 }
             }
@@ -406,7 +333,8 @@ fn cast(t: DataType, v: Value) -> Result<Value> {
     })
 }
 
-fn truth(v: &Value) -> Option<bool> {
+/// The three-valued truth of a value: NULL and strings are unknown.
+pub(crate) fn truth(v: &Value) -> Option<bool> {
     match v {
         Value::Null => None,
         Value::Int(i) => Some(*i != 0),
@@ -450,7 +378,9 @@ fn arith(op: ArithOp, l: &Value, r: &Value) -> Result<Value> {
     })
 }
 
-fn compare(op: CmpOp, l: &Value, r: &Value) -> Value {
+/// `l op r`: NULL when either side is, ordering by [`Value::total_cmp`],
+/// equality by [`Value::key_eq`].
+pub(crate) fn compare(op: CmpOp, l: &Value, r: &Value) -> Value {
     if l.is_null() || r.is_null() {
         return Value::Null;
     }

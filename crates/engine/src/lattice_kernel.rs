@@ -18,12 +18,13 @@ use crate::guard::ResourceGuard;
 use crate::ops::aggregate::{check_level, AggSpec};
 use crate::ops::partial::ShardPartial;
 use crate::parallel::ParallelConfig;
+use crate::predicate::Selected;
 use crate::scan::ScanPlan;
 use crate::stats::ExecStats;
 use pa_storage::Table;
 
 /// Aggregate `aggs` at **every** lattice level of `levels` in one fused
-/// scan over `input`.
+/// scan over the selected rows of `input`.
 ///
 /// `group_cols` are the finest key columns; each level is a non-empty,
 /// strictly increasing list of positions into `group_cols` (the dimensions
@@ -37,8 +38,8 @@ use pa_storage::Table;
 /// dimensions): callers fall back to per-level aggregation. Malformed
 /// inputs (out-of-range columns, empty aggregate lists, non-subset levels)
 /// are errors, not fallbacks.
-pub fn lattice_aggregate_with_config(
-    input: &Table,
+pub fn lattice_aggregate(
+    input: Selected<'_>,
     group_cols: &[usize],
     aggs: &[AggSpec],
     levels: &[Vec<usize>],
@@ -46,7 +47,8 @@ pub fn lattice_aggregate_with_config(
     stats: &mut ExecStats,
     config: &ParallelConfig,
 ) -> Result<Option<Vec<ShardPartial>>> {
-    check_level(input, group_cols, aggs)?;
+    let table = input.table;
+    check_level(table, group_cols, aggs)?;
     for dims in levels {
         let ordered = dims.windows(2).all(|w| w[0] < w[1]);
         if dims.is_empty() || !ordered || dims.iter().any(|&d| d >= group_cols.len()) {
@@ -74,7 +76,7 @@ pub fn lattice_aggregate_with_config(
 
     stats.statements += 1;
     guard.check()?;
-    stats.rows_scanned += input.num_rows() as u64;
+    stats.rows_scanned += table.num_rows() as u64;
     let mut span = guard.span("lattice");
     span.set_detail(tier);
     let groups = plan.run("lattice_aggregate", guard, &mut span, stats)?;
@@ -88,29 +90,22 @@ pub fn lattice_aggregate_with_config(
         groups
             .into_iter()
             .zip(levels)
-            .map(|(g, keep)| ShardPartial::from_parts(input, group_cols, keep, aggs, g))
+            .map(|(g, keep)| ShardPartial::from_parts(table, group_cols, keep, aggs, g))
             .collect(),
     ))
 }
 
-/// [`lattice_aggregate_with_config`] under the environment configuration.
-pub fn lattice_aggregate_guarded(
+/// [`lattice_aggregate`] of a whole table.
+pub fn lattice_aggregate_with_config(
     input: &Table,
     group_cols: &[usize],
     aggs: &[AggSpec],
     levels: &[Vec<usize>],
     guard: &ResourceGuard,
     stats: &mut ExecStats,
+    config: &ParallelConfig,
 ) -> Result<Option<Vec<ShardPartial>>> {
-    lattice_aggregate_with_config(
-        input,
-        group_cols,
-        aggs,
-        levels,
-        guard,
-        stats,
-        &ParallelConfig::from_env(),
-    )
+    lattice_aggregate(input.into(), group_cols, aggs, levels, guard, stats, config)
 }
 
 #[cfg(test)]

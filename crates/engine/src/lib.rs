@@ -22,6 +22,7 @@ pub mod keymap;
 pub mod lattice_kernel;
 pub mod ops;
 pub mod parallel;
+pub mod predicate;
 mod scan;
 pub mod sketch;
 pub mod stats;
@@ -35,24 +36,25 @@ pub use keymap::{
     DenseGroupMap, DenseKeySpace, GroupMap, RowKeyMap, WideKeySpace, WideProjector,
     DEFAULT_DENSE_BUDGET,
 };
-pub use lattice_kernel::{lattice_aggregate_guarded, lattice_aggregate_with_config};
+pub use lattice_kernel::{lattice_aggregate, lattice_aggregate_with_config};
 pub use ops::acc::{Acc, PartialState, PctState, DEFAULT_PERCENTILE_BUDGET};
 pub use ops::aggregate::{
-    hash_aggregate, hash_aggregate_guarded, hash_aggregate_with_config, multi_hash_aggregate,
-    multi_hash_aggregate_guarded, multi_hash_aggregate_with_config, AggFunc, AggSpec, PBits,
+    aggregate, hash_aggregate, hash_aggregate_with_config, multi_hash_aggregate,
+    multi_hash_aggregate_with_config, AggFunc, AggSpec, PBits,
 };
 pub use ops::distinct::{distinct, distinct_keys};
 pub use ops::filter::filter;
 pub use ops::insert::insert_into;
 pub use ops::join::{hash_join, hash_join_guarded, JoinType};
 pub use ops::partial::{partial_aggregate, ShardPartial};
-pub use ops::pivot::{pivot_aggregate_with_config, PivotTask};
+pub use ops::pivot::{pivot_aggregate, pivot_aggregate_with_config, PivotTask};
 pub use ops::project::{project, ProjSpec};
 pub use ops::sort::{sort, sort_permutation};
 pub use ops::update::{update_from, SetClause};
 pub use ops::window::window_aggregate;
 pub use pa_obs::{MetricsRegistry, SpanHandle, SpanRecord, TraceReport, Tracer};
 pub use parallel::ParallelConfig;
+pub use predicate::{Selected, Selection};
 pub use sketch::{Hll, TDigest, HLL_REGISTERS, HLL_STD_ERROR, TDIGEST_RANK_EPSILON};
 pub use stats::{AbortCause, Degradation, ExecStats};
 pub use vector::{BlockCoder, CodeWord, Coder, LaneSrc, NumSlice, RawLane, WideCoder, BLOCK_ROWS};

@@ -9,16 +9,18 @@
 //! ([`multi_hash_aggregate`]) implements the paper's "these scans can be
 //! synchronized to have effectively one scan".
 //!
-//! Every entry point here is an adapter over the scan core
-//! (`crate::scan`, DESIGN.md "Scan core"): it validates, plans one code
-//! stream per level (identity projection) — or the scalar per-row loop for
-//! a level that cannot fuse — runs the one morsel-parallel scan, and
-//! formats each level's groups as a table in first-appearance order.
+//! [`aggregate`] is an adapter over the scan core (`crate::scan`, DESIGN.md
+//! "Scan core"): it validates, plans one code stream per level (identity
+//! projection) — or the scalar per-row loop for a level that cannot fuse —
+//! runs the one morsel-parallel scan over the table *and its selection*,
+//! and formats each level's groups as a table in first-appearance order.
+//! The other entry points are the names outside callers know it by.
 
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
 use crate::guard::ResourceGuard;
 use crate::parallel::ParallelConfig;
+use crate::predicate::Selected;
 use crate::scan::{LevelGroups, ScanPlan};
 use crate::stats::ExecStats;
 use pa_storage::{Column, DataType, Field, Schema, Table};
@@ -202,31 +204,13 @@ pub fn hash_aggregate(
     aggs: &[AggSpec],
     stats: &mut ExecStats,
 ) -> Result<Table> {
-    hash_aggregate_guarded(input, group_cols, aggs, &ResourceGuard::unlimited(), stats)
+    let (guard, config) = (ResourceGuard::unlimited(), ParallelConfig::from_env());
+    hash_aggregate_with_config(input, group_cols, aggs, &guard, stats, &config)
 }
 
-/// [`hash_aggregate`] under a [`ResourceGuard`]: scanned and materialized
-/// rows are charged against the guard's budget. Parallelism follows the
-/// environment configuration ([`ParallelConfig::from_env`]).
-pub fn hash_aggregate_guarded(
-    input: &Table,
-    group_cols: &[usize],
-    aggs: &[AggSpec],
-    guard: &ResourceGuard,
-    stats: &mut ExecStats,
-) -> Result<Table> {
-    hash_aggregate_with_config(
-        input,
-        group_cols,
-        aggs,
-        guard,
-        stats,
-        &ParallelConfig::from_env(),
-    )
-}
-
-/// [`hash_aggregate_guarded`] with an explicit [`ParallelConfig`] (tests and
-/// benches pin thread counts here instead of racing on env vars).
+/// [`hash_aggregate`] under a [`ResourceGuard`] and an explicit
+/// [`ParallelConfig`] (tests and benches pin thread counts here instead of
+/// racing on env vars): one level of [`aggregate`].
 pub fn hash_aggregate_with_config(
     input: &Table,
     group_cols: &[usize],
@@ -235,38 +219,31 @@ pub fn hash_aggregate_with_config(
     stats: &mut ExecStats,
     config: &ParallelConfig,
 ) -> Result<Table> {
-    let mut tables = multi_hash_aggregate_with_config(
-        input,
-        &[(group_cols.to_vec(), aggs.to_vec())],
-        guard,
-        stats,
-        config,
-    )?;
+    let level = [(group_cols.to_vec(), aggs.to_vec())];
+    let mut tables = aggregate(input.into(), &level, guard, stats, config)?;
     Ok(tables.pop().expect("one level in, one table out"))
 }
 
-/// Aggregate at several grouping levels in **one pass** over `input` —
-/// the paper's synchronized-scan optimization for computing `Fk` and `Fj`
-/// together.
+/// [`aggregate`] of a whole table, unguarded, under the environment
+/// configuration ([`ParallelConfig::from_env`]).
 pub fn multi_hash_aggregate(
     input: &Table,
     levels: &[(Vec<usize>, Vec<AggSpec>)],
     stats: &mut ExecStats,
 ) -> Result<Vec<Table>> {
-    multi_hash_aggregate_guarded(input, levels, &ResourceGuard::unlimited(), stats)
+    let (guard, config) = (ResourceGuard::unlimited(), ParallelConfig::from_env());
+    aggregate(input.into(), levels, &guard, stats, &config)
 }
 
-/// [`multi_hash_aggregate`] under a [`ResourceGuard`]: the input scan is
-/// charged morsel by morsel (so cancellation and budget exhaustion land
-/// within one morsel), and every output group row is charged before
-/// materialization. Parallelism follows [`ParallelConfig::from_env`].
-pub fn multi_hash_aggregate_guarded(
+/// [`aggregate`] of a whole table.
+pub fn multi_hash_aggregate_with_config(
     input: &Table,
     levels: &[(Vec<usize>, Vec<AggSpec>)],
     guard: &ResourceGuard,
     stats: &mut ExecStats,
+    config: &ParallelConfig,
 ) -> Result<Vec<Table>> {
-    multi_hash_aggregate_with_config(input, levels, guard, stats, &ParallelConfig::from_env())
+    aggregate(input.into(), levels, guard, stats, config)
 }
 
 /// Validate the arguments every aggregate adapter shares.
@@ -327,16 +304,22 @@ fn finish(
     )?)
 }
 
-/// [`multi_hash_aggregate_guarded`] with an explicit [`ParallelConfig`].
-pub fn multi_hash_aggregate_with_config(
-    input: &Table,
+/// Aggregate the selected rows of `input` at several grouping levels in
+/// **one pass** — the paper's synchronized-scan optimization for computing
+/// `Fk` and `Fj` together, and the general entry every other name in this
+/// module forwards to. The scan is charged to `guard` morsel by morsel, for
+/// the rows it reads (so cancellation and budget exhaustion land within one
+/// morsel), and every output group row before materialization.
+pub fn aggregate(
+    input: Selected<'_>,
     levels: &[(Vec<usize>, Vec<AggSpec>)],
     guard: &ResourceGuard,
     stats: &mut ExecStats,
     config: &ParallelConfig,
 ) -> Result<Vec<Table>> {
+    let table = input.table;
     for (cols, aggs) in levels {
-        check_level(input, cols, aggs)?;
+        check_level(table, cols, aggs)?;
     }
     stats.statements += 1;
     stats.holistic_lanes += levels
@@ -351,7 +334,7 @@ pub fn multi_hash_aggregate_with_config(
     let mut plan = ScanPlan::new(input, config);
     let keyed = levels.iter().map(|(cols, aggs)| (&cols[..], &aggs[..]));
     let detail = plan.push_levels(keyed, stats);
-    stats.rows_scanned += input.num_rows() as u64;
+    stats.rows_scanned += table.num_rows() as u64;
     let mut span = guard.span("aggregate");
     span.set_detail(detail);
     let groups = plan.run("multi_hash_aggregate", guard, &mut span, stats)?;
@@ -362,7 +345,7 @@ pub fn multi_hash_aggregate_with_config(
     groups
         .into_iter()
         .zip(levels)
-        .map(|(g, (cols, aggs))| finish(g, input, cols, aggs, stats))
+        .map(|(g, (cols, aggs))| finish(g, table, cols, aggs, stats))
         .collect()
 }
 
@@ -432,6 +415,18 @@ mod tests {
             t.push_row(&row).unwrap();
         }
         t
+    }
+
+    /// One level under `guard`, serially.
+    fn guarded(
+        input: &Table,
+        group_cols: &[usize],
+        aggs: &[AggSpec],
+        guard: &ResourceGuard,
+        stats: &mut ExecStats,
+    ) -> Result<Table> {
+        let serial = ParallelConfig::serial();
+        hash_aggregate_with_config(input, group_cols, aggs, guard, stats, &serial)
     }
 
     fn par(threads: usize, morsel: usize) -> ParallelConfig {
@@ -691,7 +686,7 @@ mod tests {
         // 10 input rows > 5-row budget: the whole table is one morsel, so
         // the first charge fails before absorbing.
         let guard = ResourceGuard::with_row_budget(5);
-        let err = hash_aggregate_guarded(&f, &[0], &[sum_a(&f)], &guard, &mut st).unwrap_err();
+        let err = guarded(&f, &[0], &[sum_a(&f)], &guard, &mut st).unwrap_err();
         assert!(
             matches!(err, EngineError::BudgetExceeded { budget: 5, .. }),
             "{err}"
@@ -699,14 +694,14 @@ mod tests {
 
         // 10 scanned + 2 groups fits a 12-row budget exactly.
         let guard = ResourceGuard::with_row_budget(12);
-        let out = hash_aggregate_guarded(&f, &[0], &[sum_a(&f)], &guard, &mut st).unwrap();
+        let out = guarded(&f, &[0], &[sum_a(&f)], &guard, &mut st).unwrap();
         assert_eq!(out.num_rows(), 2);
         assert_eq!(guard.rows_charged(), 12);
 
         // 10 scanned + 4 groups does not fit 12: the failure comes from the
         // materialization charge, after the scan succeeded.
         let guard = ResourceGuard::with_row_budget(12);
-        let err = hash_aggregate_guarded(&f, &[0, 1], &[sum_a(&f)], &guard, &mut st).unwrap_err();
+        let err = guarded(&f, &[0, 1], &[sum_a(&f)], &guard, &mut st).unwrap_err();
         assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
     }
 
@@ -715,8 +710,7 @@ mod tests {
         let f = sales();
         let guard = ResourceGuard::with_row_budget(u64::MAX);
         guard.cancel();
-        let err = hash_aggregate_guarded(&f, &[0], &[sum_a(&f)], &guard, &mut ExecStats::default())
-            .unwrap_err();
+        let err = guarded(&f, &[0], &[sum_a(&f)], &guard, &mut ExecStats::default()).unwrap_err();
         assert!(matches!(err, EngineError::Cancelled), "{err}");
     }
 

@@ -7,66 +7,51 @@
 
 use crate::error::{EngineError, Result};
 use crate::keymap::RowKeyMap;
+use crate::predicate::Selected;
 use crate::stats::ExecStats;
-use pa_storage::{Table, Value};
+use pa_storage::{Schema, Table, Value};
 
-/// Distinct value combinations of `cols`, as a table with those columns.
-pub fn distinct(input: &Table, cols: &[usize], stats: &mut ExecStats) -> Result<Table> {
+/// Distinct value combinations of `cols` among the selected rows of
+/// `input`, as a table with those columns.
+pub fn distinct(input: Selected<'_>, cols: &[usize], stats: &mut ExecStats) -> Result<Table> {
     if cols.is_empty() {
         return Err(EngineError::InvalidOperator(
             "distinct needs at least one column".into(),
         ));
     }
+    let table = input.table;
     stats.statements += 1;
-    let n = input.num_rows();
+    let n = table.num_rows();
     stats.rows_scanned += n as u64;
     let mut map = RowKeyMap::new();
     let mut first_rows: Vec<usize> = Vec::new();
-    for row in 0..n {
+    let mut see = |row: usize| {
         let before = map.len();
-        map.get_or_insert_row(input, cols, row, stats);
+        map.get_or_insert_row(table, cols, row, stats);
         if map.len() > before {
             first_rows.push(row);
         }
+    };
+    match input.selection {
+        None => (0..n).for_each(&mut see),
+        Some(selection) => selection.ones(0..n).for_each(&mut see),
     }
     stats.rows_materialized += first_rows.len() as u64;
-    let sub = input.take(&first_rows);
-    // Keep only the requested columns, in the requested order.
-    let fields: Vec<pa_storage::Field> = cols
-        .iter()
-        .map(|&c| input.schema().field_at(c).clone())
-        .collect();
-    let schema = pa_storage::Schema::new(fields)?.into_shared();
-    let columns = cols
-        .iter()
-        .map(|&c| sub.column(c).clone())
-        .collect::<Vec<_>>();
-    Ok(Table::from_columns(schema, columns)?)
+    // Only the requested columns, in the requested order.
+    let fields = cols.iter().map(|&c| table.schema().field_at(c).clone());
+    let schema = Schema::new(fields.collect())?.into_shared();
+    let columns = cols.iter().map(|&c| table.column(c).take(&first_rows));
+    Ok(Table::from_columns(schema, columns.collect())?)
 }
 
-/// Distinct combinations as owned key tuples (the form code generation uses
-/// to mint one result column per combination).
+/// [`distinct`] over a whole table as owned key tuples (the form code
+/// generation uses to mint one result column per combination).
 pub fn distinct_keys(
     input: &Table,
     cols: &[usize],
     stats: &mut ExecStats,
 ) -> Result<Vec<Vec<Value>>> {
-    if cols.is_empty() {
-        return Err(EngineError::InvalidOperator(
-            "distinct needs at least one column".into(),
-        ));
-    }
-    stats.statements += 1;
-    let n = input.num_rows();
-    stats.rows_scanned += n as u64;
-    // The key map already holds exactly the distinct tuples in
-    // first-occurrence order — no sub-table / per-row Vec<Value> detour.
-    let mut map = RowKeyMap::new();
-    for row in 0..n {
-        map.get_or_insert_row(input, cols, row, stats);
-    }
-    stats.rows_materialized += map.len() as u64;
-    Ok(map.into_keys())
+    Ok(distinct(input.into(), cols, stats)?.rows().collect())
 }
 
 #[cfg(test)]
@@ -99,7 +84,7 @@ mod tests {
     #[test]
     fn distinct_preserves_first_occurrence_order() {
         let t = table();
-        let out = distinct(&t, &[0, 1], &mut ExecStats::default()).unwrap();
+        let out = distinct((&t).into(), &[0, 1], &mut ExecStats::default()).unwrap();
         assert_eq!(out.num_rows(), 3);
         assert_eq!(out.num_columns(), 2);
         let rows: Vec<Vec<Value>> = out.rows().collect();
@@ -111,7 +96,7 @@ mod tests {
     #[test]
     fn distinct_single_column() {
         let t = table();
-        let out = distinct(&t, &[0], &mut ExecStats::default()).unwrap();
+        let out = distinct((&t).into(), &[0], &mut ExecStats::default()).unwrap();
         assert_eq!(out.num_rows(), 2);
     }
 
@@ -131,12 +116,12 @@ mod tests {
         t.push_row(&[Value::Null]).unwrap();
         t.push_row(&[Value::Int(1)]).unwrap();
         t.push_row(&[Value::Null]).unwrap();
-        let out = distinct(&t, &[0], &mut ExecStats::default()).unwrap();
+        let out = distinct((&t).into(), &[0], &mut ExecStats::default()).unwrap();
         assert_eq!(out.num_rows(), 2);
     }
 
     #[test]
     fn empty_cols_rejected() {
-        assert!(distinct(&table(), &[], &mut ExecStats::default()).is_err());
+        assert!(distinct((&table()).into(), &[], &mut ExecStats::default()).is_err());
     }
 }

@@ -1,29 +1,27 @@
-//! Selection: keep rows whose predicate is TRUE.
+//! Selection, materialized: the rows whose predicate is TRUE, as a table.
 //!
 //! SQL WHERE semantics: NULL predicates drop the row (only TRUE keeps it).
-//! This is the `WHERE Dh = vhI and .. and Dk = vkI` of the SPJ strategy.
+//! No query path calls this — a statement's `WHERE`, and the SPJ strategy's
+//! `WHERE Dh = vhI and .. and Dk = vkI`, are selections the scan core reads
+//! in place ([`crate::predicate`]). It is "select, then gather": the form
+//! for a caller that wants the rows themselves, and the table the
+//! differential suites compare a selected scan against.
 
 use crate::error::Result;
 use crate::expr::Expr;
+use crate::guard::ResourceGuard;
+use crate::parallel::ParallelConfig;
+use crate::predicate::Selection;
 use crate::stats::ExecStats;
-use pa_storage::{Table, Value};
+use pa_storage::Table;
 
 /// Filter `input` by `predicate`.
 pub fn filter(input: &Table, predicate: &Expr, stats: &mut ExecStats) -> Result<Table> {
     stats.statements += 1;
-    let n = input.num_rows();
-    stats.rows_scanned += n as u64;
-    let mut keep = Vec::new();
-    for row in 0..n {
-        let truthy = match predicate.eval(input, row, stats)? {
-            Value::Int(i) => i != 0,
-            Value::Float(f) => f != 0.0,
-            _ => false,
-        };
-        if truthy {
-            keep.push(row);
-        }
-    }
+    stats.rows_scanned += input.num_rows() as u64;
+    let (guard, config) = (ResourceGuard::unlimited(), ParallelConfig::serial());
+    let selection = Selection::compile(input.into(), predicate, &guard, stats, &config)?;
+    let keep: Vec<usize> = selection.ones(0..input.num_rows()).collect();
     stats.rows_materialized += keep.len() as u64;
     Ok(input.take(&keep))
 }
@@ -31,7 +29,7 @@ pub fn filter(input: &Table, predicate: &Expr, stats: &mut ExecStats) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pa_storage::{DataType, Schema};
+    use pa_storage::{DataType, Schema, Value};
 
     fn table() -> Table {
         let schema = Schema::from_pairs(&[("d", DataType::Str), ("a", DataType::Float)])

@@ -64,7 +64,7 @@ pub fn partial_aggregate(
     stats.statements += 1;
     stats.holistic_lanes += aggs.iter().filter(|s| s.func.is_holistic()).count() as u64;
     let config = ParallelConfig::from_env();
-    let mut plan = ScanPlan::new(input, &config);
+    let mut plan = ScanPlan::new(input.into(), &config);
     plan.push_level(group_cols, aggs, stats);
     stats.rows_scanned += input.num_rows() as u64;
     let guard = ResourceGuard::unlimited();

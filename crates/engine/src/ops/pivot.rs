@@ -28,6 +28,7 @@ use crate::keymap::RowKeyMap;
 use crate::ops::acc::Acc;
 use crate::ops::aggregate::{AggFunc, AggSpec};
 use crate::parallel::ParallelConfig;
+use crate::predicate::Selected;
 use crate::scan::{LevelGroups, ScanPlan};
 use crate::stats::ExecStats;
 use pa_storage::{Column, DataType, Field, FxHashMap, Schema, Table, Value};
@@ -68,7 +69,7 @@ fn address(fine: &LevelGroups, src: &Table, dims: &[usize], target: &RowKeyMap) 
     }
 }
 
-/// One-pass pivot aggregation.
+/// One-pass pivot aggregation of the selected rows of `input`.
 ///
 /// Produces the raw horizontal table: the `j_cols` key columns followed by,
 /// for each task, `lanes × combos` cell columns (lane-major within a combo)
@@ -80,8 +81,8 @@ fn address(fine: &LevelGroups, src: &Table, dims: &[usize], target: &RowKeyMap) 
 /// Morsels are charged to `guard` as they are scanned; every level's
 /// groups are charged after the scan, before the result matrix is
 /// allocated.
-pub fn pivot_aggregate_with_config(
-    src: &Table,
+pub fn pivot_aggregate(
+    input: Selected<'_>,
     j_cols: &[usize],
     tasks: &[PivotTask],
     extra_lanes: &[(AggFunc, Expr)],
@@ -89,6 +90,7 @@ pub fn pivot_aggregate_with_config(
     stats: &mut ExecStats,
     config: &ParallelConfig,
 ) -> Result<Table> {
+    let src = input.table;
     stats.statements += 1;
     guard.check()?;
 
@@ -125,7 +127,7 @@ pub fn pivot_aggregate_with_config(
 
     // One stream for every level; when it cannot fuse (vector off, a float
     // BY column, a `min` lane), each level plans alone and degrades alone.
-    let mut plan = ScanPlan::new(src, config);
+    let mut plan = ScanPlan::new(input, config);
     let levels: Vec<(&[usize], &[AggSpec])> = keeps
         .iter()
         .zip(&aggs)
@@ -238,6 +240,19 @@ pub fn pivot_aggregate_with_config(
         Schema::new(fields)?.into_shared(),
         columns,
     )?)
+}
+
+/// [`pivot_aggregate`] of a whole table.
+pub fn pivot_aggregate_with_config(
+    src: &Table,
+    j_cols: &[usize],
+    tasks: &[PivotTask],
+    extra_lanes: &[(AggFunc, Expr)],
+    guard: &ResourceGuard,
+    stats: &mut ExecStats,
+    config: &ParallelConfig,
+) -> Result<Table> {
+    pivot_aggregate(src.into(), j_cols, tasks, extra_lanes, guard, stats, config)
 }
 
 #[cfg(test)]

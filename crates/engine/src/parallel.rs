@@ -187,7 +187,7 @@ impl ParallelConfig {
 ///   `merge` in worker order. Chunks are contiguous in row order, so a
 ///   merge that appends unseen groups reproduces the serial scan's
 ///   first-appearance order (DESIGN.md, "Scan core").
-pub fn fan_out<T, E>(
+pub(crate) fn fan_out<T, E>(
     operator: &str,
     chunks: Vec<Range<usize>>,
     guard: &ResourceGuard,

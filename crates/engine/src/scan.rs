@@ -22,6 +22,18 @@
 //!   block loop, which is what makes it the reference the differential
 //!   suites compare the fused path against.
 //!
+//! The plan's fourth input is the statement's **selection** (`WHERE`, an SPJ
+//! combination): one bit per row, computed once per statement
+//! ([`Selection::compile`]) and applied here, per block, before anything
+//! else sees the block. A block whose bits are all ones is the unselected
+//! path untouched; an all-zero block is skipped; a mixed block is *gathered*
+//! — its picked rows' codes and lane inputs compacted into a dense block —
+//! and then takes the same path, run detection included. An unselected row
+//! therefore reaches neither a group index nor a lane, so every level holds
+//! exactly what it would hold after a scan of `filter(F)`, in the same
+//! first-appearance order; the empty key keeps its one group over an empty
+//! selection. The scalar loop skips the same rows.
+//!
 //! Every index assigns groups in first-appearance order and every worker
 //! returns its groups *by code* ([`LevelGroups`]); [`fan_out`] merges
 //! workers in row order by code, and keys are decoded once, from the
@@ -35,6 +47,7 @@ use crate::keymap::{DenseGroupMap, DenseKeySpace, GroupMap, WideKeySpace, WidePr
 use crate::ops::acc::Acc;
 use crate::ops::aggregate::AggSpec;
 use crate::parallel::{fan_out, ParallelConfig};
+use crate::predicate::{Pick, Selected, Selection};
 use crate::stats::ExecStats;
 use crate::vector::{
     blocks, for_each_run, rle_runs, BlockCoder, CodeWord, Coder, LaneKind, LaneSet, LaneSrc,
@@ -213,6 +226,8 @@ struct StreamScan<'p, 'a, W: StreamCode> {
     levels: Vec<(GroupIndex, LaneSet<'a>)>,
     codes: Box<[W; BLOCK_ROWS]>,
     idx: Box<[u32; BLOCK_ROWS]>,
+    /// The statement's selection, with room for one block's picked rows.
+    selection: Option<(&'a Selection, Box<[u32; BLOCK_ROWS]>)>,
 }
 
 impl<'a, W: StreamCode> Unit<'a> for Stream<'a, W> {
@@ -237,36 +252,67 @@ impl<'a, W: StreamCode> Unit<'a> for Stream<'a, W> {
             levels,
             codes: Box::new([W::default(); BLOCK_ROWS]),
             idx: Box::new([0; BLOCK_ROWS]),
+            selection: plan.selection.map(|s| (s, Box::new([0; BLOCK_ROWS]))),
         })
     }
 }
 
 impl<W: StreamCode> UnitScan for StreamScan<'_, '_, W> {
-    /// The block loop: fill codes → detect runs → per level, project and
-    /// index → feed lanes. A fused row counts once per stream.
+    /// The block loop: pick the selected rows → fill codes → detect runs →
+    /// per level, project and index → feed lanes. A fused row counts once
+    /// per stream.
     fn absorb(&mut self, morsel: Range<usize>, stats: &mut ExecStats) -> Result<()> {
         for block in blocks(morsel) {
-            stats.vectorized_kernel_rows += block.len() as u64;
+            // The rows the statement selected, when they are not the whole
+            // block: one test per block, none per row, without a selection.
+            let picked = match &mut self.selection {
+                None => None,
+                Some((selection, picked)) => match selection.pick(&block, picked) {
+                    Pick::All => None,
+                    Pick::None => continue,
+                    Pick::Some(n) => Some(&picked[..n]),
+                },
+            };
+            // What the lanes read: the block's own rows, or its picked rows
+            // gathered into a dense block of their own.
+            let rows = match picked {
+                None => block.clone(),
+                Some(picked) => {
+                    for (_, lanes) in &mut self.levels {
+                        lanes.gather(block.start, picked);
+                    }
+                    0..picked.len()
+                }
+            };
+            let gathered = picked.is_some();
+            stats.vectorized_kernel_rows += rows.len() as u64;
             if self.plan.keyless {
                 // Every block is one run into the one (pre-seeded) group.
                 stats.rle_runs += 1;
                 for (_, lanes) in &mut self.levels {
-                    lanes.accumulate_run(block.clone(), 0);
+                    lanes.accumulate_run(rows.clone(), 0, gathered);
                 }
                 continue;
             }
             let codes = &mut self.codes[..block.len()];
             self.plan.coder.fill(block.start, codes);
+            if let Some(picked) = picked {
+                for (j, &k) in picked.iter().enumerate() {
+                    codes[j] = codes[k as usize];
+                }
+            }
+            let codes = &codes[..rows.len()];
             let runs = rle_runs(codes);
             stats.rle_runs += runs.unwrap_or(0) as u64;
-            let idx = &mut self.idx[..block.len()];
+            let idx = &mut self.idx[..rows.len()];
+            let rows = (&rows, gathered);
             for (level, (index, lanes)) in self.plan.levels.iter().zip(&mut self.levels) {
                 let rle = runs.is_some();
                 match &level.proj {
-                    None => feed(index, lanes, &block, codes, rle, idx, |c| c, stats),
+                    None => feed(index, lanes, rows, codes, rle, idx, |c| c, stats),
                     Some(proj) => {
                         let project = |c| W::project(proj, c);
-                        feed(index, lanes, &block, codes, rle, idx, project, stats)
+                        feed(index, lanes, rows, codes, rle, idx, project, stats)
                     }
                 }
             }
@@ -283,6 +329,10 @@ impl<W: StreamCode> UnitScan for StreamScan<'_, '_, W> {
     }
 }
 
+/// The rows one block feeds its lanes, and whether they are the lanes'
+/// gathered copies (a block the selection thinned) or the table's own.
+type BlockRows<'b> = (&'b Range<usize>, bool);
+
 /// Feed one block to one level. The projection and the index kind are both
 /// resolved here, outside the row loops, so each of their combinations
 /// compiles to its own tight loop.
@@ -291,7 +341,7 @@ impl<W: StreamCode> UnitScan for StreamScan<'_, '_, W> {
 fn feed<W: StreamCode>(
     index: &mut GroupIndex,
     lanes: &mut LaneSet<'_>,
-    block: &Range<usize>,
+    rows: BlockRows<'_>,
     codes: &[W],
     rle: bool,
     idx: &mut [u32],
@@ -300,15 +350,15 @@ fn feed<W: StreamCode>(
 ) {
     let level_code = |c| project(c).widen();
     match index {
-        GroupIndex::Dense(map) => route(lanes, block, codes, rle, idx, |c| {
+        GroupIndex::Dense(map) => route(lanes, rows, codes, rle, idx, |c| {
             map.get_or_insert_code(level_code(c) as usize)
         }),
-        GroupIndex::Hash { map, order, .. } => route(lanes, block, codes, rle, idx, |c| {
+        GroupIndex::Hash { map, order, .. } => route(lanes, rows, codes, rle, idx, |c| {
             hash_gid(map, order, level_code(c), stats)
         }),
     }
     if !rle {
-        lanes.scatter(block.clone(), idx, index.len());
+        lanes.scatter(rows.0.clone(), idx, index.len(), rows.1);
     }
 }
 
@@ -319,7 +369,7 @@ fn feed<W: StreamCode>(
 #[inline(never)]
 fn route<C: Copy + PartialEq>(
     lanes: &mut LaneSet<'_>,
-    block: &Range<usize>,
+    (rows, gathered): BlockRows<'_>,
     codes: &[C],
     rle: bool,
     idx: &mut [u32],
@@ -327,7 +377,8 @@ fn route<C: Copy + PartialEq>(
 ) {
     if rle {
         for_each_run(codes, |run, code| {
-            lanes.accumulate_run(block.start + run.start..block.start + run.end, slot(code));
+            let run = rows.start + run.start..rows.start + run.end;
+            lanes.accumulate_run(run, slot(code), gathered);
         });
     } else {
         for (i, &code) in idx.iter_mut().zip(codes) {
@@ -352,6 +403,7 @@ struct ScalarLevel<'a> {
 struct ScalarScan<'p, 'a> {
     level: &'p ScalarLevel<'a>,
     input: &'a Table,
+    selection: Option<&'a Selection>,
     percentile_budget: usize,
     /// Typed column views resolved once per chunk instead of re-matching
     /// the column enum per row.
@@ -370,6 +422,7 @@ impl<'a> Unit<'a> for ScalarLevel<'a> {
         let mut scan = ScalarScan {
             level: self,
             input: plan.input,
+            selection: plan.selection,
             percentile_budget: plan.config.percentile_budget,
             cols: NumSlice::for_table(plan.input),
             map: GroupMap::for_space(self.space.clone()),
@@ -395,8 +448,7 @@ impl UnitScan for ScalarScan<'_, '_> {
             ..
         } = self.level;
         let input = self.input;
-        stats.scalar_kernel_rows += morsel.len() as u64;
-        for row in morsel {
+        let mut absorb_row = |row: usize, stats: &mut ExecStats| -> Result<()> {
             let gid = if group_cols.is_empty() {
                 0
             } else {
@@ -410,8 +462,20 @@ impl UnitScan for ScalarScan<'_, '_> {
                 let acc = &mut self.accs[base + i];
                 kinds[i].update_row(acc, &self.cols, &spec.input, input, row, stats)?;
             }
+            Ok(())
+        };
+        match self.selection {
+            None => {
+                stats.scalar_kernel_rows += morsel.len() as u64;
+                morsel
+                    .into_iter()
+                    .try_for_each(|row| absorb_row(row, stats))
+            }
+            Some(selection) => selection.ones(morsel).try_for_each(|row| {
+                stats.scalar_kernel_rows += 1;
+                absorb_row(row, stats)
+            }),
         }
-        Ok(())
     }
 
     fn finish(self: Box<Self>, out: &mut Vec<LevelGroups>) {
@@ -519,6 +583,8 @@ impl LevelGroups {
 /// worker instantiates it.
 pub(crate) struct ScanPlan<'a> {
     input: &'a Table,
+    /// The rows of `input` the statement reads (all of them without one).
+    selection: Option<&'a Selection>,
     config: &'a ParallelConfig,
     units: Vec<Box<dyn Unit<'a> + 'a>>,
     /// The aggregate list of each planned level, in output order.
@@ -526,9 +592,10 @@ pub(crate) struct ScanPlan<'a> {
 }
 
 impl<'a> ScanPlan<'a> {
-    pub(crate) fn new(input: &'a Table, config: &'a ParallelConfig) -> ScanPlan<'a> {
+    pub(crate) fn new(input: Selected<'a>, config: &'a ParallelConfig) -> ScanPlan<'a> {
         ScanPlan {
-            input,
+            input: input.table,
+            selection: input.selection,
             config,
             units: Vec::new(),
             level_aggs: Vec::new(),
@@ -689,7 +756,8 @@ impl<'a> ScanPlan<'a> {
     /// Scan the input once and return every planned level's groups, in
     /// plan order. One guard charge per morsel — the charge both meters the
     /// budget and observes cancellation, so a cancelled guard stops every
-    /// worker within one morsel — whatever mix of loops the plan runs.
+    /// worker within one morsel — whatever mix of loops the plan runs. A
+    /// morsel is charged for the rows it reads, selected or not.
     pub(crate) fn run(
         &self,
         operator: &str,
@@ -697,6 +765,10 @@ impl<'a> ScanPlan<'a> {
         span: &mut SpanHandle,
         stats: &mut ExecStats,
     ) -> Result<Vec<LevelGroups>> {
+        if let Some(selection) = self.selection {
+            let (mode, selected) = selection.summary();
+            span.set_selection(mode, selected);
+        }
         let scan_chunk = |chunk, stats: &mut ExecStats, span: &mut SpanHandle| {
             let mut scans: Vec<_> = self.units.iter().map(|u| u.begin(self)).collect();
             for morsel in self.config.morsels(chunk) {
@@ -769,15 +841,15 @@ mod tests {
         }
     }
 
-    /// One fused level over `cols`, scanned serially.
-    fn fused(
-        t: &Table,
+    /// One fused level over `cols` of the selected rows, scanned serially.
+    fn fused_over(
+        input: Selected<'_>,
         cols: &[usize],
         aggs: &[AggSpec],
         config: &ParallelConfig,
     ) -> (&'static str, LevelGroups, ExecStats) {
         let mut stats = ExecStats::default();
-        let mut plan = ScanPlan::new(t, config);
+        let mut plan = ScanPlan::new(input, config);
         let every_dim: Vec<usize> = (0..cols.len()).collect();
         let tier = plan
             .push_stream(cols, &[(&every_dim, aggs)], &mut stats)
@@ -789,12 +861,23 @@ mod tests {
         (tier, groups.pop().unwrap(), stats)
     }
 
-    /// What a per-row loop holds after the same rows, written against
+    /// One fused level over `cols` of every row.
+    fn fused(
+        t: &Table,
+        cols: &[usize],
+        aggs: &[AggSpec],
+        config: &ParallelConfig,
+    ) -> (&'static str, LevelGroups, ExecStats) {
+        fused_over(t.into(), cols, aggs, config)
+    }
+
+    /// What a per-row loop holds after `rows` of `t`, written against
     /// nothing the core uses: first-appearance group order over `cols`
     /// through a tuple hash, one `Acc::update` per row per lane with the
     /// `Value` that `Expr::Col(measure)` evaluates to.
-    fn oracle(
+    fn oracle_of(
         t: &Table,
+        rows: impl Iterator<Item = usize>,
         cols: &[usize],
         funcs: &[AggFunc],
         measure: usize,
@@ -803,7 +886,12 @@ mod tests {
         let mut st = ExecStats::default();
         let mut map = RowKeyMap::new();
         let mut accs: Vec<Acc> = Vec::new();
-        for row in 0..t.num_rows() {
+        if cols.is_empty() {
+            // SQL's global aggregate is a row even over no rows.
+            map.get_or_insert_key(&[], &mut st);
+            accs.extend(funcs.iter().map(|&f| Acc::with_budget(f, budget)));
+        }
+        for row in rows {
             let g = map.get_or_insert_row(t, cols, row, &mut st);
             if g * funcs.len() == accs.len() {
                 accs.extend(funcs.iter().map(|&f| Acc::with_budget(f, budget)));
@@ -816,6 +904,17 @@ mod tests {
             }
         }
         (map.into_keys(), accs)
+    }
+
+    /// [`oracle_of`] every row.
+    fn oracle(
+        t: &Table,
+        cols: &[usize],
+        funcs: &[AggFunc],
+        measure: usize,
+        budget: usize,
+    ) -> (Vec<Vec<Value>>, Vec<Acc>) {
+        oracle_of(t, 0..t.num_rows(), cols, funcs, measure, budget)
     }
 
     fn assert_same_groups(
@@ -962,5 +1061,121 @@ mod tests {
         assert_eq!(groups.accs[0].finish(), Value::Null);
         let (_, groups, _) = fused(&empty, &[0], &aggs, &config(1 << 20, budget));
         assert_eq!(groups.len(), 0, "a keyed level over no rows has no group");
+    }
+
+    /// Selections that make every kind of block: all ones (the leading
+    /// block), all zeros (the second), mixed at several densities, and one
+    /// row in a thousand.
+    fn selections(n: usize) -> Vec<(&'static str, Selection)> {
+        vec![
+            (
+                "full, empty, then two in three",
+                Selection::of_rows(n, |r| r < BLOCK_ROWS || (r >= 2 * BLOCK_ROWS && r % 3 != 0)),
+            ),
+            ("every other row", Selection::of_rows(n, |r| r % 2 == 0)),
+            ("one row in 997", Selection::of_rows(n, |r| r % 997 == 5)),
+            ("nothing", Selection::of_rows(n, |_| false)),
+        ]
+    }
+
+    #[test]
+    fn a_selection_keeps_unselected_rows_from_groups_and_raw_lanes() {
+        // The sorted first block takes the run path, the rest scatter; a
+        // group none of whose rows qualify must not exist, and group order
+        // is first appearance among the qualifying rows.
+        let n = 3 * BLOCK_ROWS + 65;
+        let rows: Vec<Row> = (0..n)
+            .map(|i| {
+                let sorted = i < BLOCK_ROWS;
+                (
+                    (i % 17 != 3).then_some(["a", "b", "c"][if sorted { 0 } else { i % 3 }]),
+                    Some(if sorted { 0 } else { (i % 5) as i64 * 40 }),
+                    (i % 5 != 0).then_some(i as f64 * 0.25 - 100.0),
+                )
+            })
+            .collect();
+        let t = table(&rows);
+        let funcs = [AggFunc::Sum, AggFunc::CountStar, AggFunc::Avg];
+        let aggs = specs(&funcs, 2);
+        for (what, selection) in selections(n) {
+            let input = Selected::from(&t).with(&selection);
+            for cols in [&[0usize, 1][..], &[]] {
+                let want = oracle_of(&t, selection.ones(0..n), cols, &funcs, 2, 9);
+                for budget in [1 << 20, 0] {
+                    let (tier, groups, stats) = fused_over(input, cols, &aggs, &config(budget, 9));
+                    let what = format!("{what}, key {cols:?}, {tier}");
+                    assert_same_groups(&t, &groups, &want, &what);
+                    assert_eq!(
+                        stats.vectorized_kernel_rows,
+                        selection.summary().1,
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_selection_keeps_unselected_rows_from_holistic_lanes() {
+        // Budget 300: groups cross it mid-block on the scatter path and on
+        // the run path (key-sorted rows), with the selection thinning both.
+        let budget = 300;
+        for sorted in [false, true] {
+            let t = table(&holistic_rows(sorted, false));
+            let n = t.num_rows();
+            let selection = Selection::of_rows(n, |r| r % 4 != 1 && !(700..900).contains(&r));
+            let input = Selected::from(&t).with(&selection);
+            for funcs in holistic_lane_lists() {
+                for measure in [2usize, 1] {
+                    let aggs = specs(&funcs, measure);
+                    for cols in [&[0usize][..], &[]] {
+                        let what = format!("sorted={sorted} {funcs:?} col {measure} key {cols:?}");
+                        let picked = selection.ones(0..n);
+                        let want = oracle_of(&t, picked, cols, &funcs, measure, budget);
+                        for dense_budget in [1 << 20, 0] {
+                            let config = config(dense_budget, budget);
+                            let (tier, groups, _) = fused_over(input, cols, &aggs, &config);
+                            assert_same_groups(&t, &groups, &want, &format!("{tier} {what}"));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn selection_boundaries_fall_anywhere_in_a_block() {
+        // Tables one row either side of a word and of a block, and a
+        // selection whose first and last rows sit on those edges; worker
+        // chunks that start off a word boundary.
+        let funcs = [AggFunc::Sum, AggFunc::CountStar];
+        let aggs = specs(&funcs, 2);
+        for n in [63, 64, 65, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1] {
+            let rows: Vec<Row> = (0..n)
+                .map(|i| {
+                    (
+                        Some(["a", "b"][i % 2]),
+                        Some((i % 3) as i64),
+                        Some(i as f64),
+                    )
+                })
+                .collect();
+            let t = table(&rows);
+            for edge in [0, 1, 62, 63, 64] {
+                let selection = Selection::of_rows(n, |r| r >= edge && r + edge < n && r % 7 != 0);
+                let input = Selected::from(&t).with(&selection);
+                let want = oracle_of(&t, selection.ones(0..n), &[0, 1], &funcs, 2, 9);
+                let odd_chunks = ParallelConfig {
+                    threads: 3,
+                    morsel_rows: 50,
+                    min_parallel_rows: 0,
+                    ..config(1 << 20, 9)
+                };
+                for config in [config(1 << 20, 9), odd_chunks] {
+                    let (_, groups, _) = fused_over(input, &[0, 1], &aggs, &config);
+                    assert_same_groups(&t, &groups, &want, &format!("n={n} edge={edge}"));
+                }
+            }
+        }
     }
 }

@@ -76,7 +76,7 @@ pub enum NumSlice<'a> {
 
 impl<'a> NumSlice<'a> {
     /// Every column of `table` resolved once, by column index.
-    pub fn for_table(table: &'a Table) -> Vec<Option<NumSlice<'a>>> {
+    pub(crate) fn for_table(table: &'a Table) -> Vec<Option<NumSlice<'a>>> {
         table.columns().iter().map(NumSlice::for_column).collect()
     }
 
@@ -685,15 +685,84 @@ enum Lane {
     Holistic(HolisticLane),
 }
 
+/// The picked rows of one block of a lane's input, gathered so that they
+/// are a dense block again: values and validity bits side by side, as a
+/// column holds them.
+enum Gathered {
+    /// `count(*)` reads no input.
+    None,
+    Int(Vec<i64>, Vec<u64>),
+    Float(Vec<f64>, Vec<u64>),
+}
+
+/// Rows `base + picked[j]` of `(data, vwords)` as rows `j` of `(out, valid)`.
+fn gather<T: Copy>(
+    (data, vwords): (&[T], &[u64]),
+    base: usize,
+    picked: &[u32],
+    (out, valid): (&mut Vec<T>, &mut Vec<u64>),
+) {
+    out.clear();
+    out.extend(picked.iter().map(|&k| data[base + k as usize]));
+    valid.clear();
+    // The block's last picked row bounds the validity words it touches.
+    let last = base + picked.last().map_or(0, |&k| k as usize);
+    if vwords[base >> 6..=last >> 6].iter().all(|&w| w == u64::MAX) {
+        valid.resize(picked.len().div_ceil(64), u64::MAX);
+        return;
+    }
+    valid.resize(picked.len().div_ceil(64), 0);
+    for (j, &k) in picked.iter().enumerate() {
+        let row = base + k as usize;
+        valid[j >> 6] |= (vwords[row >> 6] >> (row & 63) & 1) << (j & 63);
+    }
+}
+
+impl Gathered {
+    fn for_src(src: &LaneSrc<'_>) -> Gathered {
+        match src {
+            LaneSrc::CountStar => Gathered::None,
+            LaneSrc::Col(NumSlice::Int(..)) => Gathered::Int(Vec::new(), Vec::new()),
+            LaneSrc::Col(NumSlice::Float(..)) => Gathered::Float(Vec::new(), Vec::new()),
+        }
+    }
+
+    fn fill(&mut self, src: &LaneSrc<'_>, base: usize, picked: &[u32]) {
+        match (src, self) {
+            (LaneSrc::Col(NumSlice::Int(data, vwords)), Gathered::Int(out, valid)) => {
+                gather((data, vwords), base, picked, (out, valid))
+            }
+            (LaneSrc::Col(NumSlice::Float(data, vwords)), Gathered::Float(out, valid)) => {
+                gather((data, vwords), base, picked, (out, valid))
+            }
+            _ => {}
+        }
+    }
+
+    fn src(&self) -> LaneSrc<'_> {
+        match self {
+            Gathered::None => LaneSrc::CountStar,
+            Gathered::Int(data, valid) => LaneSrc::Col(NumSlice::Int(data, valid)),
+            Gathered::Float(data, valid) => LaneSrc::Col(NumSlice::Float(data, valid)),
+        }
+    }
+}
+
 /// The lanes of one fused grouping level with their sources: per-run and
 /// per-block feeding, and the collapse into the `groups × lanes` [`Acc`]
 /// matrix. What an index means — a first-appearance group id or the level
 /// code itself — is the caller's business (the group index of
 /// `crate::scan`).
+///
+/// A block the statement's selection thinned is fed *gathered*: its picked
+/// rows copied out per lane ([`LaneSet::gather`]) into a dense block of
+/// their own, which then takes the same two entry points with `gathered`
+/// set and row numbers counted from 0. No lane has a selected variant.
 pub(crate) struct LaneSet<'a> {
     srcs: Vec<LaneSrc<'a>>,
     funcs: Vec<AggFunc>,
     lanes: Vec<Lane>,
+    gathered: Vec<Gathered>,
 }
 
 impl<'a> LaneSet<'a> {
@@ -712,21 +781,41 @@ impl<'a> LaneSet<'a> {
                 None => Lane::Raw(RawLane::default()),
             })
             .collect();
-        LaneSet { srcs, funcs, lanes }
+        let gathered = srcs.iter().map(Gathered::for_src).collect();
+        LaneSet {
+            srcs,
+            funcs,
+            lanes,
+            gathered,
+        }
+    }
+
+    /// Gather rows `base + picked[j]` of every lane's input as its row `j`.
+    pub(crate) fn gather(&mut self, base: usize, picked: &[u32]) {
+        for (src, gathered) in self.srcs.iter().zip(&mut self.gathered) {
+            gathered.fill(src, base, picked);
+        }
+    }
+
+    /// Each lane with the source it reads this block from.
+    fn feeds(&mut self, gathered: bool) -> impl Iterator<Item = (&mut Lane, LaneSrc<'_>)> {
+        let srcs = self.srcs.iter().zip(&self.gathered);
+        let srcs = srcs.map(move |(src, own)| if gathered { own.src() } else { *src });
+        self.lanes.iter_mut().zip(srcs)
     }
 
     /// Feed one run of rows that all belong to index `g`.
     #[inline]
-    pub(crate) fn accumulate_run(&mut self, rows: Range<usize>, g: usize) {
-        for (lane, src) in self.lanes.iter_mut().zip(&self.srcs) {
+    pub(crate) fn accumulate_run(&mut self, rows: Range<usize>, g: usize, gathered: bool) {
+        for (lane, src) in self.feeds(gathered) {
             match lane {
                 Lane::Raw(lane) => {
                     lane.ensure(g + 1);
-                    lane.accumulate_run(src, rows.clone(), g);
+                    lane.accumulate_run(&src, rows.clone(), g);
                 }
                 Lane::Holistic(lane) => {
                     lane.ensure(g + 1);
-                    lane.accumulate_run(src, rows.clone(), g);
+                    lane.accumulate_run(&src, rows.clone(), g);
                 }
             }
         }
@@ -735,16 +824,16 @@ impl<'a> LaneSet<'a> {
     /// Scatter one block: row `rows.start + k` belongs to index `idx[k]`,
     /// all below `n`.
     #[inline]
-    pub(crate) fn scatter(&mut self, rows: Range<usize>, idx: &[u32], n: usize) {
-        for (lane, src) in self.lanes.iter_mut().zip(&self.srcs) {
+    pub(crate) fn scatter(&mut self, rows: Range<usize>, idx: &[u32], n: usize, gathered: bool) {
+        for (lane, src) in self.feeds(gathered) {
             match lane {
                 Lane::Raw(lane) => {
                     lane.ensure(n);
-                    lane.scatter(src, rows.clone(), idx);
+                    lane.scatter(&src, rows.clone(), idx);
                 }
                 Lane::Holistic(lane) => {
                     lane.ensure(n);
-                    lane.scatter(src, rows.clone(), idx);
+                    lane.scatter(&src, rows.clone(), idx);
                 }
             }
         }

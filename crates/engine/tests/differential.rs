@@ -28,6 +28,12 @@
 //! integer key domain, and every `Table` mutator between two scans, against
 //! a per-row loop that reads no column statistics.
 //!
+//! A sixth is the `WHERE` axis: every statement family with a predicate,
+//! at every thread count, kernel path and side of the dense budget, against
+//! the same statement without one over a table registered from
+//! `pa_engine::filter(F, predicate)` — the selection the scans read in
+//! place against the copy no query path makes any more.
+//!
 //! Measures are integer-valued floats throughout: their sums are exact
 //! under any regrouping of additions (DESIGN.md §7), so "identical" means
 //! bitwise equality, not within-epsilon. This is a pa-engine *dev*
@@ -40,13 +46,59 @@ use pa_core::{
     VpctQuery, VpctStrategy,
 };
 use pa_engine::{
-    distinct_keys, hash_aggregate_with_config, lattice_aggregate_with_config,
+    distinct_keys, filter, hash_aggregate_with_config, lattice_aggregate_with_config,
     multi_hash_aggregate_with_config, partial_aggregate, pivot_aggregate_with_config, AggFunc,
-    AggSpec, ExecStats, Expr, PBits, ParallelConfig, PivotTask, ResourceGuard,
+    AggSpec, CmpOp, ExecStats, Expr, PBits, ParallelConfig, PivotTask, ResourceGuard,
     DEFAULT_DENSE_BUDGET,
 };
 use pa_storage::{Catalog, DataType, Schema, Table, Value};
 use proptest::prelude::*;
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+/// The `PA_*` knobs are process-global and every plan that is not handed a
+/// configuration reads them: a test that only reads holds this lock shared
+/// for its whole run, the `WHERE` axis — which pins them — exclusively.
+static ENV: RwLock<()> = RwLock::new(());
+
+fn env_as_given() -> RwLockReadGuard<'static, ()> {
+    ENV.read().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Env knobs pinned for one evaluation window, put back as they were on
+/// drop so a panicking assertion cannot leak configuration.
+struct EnvPins {
+    before: Vec<(&'static str, Option<String>)>,
+    _exclusive: RwLockWriteGuard<'static, ()>,
+}
+
+impl EnvPins {
+    fn set(pairs: &[(&'static str, String)]) -> EnvPins {
+        let exclusive = ENV.write().unwrap_or_else(|e| e.into_inner());
+        let before = pairs
+            .iter()
+            .map(|(k, v)| {
+                let was = std::env::var(k).ok();
+                std::env::set_var(k, v);
+                (*k, was)
+            })
+            .collect();
+        EnvPins {
+            before,
+            _exclusive: exclusive,
+        }
+    }
+}
+
+impl Drop for EnvPins {
+    fn drop(&mut self) {
+        for (k, was) in &self.before {
+            match was {
+                Some(v) => std::env::set_var(k, v),
+                None => std::env::remove_var(k),
+            }
+        }
+    }
+}
 
 #[derive(Debug, Clone)]
 struct Row {
@@ -187,6 +239,7 @@ proptest! {
     fn case_and_spj_strategies_are_byte_identical(
         rows in prop::collection::vec(row_strategy(), 1..60)
     ) {
+        let _env = env_as_given();
         let catalog = build_catalog(&rows);
         let engine = PercentageEngine::new(&catalog);
         let q = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
@@ -207,6 +260,7 @@ proptest! {
     fn vertical_strategies_are_byte_identical(
         rows in prop::collection::vec(row_strategy(), 1..60)
     ) {
+        let _env = env_as_given();
         let catalog = build_catalog(&rows);
         let engine = PercentageEngine::new(&catalog);
         let q = VpctQuery::single("f", &["g", "d"], "a", &["d"]);
@@ -229,6 +283,7 @@ proptest! {
     fn flattened_horizontal_equals_vertical(
         rows in prop::collection::vec(row_strategy(), 1..60)
     ) {
+        let _env = env_as_given();
         let catalog = build_catalog(&rows);
         let engine = PercentageEngine::new(&catalog);
         let v = engine
@@ -302,6 +357,7 @@ proptest! {
 /// covers that).
 #[test]
 fn serial_and_parallel_plans_are_byte_identical() {
+    let _env = env_as_given();
     const N: usize = 260_096;
     let catalog = Catalog::new();
     let schema = Schema::from_pairs(&[
@@ -403,6 +459,7 @@ fn budget_catalog(n: usize, g_spread: i64, d_spread: i64) -> Catalog {
 /// * spreads of 1 keep everything dense (the all-dense side).
 #[test]
 fn group_paths_agree_on_both_sides_of_the_dense_budget() {
+    let _env = env_as_given();
     const N: usize = 200_000; // 4 morsels: real fan-out at Threads(4)
     let case_variants: Vec<(String, HorizontalOptions)> = horizontal_variants()
         .into_iter()
@@ -481,6 +538,7 @@ fn group_paths_agree_on_both_sides_of_the_dense_budget() {
 /// exercised, not just the happy path.
 #[test]
 fn vectorized_rle_path_matches_scalar_kernels_on_sorted_input() {
+    let _env = env_as_given();
     const N: usize = 200_000; // 4 morsels: real fan-out at Threads(4)
     let catalog = Catalog::new();
     let schema = Schema::from_pairs(&[
@@ -576,6 +634,7 @@ fn vectorized_rle_path_matches_scalar_kernels_on_sorted_input() {
 /// bit for bit, and the kernel-path counters prove which scan ran.
 #[test]
 fn holistic_pivot_lanes_match_the_scalar_scan() {
+    let _env = env_as_given();
     use pa_core::dispatch::{pivot_aggregate_with_config, PivotTask};
     use pa_engine::{AggFunc, ExecStats, Expr, PBits, ParallelConfig, ResourceGuard};
 
@@ -720,6 +779,7 @@ fn holistic_pivot_lanes_match_the_scalar_scan() {
 /// result, only the miss/hit counters.
 #[test]
 fn cache_cold_and_cache_warm_catalog_are_byte_identical() {
+    let _env = env_as_given();
     let catalog = budget_catalog(50_000, 1, 1);
     let engine = PercentageEngine::new(&catalog);
     let q = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
@@ -892,6 +952,7 @@ fn untransposed_pivot(
 /// declines `vector: false` and holistic lanes by contract.)
 #[test]
 fn aggregate_partial_and_lattice_adapters_agree_across_the_kernel_matrix() {
+    let _env = env_as_given();
     let guard = ResourceGuard::unlimited();
     let small = adapter_table(3_000, 5, 11);
     let large = adapter_table(3_000, 300, 12); // (300 + 2)^2 codes > 2^16
@@ -1050,6 +1111,7 @@ fn aggregate_partial_and_lattice_adapters_agree_across_the_kernel_matrix() {
 /// beside a generic (`min`) one must each equal their own solo scalar run.
 #[test]
 fn a_multi_level_scan_mixes_fused_and_generic_levels() {
+    let _env = env_as_given();
     let guard = ResourceGuard::unlimited();
     let t = adapter_table(3_000, 5, 14);
     let a = Expr::Col(3);
@@ -1188,6 +1250,7 @@ fn assert_key_domain_cells(t: &Table, cols: &[usize], what: &str) -> ExecStats {
 /// the per-row tuple hash). The pack width says which reader ran.
 #[test]
 fn int_key_domains_agree_on_every_lane_and_tier() {
+    let _env = env_as_given();
     const N: usize = 1_500;
     let spread = |min: i64, span: i64| -> Vec<Option<i64>> {
         // Both ends of the range, NULLs, and a seeded walk between them.
@@ -1263,6 +1326,7 @@ fn int_key_domains_agree_on_every_lane_and_tier() {
 /// statistics-free per-row loop over the table as written.
 #[test]
 fn no_mutator_leaves_a_stale_key_domain() {
+    let _env = env_as_given();
     let keys: Vec<Option<i64>> = (0..1_500).map(|i| Some(10 + i % 30)).collect();
     let other = key_domain_table(&[Some(-400), None, Some(70_000)]);
     type Write = Box<dyn Fn(&mut Table)>;
@@ -1324,8 +1388,267 @@ fn no_mutator_leaves_a_stale_key_domain() {
     }
 }
 
+// ---- oracle 6: the WHERE axis --------------------------------------------------
+
+/// A `g, d, s, a` fact table of `n` rows: NULLs in every column, few
+/// distinct keys, integer-valued measures. `sorted` orders it by `(g, d)`,
+/// so the key stream is run-dominated and a mixed block meets the run path.
+fn where_table(n: usize, sorted: bool) -> Table {
+    let schema = Schema::from_pairs(&[
+        ("g", DataType::Int),
+        ("d", DataType::Int),
+        ("s", DataType::Str),
+        ("a", DataType::Float),
+    ])
+    .unwrap()
+    .into_shared();
+    let mut state = 0x5eed_0f5e_1ec7_u64;
+    let mut next = |m: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % m
+    };
+    let mut rows: Vec<[Value; 4]> = (0..n)
+        .map(|_| {
+            let nullable = |v: Value, one_in: u64, roll: u64| match roll % one_in {
+                0 => Value::Null,
+                _ => v,
+            };
+            [
+                nullable(Value::Int(next(5) as i64), 11, next(11)),
+                nullable(Value::Int(next(4) as i64), 13, next(13)),
+                nullable(Value::str(["x", "b", "q"][next(3) as usize]), 7, next(7)),
+                nullable(Value::Float(next(9) as f64 - 3.0), 6, next(6)),
+            ]
+        })
+        .collect();
+    if sorted {
+        rows.sort_by(|x, y| x[0].total_cmp(&y[0]).then(x[1].total_cmp(&y[1])));
+    }
+    let mut t = Table::with_capacity(schema, n);
+    for row in &rows {
+        t.push_row(row).unwrap();
+    }
+    t
+}
+
+/// The predicates of the axis, as SQL text and as the expression the text
+/// means over [`where_table`]'s columns.
+fn where_predicates() -> Vec<(&'static str, Expr)> {
+    let cmp =
+        |op, c: usize, v: Value| Expr::Cmp(op, Box::new(Expr::Col(c)), Box::new(Expr::Lit(v)));
+    let (g, d, s, a) = (0, 1, 2, 3);
+    vec![
+        // NULL on the rows whose measure is: dropped, not kept.
+        ("a >= 1", cmp(CmpOp::Ge, a, Value::Int(1))),
+        // On a column that is also a key: `d = 2` is wholly filtered out
+        // and must not come back as a group or as an `Hpct` column.
+        (
+            "d <> 2 AND a < 3",
+            cmp(CmpOp::Ne, d, Value::Int(2)).and(cmp(CmpOp::Lt, a, Value::Int(3))),
+        ),
+        (
+            "g = 1 OR s <> 'b'",
+            Expr::Or(
+                Box::new(cmp(CmpOp::Eq, g, Value::Int(1))),
+                Box::new(cmp(CmpOp::Ne, s, Value::str("b"))),
+            ),
+        ),
+        // Nothing qualifies: no group under a keyed GROUP BY, the one
+        // global row under an empty one.
+        ("a > 1000", cmp(CmpOp::Gt, a, Value::Int(1000))),
+        // Arithmetic does not compile: the scalar mode, same words.
+        (
+            "a + 1 > 2",
+            Expr::Cmp(
+                CmpOp::Gt,
+                Box::new(Expr::Col(a).add(Expr::lit(1))),
+                Box::new(Expr::lit(2)),
+            ),
+        ),
+    ]
+}
+
+/// How a statement of the axis is planned.
+#[derive(Clone, Copy, PartialEq)]
+enum Planned {
+    /// As the optimizer plans it: a multi-term or lattice-grouped `Vpct`
+    /// on the dimension lattice.
+    Optimizer,
+    /// Under every explicit vertical strategy (`FromF` plans read `F` two
+    /// or three times through the one selection).
+    EveryVertical,
+    /// Under every horizontal plan variant.
+    EveryHorizontal,
+}
+
+/// Every statement family, as `(select list, grouping)` around the `FROM f
+/// [WHERE ..]` in the middle. The boundary-size tables run the first
+/// vertical and the first horizontal one.
+fn where_statements() -> Vec<(&'static str, &'static str, Planned)> {
+    use Planned::*;
+    vec![
+        (
+            "SELECT g, d, Vpct(a BY d) AS p",
+            "GROUP BY g, d",
+            EveryVertical,
+        ),
+        (
+            "SELECT g, d, Vpct(a BY d) AS p, Vpct(a BY g, d) AS q",
+            "GROUP BY g, d",
+            Optimizer,
+        ),
+        (
+            "SELECT g, d, Vpct(a BY d) AS p",
+            "GROUP BY ROLLUP (g, d)",
+            Optimizer,
+        ),
+        (
+            "SELECT g, d, Vpct(a BY g, d) AS p, count(*) AS n",
+            "GROUP BY CUBE (g, d)",
+            Optimizer,
+        ),
+        (
+            "SELECT g, d, s, Vpct(a BY s) AS p",
+            "GROUP BY GROUPING SETS ((g, s), (d, s))",
+            Optimizer,
+        ),
+        (
+            "SELECT g, d, Vpct(a BY d) AS p, median(a) AS m, approx_count_distinct(a) AS u",
+            "GROUP BY g, d",
+            Optimizer,
+        ),
+        (
+            "SELECT g, Hpct(a BY d), sum(a) AS t",
+            "GROUP BY g",
+            EveryHorizontal,
+        ),
+        (
+            "SELECT g, sum(a BY d), count(* BY s)",
+            "GROUP BY g",
+            EveryHorizontal,
+        ),
+        // (A holistic extra: the FV plans refuse it, on both sides alike.)
+        (
+            "SELECT g, Hpct(a BY d), median(a) AS m",
+            "GROUP BY g",
+            EveryHorizontal,
+        ),
+        ("SELECT Hpct(a BY d, s)", "", EveryHorizontal),
+    ]
+}
+
+/// Column names and rows, in the order the statement returned them.
+fn verbatim(t: &Table) -> (Vec<String>, Vec<Vec<Value>>) {
+    let names = t.schema().fields().iter().map(|f| f.name.clone());
+    (names.collect(), t.rows().collect())
+}
+
+/// Oracle 6: `WHERE` as a selection inside the scans against `WHERE` as a
+/// copy made beforehand, byte for byte — result column names and row order
+/// included — for every statement family × predicate × threads {1, 2, 4} ×
+/// vector on / off × dense budget 0 / default. Morsels of 1000 rows make
+/// real workers on small tables and put every chunk boundary off a word
+/// boundary; table sizes sit either side of a word and of a block.
+#[test]
+fn where_is_the_same_selection_inside_the_scan_as_a_copy_before_it() {
+    let sizes = [63, 64, 65, 1023, 1024, 1025];
+    let tables: Vec<(String, Table, bool)> = [(3 * 1024 + 500, false), (3 * 1024 + 500, true)]
+        .into_iter()
+        .chain(sizes.map(|n| (n, false)))
+        .map(|(n, sorted)| {
+            let shape = format!("n={n} sorted={sorted}");
+            (shape, where_table(n, sorted), n > 2048)
+        })
+        .collect();
+    let predicates = where_predicates();
+    let statements = where_statements();
+    let horizontal = horizontal_variants();
+    let vertical = [
+        VpctStrategy::best(),
+        VpctStrategy::fj_from_f(),
+        VpctStrategy::synchronized(),
+        VpctStrategy::with_update(),
+    ];
+    let kernels = [
+        (1, DEFAULT_DENSE_BUDGET),
+        (1, 0),
+        (0, DEFAULT_DENSE_BUDGET),
+        (0, 0),
+    ];
+    for (threads, (vector, dense_budget)) in [1usize, 2, 4]
+        .into_iter()
+        .flat_map(|t| kernels.map(|k| (t, k)))
+    {
+        let _pins = EnvPins::set(&[
+            ("PA_THREADS", threads.to_string()),
+            ("PA_VECTOR", vector.to_string()),
+            ("PA_DENSE_BUDGET", dense_budget.to_string()),
+            ("PA_MORSEL_ROWS", "1000".into()),
+            ("PA_MIN_PARALLEL_ROWS", "1".into()),
+        ]);
+        let knobs = format!("threads={threads} vector={vector} dense={dense_budget}");
+        for (shape, table, full) in &tables {
+            // The boundary sizes: two predicates, one statement a family,
+            // the four strategies.
+            let predicates = &predicates[..if *full { predicates.len() } else { 2 }];
+            for (text, expr) in predicates {
+                let selected = Catalog::new();
+                selected.create_table("f", table.clone()).unwrap();
+                let copied = Catalog::new();
+                let copy = filter(table, expr, &mut ExecStats::default()).unwrap();
+                copied.create_table("f", copy).unwrap();
+                let engines = (
+                    PercentageEngine::new(&selected),
+                    PercentageEngine::new(&copied),
+                );
+                for (i, (select, grouping, planned)) in statements.iter().enumerate() {
+                    if !full && i != 0 && i != 6 {
+                        continue;
+                    }
+                    let with_where = format!("{select} FROM f WHERE {text} {grouping}");
+                    let without = format!("{select} FROM f {grouping}");
+                    // Each plan as `(name, vertical strategy, horizontal
+                    // options)`; `None` leaves the choice to the optimizer.
+                    type Knobs<'k> = Option<(&'k VpctStrategy, &'k HorizontalOptions)>;
+                    let plans: Vec<(String, Knobs<'_>)> = match planned {
+                        Planned::Optimizer => vec![("optimizer".into(), None)],
+                        Planned::EveryVertical => vertical
+                            .iter()
+                            .map(|v| (format!("{v:?}"), Some((v, &horizontal[0].1))))
+                            .collect(),
+                        Planned::EveryHorizontal => horizontal[..if *full { 10 } else { 4 }]
+                            .iter()
+                            .map(|(name, h)| (name.clone(), Some((&vertical[0], h))))
+                            .collect(),
+                    };
+                    for (plan, knobs_of_plan) in plans {
+                        let run = |engine: &PercentageEngine<'_>, sql: &str| {
+                            let out = match knobs_of_plan {
+                                Some((v, h)) => engine.execute_sql_with(sql, v, h),
+                                None => engine.execute_sql(sql),
+                            };
+                            out.map(|out| verbatim(&out.table().read()))
+                        };
+                        let what = format!("{knobs} {shape} {plan}: {with_where}");
+                        match (run(&engines.0, &with_where), run(&engines.1, &without)) {
+                            (Ok(got), Ok(want)) => assert_eq!(got, want, "{what}"),
+                            (Err(got), Err(want)) => {
+                                assert_eq!(got.to_string(), want.to_string(), "{what}")
+                            }
+                            (got, want) => panic!("{what}: {got:?} vs {want:?}"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn harness_reports_injected_divergence() {
+    let _env = env_as_given();
     let schema = Schema::from_pairs(&[("g", DataType::Int), ("p", DataType::Float)])
         .unwrap()
         .into_shared();

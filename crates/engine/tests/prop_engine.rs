@@ -2,8 +2,9 @@
 //! reference implementation over the same random input.
 
 use pa_engine::{
-    distinct, filter, hash_aggregate, hash_join, sort, window_aggregate, AggFunc, AggSpec,
-    ExecStats, Expr, JoinType,
+    aggregate, distinct, filter, hash_aggregate, hash_join, sort, window_aggregate, AggFunc,
+    AggSpec, CmpOp, ExecStats, Expr, JoinType, ParallelConfig, ResourceGuard, Selected, Selection,
+    SystemClock, Tracer,
 };
 use pa_storage::{DataType, Schema, Table, Value};
 use proptest::prelude::*;
@@ -50,6 +51,166 @@ fn table_of(rows: &[Row]) -> Table {
 
 fn key_of(v: &Value) -> String {
     v.to_string()
+}
+
+// ---- compiled selections against `Expr::eval` -----------------------------
+
+/// Everything the predicate property draws comes from one seed.
+struct Draw(u64);
+
+impl Draw {
+    fn below(&mut self, n: usize) -> usize {
+        // SplitMix64.
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    }
+
+    fn one_of<T: Clone>(&mut self, of: &[T]) -> T {
+        of[self.below(of.len())].clone()
+    }
+}
+
+const PAST_2_53: i64 = (1 << 53) + 1;
+
+/// Values where the comparison semantics have corners: integers a float
+/// cannot hold, signed zeros, NaN of either sign, infinities, the empty
+/// string, and NULL in every column.
+fn corner_values() -> [Vec<Value>; 3] {
+    let ints = [
+        0,
+        1,
+        -1,
+        7,
+        PAST_2_53,
+        PAST_2_53 - 1,
+        -PAST_2_53,
+        i64::MAX,
+        i64::MIN,
+    ];
+    let floats = [
+        0.0,
+        -0.0,
+        1.0,
+        7.0,
+        -1.5,
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        (1u64 << 53) as f64,
+        PAST_2_53 as f64,
+    ];
+    let strs = ["", "a", "ab", "b", "zz"];
+    let with_null = |vals: Vec<Value>| vals.into_iter().chain([Value::Null]).collect();
+    [
+        with_null(ints.iter().map(|&i| Value::Int(i)).collect()),
+        with_null(floats.iter().map(|&f| Value::Float(f)).collect()),
+        with_null(strs.iter().map(|&s| Value::str(s)).collect()),
+    ]
+}
+
+/// An `id, i, f, s` table of `n` rows drawn from the corner values.
+fn corner_table(draw: &mut Draw, n: usize) -> Table {
+    let schema = Schema::from_pairs(&[
+        ("id", DataType::Int),
+        ("i", DataType::Int),
+        ("f", DataType::Float),
+        ("s", DataType::Str),
+    ])
+    .unwrap()
+    .into_shared();
+    let [ints, floats, strs] = corner_values();
+    let mut t = Table::empty(schema);
+    for id in 0..n {
+        let row = [
+            Value::Int(id as i64),
+            draw.one_of(&ints),
+            draw.one_of(&floats),
+            draw.one_of(&strs),
+        ];
+        t.push_row(&row).unwrap();
+    }
+    t
+}
+
+/// A predicate the compiler takes whole: an `And` / `Or` / `Not` nest over
+/// column-versus-literal comparisons (every operator, either operand
+/// order) and `KeyEq`s, the literal of any type — the column's, another
+/// number type, a string no dictionary holds, NULL.
+fn compilable_predicate(draw: &mut Draw, depth: usize) -> Expr {
+    if depth > 0 && draw.below(3) > 0 {
+        let l = Box::new(compilable_predicate(draw, depth - 1));
+        return match draw.below(3) {
+            0 => Expr::Not(l),
+            1 => Expr::And(l, Box::new(compilable_predicate(draw, depth - 1))),
+            _ => Expr::Or(l, Box::new(compilable_predicate(draw, depth - 1))),
+        };
+    }
+    let [ints, floats, mut strs] = corner_values();
+    strs.push(Value::str("m")); // in no dictionary
+    let col = Box::new(Expr::Col(1 + draw.below(3)));
+    let lit = Box::new(Expr::Lit(draw.one_of(&[ints, floats, strs].concat())));
+    let (l, r) = if draw.below(2) == 0 {
+        (col, lit)
+    } else {
+        (lit, col)
+    };
+    let ops = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+    match draw.below(4) {
+        0 => Expr::KeyEq(l, r),
+        _ => Expr::Cmp(draw.one_of(&ops), l, r),
+    }
+}
+
+/// The ids of the rows `Expr::eval` finds `pred` TRUE on.
+fn rows_eval_keeps(t: &Table, pred: &Expr) -> Vec<Value> {
+    (0..t.num_rows())
+        .filter(
+            |&row| match pred.eval(t, row, &mut ExecStats::default()).unwrap() {
+                Value::Int(i) => i != 0,
+                Value::Float(f) => f != 0.0,
+                _ => false,
+            },
+        )
+        .map(|row| t.get(row, 0))
+        .collect()
+}
+
+/// How a scan of `t` through `pred` says the predicate ran, and how many
+/// rows it says it selected: the selection a traced scan reports.
+fn selection_a_scan_reports(t: &Table, pred: &Expr) -> (&'static str, u64) {
+    let tracer = Tracer::enabled(SystemClock::shared());
+    let guard = ResourceGuard::counting().with_tracer(tracer.clone());
+    let (mut stats, config) = (ExecStats::default(), ParallelConfig::serial());
+    let selection = Selection::compile(t.into(), pred, &guard, &mut stats, &config).unwrap();
+    let count = [(
+        vec![],
+        vec![AggSpec::new(AggFunc::CountStar, Expr::lit(1), "n")],
+    )];
+    let input = Selected::from(t).with(&selection);
+    let out = aggregate(input, &count, &guard, &mut stats, &config).unwrap();
+    let reported = tracer
+        .take_report()
+        .spans()
+        .iter()
+        .find_map(|s| s.selection);
+    let (mode, selected) = reported.expect("the scan's span names its selection");
+    assert_eq!(
+        out[0].get(0, 0),
+        Value::Int(selected as i64),
+        "count(*) of the selection"
+    );
+    (mode, selected)
 }
 
 proptest! {
@@ -128,7 +289,7 @@ proptest! {
     #[test]
     fn distinct_matches_set(rows in rows_strategy(120)) {
         let t = table_of(&rows);
-        let out = distinct(&t, &[0, 1], &mut ExecStats::default()).unwrap();
+        let out = distinct((&t).into(), &[0, 1], &mut ExecStats::default()).unwrap();
         let model: std::collections::BTreeSet<(String, String)> = rows
             .iter()
             .map(|r| (key_of(&Value::from(r.g)), key_of(&Value::from(r.d))))
@@ -147,6 +308,32 @@ proptest! {
         let out = filter(&t, &pred, &mut ExecStats::default()).unwrap();
         let expected = rows.iter().filter(|r| r.a.is_some_and(|a| a > threshold)).count();
         prop_assert_eq!(out.num_rows(), expected, "NULL predicates drop rows");
+    }
+
+    #[test]
+    fn compiled_selection_matches_expr_eval(seed in any::<u64>(), blocks in 0usize..3) {
+        let mut draw = Draw(seed);
+        // A few rows, or a few blocks and a ragged tail.
+        let n = blocks * 1024 + draw.below(130);
+        let t = corner_table(&mut draw, n);
+        let pred = compilable_predicate(&mut draw, 3);
+        let want = rows_eval_keeps(&t, &pred);
+        let kept = filter(&t, &pred, &mut ExecStats::default()).unwrap();
+        let got: Vec<Value> = (0..kept.num_rows()).map(|r| kept.get(r, 0)).collect();
+        prop_assert_eq!(&got, &want, "{:?}", pred);
+        let (mode, selected) = selection_a_scan_reports(&t, &pred);
+        prop_assert_eq!((mode, selected), ("compiled", want.len() as u64), "{:?}", pred);
+
+        // The same predicate with one leaf the compiler does not take (a
+        // column plus zero) runs the scalar mode into the same words.
+        let uncompilable = Expr::Cmp(
+            CmpOp::Ge,
+            Box::new(Expr::Col(0).add(Expr::lit(0))),
+            Box::new(Expr::lit(0)),
+        );
+        let scalar = Expr::And(Box::new(pred.clone()), Box::new(uncompilable));
+        let (mode, selected) = selection_a_scan_reports(&t, &scalar);
+        prop_assert_eq!((mode, selected), ("scalar", want.len() as u64), "{:?}", scalar);
     }
 
     #[test]

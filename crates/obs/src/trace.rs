@@ -44,6 +44,10 @@ pub struct SpanRecord {
     /// chose: `"vectorized"`, `"scalar"`, `"mixed"`); `None` when the
     /// operator recorded nothing.
     pub detail: Option<&'static str>,
+    /// For a scan that read its input through a selection (`WHERE`): how
+    /// the predicate ran (`"compiled"` / `"scalar"`) and how many rows it
+    /// selected.
+    pub selection: Option<(&'static str, u64)>,
 }
 
 impl SpanRecord {
@@ -115,6 +119,7 @@ impl Tracer {
             rows: 0,
             morsels: 0,
             detail: None,
+            selection: None,
             done: false,
         }
     }
@@ -145,6 +150,7 @@ pub struct SpanHandle {
     rows: u64,
     morsels: u64,
     detail: Option<&'static str>,
+    selection: Option<(&'static str, u64)>,
     done: bool,
 }
 
@@ -160,6 +166,7 @@ impl SpanHandle {
             rows: 0,
             morsels: 0,
             detail: None,
+            selection: None,
             done: true,
         }
     }
@@ -186,6 +193,7 @@ impl SpanHandle {
             rows: 0,
             morsels: 0,
             detail: None,
+            selection: None,
             done: false,
         }
     }
@@ -205,6 +213,11 @@ impl SpanHandle {
     /// [`TraceReport::to_json`].
     pub fn set_detail(&mut self, detail: &'static str) {
         self.detail = Some(detail);
+    }
+
+    /// Record the selection this span's scan read its input through.
+    pub fn set_selection(&mut self, mode: &'static str, selected: u64) {
+        self.selection = Some((mode, selected));
     }
 
     /// Close the span now, recording it.
@@ -232,6 +245,7 @@ impl Drop for SpanHandle {
                 rows: self.rows,
                 morsels: self.morsels,
                 detail: self.detail,
+                selection: self.selection,
             });
         }
     }
@@ -299,10 +313,13 @@ impl TraceReport {
                 Some(p) => p.to_string(),
                 None => "null".to_string(),
             };
-            let detail = match s.detail {
+            let mut detail = match s.detail {
                 Some(d) => format!(",\"detail\":\"{d}\""),
                 None => String::new(),
             };
+            if let Some((mode, selected)) = s.selection {
+                detail.push_str(&format!(",\"where\":\"{mode}\",\"selected\":{selected}"));
+            }
             out.push_str(&format!(
                 "{{\"id\":{},\"parent\":{},\"op\":\"{}\",\"start_ns\":{},\"end_ns\":{},\"rows\":{},\"morsels\":{}{}}}",
                 s.id,

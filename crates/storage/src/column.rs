@@ -406,50 +406,31 @@ impl Column {
     /// Build a new column containing `self[i]` for each `i` in `rows`
     /// (gather / semi-materialized projection).
     pub fn take(&self, rows: &[usize]) -> Column {
+        // A column without NULLs gathers none: no bit is read or pushed.
+        let valid = |validity: &Bitmap| match validity.all_set() {
+            true => Bitmap::filled(rows.len(), true),
+            false => rows.iter().map(|&i| validity.get(i)).collect(),
+        };
         match self {
-            Column::Int { data, validity } => {
-                let mut out = Vec::with_capacity(rows.len());
-                let mut v = Bitmap::with_capacity(rows.len());
-                for &i in rows {
-                    out.push(data[i]);
-                    v.push(validity.get(i));
-                }
-                Column::Int {
-                    data: out,
-                    validity: v,
-                }
-            }
-            Column::Float { data, validity } => {
-                let mut out = Vec::with_capacity(rows.len());
-                let mut v = Bitmap::with_capacity(rows.len());
-                for &i in rows {
-                    out.push(data[i]);
-                    v.push(validity.get(i));
-                }
-                Column::Float {
-                    data: out,
-                    validity: v,
-                }
-            }
+            Column::Int { data, validity } => Column::Int {
+                data: rows.iter().map(|&i| data[i]).collect(),
+                validity: valid(validity),
+            },
+            Column::Float { data, validity } => Column::Float {
+                data: rows.iter().map(|&i| data[i]).collect(),
+                validity: valid(validity),
+            },
             Column::Str {
                 dict,
                 codes,
                 validity,
                 ..
-            } => {
-                let mut out = Vec::with_capacity(rows.len());
-                let mut v = Bitmap::with_capacity(rows.len());
-                for &i in rows {
-                    out.push(codes[i]);
-                    v.push(validity.get(i));
-                }
-                Column::Str {
-                    dict: dict.clone(),
-                    codes: out,
-                    validity: v,
-                    packed: PackedCell::new(),
-                }
-            }
+            } => Column::Str {
+                dict: dict.clone(),
+                codes: rows.iter().map(|&i| codes[i]).collect(),
+                validity: valid(validity),
+                packed: PackedCell::new(),
+            },
         }
     }
 

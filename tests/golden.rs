@@ -199,6 +199,35 @@ fn golden_explain_hpct_plan() {
     assert_golden("explain_hpct.golden", &text);
 }
 
+/// The same for statements with a `WHERE`: every generated statement that
+/// reads `F` carries the predicate, and the levels of a selected fact come
+/// from a scan, never from the table's cache — even once the same
+/// statement without the predicate has filled it.
+#[test]
+fn golden_explain_where_plans() {
+    let catalog = load_fixture("sales.csv");
+    let engine = PercentageEngine::new(&catalog);
+    let terms = "Vpct(salesAmt BY city) AS p, Vpct(salesAmt BY state, city) AS q";
+    engine
+        .execute_sql(&format!(
+            "SELECT state, city, {terms} FROM sales GROUP BY state, city;"
+        ))
+        .unwrap();
+    let mut text = String::new();
+    for sql in [
+        format!("SELECT state, city, {terms} FROM sales WHERE salesAmt > 10 GROUP BY state, city;"),
+        "SELECT state, Hpct(salesAmt BY city) FROM sales \
+         WHERE salesAmt > 10 AND state <> 'TX' GROUP BY state;"
+            .to_string(),
+    ] {
+        for line in engine.explain_sql(&sql).unwrap() {
+            text.push_str(&line);
+            text.push('\n');
+        }
+    }
+    assert_golden("explain_where.golden", &text);
+}
+
 /// The comparator itself: injected divergence must surface as a unified
 /// diff naming the changed lines, not a bare inequality.
 #[test]
