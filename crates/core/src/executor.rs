@@ -1493,11 +1493,16 @@ mod tests {
             ran.contains("levels_from_scan=1 levels_from_cache=0"),
             "{ran}"
         );
-        // WHERE is no operator of its own: the scan that read F through
-        // the selection says how the predicate ran and what it selected.
+        // WHERE yields no table: a `select` pass that charges no row, then
+        // the scan that read F through the selection, each saying how the
+        // predicate ran and what it selected.
         assert!(!lines.iter().any(|l| l.contains("filter")), "{lines:?}");
-        let scan = lines.iter().find(|l| l.contains("lattice: rows=")).unwrap();
-        assert!(scan.ends_with("where=compiled selected=7"), "{scan}");
+        let at = |op: &str| lines.iter().position(|l| l.contains(op)).unwrap();
+        let (pass, scan) = (at("select: rows=0 morsels=1 "), at("lattice: rows="));
+        assert!(pass < scan, "{lines:?}");
+        for line in [&lines[pass], &lines[scan]] {
+            assert!(line.ends_with("where=compiled selected=7"), "{line}");
+        }
         // Every row the statement charged is on some span.
         let charged = lines.last().unwrap().split("charged=").nth(1).unwrap();
         let (outcome, report) = engine

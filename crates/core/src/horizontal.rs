@@ -24,10 +24,10 @@ use crate::error::{CoreError, Result};
 use crate::naming::{cell_column_name, dedup_names, partition_ranges};
 use crate::query::{ExtraAgg, Fact, FactRows, HorizontalQuery};
 use crate::strategy::{HorizontalOptions, HorizontalStrategy};
-use crate::vertical::{aggregate_level, count_insert, into_shared, QueryResult};
+use crate::vertical::{count_insert, into_shared, QueryResult};
 use pa_engine::{
-    distinct, hash_join_guarded, project, AggFunc, AggSpec, ExecStats, Expr, JoinType,
-    ParallelConfig, ProjSpec, ResourceGuard, Selected, Selection,
+    aggregate_level, distinct, hash_join_guarded, project, AggFunc, AggSpec, ExecStats, Expr,
+    JoinType, ParallelConfig, ProjSpec, ResourceGuard, Selected, Selection,
 };
 use pa_storage::{Catalog, DataType, Schema, SharedTable, Table, Value};
 
@@ -197,7 +197,8 @@ pub(crate) fn eval_horizontal_on(
     // One parallelism decision per query, sized on the fact table; every
     // aggregation pass of this evaluation shares it (the engine still
     // drops small intermediate inputs like FV to the serial path).
-    let mut par = crate::optimizer::choose_parallelism(opts.parallel, f_guard.num_rows());
+    let mut par =
+        crate::optimizer::parallelism_under(fact.config(), opts.parallel, f_guard.num_rows());
     if opts.scalar_kernels {
         par.vector = false;
     }
@@ -678,7 +679,7 @@ fn case_raw(
             specs.push(AggSpec::new(*func, input.clone(), format!("__x{e}_{l}")));
         }
     }
-    aggregate_level(src, j_cols, &specs, guard, stats, par)
+    Ok(aggregate_level(src, j_cols, &specs, guard, stats, par)?)
 }
 
 /// SPJ strategy: `F0` = distinct groups; one aggregation per combination,

@@ -40,9 +40,10 @@
 
 use crate::error::{CoreError, Result};
 use crate::query::{ExtraAgg, Fact, Measure, VpctQuery};
-use crate::vertical::{aggregate_level, count_insert, extra_spec, into_shared, QueryResult};
+use crate::vertical::{count_insert, extra_spec, into_shared, QueryResult};
 use pa_engine::{
-    aggregate, lattice_aggregate, AggFunc, AggSpec, ExecStats, Expr, ParallelConfig, ResourceGuard,
+    aggregate, aggregate_level, lattice_aggregate, AggFunc, AggSpec, ExecStats, Expr,
+    ParallelConfig, ResourceGuard,
 };
 use pa_storage::{
     Catalog, Column, DataType, Field, FxHashMap, LatticeCache, Schema, SharedTable, Table, Value,
@@ -376,6 +377,7 @@ fn reaggregate_level(
     n_measures: usize,
     guard: &ResourceGuard,
     stats: &mut ExecStats,
+    config: &ParallelConfig,
 ) -> Result<Table> {
     let group_cols: Vec<usize> = to
         .columns()
@@ -388,8 +390,7 @@ fn reaggregate_level(
             AggSpec::new(AggFunc::Sum, Expr::Col(pos), name)
         })
         .collect();
-    let config = ParallelConfig::from_env();
-    let derived = aggregate_level(src.into(), &group_cols, &specs, guard, stats, &config)?;
+    let derived = aggregate_level(src.into(), &group_cols, &specs, guard, stats, config)?;
     Ok(sorted_by_key(derived, to))
 }
 
@@ -447,7 +448,7 @@ fn materialize_levels(
         .map(|s| &s.level)
         .collect();
     if !scanning.is_empty() {
-        let config = ParallelConfig::from_env();
+        let config = fact.config();
         let cols_of = |l: &Level| l.columns().iter().map(|c| fact_col[c]).collect::<Vec<_>>();
         let all: Vec<String> = scanning.iter().flat_map(|l| l.columns()).cloned().collect();
         let key = Level::new(&all);
@@ -510,8 +511,8 @@ fn materialize_levels(
                 anc
             }
         };
-        let n = lanes.measures.len();
-        let derived = reaggregate_level(&tables[from], from, &step.level, n, guard, stats)?;
+        let (n, config) = (lanes.measures.len(), &fact.config());
+        let derived = reaggregate_level(&tables[from], from, &step.level, n, guard, stats, config)?;
         keep(&step.level, derived, &mut tables);
     }
     Ok(tables)

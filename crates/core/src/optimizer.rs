@@ -51,8 +51,18 @@ pub fn choose_vpct_strategy(_catalog: &Catalog, _q: &VpctQuery) -> VpctStrategy 
 /// threshold per operator; resolving here keeps one decision per query so
 /// every aggregation pass of one evaluation agrees.
 pub fn choose_parallelism(mode: ParallelMode, input_rows: usize) -> ParallelConfig {
+    parallelism_under(ParallelConfig::from_env(), mode, input_rows)
+}
+
+/// [`choose_parallelism`] with the environment's configuration already
+/// read: `env` is what `Auto` means.
+pub(crate) fn parallelism_under(
+    env: ParallelConfig,
+    mode: ParallelMode,
+    input_rows: usize,
+) -> ParallelConfig {
     let config = match mode {
-        ParallelMode::Auto => ParallelConfig::from_env(),
+        ParallelMode::Auto => env,
         ParallelMode::Serial => ParallelConfig::serial(),
         ParallelMode::Threads(n) => ParallelConfig::with_threads(n),
     };

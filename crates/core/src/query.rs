@@ -8,7 +8,7 @@ use crate::error::{CoreError, Result};
 use pa_engine::{AggFunc, ExecStats, ParallelConfig, ResourceGuard, Selected, Selection};
 use pa_sql::{AggName, AstExpr, QueryKind, SelectItem, SelectStmt};
 use pa_storage::{Catalog, Schema, SharedTable, Table};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The fact table `F` one statement reads, resolved once by its caller ("F
 /// can be a temporary table resulting from some query", SIGMOD §2): a
@@ -22,6 +22,8 @@ pub(crate) struct Fact {
     /// by.
     name: Option<String>,
     filter: Option<Filter>,
+    /// What [`Fact::config`] read, once it has.
+    config: OnceLock<ParallelConfig>,
 }
 
 /// A statement's `WHERE`: the rows it selects, and its text for the
@@ -50,7 +52,15 @@ impl Fact {
             table,
             name: Some(name.to_string()),
             filter: None,
+            config: OnceLock::new(),
         }
+    }
+
+    /// The environment's scan configuration ([`ParallelConfig::from_env`]),
+    /// read once per statement, by the first pass over `F` that needs it:
+    /// the selection pass and every scan after it run under the same one.
+    pub(crate) fn config(&self) -> ParallelConfig {
+        *self.config.get_or_init(ParallelConfig::from_env)
     }
 
     /// The rows of this fact that `pred` is TRUE on, as a fact over the
@@ -64,7 +74,7 @@ impl Fact {
     ) -> Result<Fact> {
         let rows = self.read();
         let expr = ast_to_expr(pred, rows.schema())?;
-        let config = ParallelConfig::from_env();
+        let config = self.config();
         let selection = Selection::compile(rows.selected(), &expr, guard, stats, &config)?;
         Ok(Fact {
             table: Arc::clone(&self.table),
@@ -73,6 +83,7 @@ impl Fact {
                 selection,
                 sql: pred.to_string(),
             }),
+            config: self.config.clone(),
         })
     }
 

@@ -19,8 +19,8 @@ use crate::error::{CoreError, Result};
 use crate::query::{ExtraAgg, Fact, VpctQuery};
 use crate::strategy::{FjSource, Materialization, VpctStrategy};
 use pa_engine::{
-    aggregate, hash_join_guarded, update_from, AggFunc, AggSpec, ExecStats, Expr, JoinType,
-    ParallelConfig, ProjSpec, ResourceGuard, Selected, SetClause,
+    aggregate, aggregate_level, hash_join_guarded, update_from, AggFunc, AggSpec, ExecStats, Expr,
+    JoinType, ProjSpec, ResourceGuard, Selected, SetClause,
 };
 use pa_storage::{Catalog, Change, HashIndex, SharedTable, Table, Value};
 use std::sync::Arc;
@@ -56,20 +56,6 @@ pub(crate) fn into_shared(t: Table) -> SharedTable {
 pub(crate) fn count_insert(t: &Table, stats: &mut ExecStats) {
     stats.statements += 1;
     stats.rows_materialized += t.num_rows() as u64;
-}
-
-/// [`aggregate`] at one grouping level.
-pub(crate) fn aggregate_level(
-    input: Selected<'_>,
-    cols: &[usize],
-    specs: &[AggSpec],
-    guard: &ResourceGuard,
-    stats: &mut ExecStats,
-    config: &ParallelConfig,
-) -> Result<Table> {
-    let level = [(cols.to_vec(), specs.to_vec())];
-    let mut tables = aggregate(input, &level, guard, stats, config)?;
-    Ok(tables.pop().expect("one level in, one table out"))
 }
 
 pub(crate) fn extra_spec(extra: &ExtraAgg, schema: &pa_storage::Schema) -> Result<AggSpec> {
@@ -120,7 +106,7 @@ pub(crate) fn eval_vpct_on(
 
     let f = fact.read();
     let f_schema = f.schema().clone();
-    let config = ParallelConfig::from_env();
+    let config = fact.config();
     let level = |input: Selected<'_>, cols: &[usize], specs: &[AggSpec], stats: &mut _| {
         aggregate_level(input, cols, specs, guard, stats, &config)
     };

@@ -215,7 +215,7 @@ impl Expr {
     }
 
     /// Evaluate against row `row` of a column slice.
-    pub fn eval_cols(
+    fn eval_cols(
         &self,
         cols: &[pa_storage::Column],
         row: usize,

@@ -39,7 +39,7 @@ pub use keymap::{
 pub use lattice_kernel::{lattice_aggregate, lattice_aggregate_with_config};
 pub use ops::acc::{Acc, PartialState, PctState, DEFAULT_PERCENTILE_BUDGET};
 pub use ops::aggregate::{
-    aggregate, hash_aggregate, hash_aggregate_with_config, multi_hash_aggregate,
+    aggregate, aggregate_level, hash_aggregate, hash_aggregate_with_config, multi_hash_aggregate,
     multi_hash_aggregate_with_config, AggFunc, AggSpec, PBits,
 };
 pub use ops::distinct::{distinct, distinct_keys};

@@ -210,7 +210,7 @@ pub fn hash_aggregate(
 
 /// [`hash_aggregate`] under a [`ResourceGuard`] and an explicit
 /// [`ParallelConfig`] (tests and benches pin thread counts here instead of
-/// racing on env vars): one level of [`aggregate`].
+/// racing on env vars): [`aggregate_level`] of a whole table.
 pub fn hash_aggregate_with_config(
     input: &Table,
     group_cols: &[usize],
@@ -219,8 +219,20 @@ pub fn hash_aggregate_with_config(
     stats: &mut ExecStats,
     config: &ParallelConfig,
 ) -> Result<Table> {
+    aggregate_level(input.into(), group_cols, aggs, guard, stats, config)
+}
+
+/// [`aggregate`] at one grouping level.
+pub fn aggregate_level(
+    input: Selected<'_>,
+    group_cols: &[usize],
+    aggs: &[AggSpec],
+    guard: &ResourceGuard,
+    stats: &mut ExecStats,
+    config: &ParallelConfig,
+) -> Result<Table> {
     let level = [(group_cols.to_vec(), aggs.to_vec())];
-    let mut tables = aggregate(input.into(), &level, guard, stats, config)?;
+    let mut tables = aggregate(input, &level, guard, stats, config)?;
     Ok(tables.pop().expect("one level in, one table out"))
 }
 

@@ -57,7 +57,7 @@ impl<'a> Selected<'a> {
         assert_eq!(
             selection.bits.len(),
             self.table.num_rows(),
-            "a selection belongs to the table it was compiled over: one bit per row of that table, no more or less"
+            "a selection belongs to the table it was compiled over"
         );
         Selected {
             table: self.table,
@@ -89,9 +89,10 @@ impl Selection {
     /// Evaluate `pred` over every row of `input`'s table, morsel by morsel
     /// under `guard` (deadline and cancellation are observed once per
     /// morsel; nothing is charged — the scans that read the selection
-    /// charge the rows they read, which is where a budget trips). A row
-    /// `input` does not already select stays unselected: two selections
-    /// intersect word-wise.
+    /// charge the rows they read, which is where a budget trips — so the
+    /// pass's `select` span counts morsels and no rows). A row `input` does
+    /// not already select stays unselected: two selections intersect
+    /// word-wise.
     pub fn compile(
         input: Selected<'_>,
         pred: &Expr,
@@ -101,12 +102,14 @@ impl Selection {
     ) -> Result<Selection> {
         let table = input.table;
         let n = table.num_rows();
+        let mut span = guard.span("select");
         let tree = Node::compile(table, pred);
         let mut words = vec![0u64; n.div_ceil(64)];
         // Morsels cut at block multiples, so every block starts on a word.
         let morsel = config.morsel_rows.next_multiple_of(BLOCK_ROWS);
         for start in (0..n).step_by(morsel) {
             guard.check()?;
+            span.add_morsels(1);
             let rows = start..(start + morsel).min(n);
             match &tree {
                 Some(node) => {
@@ -133,7 +136,12 @@ impl Selection {
         // (Masks what a NULL-matching leaf set past the last row.)
         let bits = Bitmap::from_words(words, n).expect("one word per 64 rows");
         let mode = if tree.is_some() { "compiled" } else { "scalar" };
-        Ok(Selection { bits, mode })
+        let selection = Selection { bits, mode };
+        if span.is_enabled() {
+            let (mode, selected) = selection.summary();
+            span.set_selection(mode, selected);
+        }
+        Ok(selection)
     }
 
     /// The rows of a `len`-row table that `keep` names, for tests that
@@ -407,7 +415,12 @@ impl Leaf<'_> {
                 |x| float_eq(x, *lit),
                 |x| x.total_cmp(lit),
             ),
-            Test::Codes(codes, by_code) => hits(&codes[rows], &mut hit, |c| by_code[c as usize]),
+            // A NULL row holds code 0 whatever the dictionary holds — nothing,
+            // for an all-NULL column — so the lookup is total; `valid`
+            // discards what it answers there.
+            Test::Codes(codes, by_code) => hits(&codes[rows], &mut hit, |c| {
+                by_code.get(c as usize).copied().unwrap_or(false)
+            }),
         }
         let valid = &self.valid[block.start / 64..block.end.div_ceil(64)];
         let (mut t, mut f): (Words, Words) = ([0; BLOCK_ROWS / 64], [0; BLOCK_ROWS / 64]);
@@ -466,6 +479,28 @@ mod tests {
         assert_eq!(scalar.summary().0, "scalar");
         assert_eq!(compiled.bits, scalar.bits);
         assert_eq!(compiled.summary().1, (t.num_rows() / 3) as u64);
+    }
+
+    #[test]
+    fn a_string_column_of_only_nulls_compiles_against_an_empty_dictionary() {
+        let mut t = Table::empty(table(0).schema().clone());
+        for i in 0..70 {
+            t.push_row(&[Value::Null, Value::Int(i)]).unwrap();
+        }
+        // A comparison is NULL on every row, `KeyEq` with NULL TRUE on every
+        // row (what SPJ asks of an all-NULL `BY` column), `KeyEq` with a
+        // string FALSE on every row.
+        let is = |v: Value| Expr::KeyEq(Box::new(Expr::Col(0)), Box::new(Expr::Lit(v)));
+        for (pred, want) in [
+            (Expr::Col(0).eq(Expr::lit("x")), 0),
+            (Expr::Not(Box::new(Expr::Col(0).eq(Expr::lit("x")))), 0),
+            (is(Value::Null), 70),
+            (is(Value::str("x")), 0),
+            (Expr::Not(Box::new(is(Value::str("x")))), 70),
+        ] {
+            let sel = select(&t, None, &pred);
+            assert_eq!(sel.summary(), ("compiled", want), "{pred:?}");
+        }
     }
 
     #[test]

@@ -50,8 +50,8 @@ use crate::parallel::{fan_out, ParallelConfig};
 use crate::predicate::{Pick, Selected, Selection};
 use crate::stats::ExecStats;
 use crate::vector::{
-    blocks, for_each_run, rle_runs, BlockCoder, CodeWord, Coder, LaneKind, LaneSet, LaneSrc,
-    NumSlice, WideCoder, BLOCK_ROWS,
+    blocks, for_each_run, rle_runs, BlockCoder, CodeWord, Coder, GatherScratch, LaneKind, LaneSet,
+    LaneSrc, NumSlice, WideCoder, BLOCK_ROWS,
 };
 use pa_obs::SpanHandle;
 use pa_storage::{FxHashMap, Table, Value};
@@ -228,10 +228,14 @@ struct StreamScan<'p, 'a, W: StreamCode> {
     idx: Box<[u32; BLOCK_ROWS]>,
     /// The statement's selection, with room for one block's picked rows.
     selection: Option<(&'a Selection, Box<[u32; BLOCK_ROWS]>)>,
+    /// Those rows of every column a lane reads, gathered once per block.
+    scratch: GatherScratch<'a>,
 }
 
 impl<'a, W: StreamCode> Unit<'a> for Stream<'a, W> {
     fn begin<'p>(&'p self, plan: &'p ScanPlan<'a>) -> Box<dyn UnitScan + 'p> {
+        let mut scratch = GatherScratch::default();
+        let budget = plan.config.percentile_budget;
         let levels = self
             .levels
             .iter()
@@ -243,7 +247,7 @@ impl<'a, W: StreamCode> Unit<'a> for Stream<'a, W> {
                     index.gid(0, &mut ExecStats::default());
                 }
                 let funcs = level.aggs.iter().map(|s| s.func).collect();
-                let lanes = LaneSet::new(level.srcs.clone(), funcs, plan.config.percentile_budget);
+                let lanes = LaneSet::new(level.srcs.clone(), funcs, budget, &mut scratch);
                 (index, lanes)
             })
             .collect();
@@ -253,6 +257,7 @@ impl<'a, W: StreamCode> Unit<'a> for Stream<'a, W> {
             codes: Box::new([W::default(); BLOCK_ROWS]),
             idx: Box::new([0; BLOCK_ROWS]),
             selection: plan.selection.map(|s| (s, Box::new([0; BLOCK_ROWS]))),
+            scratch,
         })
     }
 }
@@ -278,13 +283,11 @@ impl<W: StreamCode> UnitScan for StreamScan<'_, '_, W> {
             let rows = match picked {
                 None => block.clone(),
                 Some(picked) => {
-                    for (_, lanes) in &mut self.levels {
-                        lanes.gather(block.start, picked);
-                    }
+                    self.scratch.gather(block.start, picked);
                     0..picked.len()
                 }
             };
-            let gathered = picked.is_some();
+            let gathered = picked.map(|_| &self.scratch);
             stats.vectorized_kernel_rows += rows.len() as u64;
             if self.plan.keyless {
                 // Every block is one run into the one (pre-seeded) group.
@@ -329,9 +332,10 @@ impl<W: StreamCode> UnitScan for StreamScan<'_, '_, W> {
     }
 }
 
-/// The rows one block feeds its lanes, and whether they are the lanes'
-/// gathered copies (a block the selection thinned) or the table's own.
-type BlockRows<'b> = (&'b Range<usize>, bool);
+/// The rows one block feeds its lanes: the table's own, or — with the
+/// scratch that holds them — the gathered copies of a block the selection
+/// thinned.
+type BlockRows<'b> = (&'b Range<usize>, Option<&'b GatherScratch<'b>>);
 
 /// Feed one block to one level. The projection and the index kind are both
 /// resolved here, outside the row loops, so each of their combinations

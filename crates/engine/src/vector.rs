@@ -685,12 +685,10 @@ enum Lane {
     Holistic(HolisticLane),
 }
 
-/// The picked rows of one block of a lane's input, gathered so that they
+/// The picked rows of one block of one input column, gathered so that they
 /// are a dense block again: values and validity bits side by side, as a
 /// column holds them.
 enum Gathered {
-    /// `count(*)` reads no input.
-    None,
     Int(Vec<i64>, Vec<u64>),
     Float(Vec<f64>, Vec<u64>),
 }
@@ -718,33 +716,58 @@ fn gather<T: Copy>(
     }
 }
 
-impl Gathered {
-    fn for_src(src: &LaneSrc<'_>) -> Gathered {
-        match src {
-            LaneSrc::CountStar => Gathered::None,
-            LaneSrc::Col(NumSlice::Int(..)) => Gathered::Int(Vec::new(), Vec::new()),
-            LaneSrc::Col(NumSlice::Float(..)) => Gathered::Float(Vec::new(), Vec::new()),
+/// One worker's gather scratch for one code stream: a slot per distinct
+/// input column, shared by every lane of every level that reads the column
+/// — `sum(a), count(a), avg(a)` at three levels copy `a` once per block.
+#[derive(Default)]
+pub(crate) struct GatherScratch<'a> {
+    cols: Vec<(NumSlice<'a>, Gathered)>,
+}
+
+impl<'a> GatherScratch<'a> {
+    /// The slot `src` is gathered into, added when no lane read the column
+    /// before; `None` for `count(*)`, which reads no input.
+    fn slot_of(&mut self, src: &LaneSrc<'a>) -> Option<usize> {
+        let LaneSrc::Col(col) = src else {
+            return None;
+        };
+        let same = |held: &NumSlice<'_>| match (held, col) {
+            (NumSlice::Int(a, _), NumSlice::Int(b, _)) => std::ptr::eq(*a, *b),
+            (NumSlice::Float(a, _), NumSlice::Float(b, _)) => std::ptr::eq(*a, *b),
+            _ => false,
+        };
+        let held = self.cols.iter().position(|(held, _)| same(held));
+        Some(held.unwrap_or_else(|| {
+            let own = match col {
+                NumSlice::Int(..) => Gathered::Int(Vec::new(), Vec::new()),
+                NumSlice::Float(..) => Gathered::Float(Vec::new(), Vec::new()),
+            };
+            self.cols.push((*col, own));
+            self.cols.len() - 1
+        }))
+    }
+
+    /// Gather rows `base + picked[j]` of every column as its row `j`.
+    pub(crate) fn gather(&mut self, base: usize, picked: &[u32]) {
+        for (col, own) in &mut self.cols {
+            match (col, own) {
+                (NumSlice::Int(data, vwords), Gathered::Int(out, valid)) => {
+                    gather((data, vwords), base, picked, (out, valid))
+                }
+                (NumSlice::Float(data, vwords), Gathered::Float(out, valid)) => {
+                    gather((data, vwords), base, picked, (out, valid))
+                }
+                _ => unreachable!("a slot holds its column's type"),
+            }
         }
     }
 
-    fn fill(&mut self, src: &LaneSrc<'_>, base: usize, picked: &[u32]) {
-        match (src, self) {
-            (LaneSrc::Col(NumSlice::Int(data, vwords)), Gathered::Int(out, valid)) => {
-                gather((data, vwords), base, picked, (out, valid))
-            }
-            (LaneSrc::Col(NumSlice::Float(data, vwords)), Gathered::Float(out, valid)) => {
-                gather((data, vwords), base, picked, (out, valid))
-            }
-            _ => {}
-        }
-    }
-
-    fn src(&self) -> LaneSrc<'_> {
-        match self {
-            Gathered::None => LaneSrc::CountStar,
-            Gathered::Int(data, valid) => LaneSrc::Col(NumSlice::Int(data, valid)),
-            Gathered::Float(data, valid) => LaneSrc::Col(NumSlice::Float(data, valid)),
-        }
+    /// The gathered block of `slot`, read as the column it copies.
+    fn src(&self, slot: usize) -> LaneSrc<'_> {
+        LaneSrc::Col(match &self.cols[slot].1 {
+            Gathered::Int(data, valid) => NumSlice::Int(data, valid),
+            Gathered::Float(data, valid) => NumSlice::Float(data, valid),
+        })
     }
 }
 
@@ -755,23 +778,27 @@ impl Gathered {
 /// `crate::scan`).
 ///
 /// A block the statement's selection thinned is fed *gathered*: its picked
-/// rows copied out per lane ([`LaneSet::gather`]) into a dense block of
-/// their own, which then takes the same two entry points with `gathered`
-/// set and row numbers counted from 0. No lane has a selected variant.
+/// rows copied out per input column ([`GatherScratch::gather`]) into a dense
+/// block of their own, which then takes the same two entry points with the
+/// scratch in hand and row numbers counted from 0. No lane has a selected
+/// variant.
 pub(crate) struct LaneSet<'a> {
     srcs: Vec<LaneSrc<'a>>,
+    /// Where each lane's input is gathered; `None` for `count(*)`.
+    slots: Vec<Option<usize>>,
     funcs: Vec<AggFunc>,
     lanes: Vec<Lane>,
-    gathered: Vec<Gathered>,
 }
 
 impl<'a> LaneSet<'a> {
     /// One lane per `(src, func)` pair; every `func` must be a raw or a
-    /// holistic lane function (the classification the callers ran).
+    /// holistic lane function (the classification the callers ran). The
+    /// lanes' input columns take their slots in `scratch`.
     pub(crate) fn new(
         srcs: Vec<LaneSrc<'a>>,
         funcs: Vec<AggFunc>,
         percentile_budget: usize,
+        scratch: &mut GatherScratch<'a>,
     ) -> LaneSet<'a> {
         debug_assert_eq!(srcs.len(), funcs.len());
         let lanes = funcs
@@ -781,32 +808,37 @@ impl<'a> LaneSet<'a> {
                 None => Lane::Raw(RawLane::default()),
             })
             .collect();
-        let gathered = srcs.iter().map(Gathered::for_src).collect();
+        let slots = srcs.iter().map(|src| scratch.slot_of(src)).collect();
         LaneSet {
             srcs,
+            slots,
             funcs,
             lanes,
-            gathered,
         }
     }
 
-    /// Gather rows `base + picked[j]` of every lane's input as its row `j`.
-    pub(crate) fn gather(&mut self, base: usize, picked: &[u32]) {
-        for (src, gathered) in self.srcs.iter().zip(&mut self.gathered) {
-            gathered.fill(src, base, picked);
-        }
-    }
-
-    /// Each lane with the source it reads this block from.
-    fn feeds(&mut self, gathered: bool) -> impl Iterator<Item = (&mut Lane, LaneSrc<'_>)> {
-        let srcs = self.srcs.iter().zip(&self.gathered);
-        let srcs = srcs.map(move |(src, own)| if gathered { own.src() } else { *src });
+    /// Each lane with the source it reads this block from: its column, or
+    /// the column's block in `gathered`.
+    fn feeds<'s>(
+        &'s mut self,
+        gathered: Option<&'s GatherScratch<'_>>,
+    ) -> impl Iterator<Item = (&'s mut Lane, LaneSrc<'s>)> {
+        let srcs = self.srcs.iter().zip(&self.slots);
+        let srcs = srcs.map(move |(src, slot)| match (gathered, slot) {
+            (Some(scratch), Some(slot)) => scratch.src(*slot),
+            _ => *src,
+        });
         self.lanes.iter_mut().zip(srcs)
     }
 
     /// Feed one run of rows that all belong to index `g`.
     #[inline]
-    pub(crate) fn accumulate_run(&mut self, rows: Range<usize>, g: usize, gathered: bool) {
+    pub(crate) fn accumulate_run(
+        &mut self,
+        rows: Range<usize>,
+        g: usize,
+        gathered: Option<&GatherScratch<'_>>,
+    ) {
         for (lane, src) in self.feeds(gathered) {
             match lane {
                 Lane::Raw(lane) => {
@@ -824,7 +856,13 @@ impl<'a> LaneSet<'a> {
     /// Scatter one block: row `rows.start + k` belongs to index `idx[k]`,
     /// all below `n`.
     #[inline]
-    pub(crate) fn scatter(&mut self, rows: Range<usize>, idx: &[u32], n: usize, gathered: bool) {
+    pub(crate) fn scatter(
+        &mut self,
+        rows: Range<usize>,
+        idx: &[u32],
+        n: usize,
+        gathered: Option<&GatherScratch<'_>>,
+    ) {
         for (lane, src) in self.feeds(gathered) {
             match lane {
                 Lane::Raw(lane) => {
@@ -919,6 +957,7 @@ pub(crate) fn for_each_run<C: Copy + PartialEq>(codes: &[C], mut f: impl FnMut(R
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::aggregate::PBits;
     use pa_storage::Schema;
 
     fn table(rows: &[(Option<&str>, Option<i64>, Option<f64>)]) -> Table {
@@ -987,6 +1026,63 @@ mod tests {
             }
         }
         assert!(NumSlice::for_column(t.column(0)).is_none());
+    }
+
+    #[test]
+    fn lanes_over_one_column_share_one_gathered_block() {
+        // Two levels' lane sets over one scratch: `a` is read by four lanes
+        // and gathered once, `d` once, `count(*)` not at all — and every
+        // lane reads from the scratch what it would read from a table
+        // holding the picked rows only.
+        let rows: Vec<_> = (0..150)
+            .map(|i| {
+                (
+                    None,
+                    (i % 7 != 0).then_some(i as i64 - 9),
+                    (i % 5 != 0).then_some(i as f64 * 0.5),
+                )
+            })
+            .collect();
+        let (base, picked): (usize, Vec<u32>) = (20, (0..120).filter(|k| k % 3 != 1).collect());
+        let t = table(&rows);
+        let kept: Vec<_> = picked.iter().map(|&k| rows[base + k as usize]).collect();
+        let copy = table(&kept);
+        let lists: [&[(AggFunc, Option<usize>)]; 2] = [
+            &[
+                (AggFunc::Sum, Some(2)),
+                (AggFunc::Count, Some(2)),
+                (AggFunc::CountStar, None),
+                (AggFunc::Avg, Some(2)),
+                (AggFunc::Sum, Some(1)),
+            ],
+            &[(AggFunc::Percentile(PBits::new(0.5)), Some(2))],
+        ];
+        let lanes_over = |t, scratch: &mut _| {
+            lists.map(|list| {
+                let src = |c| LaneSrc::for_column(Table::column(t, c)).unwrap();
+                let srcs = list.iter().map(|l| l.1.map_or(LaneSrc::CountStar, src));
+                let funcs = list.iter().map(|l| l.0).collect();
+                LaneSet::new(srcs.collect(), funcs, 1000, scratch)
+            })
+        };
+        let mut scratch = GatherScratch::default();
+        let gathered = lanes_over(&t, &mut scratch);
+        assert_eq!(scratch.cols.len(), 2, "one slot per distinct column");
+        scratch.gather(base, &picked);
+        let copied = lanes_over(&copy, &mut GatherScratch::default());
+        let idx: Vec<u32> = (0..picked.len() as u32).map(|j| j % 4).collect();
+        for (mut got, mut want) in gathered.into_iter().zip(copied) {
+            // A scatter over the first half, one run over the rest.
+            let half = picked.len() / 2;
+            got.scatter(0..half, &idx[..half], 4, Some(&scratch));
+            want.scatter(0..half, &idx[..half], 4, None);
+            got.accumulate_run(half..picked.len(), 2, Some(&scratch));
+            want.accumulate_run(half..picked.len(), 2, None);
+            let bytes = |set: LaneSet<'_>| -> Vec<_> {
+                set.into_accs(4).iter().map(Acc::serialize).collect()
+            };
+            assert_eq!(bytes(got), bytes(want));
+        }
     }
 
     #[test]

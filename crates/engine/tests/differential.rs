@@ -1646,6 +1646,55 @@ fn where_is_the_same_selection_inside_the_scan_as_a_copy_before_it() {
     }
 }
 
+/// A string column that holds only NULLs has an empty dictionary. SPJ reads
+/// each combination through a key match compiled against it (`s` matches
+/// NULL), and a `WHERE` may compare it: under every plan the column is the
+/// one NULL cell, and a comparison with it selects nothing.
+#[test]
+fn a_by_column_of_only_nulls_is_one_cell_under_every_plan() {
+    let _env = env_as_given();
+    let schema = Schema::from_pairs(&[
+        ("g", DataType::Int),
+        ("s", DataType::Str),
+        ("a", DataType::Float),
+    ])
+    .unwrap()
+    .into_shared();
+    let mut t = Table::empty(schema);
+    for i in 0..70i64 {
+        t.push_row(&[Value::Int(i % 3), Value::Null, Value::Float((i % 5) as f64)])
+            .unwrap();
+    }
+    let catalog = Catalog::new();
+    catalog.create_table("f", t).unwrap();
+    let engine = PercentageEngine::new(&catalog);
+    let variants = horizontal_variants();
+    // `(WHERE, result rows, cell columns)`.
+    for (pred, rows, cells) in [
+        ("", 3, 1),
+        ("WHERE a >= 1", 3, 1),
+        ("WHERE s = 'x'", 0, 0),
+        ("WHERE s <> 'x' OR s < 'x'", 0, 0),
+    ] {
+        let sql = format!("SELECT g, Hpct(a BY s) FROM f {pred} GROUP BY g");
+        let run = |opts: &HorizontalOptions| {
+            let out = engine.execute_sql_with(&sql, &VpctStrategy::best(), opts);
+            let out = out.unwrap_or_else(|e| panic!("{sql}: {e}")).table();
+            let t = out.read().clone();
+            t
+        };
+        let (ref_name, ref_opts) = &variants[0];
+        let reference = run(ref_opts);
+        assert_eq!(reference.num_rows(), rows, "{sql}");
+        assert_eq!(reference.num_columns(), 1 + cells, "{sql}");
+        for (name, opts) in &variants[1..] {
+            if let Some(diff) = first_divergence(ref_name, &reference, name, &run(opts)) {
+                panic!("{sql}: {diff}");
+            }
+        }
+    }
+}
+
 #[test]
 fn harness_reports_injected_divergence() {
     let _env = env_as_given();

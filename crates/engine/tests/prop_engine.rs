@@ -112,13 +112,15 @@ fn corner_values() -> [Vec<Value>; 3] {
     ]
 }
 
-/// An `id, i, f, s` table of `n` rows drawn from the corner values.
+/// An `id, i, f, s, sn` table of `n` rows drawn from the corner values;
+/// `sn` is a string column holding only NULLs, so its dictionary is empty.
 fn corner_table(draw: &mut Draw, n: usize) -> Table {
     let schema = Schema::from_pairs(&[
         ("id", DataType::Int),
         ("i", DataType::Int),
         ("f", DataType::Float),
         ("s", DataType::Str),
+        ("sn", DataType::Str),
     ])
     .unwrap()
     .into_shared();
@@ -130,6 +132,7 @@ fn corner_table(draw: &mut Draw, n: usize) -> Table {
             draw.one_of(&ints),
             draw.one_of(&floats),
             draw.one_of(&strs),
+            Value::Null,
         ];
         t.push_row(&row).unwrap();
     }
@@ -151,7 +154,7 @@ fn compilable_predicate(draw: &mut Draw, depth: usize) -> Expr {
     }
     let [ints, floats, mut strs] = corner_values();
     strs.push(Value::str("m")); // in no dictionary
-    let col = Box::new(Expr::Col(1 + draw.below(3)));
+    let col = Box::new(Expr::Col(1 + draw.below(4)));
     let lit = Box::new(Expr::Lit(draw.one_of(&[ints, floats, strs].concat())));
     let (l, r) = if draw.below(2) == 0 {
         (col, lit)
@@ -199,12 +202,13 @@ fn selection_a_scan_reports(t: &Table, pred: &Expr) -> (&'static str, u64) {
     )];
     let input = Selected::from(t).with(&selection);
     let out = aggregate(input, &count, &guard, &mut stats, &config).unwrap();
-    let reported = tracer
-        .take_report()
-        .spans()
-        .iter()
-        .find_map(|s| s.selection);
+    let report = tracer.take_report();
+    let by = |label: &str| report.spans().iter().find(|s| s.label == label);
+    let pass = by("select").expect("the pass has a span");
+    assert_eq!(pass.rows, 0, "the pass charges nothing");
+    let reported = by("aggregate").and_then(|s| s.selection);
     let (mode, selected) = reported.expect("the scan's span names its selection");
+    assert_eq!(pass.selection, reported, "pass and scan name one selection");
     assert_eq!(
         out[0].get(0, 0),
         Value::Int(selected as i64),

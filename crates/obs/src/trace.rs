@@ -44,9 +44,9 @@ pub struct SpanRecord {
     /// chose: `"vectorized"`, `"scalar"`, `"mixed"`); `None` when the
     /// operator recorded nothing.
     pub detail: Option<&'static str>,
-    /// For a scan that read its input through a selection (`WHERE`): how
-    /// the predicate ran (`"compiled"` / `"scalar"`) and how many rows it
-    /// selected.
+    /// For the pass that evaluated a predicate (`select`) and for every
+    /// scan that read its input through the selection: how the predicate
+    /// ran (`"compiled"` / `"scalar"`) and how many rows it selected.
     pub selection: Option<(&'static str, u64)>,
 }
 
@@ -215,7 +215,7 @@ impl SpanHandle {
         self.detail = Some(detail);
     }
 
-    /// Record the selection this span's scan read its input through.
+    /// Record the selection this span computed, or read its input through.
     pub fn set_selection(&mut self, mode: &'static str, selected: u64) {
         self.selection = Some((mode, selected));
     }
