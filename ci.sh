@@ -32,6 +32,16 @@ if grep -rnE '(^|[^.[:alnum:]_])filter\(|filter_fact' \
   exit 1
 fi
 
+echo "==> distinct gate: DISTINCT is a scan-core pass, not a tuple-hash loop"
+# `SELECT DISTINCT cols` is `GROUP BY cols` with no aggregate: one level of
+# the scan core with no lanes (DESIGN.md §16), under the statement's guard
+# and configuration. The per-row tuple hash it used to walk survives only as
+# the reference of the operator's own differential test.
+if sed '/^#\[cfg(test)\]/,$d' crates/engine/src/ops/distinct.rs | grep -n 'RowKeyMap'; then
+  echo "crates/engine/src/ops/distinct.rs names RowKeyMap outside #[cfg(test)]" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -69,9 +79,14 @@ echo "==> checkpoint-crash matrix: torn writes, compaction, recovery load"
 # * combo_regressions — recovery (plain and checkpoint-aware) must leave
 #   the combination cache verifiably cold;
 # * snapshot_oracle — pinned-view reads stay byte-identical under
-#   concurrent seeded writers at each thread count.
-PA_THREADS=1 cargo test -q -p pa-storage --test crash_offsets --test write_path --test prop_recovery
-PA_THREADS=4 cargo test -q -p pa-storage --test crash_offsets --test write_path --test prop_recovery
+#   concurrent seeded writers at each thread count, and after every seeded
+#   append + update each `ingest` statement shape answers as a fresh load
+#   of the same rows does;
+# * stats_oracle — under seeded interleavings of every table mutator with
+#   pins and readers, each built statistics record and slot vector equals
+#   a fresh build of its column, and a pin's stay the objects they were.
+PA_THREADS=1 cargo test -q -p pa-storage --test crash_offsets --test write_path --test prop_recovery --test stats_oracle
+PA_THREADS=4 cargo test -q -p pa-storage --test crash_offsets --test write_path --test prop_recovery --test stats_oracle
 PA_THREADS=1 cargo test -q -p pa-storage --lib checkpoint
 PA_THREADS=4 cargo test -q -p pa-storage --lib checkpoint
 PA_THREADS=1 cargo test -q -p pa-engine --test combo_regressions --test snapshot_oracle

@@ -447,7 +447,7 @@ impl<'a> PercentageEngine<'a> {
         let eval = |fact: &Fact, guard: &ResourceGuard| {
             let mut result = self.eval_vertical(fact, q, Some(strat), guard)?;
             if missing == MissingRows::PostProcess {
-                postprocess_pad(fact, q, &mut result)?;
+                postprocess_pad(fact, q, &mut result, guard)?;
             }
             Ok(result)
         };
@@ -1412,6 +1412,9 @@ mod tests {
         let catalog = sales_catalog();
         let engine = PercentageEngine::new(&catalog);
         let sql = "SELECT state, Hpct(salesAmt BY city) FROM sales GROUP BY state;";
+        // A cold combination cache charges one more pass of the table (the
+        // DISTINCT scan) than a warm one: compare warm with warm.
+        let cold = engine.execute_sql(sql).unwrap().stats().rows_charged;
         let lines = engine
             .explain_analyze_sql(&format!("EXPLAIN ANALYZE {sql}"))
             .unwrap();
@@ -1447,6 +1450,8 @@ mod tests {
         let out = engine.execute_sql(sql).unwrap();
         assert_eq!(charged, out.stats().rows_charged);
         assert!(charged > 0);
+        let rows = catalog.table("sales").unwrap().read().num_rows() as u64;
+        assert_eq!(cold, charged + rows, "the combinations pass read the table");
         // A bare SELECT is accepted too, and plain EXPLAIN (which never
         // executes) has no `charged=` field to misreport.
         assert!(engine

@@ -30,6 +30,7 @@ use pa_engine::{
     JoinType, ParallelConfig, ProjSpec, ResourceGuard, Selected, Selection,
 };
 use pa_storage::{Catalog, DataType, Schema, SharedTable, Table, Value};
+use std::sync::Arc;
 
 /// Result of a horizontal query: one table normally, several when the
 /// column limit forces vertical partitioning (each partition repeats the
@@ -100,7 +101,9 @@ struct TermPlan {
     combine: Combine,
     /// Group-total aggregation for percentage terms.
     total: Option<Expr>,
-    combos: Vec<Vec<Value>>,
+    /// The handle the combination cache hands out: a warm statement shares
+    /// the cached set, it does not copy it.
+    combos: Arc<Vec<Vec<Value>>>,
     names: Vec<String>,
 }
 
@@ -368,10 +371,15 @@ pub(crate) fn eval_horizontal_on(
     // BY tuples are identical over F and FV), so it is memoized in the
     // catalog's combination cache keyed by `(table, BY columns)`. The
     // cache is invalidated by every logged mutation of the table, so a hit
-    // is always current; it is charged to the guard like the scan it
-    // replaces would charge its output. A fact without a cache key (one
-    // with a `WHERE`) is scanned for its combinations every time: a BY
-    // value the selection filtered out is not a result column.
+    // is always current. A hit charges the set it hands over; a miss is a
+    // keyed scan of the source like the pivot beside it — `distinct`
+    // charges the rows it reads morsel by morsel, then the set — so a cold
+    // statement costs one more pass of the table than a warm one, in its
+    // budget and its trace as on the clock, as a cold lattice level always
+    // has, and a deadline or cancellation lands inside the pass. A fact
+    // without a cache key (one with a `WHERE`) is scanned for its
+    // combinations every time: a BY value the selection filtered out is
+    // not a result column.
     let combo_cache = fact.cache_key().map(|key| (catalog.combo_cache(), key));
     let multi_term = q.terms.len() > 1;
     let mut plans: Vec<TermPlan> = Vec::new();
@@ -381,17 +389,20 @@ pub(crate) fn eval_horizontal_on(
             .iter()
             .map(|n| src_schema.index_of(n).map_err(CoreError::from))
             .collect::<Result<Vec<_>>>()?;
-        let combos: Vec<Vec<Value>> = {
+        let combos: Arc<Vec<Vec<Value>>> = {
             let mut span = guard.span("combos");
-            let combos = match combo_cache.and_then(|(cache, key)| cache.get(key, &term.by)) {
+            span.add_morsels(1);
+            match combo_cache.and_then(|(cache, key)| cache.get(key, &term.by)) {
                 Some(cached) => {
                     stats.combo_cache_hits += 1;
-                    (*cached).clone()
+                    guard.charge(cached.len() as u64)?;
+                    span.add_rows(cached.len() as u64);
+                    cached
                 }
                 None => {
                     stats.combo_cache_misses += 1;
-                    let mut combos: Vec<Vec<Value>> =
-                        distinct(src, &by_src_cols, &mut stats)?.rows().collect();
+                    let found = distinct(src, &by_src_cols, guard, &mut stats, &par)?;
+                    let mut combos: Vec<Vec<Value>> = found.rows().collect();
                     combos.sort_by(|a, b| {
                         a.iter()
                             .zip(b)
@@ -399,19 +410,12 @@ pub(crate) fn eval_horizontal_on(
                             .find(|o| *o != std::cmp::Ordering::Equal)
                             .unwrap_or(std::cmp::Ordering::Equal)
                     });
-                    if let Some((cache, key)) = combo_cache {
-                        cache.store(key, &term.by, combos.clone());
+                    match combo_cache {
+                        Some((cache, key)) => cache.store(key, &term.by, combos),
+                        None => Arc::new(combos),
                     }
-                    combos
                 }
-            };
-            // The combination set is materialized output either way; charge
-            // it identically on hit and miss so budgets and traces don't
-            // depend on cache temperature.
-            guard.charge(combos.len() as u64)?;
-            span.add_rows(combos.len() as u64);
-            span.add_morsels(1);
-            combos
+            }
         };
         let prefix_name = if multi_term { term.name.as_str() } else { "" };
         let mut names: Vec<String> = combos
@@ -724,7 +728,7 @@ fn spj_raw(
             Result::Ok(())
         };
         for plan in plans {
-            for combo in &plan.combos {
+            for combo in plan.combos.iter() {
                 let only = only(plan, combo, stats)?;
                 for (func, input) in &plan.lanes {
                     global(src.with(&only), *func, input, stats)?;
@@ -743,7 +747,7 @@ fn spj_raw(
     }
 
     // F0: every existing group combination (defines the result rows).
-    let f0 = distinct(src, j_cols, stats)?;
+    let f0 = distinct(src, j_cols, guard, stats, par)?;
     count_insert(&f0, stats);
 
     // Per-combination aggregations F1..FN, left-outer-joined onto F0.
@@ -751,7 +755,7 @@ fn spj_raw(
     let f0_keys: Vec<usize> = (0..j_len).collect();
     let mut value_cols: Vec<usize> = Vec::new();
     for plan in plans {
-        for combo in &plan.combos {
+        for combo in plan.combos.iter() {
             let only = only(plan, combo, stats)?;
             let specs: Vec<AggSpec> = plan
                 .lanes
@@ -845,7 +849,7 @@ fn plans_as_tasks(plans: &[TermPlan]) -> Vec<crate::dispatch::PivotTask> {
         .map(|p| crate::dispatch::PivotTask {
             by_cols: p.by_src_cols.clone(),
             lanes: p.lanes.clone(),
-            combos: p.combos.clone(),
+            combos: Vec::clone(&p.combos),
             total: p.total.clone(),
         })
         .collect()

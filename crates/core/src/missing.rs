@@ -16,7 +16,7 @@
 use crate::error::{CoreError, Result};
 use crate::query::{Fact, Measure, VpctQuery};
 use crate::vertical::QueryResult;
-use pa_engine::{distinct, distinct_keys, insert_into, ExecStats, RowKeyMap};
+use pa_engine::{distinct, distinct_keys, insert_into, ExecStats, ResourceGuard, RowKeyMap};
 use pa_storage::{Catalog, Table, Value};
 
 /// The user's choice for the missing-row issue. Optional by design: "the
@@ -117,7 +117,12 @@ pub fn preprocess_pad(catalog: &Catalog, q: &VpctQuery, stats: &mut ExecStats) -
 /// aggregate columns of padded rows are NULL. `FV` is the result's own
 /// value, so the pad is counted in its stats and logged nowhere. Returns
 /// rows appended.
-pub(crate) fn postprocess_pad(fact: &Fact, q: &VpctQuery, result: &mut QueryResult) -> Result<u64> {
+pub(crate) fn postprocess_pad(
+    fact: &Fact,
+    q: &VpctQuery,
+    result: &mut QueryResult,
+    guard: &ResourceGuard,
+) -> Result<u64> {
     let QueryResult { table, stats, .. } = result;
     q.validate()?;
     single_term(q)?;
@@ -136,7 +141,7 @@ pub(crate) fn postprocess_pad(fact: &Fact, q: &VpctQuery, result: &mut QueryResu
             .iter()
             .map(|n| f.schema().index_of(n).map_err(CoreError::from))
             .collect::<Result<Vec<_>>>()?;
-        distinct(f.selected(), &by_cols, stats)?
+        distinct(f.selected(), &by_cols, guard, stats, &fact.config())?
             .rows()
             .collect::<Vec<_>>()
     };
@@ -249,7 +254,7 @@ mod tests {
         let catalog = catalog();
         let mut result = eval_vpct(&catalog, &q(), &VpctStrategy::best(), "p_").unwrap();
         let fact = Fact::named(&catalog, "sales").unwrap();
-        let added = postprocess_pad(&fact, &q(), &mut result).unwrap();
+        let added = postprocess_pad(&fact, &q(), &mut result, &ResourceGuard::unlimited()).unwrap();
         assert_eq!(added, 1);
         let t = result.snapshot().sorted_by(&[0, 1]);
         assert_eq!(t.num_rows(), 4);
@@ -320,7 +325,8 @@ mod tests {
         catalog.create_table("f", t).unwrap();
         let q = VpctQuery::single("f", &["g", "d"], "a", &["d"]);
         let mut result = eval_vpct(&catalog, &q, &VpctStrategy::best(), "n_").unwrap();
-        postprocess_pad(&Fact::named(&catalog, "f").unwrap(), &q, &mut result).unwrap();
+        let fact = Fact::named(&catalog, "f").unwrap();
+        postprocess_pad(&fact, &q, &mut result, &ResourceGuard::unlimited()).unwrap();
         let t = result.snapshot().sorted_by(&[0, 1]);
         assert_eq!(t.num_rows(), 4);
         // Group 1 has a real total → its padded "y" cell is 0%.

@@ -21,7 +21,9 @@
 use crate::error::{CoreError, Result};
 use crate::query::{Fact, Measure, VpctQuery};
 use crate::vertical::{count_insert, into_shared, QueryResult};
-use pa_engine::{distinct, project, window_aggregate, AggFunc, ExecStats, Expr, ProjSpec};
+use pa_engine::{
+    distinct, project, window_aggregate, AggFunc, ExecStats, Expr, ProjSpec, ResourceGuard,
+};
 use pa_storage::{Catalog, DataType, Table};
 
 /// Evaluate a vertical percentage query through the OLAP window-function
@@ -122,7 +124,14 @@ pub(crate) fn eval_vpct_olap_on(fact: &Fact, q: &VpctQuery) -> Result<QueryResul
 
     // DISTINCT collapse down to one row per group.
     let all: Vec<usize> = (0..divided.num_columns()).collect();
-    let fv = distinct((&divided).into(), &all, &mut stats)?;
+    let unguarded = ResourceGuard::unlimited();
+    let fv = distinct(
+        (&divided).into(),
+        &all,
+        &unguarded,
+        &mut stats,
+        &fact.config(),
+    )?;
     statements.push(format!(
         "SELECT DISTINCT {k}, {terms} FROM {f};",
         k = q.group_by.join(", "),

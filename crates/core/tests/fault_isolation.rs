@@ -132,6 +132,19 @@ fn failed_queries_never_leak_temp_tables() {
             Box::new(move |e| e.horizontal_with(hq, &opts).map(drop)),
         ));
     }
+    // The horizontal plans above find their combinations cached after their
+    // first run; this one scans for them every time, so a panic can land at
+    // every charge of the combinations pass as well.
+    let (hq, sales) = (&hq, &catalog);
+    plans.push((
+        "cold Hpct".into(),
+        false,
+        Box::new(move |e| {
+            sales.invalidate_combos("sales");
+            let opts = HorizontalOptions::with_strategy(HorizontalStrategy::CaseDirect);
+            e.horizontal_with(hq, &opts).map(drop)
+        }),
+    ));
     plans.push((
         "lattice".into(),
         false,
@@ -308,6 +321,84 @@ fn where_observes_the_deadline_and_charges_the_rows_it_reads() {
     assert!(out.stats().rows_charged >= ROWS as u64, "{}", out.stats());
     assert!(out.stats().rows_scanned >= ROWS as u64, "{}", out.stats());
     assert_eq!(out.table().read().num_rows(), 0);
+}
+
+/// The combinations step of a cold `Hpct` is a scan under the statement's
+/// guard. (When `distinct` took no guard, the whole pass ran — and stored
+/// its set in the combination cache — before the first charge after it
+/// could notice an expired deadline or a cancellation, and its rows were
+/// never charged.)
+#[test]
+fn the_combinations_pass_observes_the_guard_and_charges_the_rows_it_reads() {
+    let _w = chaos_window();
+    struct Morsels;
+    impl Drop for Morsels {
+        fn drop(&mut self) {
+            std::env::remove_var("PA_MORSEL_ROWS");
+        }
+    }
+    std::env::set_var("PA_MORSEL_ROWS", "1024");
+    let _morsels = Morsels;
+
+    const ROWS: u64 = 32 * 1024;
+    let catalog = sales_catalog(ROWS as usize);
+    let sql = "SELECT state, Hpct(salesAmt BY city) FROM sales GROUP BY state;";
+    let cached = || catalog.combo_cache().stats().entries;
+
+    // Already expired, already cancelled, and expiring two thirds through
+    // the pass (32 morsels at 1 ms a guard observation): each fails typed,
+    // inside the pass — no combination set was completed and stored.
+    let ticking = || Arc::new(TestClock::with_auto_step(Duration::from_millis(1)));
+    let stopped = ResourceGuard::counting();
+    stopped.cancel();
+    type Check = fn(&CoreError) -> bool;
+    let faults: [(&str, PercentageEngine<'_>, Check); 3] = [
+        (
+            "expired",
+            PercentageEngine::new(&catalog)
+                .with_clock(ticking())
+                .with_deadline(Duration::ZERO),
+            |e| matches!(e, CoreError::DeadlineExceeded { .. }),
+        ),
+        (
+            "cancelled",
+            PercentageEngine::new(&catalog).with_guard(stopped),
+            |e| matches!(e, CoreError::Cancelled),
+        ),
+        (
+            "expiring mid-pass",
+            PercentageEngine::new(&catalog)
+                .with_clock(ticking())
+                .with_deadline(Duration::from_millis(20)),
+            |e| matches!(e, CoreError::DeadlineExceeded { .. }),
+        ),
+    ];
+    for (fault, engine, typed) in &faults {
+        let err = engine.execute_sql(sql).unwrap_err();
+        assert!(typed(&err), "{fault}: {err:?}");
+        assert_eq!(cached(), 0, "{fault}: the pass did not run to completion");
+    }
+
+    // A row budget between one and two passes of the table: cold, the
+    // statement reads the table twice (combinations, then the pivot) and
+    // fails; warm, it reads it once and passes — a cold cache costs a scan
+    // in the budget as on the clock, like a cold lattice level.
+    let cold = PercentageEngine::new(&catalog).execute_sql(sql).unwrap();
+    assert_eq!(cached(), 1);
+    catalog.invalidate_combos("sales");
+    let budget = ROWS + ROWS / 2;
+    let tight = PercentageEngine::new(&catalog).with_guard(ResourceGuard::with_row_budget(budget));
+    let err = tight.execute_sql(sql).unwrap_err();
+    assert!(
+        matches!(err, CoreError::BudgetExceeded { budget: b, .. } if b == budget),
+        "{err:?}"
+    );
+    // The pass itself fit the budget, so its set is there for the retry.
+    assert_eq!(cached(), 1);
+    let warm = tight.execute_sql(sql).unwrap();
+    assert_eq!(rows_of(&warm), rows_of(&cold));
+    let (cold, warm) = (cold.stats().rows_charged, warm.stats().rows_charged);
+    assert_eq!(cold, warm + ROWS, "the miss charged the pass it ran");
 }
 
 #[test]

@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pa_engine::{
     distinct, hash_aggregate, hash_join, multi_hash_aggregate, window_aggregate, AggFunc, AggSpec,
-    ExecStats, Expr, JoinType,
+    ExecStats, Expr, JoinType, ParallelConfig, ResourceGuard,
 };
 use pa_storage::{DataType, HashIndex, Schema, Table, Value};
 
@@ -117,7 +117,9 @@ fn bench_primitives(c: &mut Criterion) {
     });
 
     c.bench_function("distinct/2-columns", |b| {
-        b.iter(|| distinct((&f).into(), &[0, 1], &mut ExecStats::default()).unwrap());
+        let (guard, config) = (ResourceGuard::unlimited(), ParallelConfig::serial());
+        let mut stats = ExecStats::default();
+        b.iter(|| distinct((&f).into(), &[0, 1], &guard, &mut stats, &config).unwrap());
     });
 
     c.bench_function("window/sum-over-partition", |b| {

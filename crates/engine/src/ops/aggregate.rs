@@ -258,13 +258,21 @@ pub fn multi_hash_aggregate_with_config(
     aggregate(input.into(), levels, guard, stats, config)
 }
 
-/// Validate the arguments every aggregate adapter shares.
-pub(crate) fn check_level(input: &Table, group_cols: &[usize], aggs: &[AggSpec]) -> Result<()> {
+/// Validate the key every scan-core adapter takes.
+pub(crate) fn check_key(input: &Table, group_cols: &[usize]) -> Result<()> {
     if let Some(c) = group_cols.iter().find(|&&c| c >= input.num_columns()) {
         return Err(EngineError::InvalidOperator(format!(
             "group column {c} out of range"
         )));
     }
+    Ok(())
+}
+
+/// [`check_key`], and the rule of the adapters whose output *is* its
+/// aggregates — a level without lanes is legal in the core (`distinct`, a
+/// pivot's bare `GROUP BY` level) but not a result for them.
+pub(crate) fn check_level(input: &Table, group_cols: &[usize], aggs: &[AggSpec]) -> Result<()> {
+    check_key(input, group_cols)?;
     if aggs.is_empty() {
         return Err(EngineError::InvalidOperator(
             "aggregation requires at least one aggregate term".into(),
@@ -276,7 +284,7 @@ pub(crate) fn check_level(input: &Table, group_cols: &[usize], aggs: &[AggSpec])
 /// Materialize one level: key columns decoded from the merged groups (once,
 /// after the merge — never per worker), aggregate columns from the
 /// accumulator matrix.
-fn finish(
+pub(crate) fn finish(
     groups: LevelGroups,
     input: &Table,
     group_cols: &[usize],

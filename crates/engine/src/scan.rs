@@ -1,5 +1,6 @@
 //! The scan core: the one group-by scan behind `multi_hash_aggregate`,
-//! `lattice_aggregate` and `partial_aggregate` (DESIGN.md §16).
+//! `lattice_aggregate`, `partial_aggregate`, `pivot_aggregate` and
+//! `distinct` (DESIGN.md §16).
 //!
 //! Gray et al. observe that GROUP BY is the one-level cube, and the paper
 //! that every total `Fj` is a projection of the finest grouping `Fk`. The
@@ -39,7 +40,9 @@
 //! workers in row order by code, and keys are decoded once, from the
 //! merged codes, by whoever formats the result. `multi_hash_aggregate` is
 //! "one stream per level, no projection", the lattice is "one stream, N
-//! projected levels", a partial is "one level, stop before finish".
+//! projected levels", a partial is "one level, stop before finish",
+//! `distinct` is "one level, no lanes" — a level's aggregate list may be
+//! empty, and then only its keys are scanned for.
 
 use crate::error::Result;
 use crate::guard::ResourceGuard;

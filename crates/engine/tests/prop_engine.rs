@@ -293,7 +293,9 @@ proptest! {
     #[test]
     fn distinct_matches_set(rows in rows_strategy(120)) {
         let t = table_of(&rows);
-        let out = distinct((&t).into(), &[0, 1], &mut ExecStats::default()).unwrap();
+        let (guard, config) = (ResourceGuard::unlimited(), ParallelConfig::serial());
+        let mut stats = ExecStats::default();
+        let out = distinct((&t).into(), &[0, 1], &guard, &mut stats, &config).unwrap();
         let model: std::collections::BTreeSet<(String, String)> = rows
             .iter()
             .map(|r| (key_of(&Value::from(r.g)), key_of(&Value::from(r.d))))

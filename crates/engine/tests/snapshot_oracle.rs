@@ -168,9 +168,9 @@ fn pinned_snapshot_queries_are_byte_identical_under_concurrent_writes() {
 
 /// Column statistics — the key domains and slot vectors a scan reads beside
 /// the columns — belong to a column *version*: a pin keeps the records of
-/// the version it froze while a writer resets the live table's, a column the
-/// writer did not touch keeps its record on both sides, and each side's
-/// queries answer from its own.
+/// the version it froze while a writer resets or extends the live table's,
+/// a column the writer did not touch keeps its record on both sides, and
+/// each side's queries answer from its own.
 #[test]
 fn a_pin_keeps_its_key_statistics_while_a_writer_resets_the_live_ones() {
     let catalog = build_catalog(2_000, 5);
@@ -203,7 +203,8 @@ fn a_pin_keeps_its_key_statistics_while_a_writer_resets_the_live_ones() {
     );
     assert_eq!(stats_of(&live.read(), 0), pin_g, "untouched `g` is shared");
 
-    // An append below `min` on `g` resets every live record; the pin's stay.
+    // An append below `min` on `g` resets the live `g` record (every slot
+    // would shift) and carries `d`'s over one more NULL; the pin's stay.
     let below_min = [vec![Value::Int(-6), Value::Null, Value::Float(2.0)]];
     catalog
         .write("f", Change::Append(Rows::Values(&below_min)))
@@ -269,4 +270,106 @@ fn repinning_after_writes_observes_the_new_epoch() {
     let ref_engine = PercentageEngine::new(&refcat);
     let expected = fingerprint(&ref_engine.horizontal(&hq).unwrap().snapshot());
     assert_eq!(after, expected);
+}
+
+/// The write axis. What a write leaves derived beside the columns — slot
+/// vectors extended over the appended rows, cells reset by an overwrite or
+/// by an append the extend rule refuses — must be invisible in answers:
+/// after every step of a seeded series of appends and updates, each of the
+/// five statement shapes the `ingest` benchmark runs returns, row for row
+/// in the same order, what it returns on a catalog freshly loaded with the
+/// same rows (nothing built, nothing cached), and a reader's pin held
+/// across the write keeps returning its own version's answer. `PA_THREADS`
+/// (ci.sh runs 1 and 4) decides how many workers scan the 70 000 rows.
+#[test]
+fn answers_after_every_write_equal_a_fresh_load_of_the_same_rows() {
+    const SHAPES: [&str; 5] = [
+        "SELECT store, day, Vpct(amt BY day) AS pct FROM g GROUP BY store, day",
+        "SELECT region, month, Vpct(amt BY month) AS pct FROM g GROUP BY region, month",
+        "SELECT store, month, Vpct(amt BY month) AS pct FROM g GROUP BY store, month",
+        "SELECT store, Hpct(amt BY day) FROM g GROUP BY store",
+        "SELECT store, day, region, Vpct(amt BY region) AS pct FROM g \
+         GROUP BY ROLLUP(store, day, region)",
+    ];
+    let dims: [(&str, u64); 4] = [("store", 23), ("day", 7), ("region", 5), ("month", 12)];
+    let mut fields: Vec<(&str, DataType)> = dims.iter().map(|d| (d.0, DataType::Int)).collect();
+    fields.push(("amt", DataType::Float));
+    let schema = Schema::from_pairs(&fields).unwrap().into_shared();
+    // `shift` moves a batch's keys off the loaded domain: above every max
+    // (the vectors extend, the domains grow) or below every min (reset).
+    let batch = |state: &mut u64, rows: usize, shift: i64| -> Vec<Vec<Value>> {
+        let row = |state: &mut u64| {
+            let key = |card: u64, state: &mut u64| match lcg(state) % 50 {
+                0 => Value::Null,
+                _ => Value::Int((lcg(state) % card) as i64 + shift),
+            };
+            let mut row: Vec<Value> = dims.iter().map(|d| key(d.1, state)).collect();
+            row.push(Value::Float((lcg(state) % 1000) as f64));
+            row
+        };
+        (0..rows).map(|_| row(state)).collect()
+    };
+    let mut state = 20;
+    let mut loaded = Table::with_capacity(schema, 70_000);
+    loaded.push_rows(&batch(&mut state, 70_000, 0)).unwrap();
+    let catalog = Catalog::new();
+    catalog.create_table("g", loaded).unwrap();
+    let engine = PercentageEngine::new(&catalog);
+
+    // (column names, rows in the order returned) per shape, `FROM table`.
+    let answers = |engine: &PercentageEngine<'_>, table: &str| -> Vec<_> {
+        let ask = |sql: &&str| {
+            let sql = sql.replace("FROM g", &format!("FROM {table}"));
+            let out = engine.execute_sql(&sql).unwrap().table();
+            let out = out.read();
+            let names: Vec<String> = out
+                .schema()
+                .fields()
+                .iter()
+                .map(|f| f.name.clone())
+                .collect();
+            (names, out.rows().collect::<Vec<_>>())
+        };
+        SHAPES.iter().map(ask).collect()
+    };
+    let fresh_load = || {
+        let live = catalog.table("g").unwrap();
+        let every_row: Vec<usize> = (0..live.read().num_rows()).collect();
+        let fresh = Catalog::new();
+        fresh
+            .create_table("g", live.read().take(&every_row))
+            .unwrap();
+        answers(&PercentageEngine::new(&fresh), "g")
+    };
+    assert_eq!(answers(&engine, "g"), fresh_load(), "as loaded");
+
+    // (rows appended, key shift, the column the update writes).
+    let steps = [
+        (1000, 0, 4),
+        (1, 0, 4),
+        (300, 2, 4),
+        (64, 0, 1),
+        (200, -1, 4),
+        (1000, 0, 0),
+    ];
+    for (step, (rows, shift, col)) in steps.into_iter().enumerate() {
+        let view = catalog.pin_table("g").unwrap();
+        let pinned = answers(&engine, view.alias());
+        let appended = batch(&mut state, rows, shift);
+        catalog
+            .write("g", Change::Append(Rows::Values(&appended)))
+            .unwrap();
+        let at = (lcg(&mut state) as usize) % view.rows();
+        let after = [[Value::Int(3), Value::Float(7.0)][usize::from(col == 4)].clone()];
+        catalog.update_cells("g", at, &[col], &after).unwrap();
+
+        let live = answers(&engine, "g");
+        assert_eq!(live, fresh_load(), "step {step}: live answers");
+        assert_ne!(live, pinned, "step {step}: the write is visible");
+        assert_eq!(
+            answers(&engine, view.alias()),
+            pinned,
+            "step {step}: the pin's answers"
+        );
+    }
 }

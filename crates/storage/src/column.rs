@@ -35,7 +35,8 @@ pub enum Column {
         /// Validity bitmap.
         validity: Bitmap,
         /// Lazily built NULL-folded slot vector for the vectorized kernels
-        /// (DESIGN.md §12); reset by every mutation, shared by clones.
+        /// (DESIGN.md §12); extended by an append, reset by an overwrite,
+        /// shared by clones.
         packed: PackedCell,
     },
 }
@@ -200,8 +201,9 @@ impl Column {
     /// NULL-folded slot vector for a string column: slot 0 for NULL rows,
     /// `code + 1` otherwise, in the narrowest lane the dictionary's
     /// cardinality fits ([`crate::packed::width_for`]). Built lazily on
-    /// first use and cached per column version — mutations reset the cache,
-    /// clones (CoW snapshots) share the built vector. `None` for
+    /// first use and cached per column version — an append extends the
+    /// cached vector, an overwrite resets it, clones (CoW snapshots) share
+    /// it. `None` for
     /// non-string columns or unpackable (> 32-bit slot) dictionaries.
     pub fn packed_slots(&self) -> Option<&std::sync::Arc<PackedCodes>> {
         match self {
@@ -250,20 +252,20 @@ impl Column {
             ) => {
                 codes.push(dict.intern_arc(&s));
                 validity.push(true);
-                packed.invalidate();
+                packed.extend(codes, validity, codes.len() - 1, dict.len());
             }
             (
                 Column::Str {
+                    dict,
                     codes,
                     validity,
                     packed,
-                    ..
                 },
                 Value::Null,
             ) => {
                 codes.push(0);
                 validity.push(false);
-                packed.invalidate();
+                packed.extend(codes, validity, codes.len() - 1, dict.len());
             }
             (col, value) => {
                 return Err(StorageError::TypeMismatch {
@@ -385,13 +387,14 @@ impl Column {
                 // rows hold a 0 placeholder that an all-NULL column's empty
                 // dictionary has no entry for.
                 let remap: Vec<u32> = odict.values().iter().map(|s| dict.intern_arc(s)).collect();
+                let from = codes.len();
                 codes.extend(
                     ocodes
                         .iter()
                         .map(|&c| remap.get(c as usize).copied().unwrap_or(0)),
                 );
                 validity.extend_from(ov);
-                packed.invalidate();
+                packed.extend(codes, validity, from, dict.len());
             }
             (me, other) => {
                 return Err(StorageError::TypeMismatch {

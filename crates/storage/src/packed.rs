@@ -40,6 +40,13 @@ pub fn width_for(max_slot: u64) -> u32 {
 /// presence table that counts distinct values in the same pass stays small.
 pub const MAX_INT_PACK_WIDTH: u32 = 16;
 
+/// Bits the NULL-folded slots of an integer column spanning `min..=max`
+/// need; `None` past [`MAX_INT_PACK_WIDTH`] (or when `max - min` overflows).
+pub(crate) fn int_width(min: i64, max: i64) -> Option<u32> {
+    let max_slot = u64::try_from(max.checked_sub(min)?).ok()?.checked_add(1)?;
+    Some(width_for(max_slot)).filter(|&width| width <= MAX_INT_PACK_WIDTH)
+}
+
 /// The storage lane: the smallest unsigned integer holding `width` bits.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Lanes {
@@ -61,13 +68,31 @@ impl Lanes {
             over |= s & !mask;
             s
         };
-        let lanes = match width {
-            0..=8 => Lanes::U8((0..len).map(|row| checked(row) as u8).collect()),
-            9..=16 => Lanes::U16((0..len).map(|row| checked(row) as u16).collect()),
+        let lanes = match Lanes::bytes_for(width) {
+            1 => Lanes::U8((0..len).map(|row| checked(row) as u8).collect()),
+            2 => Lanes::U16((0..len).map(|row| checked(row) as u16).collect()),
             _ => Lanes::U32((0..len).map(checked).collect()),
         };
         assert!(over == 0, "a slot exceeds pack width {width}");
         lanes
+    }
+
+    /// Bytes a slot of `width` bits is stored in: the smallest lane.
+    fn bytes_for(width: u32) -> usize {
+        match width {
+            0..=8 => 1,
+            9..=16 => 2,
+            _ => 4,
+        }
+    }
+
+    /// Bytes a slot of this lane takes.
+    fn bytes_per_slot(&self) -> usize {
+        match self {
+            Lanes::U8(_) => 1,
+            Lanes::U16(_) => 2,
+            Lanes::U32(_) => 4,
+        }
     }
 }
 
@@ -134,23 +159,21 @@ impl PackedCodes {
 
     /// Pack an integer column whose non-NULL values all lie in `min..=max`
     /// into NULL-folded slots: `value - min + 1` per valid row, `0` per
-    /// NULL row. Also returns the number of distinct non-NULL values, from a
-    /// presence table filled in the same pass. `None` when the domain does
-    /// not fit [`MAX_INT_PACK_WIDTH`] bits (or `max - min` overflows).
+    /// NULL row. Also returns the presence table filled in the same pass —
+    /// bit `s` set when some row holds slot `s`, over `0..=max - min + 1` —
+    /// which counts the distinct values exactly and keeps counting them as
+    /// rows are appended. `None` when the domain does not fit
+    /// [`MAX_INT_PACK_WIDTH`] bits (or `max - min` overflows).
     pub fn from_ints(
         data: &[i64],
         validity: &Bitmap,
         min: i64,
         max: i64,
-    ) -> Option<(PackedCodes, usize)> {
-        let max_slot = u64::try_from(max.checked_sub(min)?).ok()?.checked_add(1)?;
-        let width = width_for(max_slot);
-        if width > MAX_INT_PACK_WIDTH {
-            return None;
-        }
+    ) -> Option<(PackedCodes, Bitmap)> {
+        let width = int_width(min, max)?;
         debug_assert_eq!(data.len(), validity.len());
         let vwords = validity.words();
-        let mut present = vec![false; max_slot as usize + 1];
+        let mut present = vec![false; (max - min) as usize + 2];
         let lanes = Lanes::build(width, data.len(), |i| {
             // Wrapping math masked by validity: a NULL placeholder may sit
             // arbitrarily far from `min`, the multiply discards whatever it
@@ -160,8 +183,32 @@ impl PackedCodes {
             present[slot as usize] = true;
             slot
         });
-        let distinct = present[1..].iter().filter(|&&p| p).count();
-        Some((PackedCodes { lanes, width }, distinct))
+        Some((PackedCodes { lanes, width }, present.into_iter().collect()))
+    }
+
+    /// Whether a vector over a slot domain of `width` bits is stored in the
+    /// lane this one uses, i.e. whether a fresh pack at `width` would have
+    /// this layout.
+    pub(crate) fn holds(&self, width: u32) -> bool {
+        self.lanes.bytes_per_slot() == Lanes::bytes_for(width)
+    }
+
+    /// Append `slots`, the domain now needing `width` bits: what an append
+    /// to the column does to a vector already built, instead of a repack.
+    /// Panics unless [`Self::holds`]`(width)` and every slot fits `width`
+    /// bits (caller bugs, as for [`Self::pack`]).
+    pub(crate) fn extend(&mut self, width: u32, slots: impl Iterator<Item = u32>) {
+        assert!(self.holds(width), "pack width {width} needs another lane");
+        let mask = u32::MAX >> (32 - width);
+        let mut over = 0u32;
+        let checked = slots.inspect(|s| over |= s & !mask);
+        match &mut self.lanes {
+            Lanes::U8(v) => v.extend(checked.map(|s| s as u8)),
+            Lanes::U16(v) => v.extend(checked.map(|s| s as u16)),
+            Lanes::U32(v) => v.extend(checked),
+        }
+        assert!(over == 0, "a slot exceeds pack width {width}");
+        self.width = width;
     }
 
     /// Number of rows.
@@ -218,11 +265,7 @@ impl PackedCodes {
 
     /// Approximate heap bytes held (intermediate-table sizing).
     pub fn heap_bytes(&self) -> usize {
-        match &self.lanes {
-            Lanes::U8(v) => v.len(),
-            Lanes::U16(v) => v.len() * 2,
-            Lanes::U32(v) => v.len() * 4,
-        }
+        self.len() * self.lanes.bytes_per_slot()
     }
 }
 
@@ -231,10 +274,12 @@ impl PackedCodes {
 /// Lives inside [`crate::Column::Str`]. The first scan that wants the packed
 /// vector builds it ([`PackedCell::get_or_build`], thread-safe via
 /// `OnceLock`); later scans — and clones of the column, e.g. CoW snapshot
-/// views — share the same `Arc`. Mutations (`push`/`set`/`extend_from`)
-/// reset the cell, so a packed vector always describes exactly the column
-/// version it was built from. `None` is cached too: a dictionary past the
-/// 32-bit slot domain stays on the scalar path without re-probing.
+/// views — share the same `Arc`. An append (`push`/`extend_from`) carries a
+/// built vector forward over the appended rows ([`PackedCell::extend`]), an
+/// overwrite (`set`) resets the cell, so a packed vector always describes
+/// exactly the column version it belongs to. `None` is cached too: a
+/// dictionary past the 32-bit slot domain stays on the scalar path without
+/// re-probing.
 #[derive(Debug, Clone, Default)]
 pub struct PackedCell(std::sync::OnceLock<Option<std::sync::Arc<PackedCodes>>>);
 
@@ -271,6 +316,33 @@ impl PackedCell {
     /// Drop any cached vector (the column version changed).
     pub fn invalidate(&mut self) {
         self.0.take();
+    }
+
+    /// Carry a built vector over the rows `from..` just appended to
+    /// (`codes`, `validity`), whose dictionary now has `dict_len` entries:
+    /// their slots are pushed onto it when the grown domain keeps the lane
+    /// it is stored in, and the cell is reset — the next reader repacks —
+    /// when it does not. The vector is copied first if a clone of the cell
+    /// (a pinned snapshot) still shares it. An unbuilt cell stays unbuilt.
+    pub(crate) fn extend(
+        &mut self,
+        codes: &[u32],
+        validity: &Bitmap,
+        from: usize,
+        dict_len: usize,
+    ) {
+        // `Some(None)`: unpackable, and a dictionary only grows.
+        let Some(Some(packed)) = self.0.get_mut() else {
+            return;
+        };
+        let width = width_for(dict_len as u64);
+        if !packed.holds(width) {
+            self.0.take();
+            return;
+        }
+        let vwords = validity.words();
+        let slots = (from..codes.len()).map(|i| codes[i].wrapping_add(1) * valid(vwords, i));
+        std::sync::Arc::make_mut(packed).extend(width, slots);
     }
 }
 
@@ -377,8 +449,9 @@ mod tests {
         // value range, duplicates.
         let data = vec![-5, 0, -3, -5, -3, 0];
         let validity: Bitmap = [true, false, true, true, true, false].into_iter().collect();
-        let (packed, distinct) = PackedCodes::from_ints(&data, &validity, -5, -3).unwrap();
-        assert_eq!(distinct, 2, "-5 and -3; NULL is not a value");
+        let (packed, present) = PackedCodes::from_ints(&data, &validity, -5, -3).unwrap();
+        let present: Vec<bool> = present.iter().collect();
+        assert_eq!(present, [true, true, false, true], "NULL, -5, no -4, -3");
         assert_eq!(packed.width(), 2, "slots 0..=3");
         let mut out = vec![9u32; 6];
         packed.unpack_into(0, &mut out);
@@ -403,13 +476,65 @@ mod tests {
                 bytes,
                 "span {span}"
             );
-            if let Some((p, distinct)) = packed {
-                assert_eq!((p.get(0), p.get(1), distinct), (1, span as u32 + 1, 2));
+            if let Some((p, present)) = packed {
+                assert_eq!((p.get(0), p.get(1)), (1, span as u32 + 1));
+                assert_eq!(
+                    (present.len(), present.count_ones()),
+                    (span as usize + 2, 2)
+                );
             }
         }
         // A span past i64 has no slot domain at all.
         let data = vec![i64::MIN, i64::MAX];
         assert!(PackedCodes::from_ints(&data, &validity, i64::MIN, i64::MAX).is_none());
+    }
+
+    #[test]
+    fn extend_is_a_fresh_pack_until_the_lane_changes() {
+        // 255 slots fill a byte; the 256th needs the next lane.
+        let slots: Vec<u32> = (0..300).map(|i| i % 200).collect();
+        let mut packed = PackedCodes::pack(&slots[..100], 7);
+        assert!(packed.holds(8) && !packed.holds(9));
+        packed.extend(8, slots[100..].iter().copied());
+        assert_eq!(packed, PackedCodes::pack(&slots, 8));
+        let wide = PackedCodes::pack(&slots, 9);
+        assert!(wide.holds(16) && !wide.holds(8) && !wide.holds(17));
+        assert!(PackedCodes::pack(&slots, 17).holds(32));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds pack width 3")]
+    fn extend_rejects_a_slot_past_its_width() {
+        PackedCodes::pack(&[7], 3).extend(3, [8].into_iter());
+    }
+
+    #[test]
+    fn a_cell_extends_what_is_built_and_nothing_else() {
+        let validity = |n| Bitmap::filled(n, true);
+        let mut codes = vec![0, 1];
+        let mut cell = PackedCell::new();
+        codes.push(2);
+        cell.extend(&codes, &validity(3), 2, 3);
+        assert_eq!(cell.heap_bytes(), 0, "an unbuilt cell stays unbuilt");
+
+        let built = cell.get_or_build(&codes, &validity(3), 3).unwrap().clone();
+        let pin = cell.clone();
+        codes.extend([3, 0]);
+        cell.extend(&codes, &validity(5), 3, 4);
+        let fresh = PackedCodes::from_codes(&codes, &validity(5), 4).unwrap();
+        let extended = cell.get_or_build(&[], &validity(0), 0).unwrap().clone();
+        assert_eq!(*extended, fresh, "slots and logical width");
+        let pinned = pin.get_or_build(&[], &validity(0), 0).unwrap();
+        assert!(std::sync::Arc::ptr_eq(pinned, &built), "the pin's copy");
+        assert_eq!(pinned.len(), 3);
+
+        // A dictionary of 255 entries is the last a byte lane holds.
+        codes.push(254);
+        cell.extend(&codes, &validity(6), 5, 255);
+        assert_eq!(cell.heap_bytes(), 6);
+        codes.push(255);
+        cell.extend(&codes, &validity(7), 6, 256);
+        assert_eq!(cell.heap_bytes(), 0, "lane change: reset");
     }
 
     #[test]

@@ -6,15 +6,16 @@
 //! column *version* (DESIGN.md §12): value range, NULL count, distinct count
 //! and — for an integer column narrow enough — the NULL-folded slot vector
 //! the block kernels read instead of the 8-byte values. [`crate::Table`]
-//! owns one lazily built cell per column, shares it with its clones (a
-//! pinned snapshot is the same version) and resets it in every mutator, so
-//! the key space, the block coder and the optimizer all read one derivation
-//! and none of them can hold a stale one.
+//! owns one lazily built cell per column and shares it with its clones (a
+//! pinned snapshot is the same version); an append carries a built record
+//! forward over the appended rows ([`ColumnStats::extend`]), an overwrite
+//! resets it, so the key space, the block coder and the optimizer all read
+//! one derivation and none of them can hold a stale one.
 
 use crate::bitmap::Bitmap;
 use crate::column::Column;
 use crate::hash::FxHashSet;
-use crate::packed::PackedCodes;
+use crate::packed::{int_width, PackedCodes};
 use std::sync::{Arc, OnceLock};
 
 /// Rows sampled when estimating the distinct count of a column that has no
@@ -22,7 +23,7 @@ use std::sync::{Arc, OnceLock};
 const SAMPLE_ROWS: usize = 100_000;
 
 /// Statistics of one column version; see the module docs.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ColumnStats {
     range: Option<(i64, i64)>,
     null_count: usize,
@@ -30,7 +31,14 @@ pub struct ColumnStats {
     /// presence table, a dictionary's length), by a prefix sample on first
     /// demand otherwise — only the optimizer asks, and only for BY columns.
     distinct: OnceLock<usize>,
-    slots: Option<Arc<PackedCodes>>,
+    /// The slot vector and the presence table of its slots (bit `s`: some
+    /// row holds slot `s`), which keeps `distinct` exact under append.
+    slots: Option<(Arc<PackedCodes>, Bitmap)>,
+}
+
+/// Distinct non-NULL values, from a presence table: slot 0 is NULL.
+fn values_present(present: &Bitmap) -> usize {
+    present.count_ones() - usize::from(present.get(0))
 }
 
 impl ColumnStats {
@@ -51,15 +59,81 @@ impl ColumnStats {
                 let packed = stats
                     .range
                     .and_then(|(min, max)| PackedCodes::from_ints(data, validity, min, max));
-                if let Some((slots, distinct)) = packed {
-                    stats.slots = Some(Arc::new(slots));
-                    stats.distinct = OnceLock::from(distinct);
+                if let Some((slots, present)) = packed {
+                    stats.distinct = OnceLock::from(values_present(&present));
+                    stats.slots = Some((Arc::new(slots), present));
                 }
             }
             Column::Str { dict, .. } => stats.distinct = OnceLock::from(dict.len()),
             Column::Float { .. } => {}
         }
         stats
+    }
+
+    /// Carry the record over the rows `from..` just appended to `col`, in
+    /// time proportional to those rows: what [`ColumnStats::build`] would
+    /// derive from the longer column. The rule: a slot vector extends when
+    /// the appended values keep `min` (slots are `value - min + 1`) and the
+    /// slot domain still fits the lane it is stored in; otherwise `false`
+    /// comes back, the record is no longer valid, and the caller resets the
+    /// cell for the next reader to rebuild. The vector is copied first if a
+    /// clone of the record (a pinned snapshot) still shares it.
+    pub(crate) fn extend(&mut self, col: &Column, from: usize) -> bool {
+        let appended = from..col.len();
+        let nulls = appended.clone().filter(|&row| !col.is_valid(row)).count();
+        self.null_count += nulls;
+        match col {
+            Column::Int { data, validity } => {
+                let arrived = appended.clone().filter(|&row| validity.get(row));
+                let (lo, hi) = arrived.fold((i64::MAX, i64::MIN), |(lo, hi), row| {
+                    (lo.min(data[row]), hi.max(data[row]))
+                });
+                match (self.range, &mut self.slots) {
+                    (Some((min, max)), Some((slots, present))) => {
+                        let max = max.max(hi);
+                        let width = int_width(min, max).filter(|&w| lo >= min && slots.holds(w));
+                        let Some(width) = width else {
+                            return false;
+                        };
+                        for _ in present.len()..(max - min) as usize + 2 {
+                            present.push(false);
+                        }
+                        let slot = |row| {
+                            let valid = validity.get(row);
+                            let slot = if valid {
+                                (data[row] - min) as u32 + 1
+                            } else {
+                                0
+                            };
+                            present.set(slot as usize, true);
+                            slot
+                        };
+                        Arc::make_mut(slots).extend(width, appended.map(slot));
+                        self.range = Some((min, max));
+                        self.distinct = OnceLock::from(values_present(present));
+                    }
+                    // No slot vector to keep in step: the range folds.
+                    (Some((min, max)), None) => {
+                        self.range = Some((min.min(lo), max.max(hi)));
+                        self.resample(from);
+                    }
+                    // The first value of an all-NULL column: it may pack now.
+                    (None, _) if lo <= hi => return false,
+                    (None, _) => {}
+                }
+            }
+            Column::Str { dict, .. } => self.distinct = OnceLock::from(dict.len()),
+            Column::Float { .. } => self.resample(from),
+        }
+        true
+    }
+
+    /// Forget a sampled distinct count that rows appended at `from` can
+    /// change: the sample is the column's first [`SAMPLE_ROWS`] rows.
+    fn resample(&mut self, from: usize) {
+        if from < SAMPLE_ROWS {
+            self.distinct = OnceLock::new();
+        }
     }
 
     /// Smallest and largest non-NULL value of an integer column; `None` for
@@ -80,7 +154,7 @@ impl ColumnStats {
     /// types (a string column keeps its vector in its own
     /// [`crate::PackedCell`]).
     pub fn slots(&self) -> Option<&Arc<PackedCodes>> {
-        self.slots.as_ref()
+        self.slots.as_ref().map(|(slots, _)| slots)
     }
 
     /// Distinct non-NULL values of `col`, the column this record was built
@@ -99,7 +173,9 @@ impl ColumnStats {
 
     /// Approximate heap bytes held.
     pub(crate) fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<ColumnStats>() + self.slots.as_ref().map_or(0, |s| s.heap_bytes())
+        let slots = self.slots.as_ref();
+        std::mem::size_of::<ColumnStats>()
+            + slots.map_or(0, |(slots, present)| slots.heap_bytes() + present.len() / 8)
     }
 }
 

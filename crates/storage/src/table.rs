@@ -24,9 +24,10 @@ type StatsCell = OnceLock<Arc<ColumnStats>>;
 ///
 /// Beside the columns, under the same sharing rule, sits one lazily built
 /// [`ColumnStats`] cell per column ([`Table::column_stats`]): a clone reads
-/// and fills the cells of the version it shares, and every mutator resets
-/// the cells of exactly the columns it writes — on its own side of the
-/// copy, so a pinned snapshot keeps the statistics of *its* version.
+/// and fills the cells of the version it shares, an append carries every
+/// built cell forward over the rows it adds, and an overwrite resets the
+/// cells of exactly the columns it writes — each on the writer's side of
+/// the copy, so a pinned snapshot keeps the statistics of *its* version.
 ///
 /// ```
 /// use pa_storage::{DataType, Schema, Table, Value};
@@ -83,14 +84,26 @@ impl Table {
         }
     }
 
-    /// Copy-on-write access to the column vector for a write to every
-    /// column: detaches a private copy when the columns are shared with a
-    /// snapshot (no-op when unshared) and resets every statistics cell.
-    fn cols_mut(&mut self) -> &mut Vec<Column> {
-        for cell in Arc::make_mut(&mut self.stats) {
-            cell.take();
+    /// Append rows through `push`, copy-on-write: the columns are detached
+    /// from any snapshot sharing them (no-op when unshared), `push` extends
+    /// them, and every statistics cell already built is carried over the
+    /// appended rows ([`ColumnStats::extend`]) — or reset, when its rule
+    /// says the record cannot be, or when `push` failed. An unbuilt cell
+    /// stays unbuilt.
+    fn append(&mut self, push: impl FnOnce(&mut [Column]) -> Result<()>) -> Result<()> {
+        let from = self.num_rows();
+        let pushed = push(Arc::make_mut(&mut self.columns).as_mut_slice());
+        let cells = Arc::make_mut(&mut self.stats);
+        for (cell, col) in cells.iter_mut().zip(self.columns.iter()) {
+            let carried = pushed.is_ok()
+                && cell
+                    .get_mut()
+                    .is_some_and(|stats| Arc::make_mut(stats).extend(col, from));
+            if !carried {
+                cell.take();
+            }
         }
-        Arc::make_mut(&mut self.columns)
+        pushed
     }
 
     /// True when `self` and `other` share the same physical column storage
@@ -189,6 +202,12 @@ impl Table {
         self.stats[i].get_or_init(|| Arc::new(ColumnStats::build(&self.columns[i])))
     }
 
+    /// Whether column `i`'s statistics cell holds a record right now.
+    #[cfg(test)]
+    fn stats_built(&self, i: usize) -> bool {
+        self.stats[i].get().is_some()
+    }
+
     /// Distinct non-NULL values of column `i`: exact for a dictionary or
     /// slot-vector column, a prefix-sample lower bound otherwise; computed
     /// once per column version either way.
@@ -265,7 +284,7 @@ impl Table {
         // Validate all values first so a failed push can't leave ragged
         // columns behind.
         self.validate_row(row)?;
-        Self::append_row(self.cols_mut(), row)
+        self.append(|cols| Self::append_row(cols, row))
     }
 
     /// Push one validated row onto `cols`.
@@ -289,11 +308,9 @@ impl Table {
     /// catalog's write path validates, logs, then applies, and does not pay
     /// for the check twice.
     pub(crate) fn push_valid_rows(&mut self, rows: &[Vec<Value>]) {
-        // One detach and one statistics reset for the batch, not per row.
-        let cols = self.cols_mut();
-        for row in rows {
-            Self::append_row(cols, row).expect("row validated against this table");
-        }
+        // One detach and one statistics pass for the batch, not per row.
+        self.append(|cols| rows.iter().try_for_each(|row| Self::append_row(cols, row)))
+            .expect("rows validated against this table");
     }
 
     /// Overwrite `values[i]` into column `cols[i]` of row `row`, atomically:
@@ -384,10 +401,12 @@ impl Table {
     /// Bulk-append all rows of `other` (schemas must be equal).
     pub fn extend_from(&mut self, other: &Table) -> Result<()> {
         self.check_extend(other)?;
-        for (dst, src) in self.cols_mut().iter_mut().zip(other.columns.iter()) {
-            dst.extend_from(src)?;
-        }
-        Ok(())
+        self.append(|cols| {
+            let pairs = cols.iter_mut().zip(other.columns.iter());
+            pairs
+                .into_iter()
+                .try_for_each(|(dst, src)| dst.extend_from(src))
+        })
     }
 
     /// New table holding only the listed rows, in order (gather).
@@ -595,6 +614,43 @@ mod tests {
         let taken = t.take(&[0]);
         taken.column_stats(0);
         assert!(taken.heap_bytes() > before, "a built record is counted");
+    }
+
+    #[test]
+    fn an_append_extends_built_cells_and_leaves_unbuilt_ones_alone() {
+        let mut t = int_pair();
+        t.push_rows(&[vec![Value::Int(4), Value::Int(7)]]).unwrap();
+        t.extend_from(&int_pair()).unwrap();
+        assert!(!t.stats_built(0) && !t.stats_built(1), "nothing derived");
+
+        let pin = t.clone();
+        let (pinned, slots) = (pin.column_stats(0), pin.key_slots(0).unwrap().clone());
+        assert!(t.stats_built(0), "built through the pin, one version");
+        // 5 is the max, 3 the min: 4 and NULL extend in place of a rebuild.
+        t.push_rows(&[vec![Value::Int(4), Value::Int(1)], vec![Value::Null; 2]])
+            .unwrap();
+        assert!(t.stats_built(0) && !t.stats_built(1));
+        assert_eq!(t.column_stats(0).range(), Some((3, 5)));
+        assert_eq!(t.column_stats(0).null_count(), 1);
+        assert_eq!(t.key_slots(0).unwrap().len(), 9);
+        assert!(!Arc::ptr_eq(t.key_slots(0).unwrap(), &slots), "detached");
+        assert!(std::ptr::eq(pinned, pin.column_stats(0)), "the pin's own");
+        assert!(Arc::ptr_eq(pin.key_slots(0).unwrap(), &slots));
+        assert_eq!(slots.len(), 7);
+
+        // Unpinned, the vector grows where it is.
+        let live = t.key_slots(0).unwrap().clone();
+        let at = Arc::as_ptr(&live);
+        drop(live);
+        t.push_row(&[Value::Int(9), Value::Null]).unwrap();
+        assert_eq!(Arc::as_ptr(t.key_slots(0).unwrap()), at);
+        assert_eq!(t.column_stats(0).range(), Some((3, 9)), "max grows");
+        assert_eq!(t.distinct_estimate(0), 4, "3, 4, 5, 9");
+
+        // Below the minimum every slot would shift: the cell is reset.
+        t.push_row(&[Value::Int(2), Value::Null]).unwrap();
+        assert!(!t.stats_built(0));
+        assert_eq!(t.column_stats(0).range(), Some((2, 9)));
     }
 
     #[test]
