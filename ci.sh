@@ -42,6 +42,16 @@ if sed '/^#\[cfg(test)\]/,$d' crates/engine/src/ops/distinct.rs | grep -n 'RowKe
   exit 1
 fi
 
+echo "==> divide gate: the lattice assembles typed columns and joins nothing"
+# A percentage is a measure looked up through `parent` (DESIGN.md §17):
+# the assembler appends whole columns and calls `divide`. A `Value::` in
+# crates/core/src/lattice.rs outside its tests is a per-row push or a
+# per-row divide coming back; a `hash_join` is the lookup `parent` replaced.
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/lattice.rs | grep -nE 'Value::|hash_join'; then
+  echo "crates/core/src/lattice.rs names Value:: or hash_join outside #[cfg(test)]" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -109,9 +119,13 @@ PA_THREADS=1 cargo test -q -p pa-service --test replica_set
 PA_THREADS=4 cargo test -q -p pa-service --test replica_set
 
 echo "==> replication bench gate: image bootstrap >= 2x full-history ship (n=1M)"
+# The bench gates write under target/ci/: a green run leaves `git status`
+# clean, and the tracked results/BENCH_*.json stay the runs EXPERIMENTS.md
+# quotes.
+mkdir -p target/ci
 cargo run --release -p pa-bench --bin replication -- \
   --n 1000000 --gate 2.0 \
-  --out results/BENCH_replication.json
+  --out target/ci/BENCH_replication.json
 
 echo "==> merge-oracle gate: shard-merge protocol, sketch bounds, SQL e2e"
 # The mergeable partial-state protocol (DESIGN.md §14) at both thread
@@ -157,7 +171,7 @@ echo "==> code-path + kernel gate: case_direct within 2x of hash_dispatch, pivot
 cargo run --release -p pa-bench --bin scale -- \
   --n 1000000 --d 50 --threads 1 --iters 2 \
   --assert-case-within 2.0 --assert-pivot-within 1.5 --assert-vectorized \
-  --out results/BENCH_codepath_gate.json
+  --out target/ci/BENCH_codepath_gate.json
 
 echo "==> lattice gates: fused 4-level batch <= 1.6x single-level pass, warm <= 0.2x cold (n=1M, d=7)"
 # One scan feeds every lattice level (DESIGN.md §15): the cache-cold
@@ -171,7 +185,7 @@ echo "==> lattice gates: fused 4-level batch <= 1.6x single-level pass, warm <= 
 cargo run --release -p pa-bench --bin scale -- \
   --n 1000000 --d 7 --threads 1 --iters 2 \
   --assert-lattice-within 1.6 --assert-lattice-warm-within 0.2 \
-  --out results/BENCH_lattice_gate.json
+  --out target/ci/BENCH_lattice_gate.json
 
 echo "==> trace overhead smoke (writes results/BENCH_obs_smoke.json)"
 # Hard-gates tracing-on vs tracing-off overhead; also records obs-off

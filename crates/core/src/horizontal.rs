@@ -22,14 +22,14 @@
 
 use crate::error::{CoreError, Result};
 use crate::naming::{cell_column_name, dedup_names, partition_ranges};
-use crate::query::{ExtraAgg, Fact, FactRows, HorizontalQuery};
+use crate::query::{Fact, FactRows, HorizontalQuery};
 use crate::strategy::{HorizontalOptions, HorizontalStrategy};
-use crate::vertical::{count_insert, into_shared, QueryResult};
+use crate::vertical::{count_insert, extra_spec, into_shared};
 use pa_engine::{
-    aggregate_level, distinct, hash_join_guarded, project, AggFunc, AggSpec, ExecStats, Expr,
-    JoinType, ParallelConfig, ProjSpec, ResourceGuard, Selected, Selection,
+    aggregate_level, distinct, divide, hash_join_guarded, project, AggFunc, AggSpec, ExecStats,
+    Expr, JoinType, ParallelConfig, ProjSpec, ResourceGuard, Selected, Selection,
 };
-use pa_storage::{Catalog, DataType, Schema, SharedTable, Table, Value};
+use pa_storage::{Bitmap, Catalog, Column, DataType, Field, Schema, SharedTable, Table, Value};
 use std::sync::Arc;
 
 /// Result of a horizontal query: one table normally, several when the
@@ -67,20 +67,6 @@ impl HorizontalResult {
     pub fn snapshot(&self) -> Table {
         self.table().read().clone()
     }
-
-    /// Convert into a [`QueryResult`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the result was vertically partitioned, like [`Self::table`].
-    pub fn into_query_result(self) -> QueryResult {
-        assert_eq!(self.partitions.len(), 1, "result is partitioned");
-        QueryResult {
-            table: self.partitions.into_iter().next().expect("one partition"),
-            stats: self.stats,
-            statements: self.statements,
-        }
-    }
 }
 
 /// How one term's raw lanes combine into the final cell value.
@@ -107,24 +93,23 @@ struct TermPlan {
     names: Vec<String>,
 }
 
-impl TermPlan {
-    fn lanes_per_cell(&self) -> usize {
-        self.lanes.len()
-    }
+/// The count family: an absent group counts 0, and the user-facing column
+/// is `Int` whatever the strategy re-aggregated it through.
+fn is_count(func: AggFunc) -> bool {
+    use AggFunc::{ApproxCountDistinct, Count, CountDistinct, CountStar};
+    matches!(
+        func,
+        Count | CountDistinct | CountStar | ApproxCountDistinct
+    )
 }
 
-fn extra_direct_spec(extra: &ExtraAgg, schema: &Schema, name: &str) -> Result<AggSpec> {
-    let input = match (&extra.func, &extra.measure) {
-        (AggFunc::CountStar, _) => Expr::lit(1),
-        (_, Some(m)) => m.to_expr(schema)?,
-        (f, None) => {
-            return Err(CoreError::InvalidQuery(format!(
-                "{} requires a measure",
-                f.sql_name()
-            )));
-        }
-    };
-    Ok(AggSpec::new(extra.func, input, name))
+/// `CASE WHEN cell IS NULL THEN 0 ELSE cell END` over a numeric column.
+fn zero_if_null(cells: &Column) -> Column {
+    let data = (0..cells.len()).map(|r| cells.get_f64(r).unwrap_or(0.0));
+    Column::Float {
+        data: data.collect(),
+        validity: Bitmap::filled(cells.len(), true),
+    }
 }
 
 /// Distributive re-aggregation of a partial aggregate (Gray et al.): how
@@ -301,7 +286,9 @@ pub(crate) fn eval_horizontal_on(
                     extra_partial_pos.push(vec![base, base + 1]);
                 }
                 _ => {
-                    specs.push(extra_direct_spec(extra, &f_schema, &format!("__e{e}"))?);
+                    let mut spec = extra_spec(extra, &f_schema)?;
+                    spec.name = format!("__e{e}");
+                    specs.push(spec);
                     extra_partial_pos.push(vec![base]);
                 }
             }
@@ -357,7 +344,7 @@ pub(crate) fn eval_horizontal_on(
             term_lanes.push((vec![(term.func, measure)], Combine::Single, total));
         }
         for extra in &q.extra {
-            let spec = extra_direct_spec(extra, &f_schema, "__tmp")?;
+            let spec = extra_spec(extra, &f_schema)?;
             extra_specs_src.push((vec![(spec.func, spec.input)], Combine::Single));
         }
         (Source::Fact(f_guard), j_cols_f)
@@ -509,22 +496,36 @@ pub(crate) fn eval_horizontal_on(
     drop(source);
 
     // ---------- Post-projection. ----------
+    // An output column is the next projected expression over the raw table
+    // (`None`) or, for a percentage cell with one raw lane, that lane
+    // divided by the term's total column, typed.
     let j_len = q.group_by.len();
     let mut proj: Vec<ProjSpec> = Vec::new();
+    let mut outs: Vec<Option<(Field, Column)>> = Vec::new();
     for (i, name) in q.group_by.iter().enumerate() {
-        proj.push(ProjSpec::typed(
-            Expr::Col(i),
-            name.clone(),
-            raw.schema().field_at(i).dtype,
-        ));
+        let dtype = raw.schema().field_at(i).dtype;
+        proj.push(ProjSpec::typed(Expr::Col(i), name.clone(), dtype));
+        outs.push(None);
     }
+    // Every cell of a row shares the row's total: the identity `parent`.
+    let same_row: Vec<u32> = (0..raw.num_rows() as u32).collect();
     let mut pos = j_len;
     let mut cell_columns: Vec<Vec<String>> = Vec::new();
     for (term, plan) in q.terms.iter().zip(&plans) {
-        let lanes = plan.lanes_per_cell();
+        let lanes = plan.lanes.len();
         let cell_base = pos;
         let total_pos = cell_base + plan.combos.len() * lanes;
         for (i, name) in plan.names.iter().enumerate() {
+            let lane = raw.column(cell_base + i * lanes);
+            if term.percentage && plan.combine == Combine::Single && !term.default_zero {
+                // `CASE WHEN cell IS NULL THEN 0 ELSE cell END / total`,
+                // column-wise: a missing cell counts as 0 in the numerator
+                // (SIGMOD's `ELSE 0`), a zero/NULL group total yields NULL.
+                stats.case_condition_evals += 2 * raw.num_rows() as u64;
+                let cell = divide(&zero_if_null(lane), raw.column(total_pos), &same_row);
+                outs.push(Some((Field::new(name.clone(), DataType::Float), cell)));
+                continue;
+            }
             let raw_cell: Expr = match plan.combine {
                 Combine::Single => Expr::Col(cell_base + i * lanes),
                 Combine::AvgPair => {
@@ -533,8 +534,6 @@ pub(crate) fn eval_horizontal_on(
             };
             let mut cell = raw_cell;
             if term.percentage {
-                // Missing cells count as 0 in the numerator (SIGMOD's
-                // `ELSE 0`), while a zero/NULL group total yields NULL.
                 let zero_if_missing = Expr::Case {
                     branches: vec![(Expr::IsNull(Box::new(cell.clone())), Expr::lit(0.0))],
                     else_value: Some(Box::new(cell)),
@@ -543,30 +542,16 @@ pub(crate) fn eval_horizontal_on(
             }
             // Count of no qualifying rows is 0, not NULL — uniformly across
             // strategies (the outer-join variants produce NULL there).
-            let count_term = matches!(
-                term.func,
-                AggFunc::Count
-                    | AggFunc::CountDistinct
-                    | AggFunc::CountStar
-                    | AggFunc::ApproxCountDistinct
-            );
-            if term.default_zero || (count_term && !term.percentage) {
+            if term.default_zero || (is_count(term.func) && !term.percentage) {
                 cell = Expr::Case {
                     branches: vec![(Expr::IsNull(Box::new(cell.clone())), Expr::lit(0))],
                     else_value: Some(Box::new(cell)),
                 };
             }
-            let dtype = match (term.percentage, plan.combine, term.func) {
-                (true, _, _) | (_, Combine::AvgPair, _) => DataType::Float,
-                (
-                    _,
-                    _,
-                    AggFunc::Count
-                    | AggFunc::CountDistinct
-                    | AggFunc::CountStar
-                    | AggFunc::ApproxCountDistinct,
-                ) => DataType::Int,
-                _ => raw.schema().field_at(cell_base + i * lanes).dtype,
+            let dtype = match (term.percentage, plan.combine) {
+                (true, _) | (_, Combine::AvgPair) => DataType::Float,
+                _ if is_count(term.func) => DataType::Int,
+                _ => lane.data_type(),
             };
             // Re-aggregated counts come back as float sums; keep the
             // user-facing column Int regardless of strategy.
@@ -574,6 +559,7 @@ pub(crate) fn eval_horizontal_on(
                 cell = Expr::Cast(DataType::Int, Box::new(cell));
             }
             proj.push(ProjSpec::typed(cell, name.clone(), dtype));
+            outs.push(None);
         }
         cell_columns.push(plan.names.clone());
         pos = total_pos + usize::from(plan.total.is_some());
@@ -585,22 +571,36 @@ pub(crate) fn eval_horizontal_on(
         };
         let dtype = match (combine, extra.func) {
             (Combine::AvgPair, _) | (_, AggFunc::Avg | AggFunc::Sum) => DataType::Float,
-            (
-                _,
-                AggFunc::Count
-                | AggFunc::CountDistinct
-                | AggFunc::CountStar
-                | AggFunc::ApproxCountDistinct,
-            ) => DataType::Int,
+            (_, func) if is_count(func) => DataType::Int,
             _ => raw.schema().field_at(pos).dtype,
         };
         if dtype == DataType::Int {
             expr = Expr::Cast(DataType::Int, Box::new(expr));
         }
         proj.push(ProjSpec::typed(expr, extra.name.clone(), dtype));
+        outs.push(None);
         pos += lanes.len();
     }
-    let fh = project(&raw, &proj, &mut stats)?;
+    let fh = if proj.len() == outs.len() {
+        project(&raw, &proj, &mut stats)?
+    } else {
+        let projected = match proj.is_empty() {
+            true => None,
+            false => Some(project(&raw, &proj, &mut stats)?),
+        };
+        let mut projected = projected.iter().flat_map(|t| {
+            let fields = t.schema().fields().iter().cloned();
+            fields.zip(t.columns().iter().cloned())
+        });
+        let (fields, columns): (Vec<Field>, Vec<Column>) = outs
+            .into_iter()
+            .map(|out| {
+                out.or_else(|| projected.next())
+                    .expect("projected when not divided")
+            })
+            .unzip();
+        Table::from_columns(Schema::new(fields)?.into_shared(), columns)?
+    };
 
     // ---------- Partitioning. ----------
     let partitions: Vec<SharedTable> = if !partitioned {
@@ -750,86 +750,57 @@ fn spj_raw(
     let f0 = distinct(src, j_cols, guard, stats, par)?;
     count_insert(&f0, stats);
 
-    // Per-combination aggregations F1..FN, left-outer-joined onto F0.
+    // Per-combination aggregations F1..FN, left-outer-joined onto F0; the
+    // raw table reads the value columns each join appends.
     let mut joined = f0;
     let f0_keys: Vec<usize> = (0..j_len).collect();
     let mut value_cols: Vec<usize> = Vec::new();
+    let mut join = |fi: &Table, stats: &mut ExecStats| -> Result<()> {
+        let base = joined.num_columns() + j_len;
+        value_cols.extend(base..base + fi.num_columns() - j_len);
+        let (left, outer) = (&f0_keys, JoinType::LeftOuter);
+        joined = hash_join_guarded(&joined, fi, left, left, outer, None, guard, stats)?;
+        Ok(())
+    };
+    let specs = |lanes: &[(AggFunc, Expr)], prefix: &str| -> Vec<AggSpec> {
+        let named = lanes.iter().enumerate();
+        named
+            .map(|(l, (func, input))| AggSpec::new(*func, input.clone(), format!("{prefix}{l}")))
+            .collect()
+    };
     for plan in plans {
         for combo in plan.combos.iter() {
             let only = only(plan, combo, stats)?;
-            let specs: Vec<AggSpec> = plan
-                .lanes
-                .iter()
-                .enumerate()
-                .map(|(l, (func, input))| AggSpec::new(*func, input.clone(), format!("v{l}")))
-                .collect();
+            let specs = specs(&plan.lanes, "v");
             let fi = aggregate_level(src.with(&only), j_cols, &specs, guard, stats, par)?;
             count_insert(&fi, stats);
-            let base = joined.num_columns();
-            let fi_keys: Vec<usize> = (0..j_len).collect();
-            joined = hash_join_guarded(
-                &joined,
-                &fi,
-                &f0_keys,
-                &fi_keys,
-                JoinType::LeftOuter,
-                None,
-                guard,
-                stats,
-            )?;
-            for l in 0..plan.lanes.len() {
-                value_cols.push(base + j_len + l);
-            }
+            join(&fi, stats)?;
         }
         if let Some(total) = &plan.total {
             let spec = AggSpec::new(AggFunc::Sum, total.clone(), "t");
-            let fi = aggregate_level(src, j_cols, &[spec], guard, stats, par)?;
-            let base = joined.num_columns();
-            joined = hash_join_guarded(
-                &joined,
-                &fi,
-                &f0_keys,
-                &(0..j_len).collect::<Vec<_>>(),
-                JoinType::LeftOuter,
-                None,
-                guard,
+            join(
+                &aggregate_level(src, j_cols, &[spec], guard, stats, par)?,
                 stats,
             )?;
-            value_cols.push(base + j_len);
         }
     }
     for (lanes, _) in extras {
-        let specs: Vec<AggSpec> = lanes
-            .iter()
-            .enumerate()
-            .map(|(l, (func, input))| AggSpec::new(*func, input.clone(), format!("e{l}")))
-            .collect();
-        let fi = aggregate_level(src, j_cols, &specs, guard, stats, par)?;
-        let base = joined.num_columns();
-        joined = hash_join_guarded(
-            &joined,
-            &fi,
-            &f0_keys,
-            &(0..j_len).collect::<Vec<_>>(),
-            JoinType::LeftOuter,
-            None,
-            guard,
+        let specs = specs(lanes, "e");
+        join(
+            &aggregate_level(src, j_cols, &specs, guard, stats, par)?,
             stats,
         )?;
-        for l in 0..lanes.len() {
-            value_cols.push(base + j_len + l);
-        }
     }
 
     // Project into the standard raw layout (this is the final
     // `INSERT INTO FH SELECT F0.D1.., F1.A, F2.A, ..` statement).
     let mut proj: Vec<ProjSpec> = Vec::new();
-    for (i, &c) in f0_keys.iter().enumerate() {
-        let _ = i;
+    for &c in &f0_keys {
+        let field = joined.schema().field_at(c);
         proj.push(ProjSpec::typed(
             Expr::Col(c),
-            joined.schema().field_at(c).name.clone(),
-            joined.schema().field_at(c).dtype,
+            field.name.clone(),
+            field.dtype,
         ));
     }
     for (i, &c) in value_cols.iter().enumerate() {
@@ -858,7 +829,7 @@ fn plans_as_tasks(plans: &[TermPlan]) -> Vec<crate::dispatch::PivotTask> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{HorizontalTerm, Measure};
+    use crate::query::{ExtraAgg, HorizontalTerm, Measure};
     use pa_engine::AggFunc;
 
     /// A small version of the store/day-of-week table behind SIGMOD Table 3.

@@ -40,13 +40,13 @@
 
 use crate::error::{CoreError, Result};
 use crate::query::{ExtraAgg, Fact, Measure, VpctQuery};
-use crate::vertical::{count_insert, extra_spec, into_shared, QueryResult};
+use crate::vertical::{count_insert, extra_spec, into_shared, percentage, QueryResult};
 use pa_engine::{
     aggregate, aggregate_level, lattice_aggregate, AggFunc, AggSpec, ExecStats, Expr,
     ParallelConfig, ResourceGuard,
 };
 use pa_storage::{
-    Catalog, Column, DataType, Field, FxHashMap, LatticeCache, Schema, SharedTable, Table, Value,
+    Catalog, Column, DataType, Field, FxHashMap, LatticeCache, Schema, SharedTable, Table,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -82,13 +82,13 @@ impl Level {
 
     /// Where `name` sits among the normalized columns — its column in the
     /// level's materialized table.
-    pub fn position(&self, name: &str) -> Option<usize> {
+    fn position(&self, name: &str) -> Option<usize> {
         let lowered = || name.bytes().map(|b| b.to_ascii_lowercase());
         self.0.binary_search_by(|c| c.bytes().cmp(lowered())).ok()
     }
 
     /// `(a, b)` rendering for plans and EXPLAIN output.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         format!("({})", self.0.join(", "))
     }
 }
@@ -299,13 +299,6 @@ impl<'q> Lanes<'q> {
     }
 }
 
-/// Identity of the aggregate lanes a query's lattice levels carry: one
-/// `func(input)` per distinct term measure, then one per extra aggregate,
-/// in lane order. Term and aggregate *names* play no part.
-pub fn lattice_signature(q: &VpctQuery) -> Vec<String> {
-    Lanes::of(std::slice::from_ref(q)).signature()
-}
-
 /// The levels a request answers at (each query's GROUP BY) and the totals
 /// levels its terms divide by.
 fn request_levels(queries: &[VpctQuery]) -> (Vec<Level>, Vec<Level>) {
@@ -399,11 +392,12 @@ fn sorted_by_key(t: Table, level: &Level) -> Table {
 }
 
 /// Materialize every level `queries` (one table, the same extras) need —
-/// plus the `also` roots — from the lattice cache, one fused scan of `F`
+/// plus the `also` roots — from the lattice cache (`cache`, with the name
+/// it knows the fact table by), one fused scan of `F`
 /// for whatever nothing cached covers, and re-aggregation for the rest.
 /// Every table computed here is stored (back) in the cache.
 fn materialize_levels(
-    catalog: &Catalog,
+    cache: Option<(&LatticeCache, &str)>,
     fact: &Fact,
     queries: &[VpctQuery],
     lanes: &Lanes<'_>,
@@ -426,7 +420,6 @@ fn materialize_levels(
     let (mut roots, needed) = request_levels(queries);
     roots.extend_from_slice(also);
     let signature = lanes.signature();
-    let cache = fact.cache_key().map(|key| (catalog.lattice_cache(), key));
     let mut tables = LevelTables::new();
     let steps = plan_request(cache, lanes, (&roots, &needed), Some(&mut tables));
     stats.lattice_levels += steps.len() as u64;
@@ -466,10 +459,13 @@ fn materialize_levels(
             &config,
         )?;
         let scanned: Vec<Table> = match fused {
-            Some(partials) => partials
-                .into_iter()
-                .map(|p| p.finalize(stats))
-                .collect::<std::result::Result<_, _>>()?,
+            Some(partials) => {
+                let _span = guard.span("finish");
+                partials
+                    .into_iter()
+                    .map(|p| p.finalize(stats))
+                    .collect::<std::result::Result<_, _>>()?
+            }
             // Not fusable (holistic lanes, PA_VECTOR=0, uncodable
             // keys): one plain aggregation per level, the extras only
             // where a result reads them.
@@ -518,164 +514,85 @@ fn materialize_levels(
     Ok(tables)
 }
 
-/// Key spaces up to this many slots index the totals rows directly.
-const DENSE_TOTALS_SLOTS: usize = 1 << 16;
-
-/// For each row of `fk`, the row of `totals` holding its group's total;
-/// `keys[i]` is where `totals`' key column `i` sits in `fk`. Rows are
-/// matched by key fragment (NULL groups with NULL); fragments only compare
-/// within one column, so the string codes of `totals` are translated into
-/// `fk`'s dictionaries first. Narrow keys — dictionary strings, small
-/// integer ranges, the empty key — address a mixed-radix table of the
-/// totals rows, no hashing; anything wider hashes the fragments.
-fn totals_rows(fk: &Table, keys: &[usize], totals: &Table) -> Vec<usize> {
-    let (n, m) = (fk.num_rows(), totals.num_rows());
-    // A string `fk` never holds gets a code no fragment equals.
-    let translate: Vec<Option<Vec<i64>>> = keys
-        .iter()
-        .enumerate()
-        .map(|(i, &k)| match (totals.column(i), fk.column(k)) {
-            (Column::Str { dict: theirs, .. }, Column::Str { dict: ours, .. }) => {
-                let code = |s: &Arc<str>| ours.code_of(s).map_or(-1, i64::from);
-                Some(theirs.values().iter().map(code).collect())
-            }
-            _ => None,
-        })
+/// The `parent` vector of `fk`, the table of level `of`, onto `totals`, the
+/// table of the coarser level `by`: for each row of `fk`, the row of
+/// `totals` holding its group's total. It runs once per pair of levels —
+/// the lattice cache keeps what it returns beside `fk`. Rows match by key
+/// fragment (NULL groups with NULL); fragments only compare within one
+/// column, so the string codes of `totals` are translated into `fk`'s
+/// dictionaries first (a string `fk` never holds gets a code no fragment
+/// equals).
+fn totals_rows((fk, of): (&Table, &Level), (totals, by): (&Table, &Level)) -> Vec<u32> {
+    let position = |c| of.position(c).expect("totals key ⊆ GROUP BY");
+    let keys: Vec<&Column> = (by.columns().iter())
+        .map(|c| fk.column(position(c)))
         .collect();
-    let fragment = |i: usize, t: usize| {
-        let fragment = totals.column(i).key_fragment(t);
-        match &translate[i] {
-            Some(codes) => fragment.map(|c| codes[c as usize]),
-            None => fragment,
+    let translate = |(i, key): (usize, &&Column)| match (totals.column(i), key) {
+        (Column::Str { dict: theirs, .. }, Column::Str { dict: ours, .. }) => {
+            let code = |s: &Arc<str>| ours.code_of(s).map_or(-1, i64::from);
+            Some(theirs.values().iter().map(code).collect::<Vec<i64>>())
         }
+        _ => None,
     };
-
-    // Per key column, the smallest fragment and the digit count (one more
-    // for NULL) — when their product stays small.
-    let mut slots = Some(1usize);
-    let radix: Vec<(i64, usize)> = (0..keys.len())
-        .map(|i| {
-            let values = || (0..m).filter_map(|t| fragment(i, t));
-            let (min, max) = (values().min().unwrap_or(0), values().max().unwrap_or(0));
-            let span = max.checked_sub(min).and_then(|d| usize::try_from(d).ok());
-            let digits = span.and_then(|d| d.checked_add(2));
-            slots = slots
-                .zip(digits)
-                .and_then(|(s, d)| s.checked_mul(d))
-                .filter(|&s| s <= DENSE_TOTALS_SLOTS);
-            (min, digits.unwrap_or(0))
+    let translated: Vec<Option<Vec<i64>>> = keys.iter().enumerate().map(translate).collect();
+    let fragment = |t: usize, (i, codes): (usize, &Option<Vec<i64>>)| {
+        let fragment = totals.column(i).key_fragment(t);
+        fragment.map(|c| codes.as_ref().map_or(c, |codes| codes[c as usize]))
+    };
+    let index: FxHashMap<Vec<Option<i64>>, u32> = (0..totals.num_rows())
+        .map(|t| {
+            let key = translated.iter().enumerate().map(|col| fragment(t, col));
+            (key.collect(), t as u32)
         })
         .collect();
-    if let Some(slots) = slots {
-        let digit = |&(min, digits): &(i64, usize), fragment: Option<i64>| match fragment {
-            None => 0,
-            Some(v) => {
-                let d = v.wrapping_sub(min) as u64;
-                assert!(d + 1 < digits as u64, "every group has a totals row");
-                d as usize + 1
-            }
-        };
-        let mut row_at = vec![usize::MAX; slots];
-        for t in 0..m {
-            let slot = radix
-                .iter()
-                .enumerate()
-                .fold(0, |s, (i, r)| s * r.1 + digit(r, fragment(i, t)));
-            row_at[slot] = t;
-        }
-        let mut slot_of = vec![0usize; n];
-        for (r, &k) in radix.iter().zip(keys) {
-            let col = fk.column(k);
-            for (row, slot) in slot_of.iter_mut().enumerate() {
-                *slot = *slot * r.1 + digit(r, col.key_fragment(row));
-            }
-        }
-        return slot_of.into_iter().map(|slot| row_at[slot]).collect();
-    }
-
-    let mut index: FxHashMap<Vec<Option<i64>>, usize> = FxHashMap::default();
-    for t in 0..m {
-        index.insert((0..keys.len()).map(|i| fragment(i, t)).collect(), t);
-    }
     let mut key: Vec<Option<i64>> = Vec::with_capacity(keys.len());
-    (0..n)
+    (0..fk.num_rows())
         .map(|r| {
             key.clear();
-            key.extend(keys.iter().map(|&k| fk.column(k).key_fragment(r)));
+            key.extend(keys.iter().map(|k| k.key_fragment(r)));
             index[key.as_slice()]
         })
         .collect()
-}
-
-/// Append one percentage lane to `pct`: each group's sum in `fk` (the table
-/// of level `of`) over its group total, read from the table of the totals
-/// level `by` — the generated `CASE WHEN total <> 0 THEN p/total ELSE NULL
-/// END`: NULL when the total is NULL or zero, or the group's own sum is NULL.
-fn pct_lane(
-    (fk, of): (&Table, &Level),
-    (totals, by): (&Table, &Level),
-    lane: usize,
-    pct: &mut Column,
-    stats: &mut ExecStats,
-) -> Result<()> {
-    let keys: Vec<usize> = by
-        .columns()
-        .iter()
-        .map(|c| of.position(c).expect("totals key ⊆ GROUP BY"))
-        .collect();
-    let sums = fk.column(of.arity() + lane);
-    let total = totals.column(by.arity() + lane);
-    for (r, t) in totals_rows(fk, &keys, totals).into_iter().enumerate() {
-        pct.push(match (sums.get_f64(r), total.get_f64(t)) {
-            (Some(p), Some(d)) if d != 0.0 => Value::Float(p / d),
-            _ => Value::Null,
-        })?;
-    }
-    stats.rows_scanned += (fk.num_rows() + totals.num_rows()) as u64;
-    stats.case_condition_evals += fk.num_rows() as u64;
-    Ok(())
 }
 
 /// Assemble the results of `queries` over materialized levels into one
 /// table, shaped `[group_by][one percentage per term][extras]`:
 /// each query's rows in turn, a dimension of `group_by` the query rolled
 /// away padded with NULL (the Data Cube "ALL"). Columns are appended
-/// whole; aggregate names come from the first query, since generated
-/// `Vpct` names embed the per-set BY list.
+/// whole — a key or extra column of the level's table, a run of NULLs, one
+/// [`percentage`] per term through the level's `parent` vector, which
+/// `cache` keeps beside the level; aggregate names come from the first
+/// query, since generated `Vpct` names embed the per-set BY list.
 fn assemble(
     (tables, lanes): (&LevelTables, &Lanes<'_>),
+    cache: Option<(&LatticeCache, &str)>,
     group_by: &[String],
     queries: &[VpctQuery],
     guard: &ResourceGuard,
     stats: &mut ExecStats,
 ) -> Result<SharedTable> {
     // Each query's GROUP BY level and that level's table.
-    let roots: Vec<(Level, &Table)> = queries
+    let roots: Vec<(Level, &Arc<Table>)> = queries
         .iter()
         .map(|q| Level::new(&q.group_by))
-        .map(|level| (level.clone(), &*tables[&level]))
+        .map(|level| (level.clone(), &tables[&level]))
         .collect();
     let first = &queries[0];
     let mut fields: Vec<Field> = Vec::new();
     for g in group_by {
-        let dtype = roots
-            .iter()
-            .find_map(|(level, fk)| level.position(g).map(|p| fk.schema().field_at(p).dtype));
-        let dtype = dtype.ok_or_else(|| {
-            CoreError::InvalidQuery(format!(
-                "GROUP BY column {g} appears in no evaluable grouping set"
-            ))
+        let typed = |(level, fk): &(Level, &Arc<Table>)| {
+            level.position(g).map(|p| fk.schema().field_at(p).dtype)
+        };
+        let dtype = roots.iter().find_map(typed).ok_or_else(|| {
+            let set = "appears in no evaluable grouping set";
+            CoreError::InvalidQuery(format!("GROUP BY column {g} {set}"))
         })?;
         fields.push(Field::new(g.clone(), dtype));
     }
     let (level, fk) = &roots[0];
     let extras_at = |level: &Level| level.arity() + lanes.measures.len();
-    fields.extend(
-        first
-            .terms
-            .iter()
-            .map(|t| Field::new(t.name.clone(), DataType::Float)),
-    );
+    let pct = |t: &crate::query::VpctTerm| Field::new(t.name.clone(), DataType::Float);
+    fields.extend(first.terms.iter().map(pct));
     for (e, extra) in first.extra.iter().enumerate() {
         let dtype = fk.schema().field_at(extras_at(level) + e).dtype;
         fields.push(Field::new(extra.name.clone(), dtype));
@@ -685,22 +602,31 @@ fn assemble(
     let mut span = guard.span("divide");
     for (q, (level, fk)) in queries.iter().zip(&roots) {
         let n = fk.num_rows();
+        // The set's rows, once per term, before any of them is appended.
+        let charged = (n * q.terms.len()) as u64;
+        guard.charge(charged)?;
+        span.add_rows(charged);
         span.add_morsels(1);
         let (dims, aggs) = out.split_at_mut(group_by.len());
         for (g, col) in group_by.iter().zip(dims) {
             match level.position(g) {
                 Some(p) => col.extend_from(fk.column(p))?,
-                None => (0..n).try_for_each(|_| col.push(Value::Null))?,
+                None => col.push_nulls(n),
             }
         }
         let (pcts, extras) = aggs.split_at_mut(q.terms.len());
         for (term, col) in q.terms.iter().zip(pcts) {
             let by = Level::new(&q.totals_key(term));
-            guard.charge(n as u64)?;
-            span.add_rows(n as u64);
-            stats.statements += 1;
+            let totals = &tables[&by];
+            let build = || totals_rows((fk, level), (totals, &by));
+            let parent = match cache {
+                Some((cache, key)) => cache.parent(key, level.columns(), fk, by.columns(), build),
+                None => build().into(),
+            };
             let lane = lanes.lane_of(&term.measure);
-            pct_lane((fk, level), (&tables[&by], &by), lane, col, stats)?;
+            let sums = fk.column(level.arity() + lane);
+            let total = totals.column(by.arity() + lane);
+            col.extend_from(&percentage(sums, total, &parent, stats))?;
         }
         for (e, col) in extras.iter_mut().enumerate() {
             col.extend_from(fk.column(extras_at(level) + e))?;
@@ -775,8 +701,10 @@ pub(crate) fn eval_vpct_sets_on(
     }
     let mut stats = ExecStats::default();
     let lanes = Lanes::of(queries);
-    let tables = materialize_levels(catalog, fact, queries, &lanes, &[], guard, &mut stats)?;
-    let table = assemble((&tables, &lanes), group_by, queries, guard, &mut stats)?;
+    let cache = fact.cache_key().map(|key| (catalog.lattice_cache(), key));
+    let tables = materialize_levels(cache, fact, queries, &lanes, &[], guard, &mut stats)?;
+    let levels = (&tables, &lanes);
+    let table = assemble(levels, cache, group_by, queries, guard, &mut stats)?;
     Ok(QueryResult {
         table,
         stats,
@@ -872,7 +800,8 @@ pub(crate) fn eval_vpct_batch_on(
     let lanes = Lanes::of(queries);
     let mut stats = ExecStats::default();
     let also = std::slice::from_ref(&union_level);
-    let tables = materialize_levels(catalog, fact, queries, &lanes, also, guard, &mut stats)?;
+    let cache = fact.cache_key().map(|key| (catalog.lattice_cache(), key));
+    let tables = materialize_levels(cache, fact, queries, &lanes, also, guard, &mut stats)?;
     count_insert(&tables[&union_level], &mut stats);
 
     let mut out = Vec::with_capacity(queries.len());
@@ -886,13 +815,8 @@ pub(crate) fn eval_vpct_batch_on(
             crate::codegen::vpct_statements(&rq, &crate::strategy::VpctStrategy::best(), None);
         // The shared-summary cost is folded into the first result.
         let mut qstats = std::mem::take(&mut stats);
-        let table = assemble(
-            (&tables, &lanes),
-            &q.group_by,
-            std::slice::from_ref(q),
-            guard,
-            &mut qstats,
-        )?;
+        let (levels, set) = ((&tables, &lanes), std::slice::from_ref(q));
+        let table = assemble(levels, cache, &q.group_by, set, guard, &mut qstats)?;
         out.push(QueryResult {
             table,
             stats: qstats,

@@ -30,9 +30,13 @@ pub struct VpctStrategy {
     pub fj_source: FjSource,
     /// INSERT vs UPDATE materialization.
     pub materialization: Materialization,
-    /// Build identical hash indexes on the common subkey `D1..Dj` of `Fk`
-    /// and `Fj` before the division join (SIGMOD Table 4, column 2 turns
-    /// this off).
+    /// Index the common subkey `D1..Dj` of `Fk` and `Fj` for the division
+    /// (SIGMOD Table 4, column 2 turns this off). For an INSERT plan the
+    /// index is direct addressing — the `parent` vector, each `Fk` row's
+    /// row in `Fj`, which the scan that grouped `Fk` already knows — so
+    /// nothing is built or probed; the UPDATE plan builds a hash index on
+    /// `Fj` and probes it per row. Off, the INSERT plan joins through a
+    /// transient hash table.
     pub subkey_index: bool,
     /// Compute `Fk` and every `Fj` in one synchronized scan of `F`
     /// (only meaningful with [`FjSource::FromF`]).

@@ -12,6 +12,15 @@
 //!    THEN Fk.A/Fj.A ELSE NULL END FROM Fj, Fk WHERE ..` or
 //!    `UPDATE Fk SET A = ..` in place.
 //!
+//! The `WHERE` of step 3 matches each `Fk` row with the `Fj` row it
+//! projects onto. With the subkey index (`VpctStrategy::subkey_index`, what
+//! the optimizer runs) an INSERT plan does not search for that row: the
+//! scan that grouped `Fk` hands over `parent`, each group's row at the
+//! coarser key, `Fj` from `Fk` is a fold of `Fk`'s sums through it and the
+//! percentage one [`divide`] along it (DESIGN.md "a percentage is a measure
+//! looked up through `parent`"). Without the index the same plan builds a
+//! transient hash table and joins; the UPDATE plan probes a prebuilt one.
+//!
 //! Work is accounted per operator, and the generated-SQL transcript is
 //! attached to the result for inspection.
 
@@ -19,10 +28,12 @@ use crate::error::{CoreError, Result};
 use crate::query::{ExtraAgg, Fact, VpctQuery};
 use crate::strategy::{FjSource, Materialization, VpctStrategy};
 use pa_engine::{
-    aggregate, aggregate_level, hash_join_guarded, update_from, AggFunc, AggSpec, ExecStats, Expr,
-    JoinType, ProjSpec, ResourceGuard, Selected, SetClause,
+    aggregate_level, aggregate_projecting, divide, hash_join_guarded, update_from, AggFunc,
+    AggSpec, ExecStats, Expr, JoinType, Parent, ProjSpec, ResourceGuard, Selected, SetClause,
 };
-use pa_storage::{Catalog, Change, HashIndex, SharedTable, Table, Value};
+use pa_storage::{
+    Catalog, Change, Column, DataType, Field, HashIndex, Schema, SharedTable, Table, Value,
+};
 use std::sync::Arc;
 
 /// Result of evaluating a percentage query.
@@ -112,93 +123,68 @@ pub(crate) fn eval_vpct_on(
     };
 
     // Resolve GROUP BY columns.
-    let k_cols: Vec<usize> = q
-        .group_by
-        .iter()
-        .map(|n| {
-            f_schema
-                .index_of(n)
-                .map_err(|_| CoreError::InvalidQuery(format!("unknown GROUP BY column {n}")))
-        })
-        .collect::<Result<Vec<_>>>()?;
+    let unknown = |n: &String| CoreError::InvalidQuery(format!("unknown GROUP BY column {n}"));
+    let k_cols: Vec<usize> = (q.group_by.iter())
+        .map(|n| f_schema.index_of(n).map_err(|_| unknown(n)))
+        .collect::<Result<_>>()?;
     let k_len = k_cols.len();
 
     // Fk aggregate list: one sum per term (named for the final output), then
     // the extra aggregates.
     let mut fk_specs: Vec<AggSpec> = Vec::with_capacity(q.terms.len() + q.extra.len());
     for term in &q.terms {
-        fk_specs.push(AggSpec::new(
-            AggFunc::Sum,
-            term.measure.to_expr(&f_schema)?,
-            term.name.clone(),
-        ));
+        let measure = term.measure.to_expr(&f_schema)?;
+        fk_specs.push(AggSpec::new(AggFunc::Sum, measure, term.name.clone()));
     }
     for extra in &q.extra {
         fk_specs.push(extra_spec(extra, &f_schema)?);
     }
 
-    // Totals keys per term, as F column indices and as Fk positions.
-    let totals_keys: Vec<Vec<String>> = q.terms.iter().map(|t| q.totals_key(t)).collect();
-    let totals_f_cols: Vec<Vec<usize>> = totals_keys
-        .iter()
-        .map(|names| {
-            names
-                .iter()
-                .map(|n| f_schema.index_of(n).map_err(CoreError::from))
-                .collect::<Result<Vec<_>>>()
-        })
-        .collect::<Result<Vec<_>>>()?;
-    // Position of each group-by column inside Fk = its rank in q.group_by.
-    let fk_pos_of = |name: &str| -> usize {
-        q.group_by
-            .iter()
-            .position(|g| g.eq_ignore_ascii_case(name))
-            .expect("totals key comes from group_by")
+    // Totals key per term, as positions in Fk's key (the rank in
+    // `q.group_by` of each column the term does not break down BY) and as
+    // F column indices.
+    let fk_pos_of = |name: &String| {
+        let at = q.group_by.iter().position(|g| g.eq_ignore_ascii_case(name));
+        at.expect("totals key comes from group_by")
     };
-    let totals_fk_cols: Vec<Vec<usize>> = totals_keys
-        .iter()
-        .map(|names| names.iter().map(|n| fk_pos_of(n)).collect())
+    let totals_fk_cols: Vec<Vec<usize>> = (q.terms.iter())
+        .map(|t| q.totals_key(t).iter().map(fk_pos_of).collect())
         .collect();
+    let in_f = |fk_cols: &[usize]| fk_cols.iter().map(|&p| k_cols[p]).collect::<Vec<usize>>();
+
+    // With the subkey index an INSERT plan divides through `parent` — each
+    // `Fk` row's row in `Fj`, which the scan of `F` already knows — where
+    // the paper probes a hash index on the common subkey `D1..Dj`.
+    let direct = strat.subkey_index && strat.materialization == Materialization::Insert;
+    let coarser: &[Vec<usize>] = if direct { &totals_fk_cols } else { &[] };
 
     // ---- Step 1 (+ optionally step 2): aggregate.
-    let (fk_table, mut fj_tables): (Table, Vec<Table>) = if strat.synchronized_scan
-        && strat.fj_source == FjSource::FromF
-    {
-        // One synchronized scan computing Fk and every Fj.
-        let mut levels: Vec<(Vec<usize>, Vec<AggSpec>)> = vec![(k_cols.clone(), fk_specs.clone())];
-        for (t, term) in q.terms.iter().enumerate() {
-            levels.push((
-                totals_f_cols[t].clone(),
-                vec![AggSpec::new(
-                    AggFunc::Sum,
-                    term.measure.to_expr(&f_schema)?,
-                    "total",
-                )],
-            ));
-        }
-        let mut out = aggregate(f.selected(), &levels, guard, &mut stats, &config)?;
-        let fk = out.remove(0);
-        (fk, out)
-    } else {
-        let fk = level(f.selected(), &k_cols, &fk_specs, &mut stats)?;
-        (fk, Vec::new())
+    let total_spec = |t: usize| -> Result<AggSpec> {
+        let measure = q.terms[t].measure.to_expr(&f_schema)?;
+        Ok(AggSpec::new(AggFunc::Sum, measure, "total"))
     };
+    let mut levels: Vec<(Vec<usize>, Vec<AggSpec>)> = vec![(k_cols.clone(), fk_specs.clone())];
+    if strat.synchronized_scan && strat.fj_source == FjSource::FromF {
+        // One synchronized scan computing Fk and every Fj.
+        for (t, cols) in totals_fk_cols.iter().enumerate() {
+            levels.push((in_f(cols), vec![total_spec(t)?]));
+        }
+    }
+    let (mut fj_tables, parents) =
+        aggregate_projecting(f.selected(), &levels, coarser, guard, &mut stats, &config)?;
+    let fk_table = fj_tables.remove(0);
 
-    // ---- Step 2: totals per term (unless the synchronized scan made them).
-    if fj_tables.is_empty() {
-        for (t, term) in q.terms.iter().enumerate() {
-            let fj = match strat.fj_source {
-                FjSource::FromF => {
-                    let spec =
-                        AggSpec::new(AggFunc::Sum, term.measure.to_expr(&f_schema)?, "total");
-                    level(f.selected(), &totals_f_cols[t], &[spec], &mut stats)?
-                }
-                FjSource::FromFk => {
-                    // Re-aggregate the partial sums (distributive).
-                    let sum_pos = k_len + t;
-                    let spec = AggSpec::new(AggFunc::Sum, Expr::Col(sum_pos), "total");
-                    level((&fk_table).into(), &totals_fk_cols[t], &[spec], &mut stats)?
-                }
+    // ---- Step 2: totals per term (unless the synchronized scan made them,
+    // or the divide folds them from Fk through `parent` as it goes).
+    let from_fk = strat.fj_source == FjSource::FromFk;
+    if fj_tables.is_empty() && !(direct && from_fk) {
+        for (t, cols) in totals_fk_cols.iter().enumerate() {
+            let fj = if from_fk {
+                // Re-aggregate the partial sums (distributive).
+                let spec = AggSpec::new(AggFunc::Sum, Expr::Col(k_len + t), "total");
+                level((&fk_table).into(), cols, &[spec], &mut stats)?
+            } else {
+                level(f.selected(), &in_f(cols), &[total_spec(t)?], &mut stats)?
             };
             fj_tables.push(fj);
         }
@@ -212,58 +198,66 @@ pub(crate) fn eval_vpct_on(
     match strat.materialization {
         Materialization::Insert => {
             count_insert(&fk_table, &mut stats);
-            // Progressively join Fk with each Fj, then project percentages.
-            let mut cur: Table = fk_table;
-            let mut pct_exprs: Vec<Expr> = Vec::with_capacity(q.terms.len());
-            for (t, fj) in fj_tables.iter().enumerate() {
-                let sum_pos = k_len + t;
-                let j_len = totals_fk_cols[t].len();
-                if j_len == 0 {
-                    // Global totals: one-row Fj, broadcast scalar division.
-                    let total = fj.get(0, 0);
-                    pct_exprs.push(Expr::Col(sum_pos).safe_div(Expr::Lit(total)));
-                } else {
-                    let fj_keys: Vec<usize> = (0..j_len).collect();
-                    let index = subkey_index(strat, fj, &fj_keys, &mut stats)?;
-                    let total_pos = cur.num_columns() + j_len;
-                    cur = hash_join_guarded(
-                        &cur,
-                        fj,
-                        &totals_fk_cols[t],
-                        &fj_keys,
-                        JoinType::Inner,
-                        index.as_ref(),
-                        guard,
-                        &mut stats,
-                    )?;
-                    pct_exprs.push(Expr::Col(sum_pos).safe_div(Expr::Col(total_pos)));
+            let n = fk_table.num_rows();
+            let fk_fields = fk_table.schema().fields();
+            let names = (q.group_by.iter())
+                .chain(q.terms.iter().map(|t| &t.name))
+                .chain(q.extra.iter().map(|e| &e.name));
+            let mut fields: Vec<Field> = (names.zip(fk_fields))
+                .map(|(name, f)| Field::new(name.clone(), f.dtype))
+                .collect();
+            let fv = if direct {
+                // FV is Fk with each term's sum looked up through `parent`.
+                let mut span = guard.span("divide");
+                let mut columns = fk_table.columns().to_vec();
+                for (t, parent) in parents.iter().enumerate() {
+                    let folded;
+                    let totals = match fj_tables.get(t) {
+                        Some(fj) => fj.columns().last().expect("Fj ends in its total"),
+                        None => {
+                            let sums = &columns[k_len + t];
+                            folded = totals_through(sums, parent, guard, &mut span, &mut stats)?;
+                            &folded
+                        }
+                    };
+                    guard.charge(n as u64)?;
+                    span.add_rows(n as u64);
+                    span.add_morsels(1);
+                    columns[k_len + t] =
+                        percentage(&columns[k_len + t], totals, &parent.rows, &mut stats);
                 }
-            }
-            // Final projection: D1..Dk, percentages, extras.
-            let mut projections: Vec<ProjSpec> = Vec::new();
-            for (i, name) in q.group_by.iter().enumerate() {
-                projections.push(ProjSpec::typed(
-                    Expr::Col(i),
-                    name.clone(),
-                    cur.schema().field_at(i).dtype,
-                ));
-            }
-            for (t, term) in q.terms.iter().enumerate() {
-                projections.push(ProjSpec::typed(
-                    pct_exprs[t].clone(),
-                    term.name.clone(),
-                    pa_storage::DataType::Float,
-                ));
-            }
-            for (e, extra) in q.extra.iter().enumerate() {
-                let pos = k_len + q.terms.len() + e;
-                projections.push(ProjSpec::typed(
-                    Expr::Col(pos),
-                    extra.name.clone(),
-                    cur.schema().field_at(pos).dtype,
-                ));
-            }
-            let fv = pa_engine::project(&cur, &projections, &mut stats)?;
+                Table::from_columns(Schema::new(fields)?.into_shared(), columns)?
+            } else {
+                // Progressively join Fk with each Fj on a transient hash
+                // table, then project percentages.
+                let mut cur: Table = fk_table;
+                let mut projections: Vec<ProjSpec> = (fields.drain(..).enumerate())
+                    .map(|(i, f)| ProjSpec::typed(Expr::Col(i), f.name, f.dtype))
+                    .collect();
+                for (t, fj) in fj_tables.iter().enumerate() {
+                    let j_len = totals_fk_cols[t].len();
+                    let total = if j_len == 0 {
+                        // Global totals: one-row Fj, broadcast scalar division.
+                        Expr::Lit(fj.get(0, 0))
+                    } else {
+                        let fj_keys: Vec<usize> = (0..j_len).collect();
+                        let total_pos = cur.num_columns() + j_len;
+                        cur = hash_join_guarded(
+                            &cur,
+                            fj,
+                            &totals_fk_cols[t],
+                            &fj_keys,
+                            JoinType::Inner,
+                            None,
+                            guard,
+                            &mut stats,
+                        )?;
+                        Expr::Col(total_pos)
+                    };
+                    projections[k_len + t].expr = Expr::Col(k_len + t).safe_div(total);
+                }
+                pa_engine::project(&cur, &projections, &mut stats)?
+            };
             count_insert(&fv, &mut stats);
             Ok(QueryResult {
                 table: into_shared(fv),
@@ -283,7 +277,13 @@ pub(crate) fn eval_vpct_on(
                     scalar_update_divide(&fk, sum_pos, fj.get(0, 0), guard, &mut stats)?;
                 } else {
                     let fj_keys: Vec<usize> = (0..j_len).collect();
-                    let index = subkey_index(strat, fj, &fj_keys, &mut stats)?;
+                    // `CREATE INDEX` on the subkey Fj shares with Fk
+                    // (Table 4 column 2): what the UPDATE probes per row.
+                    let index = match strat.subkey_index {
+                        true => Some(HashIndex::build(fj, &fj_keys)?),
+                        false => None,
+                    };
+                    stats.statements += u64::from(strat.subkey_index);
                     let total_pos = k_len + fk_specs.len() + j_len;
                     update_from(
                         catalog,
@@ -309,19 +309,52 @@ pub(crate) fn eval_vpct_on(
     }
 }
 
-/// `CREATE INDEX` on the subkey `Fj` shares with `Fk` (Table 4 column 2),
-/// when the strategy asks for one.
-fn subkey_index(
-    strat: &VpctStrategy,
-    fj: &Table,
-    fj_keys: &[usize],
+/// One percentage column — a measure looked up through `parent`: each
+/// group's sum over the total of the coarser group it projects onto
+/// ([`divide`]). Counted as the statement it replaces, `INSERT .. SELECT
+/// CASE WHEN total <> 0 THEN sum / total END`: both levels read, one
+/// condition per group.
+pub(crate) fn percentage(
+    sums: &Column,
+    totals: &Column,
+    parent: &[u32],
     stats: &mut ExecStats,
-) -> Result<Option<HashIndex>> {
-    if !strat.subkey_index {
-        return Ok(None);
-    }
+) -> Column {
     stats.statements += 1;
-    Ok(Some(HashIndex::build(fj, fj_keys)?))
+    stats.rows_scanned += (sums.len() + totals.len()) as u64;
+    stats.case_condition_evals += sums.len() as u64;
+    divide(sums, totals, parent)
+}
+
+/// `Fj` from `Fk` with no scan: every coarser group's total is its groups'
+/// sums folded through `parent` in `Fk` row order (a NULL sum skipped, a
+/// total nothing fed NULL) — the total column of `INSERT INTO Fj SELECT
+/// D1..Dj, sum(A) FROM Fk GROUP BY D1..Dj`, charged and counted as that
+/// statement, without the key columns the divide never reads.
+fn totals_through(
+    sums: &Column,
+    parent: &Parent,
+    guard: &ResourceGuard,
+    span: &mut pa_engine::SpanHandle,
+    stats: &mut ExecStats,
+) -> Result<Column> {
+    let read = (sums.len() + parent.groups) as u64;
+    guard.charge(read)?;
+    span.add_rows(read);
+    stats.statements += 2;
+    stats.rows_scanned += sums.len() as u64;
+    stats.rows_materialized += 2 * parent.groups as u64;
+    let mut totals: Vec<Option<f64>> = vec![None; parent.groups];
+    for (row, &p) in parent.rows.iter().enumerate() {
+        if let Some(sum) = sums.get_f64(row) {
+            *totals[p as usize].get_or_insert(0.0) += sum;
+        }
+    }
+    let mut out = Column::with_capacity(DataType::Float, parent.groups);
+    for total in totals {
+        out.push(Value::from(total))?;
+    }
+    Ok(out)
 }
 
 /// The `Fk` of the Update plan while it is registered in the catalog; the

@@ -521,6 +521,93 @@ fn an_evicted_level_falls_back_to_an_ancestor_or_the_scan() {
     assert_eq!(canonical(&out.table().read()), reference);
 }
 
+/// A level's `parent` vectors are built once per (level, totals level)
+/// pair and live beside the level: a warm request builds none, an append
+/// drops them with the level (a group arriving in the middle of the key
+/// order moves every later row), and a totals level that was evicted and
+/// re-aggregated is still addressed correctly by the vector the finer
+/// level kept. The reference is the join plan, which has no `parent`.
+#[test]
+fn parent_vectors_are_built_once_and_follow_their_level() {
+    let _w = env_window();
+    let _pins = EnvPins::set(&[("PA_THREADS", "1".into())]);
+    let catalog = oracle_catalog(21);
+    let engine = PercentageEngine::new(&catalog);
+    let cache = catalog.lattice_cache();
+    let builds = || cache.stats().parent_builds;
+
+    // A warm ROLLUP builds no parent vector.
+    let rollup = ORACLE_SQL[0];
+    engine.execute_sql(rollup).unwrap();
+    let cold = builds();
+    assert!(cold > 0, "a cold request builds them");
+    let warm = engine.execute_sql(rollup).unwrap();
+    assert_eq!(warm.stats().levels_from_scan, 0);
+    assert_eq!(builds(), cold, "a warm ROLLUP builds none");
+
+    let q = VpctQuery {
+        table: "f".into(),
+        group_by: vec!["region".into(), "store".into(), "day".into()],
+        terms: vec![
+            VpctTerm::new("amt", &["day"]),
+            VpctTerm::new("amt", &["store", "day"]),
+        ],
+        extra: vec![],
+    };
+    let by_join = || {
+        let out = eval_vpct(&catalog, &q, &VpctStrategy::without_index(), "j_").unwrap();
+        sorted_rows(&out.snapshot(), 3)
+    };
+    let by_parent = || {
+        let out = eval_vpct_lattice(&catalog, &q, "l_").unwrap();
+        (sorted_rows(&out.snapshot(), 3), out.stats)
+    };
+    let before = builds();
+    assert_eq!(by_parent().0, by_join());
+    assert_eq!(builds(), before + 2, "one per term's totals level");
+    assert_eq!(by_parent().0, by_join());
+    assert_eq!(builds(), before + 2);
+
+    // A region that sorts between the ones there, a store below them all.
+    let row = |region: &str, store: i64| {
+        let (region, amt) = (Value::str(region), Value::Float(9.0));
+        vec![region, Value::Int(store), Value::Int(2), amt]
+    };
+    engine
+        .append_rows("f", &[row("r35", -4), row("a", 3)])
+        .unwrap();
+    let (rows, stats) = by_parent();
+    assert!(stats.levels_from_scan > 0, "the append dropped the levels");
+    assert_eq!(rows, by_join(), "after a group in the middle of the order");
+    assert_eq!(builds(), before + 4, "and their parent vectors with them");
+
+    // Push out both totals levels, keeping the finest one (and the vectors
+    // beside it) warm: the next request re-aggregates the totals levels
+    // into new tables and addresses them through the vectors it kept.
+    let signature = &["sum(amt)".to_string()];
+    let cols = |names: &[&str]| names.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+    let finest = cols(&["day", "region", "store"]);
+    let totals = [cols(&["region", "store"]), cols(&["region"])];
+    let schema = Schema::from_pairs(&[("x", DataType::Int)]).unwrap();
+    let mut big = Table::with_capacity(schema.into_shared(), 1 << 20);
+    for i in 0..1i64 << 20 {
+        big.push_row(&[Value::Int(i)]).unwrap();
+    }
+    let big = std::sync::Arc::new(big);
+    for i in 0.. {
+        assert!(cache.get("f", &finest, signature).is_some(), "kept warm");
+        if !totals.iter().any(|l| cache.probe("f", l, signature)) {
+            break;
+        }
+        assert!(i < 64, "64 x 8 MiB must overflow the budget");
+        cache.store("other", &cols(&[&format!("l{i}")]), signature, big.clone());
+    }
+    let (rows, stats) = by_parent();
+    assert_eq!(stats.levels_from_scan, 0, "re-aggregated the finest level");
+    assert_eq!(rows, by_join(), "after the totals levels were recomputed");
+    assert_eq!(builds(), before + 4, "through the vectors the level kept");
+}
+
 /// Random small-domain rows for the kernel-level projection oracle.
 #[derive(Debug, Clone)]
 struct OracleRow {

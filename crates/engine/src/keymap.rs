@@ -18,9 +18,10 @@
 //! order, which is what keeps parallel merges byte-identical to the serial
 //! plan (DESIGN.md §7, §10).
 
+use crate::error::Result;
 use crate::stats::ExecStats;
 use pa_storage::hash::FxHashMap;
-use pa_storage::{Column, FxHasher, Table, Value};
+use pa_storage::{Bitmap, Column, Dictionary, FxHasher, PackedCell, Table, Value};
 use std::hash::Hasher;
 
 /// Default ceiling on the composite-code space (product of per-dimension
@@ -171,6 +172,54 @@ pub(crate) enum DimCoder {
         /// Smallest non-NULL value observed at build time.
         min: i64,
     },
+}
+
+impl DimCoder {
+    /// The key column a run of this dimension's slots decodes to, one row
+    /// per slot, written typed: `source` is the input column the dimension
+    /// codes. Strings are re-interned as they first appear, so the column
+    /// is the one pushing each decoded value in turn would build.
+    pub(crate) fn decode(
+        self,
+        source: &Column,
+        slots: impl ExactSizeIterator<Item = usize>,
+    ) -> Column {
+        let mut validity = Bitmap::with_capacity(slots.len());
+        match (self, source) {
+            (DimCoder::Int { min }, _) => {
+                let mut data = Vec::with_capacity(slots.len());
+                for slot in slots {
+                    data.push(if slot == 0 { 0 } else { min + slot as i64 - 1 });
+                    validity.push(slot != 0);
+                }
+                Column::Int { data, validity }
+            }
+            (DimCoder::Str, Column::Str { dict: theirs, .. }) => {
+                let (mut dict, mut codes) = (Dictionary::new(), Vec::with_capacity(slots.len()));
+                let mut interned = vec![u32::MAX; theirs.len()];
+                for slot in slots {
+                    codes.push(match slot.checked_sub(1) {
+                        None => 0,
+                        Some(code) => {
+                            if interned[code] == u32::MAX {
+                                interned[code] = dict.intern_arc(theirs.resolve(code as u32));
+                            }
+                            interned[code]
+                        }
+                    });
+                    validity.push(slot != 0);
+                }
+                let packed = PackedCell::new();
+                Column::Str {
+                    dict,
+                    codes,
+                    validity,
+                    packed,
+                }
+            }
+            _ => unreachable!("column type changed under a built key space"),
+        }
+    }
 }
 
 /// One key dimension's coder and radix — its slot count, the NULL slot
@@ -371,9 +420,15 @@ impl DenseKeySpace {
         code
     }
 
+    /// Dimension `d`'s slot of a composite code (0 is NULL).
+    #[inline]
+    pub(crate) fn slot(&self, code: usize, d: usize) -> usize {
+        (code / self.strides[d]) % self.radices[d]
+    }
+
     /// Decode dimension `d` of a composite code back into its key value.
     pub fn key_value(&self, table: &Table, code: usize, d: usize) -> Value {
-        let slot = (code / self.strides[d]) % self.radices[d];
+        let slot = self.slot(code, d);
         if slot == 0 {
             return Value::Null;
         }
@@ -449,6 +504,13 @@ impl DenseGroupMap {
     pub(crate) fn key_value(&self, table: &Table, gid: usize, d: usize) -> Value {
         self.space
             .key_value(table, self.gid_to_code[gid] as usize, d)
+    }
+
+    /// Key dimension `d` of every group, in group order, as a column.
+    pub(crate) fn key_column(&self, table: &Table, d: usize) -> Column {
+        let slots = self.gid_to_code.iter();
+        let slots = slots.map(|&code| self.space.slot(code as usize, d));
+        self.space.dims[d].decode(table.column(self.space.cols[d]), slots)
     }
 
     /// Group id for the key formed by the space's columns of `table[row]`,
@@ -556,14 +618,18 @@ impl WideKeySpace {
         code
     }
 
+    /// Dimension `d`'s slot of a shift-packed code (0 is NULL).
+    #[inline]
+    pub(crate) fn slot(&self, code: u64, d: usize) -> u64 {
+        match self.widths[d] {
+            0 => 0,
+            width => (code >> self.shifts[d]) & (u64::MAX >> (64 - width)),
+        }
+    }
+
     /// Decode dimension `d` of a shift-packed code back into its key value.
     pub fn key_value(&self, table: &Table, code: u64, d: usize) -> Value {
-        let width = self.widths[d];
-        let slot = if width == 0 {
-            0
-        } else {
-            (code >> self.shifts[d]) & (u64::MAX >> (64 - width))
-        };
+        let slot = self.slot(code, d);
         if slot == 0 {
             return Value::Null;
         }
@@ -721,6 +787,22 @@ impl GroupMap {
         match self {
             GroupMap::Hash(m) => m.keys[gid][d].clone(),
             GroupMap::Dense(m) => m.key_value(table, gid, d),
+        }
+    }
+
+    /// Key dimension `d` — column `col` of `table` — of every group, in
+    /// group order. The hash path holds its keys as values (a float key has
+    /// no code) and pushes them.
+    pub(crate) fn key_column(&self, table: &Table, col: usize, d: usize) -> Result<Column> {
+        match self {
+            GroupMap::Dense(m) => Ok(m.key_column(table, d)),
+            GroupMap::Hash(m) => {
+                let mut out = Column::with_capacity(table.column(col).data_type(), m.len());
+                for key in &m.keys {
+                    out.push(key[d].clone())?;
+                }
+                Ok(out)
+            }
         }
     }
 }

@@ -39,10 +39,11 @@ pub use keymap::{
 pub use lattice_kernel::{lattice_aggregate, lattice_aggregate_with_config};
 pub use ops::acc::{Acc, PartialState, PctState, DEFAULT_PERCENTILE_BUDGET};
 pub use ops::aggregate::{
-    aggregate, aggregate_level, hash_aggregate, hash_aggregate_with_config, multi_hash_aggregate,
-    multi_hash_aggregate_with_config, AggFunc, AggSpec, PBits,
+    aggregate, aggregate_level, aggregate_projecting, hash_aggregate, hash_aggregate_with_config,
+    multi_hash_aggregate, multi_hash_aggregate_with_config, AggFunc, AggSpec, PBits,
 };
 pub use ops::distinct::{distinct, distinct_keys};
+pub use ops::divide::divide;
 pub use ops::filter::filter;
 pub use ops::insert::insert_into;
 pub use ops::join::{hash_join, hash_join_guarded, JoinType};
@@ -55,6 +56,7 @@ pub use ops::window::window_aggregate;
 pub use pa_obs::{MetricsRegistry, SpanHandle, SpanRecord, TraceReport, Tracer};
 pub use parallel::ParallelConfig;
 pub use predicate::{Selected, Selection};
+pub use scan::Parent;
 pub use sketch::{Hll, TDigest, HLL_REGISTERS, HLL_STD_ERROR, TDIGEST_RANK_EPSILON};
 pub use stats::{AbortCause, Degradation, ExecStats};
 pub use vector::{BlockCoder, CodeWord, Coder, LaneSrc, NumSlice, RawLane, WideCoder, BLOCK_ROWS};

@@ -19,11 +19,12 @@
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
 use crate::guard::ResourceGuard;
+use crate::ops::acc::Acc;
 use crate::parallel::ParallelConfig;
 use crate::predicate::Selected;
-use crate::scan::{LevelGroups, ScanPlan};
+use crate::scan::{LevelGroups, Parent, ScanPlan};
 use crate::stats::ExecStats;
-use pa_storage::{Column, DataType, Field, Schema, Table};
+use pa_storage::{Bitmap, Column, DataType, Field, Schema, Table};
 
 /// A percentile fraction carried as its IEEE-754 bit pattern, so
 /// [`AggFunc`] stays `Copy + Eq` (f64 itself is not `Eq`). Two percentile
@@ -281,43 +282,74 @@ pub(crate) fn check_level(input: &Table, group_cols: &[usize], aggs: &[AggSpec])
     Ok(())
 }
 
-/// Materialize one level: key columns decoded from the merged groups (once,
-/// after the merge — never per worker), aggregate columns from the
-/// accumulator matrix.
+/// One aggregate lane of every group as a column of `dtype`. `sum`, `avg`
+/// and the counts are written straight into a typed vector with its
+/// validity; `min` / `max` (whose type is their input's) and the holistic
+/// lanes finish through `Value`.
+pub(crate) fn lane_column<'a>(
+    dtype: DataType,
+    lane: impl ExactSizeIterator<Item = &'a Acc>,
+    stats: &mut ExecStats,
+) -> Result<Column> {
+    let n = lane.len();
+    let mut lane = lane.peekable();
+    Ok(match (dtype, lane.peek()) {
+        (DataType::Float, Some(Acc::Sum { .. } | Acc::Avg { .. })) => {
+            let (mut data, mut validity) = (Vec::with_capacity(n), Bitmap::with_capacity(n));
+            for acc in lane {
+                let value = match acc {
+                    Acc::Sum { sum, any } => any.then_some(*sum),
+                    Acc::Avg { sum, n } => (*n > 0).then(|| sum / *n as f64),
+                    _ => unreachable!("a lane holds one function's accumulators"),
+                };
+                data.push(value.unwrap_or(f64::NAN));
+                validity.push(value.is_some());
+            }
+            Column::Float { data, validity }
+        }
+        (DataType::Int, Some(Acc::Count(_) | Acc::CountStar(_))) => {
+            let count = |acc: &Acc| match acc {
+                Acc::Count(n) | Acc::CountStar(n) => *n,
+                _ => unreachable!("a lane holds one function's accumulators"),
+            };
+            let (data, validity) = (lane.map(count).collect(), Bitmap::filled(n, true));
+            Column::Int { data, validity }
+        }
+        _ => {
+            let mut col = Column::with_capacity(dtype, n);
+            for acc in lane {
+                stats.sketch_spills += u64::from(acc.spilled());
+                col.push(acc.finish())?;
+            }
+            col
+        }
+    })
+}
+
+/// Materialize one level as typed columns: key columns decoded column-wise
+/// from the merged groups (once, after the merge — never per worker),
+/// aggregate columns from the accumulator matrix.
 pub(crate) fn finish(
-    groups: LevelGroups,
+    groups: &LevelGroups,
     input: &Table,
     group_cols: &[usize],
     aggs: &[AggSpec],
     stats: &mut ExecStats,
 ) -> Result<Table> {
     let input_schema = input.schema();
-    let n_groups = groups.len();
     let mut fields = Vec::with_capacity(group_cols.len() + aggs.len());
     let mut columns = Vec::with_capacity(group_cols.len() + aggs.len());
     for (d, &c) in group_cols.iter().enumerate() {
-        let field = input_schema.field_at(c);
-        let mut col = Column::new(field.dtype);
-        for gid in 0..n_groups {
-            col.push(groups.key_value(input, gid, d))?;
-        }
-        fields.push(field.clone());
-        columns.push(col);
+        fields.push(input_schema.field_at(c).clone());
+        columns.push(groups.key_column(input, c, d)?);
     }
     for (i, spec) in aggs.iter().enumerate() {
         let dtype = spec.output_type(input_schema);
-        let mut col = Column::new(dtype);
-        for gid in 0..n_groups {
-            let acc = &groups.accs[gid * aggs.len() + i];
-            if acc.spilled() {
-                stats.sketch_spills += 1;
-            }
-            col.push(acc.finish())?;
-        }
+        let lane = groups.accs.iter().skip(i).step_by(aggs.len());
         fields.push(Field::new(spec.name.clone(), dtype));
-        columns.push(col);
+        columns.push(lane_column(dtype, lane, stats)?);
     }
-    stats.rows_materialized += n_groups as u64;
+    stats.rows_materialized += groups.len() as u64;
     Ok(Table::from_columns(
         Schema::new(fields)?.into_shared(),
         columns,
@@ -337,6 +369,23 @@ pub fn aggregate(
     stats: &mut ExecStats,
     config: &ParallelConfig,
 ) -> Result<Vec<Table>> {
+    let (tables, _) = aggregate_projecting(input, levels, &[], guard, stats, config)?;
+    Ok(tables)
+}
+
+/// [`aggregate`], and the [`Parent`] of its first level onto each key subset
+/// in `coarser` (positions into that level's key): for every row of the
+/// first table, the row [`aggregate`] of the same rows at the coarser key
+/// has for its group. This is the projection the scan already computed per
+/// group, handed over instead of re-derived by a join on the shared subkey.
+pub fn aggregate_projecting(
+    input: Selected<'_>,
+    levels: &[(Vec<usize>, Vec<AggSpec>)],
+    coarser: &[Vec<usize>],
+    guard: &ResourceGuard,
+    stats: &mut ExecStats,
+    config: &ParallelConfig,
+) -> Result<(Vec<Table>, Vec<Parent>)> {
     let table = input.table;
     for (cols, aggs) in levels {
         check_level(table, cols, aggs)?;
@@ -362,11 +411,16 @@ pub fn aggregate(
     let out_rows: u64 = groups.iter().map(|g| g.len() as u64).sum();
     guard.charge(out_rows)?;
     span.add_rows(out_rows);
-    groups
-        .into_iter()
-        .zip(levels)
+    drop(span);
+    let _span = guard.span("finish");
+    let tables = (groups.iter().zip(levels))
         .map(|(g, (cols, aggs))| finish(g, table, cols, aggs, stats))
-        .collect()
+        .collect::<Result<_>>()?;
+    let parents = coarser
+        .iter()
+        .map(|dims| groups[0].parent(table, dims))
+        .collect();
+    Ok((tables, parents))
 }
 
 #[cfg(test)]
@@ -545,6 +599,60 @@ mod tests {
             .sorted_by(&[0]);
         assert_eq!(out.get(0, 1), Value::Float(5.0));
         assert_eq!(out.get(1, 1), Value::Null);
+    }
+
+    #[test]
+    fn parents_address_the_coarser_level_in_the_order_a_scan_returns_it() {
+        // NULLs in both key columns and in the measure; 29 × 5 fine groups.
+        let t = big(6_000, 29);
+        let spec = vec![AggSpec::sum_col(t.schema(), "a", "sum").unwrap()];
+        let guard = ResourceGuard::unlimited();
+        let tuple_hash = ParallelConfig {
+            vector: false,
+            dense_budget: 0,
+            ..ParallelConfig::serial()
+        };
+        let configs = [
+            ("dense", ParallelConfig::serial()),
+            (
+                "wide",
+                ParallelConfig {
+                    dense_budget: 0,
+                    ..ParallelConfig::serial()
+                },
+            ),
+            (
+                "scalar",
+                ParallelConfig {
+                    vector: false,
+                    ..ParallelConfig::serial()
+                },
+            ),
+            ("tuple hash", tuple_hash),
+            ("four workers", par(4, 256)),
+        ];
+        let coarser = [vec![0], vec![1], vec![]];
+        for (name, config) in configs {
+            let mut st = ExecStats::default();
+            let fine = [(vec![0, 1], spec.clone())];
+            let (tables, parents) =
+                aggregate_projecting((&t).into(), &fine, &coarser, &guard, &mut st, &config)
+                    .unwrap();
+            let fk = &tables[0];
+            assert_eq!(parents.len(), coarser.len(), "{name}");
+            for (dims, parent) in coarser.iter().zip(&parents) {
+                let fj =
+                    aggregate_level((&t).into(), dims, &spec, &guard, &mut st, &config).unwrap();
+                assert_eq!(parent.groups, fj.num_rows(), "{name} {dims:?}");
+                assert_eq!(parent.rows.len(), fk.num_rows(), "{name} {dims:?}");
+                for (row, &p) in parent.rows.iter().enumerate() {
+                    for (j, &d) in dims.iter().enumerate() {
+                        let (mine, theirs) = (fk.get(row, d), fj.get(p as usize, j));
+                        assert!(mine.key_eq(&theirs), "{name} {dims:?}: row {row} → {p}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

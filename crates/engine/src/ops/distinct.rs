@@ -51,7 +51,7 @@ pub fn distinct(
     let groups = levels.pop().expect("one level in, one level out");
     guard.charge(groups.len() as u64)?;
     span.add_rows(groups.len() as u64);
-    finish(groups, table, cols, &[], stats)
+    finish(&groups, table, cols, &[], stats)
 }
 
 /// [`distinct`] over a whole table as owned key tuples (the form code

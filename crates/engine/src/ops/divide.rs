@@ -1,0 +1,222 @@
+//! The percentage divide: a group's sum over the sum of the coarser group
+//! it projects onto, looked up through `parent` (DESIGN.md "a percentage is
+//! a measure looked up through `parent`").
+//!
+//! Every `Fj` is a projection of `Fk`, so once both levels exist as columns
+//! the paper's `CASE WHEN Fj.A <> 0 THEN Fk.A / Fj.A ELSE NULL END` needs no
+//! join: `parent[r]` is the row of the coarser level that row `r` of the
+//! finer one projects onto, and the percentage is one gather along it.
+//! [`Expr::safe_div`](crate::Expr::safe_div) under
+//! [`project`](crate::project) after a [`hash_join`](crate::hash_join) on
+//! the shared key is the scalar reference the tests hold this to.
+
+use pa_storage::{Bitmap, Column};
+use std::borrow::Cow;
+
+/// A numeric column's values as `f64` (integers widened as
+/// [`Column::get_f64`] does) and its validity; a string column has no
+/// numeric row.
+fn numeric(col: &Column) -> (Cow<'_, [f64]>, Cow<'_, Bitmap>) {
+    match col {
+        Column::Float { data, validity } => (Cow::Borrowed(data), Cow::Borrowed(validity)),
+        Column::Int { data, validity } => (
+            Cow::Owned(data.iter().map(|&v| v as f64).collect()),
+            Cow::Borrowed(validity),
+        ),
+        Column::Str { codes, .. } => (
+            Cow::Owned(vec![f64::NAN; codes.len()]),
+            Cow::Owned(Bitmap::filled(codes.len(), false)),
+        ),
+    }
+}
+
+/// `sums[r] / totals[parent[r]]` for every row `r` of the finer level, as a
+/// `Float` column: NULL when the total is NULL or zero (of either sign), or
+/// the group's own sum is NULL. A NULL result keeps the `NaN` placeholder
+/// [`Column::push`] writes for one.
+///
+/// # Panics
+///
+/// Panics when `parent` does not have one entry per row of `sums`, or names
+/// a row `totals` does not have.
+pub fn divide(sums: &Column, totals: &Column, parent: &[u32]) -> Column {
+    assert_eq!(sums.len(), parent.len(), "one parent per group");
+    let (num, present) = numeric(sums);
+    let (den, den_valid) = numeric(totals);
+    // A total nothing may be divided by reads as zero, the one test the
+    // loop makes (a NaN total stays NaN and divides, as `safe_div` has it).
+    let den: Cow<'_, [f64]> = match den_valid.all_set() {
+        true => den,
+        false => (den.iter().zip(den_valid.iter()))
+            .map(|(&d, valid)| if valid { d } else { 0.0 })
+            .collect(),
+    };
+    let mut data = Vec::with_capacity(parent.len());
+    let mut words = Vec::with_capacity(parent.len().div_ceil(64));
+    for ((parents, num), &present) in (parent.chunks(64).zip(num.chunks(64))).zip(present.words()) {
+        let mut word = 0u64;
+        for (bit, (&p, &x)) in parents.iter().zip(num).enumerate() {
+            let d = den[p as usize];
+            let valid = d != 0.0 && (present >> bit) & 1 == 1;
+            data.push(if valid { x / d } else { f64::NAN });
+            word |= u64::from(valid) << bit;
+        }
+        words.push(word);
+    }
+    let validity = Bitmap::from_words(words, parent.len()).expect("one word per 64 rows");
+    Column::Float { data, validity }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pa_storage::{DataType, Value};
+
+    fn column(dtype: DataType, values: &[Value]) -> Column {
+        let mut col = Column::new(dtype);
+        for v in values {
+            col.push(v.clone()).unwrap();
+        }
+        col
+    }
+
+    fn floats(values: &[Option<f64>]) -> Column {
+        let values: Vec<Value> = values.iter().map(|&v| Value::from(v)).collect();
+        column(DataType::Float, &values)
+    }
+
+    fn cells(col: &Column) -> Vec<Value> {
+        (0..col.len()).map(|r| col.get(r)).collect()
+    }
+
+    #[test]
+    fn the_papers_rule_case_by_case() {
+        use Value::{Float, Null};
+        // (name, sums, totals, parent, expected)
+        let cases = vec![
+            (
+                "a share of its group",
+                floats(&[Some(23.0), Some(83.0), Some(85.0)]),
+                floats(&[Some(106.0), Some(149.0)]),
+                vec![0, 0, 1],
+                vec![
+                    Float(23.0 / 106.0),
+                    Float(83.0 / 106.0),
+                    Float(85.0 / 149.0),
+                ],
+            ),
+            (
+                "zero total",
+                floats(&[Some(5.0), Some(-5.0)]),
+                floats(&[Some(0.0)]),
+                vec![0, 0],
+                vec![Null, Null],
+            ),
+            (
+                "NULL total",
+                floats(&[Some(1.0)]),
+                floats(&[None]),
+                vec![0],
+                vec![Null],
+            ),
+            (
+                "NULL sum",
+                floats(&[None, Some(2.0)]),
+                floats(&[Some(4.0)]),
+                vec![0, 0],
+                vec![Null, Float(0.5)],
+            ),
+            (
+                "negative total",
+                floats(&[Some(3.0)]),
+                floats(&[Some(-6.0)]),
+                vec![0],
+                vec![Float(-0.5)],
+            ),
+            (
+                "-0.0 total",
+                floats(&[Some(3.0)]),
+                floats(&[Some(-0.0)]),
+                vec![0],
+                vec![Null],
+            ),
+            (
+                "Int sums over Float totals",
+                column(DataType::Int, &[Value::Int(3), Null, Value::Int(1)]),
+                floats(&[Some(4.0)]),
+                vec![0, 0, 0],
+                vec![Float(0.75), Null, Float(0.25)],
+            ),
+            (
+                "Float sums over Int totals",
+                floats(&[Some(1.0), Some(1.0)]),
+                column(DataType::Int, &[Value::Int(0), Value::Int(8)]),
+                vec![0, 1],
+                vec![Null, Float(0.125)],
+            ),
+            ("empty input", floats(&[]), floats(&[]), vec![], vec![]),
+            (
+                // The totals row of the NULL-key group is a row like any
+                // other: here it is row 1, between two keyed groups.
+                "a parent that is the NULL-key group",
+                floats(&[Some(1.0), Some(2.0), Some(3.0), Some(6.0)]),
+                floats(&[Some(2.0), Some(8.0), Some(3.0)]),
+                vec![0, 1, 2, 1],
+                vec![Float(0.5), Float(0.25), Float(1.0), Float(0.75)],
+            ),
+        ];
+        for (name, sums, totals, parent, expected) in cases {
+            let out = divide(&sums, &totals, &parent);
+            assert_eq!(out.data_type(), DataType::Float, "{name}");
+            assert_eq!(cells(&out), expected, "{name}");
+            // A NULL cell holds what `Column::push(Value::Null)` writes.
+            let data = out.float_data().unwrap();
+            for (r, v) in expected.iter().enumerate() {
+                assert_eq!(v.is_null(), data[r].is_nan(), "{name}: placeholder at {r}");
+            }
+            out.check_integrity(parent.len()).unwrap();
+        }
+    }
+
+    #[test]
+    fn validity_words_line_up_past_one_word() {
+        // 200 groups over 7 totals: every third sum NULL, total 3 zero,
+        // total 5 NULL.
+        let n = 200;
+        let sums: Vec<Option<f64>> = (0..n).map(|r| (r % 3 != 0).then_some(r as f64)).collect();
+        let totals: Vec<Option<f64>> = (0..7)
+            .map(|t| match t {
+                3 => Some(0.0),
+                5 => None,
+                t => Some(t as f64 + 1.0),
+            })
+            .collect();
+        let parent: Vec<u32> = (0..n).map(|r| (r * 5 % 7) as u32).collect();
+        let out = divide(&floats(&sums), &floats(&totals), &parent);
+        for r in 0..n {
+            let want = match (sums[r], totals[parent[r] as usize]) {
+                (Some(s), Some(t)) if t != 0.0 => Value::Float(s / t),
+                _ => Value::Null,
+            };
+            assert_eq!(out.get(r), want, "row {r}");
+        }
+        assert_eq!(
+            out.null_count(),
+            cells(&out).iter().filter(|v| v.is_null()).count()
+        );
+    }
+
+    #[test]
+    fn a_string_column_has_no_numeric_row() {
+        let strs = column(DataType::Str, &[Value::str("x"), Value::Null]);
+        let ones = floats(&[Some(1.0), Some(1.0)]);
+        assert_eq!(
+            cells(&divide(&strs, &ones, &[0, 1])),
+            [Value::Null, Value::Null]
+        );
+        assert_eq!(
+            cells(&divide(&ones, &strs, &[0, 1])),
+            [Value::Null, Value::Null]
+        );
+    }
+}

@@ -3,6 +3,7 @@
 pub mod acc;
 pub mod aggregate;
 pub mod distinct;
+pub mod divide;
 pub mod filter;
 pub mod insert;
 pub mod join;

@@ -23,7 +23,7 @@
 use crate::error::{EngineError, Result};
 use crate::guard::ResourceGuard;
 use crate::ops::acc::Acc;
-use crate::ops::aggregate::{check_level, AggFunc, AggSpec, PBits};
+use crate::ops::aggregate::{check_level, lane_column, AggFunc, AggSpec, PBits};
 use crate::parallel::ParallelConfig;
 use crate::scan::{LevelGroups, ScanPlan};
 use crate::stats::ExecStats;
@@ -327,21 +327,15 @@ impl ShardPartial {
         let schema = Schema::new(fields)?.into_shared();
         let mut columns: Vec<Column> = Vec::with_capacity(self.key_fields.len() + self.funcs.len());
         for (k, f) in self.key_fields.iter().enumerate() {
-            let mut col = Column::new(f.dtype);
+            let mut col = Column::with_capacity(f.dtype, self.groups.len());
             for (key, _) in &self.groups {
                 col.push(key[k].clone())?;
             }
             columns.push(col);
         }
         for (i, dt) in self.agg_types.iter().enumerate() {
-            let mut col = Column::new(*dt);
-            for (_, accs) in &self.groups {
-                if accs[i].spilled() {
-                    stats.sketch_spills += 1;
-                }
-                col.push(accs[i].finish())?;
-            }
-            columns.push(col);
+            let lane = self.groups.iter().map(|(_, accs)| &accs[i]);
+            columns.push(lane_column(*dt, lane, stats)?);
         }
         stats.rows_materialized += self.groups.len() as u64;
         Ok(Table::from_columns(schema, columns)?)

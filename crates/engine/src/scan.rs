@@ -46,7 +46,9 @@
 
 use crate::error::Result;
 use crate::guard::ResourceGuard;
-use crate::keymap::{DenseGroupMap, DenseKeySpace, GroupMap, WideKeySpace, WideProjector};
+use crate::keymap::{
+    DenseGroupMap, DenseKeySpace, GroupMap, RowKeyMap, WideKeySpace, WideProjector,
+};
 use crate::ops::acc::Acc;
 use crate::ops::aggregate::AggSpec;
 use crate::parallel::{fan_out, ParallelConfig};
@@ -57,7 +59,7 @@ use crate::vector::{
     LaneSrc, NumSlice, WideCoder, BLOCK_ROWS,
 };
 use pa_obs::SpanHandle;
-use pa_storage::{FxHashMap, Table, Value};
+use pa_storage::{Column, FxHashMap, Table, Value};
 use std::ops::Range;
 
 // ---- code streams -----------------------------------------------------------
@@ -180,6 +182,17 @@ impl GroupIndex {
         match self {
             GroupIndex::Dense(map) => map.key_value(input, gid, d),
             GroupIndex::Hash { space, order, .. } => space.key_value(input, order[gid], d),
+        }
+    }
+
+    /// Key dimension `d` of every group, in group order, as a column.
+    fn key_column(&self, input: &Table, d: usize) -> Column {
+        match self {
+            GroupIndex::Dense(map) => map.key_column(input, d),
+            GroupIndex::Hash { space, order, .. } => {
+                let slots = order.iter().map(|&code| space.slot(code, d) as usize);
+                space.dims[d].decode(input.column(space.cols()[d]), slots)
+            }
         }
     }
 
@@ -495,6 +508,19 @@ impl UnitScan for ScalarScan<'_, '_> {
 
 // ---- results ----------------------------------------------------------------
 
+/// A level's `parent` vector onto a coarser key (a subset of its own): for
+/// each of the level's groups, the row its key's projection has at the
+/// coarser key. The distinct projections are numbered in first-appearance
+/// order, which is the order a scan of the same rows at the coarser key
+/// returns its groups in.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Parent {
+    /// The coarser row of each group, in group order.
+    pub rows: Vec<u32>,
+    /// How many coarser rows there are.
+    pub groups: usize,
+}
+
 /// The groups of one level — a worker's partial, or the merged result —
 /// in first-appearance order.
 pub(crate) struct LevelGroups {
@@ -527,6 +553,45 @@ impl LevelGroups {
             Keys::Coded(index) => index.key_value(input, gid, d),
             Keys::Scalar(map) => map.key_value(input, gid, d),
         }
+    }
+
+    /// Key dimension `d` — column `col` of the scanned table — of every
+    /// group, in group order: decoded column-wise from the codes, never a
+    /// `Value` per cell, unless the level grouped by tuple hash.
+    pub(crate) fn key_column(&self, input: &Table, col: usize, d: usize) -> Result<Column> {
+        match &self.keys {
+            Keys::Coded(index) => Ok(index.key_column(input, d)),
+            Keys::Scalar(map) => map.key_column(input, col, d),
+        }
+    }
+
+    /// This level's [`Parent`] onto its key dimensions `dims`. One lookup
+    /// per group by projected code; a scalar level, whose groups have no
+    /// codes, looks up decoded keys.
+    pub(crate) fn parent(&self, input: &Table, dims: &[usize]) -> Parent {
+        let rows: Vec<u32> = match self.projected_codes(dims) {
+            Some(codes) => {
+                let mut rows: FxHashMap<u64, u32> = FxHashMap::default();
+                let row = |code| {
+                    let next = rows.len() as u32;
+                    *rows.entry(code).or_insert(next)
+                };
+                codes.into_iter().map(row).collect()
+            }
+            None => {
+                let (mut rows, mut stats) = (RowKeyMap::new(), ExecStats::default());
+                let mut key = Vec::with_capacity(dims.len());
+                (0..self.len())
+                    .map(|gid| {
+                        key.clear();
+                        key.extend(dims.iter().map(|&d| self.key_value(input, gid, d)));
+                        rows.get_or_insert_key(&key, &mut stats) as u32
+                    })
+                    .collect()
+            }
+        };
+        let groups = rows.iter().max().map_or(0, |&last| last as usize + 1);
+        Parent { rows, groups }
     }
 
     /// Each group's code projected onto its key dimensions `dims` — two
@@ -807,7 +872,6 @@ impl<'a> ScanPlan<'a> {
 mod tests {
     use super::*;
     use crate::expr::Expr;
-    use crate::keymap::RowKeyMap;
     use crate::ops::aggregate::{AggFunc, PBits};
     use pa_storage::{DataType, Schema};
 

@@ -2,9 +2,9 @@
 //! reference implementation over the same random input.
 
 use pa_engine::{
-    aggregate, distinct, filter, hash_aggregate, hash_join, sort, window_aggregate, AggFunc,
-    AggSpec, CmpOp, ExecStats, Expr, JoinType, ParallelConfig, ResourceGuard, Selected, Selection,
-    SystemClock, Tracer,
+    aggregate, distinct, divide, filter, hash_aggregate, hash_join, project, sort,
+    window_aggregate, AggFunc, AggSpec, CmpOp, ExecStats, Expr, JoinType, ParallelConfig, ProjSpec,
+    ResourceGuard, Selected, Selection, SystemClock, Tracer,
 };
 use pa_storage::{DataType, Schema, Table, Value};
 use proptest::prelude::*;
@@ -215,6 +215,106 @@ fn selection_a_scan_reports(t: &Table, pred: &Expr) -> (&'static str, u64) {
         "count(*) of the selection"
     );
     (mode, selected)
+}
+
+// ---- `divide` against `hash_join` + `project` over `Expr::safe_div` --------
+
+/// A fine level `[key, sum]` and a coarse one `[key, total]` over one key
+/// column of `key_type` (`None`: a string column holding only NULLs), and
+/// the fine rows' `parent` by construction: each fine row draws the coarse
+/// row whose key it carries. One coarse key may be NULL; sums and totals
+/// draw from NULL, zeros of both signs, NaN and ordinary values, as
+/// integers or floats.
+fn divide_case(
+    draw: &mut Draw,
+    key_type: Option<DataType>,
+    int_sums: bool,
+    int_totals: bool,
+) -> (Table, Table, Vec<u32>) {
+    let measure = |draw: &mut Draw, as_int: bool| match as_int {
+        true => draw.one_of(&[Value::Null, Value::Int(0), Value::Int(5), Value::Int(-2)]),
+        false => draw.one_of(&[
+            Value::Null,
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(4.0),
+            Value::Float(-2.5),
+            Value::Float(1e300),
+            Value::Float(f64::NAN),
+        ]),
+    };
+    let measure_type = |as_int| {
+        if as_int {
+            DataType::Int
+        } else {
+            DataType::Float
+        }
+    };
+    let groups = if key_type.is_none() {
+        1
+    } else {
+        1 + draw.below(6)
+    };
+    let null_key = draw.below(groups + 1);
+    let key = |p: usize| match key_type {
+        _ if p == null_key => Value::Null,
+        None => Value::Null,
+        Some(DataType::Int) => Value::Int(p as i64 * 1_000_003 - 3),
+        Some(DataType::Float) => Value::Float(p as f64 * 0.5 - 1.0),
+        Some(DataType::Str) => Value::str(format!("k{p}")),
+    };
+    let key_type = key_type.unwrap_or(DataType::Str);
+    let table = |measure_name, dtype| {
+        let schema = Schema::from_pairs(&[("key", key_type), (measure_name, dtype)]);
+        Table::empty(schema.unwrap().into_shared())
+    };
+    let mut coarse = table("total", measure_type(int_totals));
+    for p in 0..groups {
+        coarse
+            .push_row(&[key(p), measure(draw, int_totals)])
+            .unwrap();
+    }
+    let mut fine = table("sum", measure_type(int_sums));
+    let mut parent = Vec::new();
+    for _ in 0..draw.below(80) {
+        let p = draw.below(groups);
+        fine.push_row(&[key(p), measure(draw, int_sums)]).unwrap();
+        parent.push(p as u32);
+    }
+    (fine, coarse, parent)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn divide_matches_join_then_safe_div(
+        seed in any::<u64>(),
+        key in 0usize..4,
+        int_sums in any::<bool>(),
+        int_totals in any::<bool>(),
+    ) {
+        let key_type = [Some(DataType::Int), Some(DataType::Float), Some(DataType::Str), None][key];
+        let (fine, coarse, parent) = divide_case(&mut Draw(seed), key_type, int_sums, int_totals);
+        let mut stats = ExecStats::default();
+        // The scalar reference: join on the shared key (a NULL key matches
+        // the NULL group; an inner join of a level with a projection of
+        // itself keeps every row, in order), then `sum / total` per row.
+        let joined = hash_join(&fine, &coarse, &[0], &[0], JoinType::Inner, None, &mut stats).unwrap();
+        prop_assert_eq!(joined.num_rows(), fine.num_rows());
+        let pct = ProjSpec::typed(Expr::Col(1).safe_div(Expr::Col(3)), "pct", DataType::Float);
+        let reference = project(&joined, &[pct], &mut stats).unwrap();
+        let got = divide(fine.column(1), coarse.column(1), &parent);
+        prop_assert_eq!(got.len(), fine.num_rows());
+        for row in 0..fine.num_rows() {
+            let (want, got) = (reference.get(row, 0), got.get(row));
+            let same = match (&want, &got) {
+                (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+                _ => want.is_null() && got.is_null(),
+            };
+            prop_assert!(same, "row {}: join + safe_div {:?}, divide {:?}", row, want, got);
+        }
+    }
 }
 
 proptest! {

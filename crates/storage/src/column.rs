@@ -280,6 +280,33 @@ impl Column {
         Ok(())
     }
 
+    /// Append `n` NULL rows at once (the placeholders [`Column::push`] of a
+    /// NULL writes), e.g. a dimension a grouping set rolled away.
+    pub fn push_nulls(&mut self, n: usize) {
+        let nulls = Bitmap::filled(n, false);
+        match self {
+            Column::Int { data, validity } => {
+                data.resize(data.len() + n, 0);
+                validity.extend_from(&nulls);
+            }
+            Column::Float { data, validity } => {
+                data.resize(data.len() + n, f64::NAN);
+                validity.extend_from(&nulls);
+            }
+            Column::Str {
+                dict,
+                codes,
+                validity,
+                packed,
+            } => {
+                let from = codes.len();
+                codes.resize(from + n, 0);
+                validity.extend_from(&nulls);
+                packed.extend(codes, validity, from, dict.len());
+            }
+        }
+    }
+
     /// Overwrite the value at row `i` (UPDATE path).
     pub fn set(&mut self, i: usize, value: Value) -> Result<()> {
         let len = self.len();
@@ -686,6 +713,38 @@ mod tests {
         let ts = s.take_opt(&[None, Some(0)]);
         assert_eq!(ts.get(0), Value::Null);
         assert_eq!(ts.get(1), Value::str("a"));
+    }
+
+    #[test]
+    fn push_nulls_is_that_many_null_pushes() {
+        let first = [Value::Int(7), Value::Float(0.5), Value::str("a")];
+        for (dtype, first) in [DataType::Int, DataType::Float, DataType::Str]
+            .into_iter()
+            .zip(first)
+        {
+            let (mut bulk, mut one_by_one) = (Column::new(dtype), Column::new(dtype));
+            for col in [&mut bulk, &mut one_by_one] {
+                col.push(first.clone()).unwrap();
+                // Built before the append, so the append has to extend it.
+                col.packed_slots();
+            }
+            bulk.push_nulls(130);
+            for _ in 0..130 {
+                one_by_one.push(Value::Null).unwrap();
+            }
+            bulk.push(first.clone()).unwrap();
+            one_by_one.push(first.clone()).unwrap();
+            bulk.check_integrity(132).unwrap();
+            assert_eq!(bulk.null_count(), 130);
+            for r in 0..132 {
+                assert_eq!(bulk.get(r), one_by_one.get(r), "{dtype:?} row {r}");
+            }
+            assert_eq!(bulk.validity(), one_by_one.validity());
+            assert_eq!(bulk.packed_slots(), one_by_one.packed_slots());
+            if let (Some(a), Some(b)) = (bulk.float_data(), one_by_one.float_data()) {
+                assert!(a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()));
+            }
+        }
     }
 
     #[test]

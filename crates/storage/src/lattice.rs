@@ -13,10 +13,18 @@
 //! never resurrects a table of the wrong shape. Lanes are positional: an
 //! entry serves any lookup for a leading run of its lanes.
 //!
-//! The cache is bounded by bytes: every entry carries its table's heap
-//! size, and a store that takes the total past [`LATTICE_CACHE_BYTES`]
-//! evicts least-recently-used entries until it fits. An evicted level is
-//! simply a miss — the planner falls back to a cached ancestor or the scan.
+//! Beside a level's table the cache keeps the level's `parent` vectors
+//! ([`LatticeCache::parent`]): for a coarser level the evaluator divides
+//! by, the row of that level's table each row of this one projects onto.
+//! Both tables list every key of the fact table in one canonical order, so
+//! a vector is a function of the finer table alone: it lives and dies with
+//! that entry, and a coarser level evicted and recomputed finds it valid.
+//!
+//! The cache is bounded by bytes: every entry carries the heap size of its
+//! table and its parent vectors, and a store that takes the total past
+//! [`LATTICE_CACHE_BYTES`] evicts least-recently-used entries until it
+//! fits. An evicted level is simply a miss — the planner falls back to a
+//! cached ancestor or the scan.
 //!
 //! Invalidation rides with the combination catalog
 //! ([`crate::ComboCache`]): [`crate::Catalog::write`] drops a table's
@@ -45,7 +53,9 @@ struct LatticeEntry {
     /// input), in column order.
     lanes: Vec<String>,
     table: Arc<Table>,
-    /// `table.heap_bytes()` when stored.
+    /// `table`'s parent vectors, by the coarser level's columns.
+    parents: Vec<(Vec<String>, Arc<[u32]>)>,
+    /// `table.heap_bytes()` when stored, plus the parent vectors'.
     bytes: usize,
     /// Tick of the last hit (or the store), for least-recently-used
     /// eviction.
@@ -98,6 +108,9 @@ pub struct LatticeCacheStats {
     pub evictions: u64,
     /// Entries currently cached.
     pub entries: u64,
+    /// Parent vectors built ([`LatticeCache::parent`] calls that found
+    /// none): a request served warm builds none.
+    pub parent_builds: u64,
 }
 
 #[derive(Debug, Default)]
@@ -105,6 +118,26 @@ struct Entries {
     map: BTreeMap<LatticeKey, LatticeEntry>,
     /// Sum of the entries' `bytes`.
     bytes: usize,
+}
+
+impl Entries {
+    /// Drop least-recently-used entries until the total fits `budget`;
+    /// returns how many went.
+    fn evict_to(&mut self, budget: usize) -> u64 {
+        let mut evicted = 0;
+        while self.bytes > budget {
+            let oldest = self
+                .map
+                .iter()
+                .min_by_key(|(_, e)| e.used.load(Ordering::Relaxed))
+                .map(|(k, _)| k.clone())
+                .expect("a non-zero byte total has an entry");
+            let gone = self.map.remove(&oldest).expect("key just listed");
+            self.bytes -= gone.bytes;
+            evicted += 1;
+        }
+        evicted
+    }
 }
 
 /// Memoized `(table, level columns) → level table` map, bounded by bytes.
@@ -120,6 +153,7 @@ pub struct LatticeCache {
     misses: AtomicU64,
     invalidations: AtomicU64,
     evictions: AtomicU64,
+    parent_builds: AtomicU64,
     metrics: RwLock<Option<LatticeMetrics>>,
 }
 
@@ -144,6 +178,7 @@ impl LatticeCache {
             misses: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            parent_builds: AtomicU64::new(0),
             metrics: RwLock::new(None),
         }
     }
@@ -197,6 +232,7 @@ impl LatticeCache {
             lanes: lanes.to_vec(),
             bytes,
             table: level,
+            parents: Vec::new(),
             used: AtomicU64::new(self.tick()),
         };
         let mut entries = self.entries.write();
@@ -204,22 +240,58 @@ impl LatticeCache {
         if let Some(old) = entries.map.insert(key, entry) {
             entries.bytes -= old.bytes;
         }
-        let mut evicted = 0;
-        while entries.bytes > self.budget {
-            let oldest = entries
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.used.load(Ordering::Relaxed))
-                .map(|(k, _)| k.clone())
-                .expect("a non-zero byte total has an entry");
-            let gone = entries.map.remove(&oldest).expect("key just listed");
-            entries.bytes -= gone.bytes;
-            evicted += 1;
-        }
+        let evicted = entries.evict_to(self.budget);
         drop(entries);
         if evicted > 0 {
             self.count(&self.evictions, |m| &m.evictions, evicted);
         }
+    }
+
+    /// The `parent` vector of `level` — the table a [`LatticeCache::get`]
+    /// of `level_cols` handed out — onto the coarser level `onto`: for each
+    /// of its rows, the row of that level's table holding the group it
+    /// projects onto. `build` derives it the first time; it is then kept
+    /// beside the level's entry, counted in its bytes and dropped with it
+    /// (eviction, invalidation, a replacing store). Not a level lookup: it
+    /// counts as neither hit nor miss. For a table the cache does not hold
+    /// (never cached, evicted since) `build` runs every time.
+    pub fn parent(
+        &self,
+        table: &str,
+        level_cols: &[String],
+        level: &Arc<Table>,
+        onto: &[String],
+        build: impl FnOnce() -> Vec<u32>,
+    ) -> Arc<[u32]> {
+        let key = (table.to_string(), level_cols.to_vec());
+        let held = |e: &LatticeEntry| Arc::ptr_eq(&e.table, level);
+        let kept = |e: &LatticeEntry| {
+            let found = e.parents.iter().find(|(cols, _)| cols == onto);
+            found.map(|(_, parent)| Arc::clone(parent))
+        };
+        let entries = self.entries.read();
+        if let Some(parent) = entries.map.get(&key).filter(|e| held(e)).and_then(kept) {
+            return parent;
+        }
+        drop(entries);
+        self.parent_builds.fetch_add(1, Ordering::Relaxed);
+        let parent: Arc<[u32]> = build().into();
+        let mut entries = self.entries.write();
+        let Some(entry) = entries.map.get_mut(&key).filter(|e| held(e)) else {
+            return parent;
+        };
+        if kept(entry).is_none() {
+            let bytes = std::mem::size_of_val(&*parent);
+            entry.parents.push((onto.to_vec(), Arc::clone(&parent)));
+            entry.bytes += bytes;
+            entries.bytes += bytes;
+            let evicted = entries.evict_to(self.budget);
+            drop(entries);
+            if evicted > 0 {
+                self.count(&self.evictions, |m| &m.evictions, evicted);
+            }
+        }
+        parent
     }
 
     /// Whether a compatible entry exists, **without** counting the lookup
@@ -279,6 +351,7 @@ impl LatticeCache {
             invalidations: self.invalidations.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             entries: self.len() as u64,
+            parent_builds: self.parent_builds.load(Ordering::Relaxed),
         }
     }
 
@@ -435,6 +508,65 @@ mod tests {
         }
         assert_eq!(cache.stats().evictions, before);
         assert_eq!(cache.len(), 3);
+    }
+
+    #[test]
+    fn a_parent_vector_is_built_once_and_lives_with_its_entry() {
+        let cache = LatticeCache::new();
+        let (fine, onto) = (cols(&["a", "b"]), cols(&["a"]));
+        let stored = level(1, 4);
+        cache.store("F", &fine, &cols(&["s"]), Arc::clone(&stored));
+        let before = cache.stats();
+        let build = || vec![0, 0, 1, 1];
+        let first = cache.parent("F", &fine, &stored, &onto, build);
+        assert_eq!(&*first, &[0, 0, 1, 1]);
+        let again = cache.parent("F", &fine, &stored, &onto, || unreachable!("kept"));
+        assert!(Arc::ptr_eq(&first, &again));
+        // Another coarser level is another vector.
+        cache.parent("F", &fine, &stored, &[], || vec![0; 4]);
+        let st = cache.stats();
+        assert_eq!(st.parent_builds, 2);
+        // Not a level lookup.
+        assert_eq!((st.hits, st.misses), (before.hits, before.misses));
+
+        // A table the cache does not hold builds every time and keeps
+        // nothing: another table under the same key, or none.
+        let other = level(1, 4);
+        for _ in 0..2 {
+            cache.parent("F", &fine, &other, &onto, build);
+            cache.parent("G", &fine, &stored, &onto, build);
+        }
+        assert_eq!(cache.stats().parent_builds, 6);
+
+        // The vectors go with the entry: a replacing store, an invalidation.
+        cache.store("F", &fine, &cols(&["s"]), Arc::clone(&stored));
+        cache.parent("F", &fine, &stored, &onto, build);
+        assert_eq!(cache.stats().parent_builds, 7);
+        cache.invalidate_table("F");
+        cache.parent("F", &fine, &stored, &onto, build);
+        assert_eq!(cache.stats().parent_builds, 8);
+    }
+
+    #[test]
+    fn parent_vectors_count_toward_the_byte_bound() {
+        let one = level(0, 1000).heap_bytes();
+        // Two levels fit with a little room; a 4 000-byte vector does not.
+        let cache = LatticeCache::with_budget(2 * one + 2000);
+        let (a, b) = (level(0, 1000), level(1, 1000));
+        cache.store("F", &cols(&["a"]), &cols(&["s"]), Arc::clone(&a));
+        cache.store("F", &cols(&["b"]), &cols(&["s"]), Arc::clone(&b));
+        let small = cache.parent("F", &cols(&["b"]), &b, &[], || vec![0; 250]);
+        assert_eq!((small.len(), cache.stats().evictions), (250, 0));
+        // `a` is the least recently used entry and pays for it.
+        cache.parent("F", &cols(&["b"]), &b, &cols(&["x"]), || vec![0; 1000]);
+        assert_eq!(cache.stats().evictions, 1);
+        assert!(!cache.probe("F", &cols(&["a"]), &cols(&["s"])));
+        assert!(cache.probe("F", &cols(&["b"]), &cols(&["s"])));
+        // Evicting `b` releases its vectors' bytes with it.
+        cache.invalidate_table("F");
+        cache.store("F", &cols(&["a"]), &cols(&["s"]), Arc::clone(&a));
+        cache.store("F", &cols(&["b"]), &cols(&["s"]), b);
+        assert_eq!((cache.len(), cache.stats().evictions), (2, 1));
     }
 
     #[test]
