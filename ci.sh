@@ -42,6 +42,17 @@ if sed '/^#\[cfg(test)\]/,$d' crates/engine/src/ops/distinct.rs | grep -n 'RowKe
   exit 1
 fi
 
+echo "==> pivot gate: rows and cells come through parent, not a tuple-hash map"
+# The pivot's rows are its cell level's `parent` projections and its cells
+# are placed by projected code (DESIGN.md §16, §17); the per-key lookups a
+# level without codes needs live in the scan core, beside `parent`. A
+# `RowKeyMap` in the adapter is the `address` pass and the row map coming
+# back.
+if sed '/^#\[cfg(test)\]/,$d' crates/engine/src/ops/pivot.rs | grep -n 'RowKeyMap'; then
+  echo "crates/engine/src/ops/pivot.rs names RowKeyMap outside #[cfg(test)]" >&2
+  exit 1
+fi
+
 echo "==> divide gate: the lattice assembles typed columns and joins nothing"
 # A percentage is a measure looked up through `parent` (DESIGN.md §17):
 # the assembler appends whole columns and calls `divide`. A `Value::` in
@@ -71,6 +82,16 @@ PA_THREADS=1 cargo test -q -p pa-core --test fault_isolation
 PA_THREADS=4 cargo test -q -p pa-core --test fault_isolation
 PA_THREADS=1 cargo test -q -p pa-service
 PA_THREADS=4 cargo test -q -p pa-service
+# The service chaos suite draws 8 seeds a run and compares every success
+# with the fault-free answer to the bit — degraded SPJ answers included,
+# whose totals are row-order sums. Twenty runs (40 ms each), so a plan that
+# breaks bit identity on a few seeds in a hundred cannot pass on a lucky
+# draw; the deterministic form is service.rs's SPJ-rung test.
+i=0
+while [ "$i" -lt 20 ]; do
+  PA_PROPTEST_SEED="$i" PA_THREADS=$((1 + 3 * (i % 2))) cargo test -q -p pa-service --test chaos
+  i=$((i + 1))
+done
 
 echo "==> checkpoint-crash matrix: torn writes, compaction, recovery load"
 # Every crash point in the checkpoint lifecycle, serial and parallel:

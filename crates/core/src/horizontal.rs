@@ -29,7 +29,7 @@ use pa_engine::{
     aggregate_level, distinct, divide, hash_join_guarded, project, AggFunc, AggSpec, ExecStats,
     Expr, JoinType, ParallelConfig, ProjSpec, ResourceGuard, Selected, Selection,
 };
-use pa_storage::{Bitmap, Catalog, Column, DataType, Field, Schema, SharedTable, Table, Value};
+use pa_storage::{Catalog, Column, DataType, Field, Schema, SharedTable, Table, Value};
 use std::sync::Arc;
 
 /// Result of a horizontal query: one table normally, several when the
@@ -101,15 +101,6 @@ fn is_count(func: AggFunc) -> bool {
         func,
         Count | CountDistinct | CountStar | ApproxCountDistinct
     )
-}
-
-/// `CASE WHEN cell IS NULL THEN 0 ELSE cell END` over a numeric column.
-fn zero_if_null(cells: &Column) -> Column {
-    let data = (0..cells.len()).map(|r| cells.get_f64(r).unwrap_or(0.0));
-    Column::Float {
-        data: data.collect(),
-        validity: Bitmap::filled(cells.len(), true),
-    }
 }
 
 /// Distributive re-aggregation of a partial aggregate (Gray et al.): how
@@ -507,8 +498,6 @@ pub(crate) fn eval_horizontal_on(
         proj.push(ProjSpec::typed(Expr::Col(i), name.clone(), dtype));
         outs.push(None);
     }
-    // Every cell of a row shares the row's total: the identity `parent`.
-    let same_row: Vec<u32> = (0..raw.num_rows() as u32).collect();
     let mut pos = j_len;
     let mut cell_columns: Vec<Vec<String>> = Vec::new();
     for (term, plan) in q.terms.iter().zip(&plans) {
@@ -519,10 +508,11 @@ pub(crate) fn eval_horizontal_on(
             let lane = raw.column(cell_base + i * lanes);
             if term.percentage && plan.combine == Combine::Single && !term.default_zero {
                 // `CASE WHEN cell IS NULL THEN 0 ELSE cell END / total`,
-                // column-wise: a missing cell counts as 0 in the numerator
-                // (SIGMOD's `ELSE 0`), a zero/NULL group total yields NULL.
+                // column-wise, against the total on the cell's own row: a
+                // missing cell counts as 0 in the numerator (SIGMOD's
+                // `ELSE 0`), a zero/NULL group total yields NULL.
                 stats.case_condition_evals += 2 * raw.num_rows() as u64;
-                let cell = divide(&zero_if_null(lane), raw.column(total_pos), &same_row);
+                let cell = divide(lane, raw.column(total_pos), None);
                 outs.push(Some((Field::new(name.clone(), DataType::Float), cell)));
                 continue;
             }

@@ -208,6 +208,12 @@ pub fn plan_levels_cached(
     cached: &[Level],
     reaggregate_roots: bool,
 ) -> Vec<LevelStep> {
+    // Whether a level's *values* may come from a finer level: the
+    // distributive sums always, a root's extras never. The stricter
+    // question — may they come with the very *bits* a scan of `F` would
+    // hold — is the engine's `AggSpec::folds_exactly`, which the pivot asks
+    // before it folds a total through `parent`; the lattice does not ask
+    // it, a re-aggregated `Fj` being the paper's own plan.
     let may_derive = |l: &Level| reaggregate_roots || !roots.contains(l);
     let mut steps: Vec<LevelStep> = Vec::new();
     for level in distinct_widest_first(roots, needed) {

@@ -323,7 +323,7 @@ pub(crate) fn percentage(
     stats.statements += 1;
     stats.rows_scanned += (sums.len() + totals.len()) as u64;
     stats.case_condition_evals += sums.len() as u64;
-    divide(sums, totals, parent)
+    divide(sums, totals, Some(parent))
 }
 
 /// `Fj` from `Fk` with no scan: every coarser group's total is its groups'

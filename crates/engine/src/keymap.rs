@@ -64,14 +64,6 @@ impl RowKeyMap {
         RowKeyMap::default()
     }
 
-    /// Empty map pre-sized for roughly `capacity` distinct groups.
-    pub fn with_capacity(capacity: usize) -> RowKeyMap {
-        RowKeyMap {
-            buckets: FxHashMap::with_capacity_and_hasher(capacity, Default::default()),
-            keys: Vec::with_capacity(capacity),
-        }
-    }
-
     /// Number of distinct groups seen.
     pub fn len(&self) -> usize {
         self.keys.len()
@@ -506,10 +498,14 @@ impl DenseGroupMap {
             .key_value(table, self.gid_to_code[gid] as usize, d)
     }
 
-    /// Key dimension `d` of every group, in group order, as a column.
-    pub(crate) fn key_column(&self, table: &Table, d: usize) -> Column {
-        let slots = self.gid_to_code.iter();
-        let slots = slots.map(|&code| self.space.slot(code as usize, d));
+    /// Key dimension `d` of the groups `gids`, in that order, as a column.
+    pub(crate) fn key_column(
+        &self,
+        table: &Table,
+        d: usize,
+        gids: impl ExactSizeIterator<Item = usize>,
+    ) -> Column {
+        let slots = gids.map(|gid| self.space.slot(self.gid_to_code[gid] as usize, d));
         self.space.dims[d].decode(table.column(self.space.cols[d]), slots)
     }
 
@@ -790,16 +786,22 @@ impl GroupMap {
         }
     }
 
-    /// Key dimension `d` — column `col` of `table` — of every group, in
-    /// group order. The hash path holds its keys as values (a float key has
-    /// no code) and pushes them.
-    pub(crate) fn key_column(&self, table: &Table, col: usize, d: usize) -> Result<Column> {
+    /// Key dimension `d` — column `col` of `table` — of the groups `gids`,
+    /// in that order. The hash path holds its keys as values (a float key
+    /// has no code) and pushes them.
+    pub(crate) fn key_column(
+        &self,
+        table: &Table,
+        col: usize,
+        d: usize,
+        gids: impl ExactSizeIterator<Item = usize>,
+    ) -> Result<Column> {
         match self {
-            GroupMap::Dense(m) => Ok(m.key_column(table, d)),
+            GroupMap::Dense(m) => Ok(m.key_column(table, d, gids)),
             GroupMap::Hash(m) => {
-                let mut out = Column::with_capacity(table.column(col).data_type(), m.len());
-                for key in &m.keys {
-                    out.push(key[d].clone())?;
+                let mut out = Column::with_capacity(table.column(col).data_type(), gids.len());
+                for gid in gids {
+                    out.push(m.keys[gid][d].clone())?;
                 }
                 Ok(out)
             }

@@ -24,7 +24,7 @@ use crate::parallel::ParallelConfig;
 use crate::predicate::Selected;
 use crate::scan::{LevelGroups, Parent, ScanPlan};
 use crate::stats::ExecStats;
-use pa_storage::{Bitmap, Column, DataType, Field, Schema, Table};
+use pa_storage::{Bitmap, Column, DataType, Field, Schema, Table, Value};
 
 /// A percentile fraction carried as its IEEE-754 bit pattern, so
 /// [`AggFunc`] stays `Copy + Eq` (f64 itself is not `Eq`). Two percentile
@@ -173,6 +173,31 @@ impl AggSpec {
     pub(crate) fn output_type(&self, schema: &Schema) -> DataType {
         self.func.output_type(&self.input, schema)
     }
+
+    /// Whether this lane at a coarser key may be **folded** from the same
+    /// lane at a finer one — each coarser group's accumulator merged from
+    /// its sub-groups' — and hold the very bits a scan of `input` at the
+    /// coarser key accumulates row by row. Gray et al.'s distributive
+    /// functions fold to the same *value*; the same *bits* need the adds to
+    /// be exact, whatever their order. Counts are integer adds. A `sum` is
+    /// exact when its input is a plain column of whole numbers
+    /// ([`Table::integral_bound`]) small enough that no sum of them, over
+    /// any subset of the rows, reaches 2^53: then every partial sum is an
+    /// integer `f64` holds exactly, and `f64` addition is associative on
+    /// them. A fractional measure rounds differently in a different order,
+    /// and the paper's SPJ and CASE plans compute their totals in row
+    /// order, so it keeps its scan; so do `min` / `max`, `avg`, expression
+    /// inputs and the holistic functions. This is the one statement of the
+    /// rule: an adapter asks, it does not decide.
+    pub(crate) fn folds_exactly(&self, input: &Table) -> bool {
+        match (self.func, &self.input) {
+            (AggFunc::Count | AggFunc::CountStar, _) => true,
+            (AggFunc::Sum, &Expr::Col(c)) if c < input.num_columns() => input
+                .integral_bound(c)
+                .is_some_and(|whole| input.num_rows() as f64 * whole < (1u64 << 53) as f64),
+            _ => false,
+        }
+    }
 }
 
 /// Hash-aggregate `input` grouped by `group_cols` computing `aggs`.
@@ -282,48 +307,60 @@ pub(crate) fn check_level(input: &Table, group_cols: &[usize], aggs: &[AggSpec])
     Ok(())
 }
 
-/// One aggregate lane of every group as a column of `dtype`. `sum`, `avg`
-/// and the counts are written straight into a typed vector with its
-/// validity; `min` / `max` (whose type is their input's) and the holistic
-/// lanes finish through `Value`.
+/// One aggregate lane of every group as a column of `dtype`. `sum`, `avg`,
+/// the counts and `min` / `max` over numbers are written straight into a
+/// typed vector with its validity; `min` / `max` over strings and the
+/// holistic lanes finish through `Value`.
 pub(crate) fn lane_column<'a>(
     dtype: DataType,
-    lane: impl ExactSizeIterator<Item = &'a Acc>,
+    lane: impl ExactSizeIterator<Item = &'a Acc> + Clone,
     stats: &mut ExecStats,
 ) -> Result<Column> {
-    let n = lane.len();
-    let mut lane = lane.peekable();
-    Ok(match (dtype, lane.peek()) {
-        (DataType::Float, Some(Acc::Sum { .. } | Acc::Avg { .. })) => {
-            let (mut data, mut validity) = (Vec::with_capacity(n), Bitmap::with_capacity(n));
-            for acc in lane {
-                let value = match acc {
-                    Acc::Sum { sum, any } => any.then_some(*sum),
-                    Acc::Avg { sum, n } => (*n > 0).then(|| sum / *n as f64),
-                    _ => unreachable!("a lane holds one function's accumulators"),
-                };
-                data.push(value.unwrap_or(f64::NAN));
-                validity.push(value.is_some());
-            }
-            Column::Float { data, validity }
-        }
-        (DataType::Int, Some(Acc::Count(_) | Acc::CountStar(_))) => {
-            let count = |acc: &Acc| match acc {
-                Acc::Count(n) | Acc::CountStar(n) => *n,
-                _ => unreachable!("a lane holds one function's accumulators"),
-            };
-            let (data, validity) = (lane.map(count).collect(), Bitmap::filled(n, true));
-            Column::Int { data, validity }
-        }
-        _ => {
-            let mut col = Column::with_capacity(dtype, n);
-            for acc in lane {
-                stats.sketch_spills += u64::from(acc.spilled());
-                col.push(acc.finish())?;
-            }
-            col
-        }
-    })
+    let typed = match dtype {
+        DataType::Float => numbers(lane.clone(), f64::NAN, |acc| match acc {
+            Acc::Sum { sum, any } => Some(any.then_some(*sum)),
+            Acc::Avg { sum, n } => Some((*n > 0).then(|| sum / *n as f64)),
+            // An integer widens, as `Column::push` widens it.
+            Acc::Min(v) | Acc::Max(v) if !matches!(v, Value::Str(_)) => Some(v.as_f64()),
+            _ => None,
+        })
+        .map(|(data, validity)| Column::Float { data, validity }),
+        DataType::Int => numbers(lane.clone(), 0, |acc| match acc {
+            Acc::Count(n) | Acc::CountStar(n) => Some(Some(*n)),
+            Acc::Min(Value::Int(v)) | Acc::Max(Value::Int(v)) => Some(Some(*v)),
+            Acc::Min(Value::Null) | Acc::Max(Value::Null) => Some(None),
+            _ => None,
+        })
+        .map(|(data, validity)| Column::Int { data, validity }),
+        DataType::Str => None,
+    };
+    if let Some(col) = typed {
+        return Ok(col);
+    }
+    let mut col = Column::with_capacity(dtype, lane.len());
+    for acc in lane {
+        stats.sketch_spills += u64::from(acc.spilled());
+        col.push(acc.finish())?;
+    }
+    Ok(col)
+}
+
+/// The number each accumulator of `lane` finishes as — `Some(None)` a NULL,
+/// written as `null` — with the lane's validity; `None` at the first
+/// accumulator that has no plain number of this type.
+fn numbers<'a, T: Copy>(
+    lane: impl ExactSizeIterator<Item = &'a Acc>,
+    null: T,
+    number: impl Fn(&Acc) -> Option<Option<T>>,
+) -> Option<(Vec<T>, Bitmap)> {
+    let mut data = Vec::with_capacity(lane.len());
+    let mut validity = Bitmap::with_capacity(lane.len());
+    for acc in lane {
+        let number = number(acc)?;
+        data.push(number.unwrap_or(null));
+        validity.push(number.is_some());
+    }
+    Some((data, validity))
 }
 
 /// Materialize one level as typed columns: key columns decoded column-wise
@@ -341,7 +378,7 @@ pub(crate) fn finish(
     let mut columns = Vec::with_capacity(group_cols.len() + aggs.len());
     for (d, &c) in group_cols.iter().enumerate() {
         fields.push(input_schema.field_at(c).clone());
-        columns.push(groups.key_column(input, c, d)?);
+        columns.push(groups.key_column(input, c, d, 0..groups.len())?);
     }
     for (i, spec) in aggs.iter().enumerate() {
         let dtype = spec.output_type(input_schema);
@@ -1009,5 +1046,121 @@ mod tests {
         assert_eq!(out.get(1, 1), Value::Float(10.0));
         assert_eq!(out.get(1, 2), Value::Float(10.0));
         assert_eq!(out.get(1, 3), Value::Int(1));
+    }
+    #[test]
+    fn a_typed_lane_is_the_column_pushing_each_finished_value_builds() {
+        // Every function over an integer and a float input, NULL groups
+        // included: the typed arms and the `Value` arm write the same data
+        // (placeholders too), validity and type.
+        let pushed = |dtype, lane: &[Acc]| {
+            let mut col = Column::with_capacity(dtype, lane.len());
+            for acc in lane {
+                col.push(acc.finish()).unwrap();
+            }
+            col
+        };
+        let inputs = [
+            (
+                DataType::Int,
+                vec![Value::Int(4), Value::Int(-9), Value::Null],
+            ),
+            (
+                DataType::Float,
+                vec![Value::Float(0.5), Value::Float(-0.0), Value::Int(3)],
+            ),
+        ];
+        let funcs = [
+            AggFunc::Sum,
+            AggFunc::Avg,
+            AggFunc::Count,
+            AggFunc::CountStar,
+            AggFunc::Min,
+            AggFunc::Max,
+            AggFunc::Percentile(PBits::new(0.5)),
+        ];
+        for (input, values) in &inputs {
+            for func in funcs {
+                // One group fed every value, one fed NULLs only, one nothing.
+                let mut lane = vec![Acc::new(func), Acc::new(func), Acc::new(func)];
+                for v in values {
+                    lane[0].update(v).unwrap();
+                }
+                lane[1].update(&Value::Null).unwrap();
+                let dtype = func.output_type(
+                    &Expr::Col(0),
+                    &Schema::from_pairs(&[("x", *input)]).unwrap(),
+                );
+                let got = lane_column(dtype, lane.iter(), &mut ExecStats::default()).unwrap();
+                let want = pushed(dtype, &lane);
+                let what = format!("{} over {input:?}", func.display_name());
+                assert_eq!(got.data_type(), want.data_type(), "{what}");
+                assert_eq!(got.validity(), want.validity(), "{what}");
+                let bits = |c: &Column| match c {
+                    Column::Float { data, .. } => data.iter().map(|x| x.to_bits()).collect(),
+                    Column::Int { data, .. } => {
+                        data.iter().map(|&x| x as u64).collect::<Vec<u64>>()
+                    }
+                    Column::Str { .. } => unreachable!("numeric lanes"),
+                };
+                assert_eq!(bits(&got), bits(&want), "{what}");
+            }
+        }
+        // `min` over strings keeps the `Value` arm, dictionary and all.
+        let mut lane = [Acc::new(AggFunc::Min), Acc::new(AggFunc::Min)];
+        lane[0].update(&Value::str("b")).unwrap();
+        lane[0].update(&Value::str("a")).unwrap();
+        let got = lane_column(DataType::Str, lane.iter(), &mut ExecStats::default()).unwrap();
+        assert_eq!((got.get(0), got.get(1)), (Value::str("a"), Value::Null));
+    }
+
+    #[test]
+    fn a_lane_folds_exactly_when_its_adds_cannot_round() {
+        let schema = Schema::from_pairs(&[
+            ("i", DataType::Int),
+            ("whole", DataType::Float),
+            ("cents", DataType::Float),
+            ("s", DataType::Str),
+        ])
+        .unwrap()
+        .into_shared();
+        let mut t = Table::empty(schema);
+        for (i, whole, cents) in [(3, 40.0, 0.25), (-8, -7.0, 3.0)] {
+            let row = [
+                Value::Int(i),
+                Value::Float(whole),
+                Value::Float(cents),
+                Value::Null,
+            ];
+            t.push_row(&row).unwrap();
+        }
+        let folds_in = |t: &Table, func, input| AggSpec::new(func, input, "x").folds_exactly(t);
+        let folds = |func, input| folds_in(&t, func, input);
+        assert!(folds(AggFunc::Sum, Expr::Col(0)), "integers from the range");
+        assert!(folds(AggFunc::Sum, Expr::Col(1)), "whole-number floats");
+        assert!(!folds(AggFunc::Sum, Expr::Col(2)), "a fraction rounds");
+        assert!(!folds(AggFunc::Sum, Expr::Col(3)), "strings do not sum");
+        assert!(
+            !folds(AggFunc::Sum, Expr::Col(1).add(Expr::lit(0))),
+            "not a plain column"
+        );
+        assert!(folds(AggFunc::Count, Expr::Col(2)) && folds(AggFunc::CountStar, Expr::lit(1)));
+        for func in [
+            AggFunc::Avg,
+            AggFunc::Min,
+            AggFunc::Max,
+            AggFunc::CountDistinct,
+        ] {
+            assert!(!folds(func, Expr::Col(0)), "{}", func.sql_name());
+        }
+        // Two rows of 2^52 can reach 2^53, where integers stop being exact.
+        t.push_row(&[
+            Value::Int(1 << 52),
+            Value::Float((1u64 << 52) as f64),
+            Value::Null,
+            Value::Null,
+        ])
+        .unwrap();
+        assert!(!folds_in(&t, AggFunc::Sum, Expr::Col(0)));
+        assert!(!folds_in(&t, AggFunc::Sum, Expr::Col(1)));
     }
 }

@@ -35,12 +35,22 @@ fn numeric(col: &Column) -> (Cow<'_, [f64]>, Cow<'_, Bitmap>) {
 /// the group's own sum is NULL. A NULL result keeps the `NaN` placeholder
 /// [`Column::push`] writes for one.
 ///
+/// Without a `parent` the totals sit on the sums' own rows — the horizontal
+/// form, where `sums` is one cell column of an `Hpct` table — and a NULL sum
+/// is a cell no row fed, which SIGMOD's `ELSE 0` counts as zero: the cell is
+/// `0 / total`, NULL only for the total's sake.
+///
 /// # Panics
 ///
 /// Panics when `parent` does not have one entry per row of `sums`, or names
 /// a row `totals` does not have.
-pub fn divide(sums: &Column, totals: &Column, parent: &[u32]) -> Column {
-    assert_eq!(sums.len(), parent.len(), "one parent per group");
+pub fn divide(sums: &Column, totals: &Column, parent: Option<&[u32]>) -> Column {
+    let n = sums.len();
+    assert_eq!(
+        parent.map_or(totals.len(), <[u32]>::len),
+        n,
+        "one total per group"
+    );
     let (num, present) = numeric(sums);
     let (den, den_valid) = numeric(totals);
     // A total nothing may be divided by reads as zero, the one test the
@@ -51,19 +61,40 @@ pub fn divide(sums: &Column, totals: &Column, parent: &[u32]) -> Column {
             .map(|(&d, valid)| if valid { d } else { 0.0 })
             .collect(),
     };
-    let mut data = Vec::with_capacity(parent.len());
-    let mut words = Vec::with_capacity(parent.len().div_ceil(64));
-    for ((parents, num), &present) in (parent.chunks(64).zip(num.chunks(64))).zip(present.words()) {
+    let den: &[f64] = &den;
+    match parent {
+        Some(parent) => ratios::<_, false>(&num, &present, parent, |&p| den[p as usize]),
+        None => ratios::<_, true>(&num, &present, den, |&d| d),
+    }
+}
+
+/// `num[r] / total(&keys[r])` per row: NULL where the total is zero, and
+/// where `present` does not list the row — unless such a row `COUNTS_ZERO`,
+/// and is `0 / total`. Which rule holds is a compile-time parameter, and the
+/// keys are walked in step with the rows, so that the vertical form keeps
+/// the loop it had (a warm `ROLLUP` is little else: 12% on `cube` when the
+/// two forms shared a loop that tested for both).
+fn ratios<K, const COUNTS_ZERO: bool>(
+    num: &[f64],
+    present: &Bitmap,
+    keys: &[K],
+    total: impl Fn(&K) -> f64,
+) -> Column {
+    let mut data = Vec::with_capacity(num.len());
+    let mut words = Vec::with_capacity(num.len().div_ceil(64));
+    for ((keys, num), &present) in (keys.chunks(64).zip(num.chunks(64))).zip(present.words()) {
         let mut word = 0u64;
-        for (bit, (&p, &x)) in parents.iter().zip(num).enumerate() {
-            let d = den[p as usize];
-            let valid = d != 0.0 && (present >> bit) & 1 == 1;
+        for (bit, (key, &x)) in keys.iter().zip(num).enumerate() {
+            let d = total(key);
+            let fed = (present >> bit) & 1 == 1;
+            let valid = d != 0.0 && (fed || COUNTS_ZERO);
+            let x = if COUNTS_ZERO && !fed { 0.0 } else { x };
             data.push(if valid { x / d } else { f64::NAN });
             word |= u64::from(valid) << bit;
         }
         words.push(word);
     }
-    let validity = Bitmap::from_words(words, parent.len()).expect("one word per 64 rows");
+    let validity = Bitmap::from_words(words, num.len()).expect("one word per 64 rows");
     Column::Float { data, validity }
 }
 
@@ -166,7 +197,7 @@ mod tests {
             ),
         ];
         for (name, sums, totals, parent, expected) in cases {
-            let out = divide(&sums, &totals, &parent);
+            let out = divide(&sums, &totals, Some(&parent));
             assert_eq!(out.data_type(), DataType::Float, "{name}");
             assert_eq!(cells(&out), expected, "{name}");
             // A NULL cell holds what `Column::push(Value::Null)` writes.
@@ -175,6 +206,42 @@ mod tests {
                 assert_eq!(v.is_null(), data[r].is_nan(), "{name}: placeholder at {r}");
             }
             out.check_integrity(parent.len()).unwrap();
+        }
+    }
+
+    #[test]
+    fn without_a_parent_the_total_is_on_the_row_and_a_missing_cell_counts_zero() {
+        use Value::{Float, Null};
+        // An `Hpct` cell column beside its row totals: a fed cell, a cell no
+        // row fed (SIGMOD's `ELSE 0`), and both over a zero and a NULL total.
+        let cells = floats(&[Some(5.0), None, Some(5.0), None, Some(2.0), None]);
+        let totals = floats(&[Some(20.0), Some(20.0), Some(0.0), Some(-0.0), None, None]);
+        let out = divide(&cells, &totals, None);
+        assert_eq!(
+            super::tests::cells(&out),
+            [Float(0.25), Float(0.0), Null, Null, Null, Null]
+        );
+        let data = out.float_data().unwrap();
+        assert_eq!(
+            data[1].to_bits(),
+            0.0f64.to_bits(),
+            "0 / 20, not a placeholder"
+        );
+        assert!(data[2..].iter().all(|x| x.is_nan()), "NULL cells hold NaN");
+        out.check_integrity(6).unwrap();
+        // Past one validity word, against the per-row rule.
+        let n = 150;
+        let cells: Vec<Option<f64>> = (0..n).map(|r| (r % 4 != 0).then_some(r as f64)).collect();
+        let totals: Vec<Option<f64>> = (0..n)
+            .map(|r| (r % 7 != 0).then_some((r % 5) as f64))
+            .collect();
+        let out = divide(&floats(&cells), &floats(&totals), None);
+        for r in 0..n {
+            let want = match totals[r] {
+                Some(t) if t != 0.0 => Float(cells[r].unwrap_or(0.0) / t),
+                _ => Null,
+            };
+            assert_eq!(out.get(r), want, "row {r}");
         }
     }
 
@@ -192,7 +259,7 @@ mod tests {
             })
             .collect();
         let parent: Vec<u32> = (0..n).map(|r| (r * 5 % 7) as u32).collect();
-        let out = divide(&floats(&sums), &floats(&totals), &parent);
+        let out = divide(&floats(&sums), &floats(&totals), Some(&parent));
         for r in 0..n {
             let want = match (sums[r], totals[parent[r] as usize]) {
                 (Some(s), Some(t)) if t != 0.0 => Value::Float(s / t),
@@ -211,11 +278,11 @@ mod tests {
         let strs = column(DataType::Str, &[Value::str("x"), Value::Null]);
         let ones = floats(&[Some(1.0), Some(1.0)]);
         assert_eq!(
-            cells(&divide(&strs, &ones, &[0, 1])),
+            cells(&divide(&strs, &ones, Some(&[0, 1]))),
             [Value::Null, Value::Null]
         );
         assert_eq!(
-            cells(&divide(&ones, &strs, &[0, 1])),
+            cells(&divide(&ones, &strs, Some(&[0, 1]))),
             [Value::Null, Value::Null]
         );
     }

@@ -1,21 +1,33 @@
-//! The pivot: a transposed aggregate (DESIGN.md "Scan core").
+//! The pivot: one cell level per task, rows and totals through `parent`
+//! (DESIGN.md "Scan core", "a percentage is a measure looked up through
+//! `parent`").
 //!
 //! The paper's CASE-from-`F` ≡ CASE-from-`FV` equivalence says an `Hpct`
 //! table is the `Vpct` aggregate at `GROUP BY ∪ BY` laid out as a matrix,
 //! and Gray et al. say the same of every cross-tab. So the pivot is the
 //! fourth adapter over the scan core, planned like the lattice: one code
-//! stream over `GROUP BY ∪ BY`, one projected level per task keyed
-//! `GROUP BY ∪ BY_t` carrying that task's cell lanes, and the `GROUP BY`
-//! level carrying the term totals and the extra lanes. Code tiers, RLE
+//! stream over `GROUP BY ∪ BY` and one projected **cell level** per task,
+//! keyed `GROUP BY ∪ BY_t`, carrying that task's cell lanes. Code tiers, RLE
 //! runs, holistic lanes, the worker merge, morsel charging and spans are the
 //! core's; a level that cannot fuse degrades alone, as for every adapter.
 //!
-//! The `groups × cells` matrix exists only at finalize, as a
-//! *transposition*: each merged fine group lands at (row = its `GROUP BY`
-//! projection in the coarse level's first-appearance order, column = its BY
-//! projection's place in the task's `combos`). This is the paper's
-//! "hash-based search" for the CASE strategy — one lookup per *group*, none
-//! per row — so `case_condition_evals` stays at zero.
+//! The `GROUP BY` level is the paper's `Fj`, and `Fj` is a projection of
+//! `Fk`: its rows are the distinct [`parent`](crate::scan::LevelGroups::parent)
+//! projections of a cell level, in the first-appearance order a scan at
+//! `GROUP BY` returns them, and a term total or extra lane a cell level
+//! already carries is that lane folded through `parent` — when the fold is
+//! bit for bit the row-order sum ([`AggSpec::folds_exactly`]). Only the
+//! lanes that are not (a fractional measure, `min`, a percentile) are fed
+//! per row, on a `GROUP BY` level scanned beside the cell levels.
+//!
+//! The `groups × cells` matrix exists only at finalize, as a typed
+//! *transposition*: each cell group lands at (row = its `parent`, column =
+//! its BY projection's place in the task's `combos`), and every
+//! `(combination, lane)` column is one pass of [`lane_column`] over the
+//! accumulators its rows address — a cell no row fed reading a fresh one.
+//! This is the paper's "hash-based search" for the CASE strategy — one
+//! lookup per distinct BY value, none per row — so `case_condition_evals`
+//! stays at zero.
 //!
 //! The output is the CASE strategy's raw table,
 //! `[D1..Dj][term cells × lanes][term total?][extra lanes]`, so the
@@ -24,14 +36,13 @@
 use crate::error::Result;
 use crate::expr::Expr;
 use crate::guard::ResourceGuard;
-use crate::keymap::RowKeyMap;
 use crate::ops::acc::Acc;
-use crate::ops::aggregate::{AggFunc, AggSpec};
+use crate::ops::aggregate::{lane_column, AggFunc, AggSpec};
 use crate::parallel::ParallelConfig;
 use crate::predicate::Selected;
-use crate::scan::{LevelGroups, ScanPlan};
+use crate::scan::{Parent, ScanPlan};
 use crate::stats::ExecStats;
-use pa_storage::{Column, DataType, Field, FxHashMap, Schema, Table, Value};
+use pa_storage::{Column, Field, Schema, Table, Value};
 
 /// One horizontal term's piece of a pivot pass.
 #[derive(Debug, Clone)]
@@ -48,27 +59,6 @@ pub struct PivotTask {
     pub total: Option<Expr>,
 }
 
-/// Where each group of `fine` goes in a table of keys: the id `target`
-/// gives the group's key dimensions `dims`, `u32::MAX` when it has none.
-/// A fused level is addressed by code — one key decode and lookup per
-/// *distinct* projection — a scalar level by decoded key.
-fn address(fine: &LevelGroups, src: &Table, dims: &[usize], target: &RowKeyMap) -> Vec<u32> {
-    let by_key = |gid: usize| {
-        let key: Vec<Value> = dims.iter().map(|&d| fine.key_value(src, gid, d)).collect();
-        let id = target.lookup_key(&key, &mut ExecStats::default());
-        id.map_or(u32::MAX, |id| id as u32)
-    };
-    match fine.projected_codes(dims) {
-        Some(codes) => {
-            let mut seen: FxHashMap<u64, u32> =
-                FxHashMap::with_capacity_and_hasher(target.len(), Default::default());
-            let place = |(gid, code)| *seen.entry(code).or_insert_with(|| by_key(gid));
-            codes.into_iter().enumerate().map(place).collect()
-        }
-        None => (0..fine.len()).map(by_key).collect(),
-    }
-}
-
 /// One-pass pivot aggregation of the selected rows of `input`.
 ///
 /// Produces the raw horizontal table: the `j_cols` key columns followed by,
@@ -79,8 +69,8 @@ fn address(fine: &LevelGroups, src: &Table, dims: &[usize], target: &RowKeyMap) 
 /// counts.
 ///
 /// Morsels are charged to `guard` as they are scanned; every level's
-/// groups are charged after the scan, before the result matrix is
-/// allocated.
+/// groups and the result's rows are charged after the scan, before the
+/// result matrix is allocated.
 pub fn pivot_aggregate(
     input: Selected<'_>,
     j_cols: &[usize],
@@ -110,14 +100,27 @@ pub fn pivot_aggregate(
         keeps.push((0..union.len()).filter(kept).collect());
         aggs.push(task.lanes.iter().map(spec).collect());
     }
+    // The GROUP BY lanes — term totals, then extras — each folded from the
+    // cell-level lane `(task, lane)` that already carries it, or, when none
+    // does or the fold would not be exact, scanned as lane `scanned[..]` of
+    // a GROUP BY level planned last. No task, or a lane to scan, plans it.
     let totals = tasks.iter().filter_map(|t| t.total.clone());
-    keeps.push((0..j_cols.len()).collect());
-    aggs.push(
-        totals
-            .map(|total| spec(&(AggFunc::Sum, total)))
-            .chain(extra_lanes.iter().map(spec))
-            .collect(),
-    );
+    let coarse_lanes: Vec<AggSpec> = (totals.map(|total| spec(&(AggFunc::Sum, total))))
+        .chain(extra_lanes.iter().map(spec))
+        .collect();
+    let carried = |s: &AggSpec| {
+        let same = |c: &AggSpec| c.func == s.func && c.input == s.input;
+        let cell = |(t, lanes): (usize, &Vec<AggSpec>)| Some((t, lanes.iter().position(same)?));
+        let found = aggs.iter().enumerate().find_map(cell);
+        found.filter(|_| s.folds_exactly(src))
+    };
+    let folded: Vec<Option<(usize, usize)>> = coarse_lanes.iter().map(carried).collect();
+    let scanned = (coarse_lanes.iter().zip(&folded)).filter(|(_, from)| from.is_none());
+    let scanned: Vec<AggSpec> = scanned.map(|(s, _)| s.clone()).collect();
+    if tasks.is_empty() || !scanned.is_empty() {
+        keeps.push((0..j_cols.len()).collect());
+        aggs.push(scanned);
+    }
     let holistic = |s: &&AggSpec| s.func.is_holistic();
     stats.holistic_lanes += aggs.iter().flatten().filter(holistic).count() as u64;
     let cols: Vec<Vec<usize>> = keeps
@@ -141,99 +144,93 @@ pub fn pivot_aggregate(
     let mut span = guard.span("pivot");
     span.set_detail(detail);
     let mut groups = plan.run("pivot_aggregate", guard, &mut span, stats)?;
-    let out_rows: u64 = groups.iter().map(|g| g.len() as u64).sum();
-    guard.charge(out_rows)?;
-    span.add_rows(out_rows);
 
-    // Rows: the GROUP BY level's groups, in first-appearance order.
-    let coarse = groups.pop().expect("the GROUP BY level is planned last");
-    let n_rows = coarse.len();
+    // Rows: each cell level's `parent` onto GROUP BY. Every level numbers
+    // them as a scan at GROUP BY would, so they agree with each other and
+    // with the GROUP BY level, when one was scanned; their keys are those
+    // of each row's first group. SQL's global aggregate is a row even over
+    // no rows.
+    let coarse = (groups.len() > tasks.len()).then(|| groups.pop().expect("planned last"));
     let j_dims: Vec<usize> = (0..j_cols.len()).collect();
-    let mut rows = RowKeyMap::with_capacity(n_rows);
-    for gid in 0..n_rows {
-        let key: Vec<Value> = j_dims
-            .iter()
-            .map(|&d| coarse.key_value(src, gid, d))
-            .collect();
-        rows.get_or_insert_key(&key, &mut ExecStats::default());
-    }
+    let parents: Vec<Parent> = groups.iter().map(|g| g.parent(src, &j_dims)).collect();
+    let (keyed, firsts) = match &coarse {
+        Some(coarse) => (coarse, (0..coarse.len() as u32).collect()),
+        None => (&groups[0], parents[0].firsts()),
+    };
+    let n_rows = firsts.len().max(usize::from(j_cols.is_empty()));
+    let out_rows = groups.iter().map(|g| g.len()).sum::<usize>() + n_rows;
+    guard.charge(out_rows as u64)?;
+    span.add_rows(out_rows as u64);
+
     let src_schema = src.schema();
     let mut fields: Vec<Field> = Vec::new();
     let mut columns: Vec<Column> = Vec::new();
-    let mut push = |name: String, dtype: DataType, values: &mut dyn Iterator<Item = Value>| {
-        let mut col = Column::with_capacity(dtype, n_rows);
-        for v in values {
-            col.push(v)?;
-        }
-        fields.push(Field::new(name, dtype));
-        columns.push(col);
-        Result::Ok(())
+    let mut push = |name: String, column: Column| {
+        fields.push(Field::new(name, column.data_type()));
+        columns.push(column);
     };
     for (d, &c) in j_cols.iter().enumerate() {
-        let field = src_schema.field_at(c);
-        let mut key = rows.keys().iter().map(|key| key[d].clone());
-        push(field.name.clone(), field.dtype, &mut key)?;
+        let firsts = firsts.iter().map(|&gid| gid as usize);
+        let key = keyed.key_column(src, c, d, firsts)?;
+        push(src_schema.field_at(c).name.clone(), key);
     }
 
-    // Cells: each fine group transposed to (its row, its combination).
-    let (coarse, coarse_width) = (&coarse.accs, aggs[tasks.len()].len());
-    let coarse_lane =
-        |lane: usize| (0..n_rows).map(move |row| coarse[row * coarse_width + lane].finish());
+    // A GROUP BY lane as a column: folded through `parent`, or scanned.
+    let fresh = |s: &AggSpec| Acc::with_budget(s.func, config.percentile_budget);
+    let coarse_lane = |lane: usize, stats: &mut ExecStats| -> Result<Column> {
+        let spec = &coarse_lanes[lane];
+        let dtype = spec.output_type(src_schema);
+        match (folded[lane], &coarse) {
+            (Some((t, l)), _) => {
+                let from = (l, aggs[t].len());
+                let accs = groups[t].fold(from, &parents[t], n_rows, fresh(spec))?;
+                lane_column(dtype, accs.iter(), stats)
+            }
+            (None, Some(coarse)) => {
+                let lane = folded[..lane].iter().filter(|from| from.is_none()).count();
+                let width = aggs[tasks.len()].len();
+                lane_column(dtype, coarse.accs.iter().skip(lane).step_by(width), stats)
+            }
+            (None, None) => unreachable!("a lane to scan plans the GROUP BY level"),
+        }
+    };
+
+    // Cells: each cell group transposed to (its row, its combination); a
+    // cell no row fed reads the lane's fresh accumulator.
     let mut total_lane = 0;
     for (t, (task, fine)) in tasks.iter().zip(&groups).enumerate() {
-        let mut cells = RowKeyMap::with_capacity(task.combos.len());
-        for combo in &task.combos {
-            cells.get_or_insert_key(combo, &mut ExecStats::default());
-        }
-        let level_key = &cols[t];
-        let by_dims: Vec<usize> = task
-            .by_cols
-            .iter()
-            .map(|c| {
-                level_key
-                    .iter()
-                    .position(|k| k == c)
-                    .expect("BY is in the key")
-            })
-            .collect();
-        let row_of = address(fine, src, &j_dims, &rows);
-        let cell_of = address(fine, src, &by_dims, &cells);
+        let dim_of = |c| {
+            cols[t]
+                .iter()
+                .position(|k| k == c)
+                .expect("BY is in the key")
+        };
+        let by_dims: Vec<usize> = task.by_cols.iter().map(dim_of).collect();
+        let cell_of = fine.index_in(src, &by_dims, &task.combos);
         let mut at = vec![u32::MAX; task.combos.len() * n_rows];
-        for (gid, (&row, &cell)) in row_of.iter().zip(&cell_of).enumerate() {
+        for (gid, (&row, &cell)) in parents[t].rows.iter().zip(&cell_of).enumerate() {
             if cell != u32::MAX {
                 at[cell as usize * n_rows + row as usize] = gid as u32;
             }
         }
-        // Per lane: its column type and what a cell no row fed reads as.
-        let lanes: Vec<(DataType, Value)> = task
-            .lanes
-            .iter()
-            .map(|(func, input)| {
-                let fresh = Acc::with_budget(*func, config.percentile_budget);
-                (func.output_type(input, src_schema), fresh.finish())
-            })
-            .collect();
+        let absent: Vec<Acc> = aggs[t].iter().map(fresh).collect();
         for i in 0..task.combos.len() {
-            for (l, (dtype, absent)) in lanes.iter().enumerate() {
-                let mut cell = at[i * n_rows..][..n_rows].iter().map(|&gid| match gid {
-                    u32::MAX => absent.clone(),
-                    gid => fine.accs[gid as usize * lanes.len() + l].finish(),
+            for (l, spec) in aggs[t].iter().enumerate() {
+                let cells = at[i * n_rows..][..n_rows].iter().map(|&gid| match gid {
+                    u32::MAX => &absent[l],
+                    gid => &fine.accs[gid as usize * absent.len() + l],
                 });
-                push(format!("__c{t}_{i}_{l}"), *dtype, &mut cell)?;
+                let cells = lane_column(spec.output_type(src_schema), cells, stats)?;
+                push(format!("__c{t}_{i}_{l}"), cells);
             }
         }
         if task.total.is_some() {
-            push(
-                format!("__tot{t}"),
-                DataType::Float,
-                &mut coarse_lane(total_lane),
-            )?;
+            push(format!("__tot{t}"), coarse_lane(total_lane, stats)?);
             total_lane += 1;
         }
     }
-    for (x, (func, input)) in extra_lanes.iter().enumerate() {
-        let dtype = func.output_type(input, src_schema);
-        push(format!("__x{x}_0"), dtype, &mut coarse_lane(total_lane + x))?;
+    for x in 0..extra_lanes.len() {
+        push(format!("__x{x}_0"), coarse_lane(total_lane + x, stats)?);
     }
     stats.rows_materialized += n_rows as u64;
     Ok(Table::from_columns(
@@ -258,7 +255,7 @@ pub fn pivot_aggregate_with_config(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pa_storage::Schema;
+    use pa_storage::{DataType, Schema};
 
     /// The pivot under no limits, serially.
     fn pivot(
@@ -385,6 +382,42 @@ mod tests {
             assert_eq!(raw.rows().collect::<Vec<_>>(), want, "vector={vector}");
             assert_eq!(want[2], [Value::Int(3), Value::Null, Value::Float(7.0)]);
         }
+    }
+
+    #[test]
+    fn the_group_by_level_is_scanned_only_for_lanes_that_do_not_fold_exactly() {
+        let levels = |st: &ExecStats| st.dense_group_ops + st.hash_group_ops;
+        let mut t = sales();
+        let amt = || Expr::col(t.schema(), "amt").unwrap();
+        let extras = vec![(AggFunc::Sum, amt()), (AggFunc::CountStar, Expr::lit(1))];
+        // Whole amounts: the total and the `sum` extra fold from the cell
+        // level; `count(*)` has no cell lane to fold from and is scanned.
+        let mut st = ExecStats::default();
+        let whole = pivot(&t, &[0], &[task(&t)], &extras[..1], &mut st);
+        assert_eq!(levels(&st), 1, "rows, total and extra through `parent`");
+        let mut st = ExecStats::default();
+        let counted = pivot(&t, &[0], &[task(&t)], &extras, &mut st);
+        assert_eq!(levels(&st), 2);
+        for (r, row) in whole.rows().enumerate() {
+            // store | Mon Tue | total | sum: both stores, in scan order.
+            assert_eq!(row[3], row[4], "the extra is the total");
+            assert_eq!(row[..], counted.row(r).unwrap()[..5]);
+        }
+        assert_eq!(whole.get(0, 3), Value::Float(50.0));
+        assert_eq!(counted.get(1, 5), Value::Int(2));
+        // One fractional amount: nothing of that measure folds any more.
+        t.push_row(&[Value::Int(2), Value::str("Mon"), Value::Float(0.5)])
+            .unwrap();
+        let mut st = ExecStats::default();
+        let fractional = pivot(&t, &[0], &[task(&t)], &extras[..1], &mut st);
+        assert_eq!(levels(&st), 2);
+        assert_eq!(fractional.get(1, 3), Value::Float(20.5));
+        // No task at all: the GROUP BY level is the whole plan.
+        let mut st = ExecStats::default();
+        let bare = pivot(&t, &[0], &[], &extras, &mut st);
+        assert_eq!(levels(&st), 1);
+        let want = [Value::Int(2), Value::Float(20.5), Value::Int(3)];
+        assert_eq!(bare.row(1).unwrap(), want);
     }
 
     #[test]

@@ -185,12 +185,17 @@ impl GroupIndex {
         }
     }
 
-    /// Key dimension `d` of every group, in group order, as a column.
-    fn key_column(&self, input: &Table, d: usize) -> Column {
+    /// Key dimension `d` of the groups `gids`, in that order, as a column.
+    fn key_column(
+        &self,
+        input: &Table,
+        d: usize,
+        gids: impl ExactSizeIterator<Item = usize>,
+    ) -> Column {
         match self {
-            GroupIndex::Dense(map) => map.key_column(input, d),
+            GroupIndex::Dense(map) => map.key_column(input, d, gids),
             GroupIndex::Hash { space, order, .. } => {
-                let slots = order.iter().map(|&code| space.slot(code, d) as usize);
+                let slots = gids.map(|gid| space.slot(order[gid], d) as usize);
                 space.dims[d].decode(input.column(space.cols()[d]), slots)
             }
         }
@@ -521,6 +526,20 @@ pub struct Parent {
     pub groups: usize,
 }
 
+impl Parent {
+    /// The first group of each coarser row — rows are numbered as their
+    /// first group appears, so these ascend.
+    pub(crate) fn firsts(&self) -> Vec<u32> {
+        let mut firsts = Vec::with_capacity(self.groups);
+        for (gid, &row) in self.rows.iter().enumerate() {
+            if row as usize == firsts.len() {
+                firsts.push(gid as u32);
+            }
+        }
+        firsts
+    }
+}
+
 /// The groups of one level — a worker's partial, or the merged result —
 /// in first-appearance order.
 pub(crate) struct LevelGroups {
@@ -555,13 +574,20 @@ impl LevelGroups {
         }
     }
 
-    /// Key dimension `d` — column `col` of the scanned table — of every
-    /// group, in group order: decoded column-wise from the codes, never a
-    /// `Value` per cell, unless the level grouped by tuple hash.
-    pub(crate) fn key_column(&self, input: &Table, col: usize, d: usize) -> Result<Column> {
+    /// Key dimension `d` — column `col` of the scanned table — of the groups
+    /// `gids`, in that order (`0..self.len()` for the level's own key
+    /// column): decoded column-wise from the codes, never a `Value` per
+    /// cell, unless the level grouped by tuple hash.
+    pub(crate) fn key_column(
+        &self,
+        input: &Table,
+        col: usize,
+        d: usize,
+        gids: impl ExactSizeIterator<Item = usize>,
+    ) -> Result<Column> {
         match &self.keys {
-            Keys::Coded(index) => Ok(index.key_column(input, d)),
-            Keys::Scalar(map) => map.key_column(input, col, d),
+            Keys::Coded(index) => Ok(index.key_column(input, d, gids)),
+            Keys::Scalar(map) => map.key_column(input, col, d, gids),
         }
     }
 
@@ -592,6 +618,52 @@ impl LevelGroups {
         };
         let groups = rows.iter().max().map_or(0, |&last| last as usize + 1);
         Parent { rows, groups }
+    }
+
+    /// Where each group's key, projected onto its dimensions `dims`, stands
+    /// in `keys` — `u32::MAX` when it is not listed. A coded level decodes
+    /// and looks up one key per *distinct* projection, a scalar level one
+    /// per group.
+    pub(crate) fn index_in(&self, input: &Table, dims: &[usize], keys: &[Vec<Value>]) -> Vec<u32> {
+        let mut stats = ExecStats::default();
+        let mut listed = RowKeyMap::new();
+        for key in keys {
+            listed.get_or_insert_key(key, &mut stats);
+        }
+        let mut key = Vec::with_capacity(dims.len());
+        let mut find = |gid: usize| {
+            key.clear();
+            key.extend(dims.iter().map(|&d| self.key_value(input, gid, d)));
+            let at = listed.lookup_key(&key, &mut stats);
+            at.map_or(u32::MAX, |at| at as u32)
+        };
+        match self.projected_codes(dims) {
+            Some(codes) => {
+                let mut seen: FxHashMap<u64, u32> = FxHashMap::default();
+                let place = |(gid, code)| *seen.entry(code).or_insert_with(|| find(gid));
+                codes.into_iter().enumerate().map(place).collect()
+            }
+            None => (0..self.len()).map(find).collect(),
+        }
+    }
+
+    /// Lane `lane` of this level's `width`, folded onto the `rows` coarser
+    /// rows of `parent`: each row's accumulator is `fresh` merged with its
+    /// groups' in group order — what a scan at the coarser key holds when
+    /// the lane [folds exactly](AggSpec::folds_exactly).
+    pub(crate) fn fold(
+        &self,
+        (lane, width): (usize, usize),
+        parent: &Parent,
+        rows: usize,
+        fresh: Acc,
+    ) -> Result<Vec<Acc>> {
+        let mut folded = vec![fresh; rows];
+        let lane = self.accs.iter().skip(lane).step_by(width);
+        for (acc, &row) in lane.zip(&parent.rows) {
+            folded[row as usize].merge(acc.clone())?;
+        }
+        Ok(folded)
     }
 
     /// Each group's code projected onto its key dimensions `dims` — two

@@ -762,8 +762,13 @@ fn holistic_pivot_lanes_match_the_scalar_scan() {
                         assert_eq!(fused_stats.vectorized_kernel_rows, N as u64, "{what}");
                         assert_eq!(scalar_stats.vectorized_kernel_rows, 0, "{what}");
                         // The per-row loop counts a row once per level: one
-                        // level per task plus the GROUP BY level.
-                        let levels = tasks.len() as u64 + 1;
+                        // cell level per task, and the GROUP BY level only
+                        // when a lane of its own must be fed per row — the
+                        // holistic extras of the first plan. The whole-
+                        // number measure's total and `sum` extra fold from
+                        // the cell level through `parent`.
+                        let scans_group_by = extras.iter().any(|(f, _)| f.is_holistic());
+                        let levels = tasks.len() as u64 + u64::from(scans_group_by);
                         assert_eq!(scalar_stats.scalar_kernel_rows, levels * N as u64, "{what}");
                         if sorted {
                             assert!(fused_stats.rle_runs > 0, "{what}: the run path");
@@ -946,7 +951,7 @@ fn untransposed_pivot(
 /// under and over 2^16 and one past the default budget (a 2000 × 2000
 /// group key), key-sorted input (the RLE path), empty input and the empty
 /// GROUP BY; and the pivot once more by a float column, where its task
-/// level takes the per-row loop beside the fused GROUP BY level.
+/// levels take the per-row loop and no GROUP BY level is scanned.
 /// (`partial_aggregate` takes its configuration from the environment, so it
 /// contributes one cell per table; the lattice has no empty level and
 /// declines `vector: false` and holistic lanes by contract.)
@@ -1055,8 +1060,10 @@ fn aggregate_partial_and_lattice_adapters_agree_across_the_kernel_matrix() {
                                 );
                             }
                             // The pivot by the float measure: its two
-                            // task levels take the per-row loop, the
-                            // GROUP BY level its own fused stream.
+                            // task levels take the per-row loop, and the
+                            // GROUP BY level — no total, no extra, so no
+                            // lane of its own — is not scanned at all: its
+                            // rows are the cell level's `parent`.
                             if *name == "small" && cols == [0, 1] {
                                 let mut st = ExecStats::default();
                                 let by_float = hash_aggregate_with_config(
@@ -1074,8 +1081,8 @@ fn aggregate_partial_and_lattice_adapters_agree_across_the_kernel_matrix() {
                                 assert_eq!(got, by_float, "{cell}: pivot BY a float");
                                 assert_eq!(
                                     (st.vectorized_kernel_rows, st.scalar_kernel_rows),
-                                    if vector { (n, 2 * n) } else { (0, 3 * n) },
-                                    "{cell}: only the levels keyed by the float degrade"
+                                    (0, 2 * n),
+                                    "{cell}: the two cell levels, keyed by the float, and nothing else"
                                 );
                             }
 

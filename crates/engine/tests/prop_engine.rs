@@ -2,13 +2,14 @@
 //! reference implementation over the same random input.
 
 use pa_engine::{
-    aggregate, distinct, divide, filter, hash_aggregate, hash_join, project, sort,
-    window_aggregate, AggFunc, AggSpec, CmpOp, ExecStats, Expr, JoinType, ParallelConfig, ProjSpec,
-    ResourceGuard, Selected, Selection, SystemClock, Tracer,
+    aggregate, aggregate_level, distinct, divide, filter, hash_aggregate, hash_join,
+    pivot_aggregate, project, sort, window_aggregate, AggFunc, AggSpec, CmpOp, ExecStats, Expr,
+    JoinType, ParallelConfig, PivotTask, ProjSpec, ResourceGuard, Selected, Selection, SystemClock,
+    Tracer, DEFAULT_DENSE_BUDGET,
 };
 use pa_storage::{DataType, Schema, Table, Value};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 #[derive(Debug, Clone)]
 struct Row {
@@ -284,8 +285,264 @@ fn divide_case(
     (fine, coarse, parent)
 }
 
+// ---- the pivot against `aggregate`, transposed by hand ---------------------
+
+/// The measure column of a pivot case: whole numbers small enough that their
+/// sums fold exactly, fractions, whole numbers too large to, or NULL only.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Measure {
+    Whole,
+    Fractional,
+    Huge,
+    Null,
+}
+
+const PIVOT_M: usize = 6;
+const PIVOT_MI: usize = 7;
+const PIVOT_SEL: usize = 8;
+
+/// `gi, gf, gs, gn, b, bs, m, mi, sel`: four GROUP BY candidates (an
+/// integer, a float, a string and a string column holding only NULLs), two
+/// BY candidates, the float measure `m`, an integer measure `mi` and the
+/// column the selection reads; NULLs in every key and measure.
+fn pivot_table(draw: &mut Draw, n: usize, measure: Measure) -> Table {
+    let schema = Schema::from_pairs(&[
+        ("gi", DataType::Int),
+        ("gf", DataType::Float),
+        ("gs", DataType::Str),
+        ("gn", DataType::Str),
+        ("b", DataType::Int),
+        ("bs", DataType::Str),
+        ("m", DataType::Float),
+        ("mi", DataType::Int),
+        ("sel", DataType::Int),
+    ])
+    .unwrap()
+    .into_shared();
+    let mut t = Table::empty(schema);
+    for _ in 0..n {
+        let k = draw.below(101) as i64 - 50;
+        let m = match measure {
+            Measure::Whole => Value::Float(k as f64),
+            Measure::Fractional => Value::Float(k as f64 * 0.1),
+            Measure::Huge => Value::Float((1u64 << 52) as f64 + k as f64),
+            Measure::Null => Value::Null,
+        };
+        let mut row = vec![
+            Value::Int(draw.below(4) as i64 * 7 - 7),
+            Value::Float(draw.below(3) as f64 * 0.5),
+            Value::str(["a", "b", "c", "d"][draw.below(4)]),
+            Value::Null,
+            Value::Int(draw.below(5) as i64),
+            Value::str(["x", "y", "z"][draw.below(3)]),
+            m,
+            Value::Int(draw.below(19) as i64 - 9),
+        ];
+        for cell in &mut row {
+            if draw.below(9) == 0 {
+                *cell = Value::Null;
+            }
+        }
+        row.push(Value::Int(draw.below(5) as i64));
+        t.push_row(&row).unwrap();
+    }
+    t
+}
+
+/// What a cell no row fed reads as: a fresh accumulator's value.
+fn unfed(func: AggFunc) -> Value {
+    match func {
+        AggFunc::Count | AggFunc::CountStar => Value::Int(0),
+        _ => Value::Null,
+    }
+}
+
+/// Cell-for-cell equality down to the bits of a float.
+fn same_bits(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+        (Value::Null, Value::Null) => true,
+        (Value::Int(a), Value::Int(b)) => a == b,
+        (Value::Str(a), Value::Str(b)) => a == b,
+        _ => false,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn pivot_equals_aggregate_then_transpose(seed in any::<u64>(), shape in 0usize..6) {
+        let mut draw = Draw(seed);
+        let measure = [Measure::Whole, Measure::Fractional, Measure::Huge, Measure::Null][draw.below(4)];
+        // Empty input, a few rows, or a few blocks and a ragged tail.
+        let n = [0, draw.below(40), 1024 + draw.below(1500)][shape % 3];
+        let t = pivot_table(&mut draw, n, measure);
+        // GROUP BY: nothing, or one or two of the four candidates.
+        let mut j_cols: Vec<usize> = Vec::new();
+        if shape >= 3 {
+            j_cols.push(draw.below(4));
+            let second = draw.below(8);
+            if second < 4 && second != j_cols[0] {
+                j_cols.push(second);
+            }
+        }
+        let (m, mi) = (Expr::Col(PIVOT_M), Expr::Col(PIVOT_MI));
+        let lanes = [
+            (AggFunc::Sum, m.clone()),
+            (AggFunc::Count, m.clone()),
+            (AggFunc::CountStar, Expr::lit(1)),
+            (AggFunc::Sum, mi.clone()),
+            (AggFunc::Min, m.clone()),
+            (AggFunc::Max, mi.clone()),
+            (AggFunc::Avg, m.clone()),
+            (AggFunc::Min, Expr::Col(2)),
+            (AggFunc::Sum, m.clone().add(Expr::lit(0))),
+        ];
+        let config = ParallelConfig {
+            threads: [1, 2, 4][draw.below(3)],
+            morsel_rows: 256,
+            min_parallel_rows: 0,
+            dense_budget: [0, 64, DEFAULT_DENSE_BUDGET][draw.below(3)],
+            vector: draw.below(2) == 0,
+            ..ParallelConfig::serial()
+        };
+        // The reference reads nothing the fused path does — the per-row
+        // loop over a tuple hash — in the same worker chunks, so a
+        // fractional sum is merged from the same partial sums.
+        let reference = ParallelConfig {
+            vector: false,
+            dense_budget: 0,
+            ..config
+        };
+        let guard = ResourceGuard::unlimited();
+        let mut stats = ExecStats::default();
+        let at_least = Expr::Cmp(
+            CmpOp::Ge,
+            Box::new(Expr::Col(PIVOT_SEL)),
+            Box::new(Expr::lit(draw.below(6) as i64)),
+        );
+        let selection = (draw.below(2) == 0)
+            .then(|| Selection::compile((&t).into(), &at_least, &guard, &mut stats, &reference).unwrap());
+        let input = match &selection {
+            Some(selection) => Selected::from(&t).with(selection),
+            None => (&t).into(),
+        };
+        let specs = |lanes: &[(AggFunc, Expr)]| -> Vec<AggSpec> {
+            let named = lanes.iter().enumerate();
+            named.map(|(i, (func, input))| AggSpec::new(*func, input.clone(), format!("x{i}"))).collect()
+        };
+
+        // One or two tasks: BY one or both candidates (or a GROUP BY
+        // candidate again), one to three lanes, a total or none; the
+        // combinations are those the reference finds, one dropped, one that
+        // occurs nowhere added.
+        let mut tasks: Vec<PivotTask> = Vec::new();
+        let mut fine: Vec<(Vec<usize>, Table)> = Vec::new();
+        for _ in 0..1 + draw.below(2) {
+            let by_cols = draw.one_of(&[vec![4], vec![5], vec![4, 5], vec![5, 4], vec![1], vec![0, 5]]);
+            let mut by_cols: Vec<usize> = by_cols
+                .into_iter()
+                .filter(|c| !j_cols.contains(c))
+                .collect();
+            if by_cols.is_empty() {
+                by_cols.push(4);
+            }
+            let task_lanes: Vec<(AggFunc, Expr)> =
+                (0..1 + draw.below(3)).map(|_| draw.one_of(&lanes)).collect();
+            let total = draw.one_of(&[None, Some(m.clone()), Some(mi.clone())]);
+            let key: Vec<usize> = j_cols.iter().chain(&by_cols).copied().collect();
+            let level =
+                aggregate_level(input, &key, &specs(&task_lanes), &guard, &mut stats, &reference).unwrap();
+            let mut combos: Vec<Vec<Value>> = Vec::new();
+            for row in level.rows() {
+                let combo = row[j_cols.len()..key.len()].to_vec();
+                if !combos.contains(&combo) {
+                    combos.push(combo);
+                }
+            }
+            if combos.len() > 1 && draw.below(2) == 0 {
+                combos.remove(draw.below(combos.len()));
+            }
+            let nowhere = by_cols.iter().map(|&c| match c {
+                5 => Value::str("nowhere"),
+                _ => Value::Int(-1),
+            });
+            combos.insert(draw.below(combos.len() + 1), nowhere.collect());
+            tasks.push(PivotTask { by_cols, lanes: task_lanes, combos, total });
+            fine.push((key, level));
+        }
+        let extras: Vec<(AggFunc, Expr)> = (0..draw.below(3)).map(|_| draw.one_of(&lanes)).collect();
+
+        // The GROUP BY level the reference scans: every total, every extra
+        // (and a count, so it has a lane to be a level by).
+        let totals = tasks.iter().filter_map(|task| Some((AggFunc::Sum, task.total.clone()?)));
+        let mut coarse_lanes: Vec<(AggFunc, Expr)> = totals.chain(extras.iter().cloned()).collect();
+        coarse_lanes.push((AggFunc::CountStar, Expr::lit(1)));
+        let coarse_specs = specs(&coarse_lanes);
+        let coarse = aggregate_level(input, &j_cols, &coarse_specs, &guard, &mut stats, &reference).unwrap();
+
+        let mut want: Vec<Vec<Value>> = coarse.rows().map(|row| row[..j_cols.len()].to_vec()).collect();
+        let mut next_total = j_cols.len();
+        for (task, (key, level)) in tasks.iter().zip(&fine) {
+            let cells: HashMap<Vec<Value>, Vec<Value>> =
+                level.rows().map(|row| (row[..key.len()].to_vec(), row[key.len()..].to_vec())).collect();
+            for (row, totals) in want.iter_mut().zip(coarse.rows()) {
+                for combo in &task.combos {
+                    let cell: Vec<Value> = row[..j_cols.len()].iter().chain(combo).cloned().collect();
+                    match cells.get(&cell) {
+                        Some(fed) => row.extend(fed.iter().cloned()),
+                        None => row.extend(task.lanes.iter().map(|(func, _)| unfed(*func))),
+                    }
+                }
+                if task.total.is_some() {
+                    row.push(totals[next_total].clone());
+                }
+            }
+            next_total += usize::from(task.total.is_some());
+        }
+        for (row, lanes) in want.iter_mut().zip(coarse.rows()) {
+            row.extend(lanes[next_total..next_total + extras.len()].iter().cloned());
+        }
+
+        let mut stats = ExecStats::default();
+        let got = pivot_aggregate(input, &j_cols, &tasks, &extras, &guard, &mut stats, &config).unwrap();
+        let what = format!(
+            "{measure:?} n={n} GROUP BY {j_cols:?} tasks={tasks:?} extras={extras:?} \
+             selected={} {config:?}",
+            selection.is_some()
+        );
+        let got: Vec<Vec<Value>> = got.rows().collect();
+        prop_assert_eq!(got.len(), want.len(), "rows: {}", what);
+        for (r, (got, want)) in got.iter().zip(&want).enumerate() {
+            prop_assert_eq!(got.len(), want.len(), "columns: {}", what);
+            for (c, (got, want)) in got.iter().zip(want).enumerate() {
+                prop_assert!(same_bits(got, want), "row {} column {}: {:?}, reference {:?}: {}", r, c, got, want, what);
+            }
+        }
+
+        // Which plan ran: the GROUP BY level is scanned exactly when some
+        // total or extra has no cell lane to fold from, or folding it
+        // would not be exact.
+        let whole = (0..n)
+            .filter_map(|row| t.column(PIVOT_M).get_f64(row))
+            .try_fold(0.0f64, |bound, x| (x.fract() == 0.0).then(|| bound.max(x.abs())));
+        let m_folds = whole.is_some_and(|bound| bound < 2f64.powi(52) && n as f64 * bound < 2f64.powi(53));
+        let carried = |lane: &(AggFunc, Expr)| tasks.iter().any(|task| task.lanes.contains(lane));
+        let exact = |(func, input): &(AggFunc, Expr)| match func {
+            AggFunc::Count | AggFunc::CountStar => true,
+            AggFunc::Sum if *input == mi => true,
+            AggFunc::Sum if *input == m => m_folds,
+            _ => false,
+        };
+        coarse_lanes.pop();
+        let scans_group_by = coarse_lanes.iter().any(|lane| !(carried(lane) && exact(lane)));
+        prop_assert_eq!(
+            stats.dense_group_ops + stats.hash_group_ops,
+            tasks.len() as u64 + u64::from(scans_group_by),
+            "levels planned: {}", what
+        );
+    }
 
     #[test]
     fn divide_matches_join_then_safe_div(
@@ -304,15 +561,11 @@ proptest! {
         prop_assert_eq!(joined.num_rows(), fine.num_rows());
         let pct = ProjSpec::typed(Expr::Col(1).safe_div(Expr::Col(3)), "pct", DataType::Float);
         let reference = project(&joined, &[pct], &mut stats).unwrap();
-        let got = divide(fine.column(1), coarse.column(1), &parent);
+        let got = divide(fine.column(1), coarse.column(1), Some(&parent));
         prop_assert_eq!(got.len(), fine.num_rows());
         for row in 0..fine.num_rows() {
             let (want, got) = (reference.get(row, 0), got.get(row));
-            let same = match (&want, &got) {
-                (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
-                _ => want.is_null() && got.is_null(),
-            };
-            prop_assert!(same, "row {}: join + safe_div {:?}, divide {:?}", row, want, got);
+            prop_assert!(same_bits(&want, &got), "row {}: join + safe_div {:?}, divide {:?}", row, want, got);
         }
     }
 }

@@ -6,7 +6,8 @@ use pa_core::{CoreError, PercentageEngine, TestClock};
 use pa_engine::{chaos, Clock, Degradation};
 use pa_service::{QueryService, ServiceConfig, ServiceError, SessionOptions};
 use pa_storage::{Catalog, Value};
-use pa_workload::{install_sales, SalesConfig};
+use pa_workload::{install_sales, sales_table, SalesConfig};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -278,6 +279,86 @@ fn contained_panic_walks_the_ladder_and_records_it() {
         vec!["sales".to_string()],
         "neither the failed nor the degraded attempt registered a table"
     );
+}
+
+/// A clock that arms the chaos panic while it has shots left: the engine
+/// reads its clock when an attempt's deadline is set, on the query's own
+/// thread and before the attempt charges anything, so with two shots the
+/// first attempt and the serial rung each meet one panic at their first
+/// morsel and the SPJ rung runs clean — the ladder's last rung, forced
+/// without a race.
+#[derive(Debug)]
+struct PanicPerAttempt(AtomicUsize);
+
+impl Clock for PanicPerAttempt {
+    fn now(&self) -> Duration {
+        if !chaos::is_armed() && self.0.load(Ordering::SeqCst) > 0 {
+            self.0.fetch_sub(1, Ordering::SeqCst);
+            chaos::arm(0);
+        }
+        Duration::ZERO
+    }
+}
+
+fn bits(rows: &[Vec<Value>]) -> Vec<Vec<Result<u64, Value>>> {
+    let cell = |v: &Value| match v {
+        Value::Float(x) => Ok(x.to_bits()),
+        other => Err(other.clone()),
+    };
+    rows.iter()
+        .map(|row| row.iter().map(cell).collect())
+        .collect()
+}
+
+#[test]
+fn the_spj_rung_answers_with_the_clean_pivots_bits() {
+    let _w = chaos_window();
+    // `install_sales`'s fractional amounts, and the same rows in whole
+    // cents: the measure whose totals the pivot folds through `parent`.
+    let fractional = sales_table(&SalesConfig {
+        rows: 2048,
+        seed: 11,
+    });
+    let mut cents = fractional.clone();
+    let amt = cents.schema().index_of("salesAmt").unwrap();
+    for row in 0..cents.num_rows() {
+        let whole = (cents.column(amt).get_f64(row).unwrap() * 100.0).round();
+        cents.column_mut(amt).set(row, Value::Float(whole)).unwrap();
+    }
+    assert_eq!(fractional.integral_bound(amt), None);
+    assert!(cents.integral_bound(amt).is_some());
+
+    for (what, table, levels) in [("fractional", fractional, 2), ("whole cents", cents, 1)] {
+        let catalog = Catalog::without_wal();
+        catalog.create_table("sales", table).unwrap();
+        let clean = PercentageEngine::new(&catalog);
+        clean.execute_sql(HPCT).unwrap(); // fills the combination cache
+        let pivot = clean.execute_sql(HPCT).unwrap();
+        let scanned = pivot.stats().dense_group_ops + pivot.stats().hash_group_ops;
+        assert_eq!(
+            scanned, levels,
+            "{what}: the cell level, and the GROUP BY level only for a total that cannot fold"
+        );
+        let want: Vec<Vec<Value>> = pivot.table().read().rows().collect();
+
+        let clock = Arc::new(PanicPerAttempt(AtomicUsize::new(2)));
+        let engine = PercentageEngine::new(&catalog).with_clock(clock.clone());
+        let service = QueryService::from_engine(engine, ServiceConfig::default());
+        let session = SessionOptions::with_deadline(Duration::from_secs(3600));
+        let resp = service.execute_sql_session(HPCT, &session).unwrap();
+        assert!(!chaos::is_armed() && clock.0.load(Ordering::SeqCst) == 0);
+        assert_eq!(
+            resp.stats.degraded_to,
+            Some(Degradation::SerialThenSpj),
+            "{what}"
+        );
+        let got: Vec<Vec<Value>> = resp.table.rows().collect();
+        assert_eq!(
+            bits(&got),
+            bits(&want),
+            "{what}: SPJ's row-order totals, bit for bit"
+        );
+    }
 }
 
 #[test]

@@ -215,6 +215,15 @@ impl Table {
         self.column_stats(i).distinct(&self.columns[i])
     }
 
+    /// `Some(m)` when every non-NULL value of column `i` is a whole number of
+    /// magnitude at most `m` (`None` for a float column holding a fraction,
+    /// NaN or a magnitude from 2^52 up, and for strings): computed once per
+    /// column version and carried over appends, like the range it sits
+    /// beside.
+    pub fn integral_bound(&self, i: usize) -> Option<f64> {
+        self.column_stats(i).integral(&self.columns[i])
+    }
+
     /// The NULL-folded slot vector a block kernel reads key column `i`
     /// through, whichever side-car holds it: a string column's
     /// [`Column::packed_slots`], a narrow integer column's

@@ -16,6 +16,7 @@ use std::sync::Arc;
 const COLS: usize = 3;
 const INT: usize = 0;
 const STR: usize = 1;
+const FLOAT: usize = 2;
 
 fn schema() -> Arc<Schema> {
     Schema::from_pairs(&[
@@ -51,6 +52,10 @@ fn assert_fresh(t: &Table, c: usize, what: &str) {
     assert_eq!(got.null_count(), want.null_count(), "{what}: NULLs of {c}");
     let (got, want) = (t.distinct_estimate(c), fresh.distinct_estimate(c));
     assert_eq!(got, want, "{what}: distinct of {c}");
+    // Asking builds the whole-number bound, so every later append carries
+    // it; a column never asked before builds it from the rows as they are.
+    let (got, want) = (t.integral_bound(c), fresh.integral_bound(c));
+    assert_eq!(got, want, "{what}: whole-number bound of {c}");
     let slots = |t: &Table| t.key_slots(c).map(|s| PackedCodes::clone(s));
     assert_eq!(slots(t), slots(&fresh), "{what}: every slot of {c}");
     if let Column::Str {
@@ -112,9 +117,12 @@ fn row_strategy() -> impl Strategy<Value = Vec<Value>> {
         4 => "[a-c]{0,2}".prop_map(Value::str),
         2 => (0u32..300).prop_map(|k| Value::str(format!("k{k}"))),
     ];
+    // Whole numbers mostly, so the column's whole-number bound survives a
+    // few appends before a fraction clears it.
     let float = prop_oneof![
-        1 => Just(Value::Null),
-        3 => (-4i64..4).prop_map(|x| Value::Float(x as f64 * 0.5)),
+        2 => Just(Value::Null),
+        12 => (-40i64..40).prop_map(|x| Value::Float(x as f64)),
+        1 => (-4i64..4).prop_map(|x| Value::Float(x as f64 + 0.5)),
     ];
     (int, string, float).prop_map(|(i, s, f)| vec![i, s, f])
 }
@@ -311,6 +319,73 @@ fn a_string_append_extends_until_the_dictionary_crosses_a_lane() {
     );
     assert_eq!(t.key_slots(STR).unwrap().heap_bytes(), 2 * t.num_rows());
     assert_fresh(&t, STR, "256 entries");
+}
+
+#[test]
+fn the_whole_number_bound_follows_appends_and_a_fraction_clears_it() {
+    let floats = |values: &[Option<f64>]| -> Vec<Vec<Value>> {
+        let row = |v: &Option<f64>| vec![Value::Null, Value::Null, Value::from(*v)];
+        values.iter().map(row).collect()
+    };
+    let mut t = table(&floats(&[Some(3.0), None, Some(-7.0), Some(-0.0)]));
+    assert_eq!(t.integral_bound(FLOAT), Some(7.0));
+    assert_eq!(t.integral_bound(STR), None, "strings have no numbers");
+    assert_eq!(
+        t.integral_bound(INT),
+        Some(0.0),
+        "an all-NULL integer column"
+    );
+
+    // Built, an append folds the appended values only; the pin keeps its own.
+    let pin = t.clone();
+    t.push_rows(&floats(&[Some(12.0), None])).unwrap();
+    assert_eq!(t.integral_bound(FLOAT), Some(12.0));
+    assert_eq!(pin.integral_bound(FLOAT), Some(7.0));
+    assert_fresh(&t, FLOAT, "a larger whole number");
+
+    // A fraction (or an infinity) clears it, and later whole numbers do not
+    // bring it back; an overwrite of the fraction resets the cell, and the
+    // rebuild finds whole numbers only.
+    t.push_rows(&floats(&[Some(0.5)])).unwrap();
+    assert_eq!(t.integral_bound(FLOAT), None);
+    t.push_rows(&floats(&[Some(100.0)])).unwrap();
+    assert_eq!(t.integral_bound(FLOAT), None);
+    assert_fresh(&t, FLOAT, "after a fraction");
+    let fraction = t.num_rows() - 2;
+    t.set_cells(fraction, &[FLOAT], &[Value::Float(2.0)])
+        .unwrap();
+    assert_eq!(t.integral_bound(FLOAT), Some(100.0));
+    t.set_cells(0, &[FLOAT], &[Value::Float(f64::INFINITY)])
+        .unwrap();
+    assert_eq!(
+        t.integral_bound(FLOAT),
+        None,
+        "a fractional overwrite clears it"
+    );
+
+    // The largest whole number the test can vouch for is 2^52 - 1; NaN and
+    // a NULL holding the NaN placeholder are different things.
+    let edge = (1u64 << 52) as f64;
+    assert_eq!(
+        table(&floats(&[Some(1.0 - edge), None])).integral_bound(FLOAT),
+        Some(edge - 1.0)
+    );
+    assert_eq!(table(&floats(&[Some(edge)])).integral_bound(FLOAT), None);
+    assert_eq!(
+        table(&floats(&[Some(f64::NAN)])).integral_bound(FLOAT),
+        None
+    );
+    assert_eq!(
+        table(&floats(&[None, None])).integral_bound(FLOAT),
+        Some(0.0)
+    );
+
+    // An integer column answers from its range, however wide.
+    let ints = built_ints(&[Some(-9), Some(4), None, Some(i64::MIN)]);
+    assert_eq!(
+        ints.integral_bound(INT),
+        Some(i64::MIN.unsigned_abs() as f64)
+    );
 }
 
 #[test]
