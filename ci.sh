@@ -63,6 +63,32 @@ if sed '/^#\[cfg(test)\]/,$d' crates/core/src/lattice.rs | grep -nE 'Value::|has
   exit 1
 fi
 
+echo "==> one cache, one producer: combinations are cached levels, the lattice adapter returns tables"
+# The catalog holds one cache of derived data, the level cache, whose
+# zero-lane entries are the BY combinations (DESIGN.md §15), and
+# `lattice_aggregate` hands core finished, key-sorted level tables. A
+# `ComboCache` anywhere under crates/*/src is the second cache coming back;
+# a `ShardPartial` or a `finalize(` in crates/core/src/lattice.rs outside its
+# tests is the per-`Value` detour through the shard wire form coming back.
+if [ -e crates/storage/src/combos.rs ] || grep -rn 'ComboCache' crates/*/src; then
+  echo "a second cache of derived data reappeared (combos.rs / ComboCache)" >&2
+  exit 1
+fi
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/lattice.rs | grep -nE 'ShardPartial|finalize\('; then
+  echo "crates/core/src/lattice.rs names ShardPartial or finalize( outside #[cfg(test)]" >&2
+  exit 1
+fi
+# For the log: the two sizes the pruning items (ROADMAP item 7) are judged
+# by. The second was 4 268 with combos.rs and lattice_kernel.rs in it.
+echo "workspace pub fn: $(grep -rn 'pub fn' crates/*/src src | wc -l)"
+budget=0
+for f in crates/storage/src/lattice.rs crates/storage/src/catalog.rs \
+  crates/engine/src/ops/aggregate.rs crates/engine/src/ops/partial.rs \
+  crates/core/src/lattice.rs crates/core/src/horizontal.rs; do
+  budget=$((budget + $(sed '/^#\[cfg(test)\]/,$d' "$f" | wc -l)))
+done
+echo "level-cache and level-producer non-test lines: $budget"
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -108,7 +134,7 @@ echo "==> checkpoint-crash matrix: torn writes, compaction, recovery load"
 #   catalog, recovery from the log alone, recovery from image + suffix and
 #   a replica synced over a direct transport agree row for row;
 # * combo_regressions — recovery (plain and checkpoint-aware) must leave
-#   the combination cache verifiably cold;
+#   the level cache, cached combination sets included, verifiably cold;
 # * snapshot_oracle — pinned-view reads stay byte-identical under
 #   concurrent seeded writers at each thread count, and after every seeded
 #   append + update each `ingest` statement shape answers as a fresh load

@@ -87,9 +87,10 @@ struct TermPlan {
     combine: Combine,
     /// Group-total aggregation for percentage terms.
     total: Option<Expr>,
-    /// The handle the combination cache hands out: a warm statement shares
-    /// the cached set, it does not copy it.
-    combos: Arc<Vec<Vec<Value>>>,
+    /// The distinct `BY` combinations, sorted — read off the term's level
+    /// table once, and moved into the pivot's task ([`plans_as_tasks`]).
+    combos: Vec<Vec<Value>>,
+    /// One result column per combination (so also their count).
     names: Vec<String>,
 }
 
@@ -346,18 +347,19 @@ pub(crate) fn eval_horizontal_on(
     // ---------- Distinct subgroup combinations → result columns. ----------
     // The distinct BY-combination set depends only on the fact table's
     // data (FV preserves it: FV groups by `group_by ∪ by`, so the distinct
-    // BY tuples are identical over F and FV), so it is memoized in the
-    // catalog's combination cache keyed by `(table, BY columns)`. The
-    // cache is invalidated by every logged mutation of the table, so a hit
-    // is always current. A hit charges the set it hands over; a miss is a
-    // keyed scan of the source like the pivot beside it — `distinct`
-    // charges the rows it reads morsel by morsel, then the set — so a cold
-    // statement costs one more pass of the table than a warm one, in its
-    // budget and its trace as on the clock, as a cold lattice level always
-    // has, and a deadline or cancellation lands inside the pass. A fact
-    // without a cache key (one with a `WHERE`) is scanned for its
-    // combinations every time: a BY value the selection filtered out is
-    // not a result column.
+    // BY tuples are identical over F and FV): it is the level `BY` of the
+    // table with no lanes, kept in the catalog's level cache under
+    // `(table, BY columns)` and served by whatever level sits there — its
+    // own, or one a ROLLUP left with lanes. The cache is invalidated by
+    // every logged mutation of the table, so a hit is always current. A
+    // hit charges the set it hands over; a miss is a keyed scan of the
+    // source like the pivot beside it — `distinct` charges the rows it
+    // reads morsel by morsel, then the set — so a cold statement costs one
+    // more pass of the table than a warm one, in its budget and its trace
+    // as on the clock, as a cold lattice level always has, and a deadline
+    // or cancellation lands inside the pass. A fact without a cache key
+    // (one with a `WHERE`) is scanned for its combinations every time: a BY
+    // value the selection filtered out is not a result column.
     let combo_cache = fact.cache_key().map(|key| (catalog.combo_cache(), key));
     let multi_term = q.terms.len() > 1;
     let mut plans: Vec<TermPlan> = Vec::new();
@@ -367,34 +369,33 @@ pub(crate) fn eval_horizontal_on(
             .iter()
             .map(|n| src_schema.index_of(n).map_err(CoreError::from))
             .collect::<Result<Vec<_>>>()?;
-        let combos: Arc<Vec<Vec<Value>>> = {
+        let by: Vec<String> = term.by.iter().map(|c| c.to_ascii_lowercase()).collect();
+        let level: Arc<Table> = {
             let mut span = guard.span("combos");
             span.add_morsels(1);
-            match combo_cache.and_then(|(cache, key)| cache.get(key, &term.by)) {
+            match combo_cache.and_then(|(cache, key)| cache.get(key, &by, &[])) {
                 Some(cached) => {
                     stats.combo_cache_hits += 1;
-                    guard.charge(cached.len() as u64)?;
-                    span.add_rows(cached.len() as u64);
+                    guard.charge(cached.num_rows() as u64)?;
+                    span.add_rows(cached.num_rows() as u64);
                     cached
                 }
                 None => {
                     stats.combo_cache_misses += 1;
                     let found = distinct(src, &by_src_cols, guard, &mut stats, &par)?;
-                    let mut combos: Vec<Vec<Value>> = found.rows().collect();
-                    combos.sort_by(|a, b| {
-                        a.iter()
-                            .zip(b)
-                            .map(|(x, y)| x.total_cmp(y))
-                            .find(|o| *o != std::cmp::Ordering::Equal)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    });
-                    match combo_cache {
-                        Some((cache, key)) => cache.store(key, &term.by, combos),
-                        None => Arc::new(combos),
+                    let every_col: Vec<usize> = (0..by.len()).collect();
+                    let level = Arc::new(found.sorted_by(&every_col));
+                    if let Some((cache, key)) = combo_cache {
+                        cache.store(key, &by, &[], Arc::clone(&level));
                     }
+                    level
                 }
             }
         };
+        let keys = &level.columns()[..by.len()];
+        let combos: Vec<Vec<Value>> = (0..level.num_rows())
+            .map(|r| keys.iter().map(|c| c.get(r)).collect())
+            .collect();
         let prefix_name = if multi_term { term.name.as_str() } else { "" };
         let mut names: Vec<String> = combos
             .iter()
@@ -416,7 +417,7 @@ pub(crate) fn eval_horizontal_on(
     }
 
     // Column budget (DMKD §3.6).
-    let n_cells: usize = plans.iter().map(|p| p.combos.len()).sum();
+    let n_cells: usize = plans.iter().map(|p| p.names.len()).sum();
     let total_cols = q.group_by.len() + n_cells + q.extra.len();
     let partitioned = total_cols > opts.max_columns;
     if partitioned && !opts.allow_partitioning {
@@ -456,7 +457,7 @@ pub(crate) fn eval_horizontal_on(
                 crate::dispatch::pivot_aggregate(
                     src,
                     &j_cols,
-                    &plans_as_tasks(&plans),
+                    &plans_as_tasks(&mut plans),
                     &flat_extras,
                     guard,
                     &mut stats,
@@ -503,7 +504,7 @@ pub(crate) fn eval_horizontal_on(
     for (term, plan) in q.terms.iter().zip(&plans) {
         let lanes = plan.lanes.len();
         let cell_base = pos;
-        let total_pos = cell_base + plan.combos.len() * lanes;
+        let total_pos = cell_base + plan.names.len() * lanes;
         for (i, name) in plan.names.iter().enumerate() {
             let lane = raw.column(cell_base + i * lanes);
             if term.percentage && plan.combine == Combine::Single && !term.default_zero {
@@ -803,14 +804,15 @@ fn spj_raw(
     Ok(project(&joined, &proj, stats)?)
 }
 
-/// Bridge the per-term plans into the dispatch operator's task form.
-fn plans_as_tasks(plans: &[TermPlan]) -> Vec<crate::dispatch::PivotTask> {
+/// Bridge the per-term plans into the dispatch operator's task form; each
+/// plan's combinations move into its task.
+fn plans_as_tasks(plans: &mut [TermPlan]) -> Vec<crate::dispatch::PivotTask> {
     plans
-        .iter()
+        .iter_mut()
         .map(|p| crate::dispatch::PivotTask {
             by_cols: p.by_src_cols.clone(),
             lanes: p.lanes.clone(),
-            combos: Vec::clone(&p.combos),
+            combos: std::mem::take(&mut p.combos),
             total: p.total.clone(),
         })
         .collect()
@@ -1117,6 +1119,11 @@ mod tests {
         let first = eval_horizontal(&catalog, &q, &HorizontalOptions::default(), "k1_").unwrap();
         assert_eq!(first.stats.combo_cache_misses, 1, "{}", first.stats);
         assert_eq!(first.stats.combo_cache_hits, 0);
+        // The set is the level `(dweek)` of the one cache, with no lanes.
+        let (cache, by) = (catalog.lattice_cache(), ["dweek".to_string()]);
+        let set = cache.get("sales", &by, &[]).expect("stored by the miss");
+        assert_eq!((set.num_rows(), set.num_columns()), (2, 1));
+        assert!(!cache.probe("sales", &by, &["sum(salesAmt)".to_string()]));
         // Same table + BY dims, different strategy: served from cache.
         let second = eval_horizontal(
             &catalog,

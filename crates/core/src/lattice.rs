@@ -16,12 +16,12 @@
 //!
 //! * Every level the fact table must be scanned for — the finest level
 //!   of a ROLLUP, each of several disjoint grouping sets, every set when
-//!   extra aggregates ride along — shares *one* scan through the fused
-//!   multi-level kernel ([`pa_engine::lattice_aggregate`]): one
-//!   pass codes each row once and scatters every lane into every level's
+//!   extra aggregates ride along, holistic ones included — shares *one*
+//!   scan ([`pa_engine::lattice_aggregate`]): when the plan fuses, one pass
+//!   codes each row once and scatters every lane into every level's
 //!   accumulators. Levels a finer one covers re-aggregate it, bottom-up.
-//! * Each level is finalized into one table in a canonical layout (level
-//!   columns in normalized order, then the lanes; rows sorted by key) and
+//! * Each level is one table in a canonical layout (level columns in
+//!   normalized order, then the lanes; rows sorted by key) and is
 //!   kept in the catalog's [`pa_storage::LatticeCache`], so a later request
 //!   at the same level is a refcount bump and one at any coarser level
 //!   re-aggregates a cached table instead of rescanning `F` — storing the
@@ -42,8 +42,8 @@ use crate::error::{CoreError, Result};
 use crate::query::{ExtraAgg, Fact, Measure, VpctQuery};
 use crate::vertical::{count_insert, extra_spec, into_shared, percentage, QueryResult};
 use pa_engine::{
-    aggregate, aggregate_level, lattice_aggregate, AggFunc, AggSpec, ExecStats, Expr,
-    ParallelConfig, ResourceGuard,
+    aggregate_level, lattice_aggregate, AggFunc, AggSpec, ExecStats, Expr, ParallelConfig,
+    ResourceGuard,
 };
 use pa_storage::{
     Catalog, Column, DataType, Field, FxHashMap, LatticeCache, Schema, SharedTable, Table,
@@ -106,8 +106,8 @@ pub const COST_FACT_SCAN: u32 = 3;
 /// Where a level's aggregation reads from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LevelSource {
-    /// Scan the fact table (through the fused multi-level kernel when the
-    /// plan is eligible; all `FactTable` levels share one scan).
+    /// Scan the fact table (all `FactTable` levels share one scan, and one
+    /// code stream when the plan fuses).
     FactTable,
     /// Re-aggregate the previously planned level at this index.
     Planned(usize),
@@ -390,11 +390,7 @@ fn reaggregate_level(
         })
         .collect();
     let derived = aggregate_level(src.into(), &group_cols, &specs, guard, stats, config)?;
-    Ok(sorted_by_key(derived, to))
-}
-
-fn sorted_by_key(t: Table, level: &Level) -> Table {
-    t.sorted_by(&(0..level.arity()).collect::<Vec<_>>())
+    Ok(derived.sorted_by(&(0..to.arity()).collect::<Vec<_>>()))
 }
 
 /// Materialize every level `queries` (one table, the same extras) need —
@@ -438,61 +434,31 @@ fn materialize_levels(
         tables.insert(level.clone(), t);
     };
 
-    // One fused scan covers every FactTable step, keyed by the union of
-    // their columns in normalized order — so each level comes out of
-    // `finalize` in the canonical layout already.
+    // One scan covers every FactTable step, keyed by the union of their
+    // columns in normalized order — so each level comes back in the
+    // canonical layout already — with the extras only where a result reads
+    // them: every lane at a root, the measure sums at a totals level.
     let scanning: Vec<&Level> = steps
         .iter()
         .filter(|s| s.source == LevelSource::FactTable)
         .map(|s| &s.level)
         .collect();
     if !scanning.is_empty() {
-        let config = fact.config();
-        let cols_of = |l: &Level| l.columns().iter().map(|c| fact_col[c]).collect::<Vec<_>>();
         let all: Vec<String> = scanning.iter().flat_map(|l| l.columns()).cloned().collect();
         let key = Level::new(&all);
+        let key_cols: Vec<usize> = key.columns().iter().map(|c| fact_col[c]).collect();
         let dims: Vec<Vec<usize>> = scanning
             .iter()
             .map(|l| l.columns().iter().filter_map(|c| key.position(c)).collect())
             .collect();
-        let fused = lattice_aggregate(
-            f.selected(),
-            &cols_of(&key),
-            &specs,
-            &dims,
-            guard,
-            stats,
-            &config,
-        )?;
-        let scanned: Vec<Table> = match fused {
-            Some(partials) => {
-                let _span = guard.span("finish");
-                partials
-                    .into_iter()
-                    .map(|p| p.finalize(stats))
-                    .collect::<std::result::Result<_, _>>()?
-            }
-            // Not fusable (holistic lanes, PA_VECTOR=0, uncodable
-            // keys): one plain aggregation per level, the extras only
-            // where a result reads them.
-            None => {
-                let per_level: Vec<(Vec<usize>, Vec<AggSpec>)> = scanning
-                    .iter()
-                    .map(|l| {
-                        let n = match roots.contains(l) {
-                            true => specs.len(),
-                            false => lanes.measures.len(),
-                        };
-                        (cols_of(l), specs[..n].to_vec())
-                    })
-                    .collect();
-                aggregate(f.selected(), &per_level, guard, stats, &config)?
-                    .into_iter()
-                    .zip(&scanning)
-                    .map(|(t, l)| sorted_by_key(t, l))
-                    .collect()
-            }
-        };
+        let levels: Vec<(&[usize], &[AggSpec])> = (scanning.iter().zip(&dims))
+            .map(|(l, dims)| match roots.contains(l) {
+                true => (&dims[..], &specs[..]),
+                false => (&dims[..], &specs[..lanes.measures.len()]),
+            })
+            .collect();
+        let config = fact.config();
+        let scanned = lattice_aggregate(f.selected(), &key_cols, &levels, guard, stats, &config)?;
         stats.levels_from_scan += scanned.len() as u64;
         for (level, t) in scanning.into_iter().zip(scanned) {
             keep(level, t, &mut tables);

@@ -1,17 +1,21 @@
-//! Differential oracle for the one-scan lattice evaluator (DESIGN.md §15).
+//! Differential oracle for the one-scan lattice evaluator and the level
+//! cache it shares with `Hpct` (DESIGN.md "The level cache").
 //!
-//! The fused path — one scan feeding every lattice level through radix
-//! projection, partials cached and re-aggregated for coarser queries —
-//! must be *indistinguishable* from the naive per-level evaluator. Every
-//! test here compares the two end to end, sweeping the knobs that change
-//! which kernel actually runs:
+//! The lattice path — one scan feeding every lattice level, through radix
+//! projection when the plan fuses, levels cached and re-aggregated for
+//! coarser queries — must be *indistinguishable* from the naive per-level
+//! evaluator. Every test here compares the two end to end, sweeping the
+//! knobs that change which kernel actually runs:
 //!
 //! * `PA_THREADS` 1/2/4 — serial vs morsel-parallel scan with the
 //!   deterministic worker-order merge;
 //! * `PA_DENSE_BUDGET` high/1 — dense radix jump tables vs shift-packed
 //!   wide codes with mask-and-shift projection;
-//! * `PA_VECTOR=0` — the fused kernel refuses and the per-level fallback
-//!   runs inside the lattice evaluator itself;
+//! * `PA_VECTOR=0` — no stream fuses and every level takes the per-row
+//!   loop over its own key, in the same one scan;
+//! * lanes — the term sums alone, distributive extras, and the holistic
+//!   extras (median, percentiles, approximate count-distinct) that ride
+//!   the same scan at the levels whose results read them;
 //! * cache states — cold, warm (every level an exact cached table),
 //!   ancestor-only (levels re-aggregated from a cached finer one and
 //!   stored back), evicted by the byte bound, invalidated by an append.
@@ -194,8 +198,8 @@ fn vector_ablation_still_matches() {
             3,
         )
     };
-    // PA_VECTOR=0: the fused kernel reports ineligibility and the lattice
-    // evaluator falls back to per-level aggregation — same bytes.
+    // PA_VECTOR=0: no level fuses, each takes the per-row loop over its
+    // own key — same bytes.
     let _pins = EnvPins::set(&[("PA_THREADS", "1".into()), ("PA_VECTOR", "0".into())]);
     let catalog = fact_catalog();
     let scalar = eval_vpct_lattice(&catalog, &q, "s_").unwrap();
@@ -464,6 +468,169 @@ fn statements_are_byte_identical_across_cache_states_and_to_the_per_set_plan() {
     }
 }
 
+/// ROLLUP, CUBE and explicit sets carrying holistic extras: exact and
+/// approximate percentiles, approximate count-distinct, and — the one lane
+/// here the block loop does not read — an exact count-distinct.
+const HOLISTIC_SQL: [&str; 4] = [
+    "SELECT region, store, day, Vpct(amt BY day) AS p, median(amt) AS med, \
+     percentile(amt, 0.9) AS p90 FROM f GROUP BY ROLLUP (region, store, day);",
+    "SELECT region, store, Vpct(amt BY store) AS p, approx_percentile(amt, 0.5) AS apx, \
+     approx_count_distinct(day) AS days FROM f GROUP BY CUBE (region, store);",
+    "SELECT region, store, day, Vpct(amt BY store, day) AS p, median(amt) AS med, \
+     approx_count_distinct(store) AS stores, count(*) AS n FROM f \
+     GROUP BY GROUPING SETS ((region, store, day), (region, day), (day));",
+    "SELECT region, day, Vpct(amt BY day) AS p, count(DISTINCT store) AS stores, \
+     percentile(amt, 0.25) AS q1 FROM f GROUP BY ROLLUP (region, day);",
+];
+
+/// Holistic extras ride the lattice scan like any other lane: cold and
+/// warm, on every kernel the knobs select, each statement's sets equal the
+/// per-set plan (`eval_vpct` under `VpctStrategy::best()` per set) row for
+/// row — the approximate lanes included, whose sketches see the same rows
+/// in the same order under the same chunking.
+#[test]
+fn holistic_extras_ride_the_lattice_scan_cold_and_warm() {
+    let _w = env_window();
+    for threads in [1usize, 2, 4] {
+        for vector in [true, false] {
+            for dense_budget in [1usize << 20, 1] {
+                let _pins = EnvPins::set(&[
+                    ("PA_THREADS", threads.to_string()),
+                    ("PA_VECTOR", u8::from(vector).to_string()),
+                    ("PA_DENSE_BUDGET", dense_budget.to_string()),
+                    ("PA_MORSEL_ROWS", "256".into()),
+                    ("PA_MIN_PARALLEL_ROWS", "1".into()),
+                ]);
+                let catalog = oracle_catalog(0xfeed + threads as u64);
+                let rows = catalog.table("f").unwrap().read().num_rows() as u64;
+                let engine = PercentageEngine::new(&catalog);
+                for sql in HOLISTIC_SQL {
+                    let ctx =
+                        format!("threads={threads} vector={vector} budget={dense_budget} {sql}");
+                    let per_set = engine
+                        .execute_sql_with(sql, &VpctStrategy::best(), &HorizontalOptions::default())
+                        .unwrap();
+                    assert_eq!(per_set.stats().lattice_levels, 0, "{ctx}");
+                    let reference = canonical(&per_set.table().read());
+
+                    drop_lattice_cache(&catalog);
+                    let cold = engine.execute_sql(sql).unwrap();
+                    let stats = cold.stats();
+                    assert!(stats.holistic_lanes > 0, "{ctx}: {stats}");
+                    // One pass of `F`, whatever the lanes (every root
+                    // carries extras, so every root is scanned for); the
+                    // rest is a re-aggregated level's few rows.
+                    assert!(stats.levels_from_scan > 0, "{ctx}");
+                    assert!(
+                        (rows..rows + rows / 2).contains(&stats.rows_scanned),
+                        "{ctx}: {stats}"
+                    );
+                    let fused_stream = vector && !sql.contains("DISTINCT");
+                    if fused_stream {
+                        let loops = (stats.vectorized_kernel_rows, stats.scalar_kernel_rows);
+                        let one_stream = (rows..rows + rows / 2).contains(&loops.0);
+                        assert!(one_stream && loops.1 == 0, "{ctx}: {stats}");
+                    } else if !vector {
+                        assert_eq!(stats.vectorized_kernel_rows, 0, "{ctx}");
+                    } else {
+                        // The roots take the row loop for the exact
+                        // count-distinct; a sums-only level still fuses.
+                        assert!(stats.scalar_kernel_rows > 0, "{ctx}: {stats}");
+                    }
+                    assert_eq!(canonical(&cold.table().read()), reference, "cold: {ctx}");
+
+                    let warm = engine.execute_sql(sql).unwrap();
+                    let stats = warm.stats();
+                    assert_eq!(stats.levels_from_scan, 0, "{ctx}");
+                    assert_eq!(stats.levels_from_cache, stats.lattice_levels, "{ctx}");
+                    assert_eq!(stats.holistic_lanes, 0, "{ctx}: nothing accumulated");
+                    assert_eq!(canonical(&warm.table().read()), reference, "warm: {ctx}");
+                }
+            }
+        }
+    }
+}
+
+/// One cache: the level `(day)` a ROLLUP left behind *is* the combination
+/// set of `Hpct … BY day` — the statement finds its combinations without a
+/// pass and answers with a cold catalog's bits — and the converse never
+/// holds: the zero-lane entry an `Hpct` stores satisfies no lattice lookup
+/// that needs a sum, and is replaced by the level that has one.
+#[test]
+fn a_cached_level_serves_hpct_combinations_and_never_the_reverse() {
+    let _w = env_window();
+    let rollup = "SELECT day, store, Vpct(amt BY store) AS p FROM f GROUP BY ROLLUP (day, store);";
+    let hpct = "SELECT region, Hpct(amt BY day) FROM f GROUP BY region;";
+    for threads in [1usize, 2, 4] {
+        let _pins = EnvPins::set(&[
+            ("PA_THREADS", threads.to_string()),
+            ("PA_MORSEL_ROWS", "256".into()),
+            ("PA_MIN_PARALLEL_ROWS", "1".into()),
+        ]);
+        let day = ["day".to_string()];
+        let sum = ["sum(amt)".to_string()];
+        let alias = |c: &Catalog| c.pin_table("f").unwrap().alias().to_string();
+
+        // A cold catalog's answer, and what its combinations pass costs.
+        let fresh = oracle_catalog(0xc0de);
+        let rows = fresh.table("f").unwrap().read().num_rows() as u64;
+        let cold = PercentageEngine::new(&fresh).execute_sql(hpct).unwrap();
+        let stats = cold.stats();
+        assert_eq!((stats.combo_cache_hits, stats.combo_cache_misses), (0, 1));
+        let reference = canonical(&cold.table().read());
+        // What it stored serves its own kind only.
+        let cache = fresh.lattice_cache();
+        assert!(cache.probe(&alias(&fresh), &day, &[]));
+        assert!(!cache.probe(&alias(&fresh), &day, &sum));
+        let before = cache.stats();
+        let after_hpct = PercentageEngine::new(&fresh).execute_sql(rollup).unwrap();
+        assert!(
+            after_hpct.stats().levels_from_scan > 0,
+            "a zero-lane `(day)` is no level to a ROLLUP"
+        );
+        assert!(cache.stats().misses > before.misses);
+        assert!(
+            cache.probe(&alias(&fresh), &day, &sum),
+            "replaced, with lanes"
+        );
+
+        // ROLLUP first: its level `(day)` is the `Hpct`'s combination set.
+        let catalog = oracle_catalog(0xc0de);
+        let engine = PercentageEngine::new(&catalog);
+        let first = engine.execute_sql(rollup).unwrap();
+        assert_eq!(
+            canonical(&first.table().read()),
+            canonical(&after_hpct.table().read()),
+            "threads={threads}: the ROLLUP does not care who ran first"
+        );
+        let cache = catalog.lattice_cache();
+        assert!(cache.probe(&alias(&catalog), &day, &sum));
+        let before = cache.stats();
+        let warm = engine.execute_sql(hpct).unwrap();
+        let stats = warm.stats();
+        assert_eq!((stats.combo_cache_hits, stats.combo_cache_misses), (1, 0));
+        let passes = |s: &ExecStats| (s.rows_scanned, s.rows_charged);
+        assert_eq!(
+            passes(&cold.stats()),
+            (stats.rows_scanned + rows, stats.rows_charged + rows),
+            "no fact row read for the combinations"
+        );
+        let after = cache.stats();
+        assert_eq!((after.hits, after.misses), (before.hits + 1, before.misses));
+        assert_eq!(after.entries, before.entries, "nothing stored beside it");
+        assert_eq!(
+            canonical(&warm.table().read()),
+            reference,
+            "threads={threads}"
+        );
+        // The level is still the ROLLUP's: the hit stored nothing over it.
+        assert_eq!(
+            engine.execute_sql(rollup).unwrap().stats().levels_from_scan,
+            0
+        );
+    }
+}
+
 /// A level the byte bound evicted is a plain miss: the plan falls back to
 /// a cached ancestor, or to the scan, and the answer does not move.
 #[test]
@@ -692,14 +859,17 @@ proptest! {
                 ..ParallelConfig::serial()
             };
             let mut st = ExecStats::default();
-            let partials = lattice_aggregate_with_config(
+            let fused = lattice_aggregate_with_config(
                 &t, &group_cols, &aggs, &levels,
                 &ResourceGuard::unlimited(), &mut st, &config,
-            ).unwrap().expect("int/str keys and sum/count lanes always fuse");
-            for ((partial, reference), dims) in
-                partials.into_iter().zip(&reference).zip(&levels)
+            ).expect("well-formed levels");
+            prop_assert_eq!(
+                st.vectorized_kernel_rows, t.num_rows() as u64,
+                "int/str keys and sum/count lanes always fuse into one stream"
+            );
+            for ((fused, reference), dims) in
+                fused.into_iter().zip(&reference).zip(&levels)
             {
-                let fused = partial.finalize(&mut st).unwrap();
                 let sort_cols: Vec<usize> = (0..dims.len()).collect();
                 let a: Vec<Vec<Value>> = fused.rows().collect();
                 let b: Vec<Vec<Value>> = reference.sorted_by(&sort_cols).rows().collect();

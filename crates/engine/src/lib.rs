@@ -19,7 +19,6 @@ pub mod error;
 pub mod expr;
 pub mod guard;
 pub mod keymap;
-pub mod lattice_kernel;
 pub mod ops;
 pub mod parallel;
 pub mod predicate;
@@ -36,11 +35,11 @@ pub use keymap::{
     DenseGroupMap, DenseKeySpace, GroupMap, RowKeyMap, WideKeySpace, WideProjector,
     DEFAULT_DENSE_BUDGET,
 };
-pub use lattice_kernel::{lattice_aggregate, lattice_aggregate_with_config};
 pub use ops::acc::{Acc, PartialState, PctState, DEFAULT_PERCENTILE_BUDGET};
 pub use ops::aggregate::{
     aggregate, aggregate_level, aggregate_projecting, hash_aggregate, hash_aggregate_with_config,
-    multi_hash_aggregate, multi_hash_aggregate_with_config, AggFunc, AggSpec, PBits,
+    lattice_aggregate, lattice_aggregate_with_config, multi_hash_aggregate,
+    multi_hash_aggregate_with_config, AggFunc, AggSpec, PBits,
 };
 pub use ops::distinct::{distinct, distinct_keys};
 pub use ops::divide::divide;

@@ -15,6 +15,8 @@
 //! runs the one morsel-parallel scan over the table *and its selection*,
 //! and formats each level's groups as a table in first-appearance order.
 //! The other entry points are the names outside callers know it by.
+//! [`lattice_aggregate`] is the same sequence over levels that are subsets
+//! of one key — one shared code stream when that fuses — sorted by key.
 
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
@@ -24,6 +26,7 @@ use crate::parallel::ParallelConfig;
 use crate::predicate::Selected;
 use crate::scan::{LevelGroups, Parent, ScanPlan};
 use crate::stats::ExecStats;
+use pa_obs::SpanHandle;
 use pa_storage::{Bitmap, Column, DataType, Field, Schema, Table, Value};
 
 /// A percentile fraction carried as its IEEE-754 bit pattern, so
@@ -424,40 +427,133 @@ pub fn aggregate_projecting(
     config: &ParallelConfig,
 ) -> Result<(Vec<Table>, Vec<Parent>)> {
     let table = input.table;
+    let keyed: Vec<Keyed<'_>> = (levels.iter())
+        .map(|(cols, aggs)| (&cols[..], &aggs[..]))
+        .collect();
+    let names = ("aggregate", "multi_hash_aggregate");
+    let (groups, tables, _span) = scan_levels(input, names, &keyed, None, guard, stats, config)?;
+    let parents = coarser
+        .iter()
+        .map(|dims| groups[0].parent(table, dims))
+        .collect();
+    Ok((tables, parents))
+}
+
+/// Aggregate at **every** lattice level of `levels` in one scan of the
+/// selected rows of `input` (DESIGN.md "Scan core").
+///
+/// `group_cols` are the finest key columns; each level is the dimensions it
+/// keeps — a non-empty, strictly increasing list of positions into
+/// `group_cols` — with the lanes it carries. Returns one table per level, in
+/// `levels` order, in the layout the level cache keeps: the level's key
+/// columns, then its lanes, rows sorted by key.
+///
+/// When the plan fuses, one code stream over the finest key codes each row
+/// once and every level scatters from it through a projection — a radix
+/// jump-table load within the dense budget, mask-and-shift arithmetic past
+/// it; the RLE fast path projects once per run per level. When it does not
+/// (vectorization off, a lane or key dimension no coder reads), each level
+/// is scanned over its own key in the same pass, as [`aggregate`] would.
+/// Malformed inputs — out-of-range columns, a level without lanes, a level
+/// that is not such a subset — are errors.
+pub fn lattice_aggregate(
+    input: Selected<'_>,
+    group_cols: &[usize],
+    levels: &[(&[usize], &[AggSpec])],
+    guard: &ResourceGuard,
+    stats: &mut ExecStats,
+    config: &ParallelConfig,
+) -> Result<Vec<Table>> {
+    check_key(input.table, group_cols)?;
+    for (dims, _) in levels {
+        let ordered = dims.windows(2).all(|w| w[0] < w[1]);
+        if dims.is_empty() || !ordered || dims.iter().any(|&d| d >= group_cols.len()) {
+            return Err(EngineError::InvalidOperator(format!(
+                "lattice level {dims:?} is not a non-empty ordered subset of \
+                 the {} key dimensions",
+                group_cols.len()
+            )));
+        }
+    }
+    let cols: Vec<Vec<usize>> = (levels.iter())
+        .map(|(dims, _)| dims.iter().map(|&d| group_cols[d]).collect())
+        .collect();
+    let keyed: Vec<Keyed<'_>> = (cols.iter().zip(levels))
+        .map(|(cols, &(_, aggs))| (&cols[..], aggs))
+        .collect();
+    let (names, stream) = (("lattice", "lattice_aggregate"), Some((group_cols, levels)));
+    let (_, tables, _span) = scan_levels(input, names, &keyed, stream, guard, stats, config)?;
+    let sorted = (tables.iter().zip(&cols))
+        .map(|(t, cols)| t.sorted_by(&(0..cols.len()).collect::<Vec<_>>()));
+    Ok(sorted.collect())
+}
+
+/// [`lattice_aggregate`] of a whole table, every level carrying `aggs`.
+pub fn lattice_aggregate_with_config(
+    input: &Table,
+    group_cols: &[usize],
+    aggs: &[AggSpec],
+    levels: &[Vec<usize>],
+    guard: &ResourceGuard,
+    stats: &mut ExecStats,
+    config: &ParallelConfig,
+) -> Result<Vec<Table>> {
+    let levels: Vec<Keyed<'_>> = levels.iter().map(|dims| (&dims[..], aggs)).collect();
+    lattice_aggregate(input.into(), group_cols, &levels, guard, stats, config)
+}
+
+/// A level as the scan core plans it: its key — columns of the input, or
+/// the positions of a finer key it keeps — and its lanes.
+type Keyed<'a> = (&'a [usize], &'a [AggSpec]);
+
+/// What every adapter that returns level tables does with `levels` — each
+/// one's own key columns and lanes: validate → plan → run → charge →
+/// finish. With `stream` — a finer key, and each level again as the
+/// positions of that key it keeps — all levels read one code stream over
+/// the finer key through a projection when that fuses; without one, or when
+/// it does not, each level is planned over its own key, fused or scalar:
+/// the configuration, the lanes and the key types decide, nothing else.
+/// Returns each level's groups and table, and the open `finish` span for
+/// what the caller still derives from them.
+fn scan_levels<'a>(
+    input: Selected<'a>,
+    (label, operator): (&'static str, &str),
+    levels: &[Keyed<'a>],
+    stream: Option<(&[usize], &[Keyed<'a>])>,
+    guard: &ResourceGuard,
+    stats: &mut ExecStats,
+    config: &'a ParallelConfig,
+) -> Result<(Vec<LevelGroups>, Vec<Table>, SpanHandle)> {
+    let table = input.table;
     for (cols, aggs) in levels {
         check_level(table, cols, aggs)?;
     }
     stats.statements += 1;
     stats.holistic_lanes += levels
         .iter()
-        .flat_map(|(_, aggs)| aggs)
+        .flat_map(|(_, aggs)| *aggs)
         .filter(|s| s.func.is_holistic())
         .count() as u64;
     guard.check()?;
 
-    // One stream per level, no projection; a level that cannot fuse takes
-    // the scalar loop. Each level's mode is decided here, once.
+    // Each level's mode is decided here, once.
     let mut plan = ScanPlan::new(input, config);
-    let keyed = levels.iter().map(|(cols, aggs)| (&cols[..], &aggs[..]));
-    let detail = plan.push_levels(keyed, stats);
+    let fused = stream.and_then(|(key, kept)| plan.push_stream(key, kept, stats));
+    let detail = fused.unwrap_or_else(|| plan.push_levels(levels.iter().copied(), stats));
     stats.rows_scanned += table.num_rows() as u64;
-    let mut span = guard.span("aggregate");
+    let mut span = guard.span(label);
     span.set_detail(detail);
-    let groups = plan.run("multi_hash_aggregate", guard, &mut span, stats)?;
+    let groups = plan.run(operator, guard, &mut span, stats)?;
 
     let out_rows: u64 = groups.iter().map(|g| g.len() as u64).sum();
     guard.charge(out_rows)?;
     span.add_rows(out_rows);
     drop(span);
-    let _span = guard.span("finish");
+    let span = guard.span("finish");
     let tables = (groups.iter().zip(levels))
         .map(|(g, (cols, aggs))| finish(g, table, cols, aggs, stats))
         .collect::<Result<_>>()?;
-    let parents = coarser
-        .iter()
-        .map(|dims| groups[0].parent(table, dims))
-        .collect();
-    Ok((tables, parents))
+    Ok((groups, tables, span))
 }
 
 #[cfg(test)]
@@ -1162,5 +1258,260 @@ mod tests {
         .unwrap();
         assert!(!folds_in(&t, AggFunc::Sum, Expr::Col(0)));
         assert!(!folds_in(&t, AggFunc::Sum, Expr::Col(1)));
+    }
+
+    // ---- lattice_aggregate ----------------------------------------------
+
+    /// Four enumerable dimensions plus a float measure, with NULLs in the
+    /// keys and the measure. Integer-valued floats keep worker-subtotal
+    /// merges bit-exact, matching the repo's byte-identity discipline.
+    fn fact(n: usize) -> Table {
+        let schema = Schema::from_pairs(&[
+            ("store", DataType::Str),
+            ("day", DataType::Int),
+            ("region", DataType::Str),
+            ("month", DataType::Int),
+            ("amt", DataType::Float),
+        ])
+        .unwrap()
+        .into_shared();
+        let mut t = Table::with_capacity(schema, n);
+        for i in 0..n {
+            let row = [
+                if i % 17 == 0 {
+                    Value::Null
+                } else {
+                    Value::str(format!("s{}", (i * 7919) % 5))
+                },
+                if i % 13 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int((i % 7) as i64)
+                },
+                Value::str(format!("r{}", (i * 31) % 3)),
+                Value::Int((i % 12) as i64),
+                if i % 11 == 0 {
+                    Value::Null
+                } else {
+                    Value::Float((i % 100) as f64)
+                },
+            ];
+            t.push_row(&row).unwrap();
+        }
+        t
+    }
+
+    fn specs(t: &Table) -> Vec<AggSpec> {
+        let a = Expr::col(t.schema(), "amt").unwrap();
+        vec![
+            AggSpec::new(AggFunc::Sum, a.clone(), "s"),
+            AggSpec::new(AggFunc::Count, a, "c"),
+            AggSpec::new(AggFunc::CountStar, Expr::lit(1), "n"),
+        ]
+    }
+
+    fn cfg(threads: usize, dense_budget: usize) -> ParallelConfig {
+        ParallelConfig {
+            dense_budget,
+            ..par(threads, 256)
+        }
+    }
+
+    /// All BY-prefixes of (store, day, region, month), plus one
+    /// incomparable level.
+    fn prefix_levels() -> Vec<Vec<usize>> {
+        vec![
+            vec![0, 1, 2, 3],
+            vec![0, 1, 2],
+            vec![0, 1],
+            vec![0],
+            vec![1, 3],
+        ]
+    }
+
+    /// `levels` of `t` over `key`, each with its own lanes, against the
+    /// reference: independent per-level aggregation (serial, scalar
+    /// ordering), sorted by key.
+    fn assert_lattice_matches_reference(
+        t: &Table,
+        key: &[usize],
+        levels: &[(&[usize], &[AggSpec])],
+        config: &ParallelConfig,
+    ) -> ExecStats {
+        let (guard, mut st) = (ResourceGuard::unlimited(), ExecStats::default());
+        let fused = lattice_aggregate(t.into(), key, levels, &guard, &mut st, config).unwrap();
+        let ref_levels: Vec<(Vec<usize>, Vec<AggSpec>)> = levels
+            .iter()
+            .map(|(dims, aggs)| (dims.iter().map(|&d| key[d]).collect(), aggs.to_vec()))
+            .collect();
+        let scalar = ParallelConfig {
+            vector: false,
+            ..ParallelConfig::serial()
+        };
+        let reference =
+            multi_hash_aggregate_with_config(t, &ref_levels, &guard, &mut st.clone(), &scalar)
+                .unwrap();
+        assert_eq!(fused.len(), levels.len());
+        for ((fused, reference), (dims, _)) in fused.iter().zip(reference).zip(levels) {
+            let sort_cols: Vec<usize> = (0..dims.len()).collect();
+            let reference = reference.sorted_by(&sort_cols);
+            assert_eq!(fused.schema(), reference.schema(), "level {dims:?}");
+            let a: Vec<Vec<Value>> = fused.rows().collect();
+            let b: Vec<Vec<Value>> = reference.rows().collect();
+            assert_eq!(a, b, "level {dims:?} under {config:?}");
+        }
+        st
+    }
+
+    fn assert_matches_reference(threads: usize, dense_budget: usize) {
+        let t = fact(10_000);
+        let aggs = specs(&t);
+        let dims = prefix_levels();
+        let levels: Vec<(&[usize], &[AggSpec])> =
+            dims.iter().map(|dims| (&dims[..], &aggs[..])).collect();
+        let config = cfg(threads, dense_budget);
+        let st = assert_lattice_matches_reference(&t, &[0, 1, 2, 3], &levels, &config);
+        assert_eq!(st.rows_scanned, 10_000, "one scan for all levels");
+        assert_eq!(st.vectorized_kernel_rows, 10_000, "one stream");
+    }
+
+    #[test]
+    fn fused_lattice_matches_per_level_reference_dense() {
+        for threads in [1, 2, 4] {
+            assert_matches_reference(threads, 1 << 20);
+        }
+    }
+
+    #[test]
+    fn fused_lattice_matches_per_level_reference_wide() {
+        // A one-code budget refuses the dense space; the wide path takes
+        // over and must produce the same bytes.
+        for threads in [1, 2, 4] {
+            assert_matches_reference(threads, 1);
+        }
+    }
+
+    #[test]
+    fn plans_that_cannot_fuse_answer_the_references_rows() {
+        let t = fact(3_000);
+        let aggs = specs(&t);
+        let amt = Expr::col(t.schema(), "amt").unwrap();
+        let with = |func, name: &str| {
+            let mut lanes = aggs.clone();
+            lanes.push(AggSpec::new(func, amt.clone(), name));
+            lanes
+        };
+        let with_min = with(AggFunc::Min, "lo");
+        let with_median = with(AggFunc::Percentile(PBits::new(0.5)), "med");
+        let with_distinct = with(AggFunc::CountDistinct, "d");
+        // A root with every lane and a totals level with the sums alone.
+        fn levels(root: &[AggSpec]) -> [(&[usize], &[AggSpec]); 2] {
+            [(&[0, 1], root), (&[0], &root[..1])]
+        }
+        for threads in [1, 2, 4] {
+            for dense_budget in [1 << 20, 1] {
+                let on = cfg(threads, dense_budget);
+                let off = ParallelConfig {
+                    vector: false,
+                    ..on
+                };
+                // Vectorization disabled: every level takes the row loop.
+                let st = assert_lattice_matches_reference(&t, &[0, 1], &levels(&aggs), &off);
+                assert_eq!((st.vectorized_kernel_rows, st.rows_scanned), (0, 3_000));
+                assert_eq!(st.scalar_kernel_rows, 2 * 3_000, "once per level");
+                // A lane the block loop does not read (min, count distinct)
+                // sends its own level to the row loop; the sums-only level
+                // beside it still fuses, over its own key.
+                for lanes in [&with_min, &with_distinct] {
+                    let st = assert_lattice_matches_reference(&t, &[0, 1], &levels(lanes), &on);
+                    assert_eq!(
+                        (st.scalar_kernel_rows, st.vectorized_kernel_rows),
+                        (3_000, 3_000)
+                    );
+                }
+                // A holistic lane the block loop reads rides the stream, at
+                // the root only.
+                let st = assert_lattice_matches_reference(&t, &[0, 1], &levels(&with_median), &on);
+                assert_eq!(
+                    (st.scalar_kernel_rows, st.vectorized_kernel_rows),
+                    (0, 3_000)
+                );
+                assert_eq!(st.holistic_lanes, 1, "no median at the totals level");
+                // Float key dimension: neither code space builds.
+                let float_key: [(&[usize], _); 1] = [(&[0], &aggs[..])];
+                let st = assert_lattice_matches_reference(&t, &[4], &float_key, &on);
+                assert_eq!(st.vectorized_kernel_rows, 0);
+            }
+        }
+        // Malformed levels are errors: not a subset, unordered, no lanes.
+        let (guard, mut st) = (ResourceGuard::unlimited(), ExecStats::default());
+        let malformed: [(&[usize], _); 3] =
+            [(&[2], &aggs[..]), (&[1, 0], &aggs[..]), (&[0], &aggs[..0])];
+        for level in malformed {
+            let level = [level];
+            let config = cfg(1, 1 << 20);
+            let out = lattice_aggregate((&t).into(), &[0, 1], &level, &guard, &mut st, &config);
+            assert!(
+                matches!(out, Err(EngineError::InvalidOperator(_))),
+                "{level:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn guard_budget_and_cancellation_stop_the_fused_scan() {
+        let t = fact(20_000);
+        let aggs = specs(&t);
+        let guard = ResourceGuard::with_row_budget(1_000);
+        let mut st = ExecStats::default();
+        let err = lattice_aggregate_with_config(
+            &t,
+            &[0, 1, 2, 3],
+            &aggs,
+            &prefix_levels(),
+            &guard,
+            &mut st,
+            &cfg(4, 1 << 20),
+        )
+        .unwrap_err();
+        assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
+
+        let guard = ResourceGuard::with_row_budget(u64::MAX);
+        guard.cancel();
+        let err = lattice_aggregate_with_config(
+            &t,
+            &[0, 1, 2, 3],
+            &aggs,
+            &prefix_levels(),
+            &guard,
+            &mut st,
+            &cfg(4, 1 << 20),
+        )
+        .unwrap_err();
+        assert!(matches!(err, EngineError::Cancelled), "{err}");
+        assert_eq!(guard.rows_charged(), 0, "no morsel was admitted");
+    }
+
+    #[test]
+    fn empty_input_yields_empty_levels() {
+        let t = fact(0);
+        let aggs = specs(&t);
+        let mut st = ExecStats::default();
+        let tables = lattice_aggregate_with_config(
+            &t,
+            &[0, 1],
+            &aggs,
+            &[vec![0], vec![0, 1]],
+            &ResourceGuard::unlimited(),
+            &mut st,
+            &cfg(1, 1 << 20),
+        )
+        .unwrap();
+        // Levels with zero groups still carry the declared shape.
+        let shapes: Vec<(usize, usize)> = tables
+            .iter()
+            .map(|t| (t.num_rows(), t.num_columns()))
+            .collect();
+        assert_eq!(shapes, [(0, 4), (0, 5)]);
     }
 }

@@ -25,7 +25,7 @@ use crate::guard::ResourceGuard;
 use crate::ops::acc::Acc;
 use crate::ops::aggregate::{check_level, lane_column, AggFunc, AggSpec, PBits};
 use crate::parallel::ParallelConfig;
-use crate::scan::{LevelGroups, ScanPlan};
+use crate::scan::ScanPlan;
 use crate::stats::ExecStats;
 use pa_storage::partial::{
     frame, frame_into, put_dtype, put_f64, put_string, put_u32, put_value, unframe, Cursor,
@@ -72,11 +72,34 @@ pub fn partial_aggregate(
     // (A global aggregate has its one group even over an empty shard, so
     // the merged total keeps SQL's one-row shape.)
     let mut levels = plan.run("partial_aggregate", &guard, &mut span, stats)?;
-    let groups = levels.pop().expect("one level in, one level out");
-    let every_dim: Vec<usize> = (0..group_cols.len()).collect();
-    Ok(ShardPartial::from_parts(
-        input, group_cols, &every_dim, aggs, groups,
-    ))
+    let mut level = levels.pop().expect("one level in, one level out");
+    // Keys are decoded here, once, from the merged codes, and the groups
+    // enter the merge/serialize/finalize protocol in the scan's
+    // first-appearance order.
+    let schema = input.schema();
+    let mut accs = std::mem::take(&mut level.accs).into_iter();
+    let groups: Vec<(Vec<Value>, Vec<Acc>)> = (0..level.len())
+        .map(|gid| {
+            let key = (0..group_cols.len()).map(|d| level.key_value(input, gid, d));
+            (key.collect(), accs.by_ref().take(aggs.len()).collect())
+        })
+        .collect();
+    let index = groups
+        .iter()
+        .enumerate()
+        .map(|(gid, (key, _))| (key.clone(), gid))
+        .collect();
+    Ok(ShardPartial {
+        key_fields: group_cols
+            .iter()
+            .map(|&c| schema.field_at(c).clone())
+            .collect(),
+        funcs: aggs.iter().map(|s| s.func).collect(),
+        agg_names: aggs.iter().map(|s| s.name.clone()).collect(),
+        agg_types: aggs.iter().map(|s| s.output_type(schema)).collect(),
+        groups,
+        index,
+    })
 }
 
 /// The canonical group order: key tuples in [`Value::total_cmp`] order.
@@ -128,43 +151,6 @@ fn read_func(cur: &mut Cursor<'_>) -> Result<AggFunc> {
 }
 
 impl ShardPartial {
-    /// Wrap one level of a finished scan: the level keeps positions `keep`
-    /// of the scan's `group_cols`; its keys are decoded here, once, from
-    /// the merged codes, and the groups enter the merge/serialize/finalize
-    /// protocol in the scan's first-appearance order.
-    pub(crate) fn from_parts(
-        input: &Table,
-        group_cols: &[usize],
-        keep: &[usize],
-        aggs: &[AggSpec],
-        mut groups: LevelGroups,
-    ) -> ShardPartial {
-        let schema = input.schema();
-        let mut accs = std::mem::take(&mut groups.accs).into_iter();
-        let groups: Vec<(Vec<Value>, Vec<Acc>)> = (0..groups.len())
-            .map(|gid| {
-                let key = (0..keep.len()).map(|d| groups.key_value(input, gid, d));
-                (key.collect(), accs.by_ref().take(aggs.len()).collect())
-            })
-            .collect();
-        let index = groups
-            .iter()
-            .enumerate()
-            .map(|(gid, (key, _))| (key.clone(), gid))
-            .collect();
-        ShardPartial {
-            key_fields: keep
-                .iter()
-                .map(|&d| schema.field_at(group_cols[d]).clone())
-                .collect(),
-            funcs: aggs.iter().map(|s| s.func).collect(),
-            agg_names: aggs.iter().map(|s| s.name.clone()).collect(),
-            agg_types: aggs.iter().map(|s| s.output_type(schema)).collect(),
-            groups,
-            index,
-        }
-    }
-
     /// Number of groups discovered on this shard so far.
     pub fn num_groups(&self) -> usize {
         self.groups.len()

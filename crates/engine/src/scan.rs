@@ -40,9 +40,12 @@
 //! workers in row order by code, and keys are decoded once, from the
 //! merged codes, by whoever formats the result. `multi_hash_aggregate` is
 //! "one stream per level, no projection", the lattice is "one stream, N
-//! projected levels", a partial is "one level, stop before finish",
-//! `distinct` is "one level, no lanes" — a level's aggregate list may be
-//! empty, and then only its keys are scanned for.
+//! projected levels" — or, when that stream does not fuse, the same plan
+//! `multi_hash_aggregate` makes of its levels — and both finish their
+//! levels as typed tables through one sequence (`ops::aggregate`); a
+//! partial is "one level, stop before finish", `distinct` is "one level,
+//! no lanes" — a level's aggregate list may be empty, and then only its
+//! keys are scanned for.
 
 use crate::error::Result;
 use crate::guard::ResourceGuard;

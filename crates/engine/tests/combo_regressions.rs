@@ -1,8 +1,9 @@
-//! Regression tests for the combination catalog and the dense group path:
+//! Regression tests for cached combination sets — the zero-lane entries of
+//! the catalog's level cache — and the dense group path:
 //!
 //! * every logged mutation (bulk INSERT, per-row UPDATE) must invalidate
 //!   the mutated table's cached combination sets — and only that table's;
-//! * a recovered catalog starts with a cold (empty) combination cache;
+//! * a recovered catalog starts with a cold (empty) level cache;
 //! * a dimension whose dictionary outgrows the dense-code budget
 //!   mid-append must silently fall back to the hash group path with
 //!   byte-identical results.
@@ -12,6 +13,7 @@ use pa_engine::{
     ParallelConfig, ResourceGuard, SetClause,
 };
 use pa_storage::{Catalog, DataType, Schema, Table, Value};
+use std::sync::Arc;
 
 fn dims(names: &[&str]) -> Vec<String> {
     names.iter().map(|s| s.to_string()).collect()
@@ -49,15 +51,25 @@ fn batch(catalog: &Catalog, s: i64, d: &str, a: f64) -> Table {
     b
 }
 
+/// A combination set over `dweek`: a level table with no lanes.
+fn dweek_combos(days: &[&str]) -> Arc<Table> {
+    let schema = Schema::from_pairs(&[("dweek", DataType::Str)]).unwrap();
+    let mut t = Table::empty(schema.into_shared());
+    for d in days {
+        t.push_row(&[Value::str(d)]).unwrap();
+    }
+    Arc::new(t)
+}
+
 fn seed_cache(catalog: &Catalog) {
-    catalog.combo_cache().store(
+    let cache = catalog.combo_cache();
+    cache.store(
         "sales",
         &dims(&["dweek"]),
-        vec![vec![Value::str("Mon")], vec![Value::str("Tue")]],
+        &[],
+        dweek_combos(&["Mon", "Tue"]),
     );
-    catalog
-        .combo_cache()
-        .store("other", &dims(&["dweek"]), vec![vec![Value::str("Mon")]]);
+    cache.store("other", &dims(&["dweek"]), &[], dweek_combos(&["Mon"]));
 }
 
 #[test]
@@ -75,14 +87,14 @@ fn wal_append_invalidates_combo_catalog() {
     assert!(
         catalog
             .combo_cache()
-            .get("sales", &dims(&["dweek"]))
+            .get("sales", &dims(&["dweek"]), &[])
             .is_none(),
         "append must drop the mutated table's cached combinations"
     );
     assert!(
         catalog
             .combo_cache()
-            .get("other", &dims(&["dweek"]))
+            .get("other", &dims(&["dweek"]), &[])
             .is_some(),
         "append must not drop other tables' entries"
     );
@@ -108,14 +120,14 @@ fn wal_update_invalidates_combo_catalog() {
     assert!(
         catalog
             .combo_cache()
-            .get("sales", &dims(&["dweek"]))
+            .get("sales", &dims(&["dweek"]), &[])
             .is_none(),
         "logged UPDATE must drop the mutated table's cached combinations"
     );
     assert!(
         catalog
             .combo_cache()
-            .get("other", &dims(&["dweek"]))
+            .get("other", &dims(&["dweek"]), &[])
             .is_some(),
         "UPDATE must not drop other tables' entries"
     );
@@ -140,6 +152,7 @@ fn recovered_catalog_starts_cache_cold() {
     );
     assert_eq!(stats.hits, 0);
     assert_eq!(stats.misses, 0);
+    assert_eq!(recovered.lattice_cache().stats(), stats, "one cache");
 }
 
 /// Checkpoint slot the test can read back after `checkpoint_now`.
@@ -209,7 +222,7 @@ fn checkpoint_recovered_catalog_starts_cache_cold() {
     let stats = recovered.combo_cache().stats();
     assert_eq!(
         stats.entries, 0,
-        "checkpoint install must leave the combination cache cold"
+        "checkpoint install must leave the level cache cold"
     );
     assert_eq!((stats.hits, stats.misses), (0, 0));
 

@@ -780,7 +780,7 @@ fn holistic_pivot_lanes_match_the_scalar_scan() {
     }
 }
 
-/// A cache-warm combination catalog must not change a single byte of the
+/// A cached combination set must not change a single byte of the
 /// result, only the miss/hit counters.
 #[test]
 fn cache_cold_and_cache_warm_catalog_are_byte_identical() {
@@ -943,7 +943,7 @@ fn untransposed_pivot(
 /// Oracle 4: one scan core, four adapters, one answer.
 ///
 /// `hash_aggregate` ≡ `partial_aggregate(..).finalize()` ≡ the single
-/// full-arity level of `lattice_aggregate` finalized ≡ `pivot_aggregate`
+/// full-arity level of `lattice_aggregate` ≡ `pivot_aggregate`
 /// un-transposed (the last key column as BY, and on one table every key
 /// column as BY under the empty GROUP BY), against the serial per-row loop as the
 /// reference, over `vector` on/off × threads {1,2,4} × dense budget
@@ -953,8 +953,8 @@ fn untransposed_pivot(
 /// GROUP BY; and the pivot once more by a float column, where its task
 /// levels take the per-row loop and no GROUP BY level is scanned.
 /// (`partial_aggregate` takes its configuration from the environment, so it
-/// contributes one cell per table; the lattice has no empty level and
-/// declines `vector: false` and holistic lanes by contract.)
+/// contributes one cell per table; the lattice has no empty level, and
+/// answers `vector: false` and holistic lanes like every other adapter.)
 #[test]
 fn aggregate_partial_and_lattice_adapters_agree_across_the_kernel_matrix() {
     let _env = env_as_given();
@@ -1090,7 +1090,8 @@ fn aggregate_partial_and_lattice_adapters_agree_across_the_kernel_matrix() {
                                 continue; // the lattice has no empty level
                             }
                             let every_dim: Vec<usize> = (0..cols.len()).collect();
-                            let lattice = lattice_aggregate_with_config(
+                            let mut st = ExecStats::default();
+                            let mut lattice = lattice_aggregate_with_config(
                                 t,
                                 &cols,
                                 specs,
@@ -1100,12 +1101,14 @@ fn aggregate_partial_and_lattice_adapters_agree_across_the_kernel_matrix() {
                                 &config,
                             )
                             .unwrap();
-                            let fuses = vector && lanes == "raw";
-                            assert_eq!(lattice.is_some(), fuses, "{cell}: lattice eligibility");
-                            if let Some(mut partials) = lattice {
-                                let level = partials.pop().unwrap().finalize(&mut st).unwrap();
-                                assert_eq!(canonical(&level, cols.len()), want, "{cell}: lattice");
-                            }
+                            let level = lattice.pop().unwrap();
+                            assert_eq!(lattice.len(), 0, "{cell}: one level in, one out");
+                            assert_eq!(canonical(&level, cols.len()), want, "{cell}: lattice");
+                            assert_eq!(
+                                (st.vectorized_kernel_rows, st.scalar_kernel_rows),
+                                if vector { (n, 0) } else { (0, n) },
+                                "{cell}: the lattice's loop follows `vector`, holistic or not"
+                            );
                         }
                     }
                 }

@@ -322,7 +322,7 @@ impl<'a> QueryService<'a> {
         let sem = FifoSemaphore::new(config.max_concurrent.max(1));
         let metrics = ServiceMetrics::register(&registry);
         // Surface the storage-side counters (checkpoints, snapshots, WAL,
-        // combo cache) through this service's scrape endpoint too.
+        // level cache) through this service's scrape endpoint too.
         engine.catalog().attach_metrics(&registry);
         QueryService {
             engine,

@@ -27,7 +27,6 @@
 use crate::checkpoint::{
     encode_image, scan_checkpoints, CheckpointImage, CheckpointPolicy, CheckpointStore,
 };
-use crate::combos::ComboCache;
 use crate::error::{Result, StorageError};
 use crate::lattice::LatticeCache;
 use crate::log::LogStore;
@@ -222,12 +221,11 @@ impl CatalogMetrics {
     }
 }
 
-/// Catalog of named tables, the combination and lattice caches, the WAL,
-/// and the checkpoint/snapshot machinery.
+/// Catalog of named tables, the level cache, the WAL, and the
+/// checkpoint/snapshot machinery.
 #[derive(Debug, Default)]
 pub struct Catalog {
     tables: RwLock<BTreeMap<String, SharedTable>>,
-    combos: ComboCache,
     lattice: LatticeCache,
     wal: Mutex<Wal>,
     /// Global mutation epoch: bumps on every logged create/drop/mutation.
@@ -276,7 +274,7 @@ impl Catalog {
     }
 
     /// Bump the global epoch and `name`'s version, and drop everything
-    /// derived from its data (cached combinations, cached lattice levels):
+    /// derived from its data (its cached levels, combination sets included):
     /// [`Catalog::apply`] calls this once per change, under the guard the
     /// change was made under, so the next [`Catalog::pin_table`] freezes a
     /// fresh view and no cache outlives the rows it was computed from.
@@ -539,21 +537,22 @@ impl Catalog {
         f(&mut self.wal.lock())
     }
 
-    /// The distinct-combination cache (see [`ComboCache`]).
-    pub fn combo_cache(&self) -> &ComboCache {
-        &self.combos
+    /// [`Catalog::lattice_cache`], under the name callers that only want a
+    /// table's distinct `BY` combinations know it by: a combination set is
+    /// a cached level with no lanes.
+    pub fn combo_cache(&self) -> &LatticeCache {
+        &self.lattice
     }
 
-    /// The lattice-level partial cache (see [`LatticeCache`]).
+    /// The level cache (see [`LatticeCache`]).
     pub fn lattice_cache(&self) -> &LatticeCache {
         &self.lattice
     }
 
-    /// Drop every derived cache entry for `name`: cached distinct
-    /// combinations and cached lattice levels go together, so nothing
-    /// derived from a table's data outlives a change to that table.
+    /// Drop every cached level of `name` — combination sets are levels —
+    /// so nothing derived from a table's data outlives a change to that
+    /// table.
     fn invalidate_derived(&self, name: &str) {
-        self.combos.invalidate_table(name);
         self.lattice.invalidate_table(name);
     }
 
@@ -686,8 +685,8 @@ impl Catalog {
     }
 
     /// Forget every cached derivation of `name`'s data — distinct
-    /// combinations *and* lattice partials — including entries keyed by its
-    /// snapshot aliases. Executors scan pinned aliases, so the caches key
+    /// combinations *and* lattice levels — including entries keyed by its
+    /// snapshot aliases. Executors scan pinned aliases, so the cache keys
     /// by the alias actually scanned; a plain invalidation on the source
     /// name would leave those alias entries warm.
     pub fn invalidate_combos(&self, name: &str) {
@@ -731,14 +730,13 @@ impl Catalog {
         }
     }
 
-    /// Mirror checkpoint/snapshot/WAL/combo-cache counters into `registry`
+    /// Mirror checkpoint/snapshot/WAL/level-cache counters into `registry`
     /// (Prometheus names `pa_storage_*`).
     pub fn attach_metrics(&self, registry: &MetricsRegistry) {
         let m = CatalogMetrics::register(registry);
         m.snapshot_epoch.set(self.epoch() as i64);
         *self.metrics.write() = Some(m);
         self.wal.lock().attach_metrics(registry);
-        self.combos.attach_metrics(registry);
         self.lattice.attach_metrics(registry);
     }
 
@@ -927,7 +925,7 @@ impl Catalog {
 
     /// Apply one replicated or replayed WAL record: [`Catalog::write`]'s
     /// body with logging off, so versions and the global epoch bump and the
-    /// touched table's cached combinations and lattice levels die exactly
+    /// touched table's cached levels die exactly
     /// as on the primary, and the next [`Catalog::pin_table`] freezes a
     /// fresh view. Returns `false` for a valid record that cannot apply to
     /// the current state (skip-and-count, the recovery contract); a record
@@ -1206,9 +1204,11 @@ mod tests {
     fn replace_resets_table_version_and_derived_caches() {
         let cat = Catalog::new();
         cat.create_table("F", table()).unwrap();
-        let dims = ["d".to_string()];
-        cat.combo_cache()
-            .store("F", &dims, vec![vec![Value::Int(1)]]);
+        // `table()` is its own level `(d)` with one lane.
+        let (dims, lanes) = (["d".to_string()], ["sum(a)".to_string()]);
+        cat.lattice_cache()
+            .store("F", &dims, &lanes, Arc::new(table()));
+        assert!(cat.combo_cache().get("F", &dims, &[]).is_some());
         let version = cat.table_version("F");
         cat.create_or_replace_table("F", Table::empty(table().schema().clone()));
         assert_eq!(cat.table("F").unwrap().read().num_rows(), 0);
@@ -1217,7 +1217,7 @@ mod tests {
             "a replace is a new version"
         );
         assert!(
-            cat.combo_cache().get("F", &dims).is_none(),
+            cat.combo_cache().get("F", &dims, &[]).is_none(),
             "derived caches die with the old table"
         );
     }

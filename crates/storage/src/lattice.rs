@@ -1,17 +1,25 @@
-//! Cached lattice levels (the "lattice catalog").
+//! The level cache: cached `GROUP BY` levels of a table (DESIGN.md "The
+//! level cache").
 //!
-//! A one-scan CUBE/ROLLUP evaluation (DESIGN.md §15) produces one
-//! aggregated table per lattice level. Those tables outlive the query: a
-//! later query at the same level is answered by a refcount bump, and one at
-//! any *coarser* level re-aggregates the cached table's distributive sums
-//! instead of rescanning the fact table (and stores the result back, so
-//! the request after it finds its level exact). The cache memoizes one
-//! finalized `Arc<Table>` per `(table, level columns)` in the canonical
-//! layout the evaluator defines — level columns in normalized order, then
-//! one column per aggregate lane, rows sorted by key — tagged with the
-//! caller's identity of each lane, so a lookup with different aggregates
-//! never resurrects a table of the wrong shape. Lanes are positional: an
-//! entry serves any lookup for a leading run of its lanes.
+//! An entry is one finalized `Arc<Table>` per `(table, level columns)` —
+//! the level's key columns, then one column per aggregate lane, rows sorted
+//! by key — tagged with the caller's identity of each lane. A one-scan
+//! CUBE/ROLLUP evaluation stores one per lattice level under the level's
+//! normalized columns: a later query at the same level is answered by a
+//! refcount bump, and one at any *coarser* level re-aggregates the cached
+//! table's distributive sums instead of rescanning the fact table (and
+//! stores the result back, so the request after it finds its level exact).
+//! The distinct `BY` combinations of a horizontal query (`SELECT DISTINCT
+//! Dj+1..Dk FROM F`, SIGMOD §3.1 step 2) are a level with **no lanes**: the
+//! key columns alone, under the `BY` columns in query order.
+//!
+//! Lanes are positional, and an entry serves any lookup for a leading run
+//! of its lanes: a lookup with different aggregates never resurrects a
+//! table of the wrong shape, a totals level reads the sums of an entry that
+//! also carries extras, and a lookup for no lanes — a combination set — is
+//! served by whatever entry sits at its key, so a level a ROLLUP cached
+//! answers an `Hpct`'s combinations without a pass. Never the converse: a
+//! zero-lane entry serves zero-lane lookups only.
 //!
 //! Beside a level's table the cache keeps the level's `parent` vectors
 //! ([`LatticeCache::parent`]): for a coarser level the evaluator divides
@@ -24,14 +32,13 @@
 //! table and its parent vectors, and a store that takes the total past
 //! [`LATTICE_CACHE_BYTES`] evicts least-recently-used entries until it
 //! fits. An evicted level is simply a miss — the planner falls back to a
-//! cached ancestor or the scan.
+//! cached ancestor or the scan, a combination set is scanned for again.
 //!
-//! Invalidation rides with the combination catalog
-//! ([`crate::ComboCache`]): [`crate::Catalog::write`] drops a table's
-//! entries on every change to it, live, replicated or replayed, so
-//! recovery starts cold; entries keyed by a hidden snapshot alias die
-//! when the alias is swept. A [`crate::SharedTable`] write guard is for
-//! unregistered values (a query's own result), which are never cached.
+//! [`crate::Catalog::write`] drops a table's entries on every change to
+//! it, live, replicated or replayed, so recovery starts cold; entries
+//! keyed by a hidden snapshot alias die when the alias is swept. A
+//! [`crate::SharedTable`] write guard is for unregistered values (a
+//! query's own result), which are never cached.
 
 use crate::table::Table;
 use pa_obs::{Counter, MetricsRegistry};
@@ -60,6 +67,14 @@ struct LatticeEntry {
     /// Tick of the last hit (or the store), for least-recently-used
     /// eviction.
     used: AtomicU64,
+}
+
+impl LatticeEntry {
+    /// Whether this entry answers a lookup for `lanes`: they are a leading
+    /// run of its own (none at all included).
+    fn serves(&self, lanes: &[String]) -> bool {
+        self.lanes.starts_with(lanes)
+    }
 }
 
 /// Counter handles mirroring the cache's traffic into a
@@ -205,7 +220,7 @@ impl LatticeCache {
             .read()
             .map
             .get(&key)
-            .filter(|e| e.lanes.starts_with(lanes))
+            .filter(|e| e.serves(lanes))
             .map(|e| {
                 e.used.store(self.tick(), Ordering::Relaxed);
                 Arc::clone(&e.table)
@@ -218,8 +233,12 @@ impl LatticeCache {
     }
 
     /// Store a level table (canonical layout, see the module docs) whose
-    /// lane columns are `lanes`, replacing any previous entry for the key,
-    /// whatever its lanes. Least-recently-used entries are evicted until
+    /// lane columns are `lanes`, replacing a previous entry for the key
+    /// with other lanes. An entry that already serves `lanes` stays: two
+    /// statements that both missed store in either order, and the one with
+    /// fewer lanes (a combination set against a ROLLUP's level) must not
+    /// cost the other its entry — the data under both is the same, a change
+    /// to it empties the key. Least-recently-used entries are evicted until
     /// the cache fits its byte budget again; a table larger than the whole
     /// budget is not retained.
     pub fn store(&self, table: &str, level_cols: &[String], lanes: &[String], level: Arc<Table>) {
@@ -236,6 +255,9 @@ impl LatticeCache {
             used: AtomicU64::new(self.tick()),
         };
         let mut entries = self.entries.write();
+        if entries.map.get(&key).is_some_and(|e| e.serves(lanes)) {
+            return;
+        }
         entries.bytes += entry.bytes;
         if let Some(old) = entries.map.insert(key, entry) {
             entries.bytes -= old.bytes;
@@ -303,7 +325,7 @@ impl LatticeCache {
             .read()
             .map
             .get(&key)
-            .is_some_and(|e| e.lanes.starts_with(lanes))
+            .is_some_and(|e| e.serves(lanes))
     }
 
     /// Drop every cached level of `table`. Called by the catalog's write
@@ -328,7 +350,7 @@ impl LatticeCache {
             .read()
             .map
             .iter()
-            .filter(|((t, _), e)| t == table && e.lanes.starts_with(lanes))
+            .filter(|((t, _), e)| t == table && e.serves(lanes))
             .map(|((_, cols), _)| cols.clone())
             .collect()
     }
@@ -443,6 +465,91 @@ mod tests {
     }
 
     #[test]
+    fn a_combination_set_is_a_level_with_no_lanes() {
+        let cache = LatticeCache::new();
+        let (day, none) = (cols(&["day"]), cols(&[]));
+        // A zero-lane entry serves zero-lane lookups only, at its own key.
+        cache.store("F", &day, &none, level(1, 2));
+        assert!(cache.get("F", &day, &none).is_some());
+        assert!(cache.get("F", &cols(&["day", "store"]), &none).is_none());
+        assert!(cache.get("G", &day, &none).is_none());
+        assert!(cache.get("F", &day, &cols(&["sum(amt)"])).is_none());
+        assert!(!cache.probe("F", &day, &cols(&["sum(amt)"])));
+        assert!(cache.levels_for("F", &cols(&["sum(amt)"])).is_empty());
+        // A level with lanes replaces it and serves both kinds of lookup.
+        let rollup = level(2, 2);
+        let lanes = cols(&["sum(amt)", "count(*)"]);
+        cache.store("F", &day, &lanes, Arc::clone(&rollup));
+        assert_eq!(cache.len(), 1);
+        for wanted in [&none, &lanes[..1].to_vec(), &lanes] {
+            let hit = cache.get("F", &day, wanted).expect("a leading run");
+            assert!(Arc::ptr_eq(&hit, &rollup));
+        }
+    }
+
+    #[test]
+    fn a_store_the_entry_already_serves_does_not_replace_it() {
+        // Two statements miss at `(F, day)`; the ROLLUP stores its level
+        // first, the `Hpct` its combinations after. The level must survive,
+        // or the next ROLLUP rescans.
+        let cache = LatticeCache::new();
+        let day = cols(&["day"]);
+        let lanes = cols(&["sum(amt)", "count(*)"]);
+        let rollup = level(1, 2);
+        cache.store("F", &day, &lanes, Arc::clone(&rollup));
+        let evictions = cache.stats().evictions;
+        for fewer in [&lanes[..0], &lanes[..1], &lanes[..]] {
+            cache.store("F", &day, fewer, level(2, 2));
+            let hit = cache.get("F", &day, &lanes).expect("still every lane");
+            assert!(Arc::ptr_eq(&hit, &rollup), "kept against {fewer:?}");
+        }
+        assert_eq!((cache.len(), cache.stats().evictions), (1, evictions));
+        // Other lanes are another shape: that store replaces.
+        cache.store("F", &day, &cols(&["sum(qty)"]), level(3, 2));
+        assert!(cache.get("F", &day, &lanes).is_none());
+        // And a kept entry still dies with the table's data.
+        cache.invalidate_table("F");
+        assert!(cache.get("F", &day, &[]).is_none());
+    }
+
+    #[test]
+    fn the_byte_bound_evicts_combination_sets_and_a_recomputed_set_is_identical() {
+        // The distinct values of a column, sorted: what a miss computes.
+        let distinct = |values: &[i64]| {
+            let schema = Schema::from_pairs(&[("d", DataType::Int)]).unwrap();
+            let mut t = Table::empty(schema.into_shared());
+            for v in values {
+                t.push_row(&[Value::Int(*v)]).unwrap();
+            }
+            let sorted = t.sorted_by(&[0]);
+            let mut rows: Vec<Vec<Value>> = sorted.rows().collect();
+            rows.dedup();
+            let mut set = Table::empty(Arc::clone(t.schema()));
+            set.push_rows(&rows).unwrap();
+            Arc::new(set)
+        };
+        let facts: Vec<Vec<i64>> = (0..3)
+            .map(|f| (0..2000).map(|i| (i * 7 + f) % 1000).collect())
+            .collect();
+        let one = distinct(&facts[0]).heap_bytes();
+        // Room for two sets, not three.
+        let cache = LatticeCache::with_budget(2 * one + one / 2);
+        let by = cols(&["d"]);
+        let first = distinct(&facts[0]);
+        for (f, values) in facts.iter().enumerate() {
+            cache.store(&format!("F{f}"), &by, &[], distinct(values));
+        }
+        assert_eq!((cache.len(), cache.stats().evictions), (2, 1));
+        assert!(cache.get("F0", &by, &[]).is_none(), "LRU set evicted");
+        // The miss recomputes and stores; the set is the one evicted.
+        cache.store("F0", &by, &[], distinct(&facts[0]));
+        let again = cache.get("F0", &by, &[]).expect("stored again");
+        let rows = |t: &Table| t.rows().collect::<Vec<_>>();
+        assert_eq!(rows(&again), rows(&first));
+        assert_eq!((cache.len(), cache.stats().evictions), (2, 2));
+    }
+
+    #[test]
     fn invalidation_is_per_table_and_counted() {
         let cache = LatticeCache::new();
         cache.store("F", &cols(&["a"]), &cols(&["s"]), level(1, 1));
@@ -538,8 +645,11 @@ mod tests {
         }
         assert_eq!(cache.stats().parent_builds, 6);
 
+        // A store the entry already serves keeps it, vectors and all.
+        cache.store("F", &fine, &cols(&["s"]), level(1, 4));
+        cache.parent("F", &fine, &stored, &onto, || unreachable!("kept"));
         // The vectors go with the entry: a replacing store, an invalidation.
-        cache.store("F", &fine, &cols(&["s"]), Arc::clone(&stored));
+        cache.store("F", &fine, &cols(&["other"]), Arc::clone(&stored));
         cache.parent("F", &fine, &stored, &onto, build);
         assert_eq!(cache.stats().parent_builds, 7);
         cache.invalidate_table("F");

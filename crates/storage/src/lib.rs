@@ -16,7 +16,6 @@ pub mod bitmap;
 pub mod catalog;
 pub mod checkpoint;
 pub mod column;
-pub mod combos;
 pub mod csv;
 pub mod dictionary;
 pub mod error;
@@ -42,7 +41,6 @@ pub use checkpoint::{
     LogCheckpointStore, MemCheckpointStore,
 };
 pub use column::Column;
-pub use combos::{ComboCache, ComboCacheStats};
 pub use csv::{read_csv, write_csv};
 pub use dictionary::Dictionary;
 pub use error::{Result, StorageError};
