@@ -78,6 +78,30 @@ if sed '/^#\[cfg(test)\]/,$d' crates/core/src/lattice.rs | grep -nE 'ShardPartia
   echo "crates/core/src/lattice.rs names ShardPartial or finalize( outside #[cfg(test)]" >&2
   exit 1
 fi
+
+echo "==> no-process-state gate: a statement is handed its configuration and its injector"
+# A statement's scan configuration is its engine's (`with_config`, else the
+# `PA_*` deployment settings read once at the door by `Fact::config`) and a
+# fault injector rides on the guard it was armed for (DESIGN.md §18): no
+# test or bench writes the environment, nothing holds
+# a process-wide trigger or a lock around one, and engine configuration
+# does not come back as a horizontal option. (`scale.rs` keeps
+# `hash_dispatch` as the name of a results row: the same pivot by an engine
+# handed dense budget 0.)
+if grep -rnE 'set_var|remove_var' crates src tests examples; then
+  echo "something writes the process environment" >&2
+  exit 1
+fi
+if grep -rnE 'static (PANIC_AFTER|CHAOS|ENV)\b' crates src tests examples; then
+  echo "a process-global trigger or window lock reappeared" >&2
+  exit 1
+fi
+if grep -rnE 'ParallelMode|hash_dispatch|scalar_kernels' crates/*/src |
+  grep -v '^crates/bench/src/bin/scale.rs:'; then
+  echo "engine configuration reappeared as a strategy option under crates/*/src" >&2
+  exit 1
+fi
+
 # For the log: the two sizes the pruning items (ROADMAP item 7) are judged
 # by. The second was 4 268 with combos.rs and lattice_kernel.rs in it.
 echo "workspace pub fn: $(grep -rn 'pub fn' crates/*/src src | wc -l)"
@@ -194,12 +218,28 @@ cargo test -q -p pa-engine --test differential
 cargo test -q --test golden
 cargo test -q -p pa-sql --test fuzz_corpus
 
-echo "==> scale bench smoke (writes results/BENCH_scale_smoke.json)"
+echo "==> determinism leg: the suites that used to serialize on process state, five runs"
+# Every test of these binaries held a process-wide lock (an `ENV` or `CHAOS`
+# window) while the chaos trigger was a static and configuration was read
+# from the environment. Now each arms its own injector and hands its own
+# engine a configuration, so they run at cargo's default test parallelism,
+# `PA_THREADS` as the machine gives it: a test that still shared state with
+# its neighbours would go red here within a few draws.
+i=0
+while [ "$i" -lt 5 ]; do
+  env -u PA_THREADS cargo test -q -p pa-engine --test differential --test fault_containment
+  env -u PA_THREADS cargo test -q -p pa-core \
+    --test lattice_oracle --test fault_isolation --test prop_parallel_pivot
+  env -u PA_THREADS cargo test -q -p pa-service --test service --test chaos
+  i=$((i + 1))
+done
+
+echo "==> scale bench smoke (writes target/ci/BENCH_scale_smoke.json)"
 # Rows now carry an "operators" per-operator breakdown (rows/morsels/ns per
 # span) — the JSON artifact a hosted pipeline would upload.
 cargo run --release -p pa-bench --bin scale -- \
   --n 20000 --d 7 --threads 1,2 --iters 1 \
-  --out results/BENCH_scale_smoke.json
+  --out target/ci/BENCH_scale_smoke.json
 
 echo "==> code-path + kernel gate: case_direct within 2x of hash_dispatch, pivot within 1.5x of its two-level aggregate, vectorized (n=1M, d=50)"
 # One 1M-row run, three same-run checks. The dense CASE plan must keep the
@@ -234,13 +274,13 @@ cargo run --release -p pa-bench --bin scale -- \
   --assert-lattice-within 1.6 --assert-lattice-warm-within 0.2 \
   --out target/ci/BENCH_lattice_gate.json
 
-echo "==> trace overhead smoke (writes results/BENCH_obs_smoke.json)"
+echo "==> trace overhead smoke (writes target/ci/BENCH_obs_smoke.json)"
 # Hard-gates tracing-on vs tracing-off overhead; also records obs-off
 # throughput against the scale smoke's case_direct t=1 cell written above.
 cargo run --release -p pa-bench --bin obs_overhead -- \
   --n 100000 --iters 3 \
-  --baseline results/BENCH_scale_smoke.json \
-  --out results/BENCH_obs_smoke.json
+  --baseline target/ci/BENCH_scale_smoke.json \
+  --out target/ci/BENCH_obs_smoke.json
 
 echo "==> trajectory: the benchmark package builds, its tests pass, --check is green"
 # `trajectory/` is a package of its own (outside the workspace), so nothing

@@ -7,7 +7,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pa_bench::install_all;
-use pa_core::{HorizontalOptions, HorizontalQuery, PercentageEngine, VpctQuery, VpctStrategy};
+use pa_core::{
+    HorizontalOptions, HorizontalQuery, ParallelConfig, PercentageEngine, VpctQuery, VpctStrategy,
+};
 use pa_storage::Catalog;
 use pa_workload::Scale;
 
@@ -79,12 +81,14 @@ fn bench_ablations(c: &mut Criterion) {
         group.bench_function("O(N) CASE chain", |b| {
             b.iter(|| engine.horizontal_with(&hq, &chain).expect("bench"));
         });
-        let dispatch = HorizontalOptions {
-            hash_dispatch: true,
-            ..HorizontalOptions::default()
-        };
+        // The pivot on the hash tier: an engine handed dense budget 0.
+        let hash_tier = PercentageEngine::new(&catalog).with_config(ParallelConfig {
+            dense_budget: 0,
+            ..ParallelConfig::from_env()
+        });
+        let pivot = HorizontalOptions::default();
         group.bench_function("O(1) hash dispatch", |b| {
-            b.iter(|| engine.horizontal_with(&hq, &dispatch).expect("bench"));
+            b.iter(|| hash_tier.horizontal_with(&hq, &pivot).expect("bench"));
         });
         group.finish();
     }

@@ -38,7 +38,7 @@ fn parse_args() -> Args {
         d: 7,
         iters: 5,
         gate_pct: 25.0,
-        baseline: "results/BENCH_scale_smoke.json".to_string(),
+        baseline: "target/ci/BENCH_scale_smoke.json".to_string(),
         out: "results/BENCH_obs.json".to_string(),
     };
     let mut it = std::env::args().skip(1);

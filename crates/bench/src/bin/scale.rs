@@ -8,9 +8,10 @@
 //! Measures the morsel-parallel execution layer on a synthetic fact table
 //! (`store` × `day` × `amt`, LCG-generated, `d` distinct BY values) under
 //! three representative strategies: the best vertical plan (`vpct_best`),
-//! the CASE pivot from F (`case_direct`), and the single-pass hash
-//! dispatcher (`hash_dispatch`). Thread count is driven through
-//! `PA_THREADS`, exactly as a user would set it. Output is machine-readable
+//! the CASE pivot from F (`case_direct`), and the same pivot on the hash
+//! tier (`hash_dispatch`: an engine handed `dense_budget: 0`). Each cell's
+//! engine is handed the deployment's configuration at that cell's thread
+//! count (`PercentageEngine::with_config`). Output is machine-readable
 //! JSON: wall ms (best of `--iters`), rows/s, and speedup vs the same
 //! strategy at 1 thread, plus the host's actual parallelism so flat
 //! speedups on small machines are self-explaining.
@@ -368,10 +369,10 @@ fn run_lattice_cell(
 /// (A one-level denominator made the ratio a measure of the fixed
 /// domain/encode cost both sides paid: it read ×1.36 while each statement
 /// rescanned min/max and re-encoded its keys, ×1.78 once neither did.)
-fn run_pivot_cell(catalog: &Catalog, iters: usize) -> [f64; 2] {
+fn run_pivot_cell(catalog: &Catalog, config: &ParallelConfig, iters: usize) -> [f64; 2] {
     let fact = catalog.table("fact").expect("generated");
     let fact = fact.read();
-    let (guard, config) = (ResourceGuard::unlimited(), ParallelConfig::from_env());
+    let guard = ResourceGuard::unlimited();
     let mut combos = distinct_keys(&fact, &[1], &mut ExecStats::default()).expect("day exists");
     combos.sort_by(|a, b| a[0].total_cmp(&b[0]));
     let task = PivotTask {
@@ -384,12 +385,12 @@ fn run_pivot_cell(catalog: &Catalog, iters: usize) -> [f64; 2] {
     let mut stats = ExecStats::default();
     let tasks = std::slice::from_ref(&task);
     let pivot_ms = best_ms(iters, || {
-        pivot_aggregate_with_config(&fact, &[0], tasks, &[], &guard, &mut stats, &config)
+        pivot_aggregate_with_config(&fact, &[0], tasks, &[], &guard, &mut stats, config)
             .expect("bench query");
     });
     let levels = [(vec![0, 1], sum.to_vec()), (vec![0], sum.to_vec())];
     let aggregate_ms = best_ms(iters, || {
-        multi_hash_aggregate_with_config(&fact, &levels, &guard, &mut stats, &config)
+        multi_hash_aggregate_with_config(&fact, &levels, &guard, &mut stats, config)
             .expect("bench query");
     });
     [pivot_ms, aggregate_ms]
@@ -411,20 +412,10 @@ fn run_cell(engine: &PercentageEngine<'_>, strategy: &str, iters: usize) -> (f64
                 telemetry = CellTelemetry::of(&r.stats);
             })
         }
-        "case_direct" => {
+        // (The same plan: `hash_dispatch`'s engine was handed dense budget 0.)
+        "case_direct" | "hash_dispatch" => {
             let q = HorizontalQuery::hpct("fact", &["store"], "amt", &["day"]);
             let opts = HorizontalOptions::with_strategy(HorizontalStrategy::CaseDirect);
-            best_ms(iters, || {
-                let r = engine.horizontal_with(&q, &opts).expect("bench query");
-                telemetry = CellTelemetry::of(&r.stats);
-            })
-        }
-        "hash_dispatch" => {
-            let q = HorizontalQuery::hpct("fact", &["store"], "amt", &["day"]);
-            let opts = HorizontalOptions {
-                hash_dispatch: true,
-                ..HorizontalOptions::default()
-            };
             best_ms(iters, || {
                 let r = engine.horizontal_with(&q, &opts).expect("bench query");
                 telemetry = CellTelemetry::of(&r.stats);
@@ -461,17 +452,9 @@ fn trace_cell(engine: &PercentageEngine<'_>, strategy: &str) -> String {
             let q = VpctQuery::single("fact", &["store", "day"], "amt", &["day"]);
             engine.vpct_traced(&q).expect("bench query").1
         }
-        "case_direct" => {
+        "case_direct" | "hash_dispatch" => {
             let q = HorizontalQuery::hpct("fact", &["store"], "amt", &["day"]);
             let opts = HorizontalOptions::with_strategy(HorizontalStrategy::CaseDirect);
-            engine.horizontal_traced(&q, &opts).expect("bench query").1
-        }
-        "hash_dispatch" => {
-            let q = HorizontalQuery::hpct("fact", &["store"], "amt", &["day"]);
-            let opts = HorizontalOptions {
-                hash_dispatch: true,
-                ..HorizontalOptions::default()
-            };
             engine.horizontal_traced(&q, &opts).expect("bench query").1
         }
         "case_sorted" => {
@@ -503,6 +486,7 @@ const STRATEGIES: [&str; 6] = [
 
 fn main() {
     let args = parse_args();
+    let deployed = ParallelConfig::from_env();
     let host_threads = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
@@ -536,14 +520,17 @@ fn main() {
                 catalog.create_table("fact", fact).expect("fresh")
             });
             println!("\nn={n} d={d} (generated in {gen_ms:.0} ms)");
-            let engine = PercentageEngine::new(&catalog);
             for strategy in STRATEGIES {
                 let mut serial_ms = None;
                 for &threads in &args.threads {
-                    // Everything below `choose_parallelism` reads the
-                    // environment (ParallelMode::Auto), so this is exactly
-                    // the user-facing knob.
-                    std::env::set_var("PA_THREADS", threads.to_string());
+                    let mut config = ParallelConfig {
+                        threads,
+                        ..deployed
+                    };
+                    if strategy == "hash_dispatch" {
+                        config.dense_budget = 0;
+                    }
+                    let engine = PercentageEngine::new(&catalog).with_config(config);
                     let (ms, telemetry, extra) = if strategy == "lattice" {
                         let (ms, telemetry, extra, comparators) =
                             run_lattice_cell(&engine, &catalog, args.iters);
@@ -553,7 +540,8 @@ fn main() {
                         let (ms, telemetry) = run_cell(&engine, strategy, args.iters);
                         let mut extra = String::new();
                         if strategy == "case_direct" {
-                            let [pivot_ms, aggregate_ms] = run_pivot_cell(&catalog, args.iters);
+                            let [pivot_ms, aggregate_ms] =
+                                run_pivot_cell(&catalog, &config, args.iters);
                             pivot_gate.push((n, d, threads, [pivot_ms, aggregate_ms]));
                             let _ = write!(
                                 extra,
@@ -585,7 +573,6 @@ fn main() {
                     ));
                 }
             }
-            std::env::remove_var("PA_THREADS");
         }
     }
 

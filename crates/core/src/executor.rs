@@ -17,7 +17,7 @@ use crate::optimizer::{
 use crate::query::{from_sql, per_set_statements, Fact, HorizontalQuery, Query, VpctQuery};
 use crate::strategy::{HorizontalOptions, VpctStrategy};
 use crate::vertical::{eval_vpct_on, into_shared, QueryResult};
-use pa_engine::{Clock, Deadline, ExecStats, ResourceGuard, TraceReport, Tracer};
+use pa_engine::{Clock, Deadline, ExecStats, ParallelConfig, ResourceGuard, TraceReport, Tracer};
 use pa_storage::{Catalog, Change, Rows};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -122,13 +122,19 @@ impl SqlOutcome {
 /// assert_eq!(t.get(0, 1), Value::Float(0.3));
 /// assert_eq!(t.get(1, 1), Value::Float(0.7));
 /// ```
-#[derive(Debug)]
+///
+/// What a statement is handed — the catalog, a guard (with whatever rides
+/// on it: tracer, fault injector), a clock, a default deadline and a scan
+/// configuration — is this value; a clone is a second engine over the same
+/// ones, sharing the replica flag.
+#[derive(Debug, Clone)]
 pub struct PercentageEngine<'a> {
     catalog: &'a Catalog,
     guard: ResourceGuard,
     clock: Arc<dyn Clock>,
     deadline: Option<Duration>,
-    read_only: AtomicBool,
+    config: Option<ParallelConfig>,
+    read_only: Arc<AtomicBool>,
 }
 
 impl<'a> PercentageEngine<'a> {
@@ -139,7 +145,8 @@ impl<'a> PercentageEngine<'a> {
             guard: ResourceGuard::unlimited(),
             clock: pa_engine::SystemClock::shared(),
             deadline: None,
-            read_only: AtomicBool::new(false),
+            config: None,
+            read_only: Arc::default(),
         }
     }
 
@@ -165,8 +172,7 @@ impl<'a> PercentageEngine<'a> {
 
     /// Default wall-clock deadline for every query this engine runs; each
     /// top-level call gets the full allowance, counted from when the call
-    /// starts. Per-call [`QueryLimits`] and
-    /// [`HorizontalOptions::deadline`] override it.
+    /// starts. Per-call [`QueryLimits`] override it.
     pub fn with_deadline(mut self, allow: Duration) -> Self {
         self.deadline = Some(allow);
         self
@@ -177,6 +183,17 @@ impl<'a> PercentageEngine<'a> {
     /// [`pa_engine::TestClock`] here.
     pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
         self.clock = clock;
+        self
+    }
+
+    /// The scan configuration of every statement this engine runs, whatever
+    /// its family: worker threads, morsel size, the dense-group budget
+    /// (`dense_budget: 0` is the hash-tier ablation), vectorized or scalar
+    /// kernels, the percentile budget. An engine handed none reads the
+    /// deployment's `PA_*` settings ([`ParallelConfig::from_env`]) once per
+    /// statement.
+    pub fn with_config(mut self, config: ParallelConfig) -> Self {
+        self.config = Some(config);
         self
     }
 
@@ -261,8 +278,9 @@ impl<'a> PercentageEngine<'a> {
     /// Resolves `table` once — pinned at the current catalog epoch, so the
     /// whole query scans one frozen version while concurrent writers keep
     /// mutating the live table, and the caches are keyed by the snapshot's
-    /// alias — then derives a per-query guard layering the per-call limits
-    /// over the engine defaults and hands both to `eval`. A panic that
+    /// alias — hands it the engine's scan configuration, then derives a
+    /// per-query guard layering the per-call limits over the engine
+    /// defaults and hands both to `eval`. A panic that
     /// escapes the plan becomes [`CoreError::WorkerPanicked`] and cancels
     /// the guard so sibling workers stop. With a `tracer`, the query runs
     /// with a root `query` span open and the tracer riding on the guard, so
@@ -284,15 +302,14 @@ impl<'a> PercentageEngine<'a> {
         let fact = match &pin {
             Some(view) => Fact::cached(Arc::clone(view.table()), view.alias()),
             None => Fact::named(self.catalog, table)?,
-        };
+        }
+        .configured(self.config);
         let allow = limits.deadline.or(self.deadline);
         let deadline = allow.map(|d| Deadline::with_clock(d, Arc::clone(&self.clock)));
+        // (With no limits anywhere the query is still metered, so
+        // `rows_charged` reports its cost and a panic can cancel surviving
+        // workers.)
         let mut qguard = self.guard.per_query_limited(limits.row_budget, deadline);
-        if qguard.is_unlimited() {
-            // No limits anywhere: still meter the query so `rows_charged`
-            // reports its cost and a panic can cancel surviving workers.
-            qguard = ResourceGuard::counting();
-        }
         if let Some(t) = &tracer {
             qguard = qguard.with_tracer(t.clone());
         }
@@ -374,16 +391,14 @@ impl<'a> PercentageEngine<'a> {
         Ok((r, report))
     }
 
-    /// The typed horizontal entry points. The deadline precedence is
-    /// `limits` > [`HorizontalOptions::deadline`] > the engine default.
+    /// The typed horizontal entry points.
     fn run_horizontal(
         &self,
         q: &HorizontalQuery,
         opts: Option<&HorizontalOptions>,
-        mut limits: QueryLimits,
+        limits: QueryLimits,
         tracer: Option<Tracer>,
     ) -> Result<(HorizontalResult, Option<TraceReport>)> {
-        limits.deadline = limits.deadline.or(opts.and_then(|o| o.deadline));
         let eval = |fact: &Fact, guard: &ResourceGuard| self.eval_horizontal(fact, q, opts, guard);
         let (mut r, charged, report) = self.run("horizontal", &q.table, limits, tracer, eval)?;
         r.stats.rows_charged = charged;
@@ -442,7 +457,8 @@ impl<'a> PercentageEngine<'a> {
         // pin: the query then reads a snapshot that holds the pad.
         let mut pad = ExecStats::default();
         if missing == MissingRows::PreProcess {
-            preprocess_pad(self.catalog, q, &mut pad)?;
+            let live = Fact::named(self.catalog, &q.table)?.configured(self.config);
+            preprocess_pad(self.catalog, &live, q, &mut pad)?;
         }
         let eval = |fact: &Fact, guard: &ResourceGuard| {
             let mut result = self.eval_vertical(fact, q, Some(strat), guard)?;
@@ -480,9 +496,7 @@ impl<'a> PercentageEngine<'a> {
         self.horizontal_limited(q, opts, QueryLimits::none())
     }
 
-    /// [`PercentageEngine::horizontal_with`] with per-call limits. The
-    /// deadline precedence is `limits` > [`HorizontalOptions::deadline`] >
-    /// the engine default.
+    /// [`PercentageEngine::horizontal_with`] with per-call limits.
     pub fn horizontal_limited(
         &self,
         q: &HorizontalQuery,
@@ -570,7 +584,7 @@ impl<'a> PercentageEngine<'a> {
     fn run_statement(
         &self,
         stmt: pa_sql::SelectStmt,
-        mut limits: QueryLimits,
+        limits: QueryLimits,
         knobs: Knobs<'_>,
         tracer: Option<Tracer>,
     ) -> Result<(SqlOutcome, Option<TraceReport>)> {
@@ -584,11 +598,6 @@ impl<'a> PercentageEngine<'a> {
             Some(_) => Vec::new(),
             None => per_set_statements(&stmt)?,
         };
-        // An options-level deadline only applies to the family it belongs
-        // to.
-        if let (Some(Query::Horizontal(_)), Some((_, hopts))) = (&flat, knobs) {
-            limits.deadline = limits.deadline.or(hopts.deadline);
-        }
         let eval = |fact: &Fact, guard: &ResourceGuard| {
             let mut select_stats = ExecStats::default();
             let selected;
@@ -880,7 +889,7 @@ fn union_grouping_results(
     results: &[(Vec<String>, pa_storage::Table)],
     guard: &ResourceGuard,
 ) -> Result<pa_storage::Table> {
-    use pa_storage::{Field, Schema, Value};
+    use pa_storage::{Column, Field, Schema};
     let Some((first_set, first)) = results.first() else {
         return Err(CoreError::InvalidQuery(
             "statement has no evaluable grouping set".into(),
@@ -906,8 +915,7 @@ fn union_grouping_results(
     for j in 0..n_aggs {
         fields.push(first.schema().field_at(first_set.len() + j).clone());
     }
-    let schema = Schema::new(fields)?;
-    let mut out = pa_storage::Table::empty(schema.into_shared());
+    let mut out: Vec<Column> = fields.iter().map(|f| Column::new(f.dtype)).collect();
     let mut span = guard.span("union_sets");
     for (set, t) in results {
         if t.schema().len() != set.len() + n_aggs {
@@ -917,28 +925,22 @@ fn union_grouping_results(
                 t.schema().len().saturating_sub(set.len()),
             )));
         }
-        let dims: Vec<Option<usize>> = group_by
-            .iter()
-            .map(|g| set.iter().position(|c| c.eq_ignore_ascii_case(g)))
-            .collect();
         span.add_rows(t.num_rows() as u64);
         span.add_morsels(1);
-        let mut row: Vec<Value> = Vec::with_capacity(group_by.len() + n_aggs);
-        for r in 0..t.num_rows() {
-            row.clear();
-            for d in &dims {
-                row.push(match d {
-                    Some(c) => t.get(r, *c),
-                    None => Value::Null,
-                });
+        let (dims, aggs) = out.split_at_mut(group_by.len());
+        for (g, col) in group_by.iter().zip(dims) {
+            match set.iter().position(|c| c.eq_ignore_ascii_case(g)) {
+                Some(c) => col.extend_from(t.column(c))?,
+                None => col.push_nulls(t.num_rows()),
             }
-            for j in 0..n_aggs {
-                row.push(t.get(r, set.len() + j));
-            }
-            out.push_row(&row)?;
+        }
+        for (j, col) in aggs.iter_mut().enumerate() {
+            col.extend_from(t.column(set.len() + j))?;
         }
     }
-    Ok(out)
+    drop(span);
+    let schema = Schema::new(fields)?.into_shared();
+    Ok(pa_storage::Table::from_columns(schema, out)?)
 }
 
 /// Sort a finished result in place by the named columns.
@@ -1533,12 +1535,12 @@ mod tests {
 
     #[test]
     fn traced_hpct_op_rows_and_times_cover_the_query_serial_and_parallel() {
-        use crate::strategy::{HorizontalStrategy, ParallelMode};
+        use crate::strategy::HorizontalStrategy;
         use pa_engine::SpanRecord;
         use pa_storage::{DataType, Schema, Table};
 
-        // Large enough that `Threads(4)` crosses the serial threshold and
-        // actually fans out (4 default-size morsels).
+        // Large enough that four threads cross the serial threshold and
+        // actually fan out (4 default-size morsels).
         let n: usize = 260_096;
         let schema = Schema::from_pairs(&[
             ("state", DataType::Int),
@@ -1558,17 +1560,14 @@ mod tests {
         }
         let catalog = Catalog::new();
         catalog.create_table("facts", f).unwrap();
-        let engine = PercentageEngine::new(&catalog);
         let q = crate::query::HorizontalQuery::hpct("facts", &["state"], "amt", &["city"]);
+        let opts = HorizontalOptions::with_strategy(HorizontalStrategy::CaseFromFv);
 
         for (mode, want_workers) in [
-            (ParallelMode::Serial, false),
-            (ParallelMode::Threads(4), true),
+            (ParallelConfig::serial(), false),
+            (ParallelConfig::with_threads(4), true),
         ] {
-            let opts = HorizontalOptions {
-                parallel: mode,
-                ..HorizontalOptions::with_strategy(HorizontalStrategy::CaseFromFv)
-            };
+            let engine = PercentageEngine::new(&catalog).with_config(mode);
             let (r, report) = engine.horizontal_traced(&q, &opts).unwrap();
             let root = report.root().expect("root span recorded");
             assert_eq!(root.label, "query");

@@ -174,14 +174,10 @@ pub(crate) fn eval_horizontal_on(
 
     let f_guard = fact.read();
     let f_schema = f_guard.schema().clone();
-    // One parallelism decision per query, sized on the fact table; every
-    // aggregation pass of this evaluation shares it (the engine still
-    // drops small intermediate inputs like FV to the serial path).
-    let mut par =
-        crate::optimizer::parallelism_under(fact.config(), opts.parallel, f_guard.num_rows());
-    if opts.scalar_kernels {
-        par.vector = false;
-    }
+    // Every aggregation pass of this evaluation runs under the statement's
+    // one configuration (the engine drops small inputs like FV to the
+    // serial path operator by operator).
+    let par = fact.config();
 
     for term in &q.terms {
         for b in &term.by {
@@ -438,18 +434,9 @@ pub(crate) fn eval_horizontal_on(
     let raw = match opts.strategy {
         HorizontalStrategy::CaseDirect | HorizontalStrategy::CaseFromFv => {
             // The CASE plan is the pivot (the aggregate at GROUP BY ∪ BY,
-            // transposed); `hash_dispatch` is the same plan with every
-            // level on the hash tier (dense budget 0). The O(N) predicate
-            // chain runs only as the `jump_table: false` ablation.
-            if opts.jump_table || opts.hash_dispatch {
-                let pivot_par = ParallelConfig {
-                    dense_budget: if opts.hash_dispatch {
-                        0
-                    } else {
-                        par.dense_budget
-                    },
-                    ..par
-                };
+            // transposed). The O(N) predicate chain runs only as the
+            // `jump_table: false` ablation.
+            if opts.jump_table {
                 let flat_extras: Vec<(AggFunc, Expr)> = extra_specs_src
                     .iter()
                     .flat_map(|(lanes, _)| lanes.iter().cloned())
@@ -461,7 +448,7 @@ pub(crate) fn eval_horizontal_on(
                     &flat_extras,
                     guard,
                     &mut stats,
-                    &pivot_par,
+                    &par,
                 )?
             } else {
                 case_raw(
@@ -858,22 +845,36 @@ mod tests {
         q
     }
 
-    fn all_option_sets() -> Vec<HorizontalOptions> {
+    /// The hash-tier ablation: every grouping level hashed, none indexed.
+    const HASH_TIER: ParallelConfig = ParallelConfig {
+        dense_budget: 0,
+        ..ParallelConfig::serial()
+    };
+
+    /// Every strategy as deployed, and the CASE pair on the hash tier.
+    fn all_option_sets() -> Vec<(HorizontalOptions, Option<ParallelConfig>)> {
         let mut out = Vec::new();
         for strategy in HorizontalStrategy::all() {
-            out.push(HorizontalOptions::with_strategy(strategy));
+            out.push((HorizontalOptions::with_strategy(strategy), None));
         }
         for strategy in [
             HorizontalStrategy::CaseDirect,
             HorizontalStrategy::CaseFromFv,
         ] {
-            out.push(HorizontalOptions {
-                strategy,
-                hash_dispatch: true,
-                ..HorizontalOptions::default()
-            });
+            out.push((HorizontalOptions::with_strategy(strategy), Some(HASH_TIER)));
         }
         out
+    }
+
+    /// [`eval_horizontal`] of a statement handed `config`.
+    fn eval_under(
+        catalog: &Catalog,
+        q: &HorizontalQuery,
+        opts: &HorizontalOptions,
+        config: Option<ParallelConfig>,
+    ) -> Result<HorizontalResult> {
+        let fact = Fact::named(catalog, &q.table)?.configured(config);
+        eval_horizontal_on(catalog, &fact, q, opts, &ResourceGuard::unlimited())
     }
 
     fn check_table3_shape(result: &HorizontalResult) {
@@ -897,9 +898,9 @@ mod tests {
 
     #[test]
     fn paper_table3_every_strategy() {
-        for (i, opts) in all_option_sets().into_iter().enumerate() {
+        for (i, (opts, config)) in all_option_sets().into_iter().enumerate() {
             let catalog = store_sales_catalog();
-            let result = eval_horizontal(&catalog, &hpct_query(), &opts, "t_")
+            let result = eval_under(&catalog, &hpct_query(), &opts, config)
                 .unwrap_or_else(|e| panic!("options {i}: {e}"));
             check_table3_shape(&result);
         }
@@ -946,10 +947,10 @@ mod tests {
             AggFunc::Avg,
         ] {
             let mut reference: Option<Vec<Vec<Value>>> = None;
-            for opts in all_option_sets() {
+            for (opts, config) in all_option_sets() {
                 let catalog = store_sales_catalog();
                 let q = HorizontalQuery::hagg("sales", &["store"], func, "salesAmt", &["dweek"]);
-                let result = eval_horizontal(&catalog, &q, &opts, "a_")
+                let result = eval_under(&catalog, &q, &opts, config)
                     .unwrap_or_else(|e| panic!("{func:?} {}: {e}", opts.strategy.label()));
                 let rows: Vec<Vec<Value>> = result.snapshot().sorted_by(&[0]).rows().collect();
                 match &reference {
@@ -957,9 +958,9 @@ mod tests {
                     Some(r) => assert_eq!(
                         r,
                         &rows,
-                        "{func:?} under {} (dispatch={})",
+                        "{func:?} under {} (hash tier: {})",
                         opts.strategy.label(),
-                        opts.hash_dispatch
+                        config.is_some()
                     ),
                 }
             }
@@ -992,10 +993,10 @@ mod tests {
 
     #[test]
     fn no_group_by_yields_one_global_row() {
-        for opts in all_option_sets() {
+        for (opts, config) in all_option_sets() {
             let catalog = store_sales_catalog();
             let q = HorizontalQuery::hpct("sales", &[], "salesAmt", &["dweek"]);
-            let result = eval_horizontal(&catalog, &q, &opts, "g_")
+            let result = eval_under(&catalog, &q, &opts, config)
                 .unwrap_or_else(|e| panic!("{}: {e}", opts.strategy.label()));
             let t = result.snapshot();
             assert_eq!(t.num_rows(), 1, "{}", opts.strategy.label());
@@ -1095,17 +1096,9 @@ mod tests {
         assert_eq!(jump.stats.case_condition_evals, 12);
         assert!(jump.stats.dense_group_ops > 0, "{}", jump.stats);
         assert_eq!(jump.stats.hash_group_ops, 0, "{}", jump.stats);
-        // Hash-dispatch ablation: same constant CASE cost, hash lookups.
-        let dispatch = eval_horizontal(
-            &catalog,
-            &q,
-            &HorizontalOptions {
-                hash_dispatch: true,
-                ..HorizontalOptions::default()
-            },
-            "c3_",
-        )
-        .unwrap();
+        // Hash-tier ablation: same constant CASE cost, hash lookups.
+        let dispatch =
+            eval_under(&catalog, &q, &HorizontalOptions::default(), Some(HASH_TIER)).unwrap();
         assert_eq!(dispatch.stats.case_condition_evals, 12);
         assert_eq!(dispatch.stats.dense_group_ops, 0, "{}", dispatch.stats);
         assert!(dispatch.stats.hash_group_ops > 0, "{}", dispatch.stats);
@@ -1222,8 +1215,8 @@ mod tests {
             .unwrap();
         catalog.create_table("f", t).unwrap();
         let q = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
-        for opts in all_option_sets() {
-            let result = eval_horizontal(&catalog, &q, &opts, "nu_")
+        for (opts, config) in all_option_sets() {
+            let result = eval_under(&catalog, &q, &opts, config)
                 .unwrap_or_else(|e| panic!("{}: {e}", opts.strategy.label()));
             let t = result.snapshot();
             assert_eq!(t.num_columns(), 3, "{}", opts.strategy.label());
@@ -1250,8 +1243,8 @@ mod tests {
             .unwrap();
         catalog.create_table("f", t).unwrap();
         let q = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
-        for opts in all_option_sets() {
-            let result = eval_horizontal(&catalog, &q, &opts, "zz_").unwrap();
+        for (opts, config) in all_option_sets() {
+            let result = eval_under(&catalog, &q, &opts, config).unwrap();
             let t = result.snapshot();
             assert_eq!(t.get(0, 1), Value::Null, "{}", opts.strategy.label());
             assert_eq!(t.get(0, 2), Value::Null);

@@ -32,7 +32,7 @@ pub use lattice::{
 };
 pub use missing::MissingRows;
 pub use olap::eval_vpct_olap;
-pub use optimizer::{choose_horizontal_strategy, choose_parallelism, choose_vpct_strategy};
+pub use optimizer::{choose_horizontal_strategy, choose_vpct_strategy};
 pub use pa_engine::{
     AbortCause, Clock, Deadline, Degradation, ExecStats, MetricsRegistry, ParallelConfig,
     ResourceGuard, SpanRecord, SystemClock, TestClock, TraceReport, Tracer,
@@ -42,6 +42,6 @@ pub use query::{
     VpctQuery, VpctTerm,
 };
 pub use strategy::{
-    FjSource, HorizontalOptions, HorizontalStrategy, Materialization, ParallelMode, VpctStrategy,
+    FjSource, HorizontalOptions, HorizontalStrategy, Materialization, VpctStrategy,
 };
 pub use vertical::{eval_vpct, QueryResult};

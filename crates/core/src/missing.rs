@@ -16,7 +16,7 @@
 use crate::error::{CoreError, Result};
 use crate::query::{Fact, Measure, VpctQuery};
 use crate::vertical::QueryResult;
-use pa_engine::{distinct, distinct_keys, insert_into, ExecStats, ResourceGuard, RowKeyMap};
+use pa_engine::{distinct, insert_into, ExecStats, ResourceGuard, RowKeyMap};
 use pa_storage::{Catalog, Table, Value};
 
 /// The user's choice for the missing-row issue. Optional by design: "the
@@ -43,8 +43,14 @@ fn single_term(q: &VpctQuery) -> Result<()> {
 
 /// Pre-processing: insert one zero-measure row into `F` for every
 /// (existing `D1..Dj` group) × (existing `Dj+1..Dk` combination) with no
-/// rows. Returns the number of rows inserted.
-pub fn preprocess_pad(catalog: &Catalog, q: &VpctQuery, stats: &mut ExecStats) -> Result<u64> {
+/// rows. `fact` is the live `F` (the pad is a write, so it runs ahead of
+/// the statement's pin). Returns the number of rows inserted.
+pub(crate) fn preprocess_pad(
+    catalog: &Catalog,
+    fact: &Fact,
+    q: &VpctQuery,
+    stats: &mut ExecStats,
+) -> Result<u64> {
     q.validate()?;
     single_term(q)?;
     let term = &q.terms[0];
@@ -53,9 +59,9 @@ pub fn preprocess_pad(catalog: &Catalog, q: &VpctQuery, stats: &mut ExecStats) -
         return Ok(0); // Global totals or no subgrouping: nothing can be missing.
     }
 
-    let f_shared = catalog.table(&q.table)?;
     let (j_keys, by_keys, existing, schema, j_cols, by_cols) = {
-        let f = f_shared.read();
+        let rows = fact.read();
+        let f = rows.whole();
         let schema = f.schema().clone();
         let j_cols: Vec<usize> = totals
             .iter()
@@ -66,12 +72,16 @@ pub fn preprocess_pad(catalog: &Catalog, q: &VpctQuery, stats: &mut ExecStats) -
             .iter()
             .map(|n| schema.index_of(n).map_err(CoreError::from))
             .collect::<Result<Vec<_>>>()?;
-        let j_keys = distinct_keys(&f, &j_cols, stats)?;
-        let by_keys = distinct_keys(&f, &by_cols, stats)?;
+        let (unguarded, config) = (ResourceGuard::unlimited(), fact.config());
+        let mut keys = |cols: &[usize]| -> Result<Vec<Vec<Value>>> {
+            let found = distinct(rows.selected(), cols, &unguarded, stats, &config)?;
+            Ok(found.rows().collect())
+        };
+        let (j_keys, by_keys) = (keys(&j_cols)?, keys(&by_cols)?);
         let all_cols: Vec<usize> = j_cols.iter().chain(&by_cols).copied().collect();
         let mut existing = RowKeyMap::new();
         for row in 0..f.num_rows() {
-            existing.get_or_insert_row(&f, &all_cols, row, stats);
+            existing.get_or_insert_row(f, &all_cols, row, stats);
         }
         (j_keys, by_keys, existing, schema, j_cols, by_cols)
     };
@@ -238,6 +248,11 @@ mod tests {
         catalog
     }
 
+    /// [`preprocess_pad`] over the table as it stands.
+    fn pad_live(catalog: &Catalog, q: &VpctQuery, stats: &mut ExecStats) -> Result<u64> {
+        preprocess_pad(catalog, &Fact::named(catalog, &q.table)?, q, stats)
+    }
+
     fn q() -> VpctQuery {
         VpctQuery::single("sales", &["store", "dweek"], "amt", &["dweek"])
     }
@@ -339,7 +354,7 @@ mod tests {
     fn preprocess_pads_fact_table_and_fixes_measures() {
         let catalog = catalog();
         let mut stats = ExecStats::default();
-        let added = preprocess_pad(&catalog, &q(), &mut stats).unwrap();
+        let added = pad_live(&catalog, &q(), &mut stats).unwrap();
         assert_eq!(added, 1);
         assert_eq!(catalog.table("sales").unwrap().read().num_rows(), 4);
         let result = eval_vpct(&catalog, &q(), &VpctStrategy::best(), "pre_").unwrap();
@@ -353,7 +368,7 @@ mod tests {
         // The paper: padding "causes F to produce an incorrect row count %
         // using Vpct(1)". Verify the caveat is real.
         let catalog = catalog();
-        preprocess_pad(&catalog, &q(), &mut ExecStats::default()).unwrap();
+        pad_live(&catalog, &q(), &mut ExecStats::default()).unwrap();
         let count_q =
             VpctQuery::single("sales", &["store", "dweek"], Measure::LitInt(1), &["dweek"]);
         let result = eval_vpct(&catalog, &count_q, &VpctStrategy::best(), "c_").unwrap();
@@ -372,7 +387,7 @@ mod tests {
             .push(crate::query::VpctTerm::new("amt", &["dweek"]));
         q2.terms[1].name = "second".into();
         assert!(matches!(
-            preprocess_pad(&catalog, &q2, &mut ExecStats::default()),
+            pad_live(&catalog, &q2, &mut ExecStats::default()),
             Err(CoreError::Unsupported(_))
         ));
     }
@@ -382,7 +397,7 @@ mod tests {
         let catalog = catalog();
         let q = VpctQuery::single("sales", &["store"], "amt", &[]);
         assert_eq!(
-            preprocess_pad(&catalog, &q, &mut ExecStats::default()).unwrap(),
+            pad_live(&catalog, &q, &mut ExecStats::default()).unwrap(),
             0
         );
     }

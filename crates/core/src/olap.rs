@@ -42,6 +42,7 @@ pub(crate) fn eval_vpct_olap_on(fact: &Fact, q: &VpctQuery) -> Result<QueryResul
         ));
     }
     let mut stats = ExecStats::default();
+    let config = fact.config();
 
     let rows = fact.read();
     let f = rows.whole();
@@ -85,7 +86,8 @@ pub(crate) fn eval_vpct_olap_on(fact: &Fact, q: &VpctQuery) -> Result<QueryResul
     for (t, term) in q.terms.iter().enumerate() {
         let (func, mcol) = term_measures[t];
         let pos = cur.num_columns();
-        cur = window_aggregate(&cur, &k_cols, func, mcol, &format!("__sumk{t}"), &mut stats)?;
+        let name = format!("__sumk{t}");
+        cur = window_aggregate(&cur, &k_cols, func, mcol, &name, &mut stats, &config)?;
         num_pos.push(pos);
         let totals: Vec<usize> = q
             .totals_key(term)
@@ -93,7 +95,8 @@ pub(crate) fn eval_vpct_olap_on(fact: &Fact, q: &VpctQuery) -> Result<QueryResul
             .map(|n| schema.index_of(n).map_err(CoreError::from))
             .collect::<Result<Vec<_>>>()?;
         let pos = cur.num_columns();
-        cur = window_aggregate(&cur, &totals, func, mcol, &format!("__sumj{t}"), &mut stats)?;
+        let name = format!("__sumj{t}");
+        cur = window_aggregate(&cur, &totals, func, mcol, &name, &mut stats, &config)?;
         den_pos.push(pos);
         statements.push(format!(
             "-- window pair {t}: sum({m}) OVER (PARTITION BY {k}) and OVER (PARTITION BY {j})",
@@ -125,13 +128,7 @@ pub(crate) fn eval_vpct_olap_on(fact: &Fact, q: &VpctQuery) -> Result<QueryResul
     // DISTINCT collapse down to one row per group.
     let all: Vec<usize> = (0..divided.num_columns()).collect();
     let unguarded = ResourceGuard::unlimited();
-    let fv = distinct(
-        (&divided).into(),
-        &all,
-        &unguarded,
-        &mut stats,
-        &fact.config(),
-    )?;
+    let fv = distinct((&divided).into(), &all, &unguarded, &mut stats, &config)?;
     statements.push(format!(
         "SELECT DISTINCT {k}, {terms} FROM {f};",
         k = q.group_by.join(", "),

@@ -18,8 +18,7 @@
 
 use crate::error::Result;
 use crate::query::{Fact, FactRows, HorizontalQuery, VpctQuery};
-use crate::strategy::{HorizontalStrategy, ParallelMode, VpctStrategy};
-use pa_engine::ParallelConfig;
+use crate::strategy::{HorizontalStrategy, VpctStrategy};
 use pa_storage::Catalog;
 
 /// Estimated BY-domain size (product of per-column distinct counts) above
@@ -43,37 +42,6 @@ pub const DIRECT_CELL_BUDGET: usize = 1024;
 /// it exists as the seam where a cost model would plug in.
 pub fn choose_vpct_strategy(_catalog: &Catalog, _q: &VpctQuery) -> VpctStrategy {
     VpctStrategy::best()
-}
-
-/// Resolve a [`ParallelMode`] against the input size: the requested worker
-/// count (environment for `Auto`), with inputs below the serial threshold
-/// always taking the exact serial code path. The engine re-checks the
-/// threshold per operator; resolving here keeps one decision per query so
-/// every aggregation pass of one evaluation agrees.
-pub fn choose_parallelism(mode: ParallelMode, input_rows: usize) -> ParallelConfig {
-    parallelism_under(ParallelConfig::from_env(), mode, input_rows)
-}
-
-/// [`choose_parallelism`] with the environment's configuration already
-/// read: `env` is what `Auto` means.
-pub(crate) fn parallelism_under(
-    env: ParallelConfig,
-    mode: ParallelMode,
-    input_rows: usize,
-) -> ParallelConfig {
-    let config = match mode {
-        ParallelMode::Auto => env,
-        ParallelMode::Serial => ParallelConfig::serial(),
-        ParallelMode::Threads(n) => ParallelConfig::with_threads(n),
-    };
-    if config.effective_threads(input_rows) <= 1 {
-        ParallelConfig {
-            threads: 1,
-            ..config
-        }
-    } else {
-        config
-    }
 }
 
 /// Pick the CASE evaluation source for a horizontal query.
@@ -221,21 +189,6 @@ mod tests {
         assert_eq!(
             choose_horizontal_strategy(&catalog, &q).unwrap(),
             HorizontalStrategy::CaseDirect
-        );
-    }
-
-    #[test]
-    fn parallelism_resolution() {
-        assert_eq!(
-            choose_parallelism(ParallelMode::Serial, 10_000_000).threads,
-            1
-        );
-        let forced = choose_parallelism(ParallelMode::Threads(4), 10_000_000);
-        assert_eq!(forced.threads, 4);
-        assert_eq!(
-            choose_parallelism(ParallelMode::Threads(4), 100).threads,
-            1,
-            "small inputs resolve to the serial path"
         );
     }
 

@@ -22,7 +22,8 @@ pub(crate) struct Fact {
     /// by.
     name: Option<String>,
     filter: Option<Filter>,
-    /// What [`Fact::config`] read, once it has.
+    /// What the statement was handed, or what [`Fact::config`] read once
+    /// it has.
     config: OnceLock<ParallelConfig>,
 }
 
@@ -56,9 +57,21 @@ impl Fact {
         }
     }
 
-    /// The environment's scan configuration ([`ParallelConfig::from_env`]),
-    /// read once per statement, by the first pass over `F` that needs it:
-    /// the selection pass and every scan after it run under the same one.
+    /// Hand the statement its scan configuration
+    /// ([`crate::PercentageEngine::with_config`]); `None` leaves it to
+    /// [`Fact::config`]'s fallback.
+    pub(crate) fn configured(mut self, config: Option<ParallelConfig>) -> Fact {
+        if let Some(config) = config {
+            self.config = OnceLock::from(config);
+        }
+        self
+    }
+
+    /// The scan configuration every pass over `F` runs under — the
+    /// selection pass and every scan after it, the same one: what the
+    /// statement was handed, else the deployment's `PA_*` settings
+    /// ([`ParallelConfig::from_env`]), read once per statement by the first
+    /// pass that needs them. Nothing below this reads the environment.
     pub(crate) fn config(&self) -> ParallelConfig {
         *self.config.get_or_init(ParallelConfig::from_env)
     }
@@ -130,11 +143,6 @@ impl FactRows<'_> {
     pub(crate) fn whole(&self) -> &Table {
         assert!(self.selection.is_none(), "this reader takes no selection");
         &self.table
-    }
-
-    /// Rows a scan of the fact reads: the table's, selected or not.
-    pub(crate) fn num_rows(&self) -> usize {
-        self.table.num_rows()
     }
 
     /// The table's distinct-value estimate for column `col` — an upper

@@ -1,4 +1,5 @@
-//! Evaluation strategies — the knobs SIGMOD Table 4/5 and DMKD Table 3 turn.
+//! Evaluation strategies — the knobs SIGMOD Table 4/5 and DMKD Table 3 turn,
+//! and nothing else: engine configuration is not a strategy of the query.
 
 /// Where the coarse totals table `Fj` is aggregated from (SIGMOD Table 4,
 /// column 4 turns this off).
@@ -142,33 +143,15 @@ impl HorizontalStrategy {
     }
 }
 
-/// How the morsel-parallel scan layer is engaged for a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParallelMode {
-    /// Follow the environment (`PA_THREADS` etc. via
-    /// [`pa_engine::ParallelConfig::from_env`]); inputs below the serial
-    /// threshold still take the exact serial code path.
-    #[default]
-    Auto,
-    /// Force the exact serial code path regardless of environment.
-    Serial,
-    /// Force a specific worker count (still subject to the per-morsel
-    /// worker cap and the serial threshold for small inputs).
-    Threads(usize),
-}
-
-/// Options for horizontal evaluation beyond the strategy choice.
+/// Options for horizontal evaluation beyond the strategy choice: what the
+/// papers vary (SIGMOD Table 5, DMKD Table 3 and §3.6). How the engine runs
+/// a plan — worker threads, the dense or the hash group tier, vectorized or
+/// scalar kernels — is the statement's [`pa_engine::ParallelConfig`], and
+/// its deadline is [`crate::QueryLimits`] (DESIGN.md §18).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HorizontalOptions {
     /// Evaluation strategy.
     pub strategy: HorizontalStrategy,
-    /// Run the CASE strategies' pivot with every grouping level on the hash
-    /// tier (dense budget 0): one packed integer code hashed per row per
-    /// level, where the default plan indexes an array. The paper's "could
-    /// be reduced ... to O(1) using a hash-based search", kept as an
-    /// ablation of the dense tier; selects the pivot even when
-    /// `jump_table` is off. Only affects the CASE strategies.
-    pub hash_dispatch: bool,
     /// Evaluate the CASE strategies as the pivot ([`crate::dispatch`]): the
     /// aggregate at `GROUP BY ∪ BY` in one scan, transposed into the result
     /// columns at finalize, O(1) per row whatever the BY columns are. On
@@ -183,32 +166,15 @@ pub struct HorizontalOptions {
     /// tables, each keyed by `D1..Dj` (the papers' prescribed remedy).
     /// When false, exceeding `max_columns` is an error.
     pub allow_partitioning: bool,
-    /// Morsel-parallel scan engagement for the aggregation passes.
-    pub parallel: ParallelMode,
-    /// Wall-clock deadline for the whole query. `None` (the default) means
-    /// no deadline; `Some(d)` arms a [`pa_engine::Deadline`] on the
-    /// per-query guard, so the plan aborts with
-    /// [`crate::CoreError::DeadlineExceeded`] at the next morsel boundary
-    /// after `d` elapses.
-    pub deadline: Option<std::time::Duration>,
-    /// Force the per-row scalar kernels even where the vectorized
-    /// bit-packed block path (DESIGN.md §12) is eligible. Ablation and
-    /// differential-test knob — equivalent to `PA_VECTOR=0` but scoped to
-    /// one query instead of racing on process env.
-    pub scalar_kernels: bool,
 }
 
 impl Default for HorizontalOptions {
     fn default() -> Self {
         HorizontalOptions {
             strategy: HorizontalStrategy::CaseDirect,
-            hash_dispatch: false,
             jump_table: true,
             max_columns: 2048,
             allow_partitioning: false,
-            parallel: ParallelMode::Auto,
-            deadline: None,
-            scalar_kernels: false,
         }
     }
 }
@@ -263,10 +229,8 @@ mod tests {
         let o = HorizontalOptions::default();
         assert_eq!(o.strategy, HorizontalStrategy::CaseDirect);
         assert_eq!(o.max_columns, 2048);
-        assert!(!o.hash_dispatch);
         assert!(o.jump_table, "code-path CASE evaluation is the default");
-        assert_eq!(o.parallel, ParallelMode::Auto);
-        assert_eq!(o.deadline, None);
+        assert!(!o.allow_partitioning);
         let o = HorizontalOptions::with_strategy(HorizontalStrategy::SpjFromFv);
         assert_eq!(o.strategy, HorizontalStrategy::SpjFromFv);
     }

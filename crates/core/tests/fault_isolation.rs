@@ -7,21 +7,14 @@
 
 use pa_core::{
     CoreError, HorizontalOptions, HorizontalQuery, HorizontalStrategy, Materialization,
-    PercentageEngine, QueryLimits, ResourceGuard, TestClock, VpctQuery, VpctStrategy,
+    ParallelConfig, PercentageEngine, QueryLimits, ResourceGuard, TestClock, VpctQuery,
+    VpctStrategy,
 };
-use pa_engine::chaos;
+use pa_engine::chaos::{PanicInjector, CHAOS_PANIC_MSG};
 use pa_storage::{Catalog, FaultInjector, FaultPlan, MemLogStore, StorageError, Value, Wal};
 use pa_workload::{install_sales, SalesConfig};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
-
-/// The chaos panic injector is process-global: tests that arm it hold this
-/// lock for their whole arm..observe window.
-static CHAOS: Mutex<()> = Mutex::new(());
-
-fn chaos_window() -> std::sync::MutexGuard<'static, ()> {
-    CHAOS.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 const SQL: &str = "SELECT state, city, Vpct(salesAmt BY city) FROM sales GROUP BY state, city;";
 const CUBE_SQL: &str =
@@ -39,20 +32,35 @@ fn rows_of(outcome: &pa_core::SqlOutcome) -> Vec<Vec<Value>> {
     outcome.table().read().rows().collect()
 }
 
+/// An engine whose queries tick `chaos` at every guard charge.
+fn engine_with<'c>(catalog: &'c Catalog, chaos: &PanicInjector) -> PercentageEngine<'c> {
+    let guard = ResourceGuard::unlimited().with_injector(chaos.clone());
+    PercentageEngine::new(catalog).with_guard(guard)
+}
+
+/// The deployment's configuration at 1024-row morsels: 32 guard
+/// observations a pass of a 32 Ki-row table.
+fn small_morsels() -> ParallelConfig {
+    ParallelConfig {
+        morsel_rows: 1024,
+        ..ParallelConfig::from_env()
+    }
+}
+
 #[test]
 fn injected_panic_fails_one_query_and_the_engine_stays_usable() {
-    let _w = chaos_window();
     let catalog = sales_catalog(2048);
-    let engine = PercentageEngine::new(&catalog);
+    let chaos = PanicInjector::default();
+    let engine = engine_with(&catalog, &chaos);
     let names_before = catalog.table_names();
 
-    chaos::arm(0);
+    chaos.arm(0);
     let err = engine.execute_sql(SQL).unwrap_err();
-    assert!(!chaos::is_armed(), "the injected panic fired");
+    assert!(!chaos.is_armed(), "the injected panic fired");
     match &err {
         CoreError::WorkerPanicked { operator, payload } => {
             assert_eq!(operator, "execute_sql");
-            assert_eq!(payload, chaos::CHAOS_PANIC_MSG);
+            assert_eq!(payload, CHAOS_PANIC_MSG);
         }
         other => panic!("expected WorkerPanicked, got {other:?}"),
     }
@@ -82,7 +90,6 @@ fn injected_panic_fails_one_query_and_the_engine_stays_usable() {
 /// is interrupted.
 #[test]
 fn failed_queries_never_leak_temp_tables() {
-    let _w = chaos_window();
     let catalog = Catalog::new();
     install_sales(
         &catalog,
@@ -193,13 +200,14 @@ fn failed_queries_never_leak_temp_tables() {
 
         // A panic at every guard charge of the plan in turn, until one run
         // gets through with the trigger still armed.
-        let engine = PercentageEngine::new(&catalog);
+        let chaos = PanicInjector::default();
+        let engine = engine_with(&catalog, &chaos);
         for tick in 0.. {
             let before = records();
-            chaos::arm(tick);
+            chaos.arm(tick);
             let res = plan(&engine);
-            if chaos::is_armed() {
-                chaos::disarm();
+            if chaos.is_armed() {
+                chaos.disarm();
                 res.unwrap_or_else(|e| panic!("{label}: {e}"));
                 break;
             }
@@ -224,9 +232,6 @@ fn failed_queries_never_leak_temp_tables() {
 
 #[test]
 fn deadline_is_enforced_on_the_engines_injected_clock() {
-    // Every guard charge ticks the process-global panic injector: stay out
-    // of the windows in which another test has it armed.
-    let _w = chaos_window();
     let catalog = sales_catalog(1024);
     // Every guard charge advances the clock 1ms; a 0ms allowance expires at
     // the first morsel boundary, with no wall-clock time involved.
@@ -271,20 +276,9 @@ fn deadline_is_enforced_on_the_engines_injected_clock() {
 /// statement over a large table look free.)
 #[test]
 fn where_observes_the_deadline_and_charges_the_rows_it_reads() {
-    // Every env-reading test of this binary runs inside this window, so the
-    // morsel size can be pinned for one of them.
-    let _w = chaos_window();
-    struct Morsels;
-    impl Drop for Morsels {
-        fn drop(&mut self) {
-            std::env::remove_var("PA_MORSEL_ROWS");
-        }
-    }
-    std::env::set_var("PA_MORSEL_ROWS", "1024");
-    let _morsels = Morsels;
-
     const ROWS: usize = 32 * 1024;
     let catalog = sales_catalog(ROWS);
+    let engine = || PercentageEngine::new(&catalog).with_config(small_morsels());
     // No row qualifies: whatever is timed or charged is the table's, not
     // the selection's.
     let sql = "SELECT state, Hpct(salesAmt BY city) FROM sales \
@@ -294,7 +288,7 @@ fn where_observes_the_deadline_and_charges_the_rows_it_reads() {
     // deadline expires inside the predicate's pass, two thirds through.
     let meter = ResourceGuard::counting();
     let clock = Arc::new(TestClock::with_auto_step(Duration::from_millis(1)));
-    let late = PercentageEngine::new(&catalog)
+    let late = engine()
         .with_guard(meter.clone())
         .with_clock(clock)
         .with_deadline(Duration::from_millis(20));
@@ -307,8 +301,7 @@ fn where_observes_the_deadline_and_charges_the_rows_it_reads() {
     );
 
     // A budget of half the table: the statement reads more than that.
-    let tight =
-        PercentageEngine::new(&catalog).with_guard(ResourceGuard::with_row_budget(ROWS as u64 / 2));
+    let tight = engine().with_guard(ResourceGuard::with_row_budget(ROWS as u64 / 2));
     let err = tight.execute_sql(sql).unwrap_err();
     assert!(
         matches!(err, CoreError::BudgetExceeded { budget, .. } if budget == ROWS as u64 / 2),
@@ -316,7 +309,7 @@ fn where_observes_the_deadline_and_charges_the_rows_it_reads() {
     );
 
     // Unlimited, it charges what it read: the table once per scan.
-    let free = PercentageEngine::new(&catalog);
+    let free = engine();
     let out = free.execute_sql(sql).unwrap();
     assert!(out.stats().rows_charged >= ROWS as u64, "{}", out.stats());
     assert!(out.stats().rows_scanned >= ROWS as u64, "{}", out.stats());
@@ -330,18 +323,9 @@ fn where_observes_the_deadline_and_charges_the_rows_it_reads() {
 /// never charged.)
 #[test]
 fn the_combinations_pass_observes_the_guard_and_charges_the_rows_it_reads() {
-    let _w = chaos_window();
-    struct Morsels;
-    impl Drop for Morsels {
-        fn drop(&mut self) {
-            std::env::remove_var("PA_MORSEL_ROWS");
-        }
-    }
-    std::env::set_var("PA_MORSEL_ROWS", "1024");
-    let _morsels = Morsels;
-
     const ROWS: u64 = 32 * 1024;
     let catalog = sales_catalog(ROWS as usize);
+    let engine = || PercentageEngine::new(&catalog).with_config(small_morsels());
     let sql = "SELECT state, Hpct(salesAmt BY city) FROM sales GROUP BY state;";
     let cached = || catalog.combo_cache().stats().entries;
 
@@ -355,19 +339,15 @@ fn the_combinations_pass_observes_the_guard_and_charges_the_rows_it_reads() {
     let faults: [(&str, PercentageEngine<'_>, Check); 3] = [
         (
             "expired",
-            PercentageEngine::new(&catalog)
-                .with_clock(ticking())
-                .with_deadline(Duration::ZERO),
+            engine().with_clock(ticking()).with_deadline(Duration::ZERO),
             |e| matches!(e, CoreError::DeadlineExceeded { .. }),
         ),
-        (
-            "cancelled",
-            PercentageEngine::new(&catalog).with_guard(stopped),
-            |e| matches!(e, CoreError::Cancelled),
-        ),
+        ("cancelled", engine().with_guard(stopped), |e| {
+            matches!(e, CoreError::Cancelled)
+        }),
         (
             "expiring mid-pass",
-            PercentageEngine::new(&catalog)
+            engine()
                 .with_clock(ticking())
                 .with_deadline(Duration::from_millis(20)),
             |e| matches!(e, CoreError::DeadlineExceeded { .. }),
@@ -383,11 +363,11 @@ fn the_combinations_pass_observes_the_guard_and_charges_the_rows_it_reads() {
     // statement reads the table twice (combinations, then the pivot) and
     // fails; warm, it reads it once and passes — a cold cache costs a scan
     // in the budget as on the clock, like a cold lattice level.
-    let cold = PercentageEngine::new(&catalog).execute_sql(sql).unwrap();
+    let cold = engine().execute_sql(sql).unwrap();
     assert_eq!(cached(), 1);
     catalog.invalidate_combos("sales");
     let budget = ROWS + ROWS / 2;
-    let tight = PercentageEngine::new(&catalog).with_guard(ResourceGuard::with_row_budget(budget));
+    let tight = engine().with_guard(ResourceGuard::with_row_budget(budget));
     let err = tight.execute_sql(sql).unwrap_err();
     assert!(
         matches!(err, CoreError::BudgetExceeded { budget: b, .. } if b == budget),
@@ -403,9 +383,6 @@ fn the_combinations_pass_observes_the_guard_and_charges_the_rows_it_reads() {
 
 #[test]
 fn transient_log_errors_are_absorbed_by_retry() {
-    // Every guard charge ticks the process-global panic injector: stay out
-    // of the windows in which another test has it armed.
-    let _w = chaos_window();
     // The very first append hits a transient device error; the WAL retry
     // policy absorbs it and the workload proceeds as if nothing happened.
     let store = FaultInjector::new(
@@ -432,9 +409,6 @@ fn transient_log_errors_are_absorbed_by_retry() {
 
 #[test]
 fn permanent_log_corruption_fails_fast_with_the_typed_error() {
-    // Every guard charge ticks the process-global panic injector: stay out
-    // of the windows in which another test has it armed.
-    let _w = chaos_window();
     // Tear the log mid-write: the device goes offline and every later
     // operation fails permanently. The retry policy must NOT burn backoff
     // on it — permanent errors surface immediately, with their type intact.
@@ -477,9 +451,6 @@ fn permanent_log_corruption_fails_fast_with_the_typed_error() {
 
 #[test]
 fn guard_settings_and_work_accounting_surface_in_explain() {
-    // Every guard charge ticks the process-global panic injector: stay out
-    // of the windows in which another test has it armed.
-    let _w = chaos_window();
     let catalog = sales_catalog(256);
     let engine = PercentageEngine::new(&catalog).with_deadline(Duration::from_millis(250));
     let plan = engine.explain_sql(SQL).unwrap();

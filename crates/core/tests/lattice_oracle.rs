@@ -4,14 +4,14 @@
 //! The lattice path — one scan feeding every lattice level, through radix
 //! projection when the plan fuses, levels cached and re-aggregated for
 //! coarser queries — must be *indistinguishable* from the naive per-level
-//! evaluator. Every test here compares the two end to end, sweeping the
-//! knobs that change which kernel actually runs:
+//! evaluator. Every test here compares the two end to end, handing its
+//! engines the configurations that change which kernel actually runs:
 //!
-//! * `PA_THREADS` 1/2/4 — serial vs morsel-parallel scan with the
+//! * `threads` 1/2/4 — serial vs morsel-parallel scan with the
 //!   deterministic worker-order merge;
-//! * `PA_DENSE_BUDGET` high/1 — dense radix jump tables vs shift-packed
+//! * `dense_budget` high/1 — dense radix jump tables vs shift-packed
 //!   wide codes with mask-and-shift projection;
-//! * `PA_VECTOR=0` — no stream fuses and every level takes the per-row
+//! * `vector: false` — no stream fuses and every level takes the per-row
 //!   loop over its own key, in the same one scan;
 //! * lanes — the term sums alone, distributive extras, and the holistic
 //!   extras (median, percentiles, approximate count-distinct) that ride
@@ -34,8 +34,8 @@
 //! `-- lattice:` source lines. Regenerate with `UPDATE_GOLDEN=1`.
 
 use pa_core::{
-    eval_vpct, eval_vpct_batch, eval_vpct_lattice, HorizontalOptions, PercentageEngine, VpctQuery,
-    VpctStrategy, VpctTerm,
+    eval_vpct, eval_vpct_lattice, HorizontalOptions, PercentageEngine, VpctQuery, VpctStrategy,
+    VpctTerm,
 };
 use pa_engine::{
     lattice_aggregate_with_config, multi_hash_aggregate_with_config, AggFunc, AggSpec, ExecStats,
@@ -43,34 +43,15 @@ use pa_engine::{
 };
 use pa_storage::{Catalog, DataType, Schema, Table, Value};
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard};
 
-/// Env knobs are process-global; every test in this binary serializes on
-/// this lock for its whole set..restore window.
-static ENV: Mutex<()> = Mutex::new(());
-
-fn env_window() -> MutexGuard<'static, ()> {
-    ENV.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Set env knobs for one evaluation, restoring (removing) them on drop so
-/// a panicking assertion cannot leak configuration into the next test.
-struct EnvPins(Vec<&'static str>);
-
-impl EnvPins {
-    fn set(pairs: &[(&'static str, String)]) -> EnvPins {
-        for (k, v) in pairs {
-            std::env::set_var(k, v);
-        }
-        EnvPins(pairs.iter().map(|(k, _)| *k).collect())
-    }
-}
-
-impl Drop for EnvPins {
-    fn drop(&mut self) {
-        for k in &self.0 {
-            std::env::remove_var(k);
-        }
+/// `threads` workers over morsels small enough that these tables really
+/// split.
+fn workers(threads: usize, morsel_rows: usize) -> ParallelConfig {
+    ParallelConfig {
+        threads,
+        morsel_rows,
+        min_parallel_rows: 1,
+        ..ParallelConfig::serial()
     }
 }
 
@@ -129,6 +110,12 @@ fn lattice_query() -> VpctQuery {
     }
 }
 
+/// Serial, on the per-row scalar kernels.
+const SCALAR: ParallelConfig = ParallelConfig {
+    vector: false,
+    ..ParallelConfig::serial()
+};
+
 fn sorted_rows(t: &Table, key_cols: usize) -> Vec<Vec<Value>> {
     let cols: Vec<usize> = (0..key_cols).collect();
     t.sorted_by(&cols).rows().collect()
@@ -136,37 +123,30 @@ fn sorted_rows(t: &Table, key_cols: usize) -> Vec<Vec<Value>> {
 
 #[test]
 fn fused_lattice_matches_per_level_reference() {
-    let _w = env_window();
     let q = lattice_query();
-    // The reference runs serial/scalar on its own catalog once.
+    // The reference runs serial on its own catalog once.
     let reference = {
-        let _pins = EnvPins::set(&[("PA_THREADS", "1".into())]);
         let catalog = fact_catalog();
-        sorted_rows(
-            &eval_vpct(&catalog, &q, &VpctStrategy::best(), "ref_")
-                .unwrap()
-                .snapshot(),
-            3,
-        )
+        let serial = PercentageEngine::new(&catalog).with_config(ParallelConfig::serial());
+        let flat = serial.vpct_with(&q, &VpctStrategy::best()).unwrap();
+        sorted_rows(&flat.snapshot(), 3)
     };
     for threads in [1usize, 2, 4] {
         // High budget exercises the dense radix jump tables; budget 1
         // refuses the dense space and forces wide mask-and-shift codes.
         for dense_budget in [1usize << 20, 1] {
-            let _pins = EnvPins::set(&[
-                ("PA_THREADS", threads.to_string()),
-                ("PA_DENSE_BUDGET", dense_budget.to_string()),
-                ("PA_MORSEL_ROWS", "1024".into()),
-                ("PA_MIN_PARALLEL_ROWS", "1".into()),
-            ]);
             let catalog = fact_catalog();
-            let cold = eval_vpct_lattice(&catalog, &q, "c_").unwrap();
+            let engine = PercentageEngine::new(&catalog).with_config(ParallelConfig {
+                dense_budget,
+                ..workers(threads, 1024)
+            });
+            let cold = engine.vpct(&q).unwrap();
             assert!(
                 cold.stats.levels_from_scan > 0,
                 "threads={threads} budget={dense_budget}: cold run must scan"
             );
             // Same catalog, second run: the scanned partials are cached.
-            let warm = eval_vpct_lattice(&catalog, &q, "w_").unwrap();
+            let warm = engine.vpct(&q).unwrap();
             assert_eq!(
                 warm.stats.levels_from_scan, 0,
                 "threads={threads} budget={dense_budget}: warm run must not scan"
@@ -188,32 +168,24 @@ fn fused_lattice_matches_per_level_reference() {
 
 #[test]
 fn vector_ablation_still_matches() {
-    let _w = env_window();
     let q = lattice_query();
-    let with_vector = {
-        let _pins = EnvPins::set(&[("PA_THREADS", "1".into())]);
+    let lattice = |config: ParallelConfig| {
         let catalog = fact_catalog();
-        sorted_rows(
-            &eval_vpct_lattice(&catalog, &q, "v_").unwrap().snapshot(),
-            3,
-        )
+        let engine = PercentageEngine::new(&catalog).with_config(config);
+        sorted_rows(&engine.vpct(&q).unwrap().snapshot(), 3)
     };
-    // PA_VECTOR=0: no level fuses, each takes the per-row loop over its
+    // `vector: false`: no level fuses, each takes the per-row loop over its
     // own key — same bytes.
-    let _pins = EnvPins::set(&[("PA_THREADS", "1".into()), ("PA_VECTOR", "0".into())]);
-    let catalog = fact_catalog();
-    let scalar = eval_vpct_lattice(&catalog, &q, "s_").unwrap();
     assert_eq!(
-        sorted_rows(&scalar.snapshot(), 3),
-        with_vector,
-        "PA_VECTOR=0 ablation diverged"
+        lattice(SCALAR),
+        lattice(ParallelConfig::serial()),
+        "vector: false ablation diverged"
     );
 }
 
 #[test]
 fn batch_prefixes_match_solo_queries() {
-    let _w = env_window();
-    let _pins = EnvPins::set(&[("PA_THREADS", "2".into())]);
+    let two = ParallelConfig::with_threads(2);
     let dims = ["state", "city", "dweek"];
     // Query j: percentages of each finest group against the totals at
     // prefix dims[..j] — the percentage_batch shape.
@@ -226,11 +198,13 @@ fn batch_prefixes_match_solo_queries() {
         })
         .collect();
     let catalog = fact_catalog();
-    let batch = eval_vpct_batch(&catalog, &queries, "b_").unwrap();
+    let engine = PercentageEngine::new(&catalog).with_config(two);
+    let batch = engine.vpct_batch(&queries).unwrap();
     assert_eq!(batch.len(), queries.len());
     for (j, (q, r)) in queries.iter().zip(&batch).enumerate() {
         let solo_catalog = fact_catalog();
-        let solo = eval_vpct(&solo_catalog, q, &VpctStrategy::best(), "solo_").unwrap();
+        let solo = PercentageEngine::new(&solo_catalog).with_config(two);
+        let solo = solo.vpct_with(q, &VpctStrategy::best()).unwrap();
         assert_eq!(
             sorted_rows(&r.snapshot(), 3),
             sorted_rows(&solo.snapshot(), 3),
@@ -244,16 +218,10 @@ const CUBE_SQL: &str = "SELECT state, city, Vpct(salesAmt BY city) AS p \
 
 #[test]
 fn cube_sql_matches_scalar_serial_rerun() {
-    let _w = env_window();
     // Fused, parallel, and (second run) cache-served...
     let fused = {
-        let _pins = EnvPins::set(&[
-            ("PA_THREADS", "4".into()),
-            ("PA_MORSEL_ROWS", "1024".into()),
-            ("PA_MIN_PARALLEL_ROWS", "1".into()),
-        ]);
         let catalog = fact_catalog();
-        let engine = PercentageEngine::new(&catalog);
+        let engine = PercentageEngine::new(&catalog).with_config(workers(4, 1024));
         let cold = engine.execute_sql(CUBE_SQL).unwrap();
         let cold_rows: Vec<Vec<Value>> = cold.table().read().sorted_by(&[0, 1]).rows().collect();
         let warm = engine.execute_sql(CUBE_SQL).unwrap();
@@ -267,9 +235,8 @@ fn cube_sql_matches_scalar_serial_rerun() {
         cold_rows
     };
     // ...must match a serial scalar evaluation from scratch.
-    let _pins = EnvPins::set(&[("PA_THREADS", "1".into()), ("PA_VECTOR", "0".into())]);
     let catalog = fact_catalog();
-    let engine = PercentageEngine::new(&catalog);
+    let engine = PercentageEngine::new(&catalog).with_config(SCALAR);
     let scalar = engine.execute_sql(CUBE_SQL).unwrap();
     let scalar_rows: Vec<Vec<Value>> = scalar.table().read().sorted_by(&[0, 1]).rows().collect();
     assert_eq!(fused, scalar_rows, "CUBE fused/parallel vs scalar/serial");
@@ -367,15 +334,9 @@ fn drop_lattice_cache(catalog: &Catalog) {
 
 #[test]
 fn statements_are_byte_identical_across_cache_states_and_to_the_per_set_plan() {
-    let _w = env_window();
     for threads in [1usize, 4] {
-        let _pins = EnvPins::set(&[
-            ("PA_THREADS", threads.to_string()),
-            ("PA_MORSEL_ROWS", "256".into()),
-            ("PA_MIN_PARALLEL_ROWS", "1".into()),
-        ]);
         let catalog = oracle_catalog(0x5eed + threads as u64);
-        let engine = PercentageEngine::new(&catalog);
+        let engine = PercentageEngine::new(&catalog).with_config(workers(threads, 256));
         // The per-set plan under an explicit strategy never reaches the
         // lattice evaluator or its cache.
         let per_set = |sql: &str| {
@@ -490,20 +451,16 @@ const HOLISTIC_SQL: [&str; 4] = [
 /// in the same order under the same chunking.
 #[test]
 fn holistic_extras_ride_the_lattice_scan_cold_and_warm() {
-    let _w = env_window();
     for threads in [1usize, 2, 4] {
         for vector in [true, false] {
             for dense_budget in [1usize << 20, 1] {
-                let _pins = EnvPins::set(&[
-                    ("PA_THREADS", threads.to_string()),
-                    ("PA_VECTOR", u8::from(vector).to_string()),
-                    ("PA_DENSE_BUDGET", dense_budget.to_string()),
-                    ("PA_MORSEL_ROWS", "256".into()),
-                    ("PA_MIN_PARALLEL_ROWS", "1".into()),
-                ]);
                 let catalog = oracle_catalog(0xfeed + threads as u64);
                 let rows = catalog.table("f").unwrap().read().num_rows() as u64;
-                let engine = PercentageEngine::new(&catalog);
+                let engine = PercentageEngine::new(&catalog).with_config(ParallelConfig {
+                    vector,
+                    dense_budget,
+                    ..workers(threads, 256)
+                });
                 for sql in HOLISTIC_SQL {
                     let ctx =
                         format!("threads={threads} vector={vector} budget={dense_budget} {sql}");
@@ -558,15 +515,10 @@ fn holistic_extras_ride_the_lattice_scan_cold_and_warm() {
 /// that needs a sum, and is replaced by the level that has one.
 #[test]
 fn a_cached_level_serves_hpct_combinations_and_never_the_reverse() {
-    let _w = env_window();
     let rollup = "SELECT day, store, Vpct(amt BY store) AS p FROM f GROUP BY ROLLUP (day, store);";
     let hpct = "SELECT region, Hpct(amt BY day) FROM f GROUP BY region;";
     for threads in [1usize, 2, 4] {
-        let _pins = EnvPins::set(&[
-            ("PA_THREADS", threads.to_string()),
-            ("PA_MORSEL_ROWS", "256".into()),
-            ("PA_MIN_PARALLEL_ROWS", "1".into()),
-        ]);
+        let engine_over = |c| PercentageEngine::new(c).with_config(workers(threads, 256));
         let day = ["day".to_string()];
         let sum = ["sum(amt)".to_string()];
         let alias = |c: &Catalog| c.pin_table("f").unwrap().alias().to_string();
@@ -574,7 +526,7 @@ fn a_cached_level_serves_hpct_combinations_and_never_the_reverse() {
         // A cold catalog's answer, and what its combinations pass costs.
         let fresh = oracle_catalog(0xc0de);
         let rows = fresh.table("f").unwrap().read().num_rows() as u64;
-        let cold = PercentageEngine::new(&fresh).execute_sql(hpct).unwrap();
+        let cold = engine_over(&fresh).execute_sql(hpct).unwrap();
         let stats = cold.stats();
         assert_eq!((stats.combo_cache_hits, stats.combo_cache_misses), (0, 1));
         let reference = canonical(&cold.table().read());
@@ -583,7 +535,7 @@ fn a_cached_level_serves_hpct_combinations_and_never_the_reverse() {
         assert!(cache.probe(&alias(&fresh), &day, &[]));
         assert!(!cache.probe(&alias(&fresh), &day, &sum));
         let before = cache.stats();
-        let after_hpct = PercentageEngine::new(&fresh).execute_sql(rollup).unwrap();
+        let after_hpct = engine_over(&fresh).execute_sql(rollup).unwrap();
         assert!(
             after_hpct.stats().levels_from_scan > 0,
             "a zero-lane `(day)` is no level to a ROLLUP"
@@ -596,7 +548,7 @@ fn a_cached_level_serves_hpct_combinations_and_never_the_reverse() {
 
         // ROLLUP first: its level `(day)` is the `Hpct`'s combination set.
         let catalog = oracle_catalog(0xc0de);
-        let engine = PercentageEngine::new(&catalog);
+        let engine = engine_over(&catalog);
         let first = engine.execute_sql(rollup).unwrap();
         assert_eq!(
             canonical(&first.table().read()),
@@ -635,8 +587,6 @@ fn a_cached_level_serves_hpct_combinations_and_never_the_reverse() {
 /// a cached ancestor, or to the scan, and the answer does not move.
 #[test]
 fn an_evicted_level_falls_back_to_an_ancestor_or_the_scan() {
-    let _w = env_window();
-    let _pins = EnvPins::set(&[("PA_THREADS", "1".into())]);
     let catalog = oracle_catalog(7);
     let engine = PercentageEngine::new(&catalog);
     let sql = ORACLE_SQL[0];
@@ -696,8 +646,6 @@ fn an_evicted_level_falls_back_to_an_ancestor_or_the_scan() {
 /// level kept. The reference is the join plan, which has no `parent`.
 #[test]
 fn parent_vectors_are_built_once_and_follow_their_level() {
-    let _w = env_window();
-    let _pins = EnvPins::set(&[("PA_THREADS", "1".into())]);
     let catalog = oracle_catalog(21);
     let engine = PercentageEngine::new(&catalog);
     let cache = catalog.lattice_cache();
@@ -905,7 +853,6 @@ fn explain_catalog() -> Catalog {
 
 #[test]
 fn golden_cube_explain_snapshot() {
-    let _w = env_window();
     let catalog = explain_catalog();
     let engine = PercentageEngine::new(&catalog);
     let lines = engine.explain_sql(CUBE_SQL).unwrap();

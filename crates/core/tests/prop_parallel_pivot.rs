@@ -10,8 +10,8 @@
 
 use pa_core::{
     dispatch::{pivot_aggregate_with_config, PivotTask},
-    eval_horizontal, eval_vpct, HorizontalOptions, HorizontalStrategy, HorizontalTerm,
-    ParallelConfig, ParallelMode, VpctQuery, VpctStrategy,
+    HorizontalOptions, HorizontalStrategy, HorizontalTerm, ParallelConfig, PercentageEngine,
+    VpctQuery, VpctStrategy,
 };
 use pa_engine::{AggFunc, ExecStats, Expr, ResourceGuard};
 use pa_storage::{Catalog, DataType, Schema, Table, Value};
@@ -109,8 +109,8 @@ proptest! {
     }
 }
 
-/// Fact table big enough (≈3 default morsels) that `ParallelMode::Threads`
-/// genuinely fans out inside a full query evaluation.
+/// Fact table big enough (≈3 default morsels) that a four-thread
+/// configuration genuinely fans out inside a full query evaluation.
 fn big_catalog() -> Catalog {
     let n = 140_000usize;
     let schema = Schema::from_pairs(&[
@@ -152,44 +152,31 @@ fn every_horizontal_strategy_is_parallel_deterministic() {
         terms: vec![HorizontalTerm::hpct("amt", &["dept"])],
         extra: Vec::new(),
     };
-    let mut variants: Vec<(String, HorizontalOptions)> = Vec::new();
+    // Each variant as (label, strategy, dense budget).
+    let mut variants: Vec<(String, HorizontalOptions, usize)> = Vec::new();
+    let budget = ParallelConfig::serial().dense_budget;
     for strategy in HorizontalStrategy::all() {
         variants.push((
             strategy.label().to_string(),
             HorizontalOptions::with_strategy(strategy),
+            budget,
         ));
     }
-    variants.push((
-        "CASE hash dispatch".into(),
-        HorizontalOptions {
-            hash_dispatch: true,
-            ..HorizontalOptions::default()
-        },
-    ));
-    for (label, opts) in variants {
-        let serial = eval_horizontal(
-            &catalog,
-            &q,
-            &HorizontalOptions {
-                parallel: ParallelMode::Serial,
-                ..opts.clone()
-            },
-            "s_",
-        )
-        .unwrap_or_else(|e| panic!("{label} serial: {e}"));
-        let parallel = eval_horizontal(
-            &catalog,
-            &q,
-            &HorizontalOptions {
-                parallel: ParallelMode::Threads(4),
-                ..opts
-            },
-            "p_",
-        )
-        .unwrap_or_else(|e| panic!("{label} parallel: {e}"));
+    variants.push(("CASE hash tier".into(), HorizontalOptions::default(), 0));
+    for (label, opts, dense_budget) in variants {
+        let run = |threads: usize| {
+            let config = ParallelConfig {
+                dense_budget,
+                ..ParallelConfig::with_threads(threads)
+            };
+            PercentageEngine::new(&catalog)
+                .with_config(config)
+                .horizontal_with(&q, &opts)
+                .unwrap_or_else(|e| panic!("{label} at {threads} thread(s): {e}"))
+        };
         assert_eq!(
-            snapshot(&serial.snapshot()),
-            snapshot(&parallel.snapshot()),
+            snapshot(&run(1).snapshot()),
+            snapshot(&run(4).snapshot()),
             "{label}"
         );
     }
@@ -206,24 +193,25 @@ fn every_vpct_strategy_is_parallel_deterministic() {
         ("fj_from_f", VpctStrategy::fj_from_f()),
         ("synchronized", VpctStrategy::synchronized()),
     ];
+    let serial = PercentageEngine::new(&catalog).with_config(ParallelConfig::serial());
+    let parallel = PercentageEngine::new(&catalog).with_config(ParallelConfig {
+        threads: 4,
+        morsel_rows: 4096,
+        min_parallel_rows: 1,
+        ..ParallelConfig::serial()
+    });
     for (label, strat) in strategies {
-        // The vertical evaluator follows the environment; pin it per phase.
-        // Tests in this binary that race with these env writes don't read
-        // the environment (they use explicit configs/modes).
-        std::env::set_var("PA_THREADS", "1");
-        let serial =
-            eval_vpct(&catalog, &q, &strat, "s_").unwrap_or_else(|e| panic!("{label} serial: {e}"));
-        std::env::set_var("PA_THREADS", "4");
-        std::env::set_var("PA_MORSEL_ROWS", "4096");
-        std::env::set_var("PA_MIN_PARALLEL_ROWS", "1");
-        let parallel = eval_vpct(&catalog, &q, &strat, "p_")
-            .unwrap_or_else(|e| panic!("{label} parallel: {e}"));
-        std::env::remove_var("PA_THREADS");
-        std::env::remove_var("PA_MORSEL_ROWS");
-        std::env::remove_var("PA_MIN_PARALLEL_ROWS");
+        let run = |engine: &PercentageEngine<'_>, side: &str| {
+            let result = engine.vpct_with(&q, &strat);
+            snapshot(
+                &result
+                    .unwrap_or_else(|e| panic!("{label} {side}: {e}"))
+                    .snapshot(),
+            )
+        };
         assert_eq!(
-            snapshot(&serial.snapshot()),
-            snapshot(&parallel.snapshot()),
+            run(&serial, "serial"),
+            run(&parallel, "parallel"),
             "{label}"
         );
     }

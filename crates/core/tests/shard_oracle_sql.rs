@@ -19,7 +19,8 @@
 //!   holistic lanes sort at finalize and are order-insensitive by design).
 
 use pa_core::{
-    CoreError, HorizontalOptions, HorizontalStrategy, ParallelMode, PercentageEngine, VpctStrategy,
+    CoreError, HorizontalOptions, HorizontalStrategy, ParallelConfig, PercentageEngine,
+    VpctStrategy,
 };
 use pa_storage::{Catalog, DataType, Schema, Table, Value};
 use rand::rngs::StdRng;
@@ -268,7 +269,6 @@ fn holistic_extras_ride_hpct_direct_strategies_only() {
 #[test]
 fn holistic_hpct_serial_and_parallel_are_byte_identical() {
     let catalog = fact_catalog(6_000, 41);
-    let engine = PercentageEngine::new(&catalog);
     let sql = "SELECT state, city, Hpct(amt BY dweek), median(amt) AS med, \
                percentile(amt, 0.95) AS p95, approx_count_distinct(store) AS stores \
                FROM sales GROUP BY state, city ORDER BY state, city";
@@ -277,16 +277,14 @@ fn holistic_hpct_serial_and_parallel_are_byte_identical() {
         HorizontalStrategy::SpjDirect,
     ] {
         let mut runs = Vec::new();
-        for (label, mode) in [
-            ("serial", ParallelMode::Serial),
-            ("2 threads", ParallelMode::Threads(2)),
-            ("4 threads", ParallelMode::Threads(4)),
+        let opts = HorizontalOptions::with_strategy(strategy);
+        for (label, config) in [
+            ("serial", ParallelConfig::serial()),
+            ("2 threads", ParallelConfig::with_threads(2)),
+            ("4 threads", ParallelConfig::with_threads(4)),
         ] {
-            let opts = HorizontalOptions {
-                parallel: mode,
-                ..HorizontalOptions::with_strategy(strategy)
-            };
-            let out = engine
+            let out = PercentageEngine::new(&catalog)
+                .with_config(config)
                 .execute_sql_with(sql, &VpctStrategy::best(), &opts)
                 .unwrap_or_else(|e| panic!("{} {label}: {e}", strategy.label()));
             runs.push((label, rows_of(&out)));

@@ -124,7 +124,16 @@ fn bench_primitives(c: &mut Criterion) {
 
     c.bench_function("window/sum-over-partition", |b| {
         b.iter(|| {
-            window_aggregate(&f, &[0], AggFunc::Sum, 2, "w", &mut ExecStats::default()).unwrap()
+            window_aggregate(
+                &f,
+                &[0],
+                AggFunc::Sum,
+                2,
+                "w",
+                &mut ExecStats::default(),
+                &ParallelConfig::serial(),
+            )
+            .unwrap()
         });
     });
 

@@ -2,53 +2,63 @@
 //!
 //! Panic isolation (workers caught at the thread boundary, queries caught
 //! at the engine boundary) is only trustworthy if tests can make real code
-//! panic at realistic points. This module plants a process-global trigger
-//! ticked from [`crate::ResourceGuard::charge`] — i.e. at every morsel
-//! boundary of every scan — so an armed panic fires inside a genuine worker
-//! hot loop, not in a synthetic closure.
+//! panic at realistic points. A [`PanicInjector`] attached to a
+//! [`crate::ResourceGuard`] is ticked from that guard's `charge` — i.e. at
+//! every morsel boundary of every scan running under it, and under the
+//! per-query guards derived from it — so an armed panic fires inside a
+//! genuine worker hot loop, not in a synthetic closure.
 //!
-//! The trigger is process-global state: tests that arm it must serialize
-//! against each other (run in their own integration-test binary, or hold a
-//! common mutex) and disarm on every exit path. Disarmed, the cost on the
-//! hot path is one relaxed atomic load per morsel.
+//! An injector is a handle a test owns: queries under other guards never
+//! tick it, so tests arming their own injectors run side by side, and a
+//! guard with none attached does nothing at all for it.
 
 use std::sync::atomic::{AtomicI64, Ordering};
-
-/// Ticks remaining until the next injected panic; negative = disarmed.
-static PANIC_AFTER: AtomicI64 = AtomicI64::new(-1);
+use std::sync::Arc;
 
 /// Message carried by injected panics, so tests can assert the payload
 /// round-trips into `WorkerPanicked { payload }`.
 pub const CHAOS_PANIC_MSG: &str = "injected chaos panic";
 
-/// Arm the trigger: the `ticks`-th subsequent [`tick`] call panics
-/// (0 = the very next one). Overwrites any previous arming.
-pub fn arm(ticks: u64) {
-    PANIC_AFTER.store(ticks.min(i64::MAX as u64) as i64, Ordering::SeqCst);
+/// A countdown to one injected panic, shared by its clones. Disarmed until
+/// [`PanicInjector::arm`] is called.
+#[derive(Debug, Clone, Default)]
+pub struct PanicInjector {
+    /// Ticks until the panic, counting the one that fires; `<= 0` is
+    /// disarmed.
+    remaining: Arc<AtomicI64>,
 }
 
-/// Disarm the trigger. Idempotent; call from every test exit path.
-pub fn disarm() {
-    PANIC_AFTER.store(-1, Ordering::SeqCst);
-}
-
-/// Whether a panic is currently armed.
-pub fn is_armed() -> bool {
-    PANIC_AFTER.load(Ordering::SeqCst) >= 0
-}
-
-/// Count one trigger point; panics when the armed countdown reaches zero.
-/// Called from `ResourceGuard::charge`, i.e. once per morsel.
-#[inline]
-pub fn tick() {
-    if PANIC_AFTER.load(Ordering::Relaxed) < 0 {
-        return;
+impl PanicInjector {
+    /// Arm the trigger: the `ticks`-th subsequent tick panics (0 = the very
+    /// next one). Overwrites any previous arming.
+    pub fn arm(&self, ticks: u64) {
+        let remaining = ticks.min(i64::MAX as u64 - 1) as i64 + 1;
+        self.remaining.store(remaining, Ordering::SeqCst);
     }
-    // Slow path only while armed. fetch_sub hands exactly one thread the
-    // zero; concurrent tickers drive the counter further negative, which
-    // reads as disarmed.
-    if PANIC_AFTER.fetch_sub(1, Ordering::SeqCst) == 0 {
-        panic!("{CHAOS_PANIC_MSG}");
+
+    /// Disarm the trigger. Idempotent.
+    pub fn disarm(&self) {
+        self.remaining.store(0, Ordering::SeqCst);
+    }
+
+    /// Whether a panic is currently armed.
+    pub fn is_armed(&self) -> bool {
+        self.remaining.load(Ordering::SeqCst) > 0
+    }
+
+    /// Count one trigger point; panics when the armed countdown runs out.
+    /// Called from `ResourceGuard::charge`, i.e. once per morsel.
+    #[inline]
+    pub(crate) fn tick(&self) {
+        if self.remaining.load(Ordering::Relaxed) <= 0 {
+            return;
+        }
+        // Slow path only while armed. fetch_sub hands exactly one thread the
+        // last tick; concurrent tickers drive the counter negative, which
+        // reads as disarmed.
+        if self.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
+            panic!("{CHAOS_PANIC_MSG}");
+        }
     }
 }
 
@@ -56,24 +66,26 @@ pub fn tick() {
 mod tests {
     use super::*;
 
-    // Single test so arming never races another #[test] in this binary.
     #[test]
     fn arms_counts_down_and_disarms() {
-        assert!(!is_armed());
-        tick(); // disarmed: no-op
-        arm(2);
-        assert!(is_armed());
-        tick();
-        tick();
-        let caught = std::panic::catch_unwind(tick);
+        let chaos = PanicInjector::default();
+        assert!(!chaos.is_armed());
+        chaos.tick(); // disarmed: no-op
+        chaos.arm(2);
+        assert!(chaos.is_armed());
+        assert!(chaos.clone().is_armed(), "clones share the countdown");
+        chaos.tick();
+        chaos.tick();
+        let caught = std::panic::catch_unwind(|| chaos.tick());
         let payload = caught.unwrap_err();
         assert_eq!(
             payload.downcast_ref::<String>().map(String::as_str),
             Some(CHAOS_PANIC_MSG)
         );
-        assert!(!is_armed(), "firing consumes the arming");
-        tick(); // and stays disarmed
-        disarm();
-        assert!(!is_armed());
+        assert!(!chaos.is_armed(), "firing consumes the arming");
+        chaos.tick(); // and stays disarmed
+        chaos.arm(5);
+        chaos.disarm();
+        assert!(!chaos.is_armed());
     }
 }

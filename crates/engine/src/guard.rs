@@ -22,6 +22,7 @@
 //! budget. The default guard is unlimited and compiles down to a null check
 //! in the hot path.
 
+use crate::chaos::PanicInjector;
 use crate::clock::{Clock, SystemClock};
 use crate::error::{EngineError, Result};
 use pa_obs::{SpanHandle, Tracer};
@@ -147,6 +148,10 @@ pub struct ResourceGuard {
     /// already receives. Disabled by default, so untraced queries pay one
     /// `Option` branch per span-open and nothing per row.
     tracer: Tracer,
+    /// Fault injection for tests, riding the same way: ticked once per
+    /// [`ResourceGuard::charge`] when attached, one `Option` branch when
+    /// not.
+    injector: Option<PanicInjector>,
 }
 
 impl ResourceGuard {
@@ -155,6 +160,7 @@ impl ResourceGuard {
         ResourceGuard {
             inner: None,
             tracer: Tracer::disabled(),
+            injector: None,
         }
     }
 
@@ -195,35 +201,16 @@ impl ResourceGuard {
         if row_budget.is_none() && deadline.is_none() {
             return ResourceGuard::unlimited();
         }
-        ResourceGuard {
-            inner: Some(Arc::new(GuardInner {
-                row_budget,
-                rows: AtomicU64::new(0),
-                cancelled: AtomicBool::new(false),
-                deadline: deadline.as_ref().map(DeadlineState::arm),
-                parent: None,
-            })),
-            tracer: Tracer::disabled(),
-        }
+        ResourceGuard::unlimited().per_query_limited(row_budget, deadline)
     }
 
     /// A guard with no limits that still meters [`rows_charged`] and
-    /// honours [`cancel`] — the executor's per-query accounting guard when
-    /// the engine itself runs unlimited.
+    /// honours [`cancel`].
     ///
     /// [`rows_charged`]: ResourceGuard::rows_charged
     /// [`cancel`]: ResourceGuard::cancel
     pub fn counting() -> ResourceGuard {
-        ResourceGuard {
-            inner: Some(Arc::new(GuardInner {
-                row_budget: None,
-                rows: AtomicU64::new(0),
-                cancelled: AtomicBool::new(false),
-                deadline: None,
-                parent: None,
-            })),
-            tracer: Tracer::disabled(),
-        }
+        ResourceGuard::unlimited().per_query()
     }
 
     /// Derive a child guard with the same limits but a fresh meter and a
@@ -252,19 +239,19 @@ impl ResourceGuard {
     /// overridden for this query (`Some`) or inherited from this guard
     /// (`None`). The child keeps the roll-up/cancellation link to this
     /// guard when this guard is bounded; from the unlimited guard the
-    /// overrides become the child's only limits.
+    /// overrides are the child's only limits. With no limit at all the
+    /// child still meters — a query's `rows_charged` reports its cost, and
+    /// a panic can cancel its surviving workers — and whatever rides on
+    /// this guard (tracer, injector) rides on the child.
     pub fn per_query_limited(
         &self,
         row_budget: Option<u64>,
         deadline: Option<Deadline>,
     ) -> ResourceGuard {
-        let Some(inner) = &self.inner else {
-            return ResourceGuard::with_limits(row_budget, deadline)
-                .with_tracer(self.tracer.clone());
-        };
+        let inherited = self.inner.as_deref();
         let armed = match &deadline {
             Some(d) => Some(DeadlineState::arm(d)),
-            None => inner.deadline.as_ref().map(|dl| {
+            None => inherited.and_then(|i| i.deadline.as_ref()).map(|dl| {
                 DeadlineState::arm(&Deadline {
                     allow: dl.allow,
                     clock: Arc::clone(&dl.clock),
@@ -273,13 +260,14 @@ impl ResourceGuard {
         };
         ResourceGuard {
             inner: Some(Arc::new(GuardInner {
-                row_budget: row_budget.or(inner.row_budget),
+                row_budget: row_budget.or(inherited.and_then(|i| i.row_budget)),
                 rows: AtomicU64::new(0),
                 cancelled: AtomicBool::new(false),
                 deadline: armed,
-                parent: Some(Arc::clone(inner)),
+                parent: self.inner.clone(),
             })),
             tracer: self.tracer.clone(),
+            injector: self.injector.clone(),
         }
     }
 
@@ -288,6 +276,13 @@ impl ResourceGuard {
     /// Limits, meters, and roll-up links are untouched.
     pub fn with_tracer(mut self, tracer: Tracer) -> ResourceGuard {
         self.tracer = tracer;
+        self
+    }
+
+    /// Attach a [`PanicInjector`]: every [`ResourceGuard::charge`] on this
+    /// guard (and on every guard derived from it) ticks `injector` first.
+    pub fn with_injector(mut self, injector: PanicInjector) -> ResourceGuard {
+        self.injector = Some(injector);
         self
     }
 
@@ -363,8 +358,9 @@ impl ResourceGuard {
     /// charge also rolls up to every ancestor guard for metering; only this
     /// guard's limits are enforced.
     pub fn charge(&self, rows: u64) -> Result<()> {
-        // Chaos trigger point: one relaxed load per morsel when disarmed.
-        crate::chaos::tick();
+        if let Some(injector) = &self.injector {
+            injector.tick();
+        }
         let Some(inner) = &self.inner else {
             return Ok(());
         };
@@ -454,8 +450,11 @@ mod tests {
             q.charge(8),
             Err(EngineError::BudgetExceeded { budget: 10, .. })
         ));
-        // Deriving from the unlimited guard stays unlimited.
-        assert!(ResourceGuard::unlimited().per_query().is_unlimited());
+        // Deriving from the unlimited guard adds no limit, and meters.
+        let q = ResourceGuard::unlimited().per_query();
+        assert_eq!((q.row_budget(), q.deadline()), (None, None));
+        q.charge(8).unwrap();
+        assert_eq!(q.rows_charged(), 8);
     }
 
     #[test]
@@ -595,9 +594,8 @@ mod tests {
         // From the unlimited guard, the overrides are the only limits.
         let q = ResourceGuard::unlimited().per_query_limited(Some(2), None);
         assert_eq!(q.row_budget(), Some(2));
-        assert!(ResourceGuard::unlimited()
-            .per_query_limited(None, None)
-            .is_unlimited());
+        let q = ResourceGuard::unlimited().per_query_limited(None, None);
+        assert_eq!((q.row_budget(), q.deadline()), (None, None));
     }
 
     #[test]
@@ -630,6 +628,37 @@ mod tests {
         assert_eq!(report.spans()[1].label, "aggregate");
         // Untraced guards open no-op spans.
         assert!(!ResourceGuard::unlimited().span("x").is_enabled());
+    }
+
+    #[test]
+    fn injector_rides_along_per_query_derivation() {
+        let fires_on_next_charge = |g: &ResourceGuard| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| g.charge(1))).is_err()
+        };
+        let chaos = PanicInjector::default();
+        // The bounded derivation, and the unlimited guard's metering child.
+        let bounded = ResourceGuard::with_row_budget(100).with_injector(chaos.clone());
+        let unlimited = ResourceGuard::unlimited().with_injector(chaos.clone());
+        for q in [
+            bounded.per_query_limited(Some(5), None),
+            unlimited.per_query(),
+        ] {
+            chaos.arm(1);
+            assert!(q.charge(1).is_ok(), "one tick left");
+            assert!(fires_on_next_charge(&q));
+            assert!(!chaos.is_armed(), "firing consumes the arming");
+            assert!(q.charge(1).is_ok());
+        }
+        // A guard without an injector never ticks one.
+        chaos.arm(0);
+        ResourceGuard::unlimited().charge(1).unwrap();
+        ResourceGuard::with_row_budget(100)
+            .per_query()
+            .charge(1)
+            .unwrap();
+        ResourceGuard::counting().charge(1).unwrap();
+        assert!(chaos.is_armed(), "still waiting for its own guard");
+        assert!(fires_on_next_charge(&unlimited));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use crate::error::{EngineError, Result};
 use crate::ops::aggregate::AggFunc;
 use crate::ops::sort::sort_permutation;
+use crate::parallel::ParallelConfig;
 use crate::stats::ExecStats;
 use pa_storage::{DataType, Field, Schema, Table, Value};
 
@@ -20,7 +21,9 @@ use pa_storage::{DataType, Field, Schema, Table, Value};
 ///
 /// The result table contains all input columns plus the new column, with
 /// rows in partition order (the order the sort-based plan produces).
-/// An empty `partition_cols` treats the whole input as one partition.
+/// An empty `partition_cols` treats the whole input as one partition. Of
+/// `config` the plan reads only the percentile budget: the window is the
+/// serial row-granular baseline whatever the thread count.
 pub fn window_aggregate(
     input: &Table,
     partition_cols: &[usize],
@@ -28,6 +31,7 @@ pub fn window_aggregate(
     measure_col: usize,
     out_name: &str,
     stats: &mut ExecStats,
+    config: &ParallelConfig,
 ) -> Result<Table> {
     if measure_col >= input.num_columns() {
         return Err(EngineError::InvalidOperator(format!(
@@ -53,7 +57,7 @@ pub fn window_aggregate(
     };
 
     // Phase 2: one pass over runs, computing the aggregate per partition.
-    let percentile_budget = crate::ParallelConfig::from_env().percentile_budget;
+    let percentile_budget = config.percentile_budget;
     let mut agg_values: Vec<Value> = Vec::with_capacity(n);
     let mut run_start = 0;
     while run_start < n {
@@ -176,6 +180,8 @@ fn aggregate_run(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const CFG: ParallelConfig = ParallelConfig::serial();
     use pa_storage::Schema;
 
     fn sales() -> Table {
@@ -204,7 +210,7 @@ mod tests {
     fn sum_over_partition_replicates_totals() {
         let t = sales();
         let mut st = ExecStats::default();
-        let out = window_aggregate(&t, &[0], AggFunc::Sum, 2, "total", &mut st).unwrap();
+        let out = window_aggregate(&t, &[0], AggFunc::Sum, 2, "total", &mut st, &CFG).unwrap();
         assert_eq!(out.num_rows(), 5, "one output row per input row");
         assert_eq!(out.num_columns(), 4);
         // Partition order: CA rows then TX rows.
@@ -221,7 +227,7 @@ mod tests {
     fn empty_partition_list_is_global_window() {
         let t = sales();
         let mut st = ExecStats::default();
-        let out = window_aggregate(&t, &[], AggFunc::Sum, 2, "total", &mut st).unwrap();
+        let out = window_aggregate(&t, &[], AggFunc::Sum, 2, "total", &mut st, &CFG).unwrap();
         for i in 0..out.num_rows() {
             assert_eq!(out.get(i, 3), Value::Float(109.0));
         }
@@ -231,10 +237,10 @@ mod tests {
     fn count_and_avg_windows() {
         let t = sales();
         let mut st = ExecStats::default();
-        let cnt = window_aggregate(&t, &[0], AggFunc::CountStar, 2, "n", &mut st).unwrap();
+        let cnt = window_aggregate(&t, &[0], AggFunc::CountStar, 2, "n", &mut st, &CFG).unwrap();
         assert_eq!(cnt.get(0, 3), Value::Int(2)); // CA
         assert_eq!(cnt.get(2, 3), Value::Int(3)); // TX
-        let avg = window_aggregate(&t, &[0], AggFunc::Avg, 2, "m", &mut st).unwrap();
+        let avg = window_aggregate(&t, &[0], AggFunc::Avg, 2, "m", &mut st, &CFG).unwrap();
         assert_eq!(avg.get(0, 3), Value::Float(8.0));
     }
 
@@ -248,7 +254,7 @@ mod tests {
         t.push_row(&[Value::Int(1), Value::Float(4.0)]).unwrap();
         t.push_row(&[Value::Int(2), Value::Null]).unwrap();
         let mut st = ExecStats::default();
-        let out = window_aggregate(&t, &[0], AggFunc::Sum, 1, "s", &mut st).unwrap();
+        let out = window_aggregate(&t, &[0], AggFunc::Sum, 1, "s", &mut st, &CFG).unwrap();
         assert_eq!(out.get(0, 2), Value::Float(4.0));
         assert_eq!(
             out.get(2, 2),
@@ -269,6 +275,7 @@ mod tests {
             2,
             "med",
             &mut st,
+            &CFG,
         )
         .unwrap();
         // CA: 3, 13 → 8.0; TX: 5, 35, 53 → 35.0.
@@ -280,7 +287,7 @@ mod tests {
     fn validates_columns() {
         let t = sales();
         let mut st = ExecStats::default();
-        assert!(window_aggregate(&t, &[9], AggFunc::Sum, 2, "x", &mut st).is_err());
-        assert!(window_aggregate(&t, &[0], AggFunc::Sum, 9, "x", &mut st).is_err());
+        assert!(window_aggregate(&t, &[9], AggFunc::Sum, 2, "x", &mut st, &CFG).is_err());
+        assert!(window_aggregate(&t, &[0], AggFunc::Sum, 9, "x", &mut st, &CFG).is_err());
     }
 }

@@ -7,15 +7,13 @@
 //! first-appearance group order exactly (see DESIGN.md §7 for the
 //! determinism argument).
 //!
-//! [`ParallelConfig`] carries the three knobs: worker count (env
-//! `PA_THREADS`, default [`std::thread::available_parallelism`]), morsel
-//! size (env `PA_MORSEL_ROWS`), and the input size below which the exact
-//! serial code path runs (env `PA_MIN_PARALLEL_ROWS`). `PA_THREADS=1`
-//! always selects the serial path. Two further knobs gate the code-path
-//! layers: `PA_DENSE_BUDGET` for the dense group path (DESIGN.md §10) and
-//! `PA_VECTOR` for the fused vectorized kernels (DESIGN.md §12). The
-//! config also carries `PA_PERCENTILE_BUDGET`, read here once per query
-//! rather than once per accumulator.
+//! [`ParallelConfig`] is the value every operator is handed: worker count
+//! (`threads: 1` always selects the serial path), morsel size, the input
+//! size below which the exact serial code path runs, the dense-group budget
+//! (DESIGN.md §10; 0 is the hash-tier ablation), whether the fused
+//! vectorized kernels may run (§12) and the percentile budget. A statement
+//! gets one from its engine (DESIGN.md §18); [`ParallelConfig::from_env`]
+//! reads the deployment's `PA_*` settings for an engine handed none.
 //!
 //! [`fan_out`] is the one worker fan-out every morsel-parallel operator
 //! calls (the scan core behind aggregate/lattice/partial, and the pivot).
@@ -49,9 +47,9 @@ pub struct ParallelConfig {
     /// (env `PA_DENSE_BUDGET`; `0` disables dense grouping entirely).
     /// See [`crate::keymap::DenseKeySpace`].
     pub dense_budget: usize,
-    /// Allow the fused vectorized kernels (DESIGN.md §12). Env
-    /// `PA_VECTOR=0` forces the scalar per-row loops everywhere —
-    /// the ablation knob the differential oracle and benches flip.
+    /// Allow the fused vectorized kernels (DESIGN.md §12). `false` (env
+    /// `PA_VECTOR=0`) forces the scalar per-row loops everywhere — the
+    /// ablation the differential oracle and benches hand their engines.
     pub vector: bool,
     /// Samples an exact `percentile` group retains before its state spills
     /// to a t-digest (env `PA_PERCENTILE_BUDGET`, default
@@ -92,8 +90,7 @@ impl ParallelConfig {
     /// `PA_MIN_PARALLEL_ROWS`, `PA_DENSE_BUDGET` (0 disables the dense
     /// group path), `PA_PERCENTILE_BUDGET`. Invalid or zero values fall
     /// back to the defaults (except the dense budget, where 0 is
-    /// meaningful). Read per call so benches can vary `PA_THREADS` between
-    /// runs within one process.
+    /// meaningful).
     pub fn from_env() -> ParallelConfig {
         let parse = |name: &str| {
             std::env::var(name)
@@ -264,6 +261,20 @@ mod tests {
         let c = ParallelConfig::with_threads(8);
         assert_eq!(c.effective_threads(100), 1);
         assert_eq!(c.chunks(100), vec![0..100]);
+    }
+
+    #[test]
+    fn effective_threads_is_the_thread_decision() {
+        assert_eq!(ParallelConfig::serial().effective_threads(10_000_000), 1);
+        assert_eq!(
+            ParallelConfig::with_threads(4).effective_threads(10_000_000),
+            4
+        );
+        assert_eq!(
+            ParallelConfig::with_threads(4).effective_threads(100),
+            1,
+            "small inputs resolve to the serial path"
+        );
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! 1. **CASE vs SPJ** (± hash dispatch): all four `HorizontalStrategy`
 //!    plans over proptest-generated fact tables (NULL dimensions, NULL and
 //!    negative measures, duplicate rows).
-//! 2. **Serial vs parallel**: `ParallelMode::Serial` against
-//!    `Threads(1|2|4)` on a table large enough (> 3 morsels) that 4 real
-//!    workers engage — driven through `HorizontalOptions.parallel`, not
-//!    the environment, so the test cannot race other tests over env vars.
+//! 2. **Serial vs parallel**: `ParallelConfig::serial()` against
+//!    `with_threads(1|2|4)` on a table large enough (> 3 morsels) that 4
+//!    real workers engage — each a configuration handed to its own engine
+//!    (`PercentageEngine::with_config`); no test writes the environment.
 //! 3. **Vertical vs horizontally-transposed-then-flattened**: the `Hpct`
 //!    matrix mapped back to `(group, by-value, pct)` triples via its cell
 //!    column names must equal the `Vpct` relation, modulo the documented
@@ -42,7 +42,7 @@
 //! operators are what diverge.
 
 use pa_core::{
-    HorizontalOptions, HorizontalQuery, HorizontalStrategy, ParallelMode, PercentageEngine,
+    HorizontalOptions, HorizontalQuery, HorizontalResult, HorizontalStrategy, PercentageEngine,
     VpctQuery, VpctStrategy,
 };
 use pa_engine::{
@@ -53,52 +53,6 @@ use pa_engine::{
 };
 use pa_storage::{Catalog, DataType, Schema, Table, Value};
 use proptest::prelude::*;
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-/// The `PA_*` knobs are process-global and every plan that is not handed a
-/// configuration reads them: a test that only reads holds this lock shared
-/// for its whole run, the `WHERE` axis — which pins them — exclusively.
-static ENV: RwLock<()> = RwLock::new(());
-
-fn env_as_given() -> RwLockReadGuard<'static, ()> {
-    ENV.read().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Env knobs pinned for one evaluation window, put back as they were on
-/// drop so a panicking assertion cannot leak configuration.
-struct EnvPins {
-    before: Vec<(&'static str, Option<String>)>,
-    _exclusive: RwLockWriteGuard<'static, ()>,
-}
-
-impl EnvPins {
-    fn set(pairs: &[(&'static str, String)]) -> EnvPins {
-        let exclusive = ENV.write().unwrap_or_else(|e| e.into_inner());
-        let before = pairs
-            .iter()
-            .map(|(k, v)| {
-                let was = std::env::var(k).ok();
-                std::env::set_var(k, v);
-                (*k, was)
-            })
-            .collect();
-        EnvPins {
-            before,
-            _exclusive: exclusive,
-        }
-    }
-}
-
-impl Drop for EnvPins {
-    fn drop(&mut self) {
-        for (k, was) in &self.before {
-            match was {
-                Some(v) => std::env::set_var(k, v),
-                None => std::env::remove_var(k),
-            }
-        }
-    }
-}
 
 #[derive(Debug, Clone)]
 struct Row {
@@ -181,54 +135,66 @@ fn first_divergence(name_a: &str, a: &Table, name_b: &str, b: &Table) -> Option<
     None
 }
 
+/// Which kernel tier a variant's engine is handed, over a base
+/// configuration.
+type Tier = fn(ParallelConfig) -> ParallelConfig;
+
+/// A horizontal plan variant: its name, the paper's options, and the tier.
+type Variant = (String, HorizontalOptions, Tier);
+
 /// Every horizontal plan variant under test: the four strategies (the CASE
 /// pair defaulting to the dense jump-table group path, which on dense
-/// inputs runs the vectorized bit-packed kernels), the hash-dispatch
-/// ablation of each CASE strategy (hash group path through the same pivot),
-/// the legacy O(N)-per-row CASE chain of each (jump table off), and the
-/// scalar-kernel ablation of each (vectorized path forced off, same dense
-/// plan). The four CASE code paths — vectorized dense pivot, scalar dense
-/// pivot, hash pivot, legacy chain — all appear, so every oracle that
+/// inputs runs the vectorized bit-packed kernels), the hash-tier ablation
+/// of each CASE strategy (`dense_budget: 0`: the hash group path through
+/// the same pivot), the legacy O(N)-per-row CASE chain of each (jump table
+/// off), and the scalar-kernel ablation of each (`vector: false`, same
+/// dense plan). The four CASE code paths — vectorized dense pivot, scalar
+/// dense pivot, hash pivot, legacy chain — all appear, so every oracle that
 /// consumes this list is also a vectorized-vs-scalar-vs-hash-vs-legacy
 /// differential.
-fn horizontal_variants() -> Vec<(String, HorizontalOptions)> {
+fn horizontal_variants() -> Vec<Variant> {
+    let as_given: Tier = |base| base;
+    let hash_tier: Tier = |base| ParallelConfig {
+        dense_budget: 0,
+        ..base
+    };
+    let scalar_kernels: Tier = |base| ParallelConfig {
+        vector: false,
+        ..base
+    };
     let mut v = Vec::new();
     for strategy in HorizontalStrategy::all() {
-        v.push((
-            strategy.label().to_string(),
-            HorizontalOptions::with_strategy(strategy),
-        ));
+        let opts = HorizontalOptions::with_strategy(strategy);
+        v.push((strategy.label().to_string(), opts, as_given));
     }
     for strategy in [
         HorizontalStrategy::CaseDirect,
         HorizontalStrategy::CaseFromFv,
     ] {
-        v.push((
-            format!("{}+dispatch", strategy.label()),
-            HorizontalOptions {
-                strategy,
-                hash_dispatch: true,
-                ..HorizontalOptions::default()
-            },
-        ));
-        v.push((
-            format!("{}+legacy-chain", strategy.label()),
-            HorizontalOptions {
-                strategy,
-                jump_table: false,
-                ..HorizontalOptions::default()
-            },
-        ));
-        v.push((
-            format!("{}+scalar-kernels", strategy.label()),
-            HorizontalOptions {
-                strategy,
-                scalar_kernels: true,
-                ..HorizontalOptions::default()
-            },
-        ));
+        let opts = HorizontalOptions::with_strategy(strategy);
+        let legacy = HorizontalOptions {
+            jump_table: false,
+            ..opts.clone()
+        };
+        let label = strategy.label();
+        v.push((format!("{label}+dispatch"), opts.clone(), hash_tier));
+        v.push((format!("{label}+legacy-chain"), legacy, as_given));
+        v.push((format!("{label}+scalar-kernels"), opts, scalar_kernels));
     }
     v
+}
+
+/// `q` under one variant, by an engine handed the variant's tier of `base`.
+fn run_variant(
+    catalog: &Catalog,
+    q: &HorizontalQuery,
+    (name, opts, tier): &Variant,
+    base: ParallelConfig,
+) -> HorizontalResult {
+    PercentageEngine::new(catalog)
+        .with_config(tier(base))
+        .horizontal_with(q, opts)
+        .unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
 proptest! {
@@ -239,16 +205,14 @@ proptest! {
     fn case_and_spj_strategies_are_byte_identical(
         rows in prop::collection::vec(row_strategy(), 1..60)
     ) {
-        let _env = env_as_given();
-        let catalog = build_catalog(&rows);
-        let engine = PercentageEngine::new(&catalog);
+            let catalog = build_catalog(&rows);
         let q = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
         let variants = horizontal_variants();
-        let (ref_name, ref_opts) = &variants[0];
-        let reference = engine.horizontal_with(&q, ref_opts).unwrap().snapshot();
-        for (name, opts) in &variants[1..] {
-            let got = engine.horizontal_with(&q, opts).unwrap().snapshot();
-            if let Some(diff) = first_divergence(ref_name, &reference, name, &got) {
+        let deployed = ParallelConfig::from_env();
+        let reference = run_variant(&catalog, &q, &variants[0], deployed).snapshot();
+        for variant in &variants[1..] {
+            let got = run_variant(&catalog, &q, variant, deployed).snapshot();
+            if let Some(diff) = first_divergence(&variants[0].0, &reference, &variant.0, &got) {
                 prop_assert!(false, "{diff}");
             }
         }
@@ -260,8 +224,7 @@ proptest! {
     fn vertical_strategies_are_byte_identical(
         rows in prop::collection::vec(row_strategy(), 1..60)
     ) {
-        let _env = env_as_given();
-        let catalog = build_catalog(&rows);
+            let catalog = build_catalog(&rows);
         let engine = PercentageEngine::new(&catalog);
         let q = VpctQuery::single("f", &["g", "d"], "a", &["d"]);
         let reference = engine.vpct_with(&q, &VpctStrategy::best()).unwrap().snapshot();
@@ -283,8 +246,7 @@ proptest! {
     fn flattened_horizontal_equals_vertical(
         rows in prop::collection::vec(row_strategy(), 1..60)
     ) {
-        let _env = env_as_given();
-        let catalog = build_catalog(&rows);
+            let catalog = build_catalog(&rows);
         let engine = PercentageEngine::new(&catalog);
         let v = engine
             .vpct(&VpctQuery::single("f", &["g", "d"], "a", &["d"]))
@@ -351,13 +313,12 @@ proptest! {
 /// Oracle 2: serial vs real morsel parallelism, all strategies.
 ///
 /// 260 096 rows = 3×64Ki morsels + remainder, above the 32Ki serial
-/// threshold, so `Threads(4)` engages four genuine workers
+/// threshold, so `with_threads(4)` engages four genuine workers
 /// (`ParallelConfig::effective_threads`). Deterministic LCG data — the
 /// point here is the fan-out/merge path, not input diversity (oracle 1
 /// covers that).
 #[test]
 fn serial_and_parallel_plans_are_byte_identical() {
-    let _env = env_as_given();
     const N: usize = 260_096;
     let catalog = Catalog::new();
     let schema = Schema::from_pairs(&[
@@ -384,31 +345,14 @@ fn serial_and_parallel_plans_are_byte_identical() {
         .unwrap();
     }
     catalog.create_table("f", t).unwrap();
-    let engine = PercentageEngine::new(&catalog);
     let q = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
 
-    for (name, opts) in horizontal_variants() {
-        let serial = engine
-            .horizontal_with(
-                &q,
-                &HorizontalOptions {
-                    parallel: ParallelMode::Serial,
-                    ..opts.clone()
-                },
-            )
-            .unwrap()
-            .snapshot();
+    for variant in horizontal_variants() {
+        let name = &variant.0;
+        let serial = run_variant(&catalog, &q, &variant, ParallelConfig::serial()).snapshot();
         for threads in [1usize, 2, 4] {
-            let parallel = engine
-                .horizontal_with(
-                    &q,
-                    &HorizontalOptions {
-                        parallel: ParallelMode::Threads(threads),
-                        ..opts.clone()
-                    },
-                )
-                .unwrap()
-                .snapshot();
+            let workers = ParallelConfig::with_threads(threads);
+            let parallel = run_variant(&catalog, &q, &variant, workers).snapshot();
             if let Some(diff) = first_divergence(
                 &format!("{name}/serial"),
                 &serial,
@@ -459,26 +403,16 @@ fn budget_catalog(n: usize, g_spread: i64, d_spread: i64) -> Catalog {
 /// * spreads of 1 keep everything dense (the all-dense side).
 #[test]
 fn group_paths_agree_on_both_sides_of_the_dense_budget() {
-    let _env = env_as_given();
-    const N: usize = 200_000; // 4 morsels: real fan-out at Threads(4)
-    let case_variants: Vec<(String, HorizontalOptions)> = horizontal_variants()
+    const N: usize = 200_000; // 4 morsels: real fan-out at four threads
+    let case_variants: Vec<Variant> = horizontal_variants()
         .into_iter()
-        .filter(|(name, _)| name.contains("CASE"))
+        .filter(|(name, ..)| name.contains("CASE"))
         .collect();
     for (g_spread, d_spread) in [(1, 1), (1, 230_000), (230_000, 1)] {
         let catalog = budget_catalog(N, g_spread, d_spread);
-        let engine = PercentageEngine::new(&catalog);
         let q = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
-        let (ref_name, ref_opts) = &case_variants[0];
-        let reference = engine
-            .horizontal_with(
-                &q,
-                &HorizontalOptions {
-                    parallel: ParallelMode::Serial,
-                    ..ref_opts.clone()
-                },
-            )
-            .unwrap();
+        let ref_name = &case_variants[0].0;
+        let reference = run_variant(&catalog, &q, &case_variants[0], ParallelConfig::serial());
         if (g_spread, d_spread) == (1, 1) {
             assert!(
                 reference.stats.dense_group_ops > 0 && reference.stats.hash_group_ops == 0,
@@ -494,23 +428,15 @@ fn group_paths_agree_on_both_sides_of_the_dense_budget() {
             );
         }
         let reference = reference.snapshot();
-        for (name, opts) in &case_variants {
+        for variant in &case_variants {
+            let name = &variant.0;
             for threads in [1usize, 2, 4] {
-                let got = engine
-                    .horizontal_with(
-                        &q,
-                        &HorizontalOptions {
-                            parallel: ParallelMode::Threads(threads),
-                            ..opts.clone()
-                        },
-                    )
-                    .unwrap();
-                // (Only the direct variant: FROM FV builds FV through the
-                // regular aggregation, which may legitimately run dense.)
-                if name == "CASE from F+dispatch" {
+                let workers = ParallelConfig::with_threads(threads);
+                let got = run_variant(&catalog, &q, variant, workers);
+                if name.ends_with("+dispatch") {
                     assert_eq!(
                         got.stats.dense_group_ops, 0,
-                        "hash dispatch must never touch the dense path: {:?}",
+                        "the hash tier must never touch the dense path: {:?}",
                         got.stats
                     );
                 }
@@ -538,8 +464,7 @@ fn group_paths_agree_on_both_sides_of_the_dense_budget() {
 /// exercised, not just the happy path.
 #[test]
 fn vectorized_rle_path_matches_scalar_kernels_on_sorted_input() {
-    let _env = env_as_given();
-    const N: usize = 200_000; // 4 morsels: real fan-out at Threads(4)
+    const N: usize = 200_000; // 4 morsels: real fan-out at four threads
     let catalog = Catalog::new();
     let schema = Schema::from_pairs(&[
         ("g", DataType::Int),
@@ -568,19 +493,16 @@ fn vectorized_rle_path_matches_scalar_kernels_on_sorted_input() {
         t.push_row(&[Value::from(g), Value::str(&d), a]).unwrap();
     }
     catalog.create_table("f", t).unwrap();
-    let engine = PercentageEngine::new(&catalog);
     let q = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
+    let run = |config: ParallelConfig| {
+        let engine = PercentageEngine::new(&catalog).with_config(config);
+        engine.horizontal(&q).unwrap()
+    };
 
-    let scalar = engine
-        .horizontal_with(
-            &q,
-            &HorizontalOptions {
-                scalar_kernels: true,
-                parallel: ParallelMode::Serial,
-                ..HorizontalOptions::default()
-            },
-        )
-        .unwrap();
+    let scalar = run(ParallelConfig {
+        vector: false,
+        ..ParallelConfig::serial()
+    });
     assert!(
         scalar.stats.scalar_kernel_rows > 0 && scalar.stats.vectorized_kernel_rows == 0,
         "forced-scalar plan must not touch the vectorized kernels: {:?}",
@@ -589,15 +511,7 @@ fn vectorized_rle_path_matches_scalar_kernels_on_sorted_input() {
     let scalar = scalar.snapshot();
 
     for threads in [1usize, 2, 4] {
-        let vectorized = engine
-            .horizontal_with(
-                &q,
-                &HorizontalOptions {
-                    parallel: ParallelMode::Threads(threads),
-                    ..HorizontalOptions::default()
-                },
-            )
-            .unwrap();
+        let vectorized = run(ParallelConfig::with_threads(threads));
         assert!(
             vectorized.stats.vectorized_kernel_rows >= N as u64,
             "dense sorted input must run the vectorized kernels: {:?}",
@@ -634,7 +548,6 @@ fn vectorized_rle_path_matches_scalar_kernels_on_sorted_input() {
 /// bit for bit, and the kernel-path counters prove which scan ran.
 #[test]
 fn holistic_pivot_lanes_match_the_scalar_scan() {
-    let _env = env_as_given();
     use pa_core::dispatch::{pivot_aggregate_with_config, PivotTask};
     use pa_engine::{AggFunc, ExecStats, Expr, PBits, ParallelConfig, ResourceGuard};
 
@@ -784,24 +697,24 @@ fn holistic_pivot_lanes_match_the_scalar_scan() {
 /// result, only the miss/hit counters.
 #[test]
 fn cache_cold_and_cache_warm_catalog_are_byte_identical() {
-    let _env = env_as_given();
     let catalog = budget_catalog(50_000, 1, 1);
-    let engine = PercentageEngine::new(&catalog);
     let q = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
-    for (name, opts) in horizontal_variants()
+    let deployed = ParallelConfig::from_env();
+    for variant in horizontal_variants()
         .into_iter()
-        .filter(|(name, _)| name.contains("CASE"))
+        .filter(|(name, ..)| name.contains("CASE"))
     {
+        let name = &variant.0;
         // The executor scans a pinned snapshot alias, so combos are keyed
         // by the alias; invalidate through the catalog to reach it.
         catalog.invalidate_combos("f");
-        let cold = engine.horizontal_with(&q, &opts).unwrap();
+        let cold = run_variant(&catalog, &q, &variant, deployed);
         assert!(
             cold.stats.combo_cache_misses > 0 && cold.stats.combo_cache_hits == 0,
             "{name}: first evaluation must miss the cold cache: {:?}",
             cold.stats
         );
-        let warm = engine.horizontal_with(&q, &opts).unwrap();
+        let warm = run_variant(&catalog, &q, &variant, deployed);
         assert!(
             warm.stats.combo_cache_hits > 0 && warm.stats.combo_cache_misses == 0,
             "{name}: second evaluation must hit the warm cache: {:?}",
@@ -957,7 +870,6 @@ fn untransposed_pivot(
 /// answers `vector: false` and holistic lanes like every other adapter.)
 #[test]
 fn aggregate_partial_and_lattice_adapters_agree_across_the_kernel_matrix() {
-    let _env = env_as_given();
     let guard = ResourceGuard::unlimited();
     let small = adapter_table(3_000, 5, 11);
     let large = adapter_table(3_000, 300, 12); // (300 + 2)^2 codes > 2^16
@@ -1121,7 +1033,6 @@ fn aggregate_partial_and_lattice_adapters_agree_across_the_kernel_matrix() {
 /// beside a generic (`min`) one must each equal their own solo scalar run.
 #[test]
 fn a_multi_level_scan_mixes_fused_and_generic_levels() {
-    let _env = env_as_given();
     let guard = ResourceGuard::unlimited();
     let t = adapter_table(3_000, 5, 14);
     let a = Expr::Col(3);
@@ -1260,7 +1171,6 @@ fn assert_key_domain_cells(t: &Table, cols: &[usize], what: &str) -> ExecStats {
 /// the per-row tuple hash). The pack width says which reader ran.
 #[test]
 fn int_key_domains_agree_on_every_lane_and_tier() {
-    let _env = env_as_given();
     const N: usize = 1_500;
     let spread = |min: i64, span: i64| -> Vec<Option<i64>> {
         // Both ends of the range, NULLs, and a seeded walk between them.
@@ -1336,7 +1246,6 @@ fn int_key_domains_agree_on_every_lane_and_tier() {
 /// statistics-free per-row loop over the table as written.
 #[test]
 fn no_mutator_leaves_a_stale_key_domain() {
-    let _env = env_as_given();
     let keys: Vec<Option<i64>> = (0..1_500).map(|i| Some(10 + i % 30)).collect();
     let other = key_domain_table(&[Some(-400), None, Some(70_000)]);
     type Write = Box<dyn Fn(&mut Table)>;
@@ -1582,22 +1491,23 @@ fn where_is_the_same_selection_inside_the_scan_as_a_copy_before_it() {
         VpctStrategy::with_update(),
     ];
     let kernels = [
-        (1, DEFAULT_DENSE_BUDGET),
-        (1, 0),
-        (0, DEFAULT_DENSE_BUDGET),
-        (0, 0),
+        (true, DEFAULT_DENSE_BUDGET),
+        (true, 0),
+        (false, DEFAULT_DENSE_BUDGET),
+        (false, 0),
     ];
     for (threads, (vector, dense_budget)) in [1usize, 2, 4]
         .into_iter()
         .flat_map(|t| kernels.map(|k| (t, k)))
     {
-        let _pins = EnvPins::set(&[
-            ("PA_THREADS", threads.to_string()),
-            ("PA_VECTOR", vector.to_string()),
-            ("PA_DENSE_BUDGET", dense_budget.to_string()),
-            ("PA_MORSEL_ROWS", "1000".into()),
-            ("PA_MIN_PARALLEL_ROWS", "1".into()),
-        ]);
+        let base = ParallelConfig {
+            threads,
+            morsel_rows: 1000,
+            min_parallel_rows: 1,
+            dense_budget,
+            vector,
+            ..ParallelConfig::serial()
+        };
         let knobs = format!("threads={threads} vector={vector} dense={dense_budget}");
         for (shape, table, full) in &tables {
             // The boundary sizes: two predicates, one statement a family,
@@ -1609,10 +1519,6 @@ fn where_is_the_same_selection_inside_the_scan_as_a_copy_before_it() {
                 let copied = Catalog::new();
                 let copy = filter(table, expr, &mut ExecStats::default()).unwrap();
                 copied.create_table("f", copy).unwrap();
-                let engines = (
-                    PercentageEngine::new(&selected),
-                    PercentageEngine::new(&copied),
-                );
                 for (i, (select, grouping, planned)) in statements.iter().enumerate() {
                     if !full && i != 0 && i != 6 {
                         continue;
@@ -1620,21 +1526,24 @@ fn where_is_the_same_selection_inside_the_scan_as_a_copy_before_it() {
                     let with_where = format!("{select} FROM f WHERE {text} {grouping}");
                     let without = format!("{select} FROM f {grouping}");
                     // Each plan as `(name, vertical strategy, horizontal
-                    // options)`; `None` leaves the choice to the optimizer.
+                    // options, kernel tier)`; `None` leaves the choice to
+                    // the optimizer.
                     type Knobs<'k> = Option<(&'k VpctStrategy, &'k HorizontalOptions)>;
-                    let plans: Vec<(String, Knobs<'_>)> = match planned {
-                        Planned::Optimizer => vec![("optimizer".into(), None)],
+                    let (_, any_horizontal, as_given) = &horizontal[0];
+                    let plans: Vec<(String, Knobs<'_>, Tier)> = match planned {
+                        Planned::Optimizer => vec![("optimizer".into(), None, *as_given)],
                         Planned::EveryVertical => vertical
                             .iter()
-                            .map(|v| (format!("{v:?}"), Some((v, &horizontal[0].1))))
+                            .map(|v| (format!("{v:?}"), Some((v, any_horizontal)), *as_given))
                             .collect(),
                         Planned::EveryHorizontal => horizontal[..if *full { 10 } else { 4 }]
                             .iter()
-                            .map(|(name, h)| (name.clone(), Some((&vertical[0], h))))
+                            .map(|(name, h, tier)| (name.clone(), Some((&vertical[0], h)), *tier))
                             .collect(),
                     };
-                    for (plan, knobs_of_plan) in plans {
-                        let run = |engine: &PercentageEngine<'_>, sql: &str| {
+                    for (plan, knobs_of_plan, tier) in plans {
+                        let run = |catalog: &Catalog, sql: &str| {
+                            let engine = PercentageEngine::new(catalog).with_config(tier(base));
                             let out = match knobs_of_plan {
                                 Some((v, h)) => engine.execute_sql_with(sql, v, h),
                                 None => engine.execute_sql(sql),
@@ -1642,7 +1551,7 @@ fn where_is_the_same_selection_inside_the_scan_as_a_copy_before_it() {
                             out.map(|out| verbatim(&out.table().read()))
                         };
                         let what = format!("{knobs} {shape} {plan}: {with_where}");
-                        match (run(&engines.0, &with_where), run(&engines.1, &without)) {
+                        match (run(&selected, &with_where), run(&copied, &without)) {
                             (Ok(got), Ok(want)) => assert_eq!(got, want, "{what}"),
                             (Err(got), Err(want)) => {
                                 assert_eq!(got.to_string(), want.to_string(), "{what}")
@@ -1662,7 +1571,6 @@ fn where_is_the_same_selection_inside_the_scan_as_a_copy_before_it() {
 /// one NULL cell, and a comparison with it selects nothing.
 #[test]
 fn a_by_column_of_only_nulls_is_one_cell_under_every_plan() {
-    let _env = env_as_given();
     let schema = Schema::from_pairs(&[
         ("g", DataType::Int),
         ("s", DataType::Str),
@@ -1677,7 +1585,6 @@ fn a_by_column_of_only_nulls_is_one_cell_under_every_plan() {
     }
     let catalog = Catalog::new();
     catalog.create_table("f", t).unwrap();
-    let engine = PercentageEngine::new(&catalog);
     let variants = horizontal_variants();
     // `(WHERE, result rows, cell columns)`.
     for (pred, rows, cells) in [
@@ -1687,18 +1594,20 @@ fn a_by_column_of_only_nulls_is_one_cell_under_every_plan() {
         ("WHERE s <> 'x' OR s < 'x'", 0, 0),
     ] {
         let sql = format!("SELECT g, Hpct(a BY s) FROM f {pred} GROUP BY g");
-        let run = |opts: &HorizontalOptions| {
+        let run = |(_, opts, tier): &Variant| {
+            let engine =
+                PercentageEngine::new(&catalog).with_config(tier(ParallelConfig::from_env()));
             let out = engine.execute_sql_with(&sql, &VpctStrategy::best(), opts);
             let out = out.unwrap_or_else(|e| panic!("{sql}: {e}")).table();
             let t = out.read().clone();
             t
         };
-        let (ref_name, ref_opts) = &variants[0];
-        let reference = run(ref_opts);
+        let reference = run(&variants[0]);
         assert_eq!(reference.num_rows(), rows, "{sql}");
         assert_eq!(reference.num_columns(), 1 + cells, "{sql}");
-        for (name, opts) in &variants[1..] {
-            if let Some(diff) = first_divergence(ref_name, &reference, name, &run(opts)) {
+        for variant in &variants[1..] {
+            let (ref_name, name) = (&variants[0].0, &variant.0);
+            if let Some(diff) = first_divergence(ref_name, &reference, name, &run(variant)) {
                 panic!("{sql}: {diff}");
             }
         }
@@ -1707,7 +1616,6 @@ fn a_by_column_of_only_nulls_is_one_cell_under_every_plan() {
 
 #[test]
 fn harness_reports_injected_divergence() {
-    let _env = env_as_given();
     let schema = Schema::from_pairs(&[("g", DataType::Int), ("p", DataType::Float)])
         .unwrap()
         .into_shared();

@@ -1,10 +1,9 @@
 //! Panic isolation and deadline determinism at the operator level.
 //!
-//! The chaos panic injector is process-global, so every test that arms it
-//! holds `CHAOS` for its whole arm..disarm window — tests in this binary
-//! may run concurrently, but chaos windows never overlap.
+//! Every test that injects a panic arms its own [`PanicInjector`] on its
+//! own guard, so the tests of this binary run side by side.
 
-use pa_engine::chaos::{self, CHAOS_PANIC_MSG};
+use pa_engine::chaos::{PanicInjector, CHAOS_PANIC_MSG};
 use pa_engine::clock::TestClock;
 use pa_engine::{
     hash_aggregate_with_config, AggFunc, AggSpec, Deadline, EngineError, ExecStats, Expr,
@@ -12,14 +11,8 @@ use pa_engine::{
 };
 use pa_storage::{DataType, Schema, Table, Value};
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
-
-static CHAOS: Mutex<()> = Mutex::new(());
-
-fn chaos_window() -> std::sync::MutexGuard<'static, ()> {
-    CHAOS.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// `n` rows over a few groups with deterministic values.
 fn fixture(n: usize) -> Table {
@@ -55,16 +48,22 @@ fn aggregate(t: &Table, guard: &ResourceGuard, cfg: &ParallelConfig) -> Result<T
     hash_aggregate_with_config(t, &[0], &specs(t), guard, &mut ExecStats::default(), cfg)
 }
 
+/// An injector armed to fire at its `tick`-th charge, and a guard it rides.
+fn armed(tick: u64, guard: ResourceGuard) -> (PanicInjector, ResourceGuard) {
+    let chaos = PanicInjector::default();
+    chaos.arm(tick);
+    (chaos.clone(), guard.with_injector(chaos))
+}
+
 #[test]
 fn worker_panic_is_caught_as_a_typed_error_and_the_operator_stays_usable() {
-    let _w = chaos_window();
     let t = fixture(4096);
     let cfg = parallel_config(4, 256);
     // 16 morsels split over 4 workers: every scan charge happens on a
     // worker thread, so tick 3 panics inside a worker.
-    chaos::arm(3);
-    let err = aggregate(&t, &ResourceGuard::unlimited(), &cfg).unwrap_err();
-    assert!(!chaos::is_armed(), "the injected panic fired");
+    let (chaos, guard) = armed(3, ResourceGuard::unlimited());
+    let err = aggregate(&t, &guard, &cfg).unwrap_err();
+    assert!(!chaos.is_armed(), "the injected panic fired");
     match &err {
         EngineError::WorkerPanicked { operator, payload } => {
             assert_eq!(operator, "multi_hash_aggregate");
@@ -73,22 +72,48 @@ fn worker_panic_is_caught_as_a_typed_error_and_the_operator_stays_usable() {
         other => panic!("expected WorkerPanicked, got {other:?}"),
     }
     // The same inputs aggregate fine now: nothing was poisoned.
-    let clean = aggregate(&t, &ResourceGuard::unlimited(), &cfg).unwrap();
+    let clean = aggregate(&t, &guard, &cfg).unwrap();
     assert_eq!(clean.num_rows(), 7);
 }
 
 #[test]
 fn panicking_worker_cancels_its_siblings_guard() {
-    let _w = chaos_window();
     let t = fixture(4096);
-    let guard = ResourceGuard::with_row_budget(u64::MAX);
-    chaos::arm(2);
+    let (_, guard) = armed(2, ResourceGuard::with_row_budget(u64::MAX));
     let err = aggregate(&t, &guard, &parallel_config(4, 256)).unwrap_err();
     assert!(matches!(err, EngineError::WorkerPanicked { .. }), "{err:?}");
     assert!(
         guard.is_cancelled(),
         "the catch block cancels the shared guard so siblings stop within a morsel"
     );
+}
+
+/// An injector belongs to the guards it rides: of two scans started side by
+/// side, each sees exactly the panic armed for it — `early` in its first
+/// scan, `late` (armed past the 16 morsel charges and the one finish charge
+/// of a scan) not until its second, whatever `early` did meanwhile.
+#[test]
+fn concurrent_scans_each_see_exactly_their_own_panic() {
+    let t = fixture(4096);
+    let cfg = parallel_config(4, 256);
+    let (early, early_guard) = armed(3, ResourceGuard::unlimited());
+    let (late, late_guard) = armed(17 + 3, ResourceGuard::unlimited());
+    let start = std::sync::Barrier::new(2);
+    let scan_twice = |guard: &ResourceGuard| {
+        start.wait();
+        [aggregate(&t, guard, &cfg), aggregate(&t, guard, &cfg)]
+    };
+    let (first, second) = std::thread::scope(|s| {
+        let (a, b) = (
+            s.spawn(|| scan_twice(&early_guard)),
+            s.spawn(|| scan_twice(&late_guard)),
+        );
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    let injected = |r: &Result<Table, EngineError>| matches!(r, Err(EngineError::WorkerPanicked { payload, .. }) if payload == CHAOS_PANIC_MSG);
+    assert!(injected(&first[0]) && first[1].is_ok(), "{first:?}");
+    assert!(second[0].is_ok() && injected(&second[1]), "{second:?}");
+    assert!(!early.is_armed() && !late.is_armed(), "once each");
 }
 
 proptest! {
@@ -102,20 +127,19 @@ proptest! {
         tick in 0u64..16,
         threads in 2usize..5,
     ) {
-        let _w = chaos_window();
         let t = fixture(4096);
         let cfg = parallel_config(threads, 256);
         // 16 scan morsels regardless of thread count, all charged on
         // worker threads; `tick` stays below 16 so the panic always fires
         // in a worker.
-        chaos::arm(tick);
-        let err = aggregate(&t, &ResourceGuard::unlimited(), &cfg).unwrap_err();
-        chaos::disarm();
+        let (chaos, guard) = armed(tick, ResourceGuard::unlimited());
+        let err = aggregate(&t, &guard, &cfg).unwrap_err();
+        chaos.disarm();
         prop_assert!(
             matches!(err, EngineError::WorkerPanicked { .. }),
             "tick {}: {:?}", tick, err
         );
-        let clean = aggregate(&t, &ResourceGuard::unlimited(), &cfg).unwrap();
+        let clean = aggregate(&t, &guard, &cfg).unwrap();
         prop_assert_eq!(clean.num_rows(), 7);
     }
 
@@ -127,9 +151,6 @@ proptest! {
     fn deadline_aborts_at_the_same_morsel_boundary_across_thread_counts(
         allow_ticks in 1u64..14,
     ) {
-        // Every guard charge ticks the process-global panic injector: stay
-        // out of the windows in which another test has it armed.
-        let _w = chaos_window();
         let t = fixture(4096);
         let mut charged_at_trip = Vec::new();
         for threads in [1usize, 2, 4] {

@@ -711,7 +711,7 @@ proptest! {
     fn window_sum_equals_group_sum_broadcast(rows in rows_strategy(120)) {
         let t = table_of(&rows);
         let out =
-            window_aggregate(&t, &[0], AggFunc::Sum, 2, "w", &mut ExecStats::default()).unwrap();
+            window_aggregate(&t, &[0], AggFunc::Sum, 2, "w", &mut ExecStats::default(), &ParallelConfig::serial()).unwrap();
         // Model: per-group sums.
         let mut sums: BTreeMap<String, (f64, bool)> = BTreeMap::new();
         for r in &rows {

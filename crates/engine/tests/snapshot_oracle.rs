@@ -4,7 +4,7 @@
 //! every write that lands after the pin: its result is byte-identical to
 //! the same query on a quiesced catalog frozen at the pin's epoch, no
 //! matter how many seeded appends and updates hammer the live table while
-//! the query runs, and no matter which parallel mode evaluates it
+//! the query runs, and no matter which configuration evaluates it
 //! (serial, 1, 2, or 4 workers).
 //!
 //! The pinned alias is scanned directly (the executor recognizes the
@@ -15,7 +15,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use pa_core::{HorizontalOptions, HorizontalQuery, ParallelMode, PercentageEngine};
+use pa_core::{HorizontalOptions, HorizontalQuery, ParallelConfig, PercentageEngine};
 use pa_storage::{Catalog, Change, DataType, Rows, Schema, Table, Value};
 
 fn lcg(state: &mut u64) -> u64 {
@@ -94,13 +94,13 @@ fn writer_op(catalog: &Catalog, state: &mut u64) {
 #[test]
 fn pinned_snapshot_queries_are_byte_identical_under_concurrent_writes() {
     let modes = [
-        ParallelMode::Serial,
-        ParallelMode::Threads(1),
-        ParallelMode::Threads(2),
-        ParallelMode::Threads(4),
+        ParallelConfig::serial(),
+        ParallelConfig::with_threads(1),
+        ParallelConfig::with_threads(2),
+        ParallelConfig::with_threads(4),
     ];
+    let opts = HorizontalOptions::default();
     let catalog = build_catalog(2_000, 42);
-    let engine = PercentageEngine::new(&catalog);
     let view = catalog.pin_table("f").unwrap();
 
     // Quiesced reference: a standalone catalog holding a copy of the
@@ -109,15 +109,11 @@ fn pinned_snapshot_queries_are_byte_identical_under_concurrent_writes() {
     refcat
         .create_table("f", view.table().read().clone())
         .unwrap();
-    let ref_engine = PercentageEngine::new(&refcat);
     let hq = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
     let expected: Vec<_> = modes
         .iter()
         .map(|mode| {
-            let opts = HorizontalOptions {
-                parallel: *mode,
-                ..HorizontalOptions::default()
-            };
+            let ref_engine = PercentageEngine::new(&refcat).with_config(*mode);
             fingerprint(&ref_engine.horizontal_with(&hq, &opts).unwrap().snapshot())
         })
         .collect();
@@ -136,15 +132,12 @@ fn pinned_snapshot_queries_are_byte_identical_under_concurrent_writes() {
         }
 
         // The pinned alias is a frozen table: every query over it, in any
-        // parallel mode, must reproduce the quiesced reference while the
+        // configuration, must reproduce the quiesced reference while the
         // writers race.
         let aq = HorizontalQuery::hpct(view.alias(), &["g"], "a", &["d"]);
         for round in 0..12 {
             for (mode, exp) in modes.iter().zip(&expected) {
-                let opts = HorizontalOptions {
-                    parallel: *mode,
-                    ..HorizontalOptions::default()
-                };
+                let engine = PercentageEngine::new(&catalog).with_config(*mode);
                 let got = fingerprint(&engine.horizontal_with(&aq, &opts).unwrap().snapshot());
                 assert_eq!(
                     &got, exp,

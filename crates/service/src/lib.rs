@@ -14,9 +14,9 @@
 //! * **Panic isolation** (`pa-engine`/`pa-core`): worker panics become
 //!   typed `WorkerPanicked` errors; the engine and catalog stay usable.
 //! * **Graceful degradation** (this crate): after a budget trip or a
-//!   contained panic, the service retries down a ladder — first with the
-//!   morsel-parallel layer forced serial, then with the CASE strategy
-//!   swapped for its SPJ counterpart — and records what it did in
+//!   contained panic, the service retries down a ladder — first the same
+//!   statement at one thread, whatever its family, then with the CASE
+//!   strategy swapped for its SPJ counterpart — and records what it did in
 //!   [`pa_engine::ExecStats`] (`degraded_to`, `abort_cause`).
 //!
 //! ```
@@ -48,10 +48,10 @@ pub mod semaphore;
 pub use replica::{NodeRole, NodeStatus, ReplicaSet, ReplicaSetConfig, RoutedResponse};
 
 use pa_core::{
-    CoreError, HorizontalOptions, HorizontalQuery, HorizontalStrategy, ParallelMode,
-    PercentageEngine, QueryLimits, SqlOutcome, VpctQuery, VpctStrategy, VpctTerm,
+    CoreError, HorizontalOptions, HorizontalQuery, HorizontalStrategy, PercentageEngine,
+    QueryLimits, SqlOutcome, VpctQuery, VpctStrategy, VpctTerm,
 };
-use pa_engine::{AbortCause, Degradation, ExecStats};
+use pa_engine::{AbortCause, Degradation, ExecStats, ParallelConfig};
 use pa_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use pa_storage::{Catalog, Table};
 use semaphore::{AcquireError, FifoSemaphore, Permit};
@@ -216,6 +216,10 @@ pub struct ServiceResponse {
 #[derive(Debug)]
 pub struct QueryService<'a> {
     engine: PercentageEngine<'a>,
+    /// `engine` — same catalog, guard, clock and default deadline — handed
+    /// the serial configuration: where the degradation ladder's retries
+    /// run.
+    serial: PercentageEngine<'a>,
     sem: FifoSemaphore,
     config: ServiceConfig,
     registry: Arc<MetricsRegistry>,
@@ -325,6 +329,7 @@ impl<'a> QueryService<'a> {
         // level cache) through this service's scrape endpoint too.
         engine.catalog().attach_metrics(&registry);
         QueryService {
+            serial: engine.clone().with_config(ParallelConfig::serial()),
             engine,
             sem,
             config,
@@ -477,17 +482,8 @@ impl<'a> QueryService<'a> {
             Err(e) => return Err(e.into()),
         };
         let cause = first.abort_cause();
-        // Rung 1: force the morsel layer serial (affects the horizontal
-        // family; vertical re-runs unchanged, which absorbs one-shot
-        // faults).
-        let serial = HorizontalOptions {
-            parallel: ParallelMode::Serial,
-            ..HorizontalOptions::default()
-        };
-        match self
-            .engine
-            .execute_sql_with_limited(sql, &VpctStrategy::best(), &serial, limits)
-        {
+        // Rung 1: the statement as planned, at one thread.
+        match self.serial.execute_sql_limited(sql, limits) {
             Ok(mut out) => {
                 mark(out.stats_mut(), Degradation::Serial, cause);
                 return Ok(respond_owned(out));
@@ -496,13 +492,9 @@ impl<'a> QueryService<'a> {
             Err(e) => return Err(e.into()),
         }
         // Rung 2: also swap CASE evaluation for the SPJ strategy.
-        let spj = HorizontalOptions {
-            strategy: HorizontalStrategy::SpjDirect,
-            parallel: ParallelMode::Serial,
-            ..HorizontalOptions::default()
-        };
+        let spj = HorizontalOptions::with_strategy(HorizontalStrategy::SpjDirect);
         match self
-            .engine
+            .serial
             .execute_sql_with_limited(sql, &VpctStrategy::best(), &spj, limits)
         {
             Ok(mut out) => {
@@ -520,7 +512,7 @@ impl<'a> QueryService<'a> {
 
     /// Evaluate a typed vertical query under a session's limits. The
     /// vertical path has no cheaper strategy rung, so only a contained
-    /// panic earns one plain retry.
+    /// panic earns one retry, at one thread.
     pub fn vpct_session(&self, q: &VpctQuery, session: &SessionOptions) -> Result<ServiceResponse> {
         let _admission = self.admit()?;
         let res = self.vpct_degraded(q, session);
@@ -538,7 +530,7 @@ impl<'a> QueryService<'a> {
                     && matches!(e.abort_cause(), Some(AbortCause::WorkerPanic)) =>
             {
                 let cause = e.abort_cause();
-                let mut r = self.engine.vpct_limited(q, limits)?;
+                let mut r = self.serial.vpct_limited(q, limits)?;
                 mark(&mut r.stats, Degradation::Serial, cause);
                 Ok(respond(r.snapshot(), r.stats))
             }
@@ -627,11 +619,7 @@ impl<'a> QueryService<'a> {
             Err(e) => return Err(e.into()),
         };
         let cause = first.abort_cause();
-        let serial = HorizontalOptions {
-            parallel: ParallelMode::Serial,
-            ..opts.clone()
-        };
-        match self.engine.horizontal_limited(q, &serial, limits) {
+        match self.serial.horizontal_limited(q, opts, limits) {
             Ok(mut r) => {
                 mark(&mut r.stats, Degradation::Serial, cause);
                 return Ok(respond(r.snapshot(), r.stats));
@@ -641,10 +629,9 @@ impl<'a> QueryService<'a> {
         }
         let spj = HorizontalOptions {
             strategy: spj_counterpart(opts.strategy),
-            parallel: ParallelMode::Serial,
             ..opts.clone()
         };
-        match self.engine.horizontal_limited(q, &spj, limits) {
+        match self.serial.horizontal_limited(q, &spj, limits) {
             Ok(mut r) => {
                 mark(&mut r.stats, Degradation::SerialThenSpj, cause);
                 Ok(respond(r.snapshot(), r.stats))

@@ -8,13 +8,12 @@
 //! * no admission permit leaks and no query registers a table, and
 //! * the same service instance serves clean follow-ups afterwards.
 
-use pa_core::{PercentageEngine, VpctQuery};
-use pa_engine::chaos;
+use pa_core::{PercentageEngine, ResourceGuard, VpctQuery};
+use pa_engine::chaos::PanicInjector;
 use pa_service::{QueryService, ServiceConfig, ServiceError, SessionOptions};
 use pa_storage::{Catalog, Value};
 use pa_workload::{install_sales, SalesConfig};
 use proptest::prelude::*;
-use std::sync::Mutex;
 use std::time::Duration;
 
 const ROWS: usize = 1024;
@@ -24,11 +23,6 @@ const OPS_PER_THREAD: usize = 4;
 const VPCT_SQL: &str =
     "SELECT state, city, Vpct(salesAmt BY city) FROM sales GROUP BY state, city;";
 const HPCT_SQL: &str = "SELECT state, Hpct(salesAmt BY dweek) FROM sales GROUP BY state;";
-
-/// The chaos panic injector is process-global; this binary's tests already
-/// run one at a time per `cargo test` binary, but the lock keeps the
-/// property self-contained if more tests join this file.
-static CHAOS: Mutex<()> = Mutex::new(());
 
 fn typed_vpct() -> VpctQuery {
     VpctQuery::single("sales", &["state", "city"], "salesAmt", &["city"])
@@ -82,7 +76,6 @@ proptest! {
 
     #[test]
     fn mixed_workload_with_injected_faults_never_corrupts_the_service(seed in any::<u64>()) {
-        let _w = CHAOS.lock().unwrap_or_else(|e| e.into_inner());
         let want = references();
         let catalog = sales_catalog();
         let config = ServiceConfig {
@@ -91,11 +84,16 @@ proptest! {
             queue_timeout: Duration::from_secs(10),
             ..ServiceConfig::default()
         };
-        let service = QueryService::new(&catalog, config);
+        // One injector on the service's engine: whichever of its queries
+        // charges next after a worker arms it takes the panic.
+        let chaos = PanicInjector::default();
+        let guard = ResourceGuard::unlimited().with_injector(chaos.clone());
+        let engine = PercentageEngine::new(&catalog).with_guard(guard);
+        let service = QueryService::from_engine(engine, config);
 
         std::thread::scope(|s| {
             for worker in 0..THREADS {
-                let (service, want) = (&service, &want);
+                let (service, want, chaos) = (&service, &want, &chaos);
                 let mut rng = seed ^ (worker as u64).wrapping_mul(0x9e37_79b9);
                 s.spawn(move || {
                     for _ in 0..OPS_PER_THREAD {
@@ -105,7 +103,7 @@ proptest! {
                         let fault = splitmix64(&mut rng) % 4;
                         let mut session = SessionOptions::default();
                         match fault {
-                            1 => chaos::arm(splitmix64(&mut rng) % 8),
+                            1 => chaos.arm(splitmix64(&mut rng) % 8),
                             2 => session = SessionOptions::with_row_budget(8),
                             3 => session = SessionOptions::with_deadline(Duration::ZERO),
                             _ => {}
@@ -137,7 +135,7 @@ proptest! {
                 });
             }
         });
-        chaos::disarm(); // a leftover armed tick must not poison later cases
+        chaos.disarm(); // a leftover armed tick must not fail the follow-ups
 
         // No leaks: every permit returned, no table registered.
         prop_assert_eq!(service.available_permits(), config.max_concurrent);

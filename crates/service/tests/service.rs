@@ -2,8 +2,9 @@
 //! limits, typed failures, and the degradation ladder — all deterministic
 //! (injected clocks and one-shot chaos panics, no timing assumptions).
 
-use pa_core::{CoreError, PercentageEngine, TestClock};
-use pa_engine::{chaos, Clock, Degradation};
+use pa_core::{CoreError, ParallelConfig, PercentageEngine, ResourceGuard, TestClock, Tracer};
+use pa_engine::chaos::PanicInjector;
+use pa_engine::{Clock, Degradation, SystemClock};
 use pa_service::{QueryService, ServiceConfig, ServiceError, SessionOptions};
 use pa_storage::{Catalog, Value};
 use pa_workload::{install_sales, sales_table, SalesConfig};
@@ -11,14 +12,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// The chaos panic injector is process-global and every guard charge ticks
-/// it: tests that arm it hold this lock for their whole arm..observe window,
-/// and every other test that runs a query holds it too, so its query cannot
-/// consume a panic armed next door.
-static CHAOS: Mutex<()> = Mutex::new(());
-
-fn chaos_window() -> std::sync::MutexGuard<'static, ()> {
-    CHAOS.lock().unwrap_or_else(|e| e.into_inner())
+/// An engine whose queries — every rung of the ladder — tick `chaos` at
+/// each guard charge.
+fn engine_with<'c>(catalog: &'c Catalog, chaos: &PanicInjector) -> PercentageEngine<'c> {
+    let guard = ResourceGuard::unlimited().with_injector(chaos.clone());
+    PercentageEngine::new(catalog).with_guard(guard)
 }
 
 const VPCT: &str = "SELECT state, city, Vpct(salesAmt BY city) FROM sales GROUP BY state, city;";
@@ -38,7 +36,6 @@ fn reference_rows(rows: usize, sql: &str) -> Vec<Vec<Value>> {
 
 #[test]
 fn concurrent_sessions_match_the_plain_engine() {
-    let _w = chaos_window();
     let rows = 2048;
     let want_v = reference_rows(rows, VPCT);
     let want_h = reference_rows(rows, HPCT);
@@ -108,7 +105,6 @@ impl Clock for GateClock {
 
 #[test]
 fn saturated_service_sheds_instead_of_piling_up() {
-    let _w = chaos_window();
     let catalog = sales_catalog(512);
     let gate = GateClock::new();
     // The engine-level deadline makes every query read the clock when its
@@ -159,7 +155,6 @@ fn saturated_service_sheds_instead_of_piling_up() {
 
 #[test]
 fn queued_caller_is_shed_after_the_queue_timeout() {
-    let _w = chaos_window();
     let catalog = sales_catalog(512);
     let gate = GateClock::new();
     let engine = PercentageEngine::new(&catalog)
@@ -194,7 +189,6 @@ fn queued_caller_is_shed_after_the_queue_timeout() {
 
 #[test]
 fn session_budget_fails_typed_and_leaks_nothing() {
-    let _w = chaos_window();
     // A logging catalog: the failed statement and every rung of the
     // degradation ladder it walked must leave the names and the log alone.
     let catalog = Catalog::new();
@@ -234,7 +228,6 @@ fn session_budget_fails_typed_and_leaks_nothing() {
 
 #[test]
 fn session_deadline_is_final_not_degradable() {
-    let _w = chaos_window();
     let catalog = sales_catalog(1024);
     // 1ms allowance against a clock that advances 1ms per guard charge:
     // the deadline trips deterministically, and — being a deadline — must
@@ -258,16 +251,17 @@ fn session_deadline_is_final_not_degradable() {
 
 #[test]
 fn contained_panic_walks_the_ladder_and_records_it() {
-    let _w = chaos_window();
     let catalog = sales_catalog(1024);
-    let service = QueryService::new(&catalog, ServiceConfig::default());
+    let chaos = PanicInjector::default();
+    let service =
+        QueryService::from_engine(engine_with(&catalog, &chaos), ServiceConfig::default());
     let want = reference_rows(1024, VPCT);
 
     // The one-shot panic fails the first attempt; the serial retry runs
     // clean. The response records both what happened and what it cost.
-    chaos::arm(0);
+    chaos.arm(0);
     let resp = service.execute_sql(VPCT).unwrap();
-    assert!(!chaos::is_armed(), "the injected panic fired");
+    assert!(!chaos.is_armed(), "the injected panic fired");
     assert_eq!(resp.stats.degraded_to, Some(Degradation::Serial));
     assert_eq!(
         resp.stats.abort_cause,
@@ -281,6 +275,56 @@ fn contained_panic_walks_the_ladder_and_records_it() {
     );
 }
 
+/// The serial rung is serial for every family: a `Vpct` whose four-thread
+/// scan lost a worker is retried at one thread — the trace shows the failed
+/// attempt's scan with its four workers, then the retry's with none — and
+/// answers with the fault-free bytes.
+#[test]
+fn a_worker_panic_in_a_parallel_vpct_is_retried_at_one_thread() {
+    let rows = 2048;
+    let catalog = sales_catalog(rows);
+    let (chaos, tracer) = (
+        PanicInjector::default(),
+        Tracer::enabled(SystemClock::shared()),
+    );
+    let engine = engine_with(&catalog, &chaos).with_config(ParallelConfig {
+        threads: 4,
+        morsel_rows: 256,
+        min_parallel_rows: 1,
+        ..ParallelConfig::serial()
+    });
+    let traced = engine.guard().clone().with_tracer(tracer.clone());
+    let service = QueryService::from_engine(engine.with_guard(traced), ServiceConfig::default());
+
+    // Eight morsels over four workers: every charge of the scan, so the
+    // second one too, is made by a worker.
+    chaos.arm(1);
+    let resp = service.execute_sql(VPCT).unwrap();
+    assert!(!chaos.is_armed(), "the injected panic fired");
+    assert_eq!(resp.stats.degraded_to, Some(Degradation::Serial));
+    assert_eq!(
+        resp.stats.abort_cause,
+        Some(pa_engine::AbortCause::WorkerPanic)
+    );
+    assert_eq!(
+        resp.table.rows().collect::<Vec<_>>(),
+        reference_rows(rows, VPCT)
+    );
+
+    let report = tracer.take_report();
+    let scans: Vec<_> = report
+        .spans()
+        .iter()
+        .filter(|s| s.label == "aggregate")
+        .collect();
+    let workers = |scan: &pa_engine::SpanRecord| {
+        let children = report.children(scan.id);
+        children.filter(|s| s.label == "worker").count()
+    };
+    assert_eq!(scans.len(), 2, "the failed attempt's scan and the retry's");
+    assert_eq!((workers(scans[0]), workers(scans[1])), (4, 0));
+}
+
 /// A clock that arms the chaos panic while it has shots left: the engine
 /// reads its clock when an attempt's deadline is set, on the query's own
 /// thread and before the attempt charges anything, so with two shots the
@@ -288,13 +332,13 @@ fn contained_panic_walks_the_ladder_and_records_it() {
 /// morsel and the SPJ rung runs clean — the ladder's last rung, forced
 /// without a race.
 #[derive(Debug)]
-struct PanicPerAttempt(AtomicUsize);
+struct PanicPerAttempt(AtomicUsize, PanicInjector);
 
 impl Clock for PanicPerAttempt {
     fn now(&self) -> Duration {
-        if !chaos::is_armed() && self.0.load(Ordering::SeqCst) > 0 {
+        if !self.1.is_armed() && self.0.load(Ordering::SeqCst) > 0 {
             self.0.fetch_sub(1, Ordering::SeqCst);
-            chaos::arm(0);
+            self.1.arm(0);
         }
         Duration::ZERO
     }
@@ -312,7 +356,6 @@ fn bits(rows: &[Vec<Value>]) -> Vec<Vec<Result<u64, Value>>> {
 
 #[test]
 fn the_spj_rung_answers_with_the_clean_pivots_bits() {
-    let _w = chaos_window();
     // `install_sales`'s fractional amounts, and the same rows in whole
     // cents: the measure whose totals the pivot folds through `parent`.
     let fractional = sales_table(&SalesConfig {
@@ -341,12 +384,13 @@ fn the_spj_rung_answers_with_the_clean_pivots_bits() {
         );
         let want: Vec<Vec<Value>> = pivot.table().read().rows().collect();
 
-        let clock = Arc::new(PanicPerAttempt(AtomicUsize::new(2)));
-        let engine = PercentageEngine::new(&catalog).with_clock(clock.clone());
+        let chaos = PanicInjector::default();
+        let clock = Arc::new(PanicPerAttempt(AtomicUsize::new(2), chaos.clone()));
+        let engine = engine_with(&catalog, &chaos).with_clock(clock.clone());
         let service = QueryService::from_engine(engine, ServiceConfig::default());
         let session = SessionOptions::with_deadline(Duration::from_secs(3600));
         let resp = service.execute_sql_session(HPCT, &session).unwrap();
-        assert!(!chaos::is_armed() && clock.0.load(Ordering::SeqCst) == 0);
+        assert!(!chaos.is_armed() && clock.0.load(Ordering::SeqCst) == 0);
         assert_eq!(
             resp.stats.degraded_to,
             Some(Degradation::SerialThenSpj),
@@ -363,19 +407,19 @@ fn the_spj_rung_answers_with_the_clean_pivots_bits() {
 
 #[test]
 fn degradation_can_be_disabled() {
-    let _w = chaos_window();
     let catalog = sales_catalog(512);
-    let service = QueryService::new(
-        &catalog,
+    let chaos = PanicInjector::default();
+    let service = QueryService::from_engine(
+        engine_with(&catalog, &chaos),
         ServiceConfig {
             degradation: false,
             ..ServiceConfig::default()
         },
     );
 
-    chaos::arm(0);
+    chaos.arm(0);
     let err = service.execute_sql(VPCT).unwrap_err();
-    assert!(!chaos::is_armed());
+    assert!(!chaos.is_armed());
     match err {
         ServiceError::Query(CoreError::WorkerPanicked { .. }) => {}
         other => panic!("expected the first failure verbatim, got {other:?}"),
@@ -385,7 +429,6 @@ fn degradation_can_be_disabled() {
 
 #[test]
 fn typed_vertical_and_horizontal_entry_points_serve() {
-    let _w = chaos_window();
     let catalog = sales_catalog(512);
     let service = QueryService::new(&catalog, ServiceConfig::default());
 
@@ -402,7 +445,6 @@ fn typed_vertical_and_horizontal_entry_points_serve() {
 
 #[test]
 fn percentage_batch_answers_every_prefix_in_one_pass() {
-    let _w = chaos_window();
     let rows = 1024;
     let dims = ["state", "city"];
     let catalog = sales_catalog(rows);
@@ -468,7 +510,6 @@ fn percentage_batch_answers_every_prefix_in_one_pass() {
 
 #[test]
 fn metrics_registry_mirrors_admissions_sheds_and_work() {
-    let _w = chaos_window();
     let catalog = sales_catalog(512);
     let gate = GateClock::new();
     let engine = PercentageEngine::new(&catalog)
@@ -543,11 +584,12 @@ fn metrics_registry_mirrors_admissions_sheds_and_work() {
 
 #[test]
 fn degradation_rungs_are_counted_in_metrics() {
-    let _w = chaos_window();
     let catalog = sales_catalog(512);
-    let service = QueryService::new(&catalog, ServiceConfig::default());
+    let chaos = PanicInjector::default();
+    let service =
+        QueryService::from_engine(engine_with(&catalog, &chaos), ServiceConfig::default());
 
-    chaos::arm(0);
+    chaos.arm(0);
     let resp = service.execute_sql(VPCT).unwrap();
     assert_eq!(resp.stats.degraded_to, Some(Degradation::Serial));
     let text = service.render_metrics();

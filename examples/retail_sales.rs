@@ -63,7 +63,8 @@ fn main() -> Result<(), CoreError> {
         );
     }
 
-    // Horizontal: CASE from F vs from FV, plus the hash-dispatch ablation.
+    // Horizontal: CASE from F vs from FV, plus the hash-tier ablation (an
+    // engine handed `dense_budget: 0`).
     println!("\n== horizontal percentage strategies (times in ms) ==");
     println!(
         "{:<44} {:>10} {:>10} {:>12}",
@@ -74,17 +75,19 @@ fn main() -> Result<(), CoreError> {
         (&["monthNo"], &["dweek"]),
         (&["dept"], &["dweek", "monthNo"]),
     ];
+    let hash_tier = PercentageEngine::new(&catalog).with_config(ParallelConfig {
+        dense_budget: 0,
+        ..ParallelConfig::from_env()
+    });
     for (group_by, by) in hqueries {
         let q = HorizontalQuery::hpct("sales", group_by, "salesAmt", by);
         let mut times = Vec::new();
-        for opts in [
-            HorizontalOptions::with_strategy(HorizontalStrategy::CaseDirect),
-            HorizontalOptions::with_strategy(HorizontalStrategy::CaseFromFv),
-            HorizontalOptions {
-                hash_dispatch: true,
-                ..HorizontalOptions::default()
-            },
+        for (engine, strategy) in [
+            (&engine, HorizontalStrategy::CaseDirect),
+            (&engine, HorizontalStrategy::CaseFromFv),
+            (&hash_tier, HorizontalStrategy::CaseDirect),
         ] {
+            let opts = HorizontalOptions::with_strategy(strategy);
             let t0 = Instant::now();
             let result = engine.horizontal_with(&q, &opts)?;
             let ms = t0.elapsed().as_secs_f64() * 1e3;

@@ -54,10 +54,12 @@ pub mod prelude {
     pub use pa_core::{
         eval_horizontal, eval_vpct, eval_vpct_olap, CoreError, ExtraAgg, FjSource,
         HorizontalOptions, HorizontalQuery, HorizontalResult, HorizontalStrategy, HorizontalTerm,
-        Materialization, Measure, MissingRows, ParallelMode, PercentageEngine, QueryResult,
-        SqlOutcome, VpctQuery, VpctStrategy, VpctTerm,
+        Materialization, Measure, MissingRows, PercentageEngine, QueryResult, SqlOutcome,
+        VpctQuery, VpctStrategy, VpctTerm,
     };
-    pub use pa_engine::{AggFunc, ExecStats, MetricsRegistry, ResourceGuard, TraceReport, Tracer};
+    pub use pa_engine::{
+        AggFunc, ExecStats, MetricsRegistry, ParallelConfig, ResourceGuard, TraceReport, Tracer,
+    };
     pub use pa_service::{QueryService, ServiceConfig, ServiceError};
     pub use pa_storage::{Catalog, DataType, MemLogStore, RecoveryReport, Schema, Table, Value};
     pub use pa_workload::{CensusConfig, EmployeeConfig, SalesConfig, Scale, TransactionConfig};

@@ -148,3 +148,66 @@ fn update_strategy_is_isolated_per_engine_temps() {
     let any_large = (0..100).any(|r| t.get(r, amt).as_f64().unwrap() > 1.5);
     assert!(any_large, "fact table still holds raw amounts");
 }
+
+/// A statement's scan configuration is a value its engine was handed, not
+/// process state: two engines over one catalog — one serial on the default
+/// tiers, one at four threads on the scalar kernels and the hash tier — run
+/// the same statements at the same moment, each on its own kernels, to the
+/// same bytes. (Whole-cent amounts: their sums are exact under any
+/// chunking.)
+#[test]
+fn engines_handed_different_configurations_run_side_by_side() {
+    let mut sales = pa_workload::sales_table(&SalesConfig {
+        rows: 30_000,
+        seed: 404,
+    });
+    let amt = sales.schema().index_of("salesAmt").unwrap();
+    for row in 0..sales.num_rows() {
+        let cents = (sales.column(amt).get_f64(row).unwrap() * 100.0).round();
+        sales.column_mut(amt).set(row, Value::Float(cents)).unwrap();
+    }
+    let catalog = Catalog::new();
+    catalog.create_table("sales", sales).unwrap();
+
+    let statements = [
+        "SELECT state, dweek, Vpct(salesAmt BY dweek) FROM sales \
+         GROUP BY state, dweek ORDER BY state, dweek",
+        "SELECT state, dweek, Vpct(salesAmt BY dweek) AS p FROM sales \
+         GROUP BY ROLLUP (state, dweek) ORDER BY state, dweek",
+        "SELECT dept, Hpct(salesAmt BY dweek) FROM sales GROUP BY dept ORDER BY dept",
+    ];
+    let configs = [
+        ParallelConfig::with_threads(1),
+        ParallelConfig {
+            threads: 4,
+            morsel_rows: 4096,
+            min_parallel_rows: 1,
+            vector: false,
+            dense_budget: 0,
+            ..ParallelConfig::with_threads(1)
+        },
+    ];
+    let start = std::sync::Barrier::new(configs.len());
+    let run = |config: ParallelConfig| {
+        let engine = PercentageEngine::new(&catalog).with_config(config);
+        let mut stats = ExecStats::default();
+        let mut answers = Vec::new();
+        for sql in statements {
+            start.wait();
+            let out = engine.execute_sql(sql).unwrap();
+            stats += out.stats();
+            answers.push(out.table().read().rows().collect::<Vec<_>>());
+        }
+        (answers, stats)
+    };
+    let [(serial, serial_stats), (scalar, scalar_stats)] = std::thread::scope(|scope| {
+        configs
+            .map(|config| scope.spawn(move || run(config)))
+            .map(|handle| handle.join().unwrap())
+    });
+    assert_eq!(serial, scalar);
+    assert!(serial_stats.dense_group_ops > 0, "{serial_stats}");
+    assert_eq!(serial_stats.scalar_kernel_rows, 0, "{serial_stats}");
+    assert!(scalar_stats.scalar_kernel_rows > 0, "{scalar_stats}");
+    assert_eq!(scalar_stats.dense_group_ops, 0, "{scalar_stats}");
+}

@@ -180,14 +180,12 @@ fn hash_dispatch_removes_case_chains() {
             },
         )
         .unwrap();
-    let dispatch = engine
-        .horizontal_with(
-            &q,
-            &HorizontalOptions {
-                hash_dispatch: true,
-                ..HorizontalOptions::default()
-            },
-        )
+    let hash_tier = PercentageEngine::new(&catalog).with_config(ParallelConfig {
+        dense_budget: 0,
+        ..ParallelConfig::from_env()
+    });
+    let dispatch = hash_tier
+        .horizontal_with(&q, &HorizontalOptions::default())
         .unwrap();
     assert!(
         dispatch.stats.case_condition_evals * 50 < case.stats.case_condition_evals,

@@ -145,11 +145,10 @@ proptest! {
                 ),
             }
         }
-        let dispatch = engine
-            .horizontal_with(
-                &q,
-                &HorizontalOptions { hash_dispatch: true, ..HorizontalOptions::default() },
-            )
+        let hash_tier = ParallelConfig { dense_budget: 0, ..ParallelConfig::from_env() };
+        let dispatch = PercentageEngine::new(&catalog)
+            .with_config(hash_tier)
+            .horizontal_with(&q, &HorizontalOptions::default())
             .unwrap()
             .snapshot();
         prop_assert!(tables_equal(reference.as_ref().unwrap(), &dispatch), "dispatch");

@@ -98,16 +98,16 @@ fn horizontal_strategies_agree_on_sales_workload() {
                 Some(r) => assert_tables_equal(r, &got, strategy.label()),
             }
         }
+        let hash_tier = PercentageEngine::new(&catalog).with_config(ParallelConfig {
+            dense_budget: 0,
+            ..ParallelConfig::from_env()
+        });
         for strategy in [
             HorizontalStrategy::CaseDirect,
             HorizontalStrategy::CaseFromFv,
         ] {
-            let opts = HorizontalOptions {
-                strategy,
-                hash_dispatch: true,
-                ..HorizontalOptions::default()
-            };
-            let got = engine.horizontal_with(&q, &opts).unwrap().snapshot();
+            let opts = HorizontalOptions::with_strategy(strategy);
+            let got = hash_tier.horizontal_with(&q, &opts).unwrap().snapshot();
             assert_tables_equal(
                 reference.as_ref().unwrap(),
                 &got,
