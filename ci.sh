@@ -172,6 +172,9 @@ PA_THREADS=1 cargo test -q -p pa-storage --lib checkpoint
 PA_THREADS=4 cargo test -q -p pa-storage --lib checkpoint
 PA_THREADS=1 cargo test -q -p pa-engine --test combo_regressions --test snapshot_oracle
 PA_THREADS=4 cargo test -q -p pa-engine --test combo_regressions --test snapshot_oracle
+# The optimized build is the one whose readers outran the writers.
+PA_THREADS=1 cargo test --release -q -p pa-engine --test snapshot_oracle
+PA_THREADS=4 cargo test --release -q -p pa-engine --test snapshot_oracle
 
 echo "==> replication chaos gate: shipped-WAL replicas, failover, split-brain"
 # Seeded end-to-end replication suites at both thread counts:
@@ -204,7 +207,12 @@ echo "==> merge-oracle gate: shard-merge protocol, sketch bounds, SQL e2e"
 # byte-identical to the single pass for every aggregate (holistic ones
 # included), merge algebra laws hold down to the serialized bytes,
 # t-digest/HLL stay inside their documented error bounds, and the holistic
-# aggregates work end to end through SQL under every legal strategy.
+# aggregates work end to end through SQL under every legal strategy. The
+# `sketch` unit tests (sketch.rs, and vector.rs's distinct lane) pin the
+# t-digest compaction and the HLL lane's hash memo to their bit-identical
+# references (DESIGN.md §12, §14).
+PA_THREADS=1 cargo test -q -p pa-engine --lib sketch
+PA_THREADS=4 cargo test -q -p pa-engine --lib sketch
 PA_THREADS=1 cargo test -q -p pa-engine --test merge_oracle --test sketch_accuracy
 PA_THREADS=4 cargo test -q -p pa-engine --test merge_oracle --test sketch_accuracy
 PA_THREADS=1 cargo test -q -p pa-core --test shard_oracle_sql

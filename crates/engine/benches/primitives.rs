@@ -2,12 +2,13 @@
 //! plan: hash aggregation (single and synchronized multi-level), hash join
 //! with and without a prebuilt index, DISTINCT, the window operator, and
 //! CASE-expression evaluation — the per-row costs whose ratios drive the
-//! strategy comparisons.
+//! strategy comparisons — plus the sketch kernels the holistic lanes run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pa_engine::{
-    distinct, hash_aggregate, hash_join, multi_hash_aggregate, window_aggregate, AggFunc, AggSpec,
-    ExecStats, Expr, JoinType, ParallelConfig, ResourceGuard,
+    distinct, hash_aggregate, hash_aggregate_with_config, hash_join, multi_hash_aggregate,
+    window_aggregate, AggFunc, AggSpec, ExecStats, Expr, JoinType, ParallelConfig, ResourceGuard,
+    TDigest,
 };
 use pa_storage::{DataType, HashIndex, Schema, Table, Value};
 
@@ -16,6 +17,7 @@ fn fact_table(n: usize) -> Table {
         ("g", DataType::Int),
         ("d", DataType::Int),
         ("a", DataType::Float),
+        ("id", DataType::Int),
     ])
     .unwrap()
     .into_shared();
@@ -30,6 +32,8 @@ fn fact_table(n: usize) -> Table {
             Value::Int((x % 100) as i64),
             Value::Int(((x >> 8) % 7) as i64),
             Value::Float(((x >> 16) % 1000) as f64 / 10.0),
+            // xorshift never repeats a state: every row distinct.
+            Value::Int(x as i64),
         ])
         .unwrap();
     }
@@ -158,12 +162,56 @@ fn bench_primitives(c: &mut Criterion) {
     });
 }
 
+/// The holistic lanes' own kernels: t-digest updates (one long stream, and
+/// `holistic`'s 707 store × day groups of ~141 samples, each read once)
+/// and the HLL lane's insert, grouped by `g`, over a 7-value column and an
+/// all-distinct one.
+fn bench_sketches(c: &mut Criterion) {
+    const N: usize = 100_000;
+    let f = fact_table(N);
+    let samples: Vec<f64> = (0..N)
+        .map(|row| f.column(2).get_f64(row).unwrap())
+        .collect();
+
+    c.bench_function("sketch/tdigest-update/1x100k", |b| {
+        b.iter(|| {
+            let mut d = TDigest::new();
+            samples.iter().for_each(|&x| d.update(x));
+            d.quantile(0.5)
+        });
+    });
+    c.bench_function("sketch/tdigest-update-quantile/707x141", |b| {
+        b.iter(|| {
+            let groups = samples.chunks(141).take(707);
+            let quantile = |group: &[f64]| {
+                let mut d = TDigest::new();
+                group.iter().for_each(|&x| d.update(x));
+                d.quantile(0.5).unwrap()
+            };
+            groups.map(quantile).sum::<f64>()
+        });
+    });
+
+    let distinct = |col| {
+        let input = Expr::col(f.schema(), col).unwrap();
+        [AggSpec::new(AggFunc::ApproxCountDistinct, input, "n")]
+    };
+    let (guard, config) = (ResourceGuard::unlimited(), ParallelConfig::serial());
+    for (name, col) in [("7-values", "d"), ("all-distinct", "id")] {
+        let lane = distinct(col);
+        c.bench_function(format!("sketch/hll-lane/{name}"), |b| {
+            let mut stats = ExecStats::default();
+            b.iter(|| hash_aggregate_with_config(&f, &[0], &lane, &guard, &mut stats, &config));
+        });
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(10);
-    targets = bench_primitives
+    targets = bench_primitives, bench_sketches
 }
 criterion_main!(benches);

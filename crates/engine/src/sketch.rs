@@ -33,6 +33,34 @@ const TDIGEST_BUFFER: usize = 512;
 /// adversarial distributions and is what the accuracy suite asserts.
 pub const TDIGEST_RANK_EPSILON: f64 = 0.05;
 
+/// Relative half-width of the band around a fold threshold inside which
+/// the compaction runs the `k₁` test itself (see [`fold_band`]). Both sides
+/// of the comparison round at ~1e-14 in `k`; this band is worth ≥ 5e-10.
+const FOLD_BAND: f64 = 1e-9;
+
+/// The `q_right` interval a compaction step decides by comparison alone,
+/// while the centroids before the open one weigh `cum`. With
+/// `x = clamp(2·cum/total − 1)` and `b = 2π/δ`, the test
+/// `k₁(q_right) − k₁(cum/total) ≤ 1` holds iff `q_right ≤ q*`, the root of
+/// `k₁(q) = k₁(cum/total) + 1`: `q* = (sin(asin x + b) + 1)/2`, expanded by
+/// the angle-addition identity so no transcendental runs, and `∞` once
+/// `asin x + b ≥ π/2` (`x ≥ cos b`, where the clamp holds `k₁` at `δ/4`).
+/// Returns `(lo, hi)`: `q_right ≤ lo` folds, `q_right > hi` closes, and what
+/// lies between — within [`FOLD_BAND`] of `q*`, or any `q_right` while `x`
+/// is that near `cos b` — runs the exact test. A NaN on either side closes,
+/// as the test does.
+fn fold_band(cum: f64, total: f64, (cos_b, sin_b): (f64, f64)) -> (f64, f64) {
+    let x = (2.0 * (cum / total) - 1.0).clamp(-1.0, 1.0);
+    if (x - cos_b).abs() <= FOLD_BAND {
+        (f64::NEG_INFINITY, f64::INFINITY)
+    } else if x > cos_b {
+        (f64::INFINITY, f64::INFINITY)
+    } else {
+        let q = (x * cos_b + ((1.0 - x) * (1.0 + x)).sqrt() * sin_b + 1.0) / 2.0;
+        (q * (1.0 - FOLD_BAND), q * (1.0 + FOLD_BAND))
+    }
+}
+
 /// Map an `f64` bit pattern to the integer whose order is
 /// [`f64::total_cmp`]'s, and back: flip the magnitude bits of negative
 /// values. The flip never touches the sign bit it is conditioned on, so it
@@ -107,7 +135,8 @@ impl TDigest {
 
     /// The `k₁` scale function: monotone in `q`, spanning `[−δ/4, δ/4]`,
     /// steep at the tails so tail centroids stay light. A merged centroid
-    /// may cover at most one unit of `k`.
+    /// may cover at most one unit of `k`. The compaction evaluates it only
+    /// where [`fold_band`] cannot decide.
     fn k_scale(q: f64) -> f64 {
         (TDIGEST_COMPRESSION / (2.0 * std::f64::consts::PI))
             * (2.0 * q - 1.0).clamp(-1.0, 1.0).asin()
@@ -116,7 +145,9 @@ impl TDigest {
     /// Compaction: sort the buffer, merge it (as weight-1 centroids) into
     /// the centroid list in the canonical `(mean, weight)` order, and
     /// greedily fold neighbours while the folded centroid's `k₁`-span stays
-    /// ≤ 1. A pure function of the centroid and buffer multisets — equal
+    /// ≤ 1 — decided against [`fold_band`]'s threshold, recomputed once per
+    /// closed centroid, so every decision is the `k₁` test's. A pure
+    /// function of the centroid and buffer multisets — equal
     /// `(mean, weight)` pairs are indistinguishable, so tie order cannot
     /// show — and it bounds the centroid count at ~δ for any input size.
     fn compress(&mut self) {
@@ -154,7 +185,9 @@ impl TDigest {
         let old = std::mem::take(&mut self.centroids);
         let mut merged: Vec<Centroid> = Vec::with_capacity(old.len());
         let mut cum = 0.0; // weight settled strictly before merged.last()
-        let mut k_left = TDigest::k_scale(0.0); // k₁(cum / total), moves only when a centroid closes
+        let b = 2.0 * std::f64::consts::PI / TDIGEST_COMPRESSION;
+        let angle = (b.cos(), b.sin());
+        let (mut lo, mut hi) = fold_band(cum, total, angle); // moves only when a centroid closes
         let (mut i, mut j) = (0, 0);
         while i < old.len() || j < fresh.len() {
             let sample = fresh.get(j).map(|&key| Centroid {
@@ -180,12 +213,15 @@ impl TDigest {
                 Some(last) => {
                     let proposed = last.weight + c.weight;
                     let q_right = (cum + proposed) / total;
-                    if TDigest::k_scale(q_right) - k_left <= 1.0 {
+                    if q_right <= lo
+                        || (q_right <= hi
+                            && TDigest::k_scale(q_right) - TDigest::k_scale(cum / total) <= 1.0)
+                    {
                         last.mean = (last.mean * last.weight + c.mean * c.weight) / proposed;
                         last.weight = proposed;
                     } else {
                         cum += last.weight;
-                        k_left = TDigest::k_scale(cum / total);
+                        (lo, hi) = fold_band(cum, total, angle);
                         merged.push(c);
                     }
                 }
@@ -343,7 +379,12 @@ impl Hll {
 
     /// Absorb one value.
     pub fn insert(&mut self, v: &Value) {
-        let h = value_hash64(v);
+        self.insert_hash(value_hash64(v));
+    }
+
+    /// Absorb one value by its [`value_hash64`].
+    #[inline]
+    pub(crate) fn insert_hash(&mut self, h: u64) {
         let idx = (h >> (64 - HLL_BITS)) as usize;
         let rest = h << HLL_BITS;
         let rho = (rest.leading_zeros() + 1).min(64 - HLL_BITS + 1) as u8;
@@ -476,23 +517,68 @@ mod tests {
         d.centroids = merged;
     }
 
+    /// Every bit a digest's state holds: centroid `(mean, weight)` pairs,
+    /// `total`, `min`, `max`.
+    type Bits = (Vec<(u64, u64)>, u64, u64, u64);
+
+    fn bits(d: &TDigest) -> Bits {
+        let centroids = d.centroids.iter();
+        (
+            centroids
+                .map(|c| (c.mean.to_bits(), c.weight.to_bits()))
+                .collect(),
+            d.total.to_bits(),
+            d.min.to_bits(),
+            d.max.to_bits(),
+        )
+    }
+
+    /// A digest decoded from a payload holding `centroids` as given.
+    fn decoded(centroids: &[(f64, f64)]) -> TDigest {
+        let mut buf = Vec::new();
+        put_u32(&mut buf, centroids.len() as u32);
+        for &(mean, weight) in centroids {
+            put_f64(&mut buf, mean);
+            put_f64(&mut buf, weight);
+        }
+        let means = centroids.iter().map(|c| c.0);
+        put_f64(&mut buf, means.clone().fold(f64::INFINITY, f64::min));
+        put_f64(&mut buf, means.fold(f64::NEG_INFINITY, f64::max));
+        TDigest::read_payload(&mut Cursor::new(&buf)).unwrap()
+    }
+
+    /// `d` compacted by both implementations, which must agree to the bit.
+    fn assert_compacts_like_the_reference(d: &TDigest, what: &str) {
+        let (mut new, mut old) = (d.clone(), d.clone());
+        new.compress();
+        compress_by_full_sort(&mut old);
+        assert_eq!(bits(&new), bits(&old), "{what}");
+    }
+
     #[test]
     fn merging_compaction_matches_the_full_sort_reference() {
-        let bits = |d: &TDigest| -> Vec<(u64, u64)> {
-            d.centroids
-                .iter()
-                .map(|c| (c.mean.to_bits(), c.weight.to_bits()))
-                .collect()
+        let lcg = |s: &mut u64| {
+            *s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            *s >> 13
         };
-        // Few distinct values (ties between samples and centroids of equal
-        // mean), signed zeros with NaN and −∞, a wide spread, and a constant stream whose
-        // folded means drift by rounding.
-        let streams: [&dyn Fn(u64) -> f64; 4] = [
-            &|s| (s % 7) as f64,
-            &|s| [-0.0, 0.0, 1.0, f64::NAN, f64::NEG_INFINITY][(s % 5) as usize],
-            &|s| (s >> 11) as f64 / (1u64 << 40) as f64 - 4000.0,
-            &|_| 0.1,
-        ];
+        // Constant (folded means drift by rounding), two-valued and few-
+        // valued (ties between samples and centroids of equal mean),
+        // integral 0..1000, signed zeros with NaN and −∞, 1e300 tails around
+        // a narrow body, and a wide spread.
+        let sample = |kind: u64, s: u64| -> f64 {
+            match kind {
+                0 => 0.1,
+                1 => [2.5, -1.0][(s & 1) as usize],
+                2 => (s % 7) as f64,
+                3 => (s % 1000) as f64,
+                4 => [-0.0, 0.0, 1.0, f64::NAN, f64::NEG_INFINITY][(s % 5) as usize],
+                5 if s.is_multiple_of(16) => (s % 3) as f64 * 1e300 - 1e300,
+                5 => (s % 4096) as f64 / 4096.0,
+                _ => (s >> 11) as f64 / (1u64 << 40) as f64 - 4000.0,
+            }
+        };
         // `update`, with either compaction at the same flush points.
         let feed = |d: &mut TDigest, x: f64, reference: bool| {
             d.min = d.min.min(x);
@@ -506,14 +592,36 @@ mod tests {
                 }
             }
         };
-        for (i, stream) in streams.iter().enumerate() {
-            let (mut new, mut old) = (TDigest::new(), TDigest::new());
+        for stream in 0..350u64 {
+            let mut s = 0x9e37_79b9_7f4a_7c15 ^ stream;
+            let kind = stream % 7;
+            // Lengths 1..20k, most short: the flush points, the tail of
+            // unflushed samples and the centroid budget all vary.
+            let len = match lcg(&mut s) % 4 {
+                0 => 1 + lcg(&mut s) % 600,
+                1 | 2 => 1 + lcg(&mut s) % 4_000,
+                _ => 1 + lcg(&mut s) % 20_000,
+            };
+            // Every third stream starts from a decoded digest of fractional
+            // weights; every stream splits unevenly into two digests.
+            let start = if stream % 3 == 0 {
+                let n = 1 + lcg(&mut s) % 300;
+                let centroids: Vec<(f64, f64)> = (0..n)
+                    .map(|_| {
+                        let w = 0.25 + (lcg(&mut s) % 1000) as f64 / 7.0;
+                        (sample(kind, lcg(&mut s)), w)
+                    })
+                    .collect();
+                decoded(&centroids)
+            } else {
+                TDigest::new()
+            };
+            let (mut new, mut old) = (start.clone(), start);
             let (mut other_new, mut other_old) = (TDigest::new(), TDigest::new());
-            let mut s = 0x9e37_79b9_7f4a_7c15u64 ^ i as u64;
-            for step in 0..5_000 {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let x = stream(s >> 13);
-                if step % 3 == 0 {
+            let split = 2 + stream % 5;
+            for step in 0..len {
+                let x = sample(kind, lcg(&mut s));
+                if step % split == 0 {
                     feed(&mut other_new, x, false);
                     feed(&mut other_old, x, true);
                 } else {
@@ -521,16 +629,60 @@ mod tests {
                     feed(&mut old, x, true);
                 }
             }
-            assert_eq!(bits(&new), bits(&old), "stream {i}: updates");
+            assert_eq!(bits(&new), bits(&old), "stream {stream}: updates");
             // `merge` appends the other digest's centroids unsorted.
             new.merge(&other_new);
+            old.min = old.min.min(other_old.min);
+            old.max = old.max.max(other_old.max);
             old.buffer.extend_from_slice(&other_old.buffer);
             old.centroids.extend_from_slice(&other_old.centroids);
             old.total += other_old.total;
             compress_by_full_sort(&mut old);
-            assert_eq!(bits(&new), bits(&old), "stream {i}: merge");
-            assert_eq!(new.total.to_bits(), old.total.to_bits(), "stream {i}");
+            assert_eq!(bits(&new), bits(&old), "stream {stream}: merge");
         }
+    }
+
+    /// The threshold's edges, where a wrong `q*` or too narrow a band would
+    /// fold what the `k₁` test closes. Centroids `A, B, C, D` of total ≈ 1:
+    /// `B` closes `A`, so `x = 2·w_A − 1`, and `C` then folds into `B` iff
+    /// `q_right = w_A + w_B + w_C ≤ q*`. `q_right` sweeps from outside the
+    /// band in, down to single ulps of `q*` (found here by `asin`/`sin`, not
+    /// by the compaction's identity); and `x` sweeps across `cos b`, where
+    /// `q*` reaches 1 and the clamp takes over.
+    #[test]
+    fn fold_threshold_decides_as_the_k_test_at_its_edges() {
+        let b = 2.0 * std::f64::consts::PI / TDIGEST_COMPRESSION;
+        let q_star = |x: f64| ((x.asin() + b).sin() + 1.0) / 2.0;
+        let steps = (-40..=40)
+            .map(|k| k as f64 * 1e-10)
+            .chain((-30..=30).map(|k| k as f64 * f64::EPSILON / 4.0));
+        for w_a in [0.001, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999, 0.9997] {
+            let target = q_star(2.0 * w_a - 1.0);
+            let w_b = (target - w_a) / 4.0;
+            for step in steps.clone() {
+                let q = target * (1.0 + step);
+                let d = decoded(&[(0.0, w_a), (1.0, w_b), (2.0, q - w_a - w_b), (3.0, 1.0 - q)]);
+                assert_compacts_like_the_reference(&d, &format!("w_a {w_a}, q {q:e}"));
+            }
+        }
+        // `x` across `cos b`, `C` the last centroid (`q_right` ≈ 1): it folds
+        // above the crossing and closes below, on both sides of the band.
+        let crossing = (1.0 + b.cos()) / 2.0;
+        let mut counts = std::collections::BTreeSet::new();
+        let by_ulp =
+            (-64..=64i64).map(|k| f64::from_bits(crossing.to_bits().wrapping_add_signed(k)));
+        for w_a in (-400..=400)
+            .map(|k| crossing * (1.0 + k as f64 * 1e-11))
+            .chain(by_ulp)
+        {
+            let rest = 1.0 - w_a;
+            let d = decoded(&[(0.0, w_a), (1.0, rest / 2.0), (2.0, rest / 2.0)]);
+            assert_compacts_like_the_reference(&d, &format!("w_a {w_a:e}"));
+            let mut new = d.clone();
+            new.compress();
+            counts.insert(new.centroids.len());
+        }
+        assert_eq!(counts.len(), 2, "the sweep crosses cos b: {counts:?}");
     }
 
     #[test]

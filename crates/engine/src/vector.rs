@@ -47,7 +47,7 @@ use crate::expr::Expr;
 use crate::keymap::{DenseKeySpace, DimCoder, WideKeySpace};
 use crate::ops::acc::{Acc, PctState};
 use crate::ops::aggregate::AggFunc;
-use crate::sketch::{Hll, TDigest};
+use crate::sketch::{value_hash64, Hll, TDigest};
 use crate::stats::ExecStats;
 use pa_storage::{Column, DataType, PackedCodes, Table, Value};
 use std::ops::Range;
@@ -113,21 +113,6 @@ impl<'a> NumSlice<'a> {
                 for_each_valid(data, vwords, rows, |k, x| f(k, x as f64))
             }
             NumSlice::Float(data, vwords) => for_each_valid(data, vwords, rows, f),
-        }
-    }
-
-    /// [`Self::for_each_f64`] with the value kept in its column type, as the
-    /// [`Value`] `Expr::Col` evaluates to — what distinct-count sketches
-    /// hash (an `i64` past 2^53 must not round through `f64`).
-    #[inline]
-    fn for_each_value(self, rows: Range<usize>, mut f: impl FnMut(usize, Value)) {
-        match self {
-            NumSlice::Int(data, vwords) => {
-                for_each_valid(data, vwords, rows, |k, x| f(k, Value::Int(x)))
-            }
-            NumSlice::Float(data, vwords) => {
-                for_each_valid(data, vwords, rows, |k, x| f(k, Value::Float(x)))
-            }
         }
     }
 }
@@ -575,7 +560,63 @@ enum Holistic {
         p: f64,
         digests: Vec<TDigest>,
     },
-    Distinct(Vec<Hll>),
+    Distinct {
+        sketches: Vec<Hll>,
+        memo: HashMemo,
+    },
+}
+
+/// Entries of a distinct lane's [`HashMemo`].
+const HASH_MEMO: usize = 1024;
+
+/// A distinct lane's direct-mapped memo from a value's bits in its column
+/// type to its [`value_hash64`]: a column of few values (a weekday) is
+/// hashed once per value per worker, not once per row. The hash is the
+/// one of the [`Value`] `Expr::Col` evaluates to, so an `i64` past 2^53
+/// never rounds through `f64`; a lane reads one column, so its bits name
+/// one value. Seeded with the hash of 0 — `Int(0)` and `Float(0.0)` hash
+/// alike — so an untouched entry answers right too.
+struct HashMemo(Box<[(u64, u64); HASH_MEMO]>);
+
+impl HashMemo {
+    fn new() -> HashMemo {
+        HashMemo(Box::new([(0, value_hash64(&Value::Int(0))); HASH_MEMO]))
+    }
+
+    /// The entry `bits` maps to: a multiplicative hash, so integral floats
+    /// (zero low mantissa bits) spread as well as small integers.
+    #[inline]
+    fn slot(bits: u64) -> usize {
+        (bits.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - HASH_MEMO.trailing_zeros())) as usize
+    }
+
+    #[inline]
+    fn hash(&mut self, bits: u64, value: impl FnOnce() -> Value) -> u64 {
+        let entry = &mut self.0[HashMemo::slot(bits)];
+        if entry.0 != bits {
+            *entry = (bits, value_hash64(&value()));
+        }
+        entry.1
+    }
+
+    /// Visit the non-NULL rows of `rows` in row order as `f(k, hash)`, `k`
+    /// the offset inside `rows`.
+    #[inline]
+    fn for_each_hash(
+        &mut self,
+        col: NumSlice<'_>,
+        rows: Range<usize>,
+        mut f: impl FnMut(usize, u64),
+    ) {
+        match col {
+            NumSlice::Int(data, vwords) => for_each_valid(data, vwords, rows, |k, x| {
+                f(k, self.hash(x as u64, || Value::Int(x)))
+            }),
+            NumSlice::Float(data, vwords) => for_each_valid(data, vwords, rows, |k, x| {
+                f(k, self.hash(x.to_bits(), || Value::Float(x)))
+            }),
+        }
+    }
 }
 
 impl HolisticLane {
@@ -592,7 +633,10 @@ impl HolisticLane {
                 p: p.value(),
                 digests: Vec::new(),
             },
-            AggFunc::ApproxCountDistinct => Holistic::Distinct(Vec::new()),
+            AggFunc::ApproxCountDistinct => Holistic::Distinct {
+                sketches: Vec::new(),
+                memo: HashMemo::new(),
+            },
             _ => return None,
         }))
     }
@@ -606,7 +650,9 @@ impl HolisticLane {
             Holistic::Digest { digests, .. } if digests.len() < n => {
                 digests.resize_with(n, TDigest::new)
             }
-            Holistic::Distinct(sketches) if sketches.len() < n => sketches.resize_with(n, Hll::new),
+            Holistic::Distinct { sketches, .. } if sketches.len() < n => {
+                sketches.resize_with(n, Hll::new)
+            }
             _ => {}
         }
     }
@@ -622,8 +668,8 @@ impl HolisticLane {
             Holistic::Digest { digests, .. } => {
                 col.for_each_f64(rows, |k, x| digests[idx[k] as usize].update(x))
             }
-            Holistic::Distinct(sketches) => {
-                col.for_each_value(rows, |k, v| sketches[idx[k] as usize].insert(&v))
+            Holistic::Distinct { sketches, memo } => {
+                memo.for_each_hash(col, rows, |k, h| sketches[idx[k] as usize].insert_hash(h))
             }
         }
     }
@@ -641,9 +687,9 @@ impl HolisticLane {
                 let digest = &mut digests[g];
                 col.for_each_f64(rows, |_, x| digest.update(x));
             }
-            Holistic::Distinct(sketches) => {
+            Holistic::Distinct { sketches, memo } => {
                 let sketch = &mut sketches[g];
-                col.for_each_value(rows, |_, v| sketch.insert(&v));
+                memo.for_each_hash(col, rows, |_, h| sketch.insert_hash(h));
             }
         }
     }
@@ -662,7 +708,7 @@ impl HolisticLane {
                     .into_iter()
                     .map(move |digest| Acc::ApproxPercentile { p, digest }),
             ),
-            Holistic::Distinct(sketches) => {
+            Holistic::Distinct { sketches, .. } => {
                 Box::new(sketches.into_iter().map(Acc::ApproxCountDistinct))
             }
         }
@@ -1082,6 +1128,107 @@ mod tests {
                 set.into_accs(4).iter().map(Acc::serialize).collect()
             };
             assert_eq!(bytes(got), bytes(want));
+        }
+    }
+
+    /// A distinct lane's registers are those of `Hll::insert(&Value)` over
+    /// the same rows: values that evict each other from one memo entry,
+    /// `-0.0` beside `0.0`, NaN payloads, integral floats (which hash as
+    /// ints), `i64` past 2^53, and fresh lanes whose first value is the
+    /// memo's seed or its negative zero. Every fifth row is NULL.
+    #[test]
+    fn distinct_lane_sketches_equal_value_inserts() {
+        let registers = |col: NumSlice<'_>, rows: usize| -> Vec<Vec<u8>> {
+            // A scatter over two groups, then one run into the second.
+            let mut lane = HolisticLane::new(AggFunc::ApproxCountDistinct, 0).unwrap();
+            lane.ensure(2);
+            let half = rows / 2;
+            let idx: Vec<u32> = (0..half as u32).map(|k| k % 2).collect();
+            lane.scatter(&LaneSrc::Col(col), 0..half, &idx);
+            lane.accumulate_run(&LaneSrc::Col(col), half..rows, 1);
+            let regs = |acc| match acc {
+                Acc::ApproxCountDistinct(h) => h.registers().to_vec(),
+                _ => unreachable!("a distinct lane holds sketches"),
+            };
+            lane.into_accs().map(regs).collect()
+        };
+        let reference = |values: &[Value]| -> Vec<Vec<u8>> {
+            let mut sketches = [Hll::new(), Hll::new()];
+            let half = values.len() / 2;
+            for (k, v) in values.iter().enumerate() {
+                if k % 5 != 4 {
+                    sketches[if k < half { k % 2 } else { 1 }].insert(v);
+                }
+            }
+            sketches.iter().map(|h| h.registers().to_vec()).collect()
+        };
+        let validity = |rows: usize| -> Vec<u64> {
+            let mut words = vec![0u64; rows.div_ceil(64)];
+            (0..rows)
+                .filter(|k| k % 5 != 4)
+                .for_each(|k| words[k >> 6] |= 1 << (k & 63));
+            words
+        };
+        let colliding = |first: u64, next: &dyn Fn(u64) -> u64| {
+            let slot = HashMemo::slot(first);
+            let mut bits = next(first);
+            while HashMemo::slot(bits) != slot {
+                bits = next(bits);
+            }
+            bits
+        };
+        let (a, b) = (7u64, colliding(7, &|v| v + 1));
+        let (fa, fb) = (0.5f64, colliding(0.5f64.to_bits(), &|v| v + 1));
+        let ints: [Vec<i64>; 4] = [
+            (0..64).map(|k| [a, b][k % 2] as i64).collect(),
+            vec![0, 0, 1, 0],
+            vec![
+                (1 << 53) + 1,
+                1 << 53,
+                i64::MAX,
+                i64::MIN,
+                -1,
+                0,
+                3,
+                (1 << 53) + 1,
+            ],
+            vec![-7],
+        ];
+        for data in &ints {
+            let vwords = validity(data.len());
+            let values: Vec<Value> = data.iter().map(|&x| Value::Int(x)).collect();
+            let got = registers(NumSlice::Int(data, &vwords), data.len());
+            assert_eq!(got, reference(&values), "{data:?}");
+        }
+        let floats: [Vec<f64>; 6] = [
+            (0..64)
+                .map(|k| f64::from_bits([fa.to_bits(), fb][k % 2]))
+                .collect(),
+            vec![0.0, -0.0, 1.0],
+            vec![-0.0, 0.0, -0.0, 2.0],
+            vec![
+                f64::NAN,
+                f64::from_bits(0x7ff0_0000_0000_0001),
+                -f64::NAN,
+                f64::from_bits(0xfff8_0000_0000_0042),
+                0.1,
+            ],
+            vec![
+                3.0,
+                3.5,
+                1e15,
+                9007199254740994.0,
+                2f64.powi(63),
+                -2f64.powi(63),
+                1e300,
+            ],
+            vec![f64::INFINITY, f64::NEG_INFINITY, 3.0, -0.5, 7.0],
+        ];
+        for data in &floats {
+            let vwords = validity(data.len());
+            let values: Vec<Value> = data.iter().map(|&x| Value::Float(x)).collect();
+            let got = registers(NumSlice::Float(data, &vwords), data.len());
+            assert_eq!(got, reference(&values), "{data:?}");
         }
     }
 

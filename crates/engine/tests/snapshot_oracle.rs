@@ -91,6 +91,14 @@ fn writer_op(catalog: &Catalog, state: &mut u64) {
     }
 }
 
+struct StopOnDrop<'s>(&'s AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
 #[test]
 fn pinned_snapshot_queries_are_byte_identical_under_concurrent_writes() {
     let modes = [
@@ -130,12 +138,24 @@ fn pinned_snapshot_queries_are_byte_identical_under_concurrent_writes() {
                 }
             });
         }
+        // Stops the writers however the readers leave — a failed assertion
+        // included, so the scope joins and the test fails instead of hanging.
+        let _stop = StopOnDrop(&stop);
 
         // The pinned alias is a frozen table: every query over it, in any
         // configuration, must reproduce the quiesced reference while the
-        // writers race.
+        // writers race. Twelve rounds at least, and on until the live
+        // table has grown past the pin — a fast reader must not finish
+        // before a writer was scheduled.
         let aq = HorizontalQuery::hpct(view.alias(), &["g"], "a", &["d"]);
-        for round in 0..12 {
+        let grown = || catalog.table("f").unwrap().read().num_rows() > view.rows();
+        let mut round = 0;
+        while round < 12 || !grown() {
+            assert!(
+                round < 100_000,
+                "writers never landed a row in {round} reader rounds"
+            );
+            round += 1;
             for (mode, exp) in modes.iter().zip(&expected) {
                 let engine = PercentageEngine::new(&catalog).with_config(*mode);
                 let got = fingerprint(&engine.horizontal_with(&aq, &opts).unwrap().snapshot());
@@ -145,7 +165,6 @@ fn pinned_snapshot_queries_are_byte_identical_under_concurrent_writes() {
                 );
             }
         }
-        stop.store(true, Ordering::Relaxed);
     });
 
     // The race was real: writers moved the live table past the pin...
