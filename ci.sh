@@ -79,6 +79,22 @@ if sed '/^#\[cfg(test)\]/,$d' crates/core/src/lattice.rs | grep -nE 'ShardPartia
   exit 1
 fi
 
+echo "==> transcript gate: the generated SQL is EXPLAIN's, executing renders none"
+# A statement's SQL script is rendered when EXPLAIN asks for it (DESIGN.md
+# §2), never on the execute path: outside the tests, the code generator is
+# called from one place under crates/core/src, the EXPLAIN renderer
+# `executor.rs::codegen_lines`.
+if for f in crates/core/src/*.rs; do
+  explain=''
+  if [ "$f" = crates/core/src/executor.rs ]; then
+    explain='/ fn codegen_lines(/,/^    }$/d'
+  fi
+  sed -e '/^#\[cfg(test)\]/,$d' -e "$explain" "$f" | grep -n 'codegen::' | sed "s|^|$f:|"
+done | grep .; then
+  echo "codegen:: is called outside executor.rs::codegen_lines under crates/core/src" >&2
+  exit 1
+fi
+
 echo "==> no-process-state gate: a statement is handed its configuration and its injector"
 # A statement's scan configuration is its engine's (`with_config`, else the
 # `PA_*` deployment settings read once at the door by `Fact::config`) and a
@@ -232,7 +248,11 @@ echo "==> determinism leg: the suites that used to serialize on process state, f
 # from the environment. Now each arms its own injector and hands its own
 # engine a configuration, so they run at cargo's default test parallelism,
 # `PA_THREADS` as the machine gives it: a test that still shared state with
-# its neighbours would go red here within a few draws.
+# its neighbours would go red here within a few draws. `lattice_oracle`
+# includes `the_assembled_result_matches_the_per_set_plan_at_every_seam`:
+# the warm lattice assembler's sized columns, copied keys, NULL runs and
+# in-place percentages against the per-set plan, bit for bit, at threads 1
+# and 4, cold and warm.
 i=0
 while [ "$i" -lt 5 ]; do
   env -u PA_THREADS cargo test -q -p pa-engine --test differential --test fault_containment

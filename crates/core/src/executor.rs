@@ -589,14 +589,17 @@ impl<'a> PercentageEngine<'a> {
         tracer: Option<Tracer>,
     ) -> Result<(SqlOutcome, Option<TraceReport>)> {
         // A flat statement is one typed query; a lattice-grouped one
-        // (`ROLLUP` / `CUBE` / `GROUPING SETS`) one flat statement per set.
+        // (`ROLLUP` / `CUBE` / `GROUPING SETS`) one typed query per set,
+        // planned here as well, before the source is resolved.
         let flat = match stmt.grouping.is_flat() {
             true => Some(from_sql(&stmt)?),
             false => None,
         };
         let sets = match flat {
             Some(_) => Vec::new(),
-            None => per_set_statements(&stmt)?,
+            None => (per_set_statements(&stmt)?.into_iter())
+                .map(|(set, flat)| Ok((set, flat.as_ref().map(from_sql).transpose()?)))
+                .collect::<Result<Vec<_>>>()?,
         };
         let eval = |fact: &Fact, guard: &ResourceGuard| {
             let mut select_stats = ExecStats::default();
@@ -618,7 +621,7 @@ impl<'a> PercentageEngine<'a> {
                     knobs.map(|k| k.1),
                     guard,
                 )?),
-                None => self.eval_grouping_sets(fact, &stmt.group_by, &sets, knobs, guard)?,
+                None => self.eval_grouping_sets(fact, &stmt.group_by, sets, knobs, guard)?,
             };
             *outcome.stats_mut() += select_stats;
             apply_order(&outcome, &stmt.order_by, guard)?;
@@ -630,7 +633,7 @@ impl<'a> PercentageEngine<'a> {
         Ok((outcome, report))
     }
 
-    /// Evaluate the grouping sets of one statement (`sets`, from
+    /// Evaluate the grouping sets of one statement (`sets`, the typed
     /// [`per_set_statements`]) over the same resolved source, under the
     /// statement's one guard, into a single table (`FGS`) shaped
     /// `[full GROUP BY columns][aggregate columns]`, with NULL in every
@@ -645,39 +648,28 @@ impl<'a> PercentageEngine<'a> {
         &self,
         fact: &Fact,
         group_by: &[String],
-        sets: &[(Vec<String>, Option<pa_sql::SelectStmt>)],
+        sets: Vec<(Vec<String>, Option<Query>)>,
         knobs: Knobs<'_>,
         guard: &ResourceGuard,
     ) -> Result<SqlOutcome> {
         let mut stats = ExecStats::default();
-        let mut statements: Vec<String> = Vec::new();
         let mut lattice_sets: Vec<VpctQuery> = Vec::new();
         let mut results: Vec<(Vec<String>, pa_storage::Table)> = Vec::new();
         let mut cell_columns: Vec<Vec<String>> = Vec::new();
         let mut vertical = false;
-        for (set, flat) in sets {
-            let Some(flat) = flat else {
-                statements.push(
-                    "-- grouping set (): skipped (Vpct requires a non-empty GROUP BY)".to_string(),
-                );
-                continue;
-            };
-            statements.push(format!("-- grouping set ({})", set.join(", ")));
-            match from_sql(flat)? {
+        // The empty set of a `Vpct` statement has no query: its grand total
+        // is 100% by definition.
+        for (set, flat) in sets.into_iter().filter_map(|(s, q)| Some((s, q?))) {
+            match flat {
                 Query::Vertical(q) => {
                     vertical = true;
                     match knobs {
                         Some((strat, _)) => {
                             let r = self.eval_vertical(fact, &q, Some(strat), guard)?;
                             stats += r.stats;
-                            results.push((set.clone(), r.snapshot()));
-                            statements.extend(r.statements);
+                            results.push((set, r.snapshot()));
                         }
-                        None => {
-                            let (best, pred) = (VpctStrategy::best(), fact.where_sql());
-                            statements.extend(crate::codegen::vpct_statements(&q, &best, pred));
-                            lattice_sets.push(q);
-                        }
+                        None => lattice_sets.push(q),
                     }
                 }
                 Query::Horizontal(q) => {
@@ -693,28 +685,21 @@ impl<'a> PercentageEngine<'a> {
                     if cell_columns.is_empty() {
                         cell_columns = r.cell_columns.clone();
                     }
-                    results.push((set.clone(), r.snapshot()));
-                    statements.extend(r.statements);
+                    results.push((set, r.snapshot()));
                 }
             }
         }
         if !lattice_sets.is_empty() {
-            let mut r = eval_vpct_sets_on(self.catalog, fact, group_by, &lattice_sets, guard)?;
-            r.statements = statements;
+            let r = eval_vpct_sets_on(self.catalog, fact, group_by, &lattice_sets, guard)?;
             return Ok(SqlOutcome::Vertical(r));
         }
         let table = into_shared(union_grouping_results(group_by, &results, guard)?);
         Ok(if vertical {
-            SqlOutcome::Vertical(QueryResult {
-                table,
-                stats,
-                statements,
-            })
+            SqlOutcome::Vertical(QueryResult { table, stats })
         } else {
             SqlOutcome::Horizontal(HorizontalResult {
                 partitions: vec![table],
                 stats,
-                statements,
                 cell_columns,
             })
         })

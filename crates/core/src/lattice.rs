@@ -43,7 +43,7 @@ use crate::query::{ExtraAgg, Fact, Measure, VpctQuery};
 use crate::vertical::{count_insert, extra_spec, into_shared, percentage, QueryResult};
 use pa_engine::{
     aggregate_level, lattice_aggregate, AggFunc, AggSpec, ExecStats, Expr, ParallelConfig,
-    ResourceGuard,
+    ResourceGuard, SpanHandle,
 };
 use pa_storage::{
     Catalog, Column, DataType, Field, FxHashMap, LatticeCache, Schema, SharedTable, Table,
@@ -52,9 +52,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One aggregation level: a set of grouping columns (stored sorted,
-/// case-normalized, deduplicated).
+/// case-normalized, deduplicated), shared by its clones.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Level(Vec<String>);
+pub struct Level(Arc<[String]>);
 
 impl Level {
     /// Normalize a column list into a level.
@@ -62,7 +62,7 @@ impl Level {
         let mut v: Vec<String> = cols.iter().map(|c| c.to_ascii_lowercase()).collect();
         v.sort();
         v.dedup();
-        Level(v)
+        Level(v.into())
     }
 
     /// Number of grouping columns.
@@ -250,6 +250,11 @@ pub fn plan_levels_cached(
 struct Lanes<'q> {
     measures: Vec<&'q Measure>,
     extra: &'q [ExtraAgg],
+    /// Identity of each lane: cached levels carry it, so a lookup with
+    /// different aggregates never resurrects a table of the wrong shape.
+    /// BY lists deliberately do not participate: they choose *which
+    /// levels* a request needs, not what the lanes contain.
+    signature: Vec<String>,
 }
 
 impl<'q> Lanes<'q> {
@@ -262,9 +267,17 @@ impl<'q> Lanes<'q> {
                 measures.push(&term.measure);
             }
         }
+        let extra = &queries[0].extra;
+        let sums = measures.iter().map(|m| format!("sum({})", m.sql()));
+        let extras = extra.iter().map(|e| {
+            let m = e.measure.as_ref().map_or("*".into(), Measure::sql);
+            format!("{}({m})", e.func.display_name())
+        });
+        let signature = sums.chain(extras).collect();
         Lanes {
             measures,
-            extra: &queries[0].extra,
+            extra,
+            signature,
         }
     }
 
@@ -273,19 +286,6 @@ impl<'q> Lanes<'q> {
             .iter()
             .position(|m| *m == measure)
             .expect("every term's measure was collected")
-    }
-
-    /// Identity of each lane: cached levels carry it, so a lookup with
-    /// different aggregates never resurrects a table of the wrong shape.
-    /// BY lists deliberately do not participate: they choose *which
-    /// levels* a request needs, not what the lanes contain.
-    fn signature(&self) -> Vec<String> {
-        let sums = self.measures.iter().map(|m| format!("sum({})", m.sql()));
-        let extras = self.extra.iter().map(|e| {
-            let m = e.measure.as_ref().map_or("*".into(), Measure::sql);
-            format!("{}({m})", e.func.display_name())
-        });
-        sums.chain(extras).collect()
     }
 
     fn specs(&self, schema: &Schema) -> Result<Vec<AggSpec>> {
@@ -305,27 +305,31 @@ impl<'q> Lanes<'q> {
     }
 }
 
-/// The levels a request answers at (each query's GROUP BY) and the totals
-/// levels its terms divide by.
-fn request_levels(queries: &[VpctQuery]) -> (Vec<Level>, Vec<Level>) {
+/// The levels a request answers at (each query's GROUP BY) and, query by
+/// query, the totals levels its terms divide by.
+fn request_levels(queries: &[VpctQuery]) -> (Vec<Level>, Vec<Vec<Level>>) {
     let roots = queries.iter().map(|q| Level::new(&q.group_by)).collect();
-    let needed = queries
-        .iter()
-        .flat_map(|q| q.terms.iter().map(|t| Level::new(&q.totals_key(t))))
-        .collect();
-    (roots, needed)
+    let totals_of = |q: &VpctQuery| {
+        q.terms
+            .iter()
+            .map(|t| Level::new(&q.totals_key(t)))
+            .collect()
+    };
+    let totals = queries.iter().map(totals_of).collect();
+    (roots, totals)
 }
 
 /// The levels of one request, each one table in the canonical layout
 /// `[level columns, normalized order][lanes]`, rows sorted by key.
-type LevelTables = HashMap<Level, Arc<Table>>;
+type LevelTables = FxHashMap<Level, Arc<Table>>;
 
 /// Plan a request against the lattice cache — `cache` is the cache and the
 /// name it knows the fact table by, `None` for a fact table nothing is
 /// cached for. A root must be cached with every lane; a totals level, or a
 /// finer level to re-aggregate, serves with the leading sums alone. With
 /// `fetched`, lookups count as hits and misses and the cached tables the
-/// plan may read land in the map; without, the cache is only probed
+/// plan may read land in the map — the wanted levels in one
+/// [`LatticeCache::get_levels`] call; without, the cache is only probed
 /// (EXPLAIN).
 fn plan_request(
     cache: Option<(&LatticeCache, &str)>,
@@ -336,6 +340,29 @@ fn plan_request(
     let Some((cache, table)) = cache else {
         return plan_levels_cached(roots, needed, &[], lanes.extra.is_empty());
     };
+    let all = &lanes.signature[..];
+    let sums = &all[..lanes.measures.len()];
+    let wanted = distinct_widest_first(roots, needed);
+    let lookups: Vec<(&[String], &[String])> = (wanted.iter())
+        .map(|l| (l.columns(), if roots.contains(l) { all } else { sums }))
+        .collect();
+    let mut cached: Vec<Level> = match fetched.as_deref_mut() {
+        Some(tables) => {
+            let mut hits = vec![None; wanted.len()];
+            cache.get_levels(table, &lookups, &mut hits);
+            let hit = |(l, t): (&Level, Option<_>)| Some((l.clone(), t?));
+            tables.extend(wanted.iter().zip(hits).filter_map(hit));
+            wanted
+                .iter()
+                .filter(|l| tables.contains_key(*l))
+                .cloned()
+                .collect()
+        }
+        None => (wanted.iter().zip(&lookups))
+            .filter(|(_, (cols, lanes))| cache.probe(table, cols, lanes))
+            .map(|(l, _)| l.clone())
+            .collect(),
+    };
     let mut look = |l: &Level, lanes: &[String]| match fetched.as_deref_mut() {
         Some(tables) => cache
             .get(table, l.columns(), lanes)
@@ -343,15 +370,6 @@ fn plan_request(
             .is_some(),
         None => cache.probe(table, l.columns(), lanes),
     };
-    let all = lanes.signature();
-    let sums = &all[..lanes.measures.len()];
-    let wanted = distinct_widest_first(roots, needed);
-    let mut cached: Vec<Level> = Vec::new();
-    for l in &wanted {
-        if look(l, if roots.contains(l) { &all } else { sums }) {
-            cached.push(l.clone());
-        }
-    }
     // Finer cached levels only matter to a wanted level that missed (one
     // that missed as a root stays missed, whatever sums it is cached with).
     if cached.len() < wanted.len() {
@@ -393,22 +411,37 @@ fn reaggregate_level(
     Ok(derived.sorted_by(&(0..to.arity()).collect::<Vec<_>>()))
 }
 
-/// Materialize every level `queries` (one table, the same extras) need —
-/// plus the `also` roots — from the lattice cache (`cache`, with the name
-/// it knows the fact table by), one fused scan of `F`
-/// for whatever nothing cached covers, and re-aggregation for the rest.
-/// Every table computed here is stored (back) in the cache.
+/// Materialize the `roots` and `needed` totals levels of `queries` (one
+/// table, the same extras) from the lattice cache (`cache`, with the name
+/// it knows the fact table by), one fused scan of `F` for whatever nothing
+/// cached covers, and re-aggregation for the rest. Every table computed
+/// here is stored (back) in the cache. `span`, the request's `levels`,
+/// closes with the plan: a request every level of which is cached ends
+/// there, and each scan or re-aggregation after it opens its own.
 fn materialize_levels(
     cache: Option<(&LatticeCache, &str)>,
     fact: &Fact,
     queries: &[VpctQuery],
-    lanes: &Lanes<'_>,
-    also: &[Level],
-    guard: &ResourceGuard,
+    (roots, needed, lanes): (&[Level], &[Level], &Lanes<'_>),
+    (guard, span): (&ResourceGuard, SpanHandle),
     stats: &mut ExecStats,
 ) -> Result<LevelTables> {
+    let mut tables = LevelTables::default();
+    let steps = plan_request(cache, lanes, (roots, needed), Some(&mut tables));
+    stats.lattice_levels += steps.len() as u64;
+    let cached = steps
+        .iter()
+        .filter(|s| s.source == LevelSource::Cached)
+        .count();
+    stats.levels_from_cache += cached as u64;
+    drop(span);
+    if cached == steps.len() {
+        return Ok(tables);
+    }
+
     let f = fact.read();
-    // Resolved up front, so a bad column fails the same way cold or warm.
+    // Resolved before anything is computed, so a bad column fails the same
+    // way whatever is cached (a level is only ever cached for good ones).
     let specs = lanes.specs(f.schema())?;
     let mut fact_col: HashMap<String, usize> = HashMap::new();
     for g in queries.iter().flat_map(|q| &q.group_by) {
@@ -418,17 +451,10 @@ fn materialize_levels(
             .map_err(|_| CoreError::InvalidQuery(format!("unknown GROUP BY column {g}")))?;
         fact_col.insert(g.to_ascii_lowercase(), pos);
     }
-
-    let (mut roots, needed) = request_levels(queries);
-    roots.extend_from_slice(also);
-    let signature = lanes.signature();
-    let mut tables = LevelTables::new();
-    let steps = plan_request(cache, lanes, (&roots, &needed), Some(&mut tables));
-    stats.lattice_levels += steps.len() as u64;
     let keep = |level: &Level, t: Table, tables: &mut LevelTables| {
         let t = Arc::new(t);
         if let Some((cache, key)) = cache {
-            let lanes = &signature[..t.num_columns() - level.arity()];
+            let lanes = &lanes.signature[..t.num_columns() - level.arity()];
             cache.store(key, level.columns(), lanes, Arc::clone(&t));
         }
         tables.insert(level.clone(), t);
@@ -468,11 +494,7 @@ fn materialize_levels(
 
     for step in &steps {
         let from = match &step.source {
-            LevelSource::FactTable => continue,
-            LevelSource::Cached => {
-                stats.levels_from_cache += 1;
-                continue;
-            }
+            LevelSource::FactTable | LevelSource::Cached => continue,
             LevelSource::Planned(i) => &steps[*i].level,
             LevelSource::CachedAncestor(anc) => {
                 stats.levels_from_cache += 1;
@@ -527,70 +549,77 @@ fn totals_rows((fk, of): (&Table, &Level), (totals, by): (&Table, &Level)) -> Ve
         .collect()
 }
 
-/// Assemble the results of `queries` over materialized levels into one
-/// table, shaped `[group_by][one percentage per term][extras]`:
-/// each query's rows in turn, a dimension of `group_by` the query rolled
-/// away padded with NULL (the Data Cube "ALL"). Columns are appended
-/// whole — a key or extra column of the level's table, a run of NULLs, one
-/// [`percentage`] per term through the level's `parent` vector, which
-/// `cache` keeps beside the level; aggregate names come from the first
-/// query, since generated `Vpct` names embed the per-set BY list.
+/// Assemble the results of `queries` — one per grouping set, at the `roots`
+/// and `totals` levels [`request_levels`] gave them — into one table,
+/// shaped `[group_by][one percentage per term][extras]`, each set's rows in
+/// turn. Every column is sized once and written set after set: a level's
+/// key or extra column copied as it is, a dimension the set rolled away a
+/// run of NULLs (the Data Cube "ALL") — the `keys` span — and one
+/// [`percentage`] per term through the `parent` vector `cache` keeps beside
+/// the level, divided into its place (the `divide` span). Aggregate names
+/// come from the first set: generated `Vpct` names embed the BY list.
 fn assemble(
     (tables, lanes): (&LevelTables, &Lanes<'_>),
     cache: Option<(&LatticeCache, &str)>,
     group_by: &[String],
-    queries: &[VpctQuery],
+    (queries, roots, totals): (&[VpctQuery], &[Level], &[Vec<Level>]),
     guard: &ResourceGuard,
     stats: &mut ExecStats,
 ) -> Result<SharedTable> {
-    // Each query's GROUP BY level and that level's table.
-    let roots: Vec<(Level, &Arc<Table>)> = queries
-        .iter()
-        .map(|q| Level::new(&q.group_by))
-        .map(|level| (level.clone(), &tables[&level]))
-        .collect();
-    let first = &queries[0];
+    let mut span = guard.span("keys");
+    let roots = &roots[..queries.len()];
+    let fks: Vec<&Arc<Table>> = roots.iter().map(|level| &tables[level]).collect();
     let mut fields: Vec<Field> = Vec::new();
     for g in group_by {
-        let typed = |(level, fk): &(Level, &Arc<Table>)| {
+        let typed = |(level, fk): (&Level, &&Arc<Table>)| {
             level.position(g).map(|p| fk.schema().field_at(p).dtype)
         };
-        let dtype = roots.iter().find_map(typed).ok_or_else(|| {
+        let dtype = roots.iter().zip(&fks).find_map(typed).ok_or_else(|| {
             let set = "appears in no evaluable grouping set";
             CoreError::InvalidQuery(format!("GROUP BY column {g} {set}"))
         })?;
         fields.push(Field::new(g.clone(), dtype));
     }
-    let (level, fk) = &roots[0];
+    let first = &queries[0];
     let extras_at = |level: &Level| level.arity() + lanes.measures.len();
     let pct = |t: &crate::query::VpctTerm| Field::new(t.name.clone(), DataType::Float);
     fields.extend(first.terms.iter().map(pct));
     for (e, extra) in first.extra.iter().enumerate() {
-        let dtype = fk.schema().field_at(extras_at(level) + e).dtype;
+        let dtype = fks[0].schema().field_at(extras_at(&roots[0]) + e).dtype;
         fields.push(Field::new(extra.name.clone(), dtype));
     }
-    let mut out: Vec<Column> = fields.iter().map(|f| Column::new(f.dtype)).collect();
+    let rows = fks.iter().map(|fk| fk.num_rows()).sum();
+    let mut out: Vec<Column> = (fields.iter())
+        .map(|f| Column::with_capacity(f.dtype, rows))
+        .collect();
+    let (dims, aggs) = out.split_at_mut(group_by.len());
+    let (pcts, extras) = aggs.split_at_mut(first.terms.len());
+    for (g, col) in group_by.iter().zip(dims) {
+        for (level, fk) in roots.iter().zip(&fks) {
+            match level.position(g) {
+                Some(p) => col.extend_from(fk.column(p))?,
+                None => col.push_nulls(fk.num_rows()),
+            }
+        }
+    }
+    for (e, col) in extras.iter_mut().enumerate() {
+        for (level, fk) in roots.iter().zip(&fks) {
+            col.extend_from(fk.column(extras_at(level) + e))?;
+        }
+    }
+    span.add_morsels(queries.len() as u64);
+    drop(span);
 
     let mut span = guard.span("divide");
-    for (q, (level, fk)) in queries.iter().zip(&roots) {
-        let n = fk.num_rows();
-        // The set's rows, once per term, before any of them is appended.
-        let charged = (n * q.terms.len()) as u64;
+    for (((q, level), totals), fk) in queries.iter().zip(roots).zip(totals).zip(&fks) {
+        // The set's rows, once per term, before any of them is divided.
+        let charged = (fk.num_rows() * q.terms.len()) as u64;
         guard.charge(charged)?;
         span.add_rows(charged);
         span.add_morsels(1);
-        let (dims, aggs) = out.split_at_mut(group_by.len());
-        for (g, col) in group_by.iter().zip(dims) {
-            match level.position(g) {
-                Some(p) => col.extend_from(fk.column(p))?,
-                None => col.push_nulls(n),
-            }
-        }
-        let (pcts, extras) = aggs.split_at_mut(q.terms.len());
-        for (term, col) in q.terms.iter().zip(pcts) {
-            let by = Level::new(&q.totals_key(term));
-            let totals = &tables[&by];
-            let build = || totals_rows((fk, level), (totals, &by));
+        for ((term, by), col) in q.terms.iter().zip(totals).zip(pcts.iter_mut()) {
+            let totals = &tables[by];
+            let build = || totals_rows((fk, level), (totals, by));
             let parent = match cache {
                 Some((cache, key)) => cache.parent(key, level.columns(), fk, by.columns(), build),
                 None => build().into(),
@@ -598,10 +627,7 @@ fn assemble(
             let lane = lanes.lane_of(&term.measure);
             let sums = fk.column(level.arity() + lane);
             let total = totals.column(by.arity() + lane);
-            col.extend_from(&percentage(sums, total, &parent, stats))?;
-        }
-        for (e, col) in extras.iter_mut().enumerate() {
-            col.extend_from(fk.column(extras_at(level) + e))?;
+            percentage(sums, total, &parent, col, stats);
         }
     }
     drop(span);
@@ -639,11 +665,7 @@ pub(crate) fn eval_vpct_lattice_on(
     q: &VpctQuery,
     guard: &ResourceGuard,
 ) -> Result<QueryResult> {
-    let queries = std::slice::from_ref(q);
-    let mut result = eval_vpct_sets_on(catalog, fact, &q.group_by, queries, guard)?;
-    let best = crate::strategy::VpctStrategy::best();
-    result.statements = crate::codegen::vpct_statements(q, &best, fact.where_sql());
-    Ok(result)
+    eval_vpct_sets_on(catalog, fact, &q.group_by, std::slice::from_ref(q), guard)
 }
 
 /// Evaluate every grouping set of one statement — `queries`, one per set,
@@ -651,7 +673,6 @@ pub(crate) fn eval_vpct_lattice_on(
 /// plan: each level is fetched or computed once for the whole statement,
 /// and the sets' rows land in a single table (`FGS`), shaped
 /// `[group_by][aggregates]` with NULL in every dimension a set rolled away.
-/// `statements` is left empty for the caller's transcript.
 pub(crate) fn eval_vpct_sets_on(
     catalog: &Catalog,
     fact: &Fact,
@@ -662,6 +683,7 @@ pub(crate) fn eval_vpct_sets_on(
     let first = queries
         .first()
         .ok_or_else(|| CoreError::InvalidQuery("statement has no evaluable grouping set".into()))?;
+    let span = guard.span("levels");
     for q in queries {
         q.validate()?;
         let same = q.table == first.table && q.extra == first.extra;
@@ -674,14 +696,12 @@ pub(crate) fn eval_vpct_sets_on(
     let mut stats = ExecStats::default();
     let lanes = Lanes::of(queries);
     let cache = fact.cache_key().map(|key| (catalog.lattice_cache(), key));
-    let tables = materialize_levels(cache, fact, queries, &lanes, &[], guard, &mut stats)?;
-    let levels = (&tables, &lanes);
-    let table = assemble(levels, cache, group_by, queries, guard, &mut stats)?;
-    Ok(QueryResult {
-        table,
-        stats,
-        statements: Vec::new(),
-    })
+    let (roots, totals) = request_levels(queries);
+    let request = (&roots[..], &totals.concat()[..], &lanes);
+    let tables = materialize_levels(cache, fact, queries, request, (guard, span), &mut stats)?;
+    let sets = (queries, &roots[..], &totals[..]);
+    let table = assemble((&tables, &lanes), cache, group_by, sets, guard, &mut stats)?;
+    Ok(QueryResult { table, stats })
 }
 
 /// Render the lattice plan `queries` — one query, or the grouping sets of
@@ -701,7 +721,8 @@ pub fn lattice_plan_lines(
         return Vec::new();
     }
     let lanes = Lanes::of(queries);
-    let (roots, needed) = request_levels(queries);
+    let (roots, totals) = request_levels(queries);
+    let needed = totals.concat();
     let cache = cache_table.map(|table| (catalog.lattice_cache(), table));
     let steps = plan_request(cache, &lanes, (&roots, &needed), None);
     steps
@@ -767,33 +788,32 @@ pub(crate) fn eval_vpct_batch_on(
             ));
         }
     }
+    let span = guard.span("levels");
     let all: Vec<String> = queries.iter().flat_map(|q| &q.group_by).cloned().collect();
     let union_level = Level::new(&all);
     let lanes = Lanes::of(queries);
-    let mut stats = ExecStats::default();
-    let also = std::slice::from_ref(&union_level);
+    let mut summary = ExecStats::default();
     let cache = fact.cache_key().map(|key| (catalog.lattice_cache(), key));
-    let tables = materialize_levels(cache, fact, queries, &lanes, also, guard, &mut stats)?;
-    count_insert(&tables[&union_level], &mut stats);
+    let (mut roots, totals) = request_levels(queries);
+    roots.push(union_level.clone());
+    let request = (&roots[..], &totals.concat()[..], &lanes);
+    let tables = materialize_levels(cache, fact, queries, request, (guard, span), &mut summary)?;
+    count_insert(&tables[&union_level], &mut summary);
 
     let mut out = Vec::with_capacity(queries.len());
-    for q in queries {
-        let mut rq = q.clone();
-        rq.table = "summary".to_string();
-        for term in &mut rq.terms {
-            term.measure = Measure::Column(format!("__m{}", lanes.lane_of(&term.measure)));
-        }
-        let statements =
-            crate::codegen::vpct_statements(&rq, &crate::strategy::VpctStrategy::best(), None);
+    for (i, q) in queries.iter().enumerate() {
         // The shared-summary cost is folded into the first result.
-        let mut qstats = std::mem::take(&mut stats);
-        let (levels, set) = ((&tables, &lanes), std::slice::from_ref(q));
-        let table = assemble(levels, cache, &q.group_by, set, guard, &mut qstats)?;
-        out.push(QueryResult {
-            table,
-            stats: qstats,
-            statements,
-        });
+        let mut stats = std::mem::take(&mut summary);
+        let set = (&queries[i..=i], &roots[i..=i], &totals[i..=i]);
+        let table = assemble(
+            (&tables, &lanes),
+            cache,
+            &q.group_by,
+            set,
+            guard,
+            &mut stats,
+        )?;
+        out.push(QueryResult { table, stats });
     }
     Ok(out)
 }

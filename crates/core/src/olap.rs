@@ -77,7 +77,6 @@ pub(crate) fn eval_vpct_olap_on(fact: &Fact, q: &VpctQuery) -> Result<QueryResul
     // One window per aggregation level, appended column by column, exactly
     // like the optimizer's chained window spools. Each window re-sorts its
     // whole n-row input.
-    let mut statements = Vec::new();
     let mut cur: Table = f.clone(); // the first spool: F itself materialized
     stats.rows_scanned += cur.num_rows() as u64;
     drop(rows);
@@ -98,12 +97,6 @@ pub(crate) fn eval_vpct_olap_on(fact: &Fact, q: &VpctQuery) -> Result<QueryResul
         let name = format!("__sumj{t}");
         cur = window_aggregate(&cur, &totals, func, mcol, &name, &mut stats, &config)?;
         den_pos.push(pos);
-        statements.push(format!(
-            "-- window pair {t}: sum({m}) OVER (PARTITION BY {k}) and OVER (PARTITION BY {j})",
-            m = term.measure.sql(),
-            k = q.group_by.join(", "),
-            j = q.totals_key(term).join(", "),
-        ));
     }
 
     // Row-level division over all n rows.
@@ -129,29 +122,10 @@ pub(crate) fn eval_vpct_olap_on(fact: &Fact, q: &VpctQuery) -> Result<QueryResul
     let all: Vec<usize> = (0..divided.num_columns()).collect();
     let unguarded = ResourceGuard::unlimited();
     let fv = distinct((&divided).into(), &all, &unguarded, &mut stats, &config)?;
-    statements.push(format!(
-        "SELECT DISTINCT {k}, {terms} FROM {f};",
-        k = q.group_by.join(", "),
-        terms = q
-            .terms
-            .iter()
-            .map(|t| format!(
-                "sum({m}) OVER (PARTITION BY {k}) / sum({m}) OVER (PARTITION BY {j}) AS {n}",
-                m = t.measure.sql(),
-                k = q.group_by.join(", "),
-                j = q.totals_key(t).join(", "),
-                n = t.name
-            ))
-            .collect::<Vec<_>>()
-            .join(", "),
-        f = q.table
-    ));
-
     count_insert(&fv, &mut stats);
     Ok(QueryResult {
         table: into_shared(fv),
         stats,
-        statements,
     })
 }
 

@@ -21,18 +21,11 @@ pub(crate) struct Fact {
     /// The catalog name the combination and lattice caches know the table
     /// by.
     name: Option<String>,
-    filter: Option<Filter>,
+    /// A statement's `WHERE`: the rows it selects.
+    selection: Option<Selection>,
     /// What the statement was handed, or what [`Fact::config`] read once
     /// it has.
     config: OnceLock<ParallelConfig>,
-}
-
-/// A statement's `WHERE`: the rows it selects, and its text for the
-/// generated statements that read `F`.
-#[derive(Debug)]
-struct Filter {
-    selection: Selection,
-    sql: String,
 }
 
 /// A [`Fact`] held for reading.
@@ -52,7 +45,7 @@ impl Fact {
         Fact {
             table,
             name: Some(name.to_string()),
-            filter: None,
+            selection: None,
             config: OnceLock::new(),
         }
     }
@@ -92,10 +85,7 @@ impl Fact {
         Ok(Fact {
             table: Arc::clone(&self.table),
             name: self.name.clone(),
-            filter: Some(Filter {
-                selection,
-                sql: pred.to_string(),
-            }),
+            selection: Some(selection),
             config: self.config.clone(),
         })
     }
@@ -103,7 +93,7 @@ impl Fact {
     pub(crate) fn read(&self) -> FactRows<'_> {
         FactRows {
             table: self.table.read(),
-            selection: self.filter.as_ref().map(|f| &f.selection),
+            selection: self.selection.as_ref(),
         }
     }
 
@@ -111,15 +101,10 @@ impl Fact {
     /// selected fact has none, so it is never cached: the combinations and
     /// levels of a subset are not the table's.
     pub(crate) fn cache_key(&self) -> Option<&str> {
-        match self.filter {
+        match self.selection {
             None => self.name.as_deref(),
             Some(_) => None,
         }
-    }
-
-    /// The `WHERE` text every generated statement that reads `F` carries.
-    pub(crate) fn where_sql(&self) -> Option<&str> {
-        self.filter.as_ref().map(|f| f.sql.as_str())
     }
 }
 

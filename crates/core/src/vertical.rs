@@ -21,8 +21,8 @@
 //! looked up through `parent`"). Without the index the same plan builds a
 //! transient hash table and joins; the UPDATE plan probes a prebuilt one.
 //!
-//! Work is accounted per operator, and the generated-SQL transcript is
-//! attached to the result for inspection.
+//! Work is accounted per operator. The generated SQL of a plan is
+//! `EXPLAIN`'s to render ([`crate::codegen`]); executing one renders none.
 
 use crate::error::{CoreError, Result};
 use crate::query::{ExtraAgg, Fact, VpctQuery};
@@ -44,8 +44,6 @@ pub struct QueryResult {
     pub table: SharedTable,
     /// Work counters accumulated across all statements of the plan.
     pub stats: ExecStats,
-    /// The SQL statements the code generator would emit for this plan.
-    pub statements: Vec<String>,
 }
 
 impl QueryResult {
@@ -113,7 +111,6 @@ pub(crate) fn eval_vpct_on(
 ) -> Result<QueryResult> {
     q.validate()?;
     let mut stats = ExecStats::default();
-    let statements = crate::codegen::vpct_statements(q, strat, fact.where_sql());
 
     let f = fact.read();
     let f_schema = f.schema().clone();
@@ -209,13 +206,13 @@ pub(crate) fn eval_vpct_on(
             let fv = if direct {
                 // FV is Fk with each term's sum looked up through `parent`.
                 let mut span = guard.span("divide");
-                let mut columns = fk_table.columns().to_vec();
+                let mut columns = fk_table.into_columns();
                 for (t, parent) in parents.iter().enumerate() {
                     let folded;
+                    let sums = &columns[k_len + t];
                     let totals = match fj_tables.get(t) {
                         Some(fj) => fj.columns().last().expect("Fj ends in its total"),
                         None => {
-                            let sums = &columns[k_len + t];
                             folded = totals_through(sums, parent, guard, &mut span, &mut stats)?;
                             &folded
                         }
@@ -223,8 +220,9 @@ pub(crate) fn eval_vpct_on(
                     guard.charge(n as u64)?;
                     span.add_rows(n as u64);
                     span.add_morsels(1);
-                    columns[k_len + t] =
-                        percentage(&columns[k_len + t], totals, &parent.rows, &mut stats);
+                    let mut pct = Column::with_capacity(DataType::Float, n);
+                    percentage(sums, totals, &parent.rows, &mut pct, &mut stats);
+                    columns[k_len + t] = pct;
                 }
                 Table::from_columns(Schema::new(fields)?.into_shared(), columns)?
             } else {
@@ -262,7 +260,6 @@ pub(crate) fn eval_vpct_on(
             Ok(QueryResult {
                 table: into_shared(fv),
                 stats,
-                statements,
             })
         }
         Materialization::Update => {
@@ -303,7 +300,6 @@ pub(crate) fn eval_vpct_on(
             Ok(QueryResult {
                 table: Arc::clone(&fk.table),
                 stats,
-                statements,
             })
         }
     }
@@ -311,19 +307,20 @@ pub(crate) fn eval_vpct_on(
 
 /// One percentage column — a measure looked up through `parent`: each
 /// group's sum over the total of the coarser group it projects onto
-/// ([`divide`]). Counted as the statement it replaces, `INSERT .. SELECT
-/// CASE WHEN total <> 0 THEN sum / total END`: both levels read, one
-/// condition per group.
+/// ([`divide`]), appended to `out`. Counted as the statement it replaces,
+/// `INSERT .. SELECT CASE WHEN total <> 0 THEN sum / total END`: both
+/// levels read, one condition per group.
 pub(crate) fn percentage(
     sums: &Column,
     totals: &Column,
     parent: &[u32],
+    out: &mut Column,
     stats: &mut ExecStats,
-) -> Column {
+) {
     stats.statements += 1;
     stats.rows_scanned += (sums.len() + totals.len()) as u64;
     stats.case_condition_evals += sums.len() as u64;
-    divide(sums, totals, Some(parent))
+    divide(sums, totals, Some(parent), out);
 }
 
 /// `Fj` from `Fk` with no scan: every coarser group's total is its groups'
@@ -516,7 +513,9 @@ pub(crate) mod tests {
         let catalog = sales_catalog();
         let result = eval_vpct(&catalog, &paper_query(), &VpctStrategy::best(), "t_").unwrap();
         check_result(&result);
-        assert!(!result.statements.is_empty());
+        // EXPLAIN renders the plan's script; running it renders none.
+        let script = crate::codegen::vpct_statements(&paper_query(), &VpctStrategy::best(), None);
+        assert!(!script.is_empty());
         // Fk, Fj and FV are held as values: nothing is registered or logged.
         assert_eq!(catalog.table_names(), ["sales"]);
         assert_eq!(result.stats.wal_records, 0);

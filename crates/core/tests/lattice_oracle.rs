@@ -429,6 +429,112 @@ fn statements_are_byte_identical_across_cache_states_and_to_the_per_set_plan() {
     }
 }
 
+/// A fact table for the assembly's seams: `a` takes 67 values (so no set
+/// is a whole number of 64-row validity words), `s` is a string dimension
+/// with NULLs whose values first appear, in the `(m, s)` level, out of
+/// string order (`m = 0` holds only `"y"`), so that level's dictionary and
+/// the `(s)` level's differ, `n` is a string dimension holding only NULLs.
+fn seam_catalog() -> Catalog {
+    let schema = Schema::from_pairs(&[
+        ("a", DataType::Int),
+        ("s", DataType::Str),
+        ("n", DataType::Str),
+        ("m", DataType::Int),
+        ("amt", DataType::Float),
+    ])
+    .unwrap()
+    .into_shared();
+    let mut t = Table::empty(schema);
+    for i in 0..2_011i64 {
+        let m = i % 5;
+        let s = match (m, i % 7) {
+            (0, _) => Value::str("y"),
+            (_, 0) => Value::Null,
+            (_, k) => Value::str(["w", "x", "y", "z"][k as usize % 4]),
+        };
+        let amt = match i % 13 {
+            0 => Value::Null,
+            k => Value::Float((k * 37 % 101) as f64 - 20.0),
+        };
+        t.push_row(&[Value::Int(i * 31 % 67), s, Value::Null, Value::Int(m), amt])
+            .unwrap();
+    }
+    let catalog = Catalog::new();
+    catalog.create_table("f", t).unwrap();
+    catalog
+}
+
+/// Statements whose sets meet the assembly's seams: a string dimension the
+/// first set rolls away and later sets hold, beside `sum` / `count(*)`
+/// extras and the skipped empty set; an all-NULL string key; two levels of
+/// one string column with different dictionaries; and a `WHERE` no row
+/// passes, whose every set is empty.
+const SEAM_SQL: [&str; 4] = [
+    "SELECT s, a, Vpct(amt BY a) AS p, sum(amt) AS t, count(*) AS k FROM f \
+     GROUP BY GROUPING SETS ((a), (s, a), (s), ());",
+    "SELECT n, s, a, Vpct(amt BY s) AS p FROM f GROUP BY ROLLUP (n, s, a);",
+    "SELECT m, s, Vpct(amt BY s) AS p, Vpct(amt) AS q FROM f \
+     GROUP BY GROUPING SETS ((m, s), (s));",
+    "SELECT s, a, Vpct(amt BY a) AS p FROM f WHERE amt > 1000 GROUP BY ROLLUP (s, a);",
+];
+
+/// Every cell of `t`, floats by their bits: `-0.0` is not `0.0` here, and
+/// a NULL is not a NaN.
+fn cell_bits(rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
+    let bits = |v: Value| match v {
+        Value::Float(x) => Value::Int(x.to_bits() as i64),
+        other => other,
+    };
+    (rows.into_iter())
+        .map(|r| r.into_iter().map(bits).collect())
+        .collect()
+}
+
+/// The lattice assembler writes every result column sized once, a key
+/// column as a copy of the level's, a rolled-away dimension as one NULL run
+/// and each percentage straight into its place. Cold and warm, at threads 1
+/// and 4, each statement's result is structurally sound and equals the
+/// per-set plan's bit for bit; a warm result equals the cold one row for
+/// row.
+#[test]
+fn the_assembled_result_matches_the_per_set_plan_at_every_seam() {
+    for threads in [1usize, 4] {
+        let catalog = seam_catalog();
+        let engine = PercentageEngine::new(&catalog).with_config(workers(threads, 64));
+        let mut seams = 0;
+        for sql in SEAM_SQL {
+            let ctx = format!("threads={threads} {sql}");
+            let per_set = engine
+                .execute_sql_with(sql, &VpctStrategy::best(), &HorizontalOptions::default())
+                .unwrap();
+            assert_eq!(per_set.stats().lattice_levels, 0, "{ctx}");
+            let reference = cell_bits(canonical(&per_set.table().read()));
+
+            drop_lattice_cache(&catalog);
+            let cold = engine.execute_sql(sql).unwrap();
+            let warm = engine.execute_sql(sql).unwrap();
+            let selected = sql.contains("WHERE");
+            assert_eq!(warm.stats().levels_from_scan == 0, !selected, "{ctx}");
+            let (cold, warm) = (cold.table().read().clone(), warm.table().read().clone());
+            for (run, t) in [("cold", &cold), ("warm", &warm)] {
+                t.check_integrity().unwrap();
+                assert_eq!(cell_bits(canonical(t)), reference, "{run}: {ctx}");
+            }
+            assert_eq!(
+                cell_bits(warm.rows().collect()),
+                cell_bits(cold.rows().collect())
+            );
+            // Sets end inside validity words, the first one past a word.
+            match selected {
+                true => assert_eq!(cold.num_rows(), 0, "{ctx}"),
+                false => assert_ne!(cold.num_rows() % 64, 0, "{ctx}"),
+            }
+            seams += cold.num_rows();
+        }
+        assert!(seams > 4 * 64, "threads={threads}: {seams} rows");
+    }
+}
+
 /// ROLLUP, CUBE and explicit sets carrying holistic extras: exact and
 /// approximate percentiles, approximate count-distinct, and — the one lane
 /// here the block loop does not read — an exact count-distinct.

@@ -30,10 +30,11 @@ fn numeric(col: &Column) -> (Cow<'_, [f64]>, Cow<'_, Bitmap>) {
     }
 }
 
-/// `sums[r] / totals[parent[r]]` for every row `r` of the finer level, as a
-/// `Float` column: NULL when the total is NULL or zero (of either sign), or
-/// the group's own sum is NULL. A NULL result keeps the `NaN` placeholder
-/// [`Column::push`] writes for one.
+/// `sums[r] / totals[parent[r]]` for every row `r` of the finer level,
+/// appended to the `Float` column `out` — a result column sized for it,
+/// which the percentages land in with no copy: NULL when the total is NULL
+/// or zero (of either sign), or the group's own sum is NULL. A NULL result
+/// keeps the `NaN` placeholder [`Column::push`] writes for one.
 ///
 /// Without a `parent` the totals sit on the sums' own rows — the horizontal
 /// form, where `sums` is one cell column of an `Hpct` table — and a NULL sum
@@ -42,15 +43,18 @@ fn numeric(col: &Column) -> (Cow<'_, [f64]>, Cow<'_, Bitmap>) {
 ///
 /// # Panics
 ///
-/// Panics when `parent` does not have one entry per row of `sums`, or names
-/// a row `totals` does not have.
-pub fn divide(sums: &Column, totals: &Column, parent: Option<&[u32]>) -> Column {
+/// Panics when `out` is not a `Float` column, when `parent` does not have
+/// one entry per row of `sums`, or names a row `totals` does not have.
+pub fn divide(sums: &Column, totals: &Column, parent: Option<&[u32]>, out: &mut Column) {
     let n = sums.len();
     assert_eq!(
         parent.map_or(totals.len(), <[u32]>::len),
         n,
         "one total per group"
     );
+    let Column::Float { data, validity } = out else {
+        panic!("a percentage is a Float column");
+    };
     let (num, present) = numeric(sums);
     let (den, den_valid) = numeric(totals);
     // A total nothing may be divided by reads as zero, the one test the
@@ -62,40 +66,48 @@ pub fn divide(sums: &Column, totals: &Column, parent: Option<&[u32]>) -> Column 
             .collect(),
     };
     let den: &[f64] = &den;
-    match parent {
-        Some(parent) => ratios::<_, false>(&num, &present, parent, |&p| den[p as usize]),
-        None => ratios::<_, true>(&num, &present, den, |&d| d),
-    }
+    data.reserve(n);
+    let words = match parent {
+        Some(parent) => ratios::<_, false>(&num, &present, parent, |&p| den[p as usize], data),
+        None => ratios::<_, true>(&num, &present, den, |&d| d, data),
+    };
+    validity.extend_from(&Bitmap::from_words(words, n).expect("one word per 64 rows"));
 }
 
-/// `num[r] / total(&keys[r])` per row: NULL where the total is zero, and
-/// where `present` does not list the row — unless such a row `COUNTS_ZERO`,
-/// and is `0 / total`. Which rule holds is a compile-time parameter, and the
-/// keys are walked in step with the rows, so that the vertical form keeps
-/// the loop it had (a warm `ROLLUP` is little else: 12% on `cube` when the
-/// two forms shared a loop that tested for both).
+/// `num[r] / total(&keys[r])` per row, pushed onto `data`, and the rows'
+/// validity words: NULL where the total is zero, and where `present` does
+/// not list the row — unless such a row `COUNTS_ZERO`, and is `0 / total`.
+/// Which rule holds is a compile-time parameter, and the keys are walked in
+/// step with the rows, so that the vertical form keeps the loop it had (a
+/// warm `ROLLUP` is little else: 12% on `cube` when the two forms shared a
+/// loop that tested for both).
 fn ratios<K, const COUNTS_ZERO: bool>(
     num: &[f64],
     present: &Bitmap,
     keys: &[K],
     total: impl Fn(&K) -> f64,
-) -> Column {
-    let mut data = Vec::with_capacity(num.len());
+    data: &mut Vec<f64>,
+) -> Vec<u64> {
     let mut words = Vec::with_capacity(num.len().div_ceil(64));
     for ((keys, num), &present) in (keys.chunks(64).zip(num.chunks(64))).zip(present.words()) {
         let mut word = 0u64;
-        for (bit, (key, &x)) in keys.iter().zip(num).enumerate() {
+        // One `extend` per word: the column's length is kept in a register
+        // across the 64 rows, not reloaded past every store.
+        data.extend(keys.iter().zip(num).enumerate().map(|(bit, (key, &x))| {
             let d = total(key);
             let fed = (present >> bit) & 1 == 1;
             let valid = d != 0.0 && (fed || COUNTS_ZERO);
             let x = if COUNTS_ZERO && !fed { 0.0 } else { x };
-            data.push(if valid { x / d } else { f64::NAN });
             word |= u64::from(valid) << bit;
-        }
+            if valid {
+                x / d
+            } else {
+                f64::NAN
+            }
+        }));
         words.push(word);
     }
-    let validity = Bitmap::from_words(words, num.len()).expect("one word per 64 rows");
-    Column::Float { data, validity }
+    words
 }
 
 #[cfg(test)]
@@ -114,6 +126,13 @@ mod tests {
     fn floats(values: &[Option<f64>]) -> Column {
         let values: Vec<Value> = values.iter().map(|&v| Value::from(v)).collect();
         column(DataType::Float, &values)
+    }
+
+    /// The percentages `divide` appends to an empty column.
+    fn divided(sums: &Column, totals: &Column, parent: Option<&[u32]>) -> Column {
+        let mut out = Column::new(DataType::Float);
+        divide(sums, totals, parent, &mut out);
+        out
     }
 
     fn cells(col: &Column) -> Vec<Value> {
@@ -197,7 +216,7 @@ mod tests {
             ),
         ];
         for (name, sums, totals, parent, expected) in cases {
-            let out = divide(&sums, &totals, Some(&parent));
+            let out = divided(&sums, &totals, Some(&parent));
             assert_eq!(out.data_type(), DataType::Float, "{name}");
             assert_eq!(cells(&out), expected, "{name}");
             // A NULL cell holds what `Column::push(Value::Null)` writes.
@@ -216,7 +235,7 @@ mod tests {
         // row fed (SIGMOD's `ELSE 0`), and both over a zero and a NULL total.
         let cells = floats(&[Some(5.0), None, Some(5.0), None, Some(2.0), None]);
         let totals = floats(&[Some(20.0), Some(20.0), Some(0.0), Some(-0.0), None, None]);
-        let out = divide(&cells, &totals, None);
+        let out = divided(&cells, &totals, None);
         assert_eq!(
             super::tests::cells(&out),
             [Float(0.25), Float(0.0), Null, Null, Null, Null]
@@ -235,7 +254,7 @@ mod tests {
         let totals: Vec<Option<f64>> = (0..n)
             .map(|r| (r % 7 != 0).then_some((r % 5) as f64))
             .collect();
-        let out = divide(&floats(&cells), &floats(&totals), None);
+        let out = divided(&floats(&cells), &floats(&totals), None);
         for r in 0..n {
             let want = match totals[r] {
                 Some(t) if t != 0.0 => Float(cells[r].unwrap_or(0.0) / t),
@@ -259,7 +278,7 @@ mod tests {
             })
             .collect();
         let parent: Vec<u32> = (0..n).map(|r| (r * 5 % 7) as u32).collect();
-        let out = divide(&floats(&sums), &floats(&totals), Some(&parent));
+        let out = divided(&floats(&sums), &floats(&totals), Some(&parent));
         for r in 0..n {
             let want = match (sums[r], totals[parent[r] as usize]) {
                 (Some(s), Some(t)) if t != 0.0 => Value::Float(s / t),
@@ -274,15 +293,48 @@ mod tests {
     }
 
     #[test]
+    fn percentages_append_at_any_offset() {
+        // Two levels' percentages into one column, the first of a length
+        // that leaves the second's validity words on a seam.
+        let rows = |n: usize, k: usize| -> Vec<Option<f64>> {
+            (0..n)
+                .map(|r| (!(r + k).is_multiple_of(5)).then_some(r as f64))
+                .collect()
+        };
+        let totals = floats(&[Some(3.0), Some(0.0), None, Some(-2.0)]);
+        for (a, b) in [(0, 70), (1, 1), (63, 64), (64, 65), (100, 0), (130, 200)] {
+            let parents = |n: usize| (0..n).map(|r| (r % 4) as u32).collect::<Vec<u32>>();
+            let (pa, pb) = (parents(a), parents(b));
+            let mut out = Column::with_capacity(DataType::Float, a + b);
+            divide(&floats(&rows(a, 1)), &totals, Some(&pa), &mut out);
+            divide(&floats(&rows(b, 2)), &totals, Some(&pb), &mut out);
+            out.check_integrity(a + b).unwrap();
+            let mut want = divided(&floats(&rows(a, 1)), &totals, Some(&pa));
+            want.extend_from(&divided(&floats(&rows(b, 2)), &totals, Some(&pb)))
+                .unwrap();
+            assert_eq!(out.validity(), want.validity(), "a={a} b={b}");
+            let bits = |c: &Column| {
+                c.float_data()
+                    .unwrap()
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect()
+            };
+            let (got, expected): (Vec<u64>, Vec<u64>) = (bits(&out), bits(&want));
+            assert_eq!(got, expected, "a={a} b={b}");
+        }
+    }
+
+    #[test]
     fn a_string_column_has_no_numeric_row() {
         let strs = column(DataType::Str, &[Value::str("x"), Value::Null]);
         let ones = floats(&[Some(1.0), Some(1.0)]);
         assert_eq!(
-            cells(&divide(&strs, &ones, Some(&[0, 1]))),
+            cells(&divided(&strs, &ones, Some(&[0, 1]))),
             [Value::Null, Value::Null]
         );
         assert_eq!(
-            cells(&divide(&ones, &strs, Some(&[0, 1]))),
+            cells(&divided(&ones, &strs, Some(&[0, 1]))),
             [Value::Null, Value::Null]
         );
     }

@@ -9,7 +9,6 @@
 use crate::error::{EngineError, Result};
 use crate::stats::ExecStats;
 use pa_storage::Table;
-use std::cmp::Ordering;
 
 /// Row order of `input` sorted ascending by `cols` (NULLs first). Returns
 /// the permutation; use [`sort`] for a materialized table.
@@ -30,20 +29,7 @@ pub fn sort_permutation(
             )));
         }
     }
-    let mut order: Vec<usize> = (0..input.num_rows()).collect();
-    let mut comparisons: u64 = 0;
-    order.sort_by(|&a, &b| {
-        for &c in cols {
-            comparisons += 1;
-            let cmp = input.column(c).get(a).total_cmp(&input.column(c).get(b));
-            if cmp != Ordering::Equal {
-                return cmp;
-            }
-        }
-        Ordering::Equal
-    });
-    stats.sort_comparisons += comparisons;
-    Ok(order)
+    Ok(input.sort_order(cols, &mut stats.sort_comparisons))
 }
 
 /// Materialize `input` sorted by `cols`.

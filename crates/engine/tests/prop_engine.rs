@@ -7,7 +7,7 @@ use pa_engine::{
     JoinType, ParallelConfig, PivotTask, ProjSpec, ResourceGuard, Selected, Selection, SystemClock,
     Tracer, DEFAULT_DENSE_BUDGET,
 };
-use pa_storage::{DataType, Schema, Table, Value};
+use pa_storage::{Column, DataType, Schema, Table, Value};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 
@@ -561,7 +561,8 @@ proptest! {
         prop_assert_eq!(joined.num_rows(), fine.num_rows());
         let pct = ProjSpec::typed(Expr::Col(1).safe_div(Expr::Col(3)), "pct", DataType::Float);
         let reference = project(&joined, &[pct], &mut stats).unwrap();
-        let got = divide(fine.column(1), coarse.column(1), Some(&parent));
+        let mut got = Column::new(DataType::Float);
+        divide(fine.column(1), coarse.column(1), Some(&parent), &mut got);
         prop_assert_eq!(got.len(), fine.num_rows());
         for row in 0..fine.num_rows() {
             let (want, got) = (reference.get(row, 0), got.get(row));

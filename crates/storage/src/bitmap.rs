@@ -84,6 +84,13 @@ impl Bitmap {
         self.len += 1;
     }
 
+    /// Append `n` unset bits: whole zero words, as the bits past `len` in
+    /// the last word already are.
+    pub(crate) fn push_unset(&mut self, n: usize) {
+        self.len += n;
+        self.words.resize(self.len.div_ceil(64), 0);
+    }
+
     /// Get bit `i`. Panics when out of bounds (mirrors slice indexing).
     #[inline]
     pub fn get(&self, i: usize) -> bool {

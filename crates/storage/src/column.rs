@@ -5,6 +5,7 @@ use crate::dictionary::Dictionary;
 use crate::error::{Result, StorageError};
 use crate::packed::{PackedCell, PackedCodes};
 use crate::value::{DataType, Value};
+use std::sync::Arc;
 
 /// A column of values, stored as a typed vector plus a validity bitmap.
 ///
@@ -135,7 +136,7 @@ impl Column {
                 ..
             } => {
                 if validity.get(i) {
-                    Value::Str(std::sync::Arc::clone(dict.resolve(codes[i])))
+                    Value::Str(Arc::clone(dict.resolve(codes[i])))
                 } else {
                     Value::Null
                 }
@@ -283,15 +284,14 @@ impl Column {
     /// Append `n` NULL rows at once (the placeholders [`Column::push`] of a
     /// NULL writes), e.g. a dimension a grouping set rolled away.
     pub fn push_nulls(&mut self, n: usize) {
-        let nulls = Bitmap::filled(n, false);
         match self {
             Column::Int { data, validity } => {
                 data.resize(data.len() + n, 0);
-                validity.extend_from(&nulls);
+                validity.push_unset(n);
             }
             Column::Float { data, validity } => {
                 data.resize(data.len() + n, f64::NAN);
-                validity.extend_from(&nulls);
+                validity.push_unset(n);
             }
             Column::Str {
                 dict,
@@ -301,7 +301,7 @@ impl Column {
             } => {
                 let from = codes.len();
                 codes.resize(from + n, 0);
-                validity.extend_from(&nulls);
+                validity.push_unset(n);
                 packed.extend(codes, validity, from, dict.len());
             }
         }
@@ -410,16 +410,31 @@ impl Column {
                     ..
                 },
             ) => {
-                // Remap the other column's codes into this dictionary. NULL
-                // rows hold a 0 placeholder that an all-NULL column's empty
-                // dictionary has no entry for.
-                let remap: Vec<u32> = odict.values().iter().map(|s| dict.intern_arc(s)).collect();
                 let from = codes.len();
-                codes.extend(
-                    ocodes
-                        .iter()
-                        .map(|&c| remap.get(c as usize).copied().unwrap_or(0)),
-                );
+                // Two dictionaries one of which starts with the other (one
+                // level's and another's of the same source, or none yet
+                // here) give a string one code in both: the codes copy as
+                // they are, and this dictionary takes what it lacks.
+                let (ours, theirs) = (dict.values(), odict.values());
+                let shared = ours.len().min(theirs.len());
+                let same = |(a, b): (&Arc<str>, &Arc<str>)| Arc::ptr_eq(a, b) || a == b;
+                if ours[..shared].iter().zip(&theirs[..shared]).all(same) {
+                    if dict.is_empty() {
+                        *dict = odict.clone();
+                    } else {
+                        for s in &theirs[shared..] {
+                            dict.intern_arc(s);
+                        }
+                    }
+                    codes.extend_from_slice(ocodes);
+                } else {
+                    // Remap the other column's codes into this dictionary.
+                    // NULL rows hold a 0 placeholder that an all-NULL
+                    // column's empty dictionary has no entry for.
+                    let remap: Vec<u32> = theirs.iter().map(|s| dict.intern_arc(s)).collect();
+                    let remapped = (ocodes.iter()).map(|&c| remap.get(c as usize).copied());
+                    codes.extend(remapped.map(|c| c.unwrap_or(0)));
+                }
                 validity.extend_from(ov);
                 packed.extend(codes, validity, from, dict.len());
             }
@@ -683,6 +698,36 @@ mod tests {
         nulls.push(Value::Null).unwrap();
         a.extend_from(&nulls).unwrap();
         assert_eq!(a.get(3), Value::Null);
+    }
+
+    #[test]
+    fn extend_from_copies_codes_when_one_dictionary_starts_the_other() {
+        let strs = |col: &Column| (0..col.len()).map(|r| col.get(r)).collect::<Vec<_>>();
+        let mut short = Column::new(DataType::Str);
+        for s in ["x", "y", "x"] {
+            short.push(Value::str(s)).unwrap();
+        }
+        short.push(Value::Null).unwrap();
+        // A later version of the same column: its dictionary extends this one.
+        let mut long = short.clone();
+        long.push(Value::str("z")).unwrap();
+        long.push(Value::str("y")).unwrap();
+        let mut out = Column::new(DataType::Str);
+        for part in [&short, &long, &short] {
+            out.extend_from(part).unwrap();
+        }
+        out.check_integrity(short.len() * 2 + long.len()).unwrap();
+        let want: Vec<Value> = [strs(&short), strs(&long), strs(&short)].concat();
+        assert_eq!(strs(&out), want);
+        let Column::Str { dict, codes, .. } = &out else {
+            unreachable!()
+        };
+        assert_eq!(dict.len(), 3, "z appended once");
+        assert_eq!(
+            &codes[..short.len()],
+            short.str_codes().unwrap(),
+            "codes copied"
+        );
     }
 
     #[test]

@@ -20,13 +20,6 @@ impl Dictionary {
         Dictionary::default()
     }
 
-    /// Bits needed to bit-pack this dictionary's NULL-folded slot domain
-    /// (`0` for NULL, `code + 1` otherwise) — the pack width of a
-    /// [`crate::PackedCodes`] built over a column using this dictionary.
-    pub fn code_bits(&self) -> u32 {
-        crate::packed::width_for(self.len() as u64)
-    }
-
     /// Number of distinct strings interned.
     pub fn len(&self) -> usize {
         self.values.len()

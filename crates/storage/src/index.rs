@@ -94,11 +94,6 @@ impl HashIndex {
                 .all(|(&c, v)| table.column(c).get(r).key_eq(v))
         })
     }
-
-    /// Number of distinct hash buckets (diagnostics).
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
 }
 
 #[cfg(test)]

@@ -50,9 +50,6 @@ use std::sync::Arc;
 /// Heap bytes of level tables the cache retains before it evicts.
 pub const LATTICE_CACHE_BYTES: usize = 64 << 20;
 
-/// Key: (table name, level's dimension column names in key order).
-type LatticeKey = (String, Vec<String>);
-
 /// One cached level.
 #[derive(Debug)]
 struct LatticeEntry {
@@ -128,27 +125,32 @@ pub struct LatticeCacheStats {
     pub parent_builds: u64,
 }
 
+/// The entries, by table name and then by level columns, so a lookup
+/// borrows its key: `&str` and `&[String]` find an entry with nothing built.
 #[derive(Debug, Default)]
 struct Entries {
-    map: BTreeMap<LatticeKey, LatticeEntry>,
+    map: BTreeMap<String, BTreeMap<Vec<String>, LatticeEntry>>,
     /// Sum of the entries' `bytes`.
     bytes: usize,
 }
 
 impl Entries {
+    fn entry(&self, table: &str, level_cols: &[String]) -> Option<&LatticeEntry> {
+        self.map.get(table)?.get(level_cols)
+    }
+
     /// Drop least-recently-used entries until the total fits `budget`;
     /// returns how many went.
     fn evict_to(&mut self, budget: usize) -> u64 {
         let mut evicted = 0;
         while self.bytes > budget {
-            let oldest = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.used.load(Ordering::Relaxed))
-                .map(|(k, _)| k.clone())
+            let (table, cols) = (self.map.iter())
+                .flat_map(|(t, levels)| levels.iter().map(move |(c, e)| (t, c, e)))
+                .min_by_key(|(_, _, e)| e.used.load(Ordering::Relaxed))
+                .map(|(t, c, _)| (t.clone(), c.clone()))
                 .expect("a non-zero byte total has an entry");
-            let gone = self.map.remove(&oldest).expect("key just listed");
-            self.bytes -= gone.bytes;
+            let levels = self.map.get_mut(&table).expect("table just listed");
+            self.bytes -= levels.remove(&cols).expect("level just listed").bytes;
             evicted += 1;
         }
         evicted
@@ -214,22 +216,33 @@ impl LatticeCache {
     /// `lanes`, counting the lookup as a hit or miss. A present entry with
     /// other lanes counts as a miss (the caller will overwrite it).
     pub fn get(&self, table: &str, level_cols: &[String], lanes: &[String]) -> Option<Arc<Table>> {
-        let key = (table.to_string(), level_cols.to_vec());
-        let found = self
-            .entries
-            .read()
-            .map
-            .get(&key)
-            .filter(|e| e.serves(lanes))
-            .map(|e| {
-                e.used.store(self.tick(), Ordering::Relaxed);
-                Arc::clone(&e.table)
-            });
-        match found {
-            Some(_) => self.count(&self.hits, |m| &m.hits, 1),
-            None => self.count(&self.misses, |m| &m.misses, 1),
+        let mut found = [None];
+        self.get_levels(table, &[(level_cols, lanes)], &mut found);
+        found[0].take()
+    }
+
+    /// [`LatticeCache::get`] of a request's `levels` of `table`, `(level
+    /// columns, lanes)` each, into the `None` slots of `found`: one read
+    /// lock, one clock advance and one counter update for the lot. Hits and
+    /// misses count, and recency refreshes, as that many `get`s would.
+    pub fn get_levels(
+        &self,
+        table: &str,
+        levels: &[(&[String], &[String])],
+        found: &mut [Option<Arc<Table>>],
+    ) {
+        let base = self.clock.fetch_add(levels.len() as u64, Ordering::Relaxed);
+        let (entries, mut hits) = (self.entries.read(), 0);
+        for (i, (&(cols, lanes), slot)) in levels.iter().zip(found).enumerate() {
+            let Some(e) = entries.entry(table, cols).filter(|e| e.serves(lanes)) else {
+                continue;
+            };
+            e.used.store(base + 1 + i as u64, Ordering::Relaxed);
+            (*slot, hits) = (Some(Arc::clone(&e.table)), hits + 1);
         }
-        found
+        drop(entries);
+        self.count(&self.hits, |m| &m.hits, hits);
+        self.count(&self.misses, |m| &m.misses, levels.len() as u64 - hits);
     }
 
     /// Store a level table (canonical layout, see the module docs) whose
@@ -246,7 +259,6 @@ impl LatticeCache {
         if bytes > self.budget {
             return;
         }
-        let key = (table.to_string(), level_cols.to_vec());
         let entry = LatticeEntry {
             lanes: lanes.to_vec(),
             bytes,
@@ -255,11 +267,15 @@ impl LatticeCache {
             used: AtomicU64::new(self.tick()),
         };
         let mut entries = self.entries.write();
-        if entries.map.get(&key).is_some_and(|e| e.serves(lanes)) {
+        if entries
+            .entry(table, level_cols)
+            .is_some_and(|e| e.serves(lanes))
+        {
             return;
         }
         entries.bytes += entry.bytes;
-        if let Some(old) = entries.map.insert(key, entry) {
+        let levels = entries.map.entry(table.to_string()).or_default();
+        if let Some(old) = levels.insert(level_cols.to_vec(), entry) {
             entries.bytes -= old.bytes;
         }
         let evicted = entries.evict_to(self.budget);
@@ -285,21 +301,25 @@ impl LatticeCache {
         onto: &[String],
         build: impl FnOnce() -> Vec<u32>,
     ) -> Arc<[u32]> {
-        let key = (table.to_string(), level_cols.to_vec());
         let held = |e: &LatticeEntry| Arc::ptr_eq(&e.table, level);
         let kept = |e: &LatticeEntry| {
             let found = e.parents.iter().find(|(cols, _)| cols == onto);
             found.map(|(_, parent)| Arc::clone(parent))
         };
         let entries = self.entries.read();
-        if let Some(parent) = entries.map.get(&key).filter(|e| held(e)).and_then(kept) {
+        let entry = entries.entry(table, level_cols).filter(|e| held(e));
+        if let Some(parent) = entry.and_then(kept) {
             return parent;
         }
         drop(entries);
         self.parent_builds.fetch_add(1, Ordering::Relaxed);
         let parent: Arc<[u32]> = build().into();
         let mut entries = self.entries.write();
-        let Some(entry) = entries.map.get_mut(&key).filter(|e| held(e)) else {
+        let entry = entries
+            .map
+            .get_mut(table)
+            .and_then(|l| l.get_mut(level_cols));
+        let Some(entry) = entry.filter(|e| held(e)) else {
             return parent;
         };
         if kept(entry).is_none() {
@@ -320,11 +340,9 @@ impl LatticeCache {
     /// or refreshing its recency — planners and EXPLAIN probe here so
     /// speculative planning does not skew the hit/miss counters.
     pub fn probe(&self, table: &str, level_cols: &[String], lanes: &[String]) -> bool {
-        let key = (table.to_string(), level_cols.to_vec());
-        self.entries
-            .read()
-            .map
-            .get(&key)
+        let entries = self.entries.read();
+        entries
+            .entry(table, level_cols)
             .is_some_and(|e| e.serves(lanes))
     }
 
@@ -332,11 +350,10 @@ impl LatticeCache {
     /// path for every insert/update/replace/drop of the table.
     pub fn invalidate_table(&self, table: &str) {
         let mut entries = self.entries.write();
-        let before = entries.map.len();
-        entries.map.retain(|(t, _), _| t != table);
-        let dropped = (before - entries.map.len()) as u64;
-        entries.bytes = entries.map.values().map(|e| e.bytes).sum();
+        let levels = entries.map.remove(table).unwrap_or_default();
+        entries.bytes -= levels.values().map(|e| e.bytes).sum::<usize>();
         drop(entries);
+        let dropped = levels.len() as u64;
         if dropped > 0 {
             self.count(&self.invalidations, |m| &m.invalidations, dropped);
         }
@@ -346,18 +363,16 @@ impl LatticeCache {
     /// order — planners use this to find a cached *finer* ancestor to
     /// re-aggregate from. Counts nothing.
     pub fn levels_for(&self, table: &str, lanes: &[String]) -> Vec<Vec<String>> {
-        self.entries
-            .read()
-            .map
-            .iter()
-            .filter(|((t, _), e)| t == table && e.serves(lanes))
-            .map(|((_, cols), _)| cols.clone())
+        let entries = self.entries.read();
+        let levels = entries.map.get(table).into_iter().flatten();
+        (levels.filter(|(_, e)| e.serves(lanes)))
+            .map(|(cols, _)| cols.clone())
             .collect()
     }
 
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.entries.read().map.len()
+        self.entries.read().map.values().map(BTreeMap::len).sum()
     }
 
     /// True when nothing is cached.
@@ -677,6 +692,71 @@ mod tests {
         cache.store("F", &cols(&["a"]), &cols(&["s"]), Arc::clone(&a));
         cache.store("F", &cols(&["b"]), &cols(&["s"]), b);
         assert_eq!((cache.len(), cache.stats().evictions), (2, 1));
+    }
+
+    #[test]
+    fn borrowed_lookups_hit_miss_count_and_refresh_as_one_get_each() {
+        // Three levels of F, one of G; lanes `s`.
+        let one = level(0, 1000).heap_bytes();
+        let cache = LatticeCache::with_budget(4 * one + one / 2);
+        let s = cols(&["s"]);
+        for name in ["a", "b", "c"] {
+            cache.store("F", &cols(&[name]), &s, level(0, 1000));
+        }
+        cache.store("G", &cols(&["a"]), &s, level(1, 1000));
+        let before = cache.stats();
+
+        // `probe` counts nothing and refreshes nothing; `parent` is no
+        // lookup either.
+        assert!(cache.probe("F", &cols(&["a"]), &s));
+        assert!(!cache.probe("F", &cols(&["a"]), &cols(&["t"])));
+        assert!(!cache.probe("F", &cols(&["z"]), &s));
+        let a = cache.get("F", &cols(&["a"]), &s).unwrap();
+        cache.parent("F", &cols(&["a"]), &a, &[], || vec![0; 1000]);
+        let st = cache.stats();
+        assert_eq!((st.hits, st.misses), (before.hits + 1, before.misses));
+
+        // One batch: a hit, a lane mismatch, an absent level, another
+        // table's level under this table's name, a hit — in that order.
+        let (b, c, t, z) = (cols(&["b"]), cols(&["c"]), cols(&["t"]), cols(&["z"]));
+        let batch = [
+            (&c[..], &s[..]),
+            (&b[..], &t[..]),
+            (&z[..], &s[..]),
+            (&b[..], &s[..]),
+        ];
+        let mut got = vec![None; batch.len()];
+        cache.get_levels("F", &batch, &mut got);
+        assert_eq!(
+            got.iter().map(Option::is_some).collect::<Vec<_>>(),
+            [true, false, false, true]
+        );
+        let st = cache.stats();
+        assert_eq!((st.hits, st.misses), (before.hits + 3, before.misses + 2));
+        // The same as `get`s would: each hit is the stored table.
+        let single = cache.get("F", &c, &s).unwrap();
+        assert!(Arc::ptr_eq(got[0].as_ref().unwrap(), &single));
+
+        // Recency: the batch touched `c` then `b`, the `get` above `c`
+        // again, and nothing touched `a` since its `get`; G's level is the
+        // oldest. Two stores over the budget evict G's level, then `a`.
+        cache.store("F", &cols(&["d"]), &s, level(0, 1000));
+        assert!(!cache.probe("G", &cols(&["a"]), &s), "least recently used");
+        cache.store("F", &cols(&["e"]), &s, level(0, 1000));
+        assert!(
+            !cache.probe("F", &cols(&["a"]), &s),
+            "next least recently used"
+        );
+        for kept in ["b", "c", "d", "e"] {
+            assert!(cache.probe("F", &cols(&[kept]), &s), "{kept} kept");
+        }
+        // Nothing is looked up in an empty batch.
+        cache.get_levels("F", &[], &mut []);
+        assert_eq!(cache.stats().evictions, 2);
+        assert_eq!(
+            (cache.stats().hits, cache.stats().misses),
+            (st.hits + 1, st.misses)
+        );
     }
 
     #[test]

@@ -6,6 +6,7 @@ use crate::packed::PackedCodes;
 use crate::schema::Schema;
 use crate::stats::ColumnStats;
 use crate::value::Value;
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -236,14 +237,15 @@ impl Table {
         }
     }
 
-    /// Column by name.
-    pub fn column_by_name(&self, name: &str) -> Result<&Column> {
-        Ok(&self.columns[self.schema.index_of(name)?])
-    }
-
     /// All columns.
     pub fn columns(&self) -> &[Column] {
         &self.columns
+    }
+
+    /// The columns by value: moved out when no clone shares them, copied
+    /// otherwise.
+    pub fn into_columns(self) -> Vec<Column> {
+        Arc::try_unwrap(self.columns).unwrap_or_else(|shared| shared.to_vec())
     }
 
     /// Value at (`row`, `col`).
@@ -429,17 +431,27 @@ impl Table {
     /// New table sorted by the given columns ascending (NULLs first).
     /// Used to present result rows "in the order given by GROUP BY".
     pub fn sorted_by(&self, key_cols: &[usize]) -> Table {
+        self.take(&self.sort_order(key_cols, &mut 0))
+    }
+
+    /// The row order of a stable ascending sort by `key_cols`, in the order
+    /// [`Value::total_cmp`] puts their cells — NULL first, floats by
+    /// `f64::total_cmp`, strings by their bytes — read from the typed
+    /// columns, no `Value` built. `comparisons` counts the cells compared.
+    pub fn sort_order(&self, key_cols: &[usize], comparisons: &mut u64) -> Vec<usize> {
+        let keys: Vec<&Column> = key_cols.iter().map(|&c| &self.columns[c]).collect();
         let mut order: Vec<usize> = (0..self.num_rows()).collect();
         order.sort_by(|&a, &b| {
-            for &c in key_cols {
-                let cmp = self.columns[c].get(a).total_cmp(&self.columns[c].get(b));
-                if cmp != std::cmp::Ordering::Equal {
+            for key in &keys {
+                *comparisons += 1;
+                let cmp = cmp_cells(key, a, b);
+                if cmp != Ordering::Equal {
                     return cmp;
                 }
             }
-            std::cmp::Ordering::Equal
+            Ordering::Equal
         });
-        self.take(&order)
+        order
     }
 
     /// Approximate heap bytes (used to compare intermediate-table sizes and
@@ -503,6 +515,22 @@ impl Table {
 impl fmt::Display for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.display(20))
+    }
+}
+
+/// Rows `a` and `b` of `col` in [`Value::total_cmp`]'s order.
+fn cmp_cells(col: &Column, a: usize, b: usize) -> Ordering {
+    match (col.is_valid(a), col.is_valid(b)) {
+        (true, true) => {}
+        (va, vb) => return va.cmp(&vb),
+    }
+    match col {
+        Column::Int { data, .. } => data[a].cmp(&data[b]),
+        Column::Float { data, .. } => data[a].total_cmp(&data[b]),
+        Column::Str { dict, codes, .. } => match codes[a] == codes[b] {
+            true => Ordering::Equal,
+            false => dict.resolve(codes[a]).cmp(dict.resolve(codes[b])),
+        },
     }
 }
 
@@ -749,6 +777,104 @@ mod tests {
         assert_eq!(s.get(0, 0), Value::Null);
         assert_eq!(s.get(1, 0), Value::str("CA"));
         assert_eq!(s.get(2, 0), Value::str("TX"));
+    }
+
+    /// The reference order: a `Value` per cell, [`Value::total_cmp`].
+    fn value_order(t: &Table, key_cols: &[usize]) -> (Vec<usize>, u64) {
+        let mut comparisons = 0;
+        let mut order: Vec<usize> = (0..t.num_rows()).collect();
+        order.sort_by(|&a, &b| {
+            for &c in key_cols {
+                comparisons += 1;
+                let cmp = t.get(a, c).total_cmp(&t.get(b, c));
+                if cmp != Ordering::Equal {
+                    return cmp;
+                }
+            }
+            Ordering::Equal
+        });
+        (order, comparisons)
+    }
+
+    #[test]
+    fn the_typed_sort_orders_as_values_do() {
+        let schema = Schema::from_pairs(&[
+            ("s", DataType::Str),
+            ("f", DataType::Float),
+            ("i", DataType::Int),
+            ("n", DataType::Str),
+        ])
+        .unwrap()
+        .into_shared();
+        let floats = [
+            0.0,
+            -0.0,
+            1.5,
+            -1.5,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        // Interned out of string order, so codes do not sort as strings.
+        let strs = ["pear", "apple", "", "Zebra", "apples", "é"];
+        for seed in 0..20u64 {
+            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut next = |m: usize| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % m as u64) as usize
+            };
+            let rows = 1 + next(300);
+            let mut t = Table::empty(Arc::clone(&schema));
+            for _ in 0..rows {
+                let s = match next(8) {
+                    0 => Value::Null,
+                    k => Value::str(strs[k % strs.len()]),
+                };
+                let f = match next(10) {
+                    0 => Value::Null,
+                    k => Value::Float(floats[k % floats.len()]),
+                };
+                let i = match next(6) {
+                    0 => Value::Null,
+                    k => Value::Int(k as i64 - 3),
+                };
+                t.push_row(&[s, f, i, Value::Null]).unwrap();
+            }
+            for keys in [
+                &[0][..],
+                &[1],
+                &[2],
+                &[3],
+                &[1, 0],
+                &[0, 2, 1],
+                &[3, 2, 0, 1],
+            ] {
+                let (want, want_comparisons) = value_order(&t, keys);
+                let mut comparisons = 0;
+                assert_eq!(
+                    t.sort_order(keys, &mut comparisons),
+                    want,
+                    "seed {seed} {keys:?}"
+                );
+                assert_eq!(comparisons, want_comparisons, "seed {seed} {keys:?}");
+                let sorted: Vec<Vec<Value>> = t.sorted_by(keys).rows().collect();
+                let reference: Vec<Vec<Value>> = t.take(&want).rows().collect();
+                assert_eq!(sorted.len(), reference.len());
+                for (a, b) in sorted.iter().zip(&reference) {
+                    // Bit for bit: -0.0 before 0.0, NaNs by sign.
+                    let bits = |v: &Value| match v {
+                        Value::Float(x) => Value::Int(x.to_bits() as i64),
+                        other => other.clone(),
+                    };
+                    let a: Vec<Value> = a.iter().map(bits).collect();
+                    let b: Vec<Value> = b.iter().map(bits).collect();
+                    assert_eq!(a, b, "seed {seed} {keys:?}");
+                }
+            }
+        }
     }
 
     #[test]
