@@ -535,6 +535,83 @@ fn the_assembled_result_matches_the_per_set_plan_at_every_seam() {
     }
 }
 
+/// A float dimension whose values grouping merges although their bits
+/// differ: `0.0` with `-0.0` and, in `y`, a NaN with a NaN of the other
+/// sign. The two spellings sit beside different `s` values, so the `(x, s)`
+/// level keeps both while the `(x)` level keeps one. Every lattice
+/// statement must find each group's totals row, cold and warm, at threads
+/// 1 and 4, and answer as the per-term plan does.
+#[test]
+fn float_keys_grouping_merges_find_their_totals() {
+    let schema = Schema::from_pairs(&[
+        ("s", DataType::Str),
+        ("x", DataType::Float),
+        ("y", DataType::Float),
+        ("m", DataType::Float),
+    ])
+    .unwrap()
+    .into_shared();
+    let mut t = Table::empty(schema);
+    let rows = [
+        ("a", 0.0, f64::NAN, 1.0),
+        ("b", -0.0, -f64::NAN, 3.0),
+        ("b", 1.5, 2.0, 2.0),
+        ("a", 1.5, -f64::NAN, 6.0),
+    ];
+    for (s, x, y, m) in rows {
+        let row = [
+            Value::str(s),
+            Value::Float(x),
+            Value::Float(y),
+            Value::Float(m),
+        ];
+        t.push_row(&row).unwrap();
+    }
+    let catalog = Catalog::new();
+    catalog.create_table("f", t).unwrap();
+    let statements = [
+        "SELECT x, s, Vpct(m BY s) AS p, Vpct(m BY x) AS q FROM f GROUP BY x, s;",
+        "SELECT x, s, Vpct(m BY s) AS p FROM f GROUP BY ROLLUP (x, s);",
+        "SELECT y, s, Vpct(m BY s) AS p, Vpct(m BY y) AS q FROM f GROUP BY y, s;",
+        "SELECT y, s, Vpct(m BY s) AS p FROM f GROUP BY ROLLUP (y, s);",
+    ];
+    for threads in [1usize, 4] {
+        let engine = PercentageEngine::new(&catalog).with_config(workers(threads, 1));
+        for sql in statements {
+            let ctx = format!("threads={threads} {sql}");
+            let per_term = engine
+                .execute_sql_with(sql, &VpctStrategy::best(), &HorizontalOptions::default())
+                .unwrap();
+            let reference = cell_bits(canonical(&per_term.table().read()));
+            drop_lattice_cache(&catalog);
+            for run in ["cold", "warm"] {
+                let out = engine
+                    .execute_sql(sql)
+                    .unwrap_or_else(|e| panic!("{run}: {ctx}: {e}"));
+                assert!(out.stats().lattice_levels > 0, "{run}: {ctx}");
+                let got = cell_bits(canonical(&out.table().read()));
+                assert_eq!(got, reference, "{run}: {ctx}");
+            }
+        }
+    }
+    // The programmatic entry, on the signed zeros.
+    let q = VpctQuery {
+        table: "f".into(),
+        group_by: vec!["x".into(), "s".into()],
+        terms: vec![VpctTerm::new("m", &["s"]), VpctTerm::new("m", &["x"])],
+        extra: Vec::new(),
+    };
+    drop_lattice_cache(&catalog);
+    let lattice = eval_vpct_lattice(&catalog, &q, "l_").unwrap();
+    let per_term = PercentageEngine::new(&catalog)
+        .vpct_with(&q, &VpctStrategy::best())
+        .unwrap();
+    assert_eq!(
+        cell_bits(canonical(&lattice.snapshot())),
+        cell_bits(canonical(&per_term.snapshot()))
+    );
+}
+
 /// ROLLUP, CUBE and explicit sets carrying holistic extras: exact and
 /// approximate percentiles, approximate count-distinct, and — the one lane
 /// here the block loop does not read — an exact count-distinct.

@@ -155,14 +155,25 @@ impl Column {
         }
     }
 
-    /// Fast path: dictionary code or int value as a group key fragment.
-    /// `None` when NULL. Strings return their dictionary code, which is a
-    /// valid key fragment *within one column*.
+    /// Fast path: row `i` as a group key fragment, `None` when NULL. Two
+    /// rows of one column share a fragment exactly when grouping puts them
+    /// in one group: an int is its value, a float its bits with `-0.0`
+    /// folded into `0.0` and every NaN into one, a string its dictionary
+    /// code (a valid key fragment *within one column*).
     #[inline]
     pub fn key_fragment(&self, i: usize) -> Option<i64> {
         match self {
             Column::Int { data, validity } => validity.get(i).then(|| data[i]),
-            Column::Float { data, validity } => validity.get(i).then(|| data[i].to_bits() as i64),
+            Column::Float { data, validity } => validity.get(i).then(|| {
+                let x = data[i];
+                if x.is_nan() {
+                    f64::NAN.to_bits() as i64
+                } else if x == 0.0 {
+                    0
+                } else {
+                    x.to_bits() as i64
+                }
+            }),
             Column::Str {
                 codes, validity, ..
             } => validity.get(i).then(|| codes[i] as i64),
@@ -808,5 +819,15 @@ mod tests {
         s.push(Value::str("a")).unwrap();
         assert_eq!(s.key_fragment(0), s.key_fragment(2));
         assert_ne!(s.key_fragment(0), s.key_fragment(1));
+
+        // Grouping equality: signed zeros are one key, every NaN is one.
+        let mut f = Column::new(DataType::Float);
+        for x in [0.0, -0.0, f64::NAN, -f64::NAN, 1.5] {
+            f.push(Value::Float(x)).unwrap();
+        }
+        assert_eq!(f.key_fragment(0), f.key_fragment(1));
+        assert_eq!(f.key_fragment(2), f.key_fragment(3));
+        assert_ne!(f.key_fragment(0), f.key_fragment(4));
+        assert_ne!(f.key_fragment(2), f.key_fragment(4));
     }
 }
