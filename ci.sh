@@ -62,6 +62,23 @@ if sed '/^#\[cfg(test)\]/,$d' crates/core/src/lattice.rs | grep -nE 'Value::|has
   echo "crates/core/src/lattice.rs names Value:: or hash_join outside #[cfg(test)]" >&2
   exit 1
 fi
+# One equi-join: a lookup returning one `parent` row per left row (DESIGN.md
+# §17). The Value-keyed join, its join-type switch, the Option gather and
+# the per-row UPDATE expression are gone from every source, bench and test.
+# The index and the UPDATE name no `Value::` outside their tests: no key,
+# probe or quotient is built as a `Value` (the after image the catalog logs
+# is read from the divided column).
+if grep -rnwE 'hash_join|hash_join_guarded|JoinType|take_opt|eval2|SetClause' \
+  crates/*/src crates/*/benches crates/*/tests tests; then
+  echo "a second join path reappeared (hash_join, JoinType, take_opt, eval2 or SetClause)" >&2
+  exit 1
+fi
+for f in crates/storage/src/index.rs crates/engine/src/ops/update.rs; do
+  sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'Value::' | sed "s|^|$f:|"
+done | if grep .; then
+  echo "the join index or the keyed UPDATE builds a Value outside #[cfg(test)]" >&2
+  exit 1
+fi
 
 echo "==> one cache, one producer: combinations are cached levels, the lattice adapter returns tables"
 # The catalog holds one cache of derived data, the level cache, whose

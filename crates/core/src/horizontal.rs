@@ -26,10 +26,11 @@ use crate::query::{Fact, FactRows, HorizontalQuery};
 use crate::strategy::{HorizontalOptions, HorizontalStrategy};
 use crate::vertical::{count_insert, extra_spec, into_shared};
 use pa_engine::{
-    aggregate_level, distinct, divide, hash_join_guarded, project, AggFunc, AggSpec, ExecStats,
-    Expr, JoinType, ParallelConfig, ProjSpec, ResourceGuard, Selected, Selection,
+    aggregate_level, distinct, divide, lookup, project, AggFunc, AggSpec, ExecStats, Expr,
+    ParallelConfig, ProjSpec, ResourceGuard, Selected, Selection,
 };
-use pa_storage::{Catalog, Column, DataType, Field, Schema, SharedTable, Table, Value};
+use pa_storage::{Catalog, Column, DataType, Field, HashIndex, Schema, SharedTable, Table, Value};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Result of a horizontal query: one table normally, several when the
@@ -655,7 +656,7 @@ fn case_raw(
 /// SPJ strategy: `F0` = distinct groups; one aggregation per combination,
 /// over the selection `combination ∧ WHERE` (the paper's `N` scans of the
 /// source, each reading every row and keeping its own); assemble with left
-/// outer joins; project into the raw layout.
+/// outer joins into the raw layout.
 fn spj_raw(
     src: Selected<'_>,
     j_cols: &[usize],
@@ -716,16 +717,19 @@ fn spj_raw(
     let f0 = distinct(src, j_cols, guard, stats, par)?;
     count_insert(&f0, stats);
 
-    // Per-combination aggregations F1..FN, left-outer-joined onto F0; the
-    // raw table reads the value columns each join appends.
-    let mut joined = f0;
+    // Per-combination aggregations F1..FN, left-outer-joined onto F0: a
+    // lookup of F0's keys in a transient index on each Fi's, along which
+    // the raw table gathers Fi's value columns (NULL where F0's group has
+    // no row in Fi).
     let f0_keys: Vec<usize> = (0..j_len).collect();
-    let mut value_cols: Vec<usize> = Vec::new();
+    let mut values: Vec<(Field, Column)> = Vec::new();
     let mut join = |fi: &Table, stats: &mut ExecStats| -> Result<()> {
-        let base = joined.num_columns() + j_len;
-        value_cols.extend(base..base + fi.num_columns() - j_len);
-        let (left, outer) = (&f0_keys, JoinType::LeftOuter);
-        joined = hash_join_guarded(&joined, fi, left, left, outer, None, guard, stats)?;
+        let index = Cow::Owned(HashIndex::build(fi, &f0_keys)?);
+        let rows = lookup(&f0, &f0_keys, index, true, guard, stats)?;
+        for value in &fi.columns()[j_len..] {
+            let field = Field::new(format!("__r{}", values.len()), value.data_type());
+            values.push((field, value.gather(&rows)));
+        }
         Ok(())
     };
     let specs = |lanes: &[(AggFunc, Expr)], prefix: &str| -> Vec<AggSpec> {
@@ -758,25 +762,17 @@ fn spj_raw(
         )?;
     }
 
-    // Project into the standard raw layout (this is the final
-    // `INSERT INTO FH SELECT F0.D1.., F1.A, F2.A, ..` statement).
-    let mut proj: Vec<ProjSpec> = Vec::new();
-    for &c in &f0_keys {
-        let field = joined.schema().field_at(c);
-        proj.push(ProjSpec::typed(
-            Expr::Col(c),
-            field.name.clone(),
-            field.dtype,
-        ));
+    // The final `INSERT INTO FH SELECT F0.D1.., F1.A, F2.A, ..`.
+    let mut fields: Vec<Field> = f0.schema().fields().to_vec();
+    let mut columns = f0.into_columns();
+    for (field, column) in values {
+        fields.push(field);
+        columns.push(column);
     }
-    for (i, &c) in value_cols.iter().enumerate() {
-        proj.push(ProjSpec::typed(
-            Expr::Col(c),
-            format!("__r{i}"),
-            joined.schema().field_at(c).dtype,
-        ));
-    }
-    Ok(project(&joined, &proj, stats)?)
+    let raw = Table::from_columns(Schema::new(fields)?.into_shared(), columns)?;
+    stats.rows_scanned += raw.num_rows() as u64;
+    count_insert(&raw, stats);
+    Ok(raw)
 }
 
 /// Bridge the per-term plans into the dispatch operator's task form; each

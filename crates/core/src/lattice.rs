@@ -46,7 +46,8 @@ use pa_engine::{
     ResourceGuard, SpanHandle,
 };
 use pa_storage::{
-    Catalog, Column, DataType, Field, FxHashMap, LatticeCache, Schema, SharedTable, Table,
+    Catalog, Column, DataType, Field, FxHashMap, HashIndex, LatticeCache, Schema, SharedTable,
+    Table,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -510,43 +511,17 @@ fn materialize_levels(
 
 /// The `parent` vector of `fk`, the table of level `of`, onto `totals`, the
 /// table of the coarser level `by`: for each row of `fk`, the row of
-/// `totals` holding its group's total. It runs once per pair of levels —
-/// the lattice cache keeps what it returns beside `fk`. Rows match by key
-/// fragment (NULL groups with NULL); fragments only compare within one
-/// column, so the string codes of `totals` are translated into `fk`'s
-/// dictionaries first (a string `fk` never holds gets a code no fragment
-/// equals).
-fn totals_rows((fk, of): (&Table, &Level), (totals, by): (&Table, &Level)) -> Vec<u32> {
-    let position = |c| of.position(c).expect("totals key ⊆ GROUP BY");
-    let keys: Vec<&Column> = (by.columns().iter())
-        .map(|c| fk.column(position(c)))
-        .collect();
-    let translate = |(i, key): (usize, &&Column)| match (totals.column(i), key) {
-        (Column::Str { dict: theirs, .. }, Column::Str { dict: ours, .. }) => {
-            let code = |s: &Arc<str>| ours.code_of(s).map_or(-1, i64::from);
-            Some(theirs.values().iter().map(code).collect::<Vec<i64>>())
-        }
-        _ => None,
-    };
-    let translated: Vec<Option<Vec<i64>>> = keys.iter().enumerate().map(translate).collect();
-    let fragment = |t: usize, (i, codes): (usize, &Option<Vec<i64>>)| {
-        let fragment = totals.column(i).key_fragment(t);
-        fragment.map(|c| codes.as_ref().map_or(c, |codes| codes[c as usize]))
-    };
-    let index: FxHashMap<Vec<Option<i64>>, u32> = (0..totals.num_rows())
-        .map(|t| {
-            let key = translated.iter().enumerate().map(|col| fragment(t, col));
-            (key.collect(), t as u32)
-        })
-        .collect();
-    let mut key: Vec<Option<i64>> = Vec::with_capacity(keys.len());
-    (0..fk.num_rows())
-        .map(|r| {
-            key.clear();
-            key.extend(keys.iter().map(|k| k.key_fragment(r)));
-            index[key.as_slice()]
-        })
-        .collect()
+/// `totals` holding its group's total, an inner lookup of `fk`'s `by`
+/// columns in a [`HashIndex`] on `totals`' key. It runs once per pair of
+/// levels — the lattice cache keeps what it returns beside `fk`.
+fn totals_rows(
+    (fk, of): (&Table, &Level),
+    (totals, by): (&Table, &Level),
+) -> pa_storage::Result<Vec<u32>> {
+    let position = |c: &String| of.position(c).expect("totals key ⊆ GROUP BY");
+    let keys: Vec<usize> = by.columns().iter().map(position).collect();
+    let index = HashIndex::build(totals, &(0..keys.len()).collect::<Vec<_>>())?;
+    index.lookup(fk, &keys, false)
 }
 
 /// Assemble the results of `queries` — one per grouping set, at the `roots`
@@ -621,8 +596,10 @@ fn assemble(
             let totals = &tables[by];
             let build = || totals_rows((fk, level), (totals, by));
             let parent = match cache {
-                Some((cache, key)) => cache.parent(key, level.columns(), fk, by.columns(), build),
-                None => build().into(),
+                Some((cache, key)) => {
+                    cache.parent(key, level.columns(), fk, by.columns(), build)?
+                }
+                None => build()?.into(),
             };
             let lane = lanes.lane_of(&term.measure);
             let sums = fk.column(level.arity() + lane);

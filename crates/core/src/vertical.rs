@@ -18,8 +18,10 @@
 //! scan that grouped `Fk` hands over `parent`, each group's row at the
 //! coarser key, `Fj` from `Fk` is a fold of `Fk`'s sums through it and the
 //! percentage one [`divide`] along it (DESIGN.md "a percentage is a measure
-//! looked up through `parent`"). Without the index the same plan builds a
-//! transient hash table and joins; the UPDATE plan probes a prebuilt one.
+//! looked up through `parent`"). The paper's other plans differ only in who
+//! builds `parent`: without the index a [`lookup`] of `Fk` in a transient
+//! hash table on `Fj`, and the UPDATE plan the same lookup in the index it
+//! creates on `Fj` (or a transient one), then [`update_from`] in place.
 //!
 //! Work is accounted per operator. The generated SQL of a plan is
 //! `EXPLAIN`'s to render ([`crate::codegen`]); executing one renders none.
@@ -28,12 +30,13 @@ use crate::error::{CoreError, Result};
 use crate::query::{ExtraAgg, Fact, VpctQuery};
 use crate::strategy::{FjSource, Materialization, VpctStrategy};
 use pa_engine::{
-    aggregate_level, aggregate_projecting, divide, hash_join_guarded, update_from, AggFunc,
-    AggSpec, ExecStats, Expr, JoinType, Parent, ProjSpec, ResourceGuard, Selected, SetClause,
+    aggregate_level, aggregate_projecting, divide, lookup, update_from, AggFunc, AggSpec,
+    ExecStats, Expr, Parent, ResourceGuard, Selected,
 };
 use pa_storage::{
     Catalog, Change, Column, DataType, Field, HashIndex, Schema, SharedTable, Table, Value,
 };
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Result of evaluating a percentage query.
@@ -195,67 +198,48 @@ pub(crate) fn eval_vpct_on(
     match strat.materialization {
         Materialization::Insert => {
             count_insert(&fk_table, &mut stats);
+            // Without the subkey index each term's `parent` is a join.
+            let parents: Vec<Parent> = match direct {
+                true => parents,
+                false => (fj_tables.iter().zip(&totals_fk_cols))
+                    .map(|(fj, keys)| {
+                        let rows = parent_of(&fk_table, keys, fj, false, guard, &mut stats)?;
+                        Ok(Parent {
+                            rows,
+                            groups: fj.num_rows(),
+                        })
+                    })
+                    .collect::<Result<_>>()?,
+            };
             let n = fk_table.num_rows();
-            let fk_fields = fk_table.schema().fields();
             let names = (q.group_by.iter())
                 .chain(q.terms.iter().map(|t| &t.name))
                 .chain(q.extra.iter().map(|e| &e.name));
-            let mut fields: Vec<Field> = (names.zip(fk_fields))
+            let fields: Vec<Field> = (names.zip(fk_table.schema().fields()))
                 .map(|(name, f)| Field::new(name.clone(), f.dtype))
                 .collect();
-            let fv = if direct {
-                // FV is Fk with each term's sum looked up through `parent`.
-                let mut span = guard.span("divide");
-                let mut columns = fk_table.into_columns();
-                for (t, parent) in parents.iter().enumerate() {
-                    let folded;
-                    let sums = &columns[k_len + t];
-                    let totals = match fj_tables.get(t) {
-                        Some(fj) => fj.columns().last().expect("Fj ends in its total"),
-                        None => {
-                            folded = totals_through(sums, parent, guard, &mut span, &mut stats)?;
-                            &folded
-                        }
-                    };
-                    guard.charge(n as u64)?;
-                    span.add_rows(n as u64);
-                    span.add_morsels(1);
-                    let mut pct = Column::with_capacity(DataType::Float, n);
-                    percentage(sums, totals, &parent.rows, &mut pct, &mut stats);
-                    columns[k_len + t] = pct;
-                }
-                Table::from_columns(Schema::new(fields)?.into_shared(), columns)?
-            } else {
-                // Progressively join Fk with each Fj on a transient hash
-                // table, then project percentages.
-                let mut cur: Table = fk_table;
-                let mut projections: Vec<ProjSpec> = (fields.drain(..).enumerate())
-                    .map(|(i, f)| ProjSpec::typed(Expr::Col(i), f.name, f.dtype))
-                    .collect();
-                for (t, fj) in fj_tables.iter().enumerate() {
-                    let j_len = totals_fk_cols[t].len();
-                    let total = if j_len == 0 {
-                        // Global totals: one-row Fj, broadcast scalar division.
-                        Expr::Lit(fj.get(0, 0))
-                    } else {
-                        let fj_keys: Vec<usize> = (0..j_len).collect();
-                        let total_pos = cur.num_columns() + j_len;
-                        cur = hash_join_guarded(
-                            &cur,
-                            fj,
-                            &totals_fk_cols[t],
-                            &fj_keys,
-                            JoinType::Inner,
-                            None,
-                            guard,
-                            &mut stats,
-                        )?;
-                        Expr::Col(total_pos)
-                    };
-                    projections[k_len + t].expr = Expr::Col(k_len + t).safe_div(total);
-                }
-                pa_engine::project(&cur, &projections, &mut stats)?
-            };
+            // FV is Fk with each term's sum looked up through `parent`.
+            let mut span = guard.span("divide");
+            let mut columns = fk_table.into_columns();
+            for (t, parent) in parents.iter().enumerate() {
+                let folded;
+                let sums = &columns[k_len + t];
+                let totals = match fj_tables.get(t) {
+                    Some(fj) => fj.columns().last().expect("Fj ends in its total"),
+                    None => {
+                        folded = totals_through(sums, parent, guard, &mut span, &mut stats)?;
+                        &folded
+                    }
+                };
+                guard.charge(n as u64)?;
+                span.add_rows(n as u64);
+                span.add_morsels(1);
+                let mut pct = Column::with_capacity(DataType::Float, n);
+                percentage(sums, totals, &parent.rows, &mut pct, &mut stats);
+                columns[k_len + t] = pct;
+            }
+            drop(span);
+            let fv = Table::from_columns(Schema::new(fields)?.into_shared(), columns)?;
             count_insert(&fv, &mut stats);
             Ok(QueryResult {
                 table: into_shared(fv),
@@ -267,35 +251,21 @@ pub(crate) fn eval_vpct_on(
             // plan that stores a table: a logged UPDATE needs a target the
             // log can name.
             let fk = StoredFk::create(catalog, prefix, fk_table, &mut stats)?;
-            for (t, fj) in fj_tables.iter().enumerate() {
-                let sum_pos = k_len + t;
-                let j_len = totals_fk_cols[t].len();
-                if j_len == 0 {
-                    scalar_update_divide(&fk, sum_pos, fj.get(0, 0), guard, &mut stats)?;
-                } else {
-                    let fj_keys: Vec<usize> = (0..j_len).collect();
-                    // `CREATE INDEX` on the subkey Fj shares with Fk
-                    // (Table 4 column 2): what the UPDATE probes per row.
-                    let index = match strat.subkey_index {
-                        true => Some(HashIndex::build(fj, &fj_keys)?),
-                        false => None,
-                    };
-                    stats.statements += u64::from(strat.subkey_index);
-                    let total_pos = k_len + fk_specs.len() + j_len;
-                    update_from(
-                        catalog,
-                        &fk.name,
-                        &totals_fk_cols[t],
-                        fj,
-                        &fj_keys,
-                        index.as_ref(),
-                        &[SetClause {
-                            target_col: sum_pos,
-                            expr: Expr::Col(sum_pos).safe_div(Expr::Col(total_pos)),
-                        }],
-                        &mut stats,
-                    )?;
-                }
+            for (t, (fj, keys)) in fj_tables.iter().zip(&totals_fk_cols).enumerate() {
+                let parent = {
+                    let stored = fk.table.read();
+                    parent_of(&stored, keys, fj, strat.subkey_index, guard, &mut stats)?
+                };
+                let total = fj.columns().last().expect("Fj ends in its total");
+                update_from(
+                    catalog,
+                    &fk.name,
+                    k_len + t,
+                    total,
+                    &parent,
+                    guard,
+                    &mut stats,
+                )?;
             }
             Ok(QueryResult {
                 table: Arc::clone(&fk.table),
@@ -303,6 +273,31 @@ pub(crate) fn eval_vpct_on(
             })
         }
     }
+}
+
+/// `Fk`'s `parent` onto `fj` when the scan did not hand it over: the row of
+/// `fj` holding each `Fk` row's `keys`, one [`lookup`] in a hash index on
+/// `fj`'s key — the `CREATE INDEX` on the subkey `Fj` shares with `Fk` when
+/// `create_index`, a transient build otherwise. A global total (no keys) is
+/// the one row of `fj`, with no join.
+fn parent_of(
+    fk: &Table,
+    keys: &[usize],
+    fj: &Table,
+    create_index: bool,
+    guard: &ResourceGuard,
+    stats: &mut ExecStats,
+) -> Result<Vec<u32>> {
+    if keys.is_empty() {
+        return Ok(vec![0; fk.num_rows()]);
+    }
+    let index = HashIndex::build(fj, &(0..keys.len()).collect::<Vec<_>>())?;
+    stats.statements += u64::from(create_index);
+    let index = match create_index {
+        true => Cow::Borrowed(&index),
+        false => Cow::Owned(index),
+    };
+    Ok(lookup(fk, keys, index, false, guard, stats)?)
 }
 
 /// One percentage column — a measure looked up through `parent`: each
@@ -403,41 +398,6 @@ impl Drop for StoredFk<'_> {
         // Already gone only if someone dropped it by name meanwhile.
         let _ = self.catalog.drop_table(&self.name);
     }
-}
-
-/// Per-row logged division by a scalar total (the `D1..Dj = ∅` corner of the
-/// UPDATE strategy, where there is no join key).
-fn scalar_update_divide(
-    fk: &StoredFk<'_>,
-    col: usize,
-    total: Value,
-    guard: &ResourceGuard,
-    stats: &mut ExecStats,
-) -> Result<()> {
-    stats.statements += 1;
-    let n = fk.table.read().num_rows();
-    stats.rows_scanned += n as u64;
-    guard.charge(n as u64)?;
-    let mut span = guard.span("update");
-    span.add_rows(n as u64);
-    span.add_morsels(1);
-    let denom = total.as_f64();
-    let mut rows = 0..n;
-    let next = &mut |t: &Table, after: &mut Vec<Value>| {
-        let row = rows.next()?;
-        after.push(match (t.column(col).get(row).as_f64(), denom) {
-            (Some(x), Some(d)) if d != 0.0 => Value::Float(x / d),
-            _ => Value::Null,
-        });
-        Some(row)
-    };
-    let change = Change::Update { cols: &[col], next };
-    let logged = fk.catalog.write(&fk.name, change)?;
-    stats.case_condition_evals += n as u64;
-    stats.rows_updated += n as u64;
-    stats.wal_records += logged.records;
-    stats.wal_bytes += logged.bytes;
-    Ok(())
 }
 
 #[cfg(test)]

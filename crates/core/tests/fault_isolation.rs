@@ -163,7 +163,6 @@ fn failed_queries_never_leak_temp_tables() {
         Box::new(|e| e.execute_sql(WHERE_SQL).map(drop)),
     ));
 
-    let mut interrupted_stored_fk = false;
     for (label, logs, plan) in &plans {
         let check = |fault: &str, records_before: u64| {
             assert_eq!(catalog.table_names(), names_before, "{label} / {fault}");
@@ -200,6 +199,7 @@ fn failed_queries_never_leak_temp_tables() {
 
         // A panic at every guard charge of the plan in turn, until one run
         // gets through with the trigger still armed.
+        let mut interrupted_stored_fk = false;
         let chaos = PanicInjector::default();
         let engine = engine_with(&catalog, &chaos);
         for tick in 0.. {
@@ -216,11 +216,13 @@ fn failed_queries_never_leak_temp_tables() {
             check(&format!("panic at charge {tick}"), before);
             interrupted_stored_fk |= records() > before;
         }
+        // Each Update plan, keyed or global, charges its guard after it
+        // stored its Fk: the UPDATE is metered like every other statement.
+        assert!(
+            !*logs || interrupted_stored_fk,
+            "{label}: some panic landed after the Update plan stored its Fk"
+        );
     }
-    assert!(
-        interrupted_stored_fk,
-        "some panic landed after an Update plan had stored its Fk"
-    );
 
     // A parse failure registers and logs nothing either.
     let before = catalog.wal_stats().records;
@@ -228,6 +230,38 @@ fn failed_queries_never_leak_temp_tables() {
     assert!(engine.execute_sql("SELECT nonsense;").is_err());
     assert_eq!(catalog.table_names(), names_before);
     assert_eq!(catalog.wal_stats().records, before);
+}
+
+/// A plan that differs from the one the optimizer runs only in who builds
+/// `parent`, or in scanning `F` again for `Fj`, charges its guard at least
+/// the rows `best()` charges: the joins, the UPDATE and a global total's
+/// divide are metered too. (The synchronized scan is left out: it reads
+/// `F` once for `Fk` and every `Fj`, and folds nothing from `Fk`, so it
+/// truly reads fewer rows.)
+#[test]
+fn every_vpct_plan_charges_at_least_the_best_plan() {
+    let catalog = sales_catalog(20_000);
+    for by in [&["state"][..], &[]] {
+        let q = VpctQuery::single("sales", &["state", "city"], "salesAmt", by);
+        let charged = |strat: &VpctStrategy| {
+            let engine = PercentageEngine::new(&catalog).with_guard(ResourceGuard::counting());
+            engine.vpct_with(&q, strat).unwrap().stats.rows_charged
+        };
+        let best = charged(&VpctStrategy::best());
+        assert!(best > 20_000, "BY {by:?}: {best}");
+        for strat in [
+            VpctStrategy::without_index(),
+            VpctStrategy::with_update(),
+            VpctStrategy::fj_from_f(),
+            VpctStrategy {
+                subkey_index: false,
+                ..VpctStrategy::with_update()
+            },
+        ] {
+            let rows = charged(&strat);
+            assert!(rows >= best, "{strat:?} BY {by:?}: {rows} < best's {best}");
+        }
+    }
 }
 
 #[test]

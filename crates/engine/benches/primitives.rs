@@ -1,16 +1,16 @@
 //! Microbenchmarks for the physical operators underneath every percentage
-//! plan: hash aggregation (single and synchronized multi-level), hash join
-//! with and without a prebuilt index, DISTINCT, the window operator, and
+//! plan: hash aggregation (single and synchronized multi-level), the join
+//! lookup with and without a prebuilt index, DISTINCT, the window operator, and
 //! CASE-expression evaluation — the per-row costs whose ratios drive the
 //! strategy comparisons — plus the sketch kernels the holistic lanes run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pa_engine::{
-    distinct, hash_aggregate, hash_aggregate_with_config, hash_join, multi_hash_aggregate,
-    window_aggregate, AggFunc, AggSpec, ExecStats, Expr, JoinType, ParallelConfig, ResourceGuard,
-    TDigest,
+    distinct, hash_aggregate, hash_aggregate_with_config, lookup, multi_hash_aggregate,
+    window_aggregate, AggFunc, AggSpec, ExecStats, Expr, ParallelConfig, ResourceGuard, TDigest,
 };
 use pa_storage::{DataType, HashIndex, Schema, Table, Value};
+use std::borrow::Cow;
 
 fn fact_table(n: usize) -> Table {
     let schema = Schema::from_pairs(&[
@@ -75,7 +75,7 @@ fn bench_primitives(c: &mut Criterion) {
         },
     );
 
-    // Join a 700-group Fk against a 100-group Fj.
+    // Look a 700-group Fk up in a 100-group Fj: its `parent` vector.
     let fk = hash_aggregate(
         &f,
         &[0, 1],
@@ -90,33 +90,18 @@ fn bench_primitives(c: &mut Criterion) {
         &mut ExecStats::default(),
     )
     .unwrap();
-    let idx = HashIndex::build(&fj, &[0]).unwrap();
-    c.bench_function("join/unindexed", |b| {
+    let guard = ResourceGuard::unlimited();
+    c.bench_function("lookup/unindexed", |b| {
         b.iter(|| {
-            hash_join(
-                &fk,
-                &fj,
-                &[0],
-                &[0],
-                JoinType::Inner,
-                None,
-                &mut ExecStats::default(),
-            )
-            .unwrap()
+            let index = Cow::Owned(HashIndex::build(&fj, &[0]).unwrap());
+            lookup(&fk, &[0], index, false, &guard, &mut ExecStats::default()).unwrap()
         });
     });
-    c.bench_function("join/prebuilt-index", |b| {
+    let idx = HashIndex::build(&fj, &[0]).unwrap();
+    c.bench_function("lookup/prebuilt-index", |b| {
         b.iter(|| {
-            hash_join(
-                &fk,
-                &fj,
-                &[0],
-                &[0],
-                JoinType::Inner,
-                Some(&idx),
-                &mut ExecStats::default(),
-            )
-            .unwrap()
+            let index = Cow::Borrowed(&idx);
+            lookup(&fk, &[0], index, false, &guard, &mut ExecStats::default()).unwrap()
         });
     });
 

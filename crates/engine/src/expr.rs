@@ -183,97 +183,52 @@ impl Expr {
 
     /// Evaluate against row `row` of `table`, accumulating work into `stats`.
     pub fn eval(&self, table: &Table, row: usize, stats: &mut ExecStats) -> Result<Value> {
-        self.eval_cols(table.columns(), row, stats)
-    }
-
-    /// Evaluate over a virtual row spliced from two tables: column indexes
-    /// `0..left.num_columns()` read `left[lrow]`, the rest read `right[rrow]`.
-    /// This is how `UPDATE Fk SET A = Fk.A / Fj.A` expressions see both
-    /// sides.
-    pub fn eval2(
-        &self,
-        left: &Table,
-        lrow: usize,
-        right: &Table,
-        rrow: usize,
-        stats: &mut ExecStats,
-    ) -> Result<Value> {
-        let split = left.num_columns();
-        let col = |i: usize| {
-            if i < split {
-                return Ok(left.column(i).get(lrow));
-            }
-            let width = split + right.num_columns();
-            let col = right.columns().get(i - split).ok_or_else(|| {
-                EngineError::InvalidOperator(format!(
-                    "column {i} out of range for spliced row of {width} columns"
-                ))
-            })?;
-            Ok(col.get(rrow))
-        };
-        self.walk(&col, stats)
-    }
-
-    /// Evaluate against row `row` of a column slice.
-    fn eval_cols(
-        &self,
-        cols: &[pa_storage::Column],
-        row: usize,
-        stats: &mut ExecStats,
-    ) -> Result<Value> {
-        let col = |i: usize| {
-            let col = cols.get(i).ok_or_else(|| {
-                EngineError::InvalidOperator(format!(
-                    "column {i} out of range ({} columns)",
-                    cols.len()
-                ))
-            })?;
-            Ok(col.get(row))
-        };
-        self.walk(&col, stats)
-    }
-
-    /// The one tree walk: `col(i)` reads `Col(i)` of whatever row the
-    /// caller is positioned on.
-    fn walk(&self, col: &impl Fn(usize) -> Result<Value>, stats: &mut ExecStats) -> Result<Value> {
         match self {
-            Expr::Col(i) => col(*i),
+            Expr::Col(i) => {
+                let col = table.columns().get(*i).ok_or_else(|| {
+                    EngineError::InvalidOperator(format!(
+                        "column {i} out of range ({} columns)",
+                        table.num_columns()
+                    ))
+                })?;
+                Ok(col.get(row))
+            }
             Expr::Lit(v) => Ok(v.clone()),
             Expr::Arith(op, l, r) => {
-                let lv = l.walk(col, stats)?;
-                let rv = r.walk(col, stats)?;
+                let lv = l.eval(table, row, stats)?;
+                let rv = r.eval(table, row, stats)?;
                 arith(*op, &lv, &rv)
             }
             Expr::SafeDiv(num, den) => {
-                let dv = den.walk(col, stats)?;
+                let dv = den.eval(table, row, stats)?;
                 // The guard is the CASE WHEN den <> 0 from the generated SQL.
                 stats.case_condition_evals += 1;
                 match dv.as_f64() {
                     None | Some(0.0) => Ok(Value::Null),
-                    Some(d) => Ok(match num.walk(col, stats)?.as_f64() {
+                    Some(d) => Ok(match num.eval(table, row, stats)?.as_f64() {
                         None => Value::Null,
                         Some(n) => Value::Float(n / d),
                     }),
                 }
             }
             Expr::Cmp(op, l, r) => {
-                let lv = l.walk(col, stats)?;
-                let rv = r.walk(col, stats)?;
+                let lv = l.eval(table, row, stats)?;
+                let rv = r.eval(table, row, stats)?;
                 Ok(compare(*op, &lv, &rv))
             }
             Expr::KeyEq(l, r) => {
-                let lv = l.walk(col, stats)?;
-                let rv = r.walk(col, stats)?;
+                let lv = l.eval(table, row, stats)?;
+                let rv = r.eval(table, row, stats)?;
                 Ok(Value::Int(lv.key_eq(&rv) as i64))
             }
-            Expr::Cast(t, e) => Ok(cast(*t, e.walk(col, stats)?)?),
+            Expr::Cast(t, e) => Ok(cast(*t, e.eval(table, row, stats)?)?),
             Expr::And(l, r) => {
-                let lv = truth(&l.walk(col, stats)?);
+                let lv = truth(&l.eval(table, row, stats)?);
                 // SQL AND short-circuits on FALSE only.
                 if lv == Some(false) {
                     return Ok(Value::Int(0));
                 }
-                let rv = truth(&r.walk(col, stats)?);
+                let rv = truth(&r.eval(table, row, stats)?);
                 Ok(match (lv, rv) {
                     (_, Some(false)) => Value::Int(0),
                     (Some(true), Some(true)) => Value::Int(1),
@@ -281,34 +236,34 @@ impl Expr {
                 })
             }
             Expr::Or(l, r) => {
-                let lv = truth(&l.walk(col, stats)?);
+                let lv = truth(&l.eval(table, row, stats)?);
                 if lv == Some(true) {
                     return Ok(Value::Int(1));
                 }
-                let rv = truth(&r.walk(col, stats)?);
+                let rv = truth(&r.eval(table, row, stats)?);
                 Ok(match (lv, rv) {
                     (_, Some(true)) => Value::Int(1),
                     (Some(false), Some(false)) => Value::Int(0),
                     _ => Value::Null,
                 })
             }
-            Expr::Not(e) => Ok(match truth(&e.walk(col, stats)?) {
+            Expr::Not(e) => Ok(match truth(&e.eval(table, row, stats)?) {
                 Some(b) => Value::Int(!b as i64),
                 None => Value::Null,
             }),
-            Expr::IsNull(e) => Ok(Value::Int(e.walk(col, stats)?.is_null() as i64)),
+            Expr::IsNull(e) => Ok(Value::Int(e.eval(table, row, stats)?.is_null() as i64)),
             Expr::Case {
                 branches,
                 else_value,
             } => {
                 for (cond, result) in branches {
                     stats.case_condition_evals += 1;
-                    if truth(&cond.walk(col, stats)?) == Some(true) {
-                        return result.walk(col, stats);
+                    if truth(&cond.eval(table, row, stats)?) == Some(true) {
+                        return result.eval(table, row, stats);
                     }
                 }
                 match else_value {
-                    Some(e) => e.walk(col, stats),
+                    Some(e) => e.eval(table, row, stats),
                     None => Ok(Value::Null),
                 }
             }
@@ -603,24 +558,6 @@ mod tests {
             Expr::Cast(DataType::Int, Box::new(Expr::col(s, "a").unwrap())).output_type(s),
             Some(DataType::Int)
         );
-    }
-
-    #[test]
-    fn eval2_splices_two_tables() {
-        let fk = table(); // 3 columns: d, a, b
-        let schema = Schema::from_pairs(&[("total", DataType::Float)])
-            .unwrap()
-            .into_shared();
-        let mut fj = Table::empty(schema);
-        fj.push_row(&[Value::Float(20.0)]).unwrap();
-        fj.push_row(&[Value::Float(0.0)]).unwrap();
-
-        // Fk.a / Fj.total: column 1 is left.a, column 3 is right.total.
-        let e = Expr::Col(1).safe_div(Expr::Col(3));
-        let mut st = ExecStats::default();
-        assert_eq!(e.eval2(&fk, 0, &fj, 0, &mut st).unwrap(), Value::Float(0.5));
-        assert_eq!(e.eval2(&fk, 0, &fj, 1, &mut st).unwrap(), Value::Null);
-        assert!(Expr::Col(9).eval2(&fk, 0, &fj, 0, &mut st).is_err());
     }
 
     #[test]

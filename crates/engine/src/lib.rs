@@ -2,10 +2,10 @@
 //!
 //! The execution layer the percentage-aggregation strategies compile to:
 //! expressions (with SQL three-valued logic and divide-by-zero → NULL), hash
-//! group-by aggregation with multi-level synchronized scans, inner/left-outer
-//! hash joins with optional prebuilt indexes, DISTINCT, sort, bulk
-//! INSERT..SELECT, per-row UPDATE..FROM, and sort-based window functions
-//! (the OLAP-extension baseline).
+//! group-by aggregation with multi-level synchronized scans, the equi-join
+//! as a lookup of one right row per left row (with an optional prebuilt
+//! index), DISTINCT, sort, bulk INSERT..SELECT, per-row UPDATE..FROM, and
+//! sort-based window functions (the OLAP-extension baseline).
 //!
 //! Every operator accounts its work in [`ExecStats`] so tests and benchmarks
 //! can verify cost *shape* (scans, CASE evaluations, WAL records) rather
@@ -45,12 +45,12 @@ pub use ops::distinct::{distinct, distinct_keys};
 pub use ops::divide::divide;
 pub use ops::filter::filter;
 pub use ops::insert::insert_into;
-pub use ops::join::{hash_join, hash_join_guarded, JoinType};
+pub use ops::join::lookup;
 pub use ops::partial::{partial_aggregate, ShardPartial};
 pub use ops::pivot::{pivot_aggregate, pivot_aggregate_with_config, PivotTask};
 pub use ops::project::{project, ProjSpec};
 pub use ops::sort::{sort, sort_permutation};
-pub use ops::update::{update_from, SetClause};
+pub use ops::update::update_from;
 pub use ops::window::window_aggregate;
 pub use pa_obs::{MetricsRegistry, SpanHandle, SpanRecord, TraceReport, Tracer};
 pub use parallel::ParallelConfig;

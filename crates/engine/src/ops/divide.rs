@@ -7,8 +7,8 @@
 //! join: `parent[r]` is the row of the coarser level that row `r` of the
 //! finer one projects onto, and the percentage is one gather along it.
 //! [`Expr::safe_div`](crate::Expr::safe_div) under
-//! [`project`](crate::project) after a [`hash_join`](crate::hash_join) on
-//! the shared key is the scalar reference the tests hold this to.
+//! [`project`](crate::project), over the rows a nested-loop join on the
+//! shared key pairs up, is the scalar reference the tests hold this to.
 
 use pa_storage::{Bitmap, Column};
 use std::borrow::Cow;

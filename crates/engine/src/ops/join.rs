@@ -1,188 +1,57 @@
-//! Hash joins: inner and left outer.
+//! The equi-join, as a lookup: one row of the right side per left row.
 //!
-//! Percentage queries join `Fk` (probe side) with `Fj` (build side) on the
-//! common subkey `D1..Dj` to perform the division; the DMKD SPJ strategy
-//! assembles `FH` with a chain of **left outer** joins on `D1..Dj`. The
-//! paper's "identical indexes on the common subkey" optimization maps to
-//! passing a prebuilt [`HashIndex`] for the build side.
+//! Percentage queries join `Fk` with `Fj` on the common subkey `D1..Dj` to
+//! perform the division; the DMKD SPJ strategy assembles `FH` with a chain
+//! of **left outer** joins of `F0` with each `Fi` on `D1..Dj`. The right
+//! side is always a `GROUP BY` output, so each left row matches at most one
+//! right row, and the join is the vector of those rows: the `parent` the
+//! percentage divides through, or the rows `Column::gather` reads a right
+//! column along. The paper's "identical indexes on the common subkey"
+//! optimization is a [`HashIndex`] built before the statement.
 
-use crate::error::{EngineError, Result};
+use crate::error::Result;
 use crate::guard::ResourceGuard;
 use crate::stats::ExecStats;
-use pa_storage::{Field, HashIndex, Schema, Table, Value};
+use pa_storage::{HashIndex, Table};
+use std::borrow::Cow;
 
-/// Output rows accumulated between guard charges in the probe loop — large
-/// enough to amortize the atomic, small enough to catch a cross-product
-/// blowup well before it is materialized.
-const JOIN_CHARGE_BATCH: usize = 4096;
-
-/// Join variants used by the strategies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinType {
-    /// Matched pairs only.
-    Inner,
-    /// Every left row; unmatched rows pad right columns with NULL.
-    LeftOuter,
-}
-
-/// Hash-join `left` with `right` on equal key tuples.
+/// For each row of `left`, the row of `index`'s table whose key equals the
+/// row's `left_keys` tuple ([`HashIndex::lookup`]: grouping equality, NULL
+/// matching NULL); with `outer`, [`pa_storage::NONE`] for a row with no
+/// match, and without it a typed error.
 ///
-/// Output columns are all of `left` followed by all of `right`; colliding
-/// names from the right side get a `.r` suffix (further collisions `.r1`,
-/// `.r2`, ...). When `right_index` is provided it must have been built on
-/// `right` over exactly `right_keys` — this is the paper's subkey-index
-/// optimization; otherwise a transient hash table is built (and accounted).
-///
-/// Join keys compare with grouping semantics (`NULL` matches `NULL`), which
-/// is what the generated plans need: group keys came out of GROUP BY, so a
-/// NULL dimension value is a legitimate group.
-pub fn hash_join(
+/// Charged and counted as the join statement it stands for: both inputs
+/// scanned (charged before any row is looked up), one probe per left row,
+/// and a build of the right side when `index` is owned — a transient hash
+/// table built for this join alone. A borrowed index was built beforehand
+/// (`CREATE INDEX`).
+pub fn lookup(
     left: &Table,
-    right: &Table,
     left_keys: &[usize],
-    right_keys: &[usize],
-    join_type: JoinType,
-    right_index: Option<&HashIndex>,
-    stats: &mut ExecStats,
-) -> Result<Table> {
-    hash_join_guarded(
-        left,
-        right,
-        left_keys,
-        right_keys,
-        join_type,
-        right_index,
-        &ResourceGuard::unlimited(),
-        stats,
-    )
-}
-
-/// [`hash_join`] under a [`ResourceGuard`]: both input scans are charged up
-/// front and output rows are charged in batches *during* the probe loop, so
-/// a skewed key that degenerates into a cross product trips the budget
-/// before the row-pair vectors grow unbounded.
-#[allow(clippy::too_many_arguments)]
-pub fn hash_join_guarded(
-    left: &Table,
-    right: &Table,
-    left_keys: &[usize],
-    right_keys: &[usize],
-    join_type: JoinType,
-    right_index: Option<&HashIndex>,
+    index: Cow<'_, HashIndex>,
+    outer: bool,
     guard: &ResourceGuard,
     stats: &mut ExecStats,
-) -> Result<Table> {
-    if left_keys.len() != right_keys.len() || left_keys.is_empty() {
-        return Err(EngineError::InvalidOperator(format!(
-            "join key arity mismatch: {} vs {}",
-            left_keys.len(),
-            right_keys.len()
-        )));
-    }
-    for &k in left_keys {
-        if k >= left.num_columns() {
-            return Err(EngineError::InvalidOperator(format!(
-                "left key column {k} out of range"
-            )));
-        }
-    }
-    for &k in right_keys {
-        if k >= right.num_columns() {
-            return Err(EngineError::InvalidOperator(format!(
-                "right key column {k} out of range"
-            )));
-        }
-    }
-    if let Some(idx) = right_index {
-        if idx.key_cols() != right_keys {
-            return Err(EngineError::InvalidOperator(
-                "provided index does not cover the join keys".into(),
-            ));
-        }
-    }
-    stats.statements += 1;
+) -> Result<Vec<u32>> {
     let mut span = guard.span("join");
-
-    // Build side.
-    let built;
-    let index: &HashIndex = match right_index {
-        Some(idx) => idx,
-        None => {
-            built = HashIndex::build(right, right_keys)?;
-            stats.hash_build_rows += right.num_rows() as u64;
-            &built
-        }
-    };
-    stats.rows_scanned += right.num_rows() as u64;
-
-    // Probe side.
-    let n = left.num_rows();
-    stats.rows_scanned += n as u64;
-    guard.charge((n + right.num_rows()) as u64)?;
-    span.add_rows((n + right.num_rows()) as u64);
+    let scanned = (left.num_rows() + index.rows()) as u64;
+    guard.charge(scanned)?;
+    span.add_rows(scanned);
     span.add_morsels(1);
-    let mut left_rows: Vec<usize> = Vec::with_capacity(n);
-    let mut right_rows: Vec<Option<usize>> = Vec::with_capacity(n);
-    let mut key_buf: Vec<Value> = Vec::with_capacity(left_keys.len());
-    let mut charged = 0usize;
-    for row in 0..n {
-        key_buf.clear();
-        for &k in left_keys {
-            key_buf.push(left.column(k).get(row));
-        }
-        stats.hash_probes += 1;
-        let mut matched = false;
-        for r in index.probe(right, &key_buf) {
-            matched = true;
-            left_rows.push(row);
-            right_rows.push(Some(r));
-        }
-        if !matched && join_type == JoinType::LeftOuter {
-            left_rows.push(row);
-            right_rows.push(None);
-        }
-        // Charge output growth mid-loop: this is where a skewed join blows up.
-        let produced = left_rows.len() - charged;
-        if produced >= JOIN_CHARGE_BATCH {
-            guard.charge(produced as u64)?;
-            span.add_rows(produced as u64);
-            charged = left_rows.len();
-        }
+    stats.statements += 1;
+    stats.rows_scanned += scanned;
+    stats.hash_probes += left.num_rows() as u64;
+    if let Cow::Owned(built) = &index {
+        stats.hash_build_rows += built.rows() as u64;
     }
-    guard.charge((left_rows.len() - charged) as u64)?;
-    span.add_rows((left_rows.len() - charged) as u64);
-
-    // Assemble output schema with deduplicated names.
-    let mut fields: Vec<Field> = left.schema().fields().to_vec();
-    for f in right.schema().fields() {
-        let mut name = f.name.clone();
-        if fields.iter().any(|g| g.name == name) {
-            name = format!("{}.r", f.name);
-            let mut k = 1;
-            while fields.iter().any(|g| g.name == name) {
-                name = format!("{}.r{k}", f.name);
-                k += 1;
-            }
-        }
-        fields.push(Field::new(name, f.dtype));
-    }
-    let schema = Schema::new(fields)?.into_shared();
-
-    let mut columns = Vec::with_capacity(left.num_columns() + right.num_columns());
-    for c in left.columns() {
-        columns.push(c.take(&left_rows));
-    }
-    for c in right.columns() {
-        columns.push(c.take_opt(&right_rows));
-    }
-    stats.rows_materialized += left_rows.len() as u64;
-    Ok(Table::from_columns(schema, columns)?)
+    Ok(index.lookup(left, left_keys, outer)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pa_storage::{DataType, Schema};
+    use crate::error::EngineError;
+    use pa_storage::{DataType, Schema, StorageError, Value, NONE};
 
     fn fk() -> Table {
         let schema = Schema::from_pairs(&[
@@ -195,9 +64,9 @@ mod tests {
         let mut t = Table::empty(schema);
         for (s, c, a) in [
             ("CA", "LA", 23.0),
-            ("CA", "SF", 83.0),
+            ("NV", "Reno", 9.0),
             ("TX", "Dallas", 85.0),
-            ("TX", "Houston", 64.0),
+            ("CA", "SF", 83.0),
         ] {
             t.push_row(&[Value::str(s), Value::str(c), Value::Float(a)])
                 .unwrap();
@@ -205,124 +74,73 @@ mod tests {
         t
     }
 
-    fn fj() -> Table {
+    fn fj(states: &[&str]) -> Table {
         let schema = Schema::from_pairs(&[("state", DataType::Str), ("A", DataType::Float)])
             .unwrap()
             .into_shared();
         let mut t = Table::empty(schema);
-        t.push_row(&[Value::str("CA"), Value::Float(106.0)])
-            .unwrap();
-        t.push_row(&[Value::str("TX"), Value::Float(149.0)])
-            .unwrap();
+        for (i, s) in states.iter().enumerate() {
+            t.push_row(&[Value::str(s), Value::Float(i as f64)])
+                .unwrap();
+        }
         t
     }
 
     #[test]
-    fn inner_join_fk_with_fj() {
-        let (fk, fj) = (fk(), fj());
+    fn counts_the_join_it_stands_for() {
+        let (fk, fj) = (fk(), fj(&["TX", "NV", "CA"]));
         let mut st = ExecStats::default();
-        let out = hash_join(&fk, &fj, &[0], &[0], JoinType::Inner, None, &mut st).unwrap();
-        assert_eq!(out.num_rows(), 4);
-        // Renamed right columns.
-        assert_eq!(out.schema().index_of("state.r").unwrap(), 3);
-        assert_eq!(out.schema().index_of("A.r").unwrap(), 4);
-        let s = out.sorted_by(&[0, 1]);
-        assert_eq!(s.get(0, 2), Value::Float(23.0));
-        assert_eq!(s.get(0, 4), Value::Float(106.0));
-        assert_eq!(st.hash_probes, 4);
-    }
-
-    #[test]
-    fn left_outer_pads_unmatched_with_null() {
-        let fk = fk();
-        let schema = Schema::from_pairs(&[("state", DataType::Str), ("A", DataType::Float)])
-            .unwrap()
-            .into_shared();
-        let mut fj = Table::empty(schema);
-        fj.push_row(&[Value::str("CA"), Value::Float(106.0)])
-            .unwrap();
-        let mut st = ExecStats::default();
-        let inner = hash_join(&fk, &fj, &[0], &[0], JoinType::Inner, None, &mut st).unwrap();
-        assert_eq!(inner.num_rows(), 2);
-        let outer = hash_join(&fk, &fj, &[0], &[0], JoinType::LeftOuter, None, &mut st).unwrap();
-        assert_eq!(outer.num_rows(), 4);
-        let s = outer.sorted_by(&[0, 1]);
-        assert_eq!(s.get(2, 0), Value::str("TX"));
-        assert_eq!(s.get(2, 4), Value::Null, "unmatched right side is NULL");
-    }
-
-    #[test]
-    fn prebuilt_index_is_used_and_validated() {
-        let (fk, fj) = (fk(), fj());
-        let idx = HashIndex::build(&fj, &[0]).unwrap();
-        let mut st = ExecStats::default();
-        let out = hash_join(&fk, &fj, &[0], &[0], JoinType::Inner, Some(&idx), &mut st).unwrap();
-        assert_eq!(out.num_rows(), 4);
+        let guard = ResourceGuard::counting();
+        let index = HashIndex::build(&fj, &[0]).unwrap();
+        let parent = lookup(&fk, &[0], Cow::Borrowed(&index), false, &guard, &mut st).unwrap();
+        assert_eq!(parent, [2, 1, 0, 2]);
+        assert_eq!((st.statements, st.rows_scanned, st.hash_probes), (1, 7, 4));
         assert_eq!(st.hash_build_rows, 0, "no transient build with an index");
-
-        let wrong = HashIndex::build(&fj, &[1]).unwrap();
-        assert!(hash_join(&fk, &fj, &[0], &[0], JoinType::Inner, Some(&wrong), &mut st).is_err());
+        assert_eq!(guard.rows_charged(), 7);
+        lookup(&fk, &[0], Cow::Owned(index), false, &guard, &mut st).unwrap();
+        assert_eq!(st.hash_build_rows, 3, "a transient build");
     }
 
     #[test]
-    fn one_to_many_duplicates_probe_rows() {
-        let (fj, fk) = (fj(), fk());
-        // Join small->large: each fj row matches two fk rows.
-        let mut st = ExecStats::default();
-        let out = hash_join(&fj, &fk, &[0], &[0], JoinType::Inner, None, &mut st).unwrap();
-        assert_eq!(out.num_rows(), 4);
-    }
-
-    #[test]
-    fn null_keys_join_with_grouping_semantics() {
-        let schema = Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Int)])
-            .unwrap()
-            .into_shared();
-        let mut a = Table::empty(schema.clone());
-        a.push_row(&[Value::Null, Value::Int(1)]).unwrap();
-        let mut b = Table::empty(schema);
-        b.push_row(&[Value::Null, Value::Int(2)]).unwrap();
-        let mut st = ExecStats::default();
-        let out = hash_join(&a, &b, &[0], &[0], JoinType::Inner, None, &mut st).unwrap();
-        assert_eq!(out.num_rows(), 1, "NULL group key matches NULL group key");
-    }
-
-    #[test]
-    fn guard_catches_join_blowup_mid_probe() {
-        // 300 × 300 rows all sharing one key: a 90 000-row cross product.
-        let schema = Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Int)])
-            .unwrap()
-            .into_shared();
-        let mut t = Table::empty(schema);
-        for i in 0..300 {
-            t.push_row(&[Value::Int(1), Value::Int(i)]).unwrap();
-        }
-        let mut st = ExecStats::default();
-        // Budget admits both scans (600) plus a few batches, not the full
-        // product — the guard must trip inside the probe loop.
-        let guard = crate::guard::ResourceGuard::with_row_budget(10_000);
-        let err = hash_join_guarded(&t, &t, &[0], &[0], JoinType::Inner, None, &guard, &mut st)
-            .unwrap_err();
-        assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
-        assert!(
-            guard.rows_charged() < 30_000,
-            "tripped early, not after materializing all 90k pairs: {}",
-            guard.rows_charged()
+    fn an_outer_miss_is_none_an_inner_one_an_error() {
+        let (fk, fj) = (fk(), fj(&["CA", "TX"]));
+        let index = HashIndex::build(&fj, &[0]).unwrap();
+        let (guard, mut st) = (ResourceGuard::unlimited(), ExecStats::default());
+        let outer = lookup(&fk, &[0], Cow::Borrowed(&index), true, &guard, &mut st).unwrap();
+        assert_eq!(outer, [0, NONE, 1, 0]);
+        let err = lookup(&fk, &[0], Cow::Borrowed(&index), false, &guard, &mut st).unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::Storage(StorageError::MissingKey { row: 1 })
         );
-
-        // The same join under a sufficient budget completes.
-        let guard = crate::guard::ResourceGuard::with_row_budget(100_000);
-        let out =
-            hash_join_guarded(&t, &t, &[0], &[0], JoinType::Inner, None, &guard, &mut st).unwrap();
-        assert_eq!(out.num_rows(), 90_000);
     }
 
     #[test]
-    fn key_arity_validated() {
-        let (fk, fj) = (fk(), fj());
+    fn a_repeated_build_key_is_a_typed_error() {
+        let err = HashIndex::build(&fj(&["CA", "TX", "CA"]), &[0]).unwrap_err();
+        assert_eq!(err, StorageError::DuplicateKey { row: 2 });
+    }
+
+    #[test]
+    fn a_budget_below_the_two_scans_trips_before_any_output() {
+        let (fk, fj) = (fk(), fj(&["CA", "TX", "NV"]));
+        let index = HashIndex::build(&fj, &[0]).unwrap();
+        let guard = ResourceGuard::with_row_budget(6);
         let mut st = ExecStats::default();
-        assert!(hash_join(&fk, &fj, &[0, 1], &[0], JoinType::Inner, None, &mut st).is_err());
-        assert!(hash_join(&fk, &fj, &[], &[], JoinType::Inner, None, &mut st).is_err());
-        assert!(hash_join(&fk, &fj, &[9], &[0], JoinType::Inner, None, &mut st).is_err());
+        let err = lookup(&fk, &[0], Cow::Owned(index), false, &guard, &mut st).unwrap_err();
+        assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
+        assert_eq!(st.hash_probes, 0, "no row looked up");
+    }
+
+    #[test]
+    fn the_wrong_index_is_refused() {
+        let (fk, fj) = (fk(), fj(&["CA", "TX", "NV"]));
+        let (guard, mut st) = (ResourceGuard::unlimited(), ExecStats::default());
+        // An index on `Fj.A`, probed with `Fk.state`; or with two columns.
+        let wrong = HashIndex::build(&fj, &[1]).unwrap();
+        assert!(lookup(&fk, &[0], Cow::Borrowed(&wrong), false, &guard, &mut st).is_err());
+        let right = HashIndex::build(&fj, &[0]).unwrap();
+        assert!(lookup(&fk, &[0, 1], Cow::Borrowed(&right), false, &guard, &mut st).is_err());
+        assert!(lookup(&fk, &[9], Cow::Borrowed(&right), false, &guard, &mut st).is_err());
     }
 }

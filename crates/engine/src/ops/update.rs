@@ -1,4 +1,4 @@
-//! UPDATE .. FROM — in-place materialization via a join.
+//! UPDATE .. FROM — in-place materialization through a `parent` vector.
 //!
 //! Implements the paper's second `FV` strategy:
 //!
@@ -7,126 +7,83 @@
 //! WHERE Fk.D1 = Fj.D1 .. Fk.Dj = Fj.Dj;  /* FV = Fk */
 //! ```
 //!
-//! Every target row is processed individually: probe the source, evaluate
-//! the SET expressions over the spliced row, write a before/after image to
-//! the WAL, then mutate in place — one [`Catalog::write`] for the statement,
-//! one log record per row. The per-row log records and random writes are
-//! the mechanism behind Table 4's "UPDATE takes 80% of the time when FV is
-//! comparable to F".
+//! The `WHERE` is the join [`lookup`](crate::lookup) answers — each `Fk`
+//! row's row of `Fj`, its `parent` — and the `SET` is [`divide`]'s rule.
+//! Every target row is still written individually: a before/after image to
+//! the WAL, then the cell in place — one [`Catalog::write`] for the
+//! statement, one log record per row. The per-row log records and random
+//! writes are the mechanism behind Table 4's "UPDATE takes 80% of the time
+//! when FV is comparable to F".
 
 use crate::error::{EngineError, Result};
-use crate::expr::Expr;
+use crate::guard::ResourceGuard;
+use crate::ops::divide::divide;
 use crate::stats::ExecStats;
-use pa_storage::{Catalog, Change, HashIndex, Table, Value};
+use pa_storage::{Catalog, Change, Column, DataType, Table, NONE};
 
-/// One `SET target_col = expr` clause. The expression addresses the spliced
-/// row: target columns first, then source columns (see [`Expr::eval2`]).
-#[derive(Debug, Clone)]
-pub struct SetClause {
-    /// Column of the target table to overwrite.
-    pub target_col: usize,
-    /// Replacement expression over the spliced (target ++ source) row.
-    pub expr: Expr,
-}
-
-/// Update table `target_name` in place, joining each row against `source`
-/// on the given key columns. Rows with no source match are left untouched
-/// (SQL UPDATE..FROM semantics). Returns the number of rows updated.
-#[allow(clippy::too_many_arguments)]
+/// Divide column `col` of table `target_name` in place: row `r` becomes
+/// `col[r] / totals[parent[r]]` by [`divide`]'s rule (NULL for a NULL sum or
+/// a NULL or zero total), and a row whose `parent` is [`NONE`] is left
+/// untouched (SQL UPDATE..FROM semantics). `parent` has one entry per
+/// target row. Charged and counted as the statement: the target scanned,
+/// one condition and one logged row per row divided. Returns the number of
+/// rows updated.
 pub fn update_from(
     catalog: &Catalog,
     target_name: &str,
-    target_keys: &[usize],
-    source: &Table,
-    source_keys: &[usize],
-    source_index: Option<&HashIndex>,
-    sets: &[SetClause],
+    col: usize,
+    totals: &Column,
+    parent: &[u32],
+    guard: &ResourceGuard,
     stats: &mut ExecStats,
 ) -> Result<u64> {
-    if target_keys.len() != source_keys.len() || target_keys.is_empty() {
-        return Err(EngineError::InvalidOperator(
-            "update join key arity mismatch".into(),
-        ));
+    let invalid = |msg: String| Err(EngineError::InvalidOperator(msg));
+    let (rows, columns) = {
+        let target = catalog.table(target_name)?;
+        let target = target.read();
+        (target.num_rows(), target.num_columns())
+    };
+    if col >= columns {
+        return invalid(format!("set column {col} out of range"));
     }
-    if sets.is_empty() {
-        return Err(EngineError::InvalidOperator("update without SET".into()));
+    if parent.len() != rows {
+        return invalid(format!("{} parent rows for {rows} rows", parent.len()));
     }
-    if let Some(idx) = source_index {
-        if idx.key_cols() != source_keys {
-            return Err(EngineError::InvalidOperator(
-                "provided index does not cover the update join keys".into(),
-            ));
-        }
+    if let Some(p) = parent
+        .iter()
+        .find(|&&p| p != NONE && p as usize >= totals.len())
+    {
+        return invalid(format!("parent row {p} of {} totals", totals.len()));
     }
     stats.statements += 1;
-    let target_columns = catalog.table(target_name)?.read().num_columns();
-    for &k in target_keys {
-        if k >= target_columns {
-            return Err(EngineError::InvalidOperator(format!(
-                "target key column {k} out of range"
-            )));
-        }
-    }
-    for s in sets {
-        if s.target_col >= target_columns {
-            return Err(EngineError::InvalidOperator(format!(
-                "set column {} out of range",
-                s.target_col
-            )));
-        }
-    }
-
-    let built;
-    let index: &HashIndex = match source_index {
-        Some(idx) => idx,
-        None => {
-            built = HashIndex::build(source, source_keys)?;
-            stats.hash_build_rows += source.num_rows() as u64;
-            &built
-        }
-    };
+    stats.rows_scanned += rows as u64;
+    guard.charge(rows as u64)?;
+    let mut span = guard.span("update");
+    span.add_rows(rows as u64);
+    span.add_morsels(1);
 
     // The statement is one catalog write: `next` runs under the target's
-    // write guard and hands over one matched row at a time — its SET values
-    // evaluated against the pre-update row image — which the catalog logs
-    // (before + after images of the touched columns), then overwrites.
-    let set_cols: Vec<usize> = sets.iter().map(|s| s.target_col).collect();
-    let mut key_buf: Vec<Value> = Vec::with_capacity(target_keys.len());
-    let (mut row, mut updated) = (0, 0u64);
-    let mut failed = None;
-    let next = &mut |target: &Table, new_vals: &mut Vec<Value>| {
-        while row < target.num_rows() {
-            let this = row;
-            row += 1;
-            key_buf.clear();
-            key_buf.extend(target_keys.iter().map(|&k| target.column(k).get(this)));
-            stats.hash_probes += 1;
-            let Some(src_row) = index.probe(source, &key_buf).next() else {
-                continue;
-            };
-            for s in sets {
-                match s.expr.eval2(target, this, source, src_row, stats) {
-                    Ok(v) => new_vals.push(v),
-                    Err(e) => {
-                        failed = Some(e);
-                        return None;
-                    }
-                }
-            }
-            updated += 1;
-            return Some(this);
-        }
-        None
+    // write guard, divides the matched rows of the image it first sees, and
+    // hands them over one at a time, which the catalog logs (before + after
+    // images of the column), then overwrites.
+    let matched: Vec<usize> = (0..rows).filter(|&r| parent[r] != NONE).collect();
+    let mut quotients: Option<Column> = None;
+    let mut next_row = matched.iter().enumerate();
+    let next = &mut |target: &Table, after: &mut Vec<_>| {
+        let quotients = quotients.get_or_insert_with(|| {
+            let sums = target.column(col).take(&matched);
+            let onto: Vec<u32> = matched.iter().map(|&r| parent[r]).collect();
+            let mut out = Column::with_capacity(DataType::Float, matched.len());
+            divide(&sums, totals, Some(&onto), &mut out);
+            out
+        });
+        let (i, &row) = next_row.next()?;
+        after.push(quotients.get(i));
+        Some(row)
     };
-    let change = Change::Update {
-        cols: &set_cols,
-        next,
-    };
-    let logged = catalog.write(target_name, change)?;
-    if let Some(e) = failed {
-        return Err(e);
-    }
-    stats.rows_scanned += logged.rows + source.num_rows() as u64;
+    let logged = catalog.write(target_name, Change::Update { cols: &[col], next })?;
+    let updated = matched.len() as u64;
+    stats.case_condition_evals += updated;
     stats.rows_updated += updated;
     stats.wal_records += logged.records;
     stats.wal_bytes += logged.bytes;
@@ -136,7 +93,7 @@ pub fn update_from(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pa_storage::{DataType, Schema};
+    use pa_storage::{HashIndex, Schema, Value};
 
     fn setup() -> (Catalog, Table) {
         setup_on(Catalog::new())
@@ -174,19 +131,20 @@ mod tests {
         (cat, fj)
     }
 
-    /// SET A = Fk.A / Fj.A (safe division): col 2 is Fk.A, col 3+1=4 is Fj.A.
-    fn division_set() -> Vec<SetClause> {
-        vec![SetClause {
-            target_col: 2,
-            expr: Expr::Col(2).safe_div(Expr::Col(4)),
-        }]
+    /// `SET A = Fk.A / Fj.A .. WHERE Fk.state = Fj.state`: `Fk.A` is
+    /// column 2, each row's `Fj` row an outer lookup of its state.
+    fn divide_by_state(cat: &Catalog, fj: &Table, st: &mut ExecStats) -> Result<u64> {
+        let fk = cat.table("Fk")?.read().clone();
+        let parent = HashIndex::build(fj, &[0])?.lookup(&fk, &[0], true)?;
+        let guard = ResourceGuard::unlimited();
+        update_from(cat, "Fk", 2, fj.column(1), &parent, &guard, st)
     }
 
     #[test]
     fn paper_update_division() {
         let (cat, fj) = setup();
         let mut st = ExecStats::default();
-        let n = update_from(&cat, "Fk", &[0], &fj, &[0], None, &division_set(), &mut st).unwrap();
+        let n = divide_by_state(&cat, &fj, &mut st).unwrap();
         assert_eq!(n, 4, "NV row untouched");
         let fk = cat.table("Fk").unwrap();
         let t = fk.read().sorted_by(&[0, 1]);
@@ -200,7 +158,7 @@ mod tests {
     fn logs_one_wal_record_per_updated_row() {
         let (cat, fj) = setup();
         let mut st = ExecStats::default();
-        update_from(&cat, "Fk", &[0], &fj, &[0], None, &division_set(), &mut st).unwrap();
+        divide_by_state(&cat, &fj, &mut st).unwrap();
         assert_eq!(st.wal_records, 4);
         assert!(st.wal_bytes > 0);
     }
@@ -214,40 +172,28 @@ mod tests {
         let mut fj = Table::empty(fj_schema);
         fj.push_row(&[Value::str("CA"), Value::Float(0.0)]).unwrap();
         let mut st = ExecStats::default();
-        update_from(&cat, "Fk", &[0], &fj, &[0], None, &division_set(), &mut st).unwrap();
+        divide_by_state(&cat, &fj, &mut st).unwrap();
         let fk = cat.table("Fk").unwrap();
         let t = fk.read().sorted_by(&[0, 1]);
         assert_eq!(t.get(0, 2), Value::Null, "division by zero is NULL");
     }
 
     #[test]
-    fn prebuilt_index_accepted_wrong_index_rejected() {
-        let (cat, fj) = setup();
-        let idx = HashIndex::build(&fj, &[0]).unwrap();
-        let mut st = ExecStats::default();
-        assert!(update_from(
-            &cat,
-            "Fk",
-            &[0],
-            &fj,
-            &[0],
-            Some(&idx),
-            &division_set(),
-            &mut st
-        )
-        .is_ok());
-        let wrong = HashIndex::build(&fj, &[1]).unwrap();
-        assert!(update_from(
-            &cat,
-            "Fk",
-            &[0],
-            &fj,
-            &[0],
-            Some(&wrong),
-            &division_set(),
-            &mut st
-        )
-        .is_err());
+    fn a_global_total_is_a_parent_of_zeros_and_charges_its_guard() {
+        let (cat, _) = setup();
+        let mut total = Column::new(DataType::Float);
+        total.push(Value::Float(264.0)).unwrap();
+        let (guard, mut st) = (ResourceGuard::counting(), ExecStats::default());
+        let n = update_from(&cat, "Fk", 2, &total, &[0; 5], &guard, &mut st).unwrap();
+        assert_eq!((n, st.rows_updated, st.wal_records), (5, 5, 5));
+        assert_eq!(
+            (st.statements, st.rows_scanned, st.case_condition_evals),
+            (1, 5, 5)
+        );
+        assert_eq!((st.hash_probes, st.hash_build_rows), (0, 0));
+        assert_eq!(guard.rows_charged(), 5);
+        let t = cat.table("Fk").unwrap().read().sorted_by(&[0, 1]);
+        assert_eq!(t.get(4, 2), Value::Float(64.0 / 264.0));
     }
 
     #[test]
@@ -257,7 +203,7 @@ mod tests {
         // them for not being full-row images.
         let (cat, fj) = setup();
         let mut st = ExecStats::default();
-        update_from(&cat, "Fk", &[0], &fj, &[0], None, &division_set(), &mut st).unwrap();
+        divide_by_state(&cat, &fj, &mut st).unwrap();
         let live: Vec<Vec<Value>> = cat.table("Fk").unwrap().read().rows().collect();
 
         let image = cat.with_wal(|w| w.snapshot()).unwrap();
@@ -284,8 +230,7 @@ mod tests {
         wal.set_retry_policy(RetryPolicy::none());
         let (cat, fj) = setup_on(Catalog::from_wal(wal));
         let mut st = ExecStats::default();
-        let err =
-            update_from(&cat, "Fk", &[0], &fj, &[0], None, &division_set(), &mut st).unwrap_err();
+        let err = divide_by_state(&cat, &fj, &mut st).unwrap_err();
         assert!(
             matches!(err, EngineError::Storage(StorageError::TransientIo(_))),
             "the caller gets the device's error: {err}"
@@ -312,24 +257,15 @@ mod tests {
     #[test]
     fn validates_arguments() {
         let (cat, fj) = setup();
-        let mut st = ExecStats::default();
-        assert!(update_from(&cat, "Fk", &[], &fj, &[], None, &division_set(), &mut st).is_err());
-        assert!(update_from(&cat, "Fk", &[0], &fj, &[0], None, &[], &mut st).is_err());
-        assert!(update_from(
-            &cat,
-            "nope",
-            &[0],
-            &fj,
-            &[0],
-            None,
-            &division_set(),
-            &mut st
-        )
-        .is_err());
-        let bad_set = vec![SetClause {
-            target_col: 99,
-            expr: Expr::lit(1),
-        }];
-        assert!(update_from(&cat, "Fk", &[0], &fj, &[0], None, &bad_set, &mut st).is_err());
+        let (guard, mut st) = (ResourceGuard::unlimited(), ExecStats::default());
+        let total = fj.column(1);
+        let mut update = |name, col, parent: &[u32]| {
+            update_from(&cat, name, col, total, parent, &guard, &mut st)
+        };
+        assert!(update("nope", 2, &[0; 5]).is_err());
+        assert!(update("Fk", 99, &[0; 5]).is_err(), "column");
+        assert!(update("Fk", 2, &[0; 4]).is_err(), "one parent row per row");
+        assert!(update("Fk", 2, &[0, 0, 1, 1, 2]).is_err(), "no third total");
+        assert!(update("Fk", 2, &[0, 0, 1, 1, NONE]).is_ok());
     }
 }

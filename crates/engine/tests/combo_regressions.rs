@@ -10,9 +10,9 @@
 
 use pa_engine::{
     hash_aggregate_with_config, insert_into, update_from, AggFunc, AggSpec, ExecStats, Expr,
-    ParallelConfig, ResourceGuard, SetClause,
+    ParallelConfig, ResourceGuard,
 };
-use pa_storage::{Catalog, DataType, Schema, Table, Value};
+use pa_storage::{Catalog, DataType, HashIndex, Schema, Table, Value};
 use std::sync::Arc;
 
 fn dims(names: &[&str]) -> Vec<String> {
@@ -106,15 +106,24 @@ fn wal_update_invalidates_combo_catalog() {
     let catalog = sales_catalog();
     seed_cache(&catalog);
 
-    // UPDATE sales SET amt = amt joined against a one-row source — the
-    // values don't matter, only that the mutation is logged.
+    // UPDATE sales SET amt = amt / src.amt joined on store against a
+    // one-row source — the values don't matter, only that the mutation is
+    // logged.
     let src = batch(&catalog, 1, "Mon", 0.0);
-    let sets = vec![SetClause {
-        target_col: 2,
-        expr: Expr::Col(2),
-    }];
-    let mut stats = ExecStats::default();
-    let n = update_from(&catalog, "sales", &[0], &src, &[0], None, &sets, &mut stats).unwrap();
+    let sales = catalog.table("sales").unwrap().read().clone();
+    let index = HashIndex::build(&src, &[0]).unwrap();
+    let parent = index.lookup(&sales, &[0], true).unwrap();
+    let (guard, mut stats) = (ResourceGuard::unlimited(), ExecStats::default());
+    let n = update_from(
+        &catalog,
+        "sales",
+        2,
+        src.column(2),
+        &parent,
+        &guard,
+        &mut stats,
+    )
+    .unwrap();
     assert!(n > 0, "update must touch at least one row");
 
     assert!(

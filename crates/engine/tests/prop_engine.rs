@@ -2,13 +2,14 @@
 //! reference implementation over the same random input.
 
 use pa_engine::{
-    aggregate, aggregate_level, distinct, divide, filter, hash_aggregate, hash_join,
-    pivot_aggregate, project, sort, window_aggregate, AggFunc, AggSpec, CmpOp, ExecStats, Expr,
-    JoinType, ParallelConfig, PivotTask, ProjSpec, ResourceGuard, Selected, Selection, SystemClock,
-    Tracer, DEFAULT_DENSE_BUDGET,
+    aggregate, aggregate_level, distinct, divide, filter, hash_aggregate, lookup, pivot_aggregate,
+    project, sort, window_aggregate, AggFunc, AggSpec, CmpOp, EngineError, ExecStats, Expr,
+    ParallelConfig, PivotTask, ProjSpec, ResourceGuard, Selected, Selection, SystemClock, Tracer,
+    DEFAULT_DENSE_BUDGET,
 };
-use pa_storage::{Column, DataType, Schema, Table, Value};
+use pa_storage::{Column, DataType, HashIndex, Schema, StorageError, Table, Value, NONE};
 use proptest::prelude::*;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 
 #[derive(Debug, Clone)]
@@ -218,7 +219,7 @@ fn selection_a_scan_reports(t: &Table, pred: &Expr) -> (&'static str, u64) {
     (mode, selected)
 }
 
-// ---- `divide` against `hash_join` + `project` over `Expr::safe_div` --------
+// ---- `divide` against a nested-loop join + `project` over `Expr::safe_div` --
 
 /// A fine level `[key, sum]` and a coarse one `[key, total]` over one key
 /// column of `key_type` (`None`: a string column holding only NULLs), and
@@ -554,12 +555,25 @@ proptest! {
         let key_type = [Some(DataType::Int), Some(DataType::Float), Some(DataType::Str), None][key];
         let (fine, coarse, parent) = divide_case(&mut Draw(seed), key_type, int_sums, int_totals);
         let mut stats = ExecStats::default();
-        // The scalar reference: join on the shared key (a NULL key matches
-        // the NULL group; an inner join of a level with a projection of
-        // itself keeps every row, in order), then `sum / total` per row.
-        let joined = hash_join(&fine, &coarse, &[0], &[0], JoinType::Inner, None, &mut stats).unwrap();
-        prop_assert_eq!(joined.num_rows(), fine.num_rows());
-        let pct = ProjSpec::typed(Expr::Col(1).safe_div(Expr::Col(3)), "pct", DataType::Float);
+        // The scalar reference: a nested-loop join on the shared key under
+        // `Value::key_eq` (a NULL key matches the NULL group; every fine
+        // row finds its one coarse row), then `sum / total` per row.
+        let mut matched = Vec::new();
+        for row in 0..fine.num_rows() {
+            let key = fine.get(row, 0);
+            let rows: Vec<usize> = (0..coarse.num_rows())
+                .filter(|&c| coarse.get(c, 0).key_eq(&key))
+                .collect();
+            prop_assert_eq!(rows.len(), 1, "fine row {}", row);
+            matched.push(rows[0]);
+        }
+        let fields = [("sum", fine.column(1).data_type()), ("total", coarse.column(1).data_type())];
+        let joined = Table::from_columns(
+            Schema::from_pairs(&fields).unwrap().into_shared(),
+            vec![fine.column(1).clone(), coarse.column(1).take(&matched)],
+        )
+        .unwrap();
+        let pct = ProjSpec::typed(Expr::Col(0).safe_div(Expr::Col(1)), "pct", DataType::Float);
         let reference = project(&joined, &[pct], &mut stats).unwrap();
         let mut got = Column::new(DataType::Float);
         divide(fine.column(1), coarse.column(1), Some(&parent), &mut got);
@@ -567,6 +581,84 @@ proptest! {
         for row in 0..fine.num_rows() {
             let (want, got) = (reference.get(row, 0), got.get(row));
             prop_assert!(same_bits(&want, &got), "row {}: join + safe_div {:?}, divide {:?}", row, want, got);
+        }
+    }
+}
+
+// ---- `lookup` against a nested loop under `Value::key_eq` ------------------
+
+/// A left table of up to 40 rows and a right one of distinct keys, over one
+/// or two key columns of drawn types whose values come from the corner
+/// values (NULL, `±0.0`, NaN of both signs, ..). The right side's strings
+/// are interned in another order than the left's, so its dictionaries
+/// differ, and holds only some of the keys.
+fn lookup_case(draw: &mut Draw) -> (Table, Table) {
+    let corners = corner_values();
+    let types = [DataType::Int, DataType::Float, DataType::Str];
+    let arity = 1 + draw.below(2);
+    let drawn: Vec<usize> = (0..arity).map(|_| draw.below(3)).collect();
+    let names = ["k0", "k1"];
+    let fields: Vec<(&str, DataType)> = (drawn.iter().enumerate())
+        .map(|(i, &t)| (names[i], types[t]))
+        .collect();
+    let schema = Schema::from_pairs(&fields).unwrap().into_shared();
+    let key = |draw: &mut Draw| -> Vec<Value> {
+        drawn.iter().map(|&t| draw.one_of(&corners[t])).collect()
+    };
+    let mut left = Table::empty(schema.clone());
+    for _ in 0..draw.below(41) {
+        left.push_row(&key(draw)).unwrap();
+    }
+    let mut keys: Vec<Vec<Value>> = Vec::new();
+    for _ in 0..draw.below(13) {
+        let k = key(draw);
+        let same = |other: &Vec<Value>| other.iter().zip(&k).all(|(a, b)| a.key_eq(b));
+        if !keys.iter().any(same) {
+            keys.push(k);
+        }
+    }
+    let mut right = Table::empty(schema);
+    for k in keys.iter().rev() {
+        right.push_row(k).unwrap();
+    }
+    (left, right)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn join_matches_nested_loop(seed in any::<u64>()) {
+        let (left, right) = lookup_case(&mut Draw(seed));
+        let keys: Vec<usize> = (0..left.num_columns()).collect();
+        // Reference: for each left row, the right row whose every key
+        // column is `key_eq` to its own (at most one: right keys are
+        // distinct), or NONE.
+        let want: Vec<u32> = (0..left.num_rows())
+            .map(|l| {
+                let same = |&r: &usize| keys.iter().all(|&k| left.get(l, k).key_eq(&right.get(r, k)));
+                (0..right.num_rows()).find(same).map_or(NONE, |r| r as u32)
+            })
+            .collect();
+        let guard = ResourceGuard::unlimited();
+        let index = HashIndex::build(&right, &keys).unwrap();
+        let mut stats = ExecStats::default();
+        let outer = lookup(&left, &keys, Cow::Borrowed(&index), true, &guard, &mut stats);
+        prop_assert_eq!(outer.unwrap(), want.clone());
+        prop_assert_eq!(stats.hash_probes, left.num_rows() as u64);
+        let inner = lookup(&left, &keys, Cow::Owned(index), false, &guard, &mut stats);
+        match want.iter().position(|&r| r == NONE) {
+            Some(row) => prop_assert_eq!(inner.unwrap_err(), EngineError::Storage(StorageError::MissingKey { row })),
+            None => prop_assert_eq!(inner.unwrap(), want),
+        }
+        prop_assert_eq!(stats.hash_build_rows, right.num_rows() as u64);
+
+        // A right side that repeats a key is refused.
+        if right.num_rows() > 0 {
+            let mut repeated = right.clone();
+            repeated.push_row(&right.row(0).unwrap()).unwrap();
+            let err = HashIndex::build(&repeated, &keys).unwrap_err();
+            prop_assert_eq!(err, StorageError::DuplicateKey { row: right.num_rows() });
         }
     }
 }
@@ -622,25 +714,6 @@ proptest! {
             }
             prop_assert_eq!(out.get(i, 2).as_i64().unwrap(), m.cnt);
             prop_assert_eq!(out.get(i, 3).as_i64().unwrap(), m.n);
-        }
-    }
-
-    #[test]
-    fn join_matches_nested_loop(left in rows_strategy(60), right in rows_strategy(60)) {
-        let lt = table_of(&left);
-        let rt = table_of(&right);
-        for (jt, outer) in [(JoinType::Inner, false), (JoinType::LeftOuter, true)] {
-            let out = hash_join(&lt, &rt, &[0], &[0], jt, None, &mut ExecStats::default()).unwrap();
-            // Reference: nested loop with grouping (NULL = NULL) semantics.
-            let mut expected = 0usize;
-            for l in &left {
-                let matches = right
-                    .iter()
-                    .filter(|r| Value::from(l.g).key_eq(&Value::from(r.g)))
-                    .count();
-                expected += if matches == 0 && outer { 1 } else { matches };
-            }
-            prop_assert_eq!(out.num_rows(), expected, "{:?}", jt);
         }
     }
 

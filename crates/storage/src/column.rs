@@ -3,6 +3,7 @@
 use crate::bitmap::Bitmap;
 use crate::dictionary::Dictionary;
 use crate::error::{Result, StorageError};
+use crate::index::NONE;
 use crate::packed::{PackedCell, PackedCodes};
 use crate::value::{DataType, Value};
 use std::sync::Arc;
@@ -490,77 +491,39 @@ impl Column {
         }
     }
 
-    /// Like [`Column::take`], but `None` entries gather a NULL — the shape a
-    /// left outer join needs for unmatched probe rows.
-    pub fn take_opt(&self, rows: &[Option<usize>]) -> Column {
+    /// `self[i]` for each `i` in `rows`, NULL where `i` is [`NONE`]: a
+    /// column of a join's right side, gathered through the row each left
+    /// row found ([`crate::HashIndex::lookup`]).
+    pub fn gather(&self, rows: &[u32]) -> Column {
+        fn pick<T: Copy>(data: &[T], rows: &[u32], null: T) -> Vec<T> {
+            let at = |&i: &u32| if i == NONE { null } else { data[i as usize] };
+            rows.iter().map(at).collect()
+        }
+        let valid = |validity: &Bitmap| -> Bitmap {
+            (rows.iter())
+                .map(|&i| i != NONE && validity.get(i as usize))
+                .collect()
+        };
         match self {
-            Column::Int { data, validity } => {
-                let mut out = Vec::with_capacity(rows.len());
-                let mut v = Bitmap::with_capacity(rows.len());
-                for r in rows {
-                    match r {
-                        Some(i) => {
-                            out.push(data[*i]);
-                            v.push(validity.get(*i));
-                        }
-                        None => {
-                            out.push(0);
-                            v.push(false);
-                        }
-                    }
-                }
-                Column::Int {
-                    data: out,
-                    validity: v,
-                }
-            }
-            Column::Float { data, validity } => {
-                let mut out = Vec::with_capacity(rows.len());
-                let mut v = Bitmap::with_capacity(rows.len());
-                for r in rows {
-                    match r {
-                        Some(i) => {
-                            out.push(data[*i]);
-                            v.push(validity.get(*i));
-                        }
-                        None => {
-                            out.push(f64::NAN);
-                            v.push(false);
-                        }
-                    }
-                }
-                Column::Float {
-                    data: out,
-                    validity: v,
-                }
-            }
+            Column::Int { data, validity } => Column::Int {
+                data: pick(data, rows, 0),
+                validity: valid(validity),
+            },
+            Column::Float { data, validity } => Column::Float {
+                data: pick(data, rows, f64::NAN),
+                validity: valid(validity),
+            },
             Column::Str {
                 dict,
                 codes,
                 validity,
                 ..
-            } => {
-                let mut out = Vec::with_capacity(rows.len());
-                let mut v = Bitmap::with_capacity(rows.len());
-                for r in rows {
-                    match r {
-                        Some(i) => {
-                            out.push(codes[*i]);
-                            v.push(validity.get(*i));
-                        }
-                        None => {
-                            out.push(0);
-                            v.push(false);
-                        }
-                    }
-                }
-                Column::Str {
-                    dict: dict.clone(),
-                    codes: out,
-                    validity: v,
-                    packed: PackedCell::new(),
-                }
-            }
+            } => Column::Str {
+                dict: dict.clone(),
+                codes: pick(codes, rows, 0),
+                validity: valid(validity),
+                packed: PackedCell::new(),
+            },
         }
     }
 
@@ -754,21 +717,25 @@ mod tests {
     }
 
     #[test]
-    fn take_opt_gathers_nulls_for_none() {
+    fn gather_reads_null_at_none() {
         let mut c = Column::new(DataType::Int);
         for i in 0..5 {
             c.push(Value::Int(i)).unwrap();
         }
-        let t = c.take_opt(&[Some(4), None, Some(0)]);
+        c.push(Value::Null).unwrap();
+        let t = c.gather(&[4, NONE, 0, 5]);
         assert_eq!(t.get(0), Value::Int(4));
         assert_eq!(t.get(1), Value::Null);
         assert_eq!(t.get(2), Value::Int(0));
+        assert_eq!(t.get(3), Value::Null);
 
         let mut s = Column::new(DataType::Str);
         s.push(Value::str("a")).unwrap();
-        let ts = s.take_opt(&[None, Some(0)]);
+        let ts = s.gather(&[NONE, 0]);
         assert_eq!(ts.get(0), Value::Null);
         assert_eq!(ts.get(1), Value::str("a"));
+        let f = Column::new(DataType::Float).gather(&[NONE]);
+        assert_eq!(f.float_data().map(|d| d[0].is_nan()), Some(true));
     }
 
     #[test]

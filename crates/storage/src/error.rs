@@ -36,6 +36,17 @@ pub enum StorageError {
     InvalidSchema(String),
     /// An index was declared over columns that do not exist / wrong arity probe.
     InvalidIndex(String),
+    /// Row `row` of an index's table repeats the key of an earlier row: a
+    /// [`crate::HashIndex`] maps each key to one row.
+    DuplicateKey {
+        /// The second row carrying the key.
+        row: usize,
+    },
+    /// Row `row` of an inner lookup's probe table has no row in the index.
+    MissingKey {
+        /// The probe row.
+        row: usize,
+    },
     /// WAL failure (e.g. record too large for configured capacity).
     Wal(String),
     /// Log-device I/O failure (stringified to keep the error `Clone + Eq`).
@@ -113,6 +124,10 @@ impl fmt::Display for StorageError {
             }
             StorageError::InvalidSchema(msg) => write!(f, "invalid schema: {msg}"),
             StorageError::InvalidIndex(msg) => write!(f, "invalid index: {msg}"),
+            StorageError::DuplicateKey { row } => {
+                write!(f, "row {row} repeats an indexed key")
+            }
+            StorageError::MissingKey { row } => write!(f, "probe row {row} has no indexed row"),
             StorageError::Wal(msg) => write!(f, "wal error: {msg}"),
             StorageError::Io(msg) => write!(f, "io error: {msg}"),
             StorageError::TransientIo(msg) => write!(f, "transient io error: {msg}"),

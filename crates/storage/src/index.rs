@@ -1,98 +1,181 @@
-//! Secondary hash indexes.
+//! Unique-key hash indexes: the one equi-join.
 //!
 //! The paper recommends "identical indexes on `D1..Dj`" on `Fk` and `Fj` to
-//! accelerate the division join. A [`HashIndex`] maps the hash of a key-column
-//! tuple to the row ids carrying it; probes verify candidates against the
-//! indexed table, so hash collisions are handled, not assumed away.
+//! accelerate the division join. Every table this codebase joins onto is a
+//! `GROUP BY` output, so its key is unique and a join needs no more than a
+//! map from each key to its one row. A [`HashIndex`] holds that map, and
+//! [`HashIndex::lookup`] answers a whole probe table with one row id per
+//! probe row: the `parent` vector a percentage divides through (DESIGN.md
+//! §17), [`NONE`] where an outer probe row has no match.
+//!
+//! Keys compare as grouping does, by [`Column::key_fragment`]: NULL matches
+//! NULL, `-0.0` equals `0.0`, every NaN is one key, a string is its text.
 
+use crate::column::Column;
 use crate::error::{Result, StorageError};
-use crate::hash::{FxHashMap, FxHasher};
 use crate::table::Table;
-use crate::value::Value;
-use std::hash::Hasher;
+use crate::value::DataType;
+use std::sync::Arc;
 
-/// Hash index over a fixed set of key columns of one table.
+/// The row [`HashIndex::lookup`] gives a probe row with no match, and the
+/// row [`Column::gather`] reads as NULL.
+pub const NONE: u32 = u32::MAX;
+
+/// The fragment of a probe string the index's dictionary does not hold: no
+/// dictionary code equals it.
+const ABSENT: i64 = -1;
+
+/// Hash index over the unique key columns of one table.
 #[derive(Debug, Clone)]
 pub struct HashIndex {
-    key_cols: Vec<usize>,
-    buckets: FxHashMap<u64, Vec<u32>>,
+    /// Each key column's type, and a string column's dictionary entries:
+    /// what a probe table's codes are translated into.
+    dtypes: Vec<DataType>,
+    strings: Vec<Vec<Arc<str>>>,
+    rows: usize,
+    /// Row `r`'s key fragments are `keys[r * arity..][..arity]`.
+    keys: Vec<Option<i64>>,
+    /// Open-addressed row ids ([`NONE`] is an empty slot), probed linearly
+    /// from the top bits of the key's hash.
+    slots: Vec<u32>,
+    shift: u32,
 }
 
-fn hash_row_key(table: &Table, key_cols: &[usize], row: usize) -> u64 {
-    let mut h = FxHasher::default();
-    for &c in key_cols {
-        table.column(c).get(row).key_hash(&mut h);
-    }
-    h.finish()
-}
-
-fn hash_probe_key(key: &[Value]) -> u64 {
-    let mut h = FxHasher::default();
-    for v in key {
-        v.key_hash(&mut h);
-    }
-    h.finish()
+fn hash(key: &[Option<i64>]) -> u64 {
+    let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    key.iter().fold(0, |h, k| match *k {
+        Some(v) => mix(mix(h, 1), v as u64),
+        None => mix(h, 0),
+    })
 }
 
 impl HashIndex {
-    /// Build an index over `key_cols` of `table`.
+    /// Index the rows of `table` by their `key_cols` tuple (no columns: the
+    /// one empty key). A key carried by two rows is a
+    /// [`StorageError::DuplicateKey`].
     pub fn build(table: &Table, key_cols: &[usize]) -> Result<HashIndex> {
-        for &c in key_cols {
-            if c >= table.num_columns() {
-                return Err(StorageError::InvalidIndex(format!(
-                    "key column {c} out of range for table with {} columns",
-                    table.num_columns()
-                )));
+        if let Some(c) = key_cols.iter().find(|&&c| c >= table.num_columns()) {
+            return Err(StorageError::InvalidIndex(format!(
+                "key column {c} out of range for table with {} columns",
+                table.num_columns()
+            )));
+        }
+        let rows = table.num_rows();
+        if rows >= NONE as usize {
+            return Err(StorageError::InvalidIndex(format!(
+                "{rows} rows exceed a u32 row id"
+            )));
+        }
+        let columns: Vec<&Column> = key_cols.iter().map(|&c| table.column(c)).collect();
+        let mut keys = Vec::with_capacity(rows * key_cols.len());
+        for r in 0..rows {
+            keys.extend(columns.iter().map(|c| c.key_fragment(r)));
+        }
+        let strings = |c: &&Column| match c {
+            Column::Str { dict, .. } => dict.values().to_vec(),
+            _ => Vec::new(),
+        };
+        let capacity = (2 * rows).next_power_of_two().max(2);
+        let mut index = HashIndex {
+            dtypes: columns.iter().map(|c| c.data_type()).collect(),
+            strings: columns.iter().map(strings).collect(),
+            rows,
+            keys,
+            slots: vec![NONE; capacity],
+            shift: 64 - capacity.trailing_zeros(),
+        };
+        for row in 0..rows {
+            match index.find(index.key(row)) {
+                Ok(_) => return Err(StorageError::DuplicateKey { row }),
+                Err(slot) => index.slots[slot] = row as u32,
             }
         }
-        if key_cols.is_empty() {
-            return Err(StorageError::InvalidIndex("empty key column list".into()));
+        Ok(index)
+    }
+
+    /// Rows of the indexed table.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// For each row of `left`, the indexed row whose key equals its
+    /// `left_keys` tuple (one column per key column, of the same type), or
+    /// [`NONE`] when there is none and the lookup is `outer`. An inner
+    /// lookup with a probe row no indexed row matches is a
+    /// [`StorageError::MissingKey`].
+    pub fn lookup(&self, left: &Table, left_keys: &[usize], outer: bool) -> Result<Vec<u32>> {
+        if left_keys.len() != self.dtypes.len() {
+            return Err(StorageError::InvalidIndex(format!(
+                "{} probe key columns for an index over {}",
+                left_keys.len(),
+                self.dtypes.len()
+            )));
         }
-        let mut buckets: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        buckets.reserve(table.num_rows());
-        for row in 0..table.num_rows() {
-            let h = hash_row_key(table, key_cols, row);
-            buckets.entry(h).or_default().push(row as u32);
+        let mut columns: Vec<&Column> = Vec::with_capacity(left_keys.len());
+        for (&c, &dtype) in left_keys.iter().zip(&self.dtypes) {
+            let column = left.columns().get(c).ok_or_else(|| {
+                StorageError::InvalidIndex(format!("probe key column {c} out of range"))
+            })?;
+            if column.data_type() != dtype {
+                return Err(StorageError::InvalidIndex(format!(
+                    "probe key column {c} is {}, the indexed one {dtype}",
+                    column.data_type()
+                )));
+            }
+            columns.push(column);
         }
-        Ok(HashIndex {
-            key_cols: key_cols.to_vec(),
-            buckets,
-        })
+        // A probe string column's codes, translated into the index's once
+        // per dictionary entry.
+        let translate = |(column, ours): (&&Column, &Vec<Arc<str>>)| match column {
+            Column::Str { dict, .. } => {
+                let mut codes = vec![ABSENT; dict.len()];
+                for (code, s) in ours.iter().enumerate() {
+                    if let Some(theirs) = dict.code_of(s) {
+                        codes[theirs as usize] = code as i64;
+                    }
+                }
+                Some(codes)
+            }
+            _ => None,
+        };
+        let translated: Vec<Option<Vec<i64>>> =
+            columns.iter().zip(&self.strings).map(translate).collect();
+        let mut key: Vec<Option<i64>> = Vec::with_capacity(columns.len());
+        (0..left.num_rows())
+            .map(|row| {
+                key.clear();
+                key.extend(columns.iter().zip(&translated).map(|(c, codes)| {
+                    let fragment = c.key_fragment(row);
+                    match codes {
+                        Some(codes) => fragment.map(|code| codes[code as usize]),
+                        None => fragment,
+                    }
+                }));
+                match self.find(&key) {
+                    Ok(found) => Ok(found as u32),
+                    Err(_) if outer => Ok(NONE),
+                    Err(_) => Err(StorageError::MissingKey { row }),
+                }
+            })
+            .collect()
     }
 
-    /// Build an index by column names.
-    pub fn build_on(table: &Table, key_names: &[&str]) -> Result<HashIndex> {
-        let cols = key_names
-            .iter()
-            .map(|n| table.schema().index_of(n))
-            .collect::<Result<Vec<_>>>()?;
-        HashIndex::build(table, &cols)
+    fn key(&self, row: usize) -> &[Option<i64>] {
+        let arity = self.dtypes.len();
+        &self.keys[row * arity..][..arity]
     }
 
-    /// The indexed key columns.
-    pub fn key_cols(&self) -> &[usize] {
-        &self.key_cols
-    }
-
-    /// Row ids of `table` whose key equals `key`. `table` must be the table
-    /// the index was built over; candidates are verified value-by-value.
-    pub fn probe<'a>(
-        &'a self,
-        table: &'a Table,
-        key: &'a [Value],
-    ) -> impl Iterator<Item = usize> + 'a {
-        debug_assert_eq!(key.len(), self.key_cols.len(), "probe arity");
-        let bucket = self
-            .buckets
-            .get(&hash_probe_key(key))
-            .map(Vec::as_slice)
-            .unwrap_or(&[]);
-        bucket.iter().map(|&r| r as usize).filter(move |&r| {
-            self.key_cols
-                .iter()
-                .zip(key)
-                .all(|(&c, v)| table.column(c).get(r).key_eq(v))
-        })
+    /// The row carrying `key`, or the empty slot where it would go.
+    fn find(&self, key: &[Option<i64>]) -> std::result::Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = (hash(key) >> self.shift) as usize;
+        loop {
+            match self.slots[slot] {
+                NONE => return Err(slot),
+                row if self.key(row as usize) == key => return Ok(row as usize),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
     }
 }
 
@@ -100,9 +183,9 @@ impl HashIndex {
 mod tests {
     use super::*;
     use crate::schema::Schema;
-    use crate::value::DataType;
+    use crate::value::Value;
 
-    fn table() -> Table {
+    fn table(rows: &[(&str, &str, f64)]) -> Table {
         let schema = Schema::from_pairs(&[
             ("state", DataType::Str),
             ("city", DataType::Str),
@@ -111,60 +194,90 @@ mod tests {
         .unwrap()
         .into_shared();
         let mut t = Table::empty(schema);
-        for (s, c, a) in [
-            ("CA", "SF", 13.0),
-            ("CA", "SF", 3.0),
-            ("CA", "LA", 23.0),
-            ("TX", "Houston", 5.0),
-            ("TX", "Dallas", 53.0),
-        ] {
+        for &(s, c, a) in rows {
             t.push_row(&[Value::str(s), Value::str(c), Value::Float(a)])
                 .unwrap();
         }
         t
     }
 
-    #[test]
-    fn probe_single_column() {
-        let t = table();
-        let idx = HashIndex::build_on(&t, &["state"]).unwrap();
-        let ca: Vec<usize> = idx.probe(&t, &[Value::str("CA")]).collect();
-        assert_eq!(ca, vec![0, 1, 2]);
-        let tx: Vec<usize> = idx.probe(&t, &[Value::str("TX")]).collect();
-        assert_eq!(tx, vec![3, 4]);
-        let none: Vec<usize> = idx.probe(&t, &[Value::str("NY")]).collect();
-        assert!(none.is_empty());
+    fn cities() -> Table {
+        table(&[
+            ("CA", "SF", 13.0),
+            ("CA", "LA", 23.0),
+            ("TX", "Houston", 5.0),
+            ("TX", "Dallas", 53.0),
+        ])
     }
 
     #[test]
-    fn probe_composite_key() {
-        let t = table();
-        let idx = HashIndex::build_on(&t, &["state", "city"]).unwrap();
-        let rows: Vec<usize> = idx
-            .probe(&t, &[Value::str("CA"), Value::str("SF")])
-            .collect();
-        assert_eq!(rows, vec![0, 1]);
+    fn composite_keys_find_their_row_across_dictionaries() {
+        let idx = HashIndex::build(&cities(), &[0, 1]).unwrap();
+        assert_eq!(idx.rows(), 4);
+        // Interned in another order, with a city the index does not hold.
+        let probe = table(&[
+            ("TX", "Dallas", 0.0),
+            ("NV", "Reno", 0.0),
+            ("CA", "SF", 0.0),
+            ("TX", "SF", 0.0),
+        ]);
+        assert_eq!(
+            idx.lookup(&probe, &[0, 1], true).unwrap(),
+            [3, NONE, 0, NONE]
+        );
+        assert_eq!(
+            idx.lookup(&probe, &[0, 1], false).unwrap_err(),
+            StorageError::MissingKey { row: 1 }
+        );
     }
 
     #[test]
-    fn null_keys_match_each_other() {
-        let schema = Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Int)])
+    fn keys_compare_as_grouping_does() {
+        let schema = Schema::from_pairs(&[("k", DataType::Float)])
             .unwrap()
             .into_shared();
-        let mut t = Table::empty(schema);
-        t.push_row(&[Value::Null, Value::Int(1)]).unwrap();
-        t.push_row(&[Value::Int(7), Value::Int(2)]).unwrap();
-        t.push_row(&[Value::Null, Value::Int(3)]).unwrap();
-        let idx = HashIndex::build_on(&t, &["k"]).unwrap();
-        let rows: Vec<usize> = idx.probe(&t, &[Value::Null]).collect();
-        assert_eq!(rows, vec![0, 2], "grouping semantics: NULL is one key");
+        let column = |values: &[Value]| {
+            let mut t = Table::empty(schema.clone());
+            for v in values {
+                t.push_row(std::slice::from_ref(v)).unwrap();
+            }
+            t
+        };
+        let nan = |sign: f64| Value::Float(f64::NAN.copysign(sign));
+        let built = column(&[Value::Null, Value::Float(0.0), nan(1.0), Value::Float(2.5)]);
+        let idx = HashIndex::build(&built, &[0]).unwrap();
+        let probe = column(&[
+            Value::Float(-0.0),
+            nan(-1.0),
+            Value::Null,
+            Value::Float(7.0),
+        ]);
+        assert_eq!(idx.lookup(&probe, &[0], true).unwrap(), [1, 2, 0, NONE]);
     }
 
     #[test]
-    fn build_rejects_bad_columns() {
-        let t = table();
-        assert!(HashIndex::build(&t, &[9]).is_err());
+    fn a_repeated_key_is_a_typed_error() {
+        let t = cities();
+        assert_eq!(
+            HashIndex::build(&t, &[0]).unwrap_err(),
+            StorageError::DuplicateKey { row: 1 }
+        );
+        // The empty key is one key: one row has it, two repeat it.
+        let one = HashIndex::build(&t.take(&[2]), &[]).unwrap();
+        assert_eq!(one.lookup(&t, &[], false).unwrap(), [0; 4]);
         assert!(HashIndex::build(&t, &[]).is_err());
-        assert!(HashIndex::build_on(&t, &["nope"]).is_err());
+    }
+
+    #[test]
+    fn bad_columns_are_rejected() {
+        let t = cities();
+        assert!(HashIndex::build(&t, &[9]).is_err());
+        let idx = HashIndex::build(&t, &[1]).unwrap();
+        assert!(idx.lookup(&t, &[0, 1], true).is_err(), "arity");
+        assert!(idx.lookup(&t, &[9], true).is_err(), "range");
+        assert!(
+            idx.lookup(&t, &[2], true).is_err(),
+            "a Float probe of a Str key"
+        );
     }
 }

@@ -40,6 +40,7 @@
 //! [`crate::SharedTable`] write guard is for unregistered values (a
 //! query's own result), which are never cached.
 
+use crate::error::Result;
 use crate::table::Table;
 use pa_obs::{Counter, MetricsRegistry};
 use parking_lot::RwLock;
@@ -292,15 +293,16 @@ impl LatticeCache {
     /// beside the level's entry, counted in its bytes and dropped with it
     /// (eviction, invalidation, a replacing store). Not a level lookup: it
     /// counts as neither hit nor miss. For a table the cache does not hold
-    /// (never cached, evicted since) `build` runs every time.
+    /// (never cached, evicted since) `build` runs every time; a `build`
+    /// that fails keeps nothing.
     pub fn parent(
         &self,
         table: &str,
         level_cols: &[String],
         level: &Arc<Table>,
         onto: &[String],
-        build: impl FnOnce() -> Vec<u32>,
-    ) -> Arc<[u32]> {
+        build: impl FnOnce() -> Result<Vec<u32>>,
+    ) -> Result<Arc<[u32]>> {
         let held = |e: &LatticeEntry| Arc::ptr_eq(&e.table, level);
         let kept = |e: &LatticeEntry| {
             let found = e.parents.iter().find(|(cols, _)| cols == onto);
@@ -309,18 +311,18 @@ impl LatticeCache {
         let entries = self.entries.read();
         let entry = entries.entry(table, level_cols).filter(|e| held(e));
         if let Some(parent) = entry.and_then(kept) {
-            return parent;
+            return Ok(parent);
         }
         drop(entries);
         self.parent_builds.fetch_add(1, Ordering::Relaxed);
-        let parent: Arc<[u32]> = build().into();
+        let parent: Arc<[u32]> = build()?.into();
         let mut entries = self.entries.write();
         let entry = entries
             .map
             .get_mut(table)
             .and_then(|l| l.get_mut(level_cols));
         let Some(entry) = entry.filter(|e| held(e)) else {
-            return parent;
+            return Ok(parent);
         };
         if kept(entry).is_none() {
             let bytes = std::mem::size_of_val(&*parent);
@@ -333,7 +335,7 @@ impl LatticeCache {
                 self.count(&self.evictions, |m| &m.evictions, evicted);
             }
         }
-        parent
+        Ok(parent)
     }
 
     /// Whether a compatible entry exists, **without** counting the lookup
@@ -639,13 +641,17 @@ mod tests {
         let stored = level(1, 4);
         cache.store("F", &fine, &cols(&["s"]), Arc::clone(&stored));
         let before = cache.stats();
-        let build = || vec![0, 0, 1, 1];
-        let first = cache.parent("F", &fine, &stored, &onto, build);
+        let build = || Ok(vec![0, 0, 1, 1]);
+        let first = cache.parent("F", &fine, &stored, &onto, build).unwrap();
         assert_eq!(&*first, &[0, 0, 1, 1]);
-        let again = cache.parent("F", &fine, &stored, &onto, || unreachable!("kept"));
+        let again = cache
+            .parent("F", &fine, &stored, &onto, || unreachable!("kept"))
+            .unwrap();
         assert!(Arc::ptr_eq(&first, &again));
         // Another coarser level is another vector.
-        cache.parent("F", &fine, &stored, &[], || vec![0; 4]);
+        cache
+            .parent("F", &fine, &stored, &[], || Ok(vec![0; 4]))
+            .unwrap();
         let st = cache.stats();
         assert_eq!(st.parent_builds, 2);
         // Not a level lookup.
@@ -655,21 +661,33 @@ mod tests {
         // nothing: another table under the same key, or none.
         let other = level(1, 4);
         for _ in 0..2 {
-            cache.parent("F", &fine, &other, &onto, build);
-            cache.parent("G", &fine, &stored, &onto, build);
+            cache.parent("F", &fine, &other, &onto, build).unwrap();
+            cache.parent("G", &fine, &stored, &onto, build).unwrap();
         }
         assert_eq!(cache.stats().parent_builds, 6);
 
         // A store the entry already serves keeps it, vectors and all.
         cache.store("F", &fine, &cols(&["s"]), level(1, 4));
-        cache.parent("F", &fine, &stored, &onto, || unreachable!("kept"));
+        cache
+            .parent("F", &fine, &stored, &onto, || unreachable!("kept"))
+            .unwrap();
         // The vectors go with the entry: a replacing store, an invalidation.
         cache.store("F", &fine, &cols(&["other"]), Arc::clone(&stored));
-        cache.parent("F", &fine, &stored, &onto, build);
+        cache.parent("F", &fine, &stored, &onto, build).unwrap();
         assert_eq!(cache.stats().parent_builds, 7);
         cache.invalidate_table("F");
-        cache.parent("F", &fine, &stored, &onto, build);
+        cache.parent("F", &fine, &stored, &onto, build).unwrap();
         assert_eq!(cache.stats().parent_builds, 8);
+
+        // A build that fails keeps nothing: the next request builds.
+        cache.store("F", &fine, &cols(&["s"]), Arc::clone(&stored));
+        let missing = || Err(crate::StorageError::MissingKey { row: 0 });
+        assert!(cache.parent("F", &fine, &stored, &onto, missing).is_err());
+        cache.parent("F", &fine, &stored, &onto, build).unwrap();
+        cache
+            .parent("F", &fine, &stored, &onto, || unreachable!("kept"))
+            .unwrap();
+        assert_eq!(cache.stats().parent_builds, 10);
     }
 
     #[test]
@@ -680,10 +698,14 @@ mod tests {
         let (a, b) = (level(0, 1000), level(1, 1000));
         cache.store("F", &cols(&["a"]), &cols(&["s"]), Arc::clone(&a));
         cache.store("F", &cols(&["b"]), &cols(&["s"]), Arc::clone(&b));
-        let small = cache.parent("F", &cols(&["b"]), &b, &[], || vec![0; 250]);
+        let small = cache
+            .parent("F", &cols(&["b"]), &b, &[], || Ok(vec![0; 250]))
+            .unwrap();
         assert_eq!((small.len(), cache.stats().evictions), (250, 0));
         // `a` is the least recently used entry and pays for it.
-        cache.parent("F", &cols(&["b"]), &b, &cols(&["x"]), || vec![0; 1000]);
+        cache
+            .parent("F", &cols(&["b"]), &b, &cols(&["x"]), || Ok(vec![0; 1000]))
+            .unwrap();
         assert_eq!(cache.stats().evictions, 1);
         assert!(!cache.probe("F", &cols(&["a"]), &cols(&["s"])));
         assert!(cache.probe("F", &cols(&["b"]), &cols(&["s"])));
@@ -712,7 +734,9 @@ mod tests {
         assert!(!cache.probe("F", &cols(&["a"]), &cols(&["t"])));
         assert!(!cache.probe("F", &cols(&["z"]), &s));
         let a = cache.get("F", &cols(&["a"]), &s).unwrap();
-        cache.parent("F", &cols(&["a"]), &a, &[], || vec![0; 1000]);
+        cache
+            .parent("F", &cols(&["a"]), &a, &[], || Ok(vec![0; 1000]))
+            .unwrap();
         let st = cache.stats();
         assert_eq!((st.hits, st.misses), (before.hits + 1, before.misses));
 

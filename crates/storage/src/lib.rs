@@ -46,7 +46,7 @@ pub use dictionary::Dictionary;
 pub use error::{Result, StorageError};
 pub use fault::{FaultInjector, FaultPlan};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use index::HashIndex;
+pub use index::{HashIndex, NONE};
 pub use lattice::{LatticeCache, LatticeCacheStats, LATTICE_CACHE_BYTES};
 pub use log::{FileLogStore, LogStore, MemLogStore};
 pub use packed::{width_for, PackedCell, PackedCodes, MAX_INT_PACK_WIDTH, MAX_PACK_WIDTH};
