@@ -80,6 +80,30 @@ done | if grep .; then
   exit 1
 fi
 
+echo "==> typed-columns gate: after the scan, a column is one typed operation"
+# After the scan every result column is moved, divided (`divide`) or filled
+# (`Column::zero_nulls`) whole (DESIGN.md §17): the row-by-row projection,
+# its specs and the expression forms only it evaluated are gone, and the
+# horizontal post-projection, the OLAP divide, the missing-row pads and the
+# vertical plans push no row of `Value`s and hash no `Value` tuple.
+if [ -e crates/engine/src/ops/project.rs ]; then
+  echo "crates/engine/src/ops/project.rs reappeared" >&2
+  exit 1
+fi
+if grep -rnE '(^|[^.:[:alnum:]_])project\(' crates/*/src | grep -v 'fn project(' ||
+  grep -rnwE 'ProjSpec|SafeDiv|IsNull' crates/*/src ||
+  grep -rn 'Expr::Cast' crates/*/src; then
+  echo "a per-row projection reappeared (project, ProjSpec, SafeDiv, Expr::Cast or IsNull)" >&2
+  exit 1
+fi
+for f in crates/core/src/horizontal.rs crates/core/src/olap.rs \
+  crates/core/src/missing.rs crates/core/src/vertical.rs; do
+  sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'push_row|RowKeyMap' | sed "s|^|$f:|"
+done | if grep .; then
+  echo "a result is assembled row by row (push_row or RowKeyMap outside #[cfg(test)])" >&2
+  exit 1
+fi
+
 echo "==> one cache, one producer: combinations are cached levels, the lattice adapter returns tables"
 # The catalog holds one cache of derived data, the level cache, whose
 # zero-lane entries are the BY combinations (DESIGN.md §15), and

@@ -26,8 +26,8 @@ use crate::query::{Fact, FactRows, HorizontalQuery};
 use crate::strategy::{HorizontalOptions, HorizontalStrategy};
 use crate::vertical::{count_insert, extra_spec, into_shared};
 use pa_engine::{
-    aggregate_level, distinct, divide, lookup, project, AggFunc, AggSpec, ExecStats, Expr,
-    ParallelConfig, ProjSpec, ResourceGuard, Selected, Selection,
+    aggregate_level, distinct, divide, lookup, AggFunc, AggSpec, ExecStats, Expr, ParallelConfig,
+    ResourceGuard, Selected, Selection,
 };
 use pa_storage::{Catalog, Column, DataType, Field, HashIndex, Schema, SharedTable, Table, Value};
 use std::borrow::Cow;
@@ -68,22 +68,13 @@ impl HorizontalResult {
     }
 }
 
-/// How one term's raw lanes combine into the final cell value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Combine {
-    /// One raw lane per cell.
-    Single,
-    /// Two lanes, `sum / count` (avg re-aggregated from `FV`).
-    AvgPair,
-}
-
 /// Per-term plan against the chosen source table (`F` or `FV`).
 #[derive(Debug)]
 struct TermPlan {
     by_src_cols: Vec<usize>,
-    /// Aggregations computing each cell lane from source rows.
+    /// Aggregations computing each cell lane from source rows: one, or a
+    /// sum and a count (`avg` re-aggregated from `FV`).
     lanes: Vec<(AggFunc, Expr)>,
-    combine: Combine,
     /// Group-total aggregation for percentage terms.
     total: Option<Expr>,
     /// The distinct `BY` combinations, sorted — read off the term's level
@@ -197,9 +188,9 @@ pub(crate) fn eval_horizontal_on(
 
     // ---------- Build the source (F directly, or the FV pre-aggregate) and
     // the per-term / per-extra lane descriptions against it. ----------
-    type TermLanes = (Vec<(AggFunc, Expr)>, Combine, Option<Expr>);
-    let mut term_lanes: Vec<TermLanes> = Vec::new();
-    let mut extra_specs_src: Vec<(Vec<(AggFunc, Expr)>, Combine)> = Vec::new();
+    type Lanes = Vec<(AggFunc, Expr)>;
+    let mut term_lanes: Vec<(Lanes, Option<Expr>)> = Vec::new();
+    let mut extra_specs_src: Vec<Lanes> = Vec::new();
     let (source, j_cols): (Source<'_>, Vec<usize>) = if opts.strategy.uses_fv() {
         // Holistic aggregates cannot be re-aggregated from the FV partial
         // (Gray et al.): reject rather than silently double-count.
@@ -299,28 +290,17 @@ pub(crate) fn eval_horizontal_on(
                 ],
                 func => vec![(reagg_func(func), Expr::Col(partial_pos[t][0]))],
             };
-            let combine = if term.func == AggFunc::Avg {
-                Combine::AvgPair
-            } else {
-                Combine::Single
-            };
             let total = term.percentage.then(|| Expr::Col(partial_pos[t][0]));
-            term_lanes.push((lanes, combine, total));
+            term_lanes.push((lanes, total));
         }
         for (e, extra) in q.extra.iter().enumerate() {
-            match extra.func {
-                AggFunc::Avg => extra_specs_src.push((
-                    vec![
-                        (AggFunc::Sum, Expr::Col(extra_partial_pos[e][0])),
-                        (AggFunc::Sum, Expr::Col(extra_partial_pos[e][1])),
-                    ],
-                    Combine::AvgPair,
-                )),
-                func => extra_specs_src.push((
-                    vec![(reagg_func(func), Expr::Col(extra_partial_pos[e][0]))],
-                    Combine::Single,
-                )),
-            }
+            extra_specs_src.push(match extra.func {
+                AggFunc::Avg => vec![
+                    (AggFunc::Sum, Expr::Col(extra_partial_pos[e][0])),
+                    (AggFunc::Sum, Expr::Col(extra_partial_pos[e][1])),
+                ],
+                func => vec![(reagg_func(func), Expr::Col(extra_partial_pos[e][0]))],
+            });
         }
         let j_cols_fv: Vec<usize> = (0..q.group_by.len()).collect();
         (Source::Fv(fv), j_cols_fv)
@@ -328,11 +308,11 @@ pub(crate) fn eval_horizontal_on(
         for term in &q.terms {
             let measure = term.measure.to_expr(&f_schema)?;
             let total = term.percentage.then(|| measure.clone());
-            term_lanes.push((vec![(term.func, measure)], Combine::Single, total));
+            term_lanes.push((vec![(term.func, measure)], total));
         }
         for extra in &q.extra {
             let spec = extra_spec(extra, &f_schema)?;
-            extra_specs_src.push((vec![(spec.func, spec.input)], Combine::Single));
+            extra_specs_src.push(vec![(spec.func, spec.input)]);
         }
         (Source::Fact(f_guard), j_cols_f)
     };
@@ -397,11 +377,10 @@ pub(crate) fn eval_horizontal_on(
             .map(|c| cell_column_name(prefix_name, &term.by, c))
             .collect();
         dedup_names(&mut names);
-        let (lanes, combine, total) = term_lanes[t].clone();
+        let (lanes, total) = term_lanes[t].clone();
         plans.push(TermPlan {
             by_src_cols,
             lanes,
-            combine,
             total,
             combos,
             names,
@@ -426,10 +405,8 @@ pub(crate) fn eval_horizontal_on(
             // transposed). The O(N) predicate chain runs only as the
             // `jump_table: false` ablation.
             if opts.jump_table {
-                let flat_extras: Vec<(AggFunc, Expr)> = extra_specs_src
-                    .iter()
-                    .flat_map(|(lanes, _)| lanes.iter().cloned())
-                    .collect();
+                let flat_extras: Vec<(AggFunc, Expr)> =
+                    extra_specs_src.iter().flatten().cloned().collect();
                 crate::dispatch::pivot_aggregate(
                     src,
                     &j_cols,
@@ -464,111 +441,49 @@ pub(crate) fn eval_horizontal_on(
     drop(source);
 
     // ---------- Post-projection. ----------
-    // An output column is the next projected expression over the raw table
-    // (`None`) or, for a percentage cell with one raw lane, that lane
-    // divided by the term's total column, typed.
+    // `INSERT INTO FH SELECT ..` over the raw rows, walked in layout order:
+    // the keys move over as they are, and every cell and extra is one typed
+    // operation on its lanes ([`finish_cell`]).
     let j_len = q.group_by.len();
-    let mut proj: Vec<ProjSpec> = Vec::new();
-    let mut outs: Vec<Option<(Field, Column)>> = Vec::new();
-    for (i, name) in q.group_by.iter().enumerate() {
-        let dtype = raw.schema().field_at(i).dtype;
-        proj.push(ProjSpec::typed(Expr::Col(i), name.clone(), dtype));
-        outs.push(None);
-    }
-    let mut pos = j_len;
+    let rows = raw.num_rows() as u64;
+    stats.statements += 1;
+    stats.rows_scanned += rows;
+    stats.rows_materialized += rows;
+    let mut raw = raw.into_columns().into_iter();
+    let mut columns: Vec<Column> = raw.by_ref().take(j_len).collect();
+    let mut fields: Vec<Field> = (q.group_by.iter().zip(&columns))
+        .map(|(name, key)| Field::new(name.clone(), key.data_type()))
+        .collect();
     let mut cell_columns: Vec<Vec<String>> = Vec::new();
     for (term, plan) in q.terms.iter().zip(&plans) {
-        let lanes = plan.lanes.len();
-        let cell_base = pos;
-        let total_pos = cell_base + plan.names.len() * lanes;
-        for (i, name) in plan.names.iter().enumerate() {
-            let lane = raw.column(cell_base + i * lanes);
-            if term.percentage && plan.combine == Combine::Single && !term.default_zero {
-                // `CASE WHEN cell IS NULL THEN 0 ELSE cell END / total`,
-                // column-wise, against the total on the cell's own row: a
-                // missing cell counts as 0 in the numerator (SIGMOD's
-                // `ELSE 0`), a zero/NULL group total yields NULL.
-                stats.case_condition_evals += 2 * raw.num_rows() as u64;
-                let mut cell = Column::with_capacity(DataType::Float, raw.num_rows());
-                divide(lane, raw.column(total_pos), None, &mut cell);
-                outs.push(Some((Field::new(name.clone(), DataType::Float), cell)));
-                continue;
-            }
-            let raw_cell: Expr = match plan.combine {
-                Combine::Single => Expr::Col(cell_base + i * lanes),
-                Combine::AvgPair => {
-                    Expr::Col(cell_base + i * lanes).safe_div(Expr::Col(cell_base + i * lanes + 1))
-                }
-            };
-            let mut cell = raw_cell;
-            if term.percentage {
-                let zero_if_missing = Expr::Case {
-                    branches: vec![(Expr::IsNull(Box::new(cell.clone())), Expr::lit(0.0))],
-                    else_value: Some(Box::new(cell)),
-                };
-                cell = zero_if_missing.safe_div(Expr::Col(total_pos));
-            }
-            // Count of no qualifying rows is 0, not NULL — uniformly across
-            // strategies (the outer-join variants produce NULL there).
-            if term.default_zero || (is_count(term.func) && !term.percentage) {
-                cell = Expr::Case {
-                    branches: vec![(Expr::IsNull(Box::new(cell.clone())), Expr::lit(0))],
-                    else_value: Some(Box::new(cell)),
-                };
-            }
-            let dtype = match (term.percentage, plan.combine) {
-                (true, _) | (_, Combine::AvgPair) => DataType::Float,
-                _ if is_count(term.func) => DataType::Int,
-                _ => lane.data_type(),
-            };
-            // Re-aggregated counts come back as float sums; keep the
-            // user-facing column Int regardless of strategy.
-            if dtype == DataType::Int {
-                cell = Expr::Cast(DataType::Int, Box::new(cell));
-            }
-            proj.push(ProjSpec::typed(cell, name.clone(), dtype));
-            outs.push(None);
+        let width = plan.lanes.len();
+        let cells: Vec<Column> = raw.by_ref().take(plan.names.len() * width).collect();
+        let total = plan
+            .total
+            .as_ref()
+            .map(|_| raw.next().expect("a total per term"));
+        let mut cells = cells.into_iter();
+        for name in &plan.names {
+            let lanes = cells.by_ref().take(width).collect();
+            let cell = finish_cell(
+                lanes,
+                total.as_ref(),
+                term.func,
+                term.default_zero,
+                &mut stats,
+            )?;
+            fields.push(Field::new(name.clone(), cell.data_type()));
+            columns.push(cell);
         }
         cell_columns.push(plan.names.clone());
-        pos = total_pos + usize::from(plan.total.is_some());
     }
-    for (extra, (lanes, combine)) in q.extra.iter().zip(&extra_specs_src) {
-        let mut expr = match combine {
-            Combine::Single => Expr::Col(pos),
-            Combine::AvgPair => Expr::Col(pos).safe_div(Expr::Col(pos + 1)),
-        };
-        let dtype = match (combine, extra.func) {
-            (Combine::AvgPair, _) | (_, AggFunc::Avg | AggFunc::Sum) => DataType::Float,
-            (_, func) if is_count(func) => DataType::Int,
-            _ => raw.schema().field_at(pos).dtype,
-        };
-        if dtype == DataType::Int {
-            expr = Expr::Cast(DataType::Int, Box::new(expr));
-        }
-        proj.push(ProjSpec::typed(expr, extra.name.clone(), dtype));
-        outs.push(None);
-        pos += lanes.len();
+    for (extra, lanes) in q.extra.iter().zip(&extra_specs_src) {
+        let lanes = raw.by_ref().take(lanes.len()).collect();
+        let cell = finish_cell(lanes, None, extra.func, false, &mut stats)?;
+        fields.push(Field::new(extra.name.clone(), cell.data_type()));
+        columns.push(cell);
     }
-    let fh = if proj.len() == outs.len() {
-        project(&raw, &proj, &mut stats)?
-    } else {
-        let projected = match proj.is_empty() {
-            true => None,
-            false => Some(project(&raw, &proj, &mut stats)?),
-        };
-        let mut projected = projected.iter().flat_map(|t| {
-            let fields = t.schema().fields().iter().cloned();
-            fields.zip(t.columns().iter().cloned())
-        });
-        let (fields, columns): (Vec<Field>, Vec<Column>) = outs
-            .into_iter()
-            .map(|out| {
-                out.or_else(|| projected.next())
-                    .expect("projected when not divided")
-            })
-            .unzip();
-        Table::from_columns(Schema::new(fields)?.into_shared(), columns)?
-    };
+    let fh = Table::from_columns(Schema::new(fields)?.into_shared(), columns)?;
 
     // ---------- Partitioning. ----------
     let partitions: Vec<SharedTable> = if !partitioned {
@@ -600,13 +515,52 @@ pub(crate) fn eval_horizontal_on(
     })
 }
 
+/// One output column of the post-projection from its raw lanes, one typed
+/// operation each: a percentage is its cell over the group total on the
+/// cell's own row, a cell no row fed counting 0 (SIGMOD's `ELSE 0`); an
+/// `avg` re-aggregated from `FV` is its sum lane over its count lane (the
+/// same [`divide`]: a sum with no value beside it has a zero or NULL count,
+/// so it is NULL either way); a count-family cell or one with `DEFAULT 0`
+/// reads NULL as 0, and a count is an `Int` column whatever the strategy
+/// re-aggregated it through. Counted as the `CASE` conditions the generated
+/// `SELECT` evaluates per row: `IS NULL` and `<> 0` for a percentage, `<> 0`
+/// for an `avg`, `IS NULL` for a NULL read as 0.
+fn finish_cell(
+    lanes: Vec<Column>,
+    total: Option<&Column>,
+    func: AggFunc,
+    default_zero: bool,
+    stats: &mut ExecStats,
+) -> Result<Column> {
+    let mut lanes = lanes.into_iter();
+    let cell = lanes.next().expect("a lane per cell");
+    let count = lanes.next();
+    let rows = cell.len() as u64;
+    let cell = match total.or(count.as_ref()) {
+        Some(divisor) => {
+            stats.case_condition_evals += rows * (1 + u64::from(total.is_some()));
+            let mut quotient = Column::with_capacity(DataType::Float, cell.len());
+            divide(&cell, divisor, None, &mut quotient);
+            quotient
+        }
+        None => cell,
+    };
+    let dtype = match is_count(func) {
+        true => DataType::Int,
+        false if default_zero => cell.data_type(),
+        false => return Ok(cell),
+    };
+    stats.case_condition_evals += rows;
+    Ok(cell.zero_nulls(dtype)?)
+}
+
 /// CASE strategy: one aggregation pass with `N` CASE-guarded terms.
 #[allow(clippy::too_many_arguments)]
 fn case_raw(
     src: Selected<'_>,
     j_cols: &[usize],
     plans: &[TermPlan],
-    extras: &[(Vec<(AggFunc, Expr)>, Combine)],
+    extras: &[Vec<(AggFunc, Expr)>],
     guard: &ResourceGuard,
     stats: &mut ExecStats,
     par: &ParallelConfig,
@@ -645,7 +599,7 @@ fn case_raw(
             ));
         }
     }
-    for (e, (lanes, _)) in extras.iter().enumerate() {
+    for (e, lanes) in extras.iter().enumerate() {
         for (l, (func, input)) in lanes.iter().enumerate() {
             specs.push(AggSpec::new(*func, input.clone(), format!("__x{e}_{l}")));
         }
@@ -656,12 +610,13 @@ fn case_raw(
 /// SPJ strategy: `F0` = distinct groups; one aggregation per combination,
 /// over the selection `combination ∧ WHERE` (the paper's `N` scans of the
 /// source, each reading every row and keeping its own); assemble with left
-/// outer joins into the raw layout.
+/// outer joins into the raw layout. With no `GROUP BY` there is one group,
+/// the one row every `Fi` has, and nothing to join.
 fn spj_raw(
     src: Selected<'_>,
     j_cols: &[usize],
     plans: &[TermPlan],
-    extras: &[(Vec<(AggFunc, Expr)>, Combine)],
+    extras: &[Vec<(AggFunc, Expr)>],
     guard: &ResourceGuard,
     stats: &mut ExecStats,
     par: &ParallelConfig,
@@ -678,44 +633,16 @@ fn spj_raw(
         Selection::compile(src, &Expr::key_match(&pairs), guard, stats, par)
     };
     let j_len = j_cols.len();
-    if j_len == 0 {
-        // Global group: every per-combination aggregate is a one-row table;
-        // splice them into a single raw row.
-        let mut row: Vec<Value> = Vec::new();
-        let mut fields: Vec<pa_storage::Field> = Vec::new();
-        let mut global = |input: Selected<'_>, func: AggFunc, expr: &Expr, stats: &mut _| {
-            let spec = AggSpec::new(func, expr.clone(), "v");
-            let agg = aggregate_level(input, &[], &[spec], guard, stats, par)?;
-            row.push(agg.get(0, 0));
-            let dtype = agg.schema().field_at(0).dtype;
-            fields.push(pa_storage::Field::new(
-                format!("__r{}", fields.len()),
-                dtype,
-            ));
-            Result::Ok(())
-        };
-        for plan in plans {
-            for combo in plan.combos.iter() {
-                let only = only(plan, combo, stats)?;
-                for (func, input) in &plan.lanes {
-                    global(src.with(&only), *func, input, stats)?;
-                }
-            }
-            if let Some(total) = &plan.total {
-                global(src, AggFunc::Sum, total, stats)?;
-            }
-        }
-        for (func, input) in extras.iter().flat_map(|(lanes, _)| lanes) {
-            global(src, *func, input, stats)?;
-        }
-        let mut raw = Table::empty(Schema::new(fields)?.into_shared());
-        raw.push_row(&row)?;
-        return Ok(raw);
-    }
 
     // F0: every existing group combination (defines the result rows).
-    let f0 = distinct(src, j_cols, guard, stats, par)?;
-    count_insert(&f0, stats);
+    let f0 = match j_len {
+        0 => None,
+        _ => {
+            let f0 = distinct(src, j_cols, guard, stats, par)?;
+            count_insert(&f0, stats);
+            Some(f0)
+        }
+    };
 
     // Per-combination aggregations F1..FN, left-outer-joined onto F0: a
     // lookup of F0's keys in a transient index on each Fi's, along which
@@ -724,11 +651,19 @@ fn spj_raw(
     let f0_keys: Vec<usize> = (0..j_len).collect();
     let mut values: Vec<(Field, Column)> = Vec::new();
     let mut join = |fi: &Table, stats: &mut ExecStats| -> Result<()> {
-        let index = Cow::Owned(HashIndex::build(fi, &f0_keys)?);
-        let rows = lookup(&f0, &f0_keys, index, true, guard, stats)?;
+        let rows = match &f0 {
+            Some(f0) => {
+                let index = Cow::Owned(HashIndex::build(fi, &f0_keys)?);
+                Some(lookup(f0, &f0_keys, index, true, guard, stats)?)
+            }
+            None => None,
+        };
         for value in &fi.columns()[j_len..] {
             let field = Field::new(format!("__r{}", values.len()), value.data_type());
-            values.push((field, value.gather(&rows)));
+            let value = rows
+                .as_ref()
+                .map_or_else(|| value.clone(), |rows| value.gather(rows));
+            values.push((field, value));
         }
         Ok(())
     };
@@ -754,7 +689,7 @@ fn spj_raw(
             )?;
         }
     }
-    for (lanes, _) in extras {
+    for lanes in extras {
         let specs = specs(lanes, "e");
         join(
             &aggregate_level(src, j_cols, &specs, guard, stats, par)?,
@@ -763,8 +698,10 @@ fn spj_raw(
     }
 
     // The final `INSERT INTO FH SELECT F0.D1.., F1.A, F2.A, ..`.
-    let mut fields: Vec<Field> = f0.schema().fields().to_vec();
-    let mut columns = f0.into_columns();
+    let (mut fields, mut columns) = match f0 {
+        Some(f0) => (f0.schema().fields().to_vec(), f0.into_columns()),
+        None => (Vec::new(), Vec::new()),
+    };
     for (field, column) in values {
         fields.push(field);
         columns.push(column);

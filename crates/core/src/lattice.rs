@@ -34,7 +34,7 @@
 //!   three callers: each group's sum over its total, the total read from
 //!   the totals level's own table.
 //!
-//! [`eval_vpct_lattice`] evaluates a multi-term `Vpct` query, the executor
+//! [`eval_vpct_lattice_guarded`] evaluates a multi-term `Vpct` query, the executor
 //! every grouping set of a statement into one table (`eval_vpct_sets_on`),
 //! and [`eval_vpct_batch`] a whole set of percentage queries.
 
@@ -616,16 +616,10 @@ fn assemble(
 /// Evaluate a multi-term vertical percentage query on the dimension
 /// lattice: cached levels from the lattice catalog, every other level from
 /// one fused scan of `F` or a re-aggregation, then one column-wise divide
-/// per term. Produces the same rows as [`crate::eval_vpct`]; identical
-/// totals levels across terms are materialized once, and every level stays
-/// cached for later queries.
-pub fn eval_vpct_lattice(catalog: &Catalog, q: &VpctQuery, _prefix: &str) -> Result<QueryResult> {
-    eval_vpct_lattice_guarded(catalog, q, _prefix, &ResourceGuard::unlimited())
-}
-
-/// [`eval_vpct_lattice`] with an explicit [`ResourceGuard`] metering every
-/// aggregate of the lattice plan. The lattice plan stores no table, so
-/// `_prefix` names nothing.
+/// per term, every aggregate metered by `guard`. Produces the same rows as
+/// [`crate::eval_vpct`]; identical totals levels across terms are
+/// materialized once, and every level stays cached for later queries. The
+/// lattice plan stores no table, so `_prefix` names nothing.
 pub fn eval_vpct_lattice_guarded(
     catalog: &Catalog,
     q: &VpctQuery,
@@ -1004,7 +998,8 @@ mod tests {
             extra: vec![],
         };
         let reference = eval_vpct(&catalog, &q, &VpctStrategy::best(), "r_").unwrap();
-        let lattice = eval_vpct_lattice(&catalog, &q, "l_").unwrap();
+        let lattice =
+            eval_vpct_lattice_guarded(&catalog, &q, "l_", &ResourceGuard::unlimited()).unwrap();
         let a: Vec<Vec<Value>> = reference.snapshot().sorted_by(&[0, 1]).rows().collect();
         let b: Vec<Vec<Value>> = lattice.snapshot().sorted_by(&[0, 1]).rows().collect();
         assert_eq!(a, b);
@@ -1025,7 +1020,8 @@ mod tests {
             extra: vec![],
         };
         let per_term = eval_vpct(&catalog, &q, &VpctStrategy::best(), "p_").unwrap();
-        let lattice = eval_vpct_lattice(&catalog, &q, "l_").unwrap();
+        let lattice =
+            eval_vpct_lattice_guarded(&catalog, &q, "l_", &ResourceGuard::unlimited()).unwrap();
         let a: Vec<Vec<Value>> = per_term.snapshot().sorted_by(&[0, 1]).rows().collect();
         let b: Vec<Vec<Value>> = lattice.snapshot().sorted_by(&[0, 1]).rows().collect();
         assert_eq!(a, b);
@@ -1052,11 +1048,13 @@ mod tests {
         // Totals levels: BY city → {state}; BY state,city → {} (the grand
         // total). Three levels in all: the root scans, {state} re-aggregates
         // it, {} re-aggregates {state}.
-        let cold = eval_vpct_lattice(&catalog, &q, "c_").unwrap();
+        let cold =
+            eval_vpct_lattice_guarded(&catalog, &q, "c_", &ResourceGuard::unlimited()).unwrap();
         assert_eq!(cold.stats.lattice_levels, 3);
         assert_eq!(cold.stats.levels_from_scan, 1, "the root");
         assert_eq!(cold.stats.levels_from_cache, 0);
-        let warm = eval_vpct_lattice(&catalog, &q, "w_").unwrap();
+        let warm =
+            eval_vpct_lattice_guarded(&catalog, &q, "w_", &ResourceGuard::unlimited()).unwrap();
         assert_eq!(warm.stats.levels_from_scan, 0, "no rescan when cached");
         assert_eq!(
             warm.stats.levels_from_cache, 3,
@@ -1079,7 +1077,7 @@ mod tests {
             terms: vec![fine_term],
             extra: vec![],
         };
-        eval_vpct_lattice(&catalog, &fine, "f_").unwrap();
+        eval_vpct_lattice_guarded(&catalog, &fine, "f_", &ResourceGuard::unlimited()).unwrap();
         // Coarse query at {city}: not cached exactly, but {city} ⊂ the
         // cached {city,state} partial — served by re-aggregating it, never
         // rescanning the fact table.
@@ -1091,7 +1089,9 @@ mod tests {
             terms: vec![coarse_term],
             extra: vec![],
         };
-        let result = eval_vpct_lattice(&catalog, &coarse, "g_").unwrap();
+        let result =
+            eval_vpct_lattice_guarded(&catalog, &coarse, "g_", &ResourceGuard::unlimited())
+                .unwrap();
         assert_eq!(result.stats.levels_from_scan, 0, "no fact scan");
         assert!(result.stats.levels_from_cache > 0);
         // Against the direct reference.
@@ -1136,7 +1136,7 @@ mod tests {
             ]
         );
         let before = catalog.lattice_cache().stats();
-        eval_vpct_lattice(&catalog, &q, "l_").unwrap();
+        eval_vpct_lattice_guarded(&catalog, &q, "l_", &ResourceGuard::unlimited()).unwrap();
         let warm = lattice_plan_lines(&catalog, std::slice::from_ref(&q), Some("sales"));
         assert_eq!(
             warm,
@@ -1213,7 +1213,8 @@ mod tests {
         let catalog = sales_catalog();
         let q = VpctQuery::single("sales", &["state", "city"], "salesAmt", &["city"]);
         let reference = eval_vpct(&catalog, &q, &VpctStrategy::best(), "r_").unwrap();
-        let lattice = eval_vpct_lattice(&catalog, &q, "l_").unwrap();
+        let lattice =
+            eval_vpct_lattice_guarded(&catalog, &q, "l_", &ResourceGuard::unlimited()).unwrap();
         let a: Vec<Vec<Value>> = reference.snapshot().sorted_by(&[0, 1]).rows().collect();
         let b: Vec<Vec<Value>> = lattice.snapshot().sorted_by(&[0, 1]).rows().collect();
         assert_eq!(a, b);
@@ -1256,7 +1257,8 @@ mod tests {
             extra: vec![],
         };
         let reference = eval_vpct(&catalog, &q, &VpctStrategy::best(), "r_").unwrap();
-        let lattice = eval_vpct_lattice(&catalog, &q, "l_").unwrap();
+        let lattice =
+            eval_vpct_lattice_guarded(&catalog, &q, "l_", &ResourceGuard::unlimited()).unwrap();
         let a: Vec<Vec<Value>> = reference.snapshot().sorted_by(&[0, 1, 2]).rows().collect();
         let b: Vec<Vec<Value>> = lattice.snapshot().sorted_by(&[0, 1, 2]).rows().collect();
         assert_eq!(a.len(), 4 * 3 * 5);
@@ -1272,7 +1274,8 @@ mod tests {
             terms: vec![VpctTerm::new("salesAmt", &[])],
             extra: vec![],
         };
-        let result = eval_vpct_lattice(&catalog, &q, "g_").unwrap();
+        let result =
+            eval_vpct_lattice_guarded(&catalog, &q, "g_", &ResourceGuard::unlimited()).unwrap();
         let t = result.snapshot().sorted_by(&[0]);
         assert_eq!(t.get(0, 1), Value::Float(106.0 / 255.0));
         assert_eq!(t.get(1, 1), Value::Float(149.0 / 255.0));
@@ -1288,13 +1291,15 @@ mod tests {
             extra: vec![crate::query::ExtraAgg::count_star("n")],
         };
         let reference = eval_vpct(&catalog, &q, &VpctStrategy::best(), "r_").unwrap();
-        let cold = eval_vpct_lattice(&catalog, &q, "c_").unwrap();
+        let cold =
+            eval_vpct_lattice_guarded(&catalog, &q, "c_", &ResourceGuard::unlimited()).unwrap();
         let a: Vec<Vec<Value>> = reference.snapshot().sorted_by(&[0, 1]).rows().collect();
         let b: Vec<Vec<Value>> = cold.snapshot().sorted_by(&[0, 1]).rows().collect();
         assert_eq!(a, b);
         // The exact root partial (terms + extras lanes) is cacheable even
         // though re-aggregating extras from an ancestor is not.
-        let warm = eval_vpct_lattice(&catalog, &q, "w_").unwrap();
+        let warm =
+            eval_vpct_lattice_guarded(&catalog, &q, "w_", &ResourceGuard::unlimited()).unwrap();
         assert!(warm.stats.levels_from_cache > 0);
         assert_eq!(warm.stats.levels_from_scan, 0);
         let c: Vec<Vec<Value>> = warm.snapshot().sorted_by(&[0, 1]).rows().collect();

@@ -27,8 +27,8 @@ pub use error::{CoreError, Result};
 pub use executor::{PercentageEngine, QueryLimits, SqlOutcome};
 pub use horizontal::{eval_horizontal, HorizontalResult};
 pub use lattice::{
-    eval_vpct_batch, eval_vpct_lattice, eval_vpct_lattice_guarded, lattice_plan_lines,
-    plan_levels_cached, Level, LevelSource, LevelStep,
+    eval_vpct_batch, eval_vpct_lattice_guarded, lattice_plan_lines, plan_levels_cached, Level,
+    LevelSource, LevelStep,
 };
 pub use missing::MissingRows;
 pub use olap::eval_vpct_olap;

@@ -16,8 +16,13 @@
 use crate::error::{CoreError, Result};
 use crate::query::{Fact, Measure, VpctQuery};
 use crate::vertical::QueryResult;
-use pa_engine::{distinct, insert_into, ExecStats, ResourceGuard, RowKeyMap};
-use pa_storage::{Catalog, Table, Value};
+use pa_engine::{
+    aggregate_level, distinct, insert_into, lookup, AggFunc, AggSpec, ExecStats, Expr,
+    ResourceGuard,
+};
+use pa_storage::{Bitmap, Catalog, Column, HashIndex, Schema, Table, NONE};
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// The user's choice for the missing-row issue. Optional by design: "the
 /// user may not always want to insert missing rows".
@@ -41,6 +46,75 @@ fn single_term(q: &VpctQuery) -> Result<()> {
     Ok(())
 }
 
+/// Positions of `names` in `schema`.
+fn positions(schema: &Schema, names: &[String]) -> Result<Vec<usize>> {
+    (names.iter())
+        .map(|n| schema.index_of(n).map_err(CoreError::from))
+        .collect()
+}
+
+/// Every (row of `groups`) × (row of `combos`) pair `existing` has no row
+/// for, found by one [`lookup`] of their cross product and listed in that
+/// nesting (each group's combinations in order): the pairs' key columns —
+/// the first `j` columns of `groups`, then those of `combos` — and the
+/// group of each pair.
+fn missing_pairs(
+    groups: &Table,
+    j: usize,
+    combos: &Table,
+    existing: HashIndex,
+    guard: &ResourceGuard,
+    stats: &mut ExecStats,
+) -> Result<(Vec<Column>, Vec<usize>)> {
+    let c = combos.num_rows();
+    let group_rows: Vec<usize> = (0..groups.num_rows())
+        .flat_map(|g| std::iter::repeat_n(g, c))
+        .collect();
+    let combo_rows: Vec<usize> = (0..group_rows.len()).map(|r| r % c).collect();
+    let (group_keys, combo_keys) = (&groups.columns()[..j], combos.columns());
+    let cross: Vec<Column> = (group_keys.iter().map(|key| key.take(&group_rows)))
+        .chain(combo_keys.iter().map(|key| key.take(&combo_rows)))
+        .collect();
+    let fields = (groups.schema().fields()[..j].iter()).chain(combos.schema().fields());
+    let cross = Table::from_columns(Schema::new(fields.cloned().collect())?.into_shared(), cross)?;
+    let every: Vec<usize> = (0..cross.num_columns()).collect();
+    let found = lookup(&cross, &every, Cow::Owned(existing), true, guard, stats)?;
+    let missing: Vec<usize> = (0..found.len()).filter(|&r| found[r] == NONE).collect();
+    let keys = (cross.columns().iter()).map(|key| key.take(&missing));
+    Ok((
+        keys.collect(),
+        missing.iter().map(|&r| group_rows[r]).collect(),
+    ))
+}
+
+/// Pad rows laid out like `schema`: `keys` at `key_cols`, the `fill`
+/// column at its position, NULL elsewhere.
+fn pad_table(
+    schema: &Arc<Schema>,
+    key_cols: &[usize],
+    keys: Vec<Column>,
+    fill: Option<(usize, Column)>,
+) -> Result<Table> {
+    let rows = keys.first().map_or(0, Column::len);
+    let mut columns: Vec<Option<Column>> = vec![None; schema.len()];
+    for (&c, key) in key_cols.iter().zip(keys) {
+        columns[c] = Some(key);
+    }
+    if let Some((c, fill)) = fill {
+        columns[c] = Some(fill);
+    }
+    let columns = (columns.into_iter().zip(schema.fields()))
+        .map(|(col, field)| {
+            col.unwrap_or_else(|| {
+                let mut nulls = Column::with_capacity(field.dtype, rows);
+                nulls.push_nulls(rows);
+                nulls
+            })
+        })
+        .collect();
+    Ok(Table::from_columns(Arc::clone(schema), columns)?)
+}
+
 /// Pre-processing: insert one zero-measure row into `F` for every
 /// (existing `D1..Dj` group) × (existing `Dj+1..Dk` combination) with no
 /// rows. `fact` is the live `F` (the pad is a write, so it runs ahead of
@@ -59,61 +133,31 @@ pub(crate) fn preprocess_pad(
         return Ok(0); // Global totals or no subgrouping: nothing can be missing.
     }
 
-    let (j_keys, by_keys, existing, schema, j_cols, by_cols) = {
+    let pad = {
         let rows = fact.read();
-        let f = rows.whole();
-        let schema = f.schema().clone();
-        let j_cols: Vec<usize> = totals
-            .iter()
-            .map(|n| schema.index_of(n).map_err(CoreError::from))
-            .collect::<Result<Vec<_>>>()?;
-        let by_cols: Vec<usize> = term
-            .by
-            .iter()
-            .map(|n| schema.index_of(n).map_err(CoreError::from))
-            .collect::<Result<Vec<_>>>()?;
-        let (unguarded, config) = (ResourceGuard::unlimited(), fact.config());
-        let mut keys = |cols: &[usize]| -> Result<Vec<Vec<Value>>> {
-            let found = distinct(rows.selected(), cols, &unguarded, stats, &config)?;
-            Ok(found.rows().collect())
-        };
-        let (j_keys, by_keys) = (keys(&j_cols)?, keys(&by_cols)?);
+        let schema = rows.schema().clone();
+        let j_cols = positions(&schema, &totals)?;
+        let by_cols = positions(&schema, &term.by)?;
         let all_cols: Vec<usize> = j_cols.iter().chain(&by_cols).copied().collect();
-        let mut existing = RowKeyMap::new();
-        for row in 0..f.num_rows() {
-            existing.get_or_insert_row(f, &all_cols, row, stats);
-        }
-        (j_keys, by_keys, existing, schema, j_cols, by_cols)
+        let (unguarded, config) = (ResourceGuard::unlimited(), fact.config());
+        let mut keys = |cols: &[usize]| distinct(rows.selected(), cols, &unguarded, stats, &config);
+        let (groups, combos, present) = (keys(&j_cols)?, keys(&by_cols)?, keys(&all_cols)?);
+        let existing = HashIndex::build(&present, &(0..all_cols.len()).collect::<Vec<_>>())?;
+        let (keys, group_of) =
+            missing_pairs(&groups, j_cols.len(), &combos, existing, &unguarded, stats)?;
+        // The measure reads 0 (a literal measure has no column to hold it).
+        let zeros = match &term.measure {
+            Measure::Column(name) => {
+                let c = schema.index_of(name)?;
+                let dtype = schema.field_at(c).dtype;
+                let mut zeros = Column::new(dtype);
+                zeros.push_nulls(group_of.len());
+                Some((c, zeros.zero_nulls(dtype)?))
+            }
+            _ => None,
+        };
+        pad_table(&schema, &all_cols, keys, zeros)?
     };
-
-    let measure_col = match &term.measure {
-        Measure::Column(name) => Some(schema.index_of(name)?),
-        _ => None,
-    };
-
-    let mut pad = Table::empty(schema.clone());
-    let mut probe: Vec<Value> = Vec::new();
-    for j in &j_keys {
-        for b in &by_keys {
-            probe.clear();
-            probe.extend(j.iter().cloned());
-            probe.extend(b.iter().cloned());
-            if existing.lookup_key(&probe, stats).is_some() {
-                continue;
-            }
-            let mut row: Vec<Value> = vec![Value::Null; schema.len()];
-            for (c, v) in j_cols.iter().zip(j) {
-                row[*c] = v.clone();
-            }
-            for (c, v) in by_cols.iter().zip(b) {
-                row[*c] = v.clone();
-            }
-            if let Some(mc) = measure_col {
-                row[mc] = Value::Int(0);
-            }
-            pad.push_row(&row)?;
-        }
-    }
     let inserted = pad.num_rows() as u64;
     if inserted > 0 {
         insert_into(catalog, &q.table, &pad, stats)?;
@@ -141,76 +185,38 @@ pub(crate) fn postprocess_pad(
     if totals.is_empty() || term.by.is_empty() {
         return Ok(0);
     }
+    let config = fact.config();
 
     // Distinct Dj+1..Dk combinations come from F (the paper: "this requires
     // getting all distinct combinations ... from F").
-    let by_keys = {
+    let combos = {
         let f = fact.read();
-        let by_cols: Vec<usize> = term
-            .by
-            .iter()
-            .map(|n| f.schema().index_of(n).map_err(CoreError::from))
-            .collect::<Result<Vec<_>>>()?;
-        distinct(f.selected(), &by_cols, guard, stats, &fact.config())?
-            .rows()
-            .collect::<Vec<_>>()
+        let by_cols = positions(f.schema(), &term.by)?;
+        distinct(f.selected(), &by_cols, guard, stats, &config)?
     };
 
     let fv = table.read();
     let fv_schema = fv.schema().clone();
-    let j_cols: Vec<usize> = totals
-        .iter()
-        .map(|n| fv_schema.index_of(n).map_err(CoreError::from))
-        .collect::<Result<Vec<_>>>()?;
-    let by_cols: Vec<usize> = term
-        .by
-        .iter()
-        .map(|n| fv_schema.index_of(n).map_err(CoreError::from))
-        .collect::<Result<Vec<_>>>()?;
+    let j_cols = positions(&fv_schema, &totals)?;
+    let by_cols = positions(&fv_schema, &term.by)?;
     let pct_col = fv_schema.index_of(&term.name)?;
-
-    // Existing (group, combo) pairs, plus per-group "has any non-NULL pct".
     let all_cols: Vec<usize> = j_cols.iter().chain(&by_cols).copied().collect();
-    let mut existing = RowKeyMap::new();
-    let mut groups = RowKeyMap::new();
-    let mut group_has_value: Vec<bool> = Vec::new();
-    for row in 0..fv.num_rows() {
-        existing.get_or_insert_row(&fv, &all_cols, row, stats);
-        let g = groups.get_or_insert_row(&fv, &j_cols, row, stats);
-        if g == group_has_value.len() {
-            group_has_value.push(false);
-        }
-        if !fv.get(row, pct_col).is_null() {
-            group_has_value[g] = true;
-        }
-    }
 
-    let mut pad = Table::empty(fv_schema.clone());
-    let mut probe: Vec<Value> = Vec::new();
-    for (g, key) in groups.keys().iter().enumerate() {
-        let j = key.clone();
-        for b in &by_keys {
-            probe.clear();
-            probe.extend(j.iter().cloned());
-            probe.extend(b.iter().cloned());
-            if existing.lookup_key(&probe, stats).is_some() {
-                continue;
-            }
-            let mut row: Vec<Value> = vec![Value::Null; fv_schema.len()];
-            for (c, v) in j_cols.iter().zip(&j) {
-                row[*c] = v.clone();
-            }
-            for (c, v) in by_cols.iter().zip(b) {
-                row[*c] = v.clone();
-            }
-            row[pct_col] = if group_has_value[g] {
-                Value::Float(0.0)
-            } else {
-                Value::Null
-            };
-            pad.push_row(&row)?;
-        }
-    }
+    // `FV`'s groups in order of appearance, each with its count of non-NULL
+    // percentages: a group with none pads NULL.
+    let count = AggSpec::new(AggFunc::Count, Expr::Col(pct_col), "n");
+    let groups = aggregate_level((&*fv).into(), &j_cols, &[count], guard, stats, &config)?;
+    let existing = HashIndex::build(&fv, &all_cols)?;
+    let (keys, group_of) = missing_pairs(&groups, j_cols.len(), &combos, existing, guard, stats)?;
+    let counted = groups.column(j_cols.len()).int_data().expect("a count");
+    let valued: Bitmap = group_of.iter().map(|&g| counted[g] > 0).collect();
+    let share = Column::Float {
+        data: (valued.iter())
+            .map(|v| if v { 0.0 } else { f64::NAN })
+            .collect(),
+        validity: valued,
+    };
+    let pad = pad_table(&fv_schema, &all_cols, keys, Some((pct_col, share)))?;
     drop(fv);
 
     let appended = pad.num_rows() as u64;
@@ -227,7 +233,7 @@ mod tests {
     use super::*;
     use crate::strategy::VpctStrategy;
     use crate::vertical::eval_vpct;
-    use pa_storage::{DataType, Schema};
+    use pa_storage::{DataType, Schema, Value};
 
     /// Stores × days with a hole: store 4 has no Monday rows.
     fn catalog() -> Catalog {

@@ -21,10 +21,8 @@
 use crate::error::{CoreError, Result};
 use crate::query::{Fact, Measure, VpctQuery};
 use crate::vertical::{count_insert, into_shared, QueryResult};
-use pa_engine::{
-    distinct, project, window_aggregate, AggFunc, ExecStats, Expr, ProjSpec, ResourceGuard,
-};
-use pa_storage::{Catalog, DataType, Table};
+use pa_engine::{distinct, divide, window_aggregate, AggFunc, ExecStats, ResourceGuard};
+use pa_storage::{Catalog, Column, DataType, Field, Schema, Table};
 
 /// Evaluate a vertical percentage query through the OLAP window-function
 /// plan. Produces the same answer set as [`crate::eval_vpct`] (modulo row
@@ -99,24 +97,34 @@ pub(crate) fn eval_vpct_olap_on(fact: &Fact, q: &VpctQuery) -> Result<QueryResul
         den_pos.push(pos);
     }
 
-    // Row-level division over all n rows.
-    let mut proj: Vec<ProjSpec> = Vec::new();
-    for (i, name) in q.group_by.iter().enumerate() {
+    // Row-level division over all n rows: `INSERT .. SELECT D1..Dk, CASE
+    // WHEN Fj.A <> 0 THEN Fk.A / Fj.A END`, the keys moved over and each
+    // term one [`divide`] of its two window columns, row by row.
+    let n = cur.num_rows();
+    stats.rows_scanned += n as u64;
+    stats.case_condition_evals += (n * q.terms.len()) as u64;
+    let own_row: Vec<u32> = (0..n as u32).collect();
+    let mut fields: Vec<Field> = Vec::new();
+    let mut columns: Vec<Column> = Vec::new();
+    for (name, &k) in q.group_by.iter().zip(&k_cols) {
         // Window operators only append columns, so F's positions survive.
-        proj.push(ProjSpec::typed(
-            Expr::Col(k_cols[i]),
-            name.clone(),
-            schema.field_at(k_cols[i]).dtype,
-        ));
+        fields.push(Field::new(name.clone(), schema.field_at(k).dtype));
+        columns.push(cur.column(k).clone());
     }
     for (t, term) in q.terms.iter().enumerate() {
-        proj.push(ProjSpec::typed(
-            Expr::Col(num_pos[t]).safe_div(Expr::Col(den_pos[t])),
-            term.name.clone(),
-            DataType::Float,
-        ));
+        let mut pct = Column::with_capacity(DataType::Float, n);
+        divide(
+            cur.column(num_pos[t]),
+            cur.column(den_pos[t]),
+            Some(&own_row),
+            &mut pct,
+        );
+        fields.push(Field::new(term.name.clone(), DataType::Float));
+        columns.push(pct);
     }
-    let divided = project(&cur, &proj, &mut stats)?;
+    drop(cur);
+    let divided = Table::from_columns(Schema::new(fields)?.into_shared(), columns)?;
+    count_insert(&divided, &mut stats);
 
     // DISTINCT collapse down to one row per group.
     let all: Vec<usize> = (0..divided.num_columns()).collect();

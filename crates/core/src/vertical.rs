@@ -34,7 +34,7 @@ use pa_engine::{
     ExecStats, Expr, Parent, ResourceGuard, Selected,
 };
 use pa_storage::{
-    Catalog, Change, Column, DataType, Field, HashIndex, Schema, SharedTable, Table, Value,
+    Bitmap, Catalog, Change, Column, DataType, Field, HashIndex, Schema, SharedTable, Table,
 };
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -336,17 +336,18 @@ fn totals_through(
     stats.statements += 2;
     stats.rows_scanned += sums.len() as u64;
     stats.rows_materialized += 2 * parent.groups as u64;
-    let mut totals: Vec<Option<f64>> = vec![None; parent.groups];
+    let mut data = vec![0.0; parent.groups];
+    let mut validity = Bitmap::filled(parent.groups, false);
     for (row, &p) in parent.rows.iter().enumerate() {
         if let Some(sum) = sums.get_f64(row) {
-            *totals[p as usize].get_or_insert(0.0) += sum;
+            data[p as usize] += sum;
+            validity.set(p as usize, true);
         }
     }
-    let mut out = Column::with_capacity(DataType::Float, parent.groups);
-    for total in totals {
-        out.push(Value::from(total))?;
+    for (total, fed) in data.iter_mut().zip(validity.iter()) {
+        *total = if fed { *total } else { f64::NAN };
     }
-    Ok(out)
+    Ok(Column::Float { data, validity })
 }
 
 /// The `Fk` of the Update plan while it is registered in the catalog; the
@@ -404,7 +405,7 @@ impl Drop for StoredFk<'_> {
 pub(crate) mod tests {
     use super::*;
     use crate::query::Measure;
-    use pa_storage::{DataType, Schema};
+    use pa_storage::{DataType, Schema, Value};
 
     /// The paper's Table 1.
     pub(crate) fn sales_catalog() -> Catalog {

@@ -34,8 +34,8 @@
 //! `-- lattice:` source lines. Regenerate with `UPDATE_GOLDEN=1`.
 
 use pa_core::{
-    eval_vpct, eval_vpct_lattice, HorizontalOptions, PercentageEngine, VpctQuery, VpctStrategy,
-    VpctTerm,
+    eval_vpct, eval_vpct_lattice_guarded, HorizontalOptions, PercentageEngine, VpctQuery,
+    VpctStrategy, VpctTerm,
 };
 use pa_engine::{
     lattice_aggregate_with_config, multi_hash_aggregate_with_config, AggFunc, AggSpec, ExecStats,
@@ -602,7 +602,8 @@ fn float_keys_grouping_merges_find_their_totals() {
         extra: Vec::new(),
     };
     drop_lattice_cache(&catalog);
-    let lattice = eval_vpct_lattice(&catalog, &q, "l_").unwrap();
+    let lattice =
+        eval_vpct_lattice_guarded(&catalog, &q, "l_", &ResourceGuard::unlimited()).unwrap();
     let per_term = PercentageEngine::new(&catalog)
         .vpct_with(&q, &VpctStrategy::best())
         .unwrap();
@@ -857,7 +858,8 @@ fn parent_vectors_are_built_once_and_follow_their_level() {
         sorted_rows(&out.snapshot(), 3)
     };
     let by_parent = || {
-        let out = eval_vpct_lattice(&catalog, &q, "l_").unwrap();
+        let out =
+            eval_vpct_lattice_guarded(&catalog, &q, "l_", &ResourceGuard::unlimited()).unwrap();
         (sorted_rows(&out.snapshot(), 3), out.stats)
     };
     let before = builds();

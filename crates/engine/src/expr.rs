@@ -1,9 +1,9 @@
 //! Row expressions: arithmetic, comparisons, boolean logic, CASE WHEN.
 //!
-//! Expressions are evaluated per row against a table (or a pair of tables
-//! for join/update expressions). NULL follows SQL three-valued logic, and the
-//! division used by percentage queries maps divide-by-zero to NULL via
-//! [`Expr::safe_div`], exactly as the paper prescribes.
+//! Expressions are evaluated per row against the rows a scan reads: a
+//! measure, a `CASE`-guarded cell, a predicate. NULL follows SQL
+//! three-valued logic. After the scan every column is typed: a percentage
+//! is [`divide`](crate::divide), not an expression.
 
 use crate::error::{EngineError, Result};
 use crate::stats::ExecStats;
@@ -18,9 +18,8 @@ pub enum ArithOp {
     Sub,
     /// Multiplication.
     Mul,
-    /// Division (NULL when either side NULL; error on literal 0 divisor is
-    /// avoided by returning NULL — SQL engines raise, percentage plans guard
-    /// with CASE; [`Expr::safe_div`] encodes the guarded form).
+    /// Division (NULL when either side is NULL, and for a zero divisor,
+    /// where a SQL engine raises).
     Div,
 }
 
@@ -50,10 +49,6 @@ pub enum Expr {
     Lit(Value),
     /// Binary arithmetic.
     Arith(ArithOp, Box<Expr>, Box<Expr>),
-    /// `CASE WHEN den <> 0 THEN num / den ELSE NULL END` — the paper's
-    /// division-by-zero guard, fused for clarity and accounted as one CASE
-    /// condition evaluation.
-    SafeDiv(Box<Expr>, Box<Expr>),
     /// Three-valued comparison.
     Cmp(CmpOp, Box<Expr>, Box<Expr>),
     /// Null-safe equality with grouping semantics (`IS NOT DISTINCT FROM`):
@@ -61,16 +56,12 @@ pub enum Expr {
     /// match subgroup combinations, which are *group keys* — a NULL
     /// dimension value is a legitimate group.
     KeyEq(Box<Expr>, Box<Expr>),
-    /// Cast to a target type (floats truncate to ints; NULL stays NULL).
-    Cast(DataType, Box<Expr>),
     /// Three-valued conjunction.
     And(Box<Expr>, Box<Expr>),
     /// Three-valued disjunction.
     Or(Box<Expr>, Box<Expr>),
     /// Three-valued negation.
     Not(Box<Expr>),
-    /// `IS NULL` (never NULL itself).
-    IsNull(Box<Expr>),
     /// `CASE WHEN c1 THEN v1 WHEN c2 THEN v2 ... [ELSE e] END`.
     /// Without an ELSE the result is NULL — the form horizontal
     /// aggregations generate.
@@ -106,11 +97,6 @@ impl Expr {
     /// `self AND other`.
     pub fn and(self, other: Expr) -> Expr {
         Expr::And(Box::new(self), Box::new(other))
-    }
-
-    /// `self / other` with divide-by-zero → NULL.
-    pub fn safe_div(self, other: Expr) -> Expr {
-        Expr::SafeDiv(Box::new(self), Box::new(other))
     }
 
     /// `self + other`.
@@ -153,7 +139,6 @@ impl Expr {
         match self {
             Expr::Col(i) => Some(schema.field_at(*i).dtype),
             Expr::Lit(v) => v.data_type(),
-            Expr::SafeDiv(..) => Some(DataType::Float),
             Expr::Arith(op, l, r) => {
                 let lt = l.output_type(schema)?;
                 let rt = r.output_type(schema)?;
@@ -163,13 +148,9 @@ impl Expr {
                     Some(DataType::Float)
                 }
             }
-            Expr::Cmp(..)
-            | Expr::KeyEq(..)
-            | Expr::And(..)
-            | Expr::Or(..)
-            | Expr::Not(..)
-            | Expr::IsNull(..) => Some(DataType::Int),
-            Expr::Cast(t, _) => Some(*t),
+            Expr::Cmp(..) | Expr::KeyEq(..) | Expr::And(..) | Expr::Or(..) | Expr::Not(..) => {
+                Some(DataType::Int)
+            }
             Expr::Case {
                 branches,
                 else_value,
@@ -199,18 +180,6 @@ impl Expr {
                 let rv = r.eval(table, row, stats)?;
                 arith(*op, &lv, &rv)
             }
-            Expr::SafeDiv(num, den) => {
-                let dv = den.eval(table, row, stats)?;
-                // The guard is the CASE WHEN den <> 0 from the generated SQL.
-                stats.case_condition_evals += 1;
-                match dv.as_f64() {
-                    None | Some(0.0) => Ok(Value::Null),
-                    Some(d) => Ok(match num.eval(table, row, stats)?.as_f64() {
-                        None => Value::Null,
-                        Some(n) => Value::Float(n / d),
-                    }),
-                }
-            }
             Expr::Cmp(op, l, r) => {
                 let lv = l.eval(table, row, stats)?;
                 let rv = r.eval(table, row, stats)?;
@@ -221,7 +190,6 @@ impl Expr {
                 let rv = r.eval(table, row, stats)?;
                 Ok(Value::Int(lv.key_eq(&rv) as i64))
             }
-            Expr::Cast(t, e) => Ok(cast(*t, e.eval(table, row, stats)?)?),
             Expr::And(l, r) => {
                 let lv = truth(&l.eval(table, row, stats)?);
                 // SQL AND short-circuits on FALSE only.
@@ -251,7 +219,6 @@ impl Expr {
                 Some(b) => Value::Int(!b as i64),
                 None => Value::Null,
             }),
-            Expr::IsNull(e) => Ok(Value::Int(e.eval(table, row, stats)?.is_null() as i64)),
             Expr::Case {
                 branches,
                 else_value,
@@ -269,23 +236,6 @@ impl Expr {
             }
         }
     }
-}
-
-fn cast(t: DataType, v: Value) -> Result<Value> {
-    if v.is_null() {
-        return Ok(Value::Null);
-    }
-    Ok(match (t, &v) {
-        (DataType::Int, Value::Int(_))
-        | (DataType::Float, Value::Float(_))
-        | (DataType::Str, Value::Str(_)) => v,
-        (DataType::Int, Value::Float(f)) => Value::Int(*f as i64),
-        (DataType::Float, Value::Int(i)) => Value::Float(*i as f64),
-        (DataType::Str, other) => Value::str(other.to_string()),
-        (t, other) => {
-            return Err(EngineError::ExprType(format!("cannot cast {other} to {t}")));
-        }
-    })
 }
 
 /// The three-valued truth of a value: NULL and strings are unknown.
@@ -402,29 +352,15 @@ mod tests {
     }
 
     #[test]
-    fn safe_div_guards_zero_and_null() {
+    fn division_by_zero_and_null_is_null() {
         let t = table();
         let s = t.schema();
-        let a = Expr::col(s, "a").unwrap();
-        let b = Expr::col(s, "b").unwrap();
-        assert_eq!(
-            eval(&a.clone().safe_div(b.clone()), &t, 0),
-            Value::Float(5.0)
-        );
-        assert_eq!(eval(&a.clone().safe_div(b.clone()), &t, 1), Value::Null);
-        assert_eq!(eval(&a.safe_div(b), &t, 2), Value::Null);
-    }
-
-    #[test]
-    fn safe_div_counts_one_case_condition() {
-        let t = table();
-        let s = t.schema();
-        let e = Expr::col(s, "a")
-            .unwrap()
-            .safe_div(Expr::col(s, "b").unwrap());
-        let mut st = ExecStats::default();
-        e.eval(&t, 0, &mut st).unwrap();
-        assert_eq!(st.case_condition_evals, 1);
+        let div = |a, b| Expr::Arith(ArithOp::Div, Box::new(a), Box::new(b));
+        let e = div(Expr::col(s, "a").unwrap(), Expr::col(s, "b").unwrap());
+        assert_eq!(eval(&e, &t, 0), Value::Float(5.0));
+        assert_eq!(eval(&e, &t, 1), Value::Null, "10 / 0");
+        assert_eq!(eval(&e, &t, 2), Value::Null, "NULL / 5");
+        assert_eq!(e.output_type(s), Some(DataType::Float));
     }
 
     #[test]
@@ -442,13 +378,15 @@ mod tests {
     fn three_valued_logic() {
         let t = table();
         let s = t.schema();
-        let d_null = Expr::IsNull(Box::new(Expr::col(s, "d").unwrap()));
-        assert_eq!(eval(&d_null, &t, 0), Value::Int(0));
-        assert_eq!(eval(&d_null, &t, 2), Value::Int(1));
-
-        // NULL = 'x' is NULL, but FALSE AND NULL is FALSE.
+        // NULL = 'x' is NULL, and so is its negation, but FALSE AND NULL
+        // is FALSE.
         let cmp = Expr::col(s, "d").unwrap().eq(Expr::lit("x"));
         assert_eq!(eval(&cmp, &t, 2), Value::Null);
+        assert_eq!(eval(&Expr::Not(Box::new(cmp.clone())), &t, 2), Value::Null);
+        assert_eq!(
+            eval(&Expr::Not(Box::new(cmp.clone())), &t, 0),
+            Value::Int(0)
+        );
         let f_and_null = Expr::lit(0).and(cmp.clone());
         assert_eq!(eval(&f_and_null, &t, 2), Value::Int(0));
         let t_and_null = Expr::lit(1).and(cmp.clone());
@@ -506,10 +444,6 @@ mod tests {
             b.clone().add(Expr::lit(1)).output_type(s),
             Some(DataType::Int)
         );
-        assert_eq!(
-            a.clone().safe_div(b.clone()).output_type(s),
-            Some(DataType::Float)
-        );
         assert_eq!(a.eq(b).output_type(s), Some(DataType::Int));
         let schema2 = Arc::clone(s);
         drop(schema2);
@@ -532,32 +466,6 @@ mod tests {
         // Int/Float cross-type key equality.
         let e = Expr::KeyEq(Box::new(Expr::lit(2)), Box::new(Expr::lit(2.0)));
         assert_eq!(eval(&e, &t, 0), Value::Int(1));
-    }
-
-    #[test]
-    fn cast_conversions() {
-        let t = table();
-        let cast = |dt, e: Expr| eval(&Expr::Cast(dt, Box::new(e)), &t, 0);
-        assert_eq!(
-            cast(DataType::Int, Expr::lit(2.9)),
-            Value::Int(2),
-            "truncates"
-        );
-        assert_eq!(cast(DataType::Float, Expr::lit(3)), Value::Float(3.0));
-        assert_eq!(cast(DataType::Str, Expr::lit(7)), Value::str("7"));
-        assert_eq!(
-            cast(DataType::Int, Expr::Lit(Value::Null)),
-            Value::Null,
-            "NULL survives casts"
-        );
-        assert!(Expr::Cast(DataType::Int, Box::new(Expr::lit("x")))
-            .eval(&t, 0, &mut ExecStats::default())
-            .is_err());
-        let s = t.schema();
-        assert_eq!(
-            Expr::Cast(DataType::Int, Box::new(Expr::col(s, "a").unwrap())).output_type(s),
-            Some(DataType::Int)
-        );
     }
 
     #[test]

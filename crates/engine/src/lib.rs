@@ -48,7 +48,6 @@ pub use ops::insert::insert_into;
 pub use ops::join::lookup;
 pub use ops::partial::{partial_aggregate, ShardPartial};
 pub use ops::pivot::{pivot_aggregate, pivot_aggregate_with_config, PivotTask};
-pub use ops::project::{project, ProjSpec};
 pub use ops::sort::{sort, sort_permutation};
 pub use ops::update::update_from;
 pub use ops::window::window_aggregate;

@@ -5,10 +5,10 @@
 //! Every `Fj` is a projection of `Fk`, so once both levels exist as columns
 //! the paper's `CASE WHEN Fj.A <> 0 THEN Fk.A / Fj.A ELSE NULL END` needs no
 //! join: `parent[r]` is the row of the coarser level that row `r` of the
-//! finer one projects onto, and the percentage is one gather along it.
-//! [`Expr::safe_div`](crate::Expr::safe_div) under
-//! [`project`](crate::project), over the rows a nested-loop join on the
-//! shared key pairs up, is the scalar reference the tests hold this to.
+//! finer one projects onto, and the percentage is one gather along it. The
+//! scalar reference the tests hold this to is that `CASE` evaluated on one
+//! row's values at a time, over the rows a nested-loop join on the shared
+//! key pairs up (`prop_engine.rs`).
 
 use pa_storage::{Bitmap, Column};
 use std::borrow::Cow;
@@ -58,7 +58,7 @@ pub fn divide(sums: &Column, totals: &Column, parent: Option<&[u32]>, out: &mut 
     let (num, present) = numeric(sums);
     let (den, den_valid) = numeric(totals);
     // A total nothing may be divided by reads as zero, the one test the
-    // loop makes (a NaN total stays NaN and divides, as `safe_div` has it).
+    // loop makes (a NaN total stays NaN and divides, as the `CASE` has it).
     let den: Cow<'_, [f64]> = match den_valid.all_set() {
         true => den,
         false => (den.iter().zip(den_valid.iter()))

@@ -9,7 +9,6 @@ pub mod insert;
 pub mod join;
 pub mod partial;
 pub mod pivot;
-pub mod project;
 pub mod sort;
 pub mod update;
 pub mod window;

@@ -373,10 +373,10 @@ fn feed<W: StreamCode>(
     codes: &[W],
     rle: bool,
     idx: &mut [u32],
-    project: impl Fn(W) -> W,
+    projection: impl Fn(W) -> W,
     stats: &mut ExecStats,
 ) {
-    let level_code = |c| project(c).widen();
+    let level_code = |c| projection(c).widen();
     match index {
         GroupIndex::Dense(map) => route(lanes, rows, codes, rle, idx, |c| {
             map.get_or_insert_code(level_code(c) as usize)

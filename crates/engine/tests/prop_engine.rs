@@ -3,9 +3,8 @@
 
 use pa_engine::{
     aggregate, aggregate_level, distinct, divide, filter, hash_aggregate, lookup, pivot_aggregate,
-    project, sort, window_aggregate, AggFunc, AggSpec, CmpOp, EngineError, ExecStats, Expr,
-    ParallelConfig, PivotTask, ProjSpec, ResourceGuard, Selected, Selection, SystemClock, Tracer,
-    DEFAULT_DENSE_BUDGET,
+    sort, window_aggregate, AggFunc, AggSpec, CmpOp, EngineError, ExecStats, Expr, ParallelConfig,
+    PivotTask, ResourceGuard, Selected, Selection, SystemClock, Tracer, DEFAULT_DENSE_BUDGET,
 };
 use pa_storage::{Column, DataType, HashIndex, Schema, StorageError, Table, Value, NONE};
 use proptest::prelude::*;
@@ -219,7 +218,17 @@ fn selection_a_scan_reports(t: &Table, pred: &Expr) -> (&'static str, u64) {
     (mode, selected)
 }
 
-// ---- `divide` against a nested-loop join + `project` over `Expr::safe_div` --
+// ---- `divide` against a nested-loop join + a per-row safe divide ----------
+
+/// The paper's `CASE WHEN total <> 0 THEN sum / total ELSE NULL END` on one
+/// row's values: NULL for a NULL or zero total (of either sign) or a NULL
+/// sum, integers widened.
+fn safe_div(sum: &Value, total: &Value) -> Value {
+    match (sum.as_f64(), total.as_f64()) {
+        (Some(s), Some(t)) if t != 0.0 => Value::Float(s / t),
+        _ => Value::Null,
+    }
+}
 
 /// A fine level `[key, sum]` and a coarse one `[key, total]` over one key
 /// column of `key_type` (`None`: a string column holding only NULLs), and
@@ -554,7 +563,6 @@ proptest! {
     ) {
         let key_type = [Some(DataType::Int), Some(DataType::Float), Some(DataType::Str), None][key];
         let (fine, coarse, parent) = divide_case(&mut Draw(seed), key_type, int_sums, int_totals);
-        let mut stats = ExecStats::default();
         // The scalar reference: a nested-loop join on the shared key under
         // `Value::key_eq` (a NULL key matches the NULL group; every fine
         // row finds its one coarse row), then `sum / total` per row.
@@ -567,19 +575,12 @@ proptest! {
             prop_assert_eq!(rows.len(), 1, "fine row {}", row);
             matched.push(rows[0]);
         }
-        let fields = [("sum", fine.column(1).data_type()), ("total", coarse.column(1).data_type())];
-        let joined = Table::from_columns(
-            Schema::from_pairs(&fields).unwrap().into_shared(),
-            vec![fine.column(1).clone(), coarse.column(1).take(&matched)],
-        )
-        .unwrap();
-        let pct = ProjSpec::typed(Expr::Col(0).safe_div(Expr::Col(1)), "pct", DataType::Float);
-        let reference = project(&joined, &[pct], &mut stats).unwrap();
         let mut got = Column::new(DataType::Float);
         divide(fine.column(1), coarse.column(1), Some(&parent), &mut got);
         prop_assert_eq!(got.len(), fine.num_rows());
-        for row in 0..fine.num_rows() {
-            let (want, got) = (reference.get(row, 0), got.get(row));
+        for (row, &total) in matched.iter().enumerate() {
+            let want = safe_div(&fine.get(row, 1), &coarse.get(total, 1));
+            let got = got.get(row);
             prop_assert!(same_bits(&want, &got), "row {}: join + safe_div {:?}, divide {:?}", row, want, got);
         }
     }

@@ -292,35 +292,42 @@ fn put_column(buf: &mut Vec<u8>, col: &Column) {
 /// Serialize `tables` into one framed checkpoint image at `(epoch, lsn)`.
 /// Errors when the image exceeds the frame limit.
 pub fn encode_image(tables: &[(String, &Table)], epoch: u64, lsn: u64) -> Result<Vec<u8>> {
-    let mut payload = Vec::with_capacity(64);
-    put_u32(&mut payload, CHECKPOINT_MAGIC);
+    // One buffer, sized for the cells up front (8 bytes and a validity bit
+    // each, or a code and its dictionary): the payload is written behind
+    // the frame header, which is filled in last.
+    let cells: usize = (tables.iter())
+        .map(|(_, t)| t.num_rows() * t.num_columns())
+        .sum();
+    let mut frame = Vec::with_capacity(FRAME_HEADER + 64 + cells * 9);
+    frame.resize(FRAME_HEADER, 0);
+    let payload = &mut frame;
+    put_u32(payload, CHECKPOINT_MAGIC);
     payload.push(CHECKPOINT_VERSION);
-    put_u64(&mut payload, epoch);
-    put_u64(&mut payload, lsn);
-    put_u32(&mut payload, tables.len() as u32);
+    put_u64(payload, epoch);
+    put_u64(payload, lsn);
+    put_u32(payload, tables.len() as u32);
     for (name, table) in tables {
-        put_string(&mut payload, name);
+        put_string(payload, name);
         let schema = table.schema();
-        put_u32(&mut payload, schema.len() as u32);
+        put_u32(payload, schema.len() as u32);
         for field in schema.fields() {
-            put_string(&mut payload, &field.name);
-            put_dtype(&mut payload, field.dtype);
+            put_string(payload, &field.name);
+            put_dtype(payload, field.dtype);
         }
-        put_u64(&mut payload, table.num_rows() as u64);
+        put_u64(payload, table.num_rows() as u64);
         for col in table.columns() {
-            put_column(&mut payload, col);
+            put_column(payload, col);
         }
     }
-    if payload.len() > MAX_FRAME_LEN as usize {
+    let len = frame.len() - FRAME_HEADER;
+    if len > MAX_FRAME_LEN as usize {
         return Err(StorageError::Checkpoint(format!(
-            "checkpoint image of {} bytes exceeds the {MAX_FRAME_LEN}-byte frame limit",
-            payload.len()
+            "checkpoint image of {len} bytes exceeds the {MAX_FRAME_LEN}-byte frame limit"
         )));
     }
-    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-    put_u32(&mut frame, payload.len() as u32);
-    put_u32(&mut frame, crc32(&payload));
-    frame.extend_from_slice(&payload);
+    let crc = crc32(&frame[FRAME_HEADER..]);
+    frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    frame[4..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
     Ok(frame)
 }
 

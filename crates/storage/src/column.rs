@@ -527,6 +527,45 @@ impl Column {
         }
     }
 
+    /// This column with every NULL row read as zero, as a column of `dtype`:
+    /// a count, or a cell with `DEFAULT 0`. A `Float` read as `Int`
+    /// truncates, as SQL's `CAST` does (a count re-aggregated through a
+    /// float sum). Any other change of type is a
+    /// [`StorageError::TypeMismatch`].
+    pub fn zero_nulls(self, dtype: DataType) -> Result<Column> {
+        fn zeroed<T: Default>(mut data: Vec<T>, validity: &Bitmap) -> Vec<T> {
+            for (x, valid) in data.iter_mut().zip(validity.iter()) {
+                if !valid {
+                    *x = T::default();
+                }
+            }
+            data
+        }
+        let all = Bitmap::filled(self.len(), true);
+        Ok(match (self, dtype) {
+            (Column::Int { data, validity }, DataType::Int) => Column::Int {
+                data: zeroed(data, &validity),
+                validity: all,
+            },
+            (Column::Float { data, validity }, DataType::Float) => Column::Float {
+                data: zeroed(data, &validity),
+                validity: all,
+            },
+            (Column::Float { data, validity }, DataType::Int) => Column::Int {
+                data: (zeroed(data, &validity).into_iter())
+                    .map(|x| x as i64)
+                    .collect(),
+                validity: all,
+            },
+            (column, dtype) => {
+                return Err(StorageError::TypeMismatch {
+                    expected: dtype.to_string(),
+                    found: column.data_type().to_string(),
+                })
+            }
+        })
+    }
+
     /// Verify internal invariants: data, codes, and validity vectors all
     /// hold exactly `expected_len` entries, and every valid string slot's
     /// dictionary code resolves. Used by recovery tests to prove a replayed

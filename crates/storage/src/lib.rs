@@ -24,6 +24,7 @@ pub mod hash;
 pub mod index;
 pub mod lattice;
 pub mod log;
+pub mod memory;
 pub mod packed;
 pub mod partial;
 pub mod replication;

@@ -54,6 +54,16 @@ pub struct Table {
     stats: Arc<Vec<StatsCell>>,
 }
 
+/// The writer's own columns, copied away from any snapshot sharing them.
+/// Every copy is a table-sized buffer that dies with the snapshot, so the
+/// first one settles how the process frees such buffers ([`crate::memory`]).
+fn detach(columns: &mut Arc<Vec<Column>>) -> &mut Vec<Column> {
+    if Arc::get_mut(columns).is_none() {
+        crate::memory::settle_large_buffers();
+    }
+    Arc::make_mut(columns)
+}
+
 impl Table {
     /// Empty table with the given schema.
     pub fn empty(schema: Arc<Schema>) -> Table {
@@ -93,7 +103,7 @@ impl Table {
     /// stays unbuilt.
     fn append(&mut self, push: impl FnOnce(&mut [Column]) -> Result<()>) -> Result<()> {
         let from = self.num_rows();
-        let pushed = push(Arc::make_mut(&mut self.columns).as_mut_slice());
+        let pushed = push(detach(&mut self.columns).as_mut_slice());
         let cells = Arc::make_mut(&mut self.stats);
         for (cell, col) in cells.iter_mut().zip(self.columns.iter()) {
             let carried = pushed.is_ok()
@@ -193,7 +203,7 @@ impl Table {
     /// that column's statistics cell; the other columns keep theirs.
     pub fn column_mut(&mut self, i: usize) -> &mut Column {
         Arc::make_mut(&mut self.stats)[i].take();
-        &mut Arc::make_mut(&mut self.columns)[i]
+        &mut detach(&mut self.columns)[i]
     }
 
     /// Statistics of column `i` as it stands — range, NULL count and, for a

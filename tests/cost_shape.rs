@@ -279,8 +279,13 @@ fn lattice_saves_scans_on_multi_term_queries() {
     // Per-term evaluation: every Fj re-aggregates the 8400-row Fk.
     let per_term = engine.vpct_with(&q, &VpctStrategy::best()).unwrap();
     // Lattice: deeper levels re-aggregate the previous (smaller) level.
-    let lattice =
-        percentage_aggregations::core::eval_vpct_lattice(engine.catalog(), &q, "lat_").unwrap();
+    let lattice = percentage_aggregations::core::eval_vpct_lattice_guarded(
+        engine.catalog(),
+        &q,
+        "lat_",
+        &ResourceGuard::unlimited(),
+    )
+    .unwrap();
     assert!(
         lattice.stats.rows_scanned < per_term.stats.rows_scanned,
         "lattice {} vs per-term {}",
