@@ -136,6 +136,29 @@ done | grep .; then
   exit 1
 fi
 
+echo "==> planned-once gate: SQL text is parsed in prepare, a lattice request lowered once"
+# A statement's text maps to one shared plan (DESIGN.md §19): outside the
+# tests, SQL is parsed in one place under crates/core/src and
+# crates/service/src, `executor.rs::prepare`; and a lattice request's lanes
+# and levels are lowered by `Request::lower` alone (which `Request::new`,
+# the batch constructor and EXPLAIN go through), never per execution.
+if for f in crates/core/src/*.rs crates/service/src/*.rs; do
+  prepare=''
+  if [ "$f" = crates/core/src/executor.rs ]; then
+    prepare='/ fn prepare(/,/^    }$/d'
+  fi
+  sed -e '/^#\[cfg(test)\]/,$d' -e "$prepare" "$f" |
+    grep -nE 'pa_sql::parse\(|parse_statement\(' | sed "s|^|$f:|"
+done | grep .; then
+  echo "SQL text is parsed outside executor.rs::prepare" >&2
+  exit 1
+fi
+if sed -e '/^#\[cfg(test)\]/,$d' -e '/ fn lower(/,/^    }$/d' -e '/^fn request_levels(/d' \
+  crates/core/src/lattice.rs | grep -nE 'Lanes::of\(|request_levels\('; then
+  echo "crates/core/src/lattice.rs lowers a request outside Request::lower" >&2
+  exit 1
+fi
+
 echo "==> no-process-state gate: a statement is handed its configuration and its injector"
 # A statement's scan configuration is its engine's (`with_config`, else the
 # `PA_*` deployment settings read once at the door by `Fact::config`) and a

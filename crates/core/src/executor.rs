@@ -1,14 +1,17 @@
 //! High-level facade: the percentage-query engine.
 //!
-//! [`PercentageEngine`] ties the pieces together — parse SQL (or take typed
-//! queries), pick a strategy (explicitly or via the heuristic optimizer),
-//! resolve the fact table once, and evaluate. Every entry point is an
-//! argument adapter over one boundary (`run`) and, for SQL text, one
-//! statement body (`run_statement`).
+//! [`PercentageEngine`] ties the pieces together — plan SQL text once (or
+//! take typed queries), pick a strategy (explicitly or via the heuristic
+//! optimizer), resolve the fact table once, and evaluate. Every entry point
+//! is an argument adapter over one boundary (`run`) and, for SQL text, one
+//! statement body (`run_statement`) over the text's shared plan
+//! (`prepare`).
 
 use crate::error::{CoreError, Result};
 use crate::horizontal::{eval_horizontal_on, HorizontalResult};
-use crate::lattice::{eval_vpct_batch_on, eval_vpct_lattice_on, eval_vpct_sets_on};
+use crate::lattice::{
+    eval_request, eval_vpct_batch_on, eval_vpct_lattice_on, lattice_plan_lines, Request,
+};
 use crate::missing::{postprocess_pad, preprocess_pad, MissingRows};
 use crate::olap::eval_vpct_olap_on;
 use crate::optimizer::{
@@ -18,10 +21,13 @@ use crate::query::{from_sql, per_set_statements, Fact, HorizontalQuery, Query, V
 use crate::strategy::{HorizontalOptions, VpctStrategy};
 use crate::vertical::{eval_vpct_on, into_shared, QueryResult};
 use pa_engine::{Clock, Deadline, ExecStats, ParallelConfig, ResourceGuard, TraceReport, Tracer};
-use pa_storage::{Catalog, Change, Rows};
+use pa_sql::SelectStmt;
+use pa_storage::{Catalog, Change, FxHashMap, FxHashSet, Rows};
+use std::collections::VecDeque;
+use std::hash::BuildHasher;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Name prefix of the only table a percentage plan stores: the `Fk` an
@@ -31,6 +37,185 @@ const STORED_PREFIX: &str = "tmp_";
 /// Explicit strategy knobs for both families (`execute_sql_with`); without
 /// them the optimizer chooses.
 type Knobs<'k> = Option<(&'k VpctStrategy, &'k HorizontalOptions)>;
+
+/// Most statement texts an engine's plan cache holds (shared by the
+/// engine's clones).
+pub const PLAN_CACHE_ENTRIES: usize = 1024;
+
+/// Most bytes of statement text an engine's plan cache holds. A longer
+/// text is planned on every call.
+pub const PLAN_CACHE_BYTES: usize = 1 << 20;
+
+/// A statement planned from its text alone, shared by every execution of
+/// that text: the validated statement and its typed form — its typed
+/// query, one per grouping set under `ROLLUP` / `CUBE` / `GROUPING SETS`,
+/// or, for a `Vpct` statement that runs on the lattice, its lattice request.
+/// Parsing, typing and lowering read no catalog — every name is resolved
+/// against the table an execution pins — so no write, drop or re-creation
+/// of a table makes a plan stale, and none is ever invalidated. What
+/// depends on the data (the horizontal CASE source, the vertical strategy,
+/// which levels the cache holds) is chosen per execution.
+struct Prepared {
+    stmt: SelectStmt,
+    typed: Typed,
+}
+
+/// A statement's typed form.
+enum Typed {
+    /// A flat `Hpct` / `Hagg` statement, or a single-term `Vpct` one.
+    Flat(Query),
+    /// A horizontal grouping-set statement: one query per set, in set
+    /// order.
+    Sets(Vec<HorizontalQuery>),
+    /// A `Vpct` statement with several terms or with grouping sets, lowered
+    /// to the request it runs without strategy knobs. The request holds
+    /// its queries: the flat statement's one, or one per grouping set in
+    /// set order, the empty set skipped (its grand total is 100% by
+    /// definition).
+    Lattice(Request),
+}
+
+impl Prepared {
+    fn new(stmt: SelectStmt) -> Result<Prepared> {
+        let typed = if stmt.grouping.is_flat() {
+            match from_sql(&stmt)? {
+                Query::Vertical(q) if q.terms.len() > 1 => Typed::Lattice(Request::new(vec![q])?),
+                q => Typed::Flat(q),
+            }
+        } else {
+            let (mut vertical, mut horizontal) = (Vec::new(), Vec::new());
+            for (_, flat) in per_set_statements(&stmt)? {
+                match flat.as_ref().map(from_sql).transpose()? {
+                    Some(Query::Vertical(q)) => vertical.push(q),
+                    Some(Query::Horizontal(q)) => horizontal.push(q),
+                    None => {}
+                }
+            }
+            match horizontal.is_empty() {
+                true => Typed::Lattice(Request::new(vertical)?),
+                false => Typed::Sets(horizontal),
+            }
+        };
+        Ok(Prepared { stmt, typed })
+    }
+}
+
+/// What an engine's plan cache has done
+/// ([`PercentageEngine::plan_cache_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanCacheStats {
+    /// Statements that found their text's plan in the cache.
+    pub hits: u64,
+    /// Statements whose text was parsed and planned — those that failed
+    /// to plan included.
+    pub misses: u64,
+    /// Plans held.
+    pub entries: usize,
+    /// Bytes of statement text held.
+    pub bytes: usize,
+}
+
+/// The plans an engine and its clones share, by exact statement text,
+/// bounded by [`PLAN_CACHE_ENTRIES`] and [`PLAN_CACHE_BYTES`]. A full cache
+/// admits a text the second time it is planned, so a text that never
+/// repeats costs its own planning and never another statement's plan
+/// (freeing a plan that has gone cold costs about what planning does). It
+/// makes room by the clock rule: the oldest plan goes, unless a statement
+/// used it since it last came round, which buys it one more round.
+#[derive(Default)]
+struct PlanCache(Mutex<Plans>);
+
+impl std::fmt::Debug for PlanCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("PlanCache").field(&self.stats()).finish()
+    }
+}
+
+#[derive(Default)]
+struct Plans {
+    /// Each plan, and whether a statement used it since the hand passed.
+    map: FxHashMap<Arc<str>, (Arc<Prepared>, bool)>,
+    /// Every key, oldest first: the clock's hand reads the front.
+    ring: VecDeque<Arc<str>>,
+    /// Hashes of the texts a full cache planned once and turned away (at
+    /// most [`PLAN_CACHE_ENTRIES`]; emptied when full).
+    seen: FxHashSet<u64>,
+    stats: PlanCacheStats,
+}
+
+impl PlanCache {
+    fn lock(&self) -> MutexGuard<'_, Plans> {
+        // Held only for map bookkeeping, never across user code.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The plan of `sql`, counting the lookup as a hit or a miss.
+    fn get(&self, sql: &str) -> Option<Arc<Prepared>> {
+        let mut plans = self.lock();
+        let plans = &mut *plans;
+        match plans.map.get_mut(sql) {
+            Some((plan, used)) => {
+                *used = true;
+                plans.stats.hits += 1;
+                Some(Arc::clone(plan))
+            }
+            None => {
+                plans.stats.misses += 1;
+                None
+            }
+        }
+    }
+
+    /// Keep `plan` as the plan of `sql` — in a full cache only if `sql`
+    /// was turned away before — evicting by the clock rule until both
+    /// bounds hold.
+    fn insert(&self, sql: &str, plan: &Arc<Prepared>) {
+        if sql.len() > PLAN_CACHE_BYTES {
+            return;
+        }
+        let mut plans = self.lock();
+        let plans = &mut *plans;
+        let full = |plans: &Plans| {
+            plans.map.len() >= PLAN_CACHE_ENTRIES
+                || plans.stats.bytes + sql.len() > PLAN_CACHE_BYTES
+        };
+        if plans.map.contains_key(sql) {
+            return;
+        }
+        if full(plans) {
+            let hash = plans.map.hasher().hash_one(sql);
+            if !plans.seen.remove(&hash) {
+                if plans.seen.len() >= PLAN_CACHE_ENTRIES {
+                    plans.seen.clear();
+                }
+                plans.seen.insert(hash);
+                return;
+            }
+        }
+        while full(plans) {
+            let key = plans.ring.pop_front().expect("a full cache holds a key");
+            let (_, used) = plans.map.get_mut(&*key).expect("every key is mapped");
+            if std::mem::take(used) {
+                plans.ring.push_back(key);
+            } else {
+                plans.stats.bytes -= key.len();
+                plans.map.remove(&*key);
+            }
+        }
+        let key: Arc<str> = Arc::from(sql);
+        plans.stats.bytes += key.len();
+        plans.ring.push_back(Arc::clone(&key));
+        plans.map.insert(key, (Arc::clone(plan), false));
+    }
+
+    fn stats(&self) -> PlanCacheStats {
+        let plans = self.lock();
+        PlanCacheStats {
+            entries: plans.map.len(),
+            ..plans.stats
+        }
+    }
+}
 
 /// Per-call execution limits, layered over the engine's defaults. The
 /// serving layer uses this to apply per-session budgets and deadlines
@@ -126,7 +311,7 @@ impl SqlOutcome {
 /// What a statement is handed — the catalog, a guard (with whatever rides
 /// on it: tracer, fault injector), a clock, a default deadline and a scan
 /// configuration — is this value; a clone is a second engine over the same
-/// ones, sharing the replica flag.
+/// ones, sharing the replica flag and the plans of the statements it ran.
 #[derive(Debug, Clone)]
 pub struct PercentageEngine<'a> {
     catalog: &'a Catalog,
@@ -135,6 +320,7 @@ pub struct PercentageEngine<'a> {
     deadline: Option<Duration>,
     config: Option<ParallelConfig>,
     read_only: Arc<AtomicBool>,
+    plans: Arc<PlanCache>,
 }
 
 impl<'a> PercentageEngine<'a> {
@@ -147,6 +333,7 @@ impl<'a> PercentageEngine<'a> {
             deadline: None,
             config: None,
             read_only: Arc::default(),
+            plans: Arc::default(),
         }
     }
 
@@ -273,6 +460,40 @@ impl<'a> PercentageEngine<'a> {
         Some(Tracer::enabled(Arc::clone(&self.clock)))
     }
 
+    /// What the plan cache this engine shares with its clones has done.
+    pub fn plan_cache_stats(&self) -> PlanCacheStats {
+        self.plans.stats()
+    }
+
+    /// The shared plan of statement text `sql`, and whether the cache held
+    /// it already — the one place SQL text is parsed. With `explain`, a
+    /// leading `EXPLAIN [ANALYZE]` is stripped first, so the wrapped
+    /// statement shares the bare one's plan. The text is the key, exactly:
+    /// a text that fails to parse or plan is never kept, and returns the
+    /// same error on every call.
+    fn prepare(&self, sql: &str, explain: bool) -> Result<(Arc<Prepared>, bool)> {
+        let text = if explain {
+            pa_sql::strip_explain(sql)
+        } else {
+            sql
+        };
+        if let Some(plan) = self.plans.get(text) {
+            return Ok((plan, true));
+        }
+        let stmt = match pa_sql::parse(text) {
+            Ok(stmt) => stmt,
+            // Reported as a parse of the whole text reports it, offsets
+            // counted from the wrapper.
+            Err(e) if text.len() < sql.len() => {
+                return Err(pa_sql::parse_statement(sql).err().unwrap_or(e).into())
+            }
+            Err(e) => return Err(e.into()),
+        };
+        let plan = Arc::new(Prepared::new(stmt)?);
+        self.plans.insert(text, &plan);
+        Ok((plan, false))
+    }
+
     /// The boundary every top-level query runs inside.
     ///
     /// Resolves `table` once — pinned at the current catalog epoch, so the
@@ -284,15 +505,17 @@ impl<'a> PercentageEngine<'a> {
     /// escapes the plan becomes [`CoreError::WorkerPanicked`] and cancels
     /// the guard so sibling workers stop. With a `tracer`, the query runs
     /// with a root `query` span open and the tracer riding on the guard, so
-    /// every operator underneath records child spans. Returns `eval`'s
-    /// value, the rows the query charged against its guard, and the drained
-    /// trace (a failed query drops its report with it).
+    /// every operator underneath records child spans; `detail` is the
+    /// root's (a SQL statement's says whether its plan was new or reused).
+    /// Returns `eval`'s value, the rows the query charged against its
+    /// guard, and the drained trace (a failed query drops its report with
+    /// it).
     fn run<T>(
         &self,
         op: &str,
         table: &str,
         limits: QueryLimits,
-        tracer: Option<Tracer>,
+        (tracer, detail): (Option<Tracer>, Option<&'static str>),
         eval: impl FnOnce(&Fact, &ResourceGuard) -> Result<T>,
     ) -> Result<(T, u64, Option<TraceReport>)> {
         // The pin must outlive the query: dropping it releases the
@@ -315,7 +538,10 @@ impl<'a> PercentageEngine<'a> {
         }
         // The root span must open before any operator span and close after
         // the last one, so operator timestamps land inside it.
-        let root = tracer.as_ref().map(|t| t.span("query"));
+        let mut root = tracer.as_ref().map(|t| t.span("query"));
+        if let (Some(root), Some(detail)) = (&mut root, detail) {
+            root.set_detail(detail);
+        }
         let out = std::panic::catch_unwind(AssertUnwindSafe(|| eval(&fact, &qguard)))
             .unwrap_or_else(|p| {
                 // A panic on the query's own thread (parallel workers catch
@@ -386,7 +612,7 @@ impl<'a> PercentageEngine<'a> {
         tracer: Option<Tracer>,
     ) -> Result<(QueryResult, Option<TraceReport>)> {
         let eval = |fact: &Fact, guard: &ResourceGuard| self.eval_vertical(fact, q, strat, guard);
-        let (mut r, charged, report) = self.run("vpct", &q.table, limits, tracer, eval)?;
+        let (mut r, charged, report) = self.run("vpct", &q.table, limits, (tracer, None), eval)?;
         r.stats.rows_charged = charged;
         Ok((r, report))
     }
@@ -400,7 +626,8 @@ impl<'a> PercentageEngine<'a> {
         tracer: Option<Tracer>,
     ) -> Result<(HorizontalResult, Option<TraceReport>)> {
         let eval = |fact: &Fact, guard: &ResourceGuard| self.eval_horizontal(fact, q, opts, guard);
-        let (mut r, charged, report) = self.run("horizontal", &q.table, limits, tracer, eval)?;
+        let traced = (tracer, None);
+        let (mut r, charged, report) = self.run("horizontal", &q.table, limits, traced, eval)?;
         r.stats.rows_charged = charged;
         Ok((r, report))
     }
@@ -438,8 +665,13 @@ impl<'a> PercentageEngine<'a> {
         let eval = |fact: &Fact, guard: &ResourceGuard| {
             eval_vpct_batch_on(self.catalog, fact, queries, guard)
         };
-        let (mut results, charged, _) =
-            self.run("vpct_batch", &first.table, QueryLimits::none(), None, eval)?;
+        let (mut results, charged, _) = self.run(
+            "vpct_batch",
+            &first.table,
+            QueryLimits::none(),
+            (None, None),
+            eval,
+        )?;
         // The batch meters its shared work on the first result (the one
         // whose stats carry the fused summary pass).
         results[0].stats.rows_charged = charged;
@@ -467,7 +699,8 @@ impl<'a> PercentageEngine<'a> {
             }
             Ok(result)
         };
-        let (mut r, charged, _) = self.run("vpct", &q.table, QueryLimits::none(), None, eval)?;
+        let (mut r, charged, _) =
+            self.run("vpct", &q.table, QueryLimits::none(), (None, None), eval)?;
         r.stats += pad;
         r.stats.rows_charged = charged;
         Ok(r)
@@ -478,7 +711,13 @@ impl<'a> PercentageEngine<'a> {
     pub fn vpct_olap(&self, q: &VpctQuery) -> Result<QueryResult> {
         let eval = |fact: &Fact, _: &ResourceGuard| eval_vpct_olap_on(fact, q);
         Ok(self
-            .run("vpct_olap", &q.table, QueryLimits::none(), None, eval)?
+            .run(
+                "vpct_olap",
+                &q.table,
+                QueryLimits::none(),
+                (None, None),
+                eval,
+            )?
             .0)
     }
 
@@ -518,12 +757,13 @@ impl<'a> PercentageEngine<'a> {
         Ok((r, report.unwrap_or_default()))
     }
 
-    /// Parse, validate and execute a SQL statement in the percentage
-    /// dialect. A `WHERE` clause selects the rows of the fact table the
-    /// plan reads ("F can be a temporary table resulting from some query",
-    /// SIGMOD §2 — here a selection over `F`, never a copy of it); an
-    /// `ORDER BY` clause sorts the result (result rows "can be returned in
-    /// the order given by GROUP BY").
+    /// Execute a SQL statement in the percentage dialect: parsed, validated
+    /// and planned the first time its exact text runs on this engine (or a
+    /// clone), from the shared plan after. A `WHERE` clause selects the
+    /// rows of the fact table the plan reads ("F can be a temporary table
+    /// resulting from some query", SIGMOD §2 — here a selection over `F`,
+    /// never a copy of it); an `ORDER BY` clause sorts the result (result
+    /// rows "can be returned in the order given by GROUP BY").
     pub fn execute_sql(&self, sql: &str) -> Result<SqlOutcome> {
         self.execute_sql_limited(sql, QueryLimits::none())
     }
@@ -531,9 +771,8 @@ impl<'a> PercentageEngine<'a> {
     /// [`PercentageEngine::execute_sql`] with per-call limits — the serving
     /// layer's entry point for session budgets and deadlines.
     pub fn execute_sql_limited(&self, sql: &str, limits: QueryLimits) -> Result<SqlOutcome> {
-        Ok(self
-            .run_statement(pa_sql::parse(sql)?, limits, None, None)?
-            .0)
+        let plan = self.prepare(sql, false)?;
+        Ok(self.run_statement(plan, limits, None, None)?.0)
     }
 
     /// [`PercentageEngine::execute_sql_limited`] under a per-query tracer:
@@ -542,14 +781,14 @@ impl<'a> PercentageEngine<'a> {
     /// [`PercentageEngine::explain_analyze_sql`]; the bench binaries use it
     /// to attach per-operator breakdowns to their JSON artifacts. The input
     /// may be a bare SELECT or an `EXPLAIN [ANALYZE]` form — the query under
-    /// the wrapper is what runs.
+    /// the wrapper is what runs, from the plan the untraced call uses.
     pub fn execute_sql_traced(
         &self,
         sql: &str,
         limits: QueryLimits,
     ) -> Result<(SqlOutcome, TraceReport)> {
-        let stmt = pa_sql::parse_statement(sql)?.select().clone();
-        let (outcome, report) = self.run_statement(stmt, limits, None, self.tracer())?;
+        let plan = self.prepare(sql, true)?;
+        let (outcome, report) = self.run_statement(plan, limits, None, self.tracer())?;
         Ok((outcome, report.unwrap_or_default()))
     }
 
@@ -572,35 +811,25 @@ impl<'a> PercentageEngine<'a> {
         hopts: &HorizontalOptions,
         limits: QueryLimits,
     ) -> Result<SqlOutcome> {
-        let knobs = Some((vstrat, hopts));
+        let plan = self.prepare(sql, false)?;
         Ok(self
-            .run_statement(pa_sql::parse(sql)?, limits, knobs, None)?
+            .run_statement(plan, limits, Some((vstrat, hopts)), None)?
             .0)
     }
 
-    /// The one statement body: plan → resolve the source (`WHERE` narrows
-    /// it to a selection) → evaluate → `ORDER BY`, inside
-    /// [`PercentageEngine::run`].
+    /// The one statement body over a prepared plan: resolve the source
+    /// (`WHERE` narrows it to a selection) → evaluate → `ORDER BY`, inside
+    /// [`PercentageEngine::run`]. Without strategy knobs, a statement with
+    /// a lattice request runs it; otherwise its typed queries run under
+    /// the knobs, or the strategies the optimizer picks for the data.
     fn run_statement(
         &self,
-        stmt: pa_sql::SelectStmt,
+        (plan, reused): (Arc<Prepared>, bool),
         limits: QueryLimits,
         knobs: Knobs<'_>,
         tracer: Option<Tracer>,
     ) -> Result<(SqlOutcome, Option<TraceReport>)> {
-        // A flat statement is one typed query; a lattice-grouped one
-        // (`ROLLUP` / `CUBE` / `GROUPING SETS`) one typed query per set,
-        // planned here as well, before the source is resolved.
-        let flat = match stmt.grouping.is_flat() {
-            true => Some(from_sql(&stmt)?),
-            false => None,
-        };
-        let sets = match flat {
-            Some(_) => Vec::new(),
-            None => (per_set_statements(&stmt)?.into_iter())
-                .map(|(set, flat)| Ok((set, flat.as_ref().map(from_sql).transpose()?)))
-                .collect::<Result<Vec<_>>>()?,
-        };
+        let stmt = &plan.stmt;
         let eval = |fact: &Fact, guard: &ResourceGuard| {
             let mut select_stats = ExecStats::default();
             let selected;
@@ -611,106 +840,101 @@ impl<'a> PercentageEngine<'a> {
                 }
                 None => fact,
             };
-            let mut outcome = match &flat {
-                Some(Query::Vertical(q)) => {
-                    SqlOutcome::Vertical(self.eval_vertical(fact, q, knobs.map(|k| k.0), guard)?)
-                }
-                Some(Query::Horizontal(q)) => SqlOutcome::Horizontal(self.eval_horizontal(
+            let group_by = &stmt.group_by;
+            let mut outcome = match (&plan.typed, knobs) {
+                (Typed::Lattice(request), None) => SqlOutcome::Vertical(eval_request(
+                    self.catalog,
                     fact,
-                    q,
-                    knobs.map(|k| k.1),
+                    group_by,
+                    request,
                     guard,
                 )?),
-                None => self.eval_grouping_sets(fact, &stmt.group_by, sets, knobs, guard)?,
+                (Typed::Flat(Query::Vertical(q)), _) => {
+                    SqlOutcome::Vertical(self.eval_vertical(fact, q, knobs.map(|k| k.0), guard)?)
+                }
+                (Typed::Flat(Query::Horizontal(q)), _) => SqlOutcome::Horizontal(
+                    self.eval_horizontal(fact, q, knobs.map(|k| k.1), guard)?,
+                ),
+                (Typed::Lattice(request), Some((strat, _))) if stmt.grouping.is_flat() => {
+                    let q = &request.queries()[0];
+                    SqlOutcome::Vertical(self.eval_vertical(fact, q, Some(strat), guard)?)
+                }
+                (typed, _) => self.eval_grouping_sets(fact, group_by, typed, knobs, guard)?,
             };
             *outcome.stats_mut() += select_stats;
             apply_order(&outcome, &stmt.order_by, guard)?;
             Ok(outcome)
         };
+        let detail = Some(if reused { "reused" } else { "new" });
         let (mut outcome, charged, report) =
-            self.run("execute_sql", &stmt.from, limits, tracer, eval)?;
+            self.run("execute_sql", &stmt.from, limits, (tracer, detail), eval)?;
         outcome.stats_mut().rows_charged = charged;
         Ok((outcome, report))
     }
 
-    /// Evaluate the grouping sets of one statement (`sets`, the typed
-    /// [`per_set_statements`]) over the same resolved source, under the
-    /// statement's one guard, into a single table (`FGS`) shaped
-    /// `[full GROUP BY columns][aggregate columns]`, with NULL in every
-    /// dimension column a set rolled away (the Data Cube "ALL" marker).
-    /// Vertical sets are one lattice plan for the whole statement
-    /// ([`eval_vpct_sets_on`]): each level is fetched or computed once and
-    /// the sets' columns are appended whole — the empty set is skipped for
-    /// `Vpct` (its grand total is definitionally 100%). Horizontal sets,
-    /// and vertical ones under explicit strategy knobs (`execute_sql_with`),
-    /// are evaluated set by set and unioned.
+    /// Evaluate the grouping sets of one statement set by set over the
+    /// same resolved source, under the statement's one guard, and union
+    /// them into a single table (`FGS`) shaped `[full GROUP BY
+    /// columns][aggregate columns]`, with NULL in every dimension column a
+    /// set rolled away (the Data Cube "ALL" marker). This is the plan of
+    /// horizontal sets, and of a `Vpct` statement's sets under explicit
+    /// strategy knobs (`execute_sql_with`); without knobs, those are one
+    /// lattice request for the whole statement. Each set's query groups by
+    /// exactly its set.
     fn eval_grouping_sets(
         &self,
         fact: &Fact,
         group_by: &[String],
-        sets: Vec<(Vec<String>, Option<Query>)>,
+        typed: &Typed,
         knobs: Knobs<'_>,
         guard: &ResourceGuard,
     ) -> Result<SqlOutcome> {
         let mut stats = ExecStats::default();
-        let mut lattice_sets: Vec<VpctQuery> = Vec::new();
-        let mut results: Vec<(Vec<String>, pa_storage::Table)> = Vec::new();
+        let mut results: Vec<(&[String], pa_storage::Table)> = Vec::new();
         let mut cell_columns: Vec<Vec<String>> = Vec::new();
-        let mut vertical = false;
-        // The empty set of a `Vpct` statement has no query: its grand total
-        // is 100% by definition.
-        for (set, flat) in sets.into_iter().filter_map(|(s, q)| Some((s, q?))) {
-            match flat {
-                Query::Vertical(q) => {
-                    vertical = true;
-                    match knobs {
-                        Some((strat, _)) => {
-                            let r = self.eval_vertical(fact, &q, Some(strat), guard)?;
-                            stats += r.stats;
-                            results.push((set, r.snapshot()));
-                        }
-                        None => lattice_sets.push(q),
-                    }
-                }
-                Query::Horizontal(q) => {
-                    let r = self.eval_horizontal(fact, &q, knobs.map(|k| k.1), guard)?;
-                    if r.partitions.len() != 1 {
-                        return Err(CoreError::Unsupported(
-                            "vertically partitioned horizontal results cannot be \
-                             unioned across grouping sets"
-                                .into(),
-                        ));
-                    }
+        let sets = match typed {
+            Typed::Lattice(request) => {
+                for q in request.queries() {
+                    let r = self.eval_vertical(fact, q, knobs.map(|k| k.0), guard)?;
                     stats += r.stats;
-                    if cell_columns.is_empty() {
-                        cell_columns = r.cell_columns.clone();
-                    }
-                    results.push((set, r.snapshot()));
+                    results.push((&q.group_by, r.snapshot()));
                 }
+                let table = into_shared(union_grouping_results(group_by, &results, guard)?);
+                return Ok(SqlOutcome::Vertical(QueryResult { table, stats }));
             }
-        }
-        if !lattice_sets.is_empty() {
-            let r = eval_vpct_sets_on(self.catalog, fact, group_by, &lattice_sets, guard)?;
-            return Ok(SqlOutcome::Vertical(r));
+            Typed::Sets(sets) => sets,
+            Typed::Flat(_) => unreachable!("a flat statement has no grouping sets"),
+        };
+        for q in sets {
+            let r = self.eval_horizontal(fact, q, knobs.map(|k| k.1), guard)?;
+            if r.partitions.len() != 1 {
+                return Err(CoreError::Unsupported(
+                    "vertically partitioned horizontal results cannot be \
+                     unioned across grouping sets"
+                        .into(),
+                ));
+            }
+            stats += r.stats;
+            if cell_columns.is_empty() {
+                cell_columns = r.cell_columns.clone();
+            }
+            results.push((&q.group_by, r.snapshot()));
         }
         let table = into_shared(union_grouping_results(group_by, &results, guard)?);
-        Ok(if vertical {
-            SqlOutcome::Vertical(QueryResult { table, stats })
-        } else {
-            SqlOutcome::Horizontal(HorizontalResult {
-                partitions: vec![table],
-                stats,
-                cell_columns,
-            })
-        })
+        Ok(SqlOutcome::Horizontal(HorizontalResult {
+            partitions: vec![table],
+            stats,
+            cell_columns,
+        }))
     }
 
     /// Generated SQL for a statement without executing it (the paper's
-    /// code-generator use case). The transcript ends with a comment line
-    /// describing the guard the statement would run under.
+    /// code-generator use case), from the plan execution uses. The
+    /// transcript ends with a comment line describing the guard the
+    /// statement would run under.
     pub fn explain_sql(&self, sql: &str) -> Result<Vec<String>> {
-        let stmt = pa_sql::parse_statement(sql)?.select().clone();
-        let mut stmts = self.plan_statements(&stmt)?;
+        let (plan, _) = self.prepare(sql, true)?;
+        let mut stmts = self.plan_statements(&plan)?;
         stmts.push(self.guard_comment(None));
         Ok(stmts)
     }
@@ -718,15 +942,16 @@ impl<'a> PercentageEngine<'a> {
     /// `EXPLAIN ANALYZE`: the generated plan of
     /// [`PercentageEngine::explain_sql`], *executed* under a per-query
     /// tracer, with one `-- op` line per recorded span (actual rows, morsels
-    /// and nanoseconds) and the `-- guard:` line rendered **after** the run
-    /// so `charged=` reports the rows the query actually metered — the
-    /// pre-run rendering read 0 for every plan. Accepts a bare SELECT or the
-    /// `EXPLAIN [ANALYZE]` forms.
+    /// and nanoseconds; the `query` line says whether the statement's plan
+    /// was `plan=new` or `plan=reused`) and the `-- guard:` line rendered
+    /// **after** the run so `charged=` reports the rows the query actually
+    /// metered — the pre-run rendering read 0 for every plan. Accepts a
+    /// bare SELECT or the `EXPLAIN [ANALYZE]` forms.
     pub fn explain_analyze_sql(&self, sql: &str) -> Result<Vec<String>> {
-        let stmt = pa_sql::parse_statement(sql)?.select().clone();
-        let mut lines = self.plan_statements(&stmt)?;
+        let plan = self.prepare(sql, true)?;
+        let mut lines = self.plan_statements(&plan.0)?;
         let (outcome, report) =
-            self.run_statement(stmt, QueryLimits::none(), None, self.tracer())?;
+            self.run_statement(plan, QueryLimits::none(), None, self.tracer())?;
         let report = report.unwrap_or_default();
         if let Some(root) = report.root() {
             render_span_lines(&report, root, 0, &mut lines);
@@ -744,76 +969,71 @@ impl<'a> PercentageEngine<'a> {
         Ok(lines)
     }
 
-    /// The generated-SQL transcript for a statement (shared by the explain
-    /// entry points). Vertical statements that execute on the dimension
-    /// lattice — multi-term flat ones, and every grouping-set statement,
-    /// whose sets are one lattice plan — end with the per-level source
-    /// lines of that plan.
-    fn plan_statements(&self, stmt: &pa_sql::SelectStmt) -> Result<Vec<String>> {
-        let selected = stmt.where_clause.is_some();
+    /// The generated-SQL transcript for a prepared statement (shared by the
+    /// explain entry points). Vertical statements that execute on the
+    /// dimension lattice — multi-term flat ones, and every grouping-set
+    /// statement, whose sets are one lattice request — end with the
+    /// per-level source lines of that request.
+    fn plan_statements(&self, plan: &Prepared) -> Result<Vec<String>> {
+        let stmt = &plan.stmt;
+        let pred = stmt.where_clause.as_ref().map(ToString::to_string);
+        let pred = pred.as_deref();
+        let queries: Vec<Query> = match &plan.typed {
+            Typed::Flat(q) => return self.codegen_lines(q, pred),
+            Typed::Lattice(r) => r.queries().iter().cloned().map(Query::Vertical).collect(),
+            Typed::Sets(sets) => sets.iter().cloned().map(Query::Horizontal).collect(),
+        };
+        let mut lines = Vec::new();
         if stmt.grouping.is_flat() {
-            let (mut lines, q) = self.codegen_lines(stmt)?;
-            if let Some(q) = q.filter(|q| q.terms.len() > 1) {
-                lines.extend(self.lattice_lines(std::slice::from_ref(&q), selected));
-            }
-            return Ok(lines);
-        }
-        let plans = per_set_statements(stmt)?;
-        let mut lines = vec![format!(
-            "-- grouping: {} set(s) over ({})",
-            plans.len(),
-            stmt.group_by.join(", ")
-        )];
-        let mut lattice_sets: Vec<VpctQuery> = Vec::new();
-        for (set, flat) in &plans {
-            match flat {
-                Some(flat) => {
-                    lines.push(format!("-- grouping set ({})", set.join(", ")));
-                    let (set_lines, q) = self.codegen_lines(flat)?;
-                    lines.extend(set_lines);
-                    lattice_sets.extend(q);
+            lines = self.codegen_lines(&queries[0], pred)?;
+        } else {
+            let sets = stmt.grouping_sets();
+            let over = stmt.group_by.join(", ");
+            lines.push(format!("-- grouping: {} set(s) over ({over})", sets.len()));
+            let vertical = matches!(plan.typed, Typed::Lattice(_));
+            let mut queries = queries.iter();
+            for set in &sets {
+                if vertical && set.is_empty() {
+                    let skipped = "skipped (Vpct requires a non-empty GROUP BY)";
+                    lines.push(format!("-- grouping set (): {skipped}"));
+                    continue;
                 }
-                None => lines.push(
-                    "-- grouping set (): skipped (Vpct requires a non-empty GROUP BY)".to_string(),
-                ),
+                let q = queries.next().expect("one query per evaluable set");
+                lines.push(format!("-- grouping set ({})", set.join(", ")));
+                lines.extend(self.codegen_lines(q, pred)?);
             }
         }
-        if !lattice_sets.is_empty() {
-            lines.extend(self.lattice_lines(&lattice_sets, selected));
+        if let Typed::Lattice(request) = &plan.typed {
+            lines.extend(self.lattice_lines(&stmt.from, request, pred.is_some()));
         }
         Ok(lines)
     }
 
-    /// The generated statements of a flat statement, and its typed form
-    /// when it is vertical.
-    fn codegen_lines(&self, stmt: &pa_sql::SelectStmt) -> Result<(Vec<String>, Option<VpctQuery>)> {
-        let pred = stmt.where_clause.as_ref().map(ToString::to_string);
-        let pred = pred.as_deref();
-        Ok(match from_sql(stmt)? {
+    /// The generated statements of one typed query, `pred` its `WHERE`.
+    fn codegen_lines(&self, q: &Query, pred: Option<&str>) -> Result<Vec<String>> {
+        Ok(match q {
             Query::Vertical(q) => {
-                let strat = choose_vpct_strategy(self.catalog, &q);
-                (crate::codegen::vpct_statements(&q, &strat, pred), Some(q))
+                let strat = choose_vpct_strategy(self.catalog, q);
+                crate::codegen::vpct_statements(q, &strat, pred)
             }
             Query::Horizontal(q) => {
-                let strategy = choose_horizontal_strategy(self.catalog, &q)?;
-                let lines = crate::codegen::horizontal_statements(&q, strategy, None, pred);
-                (lines, None)
+                let strategy = choose_horizontal_strategy(self.catalog, q)?;
+                crate::codegen::horizontal_statements(q, strategy, None, pred)
             }
         })
     }
 
-    /// The lattice plan `queries` (one table) would execute with right now.
-    /// The lattice cache is keyed by the pinned snapshot alias the execution
-    /// path rewrites the table to, so probe the same alias: EXPLAIN then
-    /// reports exactly the sources execution would use. A `selected` fact
-    /// (a statement with a `WHERE`) has no cache key, so neither does its
-    /// plan: every level scans or derives.
-    fn lattice_lines(&self, queries: &[VpctQuery], selected: bool) -> Vec<String> {
-        let table = &queries[0].table;
+    /// The lattice plan `request` over `table` would execute with right
+    /// now. The lattice cache is keyed by the pinned snapshot alias the
+    /// execution path rewrites the table to, so probe the same alias:
+    /// EXPLAIN then reports exactly the sources execution would use. A
+    /// `selected` fact (a statement with a `WHERE`) has no cache key, so
+    /// neither does its plan: every level scans or derives.
+    fn lattice_lines(&self, table: &str, request: &Request, selected: bool) -> Vec<String> {
         let view = self.catalog.pin_table(table);
-        let cache_table = view.as_ref().map_or(table.as_str(), |v| v.alias());
+        let cache_table = view.as_ref().map_or(table, |v| v.alias());
         let cache_table = (!selected).then_some(cache_table);
-        crate::lattice::lattice_plan_lines(self.catalog, queries, cache_table)
+        lattice_plan_lines(self.catalog, request, cache_table)
     }
 
     /// The `-- guard:` transcript line. `charged` is `Some` only on the
@@ -856,6 +1076,9 @@ fn render_span_lines(
     if let Some((mode, selected)) = span.selection {
         line.push_str(&format!(" where={mode} selected={selected}"));
     }
+    if let (0, Some(plan)) = (depth, span.detail) {
+        line.push_str(&format!(" plan={plan}"));
+    }
     out.push(line);
     for child in report.children(span.id) {
         render_span_lines(report, child, depth + 1, out);
@@ -871,7 +1094,7 @@ fn render_span_lines(
 /// `Vpct` names embed the per-set BY list.
 fn union_grouping_results(
     group_by: &[String],
-    results: &[(Vec<String>, pa_storage::Table)],
+    results: &[(&[String], pa_storage::Table)],
     guard: &ResourceGuard,
 ) -> Result<pa_storage::Table> {
     use pa_storage::{Column, Field, Schema};

@@ -137,12 +137,11 @@ impl Source<'_> {
 
 /// Evaluate a horizontal query under the given options. `FV`, `F0..FN`
 /// (SPJ) and the `FH` partitions are values of the evaluation; no plan
-/// stores a table, so `_prefix` names nothing.
+/// stores a table.
 pub fn eval_horizontal(
     catalog: &Catalog,
     q: &HorizontalQuery,
     opts: &HorizontalOptions,
-    _prefix: &str,
 ) -> Result<HorizontalResult> {
     let fact = Fact::named(catalog, &q.table)?;
     eval_horizontal_on(catalog, &fact, q, opts, &ResourceGuard::unlimited())
@@ -831,7 +830,7 @@ mod tests {
     fn percentage_rows_sum_to_one() {
         let catalog = store_sales_catalog();
         let result =
-            eval_horizontal(&catalog, &hpct_query(), &HorizontalOptions::default(), "s_").unwrap();
+            eval_horizontal(&catalog, &hpct_query(), &HorizontalOptions::default()).unwrap();
         let t = result.snapshot();
         for r in 0..t.num_rows() {
             let sum = match (t.get(r, 1), t.get(r, 2)) {
@@ -846,14 +845,14 @@ mod tests {
     fn hagg_missing_cells_are_null_unless_default_zero() {
         let catalog = store_sales_catalog();
         let q = HorizontalQuery::hagg("sales", &["store"], AggFunc::Sum, "salesAmt", &["dweek"]);
-        let result = eval_horizontal(&catalog, &q, &HorizontalOptions::default(), "n_").unwrap();
+        let result = eval_horizontal(&catalog, &q, &HorizontalOptions::default()).unwrap();
         let t = result.snapshot().sorted_by(&[0]);
         assert_eq!(t.get(1, 1), Value::Null, "store 4 Monday: NULL per DMKD");
         assert_eq!(t.get(1, 2), Value::Float(800.0));
 
         let mut qz = q.clone();
         qz.terms[0] = qz.terms[0].clone().with_default_zero();
-        let result = eval_horizontal(&catalog, &qz, &HorizontalOptions::default(), "z_").unwrap();
+        let result = eval_horizontal(&catalog, &qz, &HorizontalOptions::default()).unwrap();
         let t = result.snapshot().sorted_by(&[0]);
         assert_eq!(t.get(1, 1), Value::Float(0.0), "DEFAULT 0");
     }
@@ -901,7 +900,7 @@ mod tests {
             ],
             extra: vec![],
         };
-        let result = eval_horizontal(&catalog, &q, &HorizontalOptions::default(), "b_").unwrap();
+        let result = eval_horizontal(&catalog, &q, &HorizontalOptions::default()).unwrap();
         let t = result.snapshot().sorted_by(&[0]);
         // Store 2: bought both days → 1,1. Store 4: 0,1. Store 7: 1,0.
         assert_eq!(t.get(0, 1), Value::Int(1));
@@ -939,7 +938,7 @@ mod tests {
             ],
             extra: vec![],
         };
-        let result = eval_horizontal(&catalog, &q, &HorizontalOptions::default(), "m_").unwrap();
+        let result = eval_horizontal(&catalog, &q, &HorizontalOptions::default()).unwrap();
         let t = result.snapshot().sorted_by(&[0]);
         assert_eq!(t.num_columns(), 5);
         assert!(t.schema().field_at(1).name.starts_with("hpct_salesAmt:"));
@@ -957,7 +956,7 @@ mod tests {
             ..HorizontalOptions::default()
         };
         assert!(matches!(
-            eval_horizontal(&catalog, &q, &strict, "l_"),
+            eval_horizontal(&catalog, &q, &strict),
             Err(CoreError::TooManyColumns {
                 needed: 4,
                 limit: 3
@@ -969,7 +968,7 @@ mod tests {
             allow_partitioning: true,
             ..HorizontalOptions::default()
         };
-        let result = eval_horizontal(&catalog, &q, &partitioned, "p_").unwrap();
+        let result = eval_horizontal(&catalog, &q, &partitioned).unwrap();
         assert_eq!(result.partitions.len(), 2);
         for part in &result.partitions {
             let t = part.read();
@@ -1001,7 +1000,6 @@ mod tests {
                 jump_table: false,
                 ..HorizontalOptions::default()
             },
-            "c1_",
         )
         .unwrap();
         assert!(
@@ -1013,7 +1011,7 @@ mod tests {
         // aggregation — only the CASE evaluation itself avoids the pivot.)
         // Default: the jump table pays only the post-projection guards —
         // independent of n — and every lookup pass runs dense.
-        let jump = eval_horizontal(&catalog, &q, &HorizontalOptions::default(), "c2_").unwrap();
+        let jump = eval_horizontal(&catalog, &q, &HorizontalOptions::default()).unwrap();
         assert_eq!(jump.stats.case_condition_evals, 12);
         assert!(jump.stats.dense_group_ops > 0, "{}", jump.stats);
         assert_eq!(jump.stats.hash_group_ops, 0, "{}", jump.stats);
@@ -1030,7 +1028,7 @@ mod tests {
     fn combo_cache_serves_repeat_queries_and_mutations_invalidate() {
         let catalog = store_sales_catalog();
         let q = hpct_query();
-        let first = eval_horizontal(&catalog, &q, &HorizontalOptions::default(), "k1_").unwrap();
+        let first = eval_horizontal(&catalog, &q, &HorizontalOptions::default()).unwrap();
         assert_eq!(first.stats.combo_cache_misses, 1, "{}", first.stats);
         assert_eq!(first.stats.combo_cache_hits, 0);
         // The set is the level `(dweek)` of the one cache, with no lanes.
@@ -1043,7 +1041,6 @@ mod tests {
             &catalog,
             &q,
             &HorizontalOptions::with_strategy(HorizontalStrategy::CaseFromFv),
-            "k2_",
         )
         .unwrap();
         assert_eq!(second.stats.combo_cache_hits, 1, "{}", second.stats);
@@ -1059,7 +1056,7 @@ mod tests {
         wed.push_row(&[Value::Int(2), Value::str("Wed"), Value::Float(50.0)])
             .unwrap();
         pa_engine::insert_into(&catalog, "sales", &wed, &mut ExecStats::default()).unwrap();
-        let third = eval_horizontal(&catalog, &q, &HorizontalOptions::default(), "k3_").unwrap();
+        let third = eval_horizontal(&catalog, &q, &HorizontalOptions::default()).unwrap();
         assert_eq!(third.stats.combo_cache_misses, 1, "{}", third.stats);
         let t = third.snapshot();
         assert_eq!(t.num_columns(), 5, "Wed became a column");
@@ -1074,14 +1071,12 @@ mod tests {
             &catalog,
             &q,
             &HorizontalOptions::with_strategy(HorizontalStrategy::CaseDirect),
-            "x1_",
         )
         .unwrap();
         let spj = eval_horizontal(
             &catalog,
             &q,
             &HorizontalOptions::with_strategy(HorizontalStrategy::SpjDirect),
-            "x2_",
         )
         .unwrap();
         assert!(
@@ -1109,9 +1104,9 @@ mod tests {
     fn unknown_columns_rejected() {
         let catalog = store_sales_catalog();
         let q = HorizontalQuery::hpct("sales", &["store"], "nope", &["dweek"]);
-        assert!(eval_horizontal(&catalog, &q, &HorizontalOptions::default(), "e_").is_err());
+        assert!(eval_horizontal(&catalog, &q, &HorizontalOptions::default()).is_err());
         let q = HorizontalQuery::hpct("sales", &["store"], "salesAmt", &["nope"]);
-        assert!(eval_horizontal(&catalog, &q, &HorizontalOptions::default(), "e_").is_err());
+        assert!(eval_horizontal(&catalog, &q, &HorizontalOptions::default()).is_err());
     }
 
     #[test]

@@ -34,9 +34,12 @@
 //!   three callers: each group's sum over its total, the total read from
 //!   the totals level's own table.
 //!
-//! [`eval_vpct_lattice_guarded`] evaluates a multi-term `Vpct` query, the executor
-//! every grouping set of a statement into one table (`eval_vpct_sets_on`),
-//! and [`eval_vpct_batch`] a whole set of percentage queries.
+//! A request is lowered once from its queries (`Request`): a prepared
+//! statement keeps it, so an execution only asks the cache which of its
+//! levels are there. [`eval_vpct_lattice_guarded`] evaluates a multi-term
+//! `Vpct` query, the executor every grouping set of a statement into one
+//! table (`eval_request`), and [`eval_vpct_batch`] a whole set of
+//! percentage queries.
 
 use crate::error::{CoreError, Result};
 use crate::query::{ExtraAgg, Fact, Measure, VpctQuery};
@@ -50,6 +53,7 @@ use pa_storage::{
     Table,
 };
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One aggregation level: a set of grouping columns (stored sorted,
@@ -248,9 +252,10 @@ pub fn plan_levels_cached(
 /// extra aggregates (`__x{i}`). A lane is a function and its input, by
 /// position; the names a statement gives its terms are applied only when a
 /// result is assembled, so differently aliased statements share levels.
-struct Lanes<'q> {
-    measures: Vec<&'q Measure>,
-    extra: &'q [ExtraAgg],
+#[derive(Debug)]
+struct Lanes {
+    measures: Vec<Measure>,
+    extra: Vec<ExtraAgg>,
     /// Identity of each lane: cached levels carry it, so a lookup with
     /// different aggregates never resurrects a table of the wrong shape.
     /// BY lists deliberately do not participate: they choose *which
@@ -258,17 +263,17 @@ struct Lanes<'q> {
     signature: Vec<String>,
 }
 
-impl<'q> Lanes<'q> {
+impl Lanes {
     /// The lanes of `queries` (non-empty; the extras are the first
     /// query's — callers check that every query carries the same ones).
-    fn of(queries: &'q [VpctQuery]) -> Lanes<'q> {
-        let mut measures: Vec<&Measure> = Vec::new();
+    fn of(queries: &[VpctQuery]) -> Lanes {
+        let mut measures: Vec<Measure> = Vec::new();
         for term in queries.iter().flat_map(|q| &q.terms) {
-            if !measures.contains(&&term.measure) {
-                measures.push(&term.measure);
+            if !measures.contains(&term.measure) {
+                measures.push(term.measure.clone());
             }
         }
-        let extra = &queries[0].extra;
+        let extra = queries[0].extra.clone();
         let sums = measures.iter().map(|m| format!("sum({})", m.sql()));
         let extras = extra.iter().map(|e| {
             let m = e.measure.as_ref().map_or("*".into(), Measure::sql);
@@ -285,7 +290,7 @@ impl<'q> Lanes<'q> {
     fn lane_of(&self, measure: &Measure) -> usize {
         self.measures
             .iter()
-            .position(|m| *m == measure)
+            .position(|m| m == measure)
             .expect("every term's measure was collected")
     }
 
@@ -320,6 +325,92 @@ fn request_levels(queries: &[VpctQuery]) -> (Vec<Level>, Vec<Vec<Level>>) {
     (roots, totals)
 }
 
+/// A lattice request — one multi-term query, the grouping sets of one
+/// statement, or a batch of queries — lowered to what its evaluation
+/// needs: the queries, the lanes every level carries, the levels the
+/// queries answer at (`roots`, in query order; a batch's shared summary
+/// follows them) and, query by query, the totals levels their terms divide
+/// by. All of it follows from the queries' text: nothing here reads the
+/// catalog, so a prepared statement builds its request once and every
+/// execution asks the cache only what is in it ([`plan_request`]).
+#[derive(Debug)]
+pub(crate) struct Request {
+    queries: Vec<VpctQuery>,
+    lanes: Lanes,
+    roots: Vec<Level>,
+    totals: Vec<Vec<Level>>,
+    /// Every query's totals levels, concatenated.
+    needed: Vec<Level>,
+    /// The distinct levels of `roots` and `needed`, widest first.
+    wanted: Vec<Level>,
+}
+
+impl Request {
+    /// The request of `queries` — one multi-term query, or one query per
+    /// grouping set of a statement — which must be non-empty, valid, over
+    /// one table, with as many terms and the same extras each.
+    pub(crate) fn new(queries: Vec<VpctQuery>) -> Result<Request> {
+        let first = queries.first().ok_or_else(|| {
+            CoreError::InvalidQuery("statement has no evaluable grouping set".into())
+        })?;
+        for q in &queries {
+            q.validate()?;
+            let same = q.table == first.table && q.extra == first.extra;
+            if !same || q.terms.len() != first.terms.len() {
+                return Err(CoreError::Unsupported(
+                    "grouping sets must share the fact table and the aggregate list".into(),
+                ));
+            }
+        }
+        Ok(Request::lower(queries, None))
+    }
+
+    /// The request of a non-empty batch: valid queries over one table with
+    /// no extra aggregate, and one more root, the shared summary at the
+    /// union of every query's GROUP BY.
+    fn batch(queries: &[VpctQuery]) -> Result<Request> {
+        let first = &queries[0];
+        for q in queries {
+            q.validate()?;
+            if q.table != first.table {
+                return Err(CoreError::Unsupported(
+                    "batched queries must target the same fact table".into(),
+                ));
+            }
+            if !q.extra.is_empty() {
+                return Err(CoreError::Unsupported(
+                    "batched evaluation supports percentage terms only".into(),
+                ));
+            }
+        }
+        let all: Vec<String> = queries.iter().flat_map(|q| &q.group_by).cloned().collect();
+        Ok(Request::lower(queries.to_vec(), Some(Level::new(&all))))
+    }
+
+    /// The lanes and levels of `queries`, which the caller has checked,
+    /// with a batch's `summary` root after the queries' own.
+    fn lower(queries: Vec<VpctQuery>, summary: Option<Level>) -> Request {
+        let lanes = Lanes::of(&queries);
+        let (mut roots, totals) = request_levels(&queries);
+        roots.extend(summary);
+        let needed = totals.concat();
+        let wanted = distinct_widest_first(&roots, &needed);
+        Request {
+            queries,
+            lanes,
+            roots,
+            totals,
+            needed,
+            wanted,
+        }
+    }
+
+    /// The queries, in the order their rows are assembled.
+    pub(crate) fn queries(&self) -> &[VpctQuery] {
+        &self.queries
+    }
+}
+
 /// The levels of one request, each one table in the canonical layout
 /// `[level columns, normalized order][lanes]`, rows sorted by key.
 type LevelTables = FxHashMap<Level, Arc<Table>>;
@@ -334,16 +425,16 @@ type LevelTables = FxHashMap<Level, Arc<Table>>;
 /// (EXPLAIN).
 fn plan_request(
     cache: Option<(&LatticeCache, &str)>,
-    lanes: &Lanes<'_>,
-    (roots, needed): (&[Level], &[Level]),
+    request: &Request,
     mut fetched: Option<&mut LevelTables>,
 ) -> Vec<LevelStep> {
+    let (lanes, roots, needed) = (&request.lanes, &request.roots[..], &request.needed[..]);
     let Some((cache, table)) = cache else {
         return plan_levels_cached(roots, needed, &[], lanes.extra.is_empty());
     };
     let all = &lanes.signature[..];
     let sums = &all[..lanes.measures.len()];
-    let wanted = distinct_widest_first(roots, needed);
+    let wanted = &request.wanted;
     let lookups: Vec<(&[String], &[String])> = (wanted.iter())
         .map(|l| (l.columns(), if roots.contains(l) { all } else { sums }))
         .collect();
@@ -412,23 +503,23 @@ fn reaggregate_level(
     Ok(derived.sorted_by(&(0..to.arity()).collect::<Vec<_>>()))
 }
 
-/// Materialize the `roots` and `needed` totals levels of `queries` (one
-/// table, the same extras) from the lattice cache (`cache`, with the name
-/// it knows the fact table by), one fused scan of `F` for whatever nothing
-/// cached covers, and re-aggregation for the rest. Every table computed
-/// here is stored (back) in the cache. `span`, the request's `levels`,
-/// closes with the plan: a request every level of which is cached ends
-/// there, and each scan or re-aggregation after it opens its own.
+/// Materialize the roots and totals levels of `request` from the lattice
+/// cache (`cache`, with the name it knows the fact table by), one fused
+/// scan of `F` for whatever nothing cached covers, and re-aggregation for
+/// the rest. Every table computed here is stored (back) in the cache.
+/// `span`, the request's `levels`, closes with the plan: a request every
+/// level of which is cached ends there, and each scan or re-aggregation
+/// after it opens its own.
 fn materialize_levels(
     cache: Option<(&LatticeCache, &str)>,
     fact: &Fact,
-    queries: &[VpctQuery],
-    (roots, needed, lanes): (&[Level], &[Level], &Lanes<'_>),
+    request: &Request,
     (guard, span): (&ResourceGuard, SpanHandle),
     stats: &mut ExecStats,
 ) -> Result<LevelTables> {
+    let (lanes, roots) = (&request.lanes, &request.roots[..]);
     let mut tables = LevelTables::default();
-    let steps = plan_request(cache, lanes, (roots, needed), Some(&mut tables));
+    let steps = plan_request(cache, request, Some(&mut tables));
     stats.lattice_levels += steps.len() as u64;
     let cached = steps
         .iter()
@@ -445,7 +536,7 @@ fn materialize_levels(
     // way whatever is cached (a level is only ever cached for good ones).
     let specs = lanes.specs(f.schema())?;
     let mut fact_col: HashMap<String, usize> = HashMap::new();
-    for g in queries.iter().flat_map(|q| &q.group_by) {
+    for g in request.queries.iter().flat_map(|q| &q.group_by) {
         let pos = f
             .schema()
             .index_of(g)
@@ -524,9 +615,9 @@ fn totals_rows(
     index.lookup(fk, &keys, false)
 }
 
-/// Assemble the results of `queries` — one per grouping set, at the `roots`
-/// and `totals` levels [`request_levels`] gave them — into one table,
-/// shaped `[group_by][one percentage per term][extras]`, each set's rows in
+/// Assemble the results of `request`'s queries in `sets` — one per
+/// grouping set, at the roots and totals levels the request gave them —
+/// into one table, shaped `[group_by][one percentage per term][extras]`, each set's rows in
 /// turn. Every column is sized once and written set after set: a level's
 /// key or extra column copied as it is, a dimension the set rolled away a
 /// run of NULLs (the Data Cube "ALL") — the `keys` span — and one
@@ -534,15 +625,18 @@ fn totals_rows(
 /// the level, divided into its place (the `divide` span). Aggregate names
 /// come from the first set: generated `Vpct` names embed the BY list.
 fn assemble(
-    (tables, lanes): (&LevelTables, &Lanes<'_>),
+    (tables, request): (&LevelTables, &Request),
     cache: Option<(&LatticeCache, &str)>,
     group_by: &[String],
-    (queries, roots, totals): (&[VpctQuery], &[Level], &[Vec<Level>]),
+    sets: Range<usize>,
     guard: &ResourceGuard,
     stats: &mut ExecStats,
 ) -> Result<SharedTable> {
     let mut span = guard.span("keys");
-    let roots = &roots[..queries.len()];
+    let lanes = &request.lanes;
+    let queries = &request.queries[sets.clone()];
+    let roots = &request.roots[sets.clone()];
+    let totals = &request.totals[sets];
     let fks: Vec<&Arc<Table>> = roots.iter().map(|level| &tables[level]).collect();
     let mut fields: Vec<Field> = Vec::new();
     for g in group_by {
@@ -636,66 +730,45 @@ pub(crate) fn eval_vpct_lattice_on(
     q: &VpctQuery,
     guard: &ResourceGuard,
 ) -> Result<QueryResult> {
-    eval_vpct_sets_on(catalog, fact, &q.group_by, std::slice::from_ref(q), guard)
+    let request = Request::new(vec![q.clone()])?;
+    eval_request(catalog, fact, &q.group_by, &request, guard)
 }
 
-/// Evaluate every grouping set of one statement — `queries`, one per set,
-/// over the same table with the same terms and extras — as **one** lattice
-/// plan: each level is fetched or computed once for the whole statement,
-/// and the sets' rows land in a single table (`FGS`), shaped
-/// `[group_by][aggregates]` with NULL in every dimension a set rolled away.
-pub(crate) fn eval_vpct_sets_on(
+/// Evaluate `request` — one multi-term query, or every grouping set of one
+/// statement — as **one** lattice plan over `fact`: each level is fetched
+/// or computed once, and the queries' rows land in a single table (`FGS`
+/// for grouping sets), shaped `[group_by][aggregates]` with NULL in every
+/// dimension a set rolled away.
+pub(crate) fn eval_request(
     catalog: &Catalog,
     fact: &Fact,
     group_by: &[String],
-    queries: &[VpctQuery],
+    request: &Request,
     guard: &ResourceGuard,
 ) -> Result<QueryResult> {
-    let first = queries
-        .first()
-        .ok_or_else(|| CoreError::InvalidQuery("statement has no evaluable grouping set".into()))?;
     let span = guard.span("levels");
-    for q in queries {
-        q.validate()?;
-        let same = q.table == first.table && q.extra == first.extra;
-        if !same || q.terms.len() != first.terms.len() {
-            return Err(CoreError::Unsupported(
-                "grouping sets must share the fact table and the aggregate list".into(),
-            ));
-        }
-    }
     let mut stats = ExecStats::default();
-    let lanes = Lanes::of(queries);
     let cache = fact.cache_key().map(|key| (catalog.lattice_cache(), key));
-    let (roots, totals) = request_levels(queries);
-    let request = (&roots[..], &totals.concat()[..], &lanes);
-    let tables = materialize_levels(cache, fact, queries, request, (guard, span), &mut stats)?;
-    let sets = (queries, &roots[..], &totals[..]);
-    let table = assemble((&tables, &lanes), cache, group_by, sets, guard, &mut stats)?;
+    let tables = materialize_levels(cache, fact, request, (guard, span), &mut stats)?;
+    let sets = 0..request.queries.len();
+    let table = assemble((&tables, request), cache, group_by, sets, guard, &mut stats)?;
     Ok(QueryResult { table, stats })
 }
 
-/// Render the lattice plan `queries` — one query, or the grouping sets of
-/// one statement — would execute with right now: one line per level, naming
-/// the chosen source, for EXPLAIN output. `cache_table` is the table name
-/// the execution path will key the lattice cache with (the pinned snapshot
-/// alias when the executor runs the query, so EXPLAIN and execution agree
-/// on cache visibility) — `None` for a statement with a `WHERE`, whose
-/// levels are never cached. Probing never perturbs the cache's hit/miss
-/// counters.
-pub fn lattice_plan_lines(
+/// Render the lattice plan `request` would execute with right now: one
+/// line per level, naming the chosen source, for EXPLAIN output.
+/// `cache_table` is the table name the execution path will key the lattice
+/// cache with (the pinned snapshot alias when the executor runs the query,
+/// so EXPLAIN and execution agree on cache visibility) — `None` for a
+/// statement with a `WHERE`, whose levels are never cached. Probing never
+/// perturbs the cache's hit/miss counters.
+pub(crate) fn lattice_plan_lines(
     catalog: &Catalog,
-    queries: &[VpctQuery],
+    request: &Request,
     cache_table: Option<&str>,
 ) -> Vec<String> {
-    if queries.is_empty() {
-        return Vec::new();
-    }
-    let lanes = Lanes::of(queries);
-    let (roots, totals) = request_levels(queries);
-    let needed = totals.concat();
     let cache = cache_table.map(|table| (catalog.lattice_cache(), table));
-    let steps = plan_request(cache, &lanes, (&roots, &needed), None);
+    let steps = plan_request(cache, request, None);
     steps
         .iter()
         .map(|step| {
@@ -721,13 +794,8 @@ pub fn lattice_plan_lines(
 /// lattice plan — a single fused scan of `F` when cold, cached levels
 /// after — so a repeat batch (or one a cached level covers) never rescans
 /// the fact table. Queries must share the table and carry no extra
-/// aggregate terms. Results are returned in input order; the batch stores
-/// no table, so `_prefix` names nothing.
-pub fn eval_vpct_batch(
-    catalog: &Catalog,
-    queries: &[VpctQuery],
-    _prefix: &str,
-) -> Result<Vec<QueryResult>> {
+/// aggregate terms. Results are returned in input order.
+pub fn eval_vpct_batch(catalog: &Catalog, queries: &[VpctQuery]) -> Result<Vec<QueryResult>> {
     let Some(first) = queries.first() else {
         return Ok(Vec::new());
     };
@@ -745,39 +813,24 @@ pub(crate) fn eval_vpct_batch_on(
     queries: &[VpctQuery],
     guard: &ResourceGuard,
 ) -> Result<Vec<QueryResult>> {
-    let first = &queries[0];
-    for q in queries {
-        q.validate()?;
-        if q.table != first.table {
-            return Err(CoreError::Unsupported(
-                "batched queries must target the same fact table".into(),
-            ));
-        }
-        if !q.extra.is_empty() {
-            return Err(CoreError::Unsupported(
-                "batched evaluation supports percentage terms only".into(),
-            ));
-        }
-    }
+    let request = Request::batch(queries)?;
     let span = guard.span("levels");
-    let all: Vec<String> = queries.iter().flat_map(|q| &q.group_by).cloned().collect();
-    let union_level = Level::new(&all);
-    let lanes = Lanes::of(queries);
     let mut summary = ExecStats::default();
     let cache = fact.cache_key().map(|key| (catalog.lattice_cache(), key));
-    let (mut roots, totals) = request_levels(queries);
-    roots.push(union_level.clone());
-    let request = (&roots[..], &totals.concat()[..], &lanes);
-    let tables = materialize_levels(cache, fact, queries, request, (guard, span), &mut summary)?;
-    count_insert(&tables[&union_level], &mut summary);
+    let tables = materialize_levels(cache, fact, &request, (guard, span), &mut summary)?;
+    let union_level = request
+        .roots
+        .last()
+        .expect("a batch request ends with its summary");
+    count_insert(&tables[union_level], &mut summary);
 
     let mut out = Vec::with_capacity(queries.len());
     for (i, q) in queries.iter().enumerate() {
         // The shared-summary cost is folded into the first result.
         let mut stats = std::mem::take(&mut summary);
-        let set = (&queries[i..=i], &roots[i..=i], &totals[i..=i]);
+        let set = i..i + 1;
         let table = assemble(
-            (&tables, &lanes),
+            (&tables, &request),
             cache,
             &q.group_by,
             set,
@@ -1126,7 +1179,8 @@ mod tests {
             ],
             extra: vec![],
         };
-        let cold = lattice_plan_lines(&catalog, std::slice::from_ref(&q), Some("sales"));
+        let request = Request::new(vec![q.clone()]).unwrap();
+        let cold = lattice_plan_lines(&catalog, &request, Some("sales"));
         assert_eq!(
             cold,
             vec![
@@ -1137,7 +1191,7 @@ mod tests {
         );
         let before = catalog.lattice_cache().stats();
         eval_vpct_lattice_guarded(&catalog, &q, "l_", &ResourceGuard::unlimited()).unwrap();
-        let warm = lattice_plan_lines(&catalog, std::slice::from_ref(&q), Some("sales"));
+        let warm = lattice_plan_lines(&catalog, &request, Some("sales"));
         assert_eq!(
             warm,
             vec![
@@ -1156,7 +1210,7 @@ mod tests {
         let catalog = sales_catalog();
         let q1 = VpctQuery::single("sales", &["state", "city"], "salesAmt", &["city"]);
         let q2 = VpctQuery::single("sales", &["state"], "salesAmt", &[]);
-        let results = eval_vpct_batch(&catalog, &[q1.clone(), q2.clone()], "b_").unwrap();
+        let results = eval_vpct_batch(&catalog, &[q1.clone(), q2.clone()]).unwrap();
         assert_eq!(results.len(), 2);
         // Batched results equal per-query evaluation.
         for (q, r) in [(q1, &results[0]), (q2, &results[1])] {
@@ -1177,9 +1231,9 @@ mod tests {
             VpctQuery::single("sales", &["state", "city"], "salesAmt", &["city"]),
             VpctQuery::single("sales", &["state"], "salesAmt", &[]),
         ];
-        let first = eval_vpct_batch(&catalog, &qs, "b1_").unwrap();
+        let first = eval_vpct_batch(&catalog, &qs).unwrap();
         assert!(first[0].stats.levels_from_scan > 0);
-        let second = eval_vpct_batch(&catalog, &qs, "b2_").unwrap();
+        let second = eval_vpct_batch(&catalog, &qs).unwrap();
         assert!(second[0].stats.levels_from_cache > 0, "summary from cache");
         assert_eq!(second[0].stats.levels_from_scan, 0);
         for (a, b) in first.iter().zip(&second) {
@@ -1196,16 +1250,16 @@ mod tests {
         let mut q2 = q1.clone();
         q2.table = "other".into();
         assert!(matches!(
-            eval_vpct_batch(&catalog, &[q1.clone(), q2], "x_"),
+            eval_vpct_batch(&catalog, &[q1.clone(), q2]),
             Err(CoreError::Unsupported(_))
         ));
         let mut q3 = q1.clone();
         q3.extra.push(crate::query::ExtraAgg::count_star("n"));
         assert!(matches!(
-            eval_vpct_batch(&catalog, &[q3], "x_"),
+            eval_vpct_batch(&catalog, &[q3]),
             Err(CoreError::Unsupported(_))
         ));
-        assert!(eval_vpct_batch(&catalog, &[], "x_").unwrap().is_empty());
+        assert!(eval_vpct_batch(&catalog, &[]).unwrap().is_empty());
     }
 
     #[test]

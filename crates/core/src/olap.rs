@@ -26,8 +26,8 @@ use pa_storage::{Catalog, Column, DataType, Field, Schema, Table};
 
 /// Evaluate a vertical percentage query through the OLAP window-function
 /// plan. Produces the same answer set as [`crate::eval_vpct`] (modulo row
-/// order). The plan stores no table, so `_prefix` names nothing.
-pub fn eval_vpct_olap(catalog: &Catalog, q: &VpctQuery, _prefix: &str) -> Result<QueryResult> {
+/// order). The plan stores no table.
+pub fn eval_vpct_olap(catalog: &Catalog, q: &VpctQuery) -> Result<QueryResult> {
     eval_vpct_olap_on(&Fact::named(catalog, &q.table)?, q)
 }
 
@@ -153,7 +153,7 @@ mod tests {
     fn olap_plan_matches_percentage_plan() {
         let catalog = sales_catalog();
         let fast = eval_vpct(&catalog, &q(), &VpctStrategy::best(), "a_").unwrap();
-        let olap = eval_vpct_olap(&catalog, &q(), "b_").unwrap();
+        let olap = eval_vpct_olap(&catalog, &q()).unwrap();
         let a: Vec<Vec<Value>> = fast.snapshot().sorted_by(&[0, 1]).rows().collect();
         let b: Vec<Vec<Value>> = olap.snapshot().sorted_by(&[0, 1]).rows().collect();
         assert_eq!(a, b);
@@ -163,7 +163,7 @@ mod tests {
     fn olap_plan_does_row_granular_work() {
         let catalog = sales_catalog();
         let fast = eval_vpct(&catalog, &q(), &VpctStrategy::best(), "a_").unwrap();
-        let olap = eval_vpct_olap(&catalog, &q(), "b_").unwrap();
+        let olap = eval_vpct_olap(&catalog, &q()).unwrap();
         // The window plan sorts and materializes n-row intermediates.
         assert!(olap.stats.sort_comparisons > 0);
         assert!(
@@ -178,7 +178,7 @@ mod tests {
     fn global_totals_term() {
         let catalog = sales_catalog();
         let q = VpctQuery::single("sales", &["state"], "salesAmt", &[]);
-        let olap = eval_vpct_olap(&catalog, &q, "g_").unwrap();
+        let olap = eval_vpct_olap(&catalog, &q).unwrap();
         let t = olap.snapshot().sorted_by(&[0]);
         assert_eq!(t.get(0, 1), Value::Float(106.0 / 255.0));
         assert_eq!(t.get(1, 1), Value::Float(149.0 / 255.0));
@@ -189,7 +189,7 @@ mod tests {
         let catalog = sales_catalog();
         let q = VpctQuery::single("sales", &["state", "city"], Measure::LitInt(1), &["city"]);
         let fast = eval_vpct(&catalog, &q, &VpctStrategy::best(), "c_").unwrap();
-        let olap = eval_vpct_olap(&catalog, &q, "d_").unwrap();
+        let olap = eval_vpct_olap(&catalog, &q).unwrap();
         let a: Vec<Vec<Value>> = fast.snapshot().sorted_by(&[0, 1]).rows().collect();
         let b: Vec<Vec<Value>> = olap.snapshot().sorted_by(&[0, 1]).rows().collect();
         assert_eq!(a, b);
@@ -201,7 +201,7 @@ mod tests {
         let mut q = q();
         q.extra.push(crate::query::ExtraAgg::count_star("n"));
         assert!(matches!(
-            eval_vpct_olap(&catalog, &q, "e_"),
+            eval_vpct_olap(&catalog, &q),
             Err(CoreError::Unsupported(_))
         ));
     }

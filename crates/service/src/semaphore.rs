@@ -125,7 +125,8 @@ impl FifoSemaphore {
     }
 }
 
-/// A held permit; dropping it releases the slot and wakes waiters.
+/// A held permit; dropping it releases the slot and wakes the waiters, if
+/// any wait.
 #[derive(Debug)]
 pub struct Permit<'a> {
     sem: &'a FifoSemaphore,
@@ -135,8 +136,14 @@ impl Drop for Permit<'_> {
     fn drop(&mut self) {
         let mut st = self.sem.lock();
         st.available += 1;
+        // A waiter joins the queue under this lock before it sleeps, so an
+        // empty queue here means nobody can miss this release — and the
+        // uncontended release skips the wake-up syscall.
+        let waiting = !st.queue.is_empty();
         drop(st);
-        self.sem.cv.notify_all();
+        if waiting {
+            self.sem.cv.notify_all();
+        }
     }
 }
 
@@ -202,6 +209,34 @@ mod tests {
         }
         assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3], "FIFO grant order");
         assert_eq!(sem.available(), 1);
+    }
+
+    #[test]
+    fn a_queued_waiter_is_granted_as_soon_as_the_holder_drops() {
+        // A release notifies only when the queue is non-empty: a waiter
+        // that joined it must never sleep through the release that frees
+        // its permit (it would wait out its 5 s timeout).
+        let sem = Arc::new(FifoSemaphore::new(1));
+        for round in 0..1_000 {
+            let held = sem.acquire_timeout(LONG, 1).unwrap();
+            let waiter = {
+                let sem = Arc::clone(&sem);
+                std::thread::spawn(move || {
+                    let started = Instant::now();
+                    let granted = sem.acquire_timeout(LONG, 1).is_ok();
+                    (granted, started.elapsed())
+                })
+            };
+            while sem.waiters() != 1 {
+                std::thread::yield_now();
+            }
+            drop(held);
+            let (granted, waited) = waiter.join().unwrap();
+            assert!(granted, "round {round}: the waiter timed out");
+            assert!(waited < LONG / 2, "round {round}: waited {waited:?}");
+        }
+        assert_eq!(sem.available(), 1);
+        assert_eq!(sem.waiters(), 0);
     }
 
     #[test]

@@ -405,6 +405,30 @@ fn the_spj_rung_answers_with_the_clean_pivots_bits() {
     }
 }
 
+/// The statement is planned once for the whole ladder: the serial and SPJ
+/// rungs run on clones of the service's engine, which share its plans, so
+/// each rung finds the text's plan the first attempt made.
+#[test]
+fn every_rung_of_the_ladder_reuses_the_statements_plan() {
+    let catalog = sales_catalog(1024);
+    let chaos = PanicInjector::default();
+    let clock = Arc::new(PanicPerAttempt(AtomicUsize::new(2), chaos.clone()));
+    let engine = engine_with(&catalog, &chaos).with_clock(clock.clone());
+    let service = QueryService::from_engine(engine, ServiceConfig::default());
+    let session = SessionOptions::with_deadline(Duration::from_secs(3600));
+    let resp = service.execute_sql_session(HPCT, &session).unwrap();
+    assert_eq!(resp.stats.degraded_to, Some(Degradation::SerialThenSpj));
+    let plans = service.engine().plan_cache_stats();
+    assert_eq!((plans.misses, plans.hits, plans.entries), (1, 2, 1));
+
+    // A one-rung walk of another statement: one more miss, one more hit.
+    chaos.arm(0);
+    let resp = service.execute_sql(VPCT).unwrap();
+    assert_eq!(resp.stats.degraded_to, Some(Degradation::Serial));
+    let plans = service.engine().plan_cache_stats();
+    assert_eq!((plans.misses, plans.hits, plans.entries), (2, 3, 2));
+}
+
 #[test]
 fn degradation_can_be_disabled() {
     let catalog = sales_catalog(512);

@@ -22,5 +22,5 @@ pub use ast::{
     AggCall, AggName, AstExpr, BinOp, Grouping, SelectItem, SelectStmt, Statement, MAX_CUBE_COLUMNS,
 };
 pub use error::{Result, SqlError};
-pub use parser::{parse, parse_statement};
+pub use parser::{parse, parse_statement, strip_explain};
 pub use validate::{is_strict_paper_form, validate, QueryKind};

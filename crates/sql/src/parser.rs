@@ -2,7 +2,7 @@
 
 use crate::ast::{AggCall, AggName, AstExpr, BinOp, Grouping, SelectItem, SelectStmt, Statement};
 use crate::error::{Result, SqlError};
-use crate::token::{tokenize, Spanned, Token};
+use crate::token::{skip_blank, tokenize, Spanned, Token};
 
 /// Parse one SELECT statement.
 pub fn parse(input: &str) -> Result<SelectStmt> {
@@ -33,6 +33,27 @@ pub fn parse_statement(input: &str) -> Result<Statement> {
     } else {
         Statement::Select(stmt)
     })
+}
+
+/// `input` without a leading `EXPLAIN [ANALYZE]` — the statement under the
+/// wrapper, from its first token, read as [`parse_statement`] reads it:
+/// keywords match whole identifiers case-insensitively, after any
+/// whitespace and line comments. Text with no wrapper comes back whole.
+pub fn strip_explain(input: &str) -> &str {
+    let bytes = input.as_bytes();
+    let keyword = |from: usize, kw: &str| {
+        let at = skip_blank(bytes, from);
+        let end = at + kw.len();
+        let word = bytes.get(at..end)?;
+        let ident = |b: &u8| b.is_ascii_alphanumeric() || *b == b'_';
+        (word.eq_ignore_ascii_case(kw.as_bytes()) && !bytes.get(end).is_some_and(ident))
+            .then_some(end)
+    };
+    let Some(end) = keyword(0, "EXPLAIN") else {
+        return input;
+    };
+    let end = keyword(end, "ANALYZE").unwrap_or(end);
+    &input[skip_blank(bytes, end)..]
 }
 
 struct Parser {
@@ -864,6 +885,27 @@ mod tests {
         assert!(parse_statement(&format!("ANALYZE {q}")).is_err());
         assert!(parse_statement("EXPLAIN").is_err());
         assert!(parse_statement("EXPLAIN ANALYZE 42").is_err());
+    }
+
+    #[test]
+    fn strip_explain_reads_the_wrapper_as_parse_statement_does() {
+        let q = "SELECT store, Hpct(amt BY dweek) FROM sales GROUP BY store";
+        for text in [
+            q.to_string(),
+            format!("EXPLAIN {q}"),
+            format!("  explain\tANALYZE\n{q};"),
+            format!("-- why\nExplain -- a comment\n analyze {q}"),
+        ] {
+            let under = parse_statement(&text).unwrap().select().clone();
+            assert_eq!(parse(strip_explain(&text)).unwrap(), under, "{text:?}");
+        }
+        assert_eq!(strip_explain(q), q);
+        assert_eq!(strip_explain("EXPLAIN ANALYZE"), "");
+        // Keywords are whole identifiers.
+        assert_eq!(strip_explain("EXPLAINED SELECT"), "EXPLAINED SELECT");
+        assert_eq!(strip_explain("explain_x SELECT"), "explain_x SELECT");
+        assert_eq!(strip_explain("EXPLAIN ANALYZE2 x"), "ANALYZE2 x");
+        assert_eq!(strip_explain(&format!("EXPLAIN -- c\n {q}")), q);
     }
 
     #[test]

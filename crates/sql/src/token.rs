@@ -55,6 +55,22 @@ pub struct Spanned {
     pub offset: usize,
 }
 
+/// The first byte at or after `i` that is neither whitespace nor part of
+/// an SQL line comment (`--` to the end of the line).
+pub(crate) fn skip_blank(bytes: &[u8], mut i: usize) -> usize {
+    loop {
+        match bytes.get(i) {
+            Some(b' ' | b'\t' | b'\n' | b'\r') => i += 1,
+            Some(b'-') if bytes.get(i + 1) == Some(&b'-') => {
+                while i < bytes.len() && bytes[i] != b'\n' {
+                    i += 1;
+                }
+            }
+            _ => return i,
+        }
+    }
+}
+
 /// Tokenize `input`.
 pub fn tokenize(input: &str) -> Result<Vec<Spanned>> {
     let bytes = input.as_bytes();
@@ -68,10 +84,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>> {
                 i += 1;
             }
             '-' if i + 1 < bytes.len() && bytes[i + 1] == b'-' => {
-                // SQL line comment.
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
+                i = skip_blank(bytes, i);
             }
             '(' => {
                 out.push(Spanned {
