@@ -159,6 +159,19 @@ if sed -e '/^#\[cfg(test)\]/,$d' -e '/ fn lower(/,/^    }$/d' -e '/^fn request_l
   exit 1
 fi
 
+echo "==> one-Vpct-plan gate: every knob-less Vpct is one lattice request"
+# A `Vpct` without strategy knobs runs as one lattice request whatever its
+# term count (DESIGN.md §15, §19); the paper's strategies run only when a
+# knob names them. Outside the tests, executor.rs forks on no term count,
+# and asks the optimizer for a vertical strategy only where EXPLAIN renders
+# the paper's script, `executor.rs::codegen_lines`.
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/executor.rs | grep -n 'terms\.len()' ||
+  sed -e '/^#\[cfg(test)\]/,$d' -e '/ fn codegen_lines(/,/^    }$/d' \
+    crates/core/src/executor.rs | grep -n 'choose_vpct_strategy('; then
+  echo "crates/core/src/executor.rs forks a knob-less Vpct off the lattice request" >&2
+  exit 1
+fi
+
 echo "==> no-process-state gate: a statement is handed its configuration and its injector"
 # A statement's scan configuration is its engine's (`with_config`, else the
 # `PA_*` deployment settings read once at the door by `Fact::config`) and a

@@ -23,7 +23,7 @@ use pa_core::{
 };
 use pa_engine::{
     distinct_keys, multi_hash_aggregate_with_config, pivot_aggregate_with_config, AggFunc, AggSpec,
-    ExecStats, Expr, PBits, ParallelConfig, PivotTask, ResourceGuard,
+    ExecStats, Expr, PBits, ParallelConfig, PivotTask, ResourceGuard, SystemClock, Tracer,
 };
 use pa_storage::Catalog;
 use std::fmt::Write as _;
@@ -449,8 +449,18 @@ fn run_cell(engine: &PercentageEngine<'_>, strategy: &str, iters: usize) -> (f64
 fn trace_cell(engine: &PercentageEngine<'_>, strategy: &str) -> String {
     let report = match strategy {
         "vpct_best" => {
+            // The plan the cell times, `vpct_with(best())`: the knob-less
+            // `vpct_traced` is a lattice request, and warm by now. Its
+            // tracer rides on the engine's guard, under a root of its own.
             let q = VpctQuery::single("fact", &["store", "day"], "amt", &["day"]);
-            engine.vpct_traced(&q).expect("bench query").1
+            let tracer = Tracer::enabled(SystemClock::shared());
+            let guard = engine.guard().clone().with_tracer(tracer.clone());
+            let root = tracer.span("query");
+            (engine.clone().with_guard(guard))
+                .vpct_with(&q, &VpctStrategy::best())
+                .expect("bench query");
+            drop(root);
+            tracer.take_report()
         }
         "case_direct" | "hash_dispatch" => {
             let q = HorizontalQuery::hpct("fact", &["store"], "amt", &["day"]);

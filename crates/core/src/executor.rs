@@ -9,9 +9,7 @@
 
 use crate::error::{CoreError, Result};
 use crate::horizontal::{eval_horizontal_on, HorizontalResult};
-use crate::lattice::{
-    eval_request, eval_vpct_batch_on, eval_vpct_lattice_on, lattice_plan_lines, Request,
-};
+use crate::lattice::{eval_request, eval_vpct_batch_on, lattice_plan_lines, Request};
 use crate::missing::{postprocess_pad, preprocess_pad, MissingRows};
 use crate::olap::eval_vpct_olap_on;
 use crate::optimizer::{
@@ -22,7 +20,7 @@ use crate::strategy::{HorizontalOptions, VpctStrategy};
 use crate::vertical::{eval_vpct_on, into_shared, QueryResult};
 use pa_engine::{Clock, Deadline, ExecStats, ParallelConfig, ResourceGuard, TraceReport, Tracer};
 use pa_sql::SelectStmt;
-use pa_storage::{Catalog, Change, FxHashMap, FxHashSet, Rows};
+use pa_storage::{Catalog, Change, Column, Field, FxHashMap, FxHashSet, Rows, Schema, Table};
 use std::collections::VecDeque;
 use std::hash::BuildHasher;
 use std::panic::AssertUnwindSafe;
@@ -34,9 +32,9 @@ use std::time::Duration;
 /// `Update` plan updates in place, registered while that plan runs.
 const STORED_PREFIX: &str = "tmp_";
 
-/// Explicit strategy knobs for both families (`execute_sql_with`); without
-/// them the optimizer chooses.
-type Knobs<'k> = Option<(&'k VpctStrategy, &'k HorizontalOptions)>;
+/// Explicit strategy knobs for each family (`execute_sql_with`); a family
+/// without its knob runs as `execute_sql` runs it.
+type Knobs<'k> = (Option<&'k VpctStrategy>, Option<&'k HorizontalOptions>);
 
 /// Most statement texts an engine's plan cache holds (shared by the
 /// engine's clones).
@@ -47,9 +45,9 @@ pub const PLAN_CACHE_ENTRIES: usize = 1024;
 pub const PLAN_CACHE_BYTES: usize = 1 << 20;
 
 /// A statement planned from its text alone, shared by every execution of
-/// that text: the validated statement and its typed form — its typed
-/// query, one per grouping set under `ROLLUP` / `CUBE` / `GROUPING SETS`,
-/// or, for a `Vpct` statement that runs on the lattice, its lattice request.
+/// that text: the validated statement and its typed form — for a `Vpct`
+/// statement its lattice request, for a horizontal one its typed query, one
+/// per grouping set under `ROLLUP` / `CUBE` / `GROUPING SETS`.
 /// Parsing, typing and lowering read no catalog — every name is resolved
 /// against the table an execution pins — so no write, drop or re-creation
 /// of a table makes a plan stale, and none is ever invalidated. What
@@ -62,15 +60,15 @@ struct Prepared {
 
 /// A statement's typed form.
 enum Typed {
-    /// A flat `Hpct` / `Hagg` statement, or a single-term `Vpct` one.
-    Flat(Query),
+    /// A flat `Hpct` / `Hagg` statement.
+    Horizontal(HorizontalQuery),
     /// A horizontal grouping-set statement: one query per set, in set
     /// order.
     Sets(Vec<HorizontalQuery>),
-    /// A `Vpct` statement with several terms or with grouping sets, lowered
-    /// to the request it runs without strategy knobs. The request holds
-    /// its queries: the flat statement's one, or one per grouping set in
-    /// set order, the empty set skipped (its grand total is 100% by
+    /// A `Vpct` statement, flat or with grouping sets, one term or many,
+    /// lowered to the request it runs without strategy knobs. The request
+    /// holds its queries: the flat statement's one, or one per grouping set
+    /// in set order, the empty set skipped (its grand total is 100% by
     /// definition).
     Lattice(Request),
 }
@@ -79,8 +77,8 @@ impl Prepared {
     fn new(stmt: SelectStmt) -> Result<Prepared> {
         let typed = if stmt.grouping.is_flat() {
             match from_sql(&stmt)? {
-                Query::Vertical(q) if q.terms.len() > 1 => Typed::Lattice(Request::new(vec![q])?),
-                q => Typed::Flat(q),
+                Query::Vertical(q) => Typed::Lattice(Request::new(vec![q])?),
+                Query::Horizontal(q) => Typed::Horizontal(q),
             }
         } else {
             let (mut vertical, mut horizontal) = (Vec::new(), Vec::new());
@@ -557,10 +555,10 @@ impl<'a> PercentageEngine<'a> {
         Ok((out?, qguard.rows_charged(), report))
     }
 
-    /// Evaluate `q` over `fact`: with `strat`, or as the optimizer chooses —
-    /// multi-term queries (`m > 1`) bottom-up on the dimension lattice
-    /// (SIGMOD §3.1: "partial aggregations need to be computed bottom-up
-    /// based on the dimension lattice").
+    /// Evaluate `q` over `fact`: with `strat`, the paper's plan it names,
+    /// cold; without, as one lattice request whatever its term count (SIGMOD
+    /// §3.1: "partial aggregations need to be computed bottom-up based on
+    /// the dimension lattice"), its levels from the cache when it has them.
     fn eval_vertical(
         &self,
         fact: &Fact,
@@ -568,18 +566,13 @@ impl<'a> PercentageEngine<'a> {
         strat: Option<&VpctStrategy>,
         guard: &ResourceGuard,
     ) -> Result<QueryResult> {
-        let chosen;
-        let strat = match strat {
-            Some(s) => s,
-            None if q.terms.len() > 1 => {
-                return eval_vpct_lattice_on(self.catalog, fact, q, guard);
-            }
+        match strat {
+            Some(strat) => eval_vpct_on(self.catalog, fact, q, strat, STORED_PREFIX, guard),
             None => {
-                chosen = choose_vpct_strategy(self.catalog, q);
-                &chosen
+                let request = Request::new(vec![q.clone()])?;
+                eval_request(self.catalog, fact, &q.group_by, &request, guard)
             }
-        };
-        eval_vpct_on(self.catalog, fact, q, strat, STORED_PREFIX, guard)
+        }
     }
 
     /// Evaluate `q` over `fact`: with `opts`, or with the CASE source the
@@ -632,7 +625,7 @@ impl<'a> PercentageEngine<'a> {
         Ok((r, report))
     }
 
-    /// Evaluate a vertical percentage query with the recommended strategy.
+    /// Evaluate a vertical percentage query as one lattice request.
     pub fn vpct(&self, q: &VpctQuery) -> Result<QueryResult> {
         self.vpct_limited(q, QueryLimits::none())
     }
@@ -772,7 +765,7 @@ impl<'a> PercentageEngine<'a> {
     /// layer's entry point for session budgets and deadlines.
     pub fn execute_sql_limited(&self, sql: &str, limits: QueryLimits) -> Result<SqlOutcome> {
         let plan = self.prepare(sql, false)?;
-        Ok(self.run_statement(plan, limits, None, None)?.0)
+        Ok(self.run_statement(plan, limits, (None, None), None)?.0)
     }
 
     /// [`PercentageEngine::execute_sql_limited`] under a per-query tracer:
@@ -788,7 +781,7 @@ impl<'a> PercentageEngine<'a> {
         limits: QueryLimits,
     ) -> Result<(SqlOutcome, TraceReport)> {
         let plan = self.prepare(sql, true)?;
-        let (outcome, report) = self.run_statement(plan, limits, None, self.tracer())?;
+        let (outcome, report) = self.run_statement(plan, limits, (None, None), self.tracer())?;
         Ok((outcome, report.unwrap_or_default()))
     }
 
@@ -800,28 +793,30 @@ impl<'a> PercentageEngine<'a> {
         vstrat: &VpctStrategy,
         hopts: &HorizontalOptions,
     ) -> Result<SqlOutcome> {
-        self.execute_sql_with_limited(sql, vstrat, hopts, QueryLimits::none())
+        self.execute_sql_with_limited(sql, Some(vstrat), hopts, QueryLimits::none())
     }
 
-    /// [`PercentageEngine::execute_sql_with`] with per-call limits.
+    /// [`PercentageEngine::execute_sql_with`] with per-call limits; with no
+    /// `vstrat` a `Vpct` statement runs its lattice request, as `execute_sql` does.
     pub fn execute_sql_with_limited(
         &self,
         sql: &str,
-        vstrat: &VpctStrategy,
+        vstrat: Option<&VpctStrategy>,
         hopts: &HorizontalOptions,
         limits: QueryLimits,
     ) -> Result<SqlOutcome> {
         let plan = self.prepare(sql, false)?;
         Ok(self
-            .run_statement(plan, limits, Some((vstrat, hopts)), None)?
+            .run_statement(plan, limits, (vstrat, Some(hopts)), None)?
             .0)
     }
 
     /// The one statement body over a prepared plan: resolve the source
     /// (`WHERE` narrows it to a selection) → evaluate → `ORDER BY`, inside
-    /// [`PercentageEngine::run`]. Without strategy knobs, a statement with
-    /// a lattice request runs it; otherwise its typed queries run under
-    /// the knobs, or the strategies the optimizer picks for the data.
+    /// [`PercentageEngine::run`]. Without its knob, a `Vpct` statement runs
+    /// its lattice request; under one its typed queries run the plan the
+    /// knob names. A horizontal statement runs under its knob, or the CASE
+    /// source the optimizer picks for the data.
     fn run_statement(
         &self,
         (plan, reused): (Arc<Prepared>, bool),
@@ -842,20 +837,17 @@ impl<'a> PercentageEngine<'a> {
             };
             let group_by = &stmt.group_by;
             let mut outcome = match (&plan.typed, knobs) {
-                (Typed::Lattice(request), None) => SqlOutcome::Vertical(eval_request(
+                (Typed::Lattice(request), (None, _)) => SqlOutcome::Vertical(eval_request(
                     self.catalog,
                     fact,
                     group_by,
                     request,
                     guard,
                 )?),
-                (Typed::Flat(Query::Vertical(q)), _) => {
-                    SqlOutcome::Vertical(self.eval_vertical(fact, q, knobs.map(|k| k.0), guard)?)
+                (Typed::Horizontal(q), (_, hopts)) => {
+                    SqlOutcome::Horizontal(self.eval_horizontal(fact, q, hopts, guard)?)
                 }
-                (Typed::Flat(Query::Horizontal(q)), _) => SqlOutcome::Horizontal(
-                    self.eval_horizontal(fact, q, knobs.map(|k| k.1), guard)?,
-                ),
-                (Typed::Lattice(request), Some((strat, _))) if stmt.grouping.is_flat() => {
+                (Typed::Lattice(request), (Some(strat), _)) if stmt.grouping.is_flat() => {
                     let q = &request.queries()[0];
                     SqlOutcome::Vertical(self.eval_vertical(fact, q, Some(strat), guard)?)
                 }
@@ -895,7 +887,7 @@ impl<'a> PercentageEngine<'a> {
         let sets = match typed {
             Typed::Lattice(request) => {
                 for q in request.queries() {
-                    let r = self.eval_vertical(fact, q, knobs.map(|k| k.0), guard)?;
+                    let r = self.eval_vertical(fact, q, knobs.0, guard)?;
                     stats += r.stats;
                     results.push((&q.group_by, r.snapshot()));
                 }
@@ -903,10 +895,10 @@ impl<'a> PercentageEngine<'a> {
                 return Ok(SqlOutcome::Vertical(QueryResult { table, stats }));
             }
             Typed::Sets(sets) => sets,
-            Typed::Flat(_) => unreachable!("a flat statement has no grouping sets"),
+            Typed::Horizontal(_) => unreachable!("a flat statement has no grouping sets"),
         };
         for q in sets {
-            let r = self.eval_horizontal(fact, q, knobs.map(|k| k.1), guard)?;
+            let r = self.eval_horizontal(fact, q, knobs.1, guard)?;
             if r.partitions.len() != 1 {
                 return Err(CoreError::Unsupported(
                     "vertically partitioned horizontal results cannot be \
@@ -951,7 +943,7 @@ impl<'a> PercentageEngine<'a> {
         let plan = self.prepare(sql, true)?;
         let mut lines = self.plan_statements(&plan.0)?;
         let (outcome, report) =
-            self.run_statement(plan, QueryLimits::none(), None, self.tracer())?;
+            self.run_statement(plan, QueryLimits::none(), (None, None), self.tracer())?;
         let report = report.unwrap_or_default();
         if let Some(root) = report.root() {
             render_span_lines(&report, root, 0, &mut lines);
@@ -970,16 +962,15 @@ impl<'a> PercentageEngine<'a> {
     }
 
     /// The generated-SQL transcript for a prepared statement (shared by the
-    /// explain entry points). Vertical statements that execute on the
-    /// dimension lattice — multi-term flat ones, and every grouping-set
-    /// statement, whose sets are one lattice request — end with the
-    /// per-level source lines of that request.
+    /// explain entry points). A `Vpct` statement, which executes as one
+    /// lattice request, ends with the per-level source lines of that
+    /// request.
     fn plan_statements(&self, plan: &Prepared) -> Result<Vec<String>> {
         let stmt = &plan.stmt;
         let pred = stmt.where_clause.as_ref().map(ToString::to_string);
         let pred = pred.as_deref();
         let queries: Vec<Query> = match &plan.typed {
-            Typed::Flat(q) => return self.codegen_lines(q, pred),
+            Typed::Horizontal(q) => return self.codegen_lines(&Query::Horizontal(q.clone()), pred),
             Typed::Lattice(r) => r.queries().iter().cloned().map(Query::Vertical).collect(),
             Typed::Sets(sets) => sets.iter().cloned().map(Query::Horizontal).collect(),
         };
@@ -1097,7 +1088,6 @@ fn union_grouping_results(
     results: &[(&[String], pa_storage::Table)],
     guard: &ResourceGuard,
 ) -> Result<pa_storage::Table> {
-    use pa_storage::{Column, Field, Schema};
     let Some((first_set, first)) = results.first() else {
         return Err(CoreError::InvalidQuery(
             "statement has no evaluable grouping set".into(),
@@ -1151,25 +1141,39 @@ fn union_grouping_results(
     Ok(pa_storage::Table::from_columns(schema, out)?)
 }
 
-/// Sort a finished result in place by the named columns.
+/// Sort a finished result in place by the named columns: one permutation,
+/// built from each named column in whichever partition holds it, taken by
+/// every partition alike (each repeats the key columns).
 fn apply_order(outcome: &SqlOutcome, order_by: &[String], guard: &ResourceGuard) -> Result<()> {
     if order_by.is_empty() {
         return Ok(());
     }
-    let shared = outcome.table();
-    let mut t = shared.write();
+    let parts = match outcome {
+        SqlOutcome::Vertical(r) => std::slice::from_ref(&r.table),
+        SqlOutcome::Horizontal(r) => &r.partitions[..],
+    };
+    let tables: Vec<_> = parts.iter().map(|p| p.read()).collect();
     let mut span = guard.span("sort");
-    span.add_rows(t.num_rows() as u64);
+    span.add_rows(tables[0].num_rows() as u64);
     span.add_morsels(1);
-    let cols = order_by
-        .iter()
-        .map(|n| {
-            t.schema()
-                .index_of(n)
-                .map_err(|_| CoreError::InvalidQuery(format!("ORDER BY column {n} not in result")))
-        })
-        .collect::<Result<Vec<_>>>()?;
-    *t = t.sorted_by(&cols);
+    let (mut fields, mut keys) = (Vec::new(), Vec::new());
+    for n in order_by {
+        let found = tables
+            .iter()
+            .find_map(|t| Some(t.column(t.schema().index_of(n).ok()?)));
+        let unknown = || CoreError::InvalidQuery(format!("ORDER BY column {n} not in result"));
+        let col = found.ok_or_else(unknown)?;
+        fields.push(Field::new(format!("k{}", keys.len()), col.data_type()));
+        keys.push(col.clone());
+    }
+    let key = Table::from_columns(Schema::new(fields)?.into_shared(), keys)?;
+    let cols: Vec<usize> = (0..order_by.len()).collect();
+    let order = pa_engine::sort_permutation(&key, &cols, &mut ExecStats::default())?;
+    drop(tables);
+    for part in parts {
+        let mut t = part.write();
+        *t = t.take(&order);
+    }
     Ok(())
 }
 
@@ -1550,24 +1554,34 @@ mod tests {
     #[test]
     fn budget_is_per_query_not_engine_lifetime() {
         let catalog = sales_catalog();
-        // A budget that comfortably covers one query but not many: every
-        // repetition must succeed, because each top-level call runs under a
-        // fresh meter derived from the engine's guard.
-        let guard = ResourceGuard::with_row_budget(500);
+        const SQL: &str = "SELECT state, Vpct(salesAmt) FROM sales GROUP BY state;";
+        let cold = PercentageEngine::new(&catalog).execute_sql(SQL).unwrap();
+        let cold = cold.stats().rows_charged;
+        assert!(cold > 0, "the query's work was metered");
+        // A budget sized for one cold query: every repetition must succeed,
+        // because each top-level call runs under a fresh meter derived from
+        // the engine's guard.
+        let guard = ResourceGuard::with_row_budget(cold);
         let engine = PercentageEngine::new(&catalog).with_guard(guard.clone());
-        engine
-            .execute_sql("SELECT state, Vpct(salesAmt) FROM sales GROUP BY state;")
-            .unwrap();
-        let one_query = guard.rows_charged();
-        assert!(one_query > 0, "the query's work was metered");
-        for i in 0..30 {
-            engine
-                .execute_sql("SELECT state, Vpct(salesAmt) FROM sales GROUP BY state;")
+        let mut charged = Vec::new();
+        for i in 0..31 {
+            // Every third call runs cold, the rest from the lattice cache.
+            if i % 3 == 0 {
+                catalog.invalidate_combos("sales");
+            }
+            let out = engine
+                .execute_sql(SQL)
                 .unwrap_or_else(|e| panic!("query {i} hit the engine-lifetime budget: {e}"));
+            let own = out.stats().rows_charged;
+            assert!(own > 0 && own <= cold, "query {i} charged {own}");
+            if i % 3 == 0 {
+                assert_eq!(own, cold, "query {i} ran cold");
+            }
+            charged.push(own);
         }
         assert_eq!(
             guard.rows_charged(),
-            31 * one_query,
+            charged.iter().sum::<u64>(),
             "the attached handle metered cumulative work across queries"
         );
     }

@@ -11,8 +11,8 @@
 //! can be computed from any already-materialized level `S ⊇ L` because
 //! `sum()` is distributive — and the smallest such ancestor is the cheapest
 //! source. This module plans where each level of a *request* comes from —
-//! one multi-term query, the grouping sets of one statement, or a batch of
-//! queries — and evaluates the plan (DESIGN.md §15):
+//! one query of any term count, the grouping sets of one statement, or a
+//! batch of queries — and evaluates the plan (DESIGN.md §15):
 //!
 //! * Every level the fact table must be scanned for — the finest level
 //!   of a ROLLUP, each of several disjoint grouping sets, every set when
@@ -36,10 +36,11 @@
 //!
 //! A request is lowered once from its queries (`Request`): a prepared
 //! statement keeps it, so an execution only asks the cache which of its
-//! levels are there. [`eval_vpct_lattice_guarded`] evaluates a multi-term
-//! `Vpct` query, the executor every grouping set of a statement into one
-//! table (`eval_request`), and [`eval_vpct_batch`] a whole set of
-//! percentage queries.
+//! levels are there. Every `Vpct` the executor runs without strategy knobs
+//! is one request (`eval_request`) — one query of any term count, or every
+//! grouping set of a statement into one table; [`eval_vpct_lattice_guarded`]
+//! evaluates one typed query the same way, and [`eval_vpct_batch`] a whole
+//! set of percentage queries.
 
 use crate::error::{CoreError, Result};
 use crate::query::{ExtraAgg, Fact, Measure, VpctQuery};
@@ -325,14 +326,14 @@ fn request_levels(queries: &[VpctQuery]) -> (Vec<Level>, Vec<Vec<Level>>) {
     (roots, totals)
 }
 
-/// A lattice request — one multi-term query, the grouping sets of one
-/// statement, or a batch of queries — lowered to what its evaluation
-/// needs: the queries, the lanes every level carries, the levels the
-/// queries answer at (`roots`, in query order; a batch's shared summary
-/// follows them) and, query by query, the totals levels their terms divide
-/// by. All of it follows from the queries' text: nothing here reads the
-/// catalog, so a prepared statement builds its request once and every
-/// execution asks the cache only what is in it ([`plan_request`]).
+/// A lattice request — one query, the grouping sets of one statement, or a
+/// batch of queries — lowered to what its evaluation needs: the queries,
+/// the lanes every level carries, the levels the queries answer at
+/// (`roots`, in query order; a batch's shared summary follows them) and,
+/// query by query, the totals levels their terms divide by. All of it
+/// follows from the queries' text: nothing here reads the catalog, so a
+/// prepared statement builds its request once and every execution asks the
+/// cache only what is in it ([`plan_request`]).
 #[derive(Debug)]
 pub(crate) struct Request {
     queries: Vec<VpctQuery>,
@@ -346,9 +347,9 @@ pub(crate) struct Request {
 }
 
 impl Request {
-    /// The request of `queries` — one multi-term query, or one query per
-    /// grouping set of a statement — which must be non-empty, valid, over
-    /// one table, with as many terms and the same extras each.
+    /// The request of `queries` — one query, or one query per grouping set
+    /// of a statement — which must be non-empty, valid, over one table,
+    /// with as many terms and the same extras each.
     pub(crate) fn new(queries: Vec<VpctQuery>) -> Result<Request> {
         let first = queries.first().ok_or_else(|| {
             CoreError::InvalidQuery("statement has no evaluable grouping set".into())
@@ -707,38 +708,30 @@ fn assemble(
     Ok(into_shared(fv))
 }
 
-/// Evaluate a multi-term vertical percentage query on the dimension
-/// lattice: cached levels from the lattice catalog, every other level from
-/// one fused scan of `F` or a re-aggregation, then one column-wise divide
-/// per term, every aggregate metered by `guard`. Produces the same rows as
-/// [`crate::eval_vpct`]; identical totals levels across terms are
-/// materialized once, and every level stays cached for later queries. The
-/// lattice plan stores no table, so `_prefix` names nothing.
+/// Evaluate a vertical percentage query, of any term count, on the
+/// dimension lattice: cached levels from the lattice catalog, every other
+/// level from one fused scan of `F` or a re-aggregation, then one
+/// column-wise divide per term, every aggregate metered by `guard`.
+/// Produces the same rows as [`crate::eval_vpct`], in key order; identical
+/// totals levels across terms are materialized once, and every level stays
+/// cached for later queries. The lattice plan stores no table, so
+/// `_prefix` names nothing.
 pub fn eval_vpct_lattice_guarded(
     catalog: &Catalog,
     q: &VpctQuery,
     _prefix: &str,
     guard: &ResourceGuard,
 ) -> Result<QueryResult> {
-    eval_vpct_lattice_on(catalog, &Fact::named(catalog, &q.table)?, q, guard)
-}
-
-/// [`eval_vpct_lattice_guarded`] over an already resolved fact table.
-pub(crate) fn eval_vpct_lattice_on(
-    catalog: &Catalog,
-    fact: &Fact,
-    q: &VpctQuery,
-    guard: &ResourceGuard,
-) -> Result<QueryResult> {
+    let fact = Fact::named(catalog, &q.table)?;
     let request = Request::new(vec![q.clone()])?;
-    eval_request(catalog, fact, &q.group_by, &request, guard)
+    eval_request(catalog, &fact, &q.group_by, &request, guard)
 }
 
-/// Evaluate `request` — one multi-term query, or every grouping set of one
-/// statement — as **one** lattice plan over `fact`: each level is fetched
-/// or computed once, and the queries' rows land in a single table (`FGS`
-/// for grouping sets), shaped `[group_by][aggregates]` with NULL in every
-/// dimension a set rolled away.
+/// Evaluate `request` — one query, or every grouping set of one statement —
+/// as **one** lattice plan over `fact`: each level is fetched or computed
+/// once, and the queries' rows land in a single table (`FGS` for grouping
+/// sets), shaped `[group_by][aggregates]` with NULL in every dimension a
+/// set rolled away.
 pub(crate) fn eval_request(
     catalog: &Catalog,
     fact: &Fact,
@@ -1203,6 +1196,28 @@ mod tests {
         // EXPLAIN probes never count as hits or misses.
         let after = catalog.lattice_cache().stats();
         assert_eq!(after.hits, before.hits);
+
+        // A single-term query is a request like any other.
+        let catalog = sales_catalog();
+        let q = VpctQuery::single("sales", &["state", "city"], "salesAmt", &["city"]);
+        let request = Request::new(vec![q.clone()]).unwrap();
+        let cold = lattice_plan_lines(&catalog, &request, Some("sales"));
+        assert_eq!(
+            cold,
+            vec![
+                "-- lattice: level (city, state) <- scan",
+                "-- lattice: level (state) <- projected-from (city, state)",
+            ]
+        );
+        eval_vpct_lattice_guarded(&catalog, &q, "l_", &ResourceGuard::unlimited()).unwrap();
+        let warm = lattice_plan_lines(&catalog, &request, Some("sales"));
+        assert_eq!(
+            warm,
+            vec![
+                "-- lattice: level (city, state) <- cache",
+                "-- lattice: level (state) <- cache",
+            ]
+        );
     }
 
     #[test]

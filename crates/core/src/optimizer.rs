@@ -37,9 +37,10 @@ use pa_storage::Catalog;
 /// FV pre-aggregation — which shrinks the scanned input instead — wins.
 pub const DIRECT_CELL_BUDGET: usize = 1024;
 
-/// Pick the strategy for a vertical percentage query. Per the paper's
-/// findings the recommended configuration dominates, so this is constant;
-/// it exists as the seam where a cost model would plug in.
+/// The paper's recommended strategy for a vertical percentage query, which
+/// its findings show dominates, so this is constant. It no longer runs on
+/// the execution path — a `Vpct` without strategy knobs is one lattice
+/// request — and names the plan EXPLAIN renders as the paper's SQL script.
 pub fn choose_vpct_strategy(_catalog: &Catalog, _q: &VpctQuery) -> VpctStrategy {
     VpctStrategy::best()
 }

@@ -429,6 +429,171 @@ fn statements_are_byte_identical_across_cache_states_and_to_the_per_set_plan() {
     }
 }
 
+/// `oracle_catalog`'s rows with two more dimensions: `rate`, a `Float`
+/// with NULLs, and `acct`, account ids a billion apart (and NULL) whose
+/// key space no dense table spans.
+fn warm_catalog(seed: u64) -> Catalog {
+    let base = oracle_catalog(seed).table("f").unwrap().read().clone();
+    let schema = Schema::from_pairs(&[
+        ("region", DataType::Str),
+        ("store", DataType::Int),
+        ("day", DataType::Int),
+        ("amt", DataType::Float),
+        ("rate", DataType::Float),
+        ("acct", DataType::Int),
+    ])
+    .unwrap()
+    .into_shared();
+    let mut t = Table::with_capacity(schema, base.num_rows());
+    for (i, mut row) in base.rows().enumerate() {
+        row.push(match i % 9 {
+            0 => Value::Null,
+            k => Value::Float(0.25 * (k % 3) as f64),
+        });
+        row.push(match i % 8 {
+            0 => Value::Null,
+            k => Value::Int((k % 4) as i64 * 1_000_000_007),
+        });
+        t.push_row(&row).unwrap();
+    }
+    let catalog = Catalog::new();
+    catalog.create_table("f", t).unwrap();
+    catalog
+}
+
+/// Flat single-term `Vpct` statements of every shape the lattice request
+/// takes: no extras (the `zero` and `void` regions give zero and NULL
+/// totals), distributive extras, exact and approximate holistic extras, an
+/// empty `BY`, a row-count `Vpct(1)`, a `Float` dimension and a wide key.
+const SINGLE_TERM_SQL: [&str; 8] = [
+    "SELECT region, store, Vpct(amt BY store) FROM f GROUP BY region, store;",
+    "SELECT region, day, Vpct(amt BY day) AS p, sum(amt) AS s, count(*) AS n FROM f \
+     GROUP BY region, day;",
+    "SELECT store, day, Vpct(amt BY day) AS p, median(amt) AS med, percentile(amt, 0.9) AS p90 \
+     FROM f GROUP BY store, day;",
+    "SELECT region, store, Vpct(amt BY store) AS p, approx_percentile(amt, 0.5) AS apx, \
+     approx_count_distinct(day) AS days FROM f GROUP BY region, store;",
+    "SELECT region, Vpct(amt) FROM f GROUP BY region;",
+    "SELECT region, day, Vpct(1 BY day) AS share FROM f GROUP BY region, day;",
+    "SELECT rate, day, Vpct(amt BY rate) AS p FROM f GROUP BY rate, day;",
+    "SELECT acct, region, Vpct(amt BY region) AS p FROM f GROUP BY acct, region;",
+];
+
+/// Every knob-less `Vpct` is one lattice request, whatever its term count:
+/// cold it scans, warm it reads no fact row, and either way its answer is
+/// the per-set plan's (`VpctStrategy::best()`, which never touches the
+/// cache) bit for bit, the rows in another order. The plan's EXPLAIN names
+/// the flip from `<- scan` to `<- cache`.
+#[test]
+fn every_knob_less_vpct_is_warm() {
+    for threads in [1usize, 4] {
+        let catalog = warm_catalog(0x3a3 + threads as u64);
+        let engine = PercentageEngine::new(&catalog).with_config(workers(threads, 256));
+        for sql in SINGLE_TERM_SQL {
+            let ctx = format!("threads={threads} {sql}");
+            let per_set = engine
+                .execute_sql_with(sql, &VpctStrategy::best(), &HorizontalOptions::default())
+                .unwrap();
+            assert_eq!(per_set.stats().lattice_levels, 0, "{ctx}");
+            let reference = cell_bits(canonical(&per_set.table().read()));
+
+            drop_lattice_cache(&catalog);
+            let explain = |sql: &str| engine.explain_sql(sql).unwrap().join("\n");
+            assert!(explain(sql).contains("-- lattice: level ("), "{ctx}");
+            assert!(!explain(sql).contains("<- cache"), "{ctx}");
+            let cold = engine.execute_sql(sql).unwrap();
+            assert!(cold.stats().levels_from_scan > 0, "{ctx}");
+            assert_eq!(
+                cell_bits(canonical(&cold.table().read())),
+                reference,
+                "cold: {ctx}"
+            );
+            assert!(!explain(sql).contains("<- scan"), "{ctx}");
+
+            let warm = engine.execute_sql(sql).unwrap();
+            let stats = warm.stats();
+            assert_eq!(stats.levels_from_scan, 0, "{ctx}");
+            assert_eq!(stats.levels_from_cache, stats.lattice_levels, "{ctx}");
+            assert_eq!(
+                cell_bits(canonical(&warm.table().read())),
+                reference,
+                "warm: {ctx}"
+            );
+            // Rows come in key order, as every lattice statement's do: by
+            // the level's columns in normalized (lower-cased, sorted) order.
+            let t = warm.table().read().clone();
+            let group_by = sql.split("GROUP BY ").nth(1).unwrap();
+            let group_by: Vec<&str> = group_by.trim_end_matches(';').split(", ").collect();
+            let mut key: Vec<usize> = (0..group_by.len()).collect();
+            key.sort_by_key(|&c| group_by[c].to_ascii_lowercase());
+            let in_key_order: Vec<Vec<Value>> = t.sorted_by(&key).rows().collect();
+            assert_eq!(t.rows().collect::<Vec<_>>(), in_key_order, "{ctx}");
+        }
+    }
+}
+
+/// Statements that share a level but not their extras keep an entry each:
+/// run round-robin, all three are warm from the second round on. A
+/// statement whose lanes serve one of those entries replaces that entry
+/// alone, and a statement with a `WHERE` stores nothing.
+#[test]
+fn statements_sharing_a_level_keep_an_entry_each() {
+    let extras = [
+        "sum(amt) AS s",
+        "count(*) AS n",
+        "median(amt) AS med",
+        "count(*) AS n, max(amt) AS top",
+    ];
+    let sql = |extra: &str| {
+        format!("SELECT region, day, Vpct(amt BY day) AS p, {extra} FROM f GROUP BY region, day;")
+    };
+    for threads in [1usize, 4] {
+        let catalog = warm_catalog(0x77 + threads as u64);
+        let engine = PercentageEngine::new(&catalog).with_config(workers(threads, 256));
+        let cache = catalog.lattice_cache();
+        let reference = |sql: &str| {
+            let out = engine
+                .execute_sql_with(sql, &VpctStrategy::best(), &HorizontalOptions::default())
+                .unwrap();
+            cell_bits(canonical(&out.table().read()))
+        };
+        for round in 0..3 {
+            for extra in &extras[..3] {
+                let (sql, ctx) = (sql(extra), format!("threads={threads} round={round}"));
+                let out = engine.execute_sql(&sql).unwrap();
+                let scanned = out.stats().levels_from_scan;
+                assert_eq!(scanned > 0, round == 0, "{ctx} {extra}");
+                let rows = cell_bits(canonical(&out.table().read()));
+                assert_eq!(rows, reference(&sql), "{ctx} {extra}");
+            }
+        }
+        // Three entries at the root `(day, region)`, one sums-only totals
+        // level `(region)` beside them.
+        let entries = cache.len();
+        assert_eq!(entries, 4, "threads={threads}");
+        // `count(*), max(amt)` serves the `count(*)` entry: it replaces
+        // that one, and every statement stays warm.
+        let wider = engine.execute_sql(&sql(extras[3])).unwrap();
+        assert!(wider.stats().levels_from_scan > 0);
+        assert_eq!(cache.len(), entries, "threads={threads}");
+        for extra in extras {
+            let out = engine.execute_sql(&sql(extra)).unwrap();
+            assert_eq!(out.stats().levels_from_scan, 0, "threads={threads} {extra}");
+        }
+        // A `WHERE` statement is cached under no key.
+        let filtered = "SELECT region, day, Vpct(amt BY day) AS p FROM f WHERE store > 2 \
+                        GROUP BY region, day;";
+        drop_lattice_cache(&catalog);
+        for _ in 0..2 {
+            let out = engine.execute_sql(filtered).unwrap();
+            assert!(out.stats().levels_from_scan > 0, "threads={threads}");
+            let rows = cell_bits(canonical(&out.table().read()));
+            assert_eq!(rows, reference(filtered), "threads={threads}");
+        }
+        assert_eq!(cache.len(), 0, "threads={threads}: a WHERE stores nothing");
+    }
+}
+
 /// A fact table for the assembly's seams: `a` takes 67 values (so no set
 /// is a whole number of 64-row validity words), `s` is a string dimension
 /// with NULLs whose values first appear, in the `(m, s)` level, out of

@@ -49,7 +49,7 @@ pub use replica::{NodeRole, NodeStatus, ReplicaSet, ReplicaSetConfig, RoutedResp
 
 use pa_core::{
     CoreError, HorizontalOptions, HorizontalQuery, HorizontalStrategy, PercentageEngine,
-    QueryLimits, SqlOutcome, VpctQuery, VpctStrategy, VpctTerm,
+    QueryLimits, SqlOutcome, VpctQuery, VpctTerm,
 };
 use pa_engine::{AbortCause, Degradation, ExecStats, ParallelConfig};
 use pa_obs::{Counter, Gauge, Histogram, MetricsRegistry};
@@ -491,11 +491,12 @@ impl<'a> QueryService<'a> {
             Err(e) if self.degradable(&e) => {}
             Err(e) => return Err(e.into()),
         }
-        // Rung 2: also swap CASE evaluation for the SPJ strategy.
+        // Rung 2: also swap CASE evaluation for the SPJ strategy. A `Vpct`
+        // statement keeps its plan, so its answer is the clean run's.
         let spj = HorizontalOptions::with_strategy(HorizontalStrategy::SpjDirect);
         match self
             .serial
-            .execute_sql_with_limited(sql, &VpctStrategy::best(), &spj, limits)
+            .execute_sql_with_limited(sql, None, &spj, limits)
         {
             Ok(mut out) => {
                 mark(out.stats_mut(), Degradation::SerialThenSpj, cause);

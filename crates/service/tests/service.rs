@@ -315,7 +315,7 @@ fn a_worker_panic_in_a_parallel_vpct_is_retried_at_one_thread() {
     let scans: Vec<_> = report
         .spans()
         .iter()
-        .filter(|s| s.label == "aggregate")
+        .filter(|s| s.label == "lattice")
         .collect();
     let workers = |scan: &pa_engine::SpanRecord| {
         let children = report.children(scan.id);

@@ -1,11 +1,12 @@
 //! The level cache: cached `GROUP BY` levels of a table (DESIGN.md "The
 //! level cache").
 //!
-//! An entry is one finalized `Arc<Table>` per `(table, level columns)` —
-//! the level's key columns, then one column per aggregate lane, rows sorted
-//! by key — tagged with the caller's identity of each lane. A one-scan
-//! CUBE/ROLLUP evaluation stores one per lattice level under the level's
-//! normalized columns: a later query at the same level is answered by a
+//! An entry is one finalized `Arc<Table>` — the level's key columns, then
+//! one column per aggregate lane, rows sorted by key — tagged with the
+//! caller's identity of each lane; a `(table, level columns)` key holds a
+//! short list of them, one per lane signature. A one-scan CUBE/ROLLUP
+//! evaluation stores one per lattice level under the level's normalized
+//! columns: a later query at the same level is answered by a
 //! refcount bump, and one at any *coarser* level re-aggregates the cached
 //! table's distributive sums instead of rescanning the fact table (and
 //! stores the result back, so the request after it finds its level exact).
@@ -21,18 +22,25 @@
 //! answers an `Hpct`'s combinations without a pass. Never the converse: a
 //! zero-lane entry serves zero-lane lookups only.
 //!
-//! Beside a level's table the cache keeps the level's `parent` vectors
+//! Statements that share a level but not their aggregates keep an entry
+//! each. A store that an entry at its key already serves changes nothing;
+//! any other store drops only the entries its own lanes serve (a
+//! combination set, a sums-only totals level) and sits beside the rest.
+//!
+//! Beside an entry's table the cache keeps its `parent` vectors
 //! ([`LatticeCache::parent`]): for a coarser level the evaluator divides
 //! by, the row of that level's table each row of this one projects onto.
-//! Both tables list every key of the fact table in one canonical order, so
-//! a vector is a function of the finer table alone: it lives and dies with
-//! that entry, and a coarser level evicted and recomputed finds it valid.
+//! Every table at a level lists every key of the fact table in one
+//! canonical order, so a vector is a function of the finer table alone: it
+//! lives and dies with that entry, and a coarser level evicted and
+//! recomputed, or held by another entry, finds it valid.
 //!
 //! The cache is bounded by bytes: every entry carries the heap size of its
 //! table and its parent vectors, and a store that takes the total past
-//! [`LATTICE_CACHE_BYTES`] evicts least-recently-used entries until it
-//! fits. An evicted level is simply a miss — the planner falls back to a
-//! cached ancestor or the scan, a combination set is scanned for again.
+//! [`LATTICE_CACHE_BYTES`] evicts least-recently-used entries, one at a
+//! time, until it fits. An evicted level is simply a miss — the planner
+//! falls back to a cached ancestor or the scan, a combination set is
+//! scanned for again.
 //!
 //! [`crate::Catalog::write`] drops a table's entries on every change to
 //! it, live, replicated or replayed, so recovery starts cold; entries
@@ -127,17 +135,32 @@ pub struct LatticeCacheStats {
 }
 
 /// The entries, by table name and then by level columns, so a lookup
-/// borrows its key: `&str` and `&[String]` find an entry with nothing built.
+/// borrows its key: `&str` and `&[String]` find a level with nothing built.
+/// A level holds one entry per lane signature, none serving another.
 #[derive(Debug, Default)]
 struct Entries {
-    map: BTreeMap<String, BTreeMap<Vec<String>, LatticeEntry>>,
+    map: BTreeMap<String, BTreeMap<Vec<String>, Vec<LatticeEntry>>>,
     /// Sum of the entries' `bytes`.
     bytes: usize,
 }
 
 impl Entries {
-    fn entry(&self, table: &str, level_cols: &[String]) -> Option<&LatticeEntry> {
-        self.map.get(table)?.get(level_cols)
+    /// The entries at `(table, level_cols)`.
+    fn level(&self, table: &str, level_cols: &[String]) -> &[LatticeEntry] {
+        let level = self.map.get(table).and_then(|l| l.get(level_cols));
+        level.map_or(&[], Vec::as_slice)
+    }
+
+    /// The first entry at `(table, level_cols)` that serves `lanes`.
+    fn serving(
+        &self,
+        table: &str,
+        level_cols: &[String],
+        lanes: &[String],
+    ) -> Option<&LatticeEntry> {
+        self.level(table, level_cols)
+            .iter()
+            .find(|e| e.serves(lanes))
     }
 
     /// Drop least-recently-used entries until the total fits `budget`;
@@ -145,20 +168,26 @@ impl Entries {
     fn evict_to(&mut self, budget: usize) -> u64 {
         let mut evicted = 0;
         while self.bytes > budget {
-            let (table, cols) = (self.map.iter())
-                .flat_map(|(t, levels)| levels.iter().map(move |(c, e)| (t, c, e)))
-                .min_by_key(|(_, _, e)| e.used.load(Ordering::Relaxed))
-                .map(|(t, c, _)| (t.clone(), c.clone()))
+            let (table, cols, i) = (self.map.iter())
+                .flat_map(|(t, levels)| levels.iter().map(move |(c, es)| (t, c, es)))
+                .flat_map(|(t, c, es)| es.iter().enumerate().map(move |(i, e)| (t, c, i, e)))
+                .min_by_key(|(_, _, _, e)| e.used.load(Ordering::Relaxed))
+                .map(|(t, c, i, _)| (t.clone(), c.clone(), i))
                 .expect("a non-zero byte total has an entry");
             let levels = self.map.get_mut(&table).expect("table just listed");
-            self.bytes -= levels.remove(&cols).expect("level just listed").bytes;
+            let level = levels.get_mut(&cols).expect("level just listed");
+            self.bytes -= level.remove(i).bytes;
+            if level.is_empty() {
+                levels.remove(&cols);
+            }
             evicted += 1;
         }
         evicted
     }
 }
 
-/// Memoized `(table, level columns) → level table` map, bounded by bytes.
+/// Memoized `(table, level columns, lanes) → level table` map, bounded by
+/// bytes.
 ///
 /// Tables are shared out as `Arc`, so a hit costs one map lookup and one
 /// refcount bump, against columns that can never be mutated underneath it.
@@ -214,8 +243,9 @@ impl LatticeCache {
     }
 
     /// Cached table for `level_cols` of `table` whose leading lanes are
-    /// `lanes`, counting the lookup as a hit or miss. A present entry with
-    /// other lanes counts as a miss (the caller will overwrite it).
+    /// `lanes`, counting the lookup as a hit or miss. A level whose entries
+    /// all carry other lanes counts as a miss (the caller will store its
+    /// own entry beside them).
     pub fn get(&self, table: &str, level_cols: &[String], lanes: &[String]) -> Option<Arc<Table>> {
         let mut found = [None];
         self.get_levels(table, &[(level_cols, lanes)], &mut found);
@@ -235,7 +265,7 @@ impl LatticeCache {
         let base = self.clock.fetch_add(levels.len() as u64, Ordering::Relaxed);
         let (entries, mut hits) = (self.entries.read(), 0);
         for (i, (&(cols, lanes), slot)) in levels.iter().zip(found).enumerate() {
-            let Some(e) = entries.entry(table, cols).filter(|e| e.serves(lanes)) else {
+            let Some(e) = entries.serving(table, cols, lanes) else {
                 continue;
             };
             e.used.store(base + 1 + i as u64, Ordering::Relaxed);
@@ -247,14 +277,16 @@ impl LatticeCache {
     }
 
     /// Store a level table (canonical layout, see the module docs) whose
-    /// lane columns are `lanes`, replacing a previous entry for the key
-    /// with other lanes. An entry that already serves `lanes` stays: two
-    /// statements that both missed store in either order, and the one with
-    /// fewer lanes (a combination set against a ROLLUP's level) must not
-    /// cost the other its entry — the data under both is the same, a change
-    /// to it empties the key. Least-recently-used entries are evicted until
-    /// the cache fits its byte budget again; a table larger than the whole
-    /// budget is not retained.
+    /// lane columns are `lanes`. An entry at the key that already serves
+    /// `lanes` stays and this store changes nothing: two statements that
+    /// both missed store in either order, and the one with fewer lanes (a
+    /// combination set against a ROLLUP's level) must not cost the other
+    /// its entry — the data under both is the same, a change to it empties
+    /// the key. Otherwise the new entry drops only the entries at the key
+    /// that `lanes` serve, and sits beside the rest: statements that share
+    /// a level but not their extras keep an entry each. Least-recently-used
+    /// entries are evicted until the cache fits its byte budget again; a
+    /// table larger than the whole budget is not retained.
     pub fn store(&self, table: &str, level_cols: &[String], lanes: &[String], level: Arc<Table>) {
         let bytes = level.heap_bytes();
         if bytes > self.budget {
@@ -268,17 +300,19 @@ impl LatticeCache {
             used: AtomicU64::new(self.tick()),
         };
         let mut entries = self.entries.write();
-        if entries
-            .entry(table, level_cols)
-            .is_some_and(|e| e.serves(lanes))
-        {
+        if entries.serving(table, level_cols, lanes).is_some() {
             return;
         }
-        entries.bytes += entry.bytes;
         let levels = entries.map.entry(table.to_string()).or_default();
-        if let Some(old) = levels.insert(level_cols.to_vec(), entry) {
-            entries.bytes -= old.bytes;
-        }
+        let level = levels.entry(level_cols.to_vec()).or_default();
+        let mut freed = 0;
+        level.retain(|e| {
+            let served = lanes.starts_with(&e.lanes);
+            freed += if served { e.bytes } else { 0 };
+            !served
+        });
+        level.push(entry);
+        entries.bytes = entries.bytes + bytes - freed;
         let evicted = entries.evict_to(self.budget);
         drop(entries);
         if evicted > 0 {
@@ -290,9 +324,10 @@ impl LatticeCache {
     /// of `level_cols` handed out — onto the coarser level `onto`: for each
     /// of its rows, the row of that level's table holding the group it
     /// projects onto. `build` derives it the first time; it is then kept
-    /// beside the level's entry, counted in its bytes and dropped with it
-    /// (eviction, invalidation, a replacing store). Not a level lookup: it
-    /// counts as neither hit nor miss. For a table the cache does not hold
+    /// beside the entry holding `level`, counted in its bytes and dropped
+    /// with it (eviction, invalidation, a store whose lanes serve that
+    /// entry's), whatever happens to the level's other entries. Not a level
+    /// lookup: it counts as neither hit nor miss. For a table the cache does not hold
     /// (never cached, evicted since) `build` runs every time; a `build`
     /// that fails keeps nothing.
     pub fn parent(
@@ -309,7 +344,7 @@ impl LatticeCache {
             found.map(|(_, parent)| Arc::clone(parent))
         };
         let entries = self.entries.read();
-        let entry = entries.entry(table, level_cols).filter(|e| held(e));
+        let entry = entries.level(table, level_cols).iter().find(|e| held(e));
         if let Some(parent) = entry.and_then(kept) {
             return Ok(parent);
         }
@@ -317,11 +352,8 @@ impl LatticeCache {
         self.parent_builds.fetch_add(1, Ordering::Relaxed);
         let parent: Arc<[u32]> = build()?.into();
         let mut entries = self.entries.write();
-        let entry = entries
-            .map
-            .get_mut(table)
-            .and_then(|l| l.get_mut(level_cols));
-        let Some(entry) = entry.filter(|e| held(e)) else {
+        let level = (entries.map.get_mut(table)).and_then(|l| l.get_mut(level_cols));
+        let Some(entry) = level.and_then(|es| es.iter_mut().find(|e| held(e))) else {
             return Ok(parent);
         };
         if kept(entry).is_none() {
@@ -343,9 +375,7 @@ impl LatticeCache {
     /// speculative planning does not skew the hit/miss counters.
     pub fn probe(&self, table: &str, level_cols: &[String], lanes: &[String]) -> bool {
         let entries = self.entries.read();
-        entries
-            .entry(table, level_cols)
-            .is_some_and(|e| e.serves(lanes))
+        entries.serving(table, level_cols, lanes).is_some()
     }
 
     /// Drop every cached level of `table`. Called by the catalog's write
@@ -353,9 +383,10 @@ impl LatticeCache {
     pub fn invalidate_table(&self, table: &str) {
         let mut entries = self.entries.write();
         let levels = entries.map.remove(table).unwrap_or_default();
-        entries.bytes -= levels.values().map(|e| e.bytes).sum::<usize>();
+        let dropped = levels.values().flatten();
+        entries.bytes -= dropped.clone().map(|e| e.bytes).sum::<usize>();
         drop(entries);
-        let dropped = levels.len() as u64;
+        let dropped = dropped.count() as u64;
         if dropped > 0 {
             self.count(&self.invalidations, |m| &m.invalidations, dropped);
         }
@@ -367,14 +398,16 @@ impl LatticeCache {
     pub fn levels_for(&self, table: &str, lanes: &[String]) -> Vec<Vec<String>> {
         let entries = self.entries.read();
         let levels = entries.map.get(table).into_iter().flatten();
-        (levels.filter(|(_, e)| e.serves(lanes)))
+        (levels.filter(|(_, es)| es.iter().any(|e| e.serves(lanes))))
             .map(|(cols, _)| cols.clone())
             .collect()
     }
 
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.entries.read().map.values().map(BTreeMap::len).sum()
+        let entries = self.entries.read();
+        let levels = entries.map.values().flat_map(BTreeMap::values);
+        levels.map(Vec::len).sum()
     }
 
     /// True when nothing is cached.
@@ -450,19 +483,43 @@ mod tests {
     #[test]
     fn lane_mismatch_is_a_miss_and_store_replaces() {
         let cache = LatticeCache::new();
-        cache.store("F", &cols(&["state"]), &cols(&["sum(amt)"]), level(1, 1));
-        assert!(cache
-            .get("F", &cols(&["state"]), &cols(&["sum(qty)"]))
-            .is_none());
-        cache.store("F", &cols(&["state"]), &cols(&["sum(qty)"]), level(2, 1));
-        assert_eq!(cache.len(), 1, "same level re-keyed, not duplicated");
-        let hit = cache
-            .get("F", &cols(&["state"]), &cols(&["sum(qty)"]))
-            .unwrap();
-        assert_eq!(tag_of(&hit), Value::Int(2));
-        assert!(cache
-            .get("F", &cols(&["state"]), &cols(&["sum(amt)"]))
-            .is_none());
+        let state = cols(&["state"]);
+        let tag = |lanes: &[&str]| cache.get("F", &state, &cols(lanes)).map(|t| tag_of(&t));
+        cache.store("F", &state, &cols(&["sum(amt)"]), level(1, 1));
+        assert_eq!(tag(&["sum(qty)"]), None, "other lanes are a miss");
+        // An entry with other lanes coexists with it at the same level.
+        cache.store("F", &state, &cols(&["sum(qty)"]), level(2, 1));
+        assert_eq!(cache.len(), 2, "one entry per lane signature");
+        assert_eq!(tag(&["sum(amt)"]), Some(Value::Int(1)));
+        assert_eq!(tag(&["sum(qty)"]), Some(Value::Int(2)));
+        // A store replaces exactly the entries its lanes serve.
+        cache.store("F", &state, &cols(&["sum(qty)", "count(*)"]), level(3, 1));
+        assert_eq!(cache.len(), 2, "sum(qty) replaced, sum(amt) kept");
+        assert_eq!(tag(&["sum(qty)"]), Some(Value::Int(3)));
+        assert_eq!(tag(&["sum(qty)", "count(*)"]), Some(Value::Int(3)));
+        assert_eq!(tag(&["sum(amt)"]), Some(Value::Int(1)));
+        assert_eq!(tag(&["sum(amt)", "count(*)"]), None);
+        assert_eq!(
+            cache.levels_for("F", &cols(&["sum(amt)"])),
+            vec![state.clone()]
+        );
+        assert_eq!(cache.stats().evictions, 0, "replacing is not evicting");
+        // Each entry goes by its own recency: in room for two levels, a
+        // third evicts the older entry, not the whole level.
+        let one = level(0, 1000).heap_bytes();
+        let cache = LatticeCache::with_budget(2 * one + one / 2);
+        cache.store("F", &state, &cols(&["a"]), level(1, 1000));
+        cache.store("F", &state, &cols(&["b"]), level(2, 1000));
+        assert!(cache.get("F", &state, &cols(&["a"])).is_some());
+        cache.store("F", &state, &cols(&["c"]), level(3, 1000));
+        let kept: Vec<bool> = ["a", "b", "c"]
+            .iter()
+            .map(|l| cache.probe("F", &state, &cols(&[l])))
+            .collect();
+        assert_eq!(kept, [true, false, true], "the least recently used went");
+        assert_eq!((cache.len(), cache.stats().evictions), (2, 1));
+        cache.invalidate_table("F");
+        assert_eq!((cache.len(), cache.stats().invalidations), (0, 2));
     }
 
     #[test]
@@ -521,12 +578,28 @@ mod tests {
             assert!(Arc::ptr_eq(&hit, &rollup), "kept against {fewer:?}");
         }
         assert_eq!((cache.len(), cache.stats().evictions), (1, evictions));
-        // Other lanes are another shape: that store replaces.
-        cache.store("F", &day, &cols(&["sum(qty)"]), level(3, 2));
-        assert!(cache.get("F", &day, &lanes).is_none());
-        // And a kept entry still dies with the table's data.
+        // Other lanes are another shape: that entry sits beside the level.
+        let qty = level(3, 2);
+        cache.store("F", &day, &cols(&["sum(qty)"]), Arc::clone(&qty));
+        let hit = cache
+            .get("F", &day, &lanes)
+            .expect("the ROLLUP's level stays");
+        assert!(Arc::ptr_eq(&hit, &rollup));
+        let hit = cache.get("F", &day, &cols(&["sum(qty)"])).unwrap();
+        assert!(Arc::ptr_eq(&hit, &qty));
+        assert_eq!(cache.len(), 2);
+        // More lanes over the ROLLUP's replace its entry, and only it.
+        let wider = level(4, 2);
+        let more = cols(&["sum(amt)", "count(*)", "min(amt)"]);
+        cache.store("F", &day, &more, Arc::clone(&wider));
+        let hit = cache.get("F", &day, &lanes).unwrap();
+        assert!(Arc::ptr_eq(&hit, &wider), "served by the wider entry");
+        assert!(cache.probe("F", &day, &cols(&["sum(qty)"])));
+        assert_eq!((cache.len(), cache.stats().evictions), (2, evictions));
+        // And every kept entry still dies with the table's data.
         cache.invalidate_table("F");
         assert!(cache.get("F", &day, &[]).is_none());
+        assert_eq!(cache.stats().invalidations, 2);
     }
 
     #[test]
@@ -671,13 +744,32 @@ mod tests {
         cache
             .parent("F", &fine, &stored, &onto, || unreachable!("kept"))
             .unwrap();
-        // The vectors go with the entry: a replacing store, an invalidation.
-        cache.store("F", &fine, &cols(&["other"]), Arc::clone(&stored));
-        cache.parent("F", &fine, &stored, &onto, build).unwrap();
+        // An entry with other lanes beside it keeps vectors of its own and
+        // leaves the first entry's alone.
+        let beside = level(2, 4);
+        cache.store("F", &fine, &cols(&["other"]), Arc::clone(&beside));
+        cache
+            .parent("F", &fine, &stored, &onto, || unreachable!("kept"))
+            .unwrap();
+        cache.parent("F", &fine, &beside, &onto, build).unwrap();
         assert_eq!(cache.stats().parent_builds, 7);
-        cache.invalidate_table("F");
+        // A store whose lanes serve the first entry replaces it: its vectors
+        // die with it, the neighbour's stay.
+        let wider = level(1, 4);
+        cache.store("F", &fine, &cols(&["s", "t"]), Arc::clone(&wider));
+        assert_eq!(cache.len(), 2);
         cache.parent("F", &fine, &stored, &onto, build).unwrap();
-        assert_eq!(cache.stats().parent_builds, 8);
+        cache.parent("F", &fine, &stored, &onto, build).unwrap();
+        assert_eq!(cache.stats().parent_builds, 9, "no longer held");
+        cache
+            .parent("F", &fine, &beside, &onto, || unreachable!("kept"))
+            .unwrap();
+        cache.parent("F", &fine, &wider, &onto, build).unwrap();
+        assert_eq!(cache.stats().parent_builds, 10);
+        // An invalidation drops every entry's vectors.
+        cache.invalidate_table("F");
+        cache.parent("F", &fine, &beside, &onto, build).unwrap();
+        assert_eq!(cache.stats().parent_builds, 11);
 
         // A build that fails keeps nothing: the next request builds.
         cache.store("F", &fine, &cols(&["s"]), Arc::clone(&stored));
@@ -687,7 +779,7 @@ mod tests {
         cache
             .parent("F", &fine, &stored, &onto, || unreachable!("kept"))
             .unwrap();
-        assert_eq!(cache.stats().parent_builds, 10);
+        assert_eq!(cache.stats().parent_builds, 13);
     }
 
     #[test]

@@ -306,6 +306,77 @@ fn where_group_order_combined_on_horizontal() {
 }
 
 #[test]
+fn order_by_sorts_every_partition_of_a_partitioned_result() {
+    let catalog = catalog();
+    let engine = PercentageEngine::new(&catalog);
+    let opts = HorizontalOptions {
+        max_columns: 4,
+        allow_partitioning: true,
+        ..Default::default()
+    };
+    let run = |order: &str| {
+        let sql = format!(
+            "SELECT dept, Hpct(salesAmt BY dweek), sum(salesAmt) AS total \
+             FROM sales GROUP BY dept{order};"
+        );
+        match engine.execute_sql_with(&sql, &VpctStrategy::best(), &opts) {
+            Ok(SqlOutcome::Horizontal(r)) => r,
+            other => panic!("{order}: a horizontal result expected, got {other:?}"),
+        }
+    };
+    let rows = |r: &HorizontalResult| -> Vec<Vec<Vec<Value>>> {
+        (r.partitions.iter())
+            .map(|p| p.read().rows().collect())
+            .collect()
+    };
+    let unsorted = run("");
+    // Where `total` lives: one partition, not the first.
+    let (part, col) = (unsorted.partitions.iter().enumerate())
+        .find_map(|(p, t)| Some((p, t.read().schema().index_of("total").ok()?)))
+        .unwrap();
+    assert!(part > 0, "the extra lives past the first partition");
+    let unsorted = rows(&unsorted);
+    // Every partition repeats the key: a row is its partitions' rows, by key.
+    let by_key = |parts: &[Vec<Vec<Value>>]| {
+        let mut whole: Vec<Vec<Vec<Value>>> = (0..parts[0].len())
+            .map(|r| parts.iter().map(|p| p[r].clone()).collect())
+            .collect();
+        whole.sort_by(|a, b| a[0][0].total_cmp(&b[0][0]));
+        whole
+    };
+    for order in [" ORDER BY dept", " ORDER BY total, dept"] {
+        let sorted = rows(&run(order));
+        assert_eq!(sorted.len(), unsorted.len(), "{order}");
+        // The key columns agree across partitions: one permutation moved
+        // every partition's rows alike.
+        let keys = |p: &Vec<Vec<Value>>| p.iter().map(|r| r[0].clone()).collect::<Vec<_>>();
+        for p in &sorted {
+            assert_eq!(keys(p), keys(&sorted[0]), "{order}");
+        }
+        // Sorted by the named columns, wherever they live.
+        let sort_key = |r: usize| match order {
+            " ORDER BY dept" => vec![sorted[0][r][0].clone()],
+            _ => vec![sorted[part][r][col].clone(), sorted[0][r][0].clone()],
+        };
+        for r in 1..sorted[0].len() {
+            let (a, b) = (sort_key(r - 1), sort_key(r));
+            let cmp = (a.iter().zip(&b)).fold(std::cmp::Ordering::Equal, |o, (x, y)| {
+                o.then_with(|| x.total_cmp(y))
+            });
+            assert_ne!(cmp, std::cmp::Ordering::Greater, "{order}: row {r}");
+        }
+        // And the rows are the unsorted result's rows.
+        assert_eq!(by_key(&sorted), by_key(&unsorted), "{order}");
+    }
+    // A name found in no partition is a typed error, not a panic.
+    let sql = "SELECT dept, Hpct(salesAmt BY dweek) FROM sales GROUP BY dept ORDER BY nope;";
+    let err = engine
+        .execute_sql_with(sql, &VpctStrategy::best(), &opts)
+        .unwrap_err();
+    assert!(matches!(err, CoreError::InvalidQuery(_)), "{err:?}");
+}
+
+#[test]
 fn update_strategy_carries_extra_aggregates() {
     let catalog = catalog();
     let engine = PercentageEngine::new(&catalog);
