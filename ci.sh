@@ -53,6 +53,24 @@ if sed '/^#\[cfg(test)\]/,$d' crates/engine/src/ops/pivot.rs | grep -n 'RowKeyMa
   exit 1
 fi
 
+echo "==> one scan mode gate: every key is coded and every lane rides the block loop"
+# The scan core has one mode (DESIGN.md §16): a key is coded dense, wide,
+# or — when no coder packs it — hashed as a tuple of key fragments, and a
+# lane no typed kernel reads rides the same block loop as an `Acc` lane.
+# The per-row mode, its `Value`-keyed group map and the knob that selected
+# it are gone: outside #[cfg(test)], crates/*/src names no `ScalarScan`,
+# `GroupMap` or `PA_VECTOR`, and `ParallelConfig` has no `vector:` field.
+if find crates/*/src -name '*.rs' | sort | while read -r f; do
+  sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nwE 'ScalarScan|GroupMap|PA_VECTOR' | sed "s|^|$f:|"
+done | grep .; then
+  echo "the per-row scan mode reappeared (ScalarScan, GroupMap or PA_VECTOR under crates/*/src)" >&2
+  exit 1
+fi
+if sed -n '/^pub struct ParallelConfig/,/^}/p' crates/engine/src/parallel.rs | grep -nE '\bvector[[:space:]]*:'; then
+  echo "ParallelConfig has a vector: field again (crates/engine/src/parallel.rs)" >&2
+  exit 1
+fi
+
 echo "==> divide gate: the lattice assembles typed columns and joins nothing"
 # A percentage is a measure looked up through `parent` (DESIGN.md §17):
 # the assembler appends whole columns and calls `divide`. A `Value::` in

@@ -11,8 +11,8 @@
 //!   deterministic worker-order merge;
 //! * `dense_budget` high/1 — dense radix jump tables vs shift-packed
 //!   wide codes with mask-and-shift projection;
-//! * `vector: false` — no stream fuses and every level takes the per-row
-//!   loop over its own key, in the same one scan;
+//! * the naive reference (`crates/engine/tests/support/reference.rs`) —
+//!   each level grouped through a tuple map, one `Acc::update` per row;
 //! * lanes — the term sums alone, distributive extras, and the holistic
 //!   extras (median, percentiles, approximate count-distinct) that ride
 //!   the same scan at the levels whose results read them;
@@ -43,6 +43,9 @@ use pa_engine::{
 };
 use pa_storage::{Catalog, DataType, Schema, Table, Value};
 use proptest::prelude::*;
+
+#[path = "../../engine/tests/support/reference.rs"]
+mod reference;
 
 /// `threads` workers over morsels small enough that these tables really
 /// split.
@@ -110,12 +113,6 @@ fn lattice_query() -> VpctQuery {
     }
 }
 
-/// Serial, on the per-row scalar kernels.
-const SCALAR: ParallelConfig = ParallelConfig {
-    vector: false,
-    ..ParallelConfig::serial()
-};
-
 fn sorted_rows(t: &Table, key_cols: usize) -> Vec<Vec<Value>> {
     let cols: Vec<usize> = (0..key_cols).collect();
     t.sorted_by(&cols).rows().collect()
@@ -166,21 +163,58 @@ fn fused_lattice_matches_per_level_reference() {
     }
 }
 
-#[test]
-fn vector_ablation_still_matches() {
-    let q = lattice_query();
-    let lattice = |config: ParallelConfig| {
-        let catalog = fact_catalog();
-        let engine = PercentageEngine::new(&catalog).with_config(config);
-        sorted_rows(&engine.vpct(&q).unwrap().snapshot(), 3)
+/// [`lattice_query`] by the naive reference: per term, each group's sum
+/// over its total at the GROUP BY columns the term's BY leaves (NULL for a
+/// NULL sum or a zero or NULL total), rows sorted by key.
+fn reference_lattice_query(t: &Table) -> Vec<Vec<Value>> {
+    let sum = [AggSpec::new(AggFunc::Sum, Expr::Col(3), "s")];
+    let rows = || reference::Rows::all(t.num_rows());
+    let fine = reference::aggregate(t, &rows(), &[0, 1, 2], &sum, 0);
+    // The totals of each term: (state), (state, city), ().
+    let totals: Vec<(Vec<usize>, Table)> = [vec![0], vec![0, 1], vec![]]
+        .into_iter()
+        .map(|cols| {
+            let level = reference::aggregate(t, &rows(), &cols, &sum, 0);
+            (cols, level)
+        })
+        .collect();
+    let pct = |row: &[Value], (cols, level): &(Vec<usize>, Table)| {
+        let at = |total: &Vec<Value>| {
+            cols.iter()
+                .enumerate()
+                .all(|(i, &c)| total[i].key_eq(&row[c]))
+        };
+        let total = level
+            .rows()
+            .find(at)
+            .and_then(|total| total[cols.len()].as_f64());
+        match (row[3].as_f64(), total.filter(|&x| x != 0.0)) {
+            (Some(x), Some(total)) => Value::Float(x / total),
+            _ => Value::Null,
+        }
     };
-    // `vector: false`: no level fuses, each takes the per-row loop over its
-    // own key — same bytes.
-    assert_eq!(
-        lattice(SCALAR),
-        lattice(ParallelConfig::serial()),
-        "vector: false ablation diverged"
-    );
+    let rows = fine.rows().map(|row| {
+        let pcts = totals.iter().map(|term| pct(&row, term));
+        row[..3].iter().cloned().chain(pcts).collect::<Vec<Value>>()
+    });
+    let mut rows: Vec<Vec<Value>> = rows.collect();
+    rows.sort_by(|a, b| {
+        (0..3)
+            .map(|c| a[c].total_cmp(&b[c]))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    rows
+}
+
+#[test]
+fn the_lattice_matches_the_naive_reference() {
+    let q = lattice_query();
+    let catalog = fact_catalog();
+    let engine = PercentageEngine::new(&catalog).with_config(ParallelConfig::serial());
+    let lattice = sorted_rows(&engine.vpct(&q).unwrap().snapshot(), 3);
+    let want = reference_lattice_query(&catalog.table("sales").unwrap().read());
+    assert_eq!(lattice, want, "the lattice vs the naive reference");
 }
 
 #[test]
@@ -217,7 +251,7 @@ const CUBE_SQL: &str = "SELECT state, city, Vpct(salesAmt BY city) AS p \
                         FROM sales GROUP BY CUBE (state, city);";
 
 #[test]
-fn cube_sql_matches_scalar_serial_rerun() {
+fn cube_sql_matches_the_serial_per_set_plan() {
     // Fused, parallel, and (second run) cache-served...
     let fused = {
         let catalog = fact_catalog();
@@ -234,12 +268,18 @@ fn cube_sql_matches_scalar_serial_rerun() {
         assert_eq!(cold_rows, warm_rows, "CUBE cache-warm rerun diverged");
         cold_rows
     };
-    // ...must match a serial scalar evaluation from scratch.
+    // ...must match a serial per-set evaluation from scratch, on the hash
+    // tier.
     let catalog = fact_catalog();
-    let engine = PercentageEngine::new(&catalog).with_config(SCALAR);
-    let scalar = engine.execute_sql(CUBE_SQL).unwrap();
-    let scalar_rows: Vec<Vec<Value>> = scalar.table().read().sorted_by(&[0, 1]).rows().collect();
-    assert_eq!(fused, scalar_rows, "CUBE fused/parallel vs scalar/serial");
+    let engine = PercentageEngine::new(&catalog).with_config(ParallelConfig {
+        dense_budget: 0,
+        ..ParallelConfig::serial()
+    });
+    let best = (&VpctStrategy::best(), &HorizontalOptions::default());
+    let per_set = engine.execute_sql_with(CUBE_SQL, best.0, best.1).unwrap();
+    assert_eq!(per_set.stats().lattice_levels, 0, "the per-set plan");
+    let per_set: Vec<Vec<Value>> = per_set.table().read().sorted_by(&[0, 1]).rows().collect();
+    assert_eq!(fused, per_set, "CUBE fused/parallel vs per-set/serial");
 }
 
 /// Seeded ~3k-row fact table for the statement-level oracle: a string
@@ -801,57 +841,46 @@ const HOLISTIC_SQL: [&str; 4] = [
 #[test]
 fn holistic_extras_ride_the_lattice_scan_cold_and_warm() {
     for threads in [1usize, 2, 4] {
-        for vector in [true, false] {
-            for dense_budget in [1usize << 20, 1] {
-                let catalog = oracle_catalog(0xfeed + threads as u64);
-                let rows = catalog.table("f").unwrap().read().num_rows() as u64;
-                let engine = PercentageEngine::new(&catalog).with_config(ParallelConfig {
-                    vector,
-                    dense_budget,
-                    ..workers(threads, 256)
-                });
-                for sql in HOLISTIC_SQL {
-                    let ctx =
-                        format!("threads={threads} vector={vector} budget={dense_budget} {sql}");
-                    let per_set = engine
-                        .execute_sql_with(sql, &VpctStrategy::best(), &HorizontalOptions::default())
-                        .unwrap();
-                    assert_eq!(per_set.stats().lattice_levels, 0, "{ctx}");
-                    let reference = canonical(&per_set.table().read());
+        for dense_budget in [1usize << 20, 1] {
+            let catalog = oracle_catalog(0xfeed + threads as u64);
+            let rows = catalog.table("f").unwrap().read().num_rows() as u64;
+            let engine = PercentageEngine::new(&catalog).with_config(ParallelConfig {
+                dense_budget,
+                ..workers(threads, 256)
+            });
+            for sql in HOLISTIC_SQL {
+                let ctx = format!("threads={threads} budget={dense_budget} {sql}");
+                let per_set = engine
+                    .execute_sql_with(sql, &VpctStrategy::best(), &HorizontalOptions::default())
+                    .unwrap();
+                assert_eq!(per_set.stats().lattice_levels, 0, "{ctx}");
+                let reference = canonical(&per_set.table().read());
 
-                    drop_lattice_cache(&catalog);
-                    let cold = engine.execute_sql(sql).unwrap();
-                    let stats = cold.stats();
-                    assert!(stats.holistic_lanes > 0, "{ctx}: {stats}");
-                    // One pass of `F`, whatever the lanes (every root
-                    // carries extras, so every root is scanned for); the
-                    // rest is a re-aggregated level's few rows.
-                    assert!(stats.levels_from_scan > 0, "{ctx}");
-                    assert!(
-                        (rows..rows + rows / 2).contains(&stats.rows_scanned),
-                        "{ctx}: {stats}"
-                    );
-                    let fused_stream = vector && !sql.contains("DISTINCT");
-                    if fused_stream {
-                        let loops = (stats.vectorized_kernel_rows, stats.scalar_kernel_rows);
-                        let one_stream = (rows..rows + rows / 2).contains(&loops.0);
-                        assert!(one_stream && loops.1 == 0, "{ctx}: {stats}");
-                    } else if !vector {
-                        assert_eq!(stats.vectorized_kernel_rows, 0, "{ctx}");
-                    } else {
-                        // The roots take the row loop for the exact
-                        // count-distinct; a sums-only level still fuses.
-                        assert!(stats.scalar_kernel_rows > 0, "{ctx}: {stats}");
-                    }
-                    assert_eq!(canonical(&cold.table().read()), reference, "cold: {ctx}");
+                drop_lattice_cache(&catalog);
+                let cold = engine.execute_sql(sql).unwrap();
+                let stats = cold.stats();
+                assert!(stats.holistic_lanes > 0, "{ctx}: {stats}");
+                // One pass of `F`, whatever the lanes (every root
+                // carries extras, so every root is scanned for); the
+                // rest is a re-aggregated level's few rows.
+                assert!(stats.levels_from_scan > 0, "{ctx}");
+                assert!(
+                    (rows..rows + rows / 2).contains(&stats.rows_scanned),
+                    "{ctx}: {stats}"
+                );
+                // One stream, whatever the lanes: the exact
+                // count-distinct rides it as an `Acc` lane.
+                let loops = (stats.vectorized_kernel_rows, stats.scalar_kernel_rows);
+                let one_stream = (rows..rows + rows / 2).contains(&loops.0);
+                assert!(one_stream && loops.1 == 0, "{ctx}: {stats}");
+                assert_eq!(canonical(&cold.table().read()), reference, "cold: {ctx}");
 
-                    let warm = engine.execute_sql(sql).unwrap();
-                    let stats = warm.stats();
-                    assert_eq!(stats.levels_from_scan, 0, "{ctx}");
-                    assert_eq!(stats.levels_from_cache, stats.lattice_levels, "{ctx}");
-                    assert_eq!(stats.holistic_lanes, 0, "{ctx}: nothing accumulated");
-                    assert_eq!(canonical(&warm.table().read()), reference, "warm: {ctx}");
-                }
+                let warm = engine.execute_sql(sql).unwrap();
+                let stats = warm.stats();
+                assert_eq!(stats.levels_from_scan, 0, "{ctx}");
+                assert_eq!(stats.levels_from_cache, stats.lattice_levels, "{ctx}");
+                assert_eq!(stats.holistic_lanes, 0, "{ctx}: nothing accumulated");
+                assert_eq!(canonical(&warm.table().read()), reference, "warm: {ctx}");
             }
         }
     }

@@ -1,24 +1,23 @@
-//! Group-id assignment shared by aggregation, join, and DISTINCT.
+//! Group-id assignment shared by aggregation and DISTINCT.
 //!
-//! Two code paths map a tuple of key values to a dense group id:
+//! Three tiers map a key to a dense group id, all in first-appearance scan
+//! order, which is what keeps parallel merges byte-identical to the serial
+//! plan (DESIGN.md §7, §10):
 //!
-//! * [`RowKeyMap`] — the general hash path. Input rows are hashed straight
-//!   from their columns (no per-row key allocation); a key tuple is
-//!   materialized only once per *distinct* group. Collisions are resolved
-//!   by value comparison.
-//! * [`DenseKeySpace`] / [`DenseGroupMap`] — the code path. When every key
-//!   column has a small enumerable domain (dictionary codes for strings, a
-//!   narrow observed range for integers), keys compress to a mixed-radix
+//! * [`DenseKeySpace`] / [`DenseGroupMap`] — when every key column has a
+//!   small enumerable domain (dictionary codes for strings, a narrow
+//!   observed range for integers), keys compress to a mixed-radix
 //!   *composite code* and group lookup becomes one array index — no
 //!   hashing, no `Value` construction, no key comparison.
+//! * [`WideKeySpace`] — past the dense budget, the same slots packed into
+//!   bit fields of one `u64`, hashed as one integer.
+//! * [`TupleIndex`] — a key neither packs (a `Float` dimension, an integer
+//!   range whose span overflows, more than 64 bits of slots): one `u64`
+//!   fragment per dimension hashed as a tuple, with an equality check.
 //!
-//! [`GroupMap`] unifies the two behind one interface so operators pick per
-//! input: dense when the cardinality product fits the configured budget,
-//! hash otherwise. Both paths assign group ids in first-appearance scan
-//! order, which is what keeps parallel merges byte-identical to the serial
-//! plan (DESIGN.md §7, §10).
+//! [`RowKeyMap`] maps explicit key tuples of [`Value`]s (a pivot's listed
+//! combinations) to ids.
 
-use crate::error::Result;
 use crate::stats::ExecStats;
 use pa_storage::hash::FxHashMap;
 use pa_storage::{Bitmap, Column, Dictionary, FxHasher, PackedCell, Table, Value};
@@ -29,19 +28,11 @@ use std::hash::Hasher;
 /// direct-addressed table per worker — beyond that the hash path wins.
 pub const DEFAULT_DENSE_BUDGET: usize = 1 << 20;
 
-/// Hash table from key tuples to dense group ids.
+/// Hash table from explicit key tuples to dense group ids.
 #[derive(Debug, Default)]
 pub struct RowKeyMap {
     buckets: FxHashMap<u64, Vec<u32>>,
     keys: Vec<Vec<Value>>,
-}
-
-fn hash_row(table: &Table, cols: &[usize], row: usize) -> u64 {
-    let mut h = FxHasher::default();
-    for &c in cols {
-        table.column(c).get(row).key_hash(&mut h);
-    }
-    h.finish()
 }
 
 fn hash_key(key: &[Value]) -> u64 {
@@ -50,12 +41,6 @@ fn hash_key(key: &[Value]) -> u64 {
         v.key_hash(&mut h);
     }
     h.finish()
-}
-
-fn row_matches(table: &Table, cols: &[usize], row: usize, key: &[Value]) -> bool {
-    cols.iter()
-        .zip(key)
-        .all(|(&c, v)| table.column(c).get(row).key_eq(v))
 }
 
 impl RowKeyMap {
@@ -77,38 +62,6 @@ impl RowKeyMap {
     /// Key tuples, indexed by group id.
     pub fn keys(&self) -> &[Vec<Value>] {
         &self.keys
-    }
-
-    /// Consume the map, yielding the key tuples in group-id order. Used by
-    /// the parallel merge to fold a worker's partial groups into the global
-    /// map without cloning every key.
-    pub fn into_keys(self) -> Vec<Vec<Value>> {
-        self.keys
-    }
-
-    /// Group id for the key formed by `cols` of `table[row]`, inserting a
-    /// new group when unseen.
-    pub fn get_or_insert_row(
-        &mut self,
-        table: &Table,
-        cols: &[usize],
-        row: usize,
-        stats: &mut ExecStats,
-    ) -> usize {
-        stats.hash_probes += 1;
-        let h = hash_row(table, cols, row);
-        let bucket = self.buckets.entry(h).or_default();
-        for &gid in bucket.iter() {
-            if row_matches(table, cols, row, &self.keys[gid as usize]) {
-                return gid as usize;
-            }
-        }
-        let gid = self.keys.len() as u32;
-        let key: Vec<Value> = cols.iter().map(|&c| table.column(c).get(row)).collect();
-        self.keys.push(key);
-        bucket.push(gid);
-        stats.hash_build_rows += 1;
-        gid as usize
     }
 
     /// Group id for an explicit key tuple, without inserting.
@@ -376,42 +329,6 @@ impl DenseKeySpace {
             .sum()
     }
 
-    #[inline]
-    fn slot_of_row(&self, table: &Table, d: usize, row: usize) -> usize {
-        match (table.column(self.cols[d]), self.dims[d]) {
-            (
-                Column::Str {
-                    codes, validity, ..
-                },
-                DimCoder::Str,
-            ) => {
-                if validity.get(row) {
-                    codes[row] as usize + 1
-                } else {
-                    0
-                }
-            }
-            (Column::Int { data, validity }, DimCoder::Int { min }) => {
-                if validity.get(row) {
-                    (data[row] - min) as usize + 1
-                } else {
-                    0
-                }
-            }
-            _ => unreachable!("column type changed under a built key space"),
-        }
-    }
-
-    /// Composite code of one row of the table the space was built on.
-    #[inline]
-    pub fn code_of_row(&self, table: &Table, row: usize) -> usize {
-        let mut code = 0;
-        for d in 0..self.dims.len() {
-            code += self.slot_of_row(table, d, row) * self.strides[d];
-        }
-        code
-    }
-
     /// Dimension `d`'s slot of a composite code (0 is NULL).
     #[inline]
     pub(crate) fn slot(&self, code: usize, d: usize) -> usize {
@@ -437,8 +354,8 @@ impl DenseKeySpace {
 }
 
 /// Direct-addressed group-id map over a [`DenseKeySpace`]: `code → gid` is
-/// one array index. Group ids are assigned in first-appearance order, same
-/// as [`RowKeyMap`], so the two paths produce byte-identical output.
+/// one array index. Group ids are assigned in first-appearance order, as
+/// every tier assigns them, so the tiers produce byte-identical output.
 #[derive(Debug)]
 pub struct DenseGroupMap {
     space: DenseKeySpace,
@@ -508,14 +425,6 @@ impl DenseGroupMap {
         let slots = gids.map(|gid| self.space.slot(self.gid_to_code[gid] as usize, d));
         self.space.dims[d].decode(table.column(self.space.cols[d]), slots)
     }
-
-    /// Group id for the key formed by the space's columns of `table[row]`,
-    /// inserting a new group when unseen.
-    #[inline]
-    pub fn get_or_insert_row(&mut self, table: &Table, row: usize) -> usize {
-        let code = self.space.code_of_row(table, row);
-        self.get_or_insert_code(code)
-    }
 }
 
 // ---- wide (shift-packed) codes for the over-budget hash path -------------
@@ -580,38 +489,6 @@ impl WideKeySpace {
     /// Key columns the space encodes, in key order.
     pub fn cols(&self) -> &[usize] {
         &self.cols
-    }
-
-    /// Shift-packed code of one row of the table the space was built on.
-    #[inline]
-    pub fn code_of_row(&self, table: &Table, row: usize) -> u64 {
-        let mut code = 0u64;
-        for d in 0..self.dims.len() {
-            let slot = match (table.column(self.cols[d]), self.dims[d]) {
-                (
-                    Column::Str {
-                        codes, validity, ..
-                    },
-                    DimCoder::Str,
-                ) => {
-                    if validity.get(row) {
-                        codes[row] as u64 + 1
-                    } else {
-                        0
-                    }
-                }
-                (Column::Int { data, validity }, DimCoder::Int { min }) => {
-                    if validity.get(row) {
-                        data[row].wrapping_sub(min) as u64 + 1
-                    } else {
-                        0
-                    }
-                }
-                _ => unreachable!("column type changed under a built key space"),
-            };
-            code |= slot << self.shifts[d];
-        }
-        code
     }
 
     /// Dimension `d`'s slot of a shift-packed code (0 is NULL).
@@ -697,115 +574,144 @@ impl WideProjector {
     }
 }
 
-/// Group-id assignment behind either code path. Operators pick the variant
-/// per input via [`GroupMap::for_space`]; everything downstream (scan, merge,
-/// materialization) is path-agnostic and byte-identical across paths.
+// ---- hashed slot tuples for keys no coder packs ----------------------------
+
+/// A group index for a key no coder packs — a `Float` dimension, an integer
+/// range whose span overflows, more than 64 bits of slots. Each dimension
+/// contributes one `u64` fragment ([`Column::key_fragment`]: the dictionary
+/// code, the integer, the float's bits with `-0.0` folded into `0.0` and
+/// every NaN into one), NULLs go in a mask, and groups are found by hashing
+/// the tuple with an equality check, in first-appearance order. A group is
+/// named by its first row, and its key is gathered from that row — so the
+/// `±0.0` group prints `-0.0` when `-0.0` came first.
 #[derive(Debug)]
-pub enum GroupMap {
-    /// General hash path ([`RowKeyMap`]).
-    Hash(RowKeyMap),
-    /// Direct-addressed code path ([`DenseGroupMap`]).
-    Dense(DenseGroupMap),
+pub(crate) struct TupleIndex {
+    cols: Vec<usize>,
+    /// Words per tuple: one fragment per dimension, then the NULL mask.
+    width: usize,
+    /// Tuple hash → the last group inserted with that hash.
+    heads: FxHashMap<u64, u32>,
+    /// The group inserted before each with the same hash, or `u32::MAX`.
+    next: Vec<u32>,
+    /// `width` words per group.
+    tuples: Vec<u64>,
+    /// The first row of each group.
+    firsts: Vec<u32>,
+    /// The tuple being looked up.
+    probe: Vec<u64>,
 }
 
-impl GroupMap {
-    /// Dense map over `space` when one was built, hash map otherwise.
-    pub fn for_space(space: Option<DenseKeySpace>) -> GroupMap {
-        match space {
-            Some(space) => GroupMap::Dense(DenseGroupMap::new(space)),
-            None => GroupMap::Hash(RowKeyMap::new()),
+impl TupleIndex {
+    /// An empty index over key columns `cols`.
+    pub(crate) fn new(cols: Vec<usize>) -> TupleIndex {
+        let width = cols.len() + cols.len().div_ceil(64);
+        TupleIndex {
+            cols,
+            width,
+            heads: FxHashMap::default(),
+            next: Vec::new(),
+            tuples: Vec::new(),
+            firsts: Vec::new(),
+            probe: vec![0; width],
         }
     }
 
-    /// Number of distinct groups seen.
-    pub fn len(&self) -> usize {
-        match self {
-            GroupMap::Hash(m) => m.len(),
-            GroupMap::Dense(m) => m.len(),
-        }
+    /// Groups seen so far.
+    pub(crate) fn len(&self) -> usize {
+        self.firsts.len()
     }
 
-    /// True when no groups have been inserted.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// The first row of group `gid`.
+    pub(crate) fn first(&self, gid: usize) -> u32 {
+        self.firsts[gid]
     }
 
-    /// Group id for the key formed by `cols` of `table[row]`, inserting a
-    /// new group when unseen. `cols` must be the columns the map was chosen
-    /// for (the dense path encodes its own column list).
-    #[inline]
-    pub fn get_or_insert_row(
-        &mut self,
-        table: &Table,
-        cols: &[usize],
-        row: usize,
-        stats: &mut ExecStats,
-    ) -> usize {
-        match self {
-            GroupMap::Hash(m) => m.get_or_insert_row(table, cols, row, stats),
-            GroupMap::Dense(m) => m.get_or_insert_row(table, row),
-        }
+    /// Key columns the index groups by, in key order.
+    pub(crate) fn cols(&self) -> &[usize] {
+        &self.cols
     }
 
-    /// Group id for an explicit key tuple, inserting when unseen. Only the
-    /// hash path supports explicit keys; levels with an empty key (global
-    /// aggregates) always choose it.
-    pub fn get_or_insert_key(&mut self, key: &[Value], stats: &mut ExecStats) -> usize {
-        match self {
-            GroupMap::Hash(m) => m.get_or_insert_key(key, stats),
-            GroupMap::Dense(_) => unreachable!("explicit keys require the hash group path"),
-        }
-    }
-
-    /// Fold another map's groups into this one, returning this map's group
-    /// id for each of `other`'s group ids (in `other`'s id order). Unseen
-    /// groups are appended in `other`'s first-appearance order — the
-    /// deterministic worker-order merge both aggregation operators rely on.
-    pub fn merge_ids(&mut self, other: GroupMap, stats: &mut ExecStats) -> Vec<u32> {
-        match (self, other) {
-            (GroupMap::Hash(dst), GroupMap::Hash(src)) => src
-                .into_keys()
-                .iter()
-                .map(|key| dst.get_or_insert_key(key, stats) as u32)
-                .collect(),
-            (GroupMap::Dense(dst), GroupMap::Dense(src)) => src
-                .gid_to_code
-                .iter()
-                .map(|&code| dst.get_or_insert_code(code as usize) as u32)
-                .collect(),
-            _ => unreachable!("worker partials always share one group path"),
-        }
-    }
-
-    /// Key dimension `d` of group `gid`; `table` must be the input the map
-    /// was built over.
-    pub(crate) fn key_value(&self, table: &Table, gid: usize, d: usize) -> Value {
-        match self {
-            GroupMap::Hash(m) => m.keys[gid][d].clone(),
-            GroupMap::Dense(m) => m.key_value(table, gid, d),
-        }
-    }
-
-    /// Key dimension `d` — column `col` of `table` — of the groups `gids`,
-    /// in that order. The hash path holds its keys as values (a float key
-    /// has no code) and pushes them.
-    pub(crate) fn key_column(
-        &self,
-        table: &Table,
-        col: usize,
-        d: usize,
-        gids: impl ExactSizeIterator<Item = usize>,
-    ) -> Result<Column> {
-        match self {
-            GroupMap::Dense(m) => Ok(m.key_column(table, d, gids)),
-            GroupMap::Hash(m) => {
-                let mut out = Column::with_capacity(table.column(col).data_type(), gids.len());
-                for gid in gids {
-                    out.push(m.keys[gid][d].clone())?;
-                }
-                Ok(out)
+    /// Group id of the key at `row` of `table`, inserting when unseen.
+    pub(crate) fn gid_of_row(&mut self, table: &Table, row: usize, stats: &mut ExecStats) -> usize {
+        let dims = self.cols.len();
+        self.probe.fill(0);
+        for (d, &c) in self.cols.iter().enumerate() {
+            match table.column(c).key_fragment(row) {
+                Some(fragment) => self.probe[d] = fragment as u64,
+                None => self.probe[dims + d / 64] |= 1 << (d % 64),
             }
         }
+        stats.hash_probes += 1;
+        let mut h = FxHasher::default();
+        self.probe.iter().for_each(|&w| h.write_u64(w));
+        let hash = h.finish();
+        let mut at = self.heads.get(&hash).copied().unwrap_or(u32::MAX);
+        while at != u32::MAX {
+            if self.tuples[at as usize * self.width..][..self.width] == self.probe[..] {
+                return at as usize;
+            }
+            at = self.next[at as usize];
+        }
+        let gid = self.firsts.len() as u32;
+        self.next
+            .push(self.heads.insert(hash, gid).unwrap_or(u32::MAX));
+        self.tuples.extend_from_slice(&self.probe);
+        self.firsts.push(row as u32);
+        stats.hash_build_rows += 1;
+        gid as usize
+    }
+}
+
+/// Rows `rows` of a key column, as a column of their own: an integer or a
+/// float keeps its bits, a string is re-interned as it first appears, as
+/// [`DimCoder::decode`] writes a coded key.
+pub(crate) fn gather_key(source: &Column, rows: &[u32]) -> Column {
+    match source {
+        Column::Str {
+            codes, validity, ..
+        } => {
+            let slot = |&r: &u32| match validity.get(r as usize) {
+                true => codes[r as usize] as usize + 1,
+                false => 0,
+            };
+            DimCoder::Str.decode(source, rows.iter().map(slot))
+        }
+        _ => source.gather(rows),
+    }
+}
+
+#[cfg(test)]
+impl DimCoder {
+    /// The slot of column `col` at `row`: the per-row reference the block
+    /// coders are tested against.
+    fn slot_of_row(self, table: &Table, col: usize, row: usize) -> u64 {
+        match (table.column(col).key_fragment(row), self) {
+            (None, _) => 0,
+            (Some(code), DimCoder::Str) => code as u64 + 1,
+            (Some(v), DimCoder::Int { min }) => v.wrapping_sub(min) as u64 + 1,
+        }
+    }
+}
+
+#[cfg(test)]
+impl DenseKeySpace {
+    /// Composite code of one row, computed row by row.
+    pub(crate) fn code_of_row(&self, table: &Table, row: usize) -> usize {
+        let slots = self.cols.iter().zip(&self.dims);
+        let slots = slots.map(|(&c, dim)| dim.slot_of_row(table, c, row) as usize);
+        slots.zip(&self.strides).map(|(s, stride)| s * stride).sum()
+    }
+}
+
+#[cfg(test)]
+impl WideKeySpace {
+    /// Shift-packed code of one row, computed row by row.
+    pub(crate) fn code_of_row(&self, table: &Table, row: usize) -> u64 {
+        let slots = self.cols.iter().zip(&self.dims);
+        let slots = slots.map(|(&c, dim)| dim.slot_of_row(table, c, row));
+        slots
+            .zip(&self.shifts)
+            .fold(0, |code, (s, &shift)| code | s << shift)
     }
 }
 
@@ -828,14 +734,16 @@ mod tests {
     #[test]
     fn assigns_dense_group_ids() {
         let t = table();
-        let mut m = RowKeyMap::new();
+        let mut m = TupleIndex::new(vec![0]);
         let mut st = ExecStats::default();
-        let gids: Vec<usize> = (0..5)
-            .map(|r| m.get_or_insert_row(&t, &[0], r, &mut st))
-            .collect();
+        let gids: Vec<usize> = (0..5).map(|r| m.gid_of_row(&t, r, &mut st)).collect();
         assert_eq!(gids, vec![0, 1, 0, 1, 0]);
         assert_eq!(m.len(), 2);
-        assert_eq!(m.keys()[0], vec![Value::str("CA")]);
+        let keys = gather_key(t.column(0), &[m.first(0), m.first(1)]);
+        assert_eq!(
+            (keys.get(0), keys.get(1)),
+            (Value::str("CA"), Value::str("TX"))
+        );
         assert_eq!(st.hash_probes, 5);
         assert_eq!(st.hash_build_rows, 2);
     }
@@ -846,7 +754,7 @@ mod tests {
         let mut m = RowKeyMap::new();
         let mut st = ExecStats::default();
         for r in 0..5 {
-            m.get_or_insert_row(&t, &[0], r, &mut st);
+            m.get_or_insert_key(&[t.get(r, 0)], &mut st);
         }
         assert_eq!(m.lookup_key(&[Value::str("TX")], &mut st), Some(1));
         assert_eq!(m.lookup_key(&[Value::str("NY")], &mut st), None);
@@ -861,13 +769,49 @@ mod tests {
         t.push_row(&[Value::Null, Value::Int(1)]).unwrap();
         t.push_row(&[Value::Null, Value::Int(1)]).unwrap();
         t.push_row(&[Value::Int(1), Value::Null]).unwrap();
-        let mut m = RowKeyMap::new();
+        let mut m = TupleIndex::new(vec![0, 1]);
         let mut st = ExecStats::default();
-        let g0 = m.get_or_insert_row(&t, &[0, 1], 0, &mut st);
-        let g1 = m.get_or_insert_row(&t, &[0, 1], 1, &mut st);
-        let g2 = m.get_or_insert_row(&t, &[0, 1], 2, &mut st);
+        let g0 = m.gid_of_row(&t, 0, &mut st);
+        let g1 = m.gid_of_row(&t, 1, &mut st);
+        let g2 = m.gid_of_row(&t, 2, &mut st);
         assert_eq!(g0, g1, "NULL groups together");
         assert_ne!(g0, g2);
+    }
+
+    #[test]
+    fn float_and_full_range_keys_group_as_grouping_does() {
+        // -0.0 with 0.0, every NaN with every other, a NULL apart from 0;
+        // i64::MIN and i64::MAX in one column (no range codes them).
+        let schema = Schema::from_pairs(&[("f", DataType::Float), ("i", DataType::Int)])
+            .unwrap()
+            .into_shared();
+        let mut t = Table::empty(schema);
+        let rows = [
+            (Some(-0.0), Some(i64::MIN)),
+            (Some(f64::NAN), Some(i64::MAX)),
+            (Some(0.0), Some(i64::MIN)),
+            (None, Some(0)),
+            (Some(-f64::NAN), Some(i64::MAX)),
+            (Some(0.0), None),
+        ];
+        for (f, i) in rows {
+            let row = [
+                f.map_or(Value::Null, Value::Float),
+                i.map_or(Value::Null, Value::Int),
+            ];
+            t.push_row(&row).unwrap();
+        }
+        let mut m = TupleIndex::new(vec![0, 1]);
+        let st = &mut ExecStats::default();
+        let gids: Vec<usize> = (0..rows.len()).map(|r| m.gid_of_row(&t, r, st)).collect();
+        assert_eq!(gids, [0, 1, 0, 2, 1, 3]);
+        let firsts: Vec<u32> = (0..m.len()).map(|g| m.first(g)).collect();
+        assert_eq!(firsts, [0, 1, 3, 5]);
+        // The key is the first row's, bits and all.
+        let key = gather_key(t.column(0), &firsts);
+        assert_eq!(key.get(0), Value::Float(-0.0));
+        assert!(key.get(0).as_f64().unwrap().is_sign_negative());
+        assert_eq!((key.get(2), key.get(3)), (Value::Null, Value::Float(0.0)));
     }
 
     #[test]
@@ -927,12 +871,13 @@ mod tests {
     #[test]
     fn dense_gids_match_hash_gids_in_scan_order() {
         let t = mixed_table();
-        let mut hash = RowKeyMap::new();
-        let mut dense = DenseGroupMap::new(DenseKeySpace::try_build(&t, &[0, 1], 1 << 20).unwrap());
+        let mut hash = TupleIndex::new(vec![0, 1]);
+        let space = DenseKeySpace::try_build(&t, &[0, 1], 1 << 20).unwrap();
+        let mut dense = DenseGroupMap::new(space.clone());
         let mut st = ExecStats::default();
         for row in 0..t.num_rows() {
-            let h = hash.get_or_insert_row(&t, &[0, 1], row, &mut st);
-            let d = dense.get_or_insert_row(&t, row);
+            let h = hash.gid_of_row(&t, row, &mut st);
+            let d = dense.get_or_insert_code(space.code_of_row(&t, row));
             assert_eq!(h, d, "row {row}");
         }
         assert_eq!(hash.len(), dense.len());
@@ -949,42 +894,6 @@ mod tests {
             assert!(key[0].key_eq(&t.get(row, 0)), "row {row}");
             assert!(key[1].key_eq(&t.get(row, 1)), "row {row}");
         }
-    }
-
-    #[test]
-    fn group_map_merge_ids_agrees_across_paths() {
-        let t = mixed_table();
-        let mut st = ExecStats::default();
-        let space = DenseKeySpace::try_build(&t, &[0, 1], 1 << 20).unwrap();
-        // Worker 0 sees rows 0..3, worker 1 rows 3..6; merge in worker order.
-        let run = |mut maps: Vec<GroupMap>, st: &mut ExecStats| -> (Vec<u32>, usize) {
-            for row in 0..3 {
-                maps[0].get_or_insert_row(&t, &[0, 1], row, st);
-            }
-            for row in 3..6 {
-                maps[1].get_or_insert_row(&t, &[0, 1], row, st);
-            }
-            let w1 = maps.pop().unwrap();
-            let mut global = maps.pop().unwrap();
-            let ids = global.merge_ids(w1, st);
-            (ids, global.len())
-        };
-        let (hash_ids, hash_len) = run(
-            vec![
-                GroupMap::Hash(RowKeyMap::new()),
-                GroupMap::Hash(RowKeyMap::new()),
-            ],
-            &mut st,
-        );
-        let (dense_ids, dense_len) = run(
-            vec![
-                GroupMap::Dense(DenseGroupMap::new(space.clone())),
-                GroupMap::Dense(DenseGroupMap::new(space)),
-            ],
-            &mut st,
-        );
-        assert_eq!(hash_ids, dense_ids);
-        assert_eq!(hash_len, dense_len);
     }
 
     #[test]
@@ -1017,7 +926,8 @@ mod tests {
         let mut codes: Vec<u64> = Vec::new();
         let mut st = ExecStats::default();
         for row in 0..t.num_rows() {
-            let h = hash.get_or_insert_row(&t, &[0, 1], row, &mut st);
+            let key = [t.get(row, 0), t.get(row, 1)];
+            let h = hash.get_or_insert_key(&key, &mut st);
             let code = space.code_of_row(&t, row);
             let w = match codes.iter().position(|&c| c == code) {
                 Some(g) => g,

@@ -32,8 +32,7 @@ pub use error::{EngineError, Result};
 pub use expr::{ArithOp, CmpOp, Expr};
 pub use guard::{Deadline, ResourceGuard, CANCEL_CHECK_INTERVAL};
 pub use keymap::{
-    DenseGroupMap, DenseKeySpace, GroupMap, RowKeyMap, WideKeySpace, WideProjector,
-    DEFAULT_DENSE_BUDGET,
+    DenseGroupMap, DenseKeySpace, RowKeyMap, WideKeySpace, WideProjector, DEFAULT_DENSE_BUDGET,
 };
 pub use ops::acc::{Acc, PartialState, PctState, DEFAULT_PERCENTILE_BUDGET};
 pub use ops::aggregate::{
@@ -58,3 +57,11 @@ pub use scan::Parent;
 pub use sketch::{Hll, TDigest, HLL_REGISTERS, HLL_STD_ERROR, TDIGEST_RANK_EPSILON};
 pub use stats::{AbortCause, Degradation, ExecStats};
 pub use vector::{BlockCoder, CodeWord, Coder, LaneSrc, NumSlice, RawLane, WideCoder, BLOCK_ROWS};
+
+// The naive reference of the scan core's tests, which names this crate as
+// the integration tests that share it do.
+#[cfg(test)]
+extern crate self as pa_engine;
+#[cfg(test)]
+#[path = "../tests/support/reference.rs"]
+mod reference;

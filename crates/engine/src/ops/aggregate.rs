@@ -11,12 +11,12 @@
 //!
 //! [`aggregate`] is an adapter over the scan core (`crate::scan`, DESIGN.md
 //! "Scan core"): it validates, plans one code stream per level (identity
-//! projection) — or the scalar per-row loop for a level that cannot fuse —
-//! runs the one morsel-parallel scan over the table *and its selection*,
-//! and formats each level's groups as a table in first-appearance order.
+//! projection), runs the one morsel-parallel scan over the table *and its
+//! selection*, and formats each level's groups as a table in
+//! first-appearance order.
 //! The other entry points are the names outside callers know it by.
 //! [`lattice_aggregate`] is the same sequence over levels that are subsets
-//! of one key — one shared code stream when that fuses — sorted by key.
+//! of one key — one shared code stream when that key codes — sorted by key.
 
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
@@ -381,7 +381,7 @@ pub(crate) fn finish(
     let mut columns = Vec::with_capacity(group_cols.len() + aggs.len());
     for (d, &c) in group_cols.iter().enumerate() {
         fields.push(input_schema.field_at(c).clone());
-        columns.push(groups.key_column(input, c, d, 0..groups.len())?);
+        columns.push(groups.key_column(input, d, 0..groups.len()));
     }
     for (i, spec) in aggs.iter().enumerate() {
         let dtype = spec.output_type(input_schema);
@@ -448,12 +448,12 @@ pub fn aggregate_projecting(
 /// `levels` order, in the layout the level cache keeps: the level's key
 /// columns, then its lanes, rows sorted by key.
 ///
-/// When the plan fuses, one code stream over the finest key codes each row
-/// once and every level scatters from it through a projection — a radix
+/// When the finest key codes, one code stream over it codes each row once
+/// and every level scatters from it through a projection — a radix
 /// jump-table load within the dense budget, mask-and-shift arithmetic past
 /// it; the RLE fast path projects once per run per level. When it does not
-/// (vectorization off, a lane or key dimension no coder reads), each level
-/// is scanned over its own key in the same pass, as [`aggregate`] would.
+/// (a key dimension no coder reads), each level is scanned over its own key
+/// in the same pass, as [`aggregate`] would.
 /// Malformed inputs — out-of-range columns, a level without lanes, a level
 /// that is not such a subset — are errors.
 pub fn lattice_aggregate(
@@ -510,9 +510,9 @@ type Keyed<'a> = (&'a [usize], &'a [AggSpec]);
 /// one's own key columns and lanes: validate → plan → run → charge →
 /// finish. With `stream` — a finer key, and each level again as the
 /// positions of that key it keeps — all levels read one code stream over
-/// the finer key through a projection when that fuses; without one, or when
-/// it does not, each level is planned over its own key, fused or scalar:
-/// the configuration, the lanes and the key types decide, nothing else.
+/// the finer key through a projection when that key codes; without one, or
+/// when it does not, each level is planned over its own key: the
+/// configuration and the key types decide, nothing else.
 /// Returns each level's groups and table, and the open `finish` span for
 /// what the caller still derives from them.
 fn scan_levels<'a>(
@@ -536,10 +536,10 @@ fn scan_levels<'a>(
         .count() as u64;
     guard.check()?;
 
-    // Each level's mode is decided here, once.
+    // Each level's code tier is decided here, once.
     let mut plan = ScanPlan::new(input, config);
-    let fused = stream.and_then(|(key, kept)| plan.push_stream(key, kept, stats));
-    let detail = fused.unwrap_or_else(|| plan.push_levels(levels.iter().copied(), stats));
+    let coded = stream.and_then(|(key, kept)| plan.push_stream(key, kept, stats));
+    let detail = coded.unwrap_or_else(|| plan.push_levels(levels.iter().copied(), stats));
     stats.rows_scanned += table.num_rows() as u64;
     let mut span = guard.span(label);
     span.set_detail(detail);
@@ -559,6 +559,7 @@ fn scan_levels<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
     use pa_storage::{Schema, Value};
 
     /// The paper's Table 1 fact table.
@@ -738,36 +739,25 @@ mod tests {
     fn parents_address_the_coarser_level_in_the_order_a_scan_returns_it() {
         // NULLs in both key columns and in the measure; 29 × 5 fine groups.
         let t = big(6_000, 29);
+        // A float dimension beside them codes in no space: tuple hash.
         let spec = vec![AggSpec::sum_col(t.schema(), "a", "sum").unwrap()];
         let guard = ResourceGuard::unlimited();
-        let tuple_hash = ParallelConfig {
-            vector: false,
+        let wide = ParallelConfig {
             dense_budget: 0,
             ..ParallelConfig::serial()
         };
+        let (coded, hashed) = (vec![0, 1], vec![0, 1, 2]);
         let configs = [
-            ("dense", ParallelConfig::serial()),
-            (
-                "wide",
-                ParallelConfig {
-                    dense_budget: 0,
-                    ..ParallelConfig::serial()
-                },
-            ),
-            (
-                "scalar",
-                ParallelConfig {
-                    vector: false,
-                    ..ParallelConfig::serial()
-                },
-            ),
-            ("tuple hash", tuple_hash),
-            ("four workers", par(4, 256)),
+            ("dense", ParallelConfig::serial(), &coded),
+            ("wide", wide, &coded),
+            ("tuple hash", ParallelConfig::serial(), &hashed),
+            ("tuple hash, four workers", par(4, 256), &hashed),
+            ("four workers", par(4, 256), &coded),
         ];
         let coarser = [vec![0], vec![1], vec![]];
-        for (name, config) in configs {
+        for (name, config, key) in configs {
             let mut st = ExecStats::default();
-            let fine = [(vec![0, 1], spec.clone())];
+            let fine = [(key.clone(), spec.clone())];
             let (tables, parents) =
                 aggregate_projecting((&t).into(), &fine, &coarser, &guard, &mut st, &config)
                     .unwrap();
@@ -1330,8 +1320,7 @@ mod tests {
     }
 
     /// `levels` of `t` over `key`, each with its own lanes, against the
-    /// reference: independent per-level aggregation (serial, scalar
-    /// ordering), sorted by key.
+    /// naive reference of each level, sorted by key.
     fn assert_lattice_matches_reference(
         t: &Table,
         key: &[usize],
@@ -1344,13 +1333,10 @@ mod tests {
             .iter()
             .map(|(dims, aggs)| (dims.iter().map(|&d| key[d]).collect(), aggs.to_vec()))
             .collect();
-        let scalar = ParallelConfig {
-            vector: false,
-            ..ParallelConfig::serial()
-        };
-        let reference =
-            multi_hash_aggregate_with_config(t, &ref_levels, &guard, &mut st.clone(), &scalar)
-                .unwrap();
+        let rows = || reference::Rows::all(t.num_rows());
+        let reference = (ref_levels.iter()).map(|(cols, aggs)| {
+            reference::aggregate(t, &rows(), cols, aggs, config.percentile_budget)
+        });
         assert_eq!(fused.len(), levels.len());
         for ((fused, reference), (dims, _)) in fused.iter().zip(reference).zip(levels) {
             let sort_cols: Vec<usize> = (0..dims.len()).collect();
@@ -1392,7 +1378,7 @@ mod tests {
     }
 
     #[test]
-    fn plans_that_cannot_fuse_answer_the_references_rows() {
+    fn every_lane_and_key_rides_the_one_scan() {
         let t = fact(3_000);
         let aggs = specs(&t);
         let amt = Expr::col(t.schema(), "amt").unwrap();
@@ -1411,36 +1397,28 @@ mod tests {
         for threads in [1, 2, 4] {
             for dense_budget in [1 << 20, 1] {
                 let on = cfg(threads, dense_budget);
-                let off = ParallelConfig {
-                    vector: false,
-                    ..on
-                };
-                // Vectorization disabled: every level takes the row loop.
-                let st = assert_lattice_matches_reference(&t, &[0, 1], &levels(&aggs), &off);
-                assert_eq!((st.vectorized_kernel_rows, st.rows_scanned), (0, 3_000));
-                assert_eq!(st.scalar_kernel_rows, 2 * 3_000, "once per level");
-                // A lane the block loop does not read (min, count distinct)
-                // sends its own level to the row loop; the sums-only level
-                // beside it still fuses, over its own key.
+                // A lane no typed kernel reads (min, count distinct) rides
+                // the one stream as an `Acc` lane.
                 for lanes in [&with_min, &with_distinct] {
                     let st = assert_lattice_matches_reference(&t, &[0, 1], &levels(lanes), &on);
                     assert_eq!(
                         (st.scalar_kernel_rows, st.vectorized_kernel_rows),
-                        (3_000, 3_000)
+                        (0, 3_000)
                     );
                 }
-                // A holistic lane the block loop reads rides the stream, at
-                // the root only.
+                // A holistic lane rides the stream, at the root only.
                 let st = assert_lattice_matches_reference(&t, &[0, 1], &levels(&with_median), &on);
                 assert_eq!(
                     (st.scalar_kernel_rows, st.vectorized_kernel_rows),
                     (0, 3_000)
                 );
                 assert_eq!(st.holistic_lanes, 1, "no median at the totals level");
-                // Float key dimension: neither code space builds.
+                // Float key dimension: neither code space builds, the rows
+                // are grouped by tuple hash in the same block loop.
                 let float_key: [(&[usize], _); 1] = [(&[0], &aggs[..])];
                 let st = assert_lattice_matches_reference(&t, &[4], &float_key, &on);
-                assert_eq!(st.vectorized_kernel_rows, 0);
+                assert_eq!(st.vectorized_kernel_rows, 3_000);
+                assert_eq!(st.scalar_kernel_rows, 0);
             }
         }
         // Malformed levels are errors: not a subset, unordered, no lanes.

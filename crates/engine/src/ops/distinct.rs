@@ -10,7 +10,7 @@
 //! scan core (`crate::scan`, DESIGN.md "Scan core"): one level over `cols`
 //! carrying no lanes, read through the same slot vectors, selection words,
 //! guard and worker fan-out as every aggregate, its keys decoded from the
-//! merged groups. Float or unpackable keys take the core's scalar mode.
+//! merged groups. A float or unpackable key is grouped by tuple hash.
 
 use crate::error::{EngineError, Result};
 use crate::guard::ResourceGuard;
@@ -43,10 +43,10 @@ pub fn distinct(
     guard.check()?;
 
     let mut plan = ScanPlan::new(input, config);
-    let fused = plan.push_level(cols, &[], stats);
+    let tier = plan.push_level(cols, &[], stats);
     stats.rows_scanned += table.num_rows() as u64;
     let mut span = guard.span("distinct");
-    span.set_detail(if fused { "vectorized" } else { "scalar" });
+    span.set_detail(tier);
     let mut levels = plan.run("distinct", guard, &mut span, stats)?;
     let groups = levels.pop().expect("one level in, one level out");
     guard.charge(groups.len() as u64)?;
@@ -71,8 +71,8 @@ pub fn distinct_keys(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::keymap::RowKeyMap;
     use crate::predicate::Selection;
+    use crate::reference;
     use pa_storage::{DataType, Schema};
 
     /// [`distinct`] of every row, unguarded and serial.
@@ -81,21 +81,18 @@ mod tests {
         distinct(t.into(), cols, &guard, &mut ExecStats::default(), &config)
     }
 
-    /// The reference: the operator as it was before it joined the scan
-    /// core — every selected row through a tuple hash, the first row of
-    /// each new key gathered.
-    fn tuple_hash_distinct(input: Selected<'_>, cols: &[usize]) -> Vec<Vec<Value>> {
-        let (table, mut stats) = (input.table, ExecStats::default());
-        let n = table.num_rows();
-        let mut map = RowKeyMap::new();
-        let mut see = |row: usize| {
-            map.get_or_insert_row(table, cols, row, &mut stats);
+    /// The reference: the naive reference's groups with no lanes — every
+    /// selected row through a tuple map, the first row of each new key.
+    fn reference_distinct(input: Selected<'_>, cols: &[usize]) -> Vec<Vec<Value>> {
+        let t = input.table;
+        let rows = reference::Rows::all(t.num_rows());
+        let rows = match input.selection {
+            None => rows,
+            Some(selection) => rows.filter(|r| selection.ones(r..r + 1).count() == 1),
         };
-        match input.selection {
-            None => (0..n).for_each(&mut see),
-            Some(selection) => selection.ones(0..n).for_each(&mut see),
-        }
-        map.into_keys()
+        reference::aggregate(t, &rows, cols, &[], 0)
+            .rows()
+            .collect()
     }
 
     fn table() -> Table {
@@ -195,8 +192,8 @@ mod tests {
         t
     }
 
-    /// Every way the plan can run one level: block loop on either code
-    /// tier, the per-row loop, and workers whose morsels split runs.
+    /// Every way the plan can run one level: either code tier, and workers
+    /// whose morsels split runs.
     fn configs() -> Vec<(&'static str, ParallelConfig)> {
         let serial = ParallelConfig::serial();
         let threads = |threads| ParallelConfig {
@@ -214,19 +211,12 @@ mod tests {
                     ..serial
                 },
             ),
-            (
-                "scalar",
-                ParallelConfig {
-                    vector: false,
-                    ..serial
-                },
-            ),
             ("2 threads", threads(2)),
             ("4 threads", threads(4)),
             (
-                "4 threads, scalar",
+                "4 threads, hash tier",
                 ParallelConfig {
-                    vector: false,
+                    dense_budget: 0,
                     ..threads(4)
                 },
             ),
@@ -234,7 +224,7 @@ mod tests {
     }
 
     #[test]
-    fn the_scan_core_pass_returns_the_tuple_hash_loops_rows_in_its_order() {
+    fn the_scan_core_pass_returns_the_references_rows_in_its_order() {
         let guard = ResourceGuard::unlimited();
         let keys: [&[usize]; 7] = [&[0], &[1], &[2], &[0, 1], &[1, 2, 0], &[3, 4], &[4, 0, 3]];
         // Runs of 70 equal keys straddle the 50-row morsels and the word
@@ -263,7 +253,7 @@ mod tests {
                     Some(selection) => Selected::from(&t).with(selection),
                 };
                 for cols in keys {
-                    let want = tuple_hash_distinct(input, cols);
+                    let want = reference_distinct(input, cols);
                     for (how, config) in configs() {
                         let mut stats = ExecStats::default();
                         let got = distinct(input, cols, &guard, &mut stats, &config).unwrap();
@@ -273,16 +263,14 @@ mod tests {
                         for (g, w) in got.iter().zip(&want) {
                             assert!(g.iter().zip(w).all(|(g, w)| g.key_eq(w)), "{what}");
                         }
-                        // The mode asked for is the mode that ran: a float
-                        // key has no code, whatever the configuration.
-                        let fuses = config.vector && !cols.contains(&2);
+                        // One scan mode: a float key has no code and is
+                        // grouped by tuple hash, in the same block loop.
                         let by_loop = (stats.vectorized_kernel_rows, stats.scalar_kernel_rows);
-                        let want = if fuses { (selected, 0) } else { (0, selected) };
-                        assert_eq!(by_loop, want, "{what}");
+                        assert_eq!(by_loop, (selected, 0), "{what}");
                         // Two 2 000-value dimensions are past the dense
                         // budget; one narrow one is inside any but zero.
                         let dense = config.dense_budget > 0;
-                        if fuses && n == 3000 && (cols == [3, 4] || cols == [0]) {
+                        if n == 3000 && (cols == [3, 4] || cols == [0]) {
                             let wide = cols == [3, 4] || !dense;
                             assert_eq!(stats.hash_group_ops, u64::from(wide), "{what}");
                             assert_eq!(stats.dense_group_ops, u64::from(!wide), "{what}");

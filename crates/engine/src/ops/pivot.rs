@@ -9,7 +9,7 @@
 //! stream over `GROUP BY ∪ BY` and one projected **cell level** per task,
 //! keyed `GROUP BY ∪ BY_t`, carrying that task's cell lanes. Code tiers, RLE
 //! runs, holistic lanes, the worker merge, morsel charging and spans are the
-//! core's; a level that cannot fuse degrades alone, as for every adapter.
+//! core's; when the union key does not code, each level plans over its own.
 //!
 //! The `GROUP BY` level is the paper's `Fj`, and `Fj` is a projection of
 //! `Fk`: its rows are the distinct [`parent`](crate::scan::LevelGroups::parent)
@@ -128,8 +128,8 @@ pub fn pivot_aggregate(
         .map(|keep| keep.iter().map(|&p| union[p]).collect())
         .collect();
 
-    // One stream for every level; when it cannot fuse (vector off, a float
-    // BY column, a `min` lane), each level plans alone and degrades alone.
+    // One stream for every level; when the union key does not code (a
+    // float BY column), each level plans over its own key.
     let mut plan = ScanPlan::new(input, config);
     let levels: Vec<(&[usize], &[AggSpec])> = keeps
         .iter()
@@ -171,7 +171,7 @@ pub fn pivot_aggregate(
     };
     for (d, &c) in j_cols.iter().enumerate() {
         let firsts = firsts.iter().map(|&gid| gid as usize);
-        let key = keyed.key_column(src, c, d, firsts)?;
+        let key = keyed.key_column(src, d, firsts);
         push(src_schema.field_at(c).name.clone(), key);
     }
 
@@ -341,47 +341,21 @@ mod tests {
     fn a_total_sums_every_row_of_its_group_listed_combination_or_not() {
         // What the CASE form's `sum(A)` and the SQL the code generator
         // prints do: `combos` decides the cells, never the total.
-        use crate::ops::aggregate::multi_hash_aggregate_with_config;
         let mut t = sales();
         t.push_row(&[Value::Int(3), Value::str("Tue"), Value::Float(7.0)])
             .unwrap();
         let mut task = task(&t);
         task.combos.truncate(1); // Mon only; store 3 sells on no listed day
-        let amt = || Expr::col(t.schema(), "amt").unwrap();
-        let levels = [
-            (vec![0], vec![AggSpec::new(AggFunc::Sum, amt(), "total")]),
-            (vec![0, 1], vec![AggSpec::new(AggFunc::Sum, amt(), "cell")]),
-        ];
-        let (guard, serial) = (ResourceGuard::unlimited(), ParallelConfig::serial());
-        for vector in [true, false] {
-            let config = ParallelConfig { vector, ..serial };
-            let mut st = ExecStats::default();
-            let oracle =
-                multi_hash_aggregate_with_config(&t, &levels, &guard, &mut st, &config).unwrap();
-            let raw = pivot_aggregate_with_config(
-                &t,
-                &[0],
-                &[task.clone()],
-                &[],
-                &guard,
-                &mut st,
-                &config,
-            )
-            .unwrap();
-            let want: Vec<Vec<Value>> = oracle[0]
-                .rows()
-                .map(|total| {
-                    let monday = |r: &Vec<Value>| r[0] == total[0] && r[1] == Value::str("Mon");
-                    let cell = oracle[1]
-                        .rows()
-                        .find(monday)
-                        .map_or(Value::Null, |r| r[2].clone());
-                    vec![total[0].clone(), cell, total[1].clone()]
-                })
-                .collect();
-            assert_eq!(raw.rows().collect::<Vec<_>>(), want, "vector={vector}");
-            assert_eq!(want[2], [Value::Int(3), Value::Null, Value::Float(7.0)]);
-        }
+        let (guard, config) = (ResourceGuard::unlimited(), ParallelConfig::serial());
+        let mut st = ExecStats::default();
+        let raw =
+            pivot_aggregate_with_config(&t, &[0], &[task.clone()], &[], &guard, &mut st, &config)
+                .unwrap();
+        let rows = crate::reference::Rows::all(t.num_rows());
+        let want = crate::reference::pivot(&t, &rows, &[0], &[task], &[], 1 << 16);
+        crate::reference::assert_same(&raw, &want, "one combination listed");
+        let store3 = [Value::Int(3), Value::Null, Value::Float(7.0)];
+        assert_eq!(raw.row(2).unwrap(), store3);
     }
 
     #[test]

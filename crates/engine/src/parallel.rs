@@ -10,10 +10,10 @@
 //! [`ParallelConfig`] is the value every operator is handed: worker count
 //! (`threads: 1` always selects the serial path), morsel size, the input
 //! size below which the exact serial code path runs, the dense-group budget
-//! (DESIGN.md §10; 0 is the hash-tier ablation), whether the fused
-//! vectorized kernels may run (§12) and the percentile budget. A statement
-//! gets one from its engine (DESIGN.md §18); [`ParallelConfig::from_env`]
-//! reads the deployment's `PA_*` settings for an engine handed none.
+//! (DESIGN.md §10; 0 is the hash-tier ablation) and the percentile budget.
+//! A statement gets one from its engine (DESIGN.md §18);
+//! [`ParallelConfig::from_env`] reads the deployment's `PA_*` settings for
+//! an engine handed none.
 //!
 //! [`fan_out`] is the one worker fan-out every morsel-parallel operator
 //! calls (the scan core behind aggregate/lattice/partial, and the pivot).
@@ -47,10 +47,6 @@ pub struct ParallelConfig {
     /// (env `PA_DENSE_BUDGET`; `0` disables dense grouping entirely).
     /// See [`crate::keymap::DenseKeySpace`].
     pub dense_budget: usize,
-    /// Allow the fused vectorized kernels (DESIGN.md §12). `false` (env
-    /// `PA_VECTOR=0`) forces the scalar per-row loops everywhere — the
-    /// ablation the differential oracle and benches hand their engines.
-    pub vector: bool,
     /// Samples an exact `percentile` group retains before its state spills
     /// to a t-digest (env `PA_PERCENTILE_BUDGET`, default
     /// [`DEFAULT_PERCENTILE_BUDGET`](crate::DEFAULT_PERCENTILE_BUDGET)).
@@ -71,7 +67,6 @@ impl ParallelConfig {
             morsel_rows: DEFAULT_MORSEL_ROWS,
             min_parallel_rows: DEFAULT_MIN_PARALLEL_ROWS,
             dense_budget: crate::keymap::DEFAULT_DENSE_BUDGET,
-            vector: true,
             percentile_budget: crate::ops::acc::DEFAULT_PERCENTILE_BUDGET,
         }
     }
@@ -108,7 +103,6 @@ impl ParallelConfig {
                 .ok()
                 .and_then(|v| v.trim().parse::<usize>().ok())
                 .unwrap_or(crate::keymap::DEFAULT_DENSE_BUDGET),
-            vector: std::env::var("PA_VECTOR").map_or(true, |v| v.trim() != "0"),
             percentile_budget: parse("PA_PERCENTILE_BUDGET")
                 .unwrap_or(crate::ops::acc::DEFAULT_PERCENTILE_BUDGET),
         }

@@ -13,8 +13,8 @@
 //! per numeric leaf, and for a string column the comparison evaluated once
 //! per dictionary entry into a by-code truth table, then a lookup per row.
 //! Anything else (arithmetic, column-versus-column, `CASE`) runs the per-row
-//! [`Expr::eval`] into the same words — the scalar mode, kept as lanes keep
-//! theirs, and the reference the property test compares the compiler with.
+//! [`Expr::eval`] into the same words — the scalar mode, and the reference
+//! the property test compares the compiler with.
 //! The semantics are `Expr::eval`'s bit for bit: only TRUE keeps a row,
 //! ordering is [`Value::total_cmp`], equality [`Value::key_eq`].
 

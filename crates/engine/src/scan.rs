@@ -4,24 +4,24 @@
 //!
 //! Gray et al. observe that GROUP BY is the one-level cube, and the paper
 //! that every total `Fj` is a projection of the finest grouping `Fk`. The
-//! core says both once. A [`ScanPlan`] is a list of units scanned together,
-//! morsel by morsel, in one pass over the input:
+//! core says both once. A [`ScanPlan`] is a list of **code streams**
+//! scanned together, morsel by morsel, in one pass over the input, and one
+//! block loop ([`StreamScan::absorb`]) runs every one of them:
 //!
-//! * A **code stream** — a [`Coder`] filling `u32` mixed-radix codes within
-//!   the dense budget (or the one code of an empty GROUP BY), `u64`
-//!   shift-packed codes past it — read by one or more **levels**. A level
-//!   takes the stream's code through an optional *projection* (a dense jump
-//!   table, a wide mask-and-shift) into its *group index* — a
-//!   [`DenseGroupMap`] for a dense code space, a hash of the one integer
-//!   for a wide one; the space alone decides, never the adapter — and
-//!   scatters the block into its [`LaneSet`]. One block loop
-//!   ([`StreamScan::absorb`]) serves both code words, with the RLE run path
-//!   when a block is run-dominated.
-//! * A **scalar level** — the per-row loop ([`ScalarScan`]) for levels that
-//!   cannot fuse: `PA_VECTOR=0`, expression or string inputs, `min`/`max`,
-//!   `count(DISTINCT)`, float or uncodable keys. It shares no code with the
-//!   block loop, which is what makes it the reference the differential
-//!   suites compare the fused path against.
+//! * A stream's [`Coder`] fills `u32` mixed-radix codes within the dense
+//!   budget (or the one code of an empty GROUP BY), `u64` shift-packed
+//!   codes past it. A key neither coder packs — a `Float` dimension, an
+//!   integer range whose span overflows, more than 64 bits of slots — is a
+//!   stream of its own whose codes are the row numbers themselves, grouped
+//!   by a [`TupleIndex`] over the rows' key fragments.
+//! * One or more **levels** read a stream. A level takes the stream's code
+//!   through an optional *projection* (a dense jump table, a wide
+//!   mask-and-shift) into its *group index* — a [`DenseGroupMap`] for a
+//!   dense code space, a hash of the one integer for a wide one, the tuple
+//!   hash for rows; the space alone decides, never the adapter — and feeds
+//!   the block into its [`LaneSet`]: typed lanes for the numeric and
+//!   holistic functions, an `Acc` per group for every other lane, with the
+//!   RLE run path when a block is run-dominated.
 //!
 //! The plan's fourth input is the statement's **selection** (`WHERE`, an SPJ
 //! combination): one bit per row, computed once per statement
@@ -33,14 +33,14 @@
 //! therefore reaches neither a group index nor a lane, so every level holds
 //! exactly what it would hold after a scan of `filter(F)`, in the same
 //! first-appearance order; the empty key keeps its one group over an empty
-//! selection. The scalar loop skips the same rows.
+//! selection.
 //!
 //! Every index assigns groups in first-appearance order and every worker
 //! returns its groups *by code* ([`LevelGroups`]); [`fan_out`] merges
 //! workers in row order by code, and keys are decoded once, from the
 //! merged codes, by whoever formats the result. `multi_hash_aggregate` is
 //! "one stream per level, no projection", the lattice is "one stream, N
-//! projected levels" — or, when that stream does not fuse, the same plan
+//! projected levels" — or, when the finest key does not code, the same plan
 //! `multi_hash_aggregate` makes of its levels — and both finish their
 //! levels as typed tables through one sequence (`ops::aggregate`); a
 //! partial is "one level, stop before finish", `distinct` is "one level,
@@ -50,7 +50,7 @@
 use crate::error::Result;
 use crate::guard::ResourceGuard;
 use crate::keymap::{
-    DenseGroupMap, DenseKeySpace, GroupMap, RowKeyMap, WideKeySpace, WideProjector,
+    gather_key, DenseGroupMap, DenseKeySpace, RowKeyMap, TupleIndex, WideKeySpace, WideProjector,
 };
 use crate::ops::acc::Acc;
 use crate::ops::aggregate::AggSpec;
@@ -58,8 +58,8 @@ use crate::parallel::{fan_out, ParallelConfig};
 use crate::predicate::{Pick, Selected, Selection};
 use crate::stats::ExecStats;
 use crate::vector::{
-    blocks, for_each_run, rle_runs, BlockCoder, CodeWord, Coder, GatherScratch, LaneKind, LaneSet,
-    LaneSrc, NumSlice, WideCoder, BLOCK_ROWS,
+    blocks, for_each_run, rle_runs, BlockCoder, CodeWord, Coder, GatherScratch, LaneSet, WideCoder,
+    BLOCK_ROWS,
 };
 use pa_obs::SpanHandle;
 use pa_storage::{Column, FxHashMap, Table, Value};
@@ -74,6 +74,8 @@ trait StreamCode: CodeWord + Sync {
     type Proj: Sync + 'static;
     fn project(proj: &Self::Proj, code: Self) -> Self;
     fn widen(self) -> u64;
+    /// The code of row `row` in a stream without a coder.
+    fn of_row(row: usize) -> Self;
 }
 
 impl StreamCode for u32 {
@@ -87,6 +89,9 @@ impl StreamCode for u32 {
     fn widen(self) -> u64 {
         u64::from(self)
     }
+    fn of_row(row: usize) -> u32 {
+        row as u32
+    }
 }
 
 impl StreamCode for u64 {
@@ -99,6 +104,9 @@ impl StreamCode for u64 {
     fn widen(self) -> u64 {
         self
     }
+    fn of_row(row: usize) -> u64 {
+        row as u64
+    }
 }
 
 /// The code space of one level: what decodes its codes back into keys.
@@ -106,6 +114,8 @@ impl StreamCode for u64 {
 enum LevelSpace {
     Dense(DenseKeySpace),
     Wide(WideKeySpace),
+    /// Row numbers over these key columns, grouped by tuple hash.
+    Rows(Vec<usize>),
 }
 
 impl LevelSpace {
@@ -114,6 +124,7 @@ impl LevelSpace {
         match self {
             LevelSpace::Dense(space) => space.cols().is_empty(),
             LevelSpace::Wide(space) => space.cols().is_empty(),
+            LevelSpace::Rows(_) => false,
         }
     }
 }
@@ -126,12 +137,12 @@ struct FusedLevel<'a, P> {
     proj: Option<P>,
     space: LevelSpace,
     aggs: &'a [AggSpec],
-    srcs: Vec<LaneSrc<'a>>,
 }
 
 /// One code stream and the levels reading it.
 struct Stream<'a, W: StreamCode> {
-    coder: Coder<'a, W>,
+    /// `None`: the codes are the row numbers.
+    coder: Option<Coder<'a, W>>,
     /// No key at all (the empty GROUP BY): nothing to code.
     keyless: bool,
     levels: Vec<FusedLevel<'a, W::Proj>>,
@@ -150,6 +161,9 @@ enum GroupIndex {
         map: FxHashMap<u64, u32>,
         order: Vec<u64>,
     },
+    /// The codes are rows, grouped by their key tuples; a group's code is
+    /// its first row.
+    Rows(TupleIndex),
 }
 
 impl GroupIndex {
@@ -161,6 +175,7 @@ impl GroupIndex {
                 map: FxHashMap::default(),
                 order: Vec::new(),
             },
+            LevelSpace::Rows(cols) => GroupIndex::Rows(TupleIndex::new(cols.clone())),
         }
     }
 
@@ -169,6 +184,7 @@ impl GroupIndex {
         match self {
             GroupIndex::Dense(map) => map.len(),
             GroupIndex::Hash { order, .. } => order.len(),
+            GroupIndex::Rows(index) => index.len(),
         }
     }
 
@@ -177,6 +193,7 @@ impl GroupIndex {
         match self {
             GroupIndex::Dense(map) => u64::from(map.codes()[gid]),
             GroupIndex::Hash { order, .. } => order[gid],
+            GroupIndex::Rows(index) => u64::from(index.first(gid)),
         }
     }
 
@@ -185,6 +202,10 @@ impl GroupIndex {
         match self {
             GroupIndex::Dense(map) => map.key_value(input, gid, d),
             GroupIndex::Hash { space, order, .. } => space.key_value(input, order[gid], d),
+            GroupIndex::Rows(index) => {
+                let first = index.first(gid) as usize;
+                input.column(index.cols()[d]).get(first)
+            }
         }
     }
 
@@ -201,15 +222,20 @@ impl GroupIndex {
                 let slots = gids.map(|gid| space.slot(order[gid], d) as usize);
                 space.dims[d].decode(input.column(space.cols()[d]), slots)
             }
+            GroupIndex::Rows(index) => {
+                let firsts: Vec<u32> = gids.map(|gid| index.first(gid)).collect();
+                gather_key(input.column(index.cols()[d]), &firsts)
+            }
         }
     }
 
     /// Group id of `code`, inserting when unseen — the merge's form; a
     /// scan resolves the index kind outside its row loops ([`feed`]).
-    fn gid(&mut self, code: u64, stats: &mut ExecStats) -> usize {
+    fn gid(&mut self, input: &Table, code: u64, stats: &mut ExecStats) -> usize {
         match self {
             GroupIndex::Dense(map) => map.get_or_insert_code(code as usize),
             GroupIndex::Hash { map, order, .. } => hash_gid(map, order, code, stats),
+            GroupIndex::Rows(index) => index.gid_of_row(input, code as usize, stats),
         }
     }
 }
@@ -247,6 +273,7 @@ trait Unit<'a>: Sync {
 /// One worker's state for one code stream.
 struct StreamScan<'p, 'a, W: StreamCode> {
     plan: &'p Stream<'a, W>,
+    input: &'a Table,
     levels: Vec<(GroupIndex, LaneSet<'a>)>,
     codes: Box<[W; BLOCK_ROWS]>,
     idx: Box<[u32; BLOCK_ROWS]>,
@@ -259,7 +286,7 @@ struct StreamScan<'p, 'a, W: StreamCode> {
 impl<'a, W: StreamCode> Unit<'a> for Stream<'a, W> {
     fn begin<'p>(&'p self, plan: &'p ScanPlan<'a>) -> Box<dyn UnitScan + 'p> {
         let mut scratch = GatherScratch::default();
-        let budget = plan.config.percentile_budget;
+        let (input, budget) = (plan.input, plan.config.percentile_budget);
         let levels = self
             .levels
             .iter()
@@ -268,15 +295,15 @@ impl<'a, W: StreamCode> Unit<'a> for Stream<'a, W> {
                 // An empty key has its one group from the start: SQL's
                 // global aggregate is a row even over no rows.
                 if level.space.keyless() {
-                    index.gid(0, &mut ExecStats::default());
+                    index.gid(input, 0, &mut ExecStats::default());
                 }
-                let funcs = level.aggs.iter().map(|s| s.func).collect();
-                let lanes = LaneSet::new(level.srcs.clone(), funcs, budget, &mut scratch);
+                let lanes = LaneSet::new(input, level.aggs, budget, &mut scratch);
                 (index, lanes)
             })
             .collect();
         Box::new(StreamScan {
             plan: self,
+            input,
             levels,
             codes: Box::new([W::default(); BLOCK_ROWS]),
             idx: Box::new([0; BLOCK_ROWS]),
@@ -288,8 +315,8 @@ impl<'a, W: StreamCode> Unit<'a> for Stream<'a, W> {
 
 impl<W: StreamCode> UnitScan for StreamScan<'_, '_, W> {
     /// The block loop: pick the selected rows → fill codes → detect runs →
-    /// per level, project and index → feed lanes. A fused row counts once
-    /// per stream.
+    /// per level, project and index → feed lanes. A row counts once per
+    /// stream.
     fn absorb(&mut self, morsel: Range<usize>, stats: &mut ExecStats) -> Result<()> {
         for block in blocks(morsel) {
             // The rows the statement selected, when they are not the whole
@@ -317,12 +344,15 @@ impl<W: StreamCode> UnitScan for StreamScan<'_, '_, W> {
                 // Every block is one run into the one (pre-seeded) group.
                 stats.rle_runs += 1;
                 for (_, lanes) in &mut self.levels {
-                    lanes.accumulate_run(rows.clone(), 0, gathered);
+                    lanes.accumulate_run(rows.clone(), 0, gathered, stats)?;
                 }
                 continue;
             }
             let codes = &mut self.codes[..block.len()];
-            self.plan.coder.fill(block.start, codes);
+            match &self.plan.coder {
+                Some(coder) => coder.fill(block.start, codes),
+                None => (codes.iter_mut().zip(block.clone())).for_each(|(c, r)| *c = W::of_row(r)),
+            }
             if let Some(picked) = picked {
                 for (j, &k) in picked.iter().enumerate() {
                     codes[j] = codes[k as usize];
@@ -332,14 +362,14 @@ impl<W: StreamCode> UnitScan for StreamScan<'_, '_, W> {
             let runs = rle_runs(codes);
             stats.rle_runs += runs.unwrap_or(0) as u64;
             let idx = &mut self.idx[..rows.len()];
-            let rows = (&rows, gathered);
+            let rows = (&rows, gathered, self.input);
             for (level, (index, lanes)) in self.plan.levels.iter().zip(&mut self.levels) {
                 let rle = runs.is_some();
                 match &level.proj {
-                    None => feed(index, lanes, rows, codes, rle, idx, |c| c, stats),
+                    None => feed(index, lanes, rows, codes, rle, idx, |c| c, stats)?,
                     Some(proj) => {
                         let project = |c| W::project(proj, c);
-                        feed(index, lanes, rows, codes, rle, idx, project, stats)
+                        feed(index, lanes, rows, codes, rle, idx, project, stats)?
                     }
                 }
             }
@@ -350,16 +380,15 @@ impl<W: StreamCode> UnitScan for StreamScan<'_, '_, W> {
     fn finish(self: Box<Self>, out: &mut Vec<LevelGroups>) {
         for (index, lanes) in self.levels {
             let accs = lanes.into_accs(index.len());
-            let keys = Keys::Coded(index);
-            out.push(LevelGroups { keys, accs });
+            out.push(LevelGroups { index, accs });
         }
     }
 }
 
 /// The rows one block feeds its lanes: the table's own, or — with the
 /// scratch that holds them — the gathered copies of a block the selection
-/// thinned.
-type BlockRows<'b> = (&'b Range<usize>, Option<&'b GatherScratch<'b>>);
+/// thinned; and the table they are rows of.
+type BlockRows<'b> = (&'b Range<usize>, Option<&'b GatherScratch<'b>>, &'b Table);
 
 /// Feed one block to one level. The projection and the index kind are both
 /// resolved here, outside the row loops, so each of their combinations
@@ -375,19 +404,26 @@ fn feed<W: StreamCode>(
     idx: &mut [u32],
     projection: impl Fn(W) -> W,
     stats: &mut ExecStats,
-) {
+) -> Result<()> {
     let level_code = |c| projection(c).widen();
+    let input = rows.2;
     match index {
-        GroupIndex::Dense(map) => route(lanes, rows, codes, rle, idx, |c| {
+        GroupIndex::Dense(map) => route(lanes, rows, codes, rle, idx, stats, |c, _| {
             map.get_or_insert_code(level_code(c) as usize)
         }),
-        GroupIndex::Hash { map, order, .. } => route(lanes, rows, codes, rle, idx, |c| {
-            hash_gid(map, order, level_code(c), stats)
+        GroupIndex::Hash { map, order, .. } => {
+            route(lanes, rows, codes, rle, idx, stats, |c, st| {
+                hash_gid(map, order, level_code(c), st)
+            })
+        }
+        GroupIndex::Rows(tuples) => route(lanes, rows, codes, rle, idx, stats, |c, st| {
+            tuples.gid_of_row(input, level_code(c) as usize, st)
         }),
-    }
+    }?;
     if !rle {
-        lanes.scatter(rows.0.clone(), idx, index.len(), rows.1);
+        lanes.scatter(rows.0.clone(), idx, index.len(), rows.1, stats)?;
     }
+    Ok(())
 }
 
 /// Run-dominated block: one index lookup and one bulk lane feed per run.
@@ -397,120 +433,24 @@ fn feed<W: StreamCode>(
 #[inline(never)]
 fn route<C: Copy + PartialEq>(
     lanes: &mut LaneSet<'_>,
-    (rows, gathered): BlockRows<'_>,
+    (rows, gathered, _): BlockRows<'_>,
     codes: &[C],
     rle: bool,
     idx: &mut [u32],
-    mut slot: impl FnMut(C) -> usize,
-) {
+    stats: &mut ExecStats,
+    mut slot: impl FnMut(C, &mut ExecStats) -> usize,
+) -> Result<()> {
     if rle {
         for_each_run(codes, |run, code| {
             let run = rows.start + run.start..rows.start + run.end;
-            lanes.accumulate_run(run, slot(code), gathered);
-        });
+            let gid = slot(code, stats);
+            lanes.accumulate_run(run, gid, gathered, stats)
+        })
     } else {
         for (i, &code) in idx.iter_mut().zip(codes) {
-            *i = slot(code) as u32;
+            *i = slot(code, stats) as u32;
         }
-    }
-}
-
-// ---- the scalar mode ------------------------------------------------------------
-
-/// A level that cannot fuse, as planned.
-struct ScalarLevel<'a> {
-    group_cols: Vec<usize>,
-    aggs: &'a [AggSpec],
-    kinds: Vec<LaneKind>,
-    /// The dense group path when the key codes within budget (row by row,
-    /// through `code_of_row`), the tuple-hash path otherwise.
-    space: Option<DenseKeySpace>,
-}
-
-/// One worker's state for one scalar level: the per-row loop.
-struct ScalarScan<'p, 'a> {
-    level: &'p ScalarLevel<'a>,
-    input: &'a Table,
-    selection: Option<&'a Selection>,
-    percentile_budget: usize,
-    /// Typed column views resolved once per chunk instead of re-matching
-    /// the column enum per row.
-    cols: Vec<Option<NumSlice<'a>>>,
-    map: GroupMap,
-    accs: Vec<Acc>, // groups × lanes, flat
-}
-
-fn fresh_accs(aggs: &[AggSpec], percentile_budget: usize) -> impl Iterator<Item = Acc> + '_ {
-    aggs.iter()
-        .map(move |s| Acc::with_budget(s.func, percentile_budget))
-}
-
-impl<'a> Unit<'a> for ScalarLevel<'a> {
-    fn begin<'p>(&'p self, plan: &'p ScanPlan<'a>) -> Box<dyn UnitScan + 'p> {
-        let mut scan = ScalarScan {
-            level: self,
-            input: plan.input,
-            selection: plan.selection,
-            percentile_budget: plan.config.percentile_budget,
-            cols: NumSlice::for_table(plan.input),
-            map: GroupMap::for_space(self.space.clone()),
-            accs: Vec::new(),
-        };
-        // An empty key has its one group from the start: SQL's global
-        // aggregate is a row even over no rows.
-        if self.group_cols.is_empty() {
-            scan.map.get_or_insert_key(&[], &mut ExecStats::default());
-            scan.accs
-                .extend(fresh_accs(self.aggs, scan.percentile_budget));
-        }
-        Box::new(scan)
-    }
-}
-
-impl UnitScan for ScalarScan<'_, '_> {
-    fn absorb(&mut self, morsel: Range<usize>, stats: &mut ExecStats) -> Result<()> {
-        let ScalarLevel {
-            group_cols,
-            aggs,
-            kinds,
-            ..
-        } = self.level;
-        let input = self.input;
-        let mut absorb_row = |row: usize, stats: &mut ExecStats| -> Result<()> {
-            let gid = if group_cols.is_empty() {
-                0
-            } else {
-                self.map.get_or_insert_row(input, group_cols, row, stats)
-            };
-            let base = gid * aggs.len();
-            if base == self.accs.len() {
-                self.accs.extend(fresh_accs(aggs, self.percentile_budget));
-            }
-            for (i, spec) in aggs.iter().enumerate() {
-                let acc = &mut self.accs[base + i];
-                kinds[i].update_row(acc, &self.cols, &spec.input, input, row, stats)?;
-            }
-            Ok(())
-        };
-        match self.selection {
-            None => {
-                stats.scalar_kernel_rows += morsel.len() as u64;
-                morsel
-                    .into_iter()
-                    .try_for_each(|row| absorb_row(row, stats))
-            }
-            Some(selection) => selection.ones(morsel).try_for_each(|row| {
-                stats.scalar_kernel_rows += 1;
-                absorb_row(row, stats)
-            }),
-        }
-    }
-
-    fn finish(self: Box<Self>, out: &mut Vec<LevelGroups>) {
-        out.push(LevelGroups {
-            keys: Keys::Scalar(self.map),
-            accs: self.accs,
-        });
+        Ok(())
     }
 }
 
@@ -546,87 +486,56 @@ impl Parent {
 /// The groups of one level — a worker's partial, or the merged result —
 /// in first-appearance order.
 pub(crate) struct LevelGroups {
-    keys: Keys,
+    /// The index the level's scan grouped through; a merge keeps folding
+    /// into it, and keys are decoded from it on demand.
+    index: GroupIndex,
     /// `groups × lanes`, flat, group-major.
     pub(crate) accs: Vec<Acc>,
-}
-
-/// The index a level's scan grouped through; a merge keeps folding into
-/// it, and keys are decoded from it on demand.
-enum Keys {
-    /// A fused level.
-    Coded(GroupIndex),
-    /// A scalar level.
-    Scalar(GroupMap),
 }
 
 impl LevelGroups {
     /// Number of groups.
     pub(crate) fn len(&self) -> usize {
-        match &self.keys {
-            Keys::Coded(index) => index.len(),
-            Keys::Scalar(map) => map.len(),
-        }
+        self.index.len()
     }
 
     /// Key dimension `d` of group `gid`, decoded against the scanned table.
     pub(crate) fn key_value(&self, input: &Table, gid: usize, d: usize) -> Value {
-        match &self.keys {
-            Keys::Coded(index) => index.key_value(input, gid, d),
-            Keys::Scalar(map) => map.key_value(input, gid, d),
-        }
+        self.index.key_value(input, gid, d)
     }
 
-    /// Key dimension `d` — column `col` of the scanned table — of the groups
-    /// `gids`, in that order (`0..self.len()` for the level's own key
-    /// column): decoded column-wise from the codes, never a `Value` per
-    /// cell, unless the level grouped by tuple hash.
+    /// Key dimension `d` of the groups `gids`, in that order (`0..self.len()`
+    /// for the level's own key column): decoded column-wise from the codes,
+    /// or gathered from the groups' first rows, never a `Value` per cell.
     pub(crate) fn key_column(
         &self,
         input: &Table,
-        col: usize,
         d: usize,
         gids: impl ExactSizeIterator<Item = usize>,
-    ) -> Result<Column> {
-        match &self.keys {
-            Keys::Coded(index) => Ok(index.key_column(input, d, gids)),
-            Keys::Scalar(map) => map.key_column(input, col, d, gids),
-        }
+    ) -> Column {
+        self.index.key_column(input, d, gids)
     }
 
-    /// This level's [`Parent`] onto its key dimensions `dims`. One lookup
-    /// per group by projected code; a scalar level, whose groups have no
-    /// codes, looks up decoded keys.
+    /// This level's [`Parent`] onto its key dimensions `dims`: one lookup
+    /// per group by projected code.
     pub(crate) fn parent(&self, input: &Table, dims: &[usize]) -> Parent {
-        let rows: Vec<u32> = match self.projected_codes(dims) {
-            Some(codes) => {
-                let mut rows: FxHashMap<u64, u32> = FxHashMap::default();
-                let row = |code| {
-                    let next = rows.len() as u32;
-                    *rows.entry(code).or_insert(next)
-                };
-                codes.into_iter().map(row).collect()
-            }
-            None => {
-                let (mut rows, mut stats) = (RowKeyMap::new(), ExecStats::default());
-                let mut key = Vec::with_capacity(dims.len());
-                (0..self.len())
-                    .map(|gid| {
-                        key.clear();
-                        key.extend(dims.iter().map(|&d| self.key_value(input, gid, d)));
-                        rows.get_or_insert_key(&key, &mut stats) as u32
-                    })
-                    .collect()
-            }
+        let mut rows: FxHashMap<u64, u32> = FxHashMap::default();
+        let row = |code| {
+            let next = rows.len() as u32;
+            *rows.entry(code).or_insert(next)
         };
+        let rows: Vec<u32> = self
+            .projected_codes(input, dims)
+            .into_iter()
+            .map(row)
+            .collect();
         let groups = rows.iter().max().map_or(0, |&last| last as usize + 1);
         Parent { rows, groups }
     }
 
     /// Where each group's key, projected onto its dimensions `dims`, stands
-    /// in `keys` — `u32::MAX` when it is not listed. A coded level decodes
-    /// and looks up one key per *distinct* projection, a scalar level one
-    /// per group.
+    /// in `keys` — `u32::MAX` when it is not listed: one decoded key looked
+    /// up per *distinct* projection.
     pub(crate) fn index_in(&self, input: &Table, dims: &[usize], keys: &[Vec<Value>]) -> Vec<u32> {
         let mut stats = ExecStats::default();
         let mut listed = RowKeyMap::new();
@@ -640,14 +549,11 @@ impl LevelGroups {
             let at = listed.lookup_key(&key, &mut stats);
             at.map_or(u32::MAX, |at| at as u32)
         };
-        match self.projected_codes(dims) {
-            Some(codes) => {
-                let mut seen: FxHashMap<u64, u32> = FxHashMap::default();
-                let place = |(gid, code)| *seen.entry(code).or_insert_with(|| find(gid));
-                codes.into_iter().enumerate().map(place).collect()
-            }
-            None => (0..self.len()).map(find).collect(),
-        }
+        let mut seen: FxHashMap<u64, u32> = FxHashMap::default();
+        let codes = self.projected_codes(input, dims).into_iter().enumerate();
+        codes
+            .map(|(gid, code)| *seen.entry(code).or_insert_with(|| find(gid)))
+            .collect()
     }
 
     /// Lane `lane` of this level's `width`, folded onto the `rows` coarser
@@ -669,14 +575,12 @@ impl LevelGroups {
         Ok(folded)
     }
 
-    /// Each group's code projected onto its key dimensions `dims` — two
+    /// Each group's code projected onto its key dimensions `dims`: two
     /// groups agree on those dimensions exactly when the projections are
-    /// equal — or `None` for a scalar level, whose groups have no codes.
-    pub(crate) fn projected_codes(&self, dims: &[usize]) -> Option<Vec<u64>> {
-        let Keys::Coded(index) = &self.keys else {
-            return None;
-        };
-        Some(match index {
+    /// equal. A level grouped by tuple hash numbers the projections of its
+    /// groups' first rows by a tuple index over the kept columns.
+    fn projected_codes(&self, input: &Table, dims: &[usize]) -> Vec<u64> {
+        match &self.index {
             GroupIndex::Dense(map) => {
                 let (space, child) = (map.space(), map.space().project(dims));
                 let project = |&code| space.project_code(code as usize, dims, &child) as u64;
@@ -686,7 +590,14 @@ impl LevelGroups {
                 let proj = space.projector(dims, &space.project(dims));
                 order.iter().map(|&code| proj.project(code)).collect()
             }
-        })
+            GroupIndex::Rows(index) => {
+                let mut sub = TupleIndex::new(dims.iter().map(|&d| index.cols()[d]).collect());
+                let mut stats = ExecStats::default();
+                let first = |gid| index.first(gid) as usize;
+                let code = |gid| sub.gid_of_row(input, first(gid), &mut stats) as u64;
+                (0..index.len()).map(code).collect()
+            }
+        }
     }
 
     /// Fold the next worker's partial into this one, by code: this side's
@@ -699,22 +610,21 @@ impl LevelGroups {
     fn merge_from(
         &mut self,
         other: LevelGroups,
-        aggs: &[AggSpec],
-        percentile_budget: usize,
+        (input, aggs, percentile_budget): (&Table, &[AggSpec], usize),
         stats: &mut ExecStats,
     ) -> Result<()> {
-        let gids: Vec<u32> = match (&mut self.keys, other.keys) {
-            (Keys::Scalar(mine), Keys::Scalar(theirs)) => mine.merge_ids(theirs, stats),
-            (Keys::Coded(index), Keys::Coded(theirs)) => (0..theirs.len())
-                .map(|gid| index.gid(theirs.code(gid), stats) as u32)
-                .collect(),
-            _ => unreachable!("every worker instantiates the same plan"),
-        };
+        let theirs = &other.index;
+        let gids: Vec<u32> = (0..theirs.len())
+            .map(|gid| self.index.gid(input, theirs.code(gid), stats) as u32)
+            .collect();
         let mut partials = other.accs.into_iter();
         for gid in gids {
             let base = gid as usize * aggs.len();
             if base == self.accs.len() {
-                self.accs.extend(fresh_accs(aggs, percentile_budget));
+                let fresh = aggs
+                    .iter()
+                    .map(|s| Acc::with_budget(s.func, percentile_budget));
+                self.accs.extend(fresh);
             }
             for acc in &mut self.accs[base..base + aggs.len()] {
                 acc.merge(partials.next().expect("partial accs cover groups × lanes"))?;
@@ -726,7 +636,7 @@ impl LevelGroups {
 
 // ---- the plan -------------------------------------------------------------------
 
-/// A planned scan: each level's mode is decided here, once, and every
+/// A planned scan: each level's code tier is decided here, once, and every
 /// worker instantiates it.
 pub(crate) struct ScanPlan<'a> {
     input: &'a Table,
@@ -753,9 +663,8 @@ impl<'a> ScanPlan<'a> {
     /// each `(keep, aggs)`: the positions of `group_cols` it keeps (strictly
     /// increasing) and its own aggregate list. Returns the code tier the
     /// stream takes — `"dense"` or `"wide"` — or `None`, with nothing
-    /// planned, when it cannot fuse: vectorization off, a lane that is not
-    /// [`LaneKind`]-fusable, or a key that neither coder reads (float or
-    /// unpackable dimensions, more than 64 bits of key).
+    /// planned, when neither coder reads the key (float or unpackable
+    /// dimensions, more than 64 bits of key).
     ///
     /// Building the coder also builds any lazy packed vector serially,
     /// before workers share it.
@@ -765,15 +674,7 @@ impl<'a> ScanPlan<'a> {
         levels: &[(&[usize], &'a [AggSpec])],
         stats: &mut ExecStats,
     ) -> Option<&'static str> {
-        if !self.config.vector {
-            return None;
-        }
         let input = self.input;
-        let src = |s: &AggSpec| LaneKind::classify(s.func, &s.input, input).src(input);
-        let srcs: Vec<Vec<LaneSrc<'a>>> = levels
-            .iter()
-            .map(|(_, aggs)| aggs.iter().map(src).collect())
-            .collect::<Option<_>>()?;
         // A strictly increasing subset of full length keeps every dimension.
         let (full, keyless) = (group_cols.len(), group_cols.is_empty());
         let dense = if keyless {
@@ -791,7 +692,7 @@ impl<'a> ScanPlan<'a> {
                 let proj = (keep.len() < full).then(|| space.projection_table(keep, &child));
                 (proj, LevelSpace::Dense(child))
             };
-            ("dense", self.push_unit(coder, keyless, levels, srcs, level))
+            ("dense", self.push_unit(Some(coder), keyless, levels, level))
         } else {
             let space = WideKeySpace::try_build(input, group_cols)?;
             let coder = WideCoder::try_new(input, &space)?;
@@ -800,7 +701,7 @@ impl<'a> ScanPlan<'a> {
                 let proj = (keep.len() < full).then(|| space.projector(keep, &child));
                 (proj, LevelSpace::Wide(child))
             };
-            ("wide", self.push_unit(coder, keyless, levels, srcs, level))
+            ("wide", self.push_unit(Some(coder), keyless, levels, level))
         };
         stats.pack_width = stats.pack_width.max(pack_width as u64);
         if dense_pass {
@@ -808,32 +709,26 @@ impl<'a> ScanPlan<'a> {
         } else {
             stats.hash_group_ops += levels.len() as u64;
         }
-        self.level_aggs.extend(levels.iter().map(|&(_, aggs)| aggs));
         Some(tier)
     }
 
-    /// Add the stream `coder` fills, read by `levels` through `level`'s
-    /// projection and space; returns the coder's pack width.
+    /// Add the stream `coder` fills (the row numbers, without one), read
+    /// by `levels` through `level`'s projection and space; returns the
+    /// coder's pack width.
     fn push_unit<W: StreamCode + 'a>(
         &mut self,
-        coder: Coder<'a, W>,
+        coder: Option<Coder<'a, W>>,
         keyless: bool,
         levels: &[(&[usize], &'a [AggSpec])],
-        srcs: Vec<Vec<LaneSrc<'a>>>,
         level: impl Fn(&[usize]) -> (Option<W::Proj>, LevelSpace),
     ) -> u32 {
-        let pack_width = coder.pack_width();
+        let pack_width = coder.as_ref().map_or(0, Coder::pack_width);
+        self.level_aggs.extend(levels.iter().map(|&(_, aggs)| aggs));
         let levels = levels
             .iter()
-            .zip(srcs)
-            .map(|(&(keep, aggs), srcs)| {
+            .map(|&(keep, aggs)| {
                 let (proj, space) = level(keep);
-                FusedLevel {
-                    proj,
-                    space,
-                    aggs,
-                    srcs,
-                }
+                FusedLevel { proj, space, aggs }
             })
             .collect();
         self.units.push(Box::new(Stream {
@@ -844,67 +739,48 @@ impl<'a> ScanPlan<'a> {
         pack_width
     }
 
-    /// Plan one level over its own key: a stream of its own with no
-    /// projection when it fuses (`true`), the scalar mode when it does not.
+    /// Plan one level over its own key: a coded stream of its own with no
+    /// projection, or — when neither coder reads the key — a stream of row
+    /// numbers grouped by tuple hash. Returns the tier it takes.
     pub(crate) fn push_level(
         &mut self,
         group_cols: &[usize],
         aggs: &'a [AggSpec],
         stats: &mut ExecStats,
-    ) -> bool {
+    ) -> &'static str {
         let every_dim: Vec<usize> = (0..group_cols.len()).collect();
-        let fused = self.push_stream(group_cols, &[(&every_dim, aggs)], stats);
-        if fused.is_none() {
-            self.push_scalar(group_cols, aggs, stats);
+        if let Some(tier) = self.push_stream(group_cols, &[(&every_dim, aggs)], stats) {
+            return tier;
         }
-        fused.is_some()
+        stats.hash_group_ops += 1;
+        let rows = |_: &[usize]| (None, LevelSpace::Rows(group_cols.to_vec()));
+        self.push_unit::<u64>(None, false, &[(&[], aggs)], rows);
+        "tuple"
     }
 
     /// Plan every level over its own key ([`Self::push_level`]); returns
-    /// the mix of modes for the span detail.
+    /// the tier they take, or `"mixed"`, for the span detail.
     pub(crate) fn push_levels<'l>(
         &mut self,
         levels: impl Iterator<Item = (&'l [usize], &'a [AggSpec])>,
         stats: &mut ExecStats,
     ) -> &'static str {
-        let (mut planned, mut fused) = (0, 0);
+        let mut detail = None;
         for (cols, aggs) in levels {
-            planned += 1;
-            fused += usize::from(self.push_level(cols, aggs, stats));
+            let tier = self.push_level(cols, aggs, stats);
+            detail = match detail {
+                Some(seen) if seen != tier => Some("mixed"),
+                _ => Some(tier),
+            };
         }
-        match fused {
-            0 => "scalar",
-            f if f == planned => "vectorized",
-            _ => "mixed",
-        }
-    }
-
-    /// Plan one level in the scalar mode.
-    fn push_scalar(&mut self, group_cols: &[usize], aggs: &'a [AggSpec], stats: &mut ExecStats) {
-        let space = DenseKeySpace::try_build(self.input, group_cols, self.config.dense_budget);
-        if space.is_some() {
-            stats.dense_group_ops += 1;
-        } else {
-            stats.hash_group_ops += 1;
-        }
-        let kinds = aggs
-            .iter()
-            .map(|s| LaneKind::classify(s.func, &s.input, self.input))
-            .collect();
-        self.units.push(Box::new(ScalarLevel {
-            group_cols: group_cols.to_vec(),
-            aggs,
-            kinds,
-            space,
-        }));
-        self.level_aggs.push(aggs);
+        detail.unwrap_or("mixed")
     }
 
     /// Scan the input once and return every planned level's groups, in
     /// plan order. One guard charge per morsel — the charge both meters the
     /// budget and observes cancellation, so a cancelled guard stops every
-    /// worker within one morsel — whatever mix of loops the plan runs. A
-    /// morsel is charged for the rows it reads, selected or not.
+    /// worker within one morsel. A morsel is charged for the rows it reads,
+    /// selected or not.
     pub(crate) fn run(
         &self,
         operator: &str,
@@ -932,9 +808,10 @@ impl<'a> ScanPlan<'a> {
             }
             Ok(out)
         };
+        let budget = self.config.percentile_budget;
         let merge = |into: &mut Vec<LevelGroups>, part: Vec<LevelGroups>, stats: &mut ExecStats| {
             for ((dst, src), aggs) in into.iter_mut().zip(part).zip(&self.level_aggs) {
-                dst.merge_from(src, aggs, self.config.percentile_budget, stats)?;
+                dst.merge_from(src, (self.input, aggs, budget), stats)?;
             }
             Ok(())
         };
@@ -948,6 +825,7 @@ mod tests {
     use super::*;
     use crate::expr::Expr;
     use crate::ops::aggregate::{AggFunc, PBits};
+    use crate::reference;
     use pa_storage::{DataType, Schema};
 
     type Row = (Option<&'static str>, Option<i64>, Option<f64>);
@@ -987,7 +865,8 @@ mod tests {
         }
     }
 
-    /// One fused level over `cols` of the selected rows, scanned serially.
+    /// One level over `cols` of the selected rows, scanned serially, and
+    /// the tier it took.
     fn fused_over(
         input: Selected<'_>,
         cols: &[usize],
@@ -996,18 +875,16 @@ mod tests {
     ) -> (&'static str, LevelGroups, ExecStats) {
         let mut stats = ExecStats::default();
         let mut plan = ScanPlan::new(input, config);
-        let every_dim: Vec<usize> = (0..cols.len()).collect();
-        let tier = plan
-            .push_stream(cols, &[(&every_dim, aggs)], &mut stats)
-            .expect("the level fuses");
+        let tier = plan.push_level(cols, aggs, &mut stats);
         let guard = ResourceGuard::unlimited();
         let mut groups = plan
             .run("test", &guard, &mut guard.span("test"), &mut stats)
             .unwrap();
+        assert_eq!(stats.scalar_kernel_rows, 0, "one scan mode");
         (tier, groups.pop().unwrap(), stats)
     }
 
-    /// One fused level over `cols` of every row.
+    /// One level over `cols` of every row.
     fn fused(
         t: &Table,
         cols: &[usize],
@@ -1017,39 +894,19 @@ mod tests {
         fused_over(t.into(), cols, aggs, config)
     }
 
-    /// What a per-row loop holds after `rows` of `t`, written against
-    /// nothing the core uses: first-appearance group order over `cols`
-    /// through a tuple hash, one `Acc::update` per row per lane with the
-    /// `Value` that `Expr::Col(measure)` evaluates to.
+    /// What the naive reference holds after the rows `rows` admits of `t`:
+    /// first-appearance groups over `cols`, one `Acc::update` per row per
+    /// lane of `aggs`.
     fn oracle_of(
         t: &Table,
-        rows: impl Iterator<Item = usize>,
+        rows: reference::Rows<'_>,
         cols: &[usize],
-        funcs: &[AggFunc],
-        measure: usize,
+        aggs: &[AggSpec],
         budget: usize,
     ) -> (Vec<Vec<Value>>, Vec<Acc>) {
-        let mut st = ExecStats::default();
-        let mut map = RowKeyMap::new();
-        let mut accs: Vec<Acc> = Vec::new();
-        if cols.is_empty() {
-            // SQL's global aggregate is a row even over no rows.
-            map.get_or_insert_key(&[], &mut st);
-            accs.extend(funcs.iter().map(|&f| Acc::with_budget(f, budget)));
-        }
-        for row in rows {
-            let g = map.get_or_insert_row(t, cols, row, &mut st);
-            if g * funcs.len() == accs.len() {
-                accs.extend(funcs.iter().map(|&f| Acc::with_budget(f, budget)));
-            }
-            for acc in &mut accs[g * funcs.len()..][..funcs.len()] {
-                match acc {
-                    Acc::CountStar(_) => acc.update_f64(None),
-                    _ => acc.update(&t.column(measure).get(row)).unwrap(),
-                }
-            }
-        }
-        (map.into_keys(), accs)
+        let (firsts, accs) = reference::groups(t, &rows, cols, aggs, budget);
+        let key = |&first: &usize| cols.iter().map(|&c| t.get(first, c)).collect();
+        (firsts.iter().map(key).collect(), accs.concat())
     }
 
     /// [`oracle_of`] every row.
@@ -1060,7 +917,13 @@ mod tests {
         measure: usize,
         budget: usize,
     ) -> (Vec<Vec<Value>>, Vec<Acc>) {
-        oracle_of(t, 0..t.num_rows(), cols, funcs, measure, budget)
+        let aggs = specs(funcs, measure);
+        oracle_of(t, reference::Rows::all(t.num_rows()), cols, &aggs, budget)
+    }
+
+    /// The rows of an `n`-row table `selection` picks, for the reference.
+    fn picked(selection: &Selection, n: usize) -> reference::Rows<'_> {
+        reference::Rows::all(n).filter(move |r| selection.ones(r..r + 1).count() == 1)
     }
 
     fn assert_same_groups(
@@ -1072,7 +935,9 @@ mod tests {
         assert_eq!(fused.len(), keys.len(), "{what}: group count");
         for (gid, key) in keys.iter().enumerate() {
             for (d, k) in key.iter().enumerate() {
-                assert!(k.key_eq(&fused.key_value(t, gid, d)), "{what}: key {gid}");
+                let got = fused.key_value(t, gid, d);
+                let bits = |v: &Value| v.as_f64().map(f64::to_bits);
+                assert!(k.key_eq(&got) && bits(k) == bits(&got), "{what}: key {gid}");
             }
         }
         assert_eq!(fused.accs.len(), accs.len(), "{what}: accumulator count");
@@ -1246,7 +1111,7 @@ mod tests {
         for (what, selection) in selections(n) {
             let input = Selected::from(&t).with(&selection);
             for cols in [&[0usize, 1][..], &[]] {
-                let want = oracle_of(&t, selection.ones(0..n), cols, &funcs, 2, 9);
+                let want = oracle_of(&t, picked(&selection, n), cols, &aggs, 9);
                 for budget in [1 << 20, 0] {
                     let (tier, groups, stats) = fused_over(input, cols, &aggs, &config(budget, 9));
                     let what = format!("{what}, key {cols:?}, {tier}");
@@ -1276,8 +1141,8 @@ mod tests {
                     let aggs = specs(&funcs, measure);
                     for cols in [&[0usize][..], &[]] {
                         let what = format!("sorted={sorted} {funcs:?} col {measure} key {cols:?}");
-                        let picked = selection.ones(0..n);
-                        let want = oracle_of(&t, picked, cols, &funcs, measure, budget);
+                        let rows = picked(&selection, n);
+                        let want = oracle_of(&t, rows, cols, &aggs, budget);
                         for dense_budget in [1 << 20, 0] {
                             let config = config(dense_budget, budget);
                             let (tier, groups, _) = fused_over(input, cols, &aggs, &config);
@@ -1310,7 +1175,7 @@ mod tests {
             for edge in [0, 1, 62, 63, 64] {
                 let selection = Selection::of_rows(n, |r| r >= edge && r + edge < n && r % 7 != 0);
                 let input = Selected::from(&t).with(&selection);
-                let want = oracle_of(&t, selection.ones(0..n), &[0, 1], &funcs, 2, 9);
+                let want = oracle_of(&t, picked(&selection, n), &[0, 1], &aggs, 9);
                 let odd_chunks = ParallelConfig {
                     threads: 3,
                     morsel_rows: 50,
@@ -1322,6 +1187,71 @@ mod tests {
                     assert_same_groups(&t, &groups, &want, &format!("n={n} edge={edge}"));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn keys_no_coder_packs_and_acc_lanes_ride_the_block_loop() {
+        // A float key (-0.0 before 0.0, NaNs, NULLs) and an integer key
+        // spanning i64::MIN..=i64::MAX: no code space builds, the rows are
+        // grouped by tuple hash. Beside typed lanes, lanes no typed kernel
+        // reads: min/max, count(DISTINCT), a count of strings, a literal and
+        // an expression. A sorted first block takes the run path.
+        let n = 2 * BLOCK_ROWS + 300;
+        let floats = [-0.0, 0.0, f64::NAN, 1.5, -f64::NAN, 2.25];
+        let rows: Vec<Row> = (0..n)
+            .map(|i| {
+                let sorted = i < BLOCK_ROWS;
+                let k = if sorted { i / 300 } else { i * 7 % 11 };
+                (
+                    (i % 13 != 4).then_some(["a", "b", "c"][k % 3]),
+                    (k % 5 != 3).then_some([i64::MIN, i64::MAX, -1, 0, 7][k % 5]),
+                    (k % 7 != 6).then_some(floats[k % 6]),
+                )
+            })
+            .collect();
+        let t = table(&rows);
+        let spec = |func, input| AggSpec::new(func, input, "x");
+        let aggs = [
+            spec(AggFunc::Sum, Expr::Col(2)),
+            spec(AggFunc::Min, Expr::Col(2)),
+            spec(AggFunc::Max, Expr::Col(0)),
+            spec(AggFunc::CountDistinct, Expr::Col(0)),
+            spec(AggFunc::Count, Expr::Col(0)),
+            spec(AggFunc::Sum, Expr::lit(0.1)),
+            spec(AggFunc::Percentile(PBits::new(0.5)), Expr::lit(1)),
+            spec(AggFunc::Avg, Expr::Col(1).add(Expr::Col(2))),
+            spec(AggFunc::CountStar, Expr::lit(1)),
+        ];
+        let selection = Selection::of_rows(n, |r| r % 3 != 1 && !(900..1200).contains(&r));
+        for (cols, tier) in [
+            (&[2usize][..], "tuple"),
+            (&[1], "tuple"),
+            (&[0, 2], "tuple"),
+        ] {
+            for dense_budget in [1 << 20, 0] {
+                let config = config(dense_budget, 300);
+                let what = format!("key {cols:?} budget {dense_budget}");
+                let want = oracle_of(&t, reference::Rows::all(n), cols, &aggs, 300);
+                let (got, groups, stats) = fused(&t, cols, &aggs, &config);
+                assert_eq!(got, tier, "{what}");
+                assert_same_groups(&t, &groups, &want, &what);
+                assert_eq!(stats.vectorized_kernel_rows, n as u64, "{what}");
+                let want = oracle_of(&t, picked(&selection, n), cols, &aggs, 300);
+                let input = Selected::from(&t).with(&selection);
+                let (_, groups, _) = fused_over(input, cols, &aggs, &config);
+                assert_same_groups(&t, &groups, &want, &format!("{what}, selected"));
+            }
+        }
+        // The same lanes on coded keys: runs and scatters of both tiers.
+        for dense_budget in [1 << 20, 0] {
+            let want = oracle(&t, &[0], &[AggFunc::Sum], 2, 300);
+            let (_, groups, _) = fused(&t, &[0], &aggs[..1], &config(dense_budget, 300));
+            assert_same_groups(&t, &groups, &want, "coded");
+            let want = oracle_of(&t, reference::Rows::all(n), &[0], &aggs, 300);
+            let (_, groups, stats) = fused(&t, &[0], &aggs, &config(dense_budget, 300));
+            assert_same_groups(&t, &groups, &want, "coded, every lane");
+            assert!(stats.rle_runs > 0, "the sorted block ran as runs");
         }
     }
 }

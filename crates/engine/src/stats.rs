@@ -105,11 +105,11 @@ pub struct ExecStats {
     pub combo_cache_hits: u64,
     /// Combination-catalog lookups that missed and ran the discovery pass.
     pub combo_cache_misses: u64,
-    /// Rows scanned through the fused vectorized kernels (DESIGN.md §12):
-    /// block unpack → composite code → dense scatter, no per-row dispatch.
+    /// Rows scanned through the block loop (DESIGN.md §12, §16), once per
+    /// code stream: block codes → group ids → lanes, no per-row dispatch.
     pub vectorized_kernel_rows: u64,
-    /// Rows scanned through the scalar per-row fallback of a path that
-    /// *could* vectorize (ineligible columns, disabled via `PA_VECTOR=0`).
+    /// Rows scanned by a per-row loop. The scan core has none, so this
+    /// stays 0; the field is kept for the benchmark that reads it.
     pub scalar_kernel_rows: u64,
     /// RLE runs absorbed by the run-level fast path (one group lookup and
     /// register-resident accumulation per run).

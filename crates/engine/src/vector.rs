@@ -1,10 +1,8 @@
 //! Vectorized compressed-column kernels (DESIGN.md §12).
 //!
-//! The scalar operators interpret one row at a time: a virtual
-//! `Column::get`/`get_f64` per lane per row, an enum match per dimension per
-//! row inside `DenseKeySpace::code_of_row`. This module replaces the inner
-//! loops with MonetDB/X100-style *block-at-a-time* kernels over compressed
-//! vectors:
+//! The scan core's inner loops are MonetDB/X100-style *block-at-a-time*
+//! kernels over compressed vectors, never a `Column::get` per lane per row
+//! or an enum match per dimension per row:
 //!
 //! * [`Coder`] resolves each key dimension to a typed reader **once**
 //!   — the NULL-folded slot vector kept beside a dictionary column or a
@@ -24,32 +22,31 @@
 //!   same sources through the same two entry points, a block or a run at
 //!   a time. Lanes convert to real [`Acc`]s only once per worker chunk
 //!   (`LaneSet::into_accs`), so the merge/finish machinery — and therefore
-//!   the output bytes — are identical to the scalar path.
+//!   the output bytes — are those of one `Acc::update` per row.
 //! * Run detection (`rle_runs`) lets the block loop of
 //!   `crate::scan` switch to an RLE fast path when a code
 //!   block is dominated by runs (sorted/clustered dimensions): one group
 //!   lookup per run and register-resident accumulation, with counts added
 //!   run-length at a time. Floating-point sums still add row by row in row
-//!   order — never reassociated — which is what keeps the fused path
-//!   byte-identical to the scalar one.
-//! * [`NumSlice`] is the same hoisting for the *scalar* loops:
-//!   lanes that cannot fuse still resolve their typed slices once per scan
-//!   instead of re-matching the column enum per row.
+//!   order — never reassociated — which is what keeps a run's bits those
+//!   of a row-at-a-time loop.
+//! * Every other lane — `min`/`max`, `count(DISTINCT)`, a string, literal
+//!   or expression input — rides the same block loop as an [`Acc`] lane:
+//!   one `Acc::update` per selected row with the `Value` its expression
+//!   evaluates to, fed through the same group ids.
 //!
-//! Eligibility is decided in one place, `LaneKind::classify`: a lane
-//! fuses when it is `count(*)` or a raw or holistic function over a plain
-//! numeric column. min/max, `count(DISTINCT)` and expression lanes are
-//! `LaneKind::Generic` and send their level to the scalar loop; the
-//! chosen path is recorded in [`crate::ExecStats`] and on trace spans.
+//! Which lane a function gets is decided in one place, `typed_src`: a lane
+//! is typed when it is `count(*)` or a raw or holistic function over a
+//! plain numeric column, an [`Acc`] lane otherwise.
 
 use crate::error::Result;
 use crate::expr::Expr;
 use crate::keymap::{DenseKeySpace, DimCoder, WideKeySpace};
 use crate::ops::acc::{Acc, PctState};
-use crate::ops::aggregate::AggFunc;
+use crate::ops::aggregate::{AggFunc, AggSpec};
 use crate::sketch::{value_hash64, Hll, TDigest};
 use crate::stats::ExecStats;
-use pa_storage::{Column, DataType, PackedCodes, Table, Value};
+use pa_storage::{Column, PackedCodes, Table, Value};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -64,8 +61,7 @@ const RLE_RUN_DIVISOR: usize = 2;
 
 // ---- hoisted typed column views ------------------------------------------
 
-/// A numeric column resolved to its raw parts once per scan, replacing the
-/// per-row `table.column(c).get_f64(row)` in non-vectorized fallback loops.
+/// A numeric column resolved to its raw parts once per scan.
 #[derive(Clone, Copy)]
 pub enum NumSlice<'a> {
     /// Integer column: data (0 placeholders) + validity words.
@@ -75,31 +71,12 @@ pub enum NumSlice<'a> {
 }
 
 impl<'a> NumSlice<'a> {
-    /// Every column of `table` resolved once, by column index.
-    pub(crate) fn for_table(table: &'a Table) -> Vec<Option<NumSlice<'a>>> {
-        table.columns().iter().map(NumSlice::for_column).collect()
-    }
-
     /// Resolve a column, `None` when it is not numeric.
     pub fn for_column(col: &'a Column) -> Option<NumSlice<'a>> {
         match col {
             Column::Int { data, validity } => Some(NumSlice::Int(data, validity.words())),
             Column::Float { data, validity } => Some(NumSlice::Float(data, validity.words())),
             Column::Str { .. } => None,
-        }
-    }
-
-    /// The value at `row` widened to `f64`, `None` when NULL — same
-    /// contract as [`Column::get_f64`], minus the per-row column resolve.
-    #[inline]
-    pub fn get_f64(&self, row: usize) -> Option<f64> {
-        match *self {
-            NumSlice::Int(data, vwords) => {
-                (vwords[row >> 6] >> (row & 63) & 1 == 1).then(|| data[row] as f64)
-            }
-            NumSlice::Float(data, vwords) => {
-                (vwords[row >> 6] >> (row & 63) & 1 == 1).then(|| data[row])
-            }
         }
     }
 
@@ -220,8 +197,8 @@ pub type WideCoder<'a> = Coder<'a, u64>;
 impl<'a> Coder<'a, u32> {
     /// Build a coder for `space` over `table`. `None` when some dimension
     /// cannot be read vectorized (unpackable dictionary) or the code space
-    /// does not fit the `u32` block buffers — callers then keep the scalar
-    /// `code_of_row` loop.
+    /// does not fit the `u32` block buffers — the scan core then groups the
+    /// key by tuple hash.
     pub fn try_new(table: &'a Table, space: &DenseKeySpace) -> Option<BlockCoder<'a>> {
         if space.size() > u32::MAX as usize {
             return None;
@@ -233,8 +210,8 @@ impl<'a> Coder<'a, u32> {
 
 impl<'a> Coder<'a, u64> {
     /// Build a coder for `space` over `table`. `None` when some dictionary
-    /// dimension cannot be read through a packed vector — callers then keep
-    /// the per-row scalar loop.
+    /// dimension cannot be read through a packed vector — the scan core then
+    /// groups the key by tuple hash.
     pub fn try_new(table: &'a Table, space: &WideKeySpace) -> Option<WideCoder<'a>> {
         Coder::build(
             table,
@@ -342,95 +319,31 @@ impl<'a> LaneSrc<'a> {
     }
 }
 
-/// How one aggregate lane reads its input — the scan core's one
-/// classification. Everything except [`LaneKind::Generic`] fuses: it has a
-/// [`LaneSrc`] and a typed lane ([`RawLane`] or [`HolisticLane`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum LaneKind {
-    /// `sum`/`avg`/`count` over a plain numeric column: a [`RawLane`] when
-    /// fused, a typed [`NumSlice`] read (no `Value`) in the scalar loop.
-    NumericCol(usize),
-    /// `percentile`/`approx_percentile`/`approx_count_distinct` over a plain
-    /// numeric column: a [`HolisticLane`] when fused; the scalar loop
-    /// evaluates it like [`LaneKind::Generic`].
-    HolisticCol(usize),
-    /// `count(*)`: no input read at all.
-    CountStar,
-    /// Everything else (min/max, `count(DISTINCT)`, expression or string
-    /// inputs): evaluate the expression into a `Value` per row.
-    Generic,
-}
-
-impl LaneKind {
-    /// Classify `func(input)` against `table`'s column types.
-    pub(crate) fn classify(func: AggFunc, input: &Expr, table: &Table) -> LaneKind {
-        let numeric_col = match *input {
-            Expr::Col(c)
-                if c < table.num_columns()
-                    && matches!(table.column(c).data_type(), DataType::Int | DataType::Float) =>
-            {
-                Some(c)
-            }
-            _ => None,
-        };
-        match func {
-            AggFunc::CountStar => LaneKind::CountStar,
-            AggFunc::Sum | AggFunc::Avg | AggFunc::Count => {
-                numeric_col.map_or(LaneKind::Generic, LaneKind::NumericCol)
-            }
-            AggFunc::Percentile(_)
-            | AggFunc::ApproxPercentile(_)
-            | AggFunc::ApproxCountDistinct => {
-                numeric_col.map_or(LaneKind::Generic, LaneKind::HolisticCol)
-            }
-            _ => LaneKind::Generic,
-        }
-    }
-
-    /// The scalar loops' update of this lane's accumulator with one row of
-    /// `table` (the table this kind was classified against): `cols` holds
-    /// the table's typed column views ([`NumSlice::for_table`]), `input` is
-    /// the lane's expression — evaluated into a `Value` only when the lane
-    /// has no typed read. The one per-row `Expr::eval` of any aggregate.
-    #[inline]
-    pub(crate) fn update_row(
-        self,
-        acc: &mut Acc,
-        cols: &[Option<NumSlice<'_>>],
-        input: &Expr,
-        table: &Table,
-        row: usize,
-        stats: &mut ExecStats,
-    ) -> Result<()> {
-        match self {
-            LaneKind::CountStar => acc.update_f64(None),
-            LaneKind::NumericCol(c) => {
-                let col = cols[c].as_ref().expect("a numeric lane has a typed view");
-                acc.update_f64(col.get_f64(row));
-            }
-            LaneKind::Generic | LaneKind::HolisticCol(_) => {
-                acc.update(&input.eval(table, row, stats)?)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// The fused lane's input over `table` (the table this kind was
-    /// classified against); `None` for [`LaneKind::Generic`].
-    pub(crate) fn src<'a>(self, table: &'a Table) -> Option<LaneSrc<'a>> {
-        match self {
-            LaneKind::NumericCol(c) | LaneKind::HolisticCol(c) => {
-                LaneSrc::for_column(table.column(c))
-            }
-            LaneKind::CountStar => Some(LaneSrc::CountStar),
-            LaneKind::Generic => None,
-        }
+/// The typed input of `func(input)` over `table`, the scan core's one
+/// classification: a plain numeric column for `sum`/`avg`/`count` and the
+/// holistic functions with a [`HolisticLane`], no input at all for
+/// `count(*)`. `None` for every other lane (min/max, `count(DISTINCT)`,
+/// string, literal or expression inputs), which an [`Acc`] lane feeds.
+fn typed_src<'a>(func: AggFunc, input: &Expr, table: &'a Table) -> Option<LaneSrc<'a>> {
+    let col = match *input {
+        Expr::Col(c) if c < table.num_columns() => LaneSrc::for_column(table.column(c)),
+        _ => None,
+    };
+    match func {
+        AggFunc::CountStar => Some(LaneSrc::CountStar),
+        AggFunc::Sum
+        | AggFunc::Avg
+        | AggFunc::Count
+        | AggFunc::Percentile(_)
+        | AggFunc::ApproxPercentile(_)
+        | AggFunc::ApproxCountDistinct => col,
+        AggFunc::Min | AggFunc::Max | AggFunc::CountDistinct => None,
     }
 }
 
 /// One lane's dense `sum`/`count` pair, indexed by group id (or any other
 /// dense accumulator index). `sum` accumulates in strict row order so float
-/// results match the scalar `Acc` updates bit for bit.
+/// results match one `Acc` update per row bit for bit.
 ///
 /// Sum and count interleave in one array so a group update touches one
 /// cache line, not two — on group counts that outgrow L1, the second
@@ -517,7 +430,7 @@ impl RawLane {
     }
 }
 
-/// Convert one raw `sum`/`count` pair into the [`Acc`] the scalar path
+/// Convert one raw `sum`/`count` pair into the [`Acc`] one update per row
 /// would have produced for the same rows in the same order.
 ///
 /// # Panics
@@ -545,8 +458,8 @@ fn raw_acc(func: AggFunc, sum: f64, count: i64) -> Acc {
 /// entry points as [`RawLane`]. Gray et al. call these functions holistic
 /// because their state is the value set — not because they must be fed one
 /// [`Value`] at a time. Every index sees its non-NULL inputs in row order,
-/// the order the scalar `Acc::update` loop sees them, so the state — spill
-/// row, digest flush points, registers — is the scalar loop's state.
+/// the order a row-at-a-time `Acc::update` loop sees them, so the state —
+/// spill row, digest flush points, registers — is that loop's state.
 pub(crate) struct HolisticLane(Holistic);
 
 enum Holistic {
@@ -694,8 +607,8 @@ impl HolisticLane {
         }
     }
 
-    /// The lane's states in index order, each as the [`Acc`] the scalar
-    /// path would hold — so merge, serialization and finalize are shared.
+    /// The lane's states in index order, each as the [`Acc`] one update
+    /// per row would hold — so merge, serialization and finalize are shared.
     fn into_accs(self) -> Box<dyn Iterator<Item = Acc>> {
         match self.0 {
             Holistic::Exact { p, budget, states } => Box::new(
@@ -722,13 +635,30 @@ fn holistic_col<'a>(src: &LaneSrc<'a>) -> NumSlice<'a> {
     }
 }
 
-// ---- the lanes of one fused level ------------------------------------------
+// ---- the lanes of one level -----------------------------------------------
 
-/// One fused lane of either kind. The kind is matched once per block or
-/// run, never per row.
-enum Lane {
-    Raw(RawLane),
-    Holistic(HolisticLane),
+/// One lane of a level with what it reads. The kind is matched once per
+/// block or run, never per row.
+enum Lane<'a> {
+    /// `sum`/`avg`/`count`/`count(*)`: a `(sum, count)` pair per index.
+    Raw {
+        func: AggFunc,
+        src: LaneSrc<'a>,
+        lane: RawLane,
+    },
+    /// `percentile`/`approx_percentile`/`approx_count_distinct` over a
+    /// numeric column: typed states per index.
+    Holistic {
+        src: LaneSrc<'a>,
+        lane: HolisticLane,
+    },
+    /// Every other lane: an [`Acc`] per index, updated with the `Value`
+    /// its expression evaluates to on each row.
+    Acc {
+        input: &'a Expr,
+        fresh: Acc,
+        accs: Vec<Acc>,
+    },
 }
 
 /// The picked rows of one block of one input column, gathered so that they
@@ -764,18 +694,31 @@ fn gather<T: Copy>(
 
 /// One worker's gather scratch for one code stream: a slot per distinct
 /// input column, shared by every lane of every level that reads the column
-/// — `sum(a), count(a), avg(a)` at three levels copy `a` once per block.
+/// — `sum(a), count(a), avg(a)` at three levels copy `a` once per block —
+/// and, when an [`Acc`] lane evaluates its expression, the table row each
+/// picked row is.
 #[derive(Default)]
 pub(crate) struct GatherScratch<'a> {
     cols: Vec<(NumSlice<'a>, Gathered)>,
+    /// Whether some lane reads `rows`.
+    keep_rows: bool,
+    rows: Vec<usize>,
 }
 
 impl<'a> GatherScratch<'a> {
-    /// The slot `src` is gathered into, added when no lane read the column
-    /// before; `None` for `count(*)`, which reads no input.
-    fn slot_of(&mut self, src: &LaneSrc<'a>) -> Option<usize> {
-        let LaneSrc::Col(col) = src else {
-            return None;
+    /// The slot `lane` reads its gathered input from, added when no lane
+    /// read the column before; `None` for `count(*)`, which reads no input,
+    /// and for an [`Acc`] lane, which reads the table at the picked rows.
+    fn slot_of(&mut self, lane: &Lane<'a>) -> Option<usize> {
+        let col = match lane {
+            Lane::Raw { src, .. } | Lane::Holistic { src, .. } => match src {
+                LaneSrc::Col(col) => col,
+                LaneSrc::CountStar => return None,
+            },
+            Lane::Acc { .. } => {
+                self.keep_rows = true;
+                return None;
+            }
         };
         let same = |held: &NumSlice<'_>| match (held, col) {
             (NumSlice::Int(a, _), NumSlice::Int(b, _)) => std::ptr::eq(*a, *b),
@@ -806,6 +749,10 @@ impl<'a> GatherScratch<'a> {
                 _ => unreachable!("a slot holds its column's type"),
             }
         }
+        if self.keep_rows {
+            self.rows.clear();
+            self.rows.extend(picked.iter().map(|&k| base + k as usize));
+        }
     }
 
     /// The gathered block of `slot`, read as the column it copies.
@@ -817,7 +764,7 @@ impl<'a> GatherScratch<'a> {
     }
 }
 
-/// The lanes of one fused grouping level with their sources: per-run and
+/// The lanes of one grouping level with their sources: per-run and
 /// per-block feeding, and the collapse into the `groups × lanes` [`Acc`]
 /// matrix. What an index means — a first-appearance group id or the level
 /// code itself — is the caller's business (the group index of
@@ -829,52 +776,109 @@ impl<'a> GatherScratch<'a> {
 /// scratch in hand and row numbers counted from 0. No lane has a selected
 /// variant.
 pub(crate) struct LaneSet<'a> {
-    srcs: Vec<LaneSrc<'a>>,
-    /// Where each lane's input is gathered; `None` for `count(*)`.
+    /// The table the lanes read, which [`Lane::Acc`] expressions evaluate
+    /// against.
+    table: &'a Table,
+    lanes: Vec<Lane<'a>>,
+    /// Where each lane's input is gathered; `None` for `count(*)` and
+    /// [`Lane::Acc`].
     slots: Vec<Option<usize>>,
-    funcs: Vec<AggFunc>,
-    lanes: Vec<Lane>,
+    /// Whether some lane is a [`Lane::Acc`].
+    evals: bool,
 }
 
 impl<'a> LaneSet<'a> {
-    /// One lane per `(src, func)` pair; every `func` must be a raw or a
-    /// holistic lane function (the classification the callers ran). The
-    /// lanes' input columns take their slots in `scratch`.
+    /// One lane per aggregate of `aggs` over `table`: typed when
+    /// `typed_src` reads its input, an [`Acc`] lane otherwise. The lanes'
+    /// input columns take their slots in `scratch`.
     pub(crate) fn new(
-        srcs: Vec<LaneSrc<'a>>,
-        funcs: Vec<AggFunc>,
+        table: &'a Table,
+        aggs: &'a [AggSpec],
         percentile_budget: usize,
         scratch: &mut GatherScratch<'a>,
     ) -> LaneSet<'a> {
-        debug_assert_eq!(srcs.len(), funcs.len());
-        let lanes = funcs
-            .iter()
-            .map(|&func| match HolisticLane::new(func, percentile_budget) {
-                Some(lane) => Lane::Holistic(lane),
-                None => Lane::Raw(RawLane::default()),
-            })
-            .collect();
-        let slots = srcs.iter().map(|src| scratch.slot_of(src)).collect();
+        let lane = |spec: &'a AggSpec| match typed_src(spec.func, &spec.input, table) {
+            Some(src) => match HolisticLane::new(spec.func, percentile_budget) {
+                Some(lane) => Lane::Holistic { src, lane },
+                None => Lane::Raw {
+                    func: spec.func,
+                    src,
+                    lane: RawLane::default(),
+                },
+            },
+            None => Lane::Acc {
+                input: &spec.input,
+                fresh: Acc::with_budget(spec.func, percentile_budget),
+                accs: Vec::new(),
+            },
+        };
+        let lanes: Vec<Lane<'a>> = aggs.iter().map(lane).collect();
+        let slots = lanes.iter().map(|lane| scratch.slot_of(lane)).collect();
+        let evals = lanes.iter().any(|lane| matches!(lane, Lane::Acc { .. }));
         LaneSet {
-            srcs,
-            slots,
-            funcs,
+            table,
             lanes,
+            slots,
+            evals,
         }
     }
 
-    /// Each lane with the source it reads this block from: its column, or
-    /// the column's block in `gathered`.
-    fn feeds<'s>(
-        &'s mut self,
-        gathered: Option<&'s GatherScratch<'_>>,
-    ) -> impl Iterator<Item = (&'s mut Lane, LaneSrc<'s>)> {
-        let srcs = self.srcs.iter().zip(&self.slots);
-        let srcs = srcs.map(move |(src, slot)| match (gathered, slot) {
-            (Some(scratch), Some(slot)) => scratch.src(*slot),
-            _ => *src,
-        });
-        self.lanes.iter_mut().zip(srcs)
+    /// Grow every lane to at least `n` indices, and feed each typed lane
+    /// with the source it reads this block from: its column, or the
+    /// column's block in `gathered`.
+    fn feed_typed(
+        &mut self,
+        n: usize,
+        gathered: Option<&GatherScratch<'_>>,
+        mut raw: impl FnMut(&mut RawLane, &LaneSrc<'_>),
+        mut holistic: impl FnMut(&mut HolisticLane, &LaneSrc<'_>),
+    ) {
+        for (lane, slot) in self.lanes.iter_mut().zip(&self.slots) {
+            let read = |src: &LaneSrc<'a>| match (gathered, slot) {
+                (Some(scratch), Some(slot)) => scratch.src(*slot),
+                _ => *src,
+            };
+            match lane {
+                Lane::Raw { src, lane, .. } => {
+                    lane.ensure(n);
+                    raw(lane, &read(src));
+                }
+                Lane::Holistic { src, lane } => {
+                    lane.ensure(n);
+                    holistic(lane, &read(src));
+                }
+                Lane::Acc { fresh, accs, .. } => {
+                    if accs.len() < n {
+                        accs.resize(n, fresh.clone());
+                    }
+                }
+            }
+        }
+    }
+
+    /// Update the [`Acc`] lanes with rows `rows`, row `rows.start + k` into
+    /// index `index(k)`: each row's lanes in lane order, with the `Value`
+    /// `Expr::eval` gives at the table row it is.
+    fn update_accs(
+        &mut self,
+        rows: Range<usize>,
+        index: impl Fn(usize) -> usize,
+        gathered: Option<&GatherScratch<'_>>,
+        stats: &mut ExecStats,
+    ) -> Result<()> {
+        if !self.evals {
+            return Ok(());
+        }
+        for (k, row) in rows.enumerate() {
+            let row = gathered.map_or(row, |scratch| scratch.rows[row]);
+            let g = index(k);
+            for lane in &mut self.lanes {
+                if let Lane::Acc { input, accs, .. } = lane {
+                    accs[g].update(&input.eval(self.table, row, stats)?)?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Feed one run of rows that all belong to index `g`.
@@ -884,19 +888,15 @@ impl<'a> LaneSet<'a> {
         rows: Range<usize>,
         g: usize,
         gathered: Option<&GatherScratch<'_>>,
-    ) {
-        for (lane, src) in self.feeds(gathered) {
-            match lane {
-                Lane::Raw(lane) => {
-                    lane.ensure(g + 1);
-                    lane.accumulate_run(&src, rows.clone(), g);
-                }
-                Lane::Holistic(lane) => {
-                    lane.ensure(g + 1);
-                    lane.accumulate_run(&src, rows.clone(), g);
-                }
-            }
-        }
+        stats: &mut ExecStats,
+    ) -> Result<()> {
+        self.feed_typed(
+            g + 1,
+            gathered,
+            |lane, src| lane.accumulate_run(src, rows.clone(), g),
+            |lane, src| lane.accumulate_run(src, rows.clone(), g),
+        );
+        self.update_accs(rows, |_| g, gathered, stats)
     }
 
     /// Scatter one block: row `rows.start + k` belongs to index `idx[k]`,
@@ -908,31 +908,26 @@ impl<'a> LaneSet<'a> {
         idx: &[u32],
         n: usize,
         gathered: Option<&GatherScratch<'_>>,
-    ) {
-        for (lane, src) in self.feeds(gathered) {
-            match lane {
-                Lane::Raw(lane) => {
-                    lane.ensure(n);
-                    lane.scatter(&src, rows.clone(), idx);
-                }
-                Lane::Holistic(lane) => {
-                    lane.ensure(n);
-                    lane.scatter(&src, rows.clone(), idx);
-                }
-            }
-        }
+        stats: &mut ExecStats,
+    ) -> Result<()> {
+        self.feed_typed(
+            n,
+            gathered,
+            |lane, src| lane.scatter(src, rows.clone(), idx),
+            |lane, src| lane.scatter(src, rows.clone(), idx),
+        );
+        self.update_accs(rows, |k| idx[k] as usize, gathered, stats)
     }
 
-    /// Collapse into the flat `n_groups × lanes` [`Acc`] matrix the scalar
-    /// loop builds, so merge and finish are shared.
+    /// Collapse into the flat `n_groups × lanes` [`Acc`] matrix, so merge
+    /// and finish are shared.
     pub(crate) fn into_accs(self, n_groups: usize) -> Vec<Acc> {
         let mut columns: Vec<Box<dyn Iterator<Item = Acc>>> = self
             .lanes
             .into_iter()
-            .zip(self.funcs)
-            .map(|(lane, func)| -> Box<dyn Iterator<Item = Acc>> {
+            .map(|lane| -> Box<dyn Iterator<Item = Acc>> {
                 match lane {
-                    Lane::Raw(mut lane) => {
+                    Lane::Raw { func, mut lane, .. } => {
                         lane.ensure(n_groups);
                         Box::new(
                             lane.pairs
@@ -940,9 +935,15 @@ impl<'a> LaneSet<'a> {
                                 .map(move |(sum, count)| raw_acc(func, sum, count)),
                         )
                     }
-                    Lane::Holistic(mut lane) => {
+                    Lane::Holistic { mut lane, .. } => {
                         lane.ensure(n_groups);
                         lane.into_accs()
+                    }
+                    Lane::Acc {
+                        fresh, mut accs, ..
+                    } => {
+                        accs.resize(n_groups, fresh);
+                        Box::new(accs.into_iter())
                     }
                 }
             })
@@ -985,9 +986,12 @@ pub(crate) fn rle_runs<C: Copy + PartialEq>(codes: &[C]) -> Option<usize> {
 }
 
 /// Visit the maximal equal-code runs of a block, in order, as
-/// `f(offsets, code)`.
+/// `f(offsets, code)`, stopping at the first error.
 #[inline]
-pub(crate) fn for_each_run<C: Copy + PartialEq>(codes: &[C], mut f: impl FnMut(Range<usize>, C)) {
+pub(crate) fn for_each_run<C: Copy + PartialEq>(
+    codes: &[C],
+    mut f: impl FnMut(Range<usize>, C) -> Result<()>,
+) -> Result<()> {
     let mut i = 0usize;
     while i < codes.len() {
         let code = codes[i];
@@ -995,16 +999,17 @@ pub(crate) fn for_each_run<C: Copy + PartialEq>(codes: &[C], mut f: impl FnMut(R
         while j < codes.len() && codes[j] == code {
             j += 1;
         }
-        f(i..j, code);
+        f(i..j, code)?;
         i = j;
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops::aggregate::PBits;
-    use pa_storage::Schema;
+    use pa_storage::{DataType, Schema};
 
     fn table(rows: &[(Option<&str>, Option<i64>, Option<f64>)]) -> Table {
         let schema = Schema::from_pairs(&[
@@ -1052,7 +1057,7 @@ mod tests {
     }
 
     #[test]
-    fn num_slice_agrees_with_get_f64() {
+    fn num_slice_visits_what_get_f64_reads() {
         let t = table(&[
             (Some("x"), Some(3), Some(1.5)),
             (None, None, None),
@@ -1060,16 +1065,13 @@ mod tests {
         ]);
         for c in 1..=2 {
             let col = t.column(c);
+            let mut seen = vec![None; t.num_rows()];
             let slice = NumSlice::for_column(col).unwrap();
-            for row in 0..t.num_rows() {
-                let a = slice.get_f64(row);
-                let b = col.get_f64(row);
-                assert_eq!(
-                    a.map(f64::to_bits),
-                    b.map(f64::to_bits),
-                    "col {c} row {row}"
-                );
-            }
+            slice.for_each_f64(0..t.num_rows(), |k, x| seen[k] = Some(x.to_bits()));
+            let want: Vec<_> = (0..t.num_rows())
+                .map(|row| col.get_f64(row).map(f64::to_bits))
+                .collect();
+            assert_eq!(seen, want, "col {c}");
         }
         assert!(NumSlice::for_column(t.column(0)).is_none());
     }
@@ -1093,37 +1095,41 @@ mod tests {
         let t = table(&rows);
         let kept: Vec<_> = picked.iter().map(|&k| rows[base + k as usize]).collect();
         let copy = table(&kept);
-        let lists: [&[(AggFunc, Option<usize>)]; 2] = [
-            &[
-                (AggFunc::Sum, Some(2)),
-                (AggFunc::Count, Some(2)),
-                (AggFunc::CountStar, None),
-                (AggFunc::Avg, Some(2)),
-                (AggFunc::Sum, Some(1)),
+        let spec = |func, input| AggSpec::new(func, input, "x");
+        let lists = [
+            vec![
+                spec(AggFunc::Sum, Expr::Col(2)),
+                spec(AggFunc::Count, Expr::Col(2)),
+                spec(AggFunc::CountStar, Expr::lit(1)),
+                spec(AggFunc::Avg, Expr::Col(2)),
+                spec(AggFunc::Sum, Expr::Col(1)),
             ],
-            &[(AggFunc::Percentile(PBits::new(0.5)), Some(2))],
+            vec![
+                spec(AggFunc::Percentile(PBits::new(0.5)), Expr::Col(2)),
+                // Acc lanes: evaluated at the table row each picked row is.
+                spec(AggFunc::Min, Expr::Col(1)),
+                spec(AggFunc::Sum, Expr::Col(2).add(Expr::Col(1))),
+            ],
         ];
-        let lanes_over = |t, scratch: &mut _| {
-            lists.map(|list| {
-                let src = |c| LaneSrc::for_column(Table::column(t, c)).unwrap();
-                let srcs = list.iter().map(|l| l.1.map_or(LaneSrc::CountStar, src));
-                let funcs = list.iter().map(|l| l.0).collect();
-                LaneSet::new(srcs.collect(), funcs, 1000, scratch)
-            })
-        };
+        let lanes_over =
+            |t, scratch: &mut _| lists.each_ref().map(|l| LaneSet::new(t, l, 1000, scratch));
         let mut scratch = GatherScratch::default();
         let gathered = lanes_over(&t, &mut scratch);
         assert_eq!(scratch.cols.len(), 2, "one slot per distinct column");
         scratch.gather(base, &picked);
         let copied = lanes_over(&copy, &mut GatherScratch::default());
         let idx: Vec<u32> = (0..picked.len() as u32).map(|j| j % 4).collect();
+        let st = &mut ExecStats::default();
         for (mut got, mut want) in gathered.into_iter().zip(copied) {
             // A scatter over the first half, one run over the rest.
             let half = picked.len() / 2;
-            got.scatter(0..half, &idx[..half], 4, Some(&scratch));
-            want.scatter(0..half, &idx[..half], 4, None);
-            got.accumulate_run(half..picked.len(), 2, Some(&scratch));
-            want.accumulate_run(half..picked.len(), 2, None);
+            got.scatter(0..half, &idx[..half], 4, Some(&scratch), st)
+                .unwrap();
+            want.scatter(0..half, &idx[..half], 4, None, st).unwrap();
+            let rest = half..picked.len();
+            got.accumulate_run(rest.clone(), 2, Some(&scratch), st)
+                .unwrap();
+            want.accumulate_run(rest, 2, None, st).unwrap();
             let bytes = |set: LaneSet<'_>| -> Vec<_> {
                 set.into_accs(4).iter().map(Acc::serialize).collect()
             };

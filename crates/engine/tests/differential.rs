@@ -54,6 +54,9 @@ use pa_engine::{
 use pa_storage::{Catalog, DataType, Schema, Table, Value};
 use proptest::prelude::*;
 
+#[path = "support/reference.rs"]
+mod reference;
+
 #[derive(Debug, Clone)]
 struct Row {
     g: Option<i64>,
@@ -146,20 +149,14 @@ type Variant = (String, HorizontalOptions, Tier);
 /// pair defaulting to the dense jump-table group path, which on dense
 /// inputs runs the vectorized bit-packed kernels), the hash-tier ablation
 /// of each CASE strategy (`dense_budget: 0`: the hash group path through
-/// the same pivot), the legacy O(N)-per-row CASE chain of each (jump table
-/// off), and the scalar-kernel ablation of each (`vector: false`, same
-/// dense plan). The four CASE code paths — vectorized dense pivot, scalar
-/// dense pivot, hash pivot, legacy chain — all appear, so every oracle that
-/// consumes this list is also a vectorized-vs-scalar-vs-hash-vs-legacy
-/// differential.
+/// the same pivot) and the legacy O(N)-per-row CASE chain of each (jump
+/// table off). The three CASE code paths — dense pivot, hash pivot, legacy
+/// chain — all appear, so every oracle that consumes this list is also a
+/// dense-vs-hash-vs-legacy differential.
 fn horizontal_variants() -> Vec<Variant> {
     let as_given: Tier = |base| base;
     let hash_tier: Tier = |base| ParallelConfig {
         dense_budget: 0,
-        ..base
-    };
-    let scalar_kernels: Tier = |base| ParallelConfig {
-        vector: false,
         ..base
     };
     let mut v = Vec::new();
@@ -179,7 +176,6 @@ fn horizontal_variants() -> Vec<Variant> {
         let label = strategy.label();
         v.push((format!("{label}+dispatch"), opts.clone(), hash_tier));
         v.push((format!("{label}+legacy-chain"), legacy, as_given));
-        v.push((format!("{label}+scalar-kernels"), opts, scalar_kernels));
     }
     v
 }
@@ -454,16 +450,45 @@ fn group_paths_agree_on_both_sides_of_the_dense_budget() {
     }
 }
 
-/// Vectorized vs scalar kernels on RLE-friendly input: the fact table is
-/// sorted by `(BY, GROUP BY)`, so the pivot's code stream over
-/// `GROUP BY ∪ BY` is run-dominated and takes the core's run-level fast
-/// path. The result must be
-/// byte-identical to the forced-scalar plan at every thread count, and the
-/// kernel-path counters must prove which path each plan actually ran —
-/// NULL measures included, so the validity-branch in the scatter kernels is
-/// exercised, not just the happy path.
+/// `Hpct(a BY d) … GROUP BY g` of `t` by the naive reference: each cell's
+/// sum over its group's total (a cell no row fed is 0, a zero or NULL total
+/// makes the row NULL), one column per `d` value in value order, rows
+/// sorted.
+fn reference_hpct(t: &Table) -> Vec<Vec<Value>> {
+    let sum = [AggSpec::new(AggFunc::Sum, Expr::Col(2), "s")];
+    let rows = || reference::Rows::all(t.num_rows());
+    let totals = reference::aggregate(t, &rows(), &[0], &sum, 0);
+    let cells = reference::aggregate(t, &rows(), &[0, 1], &sum, 0);
+    let combos = reference::aggregate(t, &rows(), &[1], &[], 0).sorted_by(&[0]);
+    let cell = |g: &Value, d: &Value| {
+        let at = |r: &Vec<Value>| r[0].key_eq(g) && r[1].key_eq(d);
+        cells
+            .rows()
+            .find(at)
+            .map_or(0.0, |r| r[2].as_f64().unwrap_or(0.0))
+    };
+    let hpct = totals.rows().map(|row| {
+        let total = row[1].as_f64().filter(|&x| x != 0.0);
+        let pct =
+            |d: Vec<Value>| total.map_or(Value::Null, |x| Value::Float(cell(&row[0], &d[0]) / x));
+        std::iter::once(row[0].clone())
+            .chain(combos.rows().map(pct))
+            .collect()
+    });
+    let mut hpct: Vec<Vec<Value>> = hpct.collect();
+    hpct.sort_by(|a, b| a[0].total_cmp(&b[0]));
+    hpct
+}
+
+/// The RLE path on RLE-friendly input: the fact table is sorted by
+/// `(BY, GROUP BY)`, so the pivot's code stream over `GROUP BY ∪ BY` is
+/// run-dominated and takes the core's run-level fast path. The result must
+/// be the naive reference's at every thread count, and the kernel-path
+/// counters must prove which path ran — NULL measures included, so the
+/// validity-branch in the scatter kernels is exercised, not just the
+/// happy path.
 #[test]
-fn vectorized_rle_path_matches_scalar_kernels_on_sorted_input() {
+fn the_rle_path_matches_the_reference_on_sorted_input() {
     const N: usize = 200_000; // 4 morsels: real fan-out at four threads
     let catalog = Catalog::new();
     let schema = Schema::from_pairs(&[
@@ -499,17 +524,7 @@ fn vectorized_rle_path_matches_scalar_kernels_on_sorted_input() {
         engine.horizontal(&q).unwrap()
     };
 
-    let scalar = run(ParallelConfig {
-        vector: false,
-        ..ParallelConfig::serial()
-    });
-    assert!(
-        scalar.stats.scalar_kernel_rows > 0 && scalar.stats.vectorized_kernel_rows == 0,
-        "forced-scalar plan must not touch the vectorized kernels: {:?}",
-        scalar.stats
-    );
-    let scalar = scalar.snapshot();
-
+    let want = reference_hpct(&catalog.table("f").unwrap().read());
     for threads in [1usize, 2, 4] {
         let vectorized = run(ParallelConfig::with_threads(threads));
         assert!(
@@ -527,27 +542,23 @@ fn vectorized_rle_path_matches_scalar_kernels_on_sorted_input() {
             "vectorized plan must record its pack width: {:?}",
             vectorized.stats
         );
-        if let Some(diff) = first_divergence(
-            "scalar-kernels/serial",
-            &scalar,
-            &format!("vectorized/threads={threads}"),
-            &vectorized.snapshot(),
-        ) {
-            panic!("{diff}");
-        }
+        assert_eq!(vectorized.stats.scalar_kernel_rows, 0, "one scan mode");
+        let got = sorted_rows(&vectorized.snapshot());
+        assert_eq!(got, want, "threads={threads}");
     }
 }
 
 /// Holistic lanes in the fused pivot (DESIGN.md §12): `median`,
 /// `percentile`, `approx_percentile` and `approx_count_distinct` as extra
 /// lanes beside an `Hpct` term and as the cell lanes of a horizontal term,
-/// vectorized against the forced-scalar scan — at 1, 2 and 4 workers, with
+/// against the naive reference over the same worker chunks — at 1, 2 and 4
+/// workers, with
 /// a GROUP BY and without one, on unsorted and key-sorted input (the run
 /// path), over NULL-carrying and all-NULL measures,
 /// with the percentile budget inside and crossed in mid-block. Same table,
 /// bit for bit, and the kernel-path counters prove which scan ran.
 #[test]
-fn holistic_pivot_lanes_match_the_scalar_scan() {
+fn holistic_pivot_lanes_match_the_reference() {
     use pa_core::dispatch::{pivot_aggregate_with_config, PivotTask};
     use pa_engine::{AggFunc, ExecStats, Expr, PBits, ParallelConfig, ResourceGuard};
 
@@ -561,18 +572,6 @@ fn holistic_pivot_lanes_match_the_scalar_scan() {
     ])
     .unwrap()
     .into_shared();
-    let bits = |t: &Table| -> Vec<Vec<String>> {
-        t.rows()
-            .map(|row| {
-                row.iter()
-                    .map(|v| match v {
-                        Value::Float(x) => format!("f{:016x}", x.to_bits()),
-                        other => format!("{other:?}"),
-                    })
-                    .collect()
-            })
-            .collect()
-    };
     for sorted in [false, true] {
         let mut t = Table::with_capacity(schema.clone(), N);
         let mut state = 0x0bad_5eed_1234_5678u64;
@@ -646,43 +645,30 @@ fn holistic_pivot_lanes_match_the_scalar_scan() {
                             "sorted={sorted} j_cols={j_cols:?} budget={percentile_budget} \
                              threads={threads} tasks={tasks:?} extras={extras:?}"
                         );
-                        let run = |vector: bool| {
-                            let config = ParallelConfig {
-                                threads,
-                                morsel_rows: 2_048,
-                                min_parallel_rows: 0,
-                                vector,
-                                percentile_budget,
-                                ..ParallelConfig::serial()
-                            };
-                            let mut stats = ExecStats::default();
-                            let out = pivot_aggregate_with_config(
-                                &t,
-                                &j_cols,
-                                tasks,
-                                extras,
-                                &ResourceGuard::unlimited(),
-                                &mut stats,
-                                &config,
-                            )
-                            .unwrap();
-                            (bits(&out), stats)
+                        let config = ParallelConfig {
+                            threads,
+                            morsel_rows: 2_048,
+                            min_parallel_rows: 0,
+                            percentile_budget,
+                            ..ParallelConfig::serial()
                         };
-                        let (scalar, scalar_stats) = run(false);
-                        let (fused, fused_stats) = run(true);
-                        assert_eq!(fused, scalar, "{what}");
+                        let mut fused_stats = ExecStats::default();
+                        let fused = pivot_aggregate_with_config(
+                            &t,
+                            &j_cols,
+                            tasks,
+                            extras,
+                            &ResourceGuard::unlimited(),
+                            &mut fused_stats,
+                            &config,
+                        )
+                        .unwrap();
+                        let rows = reference::Rows::all(N).chunked(config.chunks(N));
+                        let want =
+                            reference::pivot(&t, &rows, &j_cols, tasks, extras, percentile_budget);
+                        reference::assert_same(&fused, &want, &what);
                         assert_eq!(fused_stats.scalar_kernel_rows, 0, "{what}");
                         assert_eq!(fused_stats.vectorized_kernel_rows, N as u64, "{what}");
-                        assert_eq!(scalar_stats.vectorized_kernel_rows, 0, "{what}");
-                        // The per-row loop counts a row once per level: one
-                        // cell level per task, and the GROUP BY level only
-                        // when a lane of its own must be fed per row — the
-                        // holistic extras of the first plan. The whole-
-                        // number measure's total and `sum` extra fold from
-                        // the cell level through `parent`.
-                        let scans_group_by = extras.iter().any(|(f, _)| f.is_holistic());
-                        let levels = tasks.len() as u64 + u64::from(scans_group_by);
-                        assert_eq!(scalar_stats.scalar_kernel_rows, levels * N as u64, "{what}");
                         if sorted {
                             assert!(fused_stats.rle_runs > 0, "{what}: the run path");
                         }
@@ -858,16 +844,15 @@ fn untransposed_pivot(
 /// `hash_aggregate` ≡ `partial_aggregate(..).finalize()` ≡ the single
 /// full-arity level of `lattice_aggregate` ≡ `pivot_aggregate`
 /// un-transposed (the last key column as BY, and on one table every key
-/// column as BY under the empty GROUP BY), against the serial per-row loop as the
-/// reference, over `vector` on/off × threads {1,2,4} × dense budget
-/// {0, 64, default} — the tuple-hash, wide and dense tiers — on code spaces
-/// under and over 2^16 and one past the default budget (a 2000 × 2000
-/// group key), key-sorted input (the RLE path), empty input and the empty
-/// GROUP BY; and the pivot once more by a float column, where its task
-/// levels take the per-row loop and no GROUP BY level is scanned.
-/// (`partial_aggregate` takes its configuration from the environment, so it
-/// contributes one cell per table; the lattice has no empty level, and
-/// answers `vector: false` and holistic lanes like every other adapter.)
+/// column as BY under the empty GROUP BY), against the naive reference,
+/// over threads {1,2,4} × dense budget {0, 64, default} — the wide and
+/// dense tiers — on code spaces under and over 2^16 and one past the
+/// default budget (a 2000 × 2000 group key), key-sorted input (the RLE
+/// path), empty input and the empty GROUP BY; and the pivot once more by a
+/// float column, whose task levels are grouped by tuple hash and no GROUP BY
+/// level is scanned. (`partial_aggregate` takes its configuration from the
+/// environment, so it contributes one cell per table; the lattice has no
+/// empty level, and answers holistic lanes like every other adapter.)
 #[test]
 fn aggregate_partial_and_lattice_adapters_agree_across_the_kernel_matrix() {
     let guard = ResourceGuard::unlimited();
@@ -895,11 +880,8 @@ fn aggregate_partial_and_lattice_adapters_agree_across_the_kernel_matrix() {
         "med",
     ));
     holistic.push(AggSpec::new(AggFunc::ApproxCountDistinct, a.clone(), "adx"));
-    let reference = ParallelConfig {
-        vector: false,
-        ..ParallelConfig::serial()
-    };
     for (name, t) in &tables {
+        let every_row = || reference::Rows::all(t.num_rows());
         // Past the dense budget the group key is both integers, BY the
         // string: 2000 BY values would make a matrix of millions of cells.
         let key_sets = match *name {
@@ -910,118 +892,99 @@ fn aggregate_partial_and_lattice_adapters_agree_across_the_kernel_matrix() {
             for cols in key_sets.clone() {
                 let what = format!("{name} {lanes} by {cols:?}");
                 let mut st = ExecStats::default();
-                let want = canonical(
-                    &hash_aggregate_with_config(t, &cols, specs, &guard, &mut st, &reference)
-                        .unwrap(),
-                    cols.len(),
-                );
-                assert_eq!(
-                    st.vectorized_kernel_rows, 0,
-                    "{what}: the reference is scalar"
-                );
+                let budget = ParallelConfig::serial().percentile_budget;
+                let want = reference::aggregate(t, &every_row(), &cols, specs, budget);
+                let want = canonical(&want, cols.len());
                 let partial = partial_aggregate(t, &cols, specs, &mut st)
                     .unwrap()
                     .finalize(&mut st)
                     .unwrap();
                 assert_eq!(canonical(&partial, cols.len()), want, "{what}: partial");
 
-                for vector in [true, false] {
-                    for threads in [1usize, 2, 4] {
-                        for dense_budget in [0, 64, DEFAULT_DENSE_BUDGET] {
-                            let config = ParallelConfig {
-                                threads,
-                                morsel_rows: 256,
-                                min_parallel_rows: 0,
-                                dense_budget,
-                                vector,
-                                ..ParallelConfig::serial()
-                            };
-                            let cell = format!(
-                                "{what} vector={vector} threads={threads} budget={dense_budget}"
-                            );
-                            let mut st = ExecStats::default();
-                            let got = hash_aggregate_with_config(
-                                t, &cols, specs, &guard, &mut st, &config,
-                            )
-                            .unwrap();
-                            assert_eq!(canonical(&got, cols.len()), want, "{cell}: aggregate");
-                            assert_eq!(
-                                st.vectorized_kernel_rows,
-                                if vector { t.num_rows() as u64 } else { 0 },
-                                "{cell}: every tier fuses these lanes"
-                            );
+                for threads in [1usize, 2, 4] {
+                    for dense_budget in [0, 64, DEFAULT_DENSE_BUDGET] {
+                        let config = ParallelConfig {
+                            threads,
+                            morsel_rows: 256,
+                            min_parallel_rows: 0,
+                            dense_budget,
+                            ..ParallelConfig::serial()
+                        };
+                        let cell = format!("{what} threads={threads} budget={dense_budget}");
+                        let mut st = ExecStats::default();
+                        let got =
+                            hash_aggregate_with_config(t, &cols, specs, &guard, &mut st, &config)
+                                .unwrap();
+                        assert_eq!(canonical(&got, cols.len()), want, "{cell}: aggregate");
+                        assert_eq!(
+                            (st.vectorized_kernel_rows, st.scalar_kernel_rows),
+                            (t.num_rows() as u64, 0),
+                            "{cell}: one block loop"
+                        );
 
-                            // The last key column as BY (but for the
-                            // 300 × 300 cells of the large tables); on the
-                            // small one every key column too, under the
-                            // empty GROUP BY.
-                            let n = t.num_rows() as u64;
-                            let splits = match (*name, cols.len()) {
-                                ("small", len) => vec![len.saturating_sub(1), 0],
-                                ("large" | "large sorted", 2) if cols[1] == 1 => vec![],
-                                (_, len) => vec![len.saturating_sub(1)],
-                            };
-                            for k in splits {
-                                let mut st = ExecStats::default();
-                                let got = untransposed_pivot(t, &cols, k, specs, &config, &mut st);
-                                assert_eq!(got, want, "{cell}: pivot GROUP BY {:?}", &cols[..k]);
-                                assert_eq!(
-                                    (st.vectorized_kernel_rows, st.scalar_kernel_rows > 0),
-                                    if vector { (n, false) } else { (0, n > 0) },
-                                    "{cell}: one stream for the pivot's levels"
-                                );
-                            }
-                            // The pivot by the float measure: its two
-                            // task levels take the per-row loop, and the
-                            // GROUP BY level — no total, no extra, so no
-                            // lane of its own — is not scanned at all: its
-                            // rows are the cell level's `parent`.
-                            if *name == "small" && cols == [0, 1] {
-                                let mut st = ExecStats::default();
-                                let by_float = hash_aggregate_with_config(
-                                    t,
-                                    &[0, 3],
-                                    specs,
-                                    &guard,
-                                    &mut st,
-                                    &reference,
-                                );
-                                let by_float = canonical(&by_float.unwrap(), 2);
-                                let mut st = ExecStats::default();
-                                let got =
-                                    untransposed_pivot(t, &[0, 3], 1, specs, &config, &mut st);
-                                assert_eq!(got, by_float, "{cell}: pivot BY a float");
-                                assert_eq!(
-                                    (st.vectorized_kernel_rows, st.scalar_kernel_rows),
-                                    (0, 2 * n),
-                                    "{cell}: the two cell levels, keyed by the float, and nothing else"
-                                );
-                            }
-
-                            if cols.is_empty() {
-                                continue; // the lattice has no empty level
-                            }
-                            let every_dim: Vec<usize> = (0..cols.len()).collect();
+                        // The last key column as BY (but for the
+                        // 300 × 300 cells of the large tables); on the
+                        // small one every key column too, under the
+                        // empty GROUP BY.
+                        let n = t.num_rows() as u64;
+                        let splits = match (*name, cols.len()) {
+                            ("small", len) => vec![len.saturating_sub(1), 0],
+                            ("large" | "large sorted", 2) if cols[1] == 1 => vec![],
+                            (_, len) => vec![len.saturating_sub(1)],
+                        };
+                        for k in splits {
                             let mut st = ExecStats::default();
-                            let mut lattice = lattice_aggregate_with_config(
-                                t,
-                                &cols,
-                                specs,
-                                &[every_dim],
-                                &guard,
-                                &mut st,
-                                &config,
-                            )
-                            .unwrap();
-                            let level = lattice.pop().unwrap();
-                            assert_eq!(lattice.len(), 0, "{cell}: one level in, one out");
-                            assert_eq!(canonical(&level, cols.len()), want, "{cell}: lattice");
+                            let got = untransposed_pivot(t, &cols, k, specs, &config, &mut st);
+                            assert_eq!(got, want, "{cell}: pivot GROUP BY {:?}", &cols[..k]);
                             assert_eq!(
                                 (st.vectorized_kernel_rows, st.scalar_kernel_rows),
-                                if vector { (n, 0) } else { (0, n) },
-                                "{cell}: the lattice's loop follows `vector`, holistic or not"
+                                (n, 0),
+                                "{cell}: one stream for the pivot's levels"
                             );
                         }
+                        // The pivot by the float measure: its two
+                        // task levels are streams of their own, grouped
+                        // by tuple hash, and the GROUP BY level — no
+                        // total, no extra, so no lane of its own — is
+                        // not scanned at all: its rows are the cell
+                        // level's `parent`.
+                        if *name == "small" && cols == [0, 1] {
+                            let by_float =
+                                reference::aggregate(t, &every_row(), &[0, 3], specs, budget);
+                            let by_float = canonical(&by_float, 2);
+                            let mut st = ExecStats::default();
+                            let got = untransposed_pivot(t, &[0, 3], 1, specs, &config, &mut st);
+                            assert_eq!(got, by_float, "{cell}: pivot BY a float");
+                            assert_eq!(
+                                (st.vectorized_kernel_rows, st.scalar_kernel_rows),
+                                (2 * n, 0),
+                                "{cell}: the two cell levels, keyed by the float, and nothing else"
+                            );
+                        }
+
+                        if cols.is_empty() {
+                            continue; // the lattice has no empty level
+                        }
+                        let every_dim: Vec<usize> = (0..cols.len()).collect();
+                        let mut st = ExecStats::default();
+                        let mut lattice = lattice_aggregate_with_config(
+                            t,
+                            &cols,
+                            specs,
+                            &[every_dim],
+                            &guard,
+                            &mut st,
+                            &config,
+                        )
+                        .unwrap();
+                        let level = lattice.pop().unwrap();
+                        assert_eq!(lattice.len(), 0, "{cell}: one level in, one out");
+                        assert_eq!(canonical(&level, cols.len()), want, "{cell}: lattice");
+                        assert_eq!(
+                            (st.vectorized_kernel_rows, st.scalar_kernel_rows),
+                            (n, 0),
+                            "{cell}: the lattice's one stream, holistic or not"
+                        );
                     }
                 }
             }
@@ -1029,10 +992,10 @@ fn aggregate_partial_and_lattice_adapters_agree_across_the_kernel_matrix() {
     }
 }
 
-/// One synchronized scan whose levels take different loops: a fused level
-/// beside a generic (`min`) one must each equal their own solo scalar run.
+/// One synchronized scan whose levels carry typed lanes and an `Acc`
+/// (`min`) lane: each must equal the naive reference of its own level.
 #[test]
-fn a_multi_level_scan_mixes_fused_and_generic_levels() {
+fn a_multi_level_scan_mixes_typed_and_acc_levels() {
     let guard = ResourceGuard::unlimited();
     let t = adapter_table(3_000, 5, 14);
     let a = Expr::Col(3);
@@ -1044,10 +1007,6 @@ fn a_multi_level_scan_mixes_fused_and_generic_levels() {
         (vec![0], vec![AggSpec::new(AggFunc::Min, a.clone(), "lo")]),
         (vec![], vec![AggSpec::new(AggFunc::Avg, a.clone(), "m")]),
     ];
-    let reference = ParallelConfig {
-        vector: false,
-        ..ParallelConfig::serial()
-    };
     for threads in [1usize, 2, 4] {
         let config = ParallelConfig {
             threads,
@@ -1060,19 +1019,12 @@ fn a_multi_level_scan_mixes_fused_and_generic_levels() {
         assert_eq!(st.rows_scanned, t.num_rows() as u64, "one scan");
         assert_eq!(
             (st.vectorized_kernel_rows, st.scalar_kernel_rows),
-            (2 * t.num_rows() as u64, t.num_rows() as u64),
-            "threads={threads}: two fused levels, one generic"
+            (3 * t.num_rows() as u64, 0),
+            "threads={threads}: three streams, one block loop"
         );
         for (out, (cols, specs)) in got.iter().zip(&levels) {
-            let solo = hash_aggregate_with_config(
-                &t,
-                cols,
-                specs,
-                &guard,
-                &mut ExecStats::default(),
-                &reference,
-            )
-            .unwrap();
+            let rows = reference::Rows::all(t.num_rows());
+            let solo = reference::aggregate(&t, &rows, cols, specs, config.percentile_budget);
             assert_eq!(
                 canonical(out, cols.len()),
                 canonical(&solo, cols.len()),
@@ -1104,17 +1056,6 @@ fn key_domain_table(keys: &[Option<i64>]) -> Table {
     t
 }
 
-/// The per-row loop through the tuple hash: `dense_budget: 0` keeps it off
-/// every key space, so it reads no column statistics at all — the one
-/// evaluation a stale or wrong domain cannot reach.
-fn statistics_free_reference() -> ParallelConfig {
-    ParallelConfig {
-        vector: false,
-        dense_budget: 0,
-        ..ParallelConfig::serial()
-    }
-}
-
 fn key_domain_specs() -> Vec<AggSpec> {
     vec![
         AggSpec::new(AggFunc::Sum, Expr::Col(2), "sum"),
@@ -1122,40 +1063,36 @@ fn key_domain_specs() -> Vec<AggSpec> {
     ]
 }
 
-/// `hash_aggregate` of `t` by `cols` at vector on/off × threads {1,2,4} ×
-/// both sides of the dense budget against [`statistics_free_reference`],
-/// byte for byte. Returns the stats of the serial fused dense-budget run.
+/// `hash_aggregate` of `t` by `cols` at threads {1,2,4} × both sides of the
+/// dense budget against the naive reference — which reads no column
+/// statistics at all, the one evaluation a stale or wrong domain cannot
+/// reach — byte for byte. Returns the stats of the serial dense-budget run.
 fn assert_key_domain_cells(t: &Table, cols: &[usize], what: &str) -> ExecStats {
     let guard = ResourceGuard::unlimited();
     let specs = key_domain_specs();
-    let mut st = ExecStats::default();
-    let reference = statistics_free_reference();
-    let want = hash_aggregate_with_config(t, cols, &specs, &guard, &mut st, &reference).unwrap();
-    assert_eq!(st.dense_group_ops, 0, "{what}: the reference hashes tuples");
+    let rows = reference::Rows::all(t.num_rows());
+    let want = reference::aggregate(t, &rows, cols, &specs, 0);
     let want = canonical(&want, cols.len());
     let mut fused = ExecStats::default();
-    for vector in [true, false] {
-        for threads in [1usize, 2, 4] {
-            for dense_budget in [0, DEFAULT_DENSE_BUDGET] {
-                let config = ParallelConfig {
-                    threads,
-                    morsel_rows: 256,
-                    min_parallel_rows: 0,
-                    dense_budget,
-                    vector,
-                    ..ParallelConfig::serial()
-                };
-                let mut st = ExecStats::default();
-                let got =
-                    hash_aggregate_with_config(t, cols, &specs, &guard, &mut st, &config).unwrap();
-                assert_eq!(
-                    canonical(&got, cols.len()),
-                    want,
-                    "{what} by {cols:?} vector={vector} threads={threads} budget={dense_budget}"
-                );
-                if vector && threads == 1 && dense_budget > 0 {
-                    fused = st;
-                }
+    for threads in [1usize, 2, 4] {
+        for dense_budget in [0, DEFAULT_DENSE_BUDGET] {
+            let config = ParallelConfig {
+                threads,
+                morsel_rows: 256,
+                min_parallel_rows: 0,
+                dense_budget,
+                ..ParallelConfig::serial()
+            };
+            let mut st = ExecStats::default();
+            let got =
+                hash_aggregate_with_config(t, cols, &specs, &guard, &mut st, &config).unwrap();
+            assert_eq!(
+                canonical(&got, cols.len()),
+                want,
+                "{what} by {cols:?} threads={threads} budget={dense_budget}"
+            );
+            if threads == 1 && dense_budget > 0 {
+                fused = st;
             }
         }
     }
@@ -1164,11 +1101,11 @@ fn assert_key_domain_cells(t: &Table, cols: &[usize], what: &str) -> ExecStats {
 
 /// Oracle 5: a key's domain is read from the column's statistics — range,
 /// slot vector — so every shape of integer domain must group exactly as
-/// the statistics-free per-row loop does: NULLs and negatives, an all-NULL
+/// the statistics-free naive reference does: NULLs and negatives, an all-NULL
 /// key, spans on both sides of each storage lane (254 | 255: `u8` → `u16`;
 /// 65 534 | 65 535: `u16` → no slot vector, the `i64` + validity reader),
 /// and a span that overflows `i64` (`checked_sub` → no code space at all,
-/// the per-row tuple hash). The pack width says which reader ran.
+/// the tuple hash). The pack width says which reader ran.
 #[test]
 fn int_key_domains_agree_on_every_lane_and_tier() {
     const N: usize = 1_500;
@@ -1189,7 +1126,7 @@ fn int_key_domains_agree_on_every_lane_and_tier() {
             })
             .collect()
     };
-    // (name, keys, pack width of `k` alone; `None`: no vectorized reader)
+    // (name, keys, pack width of `k` alone; `None`: no code space)
     let domains = vec![
         ("nulls and negatives", spread(-7, 12), Some(4u64)),
         ("all NULL", vec![None; N], Some(0)),
@@ -1223,9 +1160,13 @@ fn int_key_domains_agree_on_every_lane_and_tier() {
                 );
             }
             None => assert_eq!(
-                (solo.vectorized_kernel_rows, solo.scalar_kernel_rows),
-                (0, N as u64),
-                "{name}: no code space, the per-row loop"
+                (
+                    solo.vectorized_kernel_rows,
+                    solo.scalar_kernel_rows,
+                    solo.pack_width
+                ),
+                (N as u64, 0, 0),
+                "{name}: no code space, the tuple hash in the same loop"
             ),
         }
         // Beside a second key, in both orders of significance.
@@ -1467,7 +1408,7 @@ fn verbatim(t: &Table) -> (Vec<String>, Vec<Vec<Value>>) {
 /// Oracle 6: `WHERE` as a selection inside the scans against `WHERE` as a
 /// copy made beforehand, byte for byte — result column names and row order
 /// included — for every statement family × predicate × threads {1, 2, 4} ×
-/// vector on / off × dense budget 0 / default. Morsels of 1000 rows make
+/// dense budget 0 / default. Morsels of 1000 rows make
 /// real workers on small tables and put every chunk boundary off a word
 /// boundary; table sizes sit either side of a word and of a block.
 #[test]
@@ -1490,25 +1431,19 @@ fn where_is_the_same_selection_inside_the_scan_as_a_copy_before_it() {
         VpctStrategy::synchronized(),
         VpctStrategy::with_update(),
     ];
-    let kernels = [
-        (true, DEFAULT_DENSE_BUDGET),
-        (true, 0),
-        (false, DEFAULT_DENSE_BUDGET),
-        (false, 0),
-    ];
-    for (threads, (vector, dense_budget)) in [1usize, 2, 4]
+    let budgets = [DEFAULT_DENSE_BUDGET, 0];
+    for (threads, dense_budget) in [1usize, 2, 4]
         .into_iter()
-        .flat_map(|t| kernels.map(|k| (t, k)))
+        .flat_map(|t| budgets.map(|b| (t, b)))
     {
         let base = ParallelConfig {
             threads,
             morsel_rows: 1000,
             min_parallel_rows: 1,
             dense_budget,
-            vector,
             ..ParallelConfig::serial()
         };
-        let knobs = format!("threads={threads} vector={vector} dense={dense_budget}");
+        let knobs = format!("threads={threads} dense={dense_budget}");
         for (shape, table, full) in &tables {
             // The boundary sizes: two predicates, one statement a family,
             // the four strategies.
@@ -1536,7 +1471,8 @@ fn where_is_the_same_selection_inside_the_scan_as_a_copy_before_it() {
                             .iter()
                             .map(|v| (format!("{v:?}"), Some((v, any_horizontal)), *as_given))
                             .collect(),
-                        Planned::EveryHorizontal => horizontal[..if *full { 10 } else { 4 }]
+                        Planned::EveryHorizontal => horizontal
+                            [..if *full { horizontal.len() } else { 4 }]
                             .iter()
                             .map(|(name, h, tier)| (name.clone(), Some((&vertical[0], h)), *tier))
                             .collect(),

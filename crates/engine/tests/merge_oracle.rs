@@ -33,6 +33,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+#[path = "support/reference.rs"]
+mod reference;
+
 // ---------------------------------------------------------------------
 // Harness
 // ---------------------------------------------------------------------
@@ -253,16 +256,12 @@ fn shard_merge_matches_parallel_hash_aggregate_at_1_2_4_threads() {
                 .iter()
                 .position(|(f, ..)| !order_insensitive(*f))
                 .expect("the list has a t-digest lane");
-        for (vector, threads) in [true, false]
-            .into_iter()
-            .flat_map(|v| [1usize, 2, 4].map(|t| (v, t)))
-        {
-            let what = format!("vector={vector} threads={threads} lanes={}", funcs.len());
+        for threads in [1usize, 2, 4] {
+            let what = format!("threads={threads} lanes={}", funcs.len());
             let config = ParallelConfig {
                 threads,
                 morsel_rows: 64,
                 min_parallel_rows: 0,
-                vector,
                 ..ParallelConfig::serial()
             };
             let mut engine_stats = ExecStats::default();
@@ -275,9 +274,7 @@ fn shard_merge_matches_parallel_hash_aggregate_at_1_2_4_threads() {
                 &config,
             )
             .unwrap();
-            if !vector {
-                assert_eq!(engine_stats.vectorized_kernel_rows, 0, "{what}");
-            }
+            assert_eq!(engine_stats.scalar_kernel_rows, 0, "{what}");
             let want = sorted_rows(&engine_out, group_cols.len());
             let got = rows_of(&sharded);
             assert_eq!(got.len(), want.len(), "{what} group count");
@@ -429,14 +426,15 @@ fn exact_rows(t: &Table) -> Vec<Vec<String>> {
 }
 
 /// Every holistic function over a numeric column, alone and beside
-/// `sum`/`count(*)`: the fused lanes and the scalar loop return the same
-/// table and the same `sketch_spills` — at 1, 2 and 4 workers, on the dense
+/// `sum`/`count(*)`: the fused lanes and the naive reference over the same
+/// worker chunks return the same table and the same `sketch_spills` — at
+/// 1, 2 and 4 workers, on the dense
 /// and the wide tier and with an empty GROUP BY, on unsorted (scatter) and
 /// key-sorted (RLE) input, over NULL-carrying, all-NULL and past-2^53
 /// integer measures, with groups inside the percentile budget and crossing
 /// it in mid-block.
 #[test]
-fn holistic_lanes_match_the_scalar_loop_across_the_kernel_matrix() {
+fn holistic_lanes_match_the_reference_across_the_kernel_matrix() {
     const N: usize = 9_000;
     let holistic = [
         (AggFunc::Percentile(PBits::new(0.5)), "a"),
@@ -476,38 +474,41 @@ fn holistic_lanes_match_the_scalar_loop_across_the_kernel_matrix() {
                              dense_budget={dense_budget} percentile_budget={percentile_budget} \
                              threads={threads}"
                         );
-                        let run = |vector: bool| {
-                            let config = ParallelConfig {
-                                threads,
-                                morsel_rows: 2_048,
-                                min_parallel_rows: 0,
-                                dense_budget,
-                                vector,
-                                percentile_budget,
-                            };
-                            let mut stats = ExecStats::default();
-                            let out = hash_aggregate_with_config(
-                                &t,
-                                &group_cols,
-                                &specs,
-                                &ResourceGuard::unlimited(),
-                                &mut stats,
-                                &config,
-                            )
-                            .unwrap();
-                            (exact_rows(&out), stats)
+                        let config = ParallelConfig {
+                            threads,
+                            morsel_rows: 2_048,
+                            min_parallel_rows: 0,
+                            dense_budget,
+                            percentile_budget,
                         };
-                        let (scalar, scalar_stats) = run(false);
-                        let (fused, fused_stats) = run(true);
-                        assert_eq!(fused, scalar, "{what}");
-                        assert_eq!(
-                            fused_stats.sketch_spills, scalar_stats.sketch_spills,
-                            "{what}"
+                        let mut fused_stats = ExecStats::default();
+                        let fused = hash_aggregate_with_config(
+                            &t,
+                            &group_cols,
+                            &specs,
+                            &ResourceGuard::unlimited(),
+                            &mut fused_stats,
+                            &config,
+                        )
+                        .unwrap();
+                        let fused = exact_rows(&fused);
+                        // The naive reference over the same worker chunks.
+                        let rows = || reference::Rows::all(N).chunked(config.chunks(N));
+                        let want = reference::aggregate(
+                            &t,
+                            &rows(),
+                            &group_cols,
+                            &specs,
+                            percentile_budget,
                         );
+                        assert_eq!(fused, exact_rows(&want), "{what}");
+                        let (_, accs) =
+                            reference::groups(&t, &rows(), &group_cols, &specs, percentile_budget);
+                        let spills = accs.iter().flatten().filter(|acc| acc.spilled()).count();
+                        assert_eq!(fused_stats.sketch_spills, spills as u64, "{what}");
                         spills_seen += fused_stats.sketch_spills;
                         assert_eq!(fused_stats.scalar_kernel_rows, 0, "{what}");
                         assert_eq!(fused_stats.vectorized_kernel_rows, N as u64, "{what}");
-                        assert_eq!(scalar_stats.vectorized_kernel_rows, 0, "{what}");
                         if sorted && !group_cols.is_empty() {
                             assert!(fused_stats.rle_runs > 0, "{what}: run path");
                         }

@@ -2,13 +2,16 @@
 //! reference implementation over the same random input.
 
 use pa_engine::{
-    aggregate, aggregate_level, distinct, divide, filter, hash_aggregate, lookup, pivot_aggregate,
-    sort, window_aggregate, AggFunc, AggSpec, CmpOp, EngineError, ExecStats, Expr, ParallelConfig,
+    aggregate, distinct, divide, filter, hash_aggregate, lookup, pivot_aggregate, sort,
+    window_aggregate, AggFunc, AggSpec, CmpOp, EngineError, ExecStats, Expr, ParallelConfig,
     PivotTask, ResourceGuard, Selected, Selection, SystemClock, Tracer, DEFAULT_DENSE_BUDGET,
 };
 use pa_storage::{Column, DataType, HashIndex, Schema, StorageError, Table, Value, NONE};
 use proptest::prelude::*;
 use std::borrow::Cow;
+
+#[path = "support/reference.rs"]
+mod reference;
 use std::collections::{BTreeMap, HashMap};
 
 #[derive(Debug, Clone)]
@@ -414,16 +417,7 @@ proptest! {
             morsel_rows: 256,
             min_parallel_rows: 0,
             dense_budget: [0, 64, DEFAULT_DENSE_BUDGET][draw.below(3)],
-            vector: draw.below(2) == 0,
             ..ParallelConfig::serial()
-        };
-        // The reference reads nothing the fused path does — the per-row
-        // loop over a tuple hash — in the same worker chunks, so a
-        // fractional sum is merged from the same partial sums.
-        let reference = ParallelConfig {
-            vector: false,
-            dense_budget: 0,
-            ..config
         };
         let guard = ResourceGuard::unlimited();
         let mut stats = ExecStats::default();
@@ -433,11 +427,22 @@ proptest! {
             Box::new(Expr::lit(draw.below(6) as i64)),
         );
         let selection = (draw.below(2) == 0)
-            .then(|| Selection::compile((&t).into(), &at_least, &guard, &mut stats, &reference).unwrap());
+            .then(|| Selection::compile((&t).into(), &at_least, &guard, &mut stats, &config).unwrap());
         let input = match &selection {
             Some(selection) => Selected::from(&t).with(selection),
             None => (&t).into(),
         };
+        // The reference reads nothing the scan core does — the naive
+        // reference — in the same worker chunks, so a fractional sum is
+        // merged from the same partial sums.
+        let rows = || {
+            let rows = reference::Rows::all(n).chunked(config.chunks(n));
+            match &selection {
+                Some(_) => rows.where_true(&t, &at_least),
+                None => rows,
+            }
+        };
+        let budget = config.percentile_budget;
         let specs = |lanes: &[(AggFunc, Expr)]| -> Vec<AggSpec> {
             let named = lanes.iter().enumerate();
             named.map(|(i, (func, input))| AggSpec::new(*func, input.clone(), format!("x{i}"))).collect()
@@ -462,8 +467,7 @@ proptest! {
                 (0..1 + draw.below(3)).map(|_| draw.one_of(&lanes)).collect();
             let total = draw.one_of(&[None, Some(m.clone()), Some(mi.clone())]);
             let key: Vec<usize> = j_cols.iter().chain(&by_cols).copied().collect();
-            let level =
-                aggregate_level(input, &key, &specs(&task_lanes), &guard, &mut stats, &reference).unwrap();
+            let level = reference::aggregate(&t, &rows(), &key, &specs(&task_lanes), budget);
             let mut combos: Vec<Vec<Value>> = Vec::new();
             for row in level.rows() {
                 let combo = row[j_cols.len()..key.len()].to_vec();
@@ -490,7 +494,7 @@ proptest! {
         let mut coarse_lanes: Vec<(AggFunc, Expr)> = totals.chain(extras.iter().cloned()).collect();
         coarse_lanes.push((AggFunc::CountStar, Expr::lit(1)));
         let coarse_specs = specs(&coarse_lanes);
-        let coarse = aggregate_level(input, &j_cols, &coarse_specs, &guard, &mut stats, &reference).unwrap();
+        let coarse = reference::aggregate(&t, &rows(), &j_cols, &coarse_specs, budget);
 
         let mut want: Vec<Vec<Value>> = coarse.rows().map(|row| row[..j_cols.len()].to_vec()).collect();
         let mut next_total = j_cols.len();

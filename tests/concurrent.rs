@@ -7,7 +7,11 @@
 //! proceed in parallel, and every thread must see exactly the same answers
 //! as a serial run.
 
+use pa_engine::{AggSpec, Expr};
 use percentage_aggregations::prelude::*;
+
+#[path = "../crates/engine/tests/support/reference.rs"]
+mod reference;
 
 fn sales_catalog() -> Catalog {
     let catalog = Catalog::new();
@@ -149,12 +153,38 @@ fn update_strategy_is_isolated_per_engine_temps() {
     assert!(any_large, "fact table still holds raw amounts");
 }
 
+/// `Vpct(m BY d) … GROUP BY g, d` of `t` by the naive reference: each
+/// group's sum over its `g` total (NULL for a NULL sum or a zero or NULL
+/// total), rows sorted by key.
+fn reference_vpct(t: &Table, g: usize, d: usize, m: usize) -> Vec<Vec<Value>> {
+    let sum = [AggSpec::new(AggFunc::Sum, Expr::Col(m), "s")];
+    let rows = || reference::Rows::all(t.num_rows());
+    let totals = reference::aggregate(t, &rows(), &[g], &sum, 0);
+    let total = |key: &Value| {
+        let row = totals.rows().find(|row| row[0].key_eq(key));
+        row.and_then(|row| row[1].as_f64()).filter(|&x| x != 0.0)
+    };
+    let fine = reference::aggregate(t, &rows(), &[g, d], &sum, 0);
+    let mut want: Vec<Vec<Value>> = fine
+        .rows()
+        .map(|row| {
+            let pct = match (row[2].as_f64(), total(&row[0])) {
+                (Some(x), Some(total)) => Value::Float(x / total),
+                _ => Value::Null,
+            };
+            vec![row[0].clone(), row[1].clone(), pct]
+        })
+        .collect();
+    want.sort_by(|a, b| a[0].total_cmp(&b[0]).then(a[1].total_cmp(&b[1])));
+    want
+}
+
 /// A statement's scan configuration is a value its engine was handed, not
 /// process state: two engines over one catalog — one serial on the default
-/// tiers, one at four threads on the scalar kernels and the hash tier — run
-/// the same statements at the same moment, each on its own kernels, to the
-/// same bytes. (Whole-cent amounts: their sums are exact under any
-/// chunking.)
+/// tiers, one at four threads on the hash tier — run the same statements
+/// at the same moment, each on its own tier, to the same bytes, the naive
+/// reference's for the flat `Vpct`. (Whole-cent amounts: their sums are
+/// exact under any chunking.)
 #[test]
 fn engines_handed_different_configurations_run_side_by_side() {
     let mut sales = pa_workload::sales_table(&SalesConfig {
@@ -182,7 +212,6 @@ fn engines_handed_different_configurations_run_side_by_side() {
             threads: 4,
             morsel_rows: 4096,
             min_parallel_rows: 1,
-            vector: false,
             dense_budget: 0,
             ..ParallelConfig::with_threads(1)
         },
@@ -200,14 +229,19 @@ fn engines_handed_different_configurations_run_side_by_side() {
         }
         (answers, stats)
     };
-    let [(serial, serial_stats), (scalar, scalar_stats)] = std::thread::scope(|scope| {
+    let [(serial, serial_stats), (hashed, hashed_stats)] = std::thread::scope(|scope| {
         configs
             .map(|config| scope.spawn(move || run(config)))
             .map(|handle| handle.join().unwrap())
     });
-    assert_eq!(serial, scalar);
+    assert_eq!(serial, hashed);
+    let t = catalog.table("sales").unwrap().read().clone();
+    let col = |name| t.schema().index_of(name).unwrap();
+    let want = reference_vpct(&t, col("state"), col("dweek"), amt);
+    assert_eq!(serial[0], want, "the flat Vpct is the naive reference's");
     assert!(serial_stats.dense_group_ops > 0, "{serial_stats}");
     assert_eq!(serial_stats.scalar_kernel_rows, 0, "{serial_stats}");
-    assert!(scalar_stats.scalar_kernel_rows > 0, "{scalar_stats}");
-    assert_eq!(scalar_stats.dense_group_ops, 0, "{scalar_stats}");
+    assert!(hashed_stats.hash_group_ops > 0, "{hashed_stats}");
+    assert_eq!(hashed_stats.dense_group_ops, 0, "{hashed_stats}");
+    assert_eq!(hashed_stats.scalar_kernel_rows, 0, "{hashed_stats}");
 }
