@@ -213,9 +213,12 @@ if grep -rnE 'ParallelMode|hash_dispatch|scalar_kernels' crates/*/src |
   exit 1
 fi
 
-# For the log: the two sizes the pruning items (ROADMAP item 7) are judged
-# by. The second was 4 268 with combos.rs and lattice_kernel.rs in it.
+# For the log: the sizes the pruning items (ROADMAP items 2 and 7) are
+# judged by. The level-cache figure was 4 268 with combos.rs and
+# lattice_kernel.rs in it; the test figure was 14 411 before the oracle
+# suites shared the kit.
 echo "workspace pub fn: $(grep -rn 'pub fn' crates/*/src src | wc -l)"
+echo "integration-test lines: $(find tests crates/*/tests testkit/src -name '*.rs' -exec cat {} + | wc -l)"
 budget=0
 for f in crates/storage/src/lattice.rs crates/storage/src/catalog.rs \
   crates/engine/src/ops/aggregate.rs crates/engine/src/ops/partial.rs \
@@ -329,10 +332,16 @@ PA_THREADS=4 cargo test -q -p pa-engine --test merge_oracle --test sketch_accura
 PA_THREADS=1 cargo test -q -p pa-core --test shard_oracle_sql
 PA_THREADS=4 cargo test -q -p pa-core --test shard_oracle_sql
 
-echo "==> oracle gates: differential, golden, parser fuzz"
+echo "==> oracle gates: the reference grid, differential, golden, parser fuzz"
 # Covered by the workspace run above, but named here so a divergence fails
-# as its own step with the harness's actionable message (strategy pair +
-# first divergent row, unified snapshot diff, or the panicking fuzz seed).
+# as its own step with the harness's actionable message (plan, thread
+# count, budget and statement + first divergent row, unified snapshot diff,
+# or the panicking fuzz seed). `oracle_grid` holds every plan to the
+# testkit's reference (DESIGN.md §5); it replaced prop_parallel_pivot,
+# post_projection and differential's strategy-pair oracles.
+# strategy_equivalence and prop_invariants stay, on the kit's comparator.
+cargo test -q --test oracle_grid
+cargo test -q -p pa-testkit
 cargo test -q -p pa-engine --test differential
 cargo test -q --test golden
 cargo test -q -p pa-sql --test fuzz_corpus
@@ -347,12 +356,15 @@ echo "==> determinism leg: the suites that used to serialize on process state, f
 # includes `the_assembled_result_matches_the_per_set_plan_at_every_seam`:
 # the warm lattice assembler's sized columns, copied keys, NULL runs and
 # in-place percentages against the per-set plan, bit for bit, at threads 1
-# and 4, cold and warm.
+# and 4, cold and warm. `oracle_grid` runs in place of the deleted
+# `prop_parallel_pivot`: every plan at threads 1, 2 and 4 against the one
+# reference.
 i=0
 while [ "$i" -lt 5 ]; do
   env -u PA_THREADS cargo test -q -p pa-engine --test differential --test fault_containment
   env -u PA_THREADS cargo test -q -p pa-core \
-    --test lattice_oracle --test fault_isolation --test prop_parallel_pivot
+    --test lattice_oracle --test fault_isolation
+  env -u PA_THREADS cargo test -q --test oracle_grid
   env -u PA_THREADS cargo test -q -p pa-service --test service --test chaos
   i=$((i + 1))
 done

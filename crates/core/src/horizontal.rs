@@ -603,6 +603,11 @@ fn case_raw(
             specs.push(AggSpec::new(*func, input.clone(), format!("__x{e}_{l}")));
         }
     }
+    if specs.is_empty() {
+        // No row fed a combination and nothing else is computed: the raw
+        // table is the groups alone.
+        return Ok(distinct(src, j_cols, guard, stats, par)?);
+    }
     Ok(aggregate_level(src, j_cols, &specs, guard, stats, par)?)
 }
 

@@ -11,7 +11,7 @@
 //!   deterministic worker-order merge;
 //! * `dense_budget` high/1 — dense radix jump tables vs shift-packed
 //!   wide codes with mask-and-shift projection;
-//! * the naive reference (`crates/engine/tests/support/reference.rs`) —
+//! * the naive reference (`pa_testkit::reference`) —
 //!   each level grouped through a tuple map, one `Acc::update` per row;
 //! * lanes — the term sums alone, distributive extras, and the holistic
 //!   extras (median, percentiles, approximate count-distinct) that ride
@@ -38,14 +38,13 @@ use pa_core::{
     VpctStrategy, VpctTerm,
 };
 use pa_engine::{
-    lattice_aggregate_with_config, multi_hash_aggregate_with_config, AggFunc, AggSpec, ExecStats,
-    Expr, ParallelConfig, ResourceGuard,
+    lattice_aggregate_with_config, AggFunc, AggSpec, ExecStats, Expr, ParallelConfig, ResourceGuard,
 };
 use pa_storage::{Catalog, DataType, Schema, Table, Value};
 use proptest::prelude::*;
 
-#[path = "../../engine/tests/support/reference.rs"]
-mod reference;
+use pa_testkit::compare::{canonical, cells};
+use pa_testkit::{answer, assert_same_rows, gen, reference, Draw, Stmt};
 
 /// `threads` workers over morsels small enough that these tables really
 /// split.
@@ -98,36 +97,21 @@ fn fact_catalog() -> Catalog {
     catalog
 }
 
-/// A three-term query spanning the lattice: totals at (state), (state,
-/// city), and the grand total, all over GROUP BY (state, city, dweek).
-fn lattice_query() -> VpctQuery {
-    VpctQuery {
-        table: "sales".into(),
-        group_by: vec!["state".into(), "city".into(), "dweek".into()],
-        terms: vec![
-            VpctTerm::new("salesAmt", &["city", "dweek"]),
-            VpctTerm::new("salesAmt", &["dweek"]),
-            VpctTerm::new("salesAmt", &["state", "city", "dweek"]),
-        ],
-        extra: Vec::new(),
-    }
-}
-
-fn sorted_rows(t: &Table, key_cols: usize) -> Vec<Vec<Value>> {
-    let cols: Vec<usize> = (0..key_cols).collect();
-    t.sorted_by(&cols).rows().collect()
+/// A three-term statement spanning the lattice: totals at (state),
+/// (state, city), and the grand total, all over GROUP BY (state, city,
+/// dweek).
+fn lattice_stmt() -> Stmt {
+    let by: [&[&str]; 3] = [&["city", "dweek"], &["dweek"], &["state", "city", "dweek"]];
+    (by.iter().enumerate()).fold(
+        Stmt::new("sales", &["state", "city", "dweek"]),
+        |stmt, (t, by)| stmt.vpct("salesAmt", by, &format!("p{t}")),
+    )
 }
 
 #[test]
-fn fused_lattice_matches_per_level_reference() {
-    let q = lattice_query();
-    // The reference runs serial on its own catalog once.
-    let reference = {
-        let catalog = fact_catalog();
-        let serial = PercentageEngine::new(&catalog).with_config(ParallelConfig::serial());
-        let flat = serial.vpct_with(&q, &VpctStrategy::best()).unwrap();
-        sorted_rows(&flat.snapshot(), 3)
-    };
+fn fused_lattice_matches_the_reference() {
+    let (stmt, q) = (lattice_stmt(), lattice_stmt().vpct_query());
+    let reference = answer(&fact_catalog().table("sales").unwrap().read(), &stmt);
     for threads in [1usize, 2, 4] {
         // High budget exercises the dense radix jump tables; budget 1
         // refuses the dense space and forces wide mask-and-shift codes.
@@ -137,84 +121,31 @@ fn fused_lattice_matches_per_level_reference() {
                 dense_budget,
                 ..workers(threads, 1024)
             });
+            let what = format!("threads={threads} budget={dense_budget}");
             let cold = engine.vpct(&q).unwrap();
             assert!(
                 cold.stats.levels_from_scan > 0,
-                "threads={threads} budget={dense_budget}: cold run must scan"
+                "{what}: cold run must scan"
             );
             // Same catalog, second run: the scanned partials are cached.
             let warm = engine.vpct(&q).unwrap();
             assert_eq!(
                 warm.stats.levels_from_scan, 0,
-                "threads={threads} budget={dense_budget}: warm run must not scan"
+                "{what}: warm run must not scan"
             );
             assert!(warm.stats.levels_from_cache > 0);
-            let cold = sorted_rows(&cold.snapshot(), 3);
-            let warm = sorted_rows(&warm.snapshot(), 3);
-            assert_eq!(
-                cold, reference,
-                "cold lattice diverged (threads={threads} budget={dense_budget})"
+            assert_same_rows(
+                &cold.snapshot(),
+                &reference,
+                &format!("cold lattice, {what}"),
             );
-            assert_eq!(
-                warm, reference,
-                "warm (cached) lattice diverged (threads={threads} budget={dense_budget})"
+            assert_same_rows(
+                &warm.snapshot(),
+                &reference,
+                &format!("warm lattice, {what}"),
             );
         }
     }
-}
-
-/// [`lattice_query`] by the naive reference: per term, each group's sum
-/// over its total at the GROUP BY columns the term's BY leaves (NULL for a
-/// NULL sum or a zero or NULL total), rows sorted by key.
-fn reference_lattice_query(t: &Table) -> Vec<Vec<Value>> {
-    let sum = [AggSpec::new(AggFunc::Sum, Expr::Col(3), "s")];
-    let rows = || reference::Rows::all(t.num_rows());
-    let fine = reference::aggregate(t, &rows(), &[0, 1, 2], &sum, 0);
-    // The totals of each term: (state), (state, city), ().
-    let totals: Vec<(Vec<usize>, Table)> = [vec![0], vec![0, 1], vec![]]
-        .into_iter()
-        .map(|cols| {
-            let level = reference::aggregate(t, &rows(), &cols, &sum, 0);
-            (cols, level)
-        })
-        .collect();
-    let pct = |row: &[Value], (cols, level): &(Vec<usize>, Table)| {
-        let at = |total: &Vec<Value>| {
-            cols.iter()
-                .enumerate()
-                .all(|(i, &c)| total[i].key_eq(&row[c]))
-        };
-        let total = level
-            .rows()
-            .find(at)
-            .and_then(|total| total[cols.len()].as_f64());
-        match (row[3].as_f64(), total.filter(|&x| x != 0.0)) {
-            (Some(x), Some(total)) => Value::Float(x / total),
-            _ => Value::Null,
-        }
-    };
-    let rows = fine.rows().map(|row| {
-        let pcts = totals.iter().map(|term| pct(&row, term));
-        row[..3].iter().cloned().chain(pcts).collect::<Vec<Value>>()
-    });
-    let mut rows: Vec<Vec<Value>> = rows.collect();
-    rows.sort_by(|a, b| {
-        (0..3)
-            .map(|c| a[c].total_cmp(&b[c]))
-            .find(|o| o.is_ne())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    rows
-}
-
-#[test]
-fn the_lattice_matches_the_naive_reference() {
-    let q = lattice_query();
-    let catalog = fact_catalog();
-    let engine = PercentageEngine::new(&catalog).with_config(ParallelConfig::serial());
-    let lattice = sorted_rows(&engine.vpct(&q).unwrap().snapshot(), 3);
-    let want = reference_lattice_query(&catalog.table("sales").unwrap().read());
-    assert_eq!(lattice, want, "the lattice vs the naive reference");
 }
 
 #[test]
@@ -240,46 +171,11 @@ fn batch_prefixes_match_solo_queries() {
         let solo = PercentageEngine::new(&solo_catalog).with_config(two);
         let solo = solo.vpct_with(q, &VpctStrategy::best()).unwrap();
         assert_eq!(
-            sorted_rows(&r.snapshot(), 3),
-            sorted_rows(&solo.snapshot(), 3),
+            canonical(&r.snapshot()),
+            canonical(&solo.snapshot()),
             "batch prefix {j} diverged from the standalone query"
         );
     }
-}
-
-const CUBE_SQL: &str = "SELECT state, city, Vpct(salesAmt BY city) AS p \
-                        FROM sales GROUP BY CUBE (state, city);";
-
-#[test]
-fn cube_sql_matches_the_serial_per_set_plan() {
-    // Fused, parallel, and (second run) cache-served...
-    let fused = {
-        let catalog = fact_catalog();
-        let engine = PercentageEngine::new(&catalog).with_config(workers(4, 1024));
-        let cold = engine.execute_sql(CUBE_SQL).unwrap();
-        let cold_rows: Vec<Vec<Value>> = cold.table().read().sorted_by(&[0, 1]).rows().collect();
-        let warm = engine.execute_sql(CUBE_SQL).unwrap();
-        assert_eq!(
-            warm.stats().levels_from_scan,
-            0,
-            "warm CUBE must serve every level from cache"
-        );
-        let warm_rows: Vec<Vec<Value>> = warm.table().read().sorted_by(&[0, 1]).rows().collect();
-        assert_eq!(cold_rows, warm_rows, "CUBE cache-warm rerun diverged");
-        cold_rows
-    };
-    // ...must match a serial per-set evaluation from scratch, on the hash
-    // tier.
-    let catalog = fact_catalog();
-    let engine = PercentageEngine::new(&catalog).with_config(ParallelConfig {
-        dense_budget: 0,
-        ..ParallelConfig::serial()
-    });
-    let best = (&VpctStrategy::best(), &HorizontalOptions::default());
-    let per_set = engine.execute_sql_with(CUBE_SQL, best.0, best.1).unwrap();
-    assert_eq!(per_set.stats().lattice_levels, 0, "the per-set plan");
-    let per_set: Vec<Vec<Value>> = per_set.table().read().sorted_by(&[0, 1]).rows().collect();
-    assert_eq!(fused, per_set, "CUBE fused/parallel vs per-set/serial");
 }
 
 /// Seeded ~3k-row fact table for the statement-level oracle: a string
@@ -296,34 +192,26 @@ fn oracle_catalog(seed: u64) -> Catalog {
     .unwrap()
     .into_shared();
     let mut t = Table::empty(schema);
-    let mut state = seed;
-    let mut next = |m: u64| {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 33) % m
-    };
+    let mut draw = Draw::new(seed);
     for i in 0..3_000i64 {
-        let region = match next(7) {
+        let region = match draw.below(7) {
             0 => Value::Null,
             1 => Value::str("zero"),
             2 => Value::str("void"),
             r => Value::str(format!("r{r}")),
         };
-        let amt = match &region {
-            Value::Str(s) if s.as_ref() == "zero" => {
-                Value::Float(if i % 2 == 0 { 5.0 } else { -5.0 })
-            }
-            Value::Str(s) if s.as_ref() == "void" => Value::Null,
-            _ if next(13) == 0 => Value::Null,
-            _ => Value::Float(next(500) as f64),
+        let amt = match region.as_str() {
+            Some("zero") => Value::Float(if i % 2 == 0 { 5.0 } else { -5.0 }),
+            Some("void") => Value::Null,
+            _ if draw.one_in(13) => Value::Null,
+            _ => Value::Float(draw.below(500) as f64),
         };
-        let store = match next(11) {
+        let store = match draw.below(11) {
             0 => Value::Null,
             s => Value::Int(s as i64),
         };
-        t.push_row(&[region, store, Value::Int(next(5) as i64), amt])
-            .unwrap();
+        let day = Value::Int(draw.below(5) as i64);
+        t.push_row(&[region, store, day, amt]).unwrap();
     }
     // `zero` holds an even number of rows per (store, day) only by luck:
     // pin the whole region's total to zero with one balancing row.
@@ -360,12 +248,6 @@ const ORACLE_SQL: [&str; 4] = [
 /// statements above, so their other levels must re-aggregate it.
 const SEED_FINEST_SQL: &str = "SELECT region, store, day, Vpct(amt BY region, store, day) AS x \
                                FROM f GROUP BY GROUPING SETS ((region, store, day));";
-
-/// Result rows in a canonical order (every column a sort key: a rolled-up
-/// NULL and a NULL dimension value may share their key columns).
-fn canonical(t: &Table) -> Vec<Vec<Value>> {
-    sorted_rows(t, t.num_columns())
-}
 
 fn drop_lattice_cache(catalog: &Catalog) {
     let view = catalog.pin_table("f").unwrap();
@@ -535,7 +417,7 @@ fn every_knob_less_vpct_is_warm() {
                 .execute_sql_with(sql, &VpctStrategy::best(), &HorizontalOptions::default())
                 .unwrap();
             assert_eq!(per_set.stats().lattice_levels, 0, "{ctx}");
-            let reference = cell_bits(canonical(&per_set.table().read()));
+            let reference = canonical(&per_set.table().read());
 
             drop_lattice_cache(&catalog);
             let explain = |sql: &str| engine.explain_sql(sql).unwrap().join("\n");
@@ -543,22 +425,14 @@ fn every_knob_less_vpct_is_warm() {
             assert!(!explain(sql).contains("<- cache"), "{ctx}");
             let cold = engine.execute_sql(sql).unwrap();
             assert!(cold.stats().levels_from_scan > 0, "{ctx}");
-            assert_eq!(
-                cell_bits(canonical(&cold.table().read())),
-                reference,
-                "cold: {ctx}"
-            );
+            assert_eq!(canonical(&cold.table().read()), reference, "cold: {ctx}");
             assert!(!explain(sql).contains("<- scan"), "{ctx}");
 
             let warm = engine.execute_sql(sql).unwrap();
             let stats = warm.stats();
             assert_eq!(stats.levels_from_scan, 0, "{ctx}");
             assert_eq!(stats.levels_from_cache, stats.lattice_levels, "{ctx}");
-            assert_eq!(
-                cell_bits(canonical(&warm.table().read())),
-                reference,
-                "warm: {ctx}"
-            );
+            assert_eq!(canonical(&warm.table().read()), reference, "warm: {ctx}");
             // Rows come in key order, as every lattice statement's do: by
             // the level's columns in normalized (lower-cased, sorted) order.
             let t = warm.table().read().clone();
@@ -595,7 +469,7 @@ fn statements_sharing_a_level_keep_an_entry_each() {
             let out = engine
                 .execute_sql_with(sql, &VpctStrategy::best(), &HorizontalOptions::default())
                 .unwrap();
-            cell_bits(canonical(&out.table().read()))
+            canonical(&out.table().read())
         };
         for round in 0..3 {
             for extra in &extras[..3] {
@@ -603,7 +477,7 @@ fn statements_sharing_a_level_keep_an_entry_each() {
                 let out = engine.execute_sql(&sql).unwrap();
                 let scanned = out.stats().levels_from_scan;
                 assert_eq!(scanned > 0, round == 0, "{ctx} {extra}");
-                let rows = cell_bits(canonical(&out.table().read()));
+                let rows = canonical(&out.table().read());
                 assert_eq!(rows, reference(&sql), "{ctx} {extra}");
             }
         }
@@ -627,7 +501,7 @@ fn statements_sharing_a_level_keep_an_entry_each() {
         for _ in 0..2 {
             let out = engine.execute_sql(filtered).unwrap();
             assert!(out.stats().levels_from_scan > 0, "threads={threads}");
-            let rows = cell_bits(canonical(&out.table().read()));
+            let rows = canonical(&out.table().read());
             assert_eq!(rows, reference(filtered), "threads={threads}");
         }
         assert_eq!(cache.len(), 0, "threads={threads}: a WHERE stores nothing");
@@ -683,18 +557,6 @@ const SEAM_SQL: [&str; 4] = [
     "SELECT s, a, Vpct(amt BY a) AS p FROM f WHERE amt > 1000 GROUP BY ROLLUP (s, a);",
 ];
 
-/// Every cell of `t`, floats by their bits: `-0.0` is not `0.0` here, and
-/// a NULL is not a NaN.
-fn cell_bits(rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    let bits = |v: Value| match v {
-        Value::Float(x) => Value::Int(x.to_bits() as i64),
-        other => other,
-    };
-    (rows.into_iter())
-        .map(|r| r.into_iter().map(bits).collect())
-        .collect()
-}
-
 /// The lattice assembler writes every result column sized once, a key
 /// column as a copy of the level's, a rolled-away dimension as one NULL run
 /// and each percentage straight into its place. Cold and warm, at threads 1
@@ -713,7 +575,7 @@ fn the_assembled_result_matches_the_per_set_plan_at_every_seam() {
                 .execute_sql_with(sql, &VpctStrategy::best(), &HorizontalOptions::default())
                 .unwrap();
             assert_eq!(per_set.stats().lattice_levels, 0, "{ctx}");
-            let reference = cell_bits(canonical(&per_set.table().read()));
+            let reference = canonical(&per_set.table().read());
 
             drop_lattice_cache(&catalog);
             let cold = engine.execute_sql(sql).unwrap();
@@ -723,12 +585,9 @@ fn the_assembled_result_matches_the_per_set_plan_at_every_seam() {
             let (cold, warm) = (cold.table().read().clone(), warm.table().read().clone());
             for (run, t) in [("cold", &cold), ("warm", &warm)] {
                 t.check_integrity().unwrap();
-                assert_eq!(cell_bits(canonical(t)), reference, "{run}: {ctx}");
+                assert_eq!(canonical(t), reference, "{run}: {ctx}");
             }
-            assert_eq!(
-                cell_bits(warm.rows().collect()),
-                cell_bits(cold.rows().collect())
-            );
+            assert_eq!(cells(&warm), cells(&cold));
             // Sets end inside validity words, the first one past a word.
             match selected {
                 true => assert_eq!(cold.num_rows(), 0, "{ctx}"),
@@ -738,84 +597,6 @@ fn the_assembled_result_matches_the_per_set_plan_at_every_seam() {
         }
         assert!(seams > 4 * 64, "threads={threads}: {seams} rows");
     }
-}
-
-/// A float dimension whose values grouping merges although their bits
-/// differ: `0.0` with `-0.0` and, in `y`, a NaN with a NaN of the other
-/// sign. The two spellings sit beside different `s` values, so the `(x, s)`
-/// level keeps both while the `(x)` level keeps one. Every lattice
-/// statement must find each group's totals row, cold and warm, at threads
-/// 1 and 4, and answer as the per-term plan does.
-#[test]
-fn float_keys_grouping_merges_find_their_totals() {
-    let schema = Schema::from_pairs(&[
-        ("s", DataType::Str),
-        ("x", DataType::Float),
-        ("y", DataType::Float),
-        ("m", DataType::Float),
-    ])
-    .unwrap()
-    .into_shared();
-    let mut t = Table::empty(schema);
-    let rows = [
-        ("a", 0.0, f64::NAN, 1.0),
-        ("b", -0.0, -f64::NAN, 3.0),
-        ("b", 1.5, 2.0, 2.0),
-        ("a", 1.5, -f64::NAN, 6.0),
-    ];
-    for (s, x, y, m) in rows {
-        let row = [
-            Value::str(s),
-            Value::Float(x),
-            Value::Float(y),
-            Value::Float(m),
-        ];
-        t.push_row(&row).unwrap();
-    }
-    let catalog = Catalog::new();
-    catalog.create_table("f", t).unwrap();
-    let statements = [
-        "SELECT x, s, Vpct(m BY s) AS p, Vpct(m BY x) AS q FROM f GROUP BY x, s;",
-        "SELECT x, s, Vpct(m BY s) AS p FROM f GROUP BY ROLLUP (x, s);",
-        "SELECT y, s, Vpct(m BY s) AS p, Vpct(m BY y) AS q FROM f GROUP BY y, s;",
-        "SELECT y, s, Vpct(m BY s) AS p FROM f GROUP BY ROLLUP (y, s);",
-    ];
-    for threads in [1usize, 4] {
-        let engine = PercentageEngine::new(&catalog).with_config(workers(threads, 1));
-        for sql in statements {
-            let ctx = format!("threads={threads} {sql}");
-            let per_term = engine
-                .execute_sql_with(sql, &VpctStrategy::best(), &HorizontalOptions::default())
-                .unwrap();
-            let reference = cell_bits(canonical(&per_term.table().read()));
-            drop_lattice_cache(&catalog);
-            for run in ["cold", "warm"] {
-                let out = engine
-                    .execute_sql(sql)
-                    .unwrap_or_else(|e| panic!("{run}: {ctx}: {e}"));
-                assert!(out.stats().lattice_levels > 0, "{run}: {ctx}");
-                let got = cell_bits(canonical(&out.table().read()));
-                assert_eq!(got, reference, "{run}: {ctx}");
-            }
-        }
-    }
-    // The programmatic entry, on the signed zeros.
-    let q = VpctQuery {
-        table: "f".into(),
-        group_by: vec!["x".into(), "s".into()],
-        terms: vec![VpctTerm::new("m", &["s"]), VpctTerm::new("m", &["x"])],
-        extra: Vec::new(),
-    };
-    drop_lattice_cache(&catalog);
-    let lattice =
-        eval_vpct_lattice_guarded(&catalog, &q, "l_", &ResourceGuard::unlimited()).unwrap();
-    let per_term = PercentageEngine::new(&catalog)
-        .vpct_with(&q, &VpctStrategy::best())
-        .unwrap();
-    assert_eq!(
-        cell_bits(canonical(&lattice.snapshot())),
-        cell_bits(canonical(&per_term.snapshot()))
-    );
 }
 
 /// ROLLUP, CUBE and explicit sets carrying holistic extras: exact and
@@ -1049,12 +830,12 @@ fn parent_vectors_are_built_once_and_follow_their_level() {
     };
     let by_join = || {
         let out = eval_vpct(&catalog, &q, &VpctStrategy::without_index(), "j_").unwrap();
-        sorted_rows(&out.snapshot(), 3)
+        canonical(&out.snapshot())
     };
     let by_parent = || {
         let out =
             eval_vpct_lattice_guarded(&catalog, &q, "l_", &ResourceGuard::unlimited()).unwrap();
-        (sorted_rows(&out.snapshot(), 3), out.stats)
+        (canonical(&out.snapshot()), out.stats)
     };
     let before = builds();
     assert_eq!(by_parent().0, by_join());
@@ -1102,81 +883,28 @@ fn parent_vectors_are_built_once_and_follow_their_level() {
     assert_eq!(builds(), before + 4, "through the vectors the level kept");
 }
 
-/// Random small-domain rows for the kernel-level projection oracle.
-#[derive(Debug, Clone)]
-struct OracleRow {
-    a: Option<i64>,
-    b: Option<usize>,
-    c: i64,
-    m: Option<i64>,
-}
-
-fn oracle_rows(max: usize) -> impl Strategy<Value = Vec<OracleRow>> {
-    prop::collection::vec(
-        (
-            prop::option::weighted(0.9, 0..5i64),
-            prop::option::weighted(0.9, 0..4usize),
-            0..3i64,
-            prop::option::weighted(0.85, -40..=40i64),
-        )
-            .prop_map(|(a, b, c, m)| OracleRow { a, b, c, m }),
-        1..max,
-    )
-}
-
-const CITIES: [&str; 4] = ["lyon", "turin", "graz", "brno"];
-
-fn oracle_table(rows: &[OracleRow]) -> Table {
-    let schema = Schema::from_pairs(&[
-        ("a", DataType::Int),
-        ("b", DataType::Str),
-        ("c", DataType::Int),
-        ("m", DataType::Float),
-    ])
-    .unwrap()
-    .into_shared();
-    let mut t = Table::with_capacity(schema, rows.len());
-    for r in rows {
-        t.push_row(&[
-            Value::from(r.a),
-            r.b.map_or(Value::Null, |i| Value::str(CITIES[i])),
-            Value::Int(r.c),
-            Value::from(r.m.map(|x| x as f64)),
-        ])
-        .unwrap();
-    }
-    t
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Radix projection == direct coding: aggregating each lattice level
     /// by projecting the finest composite code (dense jump table or wide
-    /// mask-and-shift) must equal hashing that level's columns directly.
+    /// mask-and-shift) must equal the reference's grouping of that level's
+    /// columns, in key order.
     #[test]
-    fn radix_projection_matches_direct_coding(rows in oracle_rows(400)) {
-        let t = oracle_table(&rows);
-        let m = Expr::col(t.schema(), "m").unwrap();
+    fn radix_projection_matches_direct_coding(seed in any::<u64>(), n in 1usize..400) {
+        let t = gen::fact(&mut Draw::new(seed), n);
+        let m = Expr::col(t.schema(), "amt").unwrap();
         let aggs = vec![
             AggSpec::new(AggFunc::Sum, m.clone(), "s"),
             AggSpec::new(AggFunc::Count, m, "k"),
             AggSpec::new(AggFunc::CountStar, Expr::lit(1), "n"),
         ];
-        let group_cols = [0usize, 1, 2];
+        // `g`, `d` and `q`: a string and two integer keys.
+        let group_cols = [0usize, 1, 5];
         // Every non-empty subset of the three dimensions.
         let levels: Vec<Vec<usize>> = (1usize..8)
             .map(|mask| (0..3).filter(|i| mask >> i & 1 == 1).collect())
             .collect();
-        let ref_levels: Vec<(Vec<usize>, Vec<AggSpec>)> = levels
-            .iter()
-            .map(|dims| (dims.iter().map(|&d| group_cols[d]).collect(), aggs.clone()))
-            .collect();
-        let mut ref_st = ExecStats::default();
-        let reference = multi_hash_aggregate_with_config(
-            &t, &ref_levels, &ResourceGuard::unlimited(), &mut ref_st,
-            &ParallelConfig::serial(),
-        ).unwrap();
         for dense_budget in [1usize << 20, 1] {
             let config = ParallelConfig {
                 threads: 1,
@@ -1194,17 +922,19 @@ proptest! {
                 st.vectorized_kernel_rows, t.num_rows() as u64,
                 "int/str keys and sum/count lanes always fuse into one stream"
             );
-            for ((fused, reference), dims) in
-                fused.into_iter().zip(&reference).zip(&levels)
-            {
-                let sort_cols: Vec<usize> = (0..dims.len()).collect();
-                let a: Vec<Vec<Value>> = fused.rows().collect();
-                let b: Vec<Vec<Value>> = reference.sorted_by(&sort_cols).rows().collect();
-                prop_assert_eq!(a, b, "level {:?} budget {}", dims, dense_budget);
+            for (fused, dims) in fused.iter().zip(&levels) {
+                let cols: Vec<usize> = dims.iter().map(|&d| group_cols[d]).collect();
+                let rows = reference::Rows::all(t.num_rows());
+                let want = reference::aggregate(&t, &rows, &cols, &aggs, 0);
+                let want = want.sorted_by(&(0..cols.len()).collect::<Vec<_>>());
+                prop_assert_eq!(cells(fused), cells(&want), "level {:?} budget {}", dims, dense_budget);
             }
         }
     }
 }
+
+const CUBE_SQL: &str = "SELECT state, city, Vpct(salesAmt BY city) AS p \
+                        FROM sales GROUP BY CUBE (state, city);";
 
 /// Small fixed catalog for the deterministic EXPLAIN snapshot.
 fn explain_catalog() -> Catalog {

@@ -23,8 +23,8 @@ use pa_core::{
     VpctStrategy,
 };
 use pa_storage::{Catalog, DataType, Schema, Table, Value};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use pa_testkit::oracle::percentile_cont;
+use pa_testkit::{gen, Draw};
 
 const STATES: [&str; 4] = ["CA", "TX", "NY", "WA"];
 const CITIES: [&str; 3] = ["alpha", "beta", "gamma"];
@@ -33,48 +33,39 @@ const DWEEK: [&str; 5] = ["Mon", "Tue", "Wed", "Thu", "Fri"];
 /// Seeded fact table with an integer-valued float measure (exact addition
 /// under any regrouping) and NULLs in the measure column.
 fn fact_catalog(rows: usize, seed: u64) -> Catalog {
-    let schema = Schema::from_pairs(&[
+    let mut draw = Draw::new(seed);
+    let mut row = |_| {
+        let (state, city) = (draw.one_of(&STATES), draw.one_of(&CITIES));
+        let (dweek, store) = (draw.one_of(&DWEEK), draw.below(40) as i64);
+        let amt = match draw.one_in(20) {
+            true => Value::Null,
+            false => Value::Float(draw.below(499) as f64 + 1.0),
+        };
+        vec![
+            Value::str(state),
+            Value::str(city),
+            Value::str(dweek),
+            Value::Int(store),
+            amt,
+        ]
+    };
+    let rows: Vec<Vec<Value>> = (0..rows).map(&mut row).collect();
+    let fields = [
         ("state", DataType::Str),
         ("city", DataType::Str),
         ("dweek", DataType::Str),
         ("store", DataType::Int),
         ("amt", DataType::Float),
-    ])
-    .unwrap()
-    .into_shared();
-    let mut t = Table::with_capacity(schema, rows);
-    let mut rng = StdRng::seed_from_u64(seed);
-    for _ in 0..rows {
-        t.push_row(&[
-            Value::str(STATES[rng.gen_range(0..STATES.len() as i64) as usize]),
-            Value::str(CITIES[rng.gen_range(0..CITIES.len() as i64) as usize]),
-            Value::str(DWEEK[rng.gen_range(0..DWEEK.len() as i64) as usize]),
-            Value::Int(rng.gen_range(0..40i64)),
-            if rng.gen_bool(0.05) {
-                Value::Null
-            } else {
-                Value::Float(rng.gen_range(1..500i64) as f64)
-            },
-        ])
-        .unwrap();
-    }
+    ];
     let catalog = Catalog::new();
-    catalog.create_table("sales", t).unwrap();
+    catalog
+        .create_table("sales", gen::table(&fields, &rows))
+        .unwrap();
     catalog
 }
 
 fn rows_of(outcome: &pa_core::SqlOutcome) -> Vec<Vec<Value>> {
     outcome.table().read().rows().collect()
-}
-
-/// PERCENTILE_CONT reference on a sorted slice.
-fn percentile_cont(sorted: &[f64], p: f64) -> f64 {
-    assert!(!sorted.is_empty());
-    let rank = p * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    sorted[lo] + (sorted[hi] - sorted[lo]) * frac
 }
 
 #[test]

@@ -63,5 +63,5 @@ pub use vector::{BlockCoder, CodeWord, Coder, LaneSrc, NumSlice, RawLane, WideCo
 #[cfg(test)]
 extern crate self as pa_engine;
 #[cfg(test)]
-#[path = "../tests/support/reference.rs"]
+#[path = "../../../testkit/src/reference.rs"]
 mod reference;

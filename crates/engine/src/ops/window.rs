@@ -50,11 +50,19 @@ pub fn window_aggregate(
     stats.rows_scanned += n as u64;
 
     // Phase 1: sort rows into partition order (the optimizer's spool).
-    let order: Vec<usize> = if partition_cols.is_empty() {
+    let mut order: Vec<usize> = if partition_cols.is_empty() {
         (0..n).collect()
     } else {
         sort_permutation(input, partition_cols, stats)?
     };
+    // The sort orders a float by its bits' total order, which parts -0.0
+    // from 0.0 and one NaN from another; grouping does not, and a run must
+    // hold its whole partition. A float key re-sorts stably by its grouping
+    // form.
+    let float_key = |&c: &usize| input.column(c).data_type() == DataType::Float;
+    if partition_cols.iter().any(float_key) {
+        order.sort_by(|&a, &b| grouping_order(input, partition_cols, a, b));
+    }
 
     // Phase 2: one pass over runs, computing the aggregate per partition.
     let percentile_budget = config.percentile_budget;
@@ -101,6 +109,20 @@ pub fn window_aggregate(
     columns.push(agg_col);
     stats.rows_materialized += n as u64;
     Ok(Table::from_columns(schema, columns)?)
+}
+
+/// Rows `a` and `b` of `t` in the order of their `cols` keys, a float read
+/// as grouping reads it (`-0.0` as `0.0`, every NaN as one).
+fn grouping_order(t: &Table, cols: &[usize], a: usize, b: usize) -> std::cmp::Ordering {
+    let key = |row: usize, c: usize| match t.get(row, c) {
+        Value::Float(x) if x.is_nan() => Value::Float(f64::NAN),
+        Value::Float(x) => Value::Float(if x == 0.0 { 0.0 } else { x }),
+        v => v,
+    };
+    let mut order = cols.iter().map(|&c| key(a, c).total_cmp(&key(b, c)));
+    order
+        .find(|o| o.is_ne())
+        .unwrap_or(std::cmp::Ordering::Equal)
 }
 
 fn same_key(t: &Table, cols: &[usize], a: usize, b: usize) -> bool {

@@ -1,49 +1,31 @@
-//! Differential oracle harness: every pair of evaluation strategies that
-//! claims to compute the same relation must produce *byte-identical*
-//! results, and a divergence must fail with an actionable message — the
-//! two strategy names and the first row where they disagree.
+//! Differential oracles below the strategies: every plan or adapter that
+//! claims to compute the same relation as another must produce
+//! *byte-identical* results. (The strategies themselves are held to the
+//! one reference in `tests/oracle_grid.rs`.)
 //!
-//! Three oracles, mirroring the repo's equivalence claims:
-//!
-//! 1. **CASE vs SPJ** (± hash dispatch): all four `HorizontalStrategy`
-//!    plans over proptest-generated fact tables (NULL dimensions, NULL and
-//!    negative measures, duplicate rows).
-//! 2. **Serial vs parallel**: `ParallelConfig::serial()` against
-//!    `with_threads(1|2|4)` on a table large enough (> 3 morsels) that 4
-//!    real workers engage — each a configuration handed to its own engine
-//!    (`PercentageEngine::with_config`); no test writes the environment.
-//! 3. **Vertical vs horizontally-transposed-then-flattened**: the `Hpct`
-//!    matrix mapped back to `(group, by-value, pct)` triples via its cell
-//!    column names must equal the `Vpct` relation, modulo the documented
-//!    NULL-cell divergence (SIGMOD's `ELSE 0` CASE arm renders an
-//!    all-NULL cell as 0 where `Vpct`'s `sum()` of nothing is NULL).
-//!
-//! A fourth oracle sits below the strategies: the four entry points that
-//! plan over the engine's one scan core — `hash_aggregate`,
-//! `partial_aggregate`, the single full-arity level of `lattice_aggregate`
-//! and `pivot_aggregate` un-transposed — must finalize to the same bytes at
-//! every kernel tier, thread count and input shape.
-//!
-//! A fifth pins what the scan reads *beside* the columns: every shape of
-//! integer key domain, and every `Table` mutator between two scans, against
-//! a per-row loop that reads no column statistics.
-//!
-//! A sixth is the `WHERE` axis: every statement family with a predicate,
-//! at every thread count, kernel path and side of the dense budget, against
-//! the same statement without one over a table registered from
-//! `pa_engine::filter(F, predicate)` — the selection the scans read in
-//! place against the copy no query path makes any more.
+//! * the CASE paths — dense pivot, hash pivot, legacy chain — on both sides
+//!   of the dense budget and on run-sorted input, at 1, 2 and 4 workers;
+//! * the four entry points that plan over the engine's one scan core —
+//!   `hash_aggregate`, `partial_aggregate`, the single full-arity level of
+//!   `lattice_aggregate` and `pivot_aggregate` un-transposed — against the
+//!   row-level reference (`pa_testkit::reference`) at every kernel tier,
+//!   thread count and input shape;
+//! * every shape of integer key domain, and every `Table` mutator between
+//!   two scans, against a per-row loop that reads no column statistics;
+//! * `WHERE`: every statement family with a predicate against the same
+//!   statement without one over a table registered from
+//!   `pa_engine::filter(F, predicate)` — the selection the scans read in
+//!   place against the copy no query path makes any more.
 //!
 //! Measures are integer-valued floats throughout: their sums are exact
 //! under any regrouping of additions (DESIGN.md §7), so "identical" means
-//! bitwise equality, not within-epsilon. This is a pa-engine *dev*
-//! dependency on pa-core — a dev-dep cycle Cargo permits — because the
-//! strategies under test are planned above the operator layer but the
-//! operators are what diverge.
+//! bitwise equality. This is a pa-engine *dev* dependency on pa-core — a
+//! dev-dep cycle Cargo permits — because the strategies under test are
+//! planned above the operator layer but the operators are what diverge.
 
 use pa_core::{
     HorizontalOptions, HorizontalQuery, HorizontalResult, HorizontalStrategy, PercentageEngine,
-    VpctQuery, VpctStrategy,
+    VpctStrategy,
 };
 use pa_engine::{
     distinct_keys, filter, hash_aggregate_with_config, lattice_aggregate_with_config,
@@ -52,91 +34,9 @@ use pa_engine::{
     DEFAULT_DENSE_BUDGET,
 };
 use pa_storage::{Catalog, DataType, Schema, Table, Value};
-use proptest::prelude::*;
 
-#[path = "support/reference.rs"]
-mod reference;
-
-#[derive(Debug, Clone)]
-struct Row {
-    g: Option<i64>,
-    d: Option<i64>,
-    a: Option<i64>,
-}
-
-/// NULLs in every column, few distinct keys (duplicates guaranteed),
-/// negative measures (zero-sum groups reachable).
-fn row_strategy() -> impl Strategy<Value = Row> {
-    (
-        prop::option::weighted(0.9, 0..4i64),
-        prop::option::weighted(0.9, 0..5i64),
-        prop::option::weighted(0.85, -3..=3i64),
-    )
-        .prop_map(|(g, d, a)| Row { g, d, a })
-}
-
-fn build_catalog(rows: &[Row]) -> Catalog {
-    let catalog = Catalog::new();
-    let schema = Schema::from_pairs(&[
-        ("g", DataType::Int),
-        ("d", DataType::Int),
-        ("a", DataType::Float),
-    ])
-    .unwrap()
-    .into_shared();
-    let mut t = Table::with_capacity(schema, rows.len());
-    for r in rows {
-        t.push_row(&[
-            Value::from(r.g),
-            Value::from(r.d),
-            Value::from(r.a.map(|x| x as f64)),
-        ])
-        .unwrap();
-    }
-    catalog.create_table("f", t).unwrap();
-    catalog
-}
-
-fn sorted_rows(t: &Table) -> Vec<Vec<Value>> {
-    let all: Vec<usize> = (0..t.num_columns()).collect();
-    t.sorted_by(&all).rows().collect()
-}
-
-/// Byte-identical comparison with an actionable verdict: `None` on
-/// agreement, otherwise a message carrying both strategy names, the first
-/// divergent (sorted) row index and both rows in full.
-fn first_divergence(name_a: &str, a: &Table, name_b: &str, b: &Table) -> Option<String> {
-    if a.num_columns() != b.num_columns() {
-        return Some(format!(
-            "{name_a} vs {name_b}: column count {} vs {}",
-            a.num_columns(),
-            b.num_columns()
-        ));
-    }
-    let ra = sorted_rows(a);
-    let rb = sorted_rows(b);
-    for (i, (x, y)) in ra.iter().zip(rb.iter()).enumerate() {
-        if x != y {
-            return Some(format!(
-                "{name_a} vs {name_b}: first divergent row {i}: {x:?} vs {y:?}"
-            ));
-        }
-    }
-    if ra.len() != rb.len() {
-        let i = ra.len().min(rb.len());
-        let extra = if ra.len() > rb.len() {
-            format!("{name_a} has extra row {:?}", ra[i])
-        } else {
-            format!("{name_b} has extra row {:?}", rb[i])
-        };
-        return Some(format!(
-            "{name_a} vs {name_b}: row count {} vs {}; first unmatched row {i}: {extra}",
-            ra.len(),
-            rb.len()
-        ));
-    }
-    None
-}
+use pa_testkit::compare::{self, canonical, canonical_rows};
+use pa_testkit::{assert_same_rows, gen, reference, Draw};
 
 /// Which kernel tier a variant's engine is handed, over a base
 /// configuration.
@@ -193,199 +93,26 @@ fn run_variant(
         .unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Oracle 1: CASE vs SPJ (and ± dispatch) are byte-identical.
-    #[test]
-    fn case_and_spj_strategies_are_byte_identical(
-        rows in prop::collection::vec(row_strategy(), 1..60)
-    ) {
-            let catalog = build_catalog(&rows);
-        let q = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
-        let variants = horizontal_variants();
-        let deployed = ParallelConfig::from_env();
-        let reference = run_variant(&catalog, &q, &variants[0], deployed).snapshot();
-        for variant in &variants[1..] {
-            let got = run_variant(&catalog, &q, variant, deployed).snapshot();
-            if let Some(diff) = first_divergence(&variants[0].0, &reference, &variant.0, &got) {
-                prop_assert!(false, "{diff}");
-            }
-        }
-    }
-
-    /// Oracle 1b: the vertical strategies against the best plan, same
-    /// byte-identical contract.
-    #[test]
-    fn vertical_strategies_are_byte_identical(
-        rows in prop::collection::vec(row_strategy(), 1..60)
-    ) {
-            let catalog = build_catalog(&rows);
-        let engine = PercentageEngine::new(&catalog);
-        let q = VpctQuery::single("f", &["g", "d"], "a", &["d"]);
-        let reference = engine.vpct_with(&q, &VpctStrategy::best()).unwrap().snapshot();
-        for strat in [
-            VpctStrategy::without_index(),
-            VpctStrategy::with_update(),
-            VpctStrategy::fj_from_f(),
-            VpctStrategy::synchronized(),
-        ] {
-            let got = engine.vpct_with(&q, &strat).unwrap().snapshot();
-            if let Some(diff) = first_divergence("best", &reference, &format!("{strat:?}"), &got) {
-                prop_assert!(false, "{diff}");
-            }
-        }
-    }
-
-    /// Oracle 3: flattening the `Hpct` matrix reproduces `Vpct`.
-    #[test]
-    fn flattened_horizontal_equals_vertical(
-        rows in prop::collection::vec(row_strategy(), 1..60)
-    ) {
-            let catalog = build_catalog(&rows);
-        let engine = PercentageEngine::new(&catalog);
-        let v = engine
-            .vpct(&VpctQuery::single("f", &["g", "d"], "a", &["d"]))
-            .unwrap()
-            .snapshot();
-        let h = engine
-            .horizontal(&HorizontalQuery::hpct("f", &["g"], "a", &["d"]))
-            .unwrap();
-        let ht = h.snapshot();
-        let names = &h.cell_columns[0];
-        let mut hrow = std::collections::HashMap::new();
-        for r in 0..ht.num_rows() {
-            hrow.insert(ht.get(r, 0).to_string(), r);
-        }
-        // Every vertical row must be found in the flattened matrix.
-        for r in 0..v.num_rows() {
-            let g = v.get(r, 0).to_string();
-            let d = v.get(r, 1);
-            let col_name = names
-                .iter()
-                .find(|n| **n == format!("d={d}"))
-                .expect("cell column exists for every observed BY value");
-            let c = ht.schema().index_of(col_name).unwrap();
-            let pct_h = ht.get(hrow[&g], c);
-            let pct_v = v.get(r, 2);
-            if pct_v.is_null() {
-                // Documented divergence: all-NULL cell is NULL vertically,
-                // 0 horizontally (ELSE 0) — unless the whole group total is
-                // zero/NULL, where both are NULL.
-                prop_assert!(
-                    pct_h.is_null() || pct_h.as_f64().is_some_and(|x| x == 0.0),
-                    "vertical vs horizontal-flattened: g={g} d={d}: \
-                     horizontal {pct_h:?} for NULL vertical cell"
-                );
-            } else {
-                prop_assert!(
-                    pct_h == pct_v,
-                    "vertical vs horizontal-flattened: first divergent cell \
-                     g={g} d={d}: vertical {pct_v:?} vs horizontal {pct_h:?}"
-                );
-            }
-        }
-        // And the matrix must not contain cells the vertical relation lacks:
-        // every non-NULL, non-zero cell corresponds to some vertical row.
-        let vert_rows = v.num_rows();
-        let mut nonzero_cells = 0usize;
-        for r in 0..ht.num_rows() {
-            for name in names {
-                let c = ht.schema().index_of(name).unwrap();
-                match ht.get(r, c).as_f64() {
-                    Some(x) if x != 0.0 => nonzero_cells += 1,
-                    _ => {}
-                }
-            }
-        }
-        prop_assert!(
-            nonzero_cells <= vert_rows,
-            "horizontal matrix has {nonzero_cells} non-zero cells but the \
-             vertical relation only {vert_rows} rows"
-        );
-    }
-}
-
-/// Oracle 2: serial vs real morsel parallelism, all strategies.
-///
-/// 260 096 rows = 3×64Ki morsels + remainder, above the 32Ki serial
-/// threshold, so `with_threads(4)` engages four genuine workers
-/// (`ParallelConfig::effective_threads`). Deterministic LCG data — the
-/// point here is the fan-out/merge path, not input diversity (oracle 1
-/// covers that).
-#[test]
-fn serial_and_parallel_plans_are_byte_identical() {
-    const N: usize = 260_096;
-    let catalog = Catalog::new();
-    let schema = Schema::from_pairs(&[
-        ("g", DataType::Int),
-        ("d", DataType::Int),
-        ("a", DataType::Float),
-    ])
-    .unwrap()
-    .into_shared();
-    let mut t = Table::with_capacity(schema, N);
-    let mut state = 0x9e37_79b9_7f4a_7c15u64;
-    for _ in 0..N {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let g = (state >> 33) % 101;
-        let d = (state >> 13) % 7;
-        let a = (state >> 3) % 1000;
-        t.push_row(&[
-            Value::from(g as i64),
-            Value::from(d as i64),
-            Value::from(a as f64),
-        ])
-        .unwrap();
-    }
-    catalog.create_table("f", t).unwrap();
-    let q = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
-
-    for variant in horizontal_variants() {
-        let name = &variant.0;
-        let serial = run_variant(&catalog, &q, &variant, ParallelConfig::serial()).snapshot();
-        for threads in [1usize, 2, 4] {
-            let workers = ParallelConfig::with_threads(threads);
-            let parallel = run_variant(&catalog, &q, &variant, workers).snapshot();
-            if let Some(diff) = first_divergence(
-                &format!("{name}/serial"),
-                &serial,
-                &format!("{name}/threads={threads}"),
-                &parallel,
-            ) {
-                panic!("{diff}");
-            }
-        }
-    }
-}
-
 /// Deterministic fact table with one dimension optionally stretched across
 /// more codes than the dense budget (values spaced `spread` apart), so the
 /// same generator produces inputs on either side of the 2^20-code budget.
 fn budget_catalog(n: usize, g_spread: i64, d_spread: i64) -> Catalog {
-    let catalog = Catalog::new();
-    let schema = Schema::from_pairs(&[
+    let mut draw = Draw::new(0xdead_beef_cafe_f00d);
+    let mut row = |_| {
+        let (g, d) = (draw.below(7) as i64, draw.below(7) as i64);
+        let a = Value::Float(draw.below(1000) as f64);
+        vec![Value::Int(g * g_spread), Value::Int(d * d_spread), a]
+    };
+    let rows: Vec<Vec<Value>> = (0..n).map(&mut row).collect();
+    let fields = [
         ("g", DataType::Int),
         ("d", DataType::Int),
         ("a", DataType::Float),
-    ])
-    .unwrap()
-    .into_shared();
-    let mut t = Table::with_capacity(schema, n);
-    let mut state = 0xdead_beef_cafe_f00du64;
-    for _ in 0..n {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let g = ((state >> 33) % 7) as i64 * g_spread;
-        let d = ((state >> 13) % 7) as i64 * d_spread;
-        let a = ((state >> 3) % 1000) as i64;
-        t.push_row(&[Value::from(g), Value::from(d), Value::from(a as f64)])
-            .unwrap();
-    }
-    catalog.create_table("f", t).unwrap();
+    ];
+    let catalog = Catalog::new();
+    catalog
+        .create_table("f", gen::table(&fields, &rows))
+        .unwrap();
     catalog
 }
 
@@ -436,48 +163,15 @@ fn group_paths_agree_on_both_sides_of_the_dense_budget() {
                         got.stats
                     );
                 }
-                let got = got.snapshot();
-                if let Some(diff) = first_divergence(
-                    &format!("{ref_name}/serial/spread=({g_spread},{d_spread})"),
+                let what = format!("{name}/threads={threads}/spread=({g_spread},{d_spread})");
+                assert_same_rows(
+                    &got.snapshot(),
                     &reference,
-                    &format!("{name}/threads={threads}/spread=({g_spread},{d_spread})"),
-                    &got,
-                ) {
-                    panic!("{diff}");
-                }
+                    &format!("{ref_name}/serial vs {what}"),
+                );
             }
         }
     }
-}
-
-/// `Hpct(a BY d) … GROUP BY g` of `t` by the naive reference: each cell's
-/// sum over its group's total (a cell no row fed is 0, a zero or NULL total
-/// makes the row NULL), one column per `d` value in value order, rows
-/// sorted.
-fn reference_hpct(t: &Table) -> Vec<Vec<Value>> {
-    let sum = [AggSpec::new(AggFunc::Sum, Expr::Col(2), "s")];
-    let rows = || reference::Rows::all(t.num_rows());
-    let totals = reference::aggregate(t, &rows(), &[0], &sum, 0);
-    let cells = reference::aggregate(t, &rows(), &[0, 1], &sum, 0);
-    let combos = reference::aggregate(t, &rows(), &[1], &[], 0).sorted_by(&[0]);
-    let cell = |g: &Value, d: &Value| {
-        let at = |r: &Vec<Value>| r[0].key_eq(g) && r[1].key_eq(d);
-        cells
-            .rows()
-            .find(at)
-            .map_or(0.0, |r| r[2].as_f64().unwrap_or(0.0))
-    };
-    let hpct = totals.rows().map(|row| {
-        let total = row[1].as_f64().filter(|&x| x != 0.0);
-        let pct =
-            |d: Vec<Value>| total.map_or(Value::Null, |x| Value::Float(cell(&row[0], &d[0]) / x));
-        std::iter::once(row[0].clone())
-            .chain(combos.rows().map(pct))
-            .collect()
-    });
-    let mut hpct: Vec<Vec<Value>> = hpct.collect();
-    hpct.sort_by(|a, b| a[0].total_cmp(&b[0]));
-    hpct
 }
 
 /// The RLE path on RLE-friendly input: the fact table is sorted by
@@ -490,41 +184,37 @@ fn reference_hpct(t: &Table) -> Vec<Vec<Value>> {
 #[test]
 fn the_rle_path_matches_the_reference_on_sorted_input() {
     const N: usize = 200_000; // 4 morsels: real fan-out at four threads
-    let catalog = Catalog::new();
-    let schema = Schema::from_pairs(&[
+    let mut draw = Draw::new(0x0123_4567_89ab_cdef);
+    // Sorted string dimension: 7 runs of ~28.5k rows each — dictionary-
+    // coded, so the stream reads it through the bit-packed code vector —
+    // and inside each, 101 sorted runs of the integer dimension (~280 rows,
+    // a few runs per 1024-row kernel block).
+    let mut row = |i: usize| {
+        let (g, d) = ((i * 7 * 101 / N % 101) as i64, format!("d{}", i * 7 / N));
+        let a = match draw.one_in(10) {
+            true => Value::Null,
+            false => Value::Float(draw.below(1000) as f64),
+        };
+        vec![Value::Int(g), Value::str(d), a]
+    };
+    let rows: Vec<Vec<Value>> = (0..N).map(&mut row).collect();
+    let fields = [
         ("g", DataType::Int),
         ("d", DataType::Str),
         ("a", DataType::Float),
-    ])
-    .unwrap()
-    .into_shared();
-    let mut t = Table::with_capacity(schema, N);
-    let mut state = 0x0123_4567_89ab_cdefu64;
-    for i in 0..N {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        // Sorted string dimension: 7 runs of ~28.5k rows each — dictionary-
-        // coded, so the stream reads it through the bit-packed code vector —
-        // and inside each, 101 sorted runs of the integer dimension (~280
-        // rows, a few runs per 1024-row kernel block).
-        let g = (i * 7 * 101 / N % 101) as i64;
-        let d = format!("d{}", i * 7 / N);
-        let a = if state.is_multiple_of(10) {
-            Value::Null
-        } else {
-            Value::from(((state >> 3) % 1000) as f64)
-        };
-        t.push_row(&[Value::from(g), Value::str(&d), a]).unwrap();
-    }
-    catalog.create_table("f", t).unwrap();
+    ];
+    let catalog = Catalog::new();
+    catalog
+        .create_table("f", gen::table(&fields, &rows))
+        .unwrap();
     let q = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
     let run = |config: ParallelConfig| {
         let engine = PercentageEngine::new(&catalog).with_config(config);
         engine.horizontal(&q).unwrap()
     };
 
-    let want = reference_hpct(&catalog.table("f").unwrap().read());
+    let stmt = pa_testkit::Stmt::new("f", &["g"]).hpct("a", &["d"], "h");
+    let want = pa_testkit::answer(&catalog.table("f").unwrap().read(), &stmt);
     for threads in [1usize, 2, 4] {
         let vectorized = run(ParallelConfig::with_threads(threads));
         assert!(
@@ -543,8 +233,7 @@ fn the_rle_path_matches_the_reference_on_sorted_input() {
             vectorized.stats
         );
         assert_eq!(vectorized.stats.scalar_kernel_rows, 0, "one scan mode");
-        let got = sorted_rows(&vectorized.snapshot());
-        assert_eq!(got, want, "threads={threads}");
+        assert_same_rows(&vectorized.snapshot(), &want, &format!("threads={threads}"));
     }
 }
 
@@ -679,104 +368,32 @@ fn holistic_pivot_lanes_match_the_reference() {
     }
 }
 
-/// A cached combination set must not change a single byte of the
-/// result, only the miss/hit counters.
-#[test]
-fn cache_cold_and_cache_warm_catalog_are_byte_identical() {
-    let catalog = budget_catalog(50_000, 1, 1);
-    let q = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
-    let deployed = ParallelConfig::from_env();
-    for variant in horizontal_variants()
-        .into_iter()
-        .filter(|(name, ..)| name.contains("CASE"))
-    {
-        let name = &variant.0;
-        // The executor scans a pinned snapshot alias, so combos are keyed
-        // by the alias; invalidate through the catalog to reach it.
-        catalog.invalidate_combos("f");
-        let cold = run_variant(&catalog, &q, &variant, deployed);
-        assert!(
-            cold.stats.combo_cache_misses > 0 && cold.stats.combo_cache_hits == 0,
-            "{name}: first evaluation must miss the cold cache: {:?}",
-            cold.stats
-        );
-        let warm = run_variant(&catalog, &q, &variant, deployed);
-        assert!(
-            warm.stats.combo_cache_hits > 0 && warm.stats.combo_cache_misses == 0,
-            "{name}: second evaluation must hit the warm cache: {:?}",
-            warm.stats
-        );
-        if let Some(diff) = first_divergence(
-            &format!("{name}/cold"),
-            &cold.snapshot(),
-            &format!("{name}/warm"),
-            &warm.snapshot(),
-        ) {
-            panic!("{diff}");
-        }
-    }
-}
-
-/// The harness itself must be able to see a divergence: feed it two tables
-/// that differ in one cell and check the message carries both names and
-/// the divergent row.
 /// Seeded table for the adapter matrix: two integer keys spread over
 /// `spread` values each (NULLs in the first), a three-valued string key,
 /// and an integer-valued float measure with NULLs.
-fn adapter_table(n: usize, spread: u64, seed: u64) -> Table {
-    let schema = Schema::from_pairs(&[
+fn adapter_table(n: usize, spread: usize, seed: u64) -> Table {
+    let mut draw = Draw::new(seed);
+    let mut row = |_| {
+        let g = match draw.one_in(19) {
+            true => Value::Null,
+            false => Value::Int(draw.below(spread) as i64),
+        };
+        let h = Value::Int(draw.below(spread) as i64 - 3);
+        let s = Value::str(draw.one_of(&["x", "y", "z"]));
+        let a = match draw.one_in(11) {
+            true => Value::Null,
+            false => Value::Float(draw.below(41) as f64 - 20.0),
+        };
+        vec![g, h, s, a]
+    };
+    let rows: Vec<Vec<Value>> = (0..n).map(&mut row).collect();
+    let fields = [
         ("g", DataType::Int),
         ("h", DataType::Int),
         ("s", DataType::Str),
         ("a", DataType::Float),
-    ])
-    .unwrap()
-    .into_shared();
-    let mut t = Table::with_capacity(schema, n);
-    let mut state = seed | 1;
-    let mut next = || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        state >> 33
-    };
-    for _ in 0..n {
-        let g = next();
-        t.push_row(&[
-            if g % 19 == 0 {
-                Value::Null
-            } else {
-                Value::Int((g % spread) as i64)
-            },
-            Value::Int((next() % spread) as i64 - 3),
-            Value::str(["x", "y", "z"][(next() % 3) as usize]),
-            if next() % 11 == 0 {
-                Value::Null
-            } else {
-                Value::Float((next() % 41) as f64 - 20.0)
-            },
-        ])
-        .unwrap();
-    }
-    t
-}
-
-/// A result's rows in key order, rendered so that `-0.0` and `0.0` (equal
-/// as values) would still differ: byte identity, not value equality.
-fn canonical(t: &Table, n_keys: usize) -> Vec<String> {
-    canonical_rows(t.rows().collect(), n_keys)
-}
-
-fn canonical_rows(mut rows: Vec<Vec<Value>>, n_keys: usize) -> Vec<String> {
-    rows.sort_by(|a, b| {
-        a[..n_keys]
-            .iter()
-            .zip(&b[..n_keys])
-            .map(|(x, y)| x.total_cmp(y))
-            .find(|o| o.is_ne())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    rows.iter().map(|r| format!("{r:?}")).collect()
+    ];
+    gen::table(&fields, &rows)
 }
 
 /// The pivot of `specs` over `GROUP BY cols[..k]`, `BY cols[k..]`, laid
@@ -792,7 +409,7 @@ fn untransposed_pivot(
     specs: &[AggSpec],
     config: &ParallelConfig,
     stats: &mut ExecStats,
-) -> Vec<String> {
+) -> Vec<Vec<String>> {
     let (j_cols, by_cols) = cols.split_at(k);
     let combos = if by_cols.is_empty() {
         vec![vec![]] // the one cell of a pivot with nothing to pivot on
@@ -836,7 +453,7 @@ fn untransposed_pivot(
             }
         }
     }
-    canonical_rows(cells, cols.len())
+    canonical_rows(cells)
 }
 
 /// Oracle 4: one scan core, four adapters, one answer.
@@ -894,12 +511,12 @@ fn aggregate_partial_and_lattice_adapters_agree_across_the_kernel_matrix() {
                 let mut st = ExecStats::default();
                 let budget = ParallelConfig::serial().percentile_budget;
                 let want = reference::aggregate(t, &every_row(), &cols, specs, budget);
-                let want = canonical(&want, cols.len());
+                let want = canonical(&want);
                 let partial = partial_aggregate(t, &cols, specs, &mut st)
                     .unwrap()
                     .finalize(&mut st)
                     .unwrap();
-                assert_eq!(canonical(&partial, cols.len()), want, "{what}: partial");
+                assert_eq!(canonical(&partial), want, "{what}: partial");
 
                 for threads in [1usize, 2, 4] {
                     for dense_budget in [0, 64, DEFAULT_DENSE_BUDGET] {
@@ -915,7 +532,7 @@ fn aggregate_partial_and_lattice_adapters_agree_across_the_kernel_matrix() {
                         let got =
                             hash_aggregate_with_config(t, &cols, specs, &guard, &mut st, &config)
                                 .unwrap();
-                        assert_eq!(canonical(&got, cols.len()), want, "{cell}: aggregate");
+                        assert_eq!(canonical(&got), want, "{cell}: aggregate");
                         assert_eq!(
                             (st.vectorized_kernel_rows, st.scalar_kernel_rows),
                             (t.num_rows() as u64, 0),
@@ -951,7 +568,7 @@ fn aggregate_partial_and_lattice_adapters_agree_across_the_kernel_matrix() {
                         if *name == "small" && cols == [0, 1] {
                             let by_float =
                                 reference::aggregate(t, &every_row(), &[0, 3], specs, budget);
-                            let by_float = canonical(&by_float, 2);
+                            let by_float = canonical(&by_float);
                             let mut st = ExecStats::default();
                             let got = untransposed_pivot(t, &[0, 3], 1, specs, &config, &mut st);
                             assert_eq!(got, by_float, "{cell}: pivot BY a float");
@@ -979,7 +596,7 @@ fn aggregate_partial_and_lattice_adapters_agree_across_the_kernel_matrix() {
                         .unwrap();
                         let level = lattice.pop().unwrap();
                         assert_eq!(lattice.len(), 0, "{cell}: one level in, one out");
-                        assert_eq!(canonical(&level, cols.len()), want, "{cell}: lattice");
+                        assert_eq!(canonical(&level), want, "{cell}: lattice");
                         assert_eq!(
                             (st.vectorized_kernel_rows, st.scalar_kernel_rows),
                             (n, 0),
@@ -1026,8 +643,8 @@ fn a_multi_level_scan_mixes_typed_and_acc_levels() {
             let rows = reference::Rows::all(t.num_rows());
             let solo = reference::aggregate(&t, &rows, cols, specs, config.percentile_budget);
             assert_eq!(
-                canonical(out, cols.len()),
-                canonical(&solo, cols.len()),
+                canonical(out),
+                canonical(&solo),
                 "threads={threads} level {cols:?}"
             );
         }
@@ -1037,23 +654,18 @@ fn a_multi_level_scan_mixes_typed_and_acc_levels() {
 /// A table keyed by `k` (the domain under test) and `h` (three values and
 /// NULL around zero), with an integer-valued float measure carrying NULLs.
 fn key_domain_table(keys: &[Option<i64>]) -> Table {
-    let schema = Schema::from_pairs(&[
+    let row = |(i, k): (usize, &Option<i64>)| {
+        let h = (i % 4 != 3).then_some(i as i64 % 4 - 1);
+        let a = (i % 7 != 0).then_some((i % 13) as f64 - 6.0);
+        vec![Value::from(*k), Value::from(h), Value::from(a)]
+    };
+    let rows: Vec<Vec<Value>> = keys.iter().enumerate().map(row).collect();
+    let fields = [
         ("k", DataType::Int),
         ("h", DataType::Int),
         ("a", DataType::Float),
-    ])
-    .unwrap()
-    .into_shared();
-    let mut t = Table::with_capacity(schema, keys.len());
-    for (i, k) in keys.iter().enumerate() {
-        t.push_row(&[
-            Value::from(*k),
-            Value::from((i % 4 != 3).then_some(i as i64 % 4 - 1)),
-            Value::from((i % 7 != 0).then_some((i % 13) as f64 - 6.0)),
-        ])
-        .unwrap();
-    }
-    t
+    ];
+    gen::table(&fields, &rows)
 }
 
 fn key_domain_specs() -> Vec<AggSpec> {
@@ -1072,7 +684,7 @@ fn assert_key_domain_cells(t: &Table, cols: &[usize], what: &str) -> ExecStats {
     let specs = key_domain_specs();
     let rows = reference::Rows::all(t.num_rows());
     let want = reference::aggregate(t, &rows, cols, &specs, 0);
-    let want = canonical(&want, cols.len());
+    let want = canonical(&want);
     let mut fused = ExecStats::default();
     for threads in [1usize, 2, 4] {
         for dense_budget in [0, DEFAULT_DENSE_BUDGET] {
@@ -1087,7 +699,7 @@ fn assert_key_domain_cells(t: &Table, cols: &[usize], what: &str) -> ExecStats {
             let got =
                 hash_aggregate_with_config(t, cols, &specs, &guard, &mut st, &config).unwrap();
             assert_eq!(
-                canonical(&got, cols.len()),
+                canonical(&got),
                 want,
                 "{what} by {cols:?} threads={threads} budget={dense_budget}"
             );
@@ -1254,43 +866,31 @@ fn no_mutator_leaves_a_stale_key_domain() {
 /// distinct keys, integer-valued measures. `sorted` orders it by `(g, d)`,
 /// so the key stream is run-dominated and a mixed block meets the run path.
 fn where_table(n: usize, sorted: bool) -> Table {
-    let schema = Schema::from_pairs(&[
-        ("g", DataType::Int),
-        ("d", DataType::Int),
-        ("s", DataType::Str),
-        ("a", DataType::Float),
-    ])
-    .unwrap()
-    .into_shared();
-    let mut state = 0x5eed_0f5e_1ec7_u64;
-    let mut next = |m: u64| {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 33) % m
+    let mut draw = Draw::new(0x5eed_0f5e_1ec7);
+    let mut nullable = |v: &dyn Fn(&mut Draw) -> Value, one_in: usize| match draw.one_in(one_in) {
+        true => Value::Null,
+        false => v(&mut draw),
     };
-    let mut rows: Vec<[Value; 4]> = (0..n)
+    let mut rows: Vec<Vec<Value>> = (0..n)
         .map(|_| {
-            let nullable = |v: Value, one_in: u64, roll: u64| match roll % one_in {
-                0 => Value::Null,
-                _ => v,
-            };
-            [
-                nullable(Value::Int(next(5) as i64), 11, next(11)),
-                nullable(Value::Int(next(4) as i64), 13, next(13)),
-                nullable(Value::str(["x", "b", "q"][next(3) as usize]), 7, next(7)),
-                nullable(Value::Float(next(9) as f64 - 3.0), 6, next(6)),
+            vec![
+                nullable(&|d| Value::Int(d.below(5) as i64), 11),
+                nullable(&|d| Value::Int(d.below(4) as i64), 13),
+                nullable(&|d| Value::str(d.one_of(&["x", "b", "q"])), 7),
+                nullable(&|d| Value::Float(d.below(9) as f64 - 3.0), 6),
             ]
         })
         .collect();
     if sorted {
         rows.sort_by(|x, y| x[0].total_cmp(&y[0]).then(x[1].total_cmp(&y[1])));
     }
-    let mut t = Table::with_capacity(schema, n);
-    for row in &rows {
-        t.push_row(row).unwrap();
-    }
-    t
+    let fields = [
+        ("g", DataType::Int),
+        ("d", DataType::Int),
+        ("s", DataType::Str),
+        ("a", DataType::Float),
+    ];
+    gen::table(&fields, &rows)
 }
 
 /// The predicates of the axis, as SQL text and as the expression the text
@@ -1399,12 +999,6 @@ fn where_statements() -> Vec<(&'static str, &'static str, Planned)> {
     ]
 }
 
-/// Column names and rows, in the order the statement returned them.
-fn verbatim(t: &Table) -> (Vec<String>, Vec<Vec<Value>>) {
-    let names = t.schema().fields().iter().map(|f| f.name.clone());
-    (names.collect(), t.rows().collect())
-}
-
 /// Oracle 6: `WHERE` as a selection inside the scans against `WHERE` as a
 /// copy made beforehand, byte for byte — result column names and row order
 /// included — for every statement family × predicate × threads {1, 2, 4} ×
@@ -1484,7 +1078,10 @@ fn where_is_the_same_selection_inside_the_scan_as_a_copy_before_it() {
                                 Some((v, h)) => engine.execute_sql_with(sql, v, h),
                                 None => engine.execute_sql(sql),
                             };
-                            out.map(|out| verbatim(&out.table().read()))
+                            out.map(|out| {
+                                let t = out.table().read().clone();
+                                (compare::shape(&t), compare::cells(&t))
+                            })
                         };
                         let what = format!("{knobs} {shape} {plan}: {with_where}");
                         match (run(&selected, &with_where), run(&copied, &without)) {
@@ -1499,84 +1096,4 @@ fn where_is_the_same_selection_inside_the_scan_as_a_copy_before_it() {
             }
         }
     }
-}
-
-/// A string column that holds only NULLs has an empty dictionary. SPJ reads
-/// each combination through a key match compiled against it (`s` matches
-/// NULL), and a `WHERE` may compare it: under every plan the column is the
-/// one NULL cell, and a comparison with it selects nothing.
-#[test]
-fn a_by_column_of_only_nulls_is_one_cell_under_every_plan() {
-    let schema = Schema::from_pairs(&[
-        ("g", DataType::Int),
-        ("s", DataType::Str),
-        ("a", DataType::Float),
-    ])
-    .unwrap()
-    .into_shared();
-    let mut t = Table::empty(schema);
-    for i in 0..70i64 {
-        t.push_row(&[Value::Int(i % 3), Value::Null, Value::Float((i % 5) as f64)])
-            .unwrap();
-    }
-    let catalog = Catalog::new();
-    catalog.create_table("f", t).unwrap();
-    let variants = horizontal_variants();
-    // `(WHERE, result rows, cell columns)`.
-    for (pred, rows, cells) in [
-        ("", 3, 1),
-        ("WHERE a >= 1", 3, 1),
-        ("WHERE s = 'x'", 0, 0),
-        ("WHERE s <> 'x' OR s < 'x'", 0, 0),
-    ] {
-        let sql = format!("SELECT g, Hpct(a BY s) FROM f {pred} GROUP BY g");
-        let run = |(_, opts, tier): &Variant| {
-            let engine =
-                PercentageEngine::new(&catalog).with_config(tier(ParallelConfig::from_env()));
-            let out = engine.execute_sql_with(&sql, &VpctStrategy::best(), opts);
-            let out = out.unwrap_or_else(|e| panic!("{sql}: {e}")).table();
-            let t = out.read().clone();
-            t
-        };
-        let reference = run(&variants[0]);
-        assert_eq!(reference.num_rows(), rows, "{sql}");
-        assert_eq!(reference.num_columns(), 1 + cells, "{sql}");
-        for variant in &variants[1..] {
-            let (ref_name, name) = (&variants[0].0, &variant.0);
-            if let Some(diff) = first_divergence(ref_name, &reference, name, &run(variant)) {
-                panic!("{sql}: {diff}");
-            }
-        }
-    }
-}
-
-#[test]
-fn harness_reports_injected_divergence() {
-    let schema = Schema::from_pairs(&[("g", DataType::Int), ("p", DataType::Float)])
-        .unwrap()
-        .into_shared();
-    let mut a = Table::empty(schema.clone());
-    let mut b = Table::empty(schema);
-    for g in 0..3i64 {
-        a.push_row(&[Value::from(g), Value::from(0.25f64)]).unwrap();
-        let p = if g == 1 { 0.5 } else { 0.25 };
-        b.push_row(&[Value::from(g), Value::from(p)]).unwrap();
-    }
-    let msg =
-        first_divergence("case_direct", &a, "spj_direct", &b).expect("divergence must be detected");
-    assert!(
-        msg.contains("case_direct") && msg.contains("spj_direct"),
-        "message names both strategies: {msg}"
-    );
-    assert!(
-        msg.contains("first divergent row 1"),
-        "message pins the first divergent row: {msg}"
-    );
-
-    // Row-count divergence is also actionable.
-    let mut c = Table::empty(a.schema().clone());
-    c.push_row(&[Value::from(0i64), Value::from(0.25f64)])
-        .unwrap();
-    let msg = first_divergence("serial", &a, "threads=4", &c).expect("count divergence");
-    assert!(msg.contains("row count 3 vs 1"), "{msg}");
 }

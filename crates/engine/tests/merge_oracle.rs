@@ -33,8 +33,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-#[path = "support/reference.rs"]
-mod reference;
+use pa_testkit::compare::cells;
+use pa_testkit::{gen, reference, Draw};
 
 // ---------------------------------------------------------------------
 // Harness
@@ -44,32 +44,27 @@ mod reference;
 /// integer-valued float measure (exact under regrouped addition, with
 /// NULLs), one string measure for distinct counts.
 fn fact_table(rows: usize, seed: u64) -> Table {
-    let schema = Schema::from_pairs(&[
+    let mut draw = Draw::new(seed);
+    let mut row = |_| {
+        let g = match draw.one_in(20) {
+            true => Value::Null,
+            false => Value::Int(draw.below(5) as i64),
+        };
+        let d = Value::str(draw.one_of(&["x", "y", "z"]));
+        let a = match draw.one_in(10) {
+            true => Value::Null,
+            false => Value::Float(draw.below(101) as f64 - 50.0),
+        };
+        vec![g, d, a, Value::str(format!("s{}", draw.below(40)))]
+    };
+    let rows: Vec<Vec<Value>> = (0..rows).map(&mut row).collect();
+    let fields = [
         ("g", DataType::Int),
         ("d", DataType::Str),
         ("a", DataType::Float),
         ("s", DataType::Str),
-    ])
-    .unwrap()
-    .into_shared();
-    let mut t = Table::empty(schema);
-    let mut rng = StdRng::seed_from_u64(seed);
-    for _ in 0..rows {
-        let g = if rng.gen_bool(0.05) {
-            Value::Null
-        } else {
-            Value::Int(rng.gen_range(0..5i64))
-        };
-        let d = Value::str(["x", "y", "z"][rng.gen_range(0..3usize)]);
-        let a = if rng.gen_bool(0.1) {
-            Value::Null
-        } else {
-            Value::Float(rng.gen_range(-50..=50i64) as f64)
-        };
-        let s = Value::str(format!("s{}", rng.gen_range(0..40u32)));
-        t.push_row(&[g, d, a, s]).unwrap();
-    }
-    t
+    ];
+    gen::table(&fields, &rows)
 }
 
 /// Every aggregate function of the protocol, exercised in one lane list.
@@ -168,21 +163,6 @@ fn rows_of(t: &Table) -> Vec<Vec<Value>> {
     t.rows().collect()
 }
 
-/// Rows of a hash-aggregate result, re-sorted into the finalize order
-/// (keys ascending in `Value::total_cmp` order, NULLs first).
-fn sorted_rows(t: &Table, key_cols: usize) -> Vec<Vec<Value>> {
-    let mut rows = rows_of(t);
-    rows.sort_by(|a, b| {
-        a[..key_cols]
-            .iter()
-            .zip(&b[..key_cols])
-            .map(|(x, y)| x.total_cmp(y))
-            .find(|o| *o != std::cmp::Ordering::Equal)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    rows
-}
-
 // ---------------------------------------------------------------------
 // The differential oracle
 // ---------------------------------------------------------------------
@@ -275,7 +255,10 @@ fn shard_merge_matches_parallel_hash_aggregate_at_1_2_4_threads() {
             )
             .unwrap();
             assert_eq!(engine_stats.scalar_kernel_rows, 0, "{what}");
-            let want = sorted_rows(&engine_out, group_cols.len());
+            // The hash aggregate's groups in the finalize order: keys
+            // ascending, NULLs first.
+            let keys: Vec<usize> = (0..group_cols.len()).collect();
+            let want = rows_of(&engine_out.sorted_by(&keys));
             let got = rows_of(&sharded);
             assert_eq!(got.len(), want.len(), "{what} group count");
             for (g, w) in got.iter().zip(&want) {
@@ -410,21 +393,6 @@ fn holistic_table(rows: usize, seed: u64, sorted: bool) -> Table {
     t
 }
 
-/// A result table down to the bit: `Value` equality calls `Int(3)` and
-/// `Float(3.0)`, `0.0` and `-0.0` equal; these strings do not.
-fn exact_rows(t: &Table) -> Vec<Vec<String>> {
-    t.rows()
-        .map(|row| {
-            row.iter()
-                .map(|v| match v {
-                    Value::Float(x) => format!("f{:016x}", x.to_bits()),
-                    other => format!("{other:?}"),
-                })
-                .collect()
-        })
-        .collect()
-}
-
 /// Every holistic function over a numeric column, alone and beside
 /// `sum`/`count(*)`: the fused lanes and the naive reference over the same
 /// worker chunks return the same table and the same `sketch_spills` — at
@@ -491,7 +459,7 @@ fn holistic_lanes_match_the_reference_across_the_kernel_matrix() {
                             &config,
                         )
                         .unwrap();
-                        let fused = exact_rows(&fused);
+                        let fused = cells(&fused);
                         // The naive reference over the same worker chunks.
                         let rows = || reference::Rows::all(N).chunked(config.chunks(N));
                         let want = reference::aggregate(
@@ -501,7 +469,7 @@ fn holistic_lanes_match_the_reference_across_the_kernel_matrix() {
                             &specs,
                             percentile_budget,
                         );
-                        assert_eq!(fused, exact_rows(&want), "{what}");
+                        assert_eq!(fused, cells(&want), "{what}");
                         let (_, accs) =
                             reference::groups(&t, &rows(), &group_cols, &specs, percentile_budget);
                         let spills = accs.iter().flatten().filter(|acc| acc.spilled()).count();

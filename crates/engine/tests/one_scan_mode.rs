@@ -1,6 +1,6 @@
 //! One scan mode: every shape that once took a per-row loop of its own now
 //! rides the block loop, and answers what the naive reference
-//! (`support/reference.rs`) does, byte for byte.
+//! (`pa_testkit::reference`) does, byte for byte.
 //!
 //! The shapes: `min`/`max` over integer, float and string inputs (all-NULL
 //! columns included); `count(DISTINCT …)` and a count of strings; literal
@@ -19,8 +19,7 @@ use pa_engine::{
 };
 use pa_storage::{DataType, Schema, Table, Value};
 
-#[path = "support/reference.rs"]
-mod reference;
+use pa_testkit::reference;
 
 const N: usize = 3_000;
 const G: usize = 0;

@@ -1,7 +1,8 @@
-//! Determinism of morsel-parallel aggregation: for random tables (NULLs,
-//! dictionary-encoded strings, duplicate keys) the parallel scan must
-//! produce output *identical* to the serial scan — same groups, same group
-//! order, same cell values — across worker counts {1, 2, 4, 7}.
+//! Determinism of morsel-parallel aggregation: for the kit's corner-value
+//! tables (NULLs, dictionary-encoded strings, duplicate keys) the parallel
+//! scan must produce output *identical* to the row-level reference over the
+//! same worker chunks — same groups, same group order, same cell bits —
+//! across worker counts {1, 2, 4, 7}.
 //!
 //! Inputs use integer-valued floats: those sums are exact under any
 //! regrouping of additions, so "identical" here means byte-identical, not
@@ -12,53 +13,12 @@ use pa_engine::{
     ExecStats, Expr, ParallelConfig, ResourceGuard,
 };
 use pa_storage::{DataType, Schema, Table, Value};
+use pa_testkit::compare::cells;
+use pa_testkit::{gen, reference, Draw};
 use proptest::prelude::*;
 
-#[derive(Debug, Clone)]
-struct Row {
-    g: Option<i64>,
-    s: Option<usize>,
-    a: Option<i64>,
-}
-
-/// Rows with NULLs in every column, few distinct keys (duplicates
-/// guaranteed), and a small string domain (dictionary codes collide across
-/// worker chunks).
-fn rows_strategy(max: usize) -> impl Strategy<Value = Vec<Row>> {
-    prop::collection::vec(
-        (
-            prop::option::weighted(0.9, 0..6i64),
-            prop::option::weighted(0.9, 0..4usize),
-            prop::option::weighted(0.85, -50..=50i64),
-        )
-            .prop_map(|(g, s, a)| Row { g, s, a }),
-        0..max,
-    )
-}
-
-fn table_of(rows: &[Row]) -> Table {
-    let schema = Schema::from_pairs(&[
-        ("g", DataType::Int),
-        ("s", DataType::Str),
-        ("a", DataType::Float),
-    ])
-    .unwrap()
-    .into_shared();
-    let names = ["north", "south", "east", "west"];
-    let mut t = Table::with_capacity(schema, rows.len());
-    for r in rows {
-        t.push_row(&[
-            Value::from(r.g),
-            r.s.map_or(Value::Null, |i| Value::str(names[i])),
-            Value::from(r.a.map(|x| x as f64)),
-        ])
-        .unwrap();
-    }
-    t
-}
-
 fn all_func_specs(t: &Table) -> Vec<AggSpec> {
-    let a = Expr::col(t.schema(), "a").unwrap();
+    let a = Expr::col(t.schema(), "amt").unwrap();
     let s = Expr::col(t.schema(), "s").unwrap();
     vec![
         AggSpec::new(AggFunc::Sum, a.clone(), "sum"),
@@ -81,80 +41,31 @@ fn config(threads: usize) -> ParallelConfig {
     }
 }
 
-fn snapshot(t: &Table) -> Vec<Vec<Value>> {
-    // Unsorted: group order itself must be identical, not just group content.
-    t.rows().collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// One level and three levels, each the reference's over the same
+    /// worker chunks — group order included — at every worker count.
     #[test]
-    fn parallel_hash_aggregate_identical_to_serial(rows in rows_strategy(300)) {
-        let t = table_of(&rows);
-        let specs = all_func_specs(&t);
-        let serial = hash_aggregate_with_config(
-            &t,
-            &[0, 1],
-            &specs,
-            &ResourceGuard::unlimited(),
-            &mut ExecStats::default(),
-            &config(1),
-        )
-        .unwrap();
-        for threads in [2usize, 4, 7] {
-            let parallel = hash_aggregate_with_config(
-                &t,
-                &[0, 1],
-                &specs,
-                &ResourceGuard::unlimited(),
-                &mut ExecStats::default(),
-                &config(threads),
-            )
-            .unwrap();
-            prop_assert_eq!(
-                snapshot(&serial),
-                snapshot(&parallel),
-                "threads={}",
-                threads
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_multi_level_identical_to_serial(rows in rows_strategy(300)) {
-        let t = table_of(&rows);
+    fn parallel_levels_are_the_references_in_group_order(seed in any::<u64>(), n in 0usize..300) {
+        let t = gen::fact(&mut Draw::new(seed), n);
         let specs = all_func_specs(&t);
         let levels = vec![
-            (vec![0usize, 1], specs.clone()),
-            (vec![1], specs.clone()),
-            (vec![], specs),
+            (vec![0usize, 3], specs.clone()),
+            (vec![3], specs.clone()),
+            (vec![], specs.clone()),
         ];
-        let serial = multi_hash_aggregate_with_config(
-            &t,
-            &levels,
-            &ResourceGuard::unlimited(),
-            &mut ExecStats::default(),
-            &config(1),
-        )
-        .unwrap();
-        for threads in [2usize, 4, 7] {
-            let parallel = multi_hash_aggregate_with_config(
-                &t,
-                &levels,
-                &ResourceGuard::unlimited(),
-                &mut ExecStats::default(),
-                &config(threads),
-            )
-            .unwrap();
-            for (lvl, (s, p)) in serial.iter().zip(&parallel).enumerate() {
-                prop_assert_eq!(
-                    snapshot(s),
-                    snapshot(p),
-                    "threads={} level={}",
-                    threads,
-                    lvl
-                );
+        let guard = ResourceGuard::unlimited();
+        for threads in [1usize, 2, 4, 7] {
+            let config = config(threads);
+            let rows = reference::Rows::all(t.num_rows()).chunked(config.chunks(t.num_rows()));
+            let want = |cols: &[usize]| reference::aggregate(&t, &rows, cols, &specs, config.percentile_budget);
+            let mut stats = ExecStats::default();
+            let one = hash_aggregate_with_config(&t, &[0, 3], &specs, &guard, &mut stats, &config).unwrap();
+            prop_assert_eq!(cells(&one), cells(&want(&[0, 3])), "threads={}", threads);
+            let all = multi_hash_aggregate_with_config(&t, &levels, &guard, &mut stats, &config).unwrap();
+            for (level, (cols, _)) in all.iter().zip(&levels) {
+                prop_assert_eq!(cells(level), cells(&want(cols)), "threads={} level {:?}", threads, cols);
             }
         }
     }

@@ -15,76 +15,35 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use pa_core::{HorizontalOptions, HorizontalQuery, ParallelConfig, PercentageEngine};
+use pa_core::{HorizontalOptions, ParallelConfig, PercentageEngine};
 use pa_storage::{Catalog, Change, DataType, Rows, Schema, Table, Value};
+use pa_testkit::compare::{self, cells};
+use pa_testkit::{answer, assert_same, assert_same_rows, gen, Draw, Stmt};
 
-fn lcg(state: &mut u64) -> u64 {
-    *state = state
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    *state >> 33
-}
-
-/// Integer-valued measures (exact sums under any regrouping), NULLs in
-/// every column, few distinct keys.
-fn seeded_row(state: &mut u64) -> Vec<Value> {
-    let g = lcg(state);
-    let d = lcg(state);
-    let a = lcg(state);
-    vec![
-        if g.is_multiple_of(10) {
-            Value::Null
-        } else {
-            Value::Int((g % 4) as i64)
-        },
-        if d.is_multiple_of(11) {
-            Value::Null
-        } else {
-            Value::Int((d % 5) as i64)
-        },
-        if a.is_multiple_of(8) {
-            Value::Null
-        } else {
-            Value::Float((a % 7) as f64 - 3.0)
-        },
-    ]
-}
-
+/// The kit's corner-value fact table of `rows` rows as `f`.
 fn build_catalog(rows: usize, seed: u64) -> Catalog {
     let catalog = Catalog::new();
-    let schema = Schema::from_pairs(&[
-        ("g", DataType::Int),
-        ("d", DataType::Int),
-        ("a", DataType::Float),
-    ])
-    .unwrap()
-    .into_shared();
-    let mut t = Table::with_capacity(schema, rows);
-    let mut state = seed;
-    for _ in 0..rows {
-        t.push_row(&seeded_row(&mut state)).unwrap();
-    }
-    catalog.create_table("f", t).unwrap();
+    catalog
+        .create_table("f", gen::fact(&mut Draw::new(seed), rows))
+        .unwrap();
     catalog
 }
 
-/// (column names, sorted rows): the byte-identity fingerprint.
-fn fingerprint(t: &Table) -> (Vec<String>, Vec<Vec<Value>>) {
-    let names: Vec<String> = t.schema().fields().iter().map(|f| f.name.clone()).collect();
-    let all: Vec<usize> = (0..t.num_columns()).collect();
-    (names, t.sorted_by(&all).rows().collect())
+/// `Hpct(amt BY d) … GROUP BY g` over `table`.
+fn hpct(table: &str) -> Stmt {
+    Stmt::new(table, &["g"]).hpct("amt", &["d"], "h")
 }
 
 /// One seeded writer mutation through the catalog's write path: mostly
-/// appends, every fourth op a logged in-place update.
-fn writer_op(catalog: &Catalog, state: &mut u64) {
+/// appends, every fourth op a logged in-place update of `amt`.
+fn writer_op(catalog: &Catalog, draw: &mut Draw) {
     let rows = catalog.table("f").unwrap().read().num_rows();
-    if lcg(state).is_multiple_of(4) && rows > 0 {
-        let row = (lcg(state) as usize) % rows;
-        let after = [Value::Float((lcg(state) % 9) as f64)];
-        catalog.update_cells("f", row, &[2], &after).unwrap();
+    if draw.one_in(4) && rows > 0 {
+        let row = draw.below(rows);
+        let after = [Value::Float(draw.below(9) as f64)];
+        catalog.update_cells("f", row, &[4], &after).unwrap();
     } else {
-        let row = [seeded_row(state)];
+        let row = [gen::fact_row(draw, &["a", "b", "c"])];
         catalog
             .write("f", Change::Append(Rows::Values(&row)))
             .unwrap();
@@ -111,20 +70,8 @@ fn pinned_snapshot_queries_are_byte_identical_under_concurrent_writes() {
     let catalog = build_catalog(2_000, 42);
     let view = catalog.pin_table("f").unwrap();
 
-    // Quiesced reference: a standalone catalog holding a copy of the
-    // frozen table, queried before any writer starts.
-    let refcat = Catalog::new();
-    refcat
-        .create_table("f", view.table().read().clone())
-        .unwrap();
-    let hq = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
-    let expected: Vec<_> = modes
-        .iter()
-        .map(|mode| {
-            let ref_engine = PercentageEngine::new(&refcat).with_config(*mode);
-            fingerprint(&ref_engine.horizontal_with(&hq, &opts).unwrap().snapshot())
-        })
-        .collect();
+    // The frozen table's answer, before any writer starts.
+    let expected = answer(&view.table().read(), &hpct("f"));
 
     let stop = Arc::new(AtomicBool::new(false));
     std::thread::scope(|s| {
@@ -132,9 +79,9 @@ fn pinned_snapshot_queries_are_byte_identical_under_concurrent_writes() {
             let catalog = &catalog;
             let stop = Arc::clone(&stop);
             s.spawn(move || {
-                let mut state = 0xD1F0_5EED ^ (w << 17);
+                let mut draw = Draw::new(0xD1F0_5EED ^ (w << 17));
                 while !stop.load(Ordering::Relaxed) {
-                    writer_op(catalog, &mut state);
+                    writer_op(catalog, &mut draw);
                 }
             });
         }
@@ -147,7 +94,7 @@ fn pinned_snapshot_queries_are_byte_identical_under_concurrent_writes() {
         // writers race. Twelve rounds at least, and on until the live
         // table has grown past the pin — a fast reader must not finish
         // before a writer was scheduled.
-        let aq = HorizontalQuery::hpct(view.alias(), &["g"], "a", &["d"]);
+        let aq = hpct(view.alias()).horizontal_query();
         let grown = || catalog.table("f").unwrap().read().num_rows() > view.rows();
         let mut round = 0;
         while round < 12 || !grown() {
@@ -156,13 +103,11 @@ fn pinned_snapshot_queries_are_byte_identical_under_concurrent_writes() {
                 "writers never landed a row in {round} reader rounds"
             );
             round += 1;
-            for (mode, exp) in modes.iter().zip(&expected) {
+            for mode in &modes {
                 let engine = PercentageEngine::new(&catalog).with_config(*mode);
-                let got = fingerprint(&engine.horizontal_with(&aq, &opts).unwrap().snapshot());
-                assert_eq!(
-                    &got, exp,
-                    "round {round}, {mode:?}: pinned snapshot result drifted"
-                );
+                let got = engine.horizontal_with(&aq, &opts).unwrap().snapshot();
+                let what = format!("round {round}, {mode:?}: the pinned snapshot's answer");
+                assert_same_rows(&got, &expected, &what);
             }
         }
     });
@@ -188,18 +133,23 @@ fn a_pin_keeps_its_key_statistics_while_a_writer_resets_the_live_ones() {
     let catalog = build_catalog(2_000, 5);
     let engine = PercentageEngine::new(&catalog);
     let view = catalog.pin_table("f").unwrap();
-    let pinned_q = HorizontalQuery::hpct(view.alias(), &["g"], "a", &["d"]);
-    let live_q = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
+    // `Hpct(amt BY d) … GROUP BY q`: two integer key columns.
+    let stmt = |table: &str| Stmt::new(table, &["q"]).hpct("amt", &["d"], "h");
+    let (pinned_q, live_q) = (
+        stmt(view.alias()).horizontal_query(),
+        stmt("f").horizontal_query(),
+    );
     // The query through the pin builds the records of both key columns —
     // on the one version pin and live table still share.
-    let before = fingerprint(&engine.horizontal(&pinned_q).unwrap().snapshot());
+    let before = engine.horizontal(&pinned_q).unwrap().snapshot();
+    assert_same_rows(&before, &answer(&view.table().read(), &stmt("f")), "pinned");
     let live = catalog.table("f").unwrap();
     let stats_of = |t: &Table, c: usize| {
         let stats = t.column_stats(c);
         (stats as *const _, stats.range(), stats.null_count())
     };
     let frozen = view.table();
-    let (pin_g, pin_d) = (stats_of(&frozen.read(), 0), stats_of(&frozen.read(), 1));
+    let (pin_g, pin_d) = (stats_of(&frozen.read(), 5), stats_of(&frozen.read(), 1));
     assert_eq!(stats_of(&live.read(), 1), pin_d, "one version, one record");
     assert_eq!(pin_d.1, Some((0, 4)));
 
@@ -213,16 +163,18 @@ fn a_pin_keeps_its_key_statistics_while_a_writer_resets_the_live_ones() {
         Some((0, 9)),
         "live `d` rebuilt"
     );
-    assert_eq!(stats_of(&live.read(), 0), pin_g, "untouched `g` is shared");
+    assert_eq!(stats_of(&live.read(), 5), pin_g, "untouched `q` is shared");
 
-    // An append below `min` on `g` resets the live `g` record (every slot
+    // An append below `min` on `q` resets the live `q` record (every slot
     // would shift) and carries `d`'s over one more NULL; the pin's stay.
-    let below_min = [vec![Value::Int(-6), Value::Null, Value::Float(2.0)]];
+    let mut below_min = [gen::fact_row(&mut Draw::new(1), &["a"])];
+    below_min[0][1] = Value::Null;
+    below_min[0][5] = Value::Int(-6);
     catalog
         .write("f", Change::Append(Rows::Values(&below_min)))
         .unwrap();
-    assert_eq!(stats_of(&frozen.read(), 0), pin_g, "the pin keeps its `g`");
-    assert_eq!(stats_of(&live.read(), 0).1, Some((-6, 3)));
+    assert_eq!(stats_of(&frozen.read(), 5), pin_g, "the pin keeps its `q`");
+    assert_eq!(stats_of(&live.read(), 5).1, Some((-6, 3)));
     assert_eq!(
         stats_of(&live.read(), 1).2,
         pin_d.2 + 1,
@@ -231,25 +183,11 @@ fn a_pin_keeps_its_key_statistics_while_a_writer_resets_the_live_ones() {
 
     // Each side answers from its own records: the pin as before the writes,
     // the live name as a quiesced copy of the written table.
-    let again = fingerprint(&engine.horizontal(&pinned_q).unwrap().snapshot());
-    assert_eq!(again, before, "the pinned answer drifted");
-    // (`take` copies the rows into a table with no record built.)
-    let every_row: Vec<usize> = (0..live.read().num_rows()).collect();
-    let refcat = Catalog::new();
-    refcat
-        .create_table("f", live.read().take(&every_row))
-        .unwrap();
-    let expected = PercentageEngine::new(&refcat).horizontal(&live_q).unwrap();
-    let after = engine.horizontal(&live_q).unwrap();
-    assert_eq!(
-        fingerprint(&after.snapshot()),
-        fingerprint(&expected.snapshot())
-    );
-    assert_ne!(
-        fingerprint(&after.snapshot()),
-        before,
-        "the writes are visible"
-    );
+    let again = engine.horizontal(&pinned_q).unwrap().snapshot();
+    assert_same(&again, &before, "the pinned answer");
+    let after = engine.horizontal(&live_q).unwrap().snapshot();
+    assert_same_rows(&after, &answer(&live.read(), &stmt("f")), "the live answer");
+    assert_ne!(cells(&after), cells(&before), "the writes are visible");
 }
 
 /// Degraded/retried queries re-pin: after the first pin is dropped and the
@@ -260,28 +198,23 @@ fn a_pin_keeps_its_key_statistics_while_a_writer_resets_the_live_ones() {
 fn repinning_after_writes_observes_the_new_epoch() {
     let catalog = build_catalog(500, 7);
     let engine = PercentageEngine::new(&catalog);
-    let hq = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
-    let before = fingerprint(&engine.horizontal(&hq).unwrap().snapshot());
+    let hq = hpct("f").horizontal_query();
+    let before = engine.horizontal(&hq).unwrap().snapshot();
 
-    let mut state = 99;
+    let mut draw = Draw::new(99);
     for _ in 0..40 {
-        writer_op(&catalog, &mut state);
+        writer_op(&catalog, &mut draw);
     }
 
-    let after = fingerprint(&engine.horizontal(&hq).unwrap().snapshot());
+    let after = engine.horizontal(&hq).unwrap().snapshot();
     assert_ne!(
-        before, after,
+        cells(&before),
+        cells(&after),
         "a fresh query must re-pin and see the mutated table"
     );
-
-    // And the re-pinned run matches a quiesced copy of the *new* state.
-    let refcat = Catalog::new();
-    refcat
-        .create_table("f", catalog.table("f").unwrap().read().clone())
-        .unwrap();
-    let ref_engine = PercentageEngine::new(&refcat);
-    let expected = fingerprint(&ref_engine.horizontal(&hq).unwrap().snapshot());
-    assert_eq!(after, expected);
+    // And the re-pinned run answers the *new* state.
+    let live = catalog.table("f").unwrap().read().clone();
+    assert_same_rows(&after, &answer(&live, &hpct("f")), "re-pinned");
 }
 
 /// The write axis. What a write leaves derived beside the columns — slot
@@ -303,27 +236,27 @@ fn answers_after_every_write_equal_a_fresh_load_of_the_same_rows() {
         "SELECT store, day, region, Vpct(amt BY region) AS pct FROM g \
          GROUP BY ROLLUP(store, day, region)",
     ];
-    let dims: [(&str, u64); 4] = [("store", 23), ("day", 7), ("region", 5), ("month", 12)];
+    let dims: [(&str, usize); 4] = [("store", 23), ("day", 7), ("region", 5), ("month", 12)];
     let mut fields: Vec<(&str, DataType)> = dims.iter().map(|d| (d.0, DataType::Int)).collect();
     fields.push(("amt", DataType::Float));
     let schema = Schema::from_pairs(&fields).unwrap().into_shared();
     // `shift` moves a batch's keys off the loaded domain: above every max
     // (the vectors extend, the domains grow) or below every min (reset).
-    let batch = |state: &mut u64, rows: usize, shift: i64| -> Vec<Vec<Value>> {
-        let row = |state: &mut u64| {
-            let key = |card: u64, state: &mut u64| match lcg(state) % 50 {
-                0 => Value::Null,
-                _ => Value::Int((lcg(state) % card) as i64 + shift),
+    let batch = |draw: &mut Draw, rows: usize, shift: i64| -> Vec<Vec<Value>> {
+        let row = |draw: &mut Draw| {
+            let key = |card: usize, draw: &mut Draw| match draw.one_in(50) {
+                true => Value::Null,
+                false => Value::Int(draw.below(card) as i64 + shift),
             };
-            let mut row: Vec<Value> = dims.iter().map(|d| key(d.1, state)).collect();
-            row.push(Value::Float((lcg(state) % 1000) as f64));
+            let mut row: Vec<Value> = dims.iter().map(|d| key(d.1, draw)).collect();
+            row.push(Value::Float(draw.below(1000) as f64));
             row
         };
-        (0..rows).map(|_| row(state)).collect()
+        (0..rows).map(|_| row(draw)).collect()
     };
-    let mut state = 20;
+    let mut draw = Draw::new(20);
     let mut loaded = Table::with_capacity(schema, 70_000);
-    loaded.push_rows(&batch(&mut state, 70_000, 0)).unwrap();
+    loaded.push_rows(&batch(&mut draw, 70_000, 0)).unwrap();
     let catalog = Catalog::new();
     catalog.create_table("g", loaded).unwrap();
     let engine = PercentageEngine::new(&catalog);
@@ -334,13 +267,7 @@ fn answers_after_every_write_equal_a_fresh_load_of_the_same_rows() {
             let sql = sql.replace("FROM g", &format!("FROM {table}"));
             let out = engine.execute_sql(&sql).unwrap().table();
             let out = out.read();
-            let names: Vec<String> = out
-                .schema()
-                .fields()
-                .iter()
-                .map(|f| f.name.clone())
-                .collect();
-            (names, out.rows().collect::<Vec<_>>())
+            (compare::shape(&out), compare::cells(&out))
         };
         SHAPES.iter().map(ask).collect()
     };
@@ -367,11 +294,11 @@ fn answers_after_every_write_equal_a_fresh_load_of_the_same_rows() {
     for (step, (rows, shift, col)) in steps.into_iter().enumerate() {
         let view = catalog.pin_table("g").unwrap();
         let pinned = answers(&engine, view.alias());
-        let appended = batch(&mut state, rows, shift);
+        let appended = batch(&mut draw, rows, shift);
         catalog
             .write("g", Change::Append(Rows::Values(&appended)))
             .unwrap();
-        let at = (lcg(&mut state) as usize) % view.rows();
+        let at = draw.below(view.rows());
         let after = [[Value::Int(3), Value::Float(7.0)][usize::from(col == 4)].clone()];
         catalog.update_cells("g", at, &[col], &after).unwrap();
 

@@ -161,6 +161,28 @@ fn stmt() -> impl Strategy<Value = SelectStmt> {
         )
 }
 
+/// A shrunk counterexample of the round trip: a chained comparison,
+/// `WHERE -1 = a = a`, is `(-1 = a) = a` and must print back as that.
+#[test]
+fn a_chained_comparison_with_a_negative_literal_round_trips() {
+    let eq = |left, right| AstExpr::Binary {
+        op: BinOp::Eq,
+        left: Box::new(left),
+        right: Box::new(right),
+    };
+    let a = || AstExpr::Column("a".into());
+    let s = SelectStmt {
+        items: vec![SelectItem::Column("a".into())],
+        from: "a".into(),
+        where_clause: Some(eq(eq(AstExpr::Int(-1), a()), a())),
+        group_by: vec![],
+        grouping: Grouping::Flat,
+        order_by: vec![],
+    };
+    let text = s.to_string();
+    assert_eq!(parse(&text).unwrap(), s, "{text}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 

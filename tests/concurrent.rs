@@ -7,22 +7,19 @@
 //! proceed in parallel, and every thread must see exactly the same answers
 //! as a serial run.
 
-use pa_engine::{AggSpec, Expr};
+use pa_testkit::{answer, assert_same, assert_same_rows, gen, Sets, Stmt};
 use percentage_aggregations::prelude::*;
 
-#[path = "../crates/engine/tests/support/reference.rs"]
-mod reference;
-
+/// The sales workload with its amounts in whole cents.
 fn sales_catalog() -> Catalog {
+    let sales = pa_workload::sales_table(&SalesConfig {
+        rows: 30_000,
+        seed: 404,
+    });
     let catalog = Catalog::new();
-    pa_workload::install_sales(
-        &catalog,
-        &SalesConfig {
-            rows: 30_000,
-            seed: 404,
-        },
-    )
-    .unwrap();
+    catalog
+        .create_table("sales", gen::in_cents(sales, "salesAmt"))
+        .unwrap();
     catalog
 }
 
@@ -32,7 +29,7 @@ fn parallel_vertical_queries_agree_with_serial() {
     let serial = {
         let engine = PercentageEngine::new(&catalog);
         let q = VpctQuery::single("sales", &["state", "dweek"], "salesAmt", &["dweek"]);
-        engine.vpct(&q).unwrap().snapshot().sorted_by(&[0, 1])
+        engine.vpct(&q).unwrap().snapshot()
     };
     let results: Vec<Table> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
@@ -46,30 +43,14 @@ fn parallel_vertical_queries_agree_with_serial() {
                     } else {
                         VpctStrategy::fj_from_f()
                     };
-                    engine
-                        .vpct_with(&q, &strat)
-                        .unwrap()
-                        .snapshot()
-                        .sorted_by(&[0, 1])
+                    engine.vpct_with(&q, &strat).unwrap().snapshot()
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     for (i, t) in results.iter().enumerate() {
-        assert_eq!(t.num_rows(), serial.num_rows(), "thread {i}");
-        for r in 0..t.num_rows() {
-            for c in 0..t.num_columns() {
-                let (a, b) = (t.get(r, c), serial.get(r, c));
-                // Strategies accumulate sums in different orders, so float
-                // results may differ in the last ulps.
-                let close = match (a.as_f64(), b.as_f64()) {
-                    (Some(x), Some(y)) => (x - y).abs() <= 1e-9 * (1.0 + x.abs()),
-                    _ => a == b,
-                };
-                assert!(close, "thread {i} ({r},{c}): {a} vs {b}");
-            }
-        }
+        assert_same_rows(t, &serial, &format!("thread {i}"));
     }
 }
 
@@ -153,32 +134,6 @@ fn update_strategy_is_isolated_per_engine_temps() {
     assert!(any_large, "fact table still holds raw amounts");
 }
 
-/// `Vpct(m BY d) … GROUP BY g, d` of `t` by the naive reference: each
-/// group's sum over its `g` total (NULL for a NULL sum or a zero or NULL
-/// total), rows sorted by key.
-fn reference_vpct(t: &Table, g: usize, d: usize, m: usize) -> Vec<Vec<Value>> {
-    let sum = [AggSpec::new(AggFunc::Sum, Expr::Col(m), "s")];
-    let rows = || reference::Rows::all(t.num_rows());
-    let totals = reference::aggregate(t, &rows(), &[g], &sum, 0);
-    let total = |key: &Value| {
-        let row = totals.rows().find(|row| row[0].key_eq(key));
-        row.and_then(|row| row[1].as_f64()).filter(|&x| x != 0.0)
-    };
-    let fine = reference::aggregate(t, &rows(), &[g, d], &sum, 0);
-    let mut want: Vec<Vec<Value>> = fine
-        .rows()
-        .map(|row| {
-            let pct = match (row[2].as_f64(), total(&row[0])) {
-                (Some(x), Some(total)) => Value::Float(x / total),
-                _ => Value::Null,
-            };
-            vec![row[0].clone(), row[1].clone(), pct]
-        })
-        .collect();
-    want.sort_by(|a, b| a[0].total_cmp(&b[0]).then(a[1].total_cmp(&b[1])));
-    want
-}
-
 /// A statement's scan configuration is a value its engine was handed, not
 /// process state: two engines over one catalog — one serial on the default
 /// tiers, one at four threads on the hash tier — run the same statements
@@ -187,24 +142,23 @@ fn reference_vpct(t: &Table, g: usize, d: usize, m: usize) -> Vec<Vec<Value>> {
 /// exact under any chunking.)
 #[test]
 fn engines_handed_different_configurations_run_side_by_side() {
-    let mut sales = pa_workload::sales_table(&SalesConfig {
-        rows: 30_000,
-        seed: 404,
-    });
-    let amt = sales.schema().index_of("salesAmt").unwrap();
-    for row in 0..sales.num_rows() {
-        let cents = (sales.column(amt).get_f64(row).unwrap() * 100.0).round();
-        sales.column_mut(amt).set(row, Value::Float(cents)).unwrap();
-    }
-    let catalog = Catalog::new();
-    catalog.create_table("sales", sales).unwrap();
-
+    let catalog = sales_catalog();
+    let vpct = Stmt::new("sales", &["state", "dweek"]).vpct("salesAmt", &["dweek"], "p");
+    let vpct = Stmt {
+        order_by: true,
+        ..vpct
+    };
+    let hpct = Stmt::new("sales", &["dept"]).hpct("salesAmt", &["dweek"], "h");
     let statements = [
-        "SELECT state, dweek, Vpct(salesAmt BY dweek) FROM sales \
-         GROUP BY state, dweek ORDER BY state, dweek",
-        "SELECT state, dweek, Vpct(salesAmt BY dweek) AS p FROM sales \
-         GROUP BY ROLLUP (state, dweek) ORDER BY state, dweek",
-        "SELECT dept, Hpct(salesAmt BY dweek) FROM sales GROUP BY dept ORDER BY dept",
+        vpct.clone(),
+        Stmt {
+            sets: Sets::Rollup,
+            ..vpct
+        },
+        Stmt {
+            order_by: true,
+            ..hpct
+        },
     ];
     let configs = [
         ParallelConfig::with_threads(1),
@@ -221,11 +175,11 @@ fn engines_handed_different_configurations_run_side_by_side() {
         let engine = PercentageEngine::new(&catalog).with_config(config);
         let mut stats = ExecStats::default();
         let mut answers = Vec::new();
-        for sql in statements {
+        for stmt in &statements {
             start.wait();
-            let out = engine.execute_sql(sql).unwrap();
+            let out = engine.execute_sql(&stmt.sql()).unwrap();
             stats += out.stats();
-            answers.push(out.table().read().rows().collect::<Vec<_>>());
+            answers.push(out.table().read().clone());
         }
         (answers, stats)
     };
@@ -234,11 +188,12 @@ fn engines_handed_different_configurations_run_side_by_side() {
             .map(|config| scope.spawn(move || run(config)))
             .map(|handle| handle.join().unwrap())
     });
-    assert_eq!(serial, hashed);
+    for ((serial, hashed), stmt) in serial.iter().zip(&hashed).zip(&statements) {
+        assert_same(hashed, serial, &stmt.sql());
+    }
     let t = catalog.table("sales").unwrap().read().clone();
-    let col = |name| t.schema().index_of(name).unwrap();
-    let want = reference_vpct(&t, col("state"), col("dweek"), amt);
-    assert_eq!(serial[0], want, "the flat Vpct is the naive reference's");
+    let want = answer(&t, &statements[0]);
+    assert_same(&serial[0], &want, "the flat Vpct is the reference's");
     assert!(serial_stats.dense_group_ops > 0, "{serial_stats}");
     assert_eq!(serial_stats.scalar_kernel_rows, 0, "{serial_stats}");
     assert!(hashed_stats.hash_group_ops > 0, "{hashed_stats}");

@@ -2,6 +2,7 @@
 //! papers' evaluation sections, verified via work counters rather than
 //! wall-clock (so they hold in debug builds and on any machine).
 
+use pa_testkit::assert_same_rows;
 use percentage_aggregations::prelude::*;
 
 fn sales_catalog(rows: usize) -> Catalog {
@@ -264,7 +265,15 @@ fn wide_results_partition_under_column_limit() {
 /// once and re-aggregates nested levels from the smallest ancestor.
 #[test]
 fn lattice_saves_scans_on_multi_term_queries() {
-    let catalog = sales_catalog(20_000);
+    // Whole cents: the two plans group the sums differently, and only
+    // exact sums answer to the bit whatever the grouping (DESIGN.md §7).
+    let sales = pa_workload::sales_table(&SalesConfig {
+        rows: 20_000,
+        seed: 99,
+    });
+    let catalog = Catalog::new();
+    let sales = pa_testkit::gen::in_cents(sales, "salesAmt");
+    catalog.create_table("sales", sales).unwrap();
     let engine = PercentageEngine::new(&catalog);
     let q = VpctQuery {
         table: "sales".into(),
@@ -292,19 +301,12 @@ fn lattice_saves_scans_on_multi_term_queries() {
         lattice.stats.rows_scanned,
         per_term.stats.rows_scanned
     );
-    // Same answers.
-    let a: Vec<Vec<Value>> = per_term.snapshot().sorted_by(&[0, 1, 2]).rows().collect();
-    let b: Vec<Vec<Value>> = lattice.snapshot().sorted_by(&[0, 1, 2]).rows().collect();
-    assert_eq!(a.len(), b.len());
-    for (ra, rb) in a.iter().zip(&b) {
-        for (va, vb) in ra.iter().zip(rb) {
-            let close = match (va.as_f64(), vb.as_f64()) {
-                (Some(x), Some(y)) => (x - y).abs() < 1e-9 * (1.0 + x.abs()),
-                _ => va == vb,
-            };
-            assert!(close, "{va} vs {vb}");
-        }
-    }
+    // Same answers, to the bit.
+    assert_same_rows(
+        &lattice.snapshot(),
+        &per_term.snapshot(),
+        "lattice vs per-term",
+    );
 }
 
 /// SIGMOD §6 (future work): a batch of queries over one shared summary

@@ -1,6 +1,7 @@
 //! SQL surface: end-to-end statements, rule errors, and the generated-SQL
 //! transcript, all through the public engine API.
 
+use pa_testkit::assert_same_rows;
 use percentage_aggregations::prelude::*;
 
 fn catalog() -> Catalog {
@@ -392,21 +393,9 @@ fn update_strategy_carries_extra_aggregates() {
             &HorizontalOptions::default(),
         )
         .unwrap();
-    let a = ins.table();
-    let b = upd.table();
-    let (a, b) = (a.read().sorted_by(&[0, 1]), b.read().sorted_by(&[0, 1]));
+    let (a, b) = (ins.table().read().clone(), upd.table().read().clone());
     assert_eq!(a.num_columns(), 5);
-    assert_eq!(b.num_columns(), 5);
-    for r in 0..a.num_rows() {
-        for c in 0..5 {
-            let (x, y) = (a.get(r, c), b.get(r, c));
-            let close = match (x.as_f64(), y.as_f64()) {
-                (Some(p), Some(q)) => (p - q).abs() < 1e-9 * (1.0 + p.abs()),
-                _ => x == y,
-            };
-            assert!(close, "({r},{c}): {x} vs {y}");
-        }
-    }
+    assert_same_rows(&b, &a, "UPDATE vs INSERT");
 }
 
 #[test]
