@@ -138,6 +138,23 @@ if sed '/^#\[cfg(test)\]/,$d' crates/core/src/lattice.rs | grep -nE 'ShardPartia
   exit 1
 fi
 
+echo "==> roll-forward gate: an append or an update journals what it changed, it empties no cache"
+# A write leaves the table's cached levels alone and journals its rows and
+# before-images; a reader at the new version rolls an older level forward
+# over the journal (DESIGN.md "The level cache"). Outside #[cfg(test)], the
+# `Change::Append` and `Change::Update` arms of `Catalog::apply` call no
+# `invalidate_*` (the arms must be found, or the gate reads nothing).
+arms=$(sed '/^#\[cfg(test)\]/,$d' crates/storage/src/catalog.rs |
+  sed -n '/^            Change::Append(rows) => {$/,/^            Change::Term(term) => {$/p')
+if ! printf '%s\n' "$arms" | grep -q 'Change::Update {'; then
+  echo "the Append and Update arms of Catalog::apply were not found in crates/storage/src/catalog.rs" >&2
+  exit 1
+fi
+if printf '%s\n' "$arms" | grep -n 'invalidate_'; then
+  echo "an Append or Update arm of Catalog::apply invalidates a cache (crates/storage/src/catalog.rs)" >&2
+  exit 1
+fi
+
 echo "==> transcript gate: the generated SQL is EXPLAIN's, executing renders none"
 # A statement's SQL script is rendered when EXPLAIN asks for it (DESIGN.md
 # §2), never on the execute path: outside the tests, the code generator is
@@ -337,7 +354,9 @@ echo "==> oracle gates: the reference grid, differential, golden, parser fuzz"
 # as its own step with the harness's actionable message (plan, thread
 # count, budget and statement + first divergent row, unified snapshot diff,
 # or the panicking fuzz seed). `oracle_grid` holds every plan to the
-# testkit's reference (DESIGN.md §5); it replaced prop_parallel_pivot,
+# testkit's reference (DESIGN.md §5), before and after each write of its
+# write axis (appends, measure and key updates: the levels a write rolls
+# forward or rescans, at threads 1 and 4); it replaced prop_parallel_pivot,
 # post_projection and differential's strategy-pair oracles.
 # strategy_equivalence and prop_invariants stay, on the kit's comparator.
 cargo test -q --test oracle_grid

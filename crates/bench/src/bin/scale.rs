@@ -273,13 +273,9 @@ fn run_lattice_cell(
     iters: usize,
 ) -> (f64, CellTelemetry, String, [f64; 3]) {
     let queries = lattice_queries();
-    // The executor keys the lattice cache by the pinned snapshot alias;
-    // invalidating that alias is what makes a rerun genuinely cold.
-    let drop_cache = || {
-        if let Some(view) = catalog.pin_table("fact_cube") {
-            catalog.lattice_cache().invalidate_table(view.alias());
-        }
-    };
+    // Forgetting every cached level of the table, of every version, is
+    // what makes a rerun genuinely cold.
+    let drop_cache = || catalog.invalidate_combos("fact_cube");
     let mut telemetry = CellTelemetry::default();
     let mut cold_stats = ExecStats::default();
     let cold_ms = best_ms(iters, || {

@@ -496,8 +496,9 @@ impl<'a> PercentageEngine<'a> {
     ///
     /// Resolves `table` once — pinned at the current catalog epoch, so the
     /// whole query scans one frozen version while concurrent writers keep
-    /// mutating the live table, and the caches are keyed by the snapshot's
-    /// alias — hands it the engine's scan configuration, then derives a
+    /// mutating the live table, and the level cache is keyed by the
+    /// snapshot's source and version — hands it the engine's scan
+    /// configuration, then derives a
     /// per-query guard layering the per-call limits over the engine
     /// defaults and hands both to `eval`. A panic that
     /// escapes the plan becomes [`CoreError::WorkerPanicked`] and cancels
@@ -519,12 +520,8 @@ impl<'a> PercentageEngine<'a> {
         // The pin must outlive the query: dropping it releases the
         // snapshot. `None` for an absent table (the typed not-found error
         // follows) or a name that already is a snapshot alias.
-        let pin = self.catalog.pin_table(table);
-        let fact = match &pin {
-            Some(view) => Fact::cached(Arc::clone(view.table()), view.alias()),
-            None => Fact::named(self.catalog, table)?,
-        }
-        .configured(self.config);
+        let (_pin, fact) = Fact::pinned(self.catalog, table)?;
+        let fact = fact.configured(self.config);
         let allow = limits.deadline.or(self.deadline);
         let deadline = allow.map(|d| Deadline::with_clock(d, Arc::clone(&self.clock)));
         // (With no limits anywhere the query is still metered, so
@@ -995,7 +992,7 @@ impl<'a> PercentageEngine<'a> {
             }
         }
         if let Typed::Lattice(request) = &plan.typed {
-            lines.extend(self.lattice_lines(&stmt.from, request, pred.is_some()));
+            lines.extend(self.lattice_lines(&stmt.from, request, pred.is_some())?);
         }
         Ok(lines)
     }
@@ -1015,16 +1012,14 @@ impl<'a> PercentageEngine<'a> {
     }
 
     /// The lattice plan `request` over `table` would execute with right
-    /// now. The lattice cache is keyed by the pinned snapshot alias the
-    /// execution path rewrites the table to, so probe the same alias:
-    /// EXPLAIN then reports exactly the sources execution would use. A
-    /// `selected` fact (a statement with a `WHERE`) has no cache key, so
-    /// neither does its plan: every level scans or derives.
-    fn lattice_lines(&self, table: &str, request: &Request, selected: bool) -> Vec<String> {
-        let view = self.catalog.pin_table(table);
-        let cache_table = view.as_ref().map_or(table, |v| v.alias());
-        let cache_table = (!selected).then_some(cache_table);
-        lattice_plan_lines(self.catalog, request, cache_table)
+    /// now. The lattice cache is keyed by the version of the table a
+    /// statement pins, so plan over the same pin: EXPLAIN then reports
+    /// exactly the sources execution would use, levels rolled forward
+    /// included. A `selected` fact (a statement with a `WHERE`) has no
+    /// cache key, so neither does its plan: every level scans or derives.
+    fn lattice_lines(&self, table: &str, request: &Request, selected: bool) -> Result<Vec<String>> {
+        let (_pin, fact) = Fact::pinned(self.catalog, table)?;
+        lattice_plan_lines(self.catalog, request, &fact, !selected)
     }
 
     /// The `-- guard:` transcript line. `charged` is `Some` only on the

@@ -21,8 +21,10 @@
 //!    partitioning when the column limit is exceeded.
 
 use crate::error::{CoreError, Result};
+use crate::lattice::Cached;
 use crate::naming::{cell_column_name, dedup_names, partition_ranges};
 use crate::query::{Fact, FactRows, HorizontalQuery};
+use crate::roll;
 use crate::strategy::{HorizontalOptions, HorizontalStrategy};
 use crate::vertical::{count_insert, extra_spec, into_shared};
 use pa_engine::{
@@ -109,6 +111,37 @@ fn reagg_func(func: AggFunc) -> AggFunc {
             unreachable!("holistic aggregates are rejected by FV strategies upstream")
         }
     }
+}
+
+/// The combinations of `by` in the fact table `cached` names, rolled
+/// forward from a set cached at an older version (`crate::roll`), under a
+/// `roll` span; `None` when none is cached or the rule keeps it from
+/// rolling. `source` is what the statement holds of `fact`.
+fn roll_combos(
+    (catalog, cached): (&Catalog, Cached<'_>),
+    (fact, source): (&Fact, &Source<'_>),
+    by: &[String],
+    stats: &mut ExecStats,
+    guard: &ResourceGuard,
+) -> Result<Option<Table>> {
+    let held;
+    let rows = match source {
+        Source::Fact(rows) => rows,
+        Source::Fv(_) => {
+            held = fact.read();
+            &held
+        }
+    };
+    let key_cols: Vec<usize> = (by.iter())
+        .map(|c| rows.schema().index_of(c).map_err(CoreError::from))
+        .collect::<Result<_>>()?;
+    let lowered: Vec<String> = by.iter().map(|c| c.to_ascii_lowercase()).collect();
+    let lane = (rows.whole(), &key_cols[..], &[][..]);
+    let Some(plan) = roll::find((catalog, cached), (&lowered, &[]), lane) else {
+        return Ok(None);
+    };
+    let level = roll::run(&plan, lane, (guard, &mut None), stats, &fact.config())?;
+    Ok(Some(level))
 }
 
 /// The table horizontal aggregation reads from: the fact table (held for
@@ -323,18 +356,20 @@ pub(crate) fn eval_horizontal_on(
     // data (FV preserves it: FV groups by `group_by ∪ by`, so the distinct
     // BY tuples are identical over F and FV): it is the level `BY` of the
     // table with no lanes, kept in the catalog's level cache under
-    // `(table, BY columns)` and served by whatever level sits there — its
-    // own, or one a ROLLUP left with lanes. The cache is invalidated by
-    // every logged mutation of the table, so a hit is always current. A
-    // hit charges the set it hands over; a miss is a keyed scan of the
-    // source like the pivot beside it — `distinct` charges the rows it
-    // reads morsel by morsel, then the set — so a cold statement costs one
-    // more pass of the table than a warm one, in its budget and its trace
-    // as on the clock, as a cold lattice level always has, and a deadline
-    // or cancellation lands inside the pass. A fact without a cache key
-    // (one with a `WHERE`) is scanned for its combinations every time: a BY
-    // value the selection filtered out is not a result column.
-    let combo_cache = fact.cache_key().map(|key| (catalog.combo_cache(), key));
+    // `(table, BY columns)` at the version the statement pinned, and served
+    // by whatever level sits there — its own, or one a ROLLUP left with
+    // lanes. A hit charges the set it hands over. A miss first rolls the
+    // set of an older version forward (`crate::roll`: the old set with the
+    // appended rows' combinations, unless an update wrote a BY column);
+    // otherwise it is a keyed scan of the source like the pivot beside it —
+    // `distinct` charges the rows it reads morsel by morsel, then the set —
+    // so a cold statement costs one more pass of the table than a warm one,
+    // in its budget and its trace as on the clock, as a cold lattice level
+    // always has, and a deadline or cancellation lands inside the pass. A
+    // fact without a cache key (one with a `WHERE`) is scanned for its
+    // combinations every time: a BY value the selection filtered out is not
+    // a result column.
+    let combo_cache = Cached::of(catalog, fact);
     let multi_term = q.terms.len() > 1;
     let mut plans: Vec<TermPlan> = Vec::new();
     for (t, term) in q.terms.iter().enumerate() {
@@ -347,7 +382,8 @@ pub(crate) fn eval_horizontal_on(
         let level: Arc<Table> = {
             let mut span = guard.span("combos");
             span.add_morsels(1);
-            match combo_cache.and_then(|(cache, key)| cache.get(key, &by, &[])) {
+            let hit = combo_cache.and_then(|c| c.cache.get(c.table, c.version, &by, &[]));
+            match hit {
                 Some(cached) => {
                     stats.combo_cache_hits += 1;
                     guard.charge(cached.num_rows() as u64)?;
@@ -356,11 +392,24 @@ pub(crate) fn eval_horizontal_on(
                 }
                 None => {
                     stats.combo_cache_misses += 1;
-                    let found = distinct(src, &by_src_cols, guard, &mut stats, &par)?;
-                    let every_col: Vec<usize> = (0..by.len()).collect();
-                    let level = Arc::new(found.sorted_by(&every_col));
-                    if let Some((cache, key)) = combo_cache {
-                        cache.store(key, &by, &[], Arc::clone(&level));
+                    let rolled = match combo_cache {
+                        Some(c) => {
+                            roll_combos((catalog, c), (fact, &source), &term.by, &mut stats, guard)?
+                        }
+                        None => None,
+                    };
+                    let level = match rolled {
+                        Some(level) => level,
+                        None => {
+                            let found = distinct(src, &by_src_cols, guard, &mut stats, &par)?;
+                            let every_col: Vec<usize> = (0..by.len()).collect();
+                            found.sorted_by(&every_col)
+                        }
+                    };
+                    let level = Arc::new(level);
+                    if let Some(c) = combo_cache {
+                        c.cache
+                            .store(c.table, c.version, &by, &[], Arc::clone(&level));
                     }
                     level
                 }
@@ -389,6 +438,13 @@ pub(crate) fn eval_horizontal_on(
     // Column budget (DMKD §3.6).
     let n_cells: usize = plans.iter().map(|p| p.names.len()).sum();
     let total_cols = q.group_by.len() + n_cells + q.extra.len();
+    if total_cols == 0 {
+        return Err(CoreError::InvalidQuery(
+            "the result has no column: no GROUP BY column, no extra aggregate, \
+             and no BY combination among the rows read"
+                .into(),
+        ));
+    }
     let partitioned = total_cols > opts.max_columns;
     if partitioned && !opts.allow_partitioning {
         return Err(CoreError::TooManyColumns {
@@ -1030,7 +1086,7 @@ mod tests {
     }
 
     #[test]
-    fn combo_cache_serves_repeat_queries_and_mutations_invalidate() {
+    fn combo_cache_serves_repeat_queries_and_an_append_rolls_it_forward() {
         let catalog = store_sales_catalog();
         let q = hpct_query();
         let first = eval_horizontal(&catalog, &q, &HorizontalOptions::default()).unwrap();
@@ -1038,9 +1094,9 @@ mod tests {
         assert_eq!(first.stats.combo_cache_hits, 0);
         // The set is the level `(dweek)` of the one cache, with no lanes.
         let (cache, by) = (catalog.lattice_cache(), ["dweek".to_string()]);
-        let set = cache.get("sales", &by, &[]).expect("stored by the miss");
+        let set = cache.get("sales", 1, &by, &[]).expect("stored by the miss");
         assert_eq!((set.num_rows(), set.num_columns()), (2, 1));
-        assert!(!cache.probe("sales", &by, &["sum(salesAmt)".to_string()]));
+        assert!(!cache.probe("sales", 1, &by, &["sum(salesAmt)".to_string()]));
         // Same table + BY dims, different strategy: served from cache.
         let second = eval_horizontal(
             &catalog,
@@ -1054,8 +1110,8 @@ mod tests {
             first.snapshot().sorted_by(&[0]).rows().collect::<Vec<_>>(),
             second.snapshot().sorted_by(&[0]).rows().collect::<Vec<_>>(),
         );
-        // A logged append invalidates: the next query re-discovers and sees
-        // the new combination as a new result column.
+        // A logged append is a new version: the next query misses, rolls
+        // the set forward, and sees the new combination as a new column.
         let extra_schema = catalog.table("sales").unwrap().read().schema().clone();
         let mut wed = Table::empty(extra_schema);
         wed.push_row(&[Value::Int(2), Value::str("Wed"), Value::Float(50.0)])
@@ -1063,6 +1119,7 @@ mod tests {
         pa_engine::insert_into(&catalog, "sales", &wed, &mut ExecStats::default()).unwrap();
         let third = eval_horizontal(&catalog, &q, &HorizontalOptions::default()).unwrap();
         assert_eq!(third.stats.combo_cache_misses, 1, "{}", third.stats);
+        assert_eq!(third.stats.levels_rolled, 1, "{}", third.stats);
         let t = third.snapshot();
         assert_eq!(t.num_columns(), 5, "Wed became a column");
         assert_eq!(t.schema().field_at(3).name, "dweek=Wed");

@@ -30,6 +30,11 @@
 //!   constants: an exact cached level beats a cached finer ancestor beats
 //!   a freshly planned ancestor beats a fact scan, *regardless of arity*
 //!   (arity only breaks ties within a source kind).
+//! * The cache knows a level by the table *version* it describes. A level
+//!   that misses at the version a request reads, but is cached at an older
+//!   one, is rolled forward over the write journal (`crate::roll`) before
+//!   the plan is made, and counts as cached: after an append the first
+//!   read aggregates the batch, not the table.
 //! * One routine turns materialized levels into percentage columns for all
 //!   three callers: each group's sum over its total, the total read from
 //!   the totals level's own table.
@@ -44,6 +49,7 @@
 
 use crate::error::{CoreError, Result};
 use crate::query::{ExtraAgg, Fact, Measure, VpctQuery};
+use crate::roll;
 use crate::vertical::{count_insert, extra_spec, into_shared, percentage, QueryResult};
 use pa_engine::{
     aggregate_level, lattice_aggregate, AggFunc, AggSpec, ExecStats, Expr, ParallelConfig,
@@ -416,33 +422,65 @@ impl Request {
 /// `[level columns, normalized order][lanes]`, rows sorted by key.
 type LevelTables = FxHashMap<Level, Arc<Table>>;
 
-/// Plan a request against the lattice cache — `cache` is the cache and the
-/// name it knows the fact table by, `None` for a fact table nothing is
-/// cached for. A root must be cached with every lane; a totals level, or a
-/// finer level to re-aggregate, serves with the leading sums alone. With
-/// `fetched`, lookups count as hits and misses and the cached tables the
-/// plan may read land in the map — the wanted levels in one
-/// [`LatticeCache::get_levels`] call; without, the cache is only probed
-/// (EXPLAIN).
+/// The level cache and the fact table a request reads, as the cache knows
+/// it: the source table's name and the version the request pinned.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cached<'a> {
+    pub(crate) cache: &'a LatticeCache,
+    pub(crate) table: &'a str,
+    pub(crate) version: u64,
+}
+
+impl<'a> Cached<'a> {
+    /// Where `fact`'s levels are cached; `None` for a fact with no cache
+    /// key (one with a `WHERE`).
+    pub(crate) fn of(catalog: &'a Catalog, fact: &'a Fact) -> Option<Cached<'a>> {
+        let (table, version) = fact.cache_key()?;
+        let cache = catalog.lattice_cache();
+        Some(Cached {
+            cache,
+            table,
+            version,
+        })
+    }
+}
+
+/// A request's plan against the cache: the steps, and the levels among
+/// them rolled forward from an older version, with that version.
+type Plan = (Vec<LevelStep>, Vec<(Level, u64)>);
+
+/// Plan a request against the lattice cache — `cache` names the fact
+/// table's levels, `None` for a fact table nothing is cached for. A root
+/// must be cached with every lane; a totals level, or a finer level to
+/// re-aggregate, serves with the leading sums alone. A wanted level that
+/// misses but is cached at an older version is rolled forward when the
+/// journal and the rule allow (`crate::roll`), and plans as cached. With
+/// `fetched`, lookups count as hits and misses, rolls run under a `roll`
+/// span, and the tables the plan may read land in the map — the wanted
+/// levels in one [`LatticeCache::get_levels`] call; without, the cache is
+/// only probed (EXPLAIN).
 fn plan_request(
-    cache: Option<(&LatticeCache, &str)>,
+    (catalog, cache): (&Catalog, Option<Cached<'_>>),
+    fact: &Fact,
     request: &Request,
-    mut fetched: Option<&mut LevelTables>,
-) -> Vec<LevelStep> {
+    mut fetched: Option<(&mut LevelTables, &ResourceGuard, &mut ExecStats)>,
+) -> Result<Plan> {
     let (lanes, roots, needed) = (&request.lanes, &request.roots[..], &request.needed[..]);
-    let Some((cache, table)) = cache else {
-        return plan_levels_cached(roots, needed, &[], lanes.extra.is_empty());
+    let Some(cached_at) = cache else {
+        let steps = plan_levels_cached(roots, needed, &[], lanes.extra.is_empty());
+        return Ok((steps, Vec::new()));
     };
+    let (cache, table, version) = (cached_at.cache, cached_at.table, cached_at.version);
     let all = &lanes.signature[..];
     let sums = &all[..lanes.measures.len()];
     let wanted = &request.wanted;
     let lookups: Vec<(&[String], &[String])> = (wanted.iter())
         .map(|l| (l.columns(), if roots.contains(l) { all } else { sums }))
         .collect();
-    let mut cached: Vec<Level> = match fetched.as_deref_mut() {
-        Some(tables) => {
+    let mut cached: Vec<Level> = match fetched.as_mut() {
+        Some((tables, ..)) => {
             let mut hits = vec![None; wanted.len()];
-            cache.get_levels(table, &lookups, &mut hits);
+            cache.get_levels((table, version), &lookups, &mut hits);
             let hit = |(l, t): (&Level, Option<_>)| Some((l.clone(), t?));
             tables.extend(wanted.iter().zip(hits).filter_map(hit));
             wanted
@@ -452,21 +490,52 @@ fn plan_request(
                 .collect()
         }
         None => (wanted.iter().zip(&lookups))
-            .filter(|(_, (cols, lanes))| cache.probe(table, cols, lanes))
+            .filter(|(_, (cols, lanes))| cache.probe(table, version, cols, lanes))
             .map(|(l, _)| l.clone())
             .collect(),
     };
-    let mut look = |l: &Level, lanes: &[String]| match fetched.as_deref_mut() {
-        Some(tables) => cache
-            .get(table, l.columns(), lanes)
+    let mut rolled = Vec::new();
+    if cached.len() < wanted.len() {
+        let missed = (wanted.iter().zip(&lookups)).filter(|(l, _)| !cached.contains(l));
+        let missed: Vec<_> = missed.collect();
+        let rows = fact.read();
+        let (rows, schema) = (rows.whole(), rows.schema());
+        // A column the table lacks rolls nothing: the evaluation reports it.
+        let specs = lanes.specs(schema).unwrap_or_default();
+        let mut span = None;
+        for (level, (cols, sig)) in missed {
+            let key_cols: Option<Vec<usize>> =
+                cols.iter().map(|c| schema.index_of(c).ok()).collect();
+            let (Some(key_cols), Some(specs)) = (key_cols, specs.get(..sig.len())) else {
+                continue;
+            };
+            let lane = (rows, &key_cols[..], specs);
+            let found = roll::find((catalog, cached_at), (cols, sig), lane);
+            let Some(plan) = found else {
+                continue;
+            };
+            if let Some((tables, guard, stats)) = fetched.as_mut() {
+                let config = fact.config();
+                let t = roll::run(&plan, lane, (guard, &mut span), stats, &config)?;
+                let t = Arc::new(t);
+                cache.store(table, version, cols, sig, Arc::clone(&t));
+                tables.insert(level.clone(), t);
+            }
+            rolled.push((level.clone(), plan.from));
+            cached.push(level.clone());
+        }
+    }
+    let mut look = |l: &Level, lanes: &[String]| match fetched.as_mut() {
+        Some((tables, ..)) => cache
+            .get(table, version, l.columns(), lanes)
             .map(|t| tables.insert(l.clone(), t))
             .is_some(),
-        None => cache.probe(table, l.columns(), lanes),
+        None => cache.probe(table, version, l.columns(), lanes),
     };
     // Finer cached levels only matter to a wanted level that missed (one
     // that missed as a root stays missed, whatever sums it is cached with).
     if cached.len() < wanted.len() {
-        for cols in cache.levels_for(table, sums) {
+        for cols in cache.levels_for(table, version, sums) {
             let l = Level::new(&cols);
             let covers = |w: &Level| !cached.contains(w) && w.subset_of(&l);
             if !wanted.contains(&l) && wanted.iter().any(covers) && look(&l, sums) {
@@ -475,7 +544,8 @@ fn plan_request(
         }
     }
     cached.sort_by(|a, b| a.columns().cmp(b.columns()));
-    plan_levels_cached(roots, needed, &cached, lanes.extra.is_empty())
+    let steps = plan_levels_cached(roots, needed, &cached, lanes.extra.is_empty());
+    Ok((steps, rolled))
 }
 
 /// Re-aggregate the distributive measure sums of `src`, the table of level
@@ -512,7 +582,7 @@ fn reaggregate_level(
 /// level of which is cached ends there, and each scan or re-aggregation
 /// after it opens its own.
 fn materialize_levels(
-    cache: Option<(&LatticeCache, &str)>,
+    (catalog, cache): (&Catalog, Option<Cached<'_>>),
     fact: &Fact,
     request: &Request,
     (guard, span): (&ResourceGuard, SpanHandle),
@@ -520,7 +590,8 @@ fn materialize_levels(
 ) -> Result<LevelTables> {
     let (lanes, roots) = (&request.lanes, &request.roots[..]);
     let mut tables = LevelTables::default();
-    let steps = plan_request(cache, request, Some(&mut tables));
+    let fetched = Some((&mut tables, guard, &mut *stats));
+    let (steps, _) = plan_request((catalog, cache), fact, request, fetched)?;
     stats.lattice_levels += steps.len() as u64;
     let cached = steps
         .iter()
@@ -546,9 +617,9 @@ fn materialize_levels(
     }
     let keep = |level: &Level, t: Table, tables: &mut LevelTables| {
         let t = Arc::new(t);
-        if let Some((cache, key)) = cache {
+        if let Some(c) = cache {
             let lanes = &lanes.signature[..t.num_columns() - level.arity()];
-            cache.store(key, level.columns(), lanes, Arc::clone(&t));
+            (c.cache).store(c.table, c.version, level.columns(), lanes, Arc::clone(&t));
         }
         tables.insert(level.clone(), t);
     };
@@ -627,7 +698,7 @@ fn totals_rows(
 /// come from the first set: generated `Vpct` names embed the BY list.
 fn assemble(
     (tables, request): (&LevelTables, &Request),
-    cache: Option<(&LatticeCache, &str)>,
+    cache: Option<Cached<'_>>,
     group_by: &[String],
     sets: Range<usize>,
     guard: &ResourceGuard,
@@ -691,9 +762,7 @@ fn assemble(
             let totals = &tables[by];
             let build = || totals_rows((fk, level), (totals, by));
             let parent = match cache {
-                Some((cache, key)) => {
-                    cache.parent(key, level.columns(), fk, by.columns(), build)?
-                }
+                Some(c) => (c.cache).parent(c.table, level.columns(), fk, by.columns(), build)?,
                 None => build()?.into(),
             };
             let lane = lanes.lane_of(&term.measure);
@@ -741,43 +810,49 @@ pub(crate) fn eval_request(
 ) -> Result<QueryResult> {
     let span = guard.span("levels");
     let mut stats = ExecStats::default();
-    let cache = fact.cache_key().map(|key| (catalog.lattice_cache(), key));
-    let tables = materialize_levels(cache, fact, request, (guard, span), &mut stats)?;
+    let cache = Cached::of(catalog, fact);
+    let tables = materialize_levels((catalog, cache), fact, request, (guard, span), &mut stats)?;
     let sets = 0..request.queries.len();
     let table = assemble((&tables, request), cache, group_by, sets, guard, &mut stats)?;
     Ok(QueryResult { table, stats })
 }
 
-/// Render the lattice plan `request` would execute with right now: one
-/// line per level, naming the chosen source, for EXPLAIN output.
-/// `cache_table` is the table name the execution path will key the lattice
-/// cache with (the pinned snapshot alias when the executor runs the query,
-/// so EXPLAIN and execution agree on cache visibility) — `None` for a
+/// Render the lattice plan `request` would execute over `fact` right now:
+/// one line per level, naming the chosen source, for EXPLAIN output.
+/// `fact` is what the execution path will read (the pinned snapshot when
+/// the executor runs the query, so EXPLAIN and execution agree on cache
+/// visibility and on what rolls forward); `cached` is false for a
 /// statement with a `WHERE`, whose levels are never cached. Probing never
 /// perturbs the cache's hit/miss counters.
 pub(crate) fn lattice_plan_lines(
     catalog: &Catalog,
     request: &Request,
-    cache_table: Option<&str>,
-) -> Vec<String> {
-    let cache = cache_table.map(|table| (catalog.lattice_cache(), table));
-    let steps = plan_request(cache, request, None);
-    steps
+    fact: &Fact,
+    cached: bool,
+) -> Result<Vec<String>> {
+    let cache = Cached::of(catalog, fact).filter(|_| cached);
+    let (steps, rolled) = plan_request((catalog, cache), fact, request, None)?;
+    let lines = steps
         .iter()
         .map(|step| {
+            let rolled = rolled.iter().find(|(l, _)| *l == step.level);
             let source = match &step.source {
                 LevelSource::FactTable => "scan".to_string(),
                 LevelSource::Planned(i) => {
                     format!("projected-from {}", steps[*i].level.render())
                 }
-                LevelSource::Cached => "cache".to_string(),
+                LevelSource::Cached => match rolled {
+                    Some((_, from)) => format!("cache (rolled forward from version {from})"),
+                    None => "cache".to_string(),
+                },
                 LevelSource::CachedAncestor(anc) => {
                     format!("cache (re-aggregated from {})", anc.render())
                 }
             };
             format!("-- lattice: level {} <- {}", step.level.render(), source)
         })
-        .collect()
+        .collect();
+    Ok(lines)
 }
 
 /// Evaluate a batch of percentage queries against the same fact table with
@@ -809,8 +884,14 @@ pub(crate) fn eval_vpct_batch_on(
     let request = Request::batch(queries)?;
     let span = guard.span("levels");
     let mut summary = ExecStats::default();
-    let cache = fact.cache_key().map(|key| (catalog.lattice_cache(), key));
-    let tables = materialize_levels(cache, fact, &request, (guard, span), &mut summary)?;
+    let cache = Cached::of(catalog, fact);
+    let tables = materialize_levels(
+        (catalog, cache),
+        fact,
+        &request,
+        (guard, span),
+        &mut summary,
+    )?;
     let union_level = request
         .roots
         .last()
@@ -1173,7 +1254,13 @@ mod tests {
             extra: vec![],
         };
         let request = Request::new(vec![q.clone()]).unwrap();
-        let cold = lattice_plan_lines(&catalog, &request, Some("sales"));
+        let cold = lattice_plan_lines(
+            &catalog,
+            &request,
+            &Fact::named(&catalog, "sales").unwrap(),
+            true,
+        )
+        .unwrap();
         assert_eq!(
             cold,
             vec![
@@ -1184,7 +1271,13 @@ mod tests {
         );
         let before = catalog.lattice_cache().stats();
         eval_vpct_lattice_guarded(&catalog, &q, "l_", &ResourceGuard::unlimited()).unwrap();
-        let warm = lattice_plan_lines(&catalog, &request, Some("sales"));
+        let warm = lattice_plan_lines(
+            &catalog,
+            &request,
+            &Fact::named(&catalog, "sales").unwrap(),
+            true,
+        )
+        .unwrap();
         assert_eq!(
             warm,
             vec![
@@ -1201,7 +1294,13 @@ mod tests {
         let catalog = sales_catalog();
         let q = VpctQuery::single("sales", &["state", "city"], "salesAmt", &["city"]);
         let request = Request::new(vec![q.clone()]).unwrap();
-        let cold = lattice_plan_lines(&catalog, &request, Some("sales"));
+        let cold = lattice_plan_lines(
+            &catalog,
+            &request,
+            &Fact::named(&catalog, "sales").unwrap(),
+            true,
+        )
+        .unwrap();
         assert_eq!(
             cold,
             vec![
@@ -1210,7 +1309,13 @@ mod tests {
             ]
         );
         eval_vpct_lattice_guarded(&catalog, &q, "l_", &ResourceGuard::unlimited()).unwrap();
-        let warm = lattice_plan_lines(&catalog, &request, Some("sales"));
+        let warm = lattice_plan_lines(
+            &catalog,
+            &request,
+            &Fact::named(&catalog, "sales").unwrap(),
+            true,
+        )
+        .unwrap();
         assert_eq!(
             warm,
             vec![

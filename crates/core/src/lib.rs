@@ -20,6 +20,7 @@ pub mod naming;
 pub mod olap;
 pub mod optimizer;
 pub mod query;
+mod roll;
 pub mod strategy;
 pub mod vertical;
 

@@ -58,39 +58,65 @@ pub(crate) fn eval_vpct_olap_on(fact: &Fact, q: &VpctQuery) -> Result<QueryResul
 
     // Window function and measure column per term. A literal measure maps to
     // count(*) windows: sum(c) over w / sum(c) over w' == count rows ratio.
-    let term_measures: Vec<(AggFunc, usize)> = q
+    let term_measures: Vec<(AggFunc, Option<usize>)> = q
         .terms
         .iter()
         .map(|t| match &t.measure {
             Measure::Column(name) => Ok((
                 AggFunc::Sum,
-                schema
-                    .index_of(name)
-                    .map_err(|_| CoreError::InvalidQuery(format!("unknown measure {name}")))?,
+                Some(
+                    schema
+                        .index_of(name)
+                        .map_err(|_| CoreError::InvalidQuery(format!("unknown measure {name}")))?,
+                ),
             )),
-            Measure::LitInt(_) | Measure::LitFloat(_) => Ok((AggFunc::CountStar, 0)),
+            Measure::LitInt(_) | Measure::LitFloat(_) => Ok((AggFunc::CountStar, None)),
         })
         .collect::<Result<Vec<_>>>()?;
+    let totals: Vec<Vec<usize>> = (q.terms.iter())
+        .map(|term| {
+            (q.totals_key(term).iter())
+                .map(|n| schema.index_of(n).map_err(CoreError::from))
+                .collect()
+        })
+        .collect::<Result<_>>()?;
+
+    // The first spool: F's rows materialized with the columns the windows
+    // read (the keys and the measures), each row tagged with its position
+    // in F. `at` finds an F column in it.
+    let measures = term_measures.iter().filter_map(|&(_, m)| m);
+    let mut read: Vec<usize> = Vec::new();
+    for c in k_cols
+        .iter()
+        .chain(totals.iter().flatten())
+        .copied()
+        .chain(measures)
+    {
+        if !read.contains(&c) {
+            read.push(c);
+        }
+    }
+    let at = |c: usize| read.iter().position(|&r| r == c).expect("a column read");
+    let mut cur = spool(f, &read)?;
+    let position = read.len();
+    stats.rows_scanned += cur.num_rows() as u64;
+    drop(rows);
 
     // One window per aggregation level, appended column by column, exactly
     // like the optimizer's chained window spools. Each window re-sorts its
     // whole n-row input.
-    let mut cur: Table = f.clone(); // the first spool: F itself materialized
-    stats.rows_scanned += cur.num_rows() as u64;
-    drop(rows);
     let mut num_pos: Vec<usize> = Vec::new();
     let mut den_pos: Vec<usize> = Vec::new();
-    for (t, term) in q.terms.iter().enumerate() {
+    let k_spool: Vec<usize> = k_cols.iter().map(|&k| at(k)).collect();
+    for (t, totals) in totals.iter().enumerate() {
+        // count(*) reads no column; the spool's first stands in.
         let (func, mcol) = term_measures[t];
+        let mcol = mcol.map_or(0, at);
         let pos = cur.num_columns();
         let name = format!("__sumk{t}");
-        cur = window_aggregate(&cur, &k_cols, func, mcol, &name, &mut stats, &config)?;
+        cur = window_aggregate(&cur, &k_spool, func, mcol, &name, &mut stats, &config)?;
         num_pos.push(pos);
-        let totals: Vec<usize> = q
-            .totals_key(term)
-            .iter()
-            .map(|n| schema.index_of(n).map_err(CoreError::from))
-            .collect::<Result<Vec<_>>>()?;
+        let totals: Vec<usize> = totals.iter().map(|&c| at(c)).collect();
         let pos = cur.num_columns();
         let name = format!("__sumj{t}");
         cur = window_aggregate(&cur, &totals, func, mcol, &name, &mut stats, &config)?;
@@ -107,9 +133,10 @@ pub(crate) fn eval_vpct_olap_on(fact: &Fact, q: &VpctQuery) -> Result<QueryResul
     let mut fields: Vec<Field> = Vec::new();
     let mut columns: Vec<Column> = Vec::new();
     for (name, &k) in q.group_by.iter().zip(&k_cols) {
-        // Window operators only append columns, so F's positions survive.
+        // Window operators only append columns, so the spool's positions
+        // survive.
         fields.push(Field::new(name.clone(), schema.field_at(k).dtype));
-        columns.push(cur.column(k).clone());
+        columns.push(cur.column(at(k)).clone());
     }
     for (t, term) in q.terms.iter().enumerate() {
         let mut pct = Column::with_capacity(DataType::Float, n);
@@ -122,8 +149,17 @@ pub(crate) fn eval_vpct_olap_on(fact: &Fact, q: &VpctQuery) -> Result<QueryResul
         fields.push(Field::new(term.name.clone(), DataType::Float));
         columns.push(pct);
     }
+    // Back in F's row order, so the DISTINCT below keeps each group's
+    // first row — its key spelled as that row spells it (a ±0.0 or NaN
+    // group included), as every other plan does — not the spelling the
+    // windows' sorts put first.
+    let positions = cur.column(position).int_data().expect("an integer column");
+    let mut in_f = vec![0usize; n];
+    for (row, &at) in positions.iter().enumerate() {
+        in_f[at as usize] = row;
+    }
     drop(cur);
-    let divided = Table::from_columns(Schema::new(fields)?.into_shared(), columns)?;
+    let divided = Table::from_columns(Schema::new(fields)?.into_shared(), columns)?.take(&in_f);
     count_insert(&divided, &mut stats);
 
     // DISTINCT collapse down to one row per group.
@@ -135,6 +171,26 @@ pub(crate) fn eval_vpct_olap_on(fact: &Fact, q: &VpctQuery) -> Result<QueryResul
         table: into_shared(fv),
         stats,
     })
+}
+
+/// `f`'s columns `read`, in that order, and one more: each row's position
+/// in `f`.
+fn spool(f: &Table, read: &[usize]) -> Result<Table> {
+    let n = f.num_rows();
+    let mut fields: Vec<Field> = read
+        .iter()
+        .map(|&c| f.schema().field_at(c).clone())
+        .collect();
+    fields.push(Field::new("__position", DataType::Int));
+    let mut columns: Vec<Column> = read.iter().map(|&c| f.column(c).clone()).collect();
+    columns.push(Column::Int {
+        data: (0..n as i64).collect(),
+        validity: (0..n).map(|_| true).collect(),
+    });
+    Ok(Table::from_columns(
+        Schema::new(fields)?.into_shared(),
+        columns,
+    )?)
 }
 
 #[cfg(test)]

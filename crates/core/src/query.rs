@@ -7,7 +7,7 @@
 use crate::error::{CoreError, Result};
 use pa_engine::{AggFunc, ExecStats, ParallelConfig, ResourceGuard, Selected, Selection};
 use pa_sql::{AggName, AstExpr, QueryKind, SelectItem, SelectStmt};
-use pa_storage::{Catalog, Schema, SharedTable, Table};
+use pa_storage::{Catalog, Schema, SharedTable, SnapshotView, Table};
 use std::sync::{Arc, OnceLock};
 
 /// The fact table `F` one statement reads, resolved once by its caller ("F
@@ -18,9 +18,10 @@ use std::sync::{Arc, OnceLock};
 #[derive(Debug)]
 pub(crate) struct Fact {
     table: SharedTable,
-    /// The catalog name the combination and lattice caches know the table
-    /// by.
-    name: Option<String>,
+    /// The table and version whose data `table` holds: what the level
+    /// cache knows it by, and what a roll-forward asks the write journal
+    /// about.
+    data: Option<(String, u64)>,
     /// A statement's `WHERE`: the rows it selects.
     selection: Option<Selection>,
     /// What the statement was handed, or what [`Fact::config`] read once
@@ -35,16 +36,37 @@ pub(crate) struct FactRows<'f> {
 }
 
 impl Fact {
-    /// The catalog table `name` as it stands.
+    /// The catalog table `name` as it stands — a snapshot alias as its
+    /// pin froze it. A live table read beside writers is the executor's
+    /// job to pin first: its version is read here, its rows later.
     pub(crate) fn named(catalog: &Catalog, name: &str) -> Result<Fact> {
-        Ok(Fact::cached(catalog.table(name)?, name))
+        let table = catalog.table(name)?;
+        let (source, version) = catalog
+            .data_version(name)
+            .unwrap_or_else(|| (name.to_string(), 0));
+        Ok(Fact::cached(table, &source, version))
     }
 
-    /// `table`, which the caches know as `name`.
-    pub(crate) fn cached(table: SharedTable, name: &str) -> Fact {
+    /// `name` pinned at its current version, and the fact over the pin —
+    /// the pin must outlive every read of the fact, dropping it releases
+    /// the snapshot; a name no pin takes (a snapshot alias) as it stands.
+    pub(crate) fn pinned(
+        catalog: &Catalog,
+        name: &str,
+    ) -> Result<(Option<Arc<SnapshotView>>, Fact)> {
+        let pin = catalog.pin_table(name);
+        let fact = match &pin {
+            Some(view) => Fact::cached(Arc::clone(view.table()), view.source(), view.version()),
+            None => Fact::named(catalog, name)?,
+        };
+        Ok((pin, fact))
+    }
+
+    /// `table`, which holds version `version` of catalog table `source`.
+    fn cached(table: SharedTable, source: &str, version: u64) -> Fact {
         Fact {
             table,
-            name: Some(name.to_string()),
+            data: Some((source.to_string(), version)),
             selection: None,
             config: OnceLock::new(),
         }
@@ -84,7 +106,7 @@ impl Fact {
         let selection = Selection::compile(rows.selected(), &expr, guard, stats, &config)?;
         Ok(Fact {
             table: Arc::clone(&self.table),
-            name: self.name.clone(),
+            data: self.data.clone(),
             selection: Some(selection),
             config: self.config.clone(),
         })
@@ -97,13 +119,13 @@ impl Fact {
         }
     }
 
-    /// The name the combination and lattice caches know these rows by. A
+    /// The table and version the level cache knows these rows by. A
     /// selected fact has none, so it is never cached: the combinations and
     /// levels of a subset are not the table's.
-    pub(crate) fn cache_key(&self) -> Option<&str> {
-        match self.selection {
-            None => self.name.as_deref(),
-            Some(_) => None,
+    pub(crate) fn cache_key(&self) -> Option<(&str, u64)> {
+        match (&self.selection, &self.data) {
+            (None, Some((source, version))) => Some((source, *version)),
+            _ => None,
         }
     }
 }

@@ -18,7 +18,8 @@
 //!   the same scan at the levels whose results read them;
 //! * cache states — cold, warm (every level an exact cached table),
 //!   ancestor-only (levels re-aggregated from a cached finer one and
-//!   stored back), evicted by the byte bound, invalidated by an append.
+//!   stored back), evicted by the byte bound, rolled forward over an
+//!   append or an update, or scanned for again where the rule says so.
 //!
 //! Measures are integer-valued floats, so sums are exact under any
 //! regrouping and the comparison is byte identity (after the canonical
@@ -34,8 +35,8 @@
 //! `-- lattice:` source lines. Regenerate with `UPDATE_GOLDEN=1`.
 
 use pa_core::{
-    eval_vpct, eval_vpct_lattice_guarded, HorizontalOptions, PercentageEngine, VpctQuery,
-    VpctStrategy, VpctTerm,
+    eval_vpct, eval_vpct_lattice_guarded, HorizontalOptions, PercentageEngine, QueryLimits,
+    VpctQuery, VpctStrategy, VpctTerm,
 };
 use pa_engine::{
     lattice_aggregate_with_config, AggFunc, AggSpec, ExecStats, Expr, ParallelConfig, ResourceGuard,
@@ -44,7 +45,7 @@ use pa_storage::{Catalog, DataType, Schema, Table, Value};
 use proptest::prelude::*;
 
 use pa_testkit::compare::{canonical, cells};
-use pa_testkit::{answer, assert_same_rows, gen, reference, Draw, Stmt};
+use pa_testkit::{answer, assert_same, assert_same_rows, gen, reference, Draw, Stmt};
 
 /// `threads` workers over morsels small enough that these tables really
 /// split.
@@ -250,8 +251,7 @@ const SEED_FINEST_SQL: &str = "SELECT region, store, day, Vpct(amt BY region, st
                                FROM f GROUP BY GROUPING SETS ((region, store, day));";
 
 fn drop_lattice_cache(catalog: &Catalog) {
-    let view = catalog.pin_table("f").unwrap();
-    catalog.lattice_cache().invalidate_table(view.alias());
+    catalog.invalidate_combos("f");
 }
 
 #[test]
@@ -315,7 +315,7 @@ fn statements_are_byte_identical_across_cache_states_and_to_the_per_set_plan() {
             );
         }
 
-        // An append invalidates every cached level: the answers move with
+        // An append rolls the cached levels forward: the answers move with
         // the data and still match the plan that never touches the cache.
         let before: Vec<_> = ORACLE_SQL.iter().map(|sql| per_set(sql)).collect();
         engine
@@ -339,11 +339,12 @@ fn statements_are_byte_identical_across_cache_states_and_to_the_per_set_plan() {
             .unwrap();
         for (i, (sql, old)) in ORACLE_SQL.iter().zip(before).enumerate() {
             let out = engine.execute_sql(sql).unwrap();
-            // (Later statements may share what the first one cached anew.)
-            assert!(
-                i > 0 || out.stats().levels_from_scan > 0,
-                "append leaves nothing cached"
-            );
+            // The first statement rolls the finest level cached one append
+            // ago forward and derives the rest; later ones share what it
+            // rolled, or scan for roots their extras keep from deriving.
+            let stats = out.stats();
+            let rolled = stats.levels_from_scan == 0 && stats.levels_rolled > 0;
+            assert!(i > 0 || rolled, "{sql}: {stats}");
             let rows = canonical(&out.table().read());
             assert_ne!(rows, old, "the appended rows show: {sql}");
             assert_eq!(rows, per_set(sql), "after append: threads={threads} {sql}");
@@ -680,7 +681,7 @@ fn a_cached_level_serves_hpct_combinations_and_never_the_reverse() {
         let engine_over = |c| PercentageEngine::new(c).with_config(workers(threads, 256));
         let day = ["day".to_string()];
         let sum = ["sum(amt)".to_string()];
-        let alias = |c: &Catalog| c.pin_table("f").unwrap().alias().to_string();
+        let at = |c: &Catalog| c.table_version("f");
 
         // A cold catalog's answer, and what its combinations pass costs.
         let fresh = oracle_catalog(0xc0de);
@@ -691,8 +692,8 @@ fn a_cached_level_serves_hpct_combinations_and_never_the_reverse() {
         let reference = canonical(&cold.table().read());
         // What it stored serves its own kind only.
         let cache = fresh.lattice_cache();
-        assert!(cache.probe(&alias(&fresh), &day, &[]));
-        assert!(!cache.probe(&alias(&fresh), &day, &sum));
+        assert!(cache.probe("f", at(&fresh), &day, &[]));
+        assert!(!cache.probe("f", at(&fresh), &day, &sum));
         let before = cache.stats();
         let after_hpct = engine_over(&fresh).execute_sql(rollup).unwrap();
         assert!(
@@ -701,7 +702,7 @@ fn a_cached_level_serves_hpct_combinations_and_never_the_reverse() {
         );
         assert!(cache.stats().misses > before.misses);
         assert!(
-            cache.probe(&alias(&fresh), &day, &sum),
+            cache.probe("f", at(&fresh), &day, &sum),
             "replaced, with lanes"
         );
 
@@ -715,7 +716,7 @@ fn a_cached_level_serves_hpct_combinations_and_never_the_reverse() {
             "threads={threads}: the ROLLUP does not care who ran first"
         );
         let cache = catalog.lattice_cache();
-        assert!(cache.probe(&alias(&catalog), &day, &sum));
+        assert!(cache.probe("f", at(&catalog), &day, &sum));
         let before = cache.stats();
         let warm = engine.execute_sql(hpct).unwrap();
         let stats = warm.stats();
@@ -742,6 +743,148 @@ fn a_cached_level_serves_hpct_combinations_and_never_the_reverse() {
     }
 }
 
+/// The write path (DESIGN.md "The level cache"): a read after an append or
+/// a whole-number measure update rolls its levels forward and scans no fact
+/// row; each rolled level is the very table a fresh scan of the written
+/// table stores, byte for byte; a key update, a measure written to NULL, a
+/// fraction and a `min` extra each rescan; and a reader that pinned a
+/// version keeps reading that version's answer after later writes.
+#[test]
+fn a_write_rolls_the_cached_levels_forward_or_rescans_by_the_rule() {
+    let sql = ORACLE_SQL[0];
+    let with_min = "SELECT region, store, Vpct(amt BY store) AS p, min(amt) AS lo FROM f \
+                    GROUP BY region, store;";
+    let cols = |names: &[&str]| names.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+    let levels = [
+        cols(&["day", "region", "store"]),
+        cols(&["region", "store"]),
+        cols(&["region"]),
+        cols(&[]),
+    ];
+    let sums = cols(&["sum(amt)"]);
+    let row = |region: &str, store: i64, amt: f64| {
+        vec![
+            Value::str(region),
+            Value::Int(store),
+            Value::Int(2),
+            Value::Float(amt),
+        ]
+    };
+    for threads in [1usize, 4] {
+        let catalog = oracle_catalog(0xa11 + threads as u64);
+        let engine = PercentageEngine::new(&catalog).with_config(workers(threads, 256));
+        let per_set = |sql: &str| {
+            let out = engine
+                .execute_sql_with(sql, &VpctStrategy::best(), &HorizontalOptions::default())
+                .unwrap();
+            canonical(&out.table().read())
+        };
+        // The answer and the stats of `sql` now, against the per-set plan.
+        let run = |sql: &str| {
+            let out = engine.execute_sql(sql).unwrap();
+            let ctx = format!("threads={threads} {sql}: {}", out.stats());
+            assert_eq!(canonical(&out.table().read()), per_set(sql), "{ctx}");
+            (out.stats(), ctx)
+        };
+        run(sql);
+        let pin = catalog.pin_table("f").unwrap();
+        let mut pinned = VpctQuery::single(pin.alias(), &["region", "store"], "amt", &["store"]);
+        pinned.terms[0].name = "p".into();
+        let read_pin = || {
+            let out = eval_vpct_lattice_guarded(&catalog, &pinned, "", &ResourceGuard::unlimited());
+            canonical(&out.unwrap().snapshot())
+        };
+        let at_pin = read_pin();
+
+        // An append — a new region, a store below the rest — and a
+        // whole-number update each roll forward, scanning nothing.
+        let rolled = |stats: &ExecStats, ctx: &str| {
+            assert_eq!(stats.levels_from_scan, 0, "{ctx}");
+            assert!(stats.levels_rolled > 0, "{ctx}");
+        };
+        engine
+            .append_rows("f", &[row("new", -1, 7.0), row("r3", 2, 11.0)])
+            .unwrap();
+        let (stats, ctx) = run(sql);
+        rolled(&stats, &ctx);
+        let amt = Value::Float(123.0);
+        engine.update_cells("f", 5, &[3], &[amt]).unwrap();
+        let (stats, ctx) = run(sql);
+        rolled(&stats, &ctx);
+        // Under its own span, which counts the delta rows each level read
+        // — as the guard does: the spans' rows still sum to the meter.
+        engine
+            .append_rows("f", &[row("r5", 4, 3.0), row("r6", 5, 4.0)])
+            .unwrap();
+        let (out, report) = engine.execute_sql_traced(sql, QueryLimits::none()).unwrap();
+        let root = report.root().expect("a root span");
+        assert_eq!(report.rows_inclusive(root.id), out.stats().rows_charged);
+        let roll = report.spans().iter().find(|s| s.label == "roll");
+        let read = 2 * out.stats().levels_rolled;
+        assert_eq!(roll.expect("a roll span").rows, read, "two rows a level");
+        assert_eq!(canonical(&out.table().read()), per_set(sql));
+        // EXPLAIN plans over the same pin, and names the roll.
+        engine.append_rows("f", &[row("r7", 6, 1.0)]).unwrap();
+        let plan = engine.explain_sql(sql).unwrap();
+        let rolls = plan
+            .iter()
+            .filter(|l| l.contains("<- cache (rolled forward from"));
+        assert_eq!(rolls.count(), levels.len(), "{plan:#?}");
+        let (stats, ctx) = run(sql);
+        rolled(&stats, &ctx);
+
+        // Every level it rolled is the table a fresh scan stores.
+        let fresh = Catalog::new();
+        let t = catalog.table("f").unwrap().read().clone();
+        fresh
+            .create_table("f", t.take(&(0..t.num_rows()).collect::<Vec<_>>()))
+            .unwrap();
+        PercentageEngine::new(&fresh)
+            .with_config(workers(threads, 256))
+            .execute_sql(sql)
+            .unwrap();
+        let version = catalog.table_version("f");
+        for level in &levels {
+            let got = catalog.lattice_cache().get("f", version, level, &sums);
+            let want = fresh.lattice_cache().get("f", 1, level, &sums);
+            let what = format!("threads={threads} level {level:?}");
+            assert_same(&got.unwrap(), &want.unwrap(), &what);
+        }
+
+        // What the rule does not roll is scanned for again.
+        let rescans = |write: &dyn Fn(), sql: &str, what: &str| {
+            write();
+            let (stats, ctx) = run(sql);
+            assert!(stats.levels_from_scan > 0, "{what}: {ctx}");
+            run(sql);
+        };
+        let update = |row: usize, col: usize, value: Value| {
+            engine.update_cells("f", row, &[col], &[value]).unwrap()
+        };
+        let amt = |row: usize| catalog.table("f").unwrap().read().get(row, 3);
+        let (valued, other) = {
+            let mut rows = (8..).filter(|&r| !amt(r).is_null());
+            (rows.next().unwrap(), rows.next().unwrap())
+        };
+        rescans(&|| update(7, 1, Value::Int(4)), sql, "a key update");
+        rescans(
+            &|| update(valued, 3, Value::Null),
+            sql,
+            "a measure written to NULL",
+        );
+        run(with_min);
+        let append = || {
+            engine.append_rows("f", &[row("r4", 3, 9.0)]).unwrap();
+        };
+        rescans(&append, with_min, "a min extra");
+        rescans(&|| update(other, 3, Value::Float(0.5)), sql, "a fraction");
+
+        // The pin still reads its own version.
+        assert_eq!(read_pin(), at_pin, "threads={threads}: the pinned version");
+        drop(pin);
+    }
+}
+
 /// A level the byte bound evicted is a plain miss: the plan falls back to
 /// a cached ancestor, or to the scan, and the answer does not move.
 #[test]
@@ -751,12 +894,12 @@ fn an_evicted_level_falls_back_to_an_ancestor_or_the_scan() {
     let sql = ORACLE_SQL[0];
     let reference = canonical(&engine.execute_sql(sql).unwrap().table().read());
     let cache = catalog.lattice_cache();
-    let alias = catalog.pin_table("f").unwrap().alias().to_string();
+    let at = catalog.table_version("f");
     let signature = &["sum(amt)".to_string()];
     let cols = |names: &[&str]| names.iter().map(|s| s.to_string()).collect::<Vec<_>>();
     let finest = cols(&["day", "region", "store"]);
     let coarse = cols(&["region", "store"]);
-    assert!(cache.probe(&alias, &finest, signature) && cache.probe(&alias, &coarse, signature));
+    assert!(cache.probe("f", at, &finest, signature) && cache.probe("f", at, &coarse, signature));
 
     // Fill the cache with another table's levels until the byte bound has
     // pushed out everything this statement cached except what it touches
@@ -771,12 +914,21 @@ fn an_evicted_level_falls_back_to_an_ancestor_or_the_scan() {
     let big = std::sync::Arc::new(big);
     let evictions = cache.stats().evictions;
     for i in 0.. {
-        assert!(cache.get(&alias, &finest, signature).is_some(), "kept warm");
-        if !cache.probe(&alias, &coarse, signature) {
+        assert!(
+            cache.get("f", at, &finest, signature).is_some(),
+            "kept warm"
+        );
+        if !cache.probe("f", at, &coarse, signature) {
             break;
         }
         assert!(i < 64, "64 x 8 MiB must overflow the budget");
-        cache.store("other", &cols(&[&format!("l{i}")]), signature, big.clone());
+        cache.store(
+            "other",
+            1,
+            &cols(&[&format!("l{i}")]),
+            signature,
+            big.clone(),
+        );
     }
     assert!(cache.stats().evictions > evictions);
     let out = engine.execute_sql(sql).unwrap();
@@ -789,18 +941,25 @@ fn an_evicted_level_falls_back_to_an_ancestor_or_the_scan() {
 
     // Everything evicted: back to the scan, same answer.
     for i in 0..16 {
-        cache.store("other", &cols(&[&format!("m{i}")]), signature, big.clone());
+        cache.store(
+            "other",
+            1,
+            &cols(&[&format!("m{i}")]),
+            signature,
+            big.clone(),
+        );
     }
-    assert!(!cache.probe(&alias, &finest, signature));
+    assert!(!cache.probe("f", at, &finest, signature));
     let out = engine.execute_sql(sql).unwrap();
     assert!(out.stats().levels_from_scan > 0);
     assert_eq!(canonical(&out.table().read()), reference);
 }
 
 /// A level's `parent` vectors are built once per (level, totals level)
-/// pair and live beside the level: a warm request builds none, an append
-/// drops them with the level (a group arriving in the middle of the key
-/// order moves every later row), and a totals level that was evicted and
+/// pair and live beside the level: a warm request builds none, a level
+/// rolled forward over an append builds its own anew (a group arriving in
+/// the middle of the key order moves every later row), and a totals level
+/// that was evicted and
 /// re-aggregated is still addressed correctly by the vector the finer
 /// level kept. The reference is the join plan, which has no `parent`.
 #[test]
@@ -837,11 +996,14 @@ fn parent_vectors_are_built_once_and_follow_their_level() {
             eval_vpct_lattice_guarded(&catalog, &q, "l_", &ResourceGuard::unlimited()).unwrap();
         (canonical(&out.snapshot()), out.stats)
     };
+    // The ROLLUP read the same version of `f` through its pin, so the
+    // finest level and its vector onto `(region, store)` are the ones it
+    // left: only the term BY `day` builds one, onto `(region)`.
     let before = builds();
     assert_eq!(by_parent().0, by_join());
-    assert_eq!(builds(), before + 2, "one per term's totals level");
+    assert_eq!(builds(), before + 1, "one per totals level not built yet");
     assert_eq!(by_parent().0, by_join());
-    assert_eq!(builds(), before + 2);
+    assert_eq!(builds(), before + 1);
 
     // A region that sorts between the ones there, a store below them all.
     let row = |region: &str, store: i64| {
@@ -852,9 +1014,17 @@ fn parent_vectors_are_built_once_and_follow_their_level() {
         .append_rows("f", &[row("r35", -4), row("a", 3)])
         .unwrap();
     let (rows, stats) = by_parent();
-    assert!(stats.levels_from_scan > 0, "the append dropped the levels");
+    assert_eq!(
+        stats.levels_from_scan, 0,
+        "the append rolled the levels forward"
+    );
+    assert!(stats.levels_rolled > 0, "{stats}");
     assert_eq!(rows, by_join(), "after a group in the middle of the order");
-    assert_eq!(builds(), before + 4, "and their parent vectors with them");
+    assert_eq!(
+        builds(),
+        before + 3,
+        "a rolled level builds its vectors anew"
+    );
 
     // Push out both totals levels, keeping the finest one (and the vectors
     // beside it) warm: the next request re-aggregates the totals levels
@@ -870,17 +1040,31 @@ fn parent_vectors_are_built_once_and_follow_their_level() {
     }
     let big = std::sync::Arc::new(big);
     for i in 0.. {
-        assert!(cache.get("f", &finest, signature).is_some(), "kept warm");
-        if !totals.iter().any(|l| cache.probe("f", l, signature)) {
+        assert!(
+            cache
+                .get("f", catalog.table_version("f"), &finest, signature)
+                .is_some(),
+            "kept warm"
+        );
+        if !totals
+            .iter()
+            .any(|l| cache.probe("f", catalog.table_version("f"), l, signature))
+        {
             break;
         }
         assert!(i < 64, "64 x 8 MiB must overflow the budget");
-        cache.store("other", &cols(&[&format!("l{i}")]), signature, big.clone());
+        cache.store(
+            "other",
+            1,
+            &cols(&[&format!("l{i}")]),
+            signature,
+            big.clone(),
+        );
     }
     let (rows, stats) = by_parent();
     assert_eq!(stats.levels_from_scan, 0, "re-aggregated the finest level");
     assert_eq!(rows, by_join(), "after the totals levels were recomputed");
-    assert_eq!(builds(), before + 4, "through the vectors the level kept");
+    assert_eq!(builds(), before + 3, "through the vectors the level kept");
 }
 
 proptest! {

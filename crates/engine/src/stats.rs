@@ -123,9 +123,13 @@ pub struct ExecStats {
     /// Lattice levels answered by scanning the fact table (through the
     /// fused one-scan kernel or a per-level fallback pass).
     pub levels_from_scan: u64,
-    /// Lattice levels answered from the lattice partial cache (directly or
-    /// re-aggregated from a cached finer partial, never rescanning `F`).
+    /// Lattice levels answered from the lattice partial cache (directly,
+    /// re-aggregated from a cached finer partial, or rolled forward from an
+    /// older version over the write journal — never rescanning `F`).
     pub levels_from_cache: u64,
+    /// Of `levels_from_cache`, the levels rolled forward from an entry of
+    /// an older table version: their delta rows were aggregated, not `F`.
+    pub levels_rolled: u64,
     /// Holistic aggregate lanes planned (percentile, count(DISTINCT),
     /// sketch aggregates) — the lanes whose partials carry more than a
     /// few scalars (DESIGN.md §14).
@@ -164,6 +168,7 @@ impl AddAssign for ExecStats {
         self.lattice_levels += rhs.lattice_levels;
         self.levels_from_scan += rhs.levels_from_scan;
         self.levels_from_cache += rhs.levels_from_cache;
+        self.levels_rolled += rhs.levels_rolled;
         self.holistic_lanes += rhs.holistic_lanes;
         self.sketch_spills += rhs.sketch_spills;
         // Width is a property of the widest dimension read, not a volume:
@@ -180,7 +185,7 @@ impl fmt::Display for ExecStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "scanned={} materialized={} probes={} built={} case_evals={} updated={} sort_cmps={} stmts={} wal_recs={} wal_bytes={} charged={} dense_ops={} hash_ops={} combo_hits={} combo_misses={} vec_rows={} scalar_rows={} rle_runs={} pack_width={} lattice_levels={} levels_from_scan={} levels_from_cache={} holistic_lanes={} sketch_spills={} degraded={} abort={}",
+            "scanned={} materialized={} probes={} built={} case_evals={} updated={} sort_cmps={} stmts={} wal_recs={} wal_bytes={} charged={} dense_ops={} hash_ops={} combo_hits={} combo_misses={} vec_rows={} scalar_rows={} rle_runs={} pack_width={} lattice_levels={} levels_from_scan={} levels_from_cache={} levels_rolled={} holistic_lanes={} sketch_spills={} degraded={} abort={}",
             self.rows_scanned,
             self.rows_materialized,
             self.hash_probes,
@@ -203,6 +208,7 @@ impl fmt::Display for ExecStats {
             self.lattice_levels,
             self.levels_from_scan,
             self.levels_from_cache,
+            self.levels_rolled,
             self.holistic_lanes,
             self.sketch_spills,
             self.degraded_to.map_or("none", |d| d.label()),
@@ -240,6 +246,7 @@ mod tests {
             lattice_levels: 20,
             levels_from_scan: 21,
             levels_from_cache: 22,
+            levels_rolled: 25,
             holistic_lanes: 23,
             sketch_spills: 24,
             degraded_to: None,

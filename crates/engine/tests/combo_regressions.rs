@@ -1,18 +1,22 @@
 //! Regression tests for cached combination sets — the zero-lane entries of
 //! the catalog's level cache — and the dense group path:
 //!
-//! * every logged mutation (bulk INSERT, per-row UPDATE) must invalidate
-//!   the mutated table's cached combination sets — and only that table's;
+//! * an entry describes one version of its table: after a logged mutation
+//!   (bulk INSERT, per-row UPDATE) a lookup at the new version misses, the
+//!   old version's entry stays, and the next `Hpct` rolls it forward to
+//!   the combinations a fresh scan finds;
 //! * a recovered catalog starts with a cold (empty) level cache;
 //! * a dimension whose dictionary outgrows the dense-code budget
 //!   mid-append must silently fall back to the hash group path with
 //!   byte-identical results.
 
+use pa_core::PercentageEngine;
 use pa_engine::{
     hash_aggregate_with_config, insert_into, update_from, AggFunc, AggSpec, ExecStats, Expr,
     ParallelConfig, ResourceGuard,
 };
 use pa_storage::{Catalog, DataType, HashIndex, Schema, Table, Value};
+use pa_testkit::assert_same;
 use std::sync::Arc;
 
 fn dims(names: &[&str]) -> Vec<String> {
@@ -65,46 +69,68 @@ fn seed_cache(catalog: &Catalog) {
     let cache = catalog.combo_cache();
     cache.store(
         "sales",
+        catalog.table_version("sales"),
         &dims(&["dweek"]),
         &[],
         dweek_combos(&["Mon", "Tue"]),
     );
-    cache.store("other", &dims(&["dweek"]), &[], dweek_combos(&["Mon"]));
+    cache.store("other", 1, &dims(&["dweek"]), &[], dweek_combos(&["Mon"]));
+}
+
+/// The combinations `(dweek)` of `sales` cached at `version`, if any.
+fn combos_at(catalog: &Catalog, version: u64) -> Option<Vec<Vec<Value>>> {
+    let set = catalog
+        .combo_cache()
+        .get("sales", version, &dims(&["dweek"]), &[])?;
+    Some(set.rows().collect())
 }
 
 #[test]
-fn wal_append_invalidates_combo_catalog() {
+fn a_wal_append_leaves_the_old_versions_combinations_and_the_new_version_misses() {
     let catalog = sales_catalog();
     seed_cache(&catalog);
-    let before = catalog.combo_cache().stats();
+    let (before, old) = (
+        catalog.combo_cache().stats(),
+        catalog.table_version("sales"),
+    );
     assert_eq!(before.entries, 2);
 
     let mut stats = ExecStats::default();
     let b = batch(&catalog, 3, "Wed", 1.0);
     insert_into(&catalog, "sales", &b, &mut stats).unwrap();
 
+    let new = catalog.table_version("sales");
+    assert!(new > old, "an append is a new version");
+    assert_eq!(
+        combos_at(&catalog, new),
+        None,
+        "a lookup at the new version never returns the old version's entry"
+    );
+    assert!(
+        combos_at(&catalog, old).is_some(),
+        "the old version's entry stays, for its readers and to roll forward from"
+    );
+    let other = catalog
+        .combo_cache()
+        .get("other", 1, &dims(&["dweek"]), &[]);
+    assert!(other.is_some(), "other tables' entries stay");
     let after = catalog.combo_cache().stats();
-    assert!(
-        catalog
-            .combo_cache()
-            .get("sales", &dims(&["dweek"]), &[])
-            .is_none(),
-        "append must drop the mutated table's cached combinations"
+    assert_eq!(
+        after.invalidations, before.invalidations,
+        "an append drops nothing"
     );
-    assert!(
-        catalog
-            .combo_cache()
-            .get("other", &dims(&["dweek"]), &[])
-            .is_some(),
-        "append must not drop other tables' entries"
-    );
-    assert_eq!(after.invalidations, before.invalidations + 1);
+    let delta = catalog.changes("sales", old, new).expect("journaled");
+    assert_eq!((delta.appended, delta.overwritten.len()), (4..5, 0));
 }
 
 #[test]
-fn wal_update_invalidates_combo_catalog() {
+fn a_wal_update_leaves_the_old_versions_combinations_and_journals_the_before_image() {
     let catalog = sales_catalog();
     seed_cache(&catalog);
+    let (before, old) = (
+        catalog.combo_cache().stats(),
+        catalog.table_version("sales"),
+    );
 
     // UPDATE sales SET amt = amt / src.amt joined on store against a
     // one-row source — the values don't matter, only that the mutation is
@@ -126,21 +152,78 @@ fn wal_update_invalidates_combo_catalog() {
     .unwrap();
     assert!(n > 0, "update must touch at least one row");
 
-    assert!(
-        catalog
-            .combo_cache()
-            .get("sales", &dims(&["dweek"]), &[])
-            .is_none(),
-        "logged UPDATE must drop the mutated table's cached combinations"
+    let new = catalog.table_version("sales");
+    assert!(new > old, "an update is a new version");
+    assert_eq!(
+        combos_at(&catalog, new),
+        None,
+        "a lookup at the new version never returns the old version's entry"
     );
+    assert!(combos_at(&catalog, old).is_some());
+    let other = catalog
+        .combo_cache()
+        .get("other", 1, &dims(&["dweek"]), &[]);
     assert!(
-        catalog
-            .combo_cache()
-            .get("other", &dims(&["dweek"]), &[])
-            .is_some(),
+        other.is_some(),
         "UPDATE must not drop other tables' entries"
     );
-    assert!(catalog.combo_cache().stats().invalidations >= 1);
+    assert_eq!(
+        catalog.combo_cache().stats().invalidations,
+        before.invalidations
+    );
+    // Every overwritten `amt` cell — store 1's rows — with what it held.
+    let delta = catalog.changes("sales", old, new).expect("journaled");
+    let want: Vec<(usize, usize, Value)> = (0..2).map(|r| (r, 2, sales.get(r, 2))).collect();
+    assert_eq!((delta.appended.len(), delta.overwritten), (0, want));
+}
+
+#[test]
+fn a_roll_forward_returns_the_fresh_scans_combinations() {
+    // An `Hpct` caches `(dweek)`; appends bring a new day and repeat an old
+    // one, and an update writes a measure. The next `Hpct` rolls the set
+    // forward — no `distinct` pass — and answers as a fresh catalog does.
+    let catalog = sales_catalog();
+    let engine = PercentageEngine::new(&catalog);
+    let sql = "SELECT store, Hpct(amt BY dweek) FROM sales GROUP BY store";
+    engine.execute_sql(sql).unwrap();
+    let mut stats = ExecStats::default();
+    for (s, d) in [(3, "Wed"), (1, "Mon"), (4, "Sun")] {
+        insert_into(&catalog, "sales", &batch(&catalog, s, d, 2.0), &mut stats).unwrap();
+    }
+    catalog
+        .update_cells("sales", 0, &[2], &[Value::Float(11.0)])
+        .unwrap();
+    let rolled = engine.execute_sql(sql).unwrap();
+    assert_eq!(
+        (
+            rolled.stats().combo_cache_misses,
+            rolled.stats().levels_rolled
+        ),
+        (1, 1),
+        "{}",
+        rolled.stats()
+    );
+    let version = catalog.table_version("sales");
+    let fresh = Catalog::new();
+    let rows = catalog.table("sales").unwrap().read().clone();
+    fresh
+        .create_table(
+            "sales",
+            rows.take(&(0..rows.num_rows()).collect::<Vec<_>>()),
+        )
+        .unwrap();
+    let scanned = PercentageEngine::new(&fresh).execute_sql(sql).unwrap();
+    assert_eq!(scanned.stats().levels_rolled, 0);
+    let cached = catalog
+        .combo_cache()
+        .get("sales", version, &dims(&["dweek"]), &[]);
+    let want = fresh.combo_cache().get("sales", 1, &dims(&["dweek"]), &[]);
+    assert_same(&cached.unwrap(), &want.unwrap(), "the rolled combinations");
+    assert_same(
+        &rolled.table().read(),
+        &scanned.table().read(),
+        "the answer",
+    );
 }
 
 #[test]

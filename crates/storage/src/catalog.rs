@@ -7,9 +7,10 @@
 //!
 //! A registered table changes in one function, [`Catalog::write`]: it
 //! resolves the table, holds its guard across validate → append the WAL
-//! record → apply, bumps the version and invalidates the derived caches
-//! once, and checks the checkpoint policy after the guard is gone. Replica
-//! apply and recovery replay run the same body with logging off.
+//! record → apply, bumps the version and journals what the change did
+//! ([`crate::journal`]) once, and checks the checkpoint policy after the
+//! guard is gone. Replica apply and recovery replay run the same body with
+//! logging off.
 //!
 //! Two robustness layers ride on top of the table map:
 //!
@@ -28,6 +29,7 @@ use crate::checkpoint::{
     encode_image, scan_checkpoints, CheckpointImage, CheckpointPolicy, CheckpointStore,
 };
 use crate::error::{Result, StorageError};
+use crate::journal::{Entry, Journal, TableDelta};
 use crate::lattice::LatticeCache;
 use crate::log::LogStore;
 use crate::retry::RetryPolicy;
@@ -141,6 +143,7 @@ struct SnapRegistry {
 struct RetiredSnap {
     alias: String,
     source: String,
+    version: u64,
     view: Weak<SnapshotView>,
 }
 
@@ -225,13 +228,19 @@ impl CatalogMetrics {
 /// checkpoint/snapshot machinery.
 #[derive(Debug, Default)]
 pub struct Catalog {
+    /// The registered tables. Lock order: the map before a table's guard,
+    /// never under it — a checkpoint read-locks every table under the map.
     tables: RwLock<BTreeMap<String, SharedTable>>,
     lattice: LatticeCache,
     wal: Mutex<Wal>,
     /// Global mutation epoch: bumps on every logged create/drop/mutation.
     epoch: AtomicU64,
-    /// Per-table mutation versions (absent → 0), driving snapshot reuse.
+    /// Per-table mutation versions (absent → 0), driving snapshot reuse
+    /// and naming the data a cached level describes.
     versions: RwLock<BTreeMap<String, u64>>,
+    /// Per-table write journals: what each append and update since the
+    /// oldest cached version changed. Taken under the table's write guard.
+    journals: Mutex<BTreeMap<String, Journal>>,
     /// Snapshot pins and retired aliases. Lock order: `snaps` before
     /// `tables`, never the reverse.
     snaps: Mutex<SnapRegistry>,
@@ -273,29 +282,71 @@ impl Catalog {
         }
     }
 
-    /// Bump the global epoch and `name`'s version, and drop everything
-    /// derived from its data (its cached levels, combination sets included):
-    /// [`Catalog::apply`] calls this once per change, under the guard the
-    /// change was made under, so the next [`Catalog::pin_table`] freezes a
-    /// fresh view and no cache outlives the rows it was computed from.
-    /// Hidden snapshot aliases are immutable by contract: no version.
-    fn note_changed(&self, name: &str) {
-        self.invalidate_derived(name);
+    /// Bump the global epoch and `name`'s version, and account for what
+    /// changed: [`Catalog::apply`] calls this once per change, under the
+    /// guard the change was made under, so the next [`Catalog::pin_table`]
+    /// freezes a fresh view. `journal` is what an append or update did, and
+    /// `rows` the table's length after it: the changes are journaled under
+    /// the new version, and the cached levels of older versions stay, to be
+    /// rolled forward by a reader that wants the new one. `None` — a create,
+    /// a drop, a change made around [`Catalog::write`] — removes the journal
+    /// and drops every cached level of the table, so nothing derived
+    /// from its data outlives the rows it was computed from. Hidden
+    /// snapshot aliases are immutable by contract: no version.
+    fn note_changed(&self, name: &str, journal: Option<(Vec<Entry>, usize)>) {
         if name.starts_with(SNAP_PREFIX) {
             return;
         }
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
         let mut versions = self.versions.write();
-        match versions.get_mut(name) {
-            Some(v) => *v += 1,
-            None => {
-                versions.insert(name.to_string(), 1);
-            }
-        }
+        let version = versions.entry(name.to_string()).or_insert(0);
+        *version += 1;
+        let version = *version;
         drop(versions);
+        match journal {
+            Some((changes, rows)) => self.journal(name, version, changes, rows),
+            None => self.forget_derived(name),
+        }
         if let Some(m) = &*self.metrics.read() {
             m.snapshot_epoch.set(epoch as i64);
         }
+    }
+
+    /// Journal `changes`, which took `name` to `version` and left it `rows`
+    /// long, and trim the journal to the oldest version a cached level of
+    /// the table describes. A journal that covers as many rows as the
+    /// table, or holds more bytes than the level cache may, drops its
+    /// oldest changes until it fits, and the cached levels older than what
+    /// it still reaches go with them: rolling one of those forward would
+    /// read as many rows as a scan. The newer levels stay, to be rolled.
+    fn journal(&self, name: &str, version: u64, changes: Vec<Entry>, rows: usize) {
+        let mut journals = self.journals.lock();
+        // A table with no journal has had no change journaled since it was
+        // created or forgotten: this one is the first.
+        let journal =
+            (journals.entry(name.to_string())).or_insert_with(|| Journal::at(version - 1));
+        journal.record(version, changes);
+        journal.trim(self.lattice.oldest_version(name), version);
+        if let Some(base) = journal.fit(rows, self.lattice.budget()) {
+            self.lattice.invalidate_before(name, base);
+        }
+    }
+
+    /// Drop `name`'s journal and every cached level of the table: nothing
+    /// cached can be rolled to its current version, and the next change
+    /// starts a journal afresh.
+    fn forget_derived(&self, name: &str) {
+        self.journals.lock().remove(name);
+        self.lattice.invalidate_table(name);
+    }
+
+    /// What changed in `name` from version `from` to version `to`, when
+    /// the write journal still reaches back to `from`: the rows appended,
+    /// and each overwritten cell with its value at `from`. A reader holding
+    /// a cached level of `from` and a pin of `to` rolls the level forward
+    /// over it.
+    pub fn changes(&self, name: &str, from: u64, to: u64) -> Option<TableDelta> {
+        self.journals.lock().get(name)?.since(from, to)
     }
 
     /// Make one logged change to the stored state: the write path of every
@@ -347,7 +398,7 @@ impl Catalog {
                 receipt.rows = t.num_rows() as u64;
                 drop(t);
                 tables.insert(name.to_string(), table);
-                self.note_changed(name);
+                self.note_changed(name, None);
                 Ok(())
             }
             Change::Drop => {
@@ -359,7 +410,7 @@ impl Catalog {
                     receipt += self.wal.lock().log_drop_table(name).unwrap_or_default();
                 }
                 tables.remove(name);
-                self.note_changed(name);
+                self.note_changed(name, None);
                 Ok(())
             }
             Change::Append(rows) => {
@@ -372,39 +423,44 @@ impl Catalog {
                 if log {
                     receipt += self.wal.lock().log_bulk_insert(name, rows, &t)?;
                 }
+                let from = t.num_rows();
                 match rows {
                     Rows::Values(rows) => t.push_valid_rows(rows),
                     Rows::Table(source) => t.extend_from(source)?,
                 }
-                receipt.rows = t.num_rows() as u64;
-                self.note_changed(name);
+                let to = t.num_rows();
+                receipt.rows = to as u64;
+                self.note_changed(name, Some((vec![Entry::Append(from..to)], to)));
                 Ok(())
             }
             Change::Update { cols, next } => {
                 let shared = self.table(name)?;
                 let mut t = shared.write();
-                let (mut before, mut after) = (Vec::new(), Vec::new());
-                let mut updated = 0u64;
+                let mut after = Vec::new();
+                // The rows written and their before-images, `cols.len()`
+                // values a row: one journal entry for the statement.
+                let (mut rows, mut before) = (Vec::new(), Vec::new());
                 let outcome = (|| loop {
                     after.clear();
                     let Some(row) = next(&t, &mut after) else {
                         return Ok(());
                     };
                     t.check_cells(row, cols, &after)?;
+                    before.truncate(rows.len() * cols.len());
+                    before.extend(cols.iter().map(|&c| t.column(c).get(row)));
                     if log {
-                        before.clear();
-                        before.extend(cols.iter().map(|&c| t.column(c).get(row)));
-                        receipt += self
-                            .wal
-                            .lock()
-                            .log_update(name, row, cols, &before, &after)?;
+                        let image = &before[rows.len() * cols.len()..];
+                        receipt += (self.wal.lock()).log_update(name, row, cols, image, &after)?;
                     }
                     t.set_checked_cells(row, cols, &after);
-                    updated += 1;
+                    rows.push(row);
                 })();
                 receipt.rows = t.num_rows() as u64;
-                if updated > 0 {
-                    self.note_changed(name);
+                if !rows.is_empty() {
+                    before.truncate(rows.len() * cols.len());
+                    let cols = cols.to_vec();
+                    let entry = Entry::Update { cols, rows, before };
+                    self.note_changed(name, Some((vec![entry], t.num_rows())));
                 }
                 outcome
             }
@@ -549,13 +605,6 @@ impl Catalog {
         &self.lattice
     }
 
-    /// Drop every cached level of `name` — combination sets are levels —
-    /// so nothing derived from a table's data outlives a change to that
-    /// table.
-    fn invalidate_derived(&self, name: &str) {
-        self.lattice.invalidate_table(name);
-    }
-
     /// WAL counters snapshot.
     pub fn wal_stats(&self) -> crate::wal::WalStats {
         self.wal.lock().stats()
@@ -595,36 +644,46 @@ impl Catalog {
     /// Cheap: one shallow [`Table::clone`] (the columns are `Arc`-shared
     /// until the live table's next write detaches them) registered under a
     /// hidden `__snap…` alias. Repeat pins of an unchanged table reuse the
-    /// same frozen alias, so per-alias caches (indexes, combination sets)
-    /// stay warm across queries. Returns `None` for an absent table or a
-    /// snapshot alias itself.
+    /// same frozen alias. The view's [`SnapshotView::version`] names the
+    /// data it holds — it is read under the table's guard, which every
+    /// write bumps it under — and is what the level cache keys by. Returns
+    /// `None` for an absent table or a snapshot alias itself.
     pub fn pin_table(&self, name: &str) -> Option<Arc<SnapshotView>> {
         if name.starts_with(SNAP_PREFIX) {
             return None;
         }
         let mut snaps = self.snaps.lock();
-        let version = self.table_version(name);
+        // Both handles come out of one read of the name map, taken before
+        // the table's guard and never under it: a checkpoint holds the map
+        // while it read-locks every table, so a pin waiting for the map
+        // under a table guard could close a cycle with it.
+        let (source, frozen) = {
+            let tables = self.tables.read();
+            let source = tables.get(name).cloned()?;
+            let alias = snaps.current.get(name).map(|e| e.alias.as_str());
+            (source, alias.and_then(|a| tables.get(a).cloned()))
+        };
+        let live = source.read();
+        let mut version = self.table_version(name);
         let epoch = self.epoch();
-        let source = self.tables.read().get(name).cloned()?;
         if let Some(entry) = snaps.current.get_mut(name) {
             // Reuse needs the version to match AND the frozen alias to
-            // still share the live table's column storage — the CoW
-            // identity catches a mutation made around `Catalog::write`,
-            // which a version number alone would miss.
-            let unchanged = entry.version == version
-                && self
-                    .tables
-                    .read()
-                    .get(&entry.alias)
-                    .is_some_and(|frozen| source.read().shares_columns(&frozen.read()));
-            if unchanged {
+            // still share the live table's column storage. A mutation made
+            // around `Catalog::write` leaves the version and moves the
+            // columns: it is a new version, journaled as none.
+            let moved = (frozen.as_ref()).is_some_and(|f| !live.shares_columns(&f.read()));
+            if entry.version == version && moved {
+                self.note_changed(name, None);
+                version = self.table_version(name);
+            }
+            if entry.version == version {
                 if let Some(view) = entry.view.upgrade() {
                     self.count_pin();
                     return Some(view);
                 }
                 // All pins were dropped but the alias table is still
                 // registered (not yet swept): re-issue a view over it.
-                if let Some(shared) = self.tables.read().get(&entry.alias).cloned() {
+                if let Some(shared) = frozen {
                     let rows = shared.read().num_rows();
                     let view = Arc::new(SnapshotView {
                         table: shared,
@@ -641,7 +700,8 @@ impl Catalog {
             }
         }
         // Freeze the current contents under a fresh alias.
-        let frozen = source.read().clone();
+        let frozen = live.clone();
+        drop(live);
         let rows = frozen.num_rows();
         let seq = self.snap_seq.fetch_add(1, Ordering::Relaxed);
         let alias = format!("{SNAP_PREFIX}{seq}_v{version}_{name}");
@@ -668,6 +728,7 @@ impl Catalog {
             snaps.retired.push(RetiredSnap {
                 alias: old.alias,
                 source: name.to_string(),
+                version: old.version,
                 view: old.view,
             });
         }
@@ -684,22 +745,37 @@ impl Catalog {
             .collect()
     }
 
-    /// Forget every cached derivation of `name`'s data — distinct
-    /// combinations *and* lattice levels — including entries keyed by its
-    /// snapshot aliases. Executors scan pinned aliases, so the cache keys
-    /// by the alias actually scanned; a plain invalidation on the source
-    /// name would leave those alias entries warm.
-    pub fn invalidate_combos(&self, name: &str) {
-        self.invalidate_derived(name);
+    /// The table and version whose data `name` holds, as the level cache
+    /// knows it: a snapshot alias's source and pinned version, or a
+    /// registered table and its current version. `None` for a name that is
+    /// neither.
+    pub fn data_version(&self, name: &str) -> Option<(String, u64)> {
+        if !name.starts_with(SNAP_PREFIX) {
+            let table = self.tables.read().get(name).cloned()?;
+            let _guard = table.read();
+            return Some((name.to_string(), self.table_version(name)));
+        }
         let snaps = self.snaps.lock();
-        if let Some(entry) = snaps.current.get(name) {
-            self.invalidate_derived(&entry.alias);
-        }
-        for r in &snaps.retired {
-            if r.source == name {
-                self.invalidate_derived(&r.alias);
-            }
-        }
+        let current = (snaps.current.iter()).map(|(source, e)| (&e.alias, source, e.version));
+        let retired = (snaps.retired.iter()).map(|r| (&r.alias, &r.source, r.version));
+        let mut all = current.chain(retired);
+        let (_, source, version) = all.find(|(alias, ..)| *alias == name)?;
+        Some((source.clone(), version))
+    }
+
+    /// Forget every cached derivation of `name`'s data — distinct
+    /// combinations *and* lattice levels, of every version — and remove its
+    /// write journal, so the next read of the table, through any of
+    /// its snapshot aliases, finds nothing to hit or roll forward. A
+    /// snapshot alias names its source.
+    pub fn invalidate_combos(&self, name: &str) {
+        let Some((source, _)) = self.data_version(name) else {
+            self.lattice.invalidate_table(name);
+            return;
+        };
+        let table = self.tables.read().get(&source).cloned();
+        let _guard = table.as_ref().map(|t| t.read());
+        self.forget_derived(&source);
     }
 
     /// Drop the hidden alias tables of superseded snapshots nobody pins
@@ -726,7 +802,6 @@ impl Catalog {
         let mut tables = self.tables.write();
         for alias in dead {
             tables.remove(&alias);
-            self.invalidate_derived(&alias);
         }
     }
 
@@ -1206,20 +1281,171 @@ mod tests {
         cat.create_table("F", table()).unwrap();
         // `table()` is its own level `(d)` with one lane.
         let (dims, lanes) = (["d".to_string()], ["sum(a)".to_string()]);
-        cat.lattice_cache()
-            .store("F", &dims, &lanes, Arc::new(table()));
-        assert!(cat.combo_cache().get("F", &dims, &[]).is_some());
         let version = cat.table_version("F");
+        cat.lattice_cache()
+            .store("F", version, &dims, &lanes, Arc::new(table()));
+        assert!(cat.combo_cache().get("F", version, &dims, &[]).is_some());
         cat.create_or_replace_table("F", Table::empty(table().schema().clone()));
         assert_eq!(cat.table("F").unwrap().read().num_rows(), 0);
+        let now = cat.table_version("F");
+        assert!(now > version, "a replace is a new version");
         assert!(
-            cat.table_version("F") > version,
-            "a replace is a new version"
-        );
-        assert!(
-            cat.combo_cache().get("F", &dims, &[]).is_none(),
+            cat.combo_cache().get("F", version, &dims, &[]).is_none()
+                && cat.combo_cache().older("F", now, &dims, &[]).is_none()
+                && cat.changes("F", version, now).is_none(),
             "derived caches die with the old table"
         );
+    }
+
+    #[test]
+    fn a_write_journals_what_it_changed_and_leaves_the_cached_levels() {
+        let cat = Catalog::new();
+        cat.create_table("F", table()).unwrap();
+        let (dims, lanes) = (["d".to_string()], ["sum(a)".to_string()]);
+        let cached = |v: u64| cat.lattice_cache().get("F", v, &dims, &lanes).is_some();
+        let store = |v: u64| {
+            let level = Arc::new(table());
+            cat.lattice_cache().store("F", v, &dims, &lanes, level);
+        };
+        let rows = |n: i64| -> Vec<Vec<Value>> {
+            (0..n)
+                .map(|i| vec![Value::Int(i), Value::Float(1.0)])
+                .collect()
+        };
+        cat.write("F", Change::Append(Rows::Values(&rows(9))))
+            .unwrap();
+        let v1 = cat.table_version("F");
+        store(v1);
+        cat.write("F", Change::Append(Rows::Values(&rows(4))))
+            .unwrap();
+        cat.update_cells("F", 0, &[1], &[Value::Float(5.0)])
+            .unwrap();
+        let v3 = cat.table_version("F");
+        assert_eq!(v3, v1 + 2);
+        assert!(cached(v1) && !cached(v3), "a write finds no entry to drop");
+        let delta = cat.changes("F", v1, v3).unwrap();
+        assert_eq!(delta.appended, 10..14);
+        assert_eq!(delta.overwritten, vec![(0, 1, Value::Float(2.0))]);
+        assert_eq!(delta.rows(), 5);
+
+        // Trimmed to the oldest cached version: once the level is stored at
+        // v3 (superseding v1's), nothing before v3 is kept.
+        store(v3);
+        cat.update_cells("F", 1, &[1], &[Value::Float(6.0)])
+            .unwrap();
+        assert!(cat.changes("F", v1, v3 + 1).is_none());
+        assert_eq!(cat.changes("F", v3, v3 + 1).unwrap().rows(), 1);
+
+        // A journal as long as the table drops its oldest change, and the
+        // level only that change could roll; the rest stays.
+        for row in 0..13 {
+            cat.update_cells("F", row, &[1], &[Value::Float(7.0)])
+                .unwrap();
+        }
+        assert!(!cached(v3) && cat.lattice_cache().oldest_version("F").is_none());
+        let now = cat.table_version("F");
+        assert!(cat.changes("F", v3, now).is_none());
+        assert_eq!(cat.changes("F", v3 + 1, now).unwrap().rows(), 13);
+
+        // `invalidate_combos` removes the journal, also through an alias;
+        // the next write starts a new one.
+        let now = cat.table_version("F");
+        store(now);
+        let pin = cat.pin_table("F").unwrap();
+        cat.invalidate_combos(pin.alias());
+        assert!(!cached(now));
+        assert_eq!(cat.data_version(pin.alias()), Some(("F".into(), now)));
+        assert!(cat.changes("F", v3, now).is_none());
+        store(now);
+        cat.update_cells("F", 0, &[1], &[Value::Float(8.0)])
+            .unwrap();
+        assert_eq!(cat.changes("F", now, now + 1).unwrap().rows(), 1);
+    }
+
+    #[test]
+    fn a_journal_stays_shorter_than_its_table_under_repeated_updates() {
+        let cat = Catalog::new();
+        cat.create_table("F", table()).unwrap();
+        let rows: Vec<Vec<Value>> = (1..100)
+            .map(|i| vec![Value::Int(i), Value::Float(1.0)])
+            .collect();
+        cat.write("F", Change::Append(Rows::Values(&rows))).unwrap();
+        let lanes = ["sum(a)".to_string()];
+        let (stale, hot) = (["d".to_string()], ["a".to_string()]);
+        let store = |dims: &[String], v: u64| {
+            (cat.lattice_cache()).store("F", v, dims, &lanes, Arc::new(table()));
+        };
+        // A level nobody reads again, and one a reader rolls every version.
+        let start = cat.table_version("F");
+        store(&stale, start);
+        for i in 0..1000 {
+            cat.update_cells("F", i % 100, &[1], &[Value::Float(i as f64)])
+                .unwrap();
+            let now = cat.table_version("F");
+            let journal = |j: &Journal| (j.rows(), j.bytes());
+            let (rows, bytes) = journal(&cat.journals.lock()["F"]);
+            assert!(rows < 100, "update {i}: {rows} journaled rows");
+            assert!(
+                bytes <= rows * 64,
+                "update {i}: {bytes} bytes for {rows} rows"
+            );
+            let older = cat.lattice_cache().older("F", now, &hot, &lanes);
+            if i > 0 {
+                assert_eq!(older.map(|(v, _)| v), Some(now - 1), "update {i}");
+                assert_eq!(cat.changes("F", now - 1, now).unwrap().rows(), 1);
+            }
+            store(&hot, now);
+        }
+        let old = cat.lattice_cache().older("F", u64::MAX, &stale, &lanes);
+        assert!(old.is_none(), "the unread level went with its changes");
+    }
+
+    #[test]
+    fn pins_appends_checkpoints_and_creates_run_beside_each_other() {
+        let cat = Arc::new(Catalog::new());
+        cat.create_table("F", table()).unwrap();
+        let store = SharedCkptStore::default();
+        cat.set_checkpoint_store(Box::new(store), CheckpointPolicy::every_records(3));
+        let (done, finished) = std::sync::mpsc::channel();
+        let work: [fn(&Catalog, i64); 4] = [
+            |cat, _| drop(cat.pin_table("F")),
+            |cat, i| append_row(cat, "F", i, 1.0),
+            |cat, _| drop(cat.checkpoint_now()),
+            |cat, i| drop(cat.create_or_replace_table(format!("G{}", i % 4), table())),
+        ];
+        for step in work {
+            let (cat, done) = (Arc::clone(&cat), done.clone());
+            std::thread::spawn(move || {
+                (0..1000).for_each(|i| step(&cat, i));
+                done.send(()).unwrap();
+            });
+        }
+        for _ in 0..4 {
+            let waited = finished.recv_timeout(std::time::Duration::from_secs(60));
+            assert!(waited.is_ok(), "a pin, a write or a checkpoint hung");
+        }
+        assert_eq!(cat.table("F").unwrap().read().num_rows(), 1001);
+        assert!(cat.pin_table("F").unwrap().rows() == 1001);
+    }
+
+    #[test]
+    fn a_change_made_around_write_is_a_new_version_at_the_next_pin() {
+        let cat = Catalog::new();
+        let shared = cat.create_table("F", table()).unwrap();
+        let pin = cat.pin_table("F").unwrap();
+        let (dims, lanes) = (["d".to_string()], ["sum(a)".to_string()]);
+        let v = pin.version();
+        cat.lattice_cache()
+            .store("F", v, &dims, &lanes, Arc::new(table()));
+        drop(pin);
+        shared
+            .write()
+            .push_row(&[Value::Int(2), Value::Float(3.0)])
+            .unwrap();
+        let pin = cat.pin_table("F").unwrap();
+        assert!(pin.version() > v && pin.rows() == 2);
+        assert!(cat.lattice_cache().is_empty(), "nothing describes it");
+        assert!(cat.changes("F", v, pin.version()).is_none());
     }
 
     #[test]

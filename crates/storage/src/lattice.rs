@@ -3,8 +3,12 @@
 //!
 //! An entry is one finalized `Arc<Table>` — the level's key columns, then
 //! one column per aggregate lane, rows sorted by key — tagged with the
-//! caller's identity of each lane; a `(table, level columns)` key holds a
-//! short list of them, one per lane signature. A one-scan CUBE/ROLLUP
+//! caller's identity of each lane and with the **version** of the source
+//! table it describes; a `(table, level columns)` key holds a short list of
+//! them. A lookup names the table and the version it reads (a pinned
+//! snapshot's source and version), and an entry answers only a lookup of
+//! its own version: an entry is a fact about one version of the data, so a
+//! write never has to find it to keep it honest. A one-scan CUBE/ROLLUP
 //! evaluation stores one per lattice level under the level's normalized
 //! columns: a later query at the same level is answered by a
 //! refcount bump, and one at any *coarser* level re-aggregates the cached
@@ -23,9 +27,24 @@
 //! zero-lane entry serves zero-lane lookups only.
 //!
 //! Statements that share a level but not their aggregates keep an entry
-//! each. A store that an entry at its key already serves changes nothing;
-//! any other store drops only the entries its own lanes serve (a
-//! combination set, a sums-only totals level) and sits beside the rest.
+//! each. A store that an entry at its key, of its version or a newer one,
+//! already serves changes nothing; any other store drops the entries of
+//! its version or older that its own lanes serve (a combination set, a
+//! sums-only totals level, the same level one write ago) and sits beside
+//! the rest.
+//!
+//! A write leaves the entries alone. A reader at a newer version that
+//! misses asks [`LatticeCache::older`] for the newest entry of the level
+//! below its version and rolls it forward over the catalog's write journal
+//! ([`crate::journal`]); the result is stored at the new version and
+//! supersedes the old entry. The catalog trims the journal to
+//! [`LatticeCache::oldest_version`]. When the journal covers as many rows
+//! as the table, or holds more than the cache's byte budget, it drops its
+//! oldest changes and the catalog drops the entries older than what it
+//! still reaches ([`LatticeCache::invalidate_before`]); it drops all of a
+//! table's entries ([`LatticeCache::invalidate_table`]) when the table is
+//! created, replaced or dropped, and on
+//! [`crate::Catalog::invalidate_combos`].
 //!
 //! Beside an entry's table the cache keeps its `parent` vectors
 //! ([`LatticeCache::parent`]): for a coarser level the evaluator divides
@@ -33,20 +52,17 @@
 //! Every table at a level lists every key of the fact table in one
 //! canonical order, so a vector is a function of the finer table alone: it
 //! lives and dies with that entry, and a coarser level evicted and
-//! recomputed, or held by another entry, finds it valid.
+//! recomputed, or held by another entry, finds it valid. An entry rolled
+//! forward starts with none.
 //!
 //! The cache is bounded by bytes: every entry carries the heap size of its
 //! table and its parent vectors, and a store that takes the total past
 //! [`LATTICE_CACHE_BYTES`] evicts least-recently-used entries, one at a
 //! time, until it fits. An evicted level is simply a miss — the planner
 //! falls back to a cached ancestor or the scan, a combination set is
-//! scanned for again.
-//!
-//! [`crate::Catalog::write`] drops a table's entries on every change to
-//! it, live, replicated or replayed, so recovery starts cold; entries
-//! keyed by a hidden snapshot alias die when the alias is swept. A
-//! [`crate::SharedTable`] write guard is for unregistered values (a
-//! query's own result), which are never cached.
+//! scanned for again. Recovery and replica bootstrap start cold. A
+//! [`crate::SharedTable`] write guard is for unregistered values (a query's
+//! own result), which are never cached.
 
 use crate::error::Result;
 use crate::table::Table;
@@ -62,6 +78,8 @@ pub const LATTICE_CACHE_BYTES: usize = 64 << 20;
 /// One cached level.
 #[derive(Debug)]
 struct LatticeEntry {
+    /// The version of the source table the level describes.
+    version: u64,
     /// Caller-defined identity of each lane (aggregate function and
     /// input), in column order.
     lanes: Vec<String>,
@@ -136,7 +154,8 @@ pub struct LatticeCacheStats {
 
 /// The entries, by table name and then by level columns, so a lookup
 /// borrows its key: `&str` and `&[String]` find a level with nothing built.
-/// A level holds one entry per lane signature, none serving another.
+/// A level holds one entry per version and lane signature, none serving
+/// another of its version.
 #[derive(Debug, Default)]
 struct Entries {
     map: BTreeMap<String, BTreeMap<Vec<String>, Vec<LatticeEntry>>>,
@@ -151,16 +170,17 @@ impl Entries {
         level.map_or(&[], Vec::as_slice)
     }
 
-    /// The first entry at `(table, level_cols)` that serves `lanes`.
+    /// The first entry at `(table, level_cols)` of `version` that serves
+    /// `lanes`.
     fn serving(
         &self,
-        table: &str,
+        (table, version): (&str, u64),
         level_cols: &[String],
         lanes: &[String],
     ) -> Option<&LatticeEntry> {
         self.level(table, level_cols)
             .iter()
-            .find(|e| e.serves(lanes))
+            .find(|e| e.version == version && e.serves(lanes))
     }
 
     /// Drop least-recently-used entries until the total fits `budget`;
@@ -242,30 +262,37 @@ impl LatticeCache {
         }
     }
 
-    /// Cached table for `level_cols` of `table` whose leading lanes are
-    /// `lanes`, counting the lookup as a hit or miss. A level whose entries
-    /// all carry other lanes counts as a miss (the caller will store its
-    /// own entry beside them).
-    pub fn get(&self, table: &str, level_cols: &[String], lanes: &[String]) -> Option<Arc<Table>> {
+    /// Cached table for `level_cols` of `table` at `version` whose leading
+    /// lanes are `lanes`, counting the lookup as a hit or miss. A level
+    /// whose entries all carry other lanes, or describe other versions,
+    /// counts as a miss (the caller will store its own entry beside them).
+    pub fn get(
+        &self,
+        table: &str,
+        version: u64,
+        level_cols: &[String],
+        lanes: &[String],
+    ) -> Option<Arc<Table>> {
         let mut found = [None];
-        self.get_levels(table, &[(level_cols, lanes)], &mut found);
+        self.get_levels((table, version), &[(level_cols, lanes)], &mut found);
         found[0].take()
     }
 
-    /// [`LatticeCache::get`] of a request's `levels` of `table`, `(level
-    /// columns, lanes)` each, into the `None` slots of `found`: one read
-    /// lock, one clock advance and one counter update for the lot. Hits and
-    /// misses count, and recency refreshes, as that many `get`s would.
+    /// [`LatticeCache::get`] of a request's `levels` of `table` at
+    /// `version`, `(level columns, lanes)` each, into the `None` slots of
+    /// `found`: one read lock, one clock advance and one counter update for
+    /// the lot. Hits and misses count, and recency refreshes, as that many
+    /// `get`s would.
     pub fn get_levels(
         &self,
-        table: &str,
+        source: (&str, u64),
         levels: &[(&[String], &[String])],
         found: &mut [Option<Arc<Table>>],
     ) {
         let base = self.clock.fetch_add(levels.len() as u64, Ordering::Relaxed);
         let (entries, mut hits) = (self.entries.read(), 0);
         for (i, (&(cols, lanes), slot)) in levels.iter().zip(found).enumerate() {
-            let Some(e) = entries.serving(table, cols, lanes) else {
+            let Some(e) = entries.serving(source, cols, lanes) else {
                 continue;
             };
             e.used.store(base + 1 + i as u64, Ordering::Relaxed);
@@ -276,23 +303,34 @@ impl LatticeCache {
         self.count(&self.misses, |m| &m.misses, levels.len() as u64 - hits);
     }
 
-    /// Store a level table (canonical layout, see the module docs) whose
-    /// lane columns are `lanes`. An entry at the key that already serves
-    /// `lanes` stays and this store changes nothing: two statements that
-    /// both missed store in either order, and the one with fewer lanes (a
+    /// Store a level table (canonical layout, see the module docs) of
+    /// `table` at `version` whose lane columns are `lanes`. An entry at the
+    /// key, of this version or a newer one, that already serves `lanes`
+    /// stays and this store changes nothing: two statements that both
+    /// missed store in either order, and the one with fewer lanes (a
     /// combination set against a ROLLUP's level) must not cost the other
-    /// its entry — the data under both is the same, a change to it empties
-    /// the key. Otherwise the new entry drops only the entries at the key
-    /// that `lanes` serve, and sits beside the rest: statements that share
-    /// a level but not their extras keep an entry each. Least-recently-used
-    /// entries are evicted until the cache fits its byte budget again; a
-    /// table larger than the whole budget is not retained.
-    pub fn store(&self, table: &str, level_cols: &[String], lanes: &[String], level: Arc<Table>) {
+    /// its entry, nor may a reader of an old pin put back what a newer
+    /// version superseded. Otherwise the new entry drops the entries at the
+    /// key, of this version or older, that `lanes` serve, and sits beside
+    /// the rest: statements that share a level but not their extras keep an
+    /// entry each, and a level rolled forward replaces the one it was
+    /// rolled from. Least-recently-used entries are evicted until the cache
+    /// fits its byte budget again; a table larger than the whole budget is
+    /// not retained.
+    pub fn store(
+        &self,
+        table: &str,
+        version: u64,
+        level_cols: &[String],
+        lanes: &[String],
+        level: Arc<Table>,
+    ) {
         let bytes = level.heap_bytes();
         if bytes > self.budget {
             return;
         }
         let entry = LatticeEntry {
+            version,
             lanes: lanes.to_vec(),
             bytes,
             table: level,
@@ -300,14 +338,15 @@ impl LatticeCache {
             used: AtomicU64::new(self.tick()),
         };
         let mut entries = self.entries.write();
-        if entries.serving(table, level_cols, lanes).is_some() {
+        let newer = |e: &LatticeEntry| e.version >= version && e.serves(lanes);
+        if entries.level(table, level_cols).iter().any(newer) {
             return;
         }
         let levels = entries.map.entry(table.to_string()).or_default();
         let level = levels.entry(level_cols.to_vec()).or_default();
         let mut freed = 0;
         level.retain(|e| {
-            let served = lanes.starts_with(&e.lanes);
+            let served = e.version <= version && lanes.starts_with(&e.lanes);
             freed += if served { e.bytes } else { 0 };
             !served
         });
@@ -373,32 +412,93 @@ impl LatticeCache {
     /// Whether a compatible entry exists, **without** counting the lookup
     /// or refreshing its recency — planners and EXPLAIN probe here so
     /// speculative planning does not skew the hit/miss counters.
-    pub fn probe(&self, table: &str, level_cols: &[String], lanes: &[String]) -> bool {
+    pub fn probe(
+        &self,
+        table: &str,
+        version: u64,
+        level_cols: &[String],
+        lanes: &[String],
+    ) -> bool {
         let entries = self.entries.read();
-        entries.serving(table, level_cols, lanes).is_some()
+        entries
+            .serving((table, version), level_cols, lanes)
+            .is_some()
     }
 
-    /// Drop every cached level of `table`. Called by the catalog's write
-    /// path for every insert/update/replace/drop of the table.
+    /// The newest entry of `level_cols` of `table` older than `version`
+    /// that serves `lanes`, with the version it describes: what a reader
+    /// at `version` that missed may roll forward over the write journal.
+    /// Counts nothing and refreshes nothing (the miss was counted).
+    pub fn older(
+        &self,
+        table: &str,
+        version: u64,
+        level_cols: &[String],
+        lanes: &[String],
+    ) -> Option<(u64, Arc<Table>)> {
+        let entries = self.entries.read();
+        let older = entries.level(table, level_cols).iter();
+        let older = older.filter(|e| e.version < version && e.serves(lanes));
+        let newest = older.max_by_key(|e| e.version)?;
+        Some((newest.version, Arc::clone(&newest.table)))
+    }
+
+    /// The oldest version an entry of `table` describes; `None` when
+    /// nothing of it is cached. The catalog trims its write journal to it.
+    pub fn oldest_version(&self, table: &str) -> Option<u64> {
+        let entries = self.entries.read();
+        let levels = entries.map.get(table)?.values().flatten();
+        levels.map(|e| e.version).min()
+    }
+
+    /// Drop every cached level of `table`, of every version: the catalog
+    /// calls this when the table is created, replaced or dropped, and on
+    /// [`crate::Catalog::invalidate_combos`].
     pub fn invalidate_table(&self, table: &str) {
+        self.invalidate_before(table, u64::MAX);
+    }
+
+    /// Drop the cached levels of `table` that describe a version older
+    /// than `version`: the catalog calls this when its write journal drops
+    /// the changes they would be rolled forward over.
+    pub fn invalidate_before(&self, table: &str, version: u64) {
         let mut entries = self.entries.write();
-        let levels = entries.map.remove(table).unwrap_or_default();
-        let dropped = levels.values().flatten();
-        entries.bytes -= dropped.clone().map(|e| e.bytes).sum::<usize>();
+        let Some(levels) = entries.map.get_mut(table) else {
+            return;
+        };
+        let (mut dropped, mut freed) = (0, 0);
+        levels.retain(|_, level| {
+            level.retain(|e| {
+                let old = e.version < version;
+                (dropped, freed) = (dropped + old as u64, freed + if old { e.bytes } else { 0 });
+                !old
+            });
+            !level.is_empty()
+        });
+        if levels.is_empty() {
+            entries.map.remove(table);
+        }
+        entries.bytes -= freed;
         drop(entries);
-        let dropped = dropped.count() as u64;
         if dropped > 0 {
             self.count(&self.invalidations, |m| &m.invalidations, dropped);
         }
     }
 
-    /// The levels cached for `table` with leading lanes `lanes`, in key
-    /// order — planners use this to find a cached *finer* ancestor to
-    /// re-aggregate from. Counts nothing.
-    pub fn levels_for(&self, table: &str, lanes: &[String]) -> Vec<Vec<String>> {
+    /// The byte bound the cache evicts to ([`LATTICE_CACHE_BYTES`]); the
+    /// catalog holds a table's write journal to it as well.
+    pub fn budget(&self) -> usize {
+        self.budget
+    }
+
+    /// The levels cached for `table` at `version` with leading lanes
+    /// `lanes`, in key order — planners use this to find a cached *finer*
+    /// ancestor to re-aggregate from. Counts nothing.
+    pub fn levels_for(&self, table: &str, version: u64, lanes: &[String]) -> Vec<Vec<String>> {
         let entries = self.entries.read();
         let levels = entries.map.get(table).into_iter().flatten();
-        (levels.filter(|(_, es)| es.iter().any(|e| e.serves(lanes))))
+        let serves = |e: &LatticeEntry| e.version == version && e.serves(lanes);
+        (levels.filter(|(_, es)| es.iter().any(serves)))
             .map(|(cols, _)| cols.clone())
             .collect()
     }
@@ -463,17 +563,18 @@ mod tests {
     fn miss_store_hit_round_trip() {
         let cache = LatticeCache::new();
         assert!(cache
-            .get("F", &cols(&["state"]), &cols(&["sum(amt)"]))
+            .get("F", 0, &cols(&["state"]), &cols(&["sum(amt)"]))
             .is_none());
         let stored = level(7, 3);
         cache.store(
             "F",
+            0,
             &cols(&["state"]),
             &cols(&["sum(amt)"]),
             Arc::clone(&stored),
         );
         let hit = cache
-            .get("F", &cols(&["state"]), &cols(&["sum(amt)"]))
+            .get("F", 0, &cols(&["state"]), &cols(&["sum(amt)"]))
             .unwrap();
         assert!(Arc::ptr_eq(&hit, &stored), "a hit is a refcount bump");
         let st = cache.stats();
@@ -484,23 +585,29 @@ mod tests {
     fn lane_mismatch_is_a_miss_and_store_replaces() {
         let cache = LatticeCache::new();
         let state = cols(&["state"]);
-        let tag = |lanes: &[&str]| cache.get("F", &state, &cols(lanes)).map(|t| tag_of(&t));
-        cache.store("F", &state, &cols(&["sum(amt)"]), level(1, 1));
+        let tag = |lanes: &[&str]| cache.get("F", 0, &state, &cols(lanes)).map(|t| tag_of(&t));
+        cache.store("F", 0, &state, &cols(&["sum(amt)"]), level(1, 1));
         assert_eq!(tag(&["sum(qty)"]), None, "other lanes are a miss");
         // An entry with other lanes coexists with it at the same level.
-        cache.store("F", &state, &cols(&["sum(qty)"]), level(2, 1));
+        cache.store("F", 0, &state, &cols(&["sum(qty)"]), level(2, 1));
         assert_eq!(cache.len(), 2, "one entry per lane signature");
         assert_eq!(tag(&["sum(amt)"]), Some(Value::Int(1)));
         assert_eq!(tag(&["sum(qty)"]), Some(Value::Int(2)));
         // A store replaces exactly the entries its lanes serve.
-        cache.store("F", &state, &cols(&["sum(qty)", "count(*)"]), level(3, 1));
+        cache.store(
+            "F",
+            0,
+            &state,
+            &cols(&["sum(qty)", "count(*)"]),
+            level(3, 1),
+        );
         assert_eq!(cache.len(), 2, "sum(qty) replaced, sum(amt) kept");
         assert_eq!(tag(&["sum(qty)"]), Some(Value::Int(3)));
         assert_eq!(tag(&["sum(qty)", "count(*)"]), Some(Value::Int(3)));
         assert_eq!(tag(&["sum(amt)"]), Some(Value::Int(1)));
         assert_eq!(tag(&["sum(amt)", "count(*)"]), None);
         assert_eq!(
-            cache.levels_for("F", &cols(&["sum(amt)"])),
+            cache.levels_for("F", 0, &cols(&["sum(amt)"])),
             vec![state.clone()]
         );
         assert_eq!(cache.stats().evictions, 0, "replacing is not evicting");
@@ -508,13 +615,13 @@ mod tests {
         // third evicts the older entry, not the whole level.
         let one = level(0, 1000).heap_bytes();
         let cache = LatticeCache::with_budget(2 * one + one / 2);
-        cache.store("F", &state, &cols(&["a"]), level(1, 1000));
-        cache.store("F", &state, &cols(&["b"]), level(2, 1000));
-        assert!(cache.get("F", &state, &cols(&["a"])).is_some());
-        cache.store("F", &state, &cols(&["c"]), level(3, 1000));
+        cache.store("F", 0, &state, &cols(&["a"]), level(1, 1000));
+        cache.store("F", 0, &state, &cols(&["b"]), level(2, 1000));
+        assert!(cache.get("F", 0, &state, &cols(&["a"])).is_some());
+        cache.store("F", 0, &state, &cols(&["c"]), level(3, 1000));
         let kept: Vec<bool> = ["a", "b", "c"]
             .iter()
-            .map(|l| cache.probe("F", &state, &cols(&[l])))
+            .map(|l| cache.probe("F", 0, &state, &cols(&[l])))
             .collect();
         assert_eq!(kept, [true, false, true], "the least recently used went");
         assert_eq!((cache.len(), cache.stats().evictions), (2, 1));
@@ -526,16 +633,22 @@ mod tests {
     fn an_entry_serves_any_leading_run_of_its_lanes() {
         let cache = LatticeCache::new();
         let state = cols(&["state"]);
-        cache.store("F", &state, &cols(&["sum(amt)", "count(*)"]), level(1, 1));
-        assert!(cache.get("F", &state, &cols(&["sum(amt)"])).is_some());
+        cache.store(
+            "F",
+            0,
+            &state,
+            &cols(&["sum(amt)", "count(*)"]),
+            level(1, 1),
+        );
+        assert!(cache.get("F", 0, &state, &cols(&["sum(amt)"])).is_some());
         assert!(cache
-            .get("F", &state, &cols(&["sum(amt)", "count(*)"]))
+            .get("F", 0, &state, &cols(&["sum(amt)", "count(*)"]))
             .is_some());
-        assert!(cache.get("F", &state, &cols(&["count(*)"])).is_none());
+        assert!(cache.get("F", 0, &state, &cols(&["count(*)"])).is_none());
         assert!(cache
-            .get("F", &state, &cols(&["sum(amt)", "count(*)", "min(amt)"]))
+            .get("F", 0, &state, &cols(&["sum(amt)", "count(*)", "min(amt)"]))
             .is_none());
-        assert_eq!(cache.levels_for("F", &cols(&["sum(amt)"])), vec![state]);
+        assert_eq!(cache.levels_for("F", 0, &cols(&["sum(amt)"])), vec![state]);
     }
 
     #[test]
@@ -543,20 +656,20 @@ mod tests {
         let cache = LatticeCache::new();
         let (day, none) = (cols(&["day"]), cols(&[]));
         // A zero-lane entry serves zero-lane lookups only, at its own key.
-        cache.store("F", &day, &none, level(1, 2));
-        assert!(cache.get("F", &day, &none).is_some());
-        assert!(cache.get("F", &cols(&["day", "store"]), &none).is_none());
-        assert!(cache.get("G", &day, &none).is_none());
-        assert!(cache.get("F", &day, &cols(&["sum(amt)"])).is_none());
-        assert!(!cache.probe("F", &day, &cols(&["sum(amt)"])));
-        assert!(cache.levels_for("F", &cols(&["sum(amt)"])).is_empty());
+        cache.store("F", 0, &day, &none, level(1, 2));
+        assert!(cache.get("F", 0, &day, &none).is_some());
+        assert!(cache.get("F", 0, &cols(&["day", "store"]), &none).is_none());
+        assert!(cache.get("G", 0, &day, &none).is_none());
+        assert!(cache.get("F", 0, &day, &cols(&["sum(amt)"])).is_none());
+        assert!(!cache.probe("F", 0, &day, &cols(&["sum(amt)"])));
+        assert!(cache.levels_for("F", 0, &cols(&["sum(amt)"])).is_empty());
         // A level with lanes replaces it and serves both kinds of lookup.
         let rollup = level(2, 2);
         let lanes = cols(&["sum(amt)", "count(*)"]);
-        cache.store("F", &day, &lanes, Arc::clone(&rollup));
+        cache.store("F", 0, &day, &lanes, Arc::clone(&rollup));
         assert_eq!(cache.len(), 1);
         for wanted in [&none, &lanes[..1].to_vec(), &lanes] {
-            let hit = cache.get("F", &day, wanted).expect("a leading run");
+            let hit = cache.get("F", 0, &day, wanted).expect("a leading run");
             assert!(Arc::ptr_eq(&hit, &rollup));
         }
     }
@@ -570,35 +683,35 @@ mod tests {
         let day = cols(&["day"]);
         let lanes = cols(&["sum(amt)", "count(*)"]);
         let rollup = level(1, 2);
-        cache.store("F", &day, &lanes, Arc::clone(&rollup));
+        cache.store("F", 0, &day, &lanes, Arc::clone(&rollup));
         let evictions = cache.stats().evictions;
         for fewer in [&lanes[..0], &lanes[..1], &lanes[..]] {
-            cache.store("F", &day, fewer, level(2, 2));
-            let hit = cache.get("F", &day, &lanes).expect("still every lane");
+            cache.store("F", 0, &day, fewer, level(2, 2));
+            let hit = cache.get("F", 0, &day, &lanes).expect("still every lane");
             assert!(Arc::ptr_eq(&hit, &rollup), "kept against {fewer:?}");
         }
         assert_eq!((cache.len(), cache.stats().evictions), (1, evictions));
         // Other lanes are another shape: that entry sits beside the level.
         let qty = level(3, 2);
-        cache.store("F", &day, &cols(&["sum(qty)"]), Arc::clone(&qty));
+        cache.store("F", 0, &day, &cols(&["sum(qty)"]), Arc::clone(&qty));
         let hit = cache
-            .get("F", &day, &lanes)
+            .get("F", 0, &day, &lanes)
             .expect("the ROLLUP's level stays");
         assert!(Arc::ptr_eq(&hit, &rollup));
-        let hit = cache.get("F", &day, &cols(&["sum(qty)"])).unwrap();
+        let hit = cache.get("F", 0, &day, &cols(&["sum(qty)"])).unwrap();
         assert!(Arc::ptr_eq(&hit, &qty));
         assert_eq!(cache.len(), 2);
         // More lanes over the ROLLUP's replace its entry, and only it.
         let wider = level(4, 2);
         let more = cols(&["sum(amt)", "count(*)", "min(amt)"]);
-        cache.store("F", &day, &more, Arc::clone(&wider));
-        let hit = cache.get("F", &day, &lanes).unwrap();
+        cache.store("F", 0, &day, &more, Arc::clone(&wider));
+        let hit = cache.get("F", 0, &day, &lanes).unwrap();
         assert!(Arc::ptr_eq(&hit, &wider), "served by the wider entry");
-        assert!(cache.probe("F", &day, &cols(&["sum(qty)"])));
+        assert!(cache.probe("F", 0, &day, &cols(&["sum(qty)"])));
         assert_eq!((cache.len(), cache.stats().evictions), (2, evictions));
         // And every kept entry still dies with the table's data.
         cache.invalidate_table("F");
-        assert!(cache.get("F", &day, &[]).is_none());
+        assert!(cache.get("F", 0, &day, &[]).is_none());
         assert_eq!(cache.stats().invalidations, 2);
     }
 
@@ -627,27 +740,67 @@ mod tests {
         let by = cols(&["d"]);
         let first = distinct(&facts[0]);
         for (f, values) in facts.iter().enumerate() {
-            cache.store(&format!("F{f}"), &by, &[], distinct(values));
+            cache.store(&format!("F{f}"), 0, &by, &[], distinct(values));
         }
         assert_eq!((cache.len(), cache.stats().evictions), (2, 1));
-        assert!(cache.get("F0", &by, &[]).is_none(), "LRU set evicted");
+        assert!(cache.get("F0", 0, &by, &[]).is_none(), "LRU set evicted");
         // The miss recomputes and stores; the set is the one evicted.
-        cache.store("F0", &by, &[], distinct(&facts[0]));
-        let again = cache.get("F0", &by, &[]).expect("stored again");
+        cache.store("F0", 0, &by, &[], distinct(&facts[0]));
+        let again = cache.get("F0", 0, &by, &[]).expect("stored again");
         let rows = |t: &Table| t.rows().collect::<Vec<_>>();
         assert_eq!(rows(&again), rows(&first));
         assert_eq!((cache.len(), cache.stats().evictions), (2, 2));
     }
 
     #[test]
+    fn an_entry_answers_its_own_version_and_a_newer_one_supersedes_it() {
+        let cache = LatticeCache::new();
+        let (day, sums) = (cols(&["day"]), cols(&["sum(amt)"]));
+        let v3 = level(3, 2);
+        cache.store("F", 3, &day, &sums, Arc::clone(&v3));
+        assert!(
+            cache.get("F", 4, &day, &sums).is_none(),
+            "never another version's"
+        );
+        assert!(cache.get("F", 2, &day, &sums).is_none());
+        assert!(!cache.probe("F", 4, &day, &sums));
+        assert!(cache.levels_for("F", 4, &sums).is_empty());
+        assert_eq!(cache.oldest_version("F"), Some(3));
+        assert_eq!(cache.oldest_version("G"), None);
+        // What a reader at a newer version may roll forward: the newest
+        // older entry serving its lanes.
+        let (from, old) = cache.older("F", 5, &day, &sums).unwrap();
+        assert!(from == 3 && Arc::ptr_eq(&old, &v3));
+        assert!(cache.older("F", 3, &day, &sums).is_none(), "not its own");
+        assert!(cache.older("F", 5, &day, &cols(&["count(*)"])).is_none());
+        assert!(cache.older("F", 5, &day, &[]).is_some(), "combinations too");
+        // An entry with other lanes of the old version stays beside the
+        // new one; the one the new lanes serve is superseded.
+        cache.store("F", 3, &day, &cols(&["min(amt)"]), level(9, 2));
+        let v5 = level(5, 2);
+        cache.store("F", 5, &day, &sums, Arc::clone(&v5));
+        assert!(Arc::ptr_eq(&cache.get("F", 5, &day, &sums).unwrap(), &v5));
+        assert!(cache.get("F", 3, &day, &sums).is_none(), "superseded");
+        assert!(cache.probe("F", 3, &day, &cols(&["min(amt)"])));
+        assert_eq!((cache.len(), cache.oldest_version("F")), (2, Some(3)));
+        // A reader of an old pin does not put back what a newer version
+        // superseded.
+        cache.store("F", 4, &day, &sums, level(4, 2));
+        assert!(cache.get("F", 4, &day, &sums).is_none());
+        assert_eq!(cache.len(), 2);
+        cache.invalidate_table("F");
+        assert_eq!(cache.oldest_version("F"), None);
+    }
+
+    #[test]
     fn invalidation_is_per_table_and_counted() {
         let cache = LatticeCache::new();
-        cache.store("F", &cols(&["a"]), &cols(&["s"]), level(1, 1));
-        cache.store("F", &cols(&["a", "b"]), &cols(&["s"]), level(2, 1));
-        cache.store("G", &cols(&["a"]), &cols(&["s"]), level(3, 1));
+        cache.store("F", 0, &cols(&["a"]), &cols(&["s"]), level(1, 1));
+        cache.store("F", 0, &cols(&["a", "b"]), &cols(&["s"]), level(2, 1));
+        cache.store("G", 0, &cols(&["a"]), &cols(&["s"]), level(3, 1));
         cache.invalidate_table("F");
-        assert!(cache.get("F", &cols(&["a"]), &cols(&["s"])).is_none());
-        assert!(cache.get("G", &cols(&["a"]), &cols(&["s"])).is_some());
+        assert!(cache.get("F", 0, &cols(&["a"]), &cols(&["s"])).is_none());
+        assert!(cache.get("G", 0, &cols(&["a"]), &cols(&["s"])).is_some());
         assert_eq!(cache.stats().invalidations, 2);
         cache.invalidate_table("F");
         assert_eq!(cache.stats().invalidations, 2);
@@ -656,12 +809,12 @@ mod tests {
     #[test]
     fn levels_for_lists_only_the_tables_compatible_levels() {
         let cache = LatticeCache::new();
-        cache.store("F", &cols(&["a", "b"]), &cols(&["s"]), level(1, 1));
-        cache.store("F", &cols(&["a"]), &cols(&["s"]), level(1, 1));
-        cache.store("F", &cols(&["b"]), &cols(&["other"]), level(1, 1));
-        cache.store("G", &cols(&["c"]), &cols(&["s"]), level(1, 1));
+        cache.store("F", 0, &cols(&["a", "b"]), &cols(&["s"]), level(1, 1));
+        cache.store("F", 0, &cols(&["a"]), &cols(&["s"]), level(1, 1));
+        cache.store("F", 0, &cols(&["b"]), &cols(&["other"]), level(1, 1));
+        cache.store("G", 0, &cols(&["c"]), &cols(&["s"]), level(1, 1));
         assert_eq!(
-            cache.levels_for("F", &cols(&["s"])),
+            cache.levels_for("F", 0, &cols(&["s"])),
             vec![cols(&["a"]), cols(&["a", "b"])]
         );
     }
@@ -672,36 +825,42 @@ mod tests {
         // Room for three such levels, not four.
         let cache = LatticeCache::with_budget(3 * one + one / 2);
         for (tag, name) in ["a", "b", "c"].iter().enumerate() {
-            cache.store("F", &cols(&[name]), &cols(&["s"]), level(tag as i64, 1000));
+            cache.store(
+                "F",
+                0,
+                &cols(&[name]),
+                &cols(&["s"]),
+                level(tag as i64, 1000),
+            );
         }
         assert_eq!(cache.stats().evictions, 0);
         // Touch the oldest: `b` is now the least recently used.
-        assert!(cache.get("F", &cols(&["a"]), &cols(&["s"])).is_some());
-        cache.store("F", &cols(&["d"]), &cols(&["s"]), level(3, 1000));
+        assert!(cache.get("F", 0, &cols(&["a"]), &cols(&["s"])).is_some());
+        cache.store("F", 0, &cols(&["d"]), &cols(&["s"]), level(3, 1000));
         assert!(
-            !cache.probe("F", &cols(&["b"]), &cols(&["s"])),
+            !cache.probe("F", 0, &cols(&["b"]), &cols(&["s"])),
             "LRU entry evicted"
         );
         for kept in ["a", "c", "d"] {
             assert!(
-                cache.probe("F", &cols(&[kept]), &cols(&["s"])),
+                cache.probe("F", 0, &cols(&[kept]), &cols(&["s"])),
                 "{kept} survives"
             );
         }
         // Replacing an entry releases its bytes instead of evicting.
-        cache.store("F", &cols(&["a"]), &cols(&["s"]), level(9, 1000));
+        cache.store("F", 0, &cols(&["a"]), &cols(&["s"]), level(9, 1000));
         let st = cache.stats();
         assert_eq!((st.evictions, st.entries), (1, 3));
         // A level larger than the whole budget is not retained and evicts
         // nothing on its way.
-        cache.store("F", &cols(&["huge"]), &cols(&["s"]), level(0, 10_000));
-        assert!(!cache.probe("F", &cols(&["huge"]), &cols(&["s"])));
+        cache.store("F", 0, &cols(&["huge"]), &cols(&["s"]), level(0, 10_000));
+        assert!(!cache.probe("F", 0, &cols(&["huge"]), &cols(&["s"])));
         assert_eq!(cache.stats(), st);
         // Invalidation resets the byte total: three fit again.
         cache.invalidate_table("F");
         let before = cache.stats().evictions;
         for name in ["x", "y", "z"] {
-            cache.store("F", &cols(&[name]), &cols(&["s"]), level(0, 1000));
+            cache.store("F", 0, &cols(&[name]), &cols(&["s"]), level(0, 1000));
         }
         assert_eq!(cache.stats().evictions, before);
         assert_eq!(cache.len(), 3);
@@ -712,7 +871,7 @@ mod tests {
         let cache = LatticeCache::new();
         let (fine, onto) = (cols(&["a", "b"]), cols(&["a"]));
         let stored = level(1, 4);
-        cache.store("F", &fine, &cols(&["s"]), Arc::clone(&stored));
+        cache.store("F", 0, &fine, &cols(&["s"]), Arc::clone(&stored));
         let before = cache.stats();
         let build = || Ok(vec![0, 0, 1, 1]);
         let first = cache.parent("F", &fine, &stored, &onto, build).unwrap();
@@ -740,14 +899,14 @@ mod tests {
         assert_eq!(cache.stats().parent_builds, 6);
 
         // A store the entry already serves keeps it, vectors and all.
-        cache.store("F", &fine, &cols(&["s"]), level(1, 4));
+        cache.store("F", 0, &fine, &cols(&["s"]), level(1, 4));
         cache
             .parent("F", &fine, &stored, &onto, || unreachable!("kept"))
             .unwrap();
         // An entry with other lanes beside it keeps vectors of its own and
         // leaves the first entry's alone.
         let beside = level(2, 4);
-        cache.store("F", &fine, &cols(&["other"]), Arc::clone(&beside));
+        cache.store("F", 0, &fine, &cols(&["other"]), Arc::clone(&beside));
         cache
             .parent("F", &fine, &stored, &onto, || unreachable!("kept"))
             .unwrap();
@@ -756,7 +915,7 @@ mod tests {
         // A store whose lanes serve the first entry replaces it: its vectors
         // die with it, the neighbour's stay.
         let wider = level(1, 4);
-        cache.store("F", &fine, &cols(&["s", "t"]), Arc::clone(&wider));
+        cache.store("F", 0, &fine, &cols(&["s", "t"]), Arc::clone(&wider));
         assert_eq!(cache.len(), 2);
         cache.parent("F", &fine, &stored, &onto, build).unwrap();
         cache.parent("F", &fine, &stored, &onto, build).unwrap();
@@ -772,7 +931,7 @@ mod tests {
         assert_eq!(cache.stats().parent_builds, 11);
 
         // A build that fails keeps nothing: the next request builds.
-        cache.store("F", &fine, &cols(&["s"]), Arc::clone(&stored));
+        cache.store("F", 0, &fine, &cols(&["s"]), Arc::clone(&stored));
         let missing = || Err(crate::StorageError::MissingKey { row: 0 });
         assert!(cache.parent("F", &fine, &stored, &onto, missing).is_err());
         cache.parent("F", &fine, &stored, &onto, build).unwrap();
@@ -788,8 +947,8 @@ mod tests {
         // Two levels fit with a little room; a 4 000-byte vector does not.
         let cache = LatticeCache::with_budget(2 * one + 2000);
         let (a, b) = (level(0, 1000), level(1, 1000));
-        cache.store("F", &cols(&["a"]), &cols(&["s"]), Arc::clone(&a));
-        cache.store("F", &cols(&["b"]), &cols(&["s"]), Arc::clone(&b));
+        cache.store("F", 0, &cols(&["a"]), &cols(&["s"]), Arc::clone(&a));
+        cache.store("F", 0, &cols(&["b"]), &cols(&["s"]), Arc::clone(&b));
         let small = cache
             .parent("F", &cols(&["b"]), &b, &[], || Ok(vec![0; 250]))
             .unwrap();
@@ -799,12 +958,12 @@ mod tests {
             .parent("F", &cols(&["b"]), &b, &cols(&["x"]), || Ok(vec![0; 1000]))
             .unwrap();
         assert_eq!(cache.stats().evictions, 1);
-        assert!(!cache.probe("F", &cols(&["a"]), &cols(&["s"])));
-        assert!(cache.probe("F", &cols(&["b"]), &cols(&["s"])));
+        assert!(!cache.probe("F", 0, &cols(&["a"]), &cols(&["s"])));
+        assert!(cache.probe("F", 0, &cols(&["b"]), &cols(&["s"])));
         // Evicting `b` releases its vectors' bytes with it.
         cache.invalidate_table("F");
-        cache.store("F", &cols(&["a"]), &cols(&["s"]), Arc::clone(&a));
-        cache.store("F", &cols(&["b"]), &cols(&["s"]), b);
+        cache.store("F", 0, &cols(&["a"]), &cols(&["s"]), Arc::clone(&a));
+        cache.store("F", 0, &cols(&["b"]), &cols(&["s"]), b);
         assert_eq!((cache.len(), cache.stats().evictions), (2, 1));
     }
 
@@ -815,17 +974,17 @@ mod tests {
         let cache = LatticeCache::with_budget(4 * one + one / 2);
         let s = cols(&["s"]);
         for name in ["a", "b", "c"] {
-            cache.store("F", &cols(&[name]), &s, level(0, 1000));
+            cache.store("F", 0, &cols(&[name]), &s, level(0, 1000));
         }
-        cache.store("G", &cols(&["a"]), &s, level(1, 1000));
+        cache.store("G", 0, &cols(&["a"]), &s, level(1, 1000));
         let before = cache.stats();
 
         // `probe` counts nothing and refreshes nothing; `parent` is no
         // lookup either.
-        assert!(cache.probe("F", &cols(&["a"]), &s));
-        assert!(!cache.probe("F", &cols(&["a"]), &cols(&["t"])));
-        assert!(!cache.probe("F", &cols(&["z"]), &s));
-        let a = cache.get("F", &cols(&["a"]), &s).unwrap();
+        assert!(cache.probe("F", 0, &cols(&["a"]), &s));
+        assert!(!cache.probe("F", 0, &cols(&["a"]), &cols(&["t"])));
+        assert!(!cache.probe("F", 0, &cols(&["z"]), &s));
+        let a = cache.get("F", 0, &cols(&["a"]), &s).unwrap();
         cache
             .parent("F", &cols(&["a"]), &a, &[], || Ok(vec![0; 1000]))
             .unwrap();
@@ -842,7 +1001,7 @@ mod tests {
             (&b[..], &s[..]),
         ];
         let mut got = vec![None; batch.len()];
-        cache.get_levels("F", &batch, &mut got);
+        cache.get_levels(("F", 0), &batch, &mut got);
         assert_eq!(
             got.iter().map(Option::is_some).collect::<Vec<_>>(),
             [true, false, false, true]
@@ -850,24 +1009,27 @@ mod tests {
         let st = cache.stats();
         assert_eq!((st.hits, st.misses), (before.hits + 3, before.misses + 2));
         // The same as `get`s would: each hit is the stored table.
-        let single = cache.get("F", &c, &s).unwrap();
+        let single = cache.get("F", 0, &c, &s).unwrap();
         assert!(Arc::ptr_eq(got[0].as_ref().unwrap(), &single));
 
         // Recency: the batch touched `c` then `b`, the `get` above `c`
         // again, and nothing touched `a` since its `get`; G's level is the
         // oldest. Two stores over the budget evict G's level, then `a`.
-        cache.store("F", &cols(&["d"]), &s, level(0, 1000));
-        assert!(!cache.probe("G", &cols(&["a"]), &s), "least recently used");
-        cache.store("F", &cols(&["e"]), &s, level(0, 1000));
+        cache.store("F", 0, &cols(&["d"]), &s, level(0, 1000));
         assert!(
-            !cache.probe("F", &cols(&["a"]), &s),
+            !cache.probe("G", 0, &cols(&["a"]), &s),
+            "least recently used"
+        );
+        cache.store("F", 0, &cols(&["e"]), &s, level(0, 1000));
+        assert!(
+            !cache.probe("F", 0, &cols(&["a"]), &s),
             "next least recently used"
         );
         for kept in ["b", "c", "d", "e"] {
-            assert!(cache.probe("F", &cols(&[kept]), &s), "{kept} kept");
+            assert!(cache.probe("F", 0, &cols(&[kept]), &s), "{kept} kept");
         }
         // Nothing is looked up in an empty batch.
-        cache.get_levels("F", &[], &mut []);
+        cache.get_levels(("F", 0), &[], &mut []);
         assert_eq!(cache.stats().evictions, 2);
         assert_eq!(
             (cache.stats().hits, cache.stats().misses),
@@ -881,10 +1043,10 @@ mod tests {
         let one = level(0, 100).heap_bytes();
         let cache = LatticeCache::with_budget(one);
         cache.attach_metrics(&reg);
-        cache.get("F", &cols(&["a"]), &cols(&["s"]));
-        cache.store("F", &cols(&["a"]), &cols(&["s"]), level(0, 100));
-        cache.get("F", &cols(&["a"]), &cols(&["s"]));
-        cache.store("F", &cols(&["b"]), &cols(&["s"]), level(0, 100));
+        cache.get("F", 0, &cols(&["a"]), &cols(&["s"]));
+        cache.store("F", 0, &cols(&["a"]), &cols(&["s"]), level(0, 100));
+        cache.get("F", 0, &cols(&["a"]), &cols(&["s"]));
+        cache.store("F", 0, &cols(&["b"]), &cols(&["s"]), level(0, 100));
         cache.invalidate_table("F");
         let text = reg.render();
         for line in [

@@ -22,6 +22,7 @@ pub mod error;
 pub mod fault;
 pub mod hash;
 pub mod index;
+pub mod journal;
 pub mod lattice;
 pub mod log;
 pub mod memory;
@@ -48,6 +49,7 @@ pub use error::{Result, StorageError};
 pub use fault::{FaultInjector, FaultPlan};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use index::{HashIndex, NONE};
+pub use journal::TableDelta;
 pub use lattice::{LatticeCache, LatticeCacheStats, LATTICE_CACHE_BYTES};
 pub use log::{FileLogStore, LogStore, MemLogStore};
 pub use packed::{width_for, PackedCell, PackedCodes, MAX_INT_PACK_WIDTH, MAX_PACK_WIDTH};

@@ -11,8 +11,10 @@
 //! owns one lazily built cell per column and shares it with its clones (a
 //! pinned snapshot is the same version); an append carries a built record
 //! forward over the appended rows ([`ColumnStats::extend`]), an overwrite
-//! resets it, so the key space, the block coder and the optimizer all read
-//! one derivation and none of them can hold a stale one.
+//! of a float cell carries it over the cell ([`ColumnStats::overwrite`])
+//! and any other overwrite resets it, so the key space, the block coder
+//! and the optimizer all read one derivation and none of them can hold a
+//! stale one.
 
 use crate::bitmap::Bitmap;
 use crate::column::Column;
@@ -67,6 +69,14 @@ fn whole_bound(
         }
     };
     (whole && bound < TWO_52).then_some(bound)
+}
+
+/// `|x|` when `x` is a whole number below 2^52 in magnitude — what
+/// [`whole_bound`] asks of every value, for one.
+fn whole(x: f64) -> Option<f64> {
+    const TWO_52: f64 = (1u64 << 52) as f64;
+    let x = x.abs();
+    ((x + TWO_52) - TWO_52 == x && x < TWO_52).then_some(x)
 }
 
 /// Distinct non-NULL values, from a presence table: slot 0 is NULL.
@@ -166,6 +176,37 @@ impl ColumnStats {
                 }
             }
         }
+        true
+    }
+
+    /// Carry a float column's record over the overwrite of row `row` of
+    /// `col`, which held `before` (`None`: NULL), in time independent of
+    /// the column: what [`ColumnStats::build`] would derive from it now.
+    /// The NULL count moves by the cell; a sampled distinct count is
+    /// forgotten when the row is in the sample; a built whole-number bound
+    /// rises to a larger whole value and clears at a fraction. `false`
+    /// comes back — reset the cell — in the one case a rebuild could find a
+    /// tighter bound: the overwritten value was the bound's fraction, or
+    /// had the bound's magnitude and the new value is smaller (or NULL).
+    pub(crate) fn overwrite(&mut self, col: &Column, row: usize, before: Option<f64>) -> bool {
+        let Column::Float { data, validity } = col else {
+            return false;
+        };
+        let after = validity.get(row).then(|| data[row]);
+        if let Some(bound) = self.integral.get_mut() {
+            let tightens = match (*bound, before) {
+                (None, Some(b)) => whole(b).is_none(),
+                (Some(m), Some(b)) => b.abs() == m && after.is_none_or(|a| a.abs() < m),
+                (_, None) => false,
+            };
+            if tightens {
+                return false;
+            }
+            *bound = bound.and_then(|m| after.map_or(Some(m), |a| whole(a).map(|a| a.max(m))));
+        }
+        self.null_count =
+            self.null_count + usize::from(after.is_none()) - usize::from(before.is_none());
+        self.resample(row);
         true
     }
 

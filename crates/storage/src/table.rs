@@ -26,9 +26,10 @@ type StatsCell = OnceLock<Arc<ColumnStats>>;
 /// Beside the columns, under the same sharing rule, sits one lazily built
 /// [`ColumnStats`] cell per column ([`Table::column_stats`]): a clone reads
 /// and fills the cells of the version it shares, an append carries every
-/// built cell forward over the rows it adds, and an overwrite resets the
-/// cells of exactly the columns it writes — each on the writer's side of
-/// the copy, so a pinned snapshot keeps the statistics of *its* version.
+/// built cell forward over the rows it adds, and an overwrite carries a
+/// float column's cell over the cell it writes and resets the cells of the
+/// other columns it writes — each on the writer's side of the copy, so a
+/// pinned snapshot keeps the statistics of *its* version.
 ///
 /// ```
 /// use pa_storage::{DataType, Schema, Table, Value};
@@ -344,12 +345,24 @@ impl Table {
     }
 
     /// Write cells that [`Table::check_cells`] already accepted (the
-    /// catalog's write path checks, logs, then applies).
+    /// catalog's write path checks, logs, then applies). A float column's
+    /// built record is carried over the overwritten cell
+    /// ([`ColumnStats::overwrite`]) where its rule allows; every other cell
+    /// written is reset, as [`Table::column_mut`] does.
     pub(crate) fn set_checked_cells(&mut self, row: usize, cols: &[usize], values: &[Value]) {
         for (&col, value) in cols.iter().zip(values) {
-            self.column_mut(col)
+            let before = self.columns[col].get_f64(row);
+            detach(&mut self.columns)[col]
                 .set(row, value.clone())
                 .expect("cell checked against this table");
+            let column = &self.columns[col];
+            let cell = &mut Arc::make_mut(&mut self.stats)[col];
+            let carried = matches!(column, Column::Float { .. })
+                && (cell.get_mut())
+                    .is_some_and(|stats| Arc::make_mut(stats).overwrite(column, row, before));
+            if !carried {
+                cell.take();
+            }
         }
     }
 

@@ -3,8 +3,9 @@
 //! derives from the same column, and a pinned clone's records are the very
 //! objects they were when it was pinned.
 //!
-//! An append *extends* a built record over the appended rows and an
-//! overwrite resets it (DESIGN.md §12), so the oracle interleaves both with
+//! An append *extends* a built record over the appended rows, an overwrite
+//! of a float cell carries it over the cell and any other overwrite resets
+//! it (DESIGN.md §12), so the oracle interleaves them all with
 //! pins and readers and compares, after every step, against a copy of the
 //! table that has nothing built (`Table::take` of every row: same rows,
 //! same dictionaries, fresh cells).
@@ -178,7 +179,8 @@ proptest! {
                 Op::SetCells(row, c, values) if t.num_rows() > 0 => {
                     let row = row % t.num_rows();
                     t.set_cells(row, &[*c], &[values[*c].clone()]).unwrap();
-                    asked[*c] = false;
+                    // A float column's record is carried over the cell.
+                    asked[*c] &= *c == FLOAT;
                 }
                 Op::ColumnMut(row, c, values) if t.num_rows() > 0 => {
                     let row = row % t.num_rows();
@@ -386,6 +388,86 @@ fn the_whole_number_bound_follows_appends_and_a_fraction_clears_it() {
         ints.integral_bound(INT),
         Some(i64::MIN.unsigned_abs() as f64)
     );
+}
+
+/// A table of `values` in the float column, its record built (the bound
+/// asked for), and what the overwrite of `row` with `to` leaves: whether
+/// the record was carried rather than reset, and the bound.
+fn overwrite_float(values: &[Option<f64>], row: usize, to: Option<f64>) -> (bool, Option<f64>) {
+    let rows: Vec<Vec<Value>> = (values.iter())
+        .map(|v| vec![Value::Null, Value::Null, Value::from(*v)])
+        .collect();
+    let mut t = table(&rows);
+    t.integral_bound(FLOAT);
+    let built = side_car_bytes(&t);
+    assert!(built > 0);
+    t.set_cells(row, &[FLOAT], &[Value::from(to)]).unwrap();
+    let carried = side_car_bytes(&t) == built;
+    assert_fresh(&t, FLOAT, &format!("{values:?}[{row}] = {to:?}"));
+    (carried, t.integral_bound(FLOAT))
+}
+
+#[test]
+fn a_float_overwrite_moves_the_null_count_and_keeps_the_record() {
+    let values = [Some(3.0), None, Some(-7.0)];
+    assert_eq!(overwrite_float(&values, 1, Some(2.0)), (true, Some(7.0)));
+    assert_eq!(overwrite_float(&values, 0, None), (true, Some(7.0)));
+    assert_eq!(overwrite_float(&values, 1, None), (true, Some(7.0)));
+}
+
+#[test]
+fn a_float_overwrite_with_a_larger_whole_value_raises_the_bound() {
+    let values = [Some(3.0), None, Some(-7.0)];
+    assert_eq!(overwrite_float(&values, 0, Some(-12.0)), (true, Some(12.0)));
+    assert_eq!(overwrite_float(&values, 2, Some(9.0)), (true, Some(9.0)));
+    assert_eq!(overwrite_float(&values, 2, Some(-7.0)), (true, Some(7.0)));
+}
+
+#[test]
+fn a_float_overwrite_with_a_fraction_clears_the_bound() {
+    let values = [Some(3.0), None, Some(-7.0)];
+    assert_eq!(overwrite_float(&values, 0, Some(0.5)), (true, None));
+    assert_eq!(overwrite_float(&values, 1, Some(f64::NAN)), (true, None));
+    assert_eq!(
+        overwrite_float(&values, 0, Some(f64::INFINITY)),
+        (true, None)
+    );
+    // A fraction elsewhere keeps it clear; overwriting the fraction
+    // itself may leave whole numbers only, so the record is rebuilt.
+    let fractional = [Some(0.5), Some(4.0)];
+    assert_eq!(overwrite_float(&fractional, 1, Some(2.0)), (true, None));
+    assert_eq!(
+        overwrite_float(&fractional, 0, Some(2.0)),
+        (false, Some(4.0))
+    );
+}
+
+#[test]
+fn a_float_overwrite_of_the_bounds_magnitude_by_a_smaller_value_resets_the_record() {
+    let values = [Some(3.0), None, Some(-7.0), Some(7.0)];
+    assert_eq!(overwrite_float(&values, 2, Some(1.0)), (false, Some(7.0)));
+    assert_eq!(
+        overwrite_float(&[Some(3.0), Some(-7.0)], 1, Some(1.0)),
+        (false, Some(3.0))
+    );
+    assert_eq!(
+        overwrite_float(&[Some(3.0), Some(-7.0)], 1, None),
+        (false, Some(3.0))
+    );
+    // Not smaller: carried.
+    assert_eq!(
+        overwrite_float(&[Some(3.0), Some(-7.0)], 1, Some(7.0)),
+        (true, Some(7.0))
+    );
+}
+
+#[test]
+fn an_int_overwrite_resets_the_record() {
+    let mut t = built_ints(&[Some(10), Some(12), None]);
+    assert!(side_car_bytes(&t) > 0);
+    t.set_cells(0, &[INT], &[Value::Int(11)]).unwrap();
+    assert_eq!(side_car_bytes(&t), 0);
+    assert_fresh(&t, INT, "an integer overwrite");
 }
 
 #[test]

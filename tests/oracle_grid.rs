@@ -7,8 +7,9 @@
 //! and a `max_columns` partition; `ROLLUP`, `CUBE` and `GROUPING SETS`
 //! ride the plans that take them. Each seed draws a corner-value table and
 //! a statement the plan takes, a thread count (1, 2, 4), a side of the
-//! dense budget (0, default), and — where the plan reads SQL — a `WHERE`;
-//! each case runs cold, then warm, on one engine. Every answer is compared
+//! dense budget (0, default), a write (`Write`) and — where the plan reads
+//! SQL — a `WHERE`; each case runs cold, then warm, on one engine, and
+//! after its write cold and warm again. Every answer is compared
 //! with the reference by names, types, validity and bits; an `ORDER BY`
 //! answer also by row order.
 //!
@@ -17,7 +18,8 @@
 //! its statement, at both [`CORNERS`] of the grid.
 
 use pa_core::{
-    HorizontalOptions, HorizontalStrategy, MissingRows, PercentageEngine, SqlOutcome, VpctStrategy,
+    CoreError, HorizontalOptions, HorizontalStrategy, MissingRows, PercentageEngine, SqlOutcome,
+    VpctStrategy,
 };
 use pa_engine::AggFunc::{Avg, Count, CountStar, Max, Min, Sum};
 use pa_engine::DEFAULT_DENSE_BUDGET;
@@ -173,22 +175,6 @@ fn glued(partitions: &[SharedTable], keys: usize) -> Table {
     Table::from_columns(schema.into_shared(), columns).unwrap()
 }
 
-/// `t` with its first `k` columns' floats read as grouping reads them:
-/// `-0.0` as `0.0`, every NaN as one.
-fn grouping_folded(t: &Table, k: usize) -> Table {
-    let fold = |(c, v): (usize, Value)| match v {
-        F(x) if x == 0.0 && c < k => F(0.0),
-        F(x) if x.is_nan() && c < k => F(f64::NAN),
-        v => v,
-    };
-    let rows: Vec<Vec<Value>> = (t.rows())
-        .map(|row| row.into_iter().enumerate().map(fold).collect())
-        .collect();
-    let fields = t.schema().fields();
-    let fields: Vec<(&str, DataType)> = fields.iter().map(|f| (f.name.as_str(), f.dtype)).collect();
-    gen::table(&fields, &rows)
-}
-
 /// One cell of the grid.
 #[derive(Debug, Clone, Copy)]
 struct Case {
@@ -196,15 +182,115 @@ struct Case {
     threads: usize,
     dense_budget: usize,
     filter: bool,
+    write: Write,
 }
 
-/// `stmt` over `f` under `case`, cold and then warm, against the reference.
-fn check(f: &Table, stmt: &Stmt, case: Case) {
+/// What a case writes to `f` through its engine between two passes of its
+/// statement: nothing, rows appended (a new group and a new string among
+/// them), or one cell updated — a measure to a whole value, to a
+/// fraction, to NULL or from NULL, or a key. A cached level of the first
+/// pass is rolled forward over the write, or scanned for again, and the
+/// second pass must answer as the reference over the table as it then
+/// stands.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Write {
+    Nothing,
+    Append,
+    WholeMeasure,
+    FractionalMeasure,
+    MeasureToNull,
+    MeasureFromNull,
+    Key,
+}
+
+const WRITES: [Write; 7] = [
+    Write::Nothing,
+    Write::Append,
+    Write::WholeMeasure,
+    Write::FractionalMeasure,
+    Write::MeasureToNull,
+    Write::MeasureFromNull,
+    Write::Key,
+];
+
+impl Write {
+    /// Make this write to `f` through `engine` and to the copy `t`, drawing
+    /// its rows and values from `draw`. A table written to holds whole
+    /// cents (`gen::in_cents`), so that a measure's sums stay exact and its
+    /// levels can roll forward.
+    fn apply(self, engine: &PercentageEngine<'_>, t: &mut Table, draw: &mut Draw) {
+        let (amt, q) = (4, 5);
+        let cents = |v: Value| match v {
+            F(x) => F((x * 100.0).round()),
+            v => v,
+        };
+        let n = t.num_rows();
+        let (row, col, value) = match self {
+            Write::Nothing => return,
+            Write::Append => {
+                let rows: Vec<Vec<Value>> = (0..1 + draw.below(4))
+                    .map(|_| {
+                        let mut row = gen::fact_row(draw, &["a", "zero", "new"]);
+                        row[amt] = cents(row[amt].clone());
+                        row[3] = draw.one_of(&[row[3].clone(), s("w")]);
+                        row
+                    })
+                    .collect();
+                engine.append_rows("f", &rows).unwrap();
+                t.push_rows(&rows).unwrap();
+                return;
+            }
+            _ if n == 0 => return,
+            Write::WholeMeasure => {
+                let whole = draw.below(9) as i64 * 100 - 400;
+                let (col, v) = draw.one_of(&[(amt, F(whole as f64)), (q, I(whole / 100))]);
+                (draw.below(n), col, v)
+            }
+            Write::FractionalMeasure => (draw.below(n), amt, F(0.25)),
+            Write::MeasureToNull => (draw.below(n), draw.one_of(&[amt, q]), Null),
+            Write::MeasureFromNull => {
+                let col = draw.one_of(&[amt, q]);
+                let null = (0..n)
+                    .filter(|&r| !t.column(col).is_valid(r))
+                    .collect::<Vec<_>>();
+                let row = match null.is_empty() {
+                    true => draw.below(n),
+                    false => draw.one_of(&null),
+                };
+                let v = if col == amt { F(300.0) } else { I(3) };
+                (row, col, v)
+            }
+            Write::Key => {
+                let (col, v) = draw.one_of(&[(0, s("new")), (1, I(2)), (3, Null)]);
+                (draw.below(n), col, v)
+            }
+        };
+        engine
+            .update_cells("f", row, &[col], std::slice::from_ref(&value))
+            .unwrap();
+        t.set_cells(row, &[col], &[value]).unwrap();
+    }
+}
+
+/// `stmt` over `f` under `case`, cold and then warm, against the reference;
+/// then, after `case.write`, cold and warm again against the reference
+/// over the table as written. (The pre-pass pads the live table, so it
+/// takes no write.)
+fn check(f: &Table, stmt: &Stmt, case: Case, draw: &mut Draw) {
     let catalog = Catalog::new();
-    catalog.create_table("f", f.clone()).unwrap();
+    let mut t = match case.write {
+        Write::Nothing => f.clone(),
+        _ => gen::in_cents(f.clone(), "amt"),
+    };
+    catalog.create_table("f", t.clone()).unwrap();
     let engine =
         PercentageEngine::new(&catalog).with_config(config(case.threads, case.dense_budget));
-    check_on(&engine, f, stmt, case, plain(f, stmt).as_ref());
+    check_on(&engine, &t, stmt, case, plain(&t, stmt).as_ref());
+    if case.write == Write::Nothing || case.plan == Plan::Missing(MissingRows::PreProcess) {
+        return;
+    }
+    case.write.apply(&engine, &mut t, draw);
+    check_on(&engine, &t, stmt, case, plain(&t, stmt).as_ref());
 }
 
 /// The reference's answer to `stmt` over `f`; `None` when it has no
@@ -226,25 +312,15 @@ fn check_on(
 ) {
     let what = |run: &str| format!("{case:?} {run}: {}", stmt.sql());
     let Some(plain) = plain else {
-        assert!(
-            case.plan.run(engine, stmt).is_err(),
-            "{}",
-            what("no column")
-        );
+        let got = case.plan.run(engine, stmt);
+        let typed = matches!(got, Err(CoreError::InvalidQuery(_)));
+        assert!(typed, "{}: {got:?}", what("no column"));
         return;
     };
-    let mut want = case.plan.want(f, stmt, plain);
+    let want = case.plan.want(f, stmt, plain);
     for run in ["cold", "warm"] {
         let got = case.plan.run(engine, stmt);
-        let mut got = got.unwrap_or_else(|e| panic!("{}: {e}", what(run)));
-        if case.plan == Plan::Olap {
-            // The window plan's DISTINCT follows a sort, so a ±0.0 or NaN
-            // group keeps the spelling that sorts first rather than its
-            // first row's (SQL leaves the representative open): its keys
-            // compare as grouping reads them.
-            let k = stmt.group_by.len();
-            (got, want) = (grouping_folded(&got, k), grouping_folded(&want, k));
-        }
+        let got = got.unwrap_or_else(|e| panic!("{}: {e}", what(run)));
         if stmt.order_by {
             let k = stmt.group_by.len();
             let keys = |t: &Table| -> Vec<Vec<String>> {
@@ -291,10 +367,13 @@ fn check_across_an_append(f: &Table, more: &[Vec<Value>], stmts: &[Stmt]) {
                         threads,
                         dense_budget,
                         filter,
+                        write: Write::Nothing,
                     };
                     match plan {
                         // The pre-pass pads the live table: it runs on its own.
-                        Plan::Missing(MissingRows::PreProcess) => check(t, stmt, case),
+                        Plan::Missing(MissingRows::PreProcess) => {
+                            check(t, stmt, case, &mut Draw::new(0))
+                        }
                         _ => check_on(&engine, t, stmt, case, plain.as_ref()),
                     }
                 }
@@ -307,15 +386,28 @@ fn check_across_an_append(f: &Table, more: &[Vec<Value>], stmts: &[Stmt]) {
 fn every_plan_answers_as_the_reference_across_the_grid() {
     let plans = plans();
     let mut hit: BTreeSet<String> = BTreeSet::new();
-    for seed in 0..8 * plans.len() {
+    for seed in 0..16 * plans.len() {
         let mut draw = Draw::new(seed as u64);
-        let plan = plans[seed % plans.len()];
+        // Each plan's sixteen seeds: every write at one and at four
+        // threads, then two seeds at two threads that write nothing, on
+        // opposite sides of the dense budget and of the filter.
+        let (plan, k) = (plans[seed % plans.len()], seed / plans.len());
         let sql = !matches!(plan, Plan::Olap | Plan::Missing(_));
+        let (threads, write) = match k {
+            0..14 => ([1, 4][(k % 7 + k / 7) % 2], WRITES[k % 7]),
+            _ => (2, Write::Nothing),
+        };
+        let (budget, filtered) = match k {
+            14 => (0, false),
+            15 => (1, true),
+            _ => (k / 2 % 2, k / 4 % 2 == 1),
+        };
         let case = Case {
             plan,
-            threads: [1, 2, 4][seed % 3],
-            dense_budget: [0, DEFAULT_DENSE_BUDGET][seed / 3 % 2],
-            filter: sql && seed / 2 % 2 == 1,
+            threads,
+            dense_budget: [0, DEFAULT_DENSE_BUDGET][budget],
+            filter: sql && filtered,
+            write,
         };
         let n = draw.one_of(&[0, 3, 40, 150, 300]);
         let f = gen::fact(&mut draw, n);
@@ -326,10 +418,12 @@ fn every_plan_answers_as_the_reference_across_the_grid() {
             format!("budget {}", case.dense_budget),
             format!("where {}", case.filter),
             format!("sets {:?}", std::mem::discriminant(&stmt.sets)),
+            format!("{:?} at {} threads", case.write, case.threads),
+            format!("budget {} at {} threads", case.dense_budget, case.threads),
         ]);
-        check(&f, &stmt, case);
+        check(&f, &stmt, case, &mut draw);
     }
-    let want = plans.len() + 3 + 2 + 2 + 4;
+    let want = plans.len() + 3 + 2 + 2 + 4 + 2 * WRITES.len() + 1 + 2 * 3;
     assert_eq!(hit.len(), want, "every value of every axis is hit: {hit:?}");
 }
 
