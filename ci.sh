@@ -207,6 +207,39 @@ if sed '/^#\[cfg(test)\]/,$d' crates/core/src/executor.rs | grep -n 'terms\.len(
   exit 1
 fi
 
+echo "==> one-Hpct-plan gate: every knob-less Hpct / Hagg without a WHERE is one lattice request"
+# A horizontal statement without strategy knobs and without a `WHERE` runs
+# as one lattice request (DESIGN.md §15, §19) — unless a lane is holistic, a
+# key is a float or a sum does not fold exactly, when it runs the CASE
+# producer as before — and the paper's strategies, the pivot scan among
+# them, run as named producers. Outside the tests, executor.rs asks the optimizer for a
+# horizontal strategy only where EXPLAIN renders the paper's script
+# (`codegen_lines`) and, in `eval_horizontal`, only after the request arm;
+# and under crates/core/src the pivot scan is called by the producers alone,
+# `horizontal.rs::eval_horizontal_on`.
+if sed -e '/^#\[cfg(test)\]/,$d' -e '/ fn codegen_lines(/,/^    }$/d' \
+  crates/core/src/executor.rs | grep -n 'choose_horizontal_strategy('; then
+  echo "crates/core/src/executor.rs asks for a horizontal strategy outside codegen_lines" >&2
+  exit 1
+fi
+body=$(sed -n '/^    fn eval_horizontal(/,/^    }$/p' crates/core/src/executor.rs)
+request=$(printf '%s\n' "$body" | grep -n 'eval_horizontal_request(' | head -n 1 | cut -d: -f1)
+optimizer=$(printf '%s\n' "$body" | grep -n 'horizontal_strategy_over(' | head -n 1 | cut -d: -f1)
+if [ -z "$request" ] || [ -z "$optimizer" ] || [ "$request" -gt "$optimizer" ]; then
+  echo "executor.rs::eval_horizontal does not try the lattice request before the optimizer" >&2
+  exit 1
+fi
+if for f in crates/core/src/*.rs; do
+  producers=''
+  if [ "$f" = crates/core/src/horizontal.rs ]; then
+    producers='/^pub(crate) fn eval_horizontal_on(/,/^}$/d'
+  fi
+  sed -e '/^#\[cfg(test)\]/,$d' -e "$producers" "$f" | grep -n 'pivot_aggregate(' | sed "s|^|$f:|"
+done | grep .; then
+  echo "the pivot scan is called outside horizontal.rs::eval_horizontal_on under crates/core/src" >&2
+  exit 1
+fi
+
 echo "==> no-process-state gate: a statement is handed its configuration and its injector"
 # A statement's scan configuration is its engine's (`with_config`, else the
 # `PA_*` deployment settings read once at the door by `Fact::config`) and a

@@ -8,7 +8,7 @@
 //! (`prepare`).
 
 use crate::error::{CoreError, Result};
-use crate::horizontal::{eval_horizontal_on, HorizontalResult};
+use crate::horizontal::{eval_horizontal_on, eval_horizontal_request, HorizontalResult};
 use crate::lattice::{eval_request, eval_vpct_batch_on, lattice_plan_lines, Request};
 use crate::missing::{postprocess_pad, preprocess_pad, MissingRows};
 use crate::olap::eval_vpct_olap_on;
@@ -61,10 +61,10 @@ struct Prepared {
 /// A statement's typed form.
 enum Typed {
     /// A flat `Hpct` / `Hagg` statement.
-    Horizontal(HorizontalQuery),
+    Horizontal(Horizontal),
     /// A horizontal grouping-set statement: one query per set, in set
     /// order.
-    Sets(Vec<HorizontalQuery>),
+    Sets(Vec<Horizontal>),
     /// A `Vpct` statement, flat or with grouping sets, one term or many,
     /// lowered to the request it runs without strategy knobs. The request
     /// holds its queries: the flat statement's one, or one per grouping set
@@ -73,19 +73,41 @@ enum Typed {
     Lattice(Request),
 }
 
+/// A horizontal query and the lattice request it runs without strategy
+/// knobs (none when a lane is holistic: it keeps the CASE producer).
+struct Horizontal {
+    query: HorizontalQuery,
+    request: Option<Request>,
+}
+
+impl Horizontal {
+    fn new(query: HorizontalQuery) -> Horizontal {
+        let request = Request::horizontal(&query);
+        Horizontal { query, request }
+    }
+
+    /// The request a knob-less run over `fact` executes: when `fact` has a
+    /// cache key (no `WHERE`) and a level from any path holds a scan's bits
+    /// ([`Request::holds_scan_bits`]); `None` runs the CASE producer.
+    fn request_over(&self, fact: &Fact) -> Option<&Request> {
+        let runs = |r: &&Request| fact.cache_key().is_some() && r.holds_scan_bits(fact);
+        self.request.as_ref().filter(runs)
+    }
+}
+
 impl Prepared {
     fn new(stmt: SelectStmt) -> Result<Prepared> {
         let typed = if stmt.grouping.is_flat() {
             match from_sql(&stmt)? {
                 Query::Vertical(q) => Typed::Lattice(Request::new(vec![q])?),
-                Query::Horizontal(q) => Typed::Horizontal(q),
+                Query::Horizontal(q) => Typed::Horizontal(Horizontal::new(q)),
             }
         } else {
             let (mut vertical, mut horizontal) = (Vec::new(), Vec::new());
             for (_, flat) in per_set_statements(&stmt)? {
                 match flat.as_ref().map(from_sql).transpose()? {
                     Some(Query::Vertical(q)) => vertical.push(q),
-                    Some(Query::Horizontal(q)) => horizontal.push(q),
+                    Some(Query::Horizontal(q)) => horizontal.push(Horizontal::new(q)),
                     None => {}
                 }
             }
@@ -572,23 +594,32 @@ impl<'a> PercentageEngine<'a> {
         }
     }
 
-    /// Evaluate `q` over `fact`: with `opts`, or with the CASE source the
-    /// optimizer picks for the rows `fact` holds.
+    /// Evaluate `q` over `fact`: with `opts`, the producer they name, cold;
+    /// without, as one lattice request, its levels from the cache when it
+    /// has them ([`Horizontal::request_over`]: no `WHERE`, no holistic
+    /// lane, no float key, every sum folding exactly) — else with the CASE
+    /// producer the optimizer picks for the rows `fact` holds.
     fn eval_horizontal(
         &self,
         fact: &Fact,
-        q: &HorizontalQuery,
+        h: &Horizontal,
         opts: Option<&HorizontalOptions>,
         guard: &ResourceGuard,
     ) -> Result<HorizontalResult> {
+        let q = &h.query;
         let chosen;
         let opts = match opts {
             Some(o) => o,
-            None => {
-                let strategy = horizontal_strategy_over(&fact.read(), q)?;
-                chosen = HorizontalOptions::with_strategy(strategy);
-                &chosen
-            }
+            None => match h.request_over(fact) {
+                Some(request) => {
+                    return eval_horizontal_request(self.catalog, fact, q, request, guard)
+                }
+                None => {
+                    let strategy = horizontal_strategy_over(&fact.read(), q)?;
+                    chosen = HorizontalOptions::with_strategy(strategy);
+                    &chosen
+                }
+            },
         };
         eval_horizontal_on(self.catalog, fact, q, opts, guard)
     }
@@ -615,7 +646,8 @@ impl<'a> PercentageEngine<'a> {
         limits: QueryLimits,
         tracer: Option<Tracer>,
     ) -> Result<(HorizontalResult, Option<TraceReport>)> {
-        let eval = |fact: &Fact, guard: &ResourceGuard| self.eval_horizontal(fact, q, opts, guard);
+        let h = Horizontal::new(q.clone());
+        let eval = |fact: &Fact, guard: &ResourceGuard| self.eval_horizontal(fact, &h, opts, guard);
         let traced = (tracer, None);
         let (mut r, charged, report) = self.run("horizontal", &q.table, limits, traced, eval)?;
         r.stats.rows_charged = charged;
@@ -894,8 +926,8 @@ impl<'a> PercentageEngine<'a> {
             Typed::Sets(sets) => sets,
             Typed::Horizontal(_) => unreachable!("a flat statement has no grouping sets"),
         };
-        for q in sets {
-            let r = self.eval_horizontal(fact, q, knobs.1, guard)?;
+        for h in sets {
+            let r = self.eval_horizontal(fact, h, knobs.1, guard)?;
             if r.partitions.len() != 1 {
                 return Err(CoreError::Unsupported(
                     "vertically partitioned horizontal results cannot be \
@@ -907,7 +939,7 @@ impl<'a> PercentageEngine<'a> {
             if cell_columns.is_empty() {
                 cell_columns = r.cell_columns.clone();
             }
-            results.push((&q.group_by, r.snapshot()));
+            results.push((&h.query.group_by, r.snapshot()));
         }
         let table = into_shared(union_grouping_results(group_by, &results, guard)?);
         Ok(SqlOutcome::Horizontal(HorizontalResult {
@@ -961,15 +993,21 @@ impl<'a> PercentageEngine<'a> {
     /// The generated-SQL transcript for a prepared statement (shared by the
     /// explain entry points). A `Vpct` statement, which executes as one
     /// lattice request, ends with the per-level source lines of that
-    /// request.
+    /// request; so does each horizontal query that runs as one.
     fn plan_statements(&self, plan: &Prepared) -> Result<Vec<String>> {
         let stmt = &plan.stmt;
         let pred = stmt.where_clause.as_ref().map(ToString::to_string);
         let pred = pred.as_deref();
         let queries: Vec<Query> = match &plan.typed {
-            Typed::Horizontal(q) => return self.codegen_lines(&Query::Horizontal(q.clone()), pred),
+            Typed::Horizontal(h) => {
+                let mut lines = self.codegen_lines(&Query::Horizontal(h.query.clone()), pred)?;
+                lines.extend(self.horizontal_lines(&stmt.from, h, pred.is_some())?);
+                return Ok(lines);
+            }
             Typed::Lattice(r) => r.queries().iter().cloned().map(Query::Vertical).collect(),
-            Typed::Sets(sets) => sets.iter().cloned().map(Query::Horizontal).collect(),
+            Typed::Sets(sets) => (sets.iter())
+                .map(|h| Query::Horizontal(h.query.clone()))
+                .collect(),
         };
         let mut lines = Vec::new();
         if stmt.grouping.is_flat() {
@@ -980,6 +1018,10 @@ impl<'a> PercentageEngine<'a> {
             lines.push(format!("-- grouping: {} set(s) over ({over})", sets.len()));
             let vertical = matches!(plan.typed, Typed::Lattice(_));
             let mut queries = queries.iter();
+            let mut horizontal = match &plan.typed {
+                Typed::Sets(sets) => sets.iter(),
+                _ => [].iter(),
+            };
             for set in &sets {
                 if vertical && set.is_empty() {
                     let skipped = "skipped (Vpct requires a non-empty GROUP BY)";
@@ -989,6 +1031,9 @@ impl<'a> PercentageEngine<'a> {
                 let q = queries.next().expect("one query per evaluable set");
                 lines.push(format!("-- grouping set ({})", set.join(", ")));
                 lines.extend(self.codegen_lines(q, pred)?);
+                if let Some(h) = horizontal.next() {
+                    lines.extend(self.horizontal_lines(&stmt.from, h, pred.is_some())?);
+                }
             }
         }
         if let Typed::Lattice(request) = &plan.typed {
@@ -1020,6 +1065,21 @@ impl<'a> PercentageEngine<'a> {
     fn lattice_lines(&self, table: &str, request: &Request, selected: bool) -> Result<Vec<String>> {
         let (_pin, fact) = Fact::pinned(self.catalog, table)?;
         lattice_plan_lines(self.catalog, request, &fact, !selected)
+    }
+
+    /// The lattice plan of `h`'s request when a knob-less run of it is that
+    /// request ([`Horizontal::request_over`]), over the pin a run would
+    /// take; nothing when it runs the CASE producer — `selected` (a
+    /// `WHERE`) among those.
+    fn horizontal_lines(&self, table: &str, h: &Horizontal, selected: bool) -> Result<Vec<String>> {
+        if selected {
+            return Ok(Vec::new());
+        }
+        let (_pin, fact) = Fact::pinned(self.catalog, table)?;
+        match h.request_over(&fact) {
+            Some(request) => lattice_plan_lines(self.catalog, request, &fact, true),
+            None => Ok(Vec::new()),
+        }
     }
 
     /// The `-- guard:` transcript line. `charged` is `Some` only on the
@@ -1631,8 +1691,8 @@ mod tests {
         let catalog = sales_catalog();
         let engine = PercentageEngine::new(&catalog);
         let sql = "SELECT state, Hpct(salesAmt BY city) FROM sales GROUP BY state;";
-        // A cold combination cache charges one more pass of the table (the
-        // DISTINCT scan) than a warm one: compare warm with warm.
+        // A cold statement scans the table for its levels, a warm one reads
+        // them from the level cache: compare warm with warm.
         let cold = engine.execute_sql(sql).unwrap().stats().rows_charged;
         let lines = engine
             .explain_analyze_sql(&format!("EXPLAIN ANALYZE {sql}"))
@@ -1643,6 +1703,11 @@ mod tests {
             "{lines:?}"
         );
         assert!(ops.len() >= 2, "operator spans under the query: {ops:?}");
+        // The plan printed is the one that ran: the request's levels, warm.
+        for level in ["(city, state)", "(state)"] {
+            let line = format!("-- lattice: level {level} <- cache");
+            assert!(lines.contains(&line), "{lines:?}");
+        }
         assert!(
             ops.iter()
                 .all(|l| l.contains("rows=") && l.contains("morsels=") && l.contains("time=")),
@@ -1669,8 +1734,37 @@ mod tests {
         let out = engine.execute_sql(sql).unwrap();
         assert_eq!(charged, out.stats().rows_charged);
         assert!(charged > 0);
-        let rows = catalog.table("sales").unwrap().read().num_rows() as u64;
-        assert_eq!(cold, charged + rows, "the combinations pass read the table");
+        // Each pass charges the rows it reads and the groups it makes. Warm,
+        // the statement is handed the cached city set and transposes the
+        // cell level `(city, state)` onto the `(state)` level; cold, it
+        // first scans the table for the cell level, re-aggregates that for
+        // `(state)` and takes the cities as a DISTINCT over it.
+        let t = catalog.table("sales").unwrap().read().clone();
+        let key = |r: usize, cols: &[usize]| -> Vec<String> {
+            cols.iter().map(|&c| t.get(r, c).to_string()).collect()
+        };
+        let count = |cols: &[usize]| {
+            let keys = (0..t.num_rows()).map(|r| key(r, cols));
+            keys.collect::<std::collections::BTreeSet<_>>().len() as u64
+        };
+        let (rows, cells, states, cities) = (
+            t.num_rows() as u64,
+            count(&[1, 2]),
+            count(&[1]),
+            count(&[2]),
+        );
+        let transpose = cells + states;
+        assert_eq!(
+            charged,
+            cities + transpose,
+            "the cached set, then the transposition"
+        );
+        let passes = (rows + cells) + (cells + states) + (cells + cities);
+        assert_eq!(
+            cold,
+            passes + transpose,
+            "the levels and the set, then the transposition"
+        );
         // A bare SELECT is accepted too, and plain EXPLAIN (which never
         // executes) has no `charged=` field to misreport.
         assert!(engine
@@ -1748,6 +1842,51 @@ mod tests {
             .unwrap();
         let scan = lines.iter().find(|l| l.contains("pivot: rows=")).unwrap();
         assert!(scan.ends_with("where=scalar selected=7"), "{scan}");
+    }
+
+    /// EXPLAIN prints a horizontal statement's lattice levels exactly when
+    /// it runs its lattice request: per grouping set, and never under a
+    /// `WHERE` or over a fractional sum, which run the CASE producer.
+    #[test]
+    fn explain_analyze_tells_the_truth_about_a_horizontal_plan() {
+        let catalog = sales_catalog();
+        let engine = PercentageEngine::new(&catalog);
+        let explain = |sql: &str| {
+            let lines = engine.explain_analyze_sql(sql).unwrap();
+            let levels: Vec<String> = (lines.iter())
+                .filter_map(|l| l.strip_prefix("-- lattice: level "))
+                .map(String::from)
+                .collect();
+            let ran = lines.iter().any(|l| l.contains(" transpose: rows="));
+            (levels, ran)
+        };
+        let flat = "SELECT state, Hpct(salesAmt BY city) FROM sales GROUP BY state";
+        let (levels, ran) = explain(flat);
+        assert!(ran);
+        assert_eq!(
+            levels,
+            [
+                "(city, state) <- scan",
+                "(state) <- projected-from (city, state)"
+            ]
+        );
+        let sets = "SELECT state, Hpct(salesAmt BY city) FROM sales GROUP BY ROLLUP(state)";
+        let (levels, ran) = explain(sets);
+        assert!(ran);
+        let want = [
+            "(city, state) <- cache",
+            "(state) <- cache",
+            "(city) <- cache (re-aggregated from (city, state))",
+            "() <- cache (re-aggregated from (state))",
+        ];
+        assert_eq!(levels, want);
+        let selected =
+            "SELECT state, Hpct(salesAmt BY city) FROM sales WHERE RID > 2 GROUP BY state";
+        assert_eq!(explain(selected), (vec![], false));
+        engine
+            .update_cells("sales", 0, &[3], &[Value::Float(0.5)])
+            .unwrap();
+        assert_eq!(explain(flat), (vec![], false), "a fractional sum");
     }
 
     #[test]

@@ -19,11 +19,17 @@
 //!    total; missing cells count as 0, matching SIGMOD's `ELSE 0` CASE
 //!    form), `DEFAULT 0` substitution, column naming, optional vertical
 //!    partitioning when the column limit is exceeded.
+//!
+//! Those strategies are the named producers. A statement without strategy
+//! knobs and without a `WHERE` takes steps 2–3 from the level cache instead
+//! ([`eval_horizontal_request`]): the aggregate at `GROUP BY ∪ BY` is a
+//! lattice level a `Vpct` may have left, and the raw table its
+//! transposition.
 
 use crate::error::{CoreError, Result};
-use crate::lattice::Cached;
+use crate::lattice::{combination_set, Cached, HorizontalLevels, Request};
 use crate::naming::{cell_column_name, dedup_names, partition_ranges};
-use crate::query::{Fact, FactRows, HorizontalQuery};
+use crate::query::{Fact, FactRows, HorizontalQuery, HorizontalTerm};
 use crate::roll;
 use crate::strategy::{HorizontalOptions, HorizontalStrategy};
 use crate::vertical::{count_insert, extra_spec, into_shared};
@@ -82,8 +88,6 @@ struct TermPlan {
     /// The distinct `BY` combinations, sorted — read off the term's level
     /// table once, and moved into the pivot's task ([`plans_as_tasks`]).
     combos: Vec<Vec<Value>>,
-    /// One result column per combination (so also their count).
-    names: Vec<String>,
 }
 
 /// The count family: an absent group counts 0, and the user-facing column
@@ -200,23 +204,7 @@ pub(crate) fn eval_horizontal_on(
     // one configuration (the engine drops small inputs like FV to the
     // serial path operator by operator).
     let par = fact.config();
-
-    for term in &q.terms {
-        for b in &term.by {
-            f_schema
-                .index_of(b)
-                .map_err(|_| CoreError::InvalidQuery(format!("unknown BY column {b}")))?;
-        }
-    }
-    let j_cols_f: Vec<usize> = q
-        .group_by
-        .iter()
-        .map(|n| {
-            f_schema
-                .index_of(n)
-                .map_err(|_| CoreError::InvalidQuery(format!("unknown GROUP BY column {n}")))
-        })
-        .collect::<Result<Vec<_>>>()?;
+    let j_cols_f = resolve(q, &f_schema)?;
 
     // ---------- Build the source (F directly, or the FV pre-aggregate) and
     // the per-term / per-extra lane descriptions against it. ----------
@@ -354,24 +342,17 @@ pub(crate) fn eval_horizontal_on(
     // ---------- Distinct subgroup combinations → result columns. ----------
     // The distinct BY-combination set depends only on the fact table's
     // data (FV preserves it: FV groups by `group_by ∪ by`, so the distinct
-    // BY tuples are identical over F and FV): it is the level `BY` of the
-    // table with no lanes, kept in the catalog's level cache under
-    // `(table, BY columns)` at the version the statement pinned, and served
-    // by whatever level sits there — its own, or one a ROLLUP left with
-    // lanes. A hit charges the set it hands over. A miss first rolls the
-    // set of an older version forward (`crate::roll`: the old set with the
-    // appended rows' combinations, unless an update wrote a BY column);
-    // otherwise it is a keyed scan of the source like the pivot beside it —
-    // `distinct` charges the rows it reads morsel by morsel, then the set —
-    // so a cold statement costs one more pass of the table than a warm one,
-    // in its budget and its trace as on the clock, as a cold lattice level
-    // always has, and a deadline or cancellation lands inside the pass. A
-    // fact without a cache key (one with a `WHERE`) is scanned for its
-    // combinations every time: a BY value the selection filtered out is not
-    // a result column.
+    // BY tuples are identical over F and FV): the cached level `BY` with no
+    // lanes (`combination_set`). A miss first rolls the set of an older
+    // version forward (`crate::roll`: the old set with the appended rows'
+    // combinations, unless an update wrote a BY column); otherwise it is a
+    // keyed scan of the source like the pivot beside it — `distinct`
+    // charges the rows it reads morsel by morsel, then the set — so a cold
+    // statement costs one more pass of the table than a warm one, in its
+    // budget and its trace as on the clock, and a deadline or cancellation
+    // lands inside the pass.
     let combo_cache = Cached::of(catalog, fact);
-    let multi_term = q.terms.len() > 1;
-    let mut plans: Vec<TermPlan> = Vec::new();
+    let (mut plans, mut names): (Vec<TermPlan>, Vec<Vec<String>>) = Default::default();
     for (t, term) in q.terms.iter().enumerate() {
         let by_src_cols: Vec<usize> = term
             .by
@@ -379,79 +360,38 @@ pub(crate) fn eval_horizontal_on(
             .map(|n| src_schema.index_of(n).map_err(CoreError::from))
             .collect::<Result<Vec<_>>>()?;
         let by: Vec<String> = term.by.iter().map(|c| c.to_ascii_lowercase()).collect();
-        let level: Arc<Table> = {
-            let mut span = guard.span("combos");
-            span.add_morsels(1);
-            let hit = combo_cache.and_then(|c| c.cache.get(c.table, c.version, &by, &[]));
-            match hit {
-                Some(cached) => {
-                    stats.combo_cache_hits += 1;
-                    guard.charge(cached.num_rows() as u64)?;
-                    span.add_rows(cached.num_rows() as u64);
-                    cached
-                }
+        let level = combination_set(combo_cache, &by, (guard, &mut stats), |stats| {
+            let rolled = match combo_cache {
+                Some(c) => roll_combos((catalog, c), (fact, &source), &term.by, stats, guard)?,
+                None => None,
+            };
+            match rolled {
+                Some(level) => Ok(level),
                 None => {
-                    stats.combo_cache_misses += 1;
-                    let rolled = match combo_cache {
-                        Some(c) => {
-                            roll_combos((catalog, c), (fact, &source), &term.by, &mut stats, guard)?
-                        }
-                        None => None,
-                    };
-                    let level = match rolled {
-                        Some(level) => level,
-                        None => {
-                            let found = distinct(src, &by_src_cols, guard, &mut stats, &par)?;
-                            let every_col: Vec<usize> = (0..by.len()).collect();
-                            found.sorted_by(&every_col)
-                        }
-                    };
-                    let level = Arc::new(level);
-                    if let Some(c) = combo_cache {
-                        c.cache
-                            .store(c.table, c.version, &by, &[], Arc::clone(&level));
-                    }
-                    level
+                    let found = distinct(src, &by_src_cols, guard, stats, &par)?;
+                    Ok(found.sorted_by(&(0..by.len()).collect::<Vec<_>>()))
                 }
             }
-        };
-        let keys = &level.columns()[..by.len()];
-        let combos: Vec<Vec<Value>> = (0..level.num_rows())
-            .map(|r| keys.iter().map(|c| c.get(r)).collect())
-            .collect();
-        let prefix_name = if multi_term { term.name.as_str() } else { "" };
-        let mut names: Vec<String> = combos
-            .iter()
-            .map(|c| cell_column_name(prefix_name, &term.by, c))
-            .collect();
-        dedup_names(&mut names);
+        })?;
+        let (combos, term_names) = combinations(q, term, &level);
         let (lanes, total) = term_lanes[t].clone();
         plans.push(TermPlan {
             by_src_cols,
             lanes,
             total,
             combos,
+        });
+        names.push(term_names);
+    }
+    let layouts: Vec<Layout<'_>> = (q.terms.iter().zip(&plans).zip(&names))
+        .map(|((term, plan), names)| Layout {
             names,
-        });
-    }
-
-    // Column budget (DMKD §3.6).
-    let n_cells: usize = plans.iter().map(|p| p.names.len()).sum();
-    let total_cols = q.group_by.len() + n_cells + q.extra.len();
-    if total_cols == 0 {
-        return Err(CoreError::InvalidQuery(
-            "the result has no column: no GROUP BY column, no extra aggregate, \
-             and no BY combination among the rows read"
-                .into(),
-        ));
-    }
-    let partitioned = total_cols > opts.max_columns;
-    if partitioned && !opts.allow_partitioning {
-        return Err(CoreError::TooManyColumns {
-            needed: total_cols,
-            limit: opts.max_columns,
-        });
-    }
+            width: plan.lanes.len(),
+            total: plan.total.is_some(),
+            term,
+        })
+        .collect();
+    let partitioned = column_budget(q, &layouts, opts)?;
 
     // ---------- Raw table: [j][term0 lanes×cells][term0 total?].. [extras] --
     let raw = match opts.strategy {
@@ -494,11 +434,148 @@ pub(crate) fn eval_horizontal_on(
         )?,
     };
     drop(source);
+    let extra_widths: Vec<usize> = extra_specs_src.iter().map(Vec::len).collect();
+    finish(
+        q,
+        raw,
+        (&layouts, &extra_widths),
+        (opts, partitioned),
+        stats,
+    )
+}
 
-    // ---------- Post-projection. ----------
-    // `INSERT INTO FH SELECT ..` over the raw rows, walked in layout order:
-    // the keys move over as they are, and every cell and extra is one typed
-    // operation on its lanes ([`finish_cell`]).
+/// A knob-less horizontal statement without a `WHERE` — `fact` has a
+/// cache key — as one lattice request ([`crate::lattice::Request::horizontal`]):
+/// the aggregate at `GROUP BY ∪ BY` a `Vpct` reads, transposed. Its levels
+/// come from the level cache, a roll-forward over the write journal, a
+/// re-aggregation of a finer cached level, or, on a miss, one scan that
+/// stores them; the combinations are the cell levels' `BY` projections,
+/// and the post-projection is the producers'. A warm statement reads no
+/// row of `F`.
+pub(crate) fn eval_horizontal_request(
+    catalog: &Catalog,
+    fact: &Fact,
+    q: &HorizontalQuery,
+    request: &Request,
+    guard: &ResourceGuard,
+) -> Result<HorizontalResult> {
+    q.validate()?;
+    resolve(q, fact.read().schema())?;
+    let mut stats = ExecStats::default();
+    let levels = HorizontalLevels::fetch((catalog, fact), request, guard, &mut stats)?;
+    let config = fact.config();
+    let terms = q.terms.iter().map(|term| {
+        let set = levels.combos((&q.group_by, term), guard, &mut stats, &config)?;
+        let (_, names) = combinations(q, term, &set);
+        Ok((set, names))
+    });
+    let (sets, names): (Vec<Arc<Table>>, Vec<Vec<String>>) =
+        terms.collect::<Result<Vec<_>>>()?.into_iter().unzip();
+    let layouts: Vec<Layout<'_>> = (q.terms.iter().zip(&names))
+        .map(|(term, names)| Layout {
+            names,
+            width: 1,
+            total: term.percentage,
+            term,
+        })
+        .collect();
+    let opts = HorizontalOptions::default();
+    let partitioned = column_budget(q, &layouts, &opts)?;
+    let raw = levels.raw(q, &sets, guard)?;
+    let extra_widths = vec![1; q.extra.len()];
+    finish(
+        q,
+        raw,
+        (&layouts, &extra_widths),
+        (&opts, partitioned),
+        stats,
+    )
+}
+
+/// The `GROUP BY` columns of `q` in `schema`, once every `BY` column is
+/// found there.
+fn resolve(q: &HorizontalQuery, schema: &Schema) -> Result<Vec<usize>> {
+    for b in q.terms.iter().flat_map(|term| &term.by) {
+        schema
+            .index_of(b)
+            .map_err(|_| CoreError::InvalidQuery(format!("unknown BY column {b}")))?;
+    }
+    let unknown = |n: &String| CoreError::InvalidQuery(format!("unknown GROUP BY column {n}"));
+    (q.group_by.iter())
+        .map(|n| schema.index_of(n).map_err(|_| unknown(n)))
+        .collect()
+}
+
+/// `term`'s combinations, the key columns of the level `set` (rows sorted),
+/// and one result column name per combination.
+fn combinations(
+    q: &HorizontalQuery,
+    term: &HorizontalTerm,
+    set: &Table,
+) -> (Vec<Vec<Value>>, Vec<String>) {
+    let keys = &set.columns()[..term.by.len()];
+    let combos: Vec<Vec<Value>> = (0..set.num_rows())
+        .map(|r| keys.iter().map(|c| c.get(r)).collect())
+        .collect();
+    let prefix = if q.terms.len() > 1 {
+        &term.name[..]
+    } else {
+        ""
+    };
+    let mut names: Vec<String> = (combos.iter())
+        .map(|c| cell_column_name(prefix, &term.by, c))
+        .collect();
+    dedup_names(&mut names);
+    (combos, names)
+}
+
+/// One term's share of the raw table: a result column per name, `width`
+/// raw lanes behind each, then its total when it has one.
+struct Layout<'a> {
+    names: &'a [String],
+    width: usize,
+    total: bool,
+    term: &'a HorizontalTerm,
+}
+
+/// Whether the result must be partitioned to stay within the column
+/// budget (DMKD §3.6), or the error when it may not be.
+fn column_budget(
+    q: &HorizontalQuery,
+    layouts: &[Layout<'_>],
+    opts: &HorizontalOptions,
+) -> Result<bool> {
+    let n_cells: usize = layouts.iter().map(|l| l.names.len()).sum();
+    let total_cols = q.group_by.len() + n_cells + q.extra.len();
+    if total_cols == 0 {
+        return Err(CoreError::InvalidQuery(
+            "the result has no column: no GROUP BY column, no extra aggregate, \
+             and no BY combination among the rows read"
+                .into(),
+        ));
+    }
+    let partitioned = total_cols > opts.max_columns;
+    if partitioned && !opts.allow_partitioning {
+        return Err(CoreError::TooManyColumns {
+            needed: total_cols,
+            limit: opts.max_columns,
+        });
+    }
+    Ok(partitioned)
+}
+
+/// The post-projection over the raw table `[j][term cells × lanes][term
+/// total?].. [extras]` — `INSERT INTO FH SELECT ..`, walked in layout
+/// order: the keys move over as they are, and every cell and extra is one
+/// typed operation on its lanes ([`finish_cell`]) — then the vertical
+/// partitions when the result is `partitioned`.
+fn finish(
+    q: &HorizontalQuery,
+    raw: Table,
+    (layouts, extra_widths): (&[Layout<'_>], &[usize]),
+    (opts, partitioned): (&HorizontalOptions, bool),
+    mut stats: ExecStats,
+) -> Result<HorizontalResult> {
     let j_len = q.group_by.len();
     let rows = raw.num_rows() as u64;
     stats.statements += 1;
@@ -510,15 +587,13 @@ pub(crate) fn eval_horizontal_on(
         .map(|(name, key)| Field::new(name.clone(), key.data_type()))
         .collect();
     let mut cell_columns: Vec<Vec<String>> = Vec::new();
-    for (term, plan) in q.terms.iter().zip(&plans) {
-        let width = plan.lanes.len();
-        let cells: Vec<Column> = raw.by_ref().take(plan.names.len() * width).collect();
-        let total = plan
-            .total
-            .as_ref()
-            .map(|_| raw.next().expect("a total per term"));
+    for layout in layouts {
+        let width = layout.width;
+        let cells: Vec<Column> = raw.by_ref().take(layout.names.len() * width).collect();
+        let total = layout.total.then(|| raw.next().expect("a total per term"));
         let mut cells = cells.into_iter();
-        for name in &plan.names {
+        let term = layout.term;
+        for name in layout.names {
             let lanes = cells.by_ref().take(width).collect();
             let cell = finish_cell(
                 lanes,
@@ -530,10 +605,10 @@ pub(crate) fn eval_horizontal_on(
             fields.push(Field::new(name.clone(), cell.data_type()));
             columns.push(cell);
         }
-        cell_columns.push(plan.names.clone());
+        cell_columns.push(layout.names.to_vec());
     }
-    for (extra, lanes) in q.extra.iter().zip(&extra_specs_src) {
-        let lanes = raw.by_ref().take(lanes.len()).collect();
+    for (extra, &width) in q.extra.iter().zip(extra_widths) {
+        let lanes = raw.by_ref().take(width).collect();
         let cell = finish_cell(lanes, None, extra.func, false, &mut stats)?;
         fields.push(Field::new(extra.name.clone(), cell.data_type()));
         columns.push(cell);

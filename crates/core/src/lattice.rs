@@ -45,15 +45,18 @@
 //! is one request (`eval_request`) — one query of any term count, or every
 //! grouping set of a statement into one table; [`eval_vpct_lattice_guarded`]
 //! evaluates one typed query the same way, and [`eval_vpct_batch`] a whole
-//! set of percentage queries.
+//! set of percentage queries. So is a knob-less `Hpct` / `Hagg` without a
+//! `WHERE` (`Request::horizontal`): its cell levels `GROUP BY ∪ BY` and its
+//! `GROUP BY` level come through the same plan, and `HorizontalLevels`
+//! transposes them.
 
 use crate::error::{CoreError, Result};
-use crate::query::{ExtraAgg, Fact, Measure, VpctQuery};
+use crate::query::{ExtraAgg, Fact, HorizontalQuery, HorizontalTerm, Measure, VpctQuery};
 use crate::roll;
 use crate::vertical::{count_insert, extra_spec, into_shared, percentage, QueryResult};
 use pa_engine::{
-    aggregate_level, lattice_aggregate, AggFunc, AggSpec, ExecStats, Expr, ParallelConfig,
-    ResourceGuard, SpanHandle,
+    aggregate_level, distinct, lattice_aggregate, AggFunc, AggSpec, ExecStats, Expr,
+    ParallelConfig, ResourceGuard, Selected, SpanHandle,
 };
 use pa_storage::{
     Catalog, Column, DataType, Field, FxHashMap, HashIndex, LatticeCache, Schema, SharedTable,
@@ -97,6 +100,15 @@ impl Level {
     fn position(&self, name: &str) -> Option<usize> {
         let lowered = || name.bytes().map(|b| b.to_ascii_lowercase());
         self.0.binary_search_by(|c| c.bytes().cmp(lowered())).ok()
+    }
+
+    /// The positions of `names` among the normalized columns.
+    fn at(&self, names: &[impl AsRef<str>]) -> Vec<usize> {
+        let place = |n: &_| {
+            self.position(AsRef::<str>::as_ref(n))
+                .expect("a column of the level")
+        };
+        names.iter().map(place).collect()
     }
 
     /// `(a, b)` rendering for plans and EXPLAIN output.
@@ -280,7 +292,42 @@ impl Lanes {
                 measures.push(term.measure.clone());
             }
         }
-        let extra = queries[0].extra.clone();
+        Lanes::new(measures, queries[0].extra.clone())
+    }
+
+    /// The lanes of a horizontal query: every `sum` — an `Hpct` cell and
+    /// its total, a `sum` cell, a `sum` extra — one measure sum, and every
+    /// other cell or extra function one extra lane, each distinct lane once
+    /// (`None` when one is holistic: those levels are not cached).
+    fn horizontal(q: &HorizontalQuery) -> Option<Lanes> {
+        let lanes = (q.terms.iter().map(|t| (t.func, Some(&t.measure))))
+            .chain(q.extra.iter().map(|e| (e.func, e.measure.as_ref())));
+        let (mut measures, mut extra): (Vec<Measure>, Vec<ExtraAgg>) = Default::default();
+        for (func, measure) in lanes {
+            if func.is_holistic() {
+                return None;
+            }
+            match (func, measure) {
+                (AggFunc::Sum, Some(m)) if !measures.contains(m) => measures.push(m.clone()),
+                (AggFunc::Sum, Some(_)) => {}
+                (func, measure) => {
+                    let measure = measure.filter(|_| func != AggFunc::CountStar).cloned();
+                    let name = String::new();
+                    let lane = ExtraAgg {
+                        func,
+                        measure,
+                        name,
+                    };
+                    if !extra.contains(&lane) {
+                        extra.push(lane);
+                    }
+                }
+            }
+        }
+        Some(Lanes::new(measures, extra))
+    }
+
+    fn new(measures: Vec<Measure>, extra: Vec<ExtraAgg>) -> Lanes {
         let sums = measures.iter().map(|m| format!("sum({})", m.sql()));
         let extras = extra.iter().map(|e| {
             let m = e.measure.as_ref().map_or("*".into(), Measure::sql);
@@ -299,6 +346,20 @@ impl Lanes {
             .iter()
             .position(|m| m == measure)
             .expect("every term's measure was collected")
+    }
+
+    /// Where the lane of `func` over `measure` sits among a root's lanes
+    /// (the measure sums, then the extras), for a horizontal query's lanes.
+    fn position(&self, func: AggFunc, measure: Option<&Measure>) -> usize {
+        let measure = measure.filter(|_| func != AggFunc::CountStar);
+        match (func, measure) {
+            (AggFunc::Sum, Some(m)) => self.lane_of(m),
+            _ => {
+                let same = |e: &ExtraAgg| e.func == func && e.measure.as_ref() == measure;
+                let e = self.extra.iter().position(same);
+                self.measures.len() + e.expect("every lane was collected")
+            }
+        }
     }
 
     fn specs(&self, schema: &Schema) -> Result<Vec<AggSpec>> {
@@ -342,7 +403,10 @@ fn request_levels(queries: &[VpctQuery]) -> (Vec<Level>, Vec<Vec<Level>>) {
 /// cache only what is in it ([`plan_request`]).
 #[derive(Debug)]
 pub(crate) struct Request {
+    /// The `Vpct` queries; none for a horizontal request.
     queries: Vec<VpctQuery>,
+    /// Every column a level of the request groups by, as written.
+    columns: Vec<String>,
     lanes: Lanes,
     roots: Vec<Level>,
     totals: Vec<Vec<Level>>,
@@ -402,8 +466,10 @@ impl Request {
         roots.extend(summary);
         let needed = totals.concat();
         let wanted = distinct_widest_first(&roots, &needed);
+        let columns = queries.iter().flat_map(|q| &q.group_by).cloned().collect();
         Request {
             queries,
+            columns,
             lanes,
             roots,
             totals,
@@ -412,9 +478,69 @@ impl Request {
         }
     }
 
+    /// The request of a valid horizontal query without strategy knobs —
+    /// the aggregate at `GROUP BY ∪ BY` a `Vpct` reads, transposed: each
+    /// term's cell level `GROUP BY ∪ BY` is a root carrying every lane, and
+    /// the `GROUP BY` level, which numbers the result's rows and holds the
+    /// `Hpct` totals, is a totals level, or a root when a non-`sum` extra
+    /// is computed there. `None` when a lane is holistic: its levels are
+    /// not cached, and the statement keeps the pivot.
+    pub(crate) fn horizontal(q: &HorizontalQuery) -> Option<Request> {
+        let lanes = Lanes::horizontal(q)?;
+        let group_by = Level::new(&q.group_by);
+        let mut roots: Vec<Level> = Vec::new();
+        for term in &q.terms {
+            let cells = cell_level(&q.group_by, term);
+            if !roots.contains(&cells) {
+                roots.push(cells);
+            }
+        }
+        if q.extra.iter().any(|e| e.func != AggFunc::Sum) {
+            roots.push(group_by.clone());
+        }
+        // The global row needs no level unless it holds a lane.
+        let holds = group_by.arity() > 0 || !lanes.measures.is_empty();
+        let needed: Vec<Level> = holds.then_some(group_by).into_iter().collect();
+        let wanted = distinct_widest_first(&roots, &needed);
+        let by = q.terms.iter().flat_map(|t| &t.by);
+        Some(Request {
+            queries: Vec::new(),
+            columns: q.group_by.iter().chain(by).cloned().collect(),
+            lanes,
+            roots,
+            totals: Vec::new(),
+            needed,
+            wanted,
+        })
+    }
+
     /// The queries, in the order their rows are assembled.
     pub(crate) fn queries(&self) -> &[VpctQuery] {
         &self.queries
+    }
+
+    /// Whether a level of the request, however it was found — scanned,
+    /// re-aggregated from a finer one, rolled forward or cached by any
+    /// statement — holds what a scan of `fact` would: every measure sum
+    /// folds exactly ([`AggSpec::folds_exactly`]), and no level groups by
+    /// a `Float` column, whose `0.0` / `-0.0` and NaN spellings a scan
+    /// takes from each group's first row in `fact`, a derived level from
+    /// its source's first row in key order.
+    pub(crate) fn holds_scan_bits(&self, fact: &Fact) -> bool {
+        let rows = fact.read();
+        let schema = rows.schema();
+        let float = |c: &String| {
+            let field = schema.field(c);
+            field.map_or(true, |f| f.dtype == DataType::Float)
+        };
+        if self.columns.iter().any(float) {
+            return false;
+        }
+        let Ok(specs) = self.lanes.specs(schema) else {
+            return false;
+        };
+        let sums = &specs[..self.lanes.measures.len()];
+        sums.iter().all(|s| s.folds_exactly(rows.whole()))
     }
 }
 
@@ -504,6 +630,12 @@ fn plan_request(
         let specs = lanes.specs(schema).unwrap_or_default();
         let mut span = None;
         for (level, (cols, sig)) in missed {
+            // Widest first: a level one rolled here covers is re-aggregated
+            // from it by the plan, so the journal's rows are read once.
+            let derives = lanes.extra.is_empty() || !roots.contains(level);
+            if derives && rolled.iter().any(|(r, _)| level.subset_of(r)) {
+                continue;
+            }
             let key_cols: Option<Vec<usize>> =
                 cols.iter().map(|c| schema.index_of(c).ok()).collect();
             let (Some(key_cols), Some(specs)) = (key_cols, specs.get(..sig.len())) else {
@@ -570,7 +702,11 @@ fn reaggregate_level(
             AggSpec::new(AggFunc::Sum, Expr::Col(pos), name)
         })
         .collect();
-    let derived = aggregate_level(src.into(), &group_cols, &specs, guard, stats, config)?;
+    // A level with no lanes is its keys.
+    let derived = match specs.is_empty() {
+        true => distinct(src.into(), &group_cols, guard, stats, config)?,
+        false => aggregate_level(src.into(), &group_cols, &specs, guard, stats, config)?,
+    };
     Ok(derived.sorted_by(&(0..to.arity()).collect::<Vec<_>>()))
 }
 
@@ -608,7 +744,7 @@ fn materialize_levels(
     // way whatever is cached (a level is only ever cached for good ones).
     let specs = lanes.specs(f.schema())?;
     let mut fact_col: HashMap<String, usize> = HashMap::new();
-    for g in request.queries.iter().flat_map(|q| &q.group_by) {
+    for g in &request.columns {
         let pos = f
             .schema()
             .index_of(g)
@@ -628,11 +764,25 @@ fn materialize_levels(
     // columns in normalized order — so each level comes back in the
     // canonical layout already — with the extras only where a result reads
     // them: every lane at a root, the measure sums at a totals level.
-    let scanning: Vec<&Level> = steps
+    let mut scanning: Vec<&Level> = steps
         .iter()
         .filter(|s| s.source == LevelSource::FactTable)
         .map(|s| &s.level)
         .collect();
+    let lanes_at = |l: &Level| match roots.contains(l) {
+        true => &specs[..],
+        false => &specs[..lanes.measures.len()],
+    };
+    // The global aggregate — a horizontal statement's empty `GROUP BY`
+    // carrying an extra no finer level derives — is no level of a key:
+    // its own pass, one row even over no rows.
+    if let Some(at) = scanning.iter().position(|l| l.arity() == 0) {
+        let level = scanning.remove(at);
+        let config = fact.config();
+        let t = aggregate_level(f.selected(), &[], lanes_at(level), guard, stats, &config)?;
+        stats.levels_from_scan += 1;
+        keep(level, t, &mut tables);
+    }
     if !scanning.is_empty() {
         let all: Vec<String> = scanning.iter().flat_map(|l| l.columns()).cloned().collect();
         let key = Level::new(&all);
@@ -642,10 +792,7 @@ fn materialize_levels(
             .map(|l| l.columns().iter().filter_map(|c| key.position(c)).collect())
             .collect();
         let levels: Vec<(&[usize], &[AggSpec])> = (scanning.iter().zip(&dims))
-            .map(|(l, dims)| match roots.contains(l) {
-                true => (&dims[..], &specs[..]),
-                false => (&dims[..], &specs[..lanes.measures.len()]),
-            })
+            .map(|(l, dims)| (&dims[..], lanes_at(l)))
             .collect();
         let config = fact.config();
         let scanned = lattice_aggregate(f.selected(), &key_cols, &levels, guard, stats, &config)?;
@@ -761,10 +908,7 @@ fn assemble(
         for ((term, by), col) in q.terms.iter().zip(totals).zip(pcts.iter_mut()) {
             let totals = &tables[by];
             let build = || totals_rows((fk, level), (totals, by));
-            let parent = match cache {
-                Some(c) => (c.cache).parent(c.table, level.columns(), fk, by.columns(), build)?,
-                None => build()?.into(),
-            };
+            let parent = kept_parent(cache, (fk, level), by.columns(), build)?;
             let lane = lanes.lane_of(&term.measure);
             let sums = fk.column(level.arity() + lane);
             let total = totals.column(by.arity() + lane);
@@ -775,6 +919,182 @@ fn assemble(
     let fv = Table::from_columns(Schema::new(fields)?.into_shared(), out)?;
     count_insert(&fv, stats);
     Ok(into_shared(fv))
+}
+
+/// The levels of a horizontal request ([`Request::horizontal`]), fetched
+/// or computed, and what its transposition reads beside them: the
+/// `parent` vectors onto the `GROUP BY` level and onto each term's
+/// combinations, kept in the cache beside the cell level as a `Vpct`'s
+/// are beside its root.
+pub(crate) struct HorizontalLevels<'a> {
+    request: &'a Request,
+    cache: Option<Cached<'a>>,
+    tables: LevelTables,
+}
+
+impl<'a> HorizontalLevels<'a> {
+    /// Materialize `request`'s levels over `fact` as any request's are
+    /// (the `levels` span): cached, rolled forward, re-aggregated from a
+    /// finer level, or scanned for in one pass and stored.
+    pub(crate) fn fetch(
+        (catalog, fact): (&'a Catalog, &'a Fact),
+        request: &'a Request,
+        guard: &ResourceGuard,
+        stats: &mut ExecStats,
+    ) -> Result<HorizontalLevels<'a>> {
+        let span = guard.span("levels");
+        let cache = Cached::of(catalog, fact);
+        let tables = materialize_levels((catalog, cache), fact, request, (guard, span), stats)?;
+        Ok(HorizontalLevels {
+            request,
+            cache,
+            tables,
+        })
+    }
+
+    /// The distinct `BY` combinations of `term`, sorted ([`combination_set`]),
+    /// on a miss the distinct `BY` projections of the term's cell level —
+    /// every combination a row of `F` holds.
+    pub(crate) fn combos(
+        &self,
+        (group_by, term): (&[String], &HorizontalTerm),
+        guard: &ResourceGuard,
+        stats: &mut ExecStats,
+        config: &ParallelConfig,
+    ) -> Result<Arc<Table>> {
+        let by: Vec<String> = term.by.iter().map(|c| c.to_ascii_lowercase()).collect();
+        combination_set(self.cache, &by, (guard, stats), |stats| {
+            let cells = cell_level(group_by, term);
+            let fk = &self.tables[&cells];
+            let found = distinct(Selected::from(&**fk), &cells.at(&by), guard, stats, config)?;
+            Ok(found.sorted_by(&(0..by.len()).collect::<Vec<_>>()))
+        })
+    }
+
+    /// The raw horizontal table the CASE producers build —
+    /// `[GROUP BY][per term: one cell column per combination in `sets`,
+    /// the total when it is an `Hpct`][extras]` — transposed from the
+    /// levels (the `transpose` span): one row per row of the `GROUP BY`
+    /// level (one row for a global aggregate, even over no rows), and each
+    /// cell level row dropped at (its `parent` onto `GROUP BY`, its
+    /// combination), a cell no row fed reading NULL.
+    pub(crate) fn raw(
+        &self,
+        q: &HorizontalQuery,
+        sets: &[Arc<Table>],
+        guard: &ResourceGuard,
+    ) -> Result<Table> {
+        let mut span = guard.span("transpose");
+        let lanes = &self.request.lanes;
+        let g = Level::new(&q.group_by);
+        // Planned whenever it holds a key or a lane (`Request::horizontal`).
+        let held = self.tables.get(&g);
+        let gt = || held.expect("the GROUP BY level holds what is read of it");
+        let rows: Vec<u32> = match (g.arity(), held.map_or(0, |t| t.num_rows())) {
+            (0, 0) => vec![pa_storage::NONE],
+            (_, n) => (0..n as u32).collect(),
+        };
+        let n = rows.len();
+        let mut fields: Vec<Field> = Vec::new();
+        let mut columns: Vec<Column> = Vec::new();
+        let mut push = |name: String, column: Column| {
+            fields.push(Field::new(name, column.data_type()));
+            columns.push(column);
+        };
+        for name in &q.group_by {
+            push(name.clone(), gt().column(g.at(&[name])[0]).clone());
+        }
+        for (t, (term, set)) in q.terms.iter().zip(sets).enumerate() {
+            let cells = cell_level(&q.group_by, term);
+            let fk = &self.tables[&cells];
+            guard.charge((fk.num_rows() + n) as u64)?;
+            span.add_rows((fk.num_rows() + n) as u64);
+            let parent = match g.arity() {
+                0 => vec![0; fk.num_rows()].into(),
+                _ => {
+                    let build = || totals_rows((fk, &cells), (gt(), &g));
+                    kept_parent(self.cache, (fk, &cells), g.columns(), build)?
+                }
+            };
+            // Each row's place among the combinations: a `parent` vector
+            // onto the level `BY`, the set's key.
+            let by: Vec<String> = term.by.iter().map(|c| c.to_ascii_lowercase()).collect();
+            let build = || {
+                let index = HashIndex::build(set, &(0..by.len()).collect::<Vec<_>>())?;
+                index.lookup(fk, &cells.at(&by), false)
+            };
+            let combo = kept_parent(self.cache, (fk, &cells), &by, build)?;
+            let mut at = vec![pa_storage::NONE; set.num_rows() * n];
+            for (r, (&row, &combo)) in parent.iter().zip(combo.iter()).enumerate() {
+                at[combo as usize * n + row as usize] = r as u32;
+            }
+            let lane = fk.column(cells.arity() + lanes.position(term.func, Some(&term.measure)));
+            for i in 0..set.num_rows() {
+                push(format!("__c{t}_{i}_0"), lane.gather(&at[i * n..][..n]));
+            }
+            if term.percentage {
+                let total = gt().column(g.arity() + lanes.lane_of(&term.measure));
+                push(format!("__tot{t}"), total.gather(&rows));
+            }
+        }
+        for (x, extra) in q.extra.iter().enumerate() {
+            let lane = g.arity() + lanes.position(extra.func, extra.measure.as_ref());
+            push(format!("__x{x}_0"), gt().column(lane).gather(&rows));
+        }
+        span.add_morsels(q.terms.len() as u64);
+        Ok(Table::from_columns(
+            Schema::new(fields)?.into_shared(),
+            columns,
+        )?)
+    }
+}
+
+/// The `parent` vector of `fk`, the table of `level`, onto the columns
+/// `onto`: kept beside `fk`'s entry in `cache` once `build` derived it
+/// ([`LatticeCache::parent`]), derived every time where nothing is cached.
+fn kept_parent(
+    cache: Option<Cached<'_>>,
+    (fk, level): (&Arc<Table>, &Level),
+    onto: &[String],
+    build: impl FnOnce() -> pa_storage::Result<Vec<u32>>,
+) -> Result<Arc<[u32]>> {
+    Ok(match cache {
+        Some(c) => (c.cache).parent(c.table, level.columns(), fk, onto, build)?,
+        None => build()?.into(),
+    })
+}
+
+/// The combinations of `by` (lower-cased, in the term's order): the level
+/// `by` with no lanes, served by whatever entry sits at that key in
+/// `cache` — a hit charges the set it hands over — and on a miss what
+/// `miss` finds, stored there for the next statement (the `combos` span).
+/// A fact with no cache key finds them every time: a value its selection
+/// filtered out is not a result column.
+pub(crate) fn combination_set(
+    cache: Option<Cached<'_>>,
+    by: &[String],
+    (guard, stats): (&ResourceGuard, &mut ExecStats),
+    miss: impl FnOnce(&mut ExecStats) -> Result<Table>,
+) -> Result<Arc<Table>> {
+    let mut span = guard.span("combos");
+    span.add_morsels(1);
+    if let Some(set) = cache.and_then(|c| c.cache.get(c.table, c.version, by, &[])) {
+        stats.combo_cache_hits += 1;
+        guard.charge(set.num_rows() as u64)?;
+        span.add_rows(set.num_rows() as u64);
+        return Ok(set);
+    }
+    stats.combo_cache_misses += 1;
+    let set = Arc::new(miss(stats)?);
+    if let Some(c) = cache {
+        (c.cache).store(c.table, c.version, by, &[], Arc::clone(&set));
+    }
+    Ok(set)
+}
+
+/// A horizontal term's cell level, `GROUP BY ∪ BY`.
+fn cell_level(group_by: &[String], term: &HorizontalTerm) -> Level {
+    Level::new(&[group_by, &term.by[..]].concat())
 }
 
 /// Evaluate a vertical percentage query, of any term count, on the

@@ -350,17 +350,21 @@ fn where_observes_the_deadline_and_charges_the_rows_it_reads() {
     assert_eq!(out.table().read().num_rows(), 0);
 }
 
-/// The combinations step of a cold `Hpct` is a scan under the statement's
-/// guard. (When `distinct` took no guard, the whole pass ran — and stored
-/// its set in the combination cache — before the first charge after it
-/// could notice an expired deadline or a cancellation, and its rows were
-/// never charged.)
+/// The combinations step of a cold `Hpct` producer is a scan under the
+/// statement's guard. (When `distinct` took no guard, the whole pass ran —
+/// and stored its set in the combination cache — before the first charge
+/// after it could notice an expired deadline or a cancellation, and its
+/// rows were never charged.)
 #[test]
 fn the_combinations_pass_observes_the_guard_and_charges_the_rows_it_reads() {
     const ROWS: u64 = 32 * 1024;
     let catalog = sales_catalog(ROWS as usize);
     let engine = || PercentageEngine::new(&catalog).with_config(small_morsels());
     let sql = "SELECT state, Hpct(salesAmt BY city) FROM sales GROUP BY state;";
+    // The CASE producer by name: without a knob the statement is a lattice
+    // request, which reads its combinations off its cell level.
+    let (best, case) = (VpctStrategy::best(), HorizontalOptions::default());
+    let run = |engine: &PercentageEngine<'_>| engine.execute_sql_with(sql, &best, &case);
     let cached = || catalog.combo_cache().stats().entries;
 
     // Already expired, already cancelled, and expiring two thirds through
@@ -388,7 +392,7 @@ fn the_combinations_pass_observes_the_guard_and_charges_the_rows_it_reads() {
         ),
     ];
     for (fault, engine, typed) in &faults {
-        let err = engine.execute_sql(sql).unwrap_err();
+        let err = run(engine).unwrap_err();
         assert!(typed(&err), "{fault}: {err:?}");
         assert_eq!(cached(), 0, "{fault}: the pass did not run to completion");
     }
@@ -397,19 +401,19 @@ fn the_combinations_pass_observes_the_guard_and_charges_the_rows_it_reads() {
     // statement reads the table twice (combinations, then the pivot) and
     // fails; warm, it reads it once and passes — a cold cache costs a scan
     // in the budget as on the clock, like a cold lattice level.
-    let cold = engine().execute_sql(sql).unwrap();
+    let cold = run(&engine()).unwrap();
     assert_eq!(cached(), 1);
     catalog.invalidate_combos("sales");
     let budget = ROWS + ROWS / 2;
     let tight = engine().with_guard(ResourceGuard::with_row_budget(budget));
-    let err = tight.execute_sql(sql).unwrap_err();
+    let err = run(&tight).unwrap_err();
     assert!(
         matches!(err, CoreError::BudgetExceeded { budget: b, .. } if b == budget),
         "{err:?}"
     );
     // The pass itself fit the budget, so its set is there for the retry.
     assert_eq!(cached(), 1);
-    let warm = tight.execute_sql(sql).unwrap();
+    let warm = run(&tight).unwrap();
     assert_eq!(rows_of(&warm), rows_of(&cold));
     let (cold, warm) = (cold.stats().rows_charged, warm.stats().rows_charged);
     assert_eq!(cold, warm + ROWS, "the miss charged the pass it ran");

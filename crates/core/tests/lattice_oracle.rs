@@ -669,14 +669,17 @@ fn holistic_extras_ride_the_lattice_scan_cold_and_warm() {
 }
 
 /// One cache: the level `(day)` a ROLLUP left behind *is* the combination
-/// set of `Hpct … BY day` — the statement finds its combinations without a
-/// pass and answers with a cold catalog's bits — and the converse never
-/// holds: the zero-lane entry an `Hpct` stores satisfies no lattice lookup
-/// that needs a sum, and is replaced by the level that has one.
+/// set of `Hpct … BY day` — the CASE producer finds its combinations
+/// without a pass and answers with a cold catalog's bits — and the
+/// converse never holds: the zero-lane entry an `Hpct` stores satisfies no
+/// lattice lookup that needs a sum, and is replaced by the level that has
+/// one.
 #[test]
 fn a_cached_level_serves_hpct_combinations_and_never_the_reverse() {
     let rollup = "SELECT day, store, Vpct(amt BY store) AS p FROM f GROUP BY ROLLUP (day, store);";
     let hpct = "SELECT region, Hpct(amt BY day) FROM f GROUP BY region;";
+    let (best, case) = (VpctStrategy::best(), HorizontalOptions::default());
+    let producer = |engine: &PercentageEngine<'_>| engine.execute_sql_with(hpct, &best, &case);
     for threads in [1usize, 2, 4] {
         let engine_over = |c| PercentageEngine::new(c).with_config(workers(threads, 256));
         let day = ["day".to_string()];
@@ -686,7 +689,7 @@ fn a_cached_level_serves_hpct_combinations_and_never_the_reverse() {
         // A cold catalog's answer, and what its combinations pass costs.
         let fresh = oracle_catalog(0xc0de);
         let rows = fresh.table("f").unwrap().read().num_rows() as u64;
-        let cold = engine_over(&fresh).execute_sql(hpct).unwrap();
+        let cold = producer(&engine_over(&fresh)).unwrap();
         let stats = cold.stats();
         assert_eq!((stats.combo_cache_hits, stats.combo_cache_misses), (0, 1));
         let reference = canonical(&cold.table().read());
@@ -718,7 +721,7 @@ fn a_cached_level_serves_hpct_combinations_and_never_the_reverse() {
         let cache = catalog.lattice_cache();
         assert!(cache.probe("f", at(&catalog), &day, &sum));
         let before = cache.stats();
-        let warm = engine.execute_sql(hpct).unwrap();
+        let warm = producer(&engine).unwrap();
         let stats = warm.stats();
         assert_eq!((stats.combo_cache_hits, stats.combo_cache_misses), (1, 0));
         let passes = |s: &ExecStats| (s.rows_scanned, s.rows_charged);
@@ -740,6 +743,72 @@ fn a_cached_level_serves_hpct_combinations_and_never_the_reverse() {
             engine.execute_sql(rollup).unwrap().stats().levels_from_scan,
             0
         );
+    }
+}
+
+/// A knob-less `Hpct` or `Hagg` without a `WHERE` is a lattice request
+/// too: its cell levels `GROUP BY ∪ BY` and its `GROUP BY` level come
+/// through the plan a `Vpct`'s do. Cold it scans them once; warm it reads
+/// them, and no fact row; after an append it rolls them forward instead of
+/// scanning. Every answer is the cold `CaseDirect` producer's over the same
+/// rows, bit for bit (the request answers in key order, the producer in
+/// order of first appearance).
+#[test]
+fn a_knob_less_hpct_and_hagg_read_their_levels_from_the_cache() {
+    const HORIZONTAL_SQL: [&str; 4] = [
+        "SELECT region, Hpct(amt BY day) FROM f GROUP BY region;",
+        "SELECT region, store, sum(amt BY day) AS s, count(amt BY day) AS n FROM f \
+         GROUP BY region, store;",
+        "SELECT store, Hpct(amt BY region), sum(amt) AS total, count(*) AS rows FROM f \
+         GROUP BY store;",
+        "SELECT Hpct(amt BY day, region) FROM f;",
+    ];
+    let row = |region: &str, store: i64, amt: f64| {
+        let (region, store) = (Value::str(region), Value::Int(store));
+        vec![region, store, Value::Int(2), Value::Float(amt)]
+    };
+    let (best, case) = (VpctStrategy::best(), HorizontalOptions::default());
+    for threads in [1usize, 4] {
+        let seed = 0x4c + threads as u64;
+        let (catalog, cold_catalog) = (oracle_catalog(seed), oracle_catalog(seed));
+        let engine = PercentageEngine::new(&catalog).with_config(workers(threads, 256));
+        let producer = PercentageEngine::new(&cold_catalog).with_config(workers(threads, 256));
+        let rows = catalog.table("f").unwrap().read().num_rows() as u64;
+        let check = |sql: &str, out: &pa_core::SqlOutcome, what: &str| {
+            cold_catalog.invalidate_combos("f");
+            let want = producer.execute_sql_with(sql, &best, &case).unwrap();
+            let ctx = format!("threads={threads} {what} {sql}: {}", out.stats());
+            assert_same_rows(&out.table().read(), &want.table().read(), &ctx);
+            ctx
+        };
+        for sql in HORIZONTAL_SQL {
+            drop_lattice_cache(&catalog);
+            let cold = engine.execute_sql(sql).unwrap();
+            let ctx = check(sql, &cold, "cold");
+            assert!(cold.stats().levels_from_scan > 0, "{ctx}");
+            let warm = engine.execute_sql(sql).unwrap();
+            let ctx = check(sql, &warm, "warm");
+            let stats = warm.stats();
+            assert!(stats.lattice_levels > 0, "{ctx}");
+            assert_eq!(stats.levels_from_scan, 0, "{ctx}");
+            assert_eq!(stats.levels_from_cache, stats.lattice_levels, "{ctx}");
+            assert_eq!(stats.vectorized_kernel_rows, 0, "{ctx}: no fact row read");
+            assert!(stats.rows_charged < rows, "{ctx}");
+        }
+        for sql in HORIZONTAL_SQL {
+            engine.execute_sql(sql).unwrap();
+        }
+        let more = [row("r3", 2, 11.0), row("new", 4, 7.0)];
+        engine.append_rows("f", &more).unwrap();
+        PercentageEngine::new(&cold_catalog)
+            .append_rows("f", &more)
+            .unwrap();
+        for sql in HORIZONTAL_SQL {
+            let rolled = engine.execute_sql(sql).unwrap();
+            let ctx = check(sql, &rolled, "after an append");
+            assert_eq!(rolled.stats().levels_from_scan, 0, "{ctx}");
+            assert!(rolled.stats().levels_rolled > 0, "{ctx}");
+        }
     }
 }
 
@@ -811,8 +880,10 @@ fn a_write_rolls_the_cached_levels_forward_or_rescans_by_the_rule() {
         engine.update_cells("f", 5, &[3], &[amt]).unwrap();
         let (stats, ctx) = run(sql);
         rolled(&stats, &ctx);
-        // Under its own span, which counts the delta rows each level read
-        // — as the guard does: the spans' rows still sum to the meter.
+        // Under its own span, which counts the delta rows the roll read
+        // — as the guard does: the spans' rows still sum to the meter. The
+        // finest level rolls, the coarser ones re-aggregate it, so the
+        // journal's rows are read once, not once a level.
         engine
             .append_rows("f", &[row("r5", 4, 3.0), row("r6", 5, 4.0)])
             .unwrap();
@@ -820,16 +891,28 @@ fn a_write_rolls_the_cached_levels_forward_or_rescans_by_the_rule() {
         let root = report.root().expect("a root span");
         assert_eq!(report.rows_inclusive(root.id), out.stats().rows_charged);
         let roll = report.spans().iter().find(|s| s.label == "roll");
-        let read = 2 * out.stats().levels_rolled;
-        assert_eq!(roll.expect("a roll span").rows, read, "two rows a level");
+        assert_eq!(out.stats().levels_rolled, 1, "{}", out.stats());
+        assert_eq!(
+            roll.expect("a roll span").rows,
+            2,
+            "the delta rows, read once"
+        );
         assert_eq!(canonical(&out.table().read()), per_set(sql));
-        // EXPLAIN plans over the same pin, and names the roll.
+        // EXPLAIN plans over the same pin, and names the roll and the
+        // levels derived from the rolled one.
         engine.append_rows("f", &[row("r7", 6, 1.0)]).unwrap();
         let plan = engine.explain_sql(sql).unwrap();
-        let rolls = plan
+        let lattice: Vec<&String> = plan
             .iter()
-            .filter(|l| l.contains("<- cache (rolled forward from"));
-        assert_eq!(rolls.count(), levels.len(), "{plan:#?}");
+            .filter(|l| l.starts_with("-- lattice:"))
+            .collect();
+        assert_eq!(lattice.len(), levels.len(), "{plan:#?}");
+        assert!(
+            lattice[0].contains("<- cache (rolled forward from"),
+            "{plan:#?}"
+        );
+        let derived = |l: &&&String| l.contains("<- cache (re-aggregated from");
+        assert_eq!(lattice.iter().filter(derived).count(), levels.len() - 1);
         let (stats, ctx) = run(sql);
         rolled(&stats, &ctx);
 

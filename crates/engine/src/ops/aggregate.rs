@@ -192,7 +192,7 @@ impl AggSpec {
     /// order, so it keeps its scan; so do `min` / `max`, `avg`, expression
     /// inputs and the holistic functions. This is the one statement of the
     /// rule: an adapter asks, it does not decide.
-    pub(crate) fn folds_exactly(&self, input: &Table) -> bool {
+    pub fn folds_exactly(&self, input: &Table) -> bool {
         match (self.func, &self.input) {
             (AggFunc::Count | AggFunc::CountStar, _) => true,
             (AggFunc::Sum, &Expr::Col(c)) if c < input.num_columns() => input

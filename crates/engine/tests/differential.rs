@@ -208,9 +208,13 @@ fn the_rle_path_matches_the_reference_on_sorted_input() {
         .create_table("f", gen::table(&fields, &rows))
         .unwrap();
     let q = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
+    // The CASE producer by name: the pivot scans `F` on every run, where
+    // the knob-less statement would read its cached levels.
     let run = |config: ParallelConfig| {
         let engine = PercentageEngine::new(&catalog).with_config(config);
-        engine.horizontal(&q).unwrap()
+        engine
+            .horizontal_with(&q, &HorizontalOptions::default())
+            .unwrap()
     };
 
     let stmt = pa_testkit::Stmt::new("f", &["g"]).hpct("a", &["d"], "h");

@@ -2,7 +2,10 @@
 //! limits, typed failures, and the degradation ladder — all deterministic
 //! (injected clocks and one-shot chaos panics, no timing assumptions).
 
-use pa_core::{CoreError, ParallelConfig, PercentageEngine, ResourceGuard, TestClock, Tracer};
+use pa_core::{
+    CoreError, HorizontalOptions, ParallelConfig, PercentageEngine, ResourceGuard, TestClock,
+    Tracer, VpctStrategy,
+};
 use pa_engine::chaos::PanicInjector;
 use pa_engine::{Clock, Degradation, SystemClock};
 use pa_service::{QueryService, ServiceConfig, ServiceError, SessionOptions};
@@ -374,15 +377,30 @@ fn the_spj_rung_answers_with_the_clean_pivots_bits() {
     for (what, table, levels) in [("fractional", fractional, 2), ("whole cents", cents, 1)] {
         let catalog = Catalog::without_wal();
         catalog.create_table("sales", table).unwrap();
+        // The CASE producer by name: a knob-less statement over whole
+        // cents is a lattice request, which answers in key order.
         let clean = PercentageEngine::new(&catalog);
-        clean.execute_sql(HPCT).unwrap(); // fills the combination cache
-        let pivot = clean.execute_sql(HPCT).unwrap();
+        let (best, case) = (VpctStrategy::best(), HorizontalOptions::default());
+        clean.execute_sql_with(HPCT, &best, &case).unwrap(); // fills the combination cache
+        let pivot = clean.execute_sql_with(HPCT, &best, &case).unwrap();
         let scanned = pivot.stats().dense_group_ops + pivot.stats().hash_group_ops;
         assert_eq!(
             scanned, levels,
             "{what}: the cell level, and the GROUP BY level only for a total that cannot fold"
         );
         let want: Vec<Vec<Value>> = pivot.table().read().rows().collect();
+        let knobless = clean
+            .execute_sql(HPCT)
+            .unwrap()
+            .table()
+            .read()
+            .sorted_by(&[0]);
+        let sorted = pivot.table().read().sorted_by(&[0]);
+        assert_eq!(
+            bits(&knobless.rows().collect::<Vec<_>>()),
+            bits(&sorted.rows().collect::<Vec<_>>()),
+            "{what}"
+        );
 
         let chaos = PanicInjector::default();
         let clock = Arc::new(PanicPerAttempt(AtomicUsize::new(2), chaos.clone()));

@@ -27,6 +27,13 @@ impl Bitmap {
         }
     }
 
+    /// A copy with room for `bits` bits in all.
+    pub(crate) fn copy_with_room(&self, bits: usize) -> Bitmap {
+        let mut words = Vec::with_capacity(bits.div_ceil(64).max(self.words.len()));
+        words.extend_from_slice(&self.words);
+        Bitmap { words, ..*self }
+    }
+
     /// Bitmap of `len` bits, all set to `value`.
     pub fn filled(len: usize, value: bool) -> Bitmap {
         let word = if value { u64::MAX } else { 0 };

@@ -39,7 +39,7 @@ use crate::wal::{scan_log, Rows, Wal, WalRecord, WalStats, WriteReceipt, DEFAULT
 use pa_obs::{Counter, Gauge, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 /// A table shared between operators, lockable for in-place mutation.
@@ -247,6 +247,10 @@ pub struct Catalog {
     /// Monotonic discriminator for snapshot alias names, so two freezes of
     /// the same (table, version) never collide.
     snap_seq: AtomicU64,
+    /// Set when a sweep dropped a snapshot version nobody pins any more;
+    /// the next live write gives the allocator's free pages back
+    /// ([`crate::memory::release_free_pages`]).
+    versions_freed: AtomicBool,
     /// Checkpoint wiring, absent until a store is attached. Held across a
     /// whole checkpoint attempt to serialize checkpointers.
     checkpoint: Mutex<Option<CheckpointState>>,
@@ -473,9 +477,14 @@ impl Catalog {
             }
         };
         // Every guard is released: a due checkpoint can fence and cut now
-        // (it read-locks every table, so it must never run under one).
+        // (it read-locks every table, so it must never run under one), and
+        // the pages of a version a reader's sweep freed since the last write
+        // go back on the writer's time, not on a reader's.
         if log {
             self.maybe_checkpoint();
+            if self.versions_freed.swap(false, Ordering::Relaxed) {
+                crate::memory::release_free_pages();
+            }
         }
         outcome.map(|()| receipt)
     }
@@ -803,6 +812,7 @@ impl Catalog {
         for alias in dead {
             tables.remove(&alias);
         }
+        self.versions_freed.store(true, Ordering::Relaxed);
     }
 
     /// Mirror checkpoint/snapshot/WAL/level-cache counters into `registry`
@@ -1273,6 +1283,28 @@ mod tests {
         cat.drop_table("F").unwrap();
         assert!(!cat.contains("F"));
         assert!(cat.drop_table("F").is_err());
+    }
+
+    #[test]
+    fn a_write_after_a_sweep_freed_a_version_gives_the_pages_back() {
+        let cat = Catalog::new();
+        cat.create_table("F", table()).unwrap();
+        let freed = || cat.versions_freed.load(Ordering::Relaxed);
+        let row = [Value::Int(2), Value::Float(3.0)];
+        // A pin, a write under it (the pinned version retires), the pin
+        // dropped: nothing is freed until a sweep drops the version.
+        let pin = cat.pin_table("F").unwrap();
+        cat.write("F", Change::Append(Rows::Values(&[row.to_vec()])))
+            .unwrap();
+        drop(pin);
+        assert!(!freed());
+        let pin = cat.pin_table("F").unwrap();
+        assert!(freed(), "the sweep of the new pin dropped the old version");
+        // The next live write releases the pages and clears the mark.
+        cat.update_cells("F", 0, &[1], &[Value::Float(4.0)])
+            .unwrap();
+        assert!(!freed());
+        drop(pin);
     }
 
     #[test]

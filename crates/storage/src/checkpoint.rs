@@ -14,12 +14,21 @@
 //! frame    := [len: u32 le] [crc32: u32 le] [payload]
 //! payload  := [magic u32] [version u8] [epoch u64] [lsn u64] [ntables u32] table*
 //! table    := [name str] [ncols u32] ([fname str] [dtype u8])* [nrows u64] column*
-//! column   := Int   → [i64 le × n] validity
+//! column   := Int   → [min i64 le] [width u8] [offset, width bytes le × n] validity
 //!           | Float → [f64 le × n] validity
-//!           | Str   → [ndict u32] [str × ndict] [u32 le × n codes] validity
+//!           | Str   → [ndict u32] [str × ndict] [width u8] [code, width bytes le × n] validity
 //! validity := [1] (all rows valid) | [0] [u64 le × ceil(n/64) packed bits]
 //! str      := [len u32 le] [utf-8 bytes]
 //! ```
+//!
+//! An integer is stored as its offset from the column's minimum, and a
+//! string code as itself, each in the fewest whole bytes — 1, 2, 4 or 8 —
+//! that hold the column's range or its dictionary's codes (every cell,
+//! those under a NULL included, so a column decodes to the very values it
+//! held). Version 1 wrote every integer in 8 bytes and every code in 4
+//! (`column := Int → [i64 le × n] validity | .. | Str → [ndict u32] [str ×
+//! ndict] [u32 le × n codes] validity`); it still decodes, because the log
+//! below an image's fence is compacted away once the image lands.
 //!
 //! Durability is the store's problem, behind [`CheckpointStore`]:
 //! [`FileCheckpointStore`] writes a temp file, syncs it, renames over the
@@ -48,8 +57,9 @@ use std::path::{Path, PathBuf};
 /// Magic word opening every checkpoint payload ("PAC1" little-endian).
 pub const CHECKPOINT_MAGIC: u32 = 0x3143_4150;
 
-/// Checkpoint payload format version.
-pub const CHECKPOINT_VERSION: u8 = 1;
+/// Checkpoint payload format version: 2 packs integers and string codes
+/// into the fewest bytes that hold them; 1 still decodes.
+pub const CHECKPOINT_VERSION: u8 = 2;
 
 // ---- policy ---------------------------------------------------------------
 
@@ -257,12 +267,77 @@ pub struct CheckpointImage {
     pub tables: Vec<(String, Table)>,
 }
 
+/// The fewest whole bytes — 1, 2, 4 or 8 — that hold `max`.
+fn width_of(max: u64) -> u8 {
+    match max {
+        0..=0xff => 1,
+        0x100..=0xffff => 2,
+        0x1_0000..=0xffff_ffff => 4,
+        _ => 8,
+    }
+}
+
+/// `[width u8]`, then each of `values` — none above `max` — in its low
+/// `width_of(max)` bytes, little endian.
+fn put_packed(buf: &mut Vec<u8>, max: u64, values: impl Iterator<Item = u64>) {
+    let width = width_of(max);
+    buf.push(width);
+    for v in values {
+        buf.extend_from_slice(&v.to_le_bytes()[..width as usize]);
+    }
+}
+
+/// `rows` values written by [`put_packed`].
+fn read_packed<'a>(r: &mut Cursor<'a>, rows: usize) -> Result<impl Iterator<Item = u64> + 'a> {
+    let width = r.u8()? as usize;
+    if ![1, 2, 4, 8].contains(&width) {
+        return Err(codec_err(format!("bad value width {width}")));
+    }
+    let raw = r.take(
+        rows.checked_mul(width)
+            .ok_or_else(|| codec_err("row count overflows"))?,
+    )?;
+    Ok(raw.chunks_exact(width).map(|c| {
+        let mut le = [0u8; 8];
+        le[..c.len()].copy_from_slice(c);
+        u64::from_le_bytes(le)
+    }))
+}
+
+/// An integer column's minimum and the span above it.
+fn int_range(data: &[i64]) -> (i64, u64) {
+    let min = data.iter().copied().min().unwrap_or(0);
+    let max = data.iter().copied().max().unwrap_or(0);
+    (min, max.wrapping_sub(min) as u64)
+}
+
+/// The bytes [`put_column`] writes for `col`.
+fn column_len(col: &Column) -> usize {
+    let validity = |v: &crate::Bitmap| match v.all_set() {
+        true => 1,
+        false => 1 + 8 * v.words().len(),
+    };
+    let packed = |max: u64| 1 + col.len() * width_of(max) as usize;
+    match col {
+        Column::Int { data, validity: v } => 8 + packed(int_range(data).1) + validity(v),
+        Column::Float { data, validity: v } => 8 * data.len() + validity(v),
+        Column::Str {
+            dict, validity: v, ..
+        } => {
+            let strings: usize = dict.values().iter().map(|s| 4 + s.len()).sum();
+            let top = dict.len().saturating_sub(1) as u64;
+            4 + strings + packed(top) + validity(v)
+        }
+    }
+}
+
 fn put_column(buf: &mut Vec<u8>, col: &Column) {
     match col {
         Column::Int { data, validity } => {
-            for v in data {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
+            let (min, span) = int_range(data);
+            put_u64(buf, min as u64);
+            let offsets = data.iter().map(|v| v.wrapping_sub(min) as u64);
+            put_packed(buf, span, offsets);
             put_validity(buf, validity);
         }
         Column::Float { data, validity } => {
@@ -281,9 +356,8 @@ fn put_column(buf: &mut Vec<u8>, col: &Column) {
             for s in dict.values() {
                 put_string(buf, s);
             }
-            for c in codes {
-                put_u32(buf, *c);
-            }
+            let top = dict.len().saturating_sub(1) as u64;
+            put_packed(buf, top, codes.iter().map(|&c| u64::from(c)));
             put_validity(buf, validity);
         }
     }
@@ -292,13 +366,21 @@ fn put_column(buf: &mut Vec<u8>, col: &Column) {
 /// Serialize `tables` into one framed checkpoint image at `(epoch, lsn)`.
 /// Errors when the image exceeds the frame limit.
 pub fn encode_image(tables: &[(String, &Table)], epoch: u64, lsn: u64) -> Result<Vec<u8>> {
-    // One buffer, sized for the cells up front (8 bytes and a validity bit
-    // each, or a code and its dictionary): the payload is written behind
+    // One buffer of exactly the frame's size: the payload is written behind
     // the frame header, which is filled in last.
-    let cells: usize = (tables.iter())
-        .map(|(_, t)| t.num_rows() * t.num_columns())
-        .sum();
-    let mut frame = Vec::with_capacity(FRAME_HEADER + 64 + cells * 9);
+    let string = |s: &str| 4 + s.len();
+    let table_len = |(name, t): &(String, &Table)| {
+        let fields: usize = t
+            .schema()
+            .fields()
+            .iter()
+            .map(|f| string(&f.name) + 1)
+            .sum();
+        let columns: usize = t.columns().iter().map(column_len).sum();
+        string(name) + 4 + fields + 8 + columns
+    };
+    let size = FRAME_HEADER + 4 + 1 + 8 + 8 + 4 + tables.iter().map(table_len).sum::<usize>();
+    let mut frame = Vec::with_capacity(size);
     frame.resize(FRAME_HEADER, 0);
     let payload = &mut frame;
     put_u32(payload, CHECKPOINT_MAGIC);
@@ -319,6 +401,7 @@ pub fn encode_image(tables: &[(String, &Table)], epoch: u64, lsn: u64) -> Result
             put_column(payload, col);
         }
     }
+    debug_assert_eq!(frame.len(), size, "the image is the size reserved for it");
     let len = frame.len() - FRAME_HEADER;
     if len > MAX_FRAME_LEN as usize {
         return Err(StorageError::Checkpoint(format!(
@@ -331,13 +414,26 @@ pub fn encode_image(tables: &[(String, &Table)], epoch: u64, lsn: u64) -> Result
     Ok(frame)
 }
 
-fn read_column(r: &mut Cursor<'_>, dtype: DataType, rows: usize) -> Result<Column> {
+/// One column of a version-`version` image.
+fn read_column(
+    r: &mut Cursor<'_>,
+    (dtype, version): (DataType, u8),
+    rows: usize,
+) -> Result<Column> {
     match dtype {
-        DataType::Int => {
+        DataType::Int if version == 1 => {
             let raw = r.take(rows * 8)?;
             let data = raw
                 .chunks_exact(8)
                 .map(|c| i64::from_le_bytes(c.try_into().unwrap()))
+                .collect();
+            let validity = r.validity(rows)?;
+            Ok(Column::Int { data, validity })
+        }
+        DataType::Int => {
+            let min = r.i64()?;
+            let data = read_packed(r, rows)?
+                .map(|v| min.wrapping_add(v as i64))
                 .collect();
             let validity = r.validity(rows)?;
             Ok(Column::Int { data, validity })
@@ -363,21 +459,27 @@ fn read_column(r: &mut Cursor<'_>, dtype: DataType, rows: usize) -> Result<Colum
                     return Err(codec_err(format!("duplicate dictionary entry {s:?}")));
                 }
             }
-            let raw = r.take(rows * 4)?;
-            let mut codes = Vec::with_capacity(rows);
-            for c in raw.chunks_exact(4) {
-                let code = u32::from_le_bytes(c.try_into().unwrap());
+            let codes: Vec<u64> = match version {
+                1 => {
+                    let raw = r.take(rows * 4)?;
+                    let code = |c: &[u8]| u64::from(u32::from_le_bytes(c.try_into().unwrap()));
+                    raw.chunks_exact(4).map(code).collect()
+                }
+                _ => read_packed(r, rows)?.collect(),
+            };
+            let mut packed = Vec::with_capacity(rows);
+            for code in codes {
                 if code as usize >= ndict.max(1) {
                     return Err(codec_err(format!(
                         "dictionary code {code} out of range {ndict}"
                     )));
                 }
-                codes.push(code);
+                packed.push(code as u32);
             }
             let validity = r.validity(rows)?;
             Ok(Column::Str {
                 dict,
-                codes,
+                codes: packed,
                 validity,
                 packed: Default::default(),
             })
@@ -391,7 +493,7 @@ fn decode_payload(payload: &[u8]) -> Result<CheckpointImage> {
         return Err(codec_err("bad checkpoint magic"));
     }
     let version = r.u8()?;
-    if version != CHECKPOINT_VERSION {
+    if !(1..=CHECKPOINT_VERSION).contains(&version) {
         return Err(codec_err(format!(
             "unsupported checkpoint version {version}"
         )));
@@ -421,7 +523,7 @@ fn decode_payload(payload: &[u8]) -> Result<CheckpointImage> {
         }
         let mut columns = Vec::with_capacity(ncols);
         for field in schema.fields() {
-            columns.push(read_column(&mut r, field.dtype, rows)?);
+            columns.push(read_column(&mut r, (field.dtype, version), rows)?);
         }
         let table = Table::from_columns(schema.into_shared(), columns)
             .map_err(|e| codec_err(format!("inconsistent table: {e}")))?;
@@ -660,6 +762,159 @@ mod tests {
         let (image, why) = scan_checkpoints(&frame);
         assert!(image.is_none());
         assert!(why.unwrap().contains("checksum"));
+    }
+
+    /// The one table of an image of `t`, decoded, and the image's length.
+    fn round_trip(t: &Table) -> (Table, usize) {
+        let frame = frame_for(&[("F".to_string(), t)], 1, 1);
+        let (image, why) = scan_checkpoints(&frame);
+        assert!(why.is_none(), "{why:?}");
+        let mut tables = image.expect("an image").tables;
+        assert_eq!(tables.len(), 1);
+        (tables.pop().unwrap().1, frame.len())
+    }
+
+    /// Cell for cell — the values under a NULL included — and dictionary
+    /// for dictionary.
+    fn assert_same_columns(got: &Table, want: &Table) {
+        assert_eq!(got.schema().fields(), want.schema().fields());
+        assert_eq!(got.num_rows(), want.num_rows());
+        for (c, (g, w)) in got.columns().iter().zip(want.columns()).enumerate() {
+            let valid = |col: &Column| (0..col.len()).map(|r| col.is_valid(r)).collect::<Vec<_>>();
+            assert_eq!(valid(g), valid(w), "column {c} validity");
+            match (g, w) {
+                (Column::Int { data: g, .. }, Column::Int { data: w, .. }) => assert_eq!(g, w),
+                (Column::Float { data: g, .. }, Column::Float { data: w, .. }) => {
+                    let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(g), bits(w), "column {c}");
+                }
+                (
+                    Column::Str {
+                        dict: gd,
+                        codes: gc,
+                        ..
+                    },
+                    Column::Str {
+                        dict: wd,
+                        codes: wc,
+                        ..
+                    },
+                ) => {
+                    assert_eq!(gd.values(), wd.values(), "column {c} dictionary");
+                    assert_eq!(gc, wc, "column {c} codes");
+                }
+                _ => panic!("column {c} changed type"),
+            }
+        }
+        got.check_integrity().unwrap();
+    }
+
+    /// One `Int` column `x` holding `values`, NULL where `None` (the slot
+    /// keeping the placeholder a NULL push leaves).
+    fn ints(values: &[Option<i64>]) -> Table {
+        let schema = Schema::from_pairs(&[("x", DataType::Int)]).unwrap();
+        let mut t = Table::empty(schema.into_shared());
+        for v in values {
+            t.push_row(&[v.map_or(Value::Null, Value::Int)]).unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn an_int_column_takes_the_fewest_bytes_its_range_needs() {
+        // Each span on both sides of a width boundary, from a negative
+        // minimum, and from 0 with NULLs (whose slots hold 0, inside the
+        // range): the image grows by the extra bytes a row, exactly.
+        let n = 64;
+        let spans = [
+            (0u64, 1usize),
+            (255, 1),
+            (256, 2),
+            (65_535, 2),
+            (65_536, 4),
+            ((1 << 32) - 1, 4),
+            (1 << 32, 8),
+        ];
+        for ((span, width), lo) in spans
+            .iter()
+            .flat_map(|s| [(*s, -1_000_000_007i64), (*s, 0)])
+        {
+            let values: Vec<Option<i64>> = (0..n as i64)
+                .map(|i| match (i % 5, lo) {
+                    (4, 0) => None,
+                    _ => Some(lo + (span as i64 / (n as i64 - 1)) * i),
+                })
+                .chain([Some(lo), Some(lo + span as i64)])
+                .collect();
+            let t = ints(&values);
+            let (got, len) = round_trip(&t);
+            assert_same_columns(&got, &t);
+            let sevens: Vec<Option<i64>> = values.iter().map(|v| v.map(|_| 7)).collect();
+            let (_, narrowest) = round_trip(&ints(&sevens));
+            assert_eq!(
+                len - narrowest,
+                (width - 1) * values.len(),
+                "span {span} from {lo}"
+            );
+        }
+        // The whole `i64` range, and a column of one value.
+        let extremes = ints(&[Some(i64::MAX), None, Some(i64::MIN), Some(0), Some(-1)]);
+        assert_same_columns(&round_trip(&extremes).0, &extremes);
+        let one = ints(&[Some(i64::MIN)]);
+        assert_same_columns(&round_trip(&one).0, &one);
+    }
+
+    #[test]
+    fn nulls_empty_tables_and_single_rows_round_trip() {
+        let schema = Schema::from_pairs(&[
+            ("i", DataType::Int),
+            ("f", DataType::Float),
+            ("s", DataType::Str),
+        ])
+        .unwrap()
+        .into_shared();
+        let empty = Table::empty(schema.clone());
+        assert_same_columns(&round_trip(&empty).0, &empty);
+        let mut nulls = Table::empty(schema.clone());
+        for _ in 0..70 {
+            nulls
+                .push_row(&[Value::Null, Value::Null, Value::Null])
+                .unwrap();
+        }
+        assert_same_columns(&round_trip(&nulls).0, &nulls);
+        let mut single = Table::empty(schema);
+        (single.push_row(&[Value::Int(-3), Value::Float(-0.0), Value::str("é")])).unwrap();
+        assert_same_columns(&round_trip(&single).0, &single);
+        let t = sample_table();
+        assert_same_columns(&round_trip(&t).0, &t);
+    }
+
+    #[test]
+    fn string_codes_take_the_fewest_bytes_their_dictionary_needs() {
+        let schema = Schema::from_pairs(&[("s", DataType::Str)]).unwrap();
+        let table = |entries: usize| {
+            let mut t = Table::empty(schema.clone().into_shared());
+            for i in 0..300 {
+                let v = match i < entries {
+                    true => Value::str(format!("v{i}")),
+                    false => Value::Null,
+                };
+                t.push_row(&[v]).unwrap();
+            }
+            t
+        };
+        // 256 entries (codes 0..=255) fit a byte; 257 need two.
+        let (at_256, at_257) = (table(256), table(257));
+        let (got, len_256) = round_trip(&at_256);
+        assert_same_columns(&got, &at_256);
+        let (got, len_257) = round_trip(&at_257);
+        assert_same_columns(&got, &at_257);
+        let Column::Str { dict, .. } = at_257.column(0) else {
+            unreachable!()
+        };
+        assert_eq!(dict.len(), 257);
+        let entry = "v256".len() + 4;
+        assert_eq!(len_257 - len_256, 300 + entry, "a second byte a code");
     }
 
     #[test]

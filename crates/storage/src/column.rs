@@ -69,6 +69,37 @@ impl Column {
         }
     }
 
+    /// A copy of the column in buffers with room for `rows` rows in all
+    /// (at least its own), sharing what clones share.
+    pub(crate) fn copy_with_room(&self, rows: usize) -> Column {
+        fn copy<T: Copy>(data: &[T], rows: usize) -> Vec<T> {
+            let mut out = Vec::with_capacity(rows.max(data.len()));
+            out.extend_from_slice(data);
+            out
+        }
+        match self {
+            Column::Int { data, validity } => Column::Int {
+                data: copy(data, rows),
+                validity: validity.copy_with_room(rows),
+            },
+            Column::Float { data, validity } => Column::Float {
+                data: copy(data, rows),
+                validity: validity.copy_with_room(rows),
+            },
+            Column::Str {
+                dict,
+                codes,
+                validity,
+                packed,
+            } => Column::Str {
+                dict: dict.clone(),
+                codes: copy(codes, rows),
+                validity: validity.copy_with_room(rows),
+                packed: packed.clone(),
+            },
+        }
+    }
+
     /// The column's data type.
     pub fn data_type(&self) -> DataType {
         match self {

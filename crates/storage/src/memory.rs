@@ -19,6 +19,26 @@
 //! ([`crate::Table`]); a process that never writes under a pin makes no such
 //! copies and keeps glibc's own policy, under which a table loaded again
 //! reuses the warm pages of the one it replaced.
+//!
+//! What a dead version leaves in the arenas — its statistics and slot
+//! vectors, the batch buffers around its writes — is freed in holes the
+//! arenas keep resident, and under a reader that pins every statement a
+//! version dies with nearly every write. [`release_free_pages`] gives those
+//! pages back: the first live write after a sweep dropped a version calls it
+//! (`Catalog::write`), on the writer's time. On `ingest` (2-vCPU Xeon, six
+//! 15 s runs without and six with it) the median per-round peak read 229.6
+//! → 207.8 MB, at ~130 µs a call.
+//!
+//! A copy at exactly its column's length would miss the threshold in the
+//! very case it is for: an 8-byte column of 500 000 rows is 4.0 MB, just
+//! under 4 MiB, so its copies came from the main arena, stayed resident
+//! after the snapshot let go (41–81 MB free in that arena across the
+//! `ingest` workload's rounds), and the append that followed at once
+//! reallocated them. So a copy is made with room for the rows the write
+//! brings, rounded up to a power of two — what the vector's own doubling
+//! would have grown it to — and an 8-byte column from 262 145 rows up, a
+//! table-sized copy, is a buffer of at least [`LARGE_BUFFER_BYTES`],
+//! mapped on its own.
 
 use std::sync::Once;
 
@@ -51,4 +71,20 @@ pub(crate) fn settle_large_buffers() {
             }
         }
     });
+}
+
+/// Return the whole free pages of every allocator arena to the operating
+/// system. A no-op where the C library is not glibc.
+pub(crate) fn release_free_pages() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> std::os::raw::c_int;
+        }
+        // SAFETY: `malloc_trim` takes a size, touches only the allocator's
+        // free lists, and locks each arena while it does.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
 }

@@ -55,14 +55,20 @@ pub struct Table {
     stats: Arc<Vec<StatsCell>>,
 }
 
-/// The writer's own columns, copied away from any snapshot sharing them.
-/// Every copy is a table-sized buffer that dies with the snapshot, so the
-/// first one settles how the process frees such buffers ([`crate::memory`]).
-fn detach(columns: &mut Arc<Vec<Column>>) -> &mut Vec<Column> {
+/// The writer's own columns, copied away from any snapshot sharing them,
+/// with room for `incoming` more rows. Every copy is a table-sized buffer
+/// that dies with the snapshot, so the first one settles how the process
+/// frees such buffers, and each is sized as a vector's doubling would grow
+/// it — room for the write that follows, and a buffer of a size that is
+/// mapped on its own ([`crate::memory`]).
+fn detach(columns: &mut Arc<Vec<Column>>, incoming: usize) -> &mut Vec<Column> {
     if Arc::get_mut(columns).is_none() {
         crate::memory::settle_large_buffers();
+        let rows = columns.first().map_or(0, Column::len) + incoming;
+        let room = rows.next_power_of_two();
+        *columns = Arc::new(columns.iter().map(|c| c.copy_with_room(room)).collect());
     }
-    Arc::make_mut(columns)
+    Arc::get_mut(columns).expect("the copy is the writer's own")
 }
 
 impl Table {
@@ -102,9 +108,13 @@ impl Table {
     /// appended rows ([`ColumnStats::extend`]) — or reset, when its rule
     /// says the record cannot be, or when `push` failed. An unbuilt cell
     /// stays unbuilt.
-    fn append(&mut self, push: impl FnOnce(&mut [Column]) -> Result<()>) -> Result<()> {
+    fn append(
+        &mut self,
+        incoming: usize,
+        push: impl FnOnce(&mut [Column]) -> Result<()>,
+    ) -> Result<()> {
         let from = self.num_rows();
-        let pushed = push(detach(&mut self.columns).as_mut_slice());
+        let pushed = push(detach(&mut self.columns, incoming).as_mut_slice());
         let cells = Arc::make_mut(&mut self.stats);
         for (cell, col) in cells.iter_mut().zip(self.columns.iter()) {
             let carried = pushed.is_ok()
@@ -204,7 +214,7 @@ impl Table {
     /// that column's statistics cell; the other columns keep theirs.
     pub fn column_mut(&mut self, i: usize) -> &mut Column {
         Arc::make_mut(&mut self.stats)[i].take();
-        &mut detach(&mut self.columns)[i]
+        &mut detach(&mut self.columns, 0)[i]
     }
 
     /// Statistics of column `i` as it stands — range, NULL count and, for a
@@ -306,7 +316,7 @@ impl Table {
         // Validate all values first so a failed push can't leave ragged
         // columns behind.
         self.validate_row(row)?;
-        self.append(|cols| Self::append_row(cols, row))
+        self.append(1, |cols| Self::append_row(cols, row))
     }
 
     /// Push one validated row onto `cols`.
@@ -331,8 +341,10 @@ impl Table {
     /// for the check twice.
     pub(crate) fn push_valid_rows(&mut self, rows: &[Vec<Value>]) {
         // One detach and one statistics pass for the batch, not per row.
-        self.append(|cols| rows.iter().try_for_each(|row| Self::append_row(cols, row)))
-            .expect("rows validated against this table");
+        self.append(rows.len(), |cols| {
+            rows.iter().try_for_each(|row| Self::append_row(cols, row))
+        })
+        .expect("rows validated against this table");
     }
 
     /// Overwrite `values[i]` into column `cols[i]` of row `row`, atomically:
@@ -352,7 +364,7 @@ impl Table {
     pub(crate) fn set_checked_cells(&mut self, row: usize, cols: &[usize], values: &[Value]) {
         for (&col, value) in cols.iter().zip(values) {
             let before = self.columns[col].get_f64(row);
-            detach(&mut self.columns)[col]
+            detach(&mut self.columns, 0)[col]
                 .set(row, value.clone())
                 .expect("cell checked against this table");
             let column = &self.columns[col];
@@ -435,7 +447,7 @@ impl Table {
     /// Bulk-append all rows of `other` (schemas must be equal).
     pub fn extend_from(&mut self, other: &Table) -> Result<()> {
         self.check_extend(other)?;
-        self.append(|cols| {
+        self.append(other.num_rows(), |cols| {
             let pairs = cols.iter_mut().zip(other.columns.iter());
             pairs
                 .into_iter()

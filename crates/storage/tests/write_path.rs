@@ -8,11 +8,13 @@
 //!   the checkpoint image recorded at `53bf2bb`, where the same sequence
 //!   went through the hand-written mutate-then-log protocol.
 
+use pa_storage::checkpoint::{encode_image, CHECKPOINT_VERSION};
 use pa_storage::log::MemLogStore;
-use pa_storage::wal::crc32;
+use pa_storage::wal::{crc32, FRAME_HEADER};
 use pa_storage::{
-    Catalog, Change, CheckpointPolicy, CheckpointStore, DataType, FaultInjector, FaultPlan, Result,
-    RetryPolicy, Rows, Schema, StorageError, Table, Value, Wal, WriteReceipt,
+    scan_checkpoints, Catalog, Change, CheckpointImage, CheckpointPolicy, CheckpointStore,
+    DataType, FaultInjector, FaultPlan, Result, RetryPolicy, Rows, Schema, StorageError, Table,
+    Value, Wal, WriteReceipt,
 };
 use std::sync::{Arc, Mutex};
 
@@ -328,10 +330,54 @@ fn wal_frames_and_checkpoint_image_are_byte_identical_to_the_parent() {
         (1046, 0x5cef_faa0, 0xc9a3_a818_7238_7189),
         "WAL bytes moved"
     );
+    // The image in checkpoint format 2, which packs integers and string
+    // codes; format 1 wrote the 635 bytes of `CHECKPOINT_V1` below.
     assert_eq!(
         (image.len(), crc32(&image), fnv64(&image)),
-        (635, 0x781f_4690, 0x9ac1_6be7_0371_2ef3),
+        (445, 0xe2dc_f874, 0x0699_7437_57d7_ff76),
         "checkpoint image bytes moved"
     );
     assert_eq!((fence, cat.epoch()), (15, 11));
+}
+
+/// The image of the sequence above as format 1 wrote it, recorded at
+/// bb2c3dd: 635 bytes, crc32 0x781f4690.
+const CHECKPOINT_V1: &str = "730200006ee1e37750414331010b000000000000000f000000000000000200000001000000660300000001000000640001000000730201000000610110000000000000000000000000000000000000000000000003000000000000000300000000000000feffffffffffffff0000000000000000030000000000000004000000000000000400000000000000000000000000000000000000000000000000000000000000fdffffffffffffff00000000000000000400000000000000000000000000000000dd51000000000000050000000200000043410800000068c3b67573746f6e020000005741020000005458020000004e560000000000000000010000000000000002000000030000000000000001000000000000000400000002000000000000000200000001000000000000000300000000fef60000000000000000000000000840000000000000f87f000000000000e03f0000000000305a400000000000002e40000000000000f87f0000000000002a400000000000001c400000000000603d40000000000000f87f00000000008041400000000000505b400000000000a0414000000000009057400000000000585340000000000018594000ddfd0000000000000100000068030000000100000064000100000073020100000061010500000000000000fdffffffffffffff0000000000000000040000000000000000000000000000000400000000000000001500000000000000040000000200000057410800000068c3b67573746f6e0200000043410200000054580000000001000000020000000300000001000000010000000000a041400000000000905740000000000058534000000000001859400000000000001c4001";
+
+/// A format-1 image still decodes, to the very tables its format-2 image
+/// holds: re-encoded, the two are the same bytes.
+#[test]
+fn a_format_1_checkpoint_decodes_to_the_tables_of_its_format_2_image() {
+    let v1: Vec<u8> = (0..CHECKPOINT_V1.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&CHECKPOINT_V1[i..i + 2], 16).unwrap())
+        .collect();
+    assert_eq!((v1.len(), crc32(&v1)), (635, 0x781f_4690));
+    assert_eq!(v1[FRAME_HEADER + 4], 1, "a format-1 payload");
+    let (old, why) = scan_checkpoints(&v1);
+    assert!(why.is_none(), "{why:?}");
+    let old = old.expect("the format-1 image decodes");
+    let encode = |image: &CheckpointImage| {
+        let tables: Vec<(String, &Table)> = (image.tables.iter())
+            .map(|(name, t)| (name.clone(), t))
+            .collect();
+        encode_image(&tables, image.epoch, image.lsn).unwrap()
+    };
+    let v2 = encode(&old);
+    assert_eq!(v2[FRAME_HEADER + 4], CHECKPOINT_VERSION);
+    assert_eq!(
+        (v2.len(), crc32(&v2)),
+        (445, 0xe2dc_f874),
+        "the format-2 image"
+    );
+    let (new, why) = scan_checkpoints(&v2);
+    assert!(why.is_none(), "{why:?}");
+    let new = new.unwrap();
+    assert_eq!((new.epoch, new.lsn), (old.epoch, old.lsn));
+    for ((name, a), (name_b, b)) in old.tables.iter().zip(&new.tables) {
+        assert_eq!(name, name_b);
+        let rows = |t: &Table| t.rows().collect::<Vec<_>>();
+        assert_eq!(rows(a), rows(b), "table {name}");
+    }
+    assert_eq!(encode(&new), v2, "re-encoded, byte for byte");
 }

@@ -185,8 +185,10 @@ fn golden_hagg_sum_by_city() {
     assert_golden("hagg_sum_by_city.golden", &render(&out.table().read()));
 }
 
-/// Plan shape for the horizontal query (EXPLAIN never executes, so the
-/// text is stable run to run — the guard line carries no `charged=`).
+/// Plan shape for the horizontal query: the paper's script, then the
+/// levels of the lattice request a knob-less run executes (EXPLAIN never
+/// executes, so the text is stable run to run — the guard line carries no
+/// `charged=`).
 #[test]
 fn golden_explain_hpct_plan() {
     let catalog = load_fixture("sales.csv");

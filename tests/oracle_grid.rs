@@ -1,7 +1,8 @@
 //! The papers' central claim — every evaluation strategy computes the same
 //! table — held to one reference (`pa_testkit::oracle`, DESIGN.md §5).
 //!
-//! One seeded grid runs every plan: the lattice request, the five
+//! One seeded grid runs every plan: the lattice request of either family
+//! (a horizontal statement's where every sum folds exactly), the five
 //! `VpctStrategy` constructors, the OLAP window plan, both `MissingRows`
 //! pads, the four `HorizontalStrategy`s with and without the jump table,
 //! and a `max_columns` partition; `ROLLUP`, `CUBE` and `GROUPING SETS`
@@ -36,6 +37,9 @@ use std::collections::BTreeSet;
 enum Plan {
     /// `execute_sql`: a `Vpct` statement's lattice request.
     Lattice,
+    /// `execute_sql` of a horizontal statement: its lattice request, or
+    /// the CASE producer the optimizer picks where that cannot run.
+    HorizontalLattice,
     /// `execute_sql_with` under one of [`vpct_strategies`].
     Vpct(usize),
     /// `vpct_olap`, the window-function baseline.
@@ -59,7 +63,7 @@ fn vpct_strategies() -> [VpctStrategy; 5] {
 }
 
 fn plans() -> Vec<Plan> {
-    let mut plans = vec![Plan::Lattice];
+    let mut plans = vec![Plan::Lattice, Plan::HorizontalLattice];
     plans.extend((0..5).map(Plan::Vpct));
     plans.extend([
         Plan::Olap,
@@ -124,7 +128,7 @@ impl Plan {
     fn run(self, engine: &PercentageEngine<'_>, stmt: &Stmt) -> pa_core::Result<Table> {
         let (sql, best) = (stmt.sql(), VpctStrategy::best());
         let outcome = match self {
-            Plan::Lattice => engine.execute_sql(&sql),
+            Plan::Lattice | Plan::HorizontalLattice => engine.execute_sql(&sql),
             Plan::Vpct(i) => engine.execute_sql_with(&sql, &vpct_strategies()[i], &self.options()),
             Plan::Olap => engine
                 .vpct_olap(&stmt.vpct_query())
@@ -548,6 +552,44 @@ fn signed_zeros_and_nans_are_one_float_key() {
         ] {
             check_every_plan(&t, &stmt);
         }
+    }
+}
+
+/// The same float keys where `F`'s first spelling of a group is not the
+/// first in key order: `-0.0` and a NaN of one sign sit beside `s = "b"`
+/// before `0.0` and the other NaN sit beside `s = "a"`, so a level sorted
+/// by `(s, x)` meets the later spelling first. With the float column in a
+/// horizontal statement's `BY` (a cell column's name) or in its `GROUP BY`
+/// (a printed key), every plan spells each group as its first row in `F`
+/// does — cold, warm, and after an append that brings each spelling under
+/// a third `s`.
+#[test]
+fn a_horizontal_float_key_is_its_first_rows_spelling() {
+    let fields = [
+        ("s", DataType::Str),
+        ("x", DataType::Float),
+        ("y", DataType::Float),
+        ("m", DataType::Float),
+    ];
+    let nan = f64::NAN;
+    let rows = vec![
+        vec![s("b"), F(-0.0), F(-nan), F(1.0)],
+        vec![s("a"), F(0.0), F(nan), F(3.0)],
+        vec![s("a"), F(1.5), F(2.0), F(2.0)],
+        vec![s("b"), F(1.5), F(nan), F(6.0)],
+    ];
+    let more = vec![
+        vec![s("c"), F(0.0), F(nan), F(4.0)],
+        vec![s("a"), F(-0.0), F(-nan), F(5.0)],
+    ];
+    let t = gen::table(&fields, &rows);
+    for dim in ["x", "y"] {
+        let stmts = [
+            Stmt::new("f", &["s"]).hpct("m", &[dim], "h"),
+            Stmt::new("f", &[dim]).hpct("m", &["s"], "h"),
+            Stmt::new("f", &[dim]).horizontal(Sum, Some("m"), &["s"], (false, false), "h"),
+        ];
+        check_across_an_append(&t, &more, &stmts);
     }
 }
 
