@@ -239,6 +239,24 @@ done | grep .; then
   echo "the pivot scan is called outside horizontal.rs::eval_horizontal_on under crates/core/src" >&2
   exit 1
 fi
+# The request reads its cell levels in place (DESIGN.md §17): one
+# post-projection drops each level row into its result row and column, and
+# no raw table is built on the way. Outside the tests, HorizontalLevels
+# (lattice.rs) defines no `raw` and builds no table, schema or `__c`/`__tot`
+# column, and horizontal.rs::eval_horizontal_request builds no table or
+# schema of its own and gathers no column.
+levels=$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/lattice.rs |
+  sed -n "/^impl<'a> HorizontalLevels<'a> {$/,/^}$/p")
+request=$(sed -n '/^pub(crate) fn eval_horizontal_request(/,/^}$/p' crates/core/src/horizontal.rs)
+if [ -z "$levels" ] || [ -z "$request" ]; then
+  echo "HorizontalLevels (lattice.rs) or eval_horizontal_request (horizontal.rs) was not found" >&2
+  exit 1
+fi
+if printf '%s\n' "$levels" | grep -nE 'fn raw\(|Table::from_columns|Schema::new\(|"__(c|tot)' ||
+  printf '%s\n' "$request" | grep -nE 'Table::from_columns|Schema::new\(|\.gather\(|"__(c|tot)'; then
+  echo "a raw-table builder reappeared on the horizontal request's path" >&2
+  exit 1
+fi
 
 echo "==> no-process-state gate: a statement is handed its configuration and its injector"
 # A statement's scan configuration is its engine's (`with_config`, else the
@@ -428,7 +446,7 @@ cargo run --release -p pa-bench --bin scale -- \
   --n 20000 --d 7 --threads 1,2 --iters 1 \
   --out target/ci/BENCH_scale_smoke.json
 
-echo "==> code-path + kernel gate: case_direct within 2x of hash_dispatch, pivot within 1.5x of its two-level aggregate, vectorized (n=1M, d=50)"
+echo "==> code-path + kernel gate: case_direct within 2x of hash_dispatch, pivot within 1.5x of its two-level aggregate, warm Hpct within 2x of warm Vpct, vectorized (n=1M, d=50)"
 # One 1M-row run, three same-run checks. The dense CASE plan must keep the
 # paper's worst case (wide BY list) within 2x of the same plan on the hash
 # tier measured beside it; the pivot pass must stay within 1.5x of the
@@ -438,13 +456,18 @@ echo "==> code-path + kernel gate: case_direct within 2x of hash_dispatch, pivot
 # and the kernel-path smoke proves the fused kernels (DESIGN.md "Scan
 # core", §12) actually engaged — case_direct block-at-a-time, the sorted
 # scenario through the RLE fast path — rather than silently falling back
-# to the scalar loop. Rows also record
+# to the scalar loop. A warm knob-less `Hpct` reads the cached cell level a
+# warm `Vpct` over `(GROUP BY ∪ BY)` divides in place and transposes it on
+# the way out, so it must stay within 2x of that `Vpct`, measured beside it
+# (it read ~5x while the request built a raw table and named its columns on
+# every execution). Rows also record
 # group_path, kernel_path, pack_width and combo_cache_hit_rate in the JSON
 # artifact. (No wall-clock ceiling: a millisecond constant only means
 # something on the host it was recorded on.)
 cargo run --release -p pa-bench --bin scale -- \
   --n 1000000 --d 50 --threads 1 --iters 2 \
   --assert-case-within 2.0 --assert-pivot-within 1.5 --assert-vectorized \
+  --assert-hpct-warm-within 2.0 \
   --out target/ci/BENCH_codepath_gate.json
 
 echo "==> lattice gates: fused 4-level batch <= 1.6x single-level pass, warm <= 0.2x cold (n=1M, d=7)"

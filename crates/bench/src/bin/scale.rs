@@ -53,6 +53,10 @@ struct Args {
     /// refcount bump out of the lattice cache) stays within this fraction
     /// of its own cache-cold run (0 = no gate).
     assert_lattice_warm_within: f64,
+    /// CI gate: fail unless a warm knob-less `Hpct(amt BY day) GROUP BY
+    /// store` stays within this factor of the warm `Vpct` over the same
+    /// `(GROUP BY ∪ BY)` level, measured beside it (0 = no gate).
+    assert_hpct_warm_within: f64,
 }
 
 fn parse_list(s: &str) -> Vec<usize> {
@@ -79,6 +83,7 @@ fn parse_args() -> Args {
         assert_pivot_within: 0.0,
         assert_lattice_within: 0.0,
         assert_lattice_warm_within: 0.0,
+        assert_hpct_warm_within: 0.0,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -114,13 +119,20 @@ fn parse_args() -> Args {
                     std::process::exit(2);
                 })
             }
+            "--assert-hpct-warm-within" => {
+                args.assert_hpct_warm_within = next().parse().unwrap_or_else(|_| {
+                    eprintln!("--assert-hpct-warm-within takes a factor, e.g. 2.0");
+                    std::process::exit(2);
+                })
+            }
             "--help" | "-h" => {
                 println!(
                     "usage: scale [--n N1,N2,..] [--d D1,D2,..] \
                      [--threads T1,T2,..] [--iters K] [--out PATH] \
                      [--assert-case-within FACTOR] [--assert-vectorized] \
                      [--assert-pivot-within FACTOR] \
-                     [--assert-lattice-within FACTOR] [--assert-lattice-warm-within FRACTION]"
+                     [--assert-lattice-within FACTOR] [--assert-lattice-warm-within FRACTION] \
+                     [--assert-hpct-warm-within FACTOR]"
                 );
                 std::process::exit(0);
             }
@@ -392,6 +404,33 @@ fn run_pivot_cell(catalog: &Catalog, config: &ParallelConfig, iters: usize) -> [
     [pivot_ms, aggregate_ms]
 }
 
+/// The warm knob-less statements over the level `(store, day)`: the `Hpct`
+/// its lattice request transposes, and the `Vpct` that divides it in place.
+const HPCT_WARM: &str = "SELECT store, Hpct(amt BY day) AS h FROM fact GROUP BY store";
+const VPCT_WARM: &str = "SELECT store, day, Vpct(amt BY day) AS p FROM fact GROUP BY store, day";
+
+/// A warm knob-less `Hpct` and the warm `Vpct` over its cell level, each
+/// run once to fill the level cache and then 100 × `iters` times, the two
+/// interleaved: the best of each, in µs. Panics unless the warm `Hpct` ran
+/// as a lattice request that read no fact row.
+fn run_hpct_warm_cell(engine: &PercentageEngine<'_>, iters: usize) -> [f64; 2] {
+    let run = |sql: &str| engine.execute_sql(sql).expect("bench query");
+    let (mut hpct_us, mut vpct_us) = (f64::INFINITY, f64::INFINITY);
+    run(HPCT_WARM);
+    run(VPCT_WARM);
+    for _ in 0..100 * iters.max(1) {
+        let (ms, outcome) = time_ms(|| run(HPCT_WARM));
+        let stats = outcome.stats();
+        assert!(
+            stats.lattice_levels > 0 && stats.levels_from_scan == 0,
+            "the warm Hpct did not run as a cached lattice request: {stats}"
+        );
+        hpct_us = hpct_us.min(ms * 1e3);
+        vpct_us = vpct_us.min(time_ms(|| run(VPCT_WARM)).0 * 1e3);
+    }
+    [hpct_us, vpct_us]
+}
+
 /// One (strategy, n, d) cell, timed at one thread count. Returns the best
 /// wall time plus the last run's group-path/cache telemetry (identical
 /// across iterations except that the first run of a fresh catalog misses
@@ -508,6 +547,8 @@ fn main() {
     let mut lattice_gate = Vec::new();
     // (n, d, threads, [pivot, aggregate] ms) per `case_direct` cell.
     let mut pivot_gate = Vec::new();
+    // (n, d, threads, [warm Hpct, warm Vpct] µs) per `case_direct` cell.
+    let mut hpct_warm_gate = Vec::new();
     for &n in &args.ns {
         for &d in &args.ds {
             let catalog = Catalog::new();
@@ -549,11 +590,15 @@ fn main() {
                             let [pivot_ms, aggregate_ms] =
                                 run_pivot_cell(&catalog, &config, args.iters);
                             pivot_gate.push((n, d, threads, [pivot_ms, aggregate_ms]));
+                            let [hpct_us, vpct_us] = run_hpct_warm_cell(&engine, args.iters);
+                            hpct_warm_gate.push((n, d, threads, [hpct_us, vpct_us]));
                             let _ = write!(
                                 extra,
                                 "\"pivot_ms\": {pivot_ms:.3}, \"aggregate_ms\": {aggregate_ms:.3}, \
-                                 \"pivot_over_aggregate\": {:.3}",
-                                pivot_ms / aggregate_ms.max(1e-9)
+                                 \"pivot_over_aggregate\": {:.3}, \"hpct_warm_us\": {hpct_us:.2}, \
+                                 \"vpct_warm_us\": {vpct_us:.2}, \"hpct_warm_over_vpct\": {:.3}",
+                                pivot_ms / aggregate_ms.max(1e-9),
+                                hpct_us / vpct_us.max(1e-9)
                             );
                         }
                         (ms, telemetry, extra)
@@ -678,6 +723,28 @@ fn main() {
             eprintln!(
                 "pivot gate failed: the transposed aggregate costs too much over its two levels"
             );
+            std::process::exit(1);
+        }
+    }
+
+    // CI gate: a warm knob-less `Hpct` reads the same cached cell level a
+    // warm `Vpct` divides in place, and only transposes it on the way out,
+    // so it must cost no more than the given factor of that `Vpct`.
+    if args.assert_hpct_warm_within > 0.0 {
+        let mut failed = false;
+        for (n, d, threads, [hpct_us, vpct_us]) in &hpct_warm_gate {
+            let factor = hpct_us / vpct_us.max(1e-9);
+            let ok = factor <= args.assert_hpct_warm_within;
+            println!(
+                "hpct warm gate n={n} d={d} threads={threads}: warm Hpct {hpct_us:.1} us vs \
+                 warm Vpct over its cell level {vpct_us:.1} us — x{factor:.2} (limit x{:.2}) {}",
+                args.assert_hpct_warm_within,
+                if ok { "OK" } else { "FAIL" }
+            );
+            failed |= !ok;
+        }
+        if failed {
+            eprintln!("hpct warm gate failed: the warm horizontal request costs too much");
             std::process::exit(1);
         }
     }

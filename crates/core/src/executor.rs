@@ -8,7 +8,7 @@
 //! (`prepare`).
 
 use crate::error::{CoreError, Result};
-use crate::horizontal::{eval_horizontal_on, eval_horizontal_request, HorizontalResult};
+use crate::horizontal::{eval_horizontal_on, eval_horizontal_request, HorizontalResult, Shape};
 use crate::lattice::{eval_request, eval_vpct_batch_on, lattice_plan_lines, Request};
 use crate::missing::{postprocess_pad, preprocess_pad, MissingRows};
 use crate::olap::eval_vpct_olap_on;
@@ -73,17 +73,25 @@ enum Typed {
     Lattice(Request),
 }
 
-/// A horizontal query and the lattice request it runs without strategy
-/// knobs (none when a lane is holistic: it keeps the CASE producer).
+/// A horizontal query, the lattice request it runs without strategy knobs
+/// (none when a lane is holistic: it keeps the CASE producer), and the
+/// names and schema the request last gave its result, which hold while the
+/// combination sets it reads do.
 struct Horizontal {
     query: HorizontalQuery,
     request: Option<Request>,
+    shapes: Shapes,
 }
 
 impl Horizontal {
     fn new(query: HorizontalQuery) -> Horizontal {
         let request = Request::horizontal(&query);
-        Horizontal { query, request }
+        let shapes = Shapes::default();
+        Horizontal {
+            query,
+            request,
+            shapes,
+        }
     }
 
     /// The request a knob-less run over `fact` executes: when `fact` has a
@@ -92,6 +100,31 @@ impl Horizontal {
     fn request_over(&self, fact: &Fact) -> Option<&Request> {
         let runs = |r: &&Request| fact.cache_key().is_some() && r.holds_scan_bits(fact);
         self.request.as_ref().filter(runs)
+    }
+}
+
+/// The names and schema ([`Shape`]) a prepared horizontal statement's
+/// request last gave its result: an execution they still fit — the same
+/// combination sets, the same column types — takes them as they are, so a
+/// warm statement names no column and builds no schema.
+#[derive(Debug, Default)]
+pub(crate) struct Shapes(Mutex<Option<Arc<Shape>>>);
+
+impl Shapes {
+    /// The shape held when it `fits`, else what `derive` makes, held from
+    /// now on.
+    pub(crate) fn get(
+        &self,
+        fits: impl FnOnce(&Shape) -> bool,
+        derive: impl FnOnce() -> Result<Arc<Shape>>,
+    ) -> Result<Arc<Shape>> {
+        let mut held = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(shape) = held.as_ref().filter(|shape| fits(shape)) {
+            return Ok(Arc::clone(shape));
+        }
+        let shape = derive()?;
+        *held = Some(Arc::clone(&shape));
+        Ok(shape)
     }
 }
 
@@ -612,7 +645,8 @@ impl<'a> PercentageEngine<'a> {
             Some(o) => o,
             None => match h.request_over(fact) {
                 Some(request) => {
-                    return eval_horizontal_request(self.catalog, fact, q, request, guard)
+                    let statement = (q, request, &h.shapes);
+                    return eval_horizontal_request((self.catalog, fact), statement, guard);
                 }
                 None => {
                     let strategy = horizontal_strategy_over(&fact.read(), q)?;
@@ -912,7 +946,7 @@ impl<'a> PercentageEngine<'a> {
     ) -> Result<SqlOutcome> {
         let mut stats = ExecStats::default();
         let mut results: Vec<(&[String], pa_storage::Table)> = Vec::new();
-        let mut cell_columns: Vec<Vec<String>> = Vec::new();
+        let mut cell_columns: Arc<[Vec<String>]> = Arc::new([]);
         let sets = match typed {
             Typed::Lattice(request) => {
                 for q in request.queries() {
@@ -1887,6 +1921,59 @@ mod tests {
             .update_cells("sales", 0, &[3], &[Value::Float(0.5)])
             .unwrap();
         assert_eq!(explain(flat), (vec![], false), "a fractional sum");
+    }
+
+    /// A warm knob-less `Hpct` spends its time under three spans: `levels`
+    /// (the cache lookups), `combos` (the combinations, and the names and
+    /// schema they give the result) and `transpose` (the one-pass writer
+    /// and the partitions). They charge what the statement charged before
+    /// it read its cell level in place: the combinations' rows, then the
+    /// cell level's and the result's.
+    #[test]
+    fn a_warm_horizontal_request_lists_its_spans_with_their_charges() {
+        use pa_storage::{DataType, Schema, Table};
+        let schema = Schema::from_pairs(&[
+            ("store", DataType::Int),
+            ("day", DataType::Int),
+            ("amt", DataType::Int),
+        ]);
+        let mut f = Table::empty(schema.unwrap().into_shared());
+        for i in 0..1000 {
+            let row = [Value::Int(i % 13), Value::Int(i % 7), Value::Int(i % 97)];
+            f.push_row(&row).unwrap();
+        }
+        let catalog = Catalog::new();
+        catalog.create_table("f", f).unwrap();
+        let engine = PercentageEngine::new(&catalog).with_config(ParallelConfig::serial());
+        let sql = "SELECT store, Hpct(amt BY day) AS h, count(*) AS n FROM f GROUP BY store";
+        engine.execute_sql(sql).unwrap();
+        let lines = engine.explain_analyze_sql(sql).unwrap();
+        let ops: Vec<(String, String, String)> = (lines.iter())
+            .filter_map(|l| l.strip_prefix("-- op "))
+            .map(|l| {
+                let mut words = l.split_whitespace().map(String::from);
+                let mut next = || words.next().unwrap();
+                (next(), next(), next())
+            })
+            .collect();
+        let op = |label: &str, rows: u64, morsels: u64| {
+            (
+                format!("{label}:"),
+                format!("rows={rows}"),
+                format!("morsels={morsels}"),
+            )
+        };
+        // 7 combinations; 91 cells of the level (day, store) and 13 rows.
+        let want = [
+            op("query", 0, 0),
+            op("levels", 0, 0),
+            op("combos", 7, 1),
+            op("transpose", 91 + 13, 1),
+        ];
+        assert_eq!(ops, want, "{lines:#?}");
+        let guard = lines.last().unwrap();
+        assert!(guard.ends_with("charged=111"), "{guard}");
+        assert!(lines.iter().any(|l| l.contains("levels_from_scan=0")));
     }
 
     #[test]

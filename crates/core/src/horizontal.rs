@@ -23,10 +23,14 @@
 //! Those strategies are the named producers. A statement without strategy
 //! knobs and without a `WHERE` takes steps 2–3 from the level cache instead
 //! ([`eval_horizontal_request`]): the aggregate at `GROUP BY ∪ BY` is a
-//! lattice level a `Vpct` may have left, and the raw table its
-//! transposition.
+//! lattice level a `Vpct` may have left, and step 4 reads it in place —
+//! the one post-projection ([`finish`]) has two address modes, as
+//! [`divide`] has ([`Cells`]): a producer's cells on their own rows, or a
+//! cell level's rows dropped into their result row and column.
 
+use crate::dispatch::{pivot_aggregate, PivotTask};
 use crate::error::{CoreError, Result};
+use crate::executor::Shapes;
 use crate::lattice::{combination_set, Cached, HorizontalLevels, Request};
 use crate::naming::{cell_column_name, dedup_names, partition_ranges};
 use crate::query::{Fact, FactRows, HorizontalQuery, HorizontalTerm};
@@ -34,12 +38,13 @@ use crate::roll;
 use crate::strategy::{HorizontalOptions, HorizontalStrategy};
 use crate::vertical::{count_insert, extra_spec, into_shared};
 use pa_engine::{
-    aggregate_level, distinct, divide, lookup, AggFunc, AggSpec, ExecStats, Expr, ParallelConfig,
-    ResourceGuard, Selected, Selection,
+    aggregate_level, distinct, divide, divide_transposed, lookup, AggFunc, AggSpec, ExecStats,
+    Expr, ParallelConfig, ResourceGuard, Selected, Selection,
 };
 use pa_storage::{Catalog, Column, DataType, Field, HashIndex, Schema, SharedTable, Table, Value};
 use std::borrow::Cow;
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, Weak};
 
 /// Result of a horizontal query: one table normally, several when the
 /// column limit forces vertical partitioning (each partition repeats the
@@ -51,7 +56,7 @@ pub struct HorizontalResult {
     /// Work counters for the whole plan.
     pub stats: ExecStats,
     /// Names of the generated cell columns, per term.
-    pub cell_columns: Vec<Vec<String>>,
+    pub cell_columns: Arc<[Vec<String>]>,
 }
 
 impl HorizontalResult {
@@ -76,19 +81,9 @@ impl HorizontalResult {
     }
 }
 
-/// Per-term plan against the chosen source table (`F` or `FV`).
-#[derive(Debug)]
-struct TermPlan {
-    by_src_cols: Vec<usize>,
-    /// Aggregations computing each cell lane from source rows: one, or a
-    /// sum and a count (`avg` re-aggregated from `FV`).
-    lanes: Vec<(AggFunc, Expr)>,
-    /// Group-total aggregation for percentage terms.
-    total: Option<Expr>,
-    /// The distinct `BY` combinations, sorted — read off the term's level
-    /// table once, and moved into the pivot's task ([`plans_as_tasks`]).
-    combos: Vec<Vec<Value>>,
-}
+/// The aggregations computing one cell or extra from source rows: one, or
+/// a sum and a count (`avg` re-aggregated from `FV`).
+type Lanes = Vec<(AggFunc, Expr)>;
 
 /// The count family: an absent group counts 0, and the user-facing column
 /// is `Int` whatever the strategy re-aggregated it through.
@@ -207,88 +202,56 @@ pub(crate) fn eval_horizontal_on(
     let j_cols_f = resolve(q, &f_schema)?;
 
     // ---------- Build the source (F directly, or the FV pre-aggregate) and
-    // the per-term / per-extra lane descriptions against it. ----------
-    type Lanes = Vec<(AggFunc, Expr)>;
-    let mut term_lanes: Vec<(Lanes, Option<Expr>)> = Vec::new();
-    let mut extra_specs_src: Vec<Lanes> = Vec::new();
-    let (source, j_cols): (Source<'_>, Vec<usize>) = if opts.strategy.uses_fv() {
-        // Holistic aggregates cannot be re-aggregated from the FV partial
-        // (Gray et al.): reject rather than silently double-count.
-        for term in q.terms.iter() {
-            if term.func.is_holistic() {
-                return Err(CoreError::Unsupported(format!(
-                    "{} is holistic and cannot use an FV-based strategy; \
-                     evaluate it with CaseDirect or SpjDirect",
-                    term.func.display_name()
-                )));
-            }
-        }
-        for extra in &q.extra {
-            if extra.func.is_holistic() {
-                return Err(CoreError::Unsupported(format!(
-                    "{} is holistic and cannot use an FV-based strategy; \
-                     evaluate it with CaseDirect or SpjDirect",
-                    extra.func.display_name()
-                )));
-            }
-        }
+    // each term's and each extra's lanes against it. ----------
+    let funcs = q
+        .terms
+        .iter()
+        .map(|t| t.func)
+        .chain(q.extra.iter().map(|e| e.func));
+    // Holistic aggregates cannot be re-aggregated from the FV partial
+    // (Gray et al.): reject rather than silently double-count.
+    if let Some(func) = funcs
+        .filter(|f| f.is_holistic())
+        .find(|_| opts.strategy.uses_fv())
+    {
+        return Err(CoreError::Unsupported(format!(
+            "{} is holistic and cannot use an FV-based strategy; \
+             evaluate it with CaseDirect or SpjDirect",
+            func.display_name()
+        )));
+    }
+    let terms = q
+        .terms
+        .iter()
+        .map(|t| Ok((t.func, t.measure.to_expr(&f_schema)?)));
+    let extras = (q.extra.iter()).map(|e| extra_spec(e, &f_schema).map(|s| (s.func, s.input)));
+    let on_f: Lanes = terms.chain(extras).collect::<Result<_>>()?;
+    let (source, j_cols, lanes): (Source<'_>, Vec<usize>, Vec<Lanes>) = if opts.strategy.uses_fv() {
         // FV keys: group_by then each term's by columns (deduped).
         let mut key_names: Vec<String> = q.group_by.clone();
-        for term in &q.terms {
-            for b in &term.by {
-                if !key_names.iter().any(|c| c.eq_ignore_ascii_case(b)) {
-                    key_names.push(b.clone());
-                }
+        for b in q.terms.iter().flat_map(|term| &term.by) {
+            if !key_names.iter().any(|c| c.eq_ignore_ascii_case(b)) {
+                key_names.push(b.clone());
             }
         }
         let key_cols_f: Vec<usize> = key_names
             .iter()
             .map(|n| f_schema.index_of(n).map_err(CoreError::from))
             .collect::<Result<Vec<_>>>()?;
-
-        let mut specs: Vec<AggSpec> = Vec::new();
-        let mut partial_pos: Vec<Vec<usize>> = Vec::new(); // per term, lane cols
-        let mut term_funcs: Vec<AggFunc> = Vec::new();
-        for (t, term) in q.terms.iter().enumerate() {
-            let measure = term.measure.to_expr(&f_schema)?;
-            let base = key_cols_f.len() + specs.len();
-            term_funcs.push(term.func);
-            match term.func {
-                AggFunc::Avg => {
-                    specs.push(AggSpec::new(
-                        AggFunc::Sum,
-                        measure.clone(),
-                        format!("__ps{t}"),
-                    ));
-                    specs.push(AggSpec::new(AggFunc::Count, measure, format!("__pc{t}")));
-                    partial_pos.push(vec![base, base + 1]);
-                }
-                func => {
-                    specs.push(AggSpec::new(func, measure, format!("__p{t}")));
-                    partial_pos.push(vec![base]);
-                }
-            }
-        }
-        let mut extra_partial_pos: Vec<Vec<usize>> = Vec::new();
-        for (e, extra) in q.extra.iter().enumerate() {
-            let base = key_cols_f.len() + specs.len();
-            match extra.func {
-                AggFunc::Avg => {
-                    let m = extra
-                        .measure
-                        .as_ref()
-                        .ok_or_else(|| CoreError::InvalidQuery("avg requires a measure".into()))?
-                        .to_expr(&f_schema)?;
-                    specs.push(AggSpec::new(AggFunc::Sum, m.clone(), format!("__es{e}")));
-                    specs.push(AggSpec::new(AggFunc::Count, m, format!("__ec{e}")));
-                    extra_partial_pos.push(vec![base, base + 1]);
-                }
-                _ => {
-                    let mut spec = extra_spec(extra, &f_schema)?;
-                    spec.name = format!("__e{e}");
-                    specs.push(spec);
-                    extra_partial_pos.push(vec![base]);
-                }
+        // Each lane's partial at `D1..Dk` — an `avg` as a sum and a count —
+        // and how the partials re-aggregate to `D1..Dj`.
+        let (mut specs, mut lanes): (Vec<AggSpec>, Vec<Lanes>) = Default::default();
+        for (func, input) in on_f {
+            let at = key_cols_f.len() + specs.len();
+            let partials = match func {
+                AggFunc::Avg => vec![(AggFunc::Sum, input.clone()), (AggFunc::Count, input)],
+                func => vec![(func, input)],
+            };
+            let reagg =
+                |(i, (func, _)): (usize, &(AggFunc, Expr))| (reagg_func(*func), Expr::Col(at + i));
+            lanes.push(partials.iter().enumerate().map(reagg).collect());
+            for (func, input) in partials {
+                specs.push(AggSpec::new(func, input, format!("__p{}", specs.len())));
             }
         }
         let fv = aggregate_level(
@@ -301,41 +264,12 @@ pub(crate) fn eval_horizontal_on(
         )?;
         drop(f_guard);
         count_insert(&fv, &mut stats);
-
-        for (t, term) in q.terms.iter().enumerate() {
-            let lanes: Vec<(AggFunc, Expr)> = match term.func {
-                AggFunc::Avg => vec![
-                    (AggFunc::Sum, Expr::Col(partial_pos[t][0])),
-                    (AggFunc::Sum, Expr::Col(partial_pos[t][1])),
-                ],
-                func => vec![(reagg_func(func), Expr::Col(partial_pos[t][0]))],
-            };
-            let total = term.percentage.then(|| Expr::Col(partial_pos[t][0]));
-            term_lanes.push((lanes, total));
-        }
-        for (e, extra) in q.extra.iter().enumerate() {
-            extra_specs_src.push(match extra.func {
-                AggFunc::Avg => vec![
-                    (AggFunc::Sum, Expr::Col(extra_partial_pos[e][0])),
-                    (AggFunc::Sum, Expr::Col(extra_partial_pos[e][1])),
-                ],
-                func => vec![(reagg_func(func), Expr::Col(extra_partial_pos[e][0]))],
-            });
-        }
-        let j_cols_fv: Vec<usize> = (0..q.group_by.len()).collect();
-        (Source::Fv(fv), j_cols_fv)
+        (Source::Fv(fv), (0..q.group_by.len()).collect(), lanes)
     } else {
-        for term in &q.terms {
-            let measure = term.measure.to_expr(&f_schema)?;
-            let total = term.percentage.then(|| measure.clone());
-            term_lanes.push((vec![(term.func, measure)], total));
-        }
-        for extra in &q.extra {
-            let spec = extra_spec(extra, &f_schema)?;
-            extra_specs_src.push(vec![(spec.func, spec.input)]);
-        }
-        (Source::Fact(f_guard), j_cols_f)
+        let lanes = on_f.into_iter().map(|lane| vec![lane]).collect();
+        (Source::Fact(f_guard), j_cols_f, lanes)
     };
+    let (term_lanes, extra_specs_src) = lanes.split_at(q.terms.len());
     let src = source.selected();
     let src_schema = source.schema().clone();
 
@@ -352,15 +286,18 @@ pub(crate) fn eval_horizontal_on(
     // budget and its trace as on the clock, and a deadline or cancellation
     // lands inside the pass.
     let combo_cache = Cached::of(catalog, fact);
-    let (mut plans, mut names): (Vec<TermPlan>, Vec<Vec<String>>) = Default::default();
+    // Each term's plan against the chosen source, `F` or `FV`: the pivot's
+    // task, which the CASE and SPJ plans read too.
+    let (mut plans, mut names): (Vec<PivotTask>, Vec<Vec<String>>) = Default::default();
     for (t, term) in q.terms.iter().enumerate() {
-        let by_src_cols: Vec<usize> = term
+        let by_cols: Vec<usize> = term
             .by
             .iter()
             .map(|n| src_schema.index_of(n).map_err(CoreError::from))
             .collect::<Result<Vec<_>>>()?;
         let by: Vec<String> = term.by.iter().map(|c| c.to_ascii_lowercase()).collect();
-        let level = combination_set(combo_cache, &by, (guard, &mut stats), |stats| {
+        let mut span = guard.span("combos");
+        let level = combination_set(combo_cache, &by, (guard, &mut span, &mut stats), |stats| {
             let rolled = match combo_cache {
                 Some(c) => roll_combos((catalog, c), (fact, &source), &term.by, stats, guard)?,
                 None => None,
@@ -368,78 +305,56 @@ pub(crate) fn eval_horizontal_on(
             match rolled {
                 Some(level) => Ok(level),
                 None => {
-                    let found = distinct(src, &by_src_cols, guard, stats, &par)?;
+                    let found = distinct(src, &by_cols, guard, stats, &par)?;
                     Ok(found.sorted_by(&(0..by.len()).collect::<Vec<_>>()))
                 }
             }
         })?;
         let (combos, term_names) = combinations(q, term, &level);
-        let (lanes, total) = term_lanes[t].clone();
-        plans.push(TermPlan {
-            by_src_cols,
-            lanes,
+        drop(span);
+        // A percentage's total is its sum lane's input, on F or on FV.
+        let total = term.percentage.then(|| term_lanes[t][0].1.clone());
+        plans.push(PivotTask {
+            by_cols,
+            lanes: term_lanes[t].clone(),
             total,
             combos,
         });
         names.push(term_names);
     }
-    let layouts: Vec<Layout<'_>> = (q.terms.iter().zip(&plans).zip(&names))
-        .map(|((term, plan), names)| Layout {
-            names,
-            width: plan.lanes.len(),
-            total: plan.total.is_some(),
-            term,
-        })
-        .collect();
-    let partitioned = column_budget(q, &layouts, opts)?;
+    let partitioned = column_budget(q, names.iter().map(Vec::len).sum(), opts)?;
 
     // ---------- Raw table: [j][term0 lanes×cells][term0 total?].. [extras] --
     let raw = match opts.strategy {
-        HorizontalStrategy::CaseDirect | HorizontalStrategy::CaseFromFv => {
-            // The CASE plan is the pivot (the aggregate at GROUP BY ∪ BY,
-            // transposed). The O(N) predicate chain runs only as the
-            // `jump_table: false` ablation.
-            if opts.jump_table {
-                let flat_extras: Vec<(AggFunc, Expr)> =
-                    extra_specs_src.iter().flatten().cloned().collect();
-                crate::dispatch::pivot_aggregate(
-                    src,
-                    &j_cols,
-                    &plans_as_tasks(&mut plans),
-                    &flat_extras,
-                    guard,
-                    &mut stats,
-                    &par,
-                )?
-            } else {
-                case_raw(
-                    src,
-                    &j_cols,
-                    &plans,
-                    &extra_specs_src,
-                    guard,
-                    &mut stats,
-                    &par,
-                )?
-            }
+        // The CASE plan is the pivot (the aggregate at GROUP BY ∪ BY,
+        // transposed). The O(N) predicate chain runs only as the
+        // `jump_table: false` ablation.
+        HorizontalStrategy::CaseDirect | HorizontalStrategy::CaseFromFv if opts.jump_table => {
+            let flat_extras: Lanes = extra_specs_src.iter().flatten().cloned().collect();
+            pivot_aggregate(src, &j_cols, &plans, &flat_extras, guard, &mut stats, &par)?
         }
+        HorizontalStrategy::CaseDirect | HorizontalStrategy::CaseFromFv => case_raw(
+            (src, &j_cols, &plans, extra_specs_src),
+            guard,
+            &mut stats,
+            &par,
+        )?,
         HorizontalStrategy::SpjDirect | HorizontalStrategy::SpjFromFv => spj_raw(
-            src,
-            &j_cols,
-            &plans,
-            &extra_specs_src,
+            (src, &j_cols, &plans, extra_specs_src),
             guard,
             &mut stats,
             &par,
         )?,
     };
     drop(source);
-    let extra_widths: Vec<usize> = extra_specs_src.iter().map(Vec::len).collect();
+    let shape = |columns: &[Column]| {
+        let dtypes = columns.iter().map(Column::data_type);
+        Shape::new((q, &[]), names, dtypes, (opts, partitioned))
+    };
     finish(
         q,
-        raw,
-        (&layouts, &extra_widths),
-        (opts, partitioned),
+        Inputs::own(q, raw, (&plans, extra_specs_src)),
+        shape,
         stats,
     )
 }
@@ -447,49 +362,53 @@ pub(crate) fn eval_horizontal_on(
 /// A knob-less horizontal statement without a `WHERE` — `fact` has a
 /// cache key — as one lattice request ([`crate::lattice::Request::horizontal`]):
 /// the aggregate at `GROUP BY ∪ BY` a `Vpct` reads, transposed. Its levels
-/// come from the level cache, a roll-forward over the write journal, a
-/// re-aggregation of a finer cached level, or, on a miss, one scan that
-/// stores them; the combinations are the cell levels' `BY` projections,
-/// and the post-projection is the producers'. A warm statement reads no
-/// row of `F`.
+/// come from the cache, a roll-forward, a finer cached level or one scan
+/// (the `levels` span); its combinations are the cell levels' `BY`
+/// projections, whose names and schema `shapes` keeps (the `combos` span);
+/// and the post-projection reads each cell level in place (`transpose`).
 pub(crate) fn eval_horizontal_request(
-    catalog: &Catalog,
-    fact: &Fact,
-    q: &HorizontalQuery,
-    request: &Request,
+    (catalog, fact): (&Catalog, &Fact),
+    (q, request, shapes): (&HorizontalQuery, &Request, &Shapes),
     guard: &ResourceGuard,
 ) -> Result<HorizontalResult> {
+    let span = guard.span("levels");
     q.validate()?;
     resolve(q, fact.read().schema())?;
     let mut stats = ExecStats::default();
-    let levels = HorizontalLevels::fetch((catalog, fact), request, guard, &mut stats)?;
+    let levels = HorizontalLevels::fetch((catalog, fact), request, (guard, span), &mut stats)?;
+    let mut span = guard.span("combos");
     let config = fact.config();
-    let terms = q.terms.iter().map(|term| {
-        let set = levels.combos((&q.group_by, term), guard, &mut stats, &config)?;
-        let (_, names) = combinations(q, term, &set);
-        Ok((set, names))
-    });
-    let (sets, names): (Vec<Arc<Table>>, Vec<Vec<String>>) =
-        terms.collect::<Result<Vec<_>>>()?.into_iter().unzip();
-    let layouts: Vec<Layout<'_>> = (q.terms.iter().zip(&names))
-        .map(|(term, names)| Layout {
-            names,
-            width: 1,
-            total: term.percentage,
-            term,
-        })
-        .collect();
+    let sets = (q.terms.iter())
+        .map(|term| levels.combos((&q.group_by, term), (guard, &mut span), &mut stats, &config))
+        .collect::<Result<Vec<_>>>()?;
     let opts = HorizontalOptions::default();
-    let partitioned = column_budget(q, &layouts, &opts)?;
-    let raw = levels.raw(q, &sets, guard)?;
-    let extra_widths = vec![1; q.extra.len()];
-    finish(
-        q,
-        raw,
-        (&layouts, &extra_widths),
-        (&opts, partitioned),
-        stats,
-    )
+    let partitioned = column_budget(q, sets.iter().map(|set| set.num_rows()).sum(), &opts)?;
+    let inputs = levels.inputs(q, &sets)?;
+    let shape = shapes.get(
+        |shape| shape.fits(&sets, inputs.dtypes()),
+        || {
+            let names = q.terms.iter().zip(&sets);
+            let names = names.map(|(term, set)| combinations(q, term, set).1);
+            Shape::new(
+                (q, &sets),
+                names.collect(),
+                inputs.dtypes(),
+                (&opts, partitioned),
+            )
+        },
+    )?;
+    drop(span);
+    let mut span = guard.span("transpose");
+    for (cells, _) in &inputs.terms {
+        if let Cells::Level { lane, .. } = cells {
+            // The cell level's rows and the result's, term by term.
+            let rows = (lane.len() + inputs.rows) as u64;
+            guard.charge(rows)?;
+            span.add_rows(rows);
+        }
+    }
+    span.add_morsels(q.terms.len() as u64);
+    finish(q, inputs, |_| Ok(shape), stats)
 }
 
 /// The `GROUP BY` columns of `q` in `schema`, once every `BY` column is
@@ -529,23 +448,9 @@ fn combinations(
     (combos, names)
 }
 
-/// One term's share of the raw table: a result column per name, `width`
-/// raw lanes behind each, then its total when it has one.
-struct Layout<'a> {
-    names: &'a [String],
-    width: usize,
-    total: bool,
-    term: &'a HorizontalTerm,
-}
-
-/// Whether the result must be partitioned to stay within the column
-/// budget (DMKD §3.6), or the error when it may not be.
-fn column_budget(
-    q: &HorizontalQuery,
-    layouts: &[Layout<'_>],
-    opts: &HorizontalOptions,
-) -> Result<bool> {
-    let n_cells: usize = layouts.iter().map(|l| l.names.len()).sum();
+/// Whether a result of `n_cells` cell columns must be partitioned to stay
+/// within the column budget (DMKD §3.6), or the error when it may not be.
+fn column_budget(q: &HorizontalQuery, n_cells: usize, opts: &HorizontalOptions) -> Result<bool> {
     let total_cols = q.group_by.len() + n_cells + q.extra.len();
     if total_cols == 0 {
         return Err(CoreError::InvalidQuery(
@@ -564,80 +469,199 @@ fn column_budget(
     Ok(partitioned)
 }
 
-/// The post-projection over the raw table `[j][term cells × lanes][term
-/// total?].. [extras]` — `INSERT INTO FH SELECT ..`, walked in layout
-/// order: the keys move over as they are, and every cell and extra is one
-/// typed operation on its lanes ([`finish_cell`]) — then the vertical
-/// partitions when the result is `partitioned`.
+/// Where the post-projection reads a term's cells: two address modes, as
+/// [`divide`] has.
+pub(crate) enum Cells<'a> {
+    /// On the result's rows, `width` raw lanes per combination (a
+    /// producer's raw table).
+    Own { lanes: Vec<Column>, width: usize },
+    /// On the rows of the term's cell level `GROUP BY ∪ BY` (the request):
+    /// with `at` its `parent` vectors onto `GROUP BY` and onto the
+    /// combinations, row `r` is the cell in result row `at.0[r]` of
+    /// combination `at.1[r]`; a cell no row holds is missing.
+    Level {
+        lane: &'a Column,
+        at: (Arc<[u32]>, Arc<[u32]>),
+        combos: usize,
+    },
+}
+
+/// What the post-projection reads: the `GROUP BY` keys, each term's cells
+/// with its group total when it is an `Hpct`, and each extra's lanes, every
+/// column but a cell level on the result's `rows`.
+pub(crate) struct Inputs<'a> {
+    pub(crate) rows: usize,
+    pub(crate) keys: Vec<Cow<'a, Column>>,
+    pub(crate) terms: Vec<(Cells<'a>, Option<Cow<'a, Column>>)>,
+    pub(crate) extras: Vec<Vec<Cow<'a, Column>>>,
+}
+
+impl Inputs<'_> {
+    /// A producer's raw table `[GROUP BY][per term: a lane per combination
+    /// and lane of `plans`, its total when it is an `Hpct`][each extra's
+    /// lanes]`.
+    fn own(
+        q: &HorizontalQuery,
+        raw: Table,
+        (plans, extras): (&[PivotTask], &[Lanes]),
+    ) -> Inputs<'static> {
+        let rows = raw.num_rows();
+        let mut raw = raw.into_columns().into_iter();
+        let mut take = |n| raw.by_ref().take(n).collect::<Vec<_>>();
+        fn owned(columns: Vec<Column>) -> Vec<Cow<'static, Column>> {
+            columns.into_iter().map(Cow::Owned).collect()
+        }
+        let keys = owned(take(q.group_by.len()));
+        let terms = (plans.iter())
+            .map(|plan| {
+                let (width, cells) = (plan.lanes.len(), plan.combos.len());
+                let lanes = take(cells * width);
+                let total = take(usize::from(plan.total.is_some())).pop();
+                (Cells::Own { lanes, width }, total.map(Cow::Owned))
+            })
+            .collect();
+        let extras = extras
+            .iter()
+            .map(|lanes| owned(take(lanes.len())))
+            .collect();
+        Inputs {
+            rows,
+            keys,
+            terms,
+            extras,
+        }
+    }
+
+    /// The request's column types: a cell level's cells are its lane's, or
+    /// `Float` for a percentage, as each extra is its lane's.
+    fn dtypes(&self) -> impl Iterator<Item = DataType> + Clone + '_ {
+        let keys = self.keys.iter().map(|k| k.data_type());
+        let cells = self.terms.iter().flat_map(|(cells, total)| match cells {
+            Cells::Level { lane, combos, .. } => {
+                let dtype = total.as_ref().map_or(lane.data_type(), |_| DataType::Float);
+                std::iter::repeat_n(dtype, *combos)
+            }
+            Cells::Own { .. } => unreachable!("a producer's cells are typed as written"),
+        });
+        keys.chain(cells)
+            .chain(self.extras.iter().map(|e| e[0].data_type()))
+    }
+}
+
+/// A result's names and schema — its cell columns' names, per term, its
+/// schema and each partition's with the cells it takes — and the
+/// combination sets they were derived from, held weakly: an evicted set is
+/// freed, and its still-allocated address is never taken for another's.
+#[derive(Debug)]
+pub(crate) struct Shape {
+    sets: Vec<Weak<Table>>,
+    cell_columns: Arc<[Vec<String>]>,
+    schema: Arc<Schema>,
+    parts: Vec<(Arc<Schema>, Range<usize>)>,
+}
+
+impl Shape {
+    /// Whether this is the shape of a result over `sets` — the same cached
+    /// tables, which never change — with columns of the types `dtypes`.
+    pub(crate) fn fits(&self, sets: &[Arc<Table>], dtypes: impl Iterator<Item = DataType>) -> bool {
+        let same = |(a, b): (&Weak<Table>, &Arc<Table>)| std::ptr::eq(a.as_ptr(), Arc::as_ptr(b));
+        self.sets.len() == sets.len()
+            && self.sets.iter().zip(sets).all(same)
+            && self.schema.fields().iter().map(|f| f.dtype).eq(dtypes)
+    }
+
+    /// The shape of `q`'s result over `sets` with the cell names
+    /// `cell_columns` and the column types `dtypes`, split into partitions
+    /// when `partitioned`.
+    fn new(
+        (q, sets): (&HorizontalQuery, &[Arc<Table>]),
+        cell_columns: Vec<Vec<String>>,
+        dtypes: impl Iterator<Item = DataType>,
+        (opts, partitioned): (&HorizontalOptions, bool),
+    ) -> Result<Arc<Shape>> {
+        let names = (q.group_by.iter())
+            .chain(cell_columns.iter().flatten())
+            .chain(q.extra.iter().map(|e| &e.name));
+        let fields = names.zip(dtypes).map(|(n, t)| Field::new(n.clone(), t));
+        let schema = Schema::new(fields.collect())?.into_shared();
+        let (fields, j, mut parts) = (schema.fields(), q.group_by.len(), Vec::new());
+        let ranges = partitioned.then(|| partition_ranges(fields.len() - j, j, opts.max_columns));
+        for range in ranges.into_iter().flatten() {
+            let cells = &fields[j + range.start..j + range.end];
+            let part = Schema::new([&fields[..j], cells].concat())?;
+            parts.push((part.into_shared(), range));
+        }
+        Ok(Arc::new(Shape {
+            sets: sets.iter().map(Arc::downgrade).collect(),
+            cell_columns: cell_columns.into(),
+            schema,
+            parts,
+        }))
+    }
+}
+
+/// The post-projection — `INSERT INTO FH SELECT ..`, walked in result
+/// order: the keys move over as they are, a cell on its own rows and an
+/// extra are one typed operation each ([`finish_cell`]), and a cell level
+/// is read in one pass: every cell starts as the cell no row fed, as
+/// [`finish_cell`] fills it, and then each level row with a value lands in
+/// its column and row — its lane, or for an `Hpct` its lane over its
+/// group's total ([`divide_transposed`]: the operands a producer divides).
+/// Then the vertical partitions of `shape`.
 fn finish(
     q: &HorizontalQuery,
-    raw: Table,
-    (layouts, extra_widths): (&[Layout<'_>], &[usize]),
-    (opts, partitioned): (&HorizontalOptions, bool),
+    inputs: Inputs<'_>,
+    shape: impl FnOnce(&[Column]) -> Result<Arc<Shape>>,
     mut stats: ExecStats,
 ) -> Result<HorizontalResult> {
-    let j_len = q.group_by.len();
-    let rows = raw.num_rows() as u64;
+    let rows = inputs.rows;
     stats.statements += 1;
-    stats.rows_scanned += rows;
-    stats.rows_materialized += rows;
-    let mut raw = raw.into_columns().into_iter();
-    let mut columns: Vec<Column> = raw.by_ref().take(j_len).collect();
-    let mut fields: Vec<Field> = (q.group_by.iter().zip(&columns))
-        .map(|(name, key)| Field::new(name.clone(), key.data_type()))
-        .collect();
-    let mut cell_columns: Vec<Vec<String>> = Vec::new();
-    for layout in layouts {
-        let width = layout.width;
-        let cells: Vec<Column> = raw.by_ref().take(layout.names.len() * width).collect();
-        let total = layout.total.then(|| raw.next().expect("a total per term"));
-        let mut cells = cells.into_iter();
-        let term = layout.term;
-        for name in layout.names {
-            let lanes = cells.by_ref().take(width).collect();
-            let cell = finish_cell(
-                lanes,
-                total.as_ref(),
-                term.func,
-                term.default_zero,
-                &mut stats,
-            )?;
-            fields.push(Field::new(name.clone(), cell.data_type()));
-            columns.push(cell);
-        }
-        cell_columns.push(layout.names.to_vec());
-    }
-    for (extra, &width) in q.extra.iter().zip(extra_widths) {
-        let lanes = raw.by_ref().take(width).collect();
-        let cell = finish_cell(lanes, None, extra.func, false, &mut stats)?;
-        fields.push(Field::new(extra.name.clone(), cell.data_type()));
-        columns.push(cell);
-    }
-    let fh = Table::from_columns(Schema::new(fields)?.into_shared(), columns)?;
-
-    // ---------- Partitioning. ----------
-    let partitions: Vec<SharedTable> = if !partitioned {
-        count_insert(&fh, &mut stats);
-        vec![into_shared(fh)]
-    } else {
-        let n_key = j_len;
-        let cells_total = fh.num_columns() - n_key;
-        let ranges = partition_ranges(cells_total, n_key, opts.max_columns);
-        let mut out = Vec::with_capacity(ranges.len());
-        for range in ranges {
-            let mut fields: Vec<pa_storage::Field> = fh.schema().fields()[..n_key].to_vec();
-            let mut cols: Vec<pa_storage::Column> = fh.columns()[..n_key].to_vec();
-            for c in range {
-                fields.push(fh.schema().field_at(n_key + c).clone());
-                cols.push(fh.column(n_key + c).clone());
+    stats.rows_scanned += rows as u64;
+    stats.rows_materialized += rows as u64;
+    let mut columns: Vec<Column> = inputs.keys.into_iter().map(Cow::into_owned).collect();
+    for (term, (cells, total)) in q.terms.iter().zip(inputs.terms) {
+        let (total, func, zero) = (total.as_deref(), term.func, term.default_zero);
+        match cells {
+            Cells::Own { lanes, width } => {
+                let mut lanes = lanes.into_iter();
+                for _ in 0..lanes.len() / width {
+                    let cell = lanes.by_ref().take(width).collect();
+                    columns.push(finish_cell(cell, total, func, zero, &mut stats)?);
+                }
             }
-            let part = Table::from_columns(Schema::new(fields)?.into_shared(), cols)?;
-            count_insert(&part, &mut stats);
-            out.push(into_shared(part));
+            Cells::Level { lane, at, combos } => {
+                let (mut one, mut missing) = (ExecStats::default(), lane.gather(&[]));
+                missing.push_nulls(rows);
+                let missing = finish_cell(vec![missing], total, func, zero, &mut one)?;
+                stats.case_condition_evals += one.case_condition_evals * combos as u64;
+                let first = columns.len();
+                columns.resize(first + combos, missing);
+                let (out, to) = (&mut columns[first..], (&at.0[..], &at.1[..]));
+                match total {
+                    Some(total) => divide_transposed(lane, total, to, out),
+                    None => lane.scatter(to, out)?,
+                }
+            }
         }
-        out
-    };
-
+    }
+    for (extra, lanes) in q.extra.iter().zip(inputs.extras) {
+        let lanes = lanes.into_iter().map(Cow::into_owned).collect();
+        columns.push(finish_cell(lanes, None, extra.func, false, &mut stats)?);
+    }
+    let shape = shape(&columns)?;
+    let fh = Table::from_columns(Arc::clone(&shape.schema), columns)?;
+    let (j, mut partitions) = (q.group_by.len(), Vec::new());
+    for (schema, range) in &shape.parts {
+        let cells = &fh.columns()[j + range.start..j + range.end];
+        let part = Table::from_columns(Arc::clone(schema), [&fh.columns()[..j], cells].concat())?;
+        count_insert(&part, &mut stats);
+        partitions.push(into_shared(part));
+    }
+    if partitions.is_empty() {
+        count_insert(&fh, &mut stats);
+        partitions.push(into_shared(fh));
+    }
+    let cell_columns = Arc::clone(&shape.cell_columns);
     Ok(HorizontalResult {
         partitions,
         stats,
@@ -684,13 +708,19 @@ fn finish_cell(
     Ok(cell.zero_nulls(dtype)?)
 }
 
+/// `Dh = vh and .. and Dk = vk`: the rows of `combo` under `plan`.
+fn key_match(plan: &PivotTask, combo: &[Value]) -> Expr {
+    let pairs: Vec<(usize, Value)> = plan.by_cols.iter().copied().zip(combo.to_vec()).collect();
+    Expr::key_match(&pairs)
+}
+
+/// The source of a raw table, its `GROUP BY` columns, its terms' plans and
+/// its extras' lanes.
+type RawOf<'a> = (Selected<'a>, &'a [usize], &'a [PivotTask], &'a [Lanes]);
+
 /// CASE strategy: one aggregation pass with `N` CASE-guarded terms.
-#[allow(clippy::too_many_arguments)]
 fn case_raw(
-    src: Selected<'_>,
-    j_cols: &[usize],
-    plans: &[TermPlan],
-    extras: &[Vec<(AggFunc, Expr)>],
+    (src, j_cols, plans, extras): RawOf<'_>,
     guard: &ResourceGuard,
     stats: &mut ExecStats,
     par: &ParallelConfig,
@@ -698,14 +728,7 @@ fn case_raw(
     let mut specs: Vec<AggSpec> = Vec::new();
     for (t, plan) in plans.iter().enumerate() {
         for (i, combo) in plan.combos.iter().enumerate() {
-            let pred = Expr::key_match(
-                &plan
-                    .by_src_cols
-                    .iter()
-                    .zip(combo)
-                    .map(|(&c, v)| (c, v.clone()))
-                    .collect::<Vec<_>>(),
-            );
+            let pred = key_match(plan, combo);
             for (l, (func, input)) in plan.lanes.iter().enumerate() {
                 // count(*) must only count the rows matching this cell:
                 // under CASE it becomes count(CASE WHEN pred THEN 1 END).
@@ -721,13 +744,8 @@ fn case_raw(
                 specs.push(AggSpec::new(func, case, format!("__c{t}_{i}_{l}")));
             }
         }
-        if let Some(total) = &plan.total {
-            specs.push(AggSpec::new(
-                AggFunc::Sum,
-                total.clone(),
-                format!("__tot{t}"),
-            ));
-        }
+        let total = plan.total.iter().map(|total| (AggFunc::Sum, total.clone()));
+        specs.extend(total.map(|(sum, total)| AggSpec::new(sum, total, format!("__tot{t}"))));
     }
     for (e, lanes) in extras.iter().enumerate() {
         for (l, (func, input)) in lanes.iter().enumerate() {
@@ -748,24 +766,15 @@ fn case_raw(
 /// outer joins into the raw layout. With no `GROUP BY` there is one group,
 /// the one row every `Fi` has, and nothing to join.
 fn spj_raw(
-    src: Selected<'_>,
-    j_cols: &[usize],
-    plans: &[TermPlan],
-    extras: &[Vec<(AggFunc, Expr)>],
+    (src, j_cols, plans, extras): RawOf<'_>,
     guard: &ResourceGuard,
     stats: &mut ExecStats,
     par: &ParallelConfig,
 ) -> Result<Table> {
     // `WHERE Dh = vh and .. and Dk = vk`, on top of the source's own
     // selection.
-    let only = |plan: &TermPlan, combo: &[Value], stats: &mut ExecStats| {
-        let pairs: Vec<(usize, Value)> = plan
-            .by_src_cols
-            .iter()
-            .zip(combo)
-            .map(|(&c, v)| (c, v.clone()))
-            .collect();
-        Selection::compile(src, &Expr::key_match(&pairs), guard, stats, par)
+    let only = |plan: &PivotTask, combo: &[Value], stats: &mut ExecStats| {
+        Selection::compile(src, &key_match(plan, combo), guard, stats, par)
     };
     let j_len = j_cols.len();
 
@@ -833,32 +842,17 @@ fn spj_raw(
     }
 
     // The final `INSERT INTO FH SELECT F0.D1.., F1.A, F2.A, ..`.
-    let (mut fields, mut columns) = match f0 {
-        Some(f0) => (f0.schema().fields().to_vec(), f0.into_columns()),
-        None => (Vec::new(), Vec::new()),
-    };
-    for (field, column) in values {
-        fields.push(field);
-        columns.push(column);
-    }
+    let f0 = f0.map(|f0| {
+        (f0.schema().fields().to_vec())
+            .into_iter()
+            .zip(f0.into_columns())
+    });
+    let (fields, columns): (Vec<Field>, Vec<Column>) =
+        f0.into_iter().flatten().chain(values).unzip();
     let raw = Table::from_columns(Schema::new(fields)?.into_shared(), columns)?;
     stats.rows_scanned += raw.num_rows() as u64;
     count_insert(&raw, stats);
     Ok(raw)
-}
-
-/// Bridge the per-term plans into the dispatch operator's task form; each
-/// plan's combinations move into its task.
-fn plans_as_tasks(plans: &mut [TermPlan]) -> Vec<crate::dispatch::PivotTask> {
-    plans
-        .iter_mut()
-        .map(|p| crate::dispatch::PivotTask {
-            by_cols: p.by_src_cols.clone(),
-            lanes: p.lanes.clone(),
-            combos: std::mem::take(&mut p.combos),
-            total: p.total.clone(),
-        })
-        .collect()
 }
 
 #[cfg(test)]

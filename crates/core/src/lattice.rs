@@ -35,9 +35,10 @@
 //!   one, is rolled forward over the write journal (`crate::roll`) before
 //!   the plan is made, and counts as cached: after an append the first
 //!   read aggregates the batch, not the table.
-//! * One routine turns materialized levels into percentage columns for all
-//!   three callers: each group's sum over its total, the total read from
-//!   the totals level's own table.
+//! * One routine turns materialized levels into percentage columns for
+//!   every caller, a horizontal request's included: each group's sum over
+//!   its total, read from the totals level through the `parent` vector
+//!   kept beside the level.
 //!
 //! A request is lowered once from its queries (`Request`): a prepared
 //! statement keeps it, so an execution only asks the cache which of its
@@ -48,9 +49,11 @@
 //! set of percentage queries. So is a knob-less `Hpct` / `Hagg` without a
 //! `WHERE` (`Request::horizontal`): its cell levels `GROUP BY ∪ BY` and its
 //! `GROUP BY` level come through the same plan, and `HorizontalLevels`
-//! transposes them.
+//! hands them, with their `parent` vectors, to the horizontal
+//! post-projection, which reads them in place.
 
 use crate::error::{CoreError, Result};
+use crate::horizontal::{Cells, Inputs};
 use crate::query::{ExtraAgg, Fact, HorizontalQuery, HorizontalTerm, Measure, VpctQuery};
 use crate::roll;
 use crate::vertical::{count_insert, extra_spec, into_shared, percentage, QueryResult};
@@ -62,6 +65,7 @@ use pa_storage::{
     Catalog, Column, DataType, Field, FxHashMap, HashIndex, LatticeCache, Schema, SharedTable,
     Table,
 };
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -216,13 +220,14 @@ fn min_cached_ancestor(level: &Level, cached: &[Level]) -> Option<Level> {
 ///   however small the planned one is. A level is a few thousand groups
 ///   where the fact table is millions of rows, so re-aggregating one is
 ///   far below even the extra scatter per row that riding the scan costs.
-/// * A root may re-aggregate only when `reaggregate_roots` — false when
-///   the request carries extra aggregates, whose finalized values cannot
-///   be re-derived from a finer level. Totals levels always may: they
+/// * A level re-aggregates only where `derivable` allows it: not a root
+///   of a request carrying extra aggregates, whose finalized values cannot
+///   be re-derived from a finer level, and not a level keyed by a `Float`
+///   column ([`Request::derivable`]). Totals levels otherwise may: they
 ///   only need the distributive term sums.
 /// * What is left scans the fact table: the levels nothing finer covers
 ///   (one root for a ROLLUP or CUBE, several for disjoint grouping sets)
-///   and the roots that may not re-aggregate. All of them share **one**
+///   and the levels that may not re-aggregate. All of them share **one**
 ///   fused scan.
 /// * The empty (grand-total) level therefore never scans: every request
 ///   has a non-empty root above it.
@@ -230,20 +235,18 @@ pub fn plan_levels_cached(
     roots: &[Level],
     needed: &[Level],
     cached: &[Level],
-    reaggregate_roots: bool,
+    derivable: impl Fn(&Level) -> bool,
 ) -> Vec<LevelStep> {
-    // Whether a level's *values* may come from a finer level: the
-    // distributive sums always, a root's extras never. The stricter
-    // question — may they come with the very *bits* a scan of `F` would
-    // hold — is the engine's `AggSpec::folds_exactly`, which the pivot asks
-    // before it folds a total through `parent`; the lattice does not ask
-    // it, a re-aggregated `Fj` being the paper's own plan.
-    let may_derive = |l: &Level| reaggregate_roots || !roots.contains(l);
+    // Whether a level's *sums* may come from a finer level is not asked
+    // here — may they come with the very *bits* a scan of `F` would hold is
+    // the engine's `AggSpec::folds_exactly`, which the pivot asks before it
+    // folds a total through `parent`; the lattice does not ask it, a
+    // re-aggregated `Fj` being the paper's own plan.
     let mut steps: Vec<LevelStep> = Vec::new();
     for level in distinct_widest_first(roots, needed) {
         let source = if cached.contains(&level) {
             LevelSource::Cached
-        } else if !may_derive(&level) {
+        } else if !derivable(&level) {
             LevelSource::FactTable
         } else {
             let from_cache = min_cached_ancestor(&level, cached).map(|anc| {
@@ -519,6 +522,26 @@ impl Request {
         &self.queries
     }
 
+    /// The request's grouping columns that `schema` types `Float`,
+    /// normalized as a level's columns are.
+    fn floats(&self, schema: &Schema) -> Vec<String> {
+        let float = |c: &&String| schema.field(c).is_ok_and(|f| f.dtype == DataType::Float);
+        self.columns
+            .iter()
+            .filter(float)
+            .map(|c| c.to_ascii_lowercase())
+            .collect()
+    }
+
+    /// Whether `level` may be re-aggregated from a finer level: not a root
+    /// when the request carries extras, which no finer level holds, nor a
+    /// level keyed by one of `floats`, whose `0.0` / `-0.0` or NaN groups
+    /// only a scan of `F` spells as `F`'s first rows do (DESIGN.md §5).
+    fn derivable(&self, level: &Level, floats: &[String]) -> bool {
+        let extras = !self.lanes.extra.is_empty() && self.roots.contains(level);
+        !extras && !level.columns().iter().any(|c| floats.contains(c))
+    }
+
     /// Whether a level of the request, however it was found — scanned,
     /// re-aggregated from a finer one, rolled forward or cached by any
     /// statement — holds what a scan of `fact` would: every measure sum
@@ -593,7 +616,8 @@ fn plan_request(
 ) -> Result<Plan> {
     let (lanes, roots, needed) = (&request.lanes, &request.roots[..], &request.needed[..]);
     let Some(cached_at) = cache else {
-        let steps = plan_levels_cached(roots, needed, &[], lanes.extra.is_empty());
+        let floats = request.floats(fact.read().schema());
+        let steps = plan_levels_cached(roots, needed, &[], |l| request.derivable(l, &floats));
         return Ok((steps, Vec::new()));
     };
     let (cache, table, version) = (cached_at.cache, cached_at.table, cached_at.version);
@@ -620,19 +644,20 @@ fn plan_request(
             .map(|(l, _)| l.clone())
             .collect(),
     };
-    let mut rolled = Vec::new();
+    let (mut rolled, mut floats) = (Vec::new(), Vec::new());
     if cached.len() < wanted.len() {
         let missed = (wanted.iter().zip(&lookups)).filter(|(l, _)| !cached.contains(l));
         let missed: Vec<_> = missed.collect();
         let rows = fact.read();
         let (rows, schema) = (rows.whole(), rows.schema());
+        floats = request.floats(schema);
         // A column the table lacks rolls nothing: the evaluation reports it.
         let specs = lanes.specs(schema).unwrap_or_default();
         let mut span = None;
         for (level, (cols, sig)) in missed {
             // Widest first: a level one rolled here covers is re-aggregated
             // from it by the plan, so the journal's rows are read once.
-            let derives = lanes.extra.is_empty() || !roots.contains(level);
+            let derives = request.derivable(level, &floats);
             if derives && rolled.iter().any(|(r, _)| level.subset_of(r)) {
                 continue;
             }
@@ -676,7 +701,7 @@ fn plan_request(
         }
     }
     cached.sort_by(|a, b| a.columns().cmp(b.columns()));
-    let steps = plan_levels_cached(roots, needed, &cached, lanes.extra.is_empty());
+    let steps = plan_levels_cached(roots, needed, &cached, |l| request.derivable(l, &floats));
     Ok((steps, rolled))
 }
 
@@ -934,15 +959,15 @@ pub(crate) struct HorizontalLevels<'a> {
 
 impl<'a> HorizontalLevels<'a> {
     /// Materialize `request`'s levels over `fact` as any request's are
-    /// (the `levels` span): cached, rolled forward, re-aggregated from a
-    /// finer level, or scanned for in one pass and stored.
+    /// (under `span`, the caller's `levels`): cached, rolled forward,
+    /// re-aggregated from a finer level, or scanned for in one pass and
+    /// stored.
     pub(crate) fn fetch(
         (catalog, fact): (&'a Catalog, &'a Fact),
         request: &'a Request,
-        guard: &ResourceGuard,
+        (guard, span): (&ResourceGuard, SpanHandle),
         stats: &mut ExecStats,
     ) -> Result<HorizontalLevels<'a>> {
-        let span = guard.span("levels");
         let cache = Cached::of(catalog, fact);
         let tables = materialize_levels((catalog, cache), fact, request, (guard, span), stats)?;
         Ok(HorizontalLevels {
@@ -958,12 +983,12 @@ impl<'a> HorizontalLevels<'a> {
     pub(crate) fn combos(
         &self,
         (group_by, term): (&[String], &HorizontalTerm),
-        guard: &ResourceGuard,
+        (guard, span): (&ResourceGuard, &mut SpanHandle),
         stats: &mut ExecStats,
         config: &ParallelConfig,
     ) -> Result<Arc<Table>> {
         let by: Vec<String> = term.by.iter().map(|c| c.to_ascii_lowercase()).collect();
-        combination_set(self.cache, &by, (guard, stats), |stats| {
+        combination_set(self.cache, &by, (guard, span, stats), |stats| {
             let cells = cell_level(group_by, term);
             let fk = &self.tables[&cells];
             let found = distinct(Selected::from(&**fk), &cells.at(&by), guard, stats, config)?;
@@ -971,50 +996,35 @@ impl<'a> HorizontalLevels<'a> {
         })
     }
 
-    /// The raw horizontal table the CASE producers build —
-    /// `[GROUP BY][per term: one cell column per combination in `sets`,
-    /// the total when it is an `Hpct`][extras]` — transposed from the
-    /// levels (the `transpose` span): one row per row of the `GROUP BY`
-    /// level (one row for a global aggregate, even over no rows), and each
-    /// cell level row dropped at (its `parent` onto `GROUP BY`, its
-    /// combination), a cell no row fed reading NULL.
-    pub(crate) fn raw(
-        &self,
-        q: &HorizontalQuery,
-        sets: &[Arc<Table>],
-        guard: &ResourceGuard,
-    ) -> Result<Table> {
-        let mut span = guard.span("transpose");
-        let lanes = &self.request.lanes;
-        let g = Level::new(&q.group_by);
+    /// What the post-projection reads of the levels, in place ([`Inputs`]):
+    /// the `GROUP BY` level's keys, totals and extras, and each term's lane
+    /// on its cell level with the `parent` vectors onto `GROUP BY` and onto
+    /// `sets`, its combinations, which the cache keeps beside the level.
+    pub(crate) fn inputs(&self, q: &HorizontalQuery, sets: &[Arc<Table>]) -> Result<Inputs<'_>> {
+        let (lanes, g) = (&self.request.lanes, Level::new(&q.group_by));
         // Planned whenever it holds a key or a lane (`Request::horizontal`).
         let held = self.tables.get(&g);
         let gt = || held.expect("the GROUP BY level holds what is read of it");
-        let rows: Vec<u32> = match (g.arity(), held.map_or(0, |t| t.num_rows())) {
-            (0, 0) => vec![pa_storage::NONE],
-            (_, n) => (0..n as u32).collect(),
+        // A global aggregate is one row even over no rows, one of NULLs.
+        let n = held.map_or(0, |t| t.num_rows());
+        let nothing = g.arity() == 0 && n == 0;
+        let read = |lane: usize| match nothing {
+            true => Cow::Owned(gt().column(lane).gather(&[pa_storage::NONE])),
+            false => Cow::Borrowed(gt().column(lane)),
         };
-        let n = rows.len();
-        let mut fields: Vec<Field> = Vec::new();
-        let mut columns: Vec<Column> = Vec::new();
-        let mut push = |name: String, column: Column| {
-            fields.push(Field::new(name, column.data_type()));
-            columns.push(column);
-        };
-        for name in &q.group_by {
-            push(name.clone(), gt().column(g.at(&[name])[0]).clone());
-        }
-        for (t, (term, set)) in q.terms.iter().zip(sets).enumerate() {
+        let keys = q
+            .group_by
+            .iter()
+            .map(|name| read(g.at(&[name])[0]))
+            .collect();
+        let mut terms = Vec::with_capacity(q.terms.len());
+        for (term, set) in q.terms.iter().zip(sets) {
             let cells = cell_level(&q.group_by, term);
             let fk = &self.tables[&cells];
-            guard.charge((fk.num_rows() + n) as u64)?;
-            span.add_rows((fk.num_rows() + n) as u64);
+            let build = || totals_rows((fk, &cells), (gt(), &g));
             let parent = match g.arity() {
                 0 => vec![0; fk.num_rows()].into(),
-                _ => {
-                    let build = || totals_rows((fk, &cells), (gt(), &g));
-                    kept_parent(self.cache, (fk, &cells), g.columns(), build)?
-                }
+                _ => kept_parent(self.cache, (fk, &cells), g.columns(), build)?,
             };
             // Each row's place among the combinations: a `parent` vector
             // onto the level `BY`, the set's key.
@@ -1024,28 +1034,23 @@ impl<'a> HorizontalLevels<'a> {
                 index.lookup(fk, &cells.at(&by), false)
             };
             let combo = kept_parent(self.cache, (fk, &cells), &by, build)?;
-            let mut at = vec![pa_storage::NONE; set.num_rows() * n];
-            for (r, (&row, &combo)) in parent.iter().zip(combo.iter()).enumerate() {
-                at[combo as usize * n + row as usize] = r as u32;
-            }
             let lane = fk.column(cells.arity() + lanes.position(term.func, Some(&term.measure)));
-            for i in 0..set.num_rows() {
-                push(format!("__c{t}_{i}_0"), lane.gather(&at[i * n..][..n]));
-            }
-            if term.percentage {
-                let total = gt().column(g.arity() + lanes.lane_of(&term.measure));
-                push(format!("__tot{t}"), total.gather(&rows));
-            }
+            let total = term
+                .percentage
+                .then(|| read(g.arity() + lanes.lane_of(&term.measure)));
+            let (at, combos) = ((parent, combo), set.num_rows());
+            terms.push((Cells::Level { lane, at, combos }, total));
         }
-        for (x, extra) in q.extra.iter().enumerate() {
-            let lane = g.arity() + lanes.position(extra.func, extra.measure.as_ref());
-            push(format!("__x{x}_0"), gt().column(lane).gather(&rows));
-        }
-        span.add_morsels(q.terms.len() as u64);
-        Ok(Table::from_columns(
-            Schema::new(fields)?.into_shared(),
-            columns,
-        )?)
+        let extras = (q.extra.iter())
+            .map(|e| vec![read(g.arity() + lanes.position(e.func, e.measure.as_ref()))])
+            .collect();
+        let rows = n.max(usize::from(nothing));
+        Ok(Inputs {
+            rows,
+            keys,
+            terms,
+            extras,
+        })
     }
 }
 
@@ -1067,16 +1072,16 @@ fn kept_parent(
 /// The combinations of `by` (lower-cased, in the term's order): the level
 /// `by` with no lanes, served by whatever entry sits at that key in
 /// `cache` — a hit charges the set it hands over — and on a miss what
-/// `miss` finds, stored there for the next statement (the `combos` span).
+/// `miss` finds, stored there for the next statement (counted on `span`,
+/// the caller's `combos`).
 /// A fact with no cache key finds them every time: a value its selection
 /// filtered out is not a result column.
 pub(crate) fn combination_set(
     cache: Option<Cached<'_>>,
     by: &[String],
-    (guard, stats): (&ResourceGuard, &mut ExecStats),
+    (guard, span, stats): (&ResourceGuard, &mut SpanHandle, &mut ExecStats),
     miss: impl FnOnce(&mut ExecStats) -> Result<Table>,
 ) -> Result<Arc<Table>> {
-    let mut span = guard.span("combos");
     span.add_morsels(1);
     if let Some(set) = cache.and_then(|c| c.cache.get(c.table, c.version, by, &[])) {
         stats.combo_cache_hits += 1;
@@ -1261,7 +1266,7 @@ mod tests {
 
     /// The plan with nothing cached.
     fn plan_cold(root: &Level, needed: &[Level]) -> Vec<LevelStep> {
-        plan_levels_cached(std::slice::from_ref(root), needed, &[], true)
+        plan_levels_cached(std::slice::from_ref(root), needed, &[], |_| true)
     }
 
     #[test]
@@ -1304,7 +1309,7 @@ mod tests {
         let root = level(&["a", "b", "c", "d"]);
         let cached = vec![root.clone(), level(&["a", "b", "c"])];
         let needed = vec![level(&["a", "b"]), level(&["a"])];
-        let steps = plan_levels_cached(std::slice::from_ref(&root), &needed, &cached, true);
+        let steps = plan_levels_cached(std::slice::from_ref(&root), &needed, &cached, |_| true);
         assert_eq!(steps[0].source, LevelSource::Cached);
         assert_eq!(
             steps[1].source,
@@ -1327,8 +1332,12 @@ mod tests {
     fn plan_cached_exact_hit_beats_every_ancestor() {
         let root = level(&["a", "b"]);
         let cached = vec![root.clone(), level(&["a"])];
-        let steps =
-            plan_levels_cached(std::slice::from_ref(&root), &[level(&["a"])], &cached, true);
+        let steps = plan_levels_cached(
+            std::slice::from_ref(&root),
+            &[level(&["a"])],
+            &cached,
+            |_| true,
+        );
         assert_eq!(steps[0].source, LevelSource::Cached);
         assert_eq!(steps[1].source, LevelSource::Cached);
     }
@@ -1351,7 +1360,7 @@ mod tests {
         let root = level(&["a", "b", "c"]);
         let cached = vec![level(&["a", "b"])];
         let needed = [level(&["a", "b"]), level(&["a"]), level(&["c"])];
-        let steps = plan_levels_cached(std::slice::from_ref(&root), &needed, &cached, true);
+        let steps = plan_levels_cached(std::slice::from_ref(&root), &needed, &cached, |_| true);
         assert_eq!(steps[0].source, LevelSource::FactTable);
         assert_eq!(steps[1].level, level(&["a", "b"]));
         assert_eq!(steps[1].source, LevelSource::Cached);
@@ -1370,14 +1379,14 @@ mod tests {
     fn plan_root_reaggregation_gated_by_extras() {
         let root = level(&["a", "b"]);
         let cached = vec![level(&["a", "b", "c"])];
-        let with = plan_levels_cached(std::slice::from_ref(&root), &[], &cached, true);
+        let with = plan_levels_cached(std::slice::from_ref(&root), &[], &cached, |_| true);
         assert_eq!(
             with[0].source,
             LevelSource::CachedAncestor(level(&["a", "b", "c"]))
         );
         // Extra aggregates (count(*), avg) cannot re-derive from a coarser
         // projection of an ancestor partial: the root must scan.
-        let without = plan_levels_cached(std::slice::from_ref(&root), &[], &cached, false);
+        let without = plan_levels_cached(std::slice::from_ref(&root), &[], &cached, |l| l != &root);
         assert_eq!(without[0].source, LevelSource::FactTable);
     }
 
@@ -1387,7 +1396,7 @@ mod tests {
         // (for abc), then () for the sets the BY column rolled out of.
         let roots = [level(&["a", "b", "c"]), level(&["a", "b"]), level(&["a"])];
         let needed = [level(&["a", "b"]), level(&[]), level(&[])];
-        let steps = plan_levels_cached(&roots, &needed, &[], true);
+        let steps = plan_levels_cached(&roots, &needed, &[], |_| true);
         let planned: Vec<_> = steps.iter().map(|s| s.level.clone()).collect();
         assert_eq!(planned, [roots.to_vec(), vec![level(&[])]].concat());
         let sources: Vec<_> = steps.iter().map(|s| s.source.clone()).collect();
@@ -1399,14 +1408,14 @@ mod tests {
         ];
         assert_eq!(sources, bottom_up);
         // Under extras no root may re-aggregate: all three ride one scan.
-        let steps = plan_levels_cached(&roots, &needed, &[], false);
+        let steps = plan_levels_cached(&roots, &needed, &[], |l| !roots.contains(l));
         let riding = |s: &LevelStep| s.source == LevelSource::FactTable;
         assert!(steps[..3].iter().all(riding));
         assert_eq!(steps[3].source, LevelSource::Planned(2), "() from (a)");
         // Sets no single set covers share the scan too: nothing is a
         // planned ancestor of either, so both read the fact table.
         let disjoint = [level(&["a", "b"]), level(&["c"])];
-        let steps = plan_levels_cached(&disjoint, &[], &[], true);
+        let steps = plan_levels_cached(&disjoint, &[], &[], |_| true);
         assert!(steps.iter().all(riding));
     }
 
@@ -1415,7 +1424,7 @@ mod tests {
         let roots = [level(&["a", "b"]), level(&["a"])];
         let cached = [level(&["a", "b"])];
         // Without extras (a) re-aggregates the cached (a, b)...
-        let steps = plan_levels_cached(&roots, &[level(&[])], &cached, true);
+        let steps = plan_levels_cached(&roots, &[level(&[])], &cached, |_| true);
         assert_eq!(steps[0].source, LevelSource::Cached);
         assert_eq!(
             steps[1].source,
@@ -1423,7 +1432,7 @@ mod tests {
         );
         // ...with extras it must scan, alone; the totals level () only
         // needs sums and still derives from the cached level.
-        let steps = plan_levels_cached(&roots, &[level(&[])], &cached, false);
+        let steps = plan_levels_cached(&roots, &[level(&[])], &cached, |l| !roots.contains(l));
         assert_eq!(steps[0].source, LevelSource::Cached);
         assert_eq!(steps[1].source, LevelSource::FactTable);
         assert_eq!(

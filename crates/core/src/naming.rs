@@ -7,7 +7,7 @@
 //! stable hash suffix when over-long, and over-wide results are split into
 //! partitions each carrying the `D1..Dj` key.
 
-use pa_storage::{hash::hash_values, Value};
+use pa_storage::{hash::hash_values, FxHashMap, FxHashSet, Value};
 
 /// Maximum generated column-name length (Teradata V2R4 allowed 30; we use a
 /// modern-but-finite default).
@@ -54,20 +54,26 @@ pub fn cell_column_name(prefix: &str, by_cols: &[String], combo: &[Value]) -> St
 
 /// Disambiguate duplicate names in place by appending `_2`, `_3`, ...
 /// (duplicates can appear after abbreviation or when distinct values render
-/// identically, e.g. `"a b"` vs `"a_b"`).
+/// identically, e.g. `"a b"` vs `"a_b"`): a name an earlier one took becomes
+/// `name_k`, for the smallest `k ≥ 2` no earlier name took. One pass over a
+/// set of the names taken, and per name the next `k` to try, which only
+/// grows, since a taken name stays taken.
 pub fn dedup_names(names: &mut [String]) {
-    for i in 0..names.len() {
-        if names[..i].iter().any(|n| n == &names[i]) {
-            let mut k = 2;
-            loop {
-                let candidate = format!("{}_{k}", names[i]);
-                if !names[..i].iter().any(|n| n == &candidate) {
-                    names[i] = candidate;
-                    break;
+    let mut taken: FxHashSet<String> = FxHashSet::default();
+    let mut next_k: FxHashMap<String, usize> = FxHashMap::default();
+    for name in names.iter_mut() {
+        if taken.contains(name) {
+            let k = next_k.entry(name.clone()).or_insert(2);
+            let free = loop {
+                let candidate = format!("{name}_{k}");
+                *k += 1;
+                if !taken.contains(&candidate) {
+                    break candidate;
                 }
-                k += 1;
-            }
+            };
+            *name = free;
         }
+        taken.insert(name.clone());
     }
 }
 
@@ -138,6 +144,29 @@ mod tests {
         ];
         dedup_names(&mut names);
         assert_eq!(names, vec!["a", "a_2", "a_3", "b"]);
+    }
+
+    /// The `_k` a name gets is the smallest no earlier name took, whatever
+    /// the earlier names are: one an input already spelled `a_2` pushes a
+    /// later `a` on to `a_3`, and is itself renamed only if `a_2` was taken
+    /// before it.
+    #[test]
+    fn dedup_picks_the_smallest_free_counter() {
+        let dedup = |names: &[&str]| {
+            let mut names: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+            dedup_names(&mut names);
+            names
+        };
+        assert_eq!(dedup(&["a", "a", "a_2", "a"]), ["a", "a_2", "a_2_2", "a_3"]);
+        assert_eq!(dedup(&["a", "a_2", "a", "a"]), ["a", "a_2", "a_3", "a_4"]);
+        assert_eq!(
+            dedup(&["a_2", "a", "a", "b", "b"]),
+            ["a_2", "a", "a_3", "b", "b_2"]
+        );
+        assert_eq!(dedup(&["x", "y"]), ["x", "y"]);
+        let many = vec!["a"; 5000];
+        let out = dedup(&many);
+        assert_eq!((out[1].as_str(), out[4999].as_str()), ("a_2", "a_5000"));
     }
 
     #[test]

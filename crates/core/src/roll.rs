@@ -6,12 +6,13 @@
 //! of `F` merged with the level of `ΔF`. A request at version v′ that misses
 //! a level finds the newest cached entry of it at an older version v and
 //! asks the catalog what changed in between
-//! ([`pa_storage::Catalog::changes`]). It then aggregates only those rows
-//! of the v′ snapshot with the scan core — an appended row counts
-//! positive, an updated row its new value minus its old one — and merges
-//! that into the old level by re-aggregating the three key-sorted tables
-//! together, so new groups slot in. The result is byte-identical to what a
-//! scan of v′ would store, and it is stored at v′.
+//! ([`pa_storage::Catalog::changes`]). It then reads only those rows of
+//! the v′ snapshot — an appended row counts positive, an updated row its
+//! new value minus its old one — and adds each into its group of a copy of
+//! the old level, found by key; the appended rows of groups the old level
+//! lacks are aggregated with the scan core, and their groups slot in by
+//! key. The result is byte-identical to what a scan of v′ would store,
+//! and it is stored at v′.
 //!
 //! The identity is exact only where every sum is: an entry rolls when
 //! * no overwritten cell is in one of its key columns (a key update moves
@@ -21,7 +22,7 @@
 //!   count stays put, a sum moves by the difference);
 //! * every summed column holds whole numbers, its overwritten values
 //!   included, small enough that no partial sum rounds — the
-//!   [`pa_engine::AggSpec`] `folds_exactly` rule, over the rows the merge
+//!   [`pa_engine::AggSpec`] `folds_exactly` rule, over the rows the roll
 //!   adds up.
 //!
 //! Anything else — `min`, `max`, `avg`, the holistic lanes, a fraction — is
@@ -31,7 +32,7 @@ use crate::error::Result;
 use crate::lattice::Cached;
 use pa_engine::{aggregate_level, distinct, AggFunc, AggSpec, ExecStats, Expr, ParallelConfig};
 use pa_engine::{ResourceGuard, Selected, SpanHandle};
-use pa_storage::{Bitmap, Catalog, Column, DataType, Field, Schema, Table, TableDelta};
+use pa_storage::{Catalog, Column, HashIndex, Schema, Table, TableDelta, NONE};
 use std::sync::Arc;
 
 /// A cached level of an older version, and what changed in the table
@@ -89,12 +90,15 @@ pub(crate) fn find(
     rolls(rows, key_cols, specs, &delta).then_some(Roll { from, old, delta })
 }
 
-/// Roll `roll`'s level forward to `rows`: aggregate the journaled rows of
-/// `rows` with `specs` by `key_cols`, appended and updated rows at their
-/// current values and updated rows at their old ones, and merge both into
-/// the old level. It runs under the request's `roll` span, which the first
-/// roll of a request opens: the delta rows it reads are charged to `guard`
-/// and counted on the span, and the level on `ExecStats::levels_rolled`.
+/// Roll `roll`'s level forward to `rows`: add the journaled rows of
+/// `rows` into their groups of the old level with `specs` — appended and
+/// updated rows at their current values, updated rows again at their old
+/// ones, negated — and slot in the groups of appended rows it lacks,
+/// aggregated by `key_cols` and sorted in by key. Every sum moves by whole
+/// numbers the rule keeps exact, so each lane ends where a scan puts it.
+/// It runs under the request's `roll` span, which the first roll of a
+/// request opens: the delta rows it reads are charged to `guard` and
+/// counted on the span, and the level on `ExecStats::levels_rolled`.
 pub(crate) fn run(
     roll: &Roll,
     (rows, key_cols, specs): (&Table, &[usize], &[AggSpec]),
@@ -123,22 +127,55 @@ pub(crate) fn run(
             .expect("every overwritten row is listed");
         minus.set_cells(at, &[*col], std::slice::from_ref(before))?;
     }
-    let level = |t: &Table, stats: &mut ExecStats| group(t, key_cols, specs, guard, stats, config);
-    let plus = level(&plus, stats)?;
-    let minus = match updated.is_empty() {
-        true => None,
-        false => Some(level(&minus, stats)?),
-    };
-    let merged = merge(
-        &roll.old,
-        (&plus, minus.as_ref()),
-        specs.len(),
-        guard,
-        stats,
-        config,
-    )?;
+    let (old, key) = (&roll.old, (0..key_cols.len()).collect::<Vec<_>>());
+    let index = HashIndex::build(old, &key)?;
+    // An updated row's group is one the old level holds: no key changed.
+    let into = [
+        index.lookup(&plus, key_cols, true)?,
+        index.lookup(&minus, key_cols, false)?,
+    ];
+    let mut columns = old.columns()[..key.len() + specs.len()].to_vec();
+    for (lane, spec) in columns[key.len()..].iter_mut().zip(specs) {
+        for ((t, into), sign) in [&plus, &minus].into_iter().zip(&into).zip([1.0, -1.0]) {
+            let found = into.iter().enumerate().filter(|(_, &to)| to != NONE);
+            for (r, &to) in found {
+                let x = match (spec.func, &spec.input) {
+                    (AggFunc::Sum, Expr::Col(c)) => t.column(*c).get_f64(r),
+                    (AggFunc::Count, Expr::Col(c)) => t.column(*c).is_valid(r).then_some(1.0),
+                    _ => Some(1.0),
+                };
+                // A sum no row fed yet is NULL, and starts from zero.
+                let at = to as usize;
+                match (&mut *lane, x) {
+                    (Column::Int { data, validity }, Some(x)) => {
+                        data[at] = if validity.get(at) { data[at] } else { 0 } + (sign * x) as i64;
+                        validity.set(at, true);
+                    }
+                    (Column::Float { data, validity }, Some(x)) => {
+                        data[at] = if validity.get(at) { data[at] } else { 0.0 } + sign * x;
+                        validity.set(at, true);
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+    let fresh: Vec<usize> = (into[0].iter().enumerate())
+        .filter_map(|(r, &to)| (to == NONE).then_some(r))
+        .collect();
+    if !fresh.is_empty() {
+        let level = group(&plus.take(&fresh), key_cols, specs, guard, stats, config)?;
+        for (column, new) in columns.iter_mut().zip(level.columns()) {
+            column.extend_from(new)?;
+        }
+    }
+    let fields = old.schema().fields()[..columns.len()].to_vec();
+    let level = Table::from_columns(Schema::new(fields)?.into_shared(), columns)?;
     stats.levels_rolled += 1;
-    Ok(merged)
+    Ok(match fresh.is_empty() {
+        true => level,
+        false => level.sorted_by(&key),
+    })
 }
 
 /// The level of `t` by `key_cols` with lanes `specs`: its distinct keys
@@ -155,73 +192,4 @@ fn group(
         true => distinct(Selected::from(t), key_cols, guard, stats, config)?,
         false => aggregate_level(Selected::from(t), key_cols, specs, guard, stats, config)?,
     })
-}
-
-/// `old`'s key columns and first `lanes` lanes with the same level of the
-/// rows added (`plus`) and taken away (`minus`) summed into it: the three
-/// tables stacked, every lane as a float, `minus`'s negated, re-aggregated
-/// by key and sorted. A count lane comes back an integer (every count sum
-/// is exact).
-fn merge(
-    old: &Table,
-    (plus, minus): (&Table, Option<&Table>),
-    lanes: usize,
-    guard: &ResourceGuard,
-    stats: &mut ExecStats,
-    config: &ParallelConfig,
-) -> Result<Table> {
-    let arity = plus.num_columns() - lanes;
-    let parts: Vec<(&Table, f64)> = [(old, 1.0), (plus, 1.0)]
-        .into_iter()
-        .chain(minus.map(|m| (m, -1.0)))
-        .collect();
-    let mut stacked: Vec<Column> = Vec::with_capacity(arity + lanes);
-    for c in 0..arity {
-        let mut col = old.column(c).clone();
-        for (part, _) in &parts[1..] {
-            col.extend_from(part.column(c))?;
-        }
-        stacked.push(col);
-    }
-    for c in arity..arity + lanes {
-        let (mut data, mut validity) = (Vec::new(), Bitmap::new());
-        for (part, sign) in &parts {
-            let col = part.column(c);
-            data.extend((0..col.len()).map(|r| col.get_f64(r).map_or(0.0, |x| sign * x)));
-            validity.extend_from(col.validity());
-        }
-        stacked.push(Column::Float { data, validity });
-    }
-    let fields = (old.schema().fields().iter().take(arity + lanes))
-        .enumerate()
-        .map(|(c, f)| match c < arity {
-            true => f.clone(),
-            false => Field::new(f.name.clone(), DataType::Float),
-        });
-    let schema = Schema::new(fields.collect())?.into_shared();
-    let stacked = Table::from_columns(schema, stacked)?;
-    let sums: Vec<AggSpec> = (arity..arity + lanes)
-        .map(|c| AggSpec::new(AggFunc::Sum, Expr::Col(c), format!("s{c}")))
-        .collect();
-    let key: Vec<usize> = (0..arity).collect();
-    let merged = group(&stacked, &key, &sums, guard, stats, config)?;
-    let mut columns = merged.sorted_by(&key).into_columns();
-    for (c, col) in columns.iter_mut().enumerate().skip(arity) {
-        if old.schema().field_at(c).dtype == DataType::Int {
-            let Column::Float { data, validity } =
-                std::mem::replace(col, Column::new(DataType::Int))
-            else {
-                unreachable!("a merged lane is a float sum");
-            };
-            *col = Column::Int {
-                data: data.iter().map(|&x| x as i64).collect(),
-                validity,
-            };
-        }
-    }
-    let kept = old.schema().fields()[..arity + lanes].to_vec();
-    Ok(Table::from_columns(
-        Schema::new(kept)?.into_shared(),
-        columns,
-    )?)
 }

@@ -41,7 +41,7 @@ pub use ops::aggregate::{
     multi_hash_aggregate_with_config, AggFunc, AggSpec, PBits,
 };
 pub use ops::distinct::{distinct, distinct_keys};
-pub use ops::divide::divide;
+pub use ops::divide::{divide, divide_transposed};
 pub use ops::filter::filter;
 pub use ops::insert::insert_into;
 pub use ops::join::lookup;

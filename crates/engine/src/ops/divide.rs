@@ -74,6 +74,44 @@ pub fn divide(sums: &Column, totals: &Column, parent: Option<&[u32]>, out: &mut 
     validity.extend_from(&Bitmap::from_words(words, n).expect("one word per 64 rows"));
 }
 
+/// [`divide`] along `parent`, transposed as it goes: `sums[r] /
+/// totals[parent[r]]` lands in `out[column[r]]` at row `parent[r]` — one
+/// `Float` column per value of `column`, one row per row of `totals` —
+/// wherever it is a value (the total neither NULL nor zero, the sum
+/// present), with the operands and the rule [`divide`] has. Every other
+/// slot of `out` stays as the caller filled it: with what a cell no row
+/// fed reads, which under SIGMOD's `ELSE 0` is `0 / total` — valid exactly
+/// where a slot written here is, so no validity changes.
+///
+/// # Panics
+///
+/// Panics when a column of `out` is not `Float`, or `parent` and `column`
+/// do not have one entry per row of `sums` naming a row of `totals` and a
+/// column of `out`.
+pub fn divide_transposed(
+    sums: &Column,
+    totals: &Column,
+    (parent, column): (&[u32], &[u32]),
+    out: &mut [Column],
+) {
+    assert!(parent.len() == sums.len() && column.len() == sums.len());
+    let mut out: Vec<&mut [f64]> = (out.iter_mut())
+        .map(|c| match c {
+            Column::Float { data, .. } => &mut data[..],
+            _ => panic!("a percentage is a Float column"),
+        })
+        .collect();
+    let (num, present) = numeric(sums);
+    let (den, den_valid) = numeric(totals);
+    let all = present.all_set() && den_valid.all_set();
+    for (r, (&p, &c)) in parent.iter().zip(column).enumerate() {
+        let d = den[p as usize];
+        if d != 0.0 && (all || (present.get(r) && den_valid.get(p as usize))) {
+            out[c as usize][p as usize] = num[r] / d;
+        }
+    }
+}
+
 /// `num[r] / total(&keys[r])` per row, pushed onto `data`, and the rows'
 /// validity words: NULL where the total is zero, and where `present` does
 /// not list the row — unless such a row `COUNTS_ZERO`, and is `0 / total`.
@@ -337,5 +375,37 @@ mod tests {
             cells(&divided(&ones, &strs, Some(&[0, 1]))),
             [Value::Null, Value::Null]
         );
+    }
+    /// The transposed form writes what the vertical form computes, each
+    /// value at its `(parent, column)` slot — a NULL or zero total, or a
+    /// missing sum, leaves the slot as the caller filled it — over more
+    /// than one validity word, with `Int` sums widened and a NaN total
+    /// dividing.
+    #[test]
+    fn transposed_percentages_land_where_the_vertical_form_puts_them() {
+        let n = 150;
+        let sums: Vec<Value> = (0..n)
+            .map(|r| match r % 7 {
+                3 => Value::Null,
+                _ => Value::Int(r as i64 - 40),
+            })
+            .collect();
+        let sums = column(DataType::Int, &sums);
+        let totals = floats(&[Some(-6.0), None, Some(0.0), Some(f64::NAN), Some(9.5)]);
+        let parent: Vec<u32> = (0..n as u32).map(|r| r % 5).collect();
+        let col: Vec<u32> = (0..n as u32).map(|r| r / 5).collect();
+        let fill = floats(&[Some(7.0); 5]);
+        let mut out = vec![fill.clone(); n / 5];
+        divide_transposed(&sums, &totals, (&parent, &col), &mut out);
+        let vertical = divided(&sums, &totals, Some(&parent));
+        for r in 0..n {
+            let (p, c) = (parent[r] as usize, col[r] as usize);
+            let want = match vertical.get(r) {
+                Value::Null => fill.get(p),
+                v => v,
+            };
+            let got = out[c].get(p);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "row {r}");
+        }
     }
 }

@@ -120,6 +120,17 @@ impl Bitmap {
         }
     }
 
+    /// The backing words to set bits in place: bits past the length must
+    /// stay zero, and [`Bitmap::recount`] must run after.
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
+    /// Recount the ones after the words were written in place.
+    pub(crate) fn recount(&mut self) {
+        self.ones = self.words.iter().map(|w| w.count_ones() as usize).sum();
+    }
+
     /// Iterate bits in order.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| self.get(i))

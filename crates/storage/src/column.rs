@@ -558,6 +558,96 @@ impl Column {
         }
     }
 
+    /// Write every valid row `r` of `self`, value and validity, into
+    /// `out[column[r]]` at row `row[r]`, leaving each other slot of `out`
+    /// as it was: one long column laid out as several wide ones, the
+    /// transposition a [`Column::gather`] per output column would make
+    /// through an index of `NONE`s. Every column of `out` has this column's
+    /// type, a string one its dictionary too (a gather from `self` gives
+    /// it), and a row at each `row[r]`; a column of another type is a
+    /// [`StorageError::TypeMismatch`].
+    pub fn scatter(&self, (row, column): (&[u32], &[u32]), out: &mut [Column]) -> Result<()> {
+        fn place<T: Copy>(
+            (data, validity): (&[T], &Bitmap),
+            (row, column): (&[u32], &[u32]),
+            out: Vec<(&mut Vec<T>, &mut Bitmap)>,
+        ) {
+            // A column valid throughout (a count, `DEFAULT 0`) keeps its bits.
+            let mark = out.iter().any(|(_, valid)| !valid.all_set());
+            let (mut to, mut bits): (Vec<&mut [T]>, Vec<&mut Bitmap>) = out
+                .into_iter()
+                .map(|(to, valid)| (&mut to[..], valid))
+                .unzip();
+            let mut words: Vec<&mut [u64]> = bits.iter_mut().map(|b| b.words_mut()).collect();
+            let (all, valid) = (validity.all_set(), validity.words());
+            // The bits of one output word gather in a register while rows
+            // keep landing in it (a level sorted by combination fills a
+            // column's rows in order), not in a chain of stores to it.
+            let (mut word, mut bits_of_word) = ((0, 0), 0u64);
+            for (r, (&at, &c)) in row.iter().zip(column).enumerate() {
+                if all || (valid[r / 64] >> (r % 64)) & 1 == 1 {
+                    let (at, c) = (at as usize, c as usize);
+                    to[c][at] = data[r];
+                    if mark {
+                        if (c, at / 64) != word {
+                            if bits_of_word != 0 {
+                                words[word.0][word.1] |= bits_of_word;
+                            }
+                            (word, bits_of_word) = ((c, at / 64), 0);
+                        }
+                        bits_of_word |= 1 << (at % 64);
+                    }
+                }
+            }
+            if bits_of_word != 0 {
+                words[word.0][word.1] |= bits_of_word;
+            }
+            drop(words);
+            bits.into_iter().for_each(Bitmap::recount);
+        }
+        let dtype = self.data_type();
+        let mismatch = |c: &Column| StorageError::TypeMismatch {
+            expected: dtype.to_string(),
+            found: c.data_type().to_string(),
+        };
+        let at = (row, column);
+        match self {
+            Column::Int { data, validity } => {
+                let out = out.iter_mut().map(|c| match c {
+                    Column::Int { data, validity } => Ok((data, validity)),
+                    c => Err(mismatch(c)),
+                });
+                place((data, validity), at, out.collect::<Result<_>>()?);
+            }
+            Column::Float { data, validity } => {
+                let out = out.iter_mut().map(|c| match c {
+                    Column::Float { data, validity } => Ok((data, validity)),
+                    c => Err(mismatch(c)),
+                });
+                place((data, validity), at, out.collect::<Result<_>>()?);
+            }
+            Column::Str {
+                codes, validity, ..
+            } => {
+                let out = out.iter_mut().map(|c| match c {
+                    Column::Str {
+                        codes,
+                        validity,
+                        packed,
+                        ..
+                    } => {
+                        // The slot vector described the codes written over.
+                        *packed = PackedCell::new();
+                        Ok((codes, validity))
+                    }
+                    c => Err(mismatch(c)),
+                });
+                place((codes, validity), at, out.collect::<Result<_>>()?);
+            }
+        }
+        Ok(())
+    }
+
     /// This column with every NULL row read as zero, as a column of `dtype`:
     /// a count, or a cell with `DEFAULT 0`. A `Float` read as `Int`
     /// truncates, as SQL's `CAST` does (a count re-aggregated through a
@@ -664,6 +754,59 @@ impl Column {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A scatter writes each valid row at its `(row, column)` slot and
+    /// leaves every other slot — a NULL row's included — as it was: a NULL
+    /// slot it fills becomes valid, a valid column keeps its bits, strings
+    /// keep their dictionary, and a column of another type is refused.
+    #[test]
+    fn scatter_transposes_valid_rows_into_their_slots() {
+        let mut src = Column::new(DataType::Float);
+        for r in 0..130 {
+            let v = if r % 9 == 4 {
+                Value::Null
+            } else {
+                Value::Float(r as f64)
+            };
+            src.push(v).unwrap();
+        }
+        let (row, column): (Vec<u32>, Vec<u32>) = (0..130).map(|r| (r % 65, r / 65)).unzip();
+        let mut nulls = src.gather(&[]);
+        nulls.push_nulls(65);
+        let mut zeros = Column::new(DataType::Float);
+        (0..65).for_each(|_| zeros.push(Value::Float(0.0)).unwrap());
+        let mut out = vec![nulls, zeros];
+        src.scatter((&row, &column), &mut out).unwrap();
+        for r in 0..130usize {
+            let (at, c) = (row[r] as usize, column[r] as usize);
+            let want = match (src.get(r), c) {
+                (Value::Null, 0) => Value::Null,
+                (Value::Null, _) => Value::Float(0.0),
+                (v, _) => v,
+            };
+            assert_eq!(out[c].get(at), want, "row {r}");
+        }
+        assert_eq!(out[0].null_count(), (0..65).filter(|r| r % 9 == 4).count());
+        assert_eq!(out[1].null_count(), 0);
+
+        let mut strs = Column::new(DataType::Str);
+        for s in ["x", "y", "z"] {
+            strs.push(Value::str(s)).unwrap();
+        }
+        let mut out = vec![strs.gather(&[NONE, NONE]); 2];
+        strs.scatter((&[1, 0, 1], &[0, 1, 1]), &mut out).unwrap();
+        let got: Vec<Vec<Value>> = (out.iter())
+            .map(|c| (0..2).map(|i| c.get(i)).collect())
+            .collect();
+        let s = Value::str;
+        assert_eq!(got, [vec![Value::Null, s("x")], vec![s("y"), s("z")]]);
+
+        let mut ints = vec![Column::new(DataType::Int)];
+        assert!(matches!(
+            strs.scatter((&[], &[]), &mut ints),
+            Err(StorageError::TypeMismatch { .. })
+        ));
+    }
 
     #[test]
     fn push_get_round_trip_int() {

@@ -41,12 +41,36 @@ pub struct HashIndex {
     shift: u32,
 }
 
+/// Rows `0..rows` of `columns` as key tuples, one fragment a column, read
+/// column by column: an integer column without NULLs is its values, any
+/// other its [`Column::key_fragment`]s, a string column's codes mapped
+/// through `codes` when it has some (a probe's, into the index's
+/// dictionary).
+fn fragments(columns: &[&Column], codes: &[Option<Vec<i64>>], rows: usize) -> Vec<Option<i64>> {
+    let arity = columns.len();
+    let mut keys = vec![None; rows * arity];
+    for (c, column) in columns.iter().enumerate() {
+        let out = keys.iter_mut().skip(c).step_by(arity);
+        match (column, codes.get(c).and_then(Option::as_deref)) {
+            (Column::Int { data, validity }, _) if validity.all_set() => {
+                out.zip(data).for_each(|(k, &v)| *k = Some(v))
+            }
+            (_, Some(codes)) => out
+                .enumerate()
+                .for_each(|(row, k)| *k = column.key_fragment(row).map(|f| codes[f as usize])),
+            (_, None) => out
+                .enumerate()
+                .for_each(|(row, k)| *k = column.key_fragment(row)),
+        }
+    }
+    keys
+}
+
 fn hash(key: &[Option<i64>]) -> u64 {
-    let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    key.iter().fold(0, |h, k| match *k {
-        Some(v) => mix(mix(h, 1), v as u64),
-        None => mix(h, 0),
-    })
+    // NULL hashes as one arbitrary word: the comparison tells them apart.
+    let word = |k: &Option<i64>| k.map_or(0x9e37_79b9_7f4a_7c15, |v| v as u64);
+    let mix = |h: u64, k| (h.rotate_left(5) ^ word(k)).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    key.iter().fold(0, mix)
 }
 
 impl HashIndex {
@@ -67,10 +91,7 @@ impl HashIndex {
             )));
         }
         let columns: Vec<&Column> = key_cols.iter().map(|&c| table.column(c)).collect();
-        let mut keys = Vec::with_capacity(rows * key_cols.len());
-        for r in 0..rows {
-            keys.extend(columns.iter().map(|c| c.key_fragment(r)));
-        }
+        let keys = fragments(&columns, &[], rows);
         let strings = |c: &&Column| match c {
             Column::Str { dict, .. } => dict.values().to_vec(),
             _ => Vec::new(),
@@ -140,24 +161,17 @@ impl HashIndex {
         };
         let translated: Vec<Option<Vec<i64>>> =
             columns.iter().zip(&self.strings).map(translate).collect();
-        let mut key: Vec<Option<i64>> = Vec::with_capacity(columns.len());
-        (0..left.num_rows())
-            .map(|row| {
-                key.clear();
-                key.extend(columns.iter().zip(&translated).map(|(c, codes)| {
-                    let fragment = c.key_fragment(row);
-                    match codes {
-                        Some(codes) => fragment.map(|code| codes[code as usize]),
-                        None => fragment,
-                    }
-                }));
-                match self.find(&key) {
-                    Ok(found) => Ok(found as u32),
-                    Err(_) if outer => Ok(NONE),
-                    Err(_) => Err(StorageError::MissingKey { row }),
-                }
-            })
-            .collect()
+        let arity = columns.len();
+        let keys = fragments(&columns, &translated, left.num_rows());
+        let mut found = Vec::with_capacity(left.num_rows());
+        for row in 0..left.num_rows() {
+            found.push(match self.find(&keys[row * arity..][..arity]) {
+                Ok(at) => at as u32,
+                Err(_) if outer => NONE,
+                Err(_) => return Err(StorageError::MissingKey { row }),
+            });
+        }
+        Ok(found)
     }
 
     fn key(&self, row: usize) -> &[Option<i64>] {
@@ -166,13 +180,17 @@ impl HashIndex {
     }
 
     /// The row carrying `key`, or the empty slot where it would go.
+    #[inline]
     fn find(&self, key: &[Option<i64>]) -> std::result::Result<usize, usize> {
         let mask = self.slots.len() - 1;
         let mut slot = (hash(key) >> self.shift) as usize;
+        let arity = key.len();
         loop {
             match self.slots[slot] {
                 NONE => return Err(slot),
-                row if self.key(row as usize) == key => return Ok(row as usize),
+                row if self.keys[row as usize * arity..][..arity] == *key => {
+                    return Ok(row as usize)
+                }
                 _ => slot = (slot + 1) & mask,
             }
         }
@@ -253,6 +271,46 @@ mod tests {
             Value::Float(7.0),
         ]);
         assert_eq!(idx.lookup(&probe, &[0], true).unwrap(), [1, 2, 0, NONE]);
+    }
+
+    /// Integer keys read as plain values when a column holds no NULL and
+    /// through their validity otherwise; either way every probe row finds
+    /// the row a scan for an equal key finds: NULL matches NULL, a value
+    /// the index lacks matches nothing.
+    #[test]
+    fn integer_keys_with_and_without_nulls_answer_as_a_scan() {
+        let schema = Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Int)]);
+        let schema = schema.unwrap().into_shared();
+        let table = |rows: &[(Option<i64>, Option<i64>)]| {
+            let mut t = Table::empty(schema.clone());
+            for &(a, b) in rows {
+                t.push_row(&[Value::from(a), Value::from(b)]).unwrap();
+            }
+            t
+        };
+        let full: Vec<_> = (0..6)
+            .flat_map(|a| (0..4).map(move |b| (Some(a), Some(b))))
+            .collect();
+        let mut nulls = full.clone();
+        nulls.extend([(None, Some(0)), (Some(2), None), (None, None)]);
+        let mut probe = full.clone();
+        probe.extend([
+            (None, Some(0)),
+            (Some(2), None),
+            (None, None),
+            (Some(9), Some(0)),
+        ]);
+        let probe = table(&probe);
+        let key = |t: &Table, r: usize| [t.column(0), t.column(1)].map(|c| c.key_fragment(r));
+        for rows in [&full, &nulls] {
+            let built = table(rows);
+            let found = HashIndex::build(&built, &[0, 1]).unwrap();
+            let found = found.lookup(&probe, &[0, 1], true).unwrap();
+            for (r, &got) in found.iter().enumerate() {
+                let want = (0..built.num_rows()).find(|&b| key(&built, b) == key(&probe, r));
+                assert_eq!(got, want.map_or(NONE, |b| b as u32), "probe row {r}");
+            }
+        }
     }
 
     #[test]

@@ -593,6 +593,195 @@ fn a_horizontal_float_key_is_its_first_rows_spelling() {
     }
 }
 
+/// The same spellings under a `Vpct`: `F`'s first zero row holds `-0.0`,
+/// but the level `(s, x)` lists `0.0` first, so an `(x)` level re-aggregated
+/// from it would print `0.0`. A `ROLLUP (x, s)` prints every key as its
+/// first row in `F` — cold, warm, and after an append — and so does a flat
+/// statement by `x` run after it, which finds the `(x)` level the `ROLLUP`
+/// left in the cache.
+#[test]
+fn a_vertical_float_key_is_its_first_rows_spelling() {
+    let fields = [
+        ("s", DataType::Str),
+        ("x", DataType::Float),
+        ("m", DataType::Float),
+    ];
+    let rows = vec![
+        vec![s("b"), F(-0.0), F(1.0)],
+        vec![s("a"), F(0.0), F(2.0)],
+        vec![s("a"), F(1.5), F(3.0)],
+        vec![s("b"), F(1.5), F(4.0)],
+    ];
+    let more = vec![vec![s("c"), F(0.0), F(5.0)], vec![s("a"), F(-0.0), F(6.0)]];
+    let stmts = [
+        Stmt::new("f", &["x", "s"]).vpct("m", &["s"], "p").rollup(),
+        Stmt::new("f", &["x"]).vpct("m", &[], "p"),
+    ];
+    check_across_an_append(&gen::table(&fields, &rows), &more, &stmts);
+}
+
+/// The lattice request's transposition at its edges, with only the cells
+/// it admits (`Hpct`, `sum` and `count` with and without `DEFAULT 0`,
+/// `count(*)`): a combination missing under a negative total (a `-0.0`
+/// cell), a group whose total is zero, a group whose measure is all NULL,
+/// two prefixed terms, and the same cells split across `max_columns`
+/// partitions by the producers. Under `HorizontalLattice` the request runs
+/// — it reads levels, and none from `F` when warm — cold, warm and after an
+/// append, at one and four threads, and answers as the reference does and
+/// as the cold CASE producer does, bit for bit; past `max_columns` it is
+/// refused as the producer is.
+#[test]
+fn the_requests_transposed_cells_at_their_edges() {
+    let fields = [
+        ("g", DataType::Str),
+        ("d", DataType::Int),
+        ("amt", DataType::Float),
+        ("q", DataType::Int),
+    ];
+    let rows = [
+        ("neg", 1, Some(-3.0), 1),
+        ("neg", 2, Some(1.0), 2),
+        ("zero", 1, Some(2.0), 3),
+        ("zero", 2, Some(-2.0), 4),
+        ("zero", 2, Some(-0.0), 5),
+        ("void", 1, None, 6),
+        ("void", 3, None, 7),
+        ("ok", 1, Some(4.0), 8),
+        ("ok", 3, Some(6.0), 9),
+        ("ok", 3, Some(5.0), 10),
+    ];
+    let row =
+        |(g, d, amt, q): (&str, i64, Option<f64>, i64)| vec![s(g), I(d), amt.map_or(Null, F), I(q)];
+    let t = gen::table(&fields, &rows.map(row));
+    let more = [("neg", 4, Some(2.0), 11), ("new", 2, Some(7.0), 12)].map(row);
+    let mut grown = t.clone();
+    more.iter().for_each(|row| grown.push_row(row).unwrap());
+    let by_g = || Stmt::new("f", &["g"]);
+    let stmts = [
+        by_g().hpct("amt", &["d"], "h"),
+        by_g()
+            .hpct("amt", &["d"], "h0")
+            .horizontal(Sum, Some("amt"), &["d"], (true, true), "h1")
+            .horizontal(Sum, Some("amt"), &["d"], (false, false), "h2")
+            .horizontal(Sum, Some("q"), &["d"], (false, true), "h3")
+            .horizontal(Count, Some("amt"), &["d"], (false, false), "h4")
+            .horizontal(CountStar, None, &["d"], (false, false), "h5")
+            .extra(Sum, Some("amt"), "total")
+            .extra(CountStar, None, "n"),
+        Stmt::new("f", &[]).hpct("q", &["d"], "h"),
+    ];
+    check_across_an_append(&t, &more, &stmts);
+    let case_direct = HorizontalOptions::with_strategy(HorizontalStrategy::CaseDirect);
+    for threads in [1, 4] {
+        let catalog = Catalog::new();
+        catalog.create_table("f", t.clone()).unwrap();
+        let engine =
+            PercentageEngine::new(&catalog).with_config(config(threads, DEFAULT_DENSE_BUDGET));
+        for (f, appended) in [(&t, false), (&grown, true)] {
+            if appended {
+                engine.append_rows("f", &more).unwrap();
+            }
+            let fresh = Catalog::new();
+            fresh.create_table("f", f.clone()).unwrap();
+            let fresh = PercentageEngine::new(&fresh).with_config(config(threads, 0));
+            for stmt in &stmts {
+                let (sql, keys) = (stmt.sql(), stmt.group_by.len());
+                let horizontal = |outcome| match outcome {
+                    Ok(SqlOutcome::Horizontal(r)) => r,
+                    other => panic!("{sql}: {other:?}"),
+                };
+                let best = VpctStrategy::best();
+                let producer = horizontal(fresh.execute_sql_with(&sql, &best, &case_direct));
+                let producer = glued(&producer.partitions, keys);
+                for run in ["cold", "warm"] {
+                    let what = format!("threads {threads} appended {appended} {run}: {sql}");
+                    let r = horizontal(engine.execute_sql(&sql));
+                    assert!(r.stats.lattice_levels > 0, "{what}: {}", r.stats);
+                    if run == "warm" {
+                        assert_eq!(r.stats.levels_from_scan, 0, "{what}: {}", r.stats);
+                    }
+                    let got = glued(&r.partitions, keys);
+                    assert_same_rows(&got, &answer(f, stmt), &what);
+                    assert_same_rows(&got, &producer, &format!("{what} (CASE producer)"));
+                }
+            }
+        }
+    }
+    // A statement past `max_columns`, which the request may not partition.
+    let wide: Vec<Vec<Value>> = (0..2100).map(|i| row(("w", i, Some(1.0), i))).collect();
+    let catalog = Catalog::new();
+    catalog
+        .create_table("f", gen::table(&fields, &wide))
+        .unwrap();
+    let engine = PercentageEngine::new(&catalog);
+    let sql = by_g().hpct("amt", &["d"], "h").sql();
+    let refused = |r: pa_core::Result<SqlOutcome>| match r {
+        Err(CoreError::TooManyColumns { needed, limit }) => (needed, limit),
+        other => panic!("{sql}: {other:?}"),
+    };
+    let request = refused(engine.execute_sql(&sql));
+    let producer = refused(engine.execute_sql_with(&sql, &VpctStrategy::best(), &case_direct));
+    assert_eq!((request, producer), ((2101, 2048), (2101, 2048)));
+}
+
+/// An append whose every row falls in a group the cached levels hold rolls
+/// them with no aggregation pass — each sum moved where it sits — including
+/// a group whose measure was all NULL until now, an `Int` measure and the
+/// count lanes; every plan answers as the reference.
+#[test]
+fn an_append_into_held_groups_rolls_the_levels_in_place() {
+    let fields = [
+        ("g", DataType::Str),
+        ("d", DataType::Int),
+        ("amt", DataType::Float),
+        ("q", DataType::Int),
+    ];
+    let rows = [
+        vec![s("a"), I(1), F(2.0), I(1)],
+        vec![s("a"), I(2), Null, I(2)],
+        vec![s("b"), I(1), Null, Null],
+        vec![s("b"), I(2), F(5.0), I(3)],
+    ];
+    let more = vec![
+        vec![s("a"), I(1), F(3.0), I(4)],
+        vec![s("b"), I(1), F(7.0), Null],
+        vec![s("b"), I(2), Null, I(-5)],
+    ];
+    let t = gen::table(&fields, &rows);
+    let vpct = Stmt::new("f", &["g", "d"]).vpct("amt", &["d"], "p");
+    let stmts = [
+        vpct.clone(),
+        Stmt::new("f", &["g"]).hpct("amt", &["d"], "h"),
+        Stmt::new("f", &["g"])
+            .horizontal(Sum, Some("q"), &["d"], (false, false), "h")
+            .horizontal(Count, Some("amt"), &["d"], (false, false), "c")
+            .extra(CountStar, None, "n"),
+    ];
+    check_across_an_append(&t, &more, &stmts);
+    let catalog = Catalog::new();
+    catalog.create_table("f", t).unwrap();
+    let engine = PercentageEngine::new(&catalog);
+    engine.execute_sql(&vpct.sql()).unwrap();
+    engine.append_rows("f", &more).unwrap();
+    let lines = engine.explain_analyze_sql(&vpct.sql()).unwrap();
+    let ops: Vec<&str> = (lines.iter())
+        .filter_map(|l| l.strip_prefix("-- op "))
+        .filter_map(|l| l.split(':').next())
+        .map(str::trim)
+        .collect();
+    // One pass: the level `(g)` re-aggregated from the rolled `(d, g)`.
+    let want = [
+        "query",
+        "levels",
+        "roll",
+        "aggregate",
+        "finish",
+        "keys",
+        "divide",
+    ];
+    assert_eq!(ops, want, "{lines:#?}");
+}
+
 /// Integer measures whose sums pass 2^53, where a float holds no longer
 /// every integer; and drawn statements over a table of no rows.
 #[test]
