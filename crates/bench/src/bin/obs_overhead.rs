@@ -2,16 +2,20 @@
 //! workload → `BENCH_obs.json`.
 //!
 //! ```text
-//! obs_overhead [--n N] [--d D] [--iters K] [--gate-pct P]
+//! obs_overhead [--n N] [--d D] [--iters K] [--gate-pct G]
 //!              [--baseline PATH] [--out PATH]
 //! ```
 //!
-//! Runs the `case_direct` Hpct cell of the scale bench twice: once through
-//! the normal (observability-disabled) path and once under a per-query
-//! tracer, both best-of-`--iters`. Records the honest tracing overhead
-//! percentage and the traced run's per-operator breakdown, and — when the
-//! pre-PR `--baseline` artifact is readable — the throughput delta of the
-//! disabled path against the recorded `case_direct` threads=1 cell.
+//! Runs the `case_direct` Hpct cell of the scale bench in interleaved
+//! pairs: best-of-`--iters` through the normal (observability-disabled)
+//! path and best-of-`--iters` under a per-query tracer, the side that runs
+//! first alternating from pair to pair. Each pair gives one on/off ratio;
+//! the overhead is the median ratio over `PAIRS` (15) pairs, so
+//! one pair that a noisy neighbour slowed cannot decide it. Records that
+//! overhead percentage, every pair's ratio and the traced run's
+//! per-operator breakdown, and — when the `--baseline` artifact is
+//! readable — the throughput delta of the disabled path against the
+//! recorded `case_direct` threads=1 cell.
 //!
 //! The hard gate is on *tracing* overhead (`--gate-pct`, default 25): wall
 //! clock on shared CI is too noisy for a tight cross-run gate, so the
@@ -22,6 +26,9 @@ use pa_bench::{best_of, lcg_fact_table, operator_breakdown, time_ms};
 use pa_core::{HorizontalOptions, HorizontalQuery, HorizontalStrategy, PercentageEngine};
 use pa_storage::Catalog;
 use std::fmt::Write as _;
+
+/// Off/on pairs the median is taken over.
+const PAIRS: usize = 15;
 
 struct Args {
     n: usize,
@@ -53,8 +60,8 @@ fn parse_args() -> Args {
             "--out" => args.out = next(),
             "--help" | "-h" => {
                 println!(
-                    "usage: obs_overhead [--n N] [--d D] [--iters K] \
-                     [--gate-pct P] [--baseline PATH] [--out PATH]"
+                    "usage: obs_overhead [--n N] [--d D] [--iters K] [--gate-pct G] \
+                     [--baseline PATH] [--out PATH]"
                 );
                 std::process::exit(0);
             }
@@ -65,6 +72,12 @@ fn parse_args() -> Args {
         }
     }
     args
+}
+
+/// The middle value of `values` (the upper one of an even count).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
 }
 
 /// The recorded `case_direct` threads=1 cell of a scale artifact, as
@@ -95,30 +108,49 @@ fn main() {
             .expect("fresh")
     });
     println!(
-        "obs_overhead — n={} d={} iters={} (generated in {gen_ms:.0} ms)",
-        args.n, args.d, args.iters
+        "obs_overhead — n={} d={} iters={} pairs={} (generated in {gen_ms:.0} ms)",
+        args.n, args.d, args.iters, PAIRS
     );
 
     let engine = PercentageEngine::new(&catalog);
     let q = HorizontalQuery::hpct("fact", &["store"], "amt", &["day"]);
     let opts = HorizontalOptions::with_strategy(HorizontalStrategy::CaseDirect);
 
-    // Interleave-warm both paths once, then measure each best-of-iters.
+    // Warm both paths once, then measure interleaved pairs.
     engine.horizontal_with(&q, &opts).expect("bench query");
-    let off_ms = best_of(args.iters, || {
-        engine.horizontal_with(&q, &opts).expect("bench query");
-    });
-    let on_ms = best_of(args.iters, || {
-        engine.horizontal_traced(&q, &opts).expect("bench query");
-    });
+    engine.horizontal_traced(&q, &opts).expect("bench query");
+    let off = || {
+        best_of(args.iters, || {
+            engine.horizontal_with(&q, &opts).expect("bench query");
+        })
+    };
+    let on = || {
+        best_of(args.iters, || {
+            engine.horizontal_traced(&q, &opts).expect("bench query");
+        })
+    };
+    let (mut offs, mut ons, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..PAIRS {
+        let (off_ms, on_ms) = if pair % 2 == 0 {
+            let off_ms = off();
+            (off_ms, on())
+        } else {
+            let on_ms = on();
+            (off(), on_ms)
+        };
+        offs.push(off_ms);
+        ons.push(on_ms);
+        ratios.push(on_ms / off_ms.max(1e-9));
+    }
+    let (off_ms, on_ms) = (median(offs), median(ons));
+    let overhead_pct = (median(ratios.clone()) - 1.0) * 100.0;
     let (_, report) = engine.horizontal_traced(&q, &opts).expect("bench query");
     let operators = operator_breakdown(&report);
 
-    let overhead_pct = (on_ms - off_ms) / off_ms.max(1e-9) * 100.0;
     println!(
-        "  tracing off {off_ms:>8.2} ms   tracing on {on_ms:>8.2} ms   \
-         overhead {overhead_pct:+.2}% (gate {:.0}%)",
-        args.gate_pct
+        "  tracing off {off_ms:>8.2} ms   tracing on {on_ms:>8.2} ms (medians)   \
+         overhead {overhead_pct:+.2}% (median of {} pair ratios; gate {:.0}%)",
+        PAIRS, args.gate_pct
     );
 
     // Throughput of the disabled path vs the recorded pre-PR cell, when the
@@ -144,6 +176,9 @@ fn main() {
     let _ = writeln!(json, "  \"n\": {},", args.n);
     let _ = writeln!(json, "  \"d\": {},", args.d);
     let _ = writeln!(json, "  \"iters\": {},", args.iters);
+    let _ = writeln!(json, "  \"pairs\": {PAIRS},");
+    let ratios: Vec<String> = ratios.iter().map(|r| format!("{r:.4}")).collect();
+    let _ = writeln!(json, "  \"pair_ratios\": [{}],", ratios.join(", "));
     let _ = writeln!(json, "  \"off_ms\": {off_ms:.3},");
     let _ = writeln!(json, "  \"on_ms\": {on_ms:.3},");
     let _ = writeln!(json, "  \"overhead_pct\": {overhead_pct:.3},");

@@ -395,12 +395,28 @@ const SINGLE_TERM_SQL: [&str; 8] = [
     "SELECT store, day, Vpct(amt BY day) AS p, median(amt) AS med, percentile(amt, 0.9) AS p90 \
      FROM f GROUP BY store, day;",
     "SELECT region, store, Vpct(amt BY store) AS p, approx_percentile(amt, 0.5) AS apx, \
-     approx_count_distinct(day) AS days FROM f GROUP BY region, store;",
+     approx_count_distinct(day) AS days, percentile(amt, 0.5) AS pc FROM f \
+     GROUP BY region, store;",
     "SELECT region, Vpct(amt) FROM f GROUP BY region;",
     "SELECT region, day, Vpct(1 BY day) AS share FROM f GROUP BY region, day;",
     "SELECT rate, day, Vpct(amt BY rate) AS p FROM f GROUP BY rate, day;",
     "SELECT acct, region, Vpct(amt BY region) AS p FROM f GROUP BY acct, region;",
 ];
+
+/// Within the percentile budget `approx_percentile` keeps the exact sample
+/// set `percentile` keeps: where a statement carries both at one `p` (`apx`
+/// and `pc`), they are the same column, bit for bit.
+fn assert_approx_is_exact(t: &Table, ctx: &str) {
+    let (Ok(apx), Ok(pc)) = (t.schema().index_of("apx"), t.schema().index_of("pc")) else {
+        return;
+    };
+    let bits = |c: usize| -> Vec<Option<u64>> {
+        (0..t.num_rows())
+            .map(|r| t.get(r, c).as_f64().map(f64::to_bits))
+            .collect()
+    };
+    assert_eq!(bits(apx), bits(pc), "{ctx}: approx_percentile is not exact");
+}
 
 /// Every knob-less `Vpct` is one lattice request, whatever its term count:
 /// cold it scans, warm it reads no fact row, and either way its answer is
@@ -427,6 +443,7 @@ fn every_knob_less_vpct_is_warm() {
             let cold = engine.execute_sql(sql).unwrap();
             assert!(cold.stats().levels_from_scan > 0, "{ctx}");
             assert_eq!(canonical(&cold.table().read()), reference, "cold: {ctx}");
+            assert_approx_is_exact(&cold.table().read(), &format!("cold: {ctx}"));
             assert!(!explain(sql).contains("<- scan"), "{ctx}");
 
             let warm = engine.execute_sql(sql).unwrap();
@@ -434,6 +451,7 @@ fn every_knob_less_vpct_is_warm() {
             assert_eq!(stats.levels_from_scan, 0, "{ctx}");
             assert_eq!(stats.levels_from_cache, stats.lattice_levels, "{ctx}");
             assert_eq!(canonical(&warm.table().read()), reference, "warm: {ctx}");
+            assert_approx_is_exact(&warm.table().read(), &format!("warm: {ctx}"));
             // Rows come in key order, as every lattice statement's do: by
             // the level's columns in normalized (lower-cased, sorted) order.
             let t = warm.table().read().clone();
@@ -607,7 +625,8 @@ const HOLISTIC_SQL: [&str; 4] = [
     "SELECT region, store, day, Vpct(amt BY day) AS p, median(amt) AS med, \
      percentile(amt, 0.9) AS p90 FROM f GROUP BY ROLLUP (region, store, day);",
     "SELECT region, store, Vpct(amt BY store) AS p, approx_percentile(amt, 0.5) AS apx, \
-     approx_count_distinct(day) AS days FROM f GROUP BY CUBE (region, store);",
+     approx_count_distinct(day) AS days, percentile(amt, 0.5) AS pc FROM f \
+     GROUP BY CUBE (region, store);",
     "SELECT region, store, day, Vpct(amt BY store, day) AS p, median(amt) AS med, \
      approx_count_distinct(store) AS stores, count(*) AS n FROM f \
      GROUP BY GROUPING SETS ((region, store, day), (region, day), (day));",
@@ -656,6 +675,7 @@ fn holistic_extras_ride_the_lattice_scan_cold_and_warm() {
                 let one_stream = (rows..rows + rows / 2).contains(&loops.0);
                 assert!(one_stream && loops.1 == 0, "{ctx}: {stats}");
                 assert_eq!(canonical(&cold.table().read()), reference, "cold: {ctx}");
+                assert_approx_is_exact(&cold.table().read(), &format!("cold: {ctx}"));
 
                 let warm = engine.execute_sql(sql).unwrap();
                 let stats = warm.stats();
@@ -663,6 +683,7 @@ fn holistic_extras_ride_the_lattice_scan_cold_and_warm() {
                 assert_eq!(stats.levels_from_cache, stats.lattice_levels, "{ctx}");
                 assert_eq!(stats.holistic_lanes, 0, "{ctx}: nothing accumulated");
                 assert_eq!(canonical(&warm.table().read()), reference, "warm: {ctx}");
+                assert_approx_is_exact(&warm.table().read(), &format!("warm: {ctx}"));
             }
         }
     }

@@ -238,7 +238,10 @@ fn holistic_extras_ride_hpct_direct_strategies_only() {
     let table = default_out.table();
     let table = table.read();
     let med = table.schema().index_of("med").unwrap();
+    let apx = table.schema().index_of("apx").unwrap();
     for row in &default_rows {
+        // Within the budget the approximate median is the exact one.
+        assert_eq!(row[apx], row[med], "approx_percentile for {:?}", row[0]);
         let mut vals: Vec<f64> = fact
             .rows()
             .filter(|r| r[0] == row[0])
@@ -261,7 +264,8 @@ fn holistic_extras_ride_hpct_direct_strategies_only() {
 fn holistic_hpct_serial_and_parallel_are_byte_identical() {
     let catalog = fact_catalog(6_000, 41);
     let sql = "SELECT state, city, Hpct(amt BY dweek), median(amt) AS med, \
-               percentile(amt, 0.95) AS p95, approx_count_distinct(store) AS stores \
+               percentile(amt, 0.95) AS p95, approx_count_distinct(store) AS stores, \
+               approx_percentile(amt, 0.95) AS a95 \
                FROM sales GROUP BY state, city ORDER BY state, city";
     for strategy in [
         HorizontalStrategy::CaseDirect,
@@ -278,6 +282,20 @@ fn holistic_hpct_serial_and_parallel_are_byte_identical() {
                 .with_config(config)
                 .execute_sql_with(sql, &VpctStrategy::best(), &opts)
                 .unwrap_or_else(|e| panic!("{} {label}: {e}", strategy.label()));
+            // Within the budget the approximate p95 is the exact one.
+            let t = out.table();
+            let t = t.read();
+            let (p95, a95) = (t.schema().index_of("p95"), t.schema().index_of("a95"));
+            let bits = |c: usize| -> Vec<Option<u64>> {
+                (0..t.num_rows())
+                    .map(|r| t.get(r, c).as_f64().map(f64::to_bits))
+                    .collect()
+            };
+            assert_eq!(
+                bits(p95.unwrap()),
+                bits(a95.unwrap()),
+                "{label}: approx_percentile"
+            );
             runs.push((label, rows_of(&out)));
         }
         for (label, rows) in &runs[1..] {

@@ -7,7 +7,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pa_engine::{
     distinct, hash_aggregate, hash_aggregate_with_config, lookup, multi_hash_aggregate,
-    window_aggregate, AggFunc, AggSpec, ExecStats, Expr, ParallelConfig, ResourceGuard, TDigest,
+    window_aggregate, AggFunc, AggSpec, ExecStats, Expr, PBits, ParallelConfig, ResourceGuard,
+    TDigest,
 };
 use pa_storage::{DataType, HashIndex, Schema, Table, Value};
 use std::borrow::Cow;
@@ -148,9 +149,9 @@ fn bench_primitives(c: &mut Criterion) {
 }
 
 /// The holistic lanes' own kernels: t-digest updates (one long stream, and
-/// `holistic`'s 707 store × day groups of ~141 samples, each read once)
-/// and the HLL lane's insert, grouped by `g`, over a 7-value column and an
-/// all-distinct one.
+/// `holistic`'s 707 store × day groups of ~141 samples, each read once),
+/// the two percentile functions' lane, and the HLL lane's insert, grouped
+/// by `g`, over a 7-value column and an all-distinct one.
 fn bench_sketches(c: &mut Criterion) {
     const N: usize = 100_000;
     let f = fact_table(N);
@@ -176,6 +177,36 @@ fn bench_sketches(c: &mut Criterion) {
             groups.map(quantile).sum::<f64>()
         });
     });
+
+    // `approx_percentile` priced against `percentile` in the same run: one
+    // lane over 100k rows in 101 groups of ~990 samples (`holistic`'s
+    // `GROUP BY store`), scan and finish included.
+    let mut by_store = Table::with_capacity(
+        Schema::from_pairs(&[("store", DataType::Int), ("a", DataType::Float)])
+            .unwrap()
+            .into_shared(),
+        N,
+    );
+    for row in 0..N {
+        let store = f.get(row, 3).as_i64().unwrap().rem_euclid(101);
+        by_store
+            .push_row(&[Value::Int(store), f.get(row, 2)])
+            .unwrap();
+    }
+    let p25 = PBits::new(0.25);
+    for (name, func) in [
+        ("exact", AggFunc::Percentile(p25)),
+        ("approx", AggFunc::ApproxPercentile(p25)),
+    ] {
+        let lane = [AggSpec::new(func, Expr::Col(1), "p")];
+        let config = ParallelConfig::serial();
+        c.bench_function(format!("sketch/percentile-lane/{name}/101x990"), |b| {
+            let (guard, mut stats) = (ResourceGuard::unlimited(), ExecStats::default());
+            b.iter(|| {
+                hash_aggregate_with_config(&by_store, &[0], &lane, &guard, &mut stats, &config)
+            });
+        });
+    }
 
     let distinct = |col| {
         let input = Expr::col(f.schema(), col).unwrap();

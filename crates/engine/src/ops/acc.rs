@@ -4,9 +4,10 @@
 //! group. The state is a *partial* in Gray et al.'s Data Cube sense:
 //! distributive (`sum`/`min`/`max`/`count(*)`) and algebraic (`avg`)
 //! functions carry their obvious partials, while the holistic ones carry
-//! either their full value set (`count(DISTINCT)`, exact `percentile`) or
-//! a mergeable sketch ([t-digest](crate::sketch::TDigest),
-//! [HLL](crate::sketch::Hll)) once the exact state outgrows its budget.
+//! either their full value set (`count(DISTINCT)`, `percentile` and
+//! `approx_percentile` alike) or a mergeable sketch
+//! ([t-digest](crate::sketch::TDigest) once a percentile's sample set
+//! outgrows its budget, [HLL](crate::sketch::Hll) always).
 //!
 //! The [`PartialState`] trait names the contract every variant honors
 //! (DESIGN.md §14): `update` absorbs one input, `merge` folds a disjoint
@@ -19,11 +20,13 @@
 //!
 //! Determinism classes (pinned by the oracle and the property suite):
 //! - **Order-insensitive** (byte-identical under any merge order): every
-//!   exact variant plus HLL. Exact set-carrying states serialize in
-//!   [`Value::total_cmp`] order so their bytes are canonical regardless
-//!   of insertion order.
-//! - **Ordered-deterministic**: t-digest states are byte-identical for a
-//!   fixed merge order and rank-error-bounded under any other order.
+//!   exact variant plus HLL — a percentile of either kind included while
+//!   its samples stay within the budget. Exact set-carrying states
+//!   serialize in [`Value::total_cmp`] order so their bytes are canonical
+//!   regardless of insertion order.
+//! - **Ordered-deterministic**: a percentile spilled to its t-digest is
+//!   byte-identical for a fixed merge order and rank-error-bounded under
+//!   any other order.
 
 use crate::error::{EngineError, Result};
 use crate::ops::aggregate::{AggFunc, PBits};
@@ -31,8 +34,9 @@ use crate::sketch::{Hll, TDigest};
 use pa_storage::partial::{frame, put_f64, put_i64, put_u32, put_u64, put_value, unframe, Cursor};
 use pa_storage::{StorageError, Value};
 
-/// Default per-group sample budget for exact `percentile` before the
-/// state spills to a t-digest. `PA_PERCENTILE_BUDGET` overrides it through
+/// Default per-group sample budget for `percentile` and
+/// `approx_percentile` before the state spills to a t-digest.
+/// `PA_PERCENTILE_BUDGET` overrides it through
 /// [`crate::ParallelConfig::percentile_budget`].
 pub const DEFAULT_PERCENTILE_BUDGET: usize = 65_536;
 
@@ -53,19 +57,21 @@ pub trait PartialState: Sized {
     fn deserialize(bytes: &[u8]) -> Result<Self>;
 }
 
-/// Exact-vs-spilled state of an exact `percentile` accumulator.
+/// Exact-vs-spilled state of a `percentile` or `approx_percentile`
+/// accumulator.
 #[derive(Debug, Clone)]
 pub enum PctState {
     /// All samples retained; finalize sorts and interpolates exactly.
     Exact(Vec<f64>),
-    /// Over budget: samples folded into a t-digest.
-    Spilled(TDigest),
+    /// Over budget: samples folded into a t-digest, boxed so that the
+    /// rare spilled state does not widen every accumulator.
+    Spilled(Box<TDigest>),
 }
 
 impl PctState {
     /// Absorb one sample; the state spills at the sample that takes it
-    /// past `budget`. Every path that feeds an exact percentile — the
-    /// per-row [`Acc::update`] and the block-fed holistic lanes — goes
+    /// past `budget`. Every path that feeds a percentile of either kind —
+    /// the per-row [`Acc::update`] and the block-fed holistic lanes — goes
     /// through here, so they spill at the same row.
     #[inline]
     pub(crate) fn push(&mut self, budget: usize, x: f64) {
@@ -108,22 +114,20 @@ pub enum Acc {
     Min(Value),
     /// `max(expr)` (NULL until a value arrives).
     Max(Value),
-    /// Exact `percentile(expr, p)` / `median(expr)`: retains samples up
-    /// to `budget`, then spills to a t-digest.
+    /// `percentile(expr, p)` / `median(expr)` and `approx_percentile(expr,
+    /// p)`: one state for both, retaining samples up to `budget`, then
+    /// spilling to a t-digest. Within the budget either function answers
+    /// the exact PERCENTILE_CONT, which lies within any rank bound.
     Percentile {
         /// Interpolation fraction in `[0, 1]`.
         p: f64,
+        /// Whether this is `approx_percentile`: it names the function and
+        /// its frame tag, and changes no answer.
+        approx: bool,
         /// Sample budget before spilling.
         budget: usize,
         /// Exact samples or the spilled digest.
         state: PctState,
-    },
-    /// `approx_percentile(expr, p)`: always a t-digest.
-    ApproxPercentile {
-        /// Interpolation fraction in `[0, 1]`.
-        p: f64,
-        /// The digest.
-        digest: TDigest,
     },
     /// `approx_count_distinct(expr)`: HyperLogLog registers.
     ApproxCountDistinct(Hll),
@@ -164,8 +168,12 @@ fn prefer_repr(candidate: &Value, incumbent: &Value) -> bool {
     matches!((candidate, incumbent), (Value::Int(_), Value::Float(_)))
 }
 
-fn digest_of(values: &[f64]) -> TDigest {
-    let mut d = TDigest::new();
+/// Frame tag of an `approx_percentile` state: tag 8's payload under the
+/// other function's name. Tag 9 was its bare t-digest, still decoded.
+const APPROX_PERCENTILE_TAG: u8 = 11;
+
+fn digest_of(values: &[f64]) -> Box<TDigest> {
+    let mut d = Box::new(TDigest::new());
     for &x in values {
         d.update(x);
     }
@@ -178,8 +186,8 @@ impl Acc {
         Acc::with_budget(func, DEFAULT_PERCENTILE_BUDGET)
     }
 
-    /// Fresh accumulator for `func`; an exact `percentile` state spills to
-    /// its t-digest past `percentile_budget` samples (operators pass
+    /// Fresh accumulator for `func`; a percentile state of either kind
+    /// spills to its t-digest past `percentile_budget` samples (operators pass
     /// [`crate::ParallelConfig::percentile_budget`]).
     pub fn with_budget(func: AggFunc, percentile_budget: usize) -> Acc {
         match func {
@@ -193,14 +201,11 @@ impl Acc {
             AggFunc::Avg => Acc::Avg { sum: 0.0, n: 0 },
             AggFunc::Min => Acc::Min(Value::Null),
             AggFunc::Max => Acc::Max(Value::Null),
-            AggFunc::Percentile(p) => Acc::Percentile {
+            AggFunc::Percentile(p) | AggFunc::ApproxPercentile(p) => Acc::Percentile {
                 p: p.value(),
+                approx: matches!(func, AggFunc::ApproxPercentile(_)),
                 budget: percentile_budget,
                 state: PctState::Exact(Vec::new()),
-            },
-            AggFunc::ApproxPercentile(p) => Acc::ApproxPercentile {
-                p: p.value(),
-                digest: TDigest::new(),
             },
             AggFunc::ApproxCountDistinct => Acc::ApproxCountDistinct(Hll::new()),
         }
@@ -216,13 +221,17 @@ impl Acc {
             Acc::Avg { .. } => AggFunc::Avg,
             Acc::Min(_) => AggFunc::Min,
             Acc::Max(_) => AggFunc::Max,
-            Acc::Percentile { p, .. } => AggFunc::Percentile(PBits::new(*p)),
-            Acc::ApproxPercentile { p, .. } => AggFunc::ApproxPercentile(PBits::new(*p)),
+            Acc::Percentile {
+                p, approx: false, ..
+            } => AggFunc::Percentile(PBits::new(*p)),
+            Acc::Percentile {
+                p, approx: true, ..
+            } => AggFunc::ApproxPercentile(PBits::new(*p)),
             Acc::ApproxCountDistinct(_) => AggFunc::ApproxCountDistinct,
         }
     }
 
-    /// Whether an exact `percentile` state has spilled to its digest
+    /// Whether a percentile state has spilled to its digest
     /// (surfaced as [`crate::ExecStats::sketch_spills`]).
     pub fn spilled(&self) -> bool {
         matches!(
@@ -282,50 +291,13 @@ impl Acc {
             Acc::Percentile { budget, state, .. } => match v.as_f64() {
                 Some(x) => state.push(*budget, x),
                 None => {
-                    return Err(EngineError::ExprType(format!(
-                        "percentile of non-numeric {v}"
-                    )));
-                }
-            },
-            Acc::ApproxPercentile { digest, .. } => match v.as_f64() {
-                Some(x) => digest.update(x),
-                None => {
-                    return Err(EngineError::ExprType(format!(
-                        "approx_percentile of non-numeric {v}"
-                    )));
+                    let name = self.func().sql_name();
+                    return Err(EngineError::ExprType(format!("{name} of non-numeric {v}")));
                 }
             },
             Acc::ApproxCountDistinct(hll) => hll.insert(v),
         }
         Ok(())
-    }
-
-    /// Typed fast path for numeric lanes: absorb a raw `f64` (`None` =
-    /// NULL) without constructing a [`Value`]. Only `sum`/`avg`/`count`/
-    /// `count(*)` take this path — callers route everything else and
-    /// non-column expressions through [`update`].
-    ///
-    /// [`update`]: Acc::update
-    #[inline]
-    pub fn update_f64(&mut self, v: Option<f64>) {
-        match (self, v) {
-            (Acc::CountStar(n), _) => *n += 1,
-            (_, None) => {}
-            (Acc::Sum { sum, any }, Some(x)) => {
-                *sum += x;
-                *any = true;
-            }
-            (Acc::Count(n), Some(_)) => *n += 1,
-            (Acc::Avg { sum, n }, Some(x)) => {
-                *sum += x;
-                *n += 1;
-            }
-            (acc, Some(x)) => {
-                // Unreachable via the kernel classification; keep the
-                // generic semantics anyway so the method is total.
-                let _ = acc.update(&Value::Float(x));
-            }
-        }
     }
 
     /// Fold another partial accumulator of the same function into this
@@ -366,13 +338,19 @@ impl Acc {
                 }
             }
             (
-                Acc::Percentile { p, budget, state },
+                Acc::Percentile {
+                    p,
+                    approx,
+                    budget,
+                    state,
+                },
                 Acc::Percentile {
                     p: p2,
+                    approx: approx2,
                     state: state2,
                     ..
                 },
-            ) if p.to_bits() == p2.to_bits() => match (&mut *state, state2) {
+            ) if p.to_bits() == p2.to_bits() && *approx == approx2 => match (&mut *state, state2) {
                 (PctState::Exact(vals), PctState::Exact(vals2)) => {
                     vals.extend_from_slice(&vals2);
                     if vals.len() > *budget {
@@ -389,11 +367,6 @@ impl Acc {
                 }
                 (PctState::Spilled(d), PctState::Spilled(d2)) => d.merge(&d2),
             },
-            (Acc::ApproxPercentile { p, digest }, Acc::ApproxPercentile { p: p2, digest: d2 })
-                if p.to_bits() == p2.to_bits() =>
-            {
-                digest.merge(&d2)
-            }
             (Acc::ApproxCountDistinct(hll), Acc::ApproxCountDistinct(h2)) => hll.merge(&h2),
             (a, b) => {
                 return Err(EngineError::InvalidOperator(format!(
@@ -428,9 +401,6 @@ impl Acc {
                 PctState::Exact(vals) => percentile_cont(&mut vals.clone(), *p),
                 PctState::Spilled(d) => d.quantile(*p).map_or(Value::Null, Value::Float),
             },
-            Acc::ApproxPercentile { p, digest } => {
-                digest.quantile(*p).map_or(Value::Null, Value::Float)
-            }
             Acc::ApproxCountDistinct(hll) => {
                 if hll.registers().iter().all(|&r| r == 0) {
                     Value::Int(0)
@@ -489,7 +459,12 @@ impl Acc {
                 put_value(payload, v);
                 7
             }
-            Acc::Percentile { p, budget, state } => {
+            Acc::Percentile {
+                p,
+                approx,
+                budget,
+                state,
+            } => {
                 put_f64(payload, *p);
                 put_u64(payload, *budget as u64);
                 match state {
@@ -509,12 +484,11 @@ impl Acc {
                         d.write_payload(payload);
                     }
                 }
-                8
-            }
-            Acc::ApproxPercentile { p, digest } => {
-                put_f64(payload, *p);
-                digest.write_payload(payload);
-                9
+                if *approx {
+                    APPROX_PERCENTILE_TAG
+                } else {
+                    8
+                }
             }
             Acc::ApproxCountDistinct(hll) => {
                 let regs = hll.registers();
@@ -553,10 +527,12 @@ impl Acc {
             }
             6 => Acc::Min(cur.value()?),
             7 => Acc::Max(cur.value()?),
-            8 => {
+            // Tag 9 is an `approx_percentile` frame of the format that kept
+            // a bare digest: a spilled state, whose budget is never read.
+            8 | 9 | APPROX_PERCENTILE_TAG => {
                 let p = cur.f64()?;
-                let budget = cur.u64()? as usize;
-                let state = match cur.u8()? {
+                let budget = if tag == 9 { 0 } else { cur.u64()? as usize };
+                let state = match if tag == 9 { 1 } else { cur.u8()? } {
                     0 => {
                         let n = cur.u32()? as usize;
                         let mut vals = Vec::with_capacity(n.min(1 << 20));
@@ -565,19 +541,20 @@ impl Acc {
                         }
                         PctState::Exact(vals)
                     }
-                    1 => PctState::Spilled(TDigest::read_payload(&mut cur)?),
+                    1 => PctState::Spilled(Box::new(TDigest::read_payload(&mut cur)?)),
                     t => {
                         return Err(EngineError::Storage(StorageError::PartialCodec(format!(
                             "unknown percentile state tag {t}"
                         ))));
                     }
                 };
-                Acc::Percentile { p, budget, state }
-            }
-            9 => {
-                let p = cur.f64()?;
-                let digest = TDigest::read_payload(&mut cur)?;
-                Acc::ApproxPercentile { p, digest }
+                let approx = tag != 8;
+                Acc::Percentile {
+                    p,
+                    approx,
+                    budget,
+                    state,
+                }
             }
             10 => {
                 let n = cur.u32()? as usize;
@@ -689,24 +666,6 @@ mod tests {
                 .is_err(),
             "different p is a different aggregate"
         );
-    }
-
-    #[test]
-    fn update_f64_matches_update() {
-        for func in [
-            AggFunc::Sum,
-            AggFunc::Count,
-            AggFunc::CountStar,
-            AggFunc::Avg,
-        ] {
-            let mut fast = Acc::new(func);
-            let mut slow = Acc::new(func);
-            for v in [Some(2.0), None, Some(-3.5)] {
-                fast.update_f64(v);
-                slow.update(&v.map_or(Value::Null, Value::Float)).unwrap();
-            }
-            assert_eq!(fast.finish(), slow.finish(), "{func:?}");
-        }
     }
 
     #[test]
@@ -851,6 +810,39 @@ mod tests {
             assert_eq!(back.serialize(), bytes, "{func:?} canonical bytes");
             assert_eq!(back.func(), acc.func(), "{func:?}");
         }
+        // Both percentiles spilled past a budget of 4: the frame carries the
+        // digest, and its decoded state answers, re-encodes and merges as
+        // the original does.
+        let many: Vec<Value> = (0..40)
+            .map(|i| Value::Float(f64::from(i * 7 % 23)))
+            .collect();
+        for func in [
+            AggFunc::Percentile(PBits::new(0.75)),
+            AggFunc::ApproxPercentile(PBits::new(0.75)),
+        ] {
+            let mut acc = Acc::with_budget(func, 4);
+            many.iter().for_each(|v| acc.update(v).unwrap());
+            assert!(acc.spilled(), "{func:?}");
+            let bytes = acc.serialize();
+            let back = Acc::deserialize(&bytes).unwrap();
+            assert!(back.spilled(), "{func:?}");
+            assert_eq!(back.finish(), acc.finish(), "{func:?}");
+            assert_eq!(back.serialize(), bytes, "{func:?} canonical bytes");
+            assert_eq!(back.func(), func, "{func:?}");
+            let mut merged = back.clone();
+            merged.merge(Acc::deserialize(&bytes).unwrap()).unwrap();
+            let again = Acc::deserialize(&merged.serialize()).unwrap();
+            assert_eq!(again.serialize(), merged.serialize(), "{func:?} merged");
+            assert_eq!(again.finish(), merged.finish(), "{func:?} merged");
+        }
+    }
+
+    #[test]
+    fn a_spilled_digest_does_not_widen_the_accumulator() {
+        // Every aggregate walks a matrix of accumulators; the t-digest
+        // inline would make each one 88 bytes instead of 48.
+        assert_eq!(std::mem::size_of::<PctState>(), 24);
+        assert!(std::mem::size_of::<Acc>() <= 48);
     }
 
     #[test]

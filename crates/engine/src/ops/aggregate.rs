@@ -73,7 +73,8 @@ pub enum AggFunc {
     /// the partial retains its samples, spilling to a t-digest past the
     /// per-group budget (`PA_PERCENTILE_BUDGET`).
     Percentile(PBits),
-    /// `approx_percentile(expr, p)` — t-digest estimate, bounded state.
+    /// `approx_percentile(expr, p)` — `percentile`'s state: exact up to the
+    /// per-group budget, a t-digest estimate past it.
     ApproxPercentile(PBits),
     /// `approx_count_distinct(expr)` — HyperLogLog estimate,
     /// fixed-size mergeable state.

@@ -23,6 +23,7 @@ use crate::guard::ResourceGuard;
 use crate::stats::ExecStats;
 use pa_obs::SpanHandle;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Rows per morsel: the unit of guard charging and cancellation latency.
 /// Large enough to amortize the shared atomic `fetch_add`, small enough
@@ -47,8 +48,8 @@ pub struct ParallelConfig {
     /// (env `PA_DENSE_BUDGET`; `0` disables dense grouping entirely).
     /// See [`crate::keymap::DenseKeySpace`].
     pub dense_budget: usize,
-    /// Samples an exact `percentile` group retains before its state spills
-    /// to a t-digest (env `PA_PERCENTILE_BUDGET`, default
+    /// Samples a `percentile` or `approx_percentile` group retains before
+    /// its state spills to a t-digest (env `PA_PERCENTILE_BUDGET`, default
     /// [`DEFAULT_PERCENTILE_BUDGET`](crate::DEFAULT_PERCENTILE_BUDGET)).
     pub percentile_budget: usize,
 }
@@ -81,28 +82,24 @@ impl ParallelConfig {
     }
 
     /// Read the configuration from the environment: `PA_THREADS` (default
-    /// [`std::thread::available_parallelism`]), `PA_MORSEL_ROWS`,
-    /// `PA_MIN_PARALLEL_ROWS`, `PA_DENSE_BUDGET` (0 disables the dense
-    /// group path), `PA_PERCENTILE_BUDGET`. Invalid or zero values fall
-    /// back to the defaults (except the dense budget, where 0 is
-    /// meaningful).
+    /// [`std::thread::available_parallelism`], asked once per process),
+    /// `PA_MORSEL_ROWS`, `PA_MIN_PARALLEL_ROWS`, `PA_DENSE_BUDGET` (0
+    /// disables the dense group path), `PA_PERCENTILE_BUDGET`. Invalid or
+    /// zero values fall back to the defaults (except the dense budget,
+    /// where 0 is meaningful). The variables are read on every call.
     pub fn from_env() -> ParallelConfig {
-        let parse = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&v| v > 0)
-        };
-        let threads = parse("PA_THREADS")
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        ParallelConfig::from_lookup(|name| std::env::var(name).ok())
+    }
+
+    /// [`ParallelConfig::from_env`] over the variables `var` looks up.
+    fn from_lookup(var: impl Fn(&str) -> Option<String>) -> ParallelConfig {
+        let number = |name: &str| var(name).and_then(|v| v.trim().parse::<usize>().ok());
+        let parse = |name: &str| number(name).filter(|&v| v > 0);
         ParallelConfig {
-            threads,
+            threads: parse("PA_THREADS").unwrap_or_else(hardware_threads),
             morsel_rows: parse("PA_MORSEL_ROWS").unwrap_or(DEFAULT_MORSEL_ROWS),
             min_parallel_rows: parse("PA_MIN_PARALLEL_ROWS").unwrap_or(DEFAULT_MIN_PARALLEL_ROWS),
-            dense_budget: std::env::var("PA_DENSE_BUDGET")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .unwrap_or(crate::keymap::DEFAULT_DENSE_BUDGET),
+            dense_budget: number("PA_DENSE_BUDGET").unwrap_or(crate::keymap::DEFAULT_DENSE_BUDGET),
             percentile_budget: parse("PA_PERCENTILE_BUDGET")
                 .unwrap_or(crate::ops::acc::DEFAULT_PERCENTILE_BUDGET),
         }
@@ -157,6 +154,14 @@ impl ParallelConfig {
             start..stop
         })
     }
+}
+
+/// The host's hardware thread count. The standard library reads it from
+/// the cgroup files on every call, which costs more than a warm statement;
+/// it is asked once per process.
+fn hardware_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Run `work` over every chunk and fold the results in chunk order.
@@ -316,6 +321,49 @@ mod tests {
         };
         let morsels: Vec<_> = c.morsels(16..37).collect();
         assert_eq!(morsels, vec![16..24, 24..32, 32..37]);
+    }
+
+    #[test]
+    fn the_environment_parses_as_documented() {
+        let env = |pairs: &'static [(&'static str, &'static str)]| {
+            ParallelConfig::from_lookup(move |name| {
+                let found = pairs.iter().find(|(k, _)| *k == name);
+                found.map(|(_, v)| v.to_string())
+            })
+        };
+        let unset = env(&[]);
+        assert_eq!(unset.threads, hardware_threads());
+        assert_eq!(
+            unset,
+            ParallelConfig {
+                threads: hardware_threads(),
+                ..ParallelConfig::serial()
+            }
+        );
+        let set = env(&[
+            ("PA_THREADS", " 3 "),
+            ("PA_MORSEL_ROWS", "512"),
+            ("PA_MIN_PARALLEL_ROWS", "7"),
+            ("PA_DENSE_BUDGET", "0"),
+            ("PA_PERCENTILE_BUDGET", "64"),
+        ]);
+        let want = ParallelConfig {
+            threads: 3,
+            morsel_rows: 512,
+            min_parallel_rows: 7,
+            dense_budget: 0,
+            percentile_budget: 64,
+        };
+        assert_eq!(set, want);
+        // Zero and garbage fall back to the defaults; a zero dense budget
+        // is the hash-tier ablation, kept.
+        let bad = env(&[
+            ("PA_THREADS", "0"),
+            ("PA_MORSEL_ROWS", "lots"),
+            ("PA_PERCENTILE_BUDGET", "0"),
+            ("PA_DENSE_BUDGET", "-1"),
+        ]);
+        assert_eq!(bad, unset);
     }
 
     #[test]

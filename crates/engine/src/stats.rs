@@ -134,9 +134,9 @@ pub struct ExecStats {
     /// sketch aggregates) — the lanes whose partials carry more than a
     /// few scalars (DESIGN.md §14).
     pub holistic_lanes: u64,
-    /// Exact-percentile group states that outgrew `PA_PERCENTILE_BUDGET`
-    /// and spilled to a t-digest (the result is approximate for those
-    /// groups).
+    /// Percentile group states (`percentile` or `approx_percentile`) that
+    /// outgrew `PA_PERCENTILE_BUDGET` and spilled to a t-digest (the result
+    /// is approximate for those groups).
     pub sketch_spills: u64,
     /// What the degradation ladder changed, when this result came from a
     /// degraded retry.

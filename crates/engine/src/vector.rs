@@ -18,9 +18,10 @@
 //!   into a dense array indexed by group id — no `Option`, no `Value`, no
 //!   `Acc` enum dispatch inside the loop. `HolisticLane` is the same for
 //!   `percentile` / `approx_percentile` / `approx_count_distinct`: typed
-//!   per-group state (sample buffer, t-digest, HLL registers) fed from the
-//!   same sources through the same two entry points, a block or a run at
-//!   a time. Lanes convert to real [`Acc`]s only once per worker chunk
+//!   per-group state (the two percentiles' shared sample set, spilled to a
+//!   t-digest past the budget; HLL registers) fed from the same sources
+//!   through the same two entry points, a block or a run at a time. Lanes
+//!   convert to real [`Acc`]s only once per worker chunk
 //!   (`LaneSet::into_accs`), so the merge/finish machinery — and therefore
 //!   the output bytes — are those of one `Acc::update` per row.
 //! * Run detection (`rle_runs`) lets the block loop of
@@ -44,7 +45,7 @@ use crate::expr::Expr;
 use crate::keymap::{DenseKeySpace, DimCoder, WideKeySpace};
 use crate::ops::acc::{Acc, PctState};
 use crate::ops::aggregate::{AggFunc, AggSpec};
-use crate::sketch::{value_hash64, Hll, TDigest};
+use crate::sketch::{value_hash64, Hll};
 use crate::stats::ExecStats;
 use pa_storage::{Column, PackedCodes, Table, Value};
 use std::ops::Range;
@@ -453,25 +454,23 @@ fn raw_acc(func: AggFunc, sum: f64, count: i64) -> Acc {
 // ---- holistic accumulator lanes ------------------------------------------
 
 /// One holistic lane's state per accumulator index: the typed insides of
-/// [`Acc::Percentile`], [`Acc::ApproxPercentile`] or
-/// [`Acc::ApproxCountDistinct`], fed from a [`LaneSrc`] through the same two
-/// entry points as [`RawLane`]. Gray et al. call these functions holistic
-/// because their state is the value set — not because they must be fed one
-/// [`Value`] at a time. Every index sees its non-NULL inputs in row order,
-/// the order a row-at-a-time `Acc::update` loop sees them, so the state —
-/// spill row, digest flush points, registers — is that loop's state.
+/// [`Acc::Percentile`] (either percentile) or [`Acc::ApproxCountDistinct`],
+/// fed from a [`LaneSrc`] through the same two entry points as [`RawLane`].
+/// Gray et al. call these functions holistic because their state is the
+/// value set — not because they must be fed one [`Value`] at a time. Every
+/// index sees its non-NULL inputs in row order, the order a row-at-a-time
+/// `Acc::update` loop sees them, so the state — spill row, digest flush
+/// points, registers — is that loop's state.
 pub(crate) struct HolisticLane(Holistic);
 
 enum Holistic {
-    /// Exact percentile: samples in row order until the budget spills them.
+    /// `percentile` or `approx_percentile`: samples in row order until the
+    /// budget spills them.
     Exact {
         p: f64,
+        approx: bool,
         budget: usize,
         states: Vec<PctState>,
-    },
-    Digest {
-        p: f64,
-        digests: Vec<TDigest>,
     },
     Distinct {
         sketches: Vec<Hll>,
@@ -537,14 +536,11 @@ impl HolisticLane {
     /// holistic functions with a typed lane.
     fn new(func: AggFunc, percentile_budget: usize) -> Option<HolisticLane> {
         Some(HolisticLane(match func {
-            AggFunc::Percentile(p) => Holistic::Exact {
+            AggFunc::Percentile(p) | AggFunc::ApproxPercentile(p) => Holistic::Exact {
                 p: p.value(),
+                approx: matches!(func, AggFunc::ApproxPercentile(_)),
                 budget: percentile_budget,
                 states: Vec::new(),
-            },
-            AggFunc::ApproxPercentile(p) => Holistic::Digest {
-                p: p.value(),
-                digests: Vec::new(),
             },
             AggFunc::ApproxCountDistinct => Holistic::Distinct {
                 sketches: Vec::new(),
@@ -559,9 +555,6 @@ impl HolisticLane {
         match &mut self.0 {
             Holistic::Exact { states, .. } if states.len() < n => {
                 states.resize_with(n, || PctState::Exact(Vec::new()))
-            }
-            Holistic::Digest { digests, .. } if digests.len() < n => {
-                digests.resize_with(n, TDigest::new)
             }
             Holistic::Distinct { sketches, .. } if sketches.len() < n => {
                 sketches.resize_with(n, Hll::new)
@@ -578,9 +571,6 @@ impl HolisticLane {
             Holistic::Exact { budget, states, .. } => {
                 col.for_each_f64(rows, |k, x| states[idx[k] as usize].push(*budget, x))
             }
-            Holistic::Digest { digests, .. } => {
-                col.for_each_f64(rows, |k, x| digests[idx[k] as usize].update(x))
-            }
             Holistic::Distinct { sketches, memo } => {
                 memo.for_each_hash(col, rows, |k, h| sketches[idx[k] as usize].insert_hash(h))
             }
@@ -596,10 +586,6 @@ impl HolisticLane {
                 let state = &mut states[g];
                 col.for_each_f64(rows, |_, x| state.push(*budget, x));
             }
-            Holistic::Digest { digests, .. } => {
-                let digest = &mut digests[g];
-                col.for_each_f64(rows, |_, x| digest.update(x));
-            }
             Holistic::Distinct { sketches, memo } => {
                 let sketch = &mut sketches[g];
                 memo.for_each_hash(col, rows, |_, h| sketch.insert_hash(h));
@@ -611,16 +597,17 @@ impl HolisticLane {
     /// per row would hold — so merge, serialization and finalize are shared.
     fn into_accs(self) -> Box<dyn Iterator<Item = Acc>> {
         match self.0 {
-            Holistic::Exact { p, budget, states } => Box::new(
-                states
-                    .into_iter()
-                    .map(move |state| Acc::Percentile { p, budget, state }),
-            ),
-            Holistic::Digest { p, digests } => Box::new(
-                digests
-                    .into_iter()
-                    .map(move |digest| Acc::ApproxPercentile { p, digest }),
-            ),
+            Holistic::Exact {
+                p,
+                approx,
+                budget,
+                states,
+            } => Box::new(states.into_iter().map(move |state| Acc::Percentile {
+                p,
+                approx,
+                budget,
+                state,
+            })),
             Holistic::Distinct { sketches, .. } => {
                 Box::new(sketches.into_iter().map(Acc::ApproxCountDistinct))
             }
@@ -1134,6 +1121,65 @@ mod tests {
                 set.into_accs(4).iter().map(Acc::serialize).collect()
             };
             assert_eq!(bytes(got), bytes(want));
+        }
+    }
+
+    /// At the spill boundary — `budget` and `budget + 1` samples, NaN, ±0.0
+    /// and NULLs among them — `percentile` and `approx_percentile` spill at
+    /// the same row, a lane (a scatter, then a run) holds the bytes one
+    /// `Acc::update` per row holds, and the two functions' frames differ in
+    /// their tag alone (and so their CRC), their answers not at all.
+    #[test]
+    fn both_percentiles_spill_at_the_same_row_on_every_path() {
+        const BUDGET: usize = 6;
+        let pattern = [f64::NAN, -0.0, 0.0, 2.5, -1.0, f64::NAN, 0.0, -0.0, 7.0];
+        let funcs = [
+            AggFunc::Percentile(PBits::new(0.25)),
+            AggFunc::ApproxPercentile(PBits::new(0.25)),
+        ];
+        for samples in [BUDGET, BUDGET + 1] {
+            // Every fourth row is NULL (a NaN placeholder under it).
+            let (mut data, mut valid) = (Vec::new(), Vec::new());
+            while valid.iter().filter(|&&v| v).count() < samples {
+                data.push(pattern[data.len() % pattern.len()]);
+                valid.push(data.len() % 4 != 0);
+            }
+            let rows = data.len();
+            let mut vwords = vec![0u64; rows.div_ceil(64)];
+            (0..rows)
+                .filter(|&k| valid[k])
+                .for_each(|k| vwords[k >> 6] |= 1 << (k & 63));
+            let value = |k: usize| match valid[k] {
+                true => Value::Float(data[k]),
+                false => Value::Null,
+            };
+            let src = LaneSrc::Col(NumSlice::Float(&data, &vwords));
+            let mut answers = Vec::new();
+            let mut frames = Vec::new();
+            for func in funcs {
+                let mut lane = HolisticLane::new(func, BUDGET).unwrap();
+                lane.ensure(1);
+                let half = rows / 2;
+                lane.scatter(&src, 0..half, &vec![0; half]);
+                lane.accumulate_run(&src, half..rows, 0);
+                let got = lane.into_accs().next().unwrap();
+                let mut want = Acc::with_budget(func, BUDGET);
+                (0..rows).for_each(|k| want.update(&value(k)).unwrap());
+                assert_eq!(got.spilled(), samples > BUDGET, "{func:?} {samples}");
+                assert_eq!(got.serialize(), want.serialize(), "{func:?} {samples}");
+                frames.push(got.serialize());
+                answers.push(got.finish().as_f64().map(f64::to_bits));
+            }
+            let strip = |f: &Vec<u8>| f[4..f.len() - 4].to_vec();
+            assert_eq!(strip(&frames[0]), strip(&frames[1]), "{samples} samples");
+            assert_eq!(answers[0], answers[1], "{samples} samples");
+            // Row by row, the two functions spill at the same row.
+            let [mut exact, mut approx] = funcs.map(|f| Acc::with_budget(f, BUDGET));
+            for k in 0..rows {
+                exact.update(&value(k)).unwrap();
+                approx.update(&value(k)).unwrap();
+                assert_eq!(exact.spilled(), approx.spilled(), "row {k}");
+            }
         }
     }
 

@@ -300,6 +300,7 @@ fn holistic_pivot_lanes_match_the_reference() {
         };
         let holistic = [
             (AggFunc::Percentile(PBits::new(0.5)), 2usize),
+            (AggFunc::ApproxPercentile(PBits::new(0.5)), 2),
             (AggFunc::ApproxPercentile(PBits::new(0.9)), 2),
             (AggFunc::ApproxCountDistinct, 3),
             (AggFunc::Percentile(PBits::new(0.5)), 4),
@@ -501,6 +502,11 @@ fn aggregate_partial_and_lattice_adapters_agree_across_the_kernel_matrix() {
         "med",
     ));
     holistic.push(AggSpec::new(AggFunc::ApproxCountDistinct, a.clone(), "adx"));
+    holistic.push(AggSpec::new(
+        AggFunc::ApproxPercentile(PBits::new(0.5)),
+        a.clone(),
+        "amed",
+    ));
     for (name, t) in &tables {
         let every_row = || reference::Rows::all(t.num_rows());
         // Past the dense budget the group key is both integers, BY the
@@ -515,6 +521,18 @@ fn aggregate_partial_and_lattice_adapters_agree_across_the_kernel_matrix() {
                 let mut st = ExecStats::default();
                 let budget = ParallelConfig::serial().percentile_budget;
                 let want = reference::aggregate(t, &every_row(), &cols, specs, budget);
+                if lanes == "holistic" {
+                    // Within the budget `approx_percentile` is `percentile`,
+                    // bit for bit; every path below answers `want`.
+                    let bits = |name: &str| -> Vec<Option<u64>> {
+                        let c = want.schema().index_of(name).unwrap();
+                        let col = want.column(c);
+                        (0..want.num_rows())
+                            .map(|r| col.get_f64(r).map(f64::to_bits))
+                            .collect()
+                    };
+                    assert_eq!(bits("amed"), bits("med"), "{what}");
+                }
                 let want = canonical(&want);
                 let partial = partial_aggregate(t, &cols, specs, &mut st)
                     .unwrap()

@@ -11,13 +11,18 @@
 //!
 //! Determinism classes (the header of `ops/acc.rs`):
 //!
-//! * **Order-insensitive** — every exact aggregate plus the HLL sketch:
-//!   byte-identical under any shard split and merge order. Measures are
-//!   integer-valued floats, so float sums are exact under regrouping
-//!   (same convention as the strategy differential oracle).
-//! * **Ordered-deterministic** — the t-digest (`ApproxPercentile`):
+//! * **Order-insensitive** — every exact aggregate plus the HLL sketch,
+//!   and both percentiles while a group's samples stay within the
+//!   percentile budget (`approx_percentile` keeps the exact sample set
+//!   `percentile` does): byte-identical under any shard split and merge
+//!   order. Measures are integer-valued floats, so float sums are exact
+//!   under regrouping (same convention as the strategy differential
+//!   oracle).
+//! * **Ordered-deterministic** — a percentile spilled to its t-digest:
 //!   byte-identical when partials merge in a fixed order; within the
-//!   documented rank-error bound under shuffles.
+//!   documented rank-error bound under shuffles. The tables here stay far
+//!   below the default budget, so the digest is driven past a small
+//!   [`Acc::with_budget`] one.
 //!
 //! The proptest half pins the merge algebra itself: `merge` is
 //! associative and commutative with `Acc::new` as identity, every partial
@@ -28,6 +33,7 @@ use pa_engine::{
     hash_aggregate_with_config, partial_aggregate, Acc, AggFunc, AggSpec, ExecStats, Expr, PBits,
     ParallelConfig, ResourceGuard, ShardPartial, TDIGEST_RANK_EPSILON,
 };
+use pa_storage::partial::{frame, put_dtype, put_f64, put_string, put_u32, put_value};
 use pa_storage::{DataType, Schema, Table, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -67,9 +73,9 @@ fn fact_table(rows: usize, seed: u64) -> Table {
     gen::table(&fields, &rows)
 }
 
-/// Every aggregate function of the protocol, exercised in one lane list.
-/// `ApproxPercentile` is ordered-deterministic, not order-insensitive, so
-/// the shuffled oracle splits the lane list on [`order_insensitive`].
+/// Every aggregate function of the protocol, exercised in one lane list;
+/// no group here reaches the percentile budget, so every lane is
+/// order-insensitive.
 fn all_funcs() -> Vec<(AggFunc, &'static str, &'static str)> {
     vec![
         (AggFunc::Sum, "a", "sum_a"),
@@ -84,10 +90,6 @@ fn all_funcs() -> Vec<(AggFunc, &'static str, &'static str)> {
         (AggFunc::ApproxPercentile(PBits::new(0.5)), "a", "amed_a"),
         (AggFunc::ApproxCountDistinct, "s", "ads"),
     ]
-}
-
-fn order_insensitive(func: AggFunc) -> bool {
-    !matches!(func, AggFunc::ApproxPercentile(_))
 }
 
 fn specs_of(t: &Table, funcs: &[(AggFunc, &'static str, &'static str)]) -> Vec<AggSpec> {
@@ -140,15 +142,64 @@ fn sharded_result(
         .collect();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
     shuffle(&mut wires, &mut rng);
+    merge_wires(&wires).finalize(&mut stats).unwrap()
+}
+
+/// Decode serialized shard partials and merge them in the order given.
+fn merge_wires(wires: &[Vec<u8>]) -> ShardPartial {
     let mut merged: Option<ShardPartial> = None;
-    for bytes in &wires {
+    for bytes in wires {
         let p = ShardPartial::deserialize(bytes).unwrap();
         match &mut merged {
             None => merged = Some(p),
             Some(m) => m.merge(p).unwrap(),
         }
     }
-    merged.unwrap().finalize(&mut stats).unwrap()
+    merged.unwrap()
+}
+
+/// The shard partial of one lane `func(a)` of `t` grouped by `g`, each
+/// group's state an `Acc::with_budget(func, budget)`: `partial_aggregate`
+/// takes its budget from the environment, so the partial is framed here as
+/// [`ShardPartial::serialize`] frames one (outer tag 200; key fields, lane
+/// header, then per group its key and its accumulator's own frame) and
+/// decoded through [`ShardPartial::deserialize`].
+fn budgeted_partial(t: &Table, func: AggFunc, budget: usize) -> ShardPartial {
+    let (g, a) = (0, 2);
+    let mut groups: Vec<(Value, Acc)> = Vec::new();
+    for row in 0..t.num_rows() {
+        let key = t.get(row, g);
+        let at = match groups.iter().position(|(k, _)| *k == key) {
+            Some(at) => at,
+            None => {
+                groups.push((key, Acc::with_budget(func, budget)));
+                groups.len() - 1
+            }
+        };
+        groups[at].1.update(&t.get(row, a)).unwrap();
+    }
+    let (tag, p) = match func {
+        AggFunc::Percentile(p) => (8, p),
+        AggFunc::ApproxPercentile(p) => (9, p),
+        other => unreachable!("{other:?} has no percentile budget"),
+    };
+    let mut payload = Vec::new();
+    put_u32(&mut payload, 1);
+    put_string(&mut payload, "g");
+    put_dtype(&mut payload, DataType::Int);
+    put_u32(&mut payload, 1);
+    payload.push(tag);
+    put_f64(&mut payload, p.value());
+    put_string(&mut payload, "p");
+    put_dtype(&mut payload, DataType::Float);
+    put_u32(&mut payload, groups.len() as u32);
+    for (key, acc) in &groups {
+        put_value(&mut payload, key);
+        let bytes = acc.serialize();
+        put_u32(&mut payload, bytes.len() as u32);
+        payload.extend_from_slice(&bytes);
+    }
+    ShardPartial::deserialize(&frame(200, &payload)).unwrap()
 }
 
 fn single_pass(t: &Table, group_cols: &[usize], specs: &[AggSpec]) -> Table {
@@ -168,15 +219,11 @@ fn rows_of(t: &Table) -> Vec<Vec<Value>> {
 // ---------------------------------------------------------------------
 
 /// Headline oracle: any split, any merge order, byte-identical to the
-/// single pass — for every order-insensitive aggregate at once.
+/// single pass — for every aggregate at once.
 #[test]
 fn shard_merge_identical_to_single_pass_any_split_any_order() {
     let t = fact_table(700, 7);
-    let funcs: Vec<_> = all_funcs()
-        .into_iter()
-        .filter(|(f, ..)| order_insensitive(*f))
-        .collect();
-    let specs = specs_of(&t, &funcs);
+    let specs = specs_of(&t, &all_funcs());
     for group_cols in [vec![0usize], vec![0, 1], vec![]] {
         let want = rows_of(&single_pass(&t, &group_cols, &specs));
         for k in [1usize, 2, 3, 5, 8] {
@@ -210,8 +257,8 @@ fn shard_merge_matches_parallel_hash_aggregate_at_1_2_4_threads() {
     for funcs in [all_funcs(), fusable] {
         let specs = specs_of(&t, &funcs);
         let group_cols = vec![0usize, 1];
-        // Fixed merge order (seed-stable shards merged unshuffled) keeps the
-        // t-digest lane deterministic too; compare against every thread count.
+        // Seed-stable shards merged unshuffled; compare against every
+        // thread count.
         let mut stats = ExecStats::default();
         let mut merged: Option<ShardPartial> = None;
         for shard in random_shards(&t, 4, 21) {
@@ -227,15 +274,6 @@ fn shard_merge_matches_parallel_hash_aggregate_at_1_2_4_threads() {
             }
         }
         let sharded = merged.unwrap().finalize(&mut stats).unwrap();
-
-        // The t-digest lane is ordered-deterministic: the engine's serial scan
-        // updates row-by-row while the sharded path merges four digests, so
-        // compare that lane by rank error, everything else byte-identically.
-        let tdigest_lane = group_cols.len()
-            + funcs
-                .iter()
-                .position(|(f, ..)| !order_insensitive(*f))
-                .expect("the list has a t-digest lane");
         for threads in [1usize, 2, 4] {
             let what = format!("threads={threads} lanes={}", funcs.len());
             let config = ParallelConfig {
@@ -262,59 +300,119 @@ fn shard_merge_matches_parallel_hash_aggregate_at_1_2_4_threads() {
             let got = rows_of(&sharded);
             assert_eq!(got.len(), want.len(), "{what} group count");
             for (g, w) in got.iter().zip(&want) {
-                for (lane, (gv, wv)) in g.iter().zip(w).enumerate() {
-                    if lane == tdigest_lane {
-                        let (gx, wx) = (gv.as_f64().unwrap_or(0.0), wv.as_f64().unwrap_or(0.0));
-                        assert!(
-                            (gx - wx).abs() <= 101.0 * TDIGEST_RANK_EPSILON,
-                            "{what} t-digest lane drifted: {gx} vs {wx}"
-                        );
-                    } else {
-                        assert_eq!(gv, wv, "{what} lane={lane} key={:?}", &g[..2]);
-                    }
-                }
+                assert_eq!(g, w, "{what} key={:?}", &g[..2]);
             }
         }
     }
 }
 
-/// The t-digest lane is byte-identical under a *fixed* merge order, and
-/// rank-bounded under shuffles.
+/// A spilled percentile — `percentile` and `approx_percentile` alike, past
+/// a budget of 32 samples per group — is byte-identical under a *fixed*
+/// merge order of serialized shard partials, and rank-bounded under
+/// shuffles.
 #[test]
-fn tdigest_lane_deterministic_under_fixed_merge_order() {
+fn spilled_digest_deterministic_under_fixed_merge_order() {
+    const BUDGET: usize = 32;
     let t = fact_table(600, 13);
-    let specs = specs_of(
-        &t,
-        &[(AggFunc::ApproxPercentile(PBits::new(0.9)), "a", "p90")],
-    );
     let group_cols = [0usize];
-    let run = |_: u64| {
-        let mut stats = ExecStats::default();
-        let mut merged: Option<ShardPartial> = None;
-        for shard in random_shards(&t, 3, 99) {
-            let p = partial_aggregate(&shard, &group_cols, &specs, &mut stats).unwrap();
-            match &mut merged {
-                None => merged = Some(p),
-                Some(m) => m.merge(p).unwrap(),
-            }
-        }
-        merged.unwrap().serialize()
-    };
-    assert_eq!(run(0), run(1), "fixed merge order must be reproducible");
-
-    // Shuffled orders stay within the documented rank-error bound of the
-    // exact percentile (|a| <= 50, so 2·epsilon·range = 10).
     let exact_specs = specs_of(&t, &[(AggFunc::Percentile(PBits::new(0.9)), "a", "p90")]);
     let exact = single_pass(&t, &group_cols, &exact_specs);
-    for seed in [5u64, 6, 7] {
-        let approx = sharded_result(&t, &group_cols, &specs, 3, seed);
-        for (a, e) in rows_of(&approx).iter().zip(rows_of(&exact)) {
-            let (av, ev) = (a[1].as_f64().unwrap_or(0.0), e[1].as_f64().unwrap_or(0.0));
-            assert!(
-                (av - ev).abs() <= 101.0 * TDIGEST_RANK_EPSILON,
-                "seed={seed}: approx {av} too far from exact {ev}"
-            );
+    for func in [
+        AggFunc::Percentile(PBits::new(0.9)),
+        AggFunc::ApproxPercentile(PBits::new(0.9)),
+    ] {
+        let wires = |seed: u64| -> Vec<Vec<u8>> {
+            random_shards(&t, 3, seed)
+                .iter()
+                .map(|shard| budgeted_partial(shard, func, BUDGET).serialize())
+                .collect()
+        };
+        let run = || merge_wires(&wires(99)).serialize();
+        assert_eq!(
+            run(),
+            run(),
+            "{func:?}: fixed merge order must be reproducible"
+        );
+
+        // Shuffled orders stay within the documented rank-error bound of the
+        // exact percentile (|a| <= 50, so 2·epsilon·range = 10).
+        for seed in [5u64, 6, 7] {
+            let mut wires = wires(seed);
+            shuffle(&mut wires, &mut StdRng::seed_from_u64(seed));
+            let mut stats = ExecStats::default();
+            let approx = merge_wires(&wires).finalize(&mut stats).unwrap();
+            // The five non-NULL keys hold ~100 samples a group.
+            assert!(stats.sketch_spills >= 5, "{func:?}: groups past the budget");
+            for (a, e) in rows_of(&approx).iter().zip(rows_of(&exact)) {
+                assert_eq!(a[0], e[0], "{func:?}: group keys");
+                let (av, ev) = (a[1].as_f64().unwrap_or(0.0), e[1].as_f64().unwrap_or(0.0));
+                assert!(
+                    (av - ev).abs() <= 101.0 * TDIGEST_RANK_EPSILON,
+                    "{func:?} seed={seed}: spilled {av} too far from exact {ev}"
+                );
+            }
         }
+    }
+}
+
+/// An `approx_percentile(x, 0.5)` partial as the format before the shared
+/// percentile state framed it — tag 9: `p`, then the bare t-digest of
+/// `(i * 37) % 101` for `i` in `0..24` (24 weight-1 centroids, min, max).
+const TAG9_FRAME: [&str; 9] = [
+    "504101099c010000000000000000e03f180000000000000000000000000000000000f03f000000000000084000000000",
+    "0000f03f0000000000001840000000000000f03f0000000000002440000000000000f03f0000000000002a4000000000",
+    "0000f03f0000000000003440000000000000f03f0000000000003740000000000000f03f0000000000003e4000000000",
+    "0000f03f0000000000804040000000000000f03f0000000000804240000000000000f03f000000000000444000000000",
+    "0000f03f0000000000804540000000000000f03f0000000000804740000000000000f03f000000000000494000000000",
+    "0000f03f0000000000804c40000000000000f03f0000000000004e40000000000000f03f0000000000c0504000000000",
+    "0000f03f0000000000805140000000000000f03f0000000000805240000000000000f03f000000000040534000000000",
+    "0000f03f0000000000005540000000000000f03f0000000000c05540000000000000f03f000000000080574000000000",
+    "0000f03f0000000000405840000000000000f03f00000000000000000000000000405840ffc0c06e",
+];
+
+/// A partial of the earlier format decodes as a spilled `approx_percentile`
+/// state, merges with a state of the current format on either side, and
+/// finishes within the rank bound over the union.
+#[test]
+fn an_earlier_bare_digest_frame_decodes_as_a_spilled_state() {
+    let hex: String = TAG9_FRAME.concat();
+    let bytes: Vec<u8> = (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect();
+    let func = AggFunc::ApproxPercentile(PBits::new(0.5));
+    let old = Acc::deserialize(&bytes).unwrap();
+    assert_eq!(old.func(), func);
+    assert!(old.spilled(), "a bare digest is a spilled state");
+    let old_values: Vec<f64> = (0..24).map(|i| ((i * 37) % 101) as f64).collect();
+    let new_values: Vec<f64> = (0..30).map(|i| (i * 3) as f64 + 0.5).collect();
+    let fresh = || {
+        acc_of(
+            func,
+            &new_values
+                .iter()
+                .map(|&x| Value::Float(x))
+                .collect::<Vec<_>>(),
+        )
+    };
+    let mut union: Vec<f64> = old_values.iter().chain(&new_values).copied().collect();
+    union.sort_by(f64::total_cmp);
+    let (mut old_first, mut new_first) = (old.clone(), fresh());
+    old_first.merge(fresh()).unwrap();
+    new_first.merge(old).unwrap();
+    for merged in [old_first, new_first] {
+        assert!(merged.spilled());
+        let back = Acc::deserialize(&merged.serialize()).unwrap();
+        assert_eq!(
+            back.serialize(),
+            merged.serialize(),
+            "it re-frames canonically"
+        );
+        let got = merged.finish().as_f64().unwrap();
+        let below = union.partition_point(|&x| x < got) as f64 / union.len() as f64;
+        let not_above = union.partition_point(|&x| x <= got) as f64 / union.len() as f64;
+        let err = (below - 0.5).max(0.5 - not_above).max(0.0);
+        assert!(err <= TDIGEST_RANK_EPSILON, "rank error {err} of {got}");
     }
 }
 
@@ -328,15 +426,7 @@ fn empty_shards_and_global_aggregates() {
     let want = rows_of(&single_pass(&t, &[], &specs));
     assert_eq!(want.len(), 1, "global aggregate is one row");
     let got = rows_of(&sharded_result(&t, &[], &specs, 16, 2));
-    // Drop the t-digest lane from the byte comparison (ordered class).
-    let lane = 9;
-    for (g, w) in got.iter().zip(&want) {
-        for (i, (gv, wv)) in g.iter().zip(w).enumerate() {
-            if i != lane {
-                assert_eq!(gv, wv, "lane {i}");
-            }
-        }
-    }
+    assert_eq!(got, want);
 
     // An all-empty union finalizes to the SQL empty-aggregate row.
     let schema = t.schema().clone();
@@ -428,7 +518,6 @@ fn holistic_lanes_match_the_reference_across_the_kernel_matrix() {
         }
         for lanes in &lane_lists {
             let specs = specs_of(&t, lanes);
-            let order_insensitive = lanes.iter().all(|(f, ..)| order_insensitive(*f));
             for group_cols in [vec![0usize], vec![0, 1], vec![]] {
                 // (dense budget, percentile budget): both tiers, and groups
                 // of ~600–1 800 rows inside and across the percentile budget.
@@ -481,9 +570,9 @@ fn holistic_lanes_match_the_reference_across_the_kernel_matrix() {
                             assert!(fused_stats.rle_runs > 0, "{what}: run path");
                         }
                         // Exact states and HLL merge identically in any
-                        // worker split; a digest (or a spilled percentile)
-                        // is only ordered-deterministic.
-                        if order_insensitive && percentile_budget > N {
+                        // worker split; a spilled percentile is only
+                        // ordered-deterministic.
+                        if percentile_budget > N {
                             let want = serial.get_or_insert_with(|| fused.clone());
                             assert_eq!(&fused, want, "{what}: vs one worker");
                         }
@@ -523,7 +612,8 @@ fn str_stream() -> impl Strategy<Value = Vec<Value>> {
 }
 
 /// Functions whose serialized accumulator state must be identical under
-/// any merge tree (the order-insensitive class).
+/// any merge tree (the order-insensitive class: the streams stay far below
+/// the percentile budget).
 fn exact_and_hll_funcs() -> Vec<AggFunc> {
     vec![
         AggFunc::Sum,
@@ -535,12 +625,34 @@ fn exact_and_hll_funcs() -> Vec<AggFunc> {
         AggFunc::CountDistinct,
         AggFunc::Percentile(PBits::new(0.25)),
         AggFunc::Percentile(PBits::new(0.5)),
+        AggFunc::ApproxPercentile(PBits::new(0.5)),
+        AggFunc::ApproxPercentile(PBits::new(0.75)),
         AggFunc::ApproxCountDistinct,
     ]
 }
 
 fn acc_of(func: AggFunc, values: &[Value]) -> Acc {
     let mut acc = Acc::new(func);
+    for v in values {
+        acc.update(v).unwrap();
+    }
+    acc
+}
+
+/// The sample budget the spilled-digest properties drive both percentile
+/// functions past: a stream of `value_stream` mostly holds more numbers.
+const SPILL_BUDGET: usize = 8;
+
+fn spilling_funcs() -> [AggFunc; 2] {
+    [
+        AggFunc::Percentile(PBits::new(0.5)),
+        AggFunc::ApproxPercentile(PBits::new(0.5)),
+    ]
+}
+
+/// [`acc_of`] under a budget of [`SPILL_BUDGET`] samples.
+fn spilled_acc(func: AggFunc, values: &[Value]) -> Acc {
+    let mut acc = Acc::with_budget(func, SPILL_BUDGET);
     for v in values {
         acc.update(v).unwrap();
     }
@@ -600,31 +712,32 @@ proptest! {
         }
     }
 
-    /// The t-digest is deterministic under a fixed merge order: folding
-    /// the same splits in the same order twice gives identical bytes.
+    /// A percentile spilled past a budget of [`SPILL_BUDGET`] samples is
+    /// deterministic under a fixed merge order: folding the same splits in
+    /// the same order twice gives identical bytes, for both functions.
     #[test]
-    fn tdigest_fixed_order_reproducible(nums in value_stream(), cut in 0usize..60) {
-        let func = AggFunc::ApproxPercentile(PBits::new(0.5));
-        let c = cut.min(nums.len());
-        let fold = || {
-            let mut acc = acc_of(func, &nums[..c]);
-            acc.merge(acc_of(func, &nums[c..])).unwrap();
-            acc.serialize()
-        };
-        prop_assert_eq!(fold(), fold());
-        // Identity holds for the ordered class too.
-        let mut id = Acc::new(func);
-        id.merge(acc_of(func, &nums)).unwrap();
-        prop_assert_eq!(id.serialize(), acc_of(func, &nums).serialize());
+    fn spilled_digest_fixed_order_reproducible(nums in value_stream(), cut in 0usize..60) {
+        for func in spilling_funcs() {
+            let c = cut.min(nums.len());
+            let fold = || {
+                let mut acc = spilled_acc(func, &nums[..c]);
+                acc.merge(spilled_acc(func, &nums[c..])).unwrap();
+                acc.serialize()
+            };
+            prop_assert_eq!(fold(), fold());
+            // Identity holds for the ordered class too.
+            let mut id = Acc::with_budget(func, SPILL_BUDGET);
+            id.merge(spilled_acc(func, &nums)).unwrap();
+            prop_assert_eq!(id.serialize(), spilled_acc(func, &nums).serialize());
+        }
     }
 
     /// Every partial survives serialize → deserialize → merge, and the
-    /// decoded copy is indistinguishable from the original.
+    /// decoded copy is indistinguishable from the original — a percentile
+    /// spilled past [`SPILL_BUDGET`] included.
     #[test]
     fn serialization_round_trip_then_merge(nums in value_stream(), strs in str_stream()) {
-        let mut funcs = exact_and_hll_funcs();
-        funcs.push(AggFunc::ApproxPercentile(PBits::new(0.75)));
-        for func in funcs {
+        for func in exact_and_hll_funcs() {
             let stream = stream_for(func, &nums, &strs);
             let acc = acc_of(func, &stream);
             let decoded = Acc::deserialize(&acc.serialize()).unwrap();
@@ -635,8 +748,36 @@ proptest! {
             m.merge(Acc::deserialize(&acc.serialize()).unwrap()).unwrap();
             let mut direct = acc_of(func, &stream);
             direct.merge(acc_of(func, &stream)).unwrap();
-            if order_insensitive(func) {
-                prop_assert_eq!(m.serialize(), direct.serialize(), "{:?}", func);
+            prop_assert_eq!(m.serialize(), direct.serialize(), "{:?}", func);
+        }
+        // A spilled frame (state byte 1, a digest payload) decodes to the
+        // same answer and re-encodes to the same bytes; decoded copies keep
+        // merging — with each other and with an unspilled state, on either
+        // side — into a spilled state that round-trips canonically.
+        let numeric = nums.iter().filter(|v| !v.is_null()).count();
+        for func in spilling_funcs() {
+            let acc = spilled_acc(func, &nums);
+            prop_assert_eq!(acc.spilled(), numeric > SPILL_BUDGET, "{:?}", func);
+            let bytes = acc.serialize();
+            let decoded = Acc::deserialize(&bytes).unwrap();
+            prop_assert_eq!(decoded.spilled(), acc.spilled(), "{:?}", func);
+            prop_assert_eq!(decoded.serialize(), bytes.clone(), "{:?}", func);
+            prop_assert_eq!(decoded.finish(), acc.finish(), "{:?}", func);
+            let small = &nums[..nums.len().min(4)];
+            let in_small = small.iter().filter(|v| !v.is_null()).count();
+            let small = spilled_acc(func, small);
+            let mut both = decoded.clone();
+            both.merge(Acc::deserialize(&bytes).unwrap()).unwrap();
+            let mut decoded_first = decoded.clone();
+            decoded_first.merge(small.clone()).unwrap();
+            let mut small_first = small;
+            small_first.merge(decoded).unwrap();
+            let held = [2 * numeric, numeric + in_small, numeric + in_small];
+            for (m, held) in [both, decoded_first, small_first].into_iter().zip(held) {
+                prop_assert_eq!(m.spilled(), held > SPILL_BUDGET, "{:?}", func);
+                let again = Acc::deserialize(&m.serialize()).unwrap();
+                prop_assert_eq!(again.serialize(), m.serialize(), "{:?}", func);
+                prop_assert_eq!(again.finish(), m.finish(), "{:?}", func);
             }
         }
     }

@@ -1,10 +1,12 @@
 //! Accuracy-bound tests for the approximate aggregates (DESIGN.md §14).
 //!
-//! * **t-digest** (`approx_percentile`): for every seeded distribution and
-//!   query rank, the *rank error* of the returned quantile — the distance
-//!   between the requested rank and the true rank of the returned value in
-//!   the sorted data — must stay within the documented
-//!   [`TDIGEST_RANK_EPSILON`].
+//! * **t-digest** (a spilled `percentile` or `approx_percentile`): for
+//!   every seeded distribution and query rank, the *rank error* of the
+//!   returned quantile — the distance between the requested rank and the
+//!   true rank of the returned value in the sorted data — must stay within
+//!   the documented [`TDIGEST_RANK_EPSILON`]. Both functions keep exact
+//!   samples up to the percentile budget, so the streams run past a small
+//!   [`BUDGET`] to reach the digest.
 //! * **HyperLogLog** (`approx_count_distinct`): the relative error of the
 //!   estimate must stay within 3σ of the standard error `1.04/√m`
 //!   ([`HLL_STD_ERROR`]) for m = [`HLL_REGISTERS`] registers.
@@ -112,6 +114,18 @@ fn rank_error(sorted: &[f64], x: f64, p: f64) -> f64 {
 // t-digest rank error
 // ---------------------------------------------------------------------
 
+/// Samples a percentile state keeps before it spills: far below the
+/// streams here, so every state answers from its t-digest.
+const BUDGET: usize = 1_024;
+
+/// Both percentile functions at `p`: they share one state.
+fn percentiles(p: f64) -> [AggFunc; 2] {
+    [
+        AggFunc::Percentile(PBits::new(p)),
+        AggFunc::ApproxPercentile(PBits::new(p)),
+    ]
+}
+
 #[test]
 fn tdigest_rank_error_within_documented_epsilon() {
     const N: usize = 20_000;
@@ -121,20 +135,23 @@ fn tdigest_rank_error_within_documented_epsilon() {
             let mut sorted = data.clone();
             sorted.sort_by(f64::total_cmp);
             for p in [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99] {
-                let mut acc = Acc::new(AggFunc::ApproxPercentile(PBits::new(p)));
-                for &x in &data {
-                    acc.update(&Value::Float(x)).unwrap();
+                for func in percentiles(p) {
+                    let mut acc = Acc::with_budget(func, BUDGET);
+                    for &x in &data {
+                        acc.update(&Value::Float(x)).unwrap();
+                    }
+                    assert!(acc.spilled(), "{func:?} past the budget");
+                    let Value::Float(q) = acc.finish() else {
+                        panic!("{func:?} produced a non-float");
+                    };
+                    let err = rank_error(&sorted, q, p);
+                    assert!(
+                        err <= TDIGEST_RANK_EPSILON,
+                        "t-digest rank error {err:.4} > epsilon {TDIGEST_RANK_EPSILON} \
+                         ({func:?}, dist={}, seed={seed}, got={q})",
+                        dist.name()
+                    );
                 }
-                let Value::Float(q) = acc.finish() else {
-                    panic!("approx_percentile produced a non-float");
-                };
-                let err = rank_error(&sorted, q, p);
-                assert!(
-                    err <= TDIGEST_RANK_EPSILON,
-                    "t-digest rank error {err:.4} > epsilon {TDIGEST_RANK_EPSILON} \
-                     (dist={}, seed={seed}, p={p}, got={q})",
-                    dist.name()
-                );
             }
         }
     }
@@ -150,24 +167,28 @@ fn tdigest_rank_error_survives_merges() {
             let data = dist.floats(N, seed);
             let mut sorted = data.clone();
             sorted.sort_by(f64::total_cmp);
-            for p in [0.05, 0.5, 0.95] {
-                let func = AggFunc::ApproxPercentile(PBits::new(p));
-                let mut merged = Acc::new(func);
+            for func in [0.05, 0.5, 0.95].into_iter().flat_map(percentiles) {
+                let mut merged = Acc::with_budget(func, BUDGET);
                 for chunk in data.chunks(N / 7) {
-                    let mut part = Acc::new(func);
+                    let mut part = Acc::with_budget(func, BUDGET);
                     for &x in chunk {
                         part.update(&Value::Float(x)).unwrap();
                     }
                     merged.merge(part).unwrap();
                 }
+                assert!(merged.spilled(), "{func:?} past the budget");
                 let Value::Float(q) = merged.finish() else {
-                    panic!("approx_percentile produced a non-float");
+                    panic!("{func:?} produced a non-float");
+                };
+                let p = match func {
+                    AggFunc::Percentile(p) | AggFunc::ApproxPercentile(p) => p.value(),
+                    _ => unreachable!("percentiles only"),
                 };
                 let err = rank_error(&sorted, q, p);
                 assert!(
                     err <= TDIGEST_RANK_EPSILON,
                     "merged t-digest rank error {err:.4} > epsilon {TDIGEST_RANK_EPSILON} \
-                     (dist={}, seed={seed}, p={p}, got={q})",
+                     ({func:?}, dist={}, seed={seed}, got={q})",
                     dist.name()
                 );
             }
